@@ -6,24 +6,17 @@ Paper observations reproduced as assertions: good scaling to ~12
 accelerators, host-DDR saturation beyond, and the PCIe-bound
 products+GCN configuration scaling worst.
 
-Run as a script for the *wall-clock* variant: ``--backend process``
-sweeps live trainer replicas (one worker process each, shared-memory
-feature store — GIL-free) and reports measured speedup;
-``--backend pipelined`` runs the overlapped producer/consumer pipeline
-and adds the per-stage overlap report (adaptive look-ahead range,
-buffer high-water / occupancy per stage); ``--backend threaded`` gives
-the GIL-bound reference curve and ``--backend virtual`` prints the
-paper's perf-model projection.
+Run as a script to print the projection. *Measured* wall-clock numbers
+for every live backend come from ``bench_e2e`` (``python3
+bench_e2e/run.py --trace 1``: the ``runtime.backends.sweep.<name>.
+op_p50_ms`` layer, plus the three gated training workloads).
 """
 
 import functools
 
 import pytest
 
-from repro.bench.experiments import (
-    run_scalability,
-    run_wallclock_scalability,
-)
+from repro.bench.experiments import run_scalability
 
 COUNTS = (1, 2, 4, 8, 16)
 
@@ -69,38 +62,12 @@ if __name__ == "__main__":
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="Fig. 9 scalability (see pytest for the perf-model "
-                    "figure; script mode sweeps live backends on "
-                    "wall-clock time)")
-    parser.add_argument("--backend",
-                        choices=("virtual", "threaded", "process",
-                                 "process_sampling", "pipelined",
-                                 "process_pipelined", "sharded"),
-                        default="virtual",
-                        help="'virtual' prints the perf-model "
-                             "projection; live backends measure "
-                             "wall time ('process_sampling' samples "
-                             "worker-side; 'pipelined' and "
-                             "'process_pipelined' add the per-stage "
-                             "overlap report; 'sharded' partitions "
-                             "the graph and reports the shard io "
-                             "column)")
-    parser.add_argument("--trainers", type=int, nargs="+",
-                        default=(1, 2, 4),
-                        help="trainer replica counts for live sweeps")
-    parser.add_argument("--iterations", type=int, default=4,
-                        help="synchronized iterations per live point")
+        description="Fig. 9 scalability (perf-model projection)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="additionally write the result table as "
                              "JSON (CI archives these as artifacts)")
     args = parser.parse_args()
-    if args.backend == "virtual":
-        res = run_scalability()
-    else:
-        res = run_wallclock_scalability(
-            trainer_counts=tuple(args.trainers),
-            backend=args.backend,
-            iterations=args.iterations)
+    res = run_scalability()
     print(res.render())
     if args.json:
         res.write_json(args.json)

@@ -127,7 +127,7 @@ def run_smoke() -> ExperimentResult:
     assert alloc.active_count == 0
     assert alloc.available_depth == DEPTH_BUDGET
     for label, backend in backends.items():
-        assert backend._grant is None
+        assert backend.lookahead.grant is None
         rep = reports[label]
         assert rep.iterations == iters[label]
         assert np.all(np.isfinite(rep.losses))
@@ -145,8 +145,8 @@ def run_smoke() -> ExperimentResult:
                     f"{min(depths)}-{max(depths)}",
                     summarize_calibration(
                         getattr(rep, "calibration", {})
-                        or backend.estimator.summary()),
-                    backend._grant is None)
+                        or backend.lookahead.estimator.summary()),
+                    backend.lookahead.grant is None)
     res.notes.append(
         f"contended snapshots observed: {len(contended)} (fair share "
         f"{DEPTH_BUDGET // 2} each); solo snapshots after release: "

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import functools
 
-import numpy as np
-
 from ..config import ABLATION_PRESETS, TrainingConfig
 from ..graph.datasets import GraphDataset, load_dataset
 from ..hw.topology import (
@@ -26,9 +24,7 @@ from ..baselines import (
     PaGraphSystem,
     PyGMultiGPUBaseline,
 )
-from ..kernels import format_shard_io, format_traffic
 from ..runtime.hybrid import HyScaleGNN
-from ..runtime.resctl import summarize_calibration
 from .harness import ExperimentResult, geomean
 
 #: Datasets in paper order.
@@ -211,118 +207,6 @@ def run_scalability(accel_counts=(1, 2, 4, 8, 16),
             res.add_row(ds_name, model, *speedups)
     res.notes.append("paper: near-linear to ~12 accelerators, then "
                      "host-DDR saturation; products+GCN PCIe-bound")
-    return res
-
-
-def run_wallclock_scalability(trainer_counts=(1, 2, 4),
-                              backend: str = "process",
-                              dataset_name: str = "ogbn-products",
-                              iterations: int = 4,
-                              config_overrides: dict | None = None
-                              ) -> ExperimentResult:
-    """Fig. 9 on *wall-clock* time: live trainer replicas, real NumPy.
-
-    Runs the *same total workload* (``iterations`` synchronized
-    iterations over a fixed per-iteration target budget — the
-    ``minibatch_size`` override is divided across the replicas, Fig. 9
-    style) with varying trainer-replica counts on a live backend, and
-    reports measured wall time plus speedup over the *first* count in
-    ``trainer_counts`` (pass ``(1, ...)`` for the paper's
-    speedup-vs-one-trainer normalization; the column is labelled with
-    the anchor). With the workload held fixed, perfect core-level
-    parallelism shows up as speedup ≈ n. On the ``"process"`` backend
-    each replica is a worker process gathering features from the
-    shared-memory store, so — unlike ``"threaded"``, whose NumPy work
-    serializes behind the GIL — that speedup is actually reachable
-    (given the cores to show it); ``"process_sampling"`` additionally
-    moves neighbor sampling into the workers (independent per-worker
-    RNG streams), so the sample stage parallelizes too instead of
-    serializing in the parent. The ``"pipelined"`` backend overlaps
-    the producer stages with training instead; ``"process_pipelined"``
-    composes both (look-ahead shard dealing + worker-local stage
-    overlap). Overlapped backends' rows carry the per-stage overlap
-    report (adaptive look-ahead range plus buffer high-water / mean
-    occupancy per stage) in the ``overlap`` column. Every row carries
-    the ``kernel io`` column: per-iteration bytes the gather/quantize
-    hot path moved plus the buffer-pool hit rate, from the report's
-    ``kernel_stats`` counter delta (these sessions run without a
-    timing plane, so the kernel counters are the only traffic
-    accounting the sweep has). The ``calib`` column renders the fused
-    plane's model-vs-realized calibration digest
-    (:func:`repro.runtime.resctl.summarize_calibration`); backends
-    without an online estimator — and timing-plane-less sessions like
-    these, whose estimator never warms — show ``-``.
-
-    Requires a live backend exposing ``run(iterations)`` and a
-    ``wall_time_s`` report field (``"threaded"``, ``"process"``,
-    ``"process_sampling"``, ``"pipelined"``, ``"process_pipelined"``).
-    """
-    from ..config import SystemConfig
-    from ..errors import ConfigError
-    from ..runtime import TrainingSession
-
-    overrides = dict(minibatch_size=256, fanouts=(5, 5), hidden_dim=64)
-    overrides.update(config_overrides or {})
-    ds = dataset(dataset_name)
-    anchor = trainer_counts[0]
-    res = ExperimentResult(
-        title=f"Fig. 9 (wall-clock) - live scalability "
-              f"({dataset_name}, {backend} backend, "
-              f"{iterations} iterations/point)",
-        columns=["model", "trainers", "wall time (s)",
-                 f"speedup vs {anchor}", "mean loss", "overlap",
-                 "kernel io", "shard io", "calib"])
-    total_targets = overrides["minibatch_size"]
-    for model in MODELS:
-        base_time = None
-        for n in trainer_counts:
-            # Fixed total per-iteration workload: n replicas share the
-            # same target budget, so wall time measures parallelism,
-            # not extra work.
-            cfg = paper_config(model, **{
-                **overrides,
-                "minibatch_size": max(8, total_targets // n)})
-            session = TrainingSession(
-                ds, cfg,
-                SystemConfig(hybrid=True, drm=False, prefetch=True),
-                num_trainers=n)
-            live = _live_backend(backend, session, timeout_s=300.0)
-            if not hasattr(live, "run"):
-                raise ConfigError(
-                    f"backend {backend!r} cannot run the wall-clock "
-                    "sweep: it exposes no run(iterations)")
-            rep = live.run(iterations)
-            if base_time is None:
-                base_time = rep.wall_time_s
-            overlap = getattr(rep, "overlap_summary", None)
-            res.add_row(model, n, rep.wall_time_s,
-                        base_time / max(rep.wall_time_s, 1e-12),
-                        float(np.mean(rep.losses)),
-                        overlap() if overlap is not None else "-",
-                        format_traffic(
-                            getattr(rep, "kernel_stats", {}),
-                            iterations),
-                        format_shard_io(
-                            getattr(rep, "kernel_stats", {}),
-                            iterations),
-                        summarize_calibration(
-                            getattr(rep, "calibration", {})))
-    res.notes.append(
-        "process backend = one worker process per trainer over the "
-        "shared-memory feature store; process_sampling = workers also "
-        "sample locally from per-worker RNG streams; threaded = "
-        "GIL-bound reference; pipelined = overlapped "
-        "sample/gather/transfer stage threads; process_pipelined = "
-        "the fusion: look-ahead shard dealing + worker-local stage "
-        "overlap (overlap column: adaptive depth range | per-stage "
-        "items, buffer high-water, mean occupancy; kernel io column: "
-        "per-iteration gather/payload traffic + buffer-pool hit rate "
-        "from the kernel registry counters; shard io column: local "
-        "vs remote gather traffic + remote-cache hit rate of the "
-        "sharded plane, '-' on single-node backends; calib column: "
-        "per-stage "
-        "model-vs-realized calibration error once the fused plane's "
-        "online estimator warms, '-' otherwise)")
     return res
 
 

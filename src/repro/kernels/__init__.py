@@ -52,8 +52,6 @@ from .pool import BufferPool
 from .stats import (
     COUNTERS,
     KernelCounters,
-    format_shard_io,
-    format_traffic,
     merge_counts,
     record,
     scoped_counters,
@@ -345,7 +343,5 @@ __all__ = [
     "KernelCounters",
     "record",
     "scoped_counters",
-    "format_traffic",
-    "format_shard_io",
     "merge_counts",
 ]

@@ -19,7 +19,7 @@ under one :class:`~repro.runtime.resctl.NodeAllocator`) each get a
 interleaving into one global bag. In-process backends wrap their run
 and stage threads in ``scoped_counters(self.counters)``; the process
 planes are already scoped by construction (each worker computes a
-local delta and ships it back over the ``kstats`` pipe message).
+local delta and ships it back in its worker snapshot).
 
 Thread safety: stage threads of the overlapped backends dispatch
 kernels concurrently, so :meth:`KernelCounters.add` takes a lock. The
@@ -84,55 +84,6 @@ def merge_counts(into: dict[str, int],
     for key, value in extra.items():
         into[key] = into.get(key, 0) + int(value)
     return into
-
-
-def format_traffic(counts: dict[str, int], iterations: int = 1) -> str:
-    """One-line per-iteration traffic summary for benches/logs.
-
-    Renders the bytes the gather/quantize hot path moved per training
-    iteration (source bytes read from the feature store; quantized
-    payload bytes that would cross PCIe) and the buffer-pool hit rate —
-    the steady-state-allocation answer. ``"-"`` when ``counts`` is
-    empty (a backend that never dispatched a kernel).
-    """
-    if not counts:
-        return "-"
-    iters = max(int(iterations), 1)
-    parts = [
-        "gather "
-        f"{counts.get('gather_src_bytes', 0) / iters / 1e6:.2f} MB/it"]
-    if counts.get("quantize_calls", 0) or counts.get("fused_calls", 0):
-        parts.append(
-            "payload "
-            f"{counts.get('payload_bytes', 0) / iters / 1e6:.2f} MB/it")
-    hits = counts.get("pool_hits", 0)
-    misses = counts.get("pool_misses", 0)
-    if hits or misses:
-        parts.append(f"pool {hits}/{hits + misses} hits")
-    return " | ".join(parts)
-
-
-def format_shard_io(counts: dict[str, int], iterations: int = 1) -> str:
-    """One-line per-iteration shard-interconnect summary.
-
-    Renders the local vs. remote feature-gather traffic of a sharded
-    run (``shard_local_bytes`` / ``shard_remote_bytes`` — the bytes a
-    multi-node deployment would keep on-node vs. send over the network)
-    and the remote-feature-cache hit rate. ``"-"`` when the counters
-    carry no shard keys (every non-sharded backend).
-    """
-    local = counts.get("shard_local_bytes", 0)
-    remote = counts.get("shard_remote_bytes", 0)
-    if not local and not remote:
-        return "-"
-    iters = max(int(iterations), 1)
-    parts = [f"local {local / iters / 1e6:.2f} MB/it",
-             f"remote {remote / iters / 1e6:.2f} MB/it"]
-    hits = counts.get("remote_cache_hits", 0)
-    misses = counts.get("remote_cache_misses", 0)
-    if hits or misses:
-        parts.append(f"cache {hits}/{hits + misses} hits")
-    return " | ".join(parts)
 
 
 #: The process-wide accumulator every kernel dispatch reports into.

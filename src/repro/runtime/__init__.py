@@ -19,34 +19,16 @@ This package is the paper's primary contribution (§III-§IV):
   (the per-trainer quota / permutation-cursor logic, implemented once);
 * :mod:`repro.runtime.backends` — pluggable execution strategies over
   the core. The **backend registry** maps a name to an
-  :class:`ExecutionBackend` subclass: ``get_backend("virtual")`` returns
-  :class:`VirtualTimeBackend` (sequential, modelled-hardware time —
-  the paper-figure plane), ``get_backend("threaded")`` returns
-  :class:`ThreadedBackend` (live threads, Listing-1 handshakes),
-  ``get_backend("process")`` returns :class:`ProcessPoolBackend`
-  (worker processes over a shared-memory feature store — GIL-free
-  NumPy training), ``get_backend("process_sampling")`` returns
-  :class:`ProcessSamplingBackend` (workers that additionally run the
-  sample stage locally from independent per-worker RNG streams — the
-  parent deals plan shards and adjudicates DRM),
-  ``get_backend("pipelined")`` returns
-  :class:`PipelinedBackend` (overlapped per-trainer
-  sample → gather → transfer stage threads with an adaptive,
-  perf-model-driven look-ahead — the paper's §IV-B prefetch made
-  live), and ``get_backend("process_pipelined")`` returns
-  :class:`ProcessPipelinedBackend` (the fusion of the last two: the
-  parent deals plan shards *ahead* through a bounded adaptive
-  look-ahead window while each worker overlaps its local
-  sample → gather → transfer chain with train+sync on stage threads —
-  process parallelism and stage overlap composed). All execute the
-  *same* plan and session, so hybrid
-  split, DRM, prefetch and transfer quantization behave identically on
-  each; new executors (e.g. multi-node sharding) join via
-  :func:`register_backend` without touching the core and inherit the
-  tiered conformance suite
-  (``tests/integration/backend_conformance.py``) at the tier their
-  ``conformance_tier`` capability flag declares — the full backend-
-  author guide lives in ``docs/backends.md``;
+  :class:`ExecutionBackend` subclass (``get_backend`` /
+  ``build_backend``): the in-process executors ``virtual`` (the
+  modelled-hardware reference), ``threaded`` and ``pipelined``, plus
+  four presets of the one process-plane driver (``process``,
+  ``process_sampling``, ``process_pipelined``, ``sharded``). All
+  execute the *same* plan and session, so hybrid split, DRM, prefetch
+  and transfer quantization behave identically on each; new executors
+  join via :func:`register_backend` and inherit the tiered conformance
+  suite (``tests/integration/backend_conformance.py``) — the author
+  guide is ``docs/backends.md``;
 * :mod:`repro.runtime.shm` — :class:`SharedFeatureStore`, the
   single-segment shared-memory mapping of the dataset's features,
   labels and CSR topology that process workers gather from zero-copy;
@@ -89,8 +71,8 @@ from .backends import (
     ProcessPipelinedBackend,
     ProcessPoolBackend,
     ProcessSamplingBackend,
+    RunReport,
     ShardedBackend,
-    ShardedReport,
     ThreadedBackend,
     VirtualTimeBackend,
     available_backends,
@@ -99,20 +81,13 @@ from .backends import (
     register_backend,
     resolve_options,
 )
-from .backends.threaded import ExecutorReport
 from .backends.virtual import EpochReport
-from .backends.process_pool import ProcessReport
-from .backends.process_sampling import ProcessSamplingReport
-from .backends.pipelined import (
+from .backends.report import StageStats
+from .backends.overlap import (
     DEPTH_SOURCES,
-    PipelinedReport,
-    StageStats,
+    LookaheadDealer,
     adaptive_depth,
     seed_depth,
-)
-from .backends.process_pipelined import (
-    LookaheadDealer,
-    ProcessPipelinedReport,
 )
 from .resctl import (
     DEFAULT_ALLOCATOR,
@@ -153,11 +128,7 @@ __all__ = [
     "PipelinedBackend",
     "ProcessPipelinedBackend",
     "ShardedBackend",
-    "ShardedReport",
-    "ProcessReport",
-    "ProcessSamplingReport",
-    "PipelinedReport",
-    "ProcessPipelinedReport",
+    "RunReport",
     "LookaheadDealer",
     "StageStats",
     "adaptive_depth",
@@ -185,5 +156,4 @@ __all__ = [
     "HyScaleGNN",
     "EpochReport",
     "ThreadedExecutor",
-    "ExecutorReport",
 ]

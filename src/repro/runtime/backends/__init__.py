@@ -2,57 +2,16 @@
 
 A backend realizes the training protocol of a
 :class:`~repro.runtime.core.TrainingSession` on a concrete execution
-substrate. Seven ship with the library:
-
-* ``"virtual"`` — :class:`VirtualTimeBackend`: sequential execution with
-  modelled-hardware (virtual-time) accounting; the paper-figure plane.
-* ``"threaded"`` — :class:`ThreadedBackend`: live Python threads with
-  the paper's Listing-1 condition-variable handshakes.
-* ``"process"`` — :class:`ProcessPoolBackend`: one worker *process* per
-  trainer replica over a shared-memory feature store
-  (:class:`~repro.runtime.shm.SharedFeatureStore`) — GIL-free NumPy
-  training, DistDGL-style.
-* ``"pipelined"`` — :class:`PipelinedBackend`: per-trainer
-  sample → gather → transfer stage threads over backpressured
-  :class:`~repro.runtime.prefetch.PrefetchBuffer` queues feeding the
-  train stage, with an adaptive look-ahead driven by the performance
-  model — the paper's §IV-B overlap made live.
-* ``"process_sampling"`` — :class:`ProcessSamplingBackend`: worker
-  processes that additionally run the **sample stage locally** over
-  the shared CSR, each with an independent ``SeedSequence``-derived
-  RNG stream; the parent deals only target-id shards of the plan and
-  keeps adjudicating DRM — the last lock-step stage made parallel.
-* ``"process_pipelined"`` — :class:`ProcessPipelinedBackend`: the
-  **fusion** of the two statistical planes. The parent deals plan
-  shards *ahead* through a bounded, adaptively-sized look-ahead
-  window; each worker overlaps its local sample → gather → quantized
-  transfer chain with train+sync on ``PrefetchBuffer``-backed stage
-  threads over the shared store — process-level parallelism *and*
-  per-worker stage overlap at once (paper §IV composed).
-* ``"sharded"`` — :class:`ShardedBackend`: the multi-node plane. The
-  graph is partitioned (``hash``/``bfs``) one shard per trainer; the
-  feature store is shard-sliced, the parent deals each shard only the
-  targets it owns, and every worker resolves feature rows as local
-  gather vs. **remote** gather (optionally through a degree-aware
-  :class:`~repro.runtime.remote_cache.RemoteFeatureCache`) with
-  per-minibatch byte accounting — DistDGL's distributed layout with
-  the interconnect accounted rather than physical.
-
-All consume the same :class:`~repro.runtime.core.BatchPlan` and session,
-so every feature flag — hybrid CPU+accelerator split, DRM, two-stage
-prefetch, transfer quantization, pluggable samplers — behaves identically
-on each; ``tests/integration/backend_conformance.py`` holds every
-registered backend (third-party ones included) to the conformance tier
-its :attr:`~ExecutionBackend.conformance_tier` flag declares: ``strict``
-backends must match the virtual reference bit for bit, ``statistical``
-backends (pipelined, process_sampling and process_pipelined — whose
-overlap or per-worker RNG streams preclude bit-parity by design) must
-preserve exact epoch coverage, per-worker shard disjointness, work
-conservation and loss/parameter closeness. Future executors
-(multi-node sharding) plug in through :func:`register_backend` and
-inherit the right tier for free. The full author guide — stage hooks,
-tiers, shm manifest, worker RNG streams, registration — lives in
-``docs/backends.md``.
+substrate. Seven registry names ship: three in-process executors
+(``virtual`` — the modelled-hardware reference; ``threaded``;
+``pipelined``) and four **presets** of the one process-plane driver
+(:class:`~.process.ProcessBackend`: ``process``, ``process_sampling``,
+``process_pipelined``, ``sharded``). All consume the same session and
+work source, and ``tests/integration/backend_conformance.py`` holds
+every registered backend (third-party ones included) to the tier its
+:attr:`~ExecutionBackend.conformance_tier` declares. What each plane
+does, the driver's seams, the worker snapshot and how to register a
+new preset: ``docs/backends.md``.
 """
 
 from __future__ import annotations
@@ -72,25 +31,18 @@ from .options import (
     resolve_options,
     validate_options_cls,
 )
+from .report import RunReport, StageStats
+from .overlap import LookaheadDealer, adaptive_depth
 from .virtual import EpochReport, VirtualTimeBackend
-from .threaded import ExecutorReport, ThreadedBackend
-from .process_pool import ProcessPoolBackend, ProcessReport
-from .process_sampling import (
-    ProcessSamplingBackend,
-    ProcessSamplingReport,
-)
-from .pipelined import (
-    PipelinedBackend,
-    PipelinedReport,
-    StageStats,
-    adaptive_depth,
-)
-from .process_pipelined import (
-    LookaheadDealer,
+from .threaded import ThreadedBackend
+from .pipelined import PipelinedBackend
+from .process import (
+    ProcessBackend,
     ProcessPipelinedBackend,
-    ProcessPipelinedReport,
+    ProcessPoolBackend,
+    ProcessSamplingBackend,
 )
-from .sharded import ShardedBackend, ShardedReport, ShardPlan
+from .sharded import ShardedBackend, ShardPlan
 
 #: name -> backend class. A :class:`~repro.registry.Registry` (the
 #: unified registry discipline), dict-compatible for legacy call sites;
@@ -154,13 +106,9 @@ __all__ = [
     "PipelinedBackend",
     "ProcessPipelinedBackend",
     "ShardedBackend",
+    "ProcessBackend",
     "EpochReport",
-    "ExecutorReport",
-    "ProcessReport",
-    "ProcessSamplingReport",
-    "PipelinedReport",
-    "ProcessPipelinedReport",
-    "ShardedReport",
+    "RunReport",
     "ShardPlan",
     "LookaheadDealer",
     "StageStats",

@@ -44,7 +44,7 @@ from __future__ import annotations
 import abc
 from typing import Any, ClassVar
 
-from ...kernels import KernelCounters
+from ...kernels import KernelCounters, scoped_counters
 from ..core import TrainingSession
 from ..resctl import StageMonitor
 from .options import BackendOptions
@@ -101,13 +101,38 @@ class ExecutionBackend(abc.ABC):
         #: when other sessions run concurrently in the same process.
         self.counters = KernelCounters()
 
-    @abc.abstractmethod
-    def run_epoch(self, max_iterations: int | None = None) -> Any:
-        """Execute (up to) one epoch of functional training.
+    def scoped(self, fn):
+        """Wrap a thread target so that thread's kernel traffic also
+        lands in :attr:`counters` — ``kernel_stats`` then counts only
+        this backend's dispatches even when co-tenant sessions overlap
+        in this process."""
+        def run(*args):
+            with scoped_counters(self.counters):
+                fn(*args)
+        return run
 
-        Returns a backend-specific report; all reports expose at least
-        ``iterations`` and per-iteration ``losses``.
+    def run_epoch(self, max_iterations: int | None = None) -> Any:
+        """Execute one epoch (or ``max_iterations``, whichever is
+        less) of functional training.
+
+        Every live backend implements :meth:`run` and inherits this
+        clamp to the session's epoch length; a backend with its own
+        epoch loop (the virtual plane) overrides this instead. Returns
+        the backend's report (:class:`~.report.RunReport` for every
+        live plane) — all reports expose at least ``iterations`` and
+        per-iteration ``losses``.
         """
+        iters = self.session.iterations_per_epoch()
+        if max_iterations is not None:
+            iters = min(iters, max_iterations)
+        return self.run(iters)
+
+    def run(self, iterations: int) -> Any:
+        """Execute exactly ``iterations`` synchronized iterations,
+        rolling into fresh epoch permutations as needed."""
+        raise NotImplementedError(
+            f"{type(self).__name__} implements neither run() nor "
+            "run_epoch()")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} over {self.session.dataset.name}>"

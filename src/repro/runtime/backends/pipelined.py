@@ -16,11 +16,11 @@ ones, per trainer, with backpressure end-to-end:
   :class:`~repro.runtime.core.BatchPlan` (one permutation per epoch,
   quota slices in trainer order — epoch coverage stays *exact*) and fans
   each trainer's targets into its sample queue;
-* per trainer, three stage threads — **sample** (via
-  ``session.sample_stage``, whose lock keeps the shared RNG stream
-  uncorrupted), **feature-gather** (``session.gather_stage``, host-DDR
-  row gather) and **quantized transfer** (``session.transfer_stage``,
-  the PCIe link policy) — pass items through bounded
+* per trainer, one :class:`~.overlap.StageChain` over the session's
+  :class:`~repro.runtime.stage_pipeline.StagePipeline` — **sample**
+  (whose lock keeps the shared RNG stream uncorrupted),
+  **feature-gather** (host-DDR row gather) and **quantized transfer**
+  (the PCIe link policy) threads passing items through bounded
   :class:`~repro.runtime.prefetch.PrefetchBuffer` queues;
 * the caller's thread is the **train + synchronizer** stage: it consumes
   prepared batches in iteration order, trains every replica, and runs
@@ -49,232 +49,28 @@ bit-parity. With a single trainer and no look-ahead-sensitive state the
 stream order is the plan order, so the single-trainer case **is**
 bit-identical — pinned by the conformance suite.
 
-This plane's overlap runs on threads under the GIL; the fused plane
-(:mod:`.process_pipelined`) reuses its :func:`adaptive_depth` policy
-and :class:`StageStats` reporting to run the same overlap *inside*
-GIL-free worker processes. The tier contract both planes share is
-documented in ``docs/backends.md``.
+This plane's overlap runs on threads under the GIL; the process
+driver's overlapped worker body (:mod:`.process`) runs the same
+:class:`~.overlap.StageChain` under the same
+:class:`~.overlap.DepthPolicy` *inside* GIL-free worker processes. The
+tier contract both planes share is documented in ``docs/backends.md``.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ...errors import ProtocolError
 from ...kernels import scoped_counters
-from ...perfmodel.model import StageTimes, WorkloadSplit
-from ...sim.trace import Timeline
-from ..prefetch import PrefetchBuffer
-from ..protocol import ProtocolLog, Signal
-from ..resctl import (
-    DEFAULT_ALLOCATOR,
-    NodeAllocator,
-    OnlineEstimator,
-    fold_worker_realized,
-)
+from ..protocol import Signal
+from ..resctl import NodeAllocator, fold_worker_realized
 from .base import ExecutionBackend
 from .options import OverlapOptions
-
-#: Producer stages in pipeline order (the train stage consumes).
-PRODUCER_STAGES = ("sample", "gather", "transfer")
-
-#: Valid values of the overlapped planes' ``depth_source`` knob.
-DEPTH_SOURCES = ("realized", "model")
-
-
-def resolve_depth_source(depth_source: str | None) -> str:
-    """Resolve an overlapped backend's ``depth_source`` knob.
-
-    ``"realized"`` (the default) steers ``adaptive_depth`` and
-    ``drm_step`` from estimator-calibrated stage times — monitored
-    wall clocks corrected onto the analytic model's scale;
-    ``"model"`` reproduces the purely-analytic (pre-calibration)
-    trajectories bit for bit, which is what the regression pins and
-    the bit-parity tests construct with.
-    """
-    if depth_source is None:
-        return "realized"
-    if depth_source not in DEPTH_SOURCES:
-        raise ProtocolError(
-            f"unknown depth_source {depth_source!r}; expected one of "
-            f"{DEPTH_SOURCES}")
-    return depth_source
-
-
-def seed_depth(session, initial_depth: int, cap: int,
-               depth_source: str, estimator=None) -> int:
-    """Effective look-ahead for the first window, before any timing
-    feedback exists (the iteration-0 depth bugfix).
-
-    ``adaptive_depth`` is only consulted after the first
-    ``timing_step``, so historically iteration 0 always ran at the
-    configured depth regardless of stage ratios. Under
-    ``depth_source="realized"`` a timing+prefetch session now starts
-    from the floor — there is no realized signal yet, so claiming the
-    full configured window is unjustified — or from the calibrated
-    steady-state estimate once the estimator is warm (e.g. a previous
-    run through the same backend instance). Sessions that will never
-    adapt (functional-only, or prefetch off) keep ``initial_depth``:
-    with no feedback loop, a floor-seeded window would throttle the
-    whole run, not just its first iterations. ``depth_source="model"``
-    preserves the prior trajectory exactly (the regression-pinned
-    behavior).
-    """
-    if depth_source != "realized":
-        return initial_depth
-    if not (session.has_timing and session.sys_cfg.prefetch):
-        return initial_depth
-    if estimator is not None and estimator.is_warm():
-        times = estimator.calibrate(session.stage_times(None, None))
-        return adaptive_depth(times, cap=cap)
-    return 1
-
-
-def resolve_depths(session, initial_depth: int | None,
-                   max_depth: int | None) -> tuple[int, int]:
-    """Resolve an overlapped backend's ``(initial_depth, max_depth)``.
-
-    The single depth-construction policy both overlapped planes
-    (threaded pipeline, fused process pipeline) share: the initial
-    depth defaults to the session's ``prefetch_depth`` when two-stage
-    prefetching is on (else 1 — lock-step, matching the serialized
-    ablation presets); the cap defaults to 8 or the initial depth,
-    whichever is larger, so default construction is valid for *any*
-    session; an explicitly-passed cap below the initial depth still
-    fails loudly.
-    """
-    if initial_depth is None:
-        initial_depth = session.sys_cfg.prefetch_depth \
-            if session.sys_cfg.prefetch else 1
-    if initial_depth < 1:
-        raise ProtocolError("prefetch depth must be >= 1")
-    if max_depth is None:
-        max_depth = max(8, initial_depth)
-    if max_depth < initial_depth:
-        raise ProtocolError("max_depth must be >= initial depth")
-    return initial_depth, max_depth
-
-
-def adaptive_depth(times: StageTimes, cap: int, floor: int = 1) -> int:
-    """Effective look-ahead from modelled stage-time ratios.
-
-    The producer side of the pipeline needs roughly
-    ``t_sample + t_load + t_transfer`` per batch; the consumer retires
-    one batch every ``t_prop``. Keeping
-    ``ceil(producer / consumer)`` batches in flight is just enough for
-    the train stage never to wait on a producer in steady state
-    (Little's law with the train stage as the service center); anything
-    deeper only adds memory pressure. Clamped to ``[floor, cap]`` so
-    the pipeline never starves (depth >= 1 keeps every stage able to
-    hand one item forward) and never exceeds the configured cap.
-    """
-    if cap < floor or floor < 1:
-        raise ProtocolError("need cap >= floor >= 1")
-    producer = times.t_sample + times.t_load + times.t_transfer
-    consumer = times.t_prop
-    if producer <= 0.0 or not math.isfinite(producer):
-        return floor
-    if consumer <= 0.0 or not math.isfinite(consumer):
-        return cap
-    ratio = producer / consumer
-    # Both operands can be finite while their ratio overflows to inf
-    # (a denormal consumer); ceil(inf) raises, and an unboundedly
-    # producer-bound pipeline wants the cap anyway.
-    if not math.isfinite(ratio):
-        return cap
-    return max(floor, min(cap, math.ceil(ratio)))
-
-
-@dataclass(frozen=True)
-class StageStats:
-    """Occupancy accounting of one pipeline stage's buffers, aggregated
-    across trainers (the per-stage overlap report)."""
-
-    stage: str
-    items: int               # total items that passed through
-    high_water: int          # max occupancy seen on any trainer's buffer
-    mean_occupancy: float    # mean over buffers of sampled occupancy
-
-    def describe(self) -> str:
-        return (f"{self.stage}: items={self.items} "
-                f"hw={self.high_water} occ={self.mean_occupancy:.2f}")
-
-
-def fold_stage_stats(stage: str,
-                     entries: list[tuple[int, int, float]]
-                     ) -> StageStats:
-    """Aggregate per-buffer ``(items, high_water, mean_occupancy)``
-    entries into one stage's :class:`StageStats` (items summed,
-    high-water maxed, occupancy averaged). Shared by the pipelined
-    plane (folding over its in-process buffers) and the fused process
-    plane (folding over per-worker accounting shipped back over the
-    pipes), so the overlap report can never diverge between them.
-
-    An empty ``entries`` list (a worker whose shard was empty, a stage
-    no buffer ever carried) folds to a zeroed record rather than
-    tripping ``max()``/``np.mean`` on an empty sequence."""
-    if not entries:
-        return StageStats(stage=stage, items=0, high_water=0,
-                          mean_occupancy=0.0)
-    return StageStats(
-        stage=stage,
-        items=sum(e[0] for e in entries),
-        high_water=max(e[1] for e in entries),
-        mean_occupancy=float(np.mean([e[2] for e in entries])))
-
-
-def summarize_overlap(stage_stats: dict[str, StageStats],
-                      depth_history: list[tuple[int, int]]) -> str:
-    """One-line per-stage overlap report for benches/logs — the single
-    formatter behind every overlapped report's ``overlap_summary()``
-    (the wall-clock bench renders it in the ``overlap`` column)."""
-    stats = " | ".join(s.describe() for s in stage_stats.values())
-    depths = [d for _, d in depth_history]
-    rng = f"{min(depths)}-{max(depths)}" if depths else "static"
-    return f"depth={rng} | {stats}"
-
-
-@dataclass
-class PipelinedReport:
-    """Outcome of a pipelined run.
-
-    Field-compatible with the other live planes' reports (the
-    conformance kit reads all of them generically), plus the pipeline's
-    own observability: per-stage occupancy stats, the adaptive-depth
-    trajectory, the exact multiset of trained targets (what the
-    statistical tier's coverage assertions consume), and the run's
-    kernel-traffic counter delta (``kernel_stats``).
-    """
-
-    iterations: int
-    losses: list[float] = field(default_factory=list)
-    accuracies: list[float] = field(default_factory=list)
-    wall_time_s: float = 0.0
-    protocol_log: ProtocolLog = field(default_factory=ProtocolLog)
-    replicas_consistent: bool = False
-    stage_history: list[StageTimes] = field(default_factory=list)
-    split_history: list[WorkloadSplit] = field(default_factory=list)
-    total_edges: float = 0.0
-    virtual_time_s: float = 0.0
-    timeline: Timeline = field(default_factory=Timeline)
-    trained_targets: list[np.ndarray] = field(default_factory=list)
-    stage_stats: dict[str, StageStats] = field(default_factory=dict)
-    depth_history: list[tuple[int, int]] = field(default_factory=list)
-    prefetch_high_water: int = 0
-    kernel_stats: dict[str, int] = field(default_factory=dict)
-    #: Per-stage model-vs-realized calibration digest (the resctl
-    #: estimator's ``summary()``): correction factor, relative error,
-    #: observation count, warmth. Empty on functional-only sessions.
-    calibration: dict[str, dict] = field(default_factory=dict)
-
-    def overlap_summary(self) -> str:
-        """One-line per-stage overlap report for benches/logs."""
-        return summarize_overlap(self.stage_stats, self.depth_history)
+from .overlap import DepthPolicy, StageChain
+from .report import RunReport
 
 
 class PipelinedBackend(ExecutionBackend):
@@ -304,7 +100,8 @@ class PipelinedBackend(ExecutionBackend):
         ``"realized"`` (default) calibrates the timing plane against
         monitored stage wall times before it drives ``adaptive_depth``
         and ``drm_step``; ``"model"`` reproduces the purely-analytic
-        trajectories bit for bit (see :func:`resolve_depth_source`).
+        trajectories bit for bit (see
+        :func:`~.overlap.resolve_depth_source`).
     allocator:
         The node-level :class:`~repro.runtime.resctl.NodeAllocator`
         arbitrating look-ahead depth across concurrent sessions
@@ -322,30 +119,15 @@ class PipelinedBackend(ExecutionBackend):
                  depth_source: str | None = None,
                  allocator: NodeAllocator | None = None) -> None:
         super().__init__(session)
-        self.initial_depth, self.max_depth = resolve_depths(
-            session, initial_depth, max_depth)
+        #: The look-ahead depth policy (knobs, estimator, grant).
+        self.lookahead = DepthPolicy(session, initial_depth, max_depth,
+                                     depth_source, allocator)
         if timeout_s <= 0:
             raise ProtocolError("timeout_s must be positive")
         self.timeout_s = timeout_s
-        self.depth_source = resolve_depth_source(depth_source)
-        self.allocator = allocator if allocator is not None \
-            else DEFAULT_ALLOCATOR
-        #: Calibrates the analytic model against the monitored wall
-        #: times; persists across runs, so a second run on the same
-        #: backend starts warm.
-        self.estimator = OnlineEstimator(monitor=None)
-        self._grant = None
 
     # ------------------------------------------------------------------
-    def run_epoch(self, max_iterations: int | None = None
-                  ) -> PipelinedReport:
-        """Execute one epoch (or ``max_iterations``, whichever is less)."""
-        iters = self.session.iterations_per_epoch()
-        if max_iterations is not None:
-            iters = min(iters, max_iterations)
-        return self.run(iters)
-
-    def run(self, iterations: int) -> PipelinedReport:
+    def run(self, iterations: int) -> RunReport:
         """Execute ``iterations`` synchronized iterations, overlapped.
 
         Iterations follow the shared batch plan (rolling into fresh
@@ -354,171 +136,75 @@ class PipelinedBackend(ExecutionBackend):
         """
         if iterations < 1:
             raise ProtocolError("iterations must be >= 1")
-        # Claim a share of the node's look-ahead budget for this run;
-        # the finally returns it the moment the run ends (success or
-        # failure), so co-tenant sessions' caps rise immediately.
-        self._grant = self.allocator.register(
-            name=f"{self.name}:{self.session.dataset.name}",
-            max_depth=self.max_depth)
-        try:
-            return self._run_overlapped(iterations)
-        finally:
-            self._grant.release()
-            self._grant = None
+        report = RunReport(iterations=iterations, trained_targets=[])
+        with self.lookahead.run(self.name, report) as depth:
+            self._run_overlapped(iterations, depth, report)
+        return report
 
-    def _depth_cap(self) -> int:
-        """Live adaptive-depth cap: the configured ``max_depth``
-        clamped by this run's current allocator share."""
-        cap = self.max_depth
-        if self._grant is not None and not self._grant.released:
-            cap = min(cap, self._grant.depth_cap)
-        return max(1, cap)
-
-    def _run_overlapped(self, iterations: int) -> PipelinedReport:
+    def _run_overlapped(self, iterations: int, depth: int,
+                        report: RunReport) -> None:
         s = self.session
-        n = s.num_trainers
-        report = PipelinedReport(iterations=iterations)
         rows: list[list[float]] = []
-        depth = seed_depth(s, self.initial_depth, self._depth_cap(),
-                           self.depth_source, self.estimator)
-        report.depth_history.append((0, depth))
-
-        # One buffer per (stage, trainer): the stage's output queue.
-        bufs = {stage: [PrefetchBuffer(depth) for _ in range(n)]
-                for stage in PRODUCER_STAGES}
-        bufs["train"] = [PrefetchBuffer(depth) for _ in range(n)]
         error: dict = {"exc": None}
 
         def fail(exc: BaseException) -> None:
             if error["exc"] is None:
                 error["exc"] = exc
-            for stage_bufs in bufs.values():
-                for b in stage_bufs:
-                    b.close()
+            for chain in chains:
+                chain.close()
+
+        chains = [StageChain(s.pipeline, trainer.kind, depth,
+                             self.timeout_s, fail,
+                             f"pipeline-{{}}{idx}", wrap=self.scoped)
+                  for idx, trainer in enumerate(s.trainers)]
 
         def dispatcher() -> None:
             try:
                 for it, planned in s.work_source.iterate(iterations):
-                    for idx in range(n):
-                        targets = planned.assignments[idx]
+                    for chain, targets in zip(chains,
+                                              planned.assignments):
                         if targets is not None:
                             report.trained_targets.append(targets)
-                        bufs["sample"][idx].put(
-                            (it, targets), timeout=self.timeout_s)
-                for b in bufs["sample"]:
-                    b.close()
+                        chain.feed(it, targets)
+                for chain in chains:
+                    chain.end()
             except BaseException as exc:
                 fail(exc)
 
-        def sample_worker(idx: int) -> None:
-            try:
-                while True:
-                    item = bufs["sample"][idx].get(
-                        timeout=self.timeout_s)
-                    if item is None:
-                        bufs["gather"][idx].close()
-                        return
-                    it, targets = item
-                    if targets is None:
-                        out = (it, 0, None, None, 0.0)
-                    else:
-                        t0 = time.perf_counter()
-                        mb = s.sample_stage(targets)
-                        dt = time.perf_counter() - t0
-                        out = (it, int(targets.size), mb, mb.stats(),
-                               dt)
-                    bufs["gather"][idx].put(out,
-                                            timeout=self.timeout_s)
-            except BaseException as exc:
-                fail(exc)
-
-        def gather_worker(idx: int) -> None:
-            try:
-                while True:
-                    item = bufs["gather"][idx].get(
-                        timeout=self.timeout_s)
-                    if item is None:
-                        bufs["transfer"][idx].close()
-                        return
-                    it, size, mb, st, dt_sample = item
-                    t0 = time.perf_counter()
-                    x0 = s.gather_stage(mb) if mb is not None else None
-                    dt_gather = time.perf_counter() - t0
-                    bufs["transfer"][idx].put(
-                        (it, size, mb, st, x0, dt_sample, dt_gather),
-                        timeout=self.timeout_s)
-            except BaseException as exc:
-                fail(exc)
-
-        def transfer_worker(idx: int) -> None:
-            kind = s.trainers[idx].kind
-            try:
-                while True:
-                    item = bufs["transfer"][idx].get(
-                        timeout=self.timeout_s)
-                    if item is None:
-                        bufs["train"][idx].close()
-                        return
-                    it, size, mb, st, x0, dt_sample, dt_gather = item
-                    labels = None
-                    dt_transfer = 0.0
-                    if mb is not None:
-                        t0 = time.perf_counter()
-                        x0 = s.transfer_stage(x0, kind)
-                        dt_transfer = time.perf_counter() - t0
-                        labels = s.labels_for(mb)
-                    bufs["train"][idx].put(
-                        (it, size, mb, st, x0, labels,
-                         (dt_sample, dt_gather, dt_transfer)),
-                        timeout=self.timeout_s)
-            except BaseException as exc:
-                fail(exc)
-
-        def scoped(fn):
-            # Enlist each stage thread into the session-scoped counter
-            # handle so kernel_stats counts only this run's dispatches
-            # even when co-tenant sessions overlap in this process.
-            def run(*args):
-                with scoped_counters(self.counters):
-                    fn(*args)
-            return run
-
-        threads = [threading.Thread(target=scoped(dispatcher),
-                                    daemon=True,
-                                    name="pipeline-dispatcher")]
-        for idx in range(n):
-            for stage, worker in (("sample", sample_worker),
-                                  ("gather", gather_worker),
-                                  ("transfer", transfer_worker)):
-                threads.append(threading.Thread(
-                    target=scoped(worker), args=(idx,), daemon=True,
-                    name=f"pipeline-{stage}{idx}"))
+        feeder = threading.Thread(target=self.scoped(dispatcher),
+                                  daemon=True,
+                                  name="pipeline-dispatcher")
         counters_before = self.counters.snapshot()
         start = time.perf_counter()
-        for t in threads:
-            t.start()
+        feeder.start()
+        for chain in chains:
+            chain.start()
 
         try:
             with scoped_counters(self.counters):
                 for it in range(iterations):
-                    depth = self._train_iteration(it, bufs, error,
-                                                  report, rows, depth)
+                    times = self._train_iteration(it, chains, error,
+                                                  report, rows)
+                    if self.lookahead.adapt(times, it, report):
+                        for chain in chains:
+                            chain.resize(self.lookahead.depth)
         finally:
             # Close every buffer first (unblocks any stage thread stuck
             # in put/get — they observe the close and drain out), then
             # join; runs on success and failure alike, so no stage
             # thread outlives the run.
-            for stage_bufs in bufs.values():
-                for b in stage_bufs:
-                    b.close()
-            for t in threads:
-                t.join(timeout=self.timeout_s)
+            for chain in chains:
+                chain.close()
+            feeder.join(timeout=self.timeout_s)
+            lingering = [name for chain in chains
+                         for name in chain.join()]
+            if feeder.is_alive():
+                lingering.append(feeder.name)
 
         # Only reached on the success path (a failure above propagates
         # its own error): a thread that survived its join is wedged
         # outside any buffer wait — fail the run rather than return a
         # report whose stage stats that thread could still be mutating.
-        lingering = [t.name for t in threads if t.is_alive()]
         if lingering:
             raise ProtocolError(
                 f"pipeline stage threads failed to join within "
@@ -528,21 +214,14 @@ class PipelinedBackend(ExecutionBackend):
         report.kernel_stats = self.counters.delta(counters_before)
         report.replicas_consistent = \
             s.synchronizer.replicas_consistent()
-        self._aggregate_stage_stats(bufs, report)
-        if s.has_timing:
-            report.calibration = self.estimator.summary()
-        if s.has_timing and rows:
-            timeline = s.make_pipeline().run(rows)
-            report.timeline = timeline
-            report.virtual_time_s = timeline.makespan
-        return report
+        report.fold_buffers([chain.buffer_stats() for chain in chains])
+        report.close_timeline(s, rows)
 
     # ------------------------------------------------------------------
-    def _train_iteration(self, it: int, bufs, error, report, rows,
-                         depth: int) -> int:
-        """Consume one iteration's prepared batches, train, synchronize,
-        and (timing sessions) adapt the look-ahead. Returns the depth in
-        effect after this iteration."""
+    def _train_iteration(self, it: int, chains, error, report, rows):
+        """Consume one iteration's prepared batches, train and
+        synchronize. Returns the iteration's stage times (``None`` on a
+        functional-only session) for the depth policy."""
         s = self.session
         stats_cpu = None
         stats_accel: list = []
@@ -553,7 +232,7 @@ class PipelinedBackend(ExecutionBackend):
 
         for idx, trainer in enumerate(s.trainers):
             try:
-                item = bufs["train"][idx].get(timeout=self.timeout_s)
+                item = chains[idx].take()
             except ProtocolError:
                 if error["exc"] is not None:
                     raise error["exc"] from None
@@ -563,26 +242,27 @@ class PipelinedBackend(ExecutionBackend):
                     ProtocolError(
                         f"pipeline for trainer {idx} ended before "
                         f"iteration {it}")
-            rit, size, mb, st, x0, labels, durs = item
-            if rit != it:
+            if item.it != it:
                 raise ProtocolError(
-                    f"trainer {idx} received iteration {rit}, "
+                    f"trainer {idx} received iteration {item.it}, "
                     f"expected {it} (stage reordering)")
+            mb = item.mb
+            st = None if mb is None else mb.stats()
             if trainer.kind == "cpu":
                 stats_cpu = st
             elif trainer.kind == "accel":
                 stats_accel.append(st)
-            sizes.append(size)
             if mb is None:
+                sizes.append(0)
                 trainer.model.zero_grad()
                 per_trainer.append((trainer.kind, {}))
                 continue
+            sizes.append(int(item.work.size))
             t0 = time.perf_counter()
-            rep = trainer.train_minibatch(mb, x0, labels, s.degrees)
-            per_trainer.append((trainer.kind,
-                                {"sample": durs[0], "load": durs[1],
-                                 "transfer": durs[2],
-                                 "train": time.perf_counter() - t0}))
+            rep = trainer.train_minibatch(mb, item.x0, item.labels,
+                                          s.degrees)
+            item.stage_s["train"] = time.perf_counter() - t0
+            per_trainer.append((trainer.kind, item.stage_s))
             report.total_edges += st.total_edges
             losses.append(rep.loss)
             accs.append(rep.accuracy)
@@ -601,30 +281,14 @@ class PipelinedBackend(ExecutionBackend):
 
         realized = fold_worker_realized(per_trainer, sync_s)
         self.monitor.observe_times(realized)
-        if s.has_timing:
-            times, row, split = s.timing_step(
-                stats_cpu, stats_accel, it,
-                estimator=self.estimator, realized=realized,
-                calibrate=self.depth_source == "realized",
-                overlapped=self.overlaps_transfer)
-            rows.append(row)
-            report.stage_history.append(times)
-            report.split_history.append(split)
-            if s.sys_cfg.prefetch:
-                want = adaptive_depth(times, cap=self._depth_cap())
-                if want != depth:
-                    for stage_bufs in bufs.values():
-                        for b in stage_bufs:
-                            b.resize(want)
-                    report.depth_history.append((it + 1, want))
-                    depth = want
-        return depth
-
-    def _aggregate_stage_stats(self, bufs, report) -> None:
-        """Fold per-buffer accounting into the per-stage overlap report."""
-        for stage, stage_bufs in bufs.items():
-            report.stage_stats[stage] = fold_stage_stats(
-                stage, [(b.total_puts, b.high_water, b.mean_occupancy)
-                        for b in stage_bufs])
-        report.prefetch_high_water = max(
-            st.high_water for st in report.stage_stats.values())
+        if not s.has_timing:
+            return None
+        times, row, split = s.timing_step(
+            stats_cpu, stats_accel, it,
+            estimator=self.lookahead.estimator, realized=realized,
+            calibrate=self.lookahead.calibrate,
+            overlapped=self.overlaps_transfer)
+        rows.append(row)
+        report.stage_history.append(times)
+        report.split_history.append(split)
+        return times

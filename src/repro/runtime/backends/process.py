@@ -1,0 +1,914 @@
+"""The process plane: one driver, composed from three seams.
+
+HyScale-GNN's scalability claim (paper §IV) is that process-level
+parallel trainers, worker-side sampling, two-stage prefetch overlap and
+placement *compose* on one node. :class:`ProcessBackend` is that
+composition written once — spawn → handshake → drive → snapshot →
+shutdown over a :class:`~repro.runtime.shm.SharedFeatureStore`, with
+the DistDGL-style division of labor: only work items and flat gradient
+vectors cross process boundaries, features never do. What varies
+between process planes is three small choices:
+
+* the **work source** (``self.work_source``) — the numbered stream of
+  :class:`~repro.runtime.core.PlannedIteration` the parent deals:
+  ``session.work_source`` (quota-cursor :class:`BatchPlan`) or a
+  partition-mapped :class:`~.sharded.ShardPlan`;
+* the **deal policy** (``deal``) — what one dealt work item is:
+  :class:`WireBatchDeal` samples in the parent's single RNG stream and
+  ships the batch in wire form (what keeps a plane bit-identical to
+  the virtual reference); :class:`TargetDeal` ships the target-id
+  shard and the worker samples from its own independent stream;
+* the **worker body** (``worker_body``) — how a worker executes what
+  it is dealt: :class:`InlineBody` (request/response, pooled buffers)
+  or :class:`OverlappedBody` (a :class:`~.overlap.StageChain` feeding a
+  train+sync consumer). Either body takes its per-item stages from the
+  replica (``replica_cls``), so a shard-aware gather is a replica, not
+  a different serve loop.
+
+There is exactly one drive loop: a :class:`~.overlap.LookaheadDealer`
+over the work source whose window is fixed at 1 (lock-step) unless the
+preset installs a :class:`~.overlap.DepthPolicy` as ``self.lookahead``.
+The parent always adjudicates DRM and always runs the per-iteration
+all-reduce barrier — only *dealing* ever runs ahead, so Algorithm-1
+adjustments lag the dealt window by design (``RunReport.dealt_sizes``).
+
+The registry names ``process``, ``process_sampling`` and
+``process_pipelined`` (and ``sharded``, in :mod:`.sharded`) are
+**presets**: class attributes plus, at most, an ``__init__``. The
+author guide is ``docs/backends.md``.
+"""
+
+from __future__ import annotations
+
+import multiprocessing as mp
+import threading
+import time
+import traceback
+from contextlib import nullcontext
+from dataclasses import dataclass
+from typing import ClassVar
+
+import numpy as np
+
+from ...errors import ProtocolError, StageTimeoutError, WorkerError
+from ...kernels import COUNTERS, BufferPool, merge_counts
+from ...sampling.base import LayerBlock, MiniBatch, MiniBatchStats
+from ..prefetch import PrefetchBuffer
+from ..protocol import Signal
+from ..resctl import NodeAllocator, fold_worker_realized, map_worker_totals
+from ..stage_pipeline import StagePipeline
+from .base import ExecutionBackend
+from .options import ProcessOptions, ProcessOverlapOptions
+from .overlap import DepthPolicy, LookaheadDealer, StageChain
+from .report import RunReport
+
+
+# ---------------------------------------------------------------------------
+# Wire records (everything here crosses a pipe: keep it picklable)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class WorkerSpec:
+    """Everything a worker needs to rebuild its trainer, plus the two
+    worker-side seam choices (classes pickle by reference, so this
+    travels under ``spawn`` too)."""
+
+    index: int
+    name: str
+    kind: str                  # "cpu" | "accel"
+    model_name: str
+    dims: tuple[int, ...]
+    seed: int
+    learning_rate: float
+    transfer_precision: str
+    replica_cls: type
+    body: type
+
+
+@dataclass
+class Reply:
+    """One trained batch, worker → parent (``("result", it, Reply)``).
+
+    ``stats`` / ``echoed`` are set only by workers that sampled the
+    batch themselves — the parent already knows both for a batch it
+    sampled. ``echoed`` is the batch's realized target ids (``V^L`` of
+    the locally sampled graph), so the parent records what the worker
+    *actually trained*, not what it was asked to. ``shard_io`` is the
+    shard-aware replica's local/remote gather record.
+    """
+
+    loss: float
+    accuracy: float
+    grads: np.ndarray
+    stage_s: dict[str, float]
+    stats: MiniBatchStats | None = None
+    echoed: np.ndarray | None = None
+    shard_io: dict | None = None
+
+
+@dataclass
+class WorkerSnapshot:
+    """A worker's whole post-run state in one message: the parameters
+    for the parity audit, the kernel-counter delta since the serve loop
+    started (a *delta*: under fork the worker's counters inherit
+    whatever the parent accumulated before spawning), cumulative
+    ``{raw_stage: (count, total_s)}`` stage accounting, and the
+    overlapped body's ``{stage: (items, high_water, mean_occupancy)}``
+    buffer accounting (empty for the inline body)."""
+
+    params: np.ndarray
+    kernel_stats: dict[str, int]
+    stage_totals: dict[str, tuple[int, float]]
+    buffers: dict[str, tuple[int, int, float]]
+
+
+# ---------------------------------------------------------------------------
+# Seam: the deal policy (parent side; the worker half of the wire form
+# is WorkerReplica.sample)
+# ---------------------------------------------------------------------------
+
+class WireBatchDeal:
+    """Sample in the parent, ship the batch.
+
+    Every stochastic draw — epoch permutations *and* neighbor sampling
+    — stays in the parent's single RNG stream, in plan order, which is
+    what makes a plane dealing this way bit-identical to the virtual
+    reference. The wire form is compact index arrays; the worker
+    re-materializes (and re-validates) the batch.
+    """
+
+    worker_samples: ClassVar[bool] = False
+
+    @staticmethod
+    def pack(session, targets: np.ndarray):
+        """``(payload, stats, parent_sample_seconds)`` for one batch."""
+        t0 = time.perf_counter()
+        mb = session.sampler.sample(targets)
+        dt = time.perf_counter() - t0
+        wire = (mb.node_ids,
+                [(b.src_local, b.dst_local, b.num_src, b.num_dst)
+                 for b in mb.blocks],
+                mb.feature_dim)
+        return wire, mb.stats(), dt
+
+    @staticmethod
+    def unpack(wire) -> MiniBatch:
+        node_ids, blocks_raw, feature_dim = wire
+        blocks = tuple(LayerBlock(src_local=src, dst_local=dst,
+                                  num_src=int(ns), num_dst=int(nd))
+                       for src, dst, ns, nd in blocks_raw)
+        return MiniBatch(node_ids=tuple(node_ids), blocks=blocks,
+                         feature_dim=int(feature_dim))
+
+
+class TargetDeal:
+    """Deal target-id shards; the worker samples.
+
+    Everything stochastic about *planning* stays in the parent,
+    everything stochastic about *sampling* moves to the workers' own
+    ``SeedSequence``-derived streams
+    (:func:`repro.sampling.worker_stream_seed`) — bit-parity with the
+    virtual reference is impossible by design, so presets dealing this
+    way declare the ``statistical`` tier. The store's manifest carries
+    the :class:`~repro.runtime.shm.SharedSamplerSpec` the workers
+    rebuild the sampler from.
+    """
+
+    worker_samples: ClassVar[bool] = True
+
+    @staticmethod
+    def pack(session, targets: np.ndarray):
+        return targets, None, 0.0
+
+
+# ---------------------------------------------------------------------------
+# Worker side: the replica (per-item stages + model), the two bodies,
+# the one message loop
+# ---------------------------------------------------------------------------
+
+class WorkerReplica(StagePipeline):
+    """One worker's in-process state: the per-item stages over the
+    shared-memory mapping (this *is* a
+    :class:`~repro.runtime.stage_pipeline.StagePipeline`, so either
+    body — and the shared :class:`~.overlap.StageChain` — drives it
+    exactly like the in-process planes drive the session's), plus the
+    model replica, trainer node and optimizer (built here, never
+    pickled)."""
+
+    def __init__(self, store, spec: WorkerSpec) -> None:
+        from ...nn.models import build_model
+        from ...nn.optim import SGD
+        from ...sampling import build_worker_sampler
+        from ..trainer import TrainerNode
+
+        # A private, independently-seeded sampler over the shared CSR
+        # iff the parent deals target ids (the manifest says so).
+        sampler = build_worker_sampler(store, spec.index) \
+            if store.manifest.sampler is not None else None
+        super().__init__(sampler, store.features, store.labels,
+                         spec.transfer_precision)
+        self.store = store
+        self.spec = spec
+        self.degrees = store.degrees     # private copy, outlives views
+        self.model = build_model(spec.model_name, spec.dims, spec.seed)
+        self.node = TrainerNode(spec.name, spec.kind, self.model, None,
+                                spec.dims, spec.model_name)
+        self.opt = SGD(self.model, lr=spec.learning_rate)
+        #: Cumulative ``{raw_stage: [count, total_s]}`` for the snapshot.
+        self.stage_totals: dict[str, list] = {}
+
+    def sample(self, work) -> MiniBatch:
+        """This worker's sample stage: draw from the private stream,
+        or re-materialize the batch the parent sampled."""
+        if self.sampler is None:
+            return WireBatchDeal.unpack(work)
+        return super().sample(work)
+
+    def train(self, mb: MiniBatch, x0, labels,
+              stage_s: dict[str, float]) -> Reply:
+        """One forward/backward on a prepared batch → the reply."""
+        t0 = time.perf_counter()
+        rep = self.node.train_minibatch(mb, x0, labels, self.degrees)
+        stage_s["train"] = time.perf_counter() - t0
+        reply = Reply(loss=rep.loss, accuracy=rep.accuracy,
+                      grads=self.model.get_flat_grads(),
+                      stage_s=stage_s)
+        if self.sampler is None:
+            # Re-materializing a parent-sampled batch is not sampling.
+            stage_s.pop("sample", None)
+        else:
+            reply.stats = mb.stats()
+            reply.echoed = np.asarray(mb.targets)
+        for stage, seconds in stage_s.items():
+            entry = self.stage_totals.setdefault(stage, [0, 0.0])
+            entry[0] += 1
+            entry[1] += seconds
+        return reply
+
+    def apply(self, avg: np.ndarray) -> None:
+        """Mirror the parent's synchronized SGD step — the same
+        in-place update it applies to its mirror replicas, keeping all
+        copies bit-equal without shipping parameters in steady state."""
+        self.model.set_flat_grads(avg)
+        self.opt.step()
+
+    def snapshot(self, counters_baseline, buffers) -> WorkerSnapshot:
+        return WorkerSnapshot(
+            params=self.model.get_flat_params(),
+            kernel_stats=COUNTERS.delta(counters_baseline),
+            stage_totals={stage: (int(c), float(t))
+                          for stage, (c, t) in self.stage_totals.items()},
+            buffers=buffers)
+
+    def release_views(self) -> None:
+        """Drop shm-backed views before unmapping, else ``close()``
+        raises BufferError on the exported buffers (the sampler's CSR
+        graph views the segment too)."""
+        self.features = self.labels = self.sampler = None
+
+
+class InlineBody:
+    """Request/response: train each dealt batch to completion before
+    touching the next message.
+
+    Because nothing is ever in flight, the gather/quantize hot path
+    runs through one pooled buffer set (allocation-free after the
+    first few iterations) and takes the fused ``load`` chokepoint.
+    Valid only under a look-ahead window of 1: a second dealt batch
+    would be trained before the first one's update was applied.
+    """
+
+    def __init__(self, conn, replica: WorkerReplica) -> None:
+        self.conn = conn
+        self.replica = replica
+        self.pool = BufferPool()
+        self.send = conn.send
+
+    def train(self, it: int, work) -> None:
+        if work is None:
+            return                    # idle: just await the apply
+        r = self.replica
+        stage_s: dict[str, float] = {}
+        t0 = time.perf_counter()
+        mb = r.sample(work)
+        stage_s["sample"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        x0 = r.load(mb, r.spec.kind, pool=self.pool)
+        stage_s["load"] = time.perf_counter() - t0
+        self.send(("result", it,
+                   r.train(mb, x0, r.labels_for(mb), stage_s)))
+
+    def apply(self, it: int, avg: np.ndarray) -> None:
+        self.replica.apply(avg)
+
+    def drain(self) -> dict:
+        return {}
+
+    def close(self) -> None:
+        pass
+
+
+class OverlappedBody:
+    """Overlap the local ``sample → gather → transfer`` chain with
+    train+sync.
+
+    The worker's main thread (the message loop) only *routes*: dealt
+    work into the :class:`~.overlap.StageChain`, averaged gradients
+    into the apply queue — it never blocks on pipeline work, so
+    dealt-ahead messages and broadcasts keep flowing. The **train+sync**
+    consumer takes prepared batches in iteration order, trains, sends
+    the result, then *waits for that iteration's averaged update*
+    before stepping: gradient math stays synchronous SGD while the
+    producer threads run ahead. Batches are in flight on stage threads,
+    so this body must not pool buffers (``docs/kernels.md``).
+
+    Buffer capacity and the stage watchdog come from the manifest's
+    :class:`~repro.runtime.shm.SharedPrefetchSpec`; capacity is the
+    parent's maximum look-ahead, so routing a dealt item can never
+    block the pipe.
+    """
+
+    def __init__(self, conn, replica: WorkerReplica) -> None:
+        pf = replica.store.manifest.prefetch
+        if pf is None:
+            raise ProtocolError(
+                "shared store carries no prefetch spec: an overlapped "
+                "worker body sizes its stage buffers from the manifest")
+        self.conn = conn
+        self.replica = replica
+        self.timeout_s = pf.timeout_s
+        # Applies match dealt items 1:1 (idle iterations are dealt as
+        # pass-through items), but the just-retired iteration's apply
+        # can arrive while the window behind it is still fully dealt —
+        # hence window capacity + 1 headroom.
+        self.q_apply = PrefetchBuffer(pf.capacity + 1)
+        self._send_lock = threading.Lock()
+        self._failed = False
+        index = replica.spec.index
+        self.chain = StageChain(replica, replica.spec.kind, pf.capacity,
+                                pf.timeout_s, self._fail,
+                                f"wpipe-{{}}{index}")
+        self.consumer = threading.Thread(
+            target=self._consume, daemon=True,
+            name=f"wpipe-train{index}")
+        self.chain.start()
+        self.consumer.start()
+
+    def send(self, msg) -> None:
+        with self._send_lock:
+            self.conn.send(msg)
+
+    def _fail(self, exc: BaseException) -> None:
+        if not self._failed:
+            self._failed = True
+            try:
+                self.send(("error", traceback.format_exc()))
+            except Exception:
+                pass
+        self.chain.close()
+        self.q_apply.close()
+
+    def _consume(self) -> None:
+        r = self.replica
+        try:
+            while True:
+                item = self.chain.take()
+                if item is None:
+                    return
+                if item.mb is not None:
+                    self.send(("result", item.it,
+                               r.train(item.mb, item.x0, item.labels,
+                                       item.stage_s)))
+                # The per-iteration barrier (idle iterations included).
+                a = self.q_apply.get(timeout=self.timeout_s)
+                if a is None:
+                    return
+                if a[0] != item.it:
+                    raise ProtocolError(
+                        f"worker {r.spec.index} received apply for "
+                        f"iteration {a[0]}, expected {item.it}")
+                r.apply(a[1])
+        except BaseException as exc:
+            self._fail(exc)
+
+    def train(self, it: int, work) -> None:
+        self.chain.feed(it, work)
+
+    def apply(self, it: int, avg: np.ndarray) -> None:
+        self.q_apply.put((it, avg), timeout=self.timeout_s)
+
+    def _join(self) -> None:
+        self.chain.join()
+        self.consumer.join(timeout=self.timeout_s)
+
+    def drain(self) -> dict:
+        """End the stream and join the pipeline, so the snapshot never
+        races a stage thread."""
+        self.chain.end()
+        self._join()
+        return self.chain.buffer_stats()
+
+    def close(self) -> None:
+        self.chain.close()
+        self.q_apply.close()
+        self._join()
+
+
+def serve(conn, replica: WorkerReplica, body_cls: type) -> None:
+    """The one worker message loop. Runs until ``("stop",)`` or EOF.
+
+    ``train`` / ``apply`` go to the body; everything else — the ready
+    handshake, the startup parameter sync, the single post-run
+    ``snapshot`` — is body-independent.
+    """
+    counters_baseline = COUNTERS.snapshot()
+    body = body_cls(conn, replica)
+    try:
+        conn.send(("ready", replica.spec.index))
+        while True:
+            msg = conn.recv()
+            tag = msg[0]
+            if tag == "train":
+                body.train(msg[1], msg[2])
+            elif tag == "apply":
+                body.apply(msg[1], msg[2])
+            elif tag == "init":
+                # Arrives before any work is dealt: nothing is in
+                # flight, so the replica is safe to overwrite.
+                replica.model.set_flat_params(msg[1])
+            elif tag == "snapshot":
+                buffers = body.drain()
+                body.send(("snapshot", replica.snapshot(
+                    counters_baseline, buffers)))
+            elif tag == "stop":
+                return
+            else:
+                raise ProtocolError(f"unknown message tag {tag!r}")
+    finally:
+        body.close()
+
+
+def worker_main(conn, manifest, spec: WorkerSpec) -> None:
+    """Worker-process entry point (module-level: picklable under
+    ``spawn``): attach the store, build the replica, serve, and tear
+    down (close-never-unlink) no matter how the loop ends."""
+    store = None
+    replica = None
+    try:
+        from ..shm import SharedFeatureStore
+
+        store = SharedFeatureStore.attach(manifest)
+        replica = spec.replica_cls(store, spec)
+        serve(conn, replica, spec.body)
+    except EOFError:
+        pass                              # parent went away: just exit
+    except BaseException:
+        try:
+            conn.send(("error", traceback.format_exc()))
+        except Exception:
+            pass
+    finally:
+        if store is not None:
+            if replica is not None:
+                replica.release_views()
+            try:
+                store.close()             # never unlink: parent owns it
+            except Exception:
+                pass
+        conn.close()
+
+
+# ---------------------------------------------------------------------------
+# Parent side: the driver
+# ---------------------------------------------------------------------------
+
+class ProcessBackend(ExecutionBackend):
+    """Run synchronous-SGD training on worker *processes*.
+
+    Not registered itself — the registry holds presets of it.
+
+    Parameters
+    ----------
+    session:
+        The shared runtime core; one worker process is spawned per
+        trainer replica (hybrid platform sessions: CPU + one per
+        accelerator).
+    timeout_s:
+        Watchdog on every cross-process wait — a dead or wedged worker
+        fails the run fast instead of hanging the suite.
+    mp_context:
+        ``multiprocessing`` start method (``"fork"`` where available —
+        workers inherit the imported library for near-instant startup —
+        else ``"spawn"``). Pass explicitly to override.
+    """
+
+    options_cls = ProcessOptions
+
+    #: Seam: what one dealt work item is.
+    deal: ClassVar[type] = WireBatchDeal
+    #: Seam: how a worker executes what it is dealt.
+    worker_body: ClassVar[type] = InlineBody
+    #: The worker's per-item stages + model (its ``gather`` may be
+    #: shard-aware).
+    replica_cls: ClassVar[type] = WorkerReplica
+
+    def __init__(self, session, timeout_s: float = 120.0,
+                 mp_context: str | None = None) -> None:
+        super().__init__(session)
+        if timeout_s <= 0:
+            raise ProtocolError("timeout_s must be positive")
+        if mp_context is None:
+            methods = mp.get_all_start_methods()
+            mp_context = "fork" if "fork" in methods else "spawn"
+        self.timeout_s = timeout_s
+        self.mp_context = mp_context
+        #: Seam: the numbered work stream the parent deals.
+        self.work_source = session.work_source
+        #: ``None`` deals lock-step (a window of 1); a preset's
+        #: ``__init__`` installs a :class:`~.overlap.DepthPolicy` to
+        #: deal ahead adaptively.
+        self.lookahead: DepthPolicy | None = None
+        #: Extra ``SharedFeatureStore.create`` keywords (a
+        #: partition-mapped preset passes ``shard_map``/``shard_spec``).
+        self.store_extras: dict = {}
+
+    # ------------------------------------------------------------------
+    def run(self, iterations: int) -> RunReport:
+        """Execute ``iterations`` synchronized iterations.
+
+        Workers and the shared-memory store live exactly as long as this
+        call: both are torn down in a ``finally`` (terminate + unlink),
+        so neither processes nor segments can leak past a run.
+        """
+        if iterations < 1:
+            raise ProtocolError("iterations must be >= 1")
+        s = self.session
+        n = s.num_trainers
+        shard_map = self.store_extras.get("shard_map")
+        report = RunReport(
+            iterations=iterations, num_workers=n,
+            shard_parts=None if shard_map is None else shard_map.parts)
+        if self.deal.worker_samples:
+            report.trained_targets = []
+            report.worker_targets = [[] for _ in range(n)]
+        rows: list[list[float]] = []
+
+        setup_start = time.perf_counter()
+        # Resolve the context before creating the segment: an invalid
+        # start method must not leak a dataset-sized /dev/shm block.
+        ctx = mp.get_context(self.mp_context)
+        store = self._create_store()
+        conns = []
+        procs = []
+        try:
+            for idx, trainer in enumerate(s.trainers):
+                spec = WorkerSpec(
+                    index=idx, name=trainer.name, kind=trainer.kind,
+                    model_name=trainer.model_name, dims=trainer.dims,
+                    seed=s.train_cfg.seed,
+                    learning_rate=s.train_cfg.learning_rate,
+                    transfer_precision=s.sys_cfg.transfer_precision,
+                    replica_cls=self.replica_cls, body=self.worker_body)
+                parent_conn, child_conn = ctx.Pipe(duplex=True)
+                proc = ctx.Process(
+                    target=worker_main,
+                    args=(child_conn, store.manifest, spec),
+                    name=f"repro-{trainer.name}", daemon=True)
+                proc.start()
+                child_conn.close()        # parent keeps its end only
+                conns.append(parent_conn)
+                procs.append(proc)
+
+            # Wait for every worker to finish mapping the store and
+            # building its replica, then sync each to the parent's
+            # *current* parameters — a session that already trained
+            # (under any backend) resumes bit-identically instead of
+            # silently restarting workers from the init seed. Only then
+            # start the training clock: wall_time_s measures the
+            # synchronized loop, not spawn or the one-time broadcast.
+            for idx in range(n):
+                tag, widx = self._recv(conns, idx)
+                if tag != "ready" or widx != idx:
+                    raise WorkerError(
+                        f"worker {idx} sent {tag!r}/{widx} instead of "
+                        "its ready handshake")
+                self._send(conns, idx,
+                           ("init",
+                            s.trainers[idx].model.get_flat_params()))
+            report.startup_time_s = time.perf_counter() - setup_start
+            start = time.perf_counter()
+
+            window = nullcontext(1) if self.lookahead is None else \
+                self.lookahead.run(self.name, report)
+            with window as depth:
+                self._drive(iterations, depth, conns, report, rows)
+            report.wall_time_s = time.perf_counter() - start
+
+            self._snapshot(conns, report)
+        finally:
+            self._shutdown(conns, procs, store)
+        report.close_timeline(s, rows)
+        return report
+
+    def _create_store(self):
+        """Create the shared-memory store the workers will attach. The
+        manifest tells workers whether to sample (sampler spec) and how
+        deep an overlapped body's buffers must be (prefetch spec: the
+        widest window this run can ever deal)."""
+        from ..shm import SharedFeatureStore, SharedPrefetchSpec
+        s = self.session
+        return SharedFeatureStore.create(
+            s.dataset,
+            sampler_spec=s.shared_sampler_spec()
+            if self.deal.worker_samples else None,
+            prefetch_spec=SharedPrefetchSpec(
+                capacity=1 if self.lookahead is None
+                else self.lookahead.max_depth,
+                timeout_s=self.timeout_s),
+            **self.store_extras)
+
+    # ------------------------------------------------------------------
+    # The one drive loop
+    # ------------------------------------------------------------------
+    def _drive(self, iterations: int, depth: int, conns, report,
+               rows) -> None:
+        """Deal up to ``depth`` iterations ahead, then retire the oldest
+        in-flight one: collect its results, run the sync tail, let the
+        depth policy (if any) resize the window, refill."""
+        dealer = LookaheadDealer(self.work_source.iterate(iterations),
+                                 depth)
+        dealt_stats: dict[int, dict] = {}
+        self._deal(dealer.refill(), conns, report, dealt_stats)
+        while True:
+            entry = dealer.retire()
+            if entry is None:
+                break
+            report.lookahead_history.append(
+                (dealer.in_flight + 1, dealer.depth))
+            it, planned = entry
+            times = self._synchronize(it, planned, dealt_stats.pop(it),
+                                      conns, report, rows)
+            if self.lookahead is not None and \
+                    self.lookahead.adapt(times, it, report):
+                dealer.set_depth(self.lookahead.depth)
+            self._deal(dealer.refill(), conns, report, dealt_stats)
+
+    def _deal(self, pairs, conns, report, dealt_stats) -> None:
+        """Scatter newly dealt iterations through the deal policy."""
+        s = self.session
+        for it, planned in pairs:
+            report.dealt_sizes.append(planned.batch_sizes)
+            stats = dealt_stats[it] = {}
+            sample_s = 0.0
+            for idx, targets in enumerate(planned.assignments):
+                payload = None
+                if targets is not None:
+                    payload, st, dt = self.deal.pack(s, targets)
+                    sample_s += dt
+                    if st is not None:
+                        stats[idx] = st
+                    if report.trained_targets is not None:
+                        report.trained_targets.append(targets)
+                # Idle iterations are dealt too (payload None), so every
+                # worker sees one item per iteration and applies stay
+                # strictly in order.
+                self._send(conns, idx, ("train", it, payload))
+            if sample_s:
+                # Parent-side sampling is CPU work on this plane — feed
+                # the monitor (observability only).
+                self.monitor.observe("sample_cpu", sample_s)
+
+    def _synchronize(self, it: int, planned, stats_by_idx, conns,
+                     report, rows):
+        """Retire one iteration: gather every busy worker's reply into
+        the parent mirrors, then the shared tail — all-reduce,
+        broadcast the averaged update, optimizer steps, timing/DRM — in
+        exactly the virtual-plane order. Returns the iteration's
+        :class:`StageTimes` (``None`` without a timing plane). This
+        exists once, so trajectory semantics cannot drift between
+        process planes."""
+        s = self.session
+        losses: list[float] = []
+        accs: list[float] = []
+        per_trainer: list[tuple[str, dict]] = []
+        for idx, trainer in enumerate(s.trainers):
+            if planned.assignments[idx] is None:
+                # Idle replica: zero gradients, weight zero in the
+                # all-reduce. Done at sync time (not deal time) so a
+                # look-ahead deal can never clobber gradients of an
+                # earlier, not-yet-reduced iteration.
+                trainer.model.zero_grad()
+                continue
+            tag, rit, reply = self._recv(conns, idx)
+            if tag != "result" or rit != it:
+                raise WorkerError(
+                    f"worker {idx} answered {tag!r} for iteration "
+                    f"{rit}, expected result for {it}")
+            trainer.model.set_flat_grads(reply.grads)
+            if reply.stats is not None:
+                stats_by_idx[idx] = reply.stats
+            report.total_edges += stats_by_idx[idx].total_edges
+            if reply.echoed is not None:
+                report.worker_targets[idx].append(reply.echoed)
+            if reply.shard_io is not None:
+                report.shard_io.append(
+                    {"iteration": it, "worker": idx, **reply.shard_io})
+            per_trainer.append((trainer.kind, reply.stage_s))
+            losses.append(reply.loss)
+            accs.append(reply.accuracy)
+            report.protocol_log.record(it, Signal.DONE, trainer.name)
+
+        sync_start = time.perf_counter()
+        avg = s.synchronizer.all_reduce(list(planned.batch_sizes), it)
+        report.protocol_log.record(it, Signal.SYNC, "synchronizer")
+        for idx in range(len(conns)):
+            self._send(conns, idx, ("apply", it, avg))
+        for opt in s.optimizers:
+            opt.step()
+        sync_s = time.perf_counter() - sync_start
+        report.protocol_log.record(it, Signal.ITER_START, "runtime")
+
+        report.losses.append(float(np.mean(losses)))
+        report.accuracies.append(float(np.mean(accs)))
+        realized = fold_worker_realized(per_trainer, sync_s)
+        self.monitor.observe_times(realized)
+        if not s.has_timing:
+            return None
+        # Realized batch stats in trainer order (idle trainers hold a
+        # None placeholder), then one timing/DRM step — the DRM engine
+        # is adjudicated here, in the parent, on every process plane.
+        stats_cpu = None
+        stats_accel: list = []
+        for idx, trainer in enumerate(s.trainers):
+            st = stats_by_idx.get(idx)
+            if trainer.kind == "cpu":
+                stats_cpu = st
+            else:
+                stats_accel.append(st)
+        # Lock-step presets pass no estimator, keeping their timing
+        # step byte-equal to the uncalibrated contract.
+        policy = self.lookahead
+        times, row, split = s.timing_step(
+            stats_cpu, stats_accel, it,
+            estimator=None if policy is None else policy.estimator,
+            realized=realized,
+            calibrate=policy is not None and policy.calibrate,
+            overlapped=self.overlaps_transfer)
+        rows.append(row)
+        report.stage_history.append(times)
+        report.split_history.append(split)
+        return times
+
+    def _snapshot(self, conns, report) -> None:
+        """The one post-run round trip per worker, *after*
+        ``wall_time_s`` is stamped (draining worker pipelines and
+        shipping accounting never skews measured training time): ask
+        everyone, then fold in order — kernel counters, stage seconds
+        (raw worker stage names mapped onto the model's columns by
+        trainer kind), buffer occupancy — and audit every worker's
+        parameters against the parent mirrors, bit for bit."""
+        s = self.session
+        for idx in range(len(conns)):
+            self._send(conns, idx, ("snapshot",))
+        consistent = s.synchronizer.replicas_consistent()
+        buffers = []
+        for idx, trainer in enumerate(s.trainers):
+            tag, snap = self._recv(conns, idx)
+            if tag != "snapshot":
+                raise ProtocolError(
+                    f"worker {idx} sent {tag!r} instead of its "
+                    "snapshot")
+            merge_counts(report.kernel_stats, snap.kernel_stats)
+            mapped = map_worker_totals(trainer.kind, snap.stage_totals)
+            for stage, (count, total_s) in mapped.items():
+                c, t = report.stage_seconds.get(stage, (0, 0.0))
+                report.stage_seconds[stage] = (c + count, t + total_s)
+            self.monitor.merge_totals(mapped)
+            if snap.buffers:
+                buffers.append(snap.buffers)
+            consistent = consistent and np.array_equal(
+                snap.params, trainer.model.get_flat_params())
+        if buffers:
+            report.fold_buffers(buffers)
+        report.replicas_consistent = consistent
+
+    # ------------------------------------------------------------------
+    def _send(self, conns, idx: int, msg) -> None:
+        """Send one message to worker ``idx``; a dead worker surfaces
+        as the backend's documented failure type, like ``_recv``."""
+        try:
+            conns[idx].send(msg)
+        except (BrokenPipeError, OSError) as exc:
+            raise WorkerError(
+                f"worker {idx} died before {msg[0]!r} could be "
+                f"delivered: {exc!r}") from exc
+
+    def _recv(self, conns, idx: int):
+        """Receive one message from worker ``idx`` under the watchdog.
+
+        Failures surface as the typed infra errors (`StageTimeoutError`
+        for a wedged worker, `WorkerError` for a dead or crashed one),
+        so CI logs can tell them apart from conformance failures.
+        """
+        conn = conns[idx]
+        try:
+            if not conn.poll(self.timeout_s):
+                raise StageTimeoutError(
+                    f"worker {idx} recv timeout after {self.timeout_s}s")
+            msg = conn.recv()
+        except (EOFError, BrokenPipeError, OSError) as exc:
+            raise WorkerError(
+                f"worker {idx} died mid-iteration: {exc!r}") from exc
+        if msg[0] == "error":
+            raise WorkerError(
+                f"worker {idx} failed:\n{msg[1]}")
+        return msg
+
+    def _shutdown(self, conns, procs, store) -> None:
+        """Stop workers and destroy the shared segment. Never raises."""
+        for conn in conns:
+            try:
+                conn.send(("stop",))
+            except Exception:
+                pass
+        for proc in procs:
+            proc.join(timeout=5.0)
+            if proc.is_alive():  # pragma: no cover - wedged worker
+                proc.terminate()
+                proc.join(timeout=5.0)
+        for conn in conns:
+            try:
+                conn.close()
+            except Exception:
+                pass
+        try:
+            store.close()
+        finally:
+            store.unlink()
+
+
+# ---------------------------------------------------------------------------
+# The presets (registry names): declarations, not subclasses of each
+# other — nothing below overrides a driver method other than __init__.
+# ---------------------------------------------------------------------------
+
+class ProcessPoolBackend(ProcessBackend):
+    """``process`` — GIL-free trainer replicas, **bit-identical** to
+    the virtual reference: the parent samples every batch in plan order
+    and ships it in wire form; workers gather zero-copy from the shared
+    store, train inline, and mirror the synchronized update. Held to
+    the strict tier, hybrid + DRM + int8 transfer included."""
+
+    name = "process"
+
+
+class ProcessSamplingBackend(ProcessBackend):
+    """``process_sampling`` — the sample stage parallelized too: the
+    parent deals target-id shards, each worker samples from its own
+    RNG stream and runs ``sample → gather → transfer → train`` inline.
+    Iterations stay a synchronized barrier, so DRM still observes
+    iteration ``i`` before ``i + 1``'s quotas are read."""
+
+    name = "process_sampling"
+    conformance_tier = "statistical"
+    deal = TargetDeal
+    #: Lock-step dealing: a worker's transfer for iteration ``i + 1``
+    #: cannot start until the parent has dealt it, which only happens
+    #: after iteration ``i``'s gradients were pulled — transfers and
+    #: gradient pulls never share the PCIe link in flight, so the
+    #: duplex-contention derate must not be priced into this plane.
+    overlaps_transfer = False
+
+
+class ProcessPipelinedBackend(ProcessBackend):
+    """``process_pipelined`` — process × pipeline fused: target-id
+    shards dealt *ahead* through an adaptively-sized window, each
+    worker overlapping its local producer chain with train+sync. With
+    ``max_depth=1`` the window degenerates to lock-step dealing and
+    this preset is bit-identical to ``process_sampling`` (pinned by a
+    regression test).
+
+    Parameters (beyond :class:`ProcessBackend`'s)
+    ---------------------------------------------
+    initial_depth / max_depth / depth_source / allocator:
+        The :class:`~.overlap.DepthPolicy` knobs, exactly as on
+        :class:`~.pipelined.PipelinedBackend`. ``max_depth`` also sizes
+        each worker's stage buffers (via the manifest).
+    """
+
+    name = "process_pipelined"
+    conformance_tier = "statistical"
+    options_cls = ProcessOverlapOptions
+    deal = TargetDeal
+    worker_body = OverlappedBody
+
+    def __init__(self, session, timeout_s: float = 120.0,
+                 mp_context: str | None = None,
+                 initial_depth: int | None = None,
+                 max_depth: int | None = None,
+                 depth_source: str | None = None,
+                 allocator: NodeAllocator | None = None) -> None:
+        super().__init__(session, timeout_s=timeout_s,
+                         mp_context=mp_context)
+        self.lookahead = DepthPolicy(session, initial_depth, max_depth,
+                                     depth_source, allocator)

@@ -1,0 +1,181 @@
+"""The one live-run report every non-virtual backend returns.
+
+:class:`RunReport` replaces the six per-plane report dataclasses: the
+core fields every live plane fills (losses, wall time, protocol log,
+timing-plane bookkeeping, kernel counters), plus *sections* only some
+planes own. Two kinds of section, with deliberately different
+defaults:
+
+* **coverage evidence** — ``trained_targets``, ``worker_targets``,
+  ``shard_parts`` — defaults to ``None`` and is populated only by the
+  planes that produce it. The conformance kit and ``bench_e2e`` both
+  read these as *present iff not None*: an empty list on a plane that
+  never records targets would read as "trained 0 targets".
+* **accounting** — ``kernel_stats``, ``stage_seconds``,
+  ``stage_stats``, ``depth_history``, ``lookahead_history``,
+  ``dealt_sizes``, ``shard_io``, ``calibration`` — defaults to an empty
+  container ("this layer does not exist here").
+
+:class:`~repro.runtime.backends.virtual.EpochReport` stays separate: it
+is also ``simulate_epoch``'s report and carries modelled, not wall,
+time.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from ...perfmodel.model import StageTimes, WorkloadSplit
+from ...sim.trace import Timeline
+from ..protocol import ProtocolLog
+
+
+@dataclass(frozen=True)
+class StageStats:
+    """Occupancy accounting of one pipeline stage's buffers, aggregated
+    across trainers (the per-stage overlap report)."""
+
+    stage: str
+    items: int               # total items that passed through
+    high_water: int          # max occupancy seen on any trainer's buffer
+    mean_occupancy: float    # mean over buffers of sampled occupancy
+
+    def describe(self) -> str:
+        return (f"{self.stage}: items={self.items} "
+                f"hw={self.high_water} occ={self.mean_occupancy:.2f}")
+
+
+def fold_stage_stats(stage: str,
+                     entries: list[tuple[int, int, float]]
+                     ) -> StageStats:
+    """Aggregate per-buffer ``(items, high_water, mean_occupancy)``
+    entries into one stage's :class:`StageStats` (items summed,
+    high-water maxed, occupancy averaged).
+
+    An empty ``entries`` list (a worker whose shard was empty, a stage
+    no buffer ever carried) folds to a zeroed record rather than
+    tripping ``max()``/``np.mean`` on an empty sequence."""
+    if not entries:
+        return StageStats(stage=stage, items=0, high_water=0,
+                          mean_occupancy=0.0)
+    return StageStats(
+        stage=stage,
+        items=sum(e[0] for e in entries),
+        high_water=max(e[1] for e in entries),
+        mean_occupancy=float(np.mean([e[2] for e in entries])))
+
+
+def summarize_overlap(stage_stats: dict[str, StageStats],
+                      depth_history: list[tuple[int, int]]) -> str:
+    """One-line per-stage overlap report for benches/logs — the single
+    formatter behind :meth:`RunReport.overlap_summary`."""
+    stats = " | ".join(s.describe() for s in stage_stats.values())
+    depths = [d for _, d in depth_history]
+    rng = f"{min(depths)}-{max(depths)}" if depths else "static"
+    return f"depth={rng} | {stats}"
+
+
+@dataclass
+class RunReport:
+    """Outcome of one live run (any backend but ``virtual``).
+
+    ``wall_time_s`` is real elapsed *training* time; on the process
+    planes it is clocked from all workers reporting ready to the last
+    synchronized iteration, so it excludes spawn and the shared-memory
+    copy (``startup_time_s``), the worker snapshot round trip and
+    teardown. ``virtual_time_s`` is the modelled makespan when the
+    session carries a timing plane.
+    """
+
+    iterations: int
+    num_workers: int = 0
+    losses: list[float] = field(default_factory=list)
+    accuracies: list[float] = field(default_factory=list)
+    wall_time_s: float = 0.0
+    startup_time_s: float = 0.0
+    protocol_log: ProtocolLog = field(default_factory=ProtocolLog)
+    replicas_consistent: bool = False
+    stage_history: list[StageTimes] = field(default_factory=list)
+    split_history: list[WorkloadSplit] = field(default_factory=list)
+    total_edges: float = 0.0
+    virtual_time_s: float = 0.0
+    timeline: Timeline = field(default_factory=Timeline)
+    prefetch_high_water: int = 0
+
+    # -- coverage evidence: None unless the plane produces it ----------
+    #: Per-dispatch target-id slices in dispatch order (planes whose
+    #: sampling is out of the parent's single stream).
+    trained_targets: list[np.ndarray] | None = None
+    #: ``worker_targets[k]`` — the target ids worker ``k`` *echoed*
+    #: back for the batches it actually sampled and trained (not a copy
+    #: of the parent's dispatch bookkeeping).
+    worker_targets: list[list[np.ndarray]] | None = None
+    #: The partition map a partition-mapped run trained under.
+    shard_parts: np.ndarray | None = None
+
+    # -- accounting: empty where the layer does not exist --------------
+    #: Kernel-traffic counter delta of this run (summed over workers on
+    #: the process planes).
+    kernel_stats: dict[str, int] = field(default_factory=dict)
+    #: Realized worker-side stage accounting summed over the pool,
+    #: ``{canonical_stage: (count, total_s)}``.
+    stage_seconds: dict[str, tuple[int, float]] = field(
+        default_factory=dict)
+    #: Per-stage buffer occupancy of the overlapped planes.
+    stage_stats: dict[str, StageStats] = field(default_factory=dict)
+    #: Adaptive look-ahead trajectory ``(iteration, depth)``.
+    depth_history: list[tuple[int, int]] = field(default_factory=list)
+    #: ``(in_flight, depth)`` at each retirement — the bounded-window
+    #: audit trail. After an adaptive *shrink* ``in_flight`` may
+    #: transiently exceed the new ``depth`` while the window drains.
+    lookahead_history: list[tuple[int, int]] = \
+        field(default_factory=list)
+    #: Per-trainer batch sizes of each iteration *as dealt* (these lag
+    #: DRM adjustments by the look-ahead window).
+    dealt_sizes: list[tuple[int, ...]] = field(default_factory=list)
+    #: Per-stage model-vs-realized calibration digest of the run's
+    #: :class:`~repro.runtime.resctl.OnlineEstimator`.
+    calibration: dict[str, dict] = field(default_factory=dict)
+    #: One ``{iteration, worker, local_rows, remote_rows, cache_hits,
+    #: local_bytes, remote_bytes}`` record per partition-mapped
+    #: minibatch; run totals land in ``kernel_stats`` independently.
+    shard_io: list[dict] = field(default_factory=list)
+
+    def overlap_summary(self) -> str:
+        """One-line per-stage overlap report for benches/logs."""
+        return summarize_overlap(self.stage_stats, self.depth_history)
+
+    def fold_buffers(self, per_chain: list[dict[str, tuple]]) -> None:
+        """Fold every stage chain's ``{stage: (items, high_water,
+        mean_occupancy)}`` buffer accounting (at least one chain) into
+        ``stage_stats`` — one chain per trainer in-process, one per
+        worker on the process planes."""
+        for stage in per_chain[0]:
+            self.stage_stats[stage] = fold_stage_stats(
+                stage, [c[stage] for c in per_chain])
+        self.prefetch_high_water = max(
+            st.high_water for st in self.stage_stats.values())
+
+    def close_timeline(self, session, rows: list[list[float]]) -> None:
+        """Resolve the recorded duration rows into the modelled
+        timeline (timing-plane sessions)."""
+        if session.has_timing and rows:
+            self.timeline = session.make_pipeline().run(rows)
+            self.virtual_time_s = self.timeline.makespan
+
+    @property
+    def local_gather_bytes(self) -> int:
+        return int(self.kernel_stats.get("shard_local_bytes", 0))
+
+    @property
+    def remote_gather_bytes(self) -> int:
+        return int(self.kernel_stats.get("shard_remote_bytes", 0))
+
+    @property
+    def remote_cache_hit_rate(self) -> float:
+        hits = self.kernel_stats.get("remote_cache_hits", 0)
+        misses = self.kernel_stats.get("remote_cache_misses", 0)
+        total = hits + misses
+        return hits / total if total else 0.0

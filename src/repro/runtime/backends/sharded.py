@@ -1,27 +1,17 @@
 """Partition-mapped sharded training plane (multi-node, simulated).
 
-The worker-sampling plane (:mod:`.process_sampling`) parallelizes the
-sample stage but still treats the feature store as one flat address
-space: any worker gathers any row at host-memory cost. A multi-node
-deployment cannot — DistDGL (Zheng et al., "Distributed Hybrid CPU and
-GPU Training for GNNs on Billion-Scale Graphs") partitions the graph
+The worker-sampling presets (:mod:`.process`) parallelize the sample
+stage but still treat the feature store as one flat address space: any
+worker gathers any row at host-memory cost. A multi-node deployment
+cannot — DistDGL (Zheng et al., "Distributed Hybrid CPU and GPU
+Training for GNNs on Billion-Scale Graphs") partitions the graph
 across machines, trains each partition's target vertices on the machine
 that owns them, and pays network cost for every feature row that lives
-on another partition. This backend reproduces that execution structure
-on one host, with the interconnect *accounted* rather than physical:
+on another partition. This module supplies the two pieces that
+reproduce that structure on one host, with the interconnect *accounted*
+rather than physical, and plugs them into the process driver's seams:
 
-* the graph is partitioned up front (``hash_partition`` — P3-style
-  random assignment, the worst case for locality — or
-  ``bfs_partition``, the METIS stand-in) into one shard per trainer
-  replica;
-* the :class:`~repro.runtime.shm.SharedFeatureStore` is **shard-
-  sliced**: features and labels are laid out in shard-major order
-  (per-shard contiguous slices + the
-  :class:`~repro.graph.shard_map.ShardMap` translation arrays travel
-  in the segment), so worker ``k``'s local gathers stay inside its own
-  slice and every other row is a remote fetch it must bill;
-* the parent deals each shard **only the targets it owns**:
-  :class:`ShardPlan` mirrors the shared
+* :class:`ShardPlan` — a **work source**: it mirrors the shared
   :class:`~repro.runtime.core.BatchPlan` epoch-for-epoch (same RNG
   stream, same bookkeeping) but filters each epoch permutation by the
   partition map and apportions every iteration's target budget across
@@ -30,45 +20,40 @@ on one host, with the interconnect *accounted* rather than physical:
   budget conservation stay *exact*, which is what lets the statistical
   conformance tier (plus its cross-node shard-partition assertion)
   hold this plane to the same matrix as every other backend;
-* each worker resolves a minibatch's input rows three ways — local
-  slice, :class:`~repro.runtime.remote_cache.RemoteFeatureCache` hit
-  (a PaGraph-style static cache of its halo's hottest vertices), or
+* :class:`ShardedReplica` — a **replica** whose ``gather`` resolves a
+  minibatch's input rows three ways — local slice,
+  :class:`~repro.runtime.remote_cache.RemoteFeatureCache` hit (a
+  PaGraph-style static cache of its halo's hottest vertices), or
   remote miss (read from the owning shard's slice, billed as remote
   bytes) — and ships per-minibatch local/remote gather bytes with
-  every result (SNIPPETS' DistDGL accounting);
-* gradient sync stays the per-iteration all-reduce barrier via the
-  existing :class:`~repro.runtime.synchronizer.GradientSynchronizer`,
-  and DRM keeps being adjudicated in the parent per iteration — the
-  engine is reused per shard exactly as the single-node planes reuse
-  it per trainer.
+  every reply (SNIPPETS' DistDGL accounting).
 
-Per-run local/remote byte totals and the cache hit rate flow into
-``report.kernel_stats`` (``shard_local_bytes`` / ``shard_remote_bytes``
-/ ``remote_cache_*`` keys ride the existing ``kstats`` pipe round
-trip) and the wall-clock bench's ``shard io`` column; per-minibatch
-records land in :attr:`ShardedReport.shard_io`.
+The :class:`~repro.runtime.shm.SharedFeatureStore` is **shard-sliced**
+(features and labels in shard-major order; the
+:class:`~repro.graph.shard_map.ShardMap` translation arrays travel in
+the segment), so worker ``k``'s local gathers stay inside its own
+slice. Gradient sync, DRM adjudication, dealing, collection and the
+worker snapshot are the driver's, unchanged. Per-run local/remote byte
+totals and the cache hit rate flow into ``report.kernel_stats``
+(``shard_local_bytes`` / ``shard_remote_bytes`` / ``remote_cache_*``
+keys ride the worker snapshot); per-minibatch records land in
+``RunReport.shard_io``.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from collections import deque
 from typing import Iterator
 
 import numpy as np
 
 from ... import kernels
-from ...errors import ConfigError, ProtocolError, WorkerError
+from ...errors import ConfigError, ProtocolError
 from ...graph.partition import bfs_partition, hash_partition
 from ...graph.shard_map import ShardMap
 from ..core import PlannedIteration
-from ..stage_pipeline import apply_transfer_policy
 from .options import ShardedOptions
-from .process_pool import _run_worker, _WorkerReplica, _WorkerSpec
-from .process_sampling import (
-    ProcessSamplingBackend,
-    ProcessSamplingReport,
-)
+from .process import ProcessBackend, TargetDeal, WorkerReplica, WorkerSpec
 
 #: The partitioners a sharded backend can be constructed with.
 PARTITIONERS = {
@@ -78,7 +63,7 @@ PARTITIONERS = {
 
 
 # ---------------------------------------------------------------------------
-# Parent-side dealing
+# The work source (parent side)
 # ---------------------------------------------------------------------------
 
 class ShardPlan:
@@ -215,11 +200,11 @@ def _apportion(take: int, remaining: np.ndarray) -> np.ndarray:
 # Worker side
 # ---------------------------------------------------------------------------
 
-class _ShardedReplica(_WorkerReplica):
+class ShardedReplica(WorkerReplica):
     """One shard's trainer replica: the shard-sliced store mapping plus
     the local/cache/remote gather resolver."""
 
-    def __init__(self, store, spec: _WorkerSpec) -> None:
+    def __init__(self, store, spec: WorkerSpec) -> None:
         super().__init__(store, spec)
         from ..remote_cache import RemoteFeatureCache
 
@@ -240,12 +225,13 @@ class _ShardedReplica(_WorkerReplica):
         self._row_bytes = int(
             self.features.dtype.itemsize
             * int(np.prod(self.features.shape[1:], dtype=np.int64)))
-        self.last_io: dict[str, int] = {}
+        # One io record per gathered batch, consumed by ``train`` in the
+        # same (FIFO) order — a queue, not a field, because under the
+        # overlapped body the gather thread runs ahead of training.
+        self._io: deque[dict] = deque()
 
-    def train(self, spec: _WorkerSpec, mb):
-        """Resolve the batch's rows local/cache/remote, then the
-        session's exact widen + transfer policy and one
-        forward/backward.
+    def gather(self, mb) -> np.ndarray:
+        """Resolve the batch's rows local/cache/remote.
 
         The assembled source rows are bit-identical to a flat gather
         (cache rows are copies of the same store rows), so the math
@@ -253,7 +239,6 @@ class _ShardedReplica(_WorkerReplica):
         other worker-sampling planes; only the *accounting* knows which
         interconnect each row crossed.
         """
-        t0 = time.perf_counter()
         ids = np.asarray(mb.input_nodes, dtype=np.int64)
         rows = self.shard_row[ids]
         local_mask = self.parts[ids] == self.shard
@@ -284,12 +269,11 @@ class _ShardedReplica(_WorkerReplica):
             "local_bytes": int(local_idx.size) * self._row_bytes,
             "remote_bytes": remote_rows * self._row_bytes,
         }
-        self.last_io = io
-        x0 = apply_transfer_policy(src.astype(np.float64), spec.kind,
-                                   spec.transfer_precision)
-        # Shard-io keys plus the standard gather keys the "kernel io"
-        # bench column reads — this resolver replaces the registry's
-        # gather dispatch, so it must keep the same books.
+        self._io.append(io)
+        x0 = src.astype(np.float64)
+        # Shard-io keys plus the standard gather keys — this resolver
+        # replaces the registry's gather dispatch, so it must keep the
+        # same books.
         kernels.record(
             shard_local_bytes=io["local_bytes"],
             shard_remote_bytes=io["remote_bytes"],
@@ -299,92 +283,36 @@ class _ShardedReplica(_WorkerReplica):
             remote_cache_misses=remote_rows,
             gather_calls=1, gather_rows=ids.size,
             gather_src_bytes=src.nbytes, gather_out_bytes=x0.nbytes)
-        self.note_stage("load", time.perf_counter() - t0)
+        return x0
 
-        t0 = time.perf_counter()
-        labels = self.labels[self.shard_row[np.asarray(
+    def load(self, mb, trainer_kind: str, *, pool=None) -> np.ndarray:
+        """The inline body's chokepoint: the resolver, then the
+        session's exact transfer policy (no fused kernel, no pool —
+        the resolver assembles its own rows)."""
+        return self.transfer(self.gather(mb), trainer_kind)
+
+    def labels_for(self, mb) -> np.ndarray:
+        return self.labels[self.shard_row[np.asarray(
             mb.targets, dtype=np.int64)]]
-        rep = self.node.train_minibatch(mb, x0, labels, self.degrees)
-        self.note_stage("train", time.perf_counter() - t0)
-        return rep
+
+    def train(self, mb, x0, labels, stage_s):
+        reply = super().train(mb, x0, labels, stage_s)
+        reply.shard_io = self._io.popleft()
+        return reply
 
     def release_views(self) -> None:
         self.parts = self.shard_row = None
         super().release_views()
 
 
-def _train_shard_targets(replica: _ShardedReplica, spec: _WorkerSpec,
-                         msg):
-    """Handle one owned-target shard: sample locally, resolve rows
-    local/cache/remote, train, and ship the io record with the
-    result."""
-    _, it, targets = msg
-    t0 = time.perf_counter()
-    mb = replica.sampler.sample(targets)
-    replica.note_stage("sample", time.perf_counter() - t0)
-    rep = replica.train(spec, mb)
-    return ("result", it, rep.loss, rep.accuracy, mb.stats(),
-            np.asarray(mb.targets), replica.model.get_flat_grads(),
-            dict(replica.last_stage_s), dict(replica.last_io))
-
-
-def _setup_sharded(store, spec: _WorkerSpec):
-    from ...sampling import build_worker_sampler
-    replica = _ShardedReplica(store, spec)
-    replica.sampler = build_worker_sampler(store, spec.index)
-    return replica, _train_shard_targets
-
-
-def _worker_main(conn, manifest, spec: _WorkerSpec) -> None:
-    """One shard replica (module-level: picklable under ``spawn``)."""
-    _run_worker(conn, manifest, spec, _setup_sharded)
-
-
 # ---------------------------------------------------------------------------
-# Report
+# The preset
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ShardedReport(ProcessSamplingReport):
-    """A :class:`ProcessSamplingReport` plus the partition evidence and
-    the interconnect accounting the sharded plane owes its tier.
-
-    ``shard_parts`` is the partition map the run trained under — the
-    conformance kit's cross-node assertion keys off it: every target a
-    worker echoed must be owned by that worker's shard.
-    ``shard_io`` holds one record per (iteration, worker) minibatch:
-    ``{iteration, worker, local_rows, remote_rows, cache_hits,
-    local_bytes, remote_bytes}``. The aggregate properties below read
-    the same totals off ``kernel_stats`` (the workers' counter deltas),
-    so per-minibatch records and per-run totals are independently
-    sourced and cross-checkable.
-    """
-
-    shard_parts: np.ndarray | None = None
-    shard_io: list[dict] = field(default_factory=list)
-
-    @property
-    def local_gather_bytes(self) -> int:
-        return int(self.kernel_stats.get("shard_local_bytes", 0))
-
-    @property
-    def remote_gather_bytes(self) -> int:
-        return int(self.kernel_stats.get("shard_remote_bytes", 0))
-
-    @property
-    def remote_cache_hit_rate(self) -> float:
-        hits = self.kernel_stats.get("remote_cache_hits", 0)
-        misses = self.kernel_stats.get("remote_cache_misses", 0)
-        total = hits + misses
-        return hits / total if total else 0.0
-
-
-# ---------------------------------------------------------------------------
-# Parent-side backend
-# ---------------------------------------------------------------------------
-
-class ShardedBackend(ProcessSamplingBackend):
-    """Worker-replica sessions over per-shard slices of the store.
+class ShardedBackend(ProcessBackend):
+    """``sharded`` — worker replicas over per-shard slices of the
+    store: :class:`ShardPlan` × :class:`~.process.TargetDeal` ×
+    :class:`ShardedReplica`, inline body, lock-step.
 
     Parameters
     ----------
@@ -410,6 +338,8 @@ class ShardedBackend(ProcessSamplingBackend):
     conformance_tier = "statistical"
     options_cls = ShardedOptions
     overlaps_transfer = False
+    deal = TargetDeal
+    replica_cls = ShardedReplica
 
     def __init__(self, session, timeout_s: float = 120.0,
                  mp_context: str | None = None,
@@ -424,69 +354,15 @@ class ShardedBackend(ProcessSamplingBackend):
                 f"{sorted(PARTITIONERS)}")
         if remote_cache_rows < 0:
             raise ConfigError("remote_cache_rows must be non-negative")
-        self.partitioner = partitioner
-        self.partition_seed = int(partition_seed)
-        self.remote_cache_rows = int(remote_cache_rows)
+        from ..shm import SharedShardSpec
+        n = session.num_trainers
         parts = PARTITIONERS[partitioner](
-            session.dataset.graph, session.num_trainers,
-            seed=self.partition_seed)
-        self.shard_map = ShardMap.from_partition(
-            parts, num_shards=session.num_trainers)
-        self.shard_plan = ShardPlan(session.plan, parts,
-                                    session.num_trainers)
-
-    # -- subclass hooks ------------------------------------------------
-    def _worker_entry(self):
-        return _worker_main
-
-    def _create_store(self):
-        from ..shm import SharedFeatureStore, SharedShardSpec
-        return SharedFeatureStore.create(
-            self.session.dataset,
-            sampler_spec=self.session.shared_sampler_spec(),
-            shard_map=self.shard_map,
+            session.dataset.graph, n, seed=int(partition_seed))
+        shard_map = ShardMap.from_partition(parts, num_shards=n)
+        self.work_source = ShardPlan(session.plan, parts, n)
+        self.store_extras = dict(
+            shard_map=shard_map,
             shard_spec=SharedShardSpec(
-                num_shards=self.shard_map.num_shards,
-                partitioner=self.partitioner,
-                partition_seed=self.partition_seed,
-                remote_cache_rows=self.remote_cache_rows))
-
-    def _make_report(self, iterations: int, n: int) -> ShardedReport:
-        return ShardedReport(iterations=iterations, num_workers=n,
-                             worker_targets=[[] for _ in range(n)],
-                             shard_parts=self.shard_map.parts)
-
-    def _drive(self, iterations: int, conns, report, rows) -> None:
-        """Drive the loop off the partition-mapped dealer instead of
-        the quota-cursor plan — everything downstream (dispatch,
-        collect, the shared sync tail, DRM adjudication) is inherited
-        unchanged."""
-        for it, planned in self.shard_plan.iterate(iterations):
-            self._run_iteration(it, planned, conns, report, rows)
-
-    def _collect(self, it: int, busy, conns, report, stats_by_idx,
-                 losses, accs) -> None:
-        """The worker-sampling collect plus the per-minibatch shard-io
-        record every result now carries."""
-        from ..protocol import Signal
-
-        s = self.session
-        self._iter_stage_s: dict[int, dict] = {}
-        for idx in busy:
-            msg = self._recv(conns, idx)
-            tag, rit, loss, acc, st, echoed, grads, stage_s, io = msg
-            if tag != "result" or rit != it:
-                raise WorkerError(
-                    f"worker {idx} answered {tag!r} for iteration "
-                    f"{rit}, expected result for {it}")
-            s.trainers[idx].model.set_flat_grads(grads)
-            stats_by_idx[idx] = st
-            self._iter_stage_s[idx] = stage_s
-            report.total_edges += st.total_edges
-            report.worker_targets[idx].append(echoed)
-            report.shard_io.append(
-                {"iteration": it, "worker": idx, **io})
-            losses.append(loss)
-            accs.append(acc)
-            report.protocol_log.record(it, Signal.DONE,
-                                       s.trainers[idx].name)
+                num_shards=n, partitioner=partitioner,
+                partition_seed=int(partition_seed),
+                remote_cache_rows=int(remote_cache_rows)))

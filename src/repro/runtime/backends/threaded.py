@@ -31,48 +31,16 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ...errors import ProtocolError
-from ...kernels import scoped_counters
-from ...perfmodel.model import StageTimes, WorkloadSplit
-from ...sim.trace import Timeline
 from ..prefetch import PrefetchBuffer
-from ..protocol import ProtocolLog, Signal
+from ..protocol import Signal
 from ..resctl import fold_worker_realized
 from .base import ExecutionBackend
 from .options import ThreadedOptions
-
-
-@dataclass
-class ExecutorReport:
-    """Outcome of a threaded run.
-
-    ``wall_time_s`` is real elapsed time; when the session carries a
-    timing plane the report additionally holds the virtual-time
-    bookkeeping (stage history, DRM split trajectory, pipeline timeline)
-    so threaded runs are comparable to the virtual-time plane.
-    ``kernel_stats`` is the run's delta of the backend's
-    session-scoped kernel-traffic counters (``backend.counters``, fed
-    via :func:`repro.kernels.scoped_counters`) — bytes gathered and
-    quantized payload bytes for this run's feature loads only.
-    """
-
-    iterations: int
-    losses: list[float] = field(default_factory=list)
-    accuracies: list[float] = field(default_factory=list)
-    wall_time_s: float = 0.0
-    protocol_log: ProtocolLog = field(default_factory=ProtocolLog)
-    replicas_consistent: bool = False
-    prefetch_high_water: int = 0
-    stage_history: list[StageTimes] = field(default_factory=list)
-    split_history: list[WorkloadSplit] = field(default_factory=list)
-    total_edges: float = 0.0
-    virtual_time_s: float = 0.0
-    timeline: Timeline = field(default_factory=Timeline)
-    kernel_stats: dict[str, int] = field(default_factory=dict)
+from .report import RunReport
 
 
 class ThreadedBackend(ExecutionBackend):
@@ -104,15 +72,7 @@ class ThreadedBackend(ExecutionBackend):
         self.timeout_s = timeout_s
 
     # ------------------------------------------------------------------
-    def run_epoch(self, max_iterations: int | None = None
-                  ) -> ExecutorReport:
-        """Execute one epoch (or ``max_iterations``, whichever is less)."""
-        iters = self.session.iterations_per_epoch()
-        if max_iterations is not None:
-            iters = min(iters, max_iterations)
-        return self.run(iters)
-
-    def run(self, iterations: int) -> ExecutorReport:
+    def run(self, iterations: int) -> RunReport:
         """Execute ``iterations`` synchronized iterations.
 
         Iterations follow the shared batch plan: each epoch is one
@@ -124,7 +84,7 @@ class ThreadedBackend(ExecutionBackend):
         if iterations < 1:
             raise ProtocolError("iterations must be >= 1")
         s = self.session
-        report = ExecutorReport(iterations=iterations)
+        report = RunReport(iterations=iterations)
         log = report.protocol_log
         n = s.num_trainers
         rows: list[list[float]] = []
@@ -261,17 +221,10 @@ class ThreadedBackend(ExecutionBackend):
                         state["error"] = exc
                     cond.notify_all()
 
-        def scoped(fn):
-            # Enlist each worker thread into the session-scoped counter
-            # handle so kernel_stats counts only this run's dispatches.
-            def run(*args):
-                with scoped_counters(self.counters):
-                    fn(*args)
-            return run
-
-        threads = [threading.Thread(target=scoped(producer), daemon=True,
+        threads = [threading.Thread(target=self.scoped(producer),
+                                    daemon=True,
                                     name="producer")]
-        threads += [threading.Thread(target=scoped(trainer_loop),
+        threads += [threading.Thread(target=self.scoped(trainer_loop),
                                      args=(i,),
                                      daemon=True, name=f"trainer{i}")
                     for i in range(n)]
@@ -327,8 +280,5 @@ class ThreadedBackend(ExecutionBackend):
         report.replicas_consistent = \
             s.synchronizer.replicas_consistent()
         report.prefetch_high_water = max(b.high_water for b in buffers)
-        if s.has_timing and rows:
-            timeline = s.make_pipeline().run(rows)
-            report.timeline = timeline
-            report.virtual_time_s = timeline.makespan
+        report.close_timeline(s, rows)
         return report

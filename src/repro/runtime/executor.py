@@ -26,10 +26,11 @@ from ..config import SystemConfig, TrainingConfig
 from ..errors import ProtocolError
 from ..graph.datasets import GraphDataset
 from ..hw.topology import PlatformSpec
-from .backends.threaded import ExecutorReport, ThreadedBackend
+from .backends.report import RunReport
+from .backends.threaded import ThreadedBackend
 from .core import TrainingSession
 
-__all__ = ["ExecutorReport", "ThreadedExecutor"]
+__all__ = ["ThreadedExecutor"]
 
 
 class ThreadedExecutor:
@@ -132,11 +133,11 @@ class ThreadedExecutor:
         return self.session.drm
 
     # ------------------------------------------------------------------
-    def run(self, iterations: int) -> ExecutorReport:
+    def run(self, iterations: int) -> RunReport:
         """Execute ``iterations`` synchronized iterations."""
         return self.backend.run(iterations)
 
     def run_epoch(self, max_iterations: int | None = None
-                  ) -> ExecutorReport:
+                  ) -> RunReport:
         """Execute one epoch over the shared batch plan."""
         return self.backend.run_epoch(max_iterations)

@@ -5,8 +5,8 @@ and arbitrates*:
 
 * :class:`StageMonitor` (``monitor.py``) — bounded ring buffers of
   realized per-stage wall times sampled from the live planes
-  (threaded/pipelined stage threads; process-plane workers via the
-  ``wstats`` pipe message), with EWMA and percentile summaries;
+  (threaded/pipelined stage threads; process-plane workers via their
+  replies and snapshot), with EWMA and percentile summaries;
 * :class:`OnlineEstimator` (``estimator.py``) — per-stage
   multiplicative correction factors calibrating the
   :class:`~repro.perfmodel.model.PerformanceModel` against realized
@@ -17,9 +17,10 @@ and arbitrates*:
   :class:`~repro.runtime.core.TrainingSession` runs, released as
   sessions finish.
 
-The overlapped backends (:mod:`~repro.runtime.backends.pipelined`,
-:mod:`~repro.runtime.backends.process_pipelined`) wire all three
-together behind their ``depth_source`` knob: ``"realized"`` (default)
+The overlapped backends (``pipelined``, ``process_pipelined``) wire all
+three together through one
+:class:`~repro.runtime.backends.overlap.DepthPolicy`, behind their
+``depth_source`` knob: ``"realized"`` (default)
 drives ``adaptive_depth`` and ``drm_step`` from calibrated times,
 ``"model"`` reproduces the purely-analytic trajectories bit for bit.
 The lock-step planes feed the monitor (observability) but never

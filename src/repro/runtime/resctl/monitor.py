@@ -4,8 +4,8 @@ The timing plane everywhere else in the runtime is *modelled*: the
 :class:`~repro.perfmodel.model.PerformanceModel` turns realized batch
 statistics into predicted :class:`~repro.perfmodel.model.StageTimes`.
 The live planes, however, also *measure*: the threaded/pipelined stage
-threads and the process-plane workers (via the ``wstats`` pipe message,
-a sibling of the kernel-counter ``kstats`` round trip) know exactly how
+threads and the process-plane workers (per batch on each reply, run
+totals in the worker snapshot) know exactly how
 long each sample/gather/transfer/train pass took on this machine.
 
 :class:`StageMonitor` is where those measurements land: one bounded
@@ -96,9 +96,10 @@ def fold_worker_realized(per_trainer: Iterable[tuple[str, Mapping]],
 
 def map_worker_totals(kind: str, totals: Mapping[str, tuple]
                       ) -> dict[str, tuple[int, float]]:
-    """Map one worker's raw ``wstats`` accounting onto canonical keys.
+    """Map one worker's raw stage accounting onto canonical keys.
 
-    The ``wstats`` pipe payload is ``{raw_stage: (count, total_s)}``
+    The worker snapshot's ``stage_totals`` is
+    ``{raw_stage: (count, total_s)}``
     with raw stage names (``sample``/``load``/``transfer``/``train``)
     because the worker does not know which side of the hybrid split it
     sits on — the parent does, via the trainer's ``kind``. Attribution
@@ -192,8 +193,8 @@ class StageMonitor:
 
     def merge_totals(self, totals: Mapping[str, tuple]) -> None:
         """Fold a worker's cumulative ``{stage: (count, total_s)}``
-        accounting (the ``wstats`` pipe payload) into the count/total
-        accumulators. Totals carry no per-sample resolution, so the
+        accounting (the worker snapshot's ``stage_totals``) into the
+        count/total accumulators. Totals carry no per-sample resolution, so the
         ring/EWMA stay untouched — but the per-stage mean the summary
         derives from ``total_s / count`` reflects the worker-side work
         even on planes that never ship per-iteration timings."""
@@ -202,7 +203,7 @@ class StageMonitor:
             t = float(total_s)
             if c < 0 or not math.isfinite(t) or t < 0.0:
                 raise ProtocolError(
-                    f"invalid wstats entry for {stage!r}: "
+                    f"invalid stage-totals entry for {stage!r}: "
                     f"({count!r}, {total_s!r})")
             if c == 0:
                 continue
@@ -249,7 +250,7 @@ class StageMonitor:
                 total = self._total.get(stage, 0.0)
                 ewma = self._ewma.get(stage)
                 if ewma is None:
-                    # Totals-only stage (wstats): the mean is the best
+                    # Totals-only stage (merge_totals): the mean is the best
                     # point estimate the payload carries.
                     ewma = total / count if count else 0.0
                 out[stage] = StageSummary(

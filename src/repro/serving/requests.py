@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 #: The closed set of shed reasons the admission path can return.
-SHED_REASONS = ("queue_full", "no_credit", "closed")
+SHED_REASONS = ("queue_full", "no_credit", "closed", "invalid")
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,8 @@ class ShedResponse:
     * ``"queue_full"`` — the bounded pending queue is at capacity;
     * ``"no_credit"`` — the tenant's credit bucket cannot cover the
       request's target count right now;
-    * ``"closed"`` — the session is shut down.
+    * ``"closed"`` — the session is shut down;
+    * ``"invalid"`` — a target id lies outside ``[0, num_vertices)``.
     """
 
     request_id: int

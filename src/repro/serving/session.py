@@ -27,8 +27,8 @@ The request lifecycle (single-threaded by design — the owner's serve
 loop drives ``submit``/``step``; determinism is what the conformance
 tier and the property tests buy with that):
 
-``submit`` → admission (``closed`` / ``queue_full`` / ``no_credit``
-typed sheds, *before* any stage work) → micro-batcher (deadline or
+``submit`` → admission (``closed`` / ``invalid`` / ``queue_full`` /
+``no_credit`` typed sheds, *before* any stage work) → micro-batcher (deadline or
 size flush) → ``step`` (allocator-capped batch execution: stage
 pipeline → model forward → per-request responses).
 """
@@ -273,6 +273,13 @@ class ServingSession:
             return self._shed(rid, tenant, "closed", now)
         if targets.size == 0:
             raise ConfigError("request needs at least one target")
+        # Outside input: a bad id would otherwise blow up inside the
+        # sampler mid-batch, taking the valid co-batched requests (and
+        # their admission slots) with it. Refused before any credit is
+        # spent or slot admitted.
+        if targets.min() < 0 or \
+                targets.max() >= self.dataset.graph.num_vertices:
+            return self._shed(rid, tenant, "invalid", now)
         if self.admission.pending >= self.config.max_pending_requests:
             return self._shed(rid, tenant, "queue_full", now)
         if not self.credits.try_spend(tenant, int(targets.size)):

@@ -11,12 +11,10 @@ gap arises the same way it does in the paper (launch overheads, pipeline
 fill/flush, per-batch workload variation).
 """
 
-from .clock import VirtualClock
 from .engine import PipelineSimulator, StageSchedule
 from .trace import Span, Timeline, render_gantt
 
 __all__ = [
-    "VirtualClock",
     "PipelineSimulator",
     "StageSchedule",
     "Span",

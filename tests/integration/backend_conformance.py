@@ -104,6 +104,24 @@ STAT_PARAM_REL_DIST = 0.15
 #: The recognized tiers, in increasing looseness.
 CONFORMANCE_TIERS = ("strict", "statistical")
 
+#: Which shipped planes produce which coverage-evidence section of
+#: their report. The statistical tier (and ``bench_e2e``) read these
+#: fields as *present iff not None*, so a plane outside a field's set
+#: must leave it ``None`` — never an empty list.
+COVERAGE_EVIDENCE: dict[str, frozenset[str]] = {
+    "trained_targets": frozenset({"pipelined", "process_sampling",
+                                  "process_pipelined", "sharded"}),
+    "worker_targets": frozenset({"process_sampling",
+                                 "process_pipelined", "sharded"}),
+    "shard_parts": frozenset({"sharded"}),
+}
+
+#: Accounting sections of a live report: always a (possibly empty)
+#: container, on every plane.
+ACCOUNTING_SECTIONS = ("kernel_stats", "stage_seconds", "stage_stats",
+                       "depth_history", "split_history", "shard_io",
+                       "calibration")
+
 
 @dataclass(frozen=True)
 class ConformanceCase:
@@ -395,6 +413,25 @@ def assert_statistical_conformance(name, case, ref_session, ref,
              f"(limit {STAT_PARAM_REL_DIST})")
 
     _assert_epoch_bookkeeping(case, cand_session, cand)
+
+
+def assert_report_sections(name: str, report) -> None:
+    """The report section contract for shipped backend ``name``:
+    coverage evidence is ``None`` exactly on the planes that do not
+    produce it (:data:`COVERAGE_EVIDENCE`); on a live plane every
+    accounting section is a container, empty where the layer does not
+    exist (the virtual plane's ``EpochReport`` simply lacks them)."""
+    for section, producers in COVERAGE_EVIDENCE.items():
+        present = getattr(report, section, None) is not None
+        assert present == (name in producers), \
+            (f"{name}: report.{section} is "
+             f"{'set' if present else 'None'}, expected "
+             f"{'set' if name in producers else 'None'}")
+    if name != REFERENCE_BACKEND:
+        for section in ACCOUNTING_SECTIONS:
+            assert isinstance(getattr(report, section),
+                              (dict, list)), \
+                f"{name}: report.{section} is not a container"
 
 
 def _assert_epoch_bookkeeping(case, cand_session, cand) -> None:

@@ -12,7 +12,7 @@ plane specifically owes:
 * the dealer's apportionment arithmetic in isolation, including the
   empty-shard edge a ``num_parts > num_vertices``-style map produces;
 * the interconnect accounting: per-minibatch local/remote gather bytes
-  in :attr:`ShardedReport.shard_io` that reconcile exactly with the
+  in :attr:`RunReport.shard_io` that reconcile exactly with the
   run-total counters in ``report.kernel_stats``, and the locality
   pin — on a clustered (power-law) graph, bfs partitioning plus a
   degree-aware remote cache must move strictly fewer remote bytes
@@ -30,7 +30,6 @@ from backend_conformance import (
 )
 from repro.errors import ConfigError, ProtocolError
 from repro.graph.shard_map import ShardMap
-from repro.kernels import format_shard_io
 from repro.runtime import ShardedBackend, TrainingSession
 from repro.runtime.backends.sharded import ShardPlan, _apportion
 from repro.runtime.core import BatchPlan
@@ -155,10 +154,8 @@ class TestShardIOAccounting:
                 ks.get("remote_cache_hits", 0) == \
                 sum(r["remote_rows"] + r["cache_hits"]
                     for r in rep.shard_io)
-            # The resolver keeps the standard gather books too, so the
-            # bench's "kernel io" column stays meaningful.
+            # The resolver keeps the standard gather books too.
             assert ks["gather_src_bytes"] > 0
-            assert format_shard_io(ks, rep.iterations) != "-"
 
     def test_bfs_with_cache_beats_hash_without(self, reports):
         """The locality pin: on a clustered generator graph the
@@ -168,10 +165,6 @@ class TestShardIOAccounting:
         assert hash_rep.remote_cache_hit_rate == 0.0
         assert bfs_rep.remote_cache_hit_rate > 0.0
         assert bfs_rep.remote_gather_bytes < hash_rep.remote_gather_bytes
-
-    def test_non_sharded_stats_render_dash(self):
-        assert format_shard_io({}) == "-"
-        assert format_shard_io({"gather_src_bytes": 10}) == "-"
 
 
 class TestShardedStore:

@@ -167,3 +167,39 @@ class TestShedNeverSamples:
         # requests did no stage work at all.
         assert len(calls) == session.batcher.flushed_batches
         assert report.completed == report.accepted
+
+    def test_out_of_range_ids_shed_without_touching_the_batch(self):
+        """The front-door regression (ROADMAP item 4a): a bad vertex
+        id used to raise a bare IndexError from the sampler mid-batch,
+        losing the valid co-batched request and leaking its admission
+        slot forever. Now it is a typed ``invalid`` shed issued before
+        any credit is spent or slot admitted."""
+        clock = VirtualClock()
+        session = ServingSession(
+            _DS, _CFG,
+            config=ServingConfig(latency_budget_s=0.2,
+                                 credit_rate_targets_per_s=100.0,
+                                 credit_burst_targets=16),
+            clock=clock)
+        sampler = session.pipeline.sampler
+        calls = []
+        inner = sampler.sample
+        sampler.sample = lambda targets: (
+            calls.append(np.asarray(targets).tolist()),
+            inner(targets))[1]
+
+        assert session.submit([1, 2]) is None
+        too_big = session.submit([10**9])
+        negative = session.submit([-1])
+        assert too_big.reason == negative.reason == "invalid"
+        clock.advance(1.0)
+        responses = session.drain()
+
+        assert [r.request_id for r in responses] == [0]
+        assert session.admission.pending == 0
+        assert calls == [[1, 2]]          # never sampled for bad work
+        report = session.close()
+        assert report.accepted == report.completed == 1
+        assert report.shed == {"invalid": 2}
+        # The ledger still conserves: only the valid request spent.
+        assert session.credits.ledger()["default"]["spent_targets"] == 2

@@ -1,7 +1,5 @@
 """Unit tests for repro.config and error hierarchy."""
 
-import logging
-
 import pytest
 
 from repro.config import (
@@ -17,7 +15,6 @@ from repro.errors import (
     GraphError,
     ReproError,
 )
-from repro.logging_utils import get_logger, log_duration
 
 
 class TestTrainingConfig:
@@ -104,17 +101,3 @@ class TestErrors:
     def test_catchable_as_base(self):
         with pytest.raises(ReproError):
             raise CapacityError("full")
-
-
-class TestLogging:
-    def test_get_logger_namespaced(self):
-        lg = get_logger("runtime.drm")
-        assert lg.name == "repro.runtime.drm"
-        assert get_logger().name == "repro"
-
-    def test_log_duration(self, caplog):
-        lg = get_logger("test")
-        with caplog.at_level(logging.DEBUG, logger="repro.test"):
-            with log_duration(lg, "block"):
-                pass
-        assert any("block took" in r.message for r in caplog.records)

@@ -27,7 +27,6 @@ from repro.kernels import (
     COUNTERS,
     KernelCounters,
     fast,
-    format_traffic,
     kernel_tier,
     merge_counts,
     payload_bytes,
@@ -371,16 +370,6 @@ class TestCounters:
         into = {"a": 1}
         merge_counts(into, {"a": 2, "b": 3})
         assert into == {"a": 3, "b": 3}
-
-    def test_format_traffic(self):
-        assert format_traffic({}) == "-"
-        line = format_traffic(
-            {"gather_src_bytes": 4_000_000, "payload_bytes": 2_000_000,
-             "fused_calls": 2, "pool_hits": 3, "pool_misses": 1},
-            iterations=2)
-        assert "gather 2.00 MB/it" in line
-        assert "payload 1.00 MB/it" in line
-        assert "pool 3/4 hits" in line
 
     def test_gather_feature_rows_out_and_pool(self):
         from types import SimpleNamespace

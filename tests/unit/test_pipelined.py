@@ -21,7 +21,7 @@ from repro.config import SystemConfig, TrainingConfig
 from repro.errors import ProtocolError
 from repro.perfmodel.model import StageTimes
 from repro.runtime import PipelinedBackend, TrainingSession
-from repro.runtime.backends.pipelined import adaptive_depth
+from repro.runtime.backends.overlap import adaptive_depth
 
 common_settings = settings(max_examples=60, deadline=None)
 

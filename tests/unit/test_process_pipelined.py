@@ -19,12 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
-from repro.runtime import LookaheadDealer
-from repro.runtime.backends.process_pipelined import (
-    ProcessPipelinedReport,
-    WORKER_STAGES,
-)
-from repro.runtime.backends.pipelined import StageStats
+from repro.runtime import LookaheadDealer, RunReport, StageStats
+from repro.runtime.backends.overlap import WORKER_STAGES
 from repro.runtime.core import BatchPlan
 from repro.runtime.shm import SharedPrefetchSpec
 
@@ -160,13 +156,13 @@ class TestLookaheadDealer:
             dealer.set_depth(0)
 
 
-class TestProcessPipelinedReport:
+class TestOverlapReport:
     def test_overlap_summary_without_depth_changes(self):
-        rep = ProcessPipelinedReport(iterations=2, num_workers=1)
+        rep = RunReport(iterations=2, num_workers=1)
         assert "depth=static" in rep.overlap_summary()
 
     def test_overlap_summary_aggregates_stages(self):
-        rep = ProcessPipelinedReport(iterations=2, num_workers=1)
+        rep = RunReport(iterations=2, num_workers=1)
         rep.depth_history = [(0, 2), (1, 4)]
         for stage in WORKER_STAGES:
             rep.stage_stats[stage] = StageStats(
@@ -177,13 +173,15 @@ class TestProcessPipelinedReport:
         for stage in WORKER_STAGES:
             assert stage in out
 
-    def test_inherits_worker_coverage_fields(self):
-        """The statistical tier's per-worker partition assertion keys
-        off these fields — they must survive the subclassing."""
-        rep = ProcessPipelinedReport(iterations=1, num_workers=2,
-                                     worker_targets=[[], []])
-        assert rep.trained_targets == []
-        assert rep.worker_targets == [[], []]
+    def test_coverage_evidence_defaults_to_absent(self):
+        """The statistical tier and ``bench_e2e`` read coverage fields
+        as *present iff not None*: a plane that never records targets
+        must not look like one that trained zero of them."""
+        rep = RunReport(iterations=1, num_workers=2)
+        assert rep.trained_targets is None
+        assert rep.worker_targets is None
+        assert rep.shard_parts is None
+        assert rep.shard_io == [] and rep.kernel_stats == {}
 
 
 class TestDepthDefaults:
@@ -208,8 +206,8 @@ class TestDepthDefaults:
             num_trainers=2)
         for cls in (PipelinedBackend, ProcessPipelinedBackend):
             backend = cls(session)
-            assert backend.initial_depth == 12
-            assert backend.max_depth == 12
+            assert backend.lookahead.initial_depth == 12
+            assert backend.lookahead.max_depth == 12
             with pytest.raises(ProtocolError):
                 cls(session, max_depth=8)
 
@@ -270,10 +268,10 @@ class TestDepthSourceTrajectories:
         session = self._session(tiny_ds, fpga_platform)
         backend = get_backend(backend_name)(
             session, timeout_s=60, initial_depth=3, max_depth=4)
-        assert backend.depth_source == "realized"
+        assert backend.lookahead.depth_source == "realized"
         rep = backend.run_epoch()
         assert rep.depth_history[0] == (0, 1)
-        assert backend.initial_depth == 3   # constructor attr untouched
+        assert backend.lookahead.initial_depth == 3   # knob untouched
 
     def test_warm_estimator_seeds_calibrated_depth(self, tiny_ds,
                                                    fpga_platform):
@@ -281,20 +279,17 @@ class TestDepthSourceTrajectories:
         calibrated steady-state estimate, not the floor — the warm
         branch of ``seed_depth``."""
         from repro.runtime import get_backend
-        from repro.runtime.backends.pipelined import (
-            adaptive_depth,
-            seed_depth,
-        )
+        from repro.runtime import adaptive_depth, seed_depth
         session = self._session(tiny_ds, fpga_platform)
         backend = get_backend("pipelined")(
             session, timeout_s=60, initial_depth=3, max_depth=4)
         backend.run_epoch()
-        assert backend.estimator.is_warm()
+        assert backend.lookahead.estimator.is_warm()
         expected = adaptive_depth(
-            backend.estimator.calibrate(session.stage_times(None, None)),
+            backend.lookahead.estimator.calibrate(session.stage_times(None, None)),
             cap=4)
         assert seed_depth(session, 3, 4, "realized",
-                          backend.estimator) == expected
+                          backend.lookahead.estimator) == expected
 
     @pytest.mark.parametrize("backend_name",
                              ["pipelined", "process_pipelined"])

@@ -25,7 +25,7 @@ from repro.config import SystemConfig, TrainingConfig
 from repro.errors import ProtocolError
 from repro.perfmodel.model import StageTimes
 from repro.runtime import TrainingSession
-from repro.runtime.backends.pipelined import fold_stage_stats
+from repro.runtime.backends.report import fold_stage_stats
 from repro.runtime.resctl import (
     DEFAULT_DEPTH_BUDGET,
     NodeAllocator,
@@ -346,7 +346,7 @@ class TestFoldStageStatsEmpty:
 
     def test_zeroed_fold_survives_the_overlap_summary(self):
         # The fused plane's report path renders the folded record.
-        from repro.runtime.backends.pipelined import summarize_overlap
+        from repro.runtime.backends.report import summarize_overlap
         summary = summarize_overlap(
             {"sample": fold_stage_stats("sample", [])}, [(0, 1)])
         assert "depth=1-1" in summary

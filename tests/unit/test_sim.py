@@ -1,32 +1,11 @@
-"""Unit tests for the sim package (clock, pipeline engine, trace)."""
+"""Unit tests for the sim package (pipeline engine, trace)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.clock import VirtualClock
 from repro.sim.engine import PipelineSimulator
 from repro.sim.trace import Span, Timeline, render_gantt
-
-
-class TestClock:
-    def test_advance(self):
-        c = VirtualClock()
-        assert c.now == 0.0
-        c.advance(1.5)
-        assert c.now == 1.5
-        c.advance_to(1.0)          # no-op backwards
-        assert c.now == 1.5
-        c.advance_to(2.0)
-        assert c.now == 2.0
-        c.reset()
-        assert c.now == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(SimulationError):
-            VirtualClock(-1.0)
-        with pytest.raises(SimulationError):
-            VirtualClock().advance(-0.1)
 
 
 class TestSpansTimeline:
