@@ -66,7 +66,9 @@ def _smoke(backend: str):
     feature store (sampling in the parent or, for ``process_sampling``
     and ``process_pipelined``, in the workers), the overlapped
     producer/consumer pipeline, or the fused worker-local overlap (a
-    scaled-down config keeps each within seconds).
+    scaled-down config keeps each within seconds). ``run_ablation``
+    builds one backend per preset session and closes it (``with``)
+    before the next, so at most one worker pool + store is ever open.
     """
     overrides = dict(minibatch_size=128, fanouts=(5, 5), hidden_dim=32)
     return run_ablation(platform_kind="fpga", num_accels=2,

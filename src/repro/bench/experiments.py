@@ -69,15 +69,18 @@ def _epoch_time(system: HyScaleGNN, backend: str,
     """
     if backend == "virtual":
         return system.simulate_epoch(iterations=iterations).epoch_time_s
-    live = _live_backend(backend, system.session)
-    if iterations is not None and hasattr(live, "run"):
-        # run(N) executes exactly N iterations (rolling into fresh
-        # epoch permutations past an epoch boundary), so every preset
-        # is timed over the same workload; run_epoch would clamp N to
-        # a per-preset epoch length.
-        report = live.run(iterations)
-    else:
-        report = live.run_epoch(iterations)
+    # ``with``: a process plane keeps its workers and shared store for
+    # the backend's lifetime — one preset's are released before the
+    # next preset's open.
+    with _live_backend(backend, system.session) as live:
+        if iterations is not None and hasattr(live, "run"):
+            # run(N) executes exactly N iterations (rolling into fresh
+            # epoch permutations past an epoch boundary), so every
+            # preset is timed over the same workload; run_epoch would
+            # clamp N to a per-preset epoch length.
+            report = live.run(iterations)
+        else:
+            report = live.run_epoch(iterations)
     return getattr(report, "virtual_time_s", None) or \
         getattr(report, "epoch_time_s", 0.0)
 

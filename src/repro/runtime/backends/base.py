@@ -134,5 +134,18 @@ class ExecutionBackend(abc.ABC):
             f"{type(self).__name__} implements neither run() nor "
             "run_epoch()")
 
+    def close(self) -> None:
+        """Release whatever this backend keeps between runs (the
+        process planes' workers and shared store; nothing on the
+        in-process planes). Idempotent; a closed backend may run
+        again. Callers never branch on the plane:
+        ``with build_backend(name, session) as backend: ...``."""
+
+    def __enter__(self) -> "ExecutionBackend":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} over {self.session.dataset.name}>"

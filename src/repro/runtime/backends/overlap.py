@@ -90,7 +90,7 @@ class StageChain:
         records it and closes whatever must wake up.
     name:
         ``str.format`` template for thread names, given the stage
-        (the leak fixture in ``tests/integration/conftest.py`` keys off
+        (the leak fixture in ``tests/conftest.py`` keys off
         the in-process ``pipeline-`` prefix).
     wrap:
         Optional decorator applied to every thread target (the

@@ -3,11 +3,16 @@
 HyScale-GNN's scalability claim (paper §IV) is that process-level
 parallel trainers, worker-side sampling, two-stage prefetch overlap and
 placement *compose* on one node. :class:`ProcessBackend` is that
-composition written once — spawn → handshake → drive → snapshot →
-shutdown over a :class:`~repro.runtime.shm.SharedFeatureStore`, with
-the DistDGL-style division of labor: only work items and flat gradient
-vectors cross process boundaries, features never do. What varies
-between process planes is three small choices:
+composition written once — open → [begin → drive → snapshot]* → close
+over a :class:`~repro.runtime.shm.SharedFeatureStore`, with the
+DistDGL-style division of labor: bulk through shared memory (features,
+topology *and* the flat gradient vectors, which live in the store's
+gradient slab), control through messages (work items, tokens, scalars
+and stats are all a pipe carries between a run's ``init`` and its
+``snapshot``). The workers and the store (a :class:`WorkerPool`) live
+as long as the *backend*: opened lazily by the first ``run()``, reused
+by every later one, released by ``close()``. What varies between
+process planes is three small choices:
 
 * the **work source** (``self.work_source``) — the numbered stream of
   :class:`~repro.runtime.core.PlannedIteration` the parent deals:
@@ -44,6 +49,7 @@ import multiprocessing as mp
 import threading
 import time
 import traceback
+import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import ClassVar
@@ -87,7 +93,9 @@ class WorkerSpec:
 
 @dataclass
 class Reply:
-    """One trained batch, worker → parent (``("result", it, Reply)``).
+    """One trained batch, worker → parent (``("result", it, Reply)``),
+    sent only after the batch's flat gradient is in the worker's row of
+    the store's gradient slab — the reply itself is scalars and ids.
 
     ``stats`` / ``echoed`` are set only by workers that sampled the
     batch themselves — the parent already knows both for a batch it
@@ -99,7 +107,6 @@ class Reply:
 
     loss: float
     accuracy: float
-    grads: np.ndarray
     stage_s: dict[str, float]
     stats: MiniBatchStats | None = None
     echoed: np.ndarray | None = None
@@ -109,9 +116,10 @@ class Reply:
 @dataclass
 class WorkerSnapshot:
     """A worker's whole post-run state in one message: the parameters
-    for the parity audit, the kernel-counter delta since the serve loop
-    started (a *delta*: under fork the worker's counters inherit
-    whatever the parent accumulated before spawning), cumulative
+    for the parity audit, the kernel-counter delta since the run began
+    (a *delta*: under fork the worker's counters inherit whatever the
+    parent accumulated before spawning, and a reused worker carries its
+    earlier runs'), cumulative
     ``{raw_stage: (count, total_s)}`` stage accounting, and the
     overlapped body's ``{stage: (items, high_water, mean_occupancy)}``
     buffer accounting (empty for the inline body)."""
@@ -198,17 +206,18 @@ class WorkerReplica(StagePipeline):
     def __init__(self, store, spec: WorkerSpec) -> None:
         from ...nn.models import build_model
         from ...nn.optim import SGD
-        from ...sampling import build_worker_sampler
         from ..trainer import TrainerNode
 
-        # A private, independently-seeded sampler over the shared CSR
-        # iff the parent deals target ids (the manifest says so).
-        sampler = build_worker_sampler(store, spec.index) \
-            if store.manifest.sampler is not None else None
-        super().__init__(sampler, store.features, store.labels,
+        super().__init__(None, store.features, store.labels,
                          spec.transfer_precision)
         self.store = store
         self.spec = spec
+        # Built here too, so an unbuildable sampler family fails the
+        # ready handshake with its traceback.
+        self.sampler = self.fresh_sampler()
+        #: The gradient slab: row ``spec.index`` is this worker's flat
+        #: gradient, the last row the parent's averaged update.
+        self.grads = store.grads
         self.degrees = store.degrees     # private copy, outlives views
         self.model = build_model(spec.model_name, spec.dims, spec.seed)
         self.node = TrainerNode(spec.name, spec.kind, self.model, None,
@@ -216,6 +225,24 @@ class WorkerReplica(StagePipeline):
         self.opt = SGD(self.model, lr=spec.learning_rate)
         #: Cumulative ``{raw_stage: [count, total_s]}`` for the snapshot.
         self.stage_totals: dict[str, list] = {}
+
+    def fresh_sampler(self):
+        """A private, independently-seeded sampler over the shared CSR
+        iff the parent deals target ids (the manifest says so)."""
+        from ...sampling import build_worker_sampler
+        if self.store.manifest.sampler is None:
+            return None
+        return build_worker_sampler(self.store, self.spec.index)
+
+    def begin_run(self, params: np.ndarray) -> None:
+        """Start a run on this (possibly reused) process exactly as a
+        freshly spawned one would: the parent's *current* parameters,
+        the sampler stream back at its seed, empty accounting — reuse
+        is numerically invisible. The validated CSR view is the
+        store's and survives; only the sampler around it is rebuilt."""
+        self.model.set_flat_params(params)
+        self.sampler = self.fresh_sampler()
+        self.stage_totals = {}
 
     def sample(self, work) -> MiniBatch:
         """This worker's sample stage: draw from the private stream,
@@ -226,12 +253,13 @@ class WorkerReplica(StagePipeline):
 
     def train(self, mb: MiniBatch, x0, labels,
               stage_s: dict[str, float]) -> Reply:
-        """One forward/backward on a prepared batch → the reply."""
+        """One forward/backward on a prepared batch: the gradient
+        goes to this worker's slab row, the rest into the reply."""
         t0 = time.perf_counter()
         rep = self.node.train_minibatch(mb, x0, labels, self.degrees)
         stage_s["train"] = time.perf_counter() - t0
+        self.grads[self.spec.index] = self.model.get_flat_grads()
         reply = Reply(loss=rep.loss, accuracy=rep.accuracy,
-                      grads=self.model.get_flat_grads(),
                       stage_s=stage_s)
         if self.sampler is None:
             # Re-materializing a parent-sampled batch is not sampling.
@@ -245,11 +273,12 @@ class WorkerReplica(StagePipeline):
             entry[1] += seconds
         return reply
 
-    def apply(self, avg: np.ndarray) -> None:
-        """Mirror the parent's synchronized SGD step — the same
-        in-place update it applies to its mirror replicas, keeping all
-        copies bit-equal without shipping parameters in steady state."""
-        self.model.set_flat_grads(avg)
+    def apply(self) -> None:
+        """Mirror the parent's synchronized SGD step from the slab's
+        average row — the same in-place update it applies to its mirror
+        replicas, keeping all copies bit-equal without shipping
+        parameters in steady state."""
+        self.model.set_flat_grads(self.grads[-1])
         self.opt.step()
 
     def snapshot(self, counters_baseline, buffers) -> WorkerSnapshot:
@@ -264,7 +293,7 @@ class WorkerReplica(StagePipeline):
         """Drop shm-backed views before unmapping, else ``close()``
         raises BufferError on the exported buffers (the sampler's CSR
         graph views the segment too)."""
-        self.features = self.labels = self.sampler = None
+        self.features = self.labels = self.sampler = self.grads = None
 
 
 class InlineBody:
@@ -286,7 +315,8 @@ class InlineBody:
 
     def train(self, it: int, work) -> None:
         if work is None:
-            return                    # idle: just await the apply
+            self.send(("idle", it))   # every worker answers every deal
+            return
         r = self.replica
         stage_s: dict[str, float] = {}
         t0 = time.perf_counter()
@@ -298,8 +328,8 @@ class InlineBody:
         self.send(("result", it,
                    r.train(mb, x0, r.labels_for(mb), stage_s)))
 
-    def apply(self, it: int, avg: np.ndarray) -> None:
-        self.replica.apply(avg)
+    def apply(self, it: int) -> None:
+        self.replica.apply()
 
     def drain(self) -> dict:
         return {}
@@ -313,14 +343,17 @@ class OverlappedBody:
     train+sync.
 
     The worker's main thread (the message loop) only *routes*: dealt
-    work into the :class:`~.overlap.StageChain`, averaged gradients
-    into the apply queue — it never blocks on pipeline work, so
-    dealt-ahead messages and broadcasts keep flowing. The **train+sync**
-    consumer takes prepared batches in iteration order, trains, sends
-    the result, then *waits for that iteration's averaged update*
-    before stepping: gradient math stays synchronous SGD while the
-    producer threads run ahead. Batches are in flight on stage threads,
-    so this body must not pool buffers (``docs/kernels.md``).
+    work into the :class:`~.overlap.StageChain`, apply tokens into the
+    apply queue — it never blocks on pipeline work, so dealt-ahead
+    messages and broadcasts keep flowing. The **train+sync** consumer
+    takes prepared batches in iteration order, trains, answers (a
+    result, or an idle token), then *waits for that iteration's
+    averaged update* before stepping: gradient math stays synchronous
+    SGD while the producer threads run ahead, and — because iteration
+    ``i + 1`` is answered only after ``i`` was applied — one slab row
+    per worker plus one average row suffice at any look-ahead depth.
+    Batches are in flight on stage threads, so this body must not pool
+    buffers (``docs/kernels.md``).
 
     Buffer capacity and the stage watchdog come from the manifest's
     :class:`~repro.runtime.shm.SharedPrefetchSpec`; capacity is the
@@ -379,23 +412,25 @@ class OverlappedBody:
                     self.send(("result", item.it,
                                r.train(item.mb, item.x0, item.labels,
                                        item.stage_s)))
+                else:
+                    self.send(("idle", item.it))
                 # The per-iteration barrier (idle iterations included).
-                a = self.q_apply.get(timeout=self.timeout_s)
-                if a is None:
+                applied = self.q_apply.get(timeout=self.timeout_s)
+                if applied is None:
                     return
-                if a[0] != item.it:
+                if applied != item.it:
                     raise ProtocolError(
                         f"worker {r.spec.index} received apply for "
-                        f"iteration {a[0]}, expected {item.it}")
-                r.apply(a[1])
+                        f"iteration {applied}, expected {item.it}")
+                r.apply()
         except BaseException as exc:
             self._fail(exc)
 
     def train(self, it: int, work) -> None:
         self.chain.feed(it, work)
 
-    def apply(self, it: int, avg: np.ndarray) -> None:
-        self.q_apply.put((it, avg), timeout=self.timeout_s)
+    def apply(self, it: int) -> None:
+        self.q_apply.put(it, timeout=self.timeout_s)
 
     def _join(self) -> None:
         self.chain.join()
@@ -415,14 +450,15 @@ class OverlappedBody:
 
 
 def serve(conn, replica: WorkerReplica, body_cls: type) -> None:
-    """The one worker message loop. Runs until ``("stop",)`` or EOF.
+    """The one worker message loop. Runs until ``("stop",)`` or EOF,
+    across any number of runs.
 
-    ``train`` / ``apply`` go to the body; everything else — the ready
-    handshake, the startup parameter sync, the single post-run
-    ``snapshot`` — is body-independent.
+    ``init`` begins a run (per-run state re-derived, a fresh body);
+    ``train`` / ``apply`` go to that body; the single ``snapshot``
+    drains it and ends the run. The process, its store mapping and its
+    replica stay up for the next ``init``.
     """
-    counters_baseline = COUNTERS.snapshot()
-    body = body_cls(conn, replica)
+    body = None
     try:
         conn.send(("ready", replica.spec.index))
         while True:
@@ -431,11 +467,14 @@ def serve(conn, replica: WorkerReplica, body_cls: type) -> None:
             if tag == "train":
                 body.train(msg[1], msg[2])
             elif tag == "apply":
-                body.apply(msg[1], msg[2])
+                body.apply(msg[1])
             elif tag == "init":
-                # Arrives before any work is dealt: nothing is in
-                # flight, so the replica is safe to overwrite.
-                replica.model.set_flat_params(msg[1])
+                # Nothing is in flight between runs (the previous
+                # ``snapshot`` drained the old body), so the replica is
+                # safe to overwrite.
+                replica.begin_run(msg[1])
+                counters_baseline = COUNTERS.snapshot()
+                body = body_cls(conn, replica)
             elif tag == "snapshot":
                 buffers = body.drain()
                 body.send(("snapshot", replica.snapshot(
@@ -445,7 +484,8 @@ def serve(conn, replica: WorkerReplica, body_cls: type) -> None:
             else:
                 raise ProtocolError(f"unknown message tag {tag!r}")
     finally:
-        body.close()
+        if body is not None:
+            body.close()
 
 
 def worker_main(conn, manifest, spec: WorkerSpec) -> None:
@@ -479,8 +519,55 @@ def worker_main(conn, manifest, spec: WorkerSpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Parent side: the driver
+# Parent side: the pool and the driver
 # ---------------------------------------------------------------------------
+
+def _shutdown(conns, procs, store) -> None:
+    """Stop workers and destroy the shared segment. Never raises."""
+    for conn in conns:
+        try:
+            conn.send(("stop",))
+        except Exception:
+            pass
+    for proc in procs:
+        proc.join(timeout=5.0)
+        if proc.is_alive():  # pragma: no cover - wedged worker
+            proc.terminate()
+            proc.join(timeout=5.0)
+    for conn in conns:
+        try:
+            conn.close()
+        except Exception:
+            pass
+    try:
+        store.close()
+    except BufferError:
+        # A slab view pinned by the traceback of the very failure that
+        # got us here (an interrupt mid-read): the mapping dies with
+        # it, the name goes now.
+        pass
+    store.unlink()
+
+
+class WorkerPool:
+    """Everything a process plane owns that outlives a run: the worker
+    processes, the parent's ends of their pipes, and the shared store.
+
+    :attr:`close` is the one teardown (:func:`_shutdown`), idempotent,
+    and a ``weakref.finalize``: it also fires when the last reference
+    to the pool drops and at interpreter exit, so a backend that is
+    merely dropped — never closed — leaves no segment and no child.
+    The callback holds the three resources, never the pool or its
+    backend, so nothing here can sit in a reference cycle.
+    """
+
+    def __init__(self, store) -> None:
+        self.store = store
+        self.conns: list = []
+        self.procs: list = []
+        self.close = weakref.finalize(self, _shutdown, self.conns,
+                                      self.procs, store)
+
 
 class ProcessBackend(ExecutionBackend):
     """Run synchronous-SGD training on worker *processes*.
@@ -531,90 +618,61 @@ class ProcessBackend(ExecutionBackend):
         #: Extra ``SharedFeatureStore.create`` keywords (a
         #: partition-mapped preset passes ``shard_map``/``shard_spec``).
         self.store_extras: dict = {}
+        #: The live workers + store; ``None`` until the first ``run()``
+        #: and again after ``close()`` or a failed run.
+        self._pool: WorkerPool | None = None
 
     # ------------------------------------------------------------------
-    def run(self, iterations: int) -> RunReport:
-        """Execute ``iterations`` synchronized iterations.
-
-        Workers and the shared-memory store live exactly as long as this
-        call: both are torn down in a ``finally`` (terminate + unlink),
-        so neither processes nor segments can leak past a run.
-        """
-        if iterations < 1:
-            raise ProtocolError("iterations must be >= 1")
+    # Lifetime: open lazily, reuse, close
+    # ------------------------------------------------------------------
+    def _open(self) -> None:
+        """Create the store and spawn one worker per trainer over it —
+        the one place either happens — then wait for every worker to
+        finish mapping the store and building its replica. The pool is
+        installed before the first spawn, so a failure part-way is torn
+        down by the same ``close()`` as everything else."""
         s = self.session
-        n = s.num_trainers
-        shard_map = self.store_extras.get("shard_map")
-        report = RunReport(
-            iterations=iterations, num_workers=n,
-            shard_parts=None if shard_map is None else shard_map.parts)
-        if self.deal.worker_samples:
-            report.trained_targets = []
-            report.worker_targets = [[] for _ in range(n)]
-        rows: list[list[float]] = []
-
-        setup_start = time.perf_counter()
         # Resolve the context before creating the segment: an invalid
         # start method must not leak a dataset-sized /dev/shm block.
         ctx = mp.get_context(self.mp_context)
-        store = self._create_store()
-        conns = []
-        procs = []
-        try:
-            for idx, trainer in enumerate(s.trainers):
-                spec = WorkerSpec(
-                    index=idx, name=trainer.name, kind=trainer.kind,
-                    model_name=trainer.model_name, dims=trainer.dims,
-                    seed=s.train_cfg.seed,
-                    learning_rate=s.train_cfg.learning_rate,
-                    transfer_precision=s.sys_cfg.transfer_precision,
-                    replica_cls=self.replica_cls, body=self.worker_body)
-                parent_conn, child_conn = ctx.Pipe(duplex=True)
-                proc = ctx.Process(
-                    target=worker_main,
-                    args=(child_conn, store.manifest, spec),
-                    name=f"repro-{trainer.name}", daemon=True)
-                proc.start()
-                child_conn.close()        # parent keeps its end only
-                conns.append(parent_conn)
-                procs.append(proc)
+        pool = self._pool = WorkerPool(self._create_store())
+        for idx, trainer in enumerate(s.trainers):
+            spec = WorkerSpec(
+                index=idx, name=trainer.name, kind=trainer.kind,
+                model_name=trainer.model_name, dims=trainer.dims,
+                seed=s.train_cfg.seed,
+                learning_rate=s.train_cfg.learning_rate,
+                transfer_precision=s.sys_cfg.transfer_precision,
+                replica_cls=self.replica_cls, body=self.worker_body)
+            parent_conn, child_conn = ctx.Pipe(duplex=True)
+            pool.conns.append(parent_conn)
+            proc = ctx.Process(
+                target=worker_main,
+                args=(child_conn, pool.store.manifest, spec),
+                name=f"repro-{trainer.name}", daemon=True)
+            proc.start()
+            child_conn.close()            # parent keeps its end only
+            pool.procs.append(proc)
+        for idx in range(s.num_trainers):
+            tag, widx = self._recv(idx)
+            if tag != "ready" or widx != idx:
+                raise WorkerError(
+                    f"worker {idx} sent {tag!r}/{widx} instead of "
+                    "its ready handshake")
 
-            # Wait for every worker to finish mapping the store and
-            # building its replica, then sync each to the parent's
-            # *current* parameters — a session that already trained
-            # (under any backend) resumes bit-identically instead of
-            # silently restarting workers from the init seed. Only then
-            # start the training clock: wall_time_s measures the
-            # synchronized loop, not spawn or the one-time broadcast.
-            for idx in range(n):
-                tag, widx = self._recv(conns, idx)
-                if tag != "ready" or widx != idx:
-                    raise WorkerError(
-                        f"worker {idx} sent {tag!r}/{widx} instead of "
-                        "its ready handshake")
-                self._send(conns, idx,
-                           ("init",
-                            s.trainers[idx].model.get_flat_params()))
-            report.startup_time_s = time.perf_counter() - setup_start
-            start = time.perf_counter()
-
-            window = nullcontext(1) if self.lookahead is None else \
-                self.lookahead.run(self.name, report)
-            with window as depth:
-                self._drive(iterations, depth, conns, report, rows)
-            report.wall_time_s = time.perf_counter() - start
-
-            self._snapshot(conns, report)
-        finally:
-            self._shutdown(conns, procs, store)
-        report.close_timeline(s, rows)
-        return report
+    def close(self) -> None:
+        """Stop the workers and unlink the store. Idempotent; the next
+        ``run()`` opens a fresh pool."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.close()
 
     def _create_store(self):
         """Create the shared-memory store the workers will attach. The
         manifest tells workers whether to sample (sampler spec) and how
         deep an overlapped body's buffers must be (prefetch spec: the
-        widest window this run can ever deal)."""
+        widest window a run can ever deal); the gradient slab is one
+        row per worker plus the average row."""
         from ..shm import SharedFeatureStore, SharedPrefetchSpec
         s = self.session
         return SharedFeatureStore.create(
@@ -625,20 +683,74 @@ class ProcessBackend(ExecutionBackend):
                 capacity=1 if self.lookahead is None
                 else self.lookahead.max_depth,
                 timeout_s=self.timeout_s),
+            grad_slab=(s.num_trainers + 1,
+                       s.trainers[0].model.num_params),
             **self.store_extras)
+
+    # ------------------------------------------------------------------
+    def run(self, iterations: int) -> RunReport:
+        """Execute ``iterations`` synchronized iterations.
+
+        The first call opens the pool (workers + store); every call is
+        then bracketed by messages only: ``init`` (begin run) before
+        the first deal, one ``snapshot`` round trip after the last
+        sync. The pool stays up for the next call — release it with
+        ``close()`` / ``with``; a backend dropped unclosed is cleaned
+        up by the pool's finalizer. Any exception leaving this method
+        closes the pool *before* it propagates, so a failed run never
+        leaves a half-dead pool with stale messages in its pipes.
+        """
+        if iterations < 1:
+            raise ProtocolError("iterations must be >= 1")
+        s = self.session
+        shard_map = self.store_extras.get("shard_map")
+        report = RunReport(
+            iterations=iterations, num_workers=s.num_trainers,
+            shard_parts=None if shard_map is None else shard_map.parts)
+        if self.deal.worker_samples:
+            report.trained_targets = []
+            report.worker_targets = [[] for _ in s.trainers]
+        rows: list[list[float]] = []
+
+        setup_start = time.perf_counter()
+        try:
+            if self._pool is None:
+                self._open()
+            # Begin the run: sync each worker to the parent's *current*
+            # parameters — a session that already trained (under any
+            # backend, this one included) resumes bit-identically
+            # instead of silently continuing from stale weights. Only
+            # then start the training clock: wall_time_s measures the
+            # synchronized loop, not spawn or the broadcast.
+            for idx, trainer in enumerate(s.trainers):
+                self._send(idx, ("init", trainer.model.get_flat_params()))
+            report.startup_time_s = time.perf_counter() - setup_start
+            start = time.perf_counter()
+
+            window = nullcontext(1) if self.lookahead is None else \
+                self.lookahead.run(self.name, report)
+            with window as depth:
+                self._drive(iterations, depth, report, rows)
+            report.wall_time_s = time.perf_counter() - start
+
+            self._snapshot(report)
+        except BaseException:
+            self.close()
+            raise
+        report.close_timeline(s, rows)
+        return report
 
     # ------------------------------------------------------------------
     # The one drive loop
     # ------------------------------------------------------------------
-    def _drive(self, iterations: int, depth: int, conns, report,
-               rows) -> None:
+    def _drive(self, iterations: int, depth: int, report, rows) -> None:
         """Deal up to ``depth`` iterations ahead, then retire the oldest
         in-flight one: collect its results, run the sync tail, let the
         depth policy (if any) resize the window, refill."""
         dealer = LookaheadDealer(self.work_source.iterate(iterations),
                                  depth)
         dealt_stats: dict[int, dict] = {}
-        self._deal(dealer.refill(), conns, report, dealt_stats)
+        self._deal(dealer.refill(), report, dealt_stats)
         while True:
             entry = dealer.retire()
             if entry is None:
@@ -647,13 +759,13 @@ class ProcessBackend(ExecutionBackend):
                 (dealer.in_flight + 1, dealer.depth))
             it, planned = entry
             times = self._synchronize(it, planned, dealt_stats.pop(it),
-                                      conns, report, rows)
+                                      report, rows)
             if self.lookahead is not None and \
                     self.lookahead.adapt(times, it, report):
                 dealer.set_depth(self.lookahead.depth)
-            self._deal(dealer.refill(), conns, report, dealt_stats)
+            self._deal(dealer.refill(), report, dealt_stats)
 
-    def _deal(self, pairs, conns, report, dealt_stats) -> None:
+    def _deal(self, pairs, report, dealt_stats) -> None:
         """Scatter newly dealt iterations through the deal policy."""
         s = self.session
         for it, planned in pairs:
@@ -670,41 +782,52 @@ class ProcessBackend(ExecutionBackend):
                     if report.trained_targets is not None:
                         report.trained_targets.append(targets)
                 # Idle iterations are dealt too (payload None), so every
-                # worker sees one item per iteration and applies stay
-                # strictly in order.
-                self._send(conns, idx, ("train", it, payload))
+                # worker sees — and answers — one item per iteration.
+                self._send(idx, ("train", it, payload))
             if sample_s:
                 # Parent-side sampling is CPU work on this plane — feed
                 # the monitor (observability only).
                 self.monitor.observe("sample_cpu", sample_s)
 
-    def _synchronize(self, it: int, planned, stats_by_idx, conns,
-                     report, rows):
-        """Retire one iteration: gather every busy worker's reply into
-        the parent mirrors, then the shared tail — all-reduce,
-        broadcast the averaged update, optimizer steps, timing/DRM — in
-        exactly the virtual-plane order. Returns the iteration's
+    def _synchronize(self, it: int, planned, stats_by_idx, report, rows):
+        """Retire one iteration: collect every worker's answer — a
+        ``result`` (its gradient row read into the parent mirror) or an
+        ``idle`` token — then the shared tail: all-reduce, publish the
+        average row, broadcast ``apply``, optimizer steps, timing/DRM —
+        in exactly the virtual-plane order. Returns the iteration's
         :class:`StageTimes` (``None`` without a timing plane). This
         exists once, so trajectory semantics cannot drift between
-        process planes."""
+        process planes.
+
+        The slab invariant: every worker answers every dealt iteration,
+        and only after it applied the previous one; the average row for
+        ``it`` is written only after all answers for ``it`` — so no
+        worker, however far it lags, can read a later iteration's
+        average or have its row overwritten before it was reduced.
+        (The slab is only ever indexed in place here: a view held in a
+        local would pin the mapping through a failing run's traceback
+        while ``close()`` unmaps it.)"""
         s = self.session
         losses: list[float] = []
         accs: list[float] = []
         per_trainer: list[tuple[str, dict]] = []
         for idx, trainer in enumerate(s.trainers):
-            if planned.assignments[idx] is None:
+            busy = planned.assignments[idx] is not None
+            msg = self._recv(idx)
+            want = "result" if busy else "idle"
+            if msg[:2] != (want, it):
+                raise WorkerError(
+                    f"worker {idx} answered {msg[0]!r} for iteration "
+                    f"{msg[1]}, expected {want} for {it}")
+            if not busy:
                 # Idle replica: zero gradients, weight zero in the
                 # all-reduce. Done at sync time (not deal time) so a
                 # look-ahead deal can never clobber gradients of an
                 # earlier, not-yet-reduced iteration.
                 trainer.model.zero_grad()
                 continue
-            tag, rit, reply = self._recv(conns, idx)
-            if tag != "result" or rit != it:
-                raise WorkerError(
-                    f"worker {idx} answered {tag!r} for iteration "
-                    f"{rit}, expected result for {it}")
-            trainer.model.set_flat_grads(reply.grads)
+            reply = msg[2]
+            trainer.model.set_flat_grads(self._pool.store.grads[idx])
             if reply.stats is not None:
                 stats_by_idx[idx] = reply.stats
             report.total_edges += stats_by_idx[idx].total_edges
@@ -719,10 +842,11 @@ class ProcessBackend(ExecutionBackend):
             report.protocol_log.record(it, Signal.DONE, trainer.name)
 
         sync_start = time.perf_counter()
-        avg = s.synchronizer.all_reduce(list(planned.batch_sizes), it)
+        self._pool.store.grads[-1] = s.synchronizer.all_reduce(
+            list(planned.batch_sizes), it)
         report.protocol_log.record(it, Signal.SYNC, "synchronizer")
-        for idx in range(len(conns)):
-            self._send(conns, idx, ("apply", it, avg))
+        for idx in range(s.num_trainers):
+            self._send(idx, ("apply", it))
         for opt in s.optimizers:
             opt.step()
         sync_s = time.perf_counter() - sync_start
@@ -759,21 +883,22 @@ class ProcessBackend(ExecutionBackend):
         report.split_history.append(split)
         return times
 
-    def _snapshot(self, conns, report) -> None:
+    def _snapshot(self, report) -> None:
         """The one post-run round trip per worker, *after*
         ``wall_time_s`` is stamped (draining worker pipelines and
         shipping accounting never skews measured training time): ask
         everyone, then fold in order — kernel counters, stage seconds
         (raw worker stage names mapped onto the model's columns by
         trainer kind), buffer occupancy — and audit every worker's
-        parameters against the parent mirrors, bit for bit."""
+        parameters against the parent mirrors, bit for bit. It ends the
+        run on the worker side too (body drained); the pool stays up."""
         s = self.session
-        for idx in range(len(conns)):
-            self._send(conns, idx, ("snapshot",))
+        for idx in range(s.num_trainers):
+            self._send(idx, ("snapshot",))
         consistent = s.synchronizer.replicas_consistent()
         buffers = []
         for idx, trainer in enumerate(s.trainers):
-            tag, snap = self._recv(conns, idx)
+            tag, snap = self._recv(idx)
             if tag != "snapshot":
                 raise ProtocolError(
                     f"worker {idx} sent {tag!r} instead of its "
@@ -793,24 +918,24 @@ class ProcessBackend(ExecutionBackend):
         report.replicas_consistent = consistent
 
     # ------------------------------------------------------------------
-    def _send(self, conns, idx: int, msg) -> None:
+    def _send(self, idx: int, msg) -> None:
         """Send one message to worker ``idx``; a dead worker surfaces
         as the backend's documented failure type, like ``_recv``."""
         try:
-            conns[idx].send(msg)
+            self._pool.conns[idx].send(msg)
         except (BrokenPipeError, OSError) as exc:
             raise WorkerError(
                 f"worker {idx} died before {msg[0]!r} could be "
                 f"delivered: {exc!r}") from exc
 
-    def _recv(self, conns, idx: int):
+    def _recv(self, idx: int):
         """Receive one message from worker ``idx`` under the watchdog.
 
         Failures surface as the typed infra errors (`StageTimeoutError`
         for a wedged worker, `WorkerError` for a dead or crashed one),
         so CI logs can tell them apart from conformance failures.
         """
-        conn = conns[idx]
+        conn = self._pool.conns[idx]
         try:
             if not conn.poll(self.timeout_s):
                 raise StageTimeoutError(
@@ -823,28 +948,6 @@ class ProcessBackend(ExecutionBackend):
             raise WorkerError(
                 f"worker {idx} failed:\n{msg[1]}")
         return msg
-
-    def _shutdown(self, conns, procs, store) -> None:
-        """Stop workers and destroy the shared segment. Never raises."""
-        for conn in conns:
-            try:
-                conn.send(("stop",))
-            except Exception:
-                pass
-        for proc in procs:
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - wedged worker
-                proc.terminate()
-                proc.join(timeout=5.0)
-        for conn in conns:
-            try:
-                conn.close()
-            except Exception:
-                pass
-        try:
-            store.close()
-        finally:
-            store.unlink()
 
 
 # ---------------------------------------------------------------------------

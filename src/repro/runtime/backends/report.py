@@ -82,11 +82,12 @@ class RunReport:
     """Outcome of one live run (any backend but ``virtual``).
 
     ``wall_time_s`` is real elapsed *training* time; on the process
-    planes it is clocked from all workers reporting ready to the last
-    synchronized iteration, so it excludes spawn and the shared-memory
-    copy (``startup_time_s``), the worker snapshot round trip and
-    teardown. ``virtual_time_s`` is the modelled makespan when the
-    session carries a timing plane.
+    planes it is clocked from the ``init`` broadcast to the last
+    synchronized iteration, so it excludes ``startup_time_s`` (spawn
+    and the shared-memory copy on a backend's first run, the
+    parameter broadcast alone on every later one — the pool is reused)
+    and the worker snapshot round trip. ``virtual_time_s`` is the
+    modelled makespan when the session carries a timing plane.
     """
 
     iterations: int

@@ -32,8 +32,8 @@ The :class:`~repro.runtime.shm.SharedFeatureStore` is **shard-sliced**
 (features and labels in shard-major order; the
 :class:`~repro.graph.shard_map.ShardMap` translation arrays travel in
 the segment), so worker ``k``'s local gathers stay inside its own
-slice. Gradient sync, DRM adjudication, dealing, collection and the
-worker snapshot are the driver's, unchanged. Per-run local/remote byte
+slice. Pool lifetime, gradient sync, DRM adjudication, dealing,
+collection and the worker snapshot are the driver's, unchanged. Per-run local/remote byte
 totals and the cache hit rate flow into ``report.kernel_stats``
 (``shard_local_bytes`` / ``shard_remote_bytes`` / ``remote_cache_*``
 keys ride the worker snapshot); per-minibatch records land in
@@ -299,6 +299,10 @@ class ShardedReplica(WorkerReplica):
         reply = super().train(mb, x0, labels, stage_s)
         reply.shard_io = self._io.popleft()
         return reply
+
+    def begin_run(self, params) -> None:
+        super().begin_run(params)
+        self._io.clear()
 
     def release_views(self) -> None:
         self.parts = self.shard_row = None

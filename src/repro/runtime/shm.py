@@ -7,7 +7,10 @@ feature matrix per mini-batch would immediately re-create the PCIe-style
 traffic bottleneck the paper's feature loader avoids, so the dataset's
 big read-only arrays — node features, labels, and the CSR topology —
 are placed once in a single :mod:`multiprocessing.shared_memory` block
-and every worker maps them zero-copy.
+and every worker maps them zero-copy. The same segment carries the one
+*writable* array, the **gradient slab** (``grads``): row ``k`` is
+worker ``k``'s flat gradient, the last row the parent's averaged
+update, so per-iteration gradient traffic never touches a pipe either.
 
 Layout: one segment, all arrays at 64-byte-aligned offsets (one segment
 means one thing to unlink, and cache-line alignment keeps NumPy gathers
@@ -18,10 +21,13 @@ which re-materialize NumPy views with :meth:`SharedFeatureStore.attach`.
 Lifetime / cleanup contract
 ---------------------------
 * The **creator** (the backend's parent process) owns the segment: it is
-  the only party that may :meth:`unlink`. ``close()`` + ``unlink()`` run
-  in the backend's ``finally`` block, and a ``weakref.finalize`` guard
-  unlinks on garbage collection as a last resort, so no segment outlives
-  the run even on error paths.
+  the only party that may :meth:`unlink`. The store lives as long as the
+  backend's worker pool — created on the backend's first ``run()``,
+  reused by every later one — and ``close()`` + ``unlink()`` run in the
+  pool's single teardown (``backend.close()``, the pool's finalizer, or
+  a failed run); the store's own ``weakref.finalize`` guard still
+  unlinks on garbage collection as a last resort, so no segment
+  outlives its backend even on error paths.
 * **Workers** attach by name and must only :meth:`close`. Workers
   spawned (or forked) by the creator share its ``resource_tracker``
   process, whose name cache is a set — the attach-side re-registration
@@ -176,6 +182,7 @@ class SharedFeatureStore:
                                  buffer=shm.buf, offset=spec.offset)
             for spec in manifest.arrays
         }
+        self._csr = None
         self._closed = False
         # Last-resort cleanup if an error path skips close()/unlink().
         self._finalizer = weakref.finalize(
@@ -189,7 +196,8 @@ class SharedFeatureStore:
                sampler_spec: SharedSamplerSpec | None = None,
                prefetch_spec: SharedPrefetchSpec | None = None,
                shard_map=None,
-               shard_spec: SharedShardSpec | None = None
+               shard_spec: SharedShardSpec | None = None,
+               grad_slab: tuple[int, int] | None = None
                ) -> "SharedFeatureStore":
         """Copy ``dataset``'s big arrays into a fresh shared segment.
 
@@ -211,6 +219,10 @@ class SharedFeatureStore:
         models' degree terms speak global ids). ``shard_spec`` is the
         accompanying :class:`SharedShardSpec` metadata (defaults to a
         bare spec naming only the shard count).
+
+        ``grad_slab=(rows, num_params)`` adds the zeroed float64
+        gradient slab (:attr:`grads`) to the same segment — same
+        manifest, same unlink.
         """
         features = np.ascontiguousarray(dataset.features)
         labels = np.ascontiguousarray(dataset.labels)
@@ -240,6 +252,8 @@ class SharedFeatureStore:
             raise ProtocolError(
                 "shard_spec without a shard_map: the store cannot "
                 "slice features it has no partition for")
+        if grad_slab is not None:
+            arrays["grads"] = np.zeros(grad_slab)
         specs: list[SharedArraySpec] = []
         offset = 0
         for key, arr in arrays.items():
@@ -296,6 +310,12 @@ class SharedFeatureStore:
         return self._view("train_ids")
 
     @property
+    def grads(self) -> np.ndarray:
+        """The gradient slab (writable by every attached process; the
+        process driver's per-iteration handshake orders the accesses)."""
+        return self._view("grads")
+
+    @property
     def is_sharded(self) -> bool:
         """Whether this store was created with a shard layout."""
         return self.manifest.shard is not None
@@ -325,11 +345,16 @@ class SharedFeatureStore:
 
         Zero-copy: the graph's ``indptr``/``indices`` are views into
         the segment (already int64 and contiguous, so ``CSRGraph``'s
-        normalization copies nothing). The returned graph pins the
-        mapping — drop it before :meth:`close`, like any other view.
+        normalization copies nothing). Built — and validated, an
+        O(E) pass — once per store and kept until :meth:`close`, so a
+        reused worker rebuilding its sampler every run pays it once.
+        The returned graph pins the mapping — drop it before
+        :meth:`close`, like any other view.
         """
         from ..graph.csr import CSRGraph
-        return CSRGraph(self.indptr, self.indices)
+        if self._csr is None:
+            self._csr = CSRGraph(self.indptr, self.indices)
+        return self._csr
 
     @property
     def nbytes(self) -> int:
@@ -344,6 +369,7 @@ class SharedFeatureStore:
             return
         self._closed = True
         self._views.clear()
+        self._csr = None
         self._shm.close()
 
     def unlink(self) -> None:

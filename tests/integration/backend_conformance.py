@@ -43,6 +43,13 @@ This module packages that guarantee as a reusable kit:
 Third-party backends needing constructor arguments can extend
 :data:`BACKEND_KWARGS` before the suite runs.
 
+Two checks cover a backend that is *kept* across runs (the process
+presets hold their worker pool and shared store for the backend's
+lifetime): :func:`assert_reuse_invisible` — N runs on one backend
+equal N runs on N fresh ones, bit for bit — and
+:func:`assert_resumes_after_training_elsewhere` — a kept strict
+backend re-syncs to the session at every run.
+
 The kit also carries the **serving tier**
 (:func:`assert_serving_conforms`): the online plane built on the same
 :class:`~repro.runtime.stage_pipeline.StagePipeline` must partition
@@ -100,6 +107,12 @@ STAT_LOSS_RTOL = 0.25
 STAT_FINAL_LOSS_RTOL = 0.5
 STAT_EDGES_RTOL = 0.25
 STAT_PARAM_REL_DIST = 0.15
+
+#: The presets of the process driver: deterministic run to run on
+#: both tiers (seeded per-worker streams), and the planes whose
+#: workers + store outlive a run — what the reuse tier is about.
+PROCESS_PRESETS = ("process", "process_sampling", "process_pipelined",
+                   "sharded")
 
 #: The recognized tiers, in increasing looseness.
 CONFORMANCE_TIERS = ("strict", "statistical")
@@ -413,6 +426,81 @@ def assert_statistical_conformance(name, case, ref_session, ref,
              f"(limit {STAT_PARAM_REL_DIST})")
 
     _assert_epoch_bookkeeping(case, cand_session, cand)
+
+
+def assert_reuse_invisible(name: str, case: ConformanceCase,
+                           dataset: GraphDataset,
+                           epochs: int = 3) -> None:
+    """A long-lived backend is numerically invisible: ``epochs``
+    ``run_epoch()`` calls on **one** backend equal the same epochs on
+    ``epochs`` **fresh** backends over an identically seeded session,
+    bit for bit — losses, accuracies, sampled edges, per-worker
+    targets, shard io, kernel counters, final parameters — on every
+    process preset, statistical tier included (a reused worker
+    re-derives its per-run state, sampler stream included, at each
+    ``init``). And reuse is what it is for: runs after the first pay
+    a small fraction of the first run's ``startup_time_s``.
+
+    Use a case without a timing plane for adaptive-depth presets: a
+    kept backend's estimator is warm on its second run (by design),
+    which moves the dealt window and, with DRM on, the trajectory.
+    """
+    kwargs = BACKEND_KWARGS.get(name, {})
+    kept_session = make_session(case, dataset)
+    with build_backend(name, kept_session, **kwargs) as kept:
+        kept_reports = [kept.run_epoch(case.max_iterations)
+                        for _ in range(epochs)]
+    fresh_session = make_session(case, dataset)
+    for epoch, kept_rep in enumerate(kept_reports):
+        with build_backend(name, fresh_session, **kwargs) as fresh:
+            fresh_rep = fresh.run_epoch(case.max_iterations)
+        for section in ("losses", "accuracies", "total_edges",
+                        "dealt_sizes", "kernel_stats", "shard_io"):
+            assert getattr(kept_rep, section) == \
+                getattr(fresh_rep, section), \
+                f"{name}: epoch {epoch} {section} differs under reuse"
+        for a, b in zip(kept_rep.worker_targets or [],
+                        fresh_rep.worker_targets or []):
+            np.testing.assert_array_equal(
+                np.concatenate(a) if a else [],
+                np.concatenate(b) if b else [])
+        assert kept_rep.replicas_consistent
+    for kept_p, fresh_p in zip(_params(kept_session),
+                               _params(fresh_session)):
+        np.testing.assert_array_equal(kept_p, fresh_p)
+    startups = [r.startup_time_s for r in kept_reports]
+    assert max(startups[1:]) < 0.5 * startups[0], \
+        (f"{name}: start-up {startups} s — later runs should reuse "
+         "what the first one opened")
+
+
+def assert_resumes_after_training_elsewhere(
+        name: str, case: ConformanceCase,
+        dataset: GraphDataset) -> None:
+    """A kept strict backend re-syncs at every run: an epoch on
+    ``name``, one on the virtual plane over the *same session*, then
+    another on the *same* ``name`` backend equals three epochs on the
+    virtual plane alone — the workers' replicas, stale after the
+    detour, are overwritten by the ``init`` handshake."""
+    ref_session = make_session(case, dataset)
+    ref_backend = build_backend(REFERENCE_BACKEND, ref_session)
+    ref = [ref_backend.run_epoch(case.max_iterations)
+           for _ in range(3)]
+    session = make_session(case, dataset)
+    detour = build_backend(REFERENCE_BACKEND, session)
+    with build_backend(name, session,
+                       **BACKEND_KWARGS.get(name, {})) as kept:
+        got = [kept.run_epoch(case.max_iterations),
+               detour.run_epoch(case.max_iterations),
+               kept.run_epoch(case.max_iterations)]
+    for want_rep, got_rep in zip(ref, got):
+        np.testing.assert_array_equal(want_rep.losses, got_rep.losses)
+        np.testing.assert_array_equal(want_rep.accuracies,
+                                      got_rep.accuracies)
+        assert got_rep.split_history == want_rep.split_history
+    assert got[2].replicas_consistent
+    for ref_p, p in zip(_params(ref_session), _params(session)):
+        np.testing.assert_array_equal(ref_p, p)
 
 
 def assert_report_sections(name: str, report) -> None:

@@ -14,8 +14,11 @@ samplers).
 """
 
 import glob
+import multiprocessing as mp
 import os
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -23,9 +26,13 @@ import pytest
 from backend_conformance import (
     CONFORMANCE_CASES,
     BACKEND_KWARGS,
+    PROCESS_PRESETS,
     assert_backend_conforms,
     assert_report_sections,
+    assert_resumes_after_training_elsewhere,
+    assert_reuse_invisible,
     candidate_backends,
+    make_session,
     run_backend,
 )
 from repro.config import SystemConfig, TrainingConfig
@@ -46,6 +53,7 @@ from repro.runtime import (
     get_backend,
     register_backend,
 )
+from repro.runtime.backends.process import WorkerReplica
 
 _CASE_IDS = [c.id for c in CONFORMANCE_CASES]
 
@@ -59,6 +67,15 @@ def eq_cfg():
 
 def _param_sets(trainers):
     return [t.model.get_flat_params() for t in trainers]
+
+
+class LaggingReplica(WorkerReplica):
+    """Worker 0 is slow to apply every averaged update."""
+
+    def apply(self):
+        if self.spec.index == 0:
+            time.sleep(0.005)
+        super().apply()
 
 
 class TestBackendConformance:
@@ -160,6 +177,22 @@ class TestBackendConformance:
         finally:
             BACKENDS.pop("sharded_lookahead", None)
 
+    @pytest.mark.parametrize("backend", PROCESS_PRESETS)
+    def test_reusing_a_backend_is_numerically_invisible(self, backend,
+                                                        tiny_ds):
+        """Three epochs on one backend == three epochs on three fresh
+        backends, bit for bit, on every process preset: the
+        backend-lifetime worker pool re-derives its per-run state at
+        each ``init``, and start-up is paid once."""
+        assert_reuse_invisible(backend, CONFORMANCE_CASES[1], tiny_ds)
+
+    @pytest.mark.parametrize("case", CONFORMANCE_CASES[:2],
+                             ids=_CASE_IDS[:2])
+    def test_kept_process_backend_resumes_after_training_elsewhere(
+            self, case, tiny_ds):
+        assert_resumes_after_training_elsewhere("process", case,
+                                                tiny_ds)
+
     @pytest.mark.parametrize("depth_source", ["realized", "model"])
     @pytest.mark.parametrize("backend", ["pipelined",
                                          "process_pipelined"])
@@ -206,7 +239,8 @@ class TestProcessBackend:
         assert report.wall_time_s > 0
 
     def test_clean_shared_memory_teardown(self, tiny_ds, eq_cfg):
-        """No segment survives a run — clean or interrupted."""
+        """No segment survives the backend — here one that was never
+        closed, only dropped."""
         if not os.path.isdir("/dev/shm"):
             pytest.skip("no /dev/shm on this platform")
         pattern = "/dev/shm/repro_shm_*"
@@ -217,6 +251,18 @@ class TestProcessBackend:
             num_trainers=2)
         ProcessPoolBackend(session, timeout_s=60).run(2)
         assert set(glob.glob(pattern)) == before
+
+    @pytest.mark.parametrize("case", CONFORMANCE_CASES[:2],
+                             ids=_CASE_IDS[:2])
+    def test_strict_matrix_covers_idle_workers(self, case, tiny_ds):
+        """The strict matrix is also the gradient slab's idle-worker
+        proof on this plane (an idle worker answers with a token, so it
+        can never lag into a later iteration's average row) — as long
+        as its cases keep dealing idle iterations: a quota-0 CPU
+        trainer under hybrid + DRM, and the epoch tail."""
+        _, rep = run_backend("process", case, tiny_ds)
+        assert any(0 in sizes for sizes in rep.dealt_sizes)
+        assert rep.replicas_consistent
 
     def test_teardown_survives_worker_failure(self, tiny_ds, eq_cfg):
         """A failing run still unlinks its segment (the finally path)."""
@@ -235,6 +281,80 @@ class TestProcessBackend:
         with pytest.raises(TypeError):
             backend.run(1)
         assert set(glob.glob(pattern)) == before
+
+    def test_interrupt_closes_the_pool(self, tiny_ds, eq_cfg):
+        """Ctrl-C in the parent mid-run is a failed run like any other:
+        the pool is gone before the interrupt propagates."""
+        session = TrainingSession(
+            tiny_ds, eq_cfg,
+            SystemConfig(hybrid=True, drm=False, prefetch=True),
+            num_trainers=2)
+        backend = ProcessPoolBackend(session, timeout_s=60)
+        backend.run(1)
+        assert mp.active_children()
+
+        def interrupted(targets):
+            raise KeyboardInterrupt
+
+        session.sampler.sample = interrupted
+        with pytest.raises(KeyboardInterrupt):
+            backend.run(1)
+        assert not mp.active_children()
+        assert not glob.glob("/dev/shm/repro_shm_*")
+
+    def test_killed_worker_fails_typed_then_backend_reopens(
+            self, tiny_ds, eq_cfg):
+        """The failure → reuse contract: SIGKILL a worker mid-run →
+        typed ``WorkerError`` well inside ``timeout_s``, no segment, no
+        live child, never a half-dead pool; the next ``run()`` on the
+        *same* backend opens a fresh pool and the session is still
+        bit-identical to a virtual-only reference.
+
+        The kill lands while the parent samples the failing run's first
+        batch and takes the *last* worker, so what the failed run
+        consumed is exact — one epoch permutation and one iteration's
+        sampler draws, no update — and the reference replays just
+        that."""
+        from repro.errors import WorkerError
+        sys_cfg = SystemConfig(hybrid=True, drm=False, prefetch=True)
+
+        sv = TrainingSession(tiny_ds, eq_cfg, sys_cfg, num_trainers=2)
+        vb = VirtualTimeBackend(sv)
+        first_v = vb.run_epoch(max_iterations=2)
+        for _, planned in sv.work_source.iterate(1):
+            for targets in planned.assignments:
+                sv.sampler.sample(targets)
+        second_v = vb.run_epoch(max_iterations=2)
+
+        sp = TrainingSession(tiny_ds, eq_cfg, sys_cfg, num_trainers=2)
+        timeout_s = 30.0
+        backend = ProcessPoolBackend(sp, timeout_s=timeout_s)
+        first_p = backend.run(2)
+        victim_name = f"repro-{sp.trainers[-1].name}"
+
+        def sample_after_kill(targets):
+            del sp.sampler.sample          # one shot
+            victim, = [p for p in mp.active_children()
+                       if p.name == victim_name]
+            os.kill(victim.pid, signal.SIGKILL)
+            return sp.sampler.sample(targets)
+
+        sp.sampler.sample = sample_after_kill
+        start = time.perf_counter()
+        with pytest.raises(WorkerError):
+            backend.run(3)
+        assert time.perf_counter() - start < timeout_s / 2
+        assert not mp.active_children()
+        assert not glob.glob("/dev/shm/repro_shm_*")
+
+        second_p = backend.run(2)
+        backend.close()
+        np.testing.assert_array_equal(first_v.losses, first_p.losses)
+        np.testing.assert_array_equal(second_v.losses, second_p.losses)
+        assert second_p.replicas_consistent
+        for tv, tp in zip(sv.trainers, sp.trainers):
+            np.testing.assert_array_equal(tv.model.get_flat_params(),
+                                          tp.model.get_flat_params())
 
     def test_resumed_session_continues_bit_identically(self, tiny_ds,
                                                        eq_cfg):
@@ -347,6 +467,7 @@ class TestWorkerSamplingPlanes:
 
     def test_clean_shared_memory_teardown(self, backend_cls, tiny_ds,
                                           eq_cfg):
+        """No segment survives a backend that was dropped unclosed."""
         if not os.path.isdir("/dev/shm"):
             pytest.skip("no /dev/shm on this platform")
         pattern = "/dev/shm/repro_shm_*"
@@ -360,7 +481,7 @@ class TestWorkerSamplingPlanes:
         """A crash inside a worker (here: an unknown sampler family at
         rebuild time) surfaces as the typed WorkerError — infra
         failures must be distinguishable from conformance failures in
-        CI logs — and still tears the segment down."""
+        CI logs — and the pool that failed to open is torn down."""
         from repro.errors import WorkerError
         from repro.sampling import (
             SAMPLER_REGISTRY,
@@ -631,6 +752,34 @@ class TestProcessPipelinedBackend:
             assert 1 <= depth <= cap
         for stats in rf.stage_stats.values():
             assert stats.high_water <= cap
+
+    @pytest.mark.parametrize("case", CONFORMANCE_CASES[:2],
+                             ids=_CASE_IDS[:2])
+    def test_one_average_row_suffices_under_lookahead(self, case,
+                                                      tiny_ds):
+        """The slab race, provoked: three iterations in flight, idle
+        workers in the mix (quota-0 CPU trainer / epoch tail), and
+        worker 0 dawdling before every apply. Every worker answers
+        every iteration only after applying the previous one and the
+        parent publishes an average only after all answers, so the
+        single average row is never overwritten under a lagging
+        reader: the statistical matrix holds and the snapshot's
+        bit-for-bit audit of worker parameters against the parent
+        mirrors stays green."""
+        depth = {"initial_depth": 3, "max_depth": 3,
+                 "depth_source": "model"}
+        assert_backend_conforms("process_pipelined", case, tiny_ds,
+                                depth)
+
+        class Lagging(ProcessPipelinedBackend):
+            replica_cls = LaggingReplica
+
+        session = make_session(case, tiny_ds)
+        with Lagging(session, timeout_s=60, **depth) as backend:
+            rep = backend.run_epoch()
+        assert any(0 in sizes for sizes in rep.dealt_sizes)
+        assert max(n for n, _ in rep.lookahead_history) > 1
+        assert rep.replicas_consistent
 
     def test_overlap_report_covers_every_stage(self, tiny_ds, eq_cfg):
         """Every iteration hands one item per worker through each

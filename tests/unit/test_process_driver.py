@@ -1,28 +1,35 @@
 """The process plane's shape: one driver, presets that only declare,
-and the worker wire protocol (one snapshot per run, unknown tags
-refused).
+the worker wire protocol (one snapshot per run, unknown tags refused,
+control-only pipes) and the pool's lifetime (one spawn per backend,
+closed by ``close()`` / scope exit / a failed run).
 
 The conformance matrix proves the seven planes *behave*; this module
 pins how they are *built*, so the hook ladder the driver replaced
 cannot grow back: no registered backend inherits from another, the
 four process registry names are declarations over
-:class:`~repro.runtime.backends.process.ProcessBackend`, and the only
-post-run round trip a worker ever answers is ``snapshot``.
+:class:`~repro.runtime.backends.process.ProcessBackend`, the only
+post-run round trip a worker ever answers is ``snapshot``, and the
+workers + store a backend opens on its first ``run()`` are the ones
+every later ``run()`` uses.
 """
 
+import gc
+import glob
 import inspect
 import multiprocessing as mp
+import os
+import pickle
 
 import numpy as np
 import pytest
 
-from repro.config import SystemConfig, TrainingConfig, layer_dims
+from repro.config import SystemConfig, layer_dims
 from repro.runtime import TrainingSession, available_backends, get_backend
 from repro.runtime.backends.process import (
     InlineBody,
     OverlappedBody,
     ProcessBackend,
-    ProcessSamplingBackend,
+    Reply,
     WorkerReplica,
     WorkerSnapshot,
     WorkerSpec,
@@ -86,11 +93,14 @@ class TestWorkerProtocol:
         exactly once (and carries the synced parameters); a tag outside
         the protocol kills the worker with a ProtocolError traceback."""
         ctx = mp.get_context("fork")
+        spec = _spec(tiny_ds, body)
+        from repro.nn.models import build_model
+        init_model = build_model("sage", spec.dims, 99)
         store = SharedFeatureStore.create(
             tiny_ds, prefetch_spec=SharedPrefetchSpec(capacity=2,
-                                                      timeout_s=10.0))
+                                                      timeout_s=10.0),
+            grad_slab=(2, init_model.num_params))
         parent, child = ctx.Pipe(duplex=True)
-        spec = _spec(tiny_ds, body)
         proc = ctx.Process(target=worker_main,
                            args=(child, store.manifest, spec),
                            daemon=True)
@@ -98,20 +108,22 @@ class TestWorkerProtocol:
             proc.start()
             child.close()
             assert parent.poll(10.0) and parent.recv() == ("ready", 0)
-            from repro.nn.models import build_model
-            params = build_model("sage", spec.dims,
-                                 99).get_flat_params()
-            parent.send(("init", params))
-            parent.send(("snapshot",))
-            assert parent.poll(10.0)
-            tag, snap = parent.recv()
-            assert tag == "snapshot" and isinstance(snap, WorkerSnapshot)
-            np.testing.assert_array_equal(snap.params, params)
-            assert snap.stage_totals == {}
-            assert set(snap.buffers) == (
-                set() if body is InlineBody
-                else {"sample", "gather", "transfer", "train"})
-            assert not parent.poll(0.2), "snapshot answered twice"
+            # Two runs on the one process: ``snapshot`` ends a run,
+            # not the worker, and the next ``init`` begins afresh.
+            for scale in (1.0, 2.0):
+                params = init_model.get_flat_params() * scale
+                parent.send(("init", params))
+                parent.send(("snapshot",))
+                assert parent.poll(10.0)
+                tag, snap = parent.recv()
+                assert tag == "snapshot" and \
+                    isinstance(snap, WorkerSnapshot)
+                np.testing.assert_array_equal(snap.params, params)
+                assert snap.stage_totals == {}
+                assert set(snap.buffers) == (
+                    set() if body is InlineBody
+                    else {"sample", "gather", "transfer", "train"})
+                assert not parent.poll(0.2), "snapshot answered twice"
 
             parent.send(("kstats",))        # a retired tag: now unknown
             assert parent.poll(10.0)
@@ -129,26 +141,182 @@ class TestWorkerProtocol:
             store.unlink()
 
     def test_a_run_asks_each_worker_for_exactly_one_snapshot(
-            self, tiny_ds):
-        """Parent side of the same contract: per worker, one
-        ``snapshot`` and no other post-run request."""
-        cfg = TrainingConfig(model="sage", minibatch_size=32,
-                             fanouts=(4, 3), hidden_dim=16,
-                             learning_rate=0.05, seed=11)
-        session = TrainingSession(
-            tiny_ds, cfg, SystemConfig(hybrid=True, drm=False),
-            num_trainers=2)
-        backend = ProcessSamplingBackend(session, timeout_s=60)
-        sent: list[tuple[int, str]] = []
-        send = backend._send
-        backend._send = lambda conns, idx, msg: (
-            sent.append((idx, msg[0])), send(conns, idx, msg))[1]
-        rep = backend.run(2)
+            self, make_session, parent_traffic):
+        """Parent side of the same contract: per worker and per run,
+        one ``init``, one ``snapshot`` and no other bracket message —
+        and, between them, every worker answers every dealt iteration
+        (a ``result``, or an ``idle`` token: the slab invariant)."""
+        with get_backend("process_sampling")(
+                make_session(3), timeout_s=60) as backend:
+            rep = backend.run_epoch()
         assert rep.replicas_consistent
-        per_iter = {"train", "apply"}
-        for idx in range(2):
-            tags = [t for i, t in sent if i == idx]
-            assert tags.count("snapshot") == 1
-            assert tags[0] == "init" and tags[-1] == "snapshot"
-            assert set(tags[1:-1]) == per_iter
-            assert tags.count("train") == tags.count("apply") == 2
+        assert any(0 in dealt for dealt in rep.dealt_sizes), \
+            "fixture no longer deals an idle iteration"
+        channels = _by_channel(parent_traffic)
+        assert len(channels) == 3
+        for msgs in channels.values():
+            sent = [m[0] for d, m in msgs if d == "send"]
+            assert sent[0] == "init" and sent[-2:] == ["snapshot",
+                                                       "stop"]
+            assert set(sent[1:-2]) == {"train", "apply"}
+            assert sent.count("train") == sent.count("apply") == \
+                rep.iterations
+            got = [m for d, m in msgs if d == "recv"]
+            assert got[0][0] == "ready" and got[-1][0] == "snapshot"
+            assert [m[1] for m in got[1:-1]] == \
+                list(range(rep.iterations))
+            assert {m[0] for m in got[1:-1]} <= {"result", "idle"}
+
+    @pytest.mark.parametrize("name", ["process_sampling",
+                                      "process_pipelined", "sharded"])
+    def test_pipes_carry_control_only(self, name, make_session,
+                                      parent_traffic):
+        """Between a run's ``init`` and its ``snapshot`` nothing that
+        crosses a pipe — either direction — is bulk: no message
+        pickles to more than a few KB and none carries a length-``P``
+        float array (gradients and the averaged update live in the
+        store's slab; ``Reply`` has no gradient field)."""
+        assert "grads" not in Reply.__dataclass_fields__
+        session = make_session()
+        num_params = session.trainers[0].model.num_params
+        with get_backend(name)(session, timeout_s=60) as backend:
+            backend.run(3)
+            backend.run(3)
+        seen = 0
+        for msgs in _by_channel(parent_traffic).values():
+            in_run = False
+            for _, msg in msgs:
+                if msg[0] == "snapshot":
+                    in_run = False
+                if in_run:
+                    seen += 1
+                    assert len(pickle.dumps(msg)) < 4096, msg[0]
+                    assert not any(
+                        a.size == num_params and a.dtype.kind == "f"
+                        for a in _arrays(msg)), msg[0]
+                if msg[0] == "init":
+                    in_run = True
+        assert seen >= 2 * 2 * 3 * 3    # runs x workers x its x tags
+
+
+class TestPoolLifetime:
+    """Workers and the store live as long as the backend, not the
+    run: opened lazily, reused, and released by ``close()`` or by the
+    backend going out of scope."""
+
+    @pytest.mark.parametrize("name", PROCESS_PRESETS)
+    def test_one_spawn_per_backend(self, name, make_session):
+        backend = get_backend(name)(make_session(), timeout_s=60)
+        assert _pool_footprint() == (set(), set())   # lazy: no run yet
+        backend.run(2)
+        first = _pool_footprint()
+        assert len(first[0]) == 2 and len(first[1]) == 1
+        backend.run(2)
+        backend.run_epoch()
+        assert _pool_footprint() == first
+
+        backend.close()
+        assert _pool_footprint() == (set(), set())
+        backend.close()                               # idempotent
+
+        backend.run(2)                                # reopens
+        again = _pool_footprint()
+        assert len(again[0]) == 2 and len(again[1]) == 1
+        assert not again[0] & first[0] and not again[1] & first[1]
+        backend.close()
+
+    def test_with_block_closes(self, make_session):
+        from repro.runtime import build_backend
+        with build_backend("process", make_session()) as backend:
+            backend.run(1)
+            assert _pool_footprint() != (set(), set())
+        assert _pool_footprint() == (set(), set())
+        # Every plane has the same surface; in-process ones own nothing.
+        with build_backend("threaded", make_session()) as backend:
+            backend.run(1)
+
+    @pytest.mark.parametrize("name", PROCESS_PRESETS)
+    def test_unclosed_backend_is_torn_down_by_refcount_alone(
+            self, name, make_session):
+        """``bench_e2e`` drops backends by rebinding a local and then
+        checks for leaks with no ``gc.collect()``: the pool must not
+        sit in a reference cycle."""
+        gc.collect()
+        gc.disable()
+        try:
+            backend = get_backend(name)(make_session(),
+                                        timeout_s=60)
+            backend.run(2)
+            assert _pool_footprint() != (set(), set())
+            del backend
+            assert _pool_footprint() == (set(), set())
+        finally:
+            gc.enable()
+
+
+@pytest.fixture()
+def make_session(tiny_ds, small_cfg):
+    """Functional two-trainer (by default) sessions over ``tiny_ds``."""
+    def make(n: int = 2) -> TrainingSession:
+        return TrainingSession(tiny_ds, small_cfg,
+                               SystemConfig(hybrid=True, drm=False),
+                               num_trainers=n)
+    return make
+
+
+def _pool_footprint() -> tuple[set[int], set[str]]:
+    """What a live pool is from the outside: worker pids and
+    segments."""
+    return ({p.pid for p in mp.active_children()},
+            set(glob.glob("/dev/shm/" + SharedFeatureStore.NAME_PREFIX
+                          + "*")))
+
+
+@pytest.fixture()
+def parent_traffic(monkeypatch):
+    """Every message this process sends or receives over a
+    ``multiprocessing`` pipe, as ``(fd, direction, message)``. Patched
+    on the connection class, so no backend attribute is touched and no
+    reference cycle through a backend is built; forked workers inherit
+    the patch but only the parent records."""
+    from multiprocessing.connection import Connection
+    log: list = []
+    pid = os.getpid()
+    send, recv = Connection.send, Connection.recv
+
+    def spy_send(self, msg):
+        if os.getpid() == pid:
+            log.append((self.fileno(), "send", msg))
+        return send(self, msg)
+
+    def spy_recv(self):
+        fd = self.fileno()
+        msg = recv(self)
+        if os.getpid() == pid:
+            log.append((fd, "recv", msg))
+        return msg
+
+    monkeypatch.setattr(Connection, "send", spy_send)
+    monkeypatch.setattr(Connection, "recv", spy_recv)
+    return log
+
+
+def _by_channel(traffic) -> dict[int, list]:
+    channels: dict[int, list] = {}
+    for fd, direction, msg in traffic:
+        channels.setdefault(fd, []).append((direction, msg))
+    return channels
+
+
+def _arrays(obj):
+    """Every ndarray reachable from a wire message."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+    elif isinstance(obj, dict):
+        yield from _arrays(list(obj.values()))
+    elif hasattr(obj, "__dataclass_fields__"):
+        yield from _arrays([getattr(obj, f)
+                            for f in obj.__dataclass_fields__])

@@ -60,6 +60,40 @@ class TestLayout:
         assert store.nbytes == end
 
 
+class TestGradientSlab:
+    def test_slab_is_one_more_array_in_the_one_segment(self, tiny_ds):
+        """Same segment, same manifest, same unlink — not a second
+        block with a second lifetime."""
+        before = _segment_paths()
+        with SharedFeatureStore.create(tiny_ds,
+                                       grad_slab=(3, 10)) as s:
+            assert len(_segment_paths()) == len(before) + 1
+            assert s.manifest.arrays[-1].key == "grads"
+            assert s.grads.shape == (3, 10)
+            assert s.grads.dtype == np.float64
+            assert not s.grads.any()
+            np.testing.assert_array_equal(s.features, tiny_ds.features)
+        assert _segment_paths() == before
+
+    def test_rows_written_by_one_mapping_are_read_by_the_other(
+            self, tiny_ds):
+        with SharedFeatureStore.create(tiny_ds,
+                                       grad_slab=(2, 4)) as s:
+            worker = SharedFeatureStore.attach(s.manifest)
+            try:
+                worker.grads[0] = [1.0, 2.0, 3.0, 4.0]
+                np.testing.assert_array_equal(s.grads[0],
+                                              [1.0, 2.0, 3.0, 4.0])
+                s.grads[-1] = 0.5
+                np.testing.assert_array_equal(worker.grads[-1],
+                                              [0.5] * 4)
+            finally:
+                worker.close()
+
+    def test_absent_unless_asked_for(self, store):
+        assert "grads" not in {a.key for a in store.manifest.arrays}
+
+
 class TestAttach:
     def test_attach_sees_same_bits(self, tiny_ds, store):
         attached = SharedFeatureStore.attach(store.manifest)
@@ -79,6 +113,22 @@ class TestAttach:
                 attached.unlink()
         finally:
             attached.close()
+
+    def test_csr_graph_is_validated_once_and_dropped_on_close(
+            self, tiny_ds):
+        """A reused worker rebuilds its sampler every run; the O(E)
+        CSR validation is the store's, paid once."""
+        s = SharedFeatureStore.create(tiny_ds)
+        try:
+            graph = s.csr_graph()
+            assert s.csr_graph() is graph
+            assert np.shares_memory(graph.indices, s.indices)
+            del graph
+        finally:
+            s.close()          # would raise BufferError if still pinned
+            s.unlink()
+        with pytest.raises(ProtocolError):
+            s.csr_graph()
 
     def test_manifest_is_picklable(self, store):
         import pickle
