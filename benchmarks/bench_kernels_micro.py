@@ -74,6 +74,29 @@ def test_bench_segment_sum_path(benchmark, batch):
     assert out.shape == (blk.num_dst, 100)
 
 
+def full_chain_step(model, batch, x0, global_degrees, labels):
+    """One training step through the *public layer API*, carrying the
+    input gradient through every layer, the input-side one included.
+
+    ``GNNModel.backward`` stops at the first layer's ``dW``/``db``
+    (nothing reads the feature gradient); this full chain is the
+    reference showing that changes no accumulated gradient bit
+    (``tests/unit/test_nn.py``) and pricing what it saves (the gated
+    ``train_backward_sage`` row). Returns ``(loss, dh0)``.
+    """
+    h, caches = np.asarray(x0, dtype=np.float64), []
+    for l, (layer, block) in enumerate(zip(model.layers, batch.blocks)):
+        agg = layer.build_aggregator(block, batch.node_ids[l],
+                                     batch.node_ids[l + 1],
+                                     global_degrees)
+        h, cache = layer.forward(agg, h)
+        caches.append(cache)
+    loss, grad = softmax_cross_entropy(h, labels)
+    for layer, cache in zip(reversed(model.layers), reversed(caches)):
+        grad = layer.backward(cache, grad)
+    return loss, grad
+
+
 @pytest.mark.parametrize("model_name", ["gcn", "sage"])
 def test_bench_forward_backward(benchmark, ds, batch, model_name):
     dims = layer_dims(ds.spec.feature_dim, 128, ds.spec.num_classes, 2)
@@ -97,16 +120,32 @@ def test_bench_forward_backward(benchmark, ds, batch, model_name):
 # Kernel tiers: fast vs the reference oracle (the regression-gated set)
 # ---------------------------------------------------------------------------
 
-def _kernel_cases(feats, idx, blk, h_src):
+def _kernel_cases(ds, batch):
     """The gated kernel set: ``name -> (reference_fn, fast_fn)``.
 
     The fast variants run with a warm :class:`BufferPool`, which is the
     configuration the wired backends use in steady state — the
     comparison measures the deployed hot path, not a cold start.
+
+    ``train_backward_sage`` is the one row that is not a registry
+    kernel: one GraphSAGE training step, :func:`full_chain_step`
+    (input-feature gradient computed and dropped) against the model's
+    own forward/backward (never computed) — the ratio is the dead work
+    the model's backward leaves out, gated so it cannot creep back.
     """
+    feats, idx, blk = ds.features, batch.input_nodes, batch.blocks[0]
+    h_src = np.random.default_rng(2).standard_normal((blk.num_src, 100))
     pool = BufferPool()
     x64 = reference.gather(feats, idx)
     src, dst, num_dst = blk.src_local, blk.dst_local, blk.num_dst
+    model = build_model("sage", layer_dims(
+        ds.spec.feature_dim, 128, ds.spec.num_classes, 2), seed=0)
+    labels, deg = ds.labels[batch.targets], ds.graph.out_degrees
+
+    def model_step():
+        logits = model.forward(batch, x64, deg)
+        model.backward(softmax_cross_entropy(logits, labels)[1])
+
     return {
         "gather": (
             lambda: reference.gather(feats, idx),
@@ -125,14 +164,15 @@ def _kernel_cases(feats, idx, blk, h_src):
         "segment_sum": (
             lambda: reference.segment_sum(src, dst, h_src, num_dst),
             lambda: fast.segment_sum(src, dst, h_src, num_dst)),
+        "train_backward_sage": (
+            lambda: full_chain_step(model, batch, x64, deg, labels),
+            model_step),
     }
 
 
 @pytest.fixture(scope="module")
 def kernel_cases(ds, batch):
-    blk = batch.blocks[0]
-    h = np.random.default_rng(2).standard_normal((blk.num_src, 100))
-    return _kernel_cases(ds.features, batch.input_nodes, blk, h)
+    return _kernel_cases(ds, batch)
 
 
 @pytest.mark.parametrize("tier", ["reference", "fast"])
@@ -185,9 +225,7 @@ def run_kernel_bench(number: int = 20, repeats: int = 5) -> dict:
                               np.arange(ds.graph.num_vertices),
                               (15, 10), ds.spec.feature_dim, seed=1)
     batch = sampler.sample(np.arange(512))
-    blk = batch.blocks[0]
-    h = np.random.default_rng(2).standard_normal((blk.num_src, 100))
-    cases = _kernel_cases(ds.features, batch.input_nodes, blk, h)
+    cases = _kernel_cases(ds, batch)
 
     doc = {
         "schema": "bench-kernels/v1",
@@ -198,7 +236,7 @@ def run_kernel_bench(number: int = 20, repeats: int = 5) -> dict:
             "store_cols": int(ds.features.shape[1]),
             "store_dtype": str(ds.features.dtype),
             "batch_rows": int(batch.input_nodes.size),
-            "block_edges": int(blk.num_edges),
+            "block_edges": int(batch.blocks[0].num_edges),
         },
         "timing": {"number": number, "repeats": repeats,
                    "statistic": "best-of"},

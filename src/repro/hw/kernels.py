@@ -8,7 +8,9 @@ Implements the per-trainer term of the paper's performance model (Eq. 10):
 with ⊕ = max for devices whose aggregate/update stages are pipelined
 (FPGA; paper §V) and ⊕ = + otherwise. The layer-1 aggregation backward is
 omitted because input-feature gradients are never needed — exactly the
-structure of Eq. 10.
+structure of Eq. 10. The functional plane has the same structure:
+:meth:`repro.nn.models.GNNModel.backward` stops at the first layer's
+parameter gradients and never runs that aggregation backward.
 
 The three concrete models charge different traffic for the *same* batch:
 

@@ -6,7 +6,8 @@ import numpy as np
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    """max(x, 0), allocation-free where possible."""
+    """max(x, 0) into a fresh array (the pre-activation is kept for
+    :func:`relu_grad`)."""
     return np.maximum(x, 0.0)
 
 

@@ -36,7 +36,10 @@ class SparseAggregator:
     ``S[dst, src] = w(edge)``; duplicate ``(dst, src)`` entries are summed
     (scipy semantics), which matches multi-edge aggregation.
 
-    The transpose matmul used by the backward pass is cached.
+    The transposed CSR the backward pass multiplies by is built on the
+    first :meth:`backward` call and cached, so forward-only callers
+    (serving, evaluation) and the model's input-side layer never pay
+    for it.
     """
 
     def __init__(self, block: LayerBlock,
@@ -50,7 +53,7 @@ class SparseAggregator:
         self.matrix = sp.csr_matrix(
             (edge_weights, (block.dst_local, block.src_local)),
             shape=(block.num_dst, block.num_src))
-        self._matrix_t = self.matrix.T.tocsr()
+        self._matrix_t: sp.csr_matrix | None = None
 
     def forward(self, h_src: np.ndarray) -> np.ndarray:
         """Aggregate source features into destination rows."""
@@ -66,7 +69,12 @@ class SparseAggregator:
             raise ShapeError(
                 f"expected {self.block.num_dst} dest rows, "
                 f"got {grad_out.shape[0]}")
+        if self._matrix_t is None:
+            self._matrix_t = self._build_transpose()
         return self._matrix_t @ grad_out
+
+    def _build_transpose(self) -> sp.csr_matrix:
+        return self.matrix.T.tocsr()
 
 
 def segment_sum_aggregate(block: LayerBlock, h_src: np.ndarray,

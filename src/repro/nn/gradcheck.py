@@ -51,9 +51,8 @@ def check_model_gradients(model: GNNModel, minibatch: MiniBatch,
     """
 
     def loss_fn() -> float:
-        logits = model.forward(minibatch, x0, global_degrees)
+        logits = model.predict(minibatch, x0, global_degrees)
         loss, _ = softmax_cross_entropy(logits, labels)
-        model._caches = None
         return loss
 
     # Analytic gradients.

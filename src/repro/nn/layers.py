@@ -97,13 +97,20 @@ class GCNLayer:
         return h, LayerCache(aggregator=aggregator, update_input=a,
                              pre_activation=z, h_src=h_src)
 
-    def backward(self, cache: LayerCache,
-                 grad_out: np.ndarray) -> np.ndarray:
-        """Reverse-order ops (paper §II-B: backward = same ops reversed)."""
+    def backward(self, cache: LayerCache, grad_out: np.ndarray,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Reverse-order ops (paper §II-B: backward = same ops reversed).
+
+        Accumulates ``dW``/``db`` and returns the gradient w.r.t.
+        ``h_src``. With ``input_grad=False`` it stops at the parameters
+        (no ``dz @ W.T``, no ``S^T @ da``) and returns ``None`` — what
+        the model asks of its input-side layer, the functional twin of
+        Eq. 10 omitting the layer-1 aggregation backward.
+        """
         dz = relu_grad(cache.pre_activation, grad_out) \
             if self.activation else grad_out
-        da = self.linear.backward(cache.update_input, dz)
-        return cache.aggregator.backward(da)
+        da = self.linear.backward(cache.update_input, dz, input_grad)
+        return cache.aggregator.backward(da) if input_grad else None
 
     def zero_grad(self) -> None:
         self.linear.zero_grad()
@@ -150,11 +157,15 @@ class SAGELayer:
         return h, LayerCache(aggregator=aggregator, update_input=a,
                              pre_activation=z, h_src=h_src)
 
-    def backward(self, cache: LayerCache,
-                 grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, cache: LayerCache, grad_out: np.ndarray,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Same contract as :meth:`GCNLayer.backward`; the input gradient
+        is the mean path's ``S^T @ d_mean`` plus the self path."""
         dz = relu_grad(cache.pre_activation, grad_out) \
             if self.activation else grad_out
-        da = self.linear.backward(cache.update_input, dz)
+        da = self.linear.backward(cache.update_input, dz, input_grad)
+        if not input_grad:
+            return None
         d_self = da[:, :self.in_dim]
         d_mean = da[:, self.in_dim:]
         dh_src = cache.aggregator.backward(d_mean)

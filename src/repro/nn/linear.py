@@ -1,8 +1,9 @@
 """Dense (feature-update) layer — the MLP of paper Eq. 2.
 
 Forward: ``Y = X @ W + b``. The backward pass produces parameter gradients
-and the input gradient. Parameters and gradients are exposed by name for
-the optimizer and the gradient synchronizer.
+and, unless the caller opts out, the input gradient. Parameters and
+gradients are exposed by name for the optimizer and the gradient
+synchronizer.
 """
 
 from __future__ import annotations
@@ -44,14 +45,19 @@ class Linear:
                 f"expected (*, {self.in_dim}) input, got {x.shape}")
         return x @ self.W + self.b
 
-    def backward(self, x: np.ndarray,
-                 grad_out: np.ndarray) -> np.ndarray:
-        """Accumulate dW/db and return the gradient w.r.t. ``x``."""
+    def backward(self, x: np.ndarray, grad_out: np.ndarray,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate dW/db and return the gradient w.r.t. ``x``.
+
+        ``input_grad=False`` skips the ``grad_out @ W.T`` GEMM and
+        returns ``None`` — for a layer whose input is the feature matrix,
+        which nothing differentiates (see :meth:`GNNModel.backward`).
+        """
         if grad_out.shape != (x.shape[0], self.out_dim):
             raise ShapeError("grad_out shape mismatch")
         self.dW += x.T @ grad_out
         self.db += grad_out.sum(axis=0)
-        return grad_out @ self.W.T
+        return grad_out @ self.W.T if input_grad else None
 
     def zero_grad(self) -> None:
         """Reset accumulated gradients."""

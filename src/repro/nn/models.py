@@ -47,6 +47,9 @@ class GNNModel:
                 global_degrees: np.ndarray | None = None) -> np.ndarray:
         """Run forward propagation; returns logits for the batch targets.
 
+        Keeps the per-layer intermediates for the :meth:`backward` that
+        follows; forward-only callers use :meth:`predict`.
+
         Parameters
         ----------
         minibatch:
@@ -57,6 +60,27 @@ class GNNModel:
             Full-graph degree array (required by GCN normalization; SAGE
             ignores it).
         """
+        # Cleared first: a forward that raises must not leave an earlier
+        # batch's caches for the next backward to consume.
+        self._caches = None
+        h, self._caches = self._propagate(minibatch, x0, global_degrees)
+        return h
+
+    def predict(self, minibatch: MiniBatch, x0: np.ndarray,
+                global_degrees: np.ndarray | None = None) -> np.ndarray:
+        """Logits bit-identical to :meth:`forward`'s, keeping no state.
+
+        The inference entry point (serving, evaluation, gradcheck's loss
+        closure): no caches are retained, so the batch's features and
+        activations are released on return and a pending
+        :meth:`backward` is unaffected.
+        """
+        return self._propagate(minibatch, x0, global_degrees)[0]
+
+    def _propagate(self, minibatch: MiniBatch, x0: np.ndarray,
+                   global_degrees: np.ndarray | None
+                   ) -> tuple[np.ndarray, list[LayerCache]]:
+        """The layer loop: ``(logits, per-layer caches)``."""
         if len(minibatch.blocks) != len(self.layers):
             raise ShapeError(
                 f"model has {len(self.layers)} layers but batch has "
@@ -74,23 +98,28 @@ class GNNModel:
                 global_degrees=global_degrees)
             h, cache = layer.forward(agg, h)
             caches.append(cache)
-        self._caches = caches
-        return h
+        return h, caches
 
-    def backward(self, grad_logits: np.ndarray) -> np.ndarray:
+    def backward(self, grad_logits: np.ndarray) -> None:
         """Run backward propagation; accumulates parameter gradients.
 
-        Returns the gradient w.r.t. the input features (rarely needed, but
-        useful for gradcheck).
+        Back-propagates only what the optimizer consumes: layers
+        ``L..2`` pass the gradient down, the input-side layer stops at
+        its ``dW``/``db``. The gradient w.r.t. the input features — one
+        ``dz @ W.T`` GEMM and one transposed spmm into a
+        ``(|V^0|, f^0)`` matrix — is never computed, which is the
+        structure of the performance model's backward term (paper
+        Eq. 10: ``t_upd^1 + Σ_{l>=2} (t_agg^l ⊕ t_upd^l)``, see
+        :mod:`repro.hw.kernels`). Call a layer's ``backward`` directly
+        when the input gradient is wanted.
         """
         if self._caches is None:
             raise ShapeError("backward called before forward")
         grad = np.asarray(grad_logits, dtype=np.float64)
-        for layer, cache in zip(reversed(self.layers),
-                                reversed(self._caches)):
-            grad = layer.backward(cache, grad)
+        for l in reversed(range(len(self.layers))):
+            grad = self.layers[l].backward(self._caches[l], grad,
+                                           input_grad=l > 0)
         self._caches = None
-        return grad
 
     # ------------------------------------------------------------------
     # Parameter access

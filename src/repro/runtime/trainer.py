@@ -88,7 +88,6 @@ class TrainerNode:
                  labels: np.ndarray,
                  global_degrees: np.ndarray | None) -> tuple[float, float]:
         """(loss, accuracy) without touching gradients."""
-        logits = self.model.forward(minibatch, x0, global_degrees)
+        logits = self.model.predict(minibatch, x0, global_degrees)
         loss, _ = softmax_cross_entropy(logits, labels)
-        self.model._caches = None
         return loss, accuracy(logits, labels)

@@ -335,7 +335,7 @@ class ServingSession:
                                              self.config.device,
                                              with_labels=False)
             t0 = time.perf_counter()
-            logits = self.model.forward(prepared.mb, prepared.x0,
+            logits = self.model.predict(prepared.mb, prepared.x0,
                                         self.degrees)
             propagate_s = time.perf_counter() - t0
         predictions = np.argmax(logits, axis=1)[inverse]

@@ -56,6 +56,16 @@ class TestCompare:
         problems = gate.compare(BASE, cur)
         assert any("hard floor" in p for p in problems)
 
+    def test_hard_floor_on_training_backward(self):
+        # 1.4x -> 1.0x (the dead input-feature gradient is back) is
+        # inside the 60% slack; only the hard floor catches it.
+        base = _doc(gather_quantize_int8=(4.0, 1.0),
+                    train_backward_sage=(1.4, 1.0))
+        cur = _doc(gather_quantize_int8=(4.0, 1.0),
+                   train_backward_sage=(1.0, 1.0))
+        problems = gate.compare(base, cur)
+        assert len(problems) == 1 and "hard floor 1.15x" in problems[0]
+
     def test_speedup_collapse_fails_even_when_floor_holds(self):
         # segment_sum falls from 3.0x to 1.0x: above any hard floor,
         # but below 60% of its own baseline.
@@ -96,7 +106,7 @@ class TestCommittedBaseline:
         assert baseline["schema"] == "bench-kernels/v1"
         for name in ("gather", "gather_quantize_int8",
                      "gather_quantize_fp16", "quantize_int8",
-                     "segment_sum"):
+                     "segment_sum", "train_backward_sage"):
             row = baseline["kernels"][name]
             assert row["reference_s"] > 0 and row["fast_s"] > 0
             assert row["speedup"] == pytest.approx(

@@ -1,9 +1,13 @@
 """Unit tests for the nn package (layers, models, loss, optim)."""
 
+import importlib.util
+import pathlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from repro.config import layer_dims
+from repro.config import TrainingConfig, layer_dims
 from repro.errors import ConfigError, ShapeError
 from repro.nn.activations import relu, relu_grad
 from repro.nn.aggregators import (
@@ -13,14 +17,32 @@ from repro.nn.aggregators import (
     mean_edge_weights,
     segment_sum_aggregate,
 )
-from repro.nn.gradcheck import check_model_gradients
+from repro.nn.gradcheck import check_model_gradients, numeric_gradient
 from repro.nn.init import xavier_uniform, zeros_init
 from repro.nn.layers import GCNLayer, SAGELayer
 from repro.nn.linear import Linear
 from repro.nn.loss import accuracy, softmax_cross_entropy
 from repro.nn.models import GNNModel, build_model, model_size_bytes
 from repro.nn.optim import SGD, Adam
+from repro.runtime.trainer import TrainerNode
 from repro.sampling.base import LayerBlock
+from repro.sampling.neighbor import NeighborSampler
+from repro.serving import ServingConfig, ServingSession, VirtualClock
+
+
+def _load_bench():
+    # The full-chain reference is shared with the gated
+    # ``train_backward_sage`` bench row, not copied.
+    path = pathlib.Path(__file__).parents[2] / "benchmarks" / \
+        "bench_kernels_micro.py"
+    spec = importlib.util.spec_from_file_location(
+        "bench_kernels_micro", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+full_chain_step = _load_bench().full_chain_step
 
 
 def _rng():
@@ -264,6 +286,153 @@ class TestModels:
         m = build_model("gcn", (4, 2), seed=0)
         with pytest.raises(ShapeError):
             m.backward(np.zeros((1, 2)))
+
+    def test_failed_forward_leaves_no_stale_caches(self, tiny_ds,
+                                                   tiny_sampler):
+        """A forward that raises must not leave the *previous* batch's
+        caches for a following backward to consume silently."""
+        mb, x0, _, m = _batch_and_model("gcn", tiny_ds, tiny_sampler)
+        logits = m.forward(mb, x0, tiny_ds.graph.out_degrees)
+        with pytest.raises(ShapeError):
+            m.forward(mb, x0[:-1], tiny_ds.graph.out_degrees)
+        with pytest.raises(ShapeError,
+                           match="backward called before forward"):
+            m.backward(np.zeros_like(logits))
+
+    @pytest.mark.parametrize("model", ["gcn", "sage"])
+    def test_predict_matches_forward_and_keeps_no_state(
+            self, model, tiny_ds, tiny_sampler):
+        mb, x0, labels, m = _batch_and_model(model, tiny_ds,
+                                             tiny_sampler)
+        deg = tiny_ds.graph.out_degrees
+        assert np.array_equal(m.predict(mb, x0, deg),
+                              build_model(model, _dims(tiny_ds, 2),
+                                          seed=3).forward(mb, x0, deg))
+        with pytest.raises(ShapeError,           # nothing was cached
+                           match="backward called before forward"):
+            m.backward(np.zeros((mb.targets.size, 1)))
+        # ...and a pending backward is not disturbed by a predict.
+        _, dlogits = softmax_cross_entropy(m.forward(mb, x0, deg),
+                                           labels)
+        m.predict(mb, x0, deg)
+        m.backward(dlogits)
+        assert m.get_flat_grads().any()
+
+
+def _dims(ds, num_layers):
+    return layer_dims(ds.spec.feature_dim, 10, ds.spec.num_classes,
+                      num_layers)
+
+
+def _batch_and_model(model, ds, sampler, num_layers=2):
+    mb = sampler.sample(ds.train_ids[:8])
+    x0 = ds.features[mb.input_nodes].astype(np.float64)
+    return (mb, x0, ds.labels[mb.targets],
+            build_model(model, _dims(ds, num_layers), seed=3))
+
+
+def _spy(cls, name):
+    """Patch ``cls.name`` with a call-counting pass-through."""
+    return mock.patch.object(cls, name, autospec=True,
+                             side_effect=getattr(cls, name))
+
+
+class TestBackwardStopsAtParameters:
+    """``GNNModel.backward`` back-propagates only what the optimizer
+    consumes; the input-feature gradient of the first layer is never
+    computed, and that changes no accumulated gradient bit."""
+
+    @pytest.mark.parametrize("num_layers", [2, 3])
+    @pytest.mark.parametrize("model", ["gcn", "sage"])
+    def test_gradients_equal_full_chain_reference(self, model,
+                                                  num_layers, tiny_ds):
+        sampler = NeighborSampler(tiny_ds.graph, tiny_ds.train_ids,
+                                  (4, 3, 2)[:num_layers],
+                                  tiny_ds.spec.feature_dim, seed=5)
+        mb, x0, labels, m = _batch_and_model(model, tiny_ds, sampler,
+                                             num_layers)
+        deg = tiny_ds.graph.out_degrees
+        ref = build_model(model, _dims(tiny_ds, num_layers), seed=3)
+        ref_loss, dh0 = full_chain_step(ref, mb, x0, deg, labels)
+        assert dh0.shape == x0.shape and dh0.any()
+
+        loss, dlogits = softmax_cross_entropy(m.forward(mb, x0, deg),
+                                              labels)
+        returned = m.backward(dlogits)
+        assert loss == ref_loss
+        for (name, g), (_, g_ref) in zip(m.gradients(),
+                                         ref.gradients()):
+            assert g.any(), name
+            assert np.array_equal(g, g_ref), name
+        assert returned is None
+
+    def test_one_aggregation_backward_per_non_input_layer(
+            self, tiny_ds, tiny_sampler):
+        """Exactly ``L - 1`` ``SparseAggregator.backward`` calls per
+        training step: the count of aggregation terms in the backward
+        sum of the performance model, paper Eq. 10
+        (``t_upd^1 + Σ_{l>=2} t_agg^l ⊕ t_upd^l`` —
+        ``repro.hw.kernels`` omits the layer-1 aggregation backward
+        for the same reason), so the timing plane and the functional
+        plane are pinned to each other."""
+        mb, x0, labels, m = _batch_and_model("sage", tiny_ds,
+                                             tiny_sampler)
+        node = TrainerNode("t", "cpu", m, None, _dims(tiny_ds, 2),
+                           "sage")
+        with _spy(SparseAggregator, "backward") as spy:
+            node.train_minibatch(mb, x0, labels,
+                                 tiny_ds.graph.out_degrees)
+        assert spy.call_count == len(m.layers) - 1
+
+    def test_transpose_built_only_by_training_steps(
+            self, tiny_ds, tiny_sampler):
+        mb, x0, labels, m = _batch_and_model("gcn", tiny_ds,
+                                             tiny_sampler)
+        deg = tiny_ds.graph.out_degrees
+        node = TrainerNode("t", "cpu", m, None, _dims(tiny_ds, 2),
+                           "gcn")
+        clock = VirtualClock()
+        serving = ServingSession(
+            tiny_ds,
+            TrainingConfig(model="sage", minibatch_size=8,
+                           fanouts=(3, 2), hidden_dim=8, seed=1),
+            config=ServingConfig(latency_budget_s=0.2,
+                                 max_batch_targets=8), clock=clock)
+        with _spy(SparseAggregator, "_build_transpose") as spy:
+            m.predict(mb, x0, deg)
+            node.evaluate(mb, x0, labels, deg)
+            serving.submit(tiny_ds.train_ids[:4])
+            clock.advance(1.0)
+            assert len(serving.step()) == 1
+            serving.close()
+            assert spy.call_count == 0
+
+            node.train_minibatch(mb, x0, labels, deg)
+            assert spy.call_count == len(m.layers) - 1
+
+    @pytest.mark.parametrize("cls", [GCNLayer, SAGELayer])
+    def test_layer_input_gradient_matches_finite_differences(self,
+                                                             cls):
+        """The layer-level input gradient on its own: layers >= 2 run
+        it on every batch, but the model no longer does for layer 1, so
+        it is not left to indirect coverage through lower-layer
+        parameters."""
+        rng = _rng()
+        layer = cls(3, 4, rng)
+        blk = _block()
+        agg = layer.build_aggregator(blk, np.arange(3), np.arange(2),
+                                     None)
+        h_src = rng.standard_normal((3, 3))
+        weights = rng.standard_normal((2, 4))
+
+        def loss():
+            return float((layer.forward(agg, h_src)[0] * weights).sum())
+
+        _, cache = layer.forward(agg, h_src)
+        analytic = layer.backward(cache, weights)
+        assert np.allclose(analytic, numeric_gradient(loss, h_src),
+                           atol=1e-6)
+        assert layer.backward(cache, weights, input_grad=False) is None
 
 
 class TestGradcheck:
