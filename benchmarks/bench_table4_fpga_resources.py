@@ -7,7 +7,7 @@ configurations to show the DSP wall the paper's sizing sits against.
 import pytest
 
 from repro.bench.harness import format_table
-from repro.hw.kernels import fpga_resource_utilization
+from repro.hw.cost_models import fpga_resource_utilization
 
 
 def test_table4_fpga_resource_utilization(show, benchmark):

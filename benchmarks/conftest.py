@@ -1,34 +1,22 @@
 """Shared helpers for the benchmark harness.
 
 Every ``bench_*.py`` file regenerates one paper table or figure. The
-rendered tables are printed through ``show`` (bypassing pytest capture so
-they appear in ``pytest benchmarks/ --benchmark-only`` output) and also
-appended to ``benchmarks/results.txt`` for later inspection.
+rendered tables are printed through ``show``, which bypasses pytest
+capture so they appear in ``pytest benchmarks/ --benchmark-only``
+output.
 """
 
 from __future__ import annotations
 
-import pathlib
-
 import pytest
-
-RESULTS_PATH = pathlib.Path(__file__).parent / "results.txt"
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _fresh_results_file():
-    RESULTS_PATH.write_text("")
-    yield
 
 
 @pytest.fixture()
 def show(capsys):
-    """Print a rendered table through the capture barrier and log it."""
+    """Print a rendered table through the capture barrier."""
 
     def _show(text: str) -> None:
         with capsys.disabled():
             print("\n" + text)
-        with RESULTS_PATH.open("a") as fh:
-            fh.write(text + "\n\n")
 
     return _show

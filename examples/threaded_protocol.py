@@ -21,7 +21,7 @@ import numpy as np
 from repro.config import SystemConfig, TrainingConfig
 from repro.graph.datasets import tiny_dataset
 from repro.hw import hyscale_cpu_fpga_platform
-from repro.runtime import ThreadedExecutor, validate_protocol
+from repro.runtime import TrainingSession, build_backend, validate_protocol
 
 
 def main() -> None:
@@ -31,10 +31,13 @@ def main() -> None:
                          fanouts=(6, 4), hidden_dim=24,
                          learning_rate=0.05, seed=7)
 
-    executor = ThreadedExecutor(dataset, cfg, num_trainers=3,
-                                prefetch_depth=2, timeout_s=60)
+    session = TrainingSession(
+        dataset, cfg, SystemConfig(drm=False, prefetch_depth=2),
+        num_trainers=3)
+    backend = build_backend("threaded", session, prefetch_depth=2,
+                            timeout_s=60)
     print("running 8 iterations on 3 trainer threads + producer ...")
-    report = executor.run(8)
+    report = backend.run(8)
 
     print(f"\nwall time: {report.wall_time_s:.2f} s")
     print(f"losses: {[round(l, 3) for l in report.losses]}")
@@ -42,7 +45,7 @@ def main() -> None:
     print(f"prefetch high-water mark: {report.prefetch_high_water} "
           f"(depth 2)")
 
-    validate_protocol(report.protocol_log, executor.num_trainers)
+    validate_protocol(report.protocol_log, session.num_trainers)
     print("protocol invariants: OK "
           "(n DONEs -> 1 SYNC -> n ACKs per iteration, no interleave)")
 
@@ -61,13 +64,13 @@ def main() -> None:
     # tests/integration/test_backend_equivalence.py).
     # ------------------------------------------------------------------
     print("\nhybrid + DRM + int8 transfer on threads:")
-    hybrid = ThreadedExecutor(
+    hybrid = TrainingSession(
         dataset, cfg,
-        sys_cfg=SystemConfig(hybrid=True, drm=True, prefetch=True,
-                             transfer_precision="int8"),
-        platform=hyscale_cpu_fpga_platform(2), timeout_s=60)
+        SystemConfig(hybrid=True, drm=True, prefetch=True,
+                     transfer_precision="int8"),
+        hyscale_cpu_fpga_platform(2))
     print(f"trainers: {[t.name for t in hybrid.trainers]}")
-    rep = hybrid.run_epoch()
+    rep = build_backend("threaded", hybrid, timeout_s=60).run_epoch()
     print(f"epoch: {rep.iterations} iterations, "
           f"final loss {rep.losses[-1]:.3f}, "
           f"virtual time {rep.virtual_time_s * 1e3:.2f} ms, "

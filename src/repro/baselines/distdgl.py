@@ -25,7 +25,7 @@ from ..config import S_FEAT_BYTES, TrainingConfig
 from ..errors import ConfigError
 from ..graph.datasets import GraphDataset
 from ..graph.partition import bfs_partition, partition_quality
-from ..hw.kernels import GPUKernelModel
+from ..hw.cost_models import GPUKernelModel
 from ..hw.specs import LOADER_DDR_EFFICIENCY
 from ..hw.topology import PlatformSpec, distdgl_node
 from ..nn.models import model_size_bytes

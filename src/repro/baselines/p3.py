@@ -29,7 +29,7 @@ from __future__ import annotations
 from ..config import S_FEAT_BYTES, TrainingConfig
 from ..errors import ConfigError
 from ..graph.datasets import GraphDataset
-from ..hw.kernels import GPUKernelModel
+from ..hw.cost_models import GPUKernelModel
 from ..hw.topology import PlatformSpec, p3_node
 from ..nn.models import model_size_bytes
 from ..perfmodel.sampling_profile import (

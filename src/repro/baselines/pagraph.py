@@ -19,7 +19,7 @@ from __future__ import annotations
 from ..config import S_FEAT_BYTES, TrainingConfig
 from ..errors import ConfigError
 from ..graph.datasets import GraphDataset
-from ..hw.kernels import GPUKernelModel
+from ..hw.cost_models import GPUKernelModel
 from ..hw.specs import LOADER_DDR_EFFICIENCY
 from ..hw.topology import PlatformSpec, pagraph_node
 from ..perfmodel.sampling_profile import (

@@ -31,7 +31,7 @@ from .topology import (
     p3_node,
     pagraph_node,
 )
-from .kernels import (
+from .cost_models import (
     CPUKernelModel,
     FPGAKernelModel,
     GPUKernelModel,

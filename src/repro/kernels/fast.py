@@ -1,7 +1,7 @@
-"""Fast kernel tier: preallocated, fused, reduction-restructured NumPy.
+"""The kernels: preallocated, fused, reduction-restructured NumPy.
 
-The default tier (``REPRO_KERNELS`` unset). Three levers, all pure
-NumPy so every platform gets them:
+The one implementation of each op the :mod:`repro.kernels` dispatchers
+call. Three levers, all pure NumPy so every platform gets them:
 
 * **Preallocation** — every kernel takes ``out=``/``pool=`` and writes
   through ``np.take(..., out=...)`` / ufunc ``out=`` into reusable
@@ -21,14 +21,14 @@ NumPy so every platform gets them:
   ``np.add.reduceat`` runs.
 
 Exactness contract (held by the property suite): ``gather`` and
-``gather_quantize``/``quantize`` match the reference tier **bit for
-bit** on finite inputs — the float64 widen is exact, the per-row
-absmax equals ``max(max(x), -min(x))`` exactly, and round-then-clip
-runs in the same order on the same dtypes as the reference. Only
-``segment_sum`` is tolerance-equivalent (sum order differs); it is off
-the training path (models aggregate through
+``gather_quantize``/``quantize`` match the :mod:`~repro.kernels.reference`
+oracle **bit for bit** on finite inputs — the float64 widen is exact,
+the per-row absmax equals ``max(max(x), -min(x))`` exactly, and
+round-then-clip runs in the same order on the same dtypes as the
+oracle. Only ``segment_sum`` is tolerance-equivalent (sum order
+differs); it is off the training path (models aggregate through
 :class:`~repro.nn.aggregators.SparseAggregator`), so backend
-trajectories are identical under either tier.
+trajectories are identical with either implementation.
 """
 
 from __future__ import annotations

@@ -1,20 +1,20 @@
-"""Reference kernel tier: the conformance oracle.
+"""Reference kernels: the conformance oracle.
 
 These are the library's original hot-path implementations, moved here
-verbatim so the fast tiers have a fixed semantic target: plain, easily
-auditable NumPy with no buffer reuse, no fusion, and no layout tricks.
-The property suite (``tests/unit/test_kernels.py``) holds every other
-registered tier to this tier's outputs — bit-exactly for ``gather``
+verbatim so :mod:`repro.kernels.fast` has a fixed semantic target:
+plain, easily auditable NumPy with no buffer reuse, no fusion, and no
+layout tricks. The property suite (``tests/unit/test_kernels.py``)
+holds the fast kernels to these outputs — bit-exactly for ``gather``
 and the fused ``gather_quantize``, to floating-point tolerance for
 ``segment_sum`` (whose fast variant reorders the accumulation).
 
-Tier implementations receive pre-validated inputs from the dispatchers
-in :mod:`repro.kernels` (mode and shape checks happen once, above the
-registry), and share one calling convention: ``out=`` is an optional
-caller-owned destination buffer, ``pool=`` an optional
-:class:`~repro.kernels.pool.BufferPool` for scratch staging. The
-reference tier honors ``out`` (so it can be A/B-swapped under pooled
-call sites) but never pools — its role is to be the obviously-correct
+No runtime path calls this module: tests and
+``benchmarks/bench_kernels_micro.py`` call it by name. It shares the
+fast kernels' calling convention — pre-validated inputs, ``out=`` an
+optional caller-owned destination buffer, ``pool=`` an optional
+:class:`~repro.kernels.pool.BufferPool` for scratch staging — and
+honors ``out`` (so a test can substitute it under pooled call sites)
+but never pools: its role is to be the obviously-correct
 allocation-per-call baseline the benches compare against.
 """
 

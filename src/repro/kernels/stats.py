@@ -1,6 +1,6 @@
 """Process-local kernel traffic accounting.
 
-Every dispatch through the kernel registry records what it moved: rows
+Every kernel dispatch (:mod:`repro.kernels`) records what it moved: rows
 gathered, source bytes read from the feature store, bytes written into
 trainer-facing buffers, quantized payload bytes that would cross PCIe,
 and the buffer pool's hit/miss/allocation trail. The counters answer

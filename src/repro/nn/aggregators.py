@@ -7,11 +7,11 @@ Feature aggregation is the irregular-memory-access phase of GNN training
   production path: one BLAS-like spmm per layer for forward and one
   (transposed) for backward.
 * :func:`segment_sum_aggregate` — the segment-sum path that mirrors the FPGA
-  scatter-gather kernel (paper §IV-C, Fig. 6), dispatched through the kernel
-  registry (:mod:`repro.kernels`): edge-serial scatter-add on the reference
-  tier, destination-sorted ``reduceat`` on the fast tier. Tests assert both
-  paths agree to floating-point tolerance; the hardware kernel models reuse
-  the reference tier's edge ordering to count traffic.
+  scatter-gather kernel (paper §IV-C, Fig. 6), dispatched through
+  :func:`repro.kernels.segment_sum` (destination-sorted ``reduceat``; the
+  edge-serial scatter-add oracle lives in :mod:`repro.kernels.reference`).
+  Tests assert both paths agree to floating-point tolerance; the hardware
+  kernel models reuse the oracle's edge ordering to count traffic.
 
 Weight helpers produce the edge coefficient vectors for the two models:
 :func:`gcn_edge_weights` implements the symmetric ``1/sqrt(D(u)D(v))``
@@ -82,12 +82,12 @@ def segment_sum_aggregate(block: LayerBlock, h_src: np.ndarray,
                           ) -> np.ndarray:
     """Segment-sum aggregation (FPGA-kernel-equivalent path).
 
-    Validates the block shapes, then dispatches to the kernel registry
-    (:mod:`repro.kernels`): the ``reference`` tier streams edges in
-    source-sorted order — the order the Feature Duplicator feeds them
-    (paper §IV-C) — through an edge-serial scatter-add; the default
-    ``fast`` tier computes the same Eq.-1 sums via destination-sorted
-    ``np.add.reduceat`` runs (tolerance-equivalent: the accumulation
+    Validates the block shapes, then dispatches to
+    :func:`repro.kernels.segment_sum`, which computes the Eq.-1 sums via
+    destination-sorted ``np.add.reduceat`` runs. The ``reference``
+    oracle streams edges in source-sorted order — the order the Feature
+    Duplicator feeds them (paper §IV-C) — through an edge-serial
+    scatter-add; the two are tolerance-equivalent (the accumulation
     order differs). Functionally identical to
     :class:`SparseAggregator.forward`, the production path the model
     layers use.

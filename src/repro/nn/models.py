@@ -110,8 +110,8 @@ class GNNModel:
         ``(|V^0|, f^0)`` matrix — is never computed, which is the
         structure of the performance model's backward term (paper
         Eq. 10: ``t_upd^1 + Σ_{l>=2} (t_agg^l ⊕ t_upd^l)``, see
-        :mod:`repro.hw.kernels`). Call a layer's ``backward`` directly
-        when the input gradient is wanted.
+        :mod:`repro.hw.cost_models`). Call a layer's ``backward``
+        directly when the input gradient is wanted.
         """
         if self._caches is None:
             raise ShapeError("backward called before forward")

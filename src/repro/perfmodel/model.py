@@ -27,7 +27,7 @@ from typing import Sequence
 
 from ..config import S_FEAT_BYTES
 from ..errors import ConfigError
-from ..hw.kernels import CPUKernelModel, FPGAKernelModel, GPUKernelModel
+from ..hw.cost_models import CPUKernelModel, FPGAKernelModel, GPUKernelModel
 from ..hw.specs import LOADER_DDR_EFFICIENCY
 from ..hw.topology import PlatformSpec
 from ..nn.models import model_size_bytes

@@ -1,10 +1,10 @@
 """One registry discipline for every extension seam.
 
-The library grew three registries independently — execution backends
-(:mod:`repro.runtime.backends`), sampler families
-(:mod:`repro.sampling`) and kernel tiers (:mod:`repro.kernels`) — and
-with them three slightly different lookup surfaces and error spellings.
-This module is the single implementation they now share:
+The library grew its registries independently — execution backends
+(:mod:`repro.runtime.backends`) and sampler families
+(:mod:`repro.sampling`) — and with them slightly different lookup
+surfaces and error spellings. This module is the single implementation
+they now share:
 
 * :class:`Registry` — an ordered name → object mapping with the
   canonical ``register`` / ``get`` / ``available`` surface;
@@ -12,7 +12,7 @@ This module is the single implementation they now share:
   :class:`~repro.errors.ConfigError` whose message is
   ``unknown <kind> <name!r>; registered: [...]`` — the fix is always in
   the traceback, and the spelling can no longer drift between seams
-  (``tests/unit/test_registries.py`` pins it for all three);
+  (``tests/unit/test_registries.py`` pins it for every seam);
 * dict compatibility: :class:`Registry` is a
   :class:`~collections.abc.MutableMapping`, so historical call sites
   that treated the registries as plain dicts (``name in BACKENDS``,
@@ -21,9 +21,8 @@ This module is the single implementation they now share:
 
 The per-seam modules keep their thin domain wrappers
 (``register_backend`` validates the class contract,
-``register_sampler`` validates builders, the kernel dispatchers resolve
-tier ladders) — those wrappers now delegate the storage and the lookup
-error to one place.
+``register_sampler`` validates builders) — those wrappers delegate the
+storage and the lookup error to one place.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ class Registry(MutableMapping):
     ----------
     kind:
         Human-readable noun for error messages (``"execution
-        backend"``, ``"sampler"``, ``"kernel tier"``). Appears verbatim
+        backend"``, ``"sampler"``). Appears verbatim
         in the unknown-name error.
     validate:
         Optional ``(name, obj) -> None`` hook run before every

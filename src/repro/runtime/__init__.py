@@ -40,9 +40,7 @@ This package is the paper's primary contribution (§III-§IV):
   The overlapped backends expose the loop through their
   ``depth_source`` knob (see ``docs/architecture.md``);
 * :mod:`repro.runtime.hybrid` — :class:`HyScaleGNN`, the top-level
-  system facade (session + virtual-time backend);
-* :mod:`repro.runtime.executor` — :class:`ThreadedExecutor`, the
-  threaded facade (session + threaded backend).
+  system facade (session + virtual-time backend).
 """
 
 from .protocol import ProtocolLog, ProtocolEvent, Signal, validate_protocol
@@ -100,7 +98,6 @@ from .resctl import (
     summarize_calibration,
 )
 from .hybrid import HyScaleGNN
-from .executor import ThreadedExecutor
 
 __all__ = [
     "Signal",
@@ -155,5 +152,4 @@ __all__ = [
     "resolve_options",
     "HyScaleGNN",
     "EpochReport",
-    "ThreadedExecutor",
 ]

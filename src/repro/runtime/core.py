@@ -23,8 +23,8 @@ backend-independent half:
 
 A session built *with* a :class:`~repro.hw.topology.PlatformSpec` carries
 the full timing plane (perf model, workload split, DRM); a session built
-without one (``platform=None``) is functional-only — the historical
-:class:`~repro.runtime.executor.ThreadedExecutor` configuration.
+without one (``platform=None``) is functional-only: ``num_trainers``
+replicas fed by one sampler stream.
 """
 
 from __future__ import annotations

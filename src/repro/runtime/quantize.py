@@ -13,12 +13,12 @@ memory, matching the mechanism). ``tests/integration`` and
 ``benchmarks/bench_extension_quantization.py`` quantify both sides of
 the trade.
 
-The numeric work dispatches through the kernel registry
-(:mod:`repro.kernels`): the default fast tier runs the int8 round trip
-with a single destination buffer and in-place round/clip/rescale (no
-int8 or widened temporaries), and the accelerator gather+transfer
-chokepoint (:func:`repro.runtime.core.gather_batch_features`) fuses the
-two stages into one kernel. Every tier returns bit-identical results
+The numeric work dispatches through :func:`repro.kernels.quantize`,
+which runs the int8 round trip with a single destination buffer and
+in-place round/clip/rescale (no int8 or widened temporaries), and the
+accelerator gather+transfer chokepoint
+(:func:`repro.runtime.core.gather_batch_features`) fuses the two stages
+into one kernel. Both are bit-identical to the reference oracle
 (``docs/kernels.md`` documents the contract).
 """
 
@@ -29,7 +29,7 @@ import numpy as np
 from .. import kernels
 
 #: Bytes per feature element on the PCIe link, per precision mode
-#: (re-exported from the kernel registry, the single ground truth).
+#: (re-exported from :mod:`repro.kernels`, the single ground truth).
 TRANSFER_BYTES = kernels.TRANSFER_BYTES
 
 

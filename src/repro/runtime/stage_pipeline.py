@@ -53,10 +53,9 @@ def gather_feature_rows(features: np.ndarray, mb: MiniBatch, *,
                         ) -> np.ndarray:
     """The feature-gather (load) stage: one host-memory row gather.
 
-    Dispatches through the kernel registry (:mod:`repro.kernels`), so
-    the active ``REPRO_KERNELS`` tier decides how the rows move; every
-    tier returns the same float64 bits. ``out``/``pool`` make the fast
-    tier allocation-free — **opt-in**: a pooled result is only valid
+    Dispatches through :func:`repro.kernels.gather_rows`, which returns
+    the same float64 bits as the reference oracle. ``out``/``pool`` make
+    the gather allocation-free — **opt-in**: a pooled result is only valid
     until the next gather from the same pool, so only provably
     sequential call sites (the virtual backend's epoch loop, the
     process-plane workers) pass one; the overlapped planes keep several
@@ -94,10 +93,10 @@ def gather_batch_features(features: np.ndarray, mb: MiniBatch,
     :meth:`TrainingSession.load_features`, process-pool workers against
     their shared-memory mapping, the pipelined backend's separate
     gather/transfer stage threads — runs the identical bits.
-    Accelerator-bound quantized batches take the registry's **fused**
+    Accelerator-bound quantized batches take the **fused**
     gather+quantize kernel (one pass over the rows, no float64
-    intermediate between the stages on the fast tier); everything else
-    is a plain gather. ``pool`` is the same opt-in as
+    intermediate between the stages); everything else is a plain
+    gather. ``pool`` is the same opt-in as
     :func:`gather_feature_rows`.
     """
     if trainer_kind == "accel" and transfer_precision != "fp32":

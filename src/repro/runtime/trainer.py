@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from ..hw.kernels import PropagationBreakdown
+from ..hw.cost_models import PropagationBreakdown
 from ..nn.loss import accuracy, softmax_cross_entropy
 from ..nn.models import GNNModel
 from ..sampling.base import MiniBatch

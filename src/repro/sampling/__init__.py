@@ -62,7 +62,7 @@ def get(name: str) -> Callable[..., Sampler]:
 
 def available_samplers() -> tuple[str, ...]:
     """Registered sampler family names, sorted (the unified
-    ``available_*`` surface shared with backends and kernel tiers)."""
+    ``available_*`` surface shared with backends)."""
     return SAMPLER_REGISTRY.available()
 
 

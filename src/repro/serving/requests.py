@@ -12,6 +12,9 @@ with exactly one of:
   exhausted tenant budget), and a shed request **never reaches the
   sampler**: shedding happens entirely at admission, before any stage
   work.
+
+An accepted request whose micro-batch raises during execution is
+answered later, from ``step``, with a ``"failed"`` :class:`ShedResponse`.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: The closed set of shed reasons the admission path can return.
-SHED_REASONS = ("queue_full", "no_credit", "closed", "invalid")
+#: The closed set of shed reasons: four from the admission path, plus
+#: ``"failed"`` from ``step`` for an accepted request whose batch raised.
+SHED_REASONS = ("queue_full", "no_credit", "closed", "invalid", "failed")
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,7 @@ class InferenceResponse:
 
 @dataclass(frozen=True)
 class ShedResponse:
-    """A typed rejection from the admission path.
+    """A typed rejection, from the admission path or a failed batch.
 
     ``reason`` is one of :data:`SHED_REASONS`:
 
@@ -80,7 +84,10 @@ class ShedResponse:
     * ``"no_credit"`` — the tenant's credit bucket cannot cover the
       request's target count right now;
     * ``"closed"`` — the session is shut down;
-    * ``"invalid"`` — a target id lies outside ``[0, num_vertices)``.
+    * ``"invalid"`` — a target id lies outside ``[0, num_vertices)``;
+    * ``"failed"`` — the request was accepted, but executing its
+      micro-batch raised (returned by ``step``, not ``submit``; its
+      credits are not refunded).
     """
 
     request_id: int

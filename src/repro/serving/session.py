@@ -30,11 +30,13 @@ tier and the property tests buy with that):
 ``submit`` → admission (``closed`` / ``invalid`` / ``queue_full`` /
 ``no_credit`` typed sheds, *before* any stage work) → micro-batcher (deadline or
 size flush) → ``step`` (allocator-capped batch execution: stage
-pipeline → model forward → per-request responses).
+pipeline → model forward → per-request responses; a batch whose
+execution raises answers each member with a ``failed`` response).
 """
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -53,6 +55,8 @@ from ..sampling import build_sampler
 from .admission import AdmissionController, CreditScheduler
 from .microbatch import MicroBatch, MicroBatcher
 from .requests import InferenceRequest, InferenceResponse, ShedResponse
+
+_LOG = logging.getLogger("repro.serving")
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,8 @@ class ServingReport:
 
     accepted: int = 0
     completed: int = 0
+    #: Accepted requests whose micro-batch raised during execution.
+    failed: int = 0
     shed: dict[str, int] = field(default_factory=dict)
     latencies_s: list[float] = field(default_factory=list)
     batch_sizes: list[int] = field(default_factory=list)
@@ -143,6 +149,7 @@ class ServingReport:
             "offered": self.offered,
             "accepted": self.accepted,
             "completed": self.completed,
+            "failed": self.failed,
             "shed": dict(self.shed),
             "shed_rate": (self.shed_total / self.offered
                           if self.offered else 0.0),
@@ -302,22 +309,30 @@ class ServingSession:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> list[InferenceResponse]:
+    def step(self) -> list[InferenceResponse | ShedResponse]:
         """Flush due micro-batches and execute up to the allocator's
-        live grant of them; returns the completed responses."""
+        live grant of them; returns one response per member request.
+
+        A batch whose execution raises is logged and answered with a
+        ``"failed"`` :class:`ShedResponse` per member; the other taken
+        batches still execute and nothing is re-raised.
+        """
         self.batcher.poll()
         cap = self.config.max_depth
         if not self._grant.released:
             cap = min(cap, self._grant.depth_cap)
-        responses: list[InferenceResponse] = []
+        responses: list[InferenceResponse | ShedResponse] = []
         for batch in self.batcher.take(max(1, cap)):
-            responses.extend(self._execute(batch))
+            try:
+                responses.extend(self._execute(batch))
+            except Exception:
+                responses.extend(self._fail(batch))
         return responses
 
-    def drain(self) -> list[InferenceResponse]:
+    def drain(self) -> list[InferenceResponse | ShedResponse]:
         """Force-flush and execute everything pending (shutdown /
         end-of-run path)."""
-        responses: list[InferenceResponse] = []
+        responses: list[InferenceResponse | ShedResponse] = []
         self.batcher.flush()
         while self.batcher.ready_batches:
             responses.extend(self.step())
@@ -365,6 +380,16 @@ class ServingSession:
         self.report.batch_sizes.append(len(batch.requests))
         self.report.targets_served += batch.num_targets
         return responses
+
+    def _fail(self, batch: MicroBatch) -> list[ShedResponse]:
+        # Credits stay spent: the stage work was attempted.
+        _LOG.exception("serving micro-batch %d failed", batch.seq)
+        self.admission.complete(len(batch.requests))
+        self.report.failed += len(batch.requests)
+        now = self.clock()
+        return [ShedResponse(request_id=r.request_id, tenant=r.tenant,
+                             reason="failed", shed_s=now)
+                for r in batch.requests]
 
     # ------------------------------------------------------------------
     def finalize_report(self) -> ServingReport:

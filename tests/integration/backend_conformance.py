@@ -230,6 +230,23 @@ def run_backend(name: str, case: ConformanceCase,
     return session, report
 
 
+def threaded_backend(dataset: GraphDataset, train_cfg: TrainingConfig,
+                     sys_cfg: SystemConfig | None = None, platform=None,
+                     *, num_trainers: int = 3, timeout_s: float = 30.0):
+    """A fresh session on the ``threaded`` backend, built the public
+    way (``TrainingSession`` + ``build_backend``). Without ``sys_cfg``
+    the session is platform-less functional training (DRM off); the
+    live buffers take ``sys_cfg.prefetch_depth``, the depth the
+    modelled pipeline uses."""
+    if sys_cfg is None:
+        sys_cfg = SystemConfig(drm=False)
+    session = TrainingSession(dataset, train_cfg, sys_cfg, platform,
+                              num_trainers=num_trainers, profile_probes=2)
+    return build_backend("threaded", session,
+                         prefetch_depth=sys_cfg.prefetch_depth,
+                         timeout_s=timeout_s)
+
+
 def _params(session: TrainingSession) -> list[np.ndarray]:
     return [t.model.get_flat_params() for t in session.trainers]
 

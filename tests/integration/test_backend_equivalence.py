@@ -34,6 +34,7 @@ from backend_conformance import (
     candidate_backends,
     make_session,
     run_backend,
+    threaded_backend,
 )
 from repro.config import SystemConfig, TrainingConfig
 from repro.errors import ConfigError
@@ -46,7 +47,6 @@ from repro.runtime import (
     ProcessSamplingBackend,
     ShardedBackend,
     ThreadedBackend,
-    ThreadedExecutor,
     TrainingSession,
     VirtualTimeBackend,
     available_backends,
@@ -814,9 +814,10 @@ class TestProcessPipelinedBackend:
 
 
 class TestHybridDRMQuantizedEquivalence:
-    """The flagship case through the *facades* (HyScaleGNN vs
-    ThreadedExecutor) — the public construction paths must preserve
-    the parity the conformance kit proves for raw backends."""
+    """The flagship case through the public construction paths
+    (``HyScaleGNN`` vs ``TrainingSession`` + ``build_backend``) — they
+    must preserve the parity the conformance kit proves for raw
+    backends."""
 
     @pytest.fixture()
     def sys_cfg(self):
@@ -829,9 +830,7 @@ class TestHybridDRMQuantizedEquivalence:
                             profile_probes=2)
         rep_v = system.train_epoch()
 
-        ex = ThreadedExecutor(tiny_ds, eq_cfg, sys_cfg=sys_cfg,
-                              platform=fpga_platform, profile_probes=2,
-                              timeout_s=30)
+        ex = threaded_backend(tiny_ds, eq_cfg, sys_cfg, fpga_platform)
         rep_t = ex.run_epoch()
 
         assert rep_t.iterations == rep_v.iterations
@@ -852,20 +851,19 @@ class TestHybridDRMQuantizedEquivalence:
         # Final model replicas agree across planes, parameter for
         # parameter.
         for pv, pt in zip(_param_sets(system.trainers),
-                          _param_sets(ex.trainers)):
+                          _param_sets(ex.session.trainers)):
             np.testing.assert_array_equal(pv, pt)
 
     def test_threaded_plane_runs_hybrid_trainer_set(self, tiny_ds,
                                                     eq_cfg, sys_cfg,
                                                     fpga_platform):
-        ex = ThreadedExecutor(tiny_ds, eq_cfg, sys_cfg=sys_cfg,
-                              platform=fpga_platform, profile_probes=2,
-                              timeout_s=30)
-        assert [t.kind for t in ex.trainers] == ["cpu", "accel", "accel"]
-        assert ex.drm is not None
+        ex = threaded_backend(tiny_ds, eq_cfg, sys_cfg, fpga_platform)
+        s = ex.session
+        assert [t.kind for t in s.trainers] == ["cpu", "accel", "accel"]
+        assert s.drm is not None
         rep = ex.run(3)
-        assert len(ex.drm.decisions) == 3
-        assert ex.split.total_targets == ex.session.initial_split.total_targets
+        assert len(s.drm.decisions) == 3
+        assert s.split.total_targets == s.initial_split.total_targets
 
     def test_quantization_flag_is_live_on_threads(self, tiny_ds, eq_cfg,
                                                   fpga_platform):
@@ -875,10 +873,8 @@ class TestHybridDRMQuantizedEquivalence:
         def run(precision):
             sys_cfg = SystemConfig(hybrid=True, drm=False, prefetch=True,
                                    transfer_precision=precision)
-            ex = ThreadedExecutor(tiny_ds, eq_cfg, sys_cfg=sys_cfg,
-                                  platform=fpga_platform,
-                                  profile_probes=2, timeout_s=30)
-            return ex.run(3).losses
+            return threaded_backend(tiny_ds, eq_cfg, sys_cfg,
+                                    fpga_platform).run(3).losses
 
         assert run("int8") != run("fp32")
 
@@ -900,14 +896,12 @@ class TestEpochSemantics:
         np.testing.assert_array_equal(np.sort(flat), tiny_ds.train_ids)
 
     def test_run_epoch_iteration_count(self, tiny_ds, eq_cfg):
-        ex = ThreadedExecutor(tiny_ds, eq_cfg, num_trainers=2,
-                              timeout_s=30)
+        ex = threaded_backend(tiny_ds, eq_cfg, num_trainers=2)
         rep = ex.run_epoch()
         assert rep.iterations == ex.session.iterations_per_epoch()
 
     def test_long_runs_roll_into_fresh_epochs(self, tiny_ds, eq_cfg):
-        ex = ThreadedExecutor(tiny_ds, eq_cfg, num_trainers=2,
-                              timeout_s=30)
+        ex = threaded_backend(tiny_ds, eq_cfg, num_trainers=2)
         per_epoch = ex.session.iterations_per_epoch()
         rep = ex.run(per_epoch + 2)
         assert len(rep.losses) == per_epoch + 2

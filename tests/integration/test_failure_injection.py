@@ -6,24 +6,24 @@ import threading
 import numpy as np
 import pytest
 
+from backend_conformance import threaded_backend
 from repro.config import SystemConfig, TrainingConfig
 from repro.errors import ProtocolError, ReproError, ShapeError
 from repro.graph.datasets import tiny_dataset
 from repro.nn.models import build_model
-from repro.runtime.executor import ThreadedExecutor
 from repro.runtime.prefetch import PrefetchBuffer
 from repro.runtime.synchronizer import GradientSynchronizer
 
 
-class TestExecutorFaults:
+class TestThreadedFaults:
     def test_trainer_exception_propagates(self, tiny_ds, small_cfg):
         """A crash inside a trainer thread surfaces in run(), not a
         deadlock."""
-        ex = ThreadedExecutor(tiny_ds, small_cfg, num_trainers=2,
+        ex = threaded_backend(tiny_ds, small_cfg, num_trainers=2,
                               timeout_s=10)
 
         # Sabotage one replica so forward raises a shape error.
-        bad = ex.trainers[1].model
+        bad = ex.session.trainers[1].model
         bad.layers[0].linear.W = np.zeros((3, 3))
         with pytest.raises((ReproError, ValueError)):
             ex.run(3)
@@ -31,7 +31,7 @@ class TestExecutorFaults:
     def test_watchdog_timeout_configured(self, tiny_ds, small_cfg):
         """Timeouts are plumbed; a tiny timeout may trip on slow CI but
         never hang (the wait loops all take the timeout)."""
-        ex = ThreadedExecutor(tiny_ds, small_cfg, num_trainers=1,
+        ex = threaded_backend(tiny_ds, small_cfg, num_trainers=1,
                               timeout_s=15)
         rep = ex.run(2)   # should complete comfortably
         assert len(rep.losses) == 2

@@ -1,18 +1,19 @@
-"""Backend results are invariant to the kernel tier.
+"""Backend results are invariant to the kernel implementation.
 
-The kernel registry's exactness contract (``docs/kernels.md``) says the
-``fast`` tier is bit-identical to the ``reference`` oracle on every
-training-path op. These tests hold the *backends* to it: the same
-session run under either tier — on the flagship hybrid + DRM + int8
-conformance case, where the fused gather+quantize chokepoint actually
-engages — must produce the same trajectory bit for bit. This is what
-licenses shipping ``fast`` as the default without perturbing any
-previously recorded result.
+The kernels' exactness contract (``docs/kernels.md``) says
+:mod:`repro.kernels.fast` is bit-identical to the
+:mod:`repro.kernels.reference` oracle on every training-path op. These
+tests hold the *backends* to it: the same session run on either
+implementation — on the flagship hybrid + DRM + int8 conformance case,
+where the fused gather+quantize chokepoint actually engages — must
+produce the same trajectory bit for bit. This is what licenses
+shipping the fast kernels without perturbing any previously recorded
+result.
 
-The tier is selected through the ``REPRO_KERNELS`` environment variable
-(not the programmatic override) so process-plane workers inherit it
-under any start method, exercising the same selection path CI's
-``REPRO_KERNELS=numba`` matrix leg uses.
+The oracle is substituted test-side: the ``reference_kernels`` fixture
+points each ``fast.<op>`` at its ``reference`` twin before the backend
+is built. The dispatchers look the op up at call time, and forked
+process-plane workers inherit the substitution.
 """
 
 import numpy as np
@@ -20,20 +21,31 @@ import pytest
 
 from backend_conformance import CONFORMANCE_CASES, run_backend
 from repro import kernels
+from repro.kernels import fast, reference
 
 #: The flagship case: hybrid CPU+accel split, DRM, int8 PCIe transfer
 #: — every kernel op (gather, fused gather+quantize) on the hot path.
 _FLAGSHIP = CONFORMANCE_CASES[0]
 
 #: Lock-step backends owing bit-parity; the statistical-tier planes are
-#: covered transitively (their conformance suite already runs under the
-#: default fast tier against the virtual reference).
+#: covered transitively (their conformance suite already runs on the
+#: fast kernels against the virtual reference).
 _STRICT_BACKENDS = ("virtual", "threaded", "process")
 
+_OPS = ("gather", "quantize", "gather_quantize", "segment_sum")
 
-def _run_under_tier(name, tier, dataset, monkeypatch):
-    monkeypatch.setenv("REPRO_KERNELS", tier)
-    assert kernels.active_tier("gather") == tier
+
+@pytest.fixture()
+def reference_kernels(monkeypatch):
+    """Call to route every dispatcher to the reference oracle for the
+    rest of the test."""
+    def use():
+        for op in _OPS:
+            monkeypatch.setattr(fast, op, getattr(reference, op))
+    return use
+
+
+def _run(name, dataset):
     session, report = run_backend(name, _FLAGSHIP, dataset)
     params = [t.model.get_flat_params() for t in session.trainers]
     return report, params
@@ -41,39 +53,36 @@ def _run_under_tier(name, tier, dataset, monkeypatch):
 
 @pytest.mark.parametrize("backend_name", _STRICT_BACKENDS)
 def test_fast_tier_is_bit_identical_to_reference(backend_name, tiny_ds,
-                                                 monkeypatch):
-    ref, ref_params = _run_under_tier(backend_name, "reference",
-                                      tiny_ds, monkeypatch)
-    fast, fast_params = _run_under_tier(backend_name, "fast",
-                                        tiny_ds, monkeypatch)
-    assert fast.iterations == ref.iterations
-    np.testing.assert_array_equal(ref.losses, fast.losses)
-    np.testing.assert_array_equal(ref.accuracies, fast.accuracies)
-    assert fast.total_edges == ref.total_edges
-    assert ref.split_history == fast.split_history
-    for rp, fp in zip(ref_params, fast_params):
-        np.testing.assert_array_equal(rp, fp)
+                                                 reference_kernels):
+    cand, cand_params = _run(backend_name, tiny_ds)
+    reference_kernels()
+    ref, ref_params = _run(backend_name, tiny_ds)
+    assert cand.iterations == ref.iterations
+    np.testing.assert_array_equal(ref.losses, cand.losses)
+    np.testing.assert_array_equal(ref.accuracies, cand.accuracies)
+    assert cand.total_edges == ref.total_edges
+    assert ref.split_history == cand.split_history
+    for rp, cp in zip(ref_params, cand_params):
+        np.testing.assert_array_equal(rp, cp)
 
 
 def test_fast_tier_conformance_against_reference_tier_oracle(
-        tiny_ds, monkeypatch):
-    """Cross-tier cross-backend: a process run under the default fast
-    tier reproduces the virtual reference run under the reference
-    tier — the full conformance claim in one assertion path."""
-    ref, ref_params = _run_under_tier("virtual", "reference", tiny_ds,
-                                      monkeypatch)
-    cand, cand_params = _run_under_tier("process", "fast", tiny_ds,
-                                        monkeypatch)
+        tiny_ds, reference_kernels):
+    """Cross-kernel cross-backend: a process run on the fast kernels
+    reproduces the virtual reference run on the reference oracle — the
+    full conformance claim in one assertion path."""
+    cand, cand_params = _run("process", tiny_ds)
+    reference_kernels()
+    ref, ref_params = _run("virtual", tiny_ds)
     np.testing.assert_array_equal(ref.losses, cand.losses)
     for rp, cp in zip(ref_params, cand_params):
         np.testing.assert_array_equal(rp, cp)
 
 
-def test_kernel_stats_reported_across_planes(tiny_ds, monkeypatch):
+def test_kernel_stats_reported_across_planes(tiny_ds):
     """Every plane's report carries the kernel-traffic delta, and the
     process plane's totals come from the workers (nonzero gather
     traffic with a zero parent-side delta)."""
-    monkeypatch.setenv("REPRO_KERNELS", "fast")
     parent_before = kernels.COUNTERS.snapshot()
     _, report = run_backend("process", _FLAGSHIP, tiny_ds)
     parent_delta = kernels.COUNTERS.delta(parent_before)

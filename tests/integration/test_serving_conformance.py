@@ -1,5 +1,5 @@
-"""The serving conformance tier, plus the two-session stats-isolation
-regression.
+"""The serving conformance tier, plus the failed-batch and two-session
+stats-isolation regressions.
 
 ``backend_conformance.assert_serving_conforms`` is the serving-plane
 counterpart of the training parity matrix: every submitted request
@@ -84,6 +84,105 @@ class TestServingConformance:
                                  max_batch_targets=16,
                                  device="cpu"),
             script=default_serving_script(tiny_ds, num_requests=24))
+
+
+class TestFailedBatch:
+    """A micro-batch whose execution raises answers every member with a
+    typed ``failed`` response, returns its admission slots, and leaves
+    the session serving."""
+
+    @staticmethod
+    def _session(tiny_ds, small_cfg, monkeypatch, **config):
+        session = ServingSession(
+            tiny_ds, small_cfg, SystemConfig(),
+            config=ServingConfig(latency_budget_s=0.2, device="cpu",
+                                 **config),
+            allocator=NodeAllocator(depth_budget=8),
+            clock=VirtualClock())
+        real_predict = session.model.predict
+        calls = []
+
+        def predict_once_broken(*args):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("injected forward failure")
+            return real_predict(*args)
+
+        monkeypatch.setattr(session.model, "predict",
+                            predict_once_broken)
+        return session
+
+    def test_failed_batch_answers_members_and_frees_slots(
+            self, tiny_ds, small_cfg, monkeypatch, caplog):
+        session = self._session(tiny_ds, small_cfg, monkeypatch)
+        targets = tiny_ds.train_ids
+        assert session.submit(targets[:3]) is None
+        assert session.submit(targets[3:5]) is None
+
+        with caplog.at_level("ERROR", logger="repro.serving"):
+            failed = session.drain()
+        assert [(r.request_id, r.reason) for r in failed] == \
+            [(0, "failed"), (1, "failed")]
+        assert "micro-batch 0 failed" in caplog.text
+        assert session.admission.pending == 0
+        assert session.report.failed == 2
+        assert session.report.completed == 0
+
+        assert session.submit(targets[5:7]) is None
+        (served,) = session.drain()
+        assert served.request_id == 2
+        assert served.predictions.shape == (2,)
+        report = session.close()
+        assert (report.accepted, report.completed, report.failed) == \
+            (3, 1, 2)
+        assert session.admission.pending == 0
+
+    def test_other_batches_taken_by_the_step_still_execute(
+            self, tiny_ds, small_cfg, monkeypatch):
+        # Size-flushed one-request batches: one step takes both.
+        session = self._session(tiny_ds, small_cfg, monkeypatch,
+                                max_batch_targets=2)
+        targets = tiny_ds.train_ids
+        assert session.submit(targets[:2]) is None
+        assert session.submit(targets[2:4]) is None
+        failed, served = session.step()
+        assert (failed.request_id, failed.reason) == (0, "failed")
+        assert served.request_id == 1 and served.predictions.size == 2
+        assert session.admission.pending == 0
+        assert (session.report.failed, session.report.completed) == (1, 1)
+
+    def test_failed_requests_keep_their_credits_spent(
+            self, tiny_ds, small_cfg, monkeypatch):
+        # The virtual clock never advances, so no bucket refills.
+        session = self._session(tiny_ds, small_cfg, monkeypatch,
+                                credit_rate_targets_per_s=1.0,
+                                credit_burst_targets=5)
+        targets = tiny_ds.train_ids
+        assert session.submit(targets[:4]) is None
+        (failed,) = session.drain()
+        assert failed.reason == "failed"
+        assert session.credits.balance("default") == pytest.approx(1.0)
+        assert session.credits.ledger()["default"]["spent_targets"] == 4
+        shed = session.submit(targets[4:6])
+        assert shed is not None and shed.reason == "no_credit"
+        assert session.submit(targets[6:7]) is None
+        (served,) = session.drain()
+        assert served.predictions.shape == (1,)
+
+    def test_failed_is_reported_and_zero_on_the_happy_path(
+            self, tiny_ds, small_cfg):
+        session = ServingSession(
+            tiny_ds, small_cfg, SystemConfig(),
+            config=ServingConfig(latency_budget_s=0.2, device="cpu"),
+            allocator=NodeAllocator(depth_budget=8),
+            clock=VirtualClock())
+        targets = tiny_ds.train_ids
+        assert session.submit(targets[:3]) is None
+        (served,) = session.drain()
+        assert served.predictions.shape == (3,)
+        summary = session.close().to_dict()
+        assert (summary["accepted"], summary["completed"],
+                summary["failed"]) == (1, 1, 0)
 
 
 class TestTwoSessionStatsIsolation:

@@ -1,10 +1,12 @@
-"""Unit tests for the hw package (specs, kernels, memory, topology)."""
+"""Unit tests for the hw package (specs, cost models, memory, topology)."""
+
+import importlib.util
 
 import numpy as np
 import pytest
 
 from repro.errors import CapacityError, ConfigError, DeviceError
-from repro.hw.kernels import (
+from repro.hw.cost_models import (
     CPUKernelModel,
     FPGAKernelModel,
     GPUKernelModel,
@@ -80,6 +82,15 @@ class TestKernelModels:
                           GPUKernelModel)
         assert isinstance(kernel_model_for(XILINX_U250),
                           FPGAKernelModel)
+
+    def test_one_module_named_kernels(self):
+        # The cost models live in ``repro.hw.cost_models`` only; the
+        # package re-exports them, and ``repro.kernels`` is the sole
+        # module called ``kernels``.
+        import repro.hw as hw
+        assert importlib.util.find_spec("repro.hw.kernels") is None
+        assert hw.kernel_model_for is kernel_model_for
+        assert hw.CPUKernelModel.__module__ == "repro.hw.cost_models"
 
     def test_kind_mismatch(self):
         with pytest.raises(DeviceError):

@@ -1,11 +1,10 @@
-"""Unit + property tests for the kernel registry (:mod:`repro.kernels`).
+"""Unit + property tests for the kernels (:mod:`repro.kernels`).
 
 Three layers of guarantee:
 
-* **registry mechanics** — registration, tier resolution, the
-  ``REPRO_KERNELS`` selection ladder and its fallback warning, loud
-  errors on unknown ops/tiers;
-* **exactness** (hypothesis) — the fast tier matches the reference
+* **dispatch** — input validation, bounds errors, and the dispatchers
+  calling ``fast.<op>`` looked up at call time (no tier machinery);
+* **exactness** (hypothesis) — the fast kernels match the reference
   oracle *bit for bit* for gather / quantize / fused gather_quantize
   (including empty batches, duplicate and negative indices,
   non-contiguous feature stores, float32 and float64 storage), and to
@@ -14,6 +13,9 @@ Three layers of guarantee:
 * **accounting** — buffer-pool reuse (steady-state zero allocation)
   and the traffic counters the backends attach to their reports.
 """
+
+import importlib.util
+import threading
 
 import numpy as np
 import pytest
@@ -27,12 +29,10 @@ from repro.kernels import (
     COUNTERS,
     KernelCounters,
     fast,
-    kernel_tier,
     merge_counts,
     payload_bytes,
     reference,
-    register_kernel,
-    set_kernel_tier,
+    scoped_counters,
 )
 
 common_settings = settings(
@@ -97,74 +97,57 @@ def segment_cases(draw):
 
 
 # ---------------------------------------------------------------------------
-# Registry mechanics
+# Dispatch
 # ---------------------------------------------------------------------------
 
-class TestRegistry:
-    def test_shipped_tiers_registered(self):
-        for op in kernels.OPS:
-            tiers = kernels.available_tiers(op)
-            assert "reference" in tiers and "fast" in tiers
+#: Everything ``repro.kernels`` exports: the dispatchers and their
+#: accounting, the two implementation modules — and no tier registry,
+#: selection override, environment knob or fallback ladder.
+_PUBLIC = {"TRANSFER_BYTES", "payload_bytes", "gather_rows", "quantize",
+           "gather_quantize", "segment_sum", "fast", "reference",
+           "BufferPool", "COUNTERS", "KernelCounters", "record",
+           "scoped_counters", "merge_counts"}
 
-    def test_unknown_op_rejected(self):
-        with pytest.raises(ConfigError, match="unknown kernel op"):
-            kernels.available_tiers("scatter")
-        with pytest.raises(ConfigError, match="unknown kernel op"):
-            register_kernel("scatter", "fast", lambda: None)
 
-    def test_empty_tier_name_rejected(self):
-        with pytest.raises(ConfigError):
-            register_kernel("gather", "", lambda: None)
+class TestDispatch:
+    def test_one_implementation_per_op(self, monkeypatch):
+        assert set(kernels.__all__) == _PUBLIC
+        assert importlib.util.find_spec("repro.kernels.numba_tier") \
+            is None
+        # No tier is resolved: the dispatcher calls whatever
+        # ``fast.gather`` is when it runs.
+        sentinel = np.full((2, 3), 7.0)
+        monkeypatch.setattr(fast, "gather",
+                            lambda features, index, out, pool: sentinel)
+        assert kernels.gather_rows(np.zeros((4, 3)),
+                                   np.array([0, 1])) is sentinel
 
-    def test_register_decorator_and_custom_tier_dispatch(self):
-        @register_kernel("gather", "_test_tier")
-        def my_gather(features, index, out=None, pool=None):
-            return np.full((index.size, features.shape[1]), 7.0)
+    @pytest.mark.parametrize("op, dispatch", [
+        ("gather", lambda x: kernels.gather_rows(x, np.array([0, 1]))),
+        ("quantize", lambda x: kernels.quantize(x, "int8")),
+        ("gather_quantize",
+         lambda x: kernels.gather_quantize(x, np.array([0, 1]), "fp16")),
+        ("segment_sum",
+         lambda x: kernels.segment_sum(np.array([0, 1]), np.array([0, 0]),
+                                       x, 1)),
+    ])
+    def test_dispatcher_looks_fast_up_at_call_time(self, monkeypatch, op,
+                                                   dispatch):
+        # The substitution the backend-level bit-identity tests rely on:
+        # every dispatcher reaches ``fast.<op>`` through the module, so
+        # patching the attribute reroutes it — arguments unchanged.
+        x = np.arange(12.0).reshape(4, 3)
+        seen = []
 
-        try:
-            assert "_test_tier" in kernels.available_tiers("gather")
-            with kernel_tier("_test_tier"):
-                assert kernels.active_tier("gather") == "_test_tier"
-                got = kernels.gather_rows(np.zeros((3, 2)),
-                                          np.array([0, 1]))
-                assert (got == 7.0).all()
-                # The custom tier ships no quantize: non-ladder tiers
-                # never fall back silently.
-                with pytest.raises(ConfigError,
-                                   match="provides no 'quantize'"):
-                    kernels.quantize(np.zeros((2, 2)), "int8")
-        finally:
-            kernels.KERNELS["gather"].pop("_test_tier")
+        def spy(*args, **kwargs):
+            seen.append(args)
+            return getattr(reference, op)(*args, **kwargs)
 
-    def test_unknown_tier_is_loud(self):
-        with pytest.raises(ConfigError, match="unknown kernel tier"):
-            set_kernel_tier("turbo")
-        with pytest.raises(ConfigError, match="unknown kernel tier"):
-            with kernel_tier("turbo"):
-                pass
-
-    def test_env_var_selects_tier(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "reference")
-        assert kernels.requested_tier() == "reference"
-        assert kernels.active_tier("gather") == "reference"
-        monkeypatch.setenv("REPRO_KERNELS", "")
-        assert kernels.requested_tier() == kernels.DEFAULT_TIER
-
-    def test_programmatic_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "reference")
-        with kernel_tier("fast"):
-            assert kernels.active_tier("gather") == "fast"
-        assert kernels.active_tier("gather") == "reference"
-
-    def test_numba_request_falls_down_ladder(self):
-        if kernels.available_tiers("gather").count("numba"):
-            pytest.skip("numba is installed; no fallback to observe")
-        kernels._warned_fallbacks.clear()
-        with kernel_tier("numba"):
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                assert kernels.active_tier("gather") == "fast"
-            # One-time warning per (requested, got) pair.
-            assert kernels.active_tier("gather") == "fast"
+        monkeypatch.setattr(fast, op, spy)
+        got = dispatch(x)
+        assert len(seen) == 1
+        monkeypatch.undo()
+        np.testing.assert_array_equal(dispatch(x), got)
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError, match="2-D"):
@@ -177,14 +160,21 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="transfer precision"):
             payload_bytes("int4", 2, 2)
 
+    def test_segment_sum_rejects_non_matrix_messages(self):
+        before = COUNTERS.snapshot()
+        with pytest.raises(ConfigError, match="2-D message"):
+            kernels.segment_sum(np.array([0]), np.array([0]),
+                                np.zeros(3), 1)
+        # Rejected before dispatch: nothing is counted.
+        assert "segment_sum_calls" not in COUNTERS.delta(before)
+
     def test_out_of_bounds_index_raises_on_both_tiers(self):
         feats = np.zeros((4, 3))
-        for tier in ("reference", "fast"):
-            with kernel_tier(tier):
-                with pytest.raises(IndexError):
-                    kernels.gather_rows(feats, np.array([0, 4]))
-                with pytest.raises(IndexError):
-                    kernels.gather_rows(feats, np.array([-5]))
+        for gather in (reference.gather, fast.gather):
+            with pytest.raises(IndexError):
+                gather(feats, np.array([0, 4]))
+            with pytest.raises(IndexError):
+                gather(feats, np.array([-5]))
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +257,8 @@ class TestFusedExactness:
     @given(gather_cases(), st.sampled_from(MODES))
     def test_dispatch_equals_direct_composition(self, case, mode):
         feats, idx = case
-        with kernel_tier("fast"):
-            fused = kernels.gather_quantize(feats, idx, mode)
-            composed = kernels.quantize(
-                kernels.gather_rows(feats, idx), mode)
+        fused = kernels.gather_quantize(feats, idx, mode)
+        composed = kernels.quantize(kernels.gather_rows(feats, idx), mode)
         np.testing.assert_array_equal(fused, composed)
 
 
@@ -354,6 +342,36 @@ class TestCounters:
         assert d["fused_calls"] == 1
         assert d["payload_bytes"] == 20 * 10 * 1 + 20 * 4
 
+    def test_quantize_counts_input_and_payload(self):
+        x = np.ones((6, 5), dtype=np.float32)
+        before = COUNTERS.snapshot()
+        kernels.quantize(x, "fp16")
+        d = COUNTERS.delta(before)
+        assert d["quantize_calls"] == 1
+        assert d["quantize_in_bytes"] == 6 * 5 * 4
+        assert d["payload_bytes"] == 6 * 5 * 2
+
+    def test_segment_sum_counts_edges(self):
+        before = COUNTERS.snapshot()
+        kernels.segment_sum(np.array([0, 1, 2]), np.array([0, 0, 1]),
+                            np.ones((3, 4)), 2)
+        d = COUNTERS.delta(before)
+        assert d["segment_sum_calls"] == 1
+        assert d["segment_sum_edges"] == 3
+
+    def test_scoped_counters_see_only_this_threads_dispatches(self):
+        mine = KernelCounters()
+        feats = np.ones((8, 2))
+        other = threading.Thread(
+            target=kernels.gather_rows, args=(feats, np.arange(5)))
+        with scoped_counters(mine):
+            kernels.gather_rows(feats, np.arange(3))
+            other.start()
+            other.join()
+        kernels.gather_rows(feats, np.arange(4))      # after the scope
+        assert mine.snapshot()["gather_calls"] == 1
+        assert mine.snapshot()["gather_rows"] == 3
+
     def test_payload_bytes_table(self):
         assert payload_bytes("fp32", 3, 5) == 60
         assert payload_bytes("fp16", 3, 5) == 30
@@ -390,24 +408,21 @@ class TestCounters:
 
 
 # ---------------------------------------------------------------------------
-# Tier invariance of the dispatch surface
+# The dispatch surface against the reference oracle
 # ---------------------------------------------------------------------------
 
-class TestTierInvariance:
-    """The chokepoints must produce bit-identical results whichever
-    registered ladder tier serves them — this is what lets ``fast`` be
-    the default without perturbing any backend trajectory."""
+class TestDispatchMatchesReference:
+    """The chokepoints must produce bit-identical results to the
+    reference composition — this is what lets the fast kernels serve
+    every backend without perturbing any trajectory."""
 
     @common_settings
     @given(gather_cases(), st.sampled_from(MODES))
     def test_gather_quantize_across_tiers(self, case, mode):
         feats, idx = case
-        results = []
-        for tier in ("reference", "fast"):
-            with kernel_tier(tier):
-                results.append(
-                    kernels.gather_quantize(feats, idx, mode))
-        np.testing.assert_array_equal(results[0], results[1])
+        np.testing.assert_array_equal(
+            reference.gather_quantize(feats, idx, mode),
+            kernels.gather_quantize(feats, idx, mode))
 
     def test_quantize_dequantize_preserves_dtype(self):
         from repro.runtime.quantize import quantize_dequantize
@@ -415,20 +430,16 @@ class TestTierInvariance:
             x = np.random.default_rng(3).standard_normal(
                 (8, 5)).astype(dtype)
             for mode in MODES:
-                for tier in ("reference", "fast"):
-                    with kernel_tier(tier):
-                        assert quantize_dequantize(
-                            x, mode).dtype == dtype
+                assert reference.quantize(x, mode).dtype == dtype
+                assert quantize_dequantize(x, mode).dtype == dtype
 
-    def test_segment_sum_aggregate_routes_through_registry(self):
+    def test_segment_sum_aggregate_matches_reference(self):
         from repro.nn.aggregators import segment_sum_aggregate
         from repro.sampling.base import LayerBlock
         block = LayerBlock(np.array([0, 1, 2, 1]),
                            np.array([0, 0, 1, 1]), 3, 2)
         h = np.random.default_rng(4).standard_normal((3, 5))
-        outs = []
-        for tier in ("reference", "fast"):
-            with kernel_tier(tier):
-                outs.append(segment_sum_aggregate(block, h))
-        np.testing.assert_allclose(outs[0], outs[1], rtol=1e-12,
-                                   atol=1e-12)
+        want = reference.segment_sum(block.src_local, block.dst_local,
+                                     h, block.num_dst)
+        np.testing.assert_allclose(want, segment_sum_aggregate(block, h),
+                                   rtol=1e-12, atol=1e-12)

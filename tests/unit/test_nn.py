@@ -372,7 +372,7 @@ class TestBackwardStopsAtParameters:
         training step: the count of aggregation terms in the backward
         sum of the performance model, paper Eq. 10
         (``t_upd^1 + Σ_{l>=2} t_agg^l ⊕ t_upd^l`` —
-        ``repro.hw.kernels`` omits the layer-1 aggregation backward
+        ``repro.hw.cost_models`` omits the layer-1 aggregation backward
         for the same reason), so the timing plane and the functional
         plane are pinned to each other."""
         mb, x0, labels, m = _batch_and_model("sage", tiny_ds,

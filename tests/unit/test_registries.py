@@ -1,8 +1,8 @@
 """Registry error paths: every lookup failure names the alternatives.
 
-The three registries (execution backends, sampler builders, kernel
-ops/tiers) are the library's extension seams. Since the unification
-they are all instances of one :class:`repro.registry.Registry`, so a
+The registries (execution backends, sampler builders) are the
+library's extension seams. Since the unification they are all
+instances of one :class:`repro.registry.Registry`, so a
 misspelled key fails eagerly with one uniform message shape — the
 unknown name plus what *is* registered, so the fix is in the
 traceback. These tests pin both the per-registry behavior and the
@@ -15,7 +15,6 @@ import pytest
 
 from repro.errors import ConfigError
 import repro.sampling as sampling
-from repro.kernels import KERNELS, available_tiers, register_kernel
 from repro.registry import Registry
 from repro.runtime import (
     BACKENDS,
@@ -91,35 +90,13 @@ class TestSamplerRegistryErrors:
         assert {"full", "neighbor", "saint-rw"} <= set(names)
 
 
-class TestKernelRegistryErrors:
-    def test_register_kernel_unknown_op_lists_ops(self):
-        with pytest.raises(ConfigError) as exc:
-            register_kernel("warp_gather", "fast", lambda: None)
-        msg = str(exc.value)
-        assert "unknown kernel op" in msg
-        assert "warp_gather" in msg
-        for op in ("gather", "segment_sum"):
-            assert op in msg
-
-    def test_available_tiers_unknown_op_lists_ops(self):
-        with pytest.raises(ConfigError) as exc:
-            available_tiers("warp_gather")
-        assert "unknown kernel op" in str(exc.value)
-
-    def test_available_tiers_known_op(self):
-        tiers = available_tiers("gather")
-        assert tiers == tuple(sorted(tiers))
-        assert {"fast", "reference"} <= set(tiers)
-
-
 class TestUnifiedRegistrySurface:
-    """The three seams really are the one Registry class, with one
-    error shape."""
+    """The seams really are the one Registry class, with one error
+    shape."""
 
     REGISTRIES = {
         "execution backend": lambda: BACKENDS,
         "sampler": lambda: SAMPLER_REGISTRY,
-        "kernel op": lambda: KERNELS,
     }
 
     @pytest.mark.parametrize("kind", sorted(REGISTRIES))

@@ -180,7 +180,7 @@ class TestTrainerNode:
         assert np.abs(grads).sum() > 0
 
     def test_kernel_model_timing_attached(self, tiny_ds, tiny_sampler):
-        from repro.hw.kernels import CPUKernelModel
+        from repro.hw.cost_models import CPUKernelModel
         from repro.hw.specs import AMD_EPYC_7763
         dims = layer_dims(tiny_ds.spec.feature_dim, 8,
                           tiny_ds.spec.num_classes, 2)
