@@ -84,7 +84,7 @@ def full_chain_step(model, batch, x0, global_degrees, labels):
     (``tests/unit/test_nn.py``) and pricing what it saves (the gated
     ``train_backward_sage`` row). Returns ``(loss, dh0)``.
     """
-    h, caches = np.asarray(x0, dtype=np.float64), []
+    h, caches = np.asarray(x0, dtype=model.layers[0].linear.W.dtype), []
     for l, (layer, block) in enumerate(zip(model.layers, batch.blocks)):
         agg = layer.build_aggregator(block, batch.node_ids[l],
                                      batch.node_ids[l + 1],
@@ -101,7 +101,7 @@ def full_chain_step(model, batch, x0, global_degrees, labels):
 def test_bench_forward_backward(benchmark, ds, batch, model_name):
     dims = layer_dims(ds.spec.feature_dim, 128, ds.spec.num_classes, 2)
     model = build_model(model_name, dims, seed=0)
-    x0 = ds.features[batch.input_nodes].astype(np.float64)
+    x0 = ds.features[batch.input_nodes]
     labels = ds.labels[batch.targets]
     deg = ds.graph.out_degrees
 
@@ -136,14 +136,14 @@ def _kernel_cases(ds, batch):
     feats, idx, blk = ds.features, batch.input_nodes, batch.blocks[0]
     h_src = np.random.default_rng(2).standard_normal((blk.num_src, 100))
     pool = BufferPool()
-    x64 = reference.gather(feats, idx)
+    x0 = reference.gather(feats, idx)
     src, dst, num_dst = blk.src_local, blk.dst_local, blk.num_dst
     model = build_model("sage", layer_dims(
         ds.spec.feature_dim, 128, ds.spec.num_classes, 2), seed=0)
     labels, deg = ds.labels[batch.targets], ds.graph.out_degrees
 
     def model_step():
-        logits = model.forward(batch, x64, deg)
+        logits = model.forward(batch, x0, deg)
         model.backward(softmax_cross_entropy(logits, labels)[1])
 
     return {
@@ -159,13 +159,13 @@ def _kernel_cases(ds, batch):
             lambda: fast.gather_quantize(feats, idx, "fp16",
                                          pool=pool)),
         "quantize_int8": (
-            lambda: reference.quantize(x64, "int8"),
-            lambda: fast.quantize(x64, "int8", pool=pool)),
+            lambda: reference.quantize(x0, "int8"),
+            lambda: fast.quantize(x0, "int8", pool=pool)),
         "segment_sum": (
             lambda: reference.segment_sum(src, dst, h_src, num_dst),
             lambda: fast.segment_sum(src, dst, h_src, num_dst)),
         "train_backward_sage": (
-            lambda: full_chain_step(model, batch, x64, deg, labels),
+            lambda: full_chain_step(model, batch, x0, deg, labels),
             model_step),
     }
 

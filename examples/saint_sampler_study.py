@@ -39,7 +39,7 @@ def train_with(sampler, dataset, dims, iterations=25, lr=5e-3,
         except StopIteration:
             batches = iter(sampler.epoch_batches(512, seed=seed + 2))
             mb = next(batches)
-        x0 = dataset.features[mb.input_nodes].astype(np.float64)
+        x0 = dataset.features[mb.input_nodes]
         labels = dataset.labels[mb.targets]
         model.zero_grad()
         logits = model.forward(mb, x0, degrees)

@@ -70,11 +70,12 @@ def payload_bytes(mode: str, rows: int, cols: int) -> int:
 def gather_rows(features: np.ndarray, index: np.ndarray, *,
                 out: np.ndarray | None = None,
                 pool: BufferPool | None = None) -> np.ndarray:
-    """Gather feature rows as float64 — the load-stage kernel.
+    """Gather feature rows in the store's dtype — the load-stage kernel.
 
-    ``out`` (a float64 ``(len(index), features.shape[1])`` buffer) or
-    ``pool`` make the call allocation-free; see ``docs/kernels.md``
-    for the aliasing rules pooling imposes on the caller.
+    ``out`` (a ``(len(index), features.shape[1])`` buffer of the
+    store's dtype) or ``pool`` make the call allocation-free; see
+    ``docs/kernels.md`` for the aliasing rules pooling imposes on the
+    caller.
     """
     features = _check_matrix(features, "feature")
     index = np.asarray(index)
@@ -105,8 +106,9 @@ def gather_quantize(features: np.ndarray, index: np.ndarray,
                     mode: str, *,
                     out: np.ndarray | None = None,
                     pool: BufferPool | None = None) -> np.ndarray:
-    """Fused gather + quantized-transfer round trip (float64 result) —
-    the load+transfer chokepoint accelerator-bound batches take."""
+    """Fused gather + quantized-transfer round trip (store-dtype
+    result) — the load+transfer chokepoint accelerator-bound batches
+    take."""
     _check_mode(mode)
     features = _check_matrix(features, "feature")
     index = np.asarray(index)
@@ -125,7 +127,7 @@ def gather_quantize(features: np.ndarray, index: np.ndarray,
 def segment_sum(src: np.ndarray, dst: np.ndarray, h_src: np.ndarray,
                 num_dst: int,
                 edge_weights: np.ndarray | None = None) -> np.ndarray:
-    """Segment-sum aggregation over an edge list (float64 result).
+    """Segment-sum aggregation over an edge list (message-dtype result).
 
     The FPGA-kernel-equivalent path of paper Eq. 1; the production
     model layers aggregate through scipy spmm instead, so this kernel
@@ -135,7 +137,7 @@ def segment_sum(src: np.ndarray, dst: np.ndarray, h_src: np.ndarray,
     dst = np.asarray(dst)
     h_src = _check_matrix(h_src, "message")
     if edge_weights is not None:
-        edge_weights = np.asarray(edge_weights, dtype=np.float64)
+        edge_weights = np.asarray(edge_weights, dtype=h_src.dtype)
     result = fast.segment_sum(src, dst, h_src, int(num_dst),
                               edge_weights=edge_weights)
     record(segment_sum_calls=1, segment_sum_edges=src.size)

@@ -9,21 +9,24 @@ call. Three levers, all pure NumPy so every platform gets them:
   nothing (the pool grows to the largest batch seen, then only hands
   out views).
 * **Fusion** — :func:`gather_quantize` produces the dequantized
-  trainer input in a single pass over the gathered rows: the float32
-  rows are staged once, the per-row scales come from two ``(rows,)``
-  reductions (no full-size ``abs`` temporary), and the divide / round /
-  clip / rescale chain runs in place on the float64 output. The
-  reference composition materializes ~7 full-size temporaries for the
-  same result.
+  trainer input in the destination it gathers into: the rows land once
+  in the feature store's dtype, the per-row scales come from two
+  ``(rows,)`` reductions (no full-size ``abs`` temporary), and the
+  divide / round / clip / rescale chain runs in place. The reference
+  composition materializes ~7 full-size temporaries for the same
+  result.
 * **Reduction restructuring** — :func:`segment_sum` replaces the
   edge-serial ``np.add.at`` scatter (notoriously slow: one bounds-
   checked inner-loop dispatch per edge) with destination-sorted
   ``np.add.reduceat`` runs.
 
+Every kernel returns its input's dtype — the feature store's for the
+gathers, the messages' for ``segment_sum``; nothing widens.
+
 Exactness contract (held by the property suite): ``gather`` and
 ``gather_quantize``/``quantize`` match the :mod:`~repro.kernels.reference`
-oracle **bit for bit** on finite inputs — the float64 widen is exact,
-the per-row absmax equals ``max(max(x), -min(x))`` exactly, and
+oracle **bit for bit** on finite inputs — the gather is a copy, the
+per-row absmax equals ``max(max(x), -min(x))`` exactly, and
 round-then-clip runs in the same order on the same dtypes as the
 oracle. Only ``segment_sum`` is tolerance-equivalent (sum order
 differs); it is off the training path (models aggregate through
@@ -70,69 +73,24 @@ def _checked_take(features: np.ndarray, index: np.ndarray,
     np.take(features, index, axis=0, out=out, mode="wrap")
 
 
-def _take_rows(features: np.ndarray, index: np.ndarray,
-               pool: BufferPool | None) -> np.ndarray:
-    """Stage the selected rows in the feature store's own dtype (one
-    ``np.take`` into pooled or fresh memory — ``np.take`` requires a
-    dtype-matched destination)."""
-    rows, cols = index.shape[0], features.shape[1]
-    if pool is not None:
-        stage = pool.take(rows, cols, features.dtype)
-    else:
-        stage = np.empty((rows, cols), dtype=features.dtype)
-    _checked_take(features, index, stage)
-    return stage
-
-
 def gather(features: np.ndarray, index: np.ndarray,
            out: np.ndarray | None = None,
            pool: BufferPool | None = None) -> np.ndarray:
-    """Row gather + float64 widen, allocation-free when pooled.
-
-    float64 stores gather straight into the destination; narrower
-    stores stage in their own dtype (a second pooled buffer class) and
-    widen with one ``copyto`` — same two passes as the reference, but
-    into reused memory.
-    """
-    rows, cols = index.shape[0], features.shape[1]
-    dest = _dest(rows, cols, np.float64, out, pool)
-    if features.dtype == np.float64:
-        _checked_take(features, index, dest)
-    else:
-        stage = _take_rows(features, index, pool)
-        np.copyto(dest, stage)
+    """Row gather in the store's dtype, allocation-free when pooled:
+    one bounds-checked ``np.take`` straight into the destination."""
+    dest = _dest(index.shape[0], features.shape[1], features.dtype, out,
+                 pool)
+    _checked_take(features, index, dest)
     return dest
-
-
-def _row_scales(x: np.ndarray) -> np.ndarray:
-    """Per-row symmetric int8 scales as float64 ``(rows, 1)``.
-
-    ``max(|x|)`` computed as ``max(max(x), -min(x))`` — two ``(rows,)``
-    reductions instead of a full-size ``abs`` temporary; bit-equal
-    because negation of a float is exact. The divide by 127 happens in
-    float64 so the scales match the reference path's widened
-    computation bit for bit whatever the store dtype.
-    """
-    absmax = np.maximum(x.max(axis=1), -x.min(axis=1))
-    absmax = absmax.astype(np.float64, copy=False)[:, None]
-    return np.where(absmax > 0, absmax / 127.0, 1.0)
-
-
-def _dequantize_inplace(dest: np.ndarray, scale: np.ndarray) -> None:
-    """Round / clip / rescale ``dest`` (already ``x / scale``) in
-    place. Round *then* clip, like the reference — the order matters at
-    the ±127.5 boundary."""
-    np.rint(dest, out=dest)
-    np.clip(dest, -127, 127, out=dest)
-    dest *= scale
 
 
 def quantize(x: np.ndarray, mode: str,
              out: np.ndarray | None = None,
              pool: BufferPool | None = None) -> np.ndarray:
-    """Transfer-precision round trip without the reference's int8 and
-    float64 temporaries: one destination buffer, ufunc ``out=`` all the
-    way through. Preserves the input float dtype."""
+    """Transfer-precision round trip without the reference's int8
+    temporaries: one destination buffer (``out`` may be ``x`` itself),
+    ufunc ``out=`` all the way through. Preserves the input float
+    dtype; the int8 scales are computed in it, like the reference."""
     if mode == "fp32":
         if out is None:
             return x
@@ -143,45 +101,29 @@ def quantize(x: np.ndarray, mode: str,
     if mode == "fp16":
         np.copyto(dest, x.astype(np.float16))
         return dest
-    # int8: scales in x's dtype to match the reference computation.
+    # max(|x|) as max(max(x), -min(x)): two (rows,) reductions instead
+    # of a full-size abs temporary; bit-equal since negation is exact.
+    # Reduced before the divide, so an in-place dest is safe.
     absmax = np.maximum(x.max(axis=1), -x.min(axis=1))[:, None]
     scale = np.where(absmax > 0, absmax / 127.0, 1.0)
     np.divide(x, scale, out=dest)
-    _dequantize_inplace(dest, scale)
+    # Round *then* clip, like the reference — the order matters at the
+    # ±127.5 boundary.
+    np.rint(dest, out=dest)
+    np.clip(dest, -127, 127, out=dest)
+    dest *= scale
     return dest
 
 
 def gather_quantize(features: np.ndarray, index: np.ndarray, mode: str,
                     out: np.ndarray | None = None,
                     pool: BufferPool | None = None) -> np.ndarray:
-    """Fused gather + dequantized transfer: int8/fp16 payload semantics
-    applied directly from the feature store, no float64 intermediate
-    between the stages.
-
-    The rows are staged once in store dtype; the scales come from the
-    staged rows (exact — see :func:`_row_scales`); the divide widens
-    straight into the float64 destination, and round / clip / rescale
-    run in place. Bit-identical to the reference gather → quantize
-    composition on finite inputs.
-    """
-    if mode == "fp32":
-        return gather(features, index, out=out, pool=pool)
-    rows, cols = index.shape[0], features.shape[1]
-    dest = _dest(rows, cols, np.float64, out, pool)
-    if features.dtype == np.float64:
-        # Gather straight into the destination and quantize in place
-        # (the scales are reduced out before the divide overwrites).
-        _checked_take(features, index, dest)
-        stage = dest
-    else:
-        stage = _take_rows(features, index, pool)
-    if mode == "fp16":
-        np.copyto(dest, stage.astype(np.float16))
-        return dest
-    scale = _row_scales(stage)
-    np.divide(stage, scale, out=dest)
-    _dequantize_inplace(dest, scale)
-    return dest
+    """Fused gather + dequantized transfer: gather into the
+    destination, then quantize it in place — no intermediate between
+    the stages. Bit-identical to the reference gather → quantize
+    composition on finite inputs."""
+    dest = gather(features, index, out=out, pool=pool)
+    return dest if mode == "fp32" else quantize(dest, mode, out=dest)
 
 
 def segment_sum(src: np.ndarray, dst: np.ndarray, h_src: np.ndarray,
@@ -200,12 +142,10 @@ def segment_sum(src: np.ndarray, dst: np.ndarray, h_src: np.ndarray,
     order = np.argsort(dst, kind="stable")
     dst_o = dst[order]
     messages = h_src[src[order]]
-    if messages.dtype != np.float64:
-        messages = messages.astype(np.float64)
     if edge_weights is not None:
         # ``messages`` is a fresh fancy-index copy: in-place is safe.
         messages *= edge_weights[order][:, None]
-    out = np.zeros((num_dst, h_src.shape[1]), dtype=np.float64)
+    out = np.zeros((num_dst, h_src.shape[1]), dtype=messages.dtype)
     if dst_o.size:
         starts = np.concatenate(
             [[0], np.flatnonzero(np.diff(dst_o)) + 1])

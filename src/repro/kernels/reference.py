@@ -25,17 +25,9 @@ import numpy as np
 
 def gather(features: np.ndarray, index: np.ndarray,
            out: np.ndarray | None = None, pool=None) -> np.ndarray:
-    """Row gather + float64 widen via one fancy-index copy.
-
-    Fancy indexing already yields a fresh C-contiguous array, so the
-    ``ascontiguousarray`` on the float64 branch is a no-op check, not a
-    copy; narrower stores pay one extra ``astype`` pass.
-    """
+    """Row gather in the store's dtype via one fancy-index copy (a
+    fresh C-contiguous array)."""
     x0 = features[index]
-    if x0.dtype != np.float64:
-        x0 = x0.astype(np.float64)
-    else:
-        x0 = np.ascontiguousarray(x0)
     if out is not None:
         np.copyto(out, x0)
         return out
@@ -68,9 +60,9 @@ def quantize(x: np.ndarray, mode: str,
 def gather_quantize(features: np.ndarray, index: np.ndarray, mode: str,
                     out: np.ndarray | None = None,
                     pool=None) -> np.ndarray:
-    """Unfused composition: gather (with its float64 widen), then the
-    quantization round trip — the baseline the fused fast kernel must
-    beat (and match bit-for-bit)."""
+    """Unfused composition: gather, then the quantization round trip —
+    the baseline the fused fast kernel must beat (and match
+    bit-for-bit)."""
     return quantize(gather(features, index), mode, out=out)
 
 
@@ -90,6 +82,6 @@ def segment_sum(src: np.ndarray, dst: np.ndarray, h_src: np.ndarray,
     messages = h_src[src_o]
     if edge_weights is not None:
         messages = messages * edge_weights[order][:, None]
-    out = np.zeros((num_dst, h_src.shape[1]), dtype=np.float64)
+    out = np.zeros((num_dst, h_src.shape[1]), dtype=messages.dtype)
     np.add.at(out, dst_o, messages)
     return out

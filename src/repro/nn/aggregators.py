@@ -40,13 +40,16 @@ class SparseAggregator:
     first :meth:`backward` call and cached, so forward-only callers
     (serving, evaluation) and the model's input-side layer never pay
     for it.
+
+    The CSR takes the edge weights' dtype: the owning layer passes them
+    in its parameter dtype, so spmm does not promote its features.
     """
 
     def __init__(self, block: LayerBlock,
                  edge_weights: np.ndarray | None = None) -> None:
         if edge_weights is None:
-            edge_weights = np.ones(block.num_edges, dtype=np.float64)
-        edge_weights = np.asarray(edge_weights, dtype=np.float64)
+            edge_weights = np.ones(block.num_edges)
+        edge_weights = np.asarray(edge_weights)
         if edge_weights.shape != (block.num_edges,):
             raise ShapeError("edge_weights must have one entry per edge")
         self.block = block
@@ -95,7 +98,7 @@ def segment_sum_aggregate(block: LayerBlock, h_src: np.ndarray,
     if h_src.shape[0] != block.num_src:
         raise ShapeError("source feature row count mismatch")
     if edge_weights is not None:
-        edge_weights = np.asarray(edge_weights, dtype=np.float64)
+        edge_weights = np.asarray(edge_weights)
         if edge_weights.shape != (block.num_edges,):
             raise ShapeError("edge_weights must have one entry per edge")
     return kernels.segment_sum(block.src_local, block.dst_local, h_src,
@@ -111,8 +114,7 @@ def mean_edge_weights(block: LayerBlock) -> np.ndarray:
     mean (no edges exist, so no weights are needed).
     """
     indeg = np.bincount(block.dst_local, minlength=block.num_dst)
-    safe = np.maximum(indeg, 1).astype(np.float64)
-    return 1.0 / safe[block.dst_local]
+    return 1.0 / np.maximum(indeg, 1)[block.dst_local]
 
 
 def gcn_edge_weights(block: LayerBlock, src_global_degree: np.ndarray,
@@ -128,8 +130,8 @@ def gcn_edge_weights(block: LayerBlock, src_global_degree: np.ndarray,
         Degree of each edge's source / destination vertex in the full
         graph, aligned with the block's edge arrays.
     """
-    src_d = np.asarray(src_global_degree, dtype=np.float64) + 1.0
-    dst_d = np.asarray(dst_global_degree, dtype=np.float64) + 1.0
+    src_d = np.asarray(src_global_degree) + 1.0
+    dst_d = np.asarray(dst_global_degree) + 1.0
     if src_d.shape != (block.num_edges,) or dst_d.shape != \
             (block.num_edges,):
         raise ShapeError("degree arrays must have one entry per edge")

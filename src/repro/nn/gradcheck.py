@@ -8,6 +8,7 @@ checked end to end.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable
 
 import numpy as np
@@ -38,6 +39,19 @@ def numeric_gradient(f: Callable[[], float], array: np.ndarray,
     return grad
 
 
+def float64_copy(model: GNNModel) -> GNNModel:
+    """A deep copy of ``model`` with parameters and gradients up-cast to
+    float64. Layers compute in their parameters' dtype, so the copy runs
+    in double precision — for checks whose subject is the math, not the
+    rounding. The original is untouched."""
+    model = copy.deepcopy(model)
+    for layer in model.layers:
+        for name in ("W", "b", "dW", "db"):
+            setattr(layer.linear, name,
+                    getattr(layer.linear, name).astype(np.float64))
+    return model
+
+
 def check_model_gradients(model: GNNModel, minibatch: MiniBatch,
                           x0: np.ndarray, labels: np.ndarray,
                           global_degrees: np.ndarray | None = None,
@@ -48,7 +62,13 @@ def check_model_gradients(model: GNNModel, minibatch: MiniBatch,
     Checks up to ``max_entries`` randomly chosen scalar entries of every
     parameter tensor (full checks are O(P) loss evaluations). Returns the
     worst relative error found; raises AssertionError past tolerance.
+
+    The differences run on :func:`float64_copy` of ``model`` fed a
+    float64 ``x0`` (a float32 loss cannot resolve ``eps``); the caller's
+    model is left untouched.
     """
+    model = float64_copy(model)
+    x0 = np.asarray(x0, dtype=np.float64)
 
     def loss_fn() -> float:
         logits = model.predict(minibatch, x0, global_degrees)

@@ -79,13 +79,13 @@ class GCNLayer:
         """
         blk = add_self_edges(block)
         if global_degrees is None:
-            weights = np.ones(blk.num_edges, dtype=np.float64)
+            weights = np.ones(blk.num_edges)
         else:
             global_degrees = np.asarray(global_degrees)
             src_deg = global_degrees[src_global_ids[blk.src_local]]
             dst_deg = global_degrees[dst_global_ids[blk.dst_local]]
             weights = gcn_edge_weights(blk, src_deg, dst_deg)
-        return SparseAggregator(blk, weights)
+        return SparseAggregator(blk, weights.astype(self.linear.W.dtype))
 
     # -- forward / backward ---------------------------------------------
     def forward(self, aggregator: SparseAggregator,
@@ -142,7 +142,8 @@ class SAGELayer:
                          global_degrees: np.ndarray | None
                          ) -> SparseAggregator:
         """Neighbor-mean aggregator (global degrees are not needed)."""
-        return SparseAggregator(block, mean_edge_weights(block))
+        return SparseAggregator(
+            block, mean_edge_weights(block).astype(self.linear.W.dtype))
 
     def forward(self, aggregator: SparseAggregator,
                 h_src: np.ndarray) -> tuple[np.ndarray, LayerCache]:

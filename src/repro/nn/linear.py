@@ -20,8 +20,8 @@ class Linear:
     Attributes
     ----------
     W, b:
-        Parameters (float64; training numerics stay in double precision so
-        equivalence tests are not dominated by rounding).
+        Parameters, float32 from :mod:`~repro.nn.init`. Forward and
+        backward compute in their dtype.
     dW, db:
         Gradients, populated by :meth:`backward`, zeroed by
         :meth:`zero_grad`.

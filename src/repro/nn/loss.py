@@ -18,7 +18,9 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray
     """Return ``(loss, dlogits)`` for integer class labels.
 
     Numerically stable (max-subtracted) softmax; gradient is
-    ``(softmax - onehot) / batch`` for the mean-reduced loss.
+    ``(softmax - onehot) / batch`` for the mean-reduced loss. The NLL is
+    taken in log-sum-exp form, ``log Σ exp(shifted) - shifted[label]``,
+    so a vanishing probability needs no clamp in any dtype.
     """
     if logits.ndim != 2:
         raise ShapeError("logits must be (batch, classes)")
@@ -32,9 +34,10 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray
 
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    total = exp.sum(axis=1, keepdims=True)
+    probs = exp / total
     batch = logits.shape[0]
-    nll = -np.log(np.maximum(probs[np.arange(batch), labels], 1e-300))
+    nll = np.log(total[:, 0]) - shifted[np.arange(batch), labels]
     loss = float(nll.mean())
 
     dlogits = probs.copy()

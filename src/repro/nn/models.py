@@ -87,7 +87,7 @@ class GNNModel:
                 f"{len(minibatch.blocks)} blocks")
         if x0.shape[0] != minibatch.input_nodes.size:
             raise ShapeError("x0 rows must match |V^0|")
-        h = np.asarray(x0, dtype=np.float64)
+        h = np.asarray(x0, dtype=self.layers[0].linear.W.dtype)
         caches: list[LayerCache] = []
         for l, (layer, block) in enumerate(zip(self.layers,
                                                minibatch.blocks)):
@@ -115,7 +115,7 @@ class GNNModel:
         """
         if self._caches is None:
             raise ShapeError("backward called before forward")
-        grad = np.asarray(grad_logits, dtype=np.float64)
+        grad = np.asarray(grad_logits, dtype=self.layers[-1].linear.W.dtype)
         for l in reversed(range(len(self.layers))):
             grad = self.layers[l].backward(self._caches[l], grad,
                                            input_grad=l > 0)
@@ -152,7 +152,7 @@ class GNNModel:
 
     # -- flat views for all-reduce --------------------------------------
     def get_flat_params(self) -> np.ndarray:
-        """Copy all parameters into one contiguous float64 vector."""
+        """Copy all parameters into one contiguous vector (their dtype)."""
         return np.concatenate([p.ravel() for _, p in self.parameters()])
 
     def set_flat_params(self, flat: np.ndarray) -> None:
@@ -160,7 +160,7 @@ class GNNModel:
 
         Writes in place so optimizer state keeps referencing the arrays.
         """
-        flat = np.asarray(flat, dtype=np.float64)
+        flat = np.asarray(flat)
         if flat.size != self.num_params:
             raise ShapeError("flat vector size mismatch")
         offset = 0
@@ -169,12 +169,12 @@ class GNNModel:
             offset += p.size
 
     def get_flat_grads(self) -> np.ndarray:
-        """Copy all gradients into one contiguous float64 vector."""
+        """Copy all gradients into one contiguous vector (their dtype)."""
         return np.concatenate([g.ravel() for _, g in self.gradients()])
 
     def set_flat_grads(self, flat: np.ndarray) -> None:
         """Load gradients from a flat vector (used after all-reduce)."""
-        flat = np.asarray(flat, dtype=np.float64)
+        flat = np.asarray(flat)
         if flat.size != self.num_params:
             raise ShapeError("flat vector size mismatch")
         offset = 0

@@ -672,9 +672,11 @@ class ProcessBackend(ExecutionBackend):
         manifest tells workers whether to sample (sampler spec) and how
         deep an overlapped body's buffers must be (prefetch spec: the
         widest window a run can ever deal); the gradient slab is one
-        row per worker plus the average row."""
+        row per worker plus the average row, in the model's parameter
+        dtype."""
         from ..shm import SharedFeatureStore, SharedPrefetchSpec
         s = self.session
+        flat = s.trainers[0].model.get_flat_params()
         return SharedFeatureStore.create(
             s.dataset,
             sampler_spec=s.shared_sampler_spec()
@@ -683,8 +685,8 @@ class ProcessBackend(ExecutionBackend):
                 capacity=1 if self.lookahead is None
                 else self.lookahead.max_depth,
                 timeout_s=self.timeout_s),
-            grad_slab=(s.num_trainers + 1,
-                       s.trainers[0].model.num_params),
+            grad_slab=np.zeros_like(
+                flat, shape=(s.num_trainers + 1, flat.size)),
             **self.store_extras)
 
     # ------------------------------------------------------------------

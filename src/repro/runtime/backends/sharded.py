@@ -270,7 +270,6 @@ class ShardedReplica(WorkerReplica):
             "remote_bytes": remote_rows * self._row_bytes,
         }
         self._io.append(io)
-        x0 = src.astype(np.float64)
         # Shard-io keys plus the standard gather keys — this resolver
         # replaces the registry's gather dispatch, so it must keep the
         # same books.
@@ -282,8 +281,8 @@ class ShardedReplica(WorkerReplica):
             remote_cache_hits=cache_hits,
             remote_cache_misses=remote_rows,
             gather_calls=1, gather_rows=ids.size,
-            gather_src_bytes=src.nbytes, gather_out_bytes=x0.nbytes)
-        return x0
+            gather_src_bytes=src.nbytes, gather_out_bytes=src.nbytes)
+        return src
 
     def load(self, mb, trainer_kind: str, *, pool=None) -> np.ndarray:
         """The inline body's chokepoint: the resolver, then the

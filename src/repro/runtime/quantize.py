@@ -14,12 +14,13 @@ memory, matching the mechanism). ``tests/integration`` and
 the trade.
 
 The numeric work dispatches through :func:`repro.kernels.quantize`,
-which runs the int8 round trip with a single destination buffer and
-in-place round/clip/rescale (no int8 or widened temporaries), and the
-accelerator gather+transfer chokepoint
-(:func:`repro.runtime.core.gather_batch_features`) fuses the two stages
-into one kernel. Both are bit-identical to the reference oracle
-(``docs/kernels.md`` documents the contract).
+which runs the int8 round trip in the input's own dtype with a single
+destination buffer and in-place round/clip/rescale (no int8
+temporaries), and the accelerator gather+transfer chokepoint
+(:func:`repro.runtime.core.gather_batch_features`) fuses the two stages:
+it gathers into the destination in the feature store's dtype and
+quantizes there in place. Both are bit-identical to the reference
+oracle (``docs/kernels.md`` documents the contract).
 """
 
 from __future__ import annotations

@@ -106,33 +106,25 @@ class RemoteFeatureCache:
         """Serve a batch of global ids.
 
         Returns ``(hit_mask, hit_rows)``: a boolean mask over ``ids``
-        and the cached rows for the hits, in ``ids[hit_mask]`` order.
-        Updates the hit/miss/byte counters; callers fetch the misses
-        from the remote store themselves (and bill the remote bytes).
+        and the cached rows for the hits, in ``ids[hit_mask]`` order
+        and the store's dtype. Updates the hit/miss/byte counters;
+        callers fetch the misses from the remote store themselves (and
+        bill the remote bytes). Only an admitted cache can be asked.
         """
+        if self._rows is None:
+            raise ConfigError("lookup before admit")
         ids = np.asarray(ids, dtype=np.int64)
-        if self._ids.size == 0:
-            hit_mask = np.zeros(ids.size, dtype=bool)
-        else:
-            pos = np.searchsorted(self._ids, ids)
-            pos_c = np.minimum(pos, self._ids.size - 1)
-            hit_mask = self._ids[pos_c] == ids
+        pos = np.searchsorted(self._ids, ids)
+        hit_mask = np.zeros(ids.size, dtype=bool)
+        if self._ids.size:
+            hit_mask = self._ids[np.minimum(pos, self._ids.size - 1)] == ids
         n_hit = int(hit_mask.sum())
         n_miss = int(ids.size - n_hit)
         self.hits += n_hit
         self.misses += n_miss
         self.served_bytes += n_hit * self._row_bytes
         self.missed_bytes += n_miss * self._row_bytes
-        if n_hit and self._rows is not None:
-            pos = np.searchsorted(self._ids, ids[hit_mask])
-            hit_rows = self._rows[pos]
-        else:
-            shape = (0,) + (self._rows.shape[1:]
-                            if self._rows is not None else ())
-            dtype = self._rows.dtype if self._rows is not None \
-                else np.float64
-            hit_rows = np.zeros(shape, dtype=dtype)
-        return hit_mask, hit_rows
+        return hit_mask, self._rows[pos[hit_mask]]
 
     # ------------------------------------------------------------------
     # Accounting

@@ -197,7 +197,7 @@ class SharedFeatureStore:
                prefetch_spec: SharedPrefetchSpec | None = None,
                shard_map=None,
                shard_spec: SharedShardSpec | None = None,
-               grad_slab: tuple[int, int] | None = None
+               grad_slab: np.ndarray | None = None
                ) -> "SharedFeatureStore":
         """Copy ``dataset``'s big arrays into a fresh shared segment.
 
@@ -220,9 +220,9 @@ class SharedFeatureStore:
         accompanying :class:`SharedShardSpec` metadata (defaults to a
         bare spec naming only the shard count).
 
-        ``grad_slab=(rows, num_params)`` adds the zeroed float64
-        gradient slab (:attr:`grads`) to the same segment — same
-        manifest, same unlink.
+        ``grad_slab`` — the initial ``(rows, num_params)`` gradient
+        slab in the model's parameter dtype — is copied in as
+        :attr:`grads`: same segment, same manifest, same unlink.
         """
         features = np.ascontiguousarray(dataset.features)
         labels = np.ascontiguousarray(dataset.labels)
@@ -253,7 +253,7 @@ class SharedFeatureStore:
                 "shard_spec without a shard_map: the store cannot "
                 "slice features it has no partition for")
         if grad_slab is not None:
-            arrays["grads"] = np.zeros(grad_slab)
+            arrays["grads"] = grad_slab
         specs: list[SharedArraySpec] = []
         offset = 0
         for key, arr in arrays.items():

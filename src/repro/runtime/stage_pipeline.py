@@ -54,7 +54,8 @@ def gather_feature_rows(features: np.ndarray, mb: MiniBatch, *,
     """The feature-gather (load) stage: one host-memory row gather.
 
     Dispatches through :func:`repro.kernels.gather_rows`, which returns
-    the same float64 bits as the reference oracle. ``out``/``pool`` make
+    the store's rows in the store's dtype, the same bits as the
+    reference oracle. ``out``/``pool`` make
     the gather allocation-free — **opt-in**: a pooled result is only valid
     until the next gather from the same pool, so only provably
     sequential call sites (the virtual backend's epoch loop, the
@@ -94,9 +95,9 @@ def gather_batch_features(features: np.ndarray, mb: MiniBatch,
     their shared-memory mapping, the pipelined backend's separate
     gather/transfer stage threads — runs the identical bits.
     Accelerator-bound quantized batches take the **fused**
-    gather+quantize kernel (one pass over the rows, no float64
-    intermediate between the stages); everything else is a plain
-    gather. ``pool`` is the same opt-in as
+    gather+quantize kernel (gather into one destination, quantize it
+    in place, no intermediate between the stages); everything else is
+    a plain gather. ``pool`` is the same opt-in as
     :func:`gather_feature_rows`.
     """
     if trainer_kind == "accel" and transfer_precision != "fp32":
@@ -201,7 +202,8 @@ class StagePipeline:
             return self.sampler.sample(targets)
 
     def gather(self, mb: MiniBatch) -> np.ndarray:
-        """Feature-gather (load) stage: host-DDR row gather, fp32/64."""
+        """Feature-gather (load) stage: host-DDR row gather, store
+        dtype."""
         return gather_feature_rows(self.features, mb)
 
     def transfer(self, x0: np.ndarray, trainer_kind: str) -> np.ndarray:

@@ -218,8 +218,7 @@ class ServingSession:
         self.model = build_model(train_cfg.model, self.dims,
                                  train_cfg.seed)
         if params is not None:
-            self.model.set_flat_params(np.asarray(params,
-                                                  dtype=np.float64))
+            self.model.set_flat_params(params)
         self.degrees = dataset.graph.out_degrees
 
         # Session-scoped observability handles (never shared with a

@@ -43,6 +43,11 @@ This module packages that guarantee as a reusable kit:
 Third-party backends needing constructor arguments can extend
 :data:`BACKEND_KWARGS` before the suite runs.
 
+One check covers the compute dtype on every registered plane:
+:func:`assert_trains_in_store_dtype` — parameters, gradients and the
+shm gradient slab are float32, the feature store's dtype, and no gather
+widens.
+
 Two checks cover a backend that is *kept* across runs (the process
 presets hold their worker pool and shared store for the backend's
 lifetime): :func:`assert_reuse_invisible` — N runs on one backend
@@ -61,6 +66,7 @@ and conserve per-tenant credits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from unittest import mock
 
 import numpy as np
 
@@ -76,6 +82,7 @@ from repro.runtime import (
     get_backend,
 )
 from repro.runtime.resctl import NodeAllocator
+from repro.runtime.shm import SharedFeatureStore
 from repro.runtime.stage_pipeline import StagePipeline
 from repro.sampling import build_sampler
 from repro.serving import ServingConfig, ServingSession, VirtualClock
@@ -175,6 +182,12 @@ CONFORMANCE_CASES: tuple[ConformanceCase, ...] = (
         train_cfg_kwargs=dict(sampler="saint-rw"),
         sys_cfg_kwargs=dict(hybrid=True, drm=False, prefetch=True)),
 )
+
+#: A short functional run at full-precision transfer: every gather is a
+#: plain row copy, so the bytes it writes equal the bytes it reads.
+FP32_TRANSFER_CASE = ConformanceCase(
+    id="fp32-transfer", num_trainers=2, max_iterations=2,
+    sys_cfg_kwargs=dict(hybrid=True, drm=False, prefetch=True))
 
 
 def candidate_backends() -> list[str]:
@@ -537,6 +550,45 @@ def assert_report_sections(name: str, report) -> None:
             assert isinstance(getattr(report, section),
                               (dict, list)), \
                 f"{name}: report.{section} is not a container"
+
+
+def assert_trains_in_store_dtype(name: str,
+                                 dataset: GraphDataset) -> None:
+    """float32 end to end on backend ``name``: after a run every
+    replica's parameters and gradients are float32 (the feature
+    store's dtype); a process plane's shm gradient slab is
+    ``(workers + 1) × P`` float32; and the run's gathers wrote exactly
+    the bytes they read — nothing on the data path widened."""
+    assert dataset.features.dtype == np.float32
+    session = make_session(FP32_TRANSFER_CASE, dataset)
+    slabs = []
+    create = SharedFeatureStore.create.__func__
+
+    def spy(cls, *args, **kwargs):
+        store = create(cls, *args, **kwargs)
+        slabs.append((store.grads.shape, store.grads.dtype))
+        return store
+
+    with mock.patch.object(SharedFeatureStore, "create",
+                           classmethod(spy)), \
+            build_backend(name, session,
+                          **BACKEND_KWARGS.get(name, {})) as backend:
+        report = backend.run_epoch(FP32_TRANSFER_CASE.max_iterations)
+    if name in PROCESS_PRESETS:
+        rows_by_params = (session.num_trainers + 1,
+                          session.trainers[0].model.num_params)
+        assert slabs == [(rows_by_params, np.float32)], \
+            f"{name}: gradient slab {slabs}"
+    else:
+        assert not slabs, f"{name}: an in-process plane made a store"
+    for trainer in session.trainers:
+        for (pname, p), (_, g) in zip(trainer.model.parameters(),
+                                      trainer.model.gradients()):
+            assert p.dtype == g.dtype == np.float32, \
+                f"{name}: {trainer.name} {pname} is {p.dtype}/{g.dtype}"
+    stats = report.kernel_stats
+    assert stats["gather_out_bytes"] == stats["gather_src_bytes"] > 0, \
+        f"{name}: gathers widened ({stats})"
 
 
 def _assert_epoch_bookkeeping(case, cand_session, cand) -> None:

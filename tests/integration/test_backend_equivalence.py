@@ -31,6 +31,7 @@ from backend_conformance import (
     assert_report_sections,
     assert_resumes_after_training_elsewhere,
     assert_reuse_invisible,
+    assert_trains_in_store_dtype,
     candidate_backends,
     make_session,
     run_backend,
@@ -115,6 +116,12 @@ class TestBackendConformance:
         not produce it; accounting sections are always containers."""
         _, rep = run_backend(backend, CONFORMANCE_CASES[2], tiny_ds)
         assert_report_sections(backend, rep)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_trains_in_the_feature_store_dtype(self, backend, tiny_ds):
+        """Parameters, gradients and the shm slab are float32, and no
+        gather widens the store's rows."""
+        assert_trains_in_store_dtype(backend, tiny_ds)
 
     def test_sharded_lookahead_preset_composes_with_no_new_code(
             self, tiny_ds):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.config import layer_dims
+from repro.nn.gradcheck import float64_copy
 from repro.nn.loss import softmax_cross_entropy
 from repro.nn.models import build_model
 from repro.nn.optim import SGD
@@ -52,7 +53,9 @@ def test_weighted_allreduce_equals_union_batch_gradient(
     The sampled neighborhoods must match, so the single trainer's union
     "batch" is emulated by summing weighted per-batch gradients computed
     with the *same* sampler draws — the identity the synchronizer
-    implements. We verify against an explicit recomputation.
+    implements. We verify against an explicit recomputation, on float64
+    copies of the models so the tolerance prices the identity, not
+    float32 rounding.
     """
     dims = layer_dims(tiny_ds.spec.feature_dim, 8,
                       tiny_ds.spec.num_classes, 2)
@@ -60,7 +63,7 @@ def test_weighted_allreduce_equals_union_batch_gradient(
     batches = _batches(tiny_ds, tiny_sampler, sizes)
 
     # --- reference: accumulate weighted gradients manually ---
-    ref = build_model(model_name, dims, seed=42)
+    ref = float64_copy(build_model(model_name, dims, seed=42))
     total = sum(sizes)
     acc = np.zeros(ref.num_params)
     # Use a fresh sampler per run with the same seed so draws coincide.
@@ -72,7 +75,7 @@ def test_weighted_allreduce_equals_union_batch_gradient(
         acc += (size / total) * ref.get_flat_grads()
 
     # --- system under test: replicas + synchronizer ---
-    replicas = [build_model(model_name, dims, seed=42)
+    replicas = [float64_copy(build_model(model_name, dims, seed=42))
                 for _ in sizes]
     sync = GradientSynchronizer(replicas, weighting="batch")
     s2 = NeighborSampler(tiny_ds.graph, tiny_ds.train_ids, (4, 3),

@@ -3,7 +3,8 @@
 For small graphs we can evaluate GCN/SAGE layers directly with dense
 matrix algebra over the *full* graph and compare against the mini-batch
 block computation — verifying the sampler's local-index bookkeeping and
-the layers' aggregation semantics end-to-end.
+the layers' aggregation semantics end-to-end. The models are float64
+copies: the subject here is sampling and aggregation, not rounding.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from repro.config import layer_dims
 from repro.graph.csr import CSRGraph
+from repro.nn.gradcheck import float64_copy
 from repro.nn.models import build_model
 from repro.sampling.full import FullBatchSampler
 from repro.sampling.neighbor import NeighborSampler
@@ -55,7 +57,8 @@ def test_full_batch_matches_dense_reference(small_graph, model_name):
     rng = np.random.default_rng(1)
     X = rng.standard_normal((n, f0))
 
-    model = build_model(model_name, (f0, f1, classes), seed=9)
+    model = float64_copy(build_model(model_name, (f0, f1, classes),
+                                     seed=9))
     sampler = FullBatchSampler(small_graph, np.arange(n), 2, f0)
     mb = sampler.sample()
     logits = model.forward(mb, X, small_graph.out_degrees)
@@ -81,7 +84,7 @@ def test_neighbor_sampler_with_huge_fanout_matches_full(small_graph):
     f0, f1, classes = 5, 8, 3
     rng = np.random.default_rng(2)
     X = rng.standard_normal((n, f0))
-    model = build_model("sage", (f0, f1, classes), seed=4)
+    model = float64_copy(build_model("sage", (f0, f1, classes), seed=4))
 
     big = int(small_graph.out_degrees.max()) + 1
     sampler = NeighborSampler(small_graph, np.arange(n), (big, big),

@@ -188,7 +188,7 @@ class TestGatherExactness:
         feats, idx = case
         want = reference.gather(feats, idx)
         got = fast.gather(feats, idx)
-        assert got.dtype == np.float64
+        assert got.dtype == want.dtype == feats.dtype   # no widen
         np.testing.assert_array_equal(want, got)
 
     @common_settings
@@ -202,7 +202,7 @@ class TestGatherExactness:
         # Steady state: same answer out of the reused buffer.
         np.testing.assert_array_equal(
             want, fast.gather(feats, idx, pool=pool))
-        out = np.empty((idx.size, feats.shape[1]), dtype=np.float64)
+        out = np.empty((idx.size, feats.shape[1]), dtype=feats.dtype)
         got = fast.gather(feats, idx, out=out)
         assert got is out
         np.testing.assert_array_equal(want, got)
@@ -239,7 +239,7 @@ class TestFusedExactness:
         feats, idx = case
         want = reference.gather_quantize(feats, idx, mode)
         got = fast.gather_quantize(feats, idx, mode)
-        assert got.dtype == np.float64
+        assert got.dtype == want.dtype == feats.dtype   # no widen
         np.testing.assert_array_equal(want, got)
 
     @common_settings
@@ -331,7 +331,7 @@ class TestCounters:
         assert d["gather_calls"] == 1
         assert d["gather_rows"] == 20
         assert d["gather_src_bytes"] == 20 * 10 * 4
-        assert d["gather_out_bytes"] == 20 * 10 * 8
+        assert d["gather_out_bytes"] == 20 * 10 * 4     # store dtype
 
     def test_fused_counts_payload(self):
         feats = np.ones((50, 10), dtype=np.float32)
@@ -396,14 +396,15 @@ class TestCounters:
         feats = np.random.default_rng(0).standard_normal(
             (30, 6)).astype(np.float32)
         mb = SimpleNamespace(input_nodes=np.arange(12))
-        want = feats[np.arange(12)].astype(np.float64)
-        out = np.empty((12, 6), dtype=np.float64)
+        want = feats[np.arange(12)]
+        out = np.empty((12, 6), dtype=np.float32)
         got = gather_feature_rows(feats, mb, out=out)
         assert got is out
         np.testing.assert_array_equal(want, got)
         pool = BufferPool()
-        np.testing.assert_array_equal(
-            want, gather_feature_rows(feats, mb, pool=pool))
+        pooled = gather_feature_rows(feats, mb, pool=pool)
+        assert pooled.dtype == np.float32
+        np.testing.assert_array_equal(want, pooled)
         assert pool.misses > 0
 
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import pathlib
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -201,6 +202,17 @@ class TestLoss:
         logits[1, 2] = 50.0
         loss, _ = softmax_cross_entropy(logits, np.array([1, 2]))
         assert loss < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_confident_wrong_prediction_is_finite(self, dtype):
+        """The true class's probability underflows to 0 in float32; the
+        loss is still the exact margin, with no divide-by-zero."""
+        logits = np.array([[0.0, 120.0]], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, dl = softmax_cross_entropy(logits, np.array([0]))
+        assert loss == 120.0
+        assert dl.dtype == dtype and np.isfinite(dl).all()
 
     def test_numeric_gradient(self):
         rng = _rng()

@@ -99,7 +99,9 @@ class TestWorkerProtocol:
         store = SharedFeatureStore.create(
             tiny_ds, prefetch_spec=SharedPrefetchSpec(capacity=2,
                                                       timeout_s=10.0),
-            grad_slab=(2, init_model.num_params))
+            grad_slab=np.zeros_like(
+                init_model.get_flat_params(),
+                shape=(2, init_model.num_params)))
         parent, child = ctx.Pipe(duplex=True)
         proc = ctx.Process(target=worker_main,
                            args=(child, store.manifest, spec),

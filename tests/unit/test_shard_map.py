@@ -181,12 +181,17 @@ class TestRemoteFeatureCache:
         with pytest.raises(ConfigError):
             RemoteFeatureCache(-1)
 
+    def test_lookup_before_admit_is_refused(self):
+        with pytest.raises(ConfigError, match="before admit"):
+            RemoteFeatureCache(4).lookup(np.array([1]))
+
     def test_zero_capacity_always_misses(self, features):
         cache = RemoteFeatureCache(0)
         cache.admit(np.arange(50), np.arange(50), features)
         hit_mask, hit_rows = cache.lookup(np.array([1, 2, 3]))
         assert not hit_mask.any()
         assert hit_rows.shape == (0, 6)
+        assert hit_rows.dtype == features.dtype
         assert cache.hit_rate == 0.0
         assert cache.misses == 3
 

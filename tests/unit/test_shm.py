@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ProtocolError
+from repro.nn.models import build_model
 from repro.runtime.shm import SharedFeatureStore
 
 
@@ -64,21 +65,23 @@ class TestGradientSlab:
     def test_slab_is_one_more_array_in_the_one_segment(self, tiny_ds):
         """Same segment, same manifest, same unlink — not a second
         block with a second lifetime."""
+        flat = build_model("gcn", (4, 3), seed=0).get_flat_params()
         before = _segment_paths()
-        with SharedFeatureStore.create(tiny_ds,
-                                       grad_slab=(3, 10)) as s:
+        with SharedFeatureStore.create(
+                tiny_ds, grad_slab=np.zeros_like(
+                    flat, shape=(3, flat.size))) as s:
             assert len(_segment_paths()) == len(before) + 1
             assert s.manifest.arrays[-1].key == "grads"
-            assert s.grads.shape == (3, 10)
-            assert s.grads.dtype == np.float64
+            assert s.grads.shape == (3, flat.size)
+            assert s.grads.dtype == flat.dtype == np.float32
             assert not s.grads.any()
             np.testing.assert_array_equal(s.features, tiny_ds.features)
         assert _segment_paths() == before
 
     def test_rows_written_by_one_mapping_are_read_by_the_other(
             self, tiny_ds):
-        with SharedFeatureStore.create(tiny_ds,
-                                       grad_slab=(2, 4)) as s:
+        with SharedFeatureStore.create(
+                tiny_ds, grad_slab=np.zeros((2, 4), np.float32)) as s:
             worker = SharedFeatureStore.attach(s.manifest)
             try:
                 worker.grads[0] = [1.0, 2.0, 3.0, 4.0]
