@@ -16,7 +16,7 @@ from repro.bench.harness import format_table
 from repro.config import SystemConfig
 from repro.hw.topology import hyscale_cpu_fpga_platform
 from repro.perfmodel.mapping import initial_mapping
-from repro.runtime.hybrid import HyScaleGNN
+from repro.runtime import TrainingSession, VirtualTimeBackend
 
 
 @functools.lru_cache(maxsize=1)
@@ -32,9 +32,10 @@ def _prefetch_sweep():
             sys_cfg = SystemConfig(hybrid=True, drm=False,
                                    prefetch=True,
                                    prefetch_depth=depth)
-        system = HyScaleGNN(ds, hyscale_cpu_fpga_platform(4), cfg,
-                            sys_cfg, full_scale=True, profile_probes=2)
-        t = system.simulate_epoch().epoch_time_s
+        session = TrainingSession(ds, cfg, sys_cfg,
+                                  hyscale_cpu_fpga_platform(4),
+                                  full_scale=True, profile_probes=2)
+        t = VirtualTimeBackend(session).simulate_epoch().epoch_time_s
         label = "0 (serialized)" if depth == 0 else str(depth)
         rows.append((label, t))
     return rows
@@ -60,12 +61,12 @@ def test_mapping_quality_gap(show, benchmark):
     headroom the DRM engine closes at runtime."""
     ds = dataset("ogbn-papers100M")
     cfg = paper_config("gcn")
-    system = HyScaleGNN(ds, hyscale_cpu_fpga_platform(4), cfg,
-                        full_scale=True, profile_probes=2)
-    coarse = initial_mapping(system.perfmodel, cfg.minibatch_size,
+    session = TrainingSession(ds, cfg, None, hyscale_cpu_fpga_platform(4),
+                              full_scale=True, profile_probes=2)
+    coarse = initial_mapping(session.perfmodel, cfg.minibatch_size,
                              coarse=True)
     fine = benchmark.pedantic(
-        lambda: initial_mapping(system.perfmodel, cfg.minibatch_size,
+        lambda: initial_mapping(session.perfmodel, cfg.minibatch_size,
                                 coarse=False),
         iterations=1, rounds=1)
     per_t = lambda r: r.predicted_iteration_s / r.split.total_targets

@@ -14,7 +14,7 @@ from repro.bench.harness import format_table
 from repro.config import SystemConfig, TrainingConfig
 from repro.graph.datasets import tiny_dataset
 from repro.hw.topology import hyscale_cpu_fpga_platform
-from repro.runtime.hybrid import HyScaleGNN
+from repro.runtime import TrainingSession, VirtualTimeBackend
 
 
 def _make_system(num_accels, seed=3):
@@ -23,8 +23,9 @@ def _make_system(num_accels, seed=3):
     cfg = TrainingConfig(model="sage", minibatch_size=48,
                          fanouts=(5, 4), hidden_dim=24,
                          learning_rate=0.05, seed=seed)
-    return HyScaleGNN(ds, hyscale_cpu_fpga_platform(num_accels), cfg,
-                      profile_probes=2)
+    return VirtualTimeBackend(TrainingSession(
+        ds, cfg, None, hyscale_cpu_fpga_platform(num_accels),
+        profile_probes=2))
 
 
 def test_convergence_loss_decreases(show, benchmark):
@@ -40,7 +41,7 @@ def test_convergence_loss_decreases(show, benchmark):
                "as in sequential training"]))
     losses = [r[1] for r in rows]
     assert np.mean(losses[-2:]) < losses[0]
-    assert system.synchronizer.replicas_consistent()
+    assert system.session.synchronizer.replicas_consistent()
 
 
 def test_convergence_independent_of_trainer_count(show, benchmark):

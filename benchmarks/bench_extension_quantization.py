@@ -21,7 +21,7 @@ from repro.bench.harness import format_table
 from repro.config import SystemConfig, TrainingConfig
 from repro.graph.datasets import tiny_dataset
 from repro.hw import hyscale_cpu_fpga_platform
-from repro.runtime import HyScaleGNN
+from repro.runtime import TrainingSession, VirtualTimeBackend
 from repro.runtime.quantize import quantization_rmse
 
 MODES = ("fp32", "fp16", "int8")
@@ -34,11 +34,12 @@ def _timing_sweep():
     rows = []
     for mode in MODES:
         sys_cfg = SystemConfig(transfer_precision=mode)
-        system = HyScaleGNN(ds, hyscale_cpu_fpga_platform(4), cfg,
-                            sys_cfg, full_scale=True, profile_probes=2)
-        rep = system.simulate_epoch()
-        accel_share = sum(system.split.accel_targets) / \
-            system.split.total_targets
+        session = TrainingSession(ds, cfg, sys_cfg,
+                                  hyscale_cpu_fpga_platform(4),
+                                  full_scale=True, profile_probes=2)
+        rep = VirtualTimeBackend(session).simulate_epoch()
+        accel_share = sum(session.split.accel_targets) / \
+            session.split.total_targets
         rows.append((mode, rep.epoch_time_s, accel_share * 100,
                      rep.bottleneck_stage()))
     return rows
@@ -76,9 +77,10 @@ def test_quantized_training_accuracy(show, benchmark):
         out = {}
         for mode in MODES:
             sys_cfg = SystemConfig(transfer_precision=mode)
-            system = HyScaleGNN(ds, hyscale_cpu_fpga_platform(2), cfg,
-                                sys_cfg, profile_probes=2)
-            reports = system.train(epochs=4)
+            session = TrainingSession(ds, cfg, sys_cfg,
+                                      hyscale_cpu_fpga_platform(2),
+                                      profile_probes=2)
+            reports = VirtualTimeBackend(session).train(epochs=4)
             out[mode] = float(np.mean(reports[-1].losses))
         return out
 

@@ -18,7 +18,7 @@ from repro.config import ABLATION_PRESETS, TrainingConfig
 from repro.graph.datasets import load_dataset
 from repro.hw import hyscale_cpu_gpu_platform
 from repro.perfmodel.model import WorkloadSplit
-from repro.runtime import HyScaleGNN
+from repro.runtime import TrainingSession, VirtualTimeBackend
 
 
 def sparkline(values, width=64) -> str:
@@ -37,18 +37,19 @@ def main() -> None:
     dataset = load_dataset("ogbn-papers100M", seed=0)
     cfg = TrainingConfig(model="gcn", minibatch_size=1024,
                          fanouts=(25, 10), hidden_dim=256, seed=3)
-    system = HyScaleGNN(dataset, hyscale_cpu_gpu_platform(4), cfg,
-                        ABLATION_PRESETS["hybrid_drm_tfp"],
-                        full_scale=True, profile_probes=3)
+    session = TrainingSession(dataset, cfg,
+                              ABLATION_PRESETS["hybrid_drm_tfp"],
+                              hyscale_cpu_gpu_platform(4),
+                              full_scale=True, profile_probes=3)
 
     # Sabotage the compile-time mapping: accelerators take everything,
     # the CPU trainer idles, the loader gets almost no threads.
-    system.split = WorkloadSplit(
+    session.split = WorkloadSplit(
         cpu_targets=0, accel_targets=(1280,) * 4,
         sample_threads=224, load_threads=16, train_threads=16)
-    print("sabotaged split:", system.split)
+    print("sabotaged split:", session.split)
 
-    report = system.simulate_epoch(iterations=150)
+    report = VirtualTimeBackend(session).simulate_epoch(iterations=150)
     iter_times = [st.iteration_time(True) * 1e3
                   for st in report.stage_history]
     print(f"\niteration time: first={iter_times[0]:.2f} ms "
@@ -56,10 +57,10 @@ def main() -> None:
           f"({iter_times[0] / iter_times[-1]:.2f}x recovered)")
     print("trend:", sparkline(iter_times))
 
-    print("\nfinal split:", system.split)
+    print("\nfinal split:", session.split)
     print("\nDRM decision stream (non-trivial only):")
     shown = 0
-    for d in system.drm.decisions:
+    for d in session.drm.decisions:
         if d.action == "none":
             continue
         print(f"  it {d.iteration:3d}: {d.action:14s} {d.detail} "

@@ -27,7 +27,7 @@ from repro.hw import (
     hyscale_cpu_fpga_platform,
     hyscale_cpu_gpu_platform,
 )
-from repro.runtime import HyScaleGNN
+from repro.runtime import TrainingSession, VirtualTimeBackend
 
 
 def main(model: str = "gcn") -> None:
@@ -53,26 +53,27 @@ def main(model: str = "gcn") -> None:
     # --- hybrid systems ----------------------------------------------
     for platform in (hyscale_cpu_gpu_platform(4),
                      hyscale_cpu_fpga_platform(4)):
-        system = HyScaleGNN(dataset, platform, cfg,
-                            ABLATION_PRESETS["hybrid_drm_tfp"],
-                            full_scale=True, profile_probes=3)
-        rep = system.simulate_epoch()
+        session = TrainingSession(dataset, cfg,
+                                  ABLATION_PRESETS["hybrid_drm_tfp"],
+                                  platform, full_scale=True,
+                                  profile_probes=3)
+        rep = VirtualTimeBackend(session).simulate_epoch()
         speedup = rep_base.epoch_time_s / rep.epoch_time_s
         print(f"\n[{platform.name}]")
         print(f"  epoch = {rep.epoch_time_s:.2f} s  "
               f"(speedup {speedup:.2f}x over baseline, "
               f"bottleneck = {rep.bottleneck_stage()})")
         print(f"  predicted (Eq. 6): "
-              f"{system.predicted_epoch_time():.2f} s")
-        split = system.split
+              f"{session.predicted_epoch_time():.2f} s")
+        split = session.split
         print(f"  DRM final split: CPU={split.cpu_targets} targets, "
               f"accel={split.accel_targets}, threads="
               f"(sample={split.sample_threads}, "
               f"load={split.load_threads}, "
               f"train={split.train_threads})")
-        if system.drm is not None:
+        if session.drm is not None:
             actions = {}
-            for d in system.drm.decisions:
+            for d in session.drm.decisions:
                 actions[d.action] = actions.get(d.action, 0) + 1
             print(f"  DRM decisions: {actions}")
 

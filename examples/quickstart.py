@@ -16,7 +16,7 @@ import numpy as np
 from repro.config import TrainingConfig
 from repro.graph.datasets import tiny_dataset
 from repro.hw import hyscale_cpu_fpga_platform
-from repro.runtime import HyScaleGNN
+from repro.runtime import TrainingSession, VirtualTimeBackend
 from repro.sim.trace import render_gantt
 
 
@@ -35,16 +35,19 @@ def main() -> None:
                          learning_rate=0.05, seed=1)
 
     # 3. The system: CPU trainer + 2 FPGA trainers, DRM and two-stage
-    #    feature prefetching on (all defaults of SystemConfig).
-    system = HyScaleGNN(dataset, hyscale_cpu_fpga_platform(2), cfg)
-    print(f"trainers: {[t.name for t in system.trainers]}")
-    print(f"initial workload split: CPU={system.split.cpu_targets} "
-          f"targets, accelerators={system.split.accel_targets}")
+    #    feature prefetching on (all defaults of SystemConfig), run on
+    #    the modelled-hardware (virtual-time) backend.
+    session = TrainingSession(dataset, cfg,
+                              platform=hyscale_cpu_fpga_platform(2))
+    backend = VirtualTimeBackend(session)
+    print(f"trainers: {[t.name for t in session.trainers]}")
+    print(f"initial workload split: CPU={session.split.cpu_targets} "
+          f"targets, accelerators={session.split.accel_targets}")
 
     # 4. Train. Forward/backward/all-reduce are real NumPy math; the
     #    epoch time is virtual (modelled-hardware) time.
     for epoch in range(5):
-        report = system.train_epoch()
+        report = backend.run_epoch()
         print(f"epoch {epoch}: loss={np.mean(report.losses):.4f} "
               f"acc={np.mean(report.accuracies):.3f} "
               f"virtual_time={report.epoch_time_s * 1e3:.2f} ms "
@@ -52,7 +55,7 @@ def main() -> None:
               f"bottleneck={report.bottleneck_stage()})")
 
     # 5. All replicas agree after synchronous training.
-    assert system.synchronizer.replicas_consistent()
+    assert session.synchronizer.replicas_consistent()
     print("replicas consistent: True")
 
     # 6. Peek at the pipeline (first few iterations of the last epoch).

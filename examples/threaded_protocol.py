@@ -60,7 +60,7 @@ def main() -> None:
     # The shared runtime core means the threaded plane also runs the
     # full hybrid system: CPU+FPGA split, DRM re-balancing and int8
     # PCIe transfer on live threads — identical results to
-    # HyScaleGNN.train_epoch for the same seed (see
+    # VirtualTimeBackend(session).run_epoch() for the same seed (see
     # tests/integration/test_backend_equivalence.py).
     # ------------------------------------------------------------------
     print("\nhybrid + DRM + int8 transfer on threads:")

@@ -16,7 +16,8 @@ Prasanna, IPDPS 2023). The package provides:
 * :mod:`repro.perfmodel` — the paper's analytic performance model (Eq. 5-13);
 * :mod:`repro.runtime` — the hybrid training system itself: the
   processor-accelerator protocol, two-stage feature prefetching, the DRM
-  engine (Algorithm 1), and the top-level :class:`~repro.runtime.HyScaleGNN`;
+  engine (Algorithm 1), the :class:`~repro.runtime.TrainingSession` that
+  owns them, and the execution backends that run a session;
 * :mod:`repro.baselines` — the multi-GPU PyG-style baseline and mechanistic
   models of PaGraph, P3, and DistDGLv2 for Tables VI/VII.
 

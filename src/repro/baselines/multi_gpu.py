@@ -7,8 +7,10 @@ loop: sample → gather → H2D copy → train), and (c) pays PyG's
 torch-sparse sampler and dataloader-worker throughput rather than a
 native pthread sampler.
 
-Implemented as a thin configuration of :class:`~repro.runtime.HyScaleGNN`
-— the same machinery with hybrid/DRM/prefetch disabled and PyG-calibrated
+Implemented as a thin configuration of a
+:class:`~repro.runtime.TrainingSession` executed by the
+:class:`~repro.runtime.VirtualTimeBackend` — the same machinery as
+HyScale-GNN with hybrid/DRM/prefetch disabled and PyG-calibrated
 software rates — so that every Fig. 10 speedup is an apples-to-apples
 comparison of *system design*, exactly the paper's framing.
 """
@@ -21,7 +23,7 @@ from ..hw.topology import PlatformSpec, hyscale_cpu_gpu_platform
 from ..perfmodel.sampling_profile import (
     PYG_SAMPLE_RATE_EDGES_PER_S_PER_THREAD,
 )
-from ..runtime.hybrid import EpochReport, HyScaleGNN
+from ..runtime import EpochReport, TrainingSession, VirtualTimeBackend
 from .common import BaselineReport
 
 #: PyG NeighborLoader worker processes (typical tuned setting) — far
@@ -44,20 +46,21 @@ class PyGMultiGPUBaseline:
         self.platform = platform if platform is not None \
             else hyscale_cpu_gpu_platform(4)
         sys_cfg = SystemConfig(hybrid=False, drm=False, prefetch=False)
-        self.system = HyScaleGNN(
-            dataset, self.platform, train_cfg, sys_cfg,
+        self.session = TrainingSession(
+            dataset, train_cfg, sys_cfg, self.platform,
             full_scale=full_scale, profile_probes=profile_probes,
             sampler_rate_per_thread=
             PYG_SAMPLE_RATE_EDGES_PER_S_PER_THREAD)
+        self.backend = VirtualTimeBackend(self.session)
         # PyG's dataloader parallelism, not the full thread budget.
-        self.system.split = self.system.split.with_updates(
+        self.session.split = self.session.split.with_updates(
             sample_threads=PYG_SAMPLER_WORKERS,
             load_threads=PYG_LOADER_WORKERS)
 
     def simulate_epoch(self, iterations: int | None = None
                        ) -> EpochReport:
         """Timing-only epoch simulation (serialized pipeline)."""
-        return self.system.simulate_epoch(iterations=iterations)
+        return self.backend.simulate_epoch(iterations=iterations)
 
     def report(self) -> BaselineReport:
         """One-epoch summary in the common baseline format."""

@@ -24,7 +24,7 @@ from ..baselines import (
     PaGraphSystem,
     PyGMultiGPUBaseline,
 )
-from ..runtime.hybrid import HyScaleGNN
+from ..runtime import TrainingSession, VirtualTimeBackend
 from .harness import ExperimentResult, geomean
 
 #: Datasets in paper order.
@@ -51,12 +51,15 @@ def paper_config(model: str, **overrides) -> TrainingConfig:
 
 
 def _hyscale(ds: GraphDataset, platform, cfg: TrainingConfig,
-             preset: str = "hybrid_drm_tfp") -> HyScaleGNN:
-    return HyScaleGNN(ds, platform, cfg, ABLATION_PRESETS[preset],
-                      full_scale=True, profile_probes=PROBES)
+             preset: str = "hybrid_drm_tfp") -> VirtualTimeBackend:
+    """A full-scale HyScale-GNN session on ``platform``, executed by
+    the virtual-time backend (reach the session via ``.session``)."""
+    return VirtualTimeBackend(TrainingSession(
+        ds, cfg, ABLATION_PRESETS[preset], platform,
+        full_scale=True, profile_probes=PROBES))
 
 
-def _epoch_time(system: HyScaleGNN, backend: str,
+def _epoch_time(system: VirtualTimeBackend, backend: str,
                 iterations: int | None) -> float:
     """Virtual epoch time of one system under the chosen backend.
 
@@ -205,7 +208,7 @@ def run_scalability(accel_counts=(1, 2, 4, 8, 16),
             times = []
             for n in accel_counts:
                 system = _hyscale(ds, factory(n), cfg)
-                times.append(system.predicted_epoch_time())
+                times.append(system.session.predicted_epoch_time())
             speedups = [times[0] / t for t in times]
             res.add_row(ds_name, model, *speedups)
     res.notes.append("paper: near-linear to ~12 accelerators, then "
@@ -233,7 +236,7 @@ def run_perfmodel_accuracy(accel_counts=(1, 2, 3, 4),
             cfg = paper_config(model)
             system = _hyscale(ds, hyscale_cpu_fpga_platform(n), cfg)
             actual = system.simulate_epoch().epoch_time_s
-            predicted = system.predicted_epoch_time()
+            predicted = system.session.predicted_epoch_time()
             err = (actual - predicted) / actual * 100.0
             res.add_row(model, n, actual, predicted, err)
     res.notes.append("paper: prediction error 5-14% on average")

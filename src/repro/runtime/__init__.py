@@ -38,9 +38,12 @@ This package is the paper's primary contribution (§III-§IV):
   perf model against the realized signal), and :class:`NodeAllocator`
   (arbitrates look-ahead depth budget across concurrent sessions).
   The overlapped backends expose the loop through their
-  ``depth_source`` knob (see ``docs/architecture.md``);
-* :mod:`repro.runtime.hybrid` — :class:`HyScaleGNN`, the top-level
-  system facade (session + virtual-time backend).
+  ``depth_source`` knob (see ``docs/architecture.md``).
+
+The HyScale-GNN system is a :class:`TrainingSession` executed by a
+backend: ``VirtualTimeBackend(session)`` for the modelled-hardware
+reference, or ``build_backend(name, session, **knobs)`` for any
+registered plane.
 """
 
 from .protocol import ProtocolLog, ProtocolEvent, Signal, validate_protocol
@@ -63,7 +66,6 @@ from .shm import (
 )
 from .backends import (
     BACKENDS,
-    BackendOptions,
     ExecutionBackend,
     PipelinedBackend,
     ProcessPipelinedBackend,
@@ -77,7 +79,6 @@ from .backends import (
     build_backend,
     get_backend,
     register_backend,
-    resolve_options,
 )
 from .backends.virtual import EpochReport
 from .backends.report import StageStats
@@ -97,7 +98,6 @@ from .resctl import (
     fold_worker_realized,
     summarize_calibration,
 )
-from .hybrid import HyScaleGNN
 
 __all__ = [
     "Signal",
@@ -147,9 +147,6 @@ __all__ = [
     "register_backend",
     "get_backend",
     "available_backends",
-    "BackendOptions",
     "build_backend",
-    "resolve_options",
-    "HyScaleGNN",
     "EpochReport",
 ]

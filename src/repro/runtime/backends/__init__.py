@@ -16,21 +16,11 @@ new preset: ``docs/backends.md``.
 
 from __future__ import annotations
 
+import inspect
+
 from ...errors import ConfigError
 from ...registry import Registry
 from .base import ExecutionBackend
-from .options import (
-    BackendOptions,
-    LiveOptions,
-    OverlapOptions,
-    ProcessOptions,
-    ProcessOverlapOptions,
-    ShardedOptions,
-    ThreadedOptions,
-    build_backend,
-    resolve_options,
-    validate_options_cls,
-)
 from .report import RunReport, StageStats
 from .overlap import LookaheadDealer, adaptive_depth
 from .virtual import EpochReport, VirtualTimeBackend
@@ -54,17 +44,14 @@ def register_backend(cls: type[ExecutionBackend]
                      ) -> type[ExecutionBackend]:
     """Register an execution backend under ``cls.name``.
 
-    Usable as a class decorator; returns ``cls`` unchanged. Validates
-    the class contract eagerly: a non-empty ``name`` and an
-    ``options_cls`` declaration whose every field the constructor
-    accepts (see :mod:`~repro.runtime.backends.options`), so knob
-    drift fails at registration rather than first use.
+    Usable as a class decorator; returns ``cls`` unchanged. The
+    constructor's keyword parameters are the backend's knobs — there is
+    no separate declaration (see :func:`build_backend`).
     """
     if not getattr(cls, "name", ""):
         raise ConfigError(
             f"backend class needs a non-empty `name`; registered: "
             f"{sorted(BACKENDS)}")
-    validate_options_cls(cls)
     BACKENDS.register(cls.name, cls)
     return cls
 
@@ -80,6 +67,25 @@ def available_backends() -> tuple[str, ...]:
     return BACKENDS.available()
 
 
+def build_backend(name: str, session, **kwargs) -> ExecutionBackend:
+    """Construct backend ``name`` over ``session`` with ``kwargs``.
+
+    The knobs are checked against the constructor's signature before it
+    runs: a misspelt one raises :class:`~repro.errors.ConfigError`
+    naming the backend and the keywords it accepts, not a bare
+    ``TypeError`` from inside ``__init__``.
+    """
+    cls = get_backend(name)
+    known = sorted(set(inspect.signature(cls.__init__).parameters)
+                   - {"self", "session"})
+    unknown = sorted(set(kwargs) - set(known))
+    if unknown:
+        raise ConfigError(
+            f"unknown option(s) {unknown} for backend {name!r}; "
+            f"known options: {known}")
+    return cls(session, **kwargs)
+
+
 register_backend(VirtualTimeBackend)
 register_backend(ThreadedBackend)
 register_backend(ProcessPoolBackend)
@@ -90,15 +96,7 @@ register_backend(ShardedBackend)
 
 __all__ = [
     "ExecutionBackend",
-    "BackendOptions",
-    "LiveOptions",
-    "ThreadedOptions",
-    "ProcessOptions",
-    "OverlapOptions",
-    "ProcessOverlapOptions",
-    "ShardedOptions",
     "build_backend",
-    "resolve_options",
     "VirtualTimeBackend",
     "ThreadedBackend",
     "ProcessPoolBackend",

@@ -47,7 +47,6 @@ from typing import Any, ClassVar
 from ...kernels import KernelCounters, scoped_counters
 from ..core import TrainingSession
 from ..resctl import StageMonitor
-from .options import BackendOptions
 
 
 class ExecutionBackend(abc.ABC):
@@ -61,13 +60,6 @@ class ExecutionBackend(abc.ABC):
 
     #: Registry key; subclasses override.
     name: ClassVar[str] = ""
-
-    #: The typed construction-knob declaration
-    #: (:mod:`~repro.runtime.backends.options`). ``register_backend``
-    #: validates every field against the constructor signature;
-    #: ``build_backend(name, session, **knobs)`` resolves user kwargs
-    #: through it with unknown-option errors naming the backend.
-    options_cls: ClassVar[type[BackendOptions]] = BackendOptions
 
     #: Which conformance tier this backend targets: ``"strict"``
     #: (bit-identical to the virtual reference — the default) or

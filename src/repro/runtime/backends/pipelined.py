@@ -68,7 +68,6 @@ from ...kernels import scoped_counters
 from ..protocol import Signal
 from ..resctl import NodeAllocator, fold_worker_realized
 from .base import ExecutionBackend
-from .options import OverlapOptions
 from .overlap import DepthPolicy, StageChain
 from .report import RunReport
 
@@ -110,7 +109,6 @@ class PipelinedBackend(ExecutionBackend):
     """
 
     name = "pipelined"
-    options_cls = OverlapOptions
     conformance_tier = "statistical"
 
     def __init__(self, session, initial_depth: int | None = None,

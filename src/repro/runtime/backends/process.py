@@ -64,7 +64,6 @@ from ..protocol import Signal
 from ..resctl import NodeAllocator, fold_worker_realized, map_worker_totals
 from ..stage_pipeline import StagePipeline
 from .base import ExecutionBackend
-from .options import ProcessOptions, ProcessOverlapOptions
 from .overlap import DepthPolicy, LookaheadDealer, StageChain
 from .report import RunReport
 
@@ -589,8 +588,6 @@ class ProcessBackend(ExecutionBackend):
         else ``"spawn"``). Pass explicitly to override.
     """
 
-    options_cls = ProcessOptions
-
     #: Seam: what one dealt work item is.
     deal: ClassVar[type] = WireBatchDeal
     #: Seam: how a worker executes what it is dealt.
@@ -1003,7 +1000,6 @@ class ProcessPipelinedBackend(ProcessBackend):
 
     name = "process_pipelined"
     conformance_tier = "statistical"
-    options_cls = ProcessOverlapOptions
     deal = TargetDeal
     worker_body = OverlappedBody
 

@@ -52,7 +52,6 @@ from ...errors import ConfigError, ProtocolError
 from ...graph.partition import bfs_partition, hash_partition
 from ...graph.shard_map import ShardMap
 from ..core import PlannedIteration
-from .options import ShardedOptions
 from .process import ProcessBackend, TargetDeal, WorkerReplica, WorkerSpec
 
 #: The partitioners a sharded backend can be constructed with.
@@ -339,7 +338,6 @@ class ShardedBackend(ProcessBackend):
 
     name = "sharded"
     conformance_tier = "statistical"
-    options_cls = ShardedOptions
     overlaps_transfer = False
     deal = TargetDeal
     replica_cls = ShardedReplica

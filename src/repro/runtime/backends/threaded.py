@@ -39,7 +39,6 @@ from ..prefetch import PrefetchBuffer
 from ..protocol import Signal
 from ..resctl import fold_worker_realized
 from .base import ExecutionBackend
-from .options import ThreadedOptions
 from .report import RunReport
 
 
@@ -61,13 +60,14 @@ class ThreadedBackend(ExecutionBackend):
     """
 
     name = "threaded"
-    options_cls = ThreadedOptions
 
     def __init__(self, session, prefetch_depth: int = 2,
                  timeout_s: float = 60.0) -> None:
         super().__init__(session)
         if prefetch_depth < 1:
             raise ProtocolError("prefetch depth must be >= 1")
+        if timeout_s <= 0:
+            raise ProtocolError("timeout_s must be positive")
         self.prefetch_depth = prefetch_depth
         self.timeout_s = timeout_s
 

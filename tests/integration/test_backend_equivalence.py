@@ -41,7 +41,6 @@ from repro.config import SystemConfig, TrainingConfig
 from repro.errors import ConfigError
 from repro.runtime import (
     BACKENDS,
-    HyScaleGNN,
     PipelinedBackend,
     ProcessPipelinedBackend,
     ProcessPoolBackend,
@@ -133,7 +132,6 @@ class TestBackendConformance:
         case, cross-node ownership assertion included."""
         from repro.graph.partition import bfs_partition
         from repro.graph.shard_map import ShardMap
-        from repro.runtime.backends.options import ProcessOverlapOptions
         from repro.runtime.backends.overlap import DepthPolicy
         from repro.runtime.backends.process import (
             OverlappedBody,
@@ -149,7 +147,6 @@ class TestBackendConformance:
         class ShardedLookahead(ProcessBackend):
             name = "sharded_lookahead"
             conformance_tier = "statistical"
-            options_cls = ProcessOverlapOptions
             deal = TargetDeal
             worker_body = OverlappedBody
             replica_cls = ShardedReplica
@@ -541,6 +538,22 @@ class TestProcessSamplingBackend:
         assert rs.total_edges != rp.total_edges
 
 
+class TestThreadedBackend:
+    def test_invalid_construction_rejected(self, tiny_ds, eq_cfg):
+        from repro.errors import ProtocolError
+        session = TrainingSession(
+            tiny_ds, eq_cfg,
+            SystemConfig(hybrid=True, drm=False, prefetch=True),
+            num_trainers=2)
+        with pytest.raises(ProtocolError):
+            ThreadedBackend(session, prefetch_depth=0)
+        for timeout_s in (0, -1.0):
+            with pytest.raises(ProtocolError, match="timeout_s"):
+                ThreadedBackend(session, timeout_s=timeout_s)
+        with pytest.raises(ProtocolError):
+            ThreadedBackend(session).run(0)
+
+
 class TestPipelinedBackend:
     """Pipelined-plane specifics the generic tiered matrix cannot see."""
 
@@ -822,7 +835,7 @@ class TestProcessPipelinedBackend:
 
 class TestHybridDRMQuantizedEquivalence:
     """The flagship case through the public construction paths
-    (``HyScaleGNN`` vs ``TrainingSession`` + ``build_backend``) — they
+    (``VirtualTimeBackend(session)`` vs ``build_backend``) — they
     must preserve the parity the conformance kit proves for raw
     backends."""
 
@@ -833,9 +846,9 @@ class TestHybridDRMQuantizedEquivalence:
 
     def test_threads_match_virtual_plane(self, tiny_ds, eq_cfg, sys_cfg,
                                          fpga_platform):
-        system = HyScaleGNN(tiny_ds, fpga_platform, eq_cfg, sys_cfg,
-                            profile_probes=2)
-        rep_v = system.train_epoch()
+        session = TrainingSession(tiny_ds, eq_cfg, sys_cfg,
+                                  fpga_platform, profile_probes=2)
+        rep_v = VirtualTimeBackend(session).run_epoch()
 
         ex = threaded_backend(tiny_ds, eq_cfg, sys_cfg, fpga_platform)
         rep_t = ex.run_epoch()
@@ -857,7 +870,7 @@ class TestHybridDRMQuantizedEquivalence:
 
         # Final model replicas agree across planes, parameter for
         # parameter.
-        for pv, pt in zip(_param_sets(system.trainers),
+        for pv, pt in zip(_param_sets(session.trainers),
                           _param_sets(ex.session.trainers)):
             np.testing.assert_array_equal(pv, pt)
 

@@ -13,7 +13,7 @@ from repro.baselines import (
     PyGMultiGPUBaseline,
 )
 from repro.hw.topology import hyscale_cpu_fpga_platform
-from repro.runtime.hybrid import HyScaleGNN
+from repro.runtime import TrainingSession, VirtualTimeBackend
 from repro.config import ABLATION_PRESETS
 
 
@@ -46,18 +46,19 @@ class TestPyGBaseline:
     def test_serialized_and_accel_only(self, products_small, cfg):
         base = PyGMultiGPUBaseline(products_small, cfg,
                                    profile_probes=2)
-        assert not base.system.sys_cfg.prefetch
-        assert not base.system.sys_cfg.hybrid
-        assert base.system.split.cpu_targets == 0
+        assert not base.session.sys_cfg.prefetch
+        assert not base.session.sys_cfg.hybrid
+        assert base.session.split.cpu_targets == 0
 
     def test_hyscale_beats_baseline(self, products_small, cfg):
         """Fig. 10's primary claim on equal hardware counts."""
         base = PyGMultiGPUBaseline(products_small, cfg,
                                    profile_probes=2)
         t_base = base.simulate_epoch(iterations=40).epoch_time_s
-        ours = HyScaleGNN(products_small, hyscale_cpu_fpga_platform(4),
-                          cfg, ABLATION_PRESETS["hybrid_drm_tfp"],
-                          full_scale=True, profile_probes=2)
+        ours = VirtualTimeBackend(TrainingSession(
+            products_small, cfg, ABLATION_PRESETS["hybrid_drm_tfp"],
+            hyscale_cpu_fpga_platform(4), full_scale=True,
+            profile_probes=2))
         t_ours = ours.simulate_epoch(iterations=40).epoch_time_s
         assert t_ours < t_base
 

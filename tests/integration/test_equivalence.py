@@ -131,22 +131,23 @@ def test_multi_trainer_step_equals_large_batch_step(
 def test_replicas_stay_consistent_over_epochs(tiny_ds, small_cfg,
                                               fpga_platform):
     """End-to-end: after functional epochs all replicas are identical."""
-    from repro.runtime.hybrid import HyScaleGNN
-    system = HyScaleGNN(tiny_ds, fpga_platform, small_cfg,
-                        profile_probes=2)
-    system.train(epochs=2, max_iterations=4)
-    assert system.synchronizer.replicas_consistent(atol=1e-9)
+    from repro.runtime import TrainingSession, VirtualTimeBackend
+    session = TrainingSession(tiny_ds, small_cfg, platform=fpga_platform,
+                              profile_probes=2)
+    VirtualTimeBackend(session).train(epochs=2, max_iterations=4)
+    assert session.synchronizer.replicas_consistent(atol=1e-9)
 
 
 def test_training_reduces_loss(tiny_ds, fpga_platform):
     """Functional hybrid training learns (loss decreases over epochs)."""
     from repro.config import TrainingConfig
-    from repro.runtime.hybrid import HyScaleGNN
+    from repro.runtime import TrainingSession, VirtualTimeBackend
     cfg = TrainingConfig(model="sage", minibatch_size=48,
                          fanouts=(5, 4), hidden_dim=24,
                          learning_rate=0.1, seed=2)
-    system = HyScaleGNN(tiny_ds, fpga_platform, cfg, profile_probes=2)
-    reports = system.train(epochs=6)
+    session = TrainingSession(tiny_ds, cfg, platform=fpga_platform,
+                              profile_probes=2)
+    reports = VirtualTimeBackend(session).train(epochs=6)
     first = np.mean(reports[0].losses)
     last = np.mean(reports[-1].losses)
     assert last < first
@@ -157,17 +158,17 @@ def test_prefetch_flag_does_not_change_functional_results(tiny_ds,
                                                           fpga_platform):
     """TFP changes timing only: losses identical with and without."""
     from repro.config import SystemConfig
-    from repro.runtime.hybrid import HyScaleGNN
+    from repro.runtime import TrainingSession, VirtualTimeBackend
 
     def run(prefetch, split=None):
         sys_cfg = SystemConfig(hybrid=True, drm=False,
                                prefetch=prefetch)
-        system = HyScaleGNN(tiny_ds, fpga_platform, small_cfg, sys_cfg,
-                            profile_probes=2)
+        session = TrainingSession(tiny_ds, small_cfg, sys_cfg,
+                                  fpga_platform, profile_probes=2)
         if split is not None:
-            system.split = split   # identical batch partitioning
-        rep = system.train_epoch(max_iterations=4)
-        return rep.losses, rep.epoch_time_s, system.split
+            session.split = split   # identical batch partitioning
+        rep = VirtualTimeBackend(session).run_epoch(max_iterations=4)
+        return rep.losses, rep.epoch_time_s, session.split
 
     losses_on, time_on, split = run(True)
     losses_off, time_off, _ = run(False, split=split)

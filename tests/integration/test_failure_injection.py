@@ -84,16 +84,17 @@ class TestConfigFaults:
 class TestHybridFaults:
     def test_split_mutation_validated(self, tiny_ds, small_cfg,
                                       fpga_platform):
-        from repro.runtime.hybrid import HyScaleGNN
+        from repro.runtime import TrainingSession
         from repro.perfmodel.model import WorkloadSplit
-        system = HyScaleGNN(tiny_ds, fpga_platform, small_cfg,
-                            profile_probes=2)
+        session = TrainingSession(tiny_ds, small_cfg,
+                                  platform=fpga_platform,
+                                  profile_probes=2)
         # A split with the wrong accelerator arity must be rejected at
         # the next stage-time computation.
-        system.split = WorkloadSplit(cpu_targets=8,
+        session.split = WorkloadSplit(cpu_targets=8,
                                      accel_targets=(32,),
                                      sample_threads=64,
                                      load_threads=64,
                                      train_threads=64)
         with pytest.raises(ReproError):
-            system.perfmodel.stage_times(system.split)
+            session.perfmodel.stage_times(session.split)

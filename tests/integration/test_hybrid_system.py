@@ -1,4 +1,5 @@
-"""Integration tests for the HyScaleGNN system and ablation behaviour."""
+"""Integration tests for the hybrid system (a ``TrainingSession`` run by
+the ``VirtualTimeBackend``) and ablation behaviour."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,15 @@ from repro.hw.topology import (
     hyscale_cpu_fpga_platform,
     hyscale_cpu_gpu_platform,
 )
-from repro.runtime.hybrid import HyScaleGNN
+from repro.runtime import TrainingSession, VirtualTimeBackend
+
+
+def _virtual(dataset, cfg, platform, sys_cfg=None, full_scale=False):
+    """A two-probe session on ``platform`` run by the virtual-time
+    backend."""
+    return VirtualTimeBackend(TrainingSession(
+        dataset, cfg, sys_cfg, platform, full_scale=full_scale,
+        profile_probes=2))
 
 
 @pytest.fixture(scope="module")
@@ -37,36 +46,37 @@ def func_cfg():
 
 class TestConstruction:
     def test_builds_trainers(self, papers_small, sim_cfg):
-        system = HyScaleGNN(papers_small, hyscale_cpu_fpga_platform(2),
-                            sim_cfg, profile_probes=2)
+        session = TrainingSession(papers_small, sim_cfg,
+                                  platform=hyscale_cpu_fpga_platform(2),
+                                  profile_probes=2)
         # hybrid default: CPU + 2 accelerators.
-        assert system.num_trainers == 3
-        kinds = [t.kind for t in system.trainers]
+        assert session.num_trainers == 3
+        kinds = [t.kind for t in session.trainers]
         assert kinds == ["cpu", "accel", "accel"]
-        assert system.synchronizer.replicas_consistent()
+        assert session.synchronizer.replicas_consistent()
 
     def test_non_hybrid_has_no_cpu_trainer(self, papers_small, sim_cfg):
-        system = HyScaleGNN(
-            papers_small, hyscale_cpu_fpga_platform(2), sim_cfg,
+        session = TrainingSession(
+            papers_small, sim_cfg,
             SystemConfig(hybrid=False, drm=False, prefetch=False),
-            profile_probes=2)
-        assert system.num_trainers == 2
-        assert system.split.cpu_targets == 0
+            hyscale_cpu_fpga_platform(2), profile_probes=2)
+        assert session.num_trainers == 2
+        assert session.split.cpu_targets == 0
 
     def test_no_accel_no_hybrid_rejected(self, papers_small, sim_cfg):
         with pytest.raises(ConfigError):
-            HyScaleGNN(papers_small,
-                       hyscale_cpu_fpga_platform(4).with_accelerators(0),
-                       sim_cfg,
-                       SystemConfig(hybrid=False, drm=False,
-                                    prefetch=False))
+            TrainingSession(papers_small, sim_cfg,
+                            SystemConfig(hybrid=False, drm=False,
+                                         prefetch=False),
+                            hyscale_cpu_fpga_platform(4)
+                            .with_accelerators(0))
 
 
 class TestFunctionalEpoch:
     def test_epoch_report_fields(self, papers_small, func_cfg):
-        system = HyScaleGNN(papers_small, hyscale_cpu_fpga_platform(2),
-                            func_cfg, profile_probes=2)
-        rep = system.train_epoch(max_iterations=3)
+        backend = _virtual(papers_small, func_cfg,
+                           hyscale_cpu_fpga_platform(2))
+        rep = backend.run_epoch(max_iterations=3)
         assert rep.mode == "functional"
         assert rep.iterations == 3
         assert rep.epoch_time_s > 0
@@ -78,30 +88,30 @@ class TestFunctionalEpoch:
                                           "propagate")
 
     def test_epoch_covers_train_set(self, papers_small, func_cfg):
-        system = HyScaleGNN(papers_small, hyscale_cpu_fpga_platform(2),
-                            func_cfg, profile_probes=2)
-        rep = system.train_epoch()
-        covered = rep.iterations * system.split.total_targets
+        backend = _virtual(papers_small, func_cfg,
+                           hyscale_cpu_fpga_platform(2))
+        rep = backend.run_epoch()
+        covered = rep.iterations * backend.session.split.total_targets
         assert covered >= papers_small.train_ids.size
 
 
 class TestSimulatedEpoch:
     def test_full_scale_iteration_count(self, papers_small, sim_cfg):
-        system = HyScaleGNN(papers_small, hyscale_cpu_fpga_platform(2),
-                            sim_cfg, full_scale=True, profile_probes=2)
-        rep = system.simulate_epoch()
+        backend = _virtual(papers_small, sim_cfg,
+                           hyscale_cpu_fpga_platform(2), full_scale=True)
+        rep = backend.simulate_epoch()
         expected = -(-papers_small.spec.train_count //
-                     system.split.total_targets)
+                     backend.session.split.total_targets)
         assert rep.iterations == pytest.approx(expected, abs=2)
         assert rep.mode == "simulated"
 
     def test_deterministic_without_jitter(self, papers_small, sim_cfg):
         def run():
-            system = HyScaleGNN(papers_small,
-                                hyscale_cpu_fpga_platform(2), sim_cfg,
-                                full_scale=True, profile_probes=2)
-            return system.simulate_epoch(jitter=False,
-                                         iterations=20).epoch_time_s
+            backend = _virtual(papers_small, sim_cfg,
+                               hyscale_cpu_fpga_platform(2),
+                               full_scale=True)
+            return backend.simulate_epoch(jitter=False,
+                                          iterations=20).epoch_time_s
         assert run() == pytest.approx(run())
 
     def test_predicted_close_to_simulated(self, papers_small):
@@ -109,10 +119,10 @@ class TestSimulatedEpoch:
         error stays within ~20% (paper reports 5-14%)."""
         cfg = TrainingConfig(model="gcn", minibatch_size=1024,
                              fanouts=(10, 5), hidden_dim=64, seed=4)
-        system = HyScaleGNN(papers_small, hyscale_cpu_fpga_platform(2),
-                            cfg, full_scale=True, profile_probes=2)
-        actual = system.simulate_epoch().epoch_time_s
-        predicted = system.predicted_epoch_time()
+        backend = _virtual(papers_small, cfg,
+                           hyscale_cpu_fpga_platform(2), full_scale=True)
+        actual = backend.simulate_epoch().epoch_time_s
+        predicted = backend.session.predicted_epoch_time()
         err = abs(actual - predicted) / actual
         assert err < 0.20
 
@@ -120,10 +130,10 @@ class TestSimulatedEpoch:
         """The analytic model omits only *costs* (launches, fill,
         stragglers), so it must not exceed the simulated time by more
         than jitter noise."""
-        system = HyScaleGNN(papers_small, hyscale_cpu_fpga_platform(2),
-                            sim_cfg, full_scale=True, profile_probes=2)
-        actual = system.simulate_epoch(jitter=False).epoch_time_s
-        predicted = system.predicted_epoch_time()
+        backend = _virtual(papers_small, sim_cfg,
+                           hyscale_cpu_fpga_platform(2), full_scale=True)
+        actual = backend.simulate_epoch(jitter=False).epoch_time_s
+        predicted = backend.session.predicted_epoch_time()
         assert predicted <= actual * 1.02
 
 
@@ -135,10 +145,10 @@ class TestAblationShape:
         """Fig. 11: adding TFP to hybrid+DRM never slows the epoch."""
         times = {}
         for name in ("hybrid_drm", "hybrid_drm_tfp"):
-            system = HyScaleGNN(papers_small, platform_factory(2),
-                                sim_cfg, ABLATION_PRESETS[name],
-                                full_scale=True, profile_probes=2)
-            times[name] = system.simulate_epoch(
+            backend = _virtual(papers_small, sim_cfg,
+                               platform_factory(2),
+                               ABLATION_PRESETS[name], full_scale=True)
+            times[name] = backend.simulate_epoch(
                 iterations=60).epoch_time_s
         assert times["hybrid_drm_tfp"] < times["hybrid_drm"]
 
@@ -146,11 +156,10 @@ class TestAblationShape:
         """The revert guard bounds DRM regressions vs static."""
         times = {}
         for name in ("hybrid_static", "hybrid_drm"):
-            system = HyScaleGNN(papers_small,
-                                hyscale_cpu_gpu_platform(2), sim_cfg,
-                                ABLATION_PRESETS[name],
-                                full_scale=True, profile_probes=2)
-            times[name] = system.simulate_epoch(
+            backend = _virtual(papers_small, sim_cfg,
+                               hyscale_cpu_gpu_platform(2),
+                               ABLATION_PRESETS[name], full_scale=True)
+            times[name] = backend.simulate_epoch(
                 iterations=120).epoch_time_s
         assert times["hybrid_drm"] <= times["hybrid_static"] * 1.10
 
@@ -159,27 +168,29 @@ class TestAblationShape:
         times = {}
         for plat in (hyscale_cpu_fpga_platform(4),
                      hyscale_cpu_gpu_platform(4)):
-            system = HyScaleGNN(papers_small, plat, sim_cfg,
-                                ABLATION_PRESETS["hybrid_drm_tfp"],
-                                full_scale=True, profile_probes=2)
+            backend = _virtual(papers_small, sim_cfg, plat,
+                               ABLATION_PRESETS["hybrid_drm_tfp"],
+                               full_scale=True)
             times[plat.accelerator.kind] = \
-                system.simulate_epoch(iterations=80).epoch_time_s
+                backend.simulate_epoch(iterations=80).epoch_time_s
         assert times["fpga"] < times["gpu"]
 
 
 class TestDRMIntegration:
     def test_drm_preserves_total_workload(self, papers_small, sim_cfg):
-        system = HyScaleGNN(papers_small, hyscale_cpu_gpu_platform(2),
-                            sim_cfg, ABLATION_PRESETS["hybrid_drm_tfp"],
-                            full_scale=True, profile_probes=2)
-        before = system.split.total_targets
-        system.simulate_epoch(iterations=80)
-        assert system.split.total_targets == before
+        backend = _virtual(papers_small, sim_cfg,
+                           hyscale_cpu_gpu_platform(2),
+                           ABLATION_PRESETS["hybrid_drm_tfp"],
+                           full_scale=True)
+        before = backend.session.split.total_targets
+        backend.simulate_epoch(iterations=80)
+        assert backend.session.split.total_targets == before
 
     def test_drm_decisions_recorded(self, papers_small, sim_cfg):
-        system = HyScaleGNN(papers_small, hyscale_cpu_gpu_platform(2),
-                            sim_cfg, ABLATION_PRESETS["hybrid_drm_tfp"],
-                            full_scale=True, profile_probes=2)
-        system.simulate_epoch(iterations=40)
-        assert system.drm is not None
-        assert len(system.drm.decisions) == 40
+        backend = _virtual(papers_small, sim_cfg,
+                           hyscale_cpu_gpu_platform(2),
+                           ABLATION_PRESETS["hybrid_drm_tfp"],
+                           full_scale=True)
+        backend.simulate_epoch(iterations=40)
+        assert backend.session.drm is not None
+        assert len(backend.session.drm.decisions) == 40

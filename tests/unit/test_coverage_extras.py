@@ -50,7 +50,7 @@ class TestTraceExtras:
 
 class TestEpochReportExtras:
     def test_empty_report_defaults(self):
-        from repro.runtime.hybrid import EpochReport
+        from repro.runtime import EpochReport
         from repro.sim.trace import Timeline
         rep = EpochReport(mode="simulated", iterations=0,
                           epoch_time_s=0.0, timeline=Timeline())

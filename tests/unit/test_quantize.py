@@ -91,16 +91,15 @@ class TestPerfModelPrecision:
     def test_transfer_time_scales_with_precision(self, tiny_ds,
                                                  fpga_platform):
         from repro.config import TrainingConfig
-        from repro.runtime.hybrid import HyScaleGNN
+        from repro.runtime import TrainingSession
         cfg = TrainingConfig(model="gcn", minibatch_size=32,
                              fanouts=(4, 3), hidden_dim=16, seed=0)
         times = {}
         for mode in ("fp32", "fp16", "int8"):
-            system = HyScaleGNN(
-                tiny_ds, fpga_platform, cfg,
-                SystemConfig(transfer_precision=mode),
-                profile_probes=2)
-            st = system.perfmodel.stage_times(system.split)
+            session = TrainingSession(
+                tiny_ds, cfg, SystemConfig(transfer_precision=mode),
+                fpga_platform, profile_probes=2)
+            st = session.perfmodel.stage_times(session.split)
             times[mode] = st.t_transfer
         # Latency floor means not exactly 2x/4x, but strictly ordered.
         assert times["int8"] < times["fp16"] < times["fp32"]

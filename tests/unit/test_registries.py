@@ -9,28 +9,28 @@ traceback. These tests pin both the per-registry behavior and the
 shared surface (``register`` / ``get`` / ``available()``).
 """
 
-import dataclasses
-
 import pytest
 
+from repro.config import SystemConfig
 from repro.errors import ConfigError
 import repro.sampling as sampling
 from repro.registry import Registry
 from repro.runtime import (
     BACKENDS,
     ExecutionBackend,
+    TrainingSession,
     available_backends,
+    build_backend,
     get_backend,
     register_backend,
 )
-from repro.runtime.backends import (
-    BackendOptions,
-    ThreadedOptions,
-    build_backend,
-    resolve_options,
-)
-from repro.runtime.backends.options import validate_options_cls
 from repro.sampling import SAMPLER_REGISTRY, available_samplers
+
+
+def _session(dataset, cfg):
+    """A platform-less functional session (no backend is run)."""
+    return TrainingSession(dataset, cfg, SystemConfig(drm=False),
+                           profile_probes=2)
 
 
 class TestBackendRegistryErrors:
@@ -120,10 +120,13 @@ class TestUnifiedRegistrySurface:
             BACKENDS["definitely-not-registered"]
 
 
-class TestBackendOptions:
+class TestBuildBackend:
+    """``build_backend`` checks knobs against the constructor signature,
+    so the signature is the only declaration a backend needs."""
+
     def test_unknown_option_names_backend_and_knobs(self):
         with pytest.raises(ConfigError) as exc:
-            resolve_options("threaded", prefetch_dpeth=3)
+            build_backend("threaded", None, prefetch_dpeth=3)
         msg = str(exc.value)
         assert "'threaded'" in msg
         assert "prefetch_dpeth" in msg
@@ -137,59 +140,42 @@ class TestBackendOptions:
         assert "'threaded'" in str(exc.value)
         assert "timeout_s" in str(exc.value)
 
-    def test_wrong_options_class_rejected(self):
+    def test_other_backends_knob_rejected(self):
         with pytest.raises(ConfigError) as exc:
-            resolve_options("process", ThreadedOptions(prefetch_depth=2))
+            build_backend("process", None, prefetch_depth=2)
         assert "'process'" in str(exc.value)
 
-    def test_kwargs_layer_on_options_instance(self):
-        opts = resolve_options("threaded",
-                               ThreadedOptions(prefetch_depth=2),
-                               timeout_s=5.0)
-        assert opts.prefetch_depth == 2
-        assert opts.timeout_s == 5.0
-        assert opts.to_kwargs() == {"prefetch_depth": 2,
-                                    "timeout_s": 5.0}
+    def test_knobs_reach_constructor(self, tiny_ds, small_cfg):
+        backend = build_backend("threaded", _session(tiny_ds, small_cfg),
+                                prefetch_depth=3, timeout_s=5.0)
+        assert backend.prefetch_depth == 3
+        assert backend.timeout_s == 5.0
 
-    def test_unset_knobs_defer_to_constructor(self):
-        assert resolve_options("threaded").to_kwargs() == {}
+    def test_unset_knobs_defer_to_constructor(self, tiny_ds, small_cfg):
+        backend = build_backend("threaded", _session(tiny_ds, small_cfg))
+        assert backend.prefetch_depth == 2
+        assert backend.timeout_s == 60.0
 
-    def test_registration_rejects_non_none_option_default(self):
-        @dataclasses.dataclass(frozen=True)
-        class BadOptions(BackendOptions):
-            knob: int = 7
+    def test_third_party_knob_needs_no_declaration(self, tiny_ds,
+                                                   small_cfg):
+        class Knobbed(ExecutionBackend):
+            name = "knobbed"
 
-        class Bad(ExecutionBackend):
-            name = "bad-options"
-            options_cls = BadOptions
-
-            def __init__(self, session, knob=7):
+            def __init__(self, session, flavour="plain"):
                 super().__init__(session)
+                self.flavour = flavour
 
             def run_epoch(self, max_iterations=None):
                 raise NotImplementedError
 
-        with pytest.raises(ConfigError) as exc:
-            validate_options_cls(Bad)
-        assert "knob" in str(exc.value)
-        assert "bad-options" not in BACKENDS
-
-    def test_registration_rejects_option_constructor_mismatch(self):
-        @dataclasses.dataclass(frozen=True)
-        class GhostOptions(BackendOptions):
-            ghost_knob: int | None = None
-
-        class Ghost(ExecutionBackend):
-            name = "ghost-options"
-            options_cls = GhostOptions
-
-            def __init__(self, session):
-                super().__init__(session)
-
-            def run_epoch(self, max_iterations=None):
-                raise NotImplementedError
-
-        with pytest.raises(ConfigError) as exc:
-            register_backend(Ghost)
-        assert "ghost_knob" in str(exc.value)
-        assert "ghost-options" not in BACKENDS
+        register_backend(Knobbed)
+        try:
+            backend = build_backend("knobbed",
+                                    _session(tiny_ds, small_cfg),
+                                    flavour="spicy")
+            assert backend.flavour == "spicy"
+            with pytest.raises(ConfigError) as exc:
+                build_backend("knobbed", None, flavor="spicy")
+            assert "flavour" in str(exc.value)
+        finally:
+            del BACKENDS["knobbed"]
