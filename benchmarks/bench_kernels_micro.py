@@ -24,12 +24,14 @@ import numpy as np
 import pytest
 
 from repro.config import layer_dims
+from repro.errors import SamplingError
 from repro.graph.datasets import load_dataset
 from repro.kernels import BufferPool, fast, reference
 from repro.nn.aggregators import SparseAggregator, segment_sum_aggregate
 from repro.nn.loss import softmax_cross_entropy
 from repro.nn.models import build_model
-from repro.sampling.neighbor import NeighborSampler
+from repro.sampling.base import LayerBlock, MiniBatch
+from repro.sampling.neighbor import NeighborSampler, _sample_capped_neighbors
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +99,73 @@ def full_chain_step(model, batch, x0, global_degrees, labels):
     return loss, grad
 
 
+# The sort-relabel oracle: how the sampler mapped global ids to local
+# positions before its position map (``repro.sampling.base``). It is
+# the reference of the gated ``sample_neighbor`` row, and the tests
+# (``tests/unit/test_sampling.py``) pin the map to it array for array.
+
+def union_preserving_order(base: np.ndarray,
+                           extra: np.ndarray) -> np.ndarray:
+    """Return ``base`` followed by the unique new elements of ``extra``
+    in first-occurrence order (``base`` must be duplicate-free)."""
+    if base.size == 0:
+        return np.unique(extra)
+    combined = np.concatenate([base, extra])
+    _, first_idx = np.unique(combined, return_index=True)
+    first_idx.sort()
+    return combined[first_idx]
+
+
+def local_index_of(global_ids: np.ndarray,
+                   universe: np.ndarray) -> np.ndarray:
+    """Positions of ``global_ids`` in the (unsorted) ``universe``, found
+    by a stable sort and a binary search; raises if an id is missing."""
+    order = np.argsort(universe, kind="stable")
+    sorted_universe = universe[order]
+    pos = np.searchsorted(sorted_universe, global_ids)
+    if pos.size and (pos >= universe.size).any():
+        raise SamplingError("id not present in universe")
+    if pos.size and not np.array_equal(sorted_universe[pos], global_ids):
+        raise SamplingError("id not present in universe")
+    return order[pos]
+
+
+class SortRelabelSampler(NeighborSampler):
+    """:class:`NeighborSampler` relabelling each hop by sorting.
+
+    Same RNG draws, same edge order: only the global → local relabel
+    differs, so a twin built with the same arguments must produce
+    array-identical batches.
+    """
+
+    def sample(self, target_ids: np.ndarray) -> MiniBatch:
+        targets = np.asarray(target_ids, dtype=np.int64)
+        if targets.size == 0:
+            raise SamplingError("cannot sample an empty batch")
+        if np.unique(targets).size != targets.size:
+            raise SamplingError("target ids must be unique")
+        node_lists, raw_edges, frontier = [targets], [], targets
+        for fanout in self.fanouts:
+            seg, neigh = _sample_capped_neighbors(
+                self.graph.indptr, self.graph.indices, frontier, fanout,
+                self._rng)
+            prev = union_preserving_order(frontier, neigh)
+            raw_edges.append((neigh, frontier[seg]))
+            node_lists.append(prev)
+            frontier = prev
+        node_ids = tuple(reversed(node_lists))
+        L = len(self.fanouts)
+        blocks = []
+        for h, (src_g, dst_g) in enumerate(raw_edges):
+            src_layer, dst_layer = node_ids[L - 1 - h], node_ids[L - h]
+            blocks.append(LayerBlock(
+                src_local=local_index_of(src_g, src_layer),
+                dst_local=local_index_of(dst_g, dst_layer),
+                num_src=src_layer.size, num_dst=dst_layer.size))
+        return MiniBatch(node_ids=node_ids, blocks=tuple(reversed(blocks)),
+                         feature_dim=self.feature_dim)
+
+
 @pytest.mark.parametrize("model_name", ["gcn", "sage"])
 def test_bench_forward_backward(benchmark, ds, batch, model_name):
     dims = layer_dims(ds.spec.feature_dim, 128, ds.spec.num_classes, 2)
@@ -132,7 +201,16 @@ def _kernel_cases(ds, batch):
     (input-feature gradient computed and dropped) against the model's
     own forward/backward (never computed) — the ratio is the dead work
     the model's backward leaves out, gated so it cannot creep back.
+
+    ``sample_neighbor`` is the sampler's row: :class:`SortRelabelSampler`
+    against :class:`NeighborSampler`, twins drawing the batch's targets
+    in lockstep (every timed loop calls both sides equally often, so
+    call ``k`` of each starts from the same RNG state).
     """
+    twins = [cls(ds.graph, np.arange(ds.graph.num_vertices), (15, 10),
+                 ds.spec.feature_dim, seed=1)
+             for cls in (SortRelabelSampler, NeighborSampler)]
+    targets = batch.targets
     feats, idx, blk = ds.features, batch.input_nodes, batch.blocks[0]
     h_src = np.random.default_rng(2).standard_normal((blk.num_src, 100))
     pool = BufferPool()
@@ -167,6 +245,9 @@ def _kernel_cases(ds, batch):
         "train_backward_sage": (
             lambda: full_chain_step(model, batch, x0, deg, labels),
             model_step),
+        "sample_neighbor": (
+            lambda: twins[0].sample(targets),
+            lambda: twins[1].sample(targets)),
     }
 
 

@@ -29,6 +29,10 @@ primary assertions are speedup-based:
   input-feature gradient — must keep a **hard >= 1.15x** (its
   baseline ratio is ~1.4x, so the 60% slack below alone would still
   pass at 1.0x, i.e. with the dead work back);
+* ``sample_neighbor`` — the neighbor sampler relabelling through its
+  position map against the sort-relabel oracle, same targets, same RNG
+  draws — must keep a **hard >= 2.0x** (a sort back in the relabel
+  path lands it near 1.0x);
 * every kernel's speedup must stay within ``--speedup-slack`` (default
   0.6) of its baseline speedup — a fast-tier regression shows up as
   the ratio collapsing even when both absolute times drift;
@@ -67,7 +71,8 @@ import sys
 #: The kernels whose speedup has a hard floor regardless of baseline
 #: (name -> minimum acceptable fast-vs-reference ratio).
 HARD_FLOORS = {"gather_quantize_int8": 2.0,
-               "train_backward_sage": 1.15}
+               "train_backward_sage": 1.15,
+               "sample_neighbor": 2.0}
 
 
 def compare(baseline: dict, current: dict, *,

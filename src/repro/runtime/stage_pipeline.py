@@ -165,8 +165,8 @@ class StagePipeline:
     Parameters
     ----------
     sampler:
-        The mini-batch sampler (one shared RNG stream; draws are
-        serialized through :attr:`sampler_lock`).
+        The mini-batch sampler (one shared RNG stream and position map;
+        draws are serialized through :attr:`sampler_lock`).
     features / labels:
         The feature matrix and (optionally) label vector the gather and
         label stages read. Process-plane workers construct a pipeline
@@ -184,8 +184,12 @@ class StagePipeline:
         self.labels = labels
         self.transfer_precision = transfer_precision
         #: Serializes sampler access for callers whose stage threads
-        #: sample concurrently (samplers hold a single RNG stream that
-        #: is not thread-safe). Single-threaded callers never contend.
+        #: sample concurrently. A sampler holds two pieces of state that
+        #: are not thread-safe: its RNG stream, and the position map it
+        #: relabels every batch through (``repro.sampling.base``), which
+        #: all in-process stage threads of one session share and which
+        #: two overlapping calls would corrupt. Single-threaded callers
+        #: never contend.
         self.sampler_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -194,9 +198,9 @@ class StagePipeline:
     def sample(self, targets: np.ndarray) -> MiniBatch:
         """Sample one mini-batch (thread-safe).
 
-        The sampler's RNG stream is shared; the lock makes each draw
-        atomic so concurrent stage threads interleave whole batches,
-        never corrupt the stream.
+        The sampler's RNG stream and position map are shared; the lock
+        makes each draw atomic so concurrent stage threads interleave
+        whole batches, never corrupt either.
         """
         with self.sampler_lock:
             return self.sampler.sample(targets)

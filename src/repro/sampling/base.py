@@ -11,6 +11,17 @@ Alignment invariant: ``node_ids[l-1][:len(node_ids[l])] == node_ids[l]`` —
 the destination vertices of a layer are the first entries of its source
 list, so hidden states can be sliced instead of re-gathered (the standard
 "block" layout, also what PyG/DGL produce).
+
+Relabelling global ids to local positions never sorts. Each sampler owns
+one ``int64[|V|]`` position map, ``-1`` everywhere between calls. A call
+writes ``pos[v] = i`` for the ``i``-th vertex of its node list, reads
+local indices back with one fancy-index gather, and resets every entry
+it touched before returning — raising included. Because each layer's
+node list extends the next one's, a vertex keeps its position across
+hops and one map serves every layer (DGL's NodeFlow keeps the same
+per-layer parent-id offsets). The map is per instance and unlocked: a
+sampler is driven by one thread at a time, which is what
+``StagePipeline.sampler_lock`` already guarantees for its RNG stream.
 """
 
 from __future__ import annotations
@@ -207,36 +218,41 @@ class Sampler(abc.ABC):
         """Yield mini-batches covering the training set once."""
 
 
-def union_preserving_order(base: np.ndarray,
-                           extra: np.ndarray) -> np.ndarray:
-    """Return ``base`` followed by the unique new elements of ``extra``.
+def check_target_ids(target_ids, num_vertices: int) -> np.ndarray:
+    """``target_ids`` as ``int64``, or :class:`SamplingError` unless they
+    are a non-empty 1-D integer array of ids in ``[0, num_vertices)``.
 
-    ``base`` must already be duplicate-free; order of ``base`` is preserved
-    exactly (this is what makes the prefix-alignment invariant hold).
+    The samplers' front door: it runs before any position-map write, so
+    a bad id can neither alias another vertex's slot nor leak a raw
+    ``IndexError``.
     """
-    if base.size == 0:
-        return np.unique(extra)
-    combined = np.concatenate([base, extra])
-    _, first_idx = np.unique(combined, return_index=True)
-    first_idx.sort()
-    result = combined[first_idx]
-    # np.unique+sort keeps first occurrences in original order; base entries
-    # all occur first so they form the prefix.
-    return result
+    ids = np.asarray(target_ids)
+    if ids.size == 0:
+        raise SamplingError("cannot sample an empty batch")
+    if ids.ndim != 1 or ids.dtype.kind not in "iu":
+        raise SamplingError("target ids must be a 1-D integer array, "
+                            f"got {ids.dtype} with shape {ids.shape}")
+    if ids.min() < 0 or ids.max() >= num_vertices:
+        raise SamplingError(
+            f"target id out of range [0, {num_vertices})")
+    return ids.astype(np.int64, copy=False)
 
 
-def local_index_of(global_ids: np.ndarray,
-                   universe: np.ndarray) -> np.ndarray:
-    """Map ``global_ids`` to their positions in ``universe``.
+def relabel_hop(pos: np.ndarray, frontier: np.ndarray,
+                neigh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One hop's relabel through the position map ``pos``.
 
-    ``universe`` need not be sorted; a sorted view is built internally.
-    Raises if any id is missing.
+    On entry ``pos[frontier] == arange(frontier.size)`` and every other
+    entry is ``-1``. Returns ``(layer, local)``: ``frontier`` followed by
+    the ids of ``neigh`` not in it, in first-occurrence order, and each
+    ``neigh`` id's position in ``layer``. On return ``pos[layer] ==
+    arange(layer.size)``, so the same map serves the next hop.
     """
-    order = np.argsort(universe, kind="stable")
-    sorted_universe = universe[order]
-    pos = np.searchsorted(sorted_universe, global_ids)
-    if pos.size and (pos >= universe.size).any():
-        raise SamplingError("id not present in universe")
-    if pos.size and not np.array_equal(sorted_universe[pos], global_ids):
-        raise SamplingError("id not present in universe")
-    return order[pos]
+    new = neigh[pos[neigh] < 0]
+    order = np.arange(new.size)
+    # Reverse scatter: the last write to a repeated index wins, so each
+    # id is left holding the index of its first occurrence.
+    pos[new[::-1]] = order[::-1]
+    new = new[pos[new] == order]
+    pos[new] = np.arange(frontier.size, frontier.size + new.size)
+    return np.concatenate([frontier, new]), pos[neigh]

@@ -30,8 +30,8 @@ from .base import (
     LayerBlock,
     MiniBatch,
     Sampler,
-    local_index_of,
-    union_preserving_order,
+    check_target_ids,
+    relabel_hop,
 )
 
 
@@ -108,15 +108,11 @@ class NeighborSampler(Sampler):
         ``f^0`` recorded on produced batches.
     seed:
         Base seed; each sampled batch advances the stream deterministically.
-    include_targets_in_frontier:
-        Keep ``V^l ⊆ V^{l-1}`` (needed by both GCN's self-aggregation and
-        SAGE's concat-with-self). Always true for the paper's models.
     """
 
     def __init__(self, graph: CSRGraph, train_ids: np.ndarray,
                  fanouts: tuple[int, ...], feature_dim: int,
-                 seed: int = 0,
-                 include_targets_in_frontier: bool = True) -> None:
+                 seed: int = 0) -> None:
         if len(fanouts) == 0 or any(f <= 0 for f in fanouts):
             raise SamplingError("fanouts must be positive and non-empty")
         train_ids = np.asarray(train_ids, dtype=np.int64)
@@ -129,50 +125,42 @@ class NeighborSampler(Sampler):
         self.fanouts = tuple(int(f) for f in fanouts)
         self.feature_dim = int(feature_dim)
         self.seed = seed
-        self.include_targets = include_targets_in_frontier
         self._rng = np.random.default_rng(seed)
+        #: The position map (module docstring): -1 between calls.
+        self._pos = np.full(graph.num_vertices, -1, dtype=np.int64)
 
     # ------------------------------------------------------------------
     def sample(self, target_ids: np.ndarray) -> MiniBatch:
         """Build the L-hop computational graph for ``target_ids``."""
-        targets = np.asarray(target_ids, dtype=np.int64)
-        if targets.size == 0:
-            raise SamplingError("cannot sample an empty batch")
-        if np.unique(targets).size != targets.size:
-            raise SamplingError("target ids must be unique")
-
+        targets = check_target_ids(target_ids, self.graph.num_vertices)
         indptr, indices = self.graph.indptr, self.graph.indices
         node_lists: list[np.ndarray] = [targets]
-        raw_edges: list[tuple[np.ndarray, np.ndarray]] = []
-
-        frontier = targets
-        for fanout in self.fanouts:
-            seg, neigh = _sample_capped_neighbors(
-                indptr, indices, frontier, fanout, self._rng)
-            if self.include_targets:
-                prev = union_preserving_order(frontier, neigh)
-            else:
-                prev = union_preserving_order(frontier[:0], neigh)
-            raw_edges.append((neigh, frontier[seg]))
-            node_lists.append(prev)
-            frontier = prev
-
-        # node_lists is target-side first; MiniBatch wants input-side first.
-        node_ids = tuple(reversed(node_lists))
         blocks: list[LayerBlock] = []
-        # raw_edges[h] was sampled at hop h (h=0 nearest targets); layer
-        # l = L - h in paper numbering, i.e. blocks index L-1-h.
-        L = len(self.fanouts)
-        for h, (src_g, dst_g) in enumerate(raw_edges):
-            src_layer = node_ids[L - 1 - h]
-            dst_layer = node_ids[L - h]
-            src_local = local_index_of(src_g, src_layer)
-            dst_local = local_index_of(dst_g, dst_layer)
-            blocks.append(LayerBlock(
-                src_local=src_local, dst_local=dst_local,
-                num_src=src_layer.size, num_dst=dst_layer.size))
-        blocks.reverse()
-        return MiniBatch(node_ids=node_ids, blocks=tuple(blocks),
+        pos, frontier, neigh = self._pos, targets, targets[:0]
+        try:
+            order = np.arange(targets.size)
+            pos[targets] = order
+            if (pos[targets] != order).any():
+                raise SamplingError("target ids must be unique")
+            # Hop h (h=0 nearest the targets) builds blocks[L-1-h]; a
+            # destination's local index is its position in `frontier`.
+            for fanout in self.fanouts:
+                seg, neigh = _sample_capped_neighbors(
+                    indptr, indices, frontier, fanout, self._rng)
+                prev, src_local = relabel_hop(pos, frontier, neigh)
+                blocks.append(LayerBlock(
+                    src_local=src_local, dst_local=seg,
+                    num_src=prev.size, num_dst=frontier.size))
+                node_lists.append(prev)
+                frontier = prev
+        except BaseException:
+            pos[neigh] = -1     # a hop that raised before `frontier` moved
+            raise
+        finally:
+            pos[frontier] = -1
+        # Target-side first so far; MiniBatch wants input-side first.
+        return MiniBatch(node_ids=tuple(reversed(node_lists)),
+                         blocks=tuple(reversed(blocks)),
                          feature_dim=self.feature_dim)
 
     # ------------------------------------------------------------------

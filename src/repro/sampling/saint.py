@@ -21,42 +21,29 @@ import numpy as np
 
 from ..errors import SamplingError
 from ..graph.csr import CSRGraph
-from .base import LayerBlock, MiniBatch, Sampler
+from .base import LayerBlock, MiniBatch, Sampler, check_target_ids
 from .neighbor import _gather_all_neighbors
 
 
-def induced_block(graph: CSRGraph,
-                  nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def induced_block(graph: CSRGraph, nodes: np.ndarray,
+                  pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Edges of ``G[nodes]`` in local coordinates (vectorized).
 
-    Returns ``(src_local, dst_local)``; ``nodes`` must be unique.
+    Returns ``(src_local, dst_local)``; ``nodes`` must be unique. ``pos``
+    is an all ``-1`` position map over the graph's vertices (see
+    :mod:`repro.sampling.base`), left all ``-1`` again on return.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    order = np.argsort(nodes, kind="stable")
-    sorted_nodes = nodes[order]
     seg, neigh = _gather_all_neighbors(graph.indptr, graph.indices, nodes)
-    pos = np.searchsorted(sorted_nodes, neigh)
-    pos = np.clip(pos, 0, sorted_nodes.size - 1)
-    member = sorted_nodes[pos] == neigh
-    # Edge direction: graph edge (nodes[seg] -> neigh); in the block the
-    # message flows src=neigh's local id ... we keep graph direction:
-    # src = nodes[seg] (source of the out-edge), dst = neigh.
-    src_local = seg[member]
-    dst_local = order[pos[member]]
-    return src_local, dst_local
-
-
-def _subgraph_batch(graph: CSRGraph, nodes: np.ndarray, num_layers: int,
-                    feature_dim: int) -> MiniBatch:
-    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-    if nodes.size == 0:
-        raise SamplingError("empty subgraph batch")
-    src_local, dst_local = induced_block(graph, nodes)
-    block = LayerBlock(src_local=src_local, dst_local=dst_local,
-                       num_src=nodes.size, num_dst=nodes.size)
-    return MiniBatch(node_ids=tuple([nodes] * (num_layers + 1)),
-                     blocks=tuple([block] * num_layers),
-                     feature_dim=feature_dim)
+    try:
+        pos[nodes] = np.arange(nodes.size)
+        local = pos[neigh]
+    finally:
+        pos[nodes] = -1
+    # Graph direction is kept: src = nodes[seg] (source of the
+    # out-edge), dst = neigh, for each neighbor inside the subgraph.
+    member = local >= 0
+    return seg[member], local[member]
 
 
 class _SaintBase(Sampler):
@@ -74,11 +61,18 @@ class _SaintBase(Sampler):
         self.feature_dim = int(feature_dim)
         self.seed = seed
         self._rng = np.random.default_rng(seed)
+        self._pos = np.full(graph.num_vertices, -1, dtype=np.int64)
 
     def sample(self, target_ids: np.ndarray) -> MiniBatch:
         """Induce the subgraph on the given vertex set."""
-        return _subgraph_batch(self.graph, np.asarray(target_ids),
-                               self.num_layers, self.feature_dim)
+        nodes = np.unique(check_target_ids(target_ids,
+                                           self.graph.num_vertices))
+        src_local, dst_local = induced_block(self.graph, nodes, self._pos)
+        block = LayerBlock(src_local=src_local, dst_local=dst_local,
+                           num_src=nodes.size, num_dst=nodes.size)
+        return MiniBatch(node_ids=tuple([nodes] * (self.num_layers + 1)),
+                         blocks=tuple([block] * self.num_layers),
+                         feature_dim=self.feature_dim)
 
     def _draw(self, minibatch_size: int) -> np.ndarray:
         raise NotImplementedError

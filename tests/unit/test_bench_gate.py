@@ -66,6 +66,18 @@ class TestCompare:
         problems = gate.compare(base, cur)
         assert len(problems) == 1 and "hard floor 1.15x" in problems[0]
 
+    def test_hard_floor_on_sample_neighbor(self):
+        # 3.0x -> 1.9x (a sort back in the relabel path, partly hidden
+        # by the draws) is inside the 60% slack; only the floor catches
+        # it.
+        base = _doc(gather_quantize_int8=(4.0, 1.0),
+                    sample_neighbor=(3.0, 1.0))
+        cur = _doc(gather_quantize_int8=(4.0, 1.0),
+                   sample_neighbor=(1.9, 1.0))
+        problems = gate.compare(base, cur)
+        assert len(problems) == 1 and "hard floor 2.00x" in problems[0]
+        assert gate.HARD_FLOORS["sample_neighbor"] == 2.0
+
     def test_speedup_collapse_fails_even_when_floor_holds(self):
         # segment_sum falls from 3.0x to 1.0x: above any hard floor,
         # but below 60% of its own baseline.
@@ -106,7 +118,8 @@ class TestCommittedBaseline:
         assert baseline["schema"] == "bench-kernels/v1"
         for name in ("gather", "gather_quantize_int8",
                      "gather_quantize_fp16", "quantize_int8",
-                     "segment_sum", "train_backward_sage"):
+                     "segment_sum", "train_backward_sage",
+                     "sample_neighbor"):
             row = baseline["kernels"][name]
             assert row["reference_s"] > 0 and row["fast_s"] > 0
             assert row["speedup"] == pytest.approx(

@@ -1,25 +1,103 @@
 """Unit tests for the sampling package."""
 
+import importlib.util
+import pathlib
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
+from repro.runtime.stage_pipeline import StagePipeline
 from repro.sampling.base import (
     LayerBlock,
     MiniBatch,
     MiniBatchStats,
-    local_index_of,
-    union_preserving_order,
+    relabel_hop,
 )
 from repro.sampling.full import FullBatchSampler
-from repro.sampling.neighbor import NeighborSampler
+from repro.sampling.neighbor import NeighborSampler, _gather_all_neighbors
 from repro.sampling.saint import (
     SaintEdgeSampler,
     SaintNodeSampler,
     SaintRWSampler,
     induced_block,
 )
+
+
+def _load_bench():
+    # The sort-relabel oracle is shared with the gated
+    # ``sample_neighbor`` bench row, not copied.
+    path = pathlib.Path(__file__).parents[2] / "benchmarks" / \
+        "bench_kernels_micro.py"
+    spec = importlib.util.spec_from_file_location(
+        "bench_kernels_micro", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+_bench = _load_bench()
+union_preserving_order = _bench.union_preserving_order
+local_index_of = _bench.local_index_of
+SortRelabelSampler = _bench.SortRelabelSampler
+
+property_settings = settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow,
+                           HealthCheck.function_scoped_fixture])
+
+
+def sorted_induced_block(graph, nodes):
+    """``induced_block`` as it was before the position map: a stable
+    sort of ``nodes`` and a binary search per neighbor."""
+    order = np.argsort(nodes, kind="stable")
+    sorted_nodes = nodes[order]
+    seg, neigh = _gather_all_neighbors(graph.indptr, graph.indices, nodes)
+    pos = np.clip(np.searchsorted(sorted_nodes, neigh), 0,
+                  sorted_nodes.size - 1)
+    member = sorted_nodes[pos] == neigh
+    return seg[member], order[pos[member]]
+
+
+def assert_batches_identical(a: MiniBatch, b: MiniBatch) -> None:
+    """Array for array, dtype included."""
+    assert len(a.node_ids) == len(b.node_ids)
+    for x, y in zip(a.node_ids, b.node_ids):
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+    for p, q in zip(a.blocks, b.blocks, strict=True):
+        assert (p.num_src, p.num_dst) == (q.num_src, q.num_dst)
+        for x, y in ((p.src_local, q.src_local),
+                     (p.dst_local, q.dst_local)):
+            assert x.dtype == y.dtype
+            np.testing.assert_array_equal(x, y)
+
+
+@st.composite
+def graphs(draw, max_vertices=40, max_edges=200):
+    n = draw(st.integers(1, max_vertices))
+    m = draw(st.integers(0, max_edges))
+    ends = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    return CSRGraph.from_edges(np.array(draw(ends), dtype=np.int64),
+                               np.array(draw(ends), dtype=np.int64), n)
+
+
+@st.composite
+def frontier_and_extra(draw):
+    """A position map's universe ``|V|``, a duplicate-free frontier and
+    an arbitrary extra id array (repeats, empty, ids at 0 and |V|-1)."""
+    n = draw(st.integers(1, 50))
+    ids = st.integers(0, n - 1)
+    frontier = draw(st.lists(ids, min_size=1, max_size=n, unique=True))
+    extra = draw(st.lists(st.one_of(ids, st.sampled_from([0, n - 1])),
+                          max_size=80))
+    return (n, np.array(frontier, dtype=np.int64),
+            np.array(extra, dtype=np.int64))
 
 
 class TestHelpers:
@@ -43,6 +121,212 @@ class TestHelpers:
     def test_local_index_missing_raises(self):
         with pytest.raises(SamplingError):
             local_index_of(np.array([99]), np.array([1, 2]))
+
+
+class TestPositionMapRelabel:
+    """The position-map relabel against the sort-relabel oracle."""
+
+    def test_numpy_last_write_wins_on_repeated_fancy_index(self):
+        # relabel_hop's reverse scatter relies on it; pinned on a short
+        # index and on one long enough for numpy's buffered path.
+        a = np.full(4, -1, dtype=np.int64)
+        idx = np.array([2, 0, 2, 2, 0, 3])
+        a[idx[::-1]] = np.arange(idx.size)[::-1]
+        assert a.tolist() == [1, -1, 0, 5]
+        idx = np.random.default_rng(0).integers(0, 1000, 100_000)
+        a = np.full(1000, -1, dtype=np.int64)
+        a[idx] = np.arange(idx.size)
+        last = {int(v): i for i, v in enumerate(idx)}
+        assert all(a[v] == i for v, i in last.items())
+
+    @property_settings
+    @given(frontier_and_extra())
+    def test_relabel_hop_equals_sort_oracle(self, case):
+        n, frontier, extra = case
+        pos = np.full(n, -1, dtype=np.int64)
+        pos[frontier] = np.arange(frontier.size)
+        layer, local = relabel_hop(pos, frontier, extra)
+        want_layer = union_preserving_order(frontier, extra)
+        want_local = local_index_of(extra, want_layer)
+        for got, want in ((layer, want_layer), (local, want_local)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        # The map now holds exactly the new layer's positions.
+        expect = np.full(n, -1, dtype=np.int64)
+        expect[layer] = np.arange(layer.size)
+        np.testing.assert_array_equal(pos, expect)
+
+    @property_settings
+    @given(graphs(), st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           st.integers(0, 2**32 - 1), st.data())
+    def test_sampler_equals_sort_relabel_twin(self, graph, fanouts, seed,
+                                              data):
+        n = graph.num_vertices
+        ids = np.arange(n)
+        fast = NeighborSampler(graph, ids, tuple(fanouts), 4, seed=seed)
+        ref = SortRelabelSampler(graph, ids, tuple(fanouts), 4, seed=seed)
+        for _ in range(3):
+            targets = np.array(data.draw(st.lists(
+                st.integers(0, n - 1), min_size=1, max_size=n,
+                unique=True)), dtype=np.int64)
+            assert_batches_identical(fast.sample(targets),
+                                     ref.sample(targets))
+        assert (fast._pos == -1).all()
+
+    def test_epoch_equals_sort_relabel_twin(self, medium_graph):
+        args = (medium_graph, np.arange(medium_graph.num_vertices),
+                (10, 5), 8)
+        fast = NeighborSampler(*args, seed=4)
+        ref = SortRelabelSampler(*args, seed=4)
+        for a, b in zip(fast.epoch_batches(512, seed=2),
+                        ref.epoch_batches(512, seed=2), strict=True):
+            assert_batches_identical(a, b)
+
+    @property_settings
+    @given(graphs(), st.data())
+    def test_induced_block_equals_sorted_twin(self, graph, data):
+        n = graph.num_vertices
+        nodes = np.array(data.draw(st.lists(
+            st.integers(0, n - 1), min_size=1, max_size=n, unique=True)),
+            dtype=np.int64)
+        pos = np.full(n, -1, dtype=np.int64)
+        got = induced_block(graph, nodes, pos)
+        for x, y in zip(got, sorted_induced_block(graph, nodes),
+                        strict=True):
+            assert x.dtype == y.dtype
+            np.testing.assert_array_equal(x, y)
+        assert (pos == -1).all()
+
+
+#: Bad target ids on the 400-vertex fixture. Before the front door,
+#: [3, -397] was accepted (-397 aliases vertex 3), [-1] and [400] leaked
+#: a bare ValueError / IndexError and floats were truncated.
+BAD_TARGETS = {
+    "negative-alias": [3, -397],
+    "negative": [-1],
+    "past-end": [400],
+    "float": [0.5, 1.7],
+    "two-dim": [[1, 2]],
+}
+
+
+def _samplers(ds, seed=5):
+    fdim = ds.spec.feature_dim
+    return {
+        "neighbor": NeighborSampler(ds.graph, ds.train_ids, (4, 3), fdim,
+                                    seed=seed),
+        "saint": SaintNodeSampler(ds.graph, ds.train_ids, 2, fdim,
+                                  seed=seed),
+    }
+
+
+class TestSamplerFrontDoor:
+    @pytest.mark.parametrize("family", ["neighbor", "saint"])
+    @pytest.mark.parametrize("bad", list(BAD_TARGETS.values()),
+                             ids=list(BAD_TARGETS))
+    def test_bad_target_ids_raise_typed_error(self, tiny_ds, family, bad):
+        assert tiny_ds.graph.num_vertices == 400
+        sampler = _samplers(tiny_ds)[family]
+        with pytest.raises(SamplingError):
+            sampler.sample(np.array(bad))
+        assert (sampler._pos == -1).all()
+
+    def test_any_integer_dtype_accepted(self, tiny_ds):
+        sampler = _samplers(tiny_ds)["neighbor"]
+        twin = _samplers(tiny_ds)["neighbor"]
+        targets = tiny_ds.train_ids[:8]
+        a = sampler.sample(targets.astype(np.uint16))
+        assert_batches_identical(a, twin.sample(targets))
+        assert a.targets.dtype == np.int64
+
+
+class TestPositionMapExceptionSafety:
+    """A sample that raises leaves the map all -1, and the sampler's
+    next batch is the one a twin that never saw the call draws."""
+
+    @pytest.mark.parametrize("bad", [[1, 1], [7, 3, 7], [3, -397], [400]],
+                             ids=["dup", "dup-3", "alias", "past-end"])
+    def test_rejected_call_leaves_map_clean(self, tiny_ds, bad):
+        sampler, twin = (_samplers(tiny_ds)["neighbor"] for _ in range(2))
+        with pytest.raises(SamplingError):
+            sampler.sample(np.array(bad))
+        assert (sampler._pos == -1).all()
+        targets = tiny_ds.train_ids[:16]
+        assert_batches_identical(sampler.sample(targets),
+                                 twin.sample(targets))
+
+    @pytest.mark.parametrize("seam", ["_sample_capped_neighbors",
+                                      "relabel_hop"])
+    def test_hop_raising_midway_leaves_map_clean(self, tiny_ds,
+                                                 monkeypatch, seam):
+        # The second hop fails after the first wrote its positions; on
+        # the relabel seam it fails after the hop's own writes too.
+        import repro.sampling.neighbor as neighbor
+        real, calls = getattr(neighbor, seam), []
+
+        def flaky(*args):
+            calls.append(seam)
+            out = real(*args)
+            if len(calls) == 2:
+                raise RuntimeError("injected")
+            return out
+
+        sampler, twin = (_samplers(tiny_ds)["neighbor"] for _ in range(2))
+        monkeypatch.setattr(neighbor, seam, flaky)
+        with pytest.raises(RuntimeError, match="injected"):
+            sampler.sample(tiny_ds.train_ids[:16])
+        monkeypatch.undo()
+        assert (sampler._pos == -1).all()
+        # The failed call advanced the stream; realign, then compare.
+        sampler._rng = np.random.default_rng(9)
+        twin._rng = np.random.default_rng(9)
+        targets = tiny_ds.train_ids[16:48]
+        assert_batches_identical(sampler.sample(targets),
+                                 twin.sample(targets))
+
+
+class TestPositionMapUnderThreads:
+    def test_stage_threads_share_one_map_through_the_lock(self, tiny_ds):
+        """More threads than cores and a tiny switch interval: a lost
+        update to the shared map would corrupt a batch. Replaying the
+        recorded calls, in lock order, through a twin must reproduce
+        every batch."""
+        record = []
+
+        class Recording(NeighborSampler):
+            def sample(self, target_ids):   # runs under sampler_lock
+                mb = super().sample(target_ids)
+                record.append((target_ids, mb))
+                return mb
+
+        args = (tiny_ds.graph, tiny_ds.train_ids, (4, 3),
+                tiny_ds.spec.feature_dim)
+        pipeline = StagePipeline(Recording(*args, seed=5),
+                                 tiny_ds.features, tiny_ds.labels, "fp32")
+
+        def work(k):
+            rng = np.random.default_rng(k)
+            for _ in range(25):
+                pipeline.sample(rng.choice(tiny_ds.train_ids, 24,
+                                           replace=False))
+
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(record) == 6 * 25
+        assert (pipeline.sampler._pos == -1).all()
+        twin = NeighborSampler(*args, seed=5)
+        for targets, mb in record:
+            assert_batches_identical(mb, twin.sample(targets))
 
 
 class TestLayerBlock:
@@ -174,7 +458,8 @@ class TestNeighborSampler:
 class TestSaint:
     def test_induced_block_correct(self, line_graph):
         nodes = np.array([0, 1, 2])
-        src, dst = induced_block(line_graph, nodes)
+        src, dst = induced_block(line_graph, nodes,
+                                 np.full(4, -1, dtype=np.int64))
         edges = {(nodes[s], nodes[d]) for s, d in zip(src, dst)}
         assert edges == {(0, 1), (1, 2), (1, 0), (2, 1)}
 
