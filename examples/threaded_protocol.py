@@ -2,11 +2,11 @@
 """Live processor-accelerator protocol demo (paper Listing 1, Fig. 5).
 
 Runs hybrid synchronous-SGD training on *real threads*: a producer
-thread plays Mini-batch Sampler + Feature Loader filling bounded
-prefetch buffers; trainer threads train model replicas; the
-synchronizer waits for every trainer's DONE, all-reduces, and releases
-the next iteration after all ACKs — the exact condition-variable
-handshake of the paper's pthread implementation.
+thread plays Mini-batch Sampler + Feature Loader filling one bounded
+prefetch buffer per trainer, while the caller's thread trains every
+replica, all-reduces once all trainers are DONE, and ACKs each
+optimizer step before the next iteration begins. Every handshake of
+the paper's Listing 1 is recorded as it happens.
 
 Prints the protocol event log for the first iterations and validates
 every ordering invariant.
@@ -36,7 +36,8 @@ def main() -> None:
         num_trainers=3)
     backend = build_backend("threaded", session, prefetch_depth=2,
                             timeout_s=60)
-    print("running 8 iterations on 3 trainer threads + producer ...")
+    print("running 8 iterations: 3 trainers fed by one producer "
+          "thread ...")
     report = backend.run(8)
 
     print(f"\nwall time: {report.wall_time_s:.2f} s")

@@ -14,10 +14,10 @@ view returned by :meth:`BufferPool.take` is valid only until the next
 lifetime of a mini-batch's ``x0`` in the sequential planes (the virtual
 backend and the process-plane workers train each batch to completion
 before gathering the next; ``Model.backward`` drops its activation
-caches, so nothing outlives the call). The overlapped planes (threaded,
-pipelined, and the fused workers' stage threads) keep several batches
-in flight inside ``PrefetchBuffer`` queues, so they must **not** pass a
-pool — and do not. ``docs/kernels.md`` spells the rule out for kernel
+caches, so nothing outlives the call). The in-process driver's feed
+threads (both ``threaded`` and ``pipelined``) and the fused workers'
+stage threads keep several batches in flight inside ``PrefetchBuffer``
+queues, so they must **not** pass a pool — and do not. ``docs/kernels.md`` spells the rule out for kernel
 authors.
 
 Not thread-safe by design: a pool belongs to one call site on one

@@ -20,10 +20,12 @@ This package is the paper's primary contribution (§III-§IV):
 * :mod:`repro.runtime.backends` — pluggable execution strategies over
   the core. The **backend registry** maps a name to an
   :class:`ExecutionBackend` subclass (``get_backend`` /
-  ``build_backend``): the in-process executors ``virtual`` (the
-  modelled-hardware reference), ``threaded`` and ``pipelined``, plus
-  four presets of the one process-plane driver (``process``,
-  ``process_sampling``, ``process_pipelined``, ``sharded``). All
+  ``build_backend``): ``virtual`` (the modelled-hardware reference),
+  two presets of the one in-process live driver (``threaded``,
+  ``pipelined``: a producer seam feeding a train + sync consumer on the
+  caller's thread) and four of the one process-plane driver
+  (``process``, ``process_sampling``, ``process_pipelined``,
+  ``sharded``). All
   execute the *same* plan and session, so hybrid split, DRM, prefetch
   and transfer quantization behave identically on each; new executors
   join via :func:`register_backend` and inherit the tiered conformance

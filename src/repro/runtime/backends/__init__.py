@@ -2,9 +2,10 @@
 
 A backend realizes the training protocol of a
 :class:`~repro.runtime.core.TrainingSession` on a concrete execution
-substrate. Seven registry names ship: three in-process executors
-(``virtual`` — the modelled-hardware reference; ``threaded``;
-``pipelined``) and four **presets** of the one process-plane driver
+substrate. Seven registry names ship: ``virtual`` (the
+modelled-hardware reference), two **presets** of the one in-process
+live driver (:class:`~.pipelined.InProcessBackend`: ``threaded``,
+``pipelined``) and four of the one process-plane driver
 (:class:`~.process.ProcessBackend`: ``process``, ``process_sampling``,
 ``process_pipelined``, ``sharded``). All consume the same session and
 work source, and ``tests/integration/backend_conformance.py`` holds
@@ -24,8 +25,7 @@ from .base import ExecutionBackend
 from .report import RunReport, StageStats
 from .overlap import LookaheadDealer, adaptive_depth
 from .virtual import EpochReport, VirtualTimeBackend
-from .threaded import ThreadedBackend
-from .pipelined import PipelinedBackend
+from .pipelined import InProcessBackend, PipelinedBackend, ThreadedBackend
 from .process import (
     ProcessBackend,
     ProcessPipelinedBackend,
@@ -98,6 +98,7 @@ __all__ = [
     "ExecutionBackend",
     "build_backend",
     "VirtualTimeBackend",
+    "InProcessBackend",
     "ThreadedBackend",
     "ProcessPoolBackend",
     "ProcessSamplingBackend",

@@ -103,6 +103,35 @@ class ExecutionBackend(abc.ABC):
                 fn(*args)
         return run
 
+    def record_timing(self, report, rows: list, stats: list, it: int,
+                      policy=None, realized: dict | None = None):
+        """One timing/DRM step for iteration ``it`` over its per-trainer
+        batch stats (trainer order, ``None`` for an idle trainer),
+        recorded on ``report`` and ``rows``; returns the
+        :class:`~repro.perfmodel.model.StageTimes`. ``policy`` is the
+        look-ahead :class:`~.overlap.DepthPolicy` whose estimator
+        observes ``realized`` (and calibrates, under
+        ``depth_source="realized"``); ``None`` keeps the step byte-equal
+        to the uncalibrated contract the strict tier pins."""
+        s = self.session
+        stats_cpu = None
+        stats_accel: list = []
+        for trainer, st in zip(s.trainers, stats):
+            if trainer.kind == "cpu":
+                stats_cpu = st
+            else:
+                stats_accel.append(st)
+        times, row, split = s.timing_step(
+            stats_cpu, stats_accel, it,
+            estimator=None if policy is None else policy.estimator,
+            realized=realized,
+            calibrate=policy is not None and policy.calibrate,
+            overlapped=self.overlaps_transfer)
+        rows.append(row)
+        report.stage_history.append(times)
+        report.split_history.append(split)
+        return times
+
     def run_epoch(self, max_iterations: int | None = None) -> Any:
         """Execute one epoch (or ``max_iterations``, whichever is
         less) of functional training.

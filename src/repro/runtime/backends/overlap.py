@@ -1,9 +1,10 @@
 """What every overlapped plane shares, written once.
 
 Two planes overlap the producer chain with training — ``pipelined``
-(stage threads in the caller's process) and the process driver's
-overlapped worker body (stage threads inside each worker). Both are
-built from the three units here:
+(the in-process driver's :class:`~.pipelined.ChainFeed`: stage threads
+in the caller's process) and the process driver's overlapped worker
+body (stage threads inside each worker). Both are built from the three
+units here:
 
 * :class:`StageChain` — one trainer's ``sample → gather → transfer``
   stage threads over backpressured
@@ -47,7 +48,8 @@ DEPTH_SOURCES = ("realized", "model")
 # ---------------------------------------------------------------------------
 
 class Prepared:
-    """One work item travelling down a :class:`StageChain`.
+    """One work item travelling down a :class:`StageChain` (or handed
+    straight to the consumer by the in-process plan-order producer).
 
     ``work`` is what the sample stage consumes (target ids, or a
     parent-sampled wire batch); ``None`` marks an idle iteration, which
@@ -164,10 +166,6 @@ class StageChain:
     def take(self) -> Prepared | None:
         """The next prepared batch (``None`` once ended and drained)."""
         return self.bufs["train"].get(timeout=self.timeout_s)
-
-    def resize(self, depth: int) -> None:
-        for b in self.bufs.values():
-            b.resize(depth)
 
     def close(self) -> None:
         """Close every buffer — unblocks any stage thread stuck in a

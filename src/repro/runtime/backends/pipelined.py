@@ -1,292 +1,420 @@
-"""Pipelined async execution backend (paper §IV-B, Fig. 7 overlap).
+"""The in-process live planes: one driver, two feeds (paper Fig. 5,
+Listing 1, §IV-B).
 
-The threaded and process backends realize the training protocol on live
-substrates, but both still resolve iterations *lock-step*: every stage
-of iteration ``i`` finishes before iteration ``i+1`` starts anywhere.
-This backend is the paper's two-stage-prefetch claim made live: the
-producer stages of one iteration overlap the train stage of earlier
-ones, per trainer, with backpressure end-to-end:
+:class:`InProcessBackend` is the training protocol on live threads in
+the caller's process, written once. Per run it
 
-::
+1. opens the look-ahead window — fixed at ``prefetch_depth`` unless a
+   preset installs a :class:`~.overlap.DepthPolicy` as
+   ``self.lookahead``;
+2. starts the **feed** (the one seam, a class attribute): the threads
+   that turn the session's work source into prepared batches, one
+   bounded :class:`~repro.runtime.prefetch.PrefetchBuffer` per trainer;
+3. trains on the caller's thread — takes each trainer's item, trains,
+   all-reduces, steps every optimizer — recording Listing 1's handshake
+   in the report's :class:`~repro.runtime.protocol.ProtocolLog`:
+   ``DONE`` for every trainer (idle ones join the all-reduce with
+   weight 0), one ``SYNC``, an ``ACK`` after each optimizer step, then
+   ``ITER``;
+4. adapts the window, then closes and joins the feed and closes the
+   report.
 
-    BatchPlan ──dispatcher──► [q_sample] ──sample──► [q_gather]
-        ──gather──► [q_transfer] ──transfer──► [q_train] ──► train+sync
+Two feeds ship:
 
-* a **dispatcher** thread drains the shared
-  :class:`~repro.runtime.core.BatchPlan` (one permutation per epoch,
-  quota slices in trainer order — epoch coverage stays *exact*) and fans
-  each trainer's targets into its sample queue;
-* per trainer, one :class:`~.overlap.StageChain` over the session's
-  :class:`~repro.runtime.stage_pipeline.StagePipeline` — **sample**
-  (whose lock keeps the shared RNG stream uncorrupted),
-  **feature-gather** (host-DDR row gather) and **quantized transfer**
-  (the PCIe link policy) threads passing items through bounded
-  :class:`~repro.runtime.prefetch.PrefetchBuffer` queues;
-* the caller's thread is the **train + synchronizer** stage: it consumes
-  prepared batches in iteration order, trains every replica, and runs
-  the shared all-reduce through ``session.reduce_and_step`` — gradient
-  math stays synchronous SGD, identical to every other backend.
+* :class:`PlanOrderFeed` — one ``producer`` thread samples each
+  trainer's batch in plan order, loads it through the fused
+  ``session.load_features`` and takes the uncalibrated timing/DRM step
+  as each iteration is produced, so Algorithm 1 sees iteration ``i``
+  before ``i + 1``'s quotas are read: bit-identical to the virtual
+  reference;
+* :class:`ChainFeed` — a dispatcher thread fanning the plan into one
+  :class:`~.overlap.StageChain` (``sample → gather → transfer`` stage
+  threads) per trainer.
 
-**Adaptive look-ahead** (replacing a fixed prefetch ``depth``): after
-each iteration the timing plane's
-:meth:`~repro.runtime.core.TrainingSession.timing_step` yields modelled
-:class:`~repro.perfmodel.model.StageTimes`; :func:`adaptive_depth` turns
-the producer/consumer time ratio into an effective depth and every stage
-buffer is resized live — deep look-ahead only when the producer stages
-are the bottleneck, shallow (less memory in flight) when training is.
+The DRM rule: the consumer adjudicates the timing/DRM step only when a
+``DepthPolicy`` is installed — after the iteration trained, on
+calibrated stage times; otherwise the feed does, as it produces. It
+mirrors the process driver, where strictness is a window of 1 plus
+sampling in the parent.
 
-Why this backend is **not** bit-identical to the virtual reference with
-more than one trainer: per-trainer sample threads interleave draws from
+``pipelined`` is not bit-identical to the virtual reference with more
+than one trainer: its per-trainer sample threads interleave draws from
 the shared sampler stream in scheduler order, and the dispatcher plans
-up to ``depth`` iterations ahead of the DRM engine (Algorithm 1 sees
-iteration ``i``'s times only after ``i`` *trains*, by which time the
-plan has already sliced quotas for the in-flight iterations). Both are
-inherent to overlap — DistDGL's producer/consumer pipeline makes the
-same trade. It therefore declares ``conformance_tier = "statistical"``:
-the kit asserts exact epoch coverage, target-budget conservation,
-DRM-trajectory shape and loss/parameter closeness instead of
-bit-parity. With a single trainer and no look-ahead-sensitive state the
-stream order is the plan order, so the single-trainer case **is**
-bit-identical — pinned by the conformance suite.
+up to ``depth`` iterations ahead of the DRM step. Both are inherent to
+overlap — DistDGL's producer/consumer pipeline makes the same trade —
+so it declares ``conformance_tier = "statistical"``. With a single
+trainer the stream order is the plan order, and the conformance suite
+pins it bit-identical.
 
-This plane's overlap runs on threads under the GIL; the process
-driver's overlapped worker body (:mod:`.process`) runs the same
-:class:`~.overlap.StageChain` under the same
-:class:`~.overlap.DepthPolicy` *inside* GIL-free worker processes. The
-tier contract both planes share is documented in ``docs/backends.md``.
+The registry names ``threaded`` and ``pipelined`` are **presets**:
+class attributes plus, at most, an ``__init__``. The tier contract and
+the decision table are in ``docs/backends.md``.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
+from typing import ClassVar
 
 import numpy as np
 
 from ...errors import ProtocolError
 from ...kernels import scoped_counters
+from ..prefetch import PrefetchBuffer
 from ..protocol import Signal
 from ..resctl import NodeAllocator, fold_worker_realized
 from .base import ExecutionBackend
-from .overlap import DepthPolicy, StageChain
+from .overlap import DepthPolicy, Prepared, StageChain
 from .report import RunReport
 
 
-class PipelinedBackend(ExecutionBackend):
-    """Overlapped producer/consumer execution on live threads.
+# ---------------------------------------------------------------------------
+# Seam: the feed
+# ---------------------------------------------------------------------------
+
+class Feed:
+    """The producer side of one in-process run: threads that fill one
+    output buffer per trainer (``outs``) with
+    :class:`~.overlap.Prepared` items, one per iteration, in iteration
+    order — idle iterations included, as items whose ``work`` is
+    ``None``. A thread that dies records its exception (:meth:`fail`)
+    and closes every buffer, so the consumer wakes and re-raises it."""
+
+    def __init__(self, backend, iterations: int, report) -> None:
+        self.backend = backend
+        self.session = backend.session
+        self.iterations = iterations
+        self.report = report
+        self.timeout_s = backend.timeout_s
+        self.error: BaseException | None = None
+        self.outs: list[PrefetchBuffer] = []
+        #: Every buffer the feed owns, closed and resized together.
+        self.buffers: list[PrefetchBuffer] = []
+        self.threads: list[threading.Thread] = []
+
+    def fail(self, exc: BaseException) -> None:
+        if self.error is None:
+            self.error = exc
+        self.close()
+
+    def start(self) -> None:
+        for t in self.threads:
+            t.start()
+
+    def take(self, idx: int, it: int) -> Prepared:
+        """Trainer ``idx``'s item for iteration ``it``; a feed that
+        died surfaces its own exception, not the close it caused."""
+        try:
+            item = self.outs[idx].get(timeout=self.timeout_s)
+        except ProtocolError:
+            if self.error is not None:
+                raise self.error from None
+            raise
+        if item is None:
+            raise self.error if self.error is not None else \
+                ProtocolError(f"feed for trainer {idx} ended before "
+                              f"iteration {it}")
+        if item.it != it:
+            raise ProtocolError(
+                f"trainer {idx} received iteration {item.it}, expected "
+                f"{it} (stage reordering)")
+        return item
+
+    def resize(self, depth: int) -> None:
+        for b in self.buffers:
+            b.resize(depth)
+
+    def close(self) -> None:
+        """Close every buffer — unblocks any thread stuck in a put/get
+        on the failure path."""
+        for b in self.buffers:
+            b.close()
+
+    def join(self) -> list[str]:
+        """Close, then join every thread; returns the names of any that
+        survived the watchdog (wedged outside a buffer wait)."""
+        self.close()
+        for t in self.threads:
+            t.join(timeout=self.timeout_s)
+        return [t.name for t in self.threads if t.is_alive()]
+
+
+class PlanOrderFeed(Feed):
+    """One ``producer`` thread — Mini-batch Sampler + Feature Loader —
+    in plan order: sample each trainer's batch from the session's one
+    stream, load it through the fused ``load_features``, hand it over,
+    and (with no ``DepthPolicy`` installed) take the uncalibrated
+    timing/DRM step before the plan slices the next iteration."""
+
+    def __init__(self, backend, iterations: int, depth: int, report,
+                 rows: list) -> None:
+        super().__init__(backend, iterations, report)
+        self.rows = rows
+        self.outs = self.buffers = [PrefetchBuffer(depth)
+                                    for _ in self.session.trainers]
+        self.threads = [threading.Thread(
+            target=backend.scoped(self._produce), daemon=True,
+            name="producer")]
+
+    def _produce(self) -> None:
+        s = self.session
+        adjudicate = s.has_timing and self.backend.lookahead is None
+        try:
+            for it, planned in s.work_source.iterate(self.iterations):
+                stats = []
+                for trainer, targets, out in zip(
+                        s.trainers, planned.assignments, self.outs):
+                    item = Prepared(it, targets)
+                    if targets is not None:
+                        t0 = time.perf_counter()
+                        item.mb = s.sampler.sample(targets)
+                        t1 = time.perf_counter()
+                        item.x0 = s.load_features(item.mb, trainer.kind)
+                        item.stage_s = {"sample": t1 - t0,
+                                        "load": time.perf_counter() - t1}
+                        item.labels = s.labels_for(item.mb)
+                    stats.append(None if item.mb is None
+                                 else item.mb.stats())
+                    # Handed over as soon as it is ready: trainer 0
+                    # trains while trainers 1..n-1 still load.
+                    out.put(item, timeout=self.timeout_s)
+                if adjudicate:
+                    self.backend.record_timing(self.report, self.rows,
+                                               stats, it)
+            for out in self.outs:
+                out.close()
+        except BaseException as exc:
+            self.fail(exc)
+
+    def buffer_stats(self) -> list[dict]:
+        return [{"train": (b.total_puts, b.high_water, b.mean_occupancy)}
+                for b in self.outs]
+
+
+class ChainFeed(Feed):
+    """A ``pipeline-dispatcher`` thread drains the plan (quota slices
+    in trainer order — epoch coverage stays exact) into one
+    :class:`~.overlap.StageChain` per trainer over the session's
+    :class:`~repro.runtime.stage_pipeline.StagePipeline`, whose sampler
+    lock keeps the shared RNG stream uncorrupted. The dispatched
+    targets land in ``report.trained_targets``."""
+
+    def __init__(self, backend, iterations: int, depth: int, report,
+                 rows: list) -> None:
+        super().__init__(backend, iterations, report)
+        report.trained_targets = []
+        self.chains = [StageChain(self.session.pipeline, trainer.kind,
+                                  depth, self.timeout_s, self.fail,
+                                  f"pipeline-{{}}{idx}",
+                                  wrap=backend.scoped)
+                       for idx, trainer in enumerate(self.session.trainers)]
+        self.outs = [chain.bufs["train"] for chain in self.chains]
+        self.buffers = [b for chain in self.chains
+                        for b in chain.bufs.values()]
+        self.threads = [threading.Thread(
+            target=backend.scoped(self._dispatch), daemon=True,
+            name="pipeline-dispatcher")]
+        self.threads += [t for chain in self.chains for t in chain.threads]
+
+    def _dispatch(self) -> None:
+        try:
+            for it, planned in self.session.work_source.iterate(
+                    self.iterations):
+                for chain, targets in zip(self.chains,
+                                          planned.assignments):
+                    if targets is not None:
+                        self.report.trained_targets.append(targets)
+                    chain.feed(it, targets)
+            for chain in self.chains:
+                chain.end()
+        except BaseException as exc:
+            self.fail(exc)
+
+    def buffer_stats(self) -> list[dict]:
+        return [chain.buffer_stats() for chain in self.chains]
+
+
+# ---------------------------------------------------------------------------
+# The driver
+# ---------------------------------------------------------------------------
+
+class InProcessBackend(ExecutionBackend):
+    """Run synchronous-SGD training on live threads in this process.
+
+    Not registered itself — the registry holds presets of it.
 
     Parameters
     ----------
     session:
-        The shared runtime core. Timing-plane sessions drive the
-        adaptive look-ahead from modelled stage times; functional-only
-        sessions run at a fixed depth.
-    initial_depth:
-        Look-ahead every stage buffer starts with (defaults to the
-        session's ``prefetch_depth`` when two-stage prefetching is on,
-        else 1 — minimal in-flight work, matching the serialized
-        ablation presets).
-    max_depth:
-        Hard cap the adaptive policy can never exceed. Defaults to 8
-        or the initial depth, whichever is larger — default
-        construction is valid for *any* session, however deep its
-        configured ``prefetch_depth``; an explicitly-passed cap below
-        the initial depth still fails loudly.
+        The shared runtime core. Platform sessions bring the hybrid
+        CPU+accelerator split, DRM, transfer quantization and the
+        modelled timing plane onto the threads; platform-less sessions
+        run the functional protocol only.
+    prefetch_depth:
+        Mini-batches of look-ahead per trainer while no ``DepthPolicy``
+        is installed.
     timeout_s:
-        Watchdog (a monotonic deadline) on every blocking stage handoff
-        — a wedged pipeline fails fast instead of hanging the suite.
-    depth_source:
-        ``"realized"`` (default) calibrates the timing plane against
-        monitored stage wall times before it drives ``adaptive_depth``
-        and ``drm_step``; ``"model"`` reproduces the purely-analytic
-        trajectories bit for bit (see
-        :func:`~.overlap.resolve_depth_source`).
-    allocator:
-        The node-level :class:`~repro.runtime.resctl.NodeAllocator`
-        arbitrating look-ahead depth across concurrent sessions
-        (defaults to the process-global one). The run registers on
-        entry and releases in a ``finally``.
+        Watchdog (a monotonic deadline) on every blocking handoff — a
+        wedged feed fails fast instead of hanging the suite.
+    """
+
+    #: Seam: the threads that prepare batches (a :class:`Feed`).
+    feed: ClassVar[type] = PlanOrderFeed
+
+    def __init__(self, session, prefetch_depth: int = 2,
+                 timeout_s: float = 60.0) -> None:
+        super().__init__(session)
+        if prefetch_depth < 1:
+            raise ProtocolError("prefetch depth must be >= 1")
+        if timeout_s <= 0:
+            raise ProtocolError("timeout_s must be positive")
+        self.prefetch_depth = prefetch_depth
+        self.timeout_s = timeout_s
+        #: ``None`` keeps the window at ``prefetch_depth`` and leaves
+        #: the timing/DRM step to the feed; a preset's ``__init__``
+        #: installs a :class:`~.overlap.DepthPolicy` to adapt the
+        #: window and adjudicate DRM in the consumer.
+        self.lookahead: DepthPolicy | None = None
+
+    def run(self, iterations: int) -> RunReport:
+        """Execute ``iterations`` synchronized iterations, rolling into
+        fresh epoch permutations as needed. Only the feed runs ahead;
+        the all-reduce stays a per-iteration barrier."""
+        if iterations < 1:
+            raise ProtocolError("iterations must be >= 1")
+        s = self.session
+        report = RunReport(iterations=iterations)
+        rows: list[list[float]] = []
+        window = nullcontext(self.prefetch_depth) \
+            if self.lookahead is None \
+            else self.lookahead.run(self.name, report)
+        with window as depth:
+            feed = self.feed(self, iterations, depth, report, rows)
+            counters_before = self.counters.snapshot()
+            start = time.perf_counter()
+            feed.start()
+            try:
+                with scoped_counters(self.counters):
+                    for it in range(iterations):
+                        times = self._train_iteration(it, feed, report,
+                                                      rows)
+                        if self.lookahead is not None and \
+                                self.lookahead.adapt(times, it, report):
+                            feed.resize(self.lookahead.depth)
+            finally:
+                # Success and failure alike: no feed thread outlives
+                # the run.
+                lingering = feed.join()
+            # Only reached on success: a thread that survived its join
+            # is wedged outside any buffer wait — fail rather than
+            # return a report it could still be mutating.
+            if lingering:
+                raise ProtocolError(
+                    f"feed threads failed to join within "
+                    f"{self.timeout_s}s: {lingering}")
+            report.wall_time_s = time.perf_counter() - start
+        report.kernel_stats = self.counters.delta(counters_before)
+        report.replicas_consistent = \
+            s.synchronizer.replicas_consistent()
+        report.fold_buffers(feed.buffer_stats())
+        report.close_timeline(s, rows)
+        return report
+
+    def _train_iteration(self, it: int, feed: Feed, report, rows):
+        """Listing 1's trainer and synchronizer blocks, in order on this
+        thread: train every trainer's item, all-reduce, step. Returns
+        the iteration's stage times when the consumer adjudicates DRM
+        (``None`` otherwise) for the depth policy."""
+        s = self.session
+        log = report.protocol_log
+        stats: list = []
+        sizes: list[int] = []
+        losses: list[float] = []
+        accs: list[float] = []
+        per_trainer: list[tuple[str, dict]] = []
+        for idx, trainer in enumerate(s.trainers):
+            item = feed.take(idx, it)
+            stats.append(None if item.mb is None else item.mb.stats())
+            if item.mb is None:
+                # Idle: zero gradients, weight zero in the all-reduce.
+                trainer.model.zero_grad()
+                sizes.append(0)
+            else:
+                t0 = time.perf_counter()
+                rep = trainer.train_minibatch(item.mb, item.x0,
+                                              item.labels, s.degrees)
+                item.stage_s["train"] = time.perf_counter() - t0
+                per_trainer.append((trainer.kind, item.stage_s))
+                sizes.append(int(item.work.size))
+                report.total_edges += stats[-1].total_edges
+                losses.append(rep.loss)
+                accs.append(rep.accuracy)
+            log.record(it, Signal.DONE, trainer.name)
+
+        if not any(sizes):
+            raise ProtocolError(
+                f"iteration {it} dispatched no work to any trainer")
+        sync_start = time.perf_counter()
+        s.synchronizer.all_reduce(sizes, it)
+        log.record(it, Signal.SYNC, "synchronizer")
+        for trainer, opt in zip(s.trainers, s.optimizers):
+            opt.step()
+            log.record(it, Signal.ACK, trainer.name)
+        sync_s = time.perf_counter() - sync_start
+        log.record(it, Signal.ITER_START, "runtime")
+        report.losses.append(float(np.mean(losses)))
+        report.accuracies.append(float(np.mean(accs)))
+
+        realized = fold_worker_realized(per_trainer, sync_s)
+        self.monitor.observe_times(realized)
+        if self.lookahead is None or not s.has_timing:
+            return None
+        return self.record_timing(report, rows, stats, it,
+                                  self.lookahead, realized)
+
+
+# ---------------------------------------------------------------------------
+# The presets (registry names)
+# ---------------------------------------------------------------------------
+
+class ThreadedBackend(InProcessBackend):
+    """``threaded`` — the Listing-1 protocol on live threads,
+    **bit-identical** to the virtual reference: one producer samples in
+    plan order and adjudicates DRM as it produces, the caller's thread
+    trains and synchronizes. Held to the strict tier, hybrid + DRM +
+    int8 transfer included."""
+
+    name = "threaded"
+
+
+class PipelinedBackend(InProcessBackend):
+    """``pipelined`` — the paper's two-stage prefetch made live: per
+    trainer, ``sample → gather → transfer`` stage threads run ahead of
+    the train + sync consumer through an adaptively sized window.
+
+    Parameters (beyond :class:`InProcessBackend`'s ``timeout_s``)
+    --------------------------------------------------------------
+    initial_depth / max_depth / depth_source / allocator:
+        The :class:`~.overlap.DepthPolicy` knobs: the first window
+        (defaults to the session's ``prefetch_depth`` when two-stage
+        prefetching is on, else 1), the cap (defaults to 8 or the
+        initial depth, whichever is larger), what steers resizes and
+        DRM (``"realized"`` calibrated times, or ``"model"`` — the
+        analytic trajectories bit for bit), and the node allocator
+        whose grant clamps the cap.
     """
 
     name = "pipelined"
     conformance_tier = "statistical"
+    feed = ChainFeed
 
     def __init__(self, session, initial_depth: int | None = None,
                  max_depth: int | None = None,
                  timeout_s: float = 60.0,
                  depth_source: str | None = None,
                  allocator: NodeAllocator | None = None) -> None:
-        super().__init__(session)
-        #: The look-ahead depth policy (knobs, estimator, grant).
+        super().__init__(session, timeout_s=timeout_s)
         self.lookahead = DepthPolicy(session, initial_depth, max_depth,
                                      depth_source, allocator)
-        if timeout_s <= 0:
-            raise ProtocolError("timeout_s must be positive")
-        self.timeout_s = timeout_s
-
-    # ------------------------------------------------------------------
-    def run(self, iterations: int) -> RunReport:
-        """Execute ``iterations`` synchronized iterations, overlapped.
-
-        Iterations follow the shared batch plan (rolling into fresh
-        epoch permutations as needed); the all-reduce stays a per-
-        iteration barrier, so only *producer* work runs ahead.
-        """
-        if iterations < 1:
-            raise ProtocolError("iterations must be >= 1")
-        report = RunReport(iterations=iterations, trained_targets=[])
-        with self.lookahead.run(self.name, report) as depth:
-            self._run_overlapped(iterations, depth, report)
-        return report
-
-    def _run_overlapped(self, iterations: int, depth: int,
-                        report: RunReport) -> None:
-        s = self.session
-        rows: list[list[float]] = []
-        error: dict = {"exc": None}
-
-        def fail(exc: BaseException) -> None:
-            if error["exc"] is None:
-                error["exc"] = exc
-            for chain in chains:
-                chain.close()
-
-        chains = [StageChain(s.pipeline, trainer.kind, depth,
-                             self.timeout_s, fail,
-                             f"pipeline-{{}}{idx}", wrap=self.scoped)
-                  for idx, trainer in enumerate(s.trainers)]
-
-        def dispatcher() -> None:
-            try:
-                for it, planned in s.work_source.iterate(iterations):
-                    for chain, targets in zip(chains,
-                                              planned.assignments):
-                        if targets is not None:
-                            report.trained_targets.append(targets)
-                        chain.feed(it, targets)
-                for chain in chains:
-                    chain.end()
-            except BaseException as exc:
-                fail(exc)
-
-        feeder = threading.Thread(target=self.scoped(dispatcher),
-                                  daemon=True,
-                                  name="pipeline-dispatcher")
-        counters_before = self.counters.snapshot()
-        start = time.perf_counter()
-        feeder.start()
-        for chain in chains:
-            chain.start()
-
-        try:
-            with scoped_counters(self.counters):
-                for it in range(iterations):
-                    times = self._train_iteration(it, chains, error,
-                                                  report, rows)
-                    if self.lookahead.adapt(times, it, report):
-                        for chain in chains:
-                            chain.resize(self.lookahead.depth)
-        finally:
-            # Close every buffer first (unblocks any stage thread stuck
-            # in put/get — they observe the close and drain out), then
-            # join; runs on success and failure alike, so no stage
-            # thread outlives the run.
-            for chain in chains:
-                chain.close()
-            feeder.join(timeout=self.timeout_s)
-            lingering = [name for chain in chains
-                         for name in chain.join()]
-            if feeder.is_alive():
-                lingering.append(feeder.name)
-
-        # Only reached on the success path (a failure above propagates
-        # its own error): a thread that survived its join is wedged
-        # outside any buffer wait — fail the run rather than return a
-        # report whose stage stats that thread could still be mutating.
-        if lingering:
-            raise ProtocolError(
-                f"pipeline stage threads failed to join within "
-                f"{self.timeout_s}s: {lingering}")
-
-        report.wall_time_s = time.perf_counter() - start
-        report.kernel_stats = self.counters.delta(counters_before)
-        report.replicas_consistent = \
-            s.synchronizer.replicas_consistent()
-        report.fold_buffers([chain.buffer_stats() for chain in chains])
-        report.close_timeline(s, rows)
-
-    # ------------------------------------------------------------------
-    def _train_iteration(self, it: int, chains, error, report, rows):
-        """Consume one iteration's prepared batches, train and
-        synchronize. Returns the iteration's stage times (``None`` on a
-        functional-only session) for the depth policy."""
-        s = self.session
-        stats_cpu = None
-        stats_accel: list = []
-        sizes: list[int] = []
-        losses: list[float] = []
-        accs: list[float] = []
-        per_trainer: list[tuple[str, dict]] = []
-
-        for idx, trainer in enumerate(s.trainers):
-            try:
-                item = chains[idx].take()
-            except ProtocolError:
-                if error["exc"] is not None:
-                    raise error["exc"] from None
-                raise
-            if item is None:
-                raise error["exc"] if error["exc"] is not None else \
-                    ProtocolError(
-                        f"pipeline for trainer {idx} ended before "
-                        f"iteration {it}")
-            if item.it != it:
-                raise ProtocolError(
-                    f"trainer {idx} received iteration {item.it}, "
-                    f"expected {it} (stage reordering)")
-            mb = item.mb
-            st = None if mb is None else mb.stats()
-            if trainer.kind == "cpu":
-                stats_cpu = st
-            elif trainer.kind == "accel":
-                stats_accel.append(st)
-            if mb is None:
-                sizes.append(0)
-                trainer.model.zero_grad()
-                per_trainer.append((trainer.kind, {}))
-                continue
-            sizes.append(int(item.work.size))
-            t0 = time.perf_counter()
-            rep = trainer.train_minibatch(mb, item.x0, item.labels,
-                                          s.degrees)
-            item.stage_s["train"] = time.perf_counter() - t0
-            per_trainer.append((trainer.kind, item.stage_s))
-            report.total_edges += st.total_edges
-            losses.append(rep.loss)
-            accs.append(rep.accuracy)
-            report.protocol_log.record(it, Signal.DONE, trainer.name)
-
-        if not any(sz > 0 for sz in sizes):
-            raise ProtocolError(
-                f"iteration {it} dispatched no work to any trainer")
-        sync_start = time.perf_counter()
-        s.reduce_and_step(sizes, it)
-        sync_s = time.perf_counter() - sync_start
-        report.protocol_log.record(it, Signal.SYNC, "synchronizer")
-        report.protocol_log.record(it, Signal.ITER_START, "runtime")
-        report.losses.append(float(np.mean(losses)))
-        report.accuracies.append(float(np.mean(accs)))
-
-        realized = fold_worker_realized(per_trainer, sync_s)
-        self.monitor.observe_times(realized)
-        if not s.has_timing:
-            return None
-        times, row, split = s.timing_step(
-            stats_cpu, stats_accel, it,
-            estimator=self.lookahead.estimator, realized=realized,
-            calibrate=self.lookahead.calibrate,
-            overlapped=self.overlaps_transfer)
-        rows.append(row)
-        report.stage_history.append(times)
-        report.split_history.append(split)
-        return times

@@ -818,6 +818,9 @@ class ProcessBackend(ExecutionBackend):
                 raise WorkerError(
                     f"worker {idx} answered {msg[0]!r} for iteration "
                     f"{msg[1]}, expected {want} for {it}")
+            # The answer is the worker's DONE: its gradient row (or its
+            # idle token) is in.
+            report.protocol_log.record(it, Signal.DONE, trainer.name)
             if not busy:
                 # Idle replica: zero gradients, weight zero in the
                 # all-reduce. Done at sync time (not deal time) so a
@@ -838,7 +841,6 @@ class ProcessBackend(ExecutionBackend):
             per_trainer.append((trainer.kind, reply.stage_s))
             losses.append(reply.loss)
             accs.append(reply.accuracy)
-            report.protocol_log.record(it, Signal.DONE, trainer.name)
 
         sync_start = time.perf_counter()
         self._pool.store.grads[-1] = s.synchronizer.all_reduce(
@@ -846,8 +848,9 @@ class ProcessBackend(ExecutionBackend):
         report.protocol_log.record(it, Signal.SYNC, "synchronizer")
         for idx in range(s.num_trainers):
             self._send(idx, ("apply", it))
-        for opt in s.optimizers:
+        for trainer, opt in zip(s.trainers, s.optimizers):
             opt.step()
+            report.protocol_log.record(it, Signal.ACK, trainer.name)
         sync_s = time.perf_counter() - sync_start
         report.protocol_log.record(it, Signal.ITER_START, "runtime")
 
@@ -857,30 +860,14 @@ class ProcessBackend(ExecutionBackend):
         self.monitor.observe_times(realized)
         if not s.has_timing:
             return None
-        # Realized batch stats in trainer order (idle trainers hold a
-        # None placeholder), then one timing/DRM step — the DRM engine
-        # is adjudicated here, in the parent, on every process plane.
-        stats_cpu = None
-        stats_accel: list = []
-        for idx, trainer in enumerate(s.trainers):
-            st = stats_by_idx.get(idx)
-            if trainer.kind == "cpu":
-                stats_cpu = st
-            else:
-                stats_accel.append(st)
-        # Lock-step presets pass no estimator, keeping their timing
-        # step byte-equal to the uncalibrated contract.
-        policy = self.lookahead
-        times, row, split = s.timing_step(
-            stats_cpu, stats_accel, it,
-            estimator=None if policy is None else policy.estimator,
-            realized=realized,
-            calibrate=policy is not None and policy.calibrate,
-            overlapped=self.overlaps_transfer)
-        rows.append(row)
-        report.stage_history.append(times)
-        report.split_history.append(split)
-        return times
+        # One timing/DRM step over the realized batch stats — the DRM
+        # engine is adjudicated here, in the parent, on every process
+        # plane; lock-step presets install no policy, keeping the step
+        # byte-equal to the uncalibrated contract.
+        return self.record_timing(
+            report, rows, [stats_by_idx.get(idx)
+                           for idx in range(s.num_trainers)],
+            it, self.lookahead, realized)
 
     def _snapshot(self, report) -> None:
         """The one post-run round trip per worker, *after*

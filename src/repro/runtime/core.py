@@ -17,9 +17,9 @@ backend-independent half:
   next iteration, identically in every backend).
 * An :class:`~repro.runtime.backends.ExecutionBackend` consumes the plan
   and the session: the virtual-time backend resolves the iteration loop
-  sequentially with modelled-hardware timing, the threaded backend runs
-  it on live threads — same batches, same gradients, same DRM
-  trajectory, bit-identical losses.
+  sequentially with modelled-hardware timing, the live backends run it
+  on threads or worker processes — on the strict planes with the same
+  batches, same gradients, same DRM trajectory, bit-identical losses.
 
 A session built *with* a :class:`~repro.hw.topology.PlatformSpec` carries
 the full timing plane (perf model, workload split, DRM); a session built
@@ -150,7 +150,7 @@ class BatchPlan:
         Rolls into a fresh epoch permutation whenever the cursor is
         exhausted, so long runs still visit every train vertex once per
         epoch. This is the single epoch-rolling loop every live backend
-        drives (threaded producer, process-pool parent) — the
+        drives (in-process feed thread, process-pool parent) — the
         numbering, the roll-over point, and the no-progress guard can
         never drift between planes.
 
@@ -439,8 +439,9 @@ class TrainingSession:
         implementation every execution substrate uses; process-pool
         workers call it against the shared-memory feature store), so
         the transfer policy can never drift between planes. ``pool`` is
-        the sequential-call-site opt-in documented there (the threaded
-        producer keeps batches in flight and passes none).
+        the sequential-call-site opt-in documented there (the
+        ``threaded`` plane's producer thread keeps batches in flight and
+        passes none).
         """
         return self.pipeline.load(mb, trainer_kind, pool=pool)
 

@@ -10,10 +10,13 @@ the runtime inside each iteration:
 3. every trainer applies the update and raises ``ACK``;
 4. when all ``n`` ACKs arrived, the runtime starts the next iteration.
 
-:class:`ProtocolLog` records these events (from either the virtual-time
-engine or the threaded executor) and :func:`validate_protocol` checks the
-ordering invariants — the reproduction's analogue of "the handshake code
-in Listing 1 is correct".
+:class:`ProtocolLog` records these events — every live backend fills
+one on its report (``RunReport.protocol_log``): the in-process driver's
+consumer and the process driver's parent, idle trainers included; the
+virtual-time plane records none — and :func:`validate_protocol` checks
+the ordering invariants. The conformance kit asserts that trace on
+every live plane: the reproduction's analogue of "the handshake code in
+Listing 1 is correct".
 """
 
 from __future__ import annotations

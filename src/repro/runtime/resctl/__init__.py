@@ -5,8 +5,9 @@ and arbitrates*:
 
 * :class:`StageMonitor` (``monitor.py``) — bounded ring buffers of
   realized per-stage wall times sampled from the live planes
-  (threaded/pipelined stage threads; process-plane workers via their
-  replies and snapshot), with EWMA and percentile summaries;
+  (the in-process driver's consumer, once per iteration from the
+  feed's per-item stage times; process-plane workers via their replies
+  and snapshot), with EWMA and percentile summaries;
 * :class:`OnlineEstimator` (``estimator.py``) — per-stage
   multiplicative correction factors calibrating the
   :class:`~repro.perfmodel.model.PerformanceModel` against realized

@@ -3,10 +3,11 @@
 The timing plane everywhere else in the runtime is *modelled*: the
 :class:`~repro.perfmodel.model.PerformanceModel` turns realized batch
 statistics into predicted :class:`~repro.perfmodel.model.StageTimes`.
-The live planes, however, also *measure*: the threaded/pipelined stage
-threads and the process-plane workers (per batch on each reply, run
-totals in the worker snapshot) know exactly how
-long each sample/gather/transfer/train pass took on this machine.
+The live planes, however, also *measure*: the in-process driver's feed
+threads and consumer (per item, folded once per iteration) and the
+process-plane workers (per batch on each reply, run totals in the
+worker snapshot) know exactly how long each sample/gather/transfer/
+train pass took on this machine.
 
 :class:`StageMonitor` is where those measurements land: one bounded
 ring buffer per stage, an incrementally-maintained EWMA, and
@@ -23,7 +24,7 @@ unambiguous analytic counterpart. :func:`fold_worker_realized` is the
 single mapping from per-trainer raw stage durations (what a stage
 thread or worker actually measures: ``sample``/``load``/``transfer``/
 ``train`` plus the trainer's kind) onto those keys, shared by the
-pipelined plane and both worker-sampling process planes so the
+in-process driver and the process driver so the
 aggregation semantics (CPU contributions summed, accelerator
 contributions maxed — mirroring the model's own Eq. 7–9 reductions)
 can never drift between planes.
@@ -142,8 +143,8 @@ class StageSummary:
 class StageMonitor:
     """Bounded ring buffers of realized per-stage wall times.
 
-    Thread-safe: stage threads on the threaded/pipelined planes and the
-    parent's collect loop on the process planes observe concurrently.
+    Thread-safe: any thread of a plane may observe, concurrently with
+    a reader rendering ``summary()``.
 
     Parameters
     ----------

@@ -4,7 +4,7 @@ runs under.
 The live backends own real OS resources — worker processes and a
 ``/dev/shm`` segment on the process planes (for as long as the
 *backend* lives: opened by its first ``run()``, reused, released by
-``close()`` / ``with`` / going out of scope / a failed run), stage
+``close()`` / ``with`` / going out of scope / a failed run), feed
 threads on the threaded/pipelined planes. Their contract is that
 nothing outlives the backend. The autouse fixture below re-checks that
 contract after *every* test, unit and integration alike, so a teardown
@@ -35,8 +35,8 @@ from repro.sampling.neighbor import NeighborSampler
 #: The SharedFeatureStore segment name prefix (runtime/shm.py).
 _SHM_PATTERN = "/dev/shm/repro_shm_*"
 
-#: Thread-name prefixes owned by the live backends' stage threads.
-_BACKEND_THREAD_PREFIXES = ("pipeline-", "producer", "trainer")
+#: Thread-name prefixes owned by the in-process driver's feed threads.
+_BACKEND_THREAD_PREFIXES = ("pipeline-", "producer")
 
 
 def _segments() -> set[str]:
@@ -61,7 +61,7 @@ def no_leaked_runtime_resources():
 
     Checks, in order: no new ``/dev/shm`` segment survived (process
     planes), no live worker process survived (process planes), and no
-    backend stage thread survived (threaded/pipelined planes). A short
+    backend feed thread survived (threaded/pipelined planes). A short
     grace period absorbs threads that are mid-exit after their final
     join returned. No ``gc.collect()`` on purpose: a backend that a
     test merely dropped must already be torn down by refcount alone.

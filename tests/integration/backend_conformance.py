@@ -38,7 +38,9 @@ This module packages that guarantee as a reusable kit:
   capability flag selects;
 * :func:`assert_backend_conforms` — run one (backend, case) pair
   against a fresh virtual-plane reference and assert the tier's
-  matrix.
+  matrix, plus — on every live plane, whatever its tier — the paper's
+  Listing-1 handshake as an asserted trace
+  (:func:`assert_listing1_trace`).
 
 Third-party backends needing constructor arguments can extend
 :data:`BACKEND_KWARGS` before the suite runs.
@@ -81,6 +83,7 @@ from repro.runtime import (
     build_backend,
     get_backend,
 )
+from repro.runtime.protocol import validate_protocol
 from repro.runtime.resctl import NodeAllocator
 from repro.runtime.shm import SharedFeatureStore
 from repro.runtime.stage_pipeline import StagePipeline
@@ -285,6 +288,25 @@ def assert_backend_conforms(name: str, case: ConformanceCase,
     else:
         assert_statistical_conformance(name, case, ref_session, ref,
                                        cand_session, cand)
+    if hasattr(cand, "protocol_log"):
+        assert_listing1_trace(name, cand_session, cand)
+
+
+def assert_listing1_trace(name: str, session: TrainingSession,
+                          report) -> None:
+    """Listing 1 as an asserted trace, on every live plane, both
+    tiers: the report's :class:`~repro.runtime.protocol.ProtocolLog`
+    covers every iteration of the run, and each iteration passes
+    :func:`~repro.runtime.protocol.validate_protocol` — one ``DONE``
+    per trainer (idle trainers included: they join the all-reduce with
+    weight zero), one ``SYNC`` after all of them, one ``ACK`` per
+    trainer after it, and no event of iteration ``i + 1`` before
+    iteration ``i``'s last ``ACK``."""
+    log = report.protocol_log
+    assert log.num_iterations == report.iterations, \
+        (f"{name}: protocol log covers {log.num_iterations} of "
+         f"{report.iterations} iterations")
+    validate_protocol(log, session.num_trainers)
 
 
 def assert_strict_conformance(name, case, ref_session, ref,

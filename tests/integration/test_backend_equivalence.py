@@ -17,7 +17,6 @@ import glob
 import multiprocessing as mp
 import os
 import signal
-import threading
 import time
 
 import numpy as np
@@ -616,22 +615,6 @@ class TestPipelinedBackend:
         assert rep.prefetch_high_water >= 1
         assert rep.wall_time_s > 0
         assert "depth=" in rep.overlap_summary()
-
-    def test_pipeline_error_propagates_and_joins_threads(self, tiny_ds,
-                                                         eq_cfg):
-        """A stage-thread failure surfaces as the original exception in
-        the caller, and no stage thread outlives the run."""
-        session = TrainingSession(
-            tiny_ds, eq_cfg,
-            SystemConfig(hybrid=True, drm=False, prefetch=True),
-            num_trainers=2)
-        backend = PipelinedBackend(session, timeout_s=10)
-        session.sampler.sample = None     # sabotage the sample stage
-        with pytest.raises(TypeError):
-            backend.run(2)
-        lingering = [t.name for t in threading.enumerate()
-                     if t.name.startswith("pipeline-")]
-        assert lingering == []
 
     def test_resumed_session_continues_from_trained_weights(self,
                                                             tiny_ds,

@@ -2,6 +2,7 @@
 hang or silently corrupt state."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,25 +10,81 @@ import pytest
 from backend_conformance import threaded_backend
 from repro.config import SystemConfig, TrainingConfig
 from repro.errors import ProtocolError, ReproError, ShapeError
-from repro.graph.datasets import tiny_dataset
 from repro.nn.models import build_model
+from repro.runtime import TrainingSession, build_backend
 from repro.runtime.prefetch import PrefetchBuffer
 from repro.runtime.synchronizer import GradientSynchronizer
 
+#: The presets of the in-process live driver.
+IN_PROCESS = ("threaded", "pipelined")
 
-class TestThreadedFaults:
-    def test_trainer_exception_propagates(self, tiny_ds, small_cfg):
-        """A crash inside a trainer thread surfaces in run(), not a
-        deadlock."""
-        ex = threaded_backend(tiny_ds, small_cfg, num_trainers=2,
-                              timeout_s=10)
 
+def _in_process(name, dataset, cfg, timeout_s):
+    session = TrainingSession(dataset, cfg, SystemConfig(drm=False),
+                              num_trainers=2)
+    return build_backend(name, session, timeout_s=timeout_s)
+
+
+def _feed_threads() -> list[str]:
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith(("producer", "pipeline-"))]
+
+
+class TestInProcessFaults:
+    """One failure contract for both presets of the in-process driver:
+    the original exception surfaces in ``run()`` — never a deadlock,
+    never the close it caused — and no feed thread outlives the run."""
+
+    @pytest.mark.parametrize("name", IN_PROCESS)
+    def test_trainer_exception_propagates(self, name, tiny_ds,
+                                          small_cfg):
+        backend = _in_process(name, tiny_ds, small_cfg, timeout_s=10)
         # Sabotage one replica so forward raises a shape error.
-        bad = ex.session.trainers[1].model
+        bad = backend.session.trainers[1].model
         bad.layers[0].linear.W = np.zeros((3, 3))
         with pytest.raises((ReproError, ValueError)):
-            ex.run(3)
+            backend.run(3)
+        assert _feed_threads() == []
 
+    @pytest.mark.parametrize("name", IN_PROCESS)
+    def test_sample_stage_error_propagates_and_joins_threads(
+            self, name, tiny_ds, small_cfg):
+        backend = _in_process(name, tiny_ds, small_cfg, timeout_s=10)
+        backend.session.sampler.sample = None   # sabotage the sampler
+        with pytest.raises(TypeError):
+            backend.run(2)
+        assert _feed_threads() == []
+
+    @pytest.mark.parametrize("name", IN_PROCESS)
+    def test_interrupt_in_all_reduce_is_prompt_and_reusable(
+            self, name, tiny_ds, small_cfg):
+        """Ctrl-C inside the all-reduce of iteration 1 reaches the
+        caller well inside a second (the watchdog is 30 s: nothing may
+        wait it out), leaves no feed thread, and the same backend then
+        runs again."""
+        backend = _in_process(name, tiny_ds, small_cfg, timeout_s=30)
+        sync = backend.session.synchronizer
+        all_reduce = sync.all_reduce
+        raised_at = []
+
+        def interrupted(sizes, iteration=None):
+            if iteration == 1:
+                raised_at.append(time.perf_counter())
+                raise KeyboardInterrupt
+            return all_reduce(sizes, iteration)
+
+        sync.all_reduce = interrupted
+        with pytest.raises(KeyboardInterrupt):
+            backend.run(3)
+        assert time.perf_counter() - raised_at[0] < 1.0
+        assert _feed_threads() == []
+
+        del sync.all_reduce
+        rep = backend.run(2)
+        assert len(rep.losses) == 2 and rep.replicas_consistent
+
+
+class TestThreadedFaults:
     def test_watchdog_timeout_configured(self, tiny_ds, small_cfg):
         """Timeouts are plumbed; a tiny timeout may trip on slow CI but
         never hang (the wait loops all take the timeout)."""

@@ -1,13 +1,15 @@
-"""The process plane's shape: one driver, presets that only declare,
+"""The live planes' shape: two drivers, presets that only declare,
 the worker wire protocol (one snapshot per run, unknown tags refused,
 control-only pipes) and the pool's lifetime (one spawn per backend,
 closed by ``close()`` / scope exit / a failed run).
 
 The conformance matrix proves the seven planes *behave*; this module
-pins how they are *built*, so the hook ladder the driver replaced
+pins how they are *built*, so the hook ladder the drivers replaced
 cannot grow back: no registered backend inherits from another, the
 four process registry names are declarations over
-:class:`~repro.runtime.backends.process.ProcessBackend`, the only
+:class:`~repro.runtime.backends.process.ProcessBackend` and the two
+in-process ones over
+:class:`~repro.runtime.backends.pipelined.InProcessBackend`, the only
 post-run round trip a worker ever answers is ``snapshot``, and the
 workers + store a backend opens on its first ``run()`` are the ones
 every later ``run()`` uses.
@@ -25,6 +27,7 @@ import pytest
 
 from repro.config import SystemConfig, layer_dims
 from repro.runtime import TrainingSession, available_backends, get_backend
+from repro.runtime.backends.pipelined import InProcessBackend
 from repro.runtime.backends.process import (
     InlineBody,
     OverlappedBody,
@@ -56,6 +59,19 @@ class TestStructure:
         cls = get_backend(name)
         assert cls.__bases__ == (ProcessBackend,)
         assert ProcessBackend.name == ""     # the driver is no plane
+        defined = {attr for attr, value in vars(cls).items()
+                   if inspect.isfunction(value)}
+        assert defined <= {"__init__"}, \
+            f"{name} overrides driver methods: {sorted(defined)}"
+
+    @pytest.mark.parametrize("name", ["threaded", "pipelined"])
+    def test_inprocess_names_are_presets_of_one_driver(self, name):
+        """The in-process planes are the same kind of declaration over
+        :class:`~repro.runtime.backends.pipelined.InProcessBackend`:
+        no trainer threads or handshake state machine of their own."""
+        cls = get_backend(name)
+        assert cls.__bases__ == (InProcessBackend,)
+        assert InProcessBackend.name == ""
         defined = {attr for attr, value in vars(cls).items()
                    if inspect.isfunction(value)}
         assert defined <= {"__init__"}, \
