@@ -6,19 +6,25 @@ substrate. Backends never construct samplers, replicas, synchronizers or
 optimizers — the session owns construction; backends own *execution
 strategy* only. That is the whole point of the split: adding a new way to
 run training (process pool, async pipeline, multi-node sharding) means
-implementing this interface, not forking the runtime.
+implementing this interface — :meth:`ExecutionBackend.run`, the one
+abstract entry point (``run_epoch`` is its inherited clamp to one
+epoch) — not forking the runtime.
 
 Contract every backend must honor (so results are backend-independent):
 
-* batches come from the session's :class:`~repro.runtime.core.BatchPlan`
-  — one permutation per epoch, per-trainer quota slices in trainer order;
+* batches come from the session's work source (the
+  :class:`~repro.runtime.core.BatchPlan`) — one permutation per epoch,
+  per-trainer quota slices in trainer order;
 * mini-batches are sampled through ``session.sampler`` in plan order
   (the sampler's RNG stream is part of the reproducibility contract);
 * features load through ``session.load_features`` (which applies the
   transfer-quantization policy for accelerator trainers);
-* gradients synchronize through ``session.synchronizer`` with batch-size
-  weights, after which *every* optimizer steps (idle trainers receive
-  the averaged gradients too, keeping replicas consistent);
+* every iteration ends in :meth:`ExecutionBackend.end_iteration` —
+  Listing 1's synchronizer block, written once: ``DONE`` per trainer,
+  the batch-size-weighted all-reduce through ``session.synchronizer``,
+  ``SYNC``, *every* optimizer steps with its ``ACK`` (idle trainers
+  receive the averaged gradients too, keeping replicas consistent),
+  ``ITER``, recorded in the report's ``protocol_log``;
 * DRM (when enabled) sees iteration ``i``'s realized stage times before
   iteration ``i + 1``'s quotas are read — **unless** the backend
   declares the ``statistical`` conformance tier, which relaxes exactly
@@ -42,11 +48,16 @@ matrix by setting one class attribute.
 from __future__ import annotations
 
 import abc
-from typing import Any, ClassVar
+import time
+from typing import Any, Callable, ClassVar, Sequence
+
+import numpy as np
 
 from ...kernels import KernelCounters, scoped_counters
 from ..core import TrainingSession
-from ..resctl import StageMonitor
+from ..protocol import Signal
+from ..resctl import StageMonitor, fold_worker_realized
+from .report import Reply
 
 
 class ExecutionBackend(abc.ABC):
@@ -78,11 +89,17 @@ class ExecutionBackend(abc.ABC):
     #: (the worker-sampling plane) overrides this to ``False``.
     overlaps_transfer: ClassVar[bool] = True
 
+    #: The look-ahead :class:`~.overlap.DepthPolicy` a preset's
+    #: ``__init__`` installs to adapt its window and calibrate DRM;
+    #: ``None`` runs lock-step on the uncalibrated contract.
+    lookahead = None
+
     def __init__(self, session: TrainingSession) -> None:
         self.session = session
         #: Realized per-stage wall-time monitor (resctl stage 1) —
-        #: an explicit **session-scoped handle**: every live plane
-        #: feeds its own; overlapped planes additionally calibrate
+        #: an explicit **session-scoped handle**: every plane feeds
+        #: its own through :meth:`end_iteration`; overlapped planes
+        #: additionally calibrate
         #: from it through their estimator. Two concurrent sessions
         #: (train + serve, or two trainings) never share one.
         self.monitor = StageMonitor()
@@ -132,28 +149,78 @@ class ExecutionBackend(abc.ABC):
         report.split_history.append(split)
         return times
 
+    def end_iteration(self, it: int, sizes: Sequence[int],
+                      answers: Sequence[Reply | None], report,
+                      rows: list, *,
+                      publish: Callable | None = None,
+                      adjudicate: bool = True):
+        """Listing 1's synchronizer block for iteration ``it``, the one
+        tail every plane ends each iteration in. ``answers`` holds each
+        trainer's :class:`~.report.Reply` in trainer order (``stats``
+        set), ``None`` for an idle trainer; ``sizes`` are the batch
+        sizes the all-reduce weighs them by.
+
+        Every trainer raises ``DONE`` — an idle one after zeroing its
+        gradients, so it joins the all-reduce with weight 0 — then the
+        synchronizer all-reduces, ``publish(avg)`` (if given) hands the
+        average on before any optimizer steps, ``SYNC``, every
+        optimizer steps and raises ``ACK``, ``ITER``. The iteration's
+        loss, accuracy and edges land on ``report``; the realized stage
+        seconds (the all-reduce timed here) feed :attr:`monitor`. With
+        ``adjudicate`` and a timing plane it also takes the timing/DRM
+        step (:meth:`record_timing`, under :attr:`lookahead`) and
+        returns its stage times; otherwise ``None``."""
+        s = self.session
+        log = report.protocol_log
+        busy = [(trainer, a) for trainer, a in zip(s.trainers, answers)
+                if a is not None]
+        for trainer, answer in zip(s.trainers, answers):
+            if answer is None:
+                trainer.model.zero_grad()
+            log.record(it, Signal.DONE, trainer.name)
+        sync_start = time.perf_counter()
+        avg = s.synchronizer.all_reduce(sizes, it)
+        if publish is not None:
+            publish(avg)
+        log.record(it, Signal.SYNC, "synchronizer")
+        for trainer, opt in zip(s.trainers, s.optimizers):
+            opt.step()
+            log.record(it, Signal.ACK, trainer.name)
+        sync_s = time.perf_counter() - sync_start
+        log.record(it, Signal.ITER_START, "runtime")
+
+        report.losses.append(float(np.mean([a.loss for _, a in busy])))
+        report.accuracies.append(
+            float(np.mean([a.accuracy for _, a in busy])))
+        for _, a in busy:
+            report.total_edges += a.stats.total_edges
+        realized = fold_worker_realized(
+            [(trainer.kind, a.stage_s) for trainer, a in busy], sync_s)
+        self.monitor.observe_times(realized)
+        if not (adjudicate and s.has_timing):
+            return None
+        return self.record_timing(
+            report, rows, [None if a is None else a.stats
+                           for a in answers],
+            it, self.lookahead, realized)
+
     def run_epoch(self, max_iterations: int | None = None) -> Any:
         """Execute one epoch (or ``max_iterations``, whichever is
-        less) of functional training.
-
-        Every live backend implements :meth:`run` and inherits this
-        clamp to the session's epoch length; a backend with its own
-        epoch loop (the virtual plane) overrides this instead. Returns
-        the backend's report (:class:`~.report.RunReport` for every
-        live plane) — all reports expose at least ``iterations`` and
-        per-iteration ``losses``.
+        less) of functional training: :meth:`run`, clamped to the
+        session's epoch length. Returns the backend's report — every
+        report exposes at least ``iterations``, per-iteration
+        ``losses`` and the ``protocol_log``.
         """
         iters = self.session.iterations_per_epoch()
         if max_iterations is not None:
             iters = min(iters, max_iterations)
         return self.run(iters)
 
+    @abc.abstractmethod
     def run(self, iterations: int) -> Any:
         """Execute exactly ``iterations`` synchronized iterations,
-        rolling into fresh epoch permutations as needed."""
-        raise NotImplementedError(
-            f"{type(self).__name__} implements neither run() nor "
-            "run_epoch()")
+        rolling into fresh epoch permutations as needed, each ended by
+        :meth:`end_iteration`."""
 
     def close(self) -> None:
         """Release whatever this backend keeps between runs (the

@@ -10,12 +10,11 @@ the caller's process, written once. Per run it
 2. starts the **feed** (the one seam, a class attribute): the threads
    that turn the session's work source into prepared batches, one
    bounded :class:`~repro.runtime.prefetch.PrefetchBuffer` per trainer;
-3. trains on the caller's thread — takes each trainer's item, trains,
-   all-reduces, steps every optimizer — recording Listing 1's handshake
-   in the report's :class:`~repro.runtime.protocol.ProtocolLog`:
-   ``DONE`` for every trainer (idle ones join the all-reduce with
-   weight 0), one ``SYNC``, an ``ACK`` after each optimizer step, then
-   ``ITER``;
+3. trains on the caller's thread — takes each trainer's item and
+   trains it, then ends the iteration in the shared synchronize tail
+   (:meth:`~.base.ExecutionBackend.end_iteration`: all-reduce, every
+   optimizer steps, Listing 1 recorded in the report's
+   :class:`~repro.runtime.protocol.ProtocolLog`);
 4. adapts the window, then closes and joins the feed and closes the
    report.
 
@@ -58,16 +57,13 @@ import time
 from contextlib import nullcontext
 from typing import ClassVar
 
-import numpy as np
-
 from ...errors import ProtocolError
 from ...kernels import scoped_counters
 from ..prefetch import PrefetchBuffer
-from ..protocol import Signal
-from ..resctl import NodeAllocator, fold_worker_realized
+from ..resctl import NodeAllocator
 from .base import ExecutionBackend
 from .overlap import DepthPolicy, Prepared, StageChain
-from .report import RunReport
+from .report import Reply, RunReport
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +268,6 @@ class InProcessBackend(ExecutionBackend):
             raise ProtocolError("timeout_s must be positive")
         self.prefetch_depth = prefetch_depth
         self.timeout_s = timeout_s
-        #: ``None`` keeps the window at ``prefetch_depth`` and leaves
-        #: the timing/DRM step to the feed; a preset's ``__init__``
-        #: installs a :class:`~.overlap.DepthPolicy` to adapt the
-        #: window and adjudicate DRM in the consumer.
-        self.lookahead: DepthPolicy | None = None
 
     def run(self, iterations: int) -> RunReport:
         """Execute ``iterations`` synchronized iterations, rolling into
@@ -323,56 +314,28 @@ class InProcessBackend(ExecutionBackend):
         return report
 
     def _train_iteration(self, it: int, feed: Feed, report, rows):
-        """Listing 1's trainer and synchronizer blocks, in order on this
-        thread: train every trainer's item, all-reduce, step. Returns
-        the iteration's stage times when the consumer adjudicates DRM
-        (``None`` otherwise) for the depth policy."""
+        """Listing 1's trainer block on this thread — train every
+        trainer's item — then the shared synchronize tail, which
+        adjudicates DRM only under a depth policy. Returns the
+        iteration's stage times when it did (``None`` otherwise)."""
         s = self.session
-        log = report.protocol_log
-        stats: list = []
         sizes: list[int] = []
-        losses: list[float] = []
-        accs: list[float] = []
-        per_trainer: list[tuple[str, dict]] = []
+        answers: list[Reply | None] = []
         for idx, trainer in enumerate(s.trainers):
             item = feed.take(idx, it)
-            stats.append(None if item.mb is None else item.mb.stats())
             if item.mb is None:
-                # Idle: zero gradients, weight zero in the all-reduce.
-                trainer.model.zero_grad()
                 sizes.append(0)
-            else:
-                t0 = time.perf_counter()
-                rep = trainer.train_minibatch(item.mb, item.x0,
-                                              item.labels, s.degrees)
-                item.stage_s["train"] = time.perf_counter() - t0
-                per_trainer.append((trainer.kind, item.stage_s))
-                sizes.append(int(item.work.size))
-                report.total_edges += stats[-1].total_edges
-                losses.append(rep.loss)
-                accs.append(rep.accuracy)
-            log.record(it, Signal.DONE, trainer.name)
-
-        if not any(sizes):
-            raise ProtocolError(
-                f"iteration {it} dispatched no work to any trainer")
-        sync_start = time.perf_counter()
-        s.synchronizer.all_reduce(sizes, it)
-        log.record(it, Signal.SYNC, "synchronizer")
-        for trainer, opt in zip(s.trainers, s.optimizers):
-            opt.step()
-            log.record(it, Signal.ACK, trainer.name)
-        sync_s = time.perf_counter() - sync_start
-        log.record(it, Signal.ITER_START, "runtime")
-        report.losses.append(float(np.mean(losses)))
-        report.accuracies.append(float(np.mean(accs)))
-
-        realized = fold_worker_realized(per_trainer, sync_s)
-        self.monitor.observe_times(realized)
-        if self.lookahead is None or not s.has_timing:
-            return None
-        return self.record_timing(report, rows, stats, it,
-                                  self.lookahead, realized)
+                answers.append(None)
+                continue
+            t0 = time.perf_counter()
+            rep = trainer.train_minibatch(item.mb, item.x0, item.labels,
+                                          s.degrees)
+            item.stage_s["train"] = time.perf_counter() - t0
+            sizes.append(int(item.work.size))
+            answers.append(Reply(rep.loss, rep.accuracy, item.stage_s,
+                                 item.mb.stats()))
+        return self.end_iteration(it, sizes, answers, report, rows,
+                                  adjudicate=self.lookahead is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -58,14 +58,13 @@ import numpy as np
 
 from ...errors import ProtocolError, StageTimeoutError, WorkerError
 from ...kernels import COUNTERS, BufferPool, merge_counts
-from ...sampling.base import LayerBlock, MiniBatch, MiniBatchStats
+from ...sampling.base import LayerBlock, MiniBatch
 from ..prefetch import PrefetchBuffer
-from ..protocol import Signal
-from ..resctl import NodeAllocator, fold_worker_realized, map_worker_totals
+from ..resctl import NodeAllocator, map_worker_totals
 from ..stage_pipeline import StagePipeline
 from .base import ExecutionBackend
 from .overlap import DepthPolicy, LookaheadDealer, StageChain
-from .report import RunReport
+from .report import Reply, RunReport
 
 
 # ---------------------------------------------------------------------------
@@ -88,28 +87,6 @@ class WorkerSpec:
     transfer_precision: str
     replica_cls: type
     body: type
-
-
-@dataclass
-class Reply:
-    """One trained batch, worker → parent (``("result", it, Reply)``),
-    sent only after the batch's flat gradient is in the worker's row of
-    the store's gradient slab — the reply itself is scalars and ids.
-
-    ``stats`` / ``echoed`` are set only by workers that sampled the
-    batch themselves — the parent already knows both for a batch it
-    sampled. ``echoed`` is the batch's realized target ids (``V^L`` of
-    the locally sampled graph), so the parent records what the worker
-    *actually trained*, not what it was asked to. ``shard_io`` is the
-    shard-aware replica's local/remote gather record.
-    """
-
-    loss: float
-    accuracy: float
-    stage_s: dict[str, float]
-    stats: MiniBatchStats | None = None
-    echoed: np.ndarray | None = None
-    shard_io: dict | None = None
 
 
 @dataclass
@@ -608,10 +585,6 @@ class ProcessBackend(ExecutionBackend):
         self.mp_context = mp_context
         #: Seam: the numbered work stream the parent deals.
         self.work_source = session.work_source
-        #: ``None`` deals lock-step (a window of 1); a preset's
-        #: ``__init__`` installs a :class:`~.overlap.DepthPolicy` to
-        #: deal ahead adaptively.
-        self.lookahead: DepthPolicy | None = None
         #: Extra ``SharedFeatureStore.create`` keywords (a
         #: partition-mapped preset passes ``shard_map``/``shard_spec``).
         self.store_extras: dict = {}
@@ -791,12 +764,12 @@ class ProcessBackend(ExecutionBackend):
     def _synchronize(self, it: int, planned, stats_by_idx, report, rows):
         """Retire one iteration: collect every worker's answer — a
         ``result`` (its gradient row read into the parent mirror) or an
-        ``idle`` token — then the shared tail: all-reduce, publish the
-        average row, broadcast ``apply``, optimizer steps, timing/DRM —
-        in exactly the virtual-plane order. Returns the iteration's
-        :class:`StageTimes` (``None`` without a timing plane). This
-        exists once, so trajectory semantics cannot drift between
-        process planes.
+        ``idle`` token — then the shared synchronize tail, which
+        publishes the average row and broadcasts ``apply`` before the
+        parent's own optimizer steps. The DRM engine is adjudicated
+        there, in the parent, on every process plane. Returns the
+        iteration's :class:`StageTimes` (``None`` without a timing
+        plane).
 
         The slab invariant: every worker answers every dealt iteration,
         and only after it applied the previous one; the average row for
@@ -805,11 +778,12 @@ class ProcessBackend(ExecutionBackend):
         average or have its row overwritten before it was reduced.
         (The slab is only ever indexed in place here: a view held in a
         local would pin the mapping through a failing run's traceback
-        while ``close()`` unmaps it.)"""
+        while ``close()`` unmaps it.) Idle replicas are zero-graded by
+        the tail, at sync time rather than deal time, so a look-ahead
+        deal can never clobber gradients of an earlier, not-yet-reduced
+        iteration."""
         s = self.session
-        losses: list[float] = []
-        accs: list[float] = []
-        per_trainer: list[tuple[str, dict]] = []
+        answers: list[Reply | None] = []
         for idx, trainer in enumerate(s.trainers):
             busy = planned.assignments[idx] is not None
             msg = self._recv(idx)
@@ -818,56 +792,27 @@ class ProcessBackend(ExecutionBackend):
                 raise WorkerError(
                     f"worker {idx} answered {msg[0]!r} for iteration "
                     f"{msg[1]}, expected {want} for {it}")
-            # The answer is the worker's DONE: its gradient row (or its
-            # idle token) is in.
-            report.protocol_log.record(it, Signal.DONE, trainer.name)
             if not busy:
-                # Idle replica: zero gradients, weight zero in the
-                # all-reduce. Done at sync time (not deal time) so a
-                # look-ahead deal can never clobber gradients of an
-                # earlier, not-yet-reduced iteration.
-                trainer.model.zero_grad()
+                answers.append(None)
                 continue
             reply = msg[2]
             trainer.model.set_flat_grads(self._pool.store.grads[idx])
-            if reply.stats is not None:
-                stats_by_idx[idx] = reply.stats
-            report.total_edges += stats_by_idx[idx].total_edges
+            if reply.stats is None:
+                reply.stats = stats_by_idx[idx]
             if reply.echoed is not None:
                 report.worker_targets[idx].append(reply.echoed)
             if reply.shard_io is not None:
                 report.shard_io.append(
                     {"iteration": it, "worker": idx, **reply.shard_io})
-            per_trainer.append((trainer.kind, reply.stage_s))
-            losses.append(reply.loss)
-            accs.append(reply.accuracy)
+            answers.append(reply)
 
-        sync_start = time.perf_counter()
-        self._pool.store.grads[-1] = s.synchronizer.all_reduce(
-            list(planned.batch_sizes), it)
-        report.protocol_log.record(it, Signal.SYNC, "synchronizer")
-        for idx in range(s.num_trainers):
-            self._send(idx, ("apply", it))
-        for trainer, opt in zip(s.trainers, s.optimizers):
-            opt.step()
-            report.protocol_log.record(it, Signal.ACK, trainer.name)
-        sync_s = time.perf_counter() - sync_start
-        report.protocol_log.record(it, Signal.ITER_START, "runtime")
+        def publish(avg) -> None:
+            self._pool.store.grads[-1] = avg
+            for idx in range(s.num_trainers):
+                self._send(idx, ("apply", it))
 
-        report.losses.append(float(np.mean(losses)))
-        report.accuracies.append(float(np.mean(accs)))
-        realized = fold_worker_realized(per_trainer, sync_s)
-        self.monitor.observe_times(realized)
-        if not s.has_timing:
-            return None
-        # One timing/DRM step over the realized batch stats — the DRM
-        # engine is adjudicated here, in the parent, on every process
-        # plane; lock-step presets install no policy, keeping the step
-        # byte-equal to the uncalibrated contract.
-        return self.record_timing(
-            report, rows, [stats_by_idx.get(idx)
-                           for idx in range(s.num_trainers)],
-            it, self.lookahead, realized)
+        return self.end_iteration(it, planned.batch_sizes, answers,
+                                  report, rows, publish=publish)
 
     def _snapshot(self, report) -> None:
         """The one post-run round trip per worker, *after*

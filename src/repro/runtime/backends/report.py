@@ -1,4 +1,5 @@
-"""The one live-run report every non-virtual backend returns.
+"""The records a run produces: one :class:`Reply` per trained batch,
+one report per run.
 
 :class:`RunReport` replaces the six per-plane report dataclasses: the
 core fields every live plane fills (losses, wall time, protocol log,
@@ -28,8 +29,35 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ...perfmodel.model import StageTimes, WorkloadSplit
+from ...sampling.base import MiniBatchStats
 from ...sim.trace import Timeline
 from ..protocol import ProtocolLog
+
+
+@dataclass
+class Reply:
+    """One trained batch: a trainer's answer to the synchronize tail
+    (:meth:`~.base.ExecutionBackend.end_iteration`). On the process
+    planes it also crosses the pipe, worker → parent
+    (``("result", it, Reply)``), sent only after the batch's flat
+    gradient is in the worker's row of the store's gradient slab — the
+    reply itself is scalars and ids.
+
+    ``stats`` is the batch's statistics by the time the tail reads it;
+    a worker sets it (and ``echoed``) only when it sampled the batch
+    itself — the parent already knows both for a batch it sampled.
+    ``echoed`` is the batch's realized target ids (``V^L`` of the
+    locally sampled graph), so the parent records what the worker
+    *actually trained*, not what it was asked to. ``shard_io`` is the
+    shard-aware replica's local/remote gather record.
+    """
+
+    loss: float
+    accuracy: float
+    stage_s: dict[str, float]
+    stats: MiniBatchStats | None = None
+    echoed: np.ndarray | None = None
+    shard_io: dict | None = None
 
 
 @dataclass(frozen=True)

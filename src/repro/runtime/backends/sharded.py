@@ -48,10 +48,10 @@ from typing import Iterator
 import numpy as np
 
 from ... import kernels
-from ...errors import ConfigError, ProtocolError
+from ...errors import ConfigError
 from ...graph.partition import bfs_partition, hash_partition
 from ...graph.shard_map import ShardMap
-from ..core import PlannedIteration
+from ..core import BatchPlan, PlannedIteration
 from .process import ProcessBackend, TargetDeal, WorkerReplica, WorkerSpec
 
 #: The partitioners a sharded backend can be constructed with.
@@ -65,7 +65,7 @@ PARTITIONERS = {
 # The work source (parent side)
 # ---------------------------------------------------------------------------
 
-class ShardPlan:
+class ShardPlan(BatchPlan):
     """Partition-mapped dealing over the session's own epoch stream.
 
     The shared :class:`~repro.runtime.core.BatchPlan` slices each epoch
@@ -96,15 +96,21 @@ class ShardPlan:
     Empty shards (legal for ``num_parts > num_vertices`` partitions)
     simply receive ``None`` assignments and their trainers idle through
     the run.
+
+    Only :meth:`start_epoch` differs from the session plan: the
+    epoch-rolling ``iterate`` — numbering, roll-over, no-progress guard
+    — is :class:`~repro.runtime.core.BatchPlan`'s own.
     """
 
-    def __init__(self, plan, parts: np.ndarray,
+    def __init__(self, plan: BatchPlan, parts: np.ndarray,
                  num_shards: int) -> None:
+        # The same ids, quota source and RNG as the session plan; its
+        # epoch counter stays the one that advances.
+        super().__init__(plan.train_ids, plan.counts_fn, plan.rng)
         self.plan = plan
         self.parts = np.asarray(parts, dtype=np.int64)
         self.num_shards = int(num_shards)
 
-    # -- one epoch -----------------------------------------------------
     def start_epoch(self) -> Iterator[PlannedIteration]:
         """Yield one epoch of shard-owned :class:`PlannedIteration`.
 
@@ -114,16 +120,15 @@ class ShardPlan:
         plan's ``epochs_started`` advances, so full-epoch bookkeeping
         assertions see an identical plan state.
         """
-        plan = self.plan
-        epoch = plan.epochs_started
-        plan.epochs_started += 1
-        perm = plan.rng.permutation(plan.train_ids)
+        epoch = self.plan.epochs_started
+        self.plan.epochs_started += 1
+        perm = self.rng.permutation(self.train_ids)
         owned = [perm[self.parts[perm] == k]
                  for k in range(self.num_shards)]
-        return self._iterate(epoch, owned)
+        return self._deal_epoch(epoch, owned)
 
-    def _iterate(self, epoch: int, owned: list[np.ndarray]
-                 ) -> Iterator[PlannedIteration]:
+    def _deal_epoch(self, epoch: int, owned: list[np.ndarray]
+                    ) -> Iterator[PlannedIteration]:
         cursors = np.zeros(self.num_shards, dtype=np.int64)
         sizes = np.array([o.size for o in owned], dtype=np.int64)
         index = 0
@@ -132,8 +137,7 @@ class ShardPlan:
             total_left = int(remaining.sum())
             if total_left == 0:
                 return
-            budget = sum(max(0, int(c))
-                         for c in self.plan.counts_fn())
+            budget = sum(max(0, int(c)) for c in self.counts_fn())
             take = min(budget, total_left)
             if take <= 0:
                 return    # zero total quota: nobody can make progress
@@ -150,25 +154,6 @@ class ShardPlan:
             yield PlannedIteration(epoch=epoch, index=index,
                                    assignments=tuple(assignments))
             index += 1
-
-    # -- many iterations -----------------------------------------------
-    def iterate(self, iterations: int
-                ) -> Iterator[tuple[int, PlannedIteration]]:
-        """Yield ``(global_iteration, planned)`` for exactly
-        ``iterations`` iterations, rolling into fresh epoch
-        permutations at epoch boundaries — the same numbering and
-        no-progress guard as ``BatchPlan.iterate``."""
-        produced = 0
-        while produced < iterations:
-            before = produced
-            for planned in self.start_epoch():
-                yield produced, planned
-                produced += 1
-                if produced >= iterations:
-                    return
-            if produced == before:
-                raise ProtocolError(
-                    "shard plan yielded no work for an epoch")
 
 
 def _apportion(take: int, remaining: np.ndarray) -> np.ndarray:

@@ -3,10 +3,12 @@
 Resolves the training protocol sequentially in one thread while
 accounting *virtual* (modelled-hardware) time for every pipeline stage:
 
-* :meth:`VirtualTimeBackend.run_epoch` — *functional* training over the
-  shared :class:`~repro.runtime.core.BatchPlan`: real sampling, real
-  forward/backward, real gradient all-reduce, with stage times derived
-  from the realized batch statistics.
+* :meth:`VirtualTimeBackend.run` (and the inherited ``run_epoch``) —
+  *functional* training over the session's work source: real sampling,
+  real forward/backward, and every iteration ended by the shared
+  synchronize tail (real all-reduce, Listing 1 recorded in the report's
+  ``protocol_log``), with stage times derived from the realized batch
+  statistics.
 * :meth:`VirtualTimeBackend.simulate_epoch` — *timing-only* simulation,
   optionally at the full paper dataset scale (projected batch statistics
   with measured per-batch jitter). This is what the figure benches
@@ -22,12 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...errors import ConfigError
+from ...errors import ConfigError, ProtocolError
 from ...kernels import BufferPool, scoped_counters
 from ...perfmodel.model import StageTimes, WorkloadSplit
-from ...sampling.base import MiniBatchStats
 from ...sim.trace import Timeline
+from ..protocol import ProtocolLog
 from .base import ExecutionBackend
+from .report import Reply
 
 
 @dataclass
@@ -35,23 +38,24 @@ class EpochReport:
     """Everything one epoch produced.
 
     ``epoch_time_s`` is *virtual* (modelled-hardware) time; functional
-    quality metrics are populated only by functional training.
-    ``kernel_stats`` (functional epochs only) is the epoch's delta of
-    the backend's session-scoped kernel-traffic counters
-    (``backend.counters``, fed via
+    quality metrics and the ``protocol_log`` are populated only by
+    functional training. ``kernel_stats`` (functional epochs only) is
+    the epoch's delta of the backend's session-scoped kernel-traffic
+    counters (``backend.counters``, fed via
     :func:`repro.kernels.scoped_counters`).
     """
 
     mode: str                                  # "functional" | "simulated"
     iterations: int
-    epoch_time_s: float
-    timeline: Timeline
+    epoch_time_s: float = 0.0
+    timeline: Timeline = field(default_factory=Timeline)
     stage_history: list[StageTimes] = field(default_factory=list)
     split_history: list[WorkloadSplit] = field(default_factory=list)
     losses: list[float] = field(default_factory=list)
     accuracies: list[float] = field(default_factory=list)
     total_edges: float = 0.0
     kernel_stats: dict[str, int] = field(default_factory=dict)
+    protocol_log: ProtocolLog = field(default_factory=ProtocolLog)
 
     @property
     def mean_loss(self) -> float:
@@ -68,6 +72,13 @@ class EpochReport:
         """Dominant pipeline stage over the epoch."""
         return self.timeline.bottleneck_stage()
 
+    def close_timeline(self, session, rows: list[list[float]]) -> None:
+        """Resolve the recorded duration rows into the modelled
+        timeline and its makespan (timing-plane sessions)."""
+        if session.has_timing:
+            self.timeline = session.make_pipeline().run(rows)
+            self.epoch_time_s = self.timeline.makespan
+
 
 class VirtualTimeBackend(ExecutionBackend):
     """Sequential execution with virtual-time accounting."""
@@ -77,97 +88,48 @@ class VirtualTimeBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # Functional training
     # ------------------------------------------------------------------
-    def run_epoch(self, max_iterations: int | None = None) -> EpochReport:
-        """One epoch of real training with virtual-time accounting.
+    def run(self, iterations: int) -> EpochReport:
+        """``iterations`` iterations of real training with virtual-time
+        accounting, in one thread.
 
         Every trainer with a non-zero quota samples a real batch, loads
-        real features, computes real gradients; the synchronizer averages
-        them (batch-size weighted) and every optimizer steps. Stage times
-        for the same iteration come from the realized batch statistics.
+        real features and computes real gradients, in trainer order;
+        then :meth:`end_iteration` synchronizes and takes the
+        timing/DRM step over the realized batch statistics, before the
+        plan slices the next iteration.
         """
-        # Route this (single-threaded) epoch's kernel traffic into the
-        # session-scoped handle so the report counts only this
-        # backend's dispatches even under concurrent co-tenants.
-        counters_before = self.counters.snapshot()
-        with scoped_counters(self.counters):
-            report = self._functional_epoch(max_iterations)
-        report.kernel_stats = self.counters.delta(counters_before)
-        return report
-
-    def _functional_epoch(self,
-                          max_iterations: int | None) -> EpochReport:
+        if iterations < 1:
+            raise ProtocolError("iterations must be >= 1")
         s = self.session
+        report = EpochReport(mode="functional", iterations=iterations)
         rows: list[list[float]] = []
-        report = EpochReport(mode="functional", iterations=0,
-                             epoch_time_s=0.0, timeline=Timeline())
-
         # Sequential resolution trains each batch to completion before
         # loading the next, so feature loads can reuse one pooled
         # buffer set: the gather/quantize hot path stops allocating
         # after the largest batch has been seen.
         pool = BufferPool()
-        iteration = 0
-        for planned in s.plan.start_epoch():
-            stats_cpu: MiniBatchStats | None = None
-            stats_accel: list[MiniBatchStats | None] = []
-            batch_sizes: list[int] = []
-            losses_iter: list[float] = []
-            accs_iter: list[float] = []
-            edges_iter = 0.0
-
-            for idx, trainer in enumerate(s.trainers):
-                targets = planned.assignments[idx]
-                if targets is None:
-                    batch_sizes.append(0)
-                    if trainer.kind == "accel":
-                        stats_accel.append(None)
-                    continue
-                mb = s.sampler.sample(targets)
-                st = mb.stats()
-                edges_iter += st.total_edges
-                if trainer.kind == "cpu":
-                    stats_cpu = st
-                else:
-                    stats_accel.append(st)
-                x0 = s.load_features(mb, trainer.kind, pool=pool)
-                rep = trainer.train_minibatch(
-                    mb, x0, s.labels_for(mb), s.degrees)
-                s.synchronizer.signal_done(trainer.name, iteration)
-                batch_sizes.append(int(targets.size))
-                losses_iter.append(rep.loss)
-                accs_iter.append(rep.accuracy)
-
-            # Trainers that got no work this iteration still participate
-            # in the all-reduce with zero gradients and weight zero.
-            if not any(b > 0 for b in batch_sizes):
-                break
-            for idx, b in enumerate(batch_sizes):
-                if b == 0:
-                    s.trainers[idx].model.zero_grad()
-                    s.synchronizer.signal_done(
-                        s.trainers[idx].name, iteration)
-            s.reduce_and_step(batch_sizes, iteration)
-
-            report.losses.append(float(np.mean(losses_iter)))
-            report.accuracies.append(float(np.mean(accs_iter)))
-            report.total_edges += edges_iter
-            if s.has_timing:
-                times, row, split = s.timing_step(stats_cpu,
-                                                  stats_accel,
-                                                  iteration)
-                rows.append(row)
-                report.stage_history.append(times)
-                report.split_history.append(split)
-
-            iteration += 1
-            if max_iterations is not None and iteration >= max_iterations:
-                break
-
-        report.iterations = iteration
-        if s.has_timing:
-            timeline = s.make_pipeline().run(rows)
-            report.timeline = timeline
-            report.epoch_time_s = timeline.makespan
+        # This run's kernel traffic lands in the session-scoped handle,
+        # so the report counts only this backend's dispatches even
+        # under concurrent co-tenants.
+        counters_before = self.counters.snapshot()
+        with scoped_counters(self.counters):
+            for it, planned in s.work_source.iterate(iterations):
+                answers: list[Reply | None] = []
+                for trainer, targets in zip(s.trainers,
+                                            planned.assignments):
+                    if targets is None:
+                        answers.append(None)
+                        continue
+                    mb = s.sampler.sample(targets)
+                    x0 = s.load_features(mb, trainer.kind, pool=pool)
+                    rep = trainer.train_minibatch(
+                        mb, x0, s.labels_for(mb), s.degrees)
+                    answers.append(Reply(rep.loss, rep.accuracy, {},
+                                         mb.stats()))
+                self.end_iteration(it, planned.batch_sizes, answers,
+                                   report, rows)
+        report.kernel_stats = self.counters.delta(counters_before)
+        report.close_timeline(s, rows)
         return report
 
     def train(self, epochs: int | None = None,
@@ -209,8 +171,7 @@ class VirtualTimeBackend(ExecutionBackend):
         else:
             train_count = int(s.dataset.train_ids.size)
 
-        report = EpochReport(mode="simulated", iterations=0,
-                             epoch_time_s=0.0, timeline=Timeline())
+        report = EpochReport(mode="simulated", iterations=0)
         rows: list[list[float]] = []
         remaining = train_count
         it = 0
@@ -224,12 +185,9 @@ class VirtualTimeBackend(ExecutionBackend):
             take_total = min(total, remaining)
             frac = take_total / total
 
-            stats_cpu = None
-            stats_accel: list[MiniBatchStats | None] = []
-            k = 0
-            for trainer in s.trainers:
+            stats = []
+            for k in range(s.num_trainers):
                 want = counts[k] if k < len(counts) else 0
-                k += 1
                 eff = int(round(want * frac))
                 # Independent per-trainer batch-size variation: the
                 # iteration barrier waits for the straggler, part of
@@ -240,23 +198,14 @@ class VirtualTimeBackend(ExecutionBackend):
                         0.0, s.profile.rel_std)))
                 st = base_stats.scaled(scale_j * eff / base) \
                     if eff > 0 else None
-                if trainer.kind == "cpu":
-                    stats_cpu = st
-                else:
-                    stats_accel.append(st)
+                stats.append(st)
                 if st is not None:
                     report.total_edges += st.total_edges
             remaining -= take_total
 
-            times, row, split = s.timing_step(stats_cpu, stats_accel,
-                                              it)
-            rows.append(row)
-            report.stage_history.append(times)
-            report.split_history.append(split)
+            self.record_timing(report, rows, stats, it)
             it += 1
 
         report.iterations = it
-        timeline = s.make_pipeline().run(rows)
-        report.timeline = timeline
-        report.epoch_time_s = timeline.makespan
+        report.close_timeline(s, rows)
         return report

@@ -149,10 +149,12 @@ class BatchPlan:
 
         Rolls into a fresh epoch permutation whenever the cursor is
         exhausted, so long runs still visit every train vertex once per
-        epoch. This is the single epoch-rolling loop every live backend
-        drives (in-process feed thread, process-pool parent) — the
-        numbering, the roll-over point, and the no-progress guard can
-        never drift between planes.
+        epoch. This is the single epoch-rolling loop every backend
+        drives (the virtual plane, the in-process feed thread, the
+        process-pool parent) and every other work source inherits
+        (:class:`~repro.runtime.backends.sharded.ShardPlan` overrides
+        only :meth:`start_epoch`) — the numbering, the roll-over point,
+        and the no-progress guard can never drift between planes.
 
         Raises
         ------
@@ -293,7 +295,7 @@ class TrainingSession:
         # ---- trainers + synchronizer + optimizers ----
         self.trainers = self._build_trainers(num_trainers)
         self.synchronizer = GradientSynchronizer(
-            [t.model for t in self.trainers], weighting="batch")
+            [t.model for t in self.trainers])
         self.optimizers = [SGD(t.model, lr=train_cfg.learning_rate)
                            for t in self.trainers]
 
@@ -311,8 +313,6 @@ class TrainingSession:
         self.pipeline = StagePipeline(
             self.sampler, dataset.features, dataset.labels,
             self.sys_cfg.transfer_precision)
-        # Historical alias for the pipeline's sampler serialization.
-        self._sampler_lock = self.pipeline.sampler_lock
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -467,7 +467,12 @@ class TrainingSession:
         """Synchronize one iteration: all-reduce then step every
         optimizer (idle trainers receive the averaged gradients too,
         keeping replicas consistent). Returns the averaged flat
-        gradient, exactly as :class:`GradientSynchronizer` does."""
+        gradient, exactly as :class:`GradientSynchronizer` does.
+
+        The replay hook for code that walks the plan by hand through
+        the stage hooks; a backend ends its iterations in
+        :meth:`~repro.runtime.backends.base.ExecutionBackend.end_iteration`
+        instead, which also records Listing 1's handshake."""
         avg = self.synchronizer.all_reduce(list(batch_sizes), iteration)
         for opt in self.optimizers:
             opt.step()
@@ -501,7 +506,7 @@ class TrainingSession:
         return launches * accel.kernel_launch_s
 
     def duration_row(self, times: StageTimes,
-                     overlapped: bool | None = None) -> list[float]:
+                     overlapped: bool) -> list[float]:
         """Pipeline-stage durations including the 'actual' extras the
         analytic model omits (paper §VI-C): kernel-launch latency and
         pipeline-flush overhead on the accelerator pass, plus PCIe
@@ -511,12 +516,11 @@ class TrainingSession:
         the next iteration's feature push genuinely overlaps this
         iteration's gradient pull, so it is gated on ``overlapped`` —
         the executing backend's overlap capability
-        (:attr:`~repro.runtime.backends.base.ExecutionBackend.overlaps_transfer`).
-        ``None`` (legacy callers) defers to ``sys_cfg.prefetch``: the
-        reference plane models the overlapped pipeline whenever
-        prefetching is configured. A lock-step backend that resolves
-        transfer strictly before the pull passes ``False`` and never
-        pays the derate, however ``prefetch`` is set.
+        (:attr:`~repro.runtime.backends.base.ExecutionBackend.overlaps_transfer`)
+        — and on ``sys_cfg.prefetch``: the derate is priced only when
+        both hold. A lock-step backend that resolves transfer strictly
+        before the pull passes ``False`` and never pays the derate,
+        however ``prefetch`` is set.
         """
         self._require_timing()
         accel = self.platform.accelerator
@@ -525,8 +529,6 @@ class TrainingSession:
                 if times.t_train_accel > 0 else 0.0)
         prop = max(prop, times.t_train_cpu) + times.t_sync
         transfer = times.t_transfer
-        if overlapped is None:
-            overlapped = self.sys_cfg.prefetch
         if overlapped and self.sys_cfg.prefetch and transfer > 0:
             transfer *= 1.0 + self.platform.pcie.duplex_derate
         return [times.t_sample, times.t_load, transfer,
@@ -540,10 +542,10 @@ class TrainingSession:
     def timing_step(self, stats_cpu: MiniBatchStats | None,
                     stats_accel: list[MiniBatchStats | None],
                     iteration: int, *,
+                    overlapped: bool,
                     estimator=None,
                     realized: dict[str, float] | None = None,
-                    calibrate: bool = False,
-                    overlapped: bool | None = None
+                    calibrate: bool = False
                     ) -> tuple[StageTimes, list[float], WorkloadSplit]:
         """One timing-plane step over realized batch statistics.
 
@@ -555,8 +557,10 @@ class TrainingSession:
         stage times from iteration ``i``'s stats, split snapshot, *then*
         DRM — can never drift between execution planes.
 
-        The resctl hooks are strictly opt-in, so planes that pass
-        nothing stay bit-identical to the uncalibrated contract:
+        ``overlapped`` is the backend's transfer-overlap capability,
+        forwarded to :meth:`duration_row`. The resctl hooks are
+        strictly opt-in, so planes that pass nothing stay bit-identical
+        to the uncalibrated contract:
 
         * ``estimator`` — an
           :class:`~repro.runtime.resctl.OnlineEstimator`; when given
@@ -570,9 +574,7 @@ class TrainingSession:
           steer from monitored wall times. ``False`` observes without
           feeding back — ``depth_source="model"`` still reports
           calibration error while reproducing analytic trajectories
-          bit for bit;
-        * ``overlapped`` — the backend's transfer-overlap capability,
-          forwarded to :meth:`duration_row`.
+          bit for bit.
         """
         times = self.stage_times(stats_cpu, stats_accel)
         if estimator is not None:

@@ -10,13 +10,14 @@ the runtime inside each iteration:
 3. every trainer applies the update and raises ``ACK``;
 4. when all ``n`` ACKs arrived, the runtime starts the next iteration.
 
-:class:`ProtocolLog` records these events — every live backend fills
-one on its report (``RunReport.protocol_log``): the in-process driver's
-consumer and the process driver's parent, idle trainers included; the
-virtual-time plane records none — and :func:`validate_protocol` checks
-the ordering invariants. The conformance kit asserts that trace on
-every live plane: the reproduction's analogue of "the handshake code in
-Listing 1 is correct".
+:class:`ProtocolLog` records these events — every backend fills one on
+its report (``report.protocol_log``), idle trainers included, through
+the one synchronize tail every plane ends an iteration in
+(:meth:`~repro.runtime.backends.base.ExecutionBackend.end_iteration`)
+— and :func:`validate_protocol` checks the ordering invariants. The
+conformance kit asserts that trace on every plane, the virtual
+reference included: the reproduction's analogue of "the handshake code
+in Listing 1 is correct".
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class ProtocolEvent:
     iteration: int
     signal: Signal
     sender: str
-    timestamp: float = 0.0
 
 
 class ProtocolLog:
@@ -53,13 +53,11 @@ class ProtocolLog:
     def __init__(self) -> None:
         self.events: list[ProtocolEvent] = []
 
-    def record(self, iteration: int, signal: Signal, sender: str,
-               timestamp: float = 0.0) -> None:
+    def record(self, iteration: int, signal: Signal, sender: str) -> None:
         """Append an event."""
         if iteration < 0:
             raise ProtocolError("iteration must be non-negative")
-        self.events.append(ProtocolEvent(iteration, signal, sender,
-                                         timestamp))
+        self.events.append(ProtocolEvent(iteration, signal, sender))
 
     def iteration_events(self, iteration: int) -> list[ProtocolEvent]:
         """Events of one iteration, in arrival order."""

@@ -1,7 +1,7 @@
 """Gradient synchronizer: gather → average → broadcast (paper §III-A).
 
 The Synchronizer implements synchronous SGD across trainer model replicas.
-Averaging is *weighted by batch size* by default: with DRM the per-trainer
+Averaging is *weighted by batch size*: with DRM the per-trainer
 mini-batch sizes differ, and the weighted average is what keeps the hybrid
 update bit-equivalent to single-device large-batch SGD (each trainer's
 gradient is the mean over its own batch; the weighted combination equals
@@ -9,6 +9,11 @@ the mean over the union batch). With equal batch sizes the weighted and
 uniform averages coincide, which is the case the paper describes
 ("training on 4 GPUs with mini-batch size 1024 is equivalent to training
 on 1 GPU with mini-batch size 4096").
+
+The synchronizer is arithmetic only. The handshake around it — Listing
+1's ``DONE`` / ``SYNC`` / ``ACK`` — is recorded by the one synchronize
+tail every backend ends an iteration in
+(:meth:`~repro.runtime.backends.base.ExecutionBackend.end_iteration`).
 """
 
 from __future__ import annotations
@@ -19,110 +24,50 @@ import numpy as np
 
 from ..errors import ProtocolError, ShapeError
 from ..nn.models import GNNModel
-from .protocol import ProtocolLog, Signal
 
 
 class GradientSynchronizer:
-    """All-reduce over a fixed set of model replicas.
+    """Batch-size-weighted all-reduce over a fixed set of model
+    replicas, which must all have an identical parameter layout."""
 
-    Parameters
-    ----------
-    models:
-        The trainer replicas. All must have identical parameter layout.
-    weighting:
-        ``"batch"`` (default) weights each replica's gradient by its batch
-        size; ``"uniform"`` averages plainly (the paper's literal
-        description).
-    """
-
-    def __init__(self, models: Sequence[GNNModel],
-                 weighting: str = "batch") -> None:
+    def __init__(self, models: Sequence[GNNModel]) -> None:
         if not models:
             raise ProtocolError("synchronizer needs at least one model")
         sizes = {m.num_params for m in models}
         if len(sizes) != 1:
             raise ShapeError("replicas disagree on parameter count")
-        if weighting not in ("batch", "uniform"):
-            raise ProtocolError(f"unknown weighting {weighting!r}")
         self.models = list(models)
-        self.weighting = weighting
-        self._done_count = 0
-        self._log: ProtocolLog | None = None
-
-    def attach_log(self, log: ProtocolLog) -> None:
-        """Record protocol events into ``log`` on subsequent calls."""
-        self._log = log
 
     @property
     def num_trainers(self) -> int:
         return len(self.models)
 
     # ------------------------------------------------------------------
-    def signal_done(self, trainer_name: str, iteration: int = 0) -> int:
-        """A trainer announces its gradients are in CPU memory.
-
-        Returns the DONE count so far this iteration (Listing 1's
-        ``DONE`` variable).
-        """
-        self._done_count += 1
-        if self._done_count > self.num_trainers:
-            raise ProtocolError("more DONE signals than trainers")
-        if self._log is not None:
-            self._log.record(iteration, Signal.DONE, trainer_name)
-        return self._done_count
-
     def all_reduce(self, batch_sizes: Sequence[int] | None = None,
                    iteration: int = 0) -> np.ndarray:
-        """Average gradients across replicas and write them back.
-
-        Must be called only after every trainer signalled DONE (when the
-        protocol log is attached the precondition is enforced; without
-        signalling the synchronizer may be driven directly, e.g. by
-        tests).
+        """Average gradients across replicas, weighted by
+        ``batch_sizes`` (one per replica, non-negative, not all zero),
+        and write them back. ``iteration`` names the iteration being
+        reduced, for whoever wraps this call.
 
         Returns the averaged flat gradient (mainly for inspection).
         """
-        if self._log is not None and \
-                self._done_count != self.num_trainers:
-            raise ProtocolError(
-                f"all_reduce with {self._done_count}/"
-                f"{self.num_trainers} DONE signals")
+        if batch_sizes is None:
+            raise ProtocolError("batch weighting requires batch_sizes")
+        if len(batch_sizes) != self.num_trainers:
+            raise ShapeError("one batch size per trainer required")
+        w = np.asarray(batch_sizes, dtype=np.float64)
+        if (w < 0).any() or w.sum() <= 0:
+            raise ShapeError("batch sizes must be non-negative and "
+                             "not all zero")
+        w = w / w.sum()
         flats = [m.get_flat_grads() for m in self.models]
-        if self.weighting == "batch":
-            if batch_sizes is None:
-                raise ProtocolError(
-                    "batch weighting requires batch_sizes")
-            if len(batch_sizes) != self.num_trainers:
-                raise ShapeError("one batch size per trainer required")
-            w = np.asarray(batch_sizes, dtype=np.float64)
-            if (w < 0).any() or w.sum() <= 0:
-                raise ShapeError("batch sizes must be non-negative and "
-                                 "not all zero")
-            w = w / w.sum()
-        else:
-            w = np.full(self.num_trainers, 1.0 / self.num_trainers)
         avg = np.zeros_like(flats[0])
         for wi, f in zip(w, flats):
             avg += wi * f
         for m in self.models:
             m.set_flat_grads(avg)
-        if self._log is not None:
-            self._log.record(iteration, Signal.SYNC, "synchronizer")
-        self._done_count = 0
         return avg
-
-    def broadcast_parameters(self, source: int = 0) -> None:
-        """Copy replica ``source``'s parameters to all others.
-
-        Used at startup (all replicas must begin identical) and by tests
-        after perturbations.
-        """
-        if not 0 <= source < self.num_trainers:
-            raise ProtocolError("source replica out of range")
-        flat = self.models[source].get_flat_params()
-        for i, m in enumerate(self.models):
-            if i != source:
-                m.set_flat_params(flat)
 
     def replicas_consistent(self, atol: float = 1e-9) -> bool:
         """Are all replica parameters (near-)identical?"""

@@ -38,7 +38,7 @@ This module packages that guarantee as a reusable kit:
   capability flag selects;
 * :func:`assert_backend_conforms` — run one (backend, case) pair
   against a fresh virtual-plane reference and assert the tier's
-  matrix, plus — on every live plane, whatever its tier — the paper's
+  matrix, plus — on both reports, whatever the tier — the paper's
   Listing-1 handshake as an asserted trace
   (:func:`assert_listing1_trace`).
 
@@ -288,14 +288,15 @@ def assert_backend_conforms(name: str, case: ConformanceCase,
     else:
         assert_statistical_conformance(name, case, ref_session, ref,
                                        cand_session, cand)
-    if hasattr(cand, "protocol_log"):
-        assert_listing1_trace(name, cand_session, cand)
+    assert_listing1_trace(REFERENCE_BACKEND, ref_session, ref)
+    assert_listing1_trace(name, cand_session, cand)
 
 
 def assert_listing1_trace(name: str, session: TrainingSession,
                           report) -> None:
-    """Listing 1 as an asserted trace, on every live plane, both
-    tiers: the report's :class:`~repro.runtime.protocol.ProtocolLog`
+    """Listing 1 as an asserted trace, on every plane, the virtual
+    reference included, both tiers: the report's
+    :class:`~repro.runtime.protocol.ProtocolLog`
     covers every iteration of the run, and each iteration passes
     :func:`~repro.runtime.protocol.validate_protocol` — one ``DONE``
     per trainer (idle trainers included: they join the all-reduce with

@@ -77,7 +77,7 @@ def test_weighted_allreduce_equals_union_batch_gradient(
     # --- system under test: replicas + synchronizer ---
     replicas = [float64_copy(build_model(model_name, dims, seed=42))
                 for _ in sizes]
-    sync = GradientSynchronizer(replicas, weighting="batch")
+    sync = GradientSynchronizer(replicas)
     s2 = NeighborSampler(tiny_ds.graph, tiny_ds.train_ids, (4, 3),
                          tiny_ds.spec.feature_dim, seed=99)
     for model, batch in zip(replicas, batches):
@@ -112,7 +112,7 @@ def test_multi_trainer_step_equals_large_batch_step(
 
     # Hybrid path.
     replicas = [build_model(model_name, dims, seed=7) for _ in sizes]
-    sync = GradientSynchronizer(replicas, weighting="batch")
+    sync = GradientSynchronizer(replicas)
     opts = [SGD(m, lr=lr) for m in replicas]
     s2 = NeighborSampler(tiny_ds.graph, tiny_ds.train_ids, (4, 3),
                          tiny_ds.spec.feature_dim, seed=31)

@@ -9,24 +9,34 @@ cannot grow back: no registered backend inherits from another, the
 four process registry names are declarations over
 :class:`~repro.runtime.backends.process.ProcessBackend` and the two
 in-process ones over
-:class:`~repro.runtime.backends.pipelined.InProcessBackend`, the only
+:class:`~repro.runtime.backends.pipelined.InProcessBackend`, Listing
+1's handshake and the all-reduce live in one function (an AST scan of
+the source), every backend implements ``run`` alone, the only
 post-run round trip a worker ever answers is ``snapshot``, and the
 workers + store a backend opens on its first ``run()`` are the ones
 every later ``run()`` uses.
 """
 
+import ast
 import gc
 import glob
 import inspect
 import multiprocessing as mp
 import os
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.config import SystemConfig, layer_dims
-from repro.runtime import TrainingSession, available_backends, get_backend
+from repro.runtime import (
+    ExecutionBackend,
+    TrainingSession,
+    available_backends,
+    get_backend,
+)
 from repro.runtime.backends.pipelined import InProcessBackend
 from repro.runtime.backends.process import (
     InlineBody,
@@ -42,6 +52,37 @@ from repro.runtime.shm import SharedFeatureStore, SharedPrefetchSpec
 
 PROCESS_PRESETS = ("process", "process_sampling", "process_pipelined",
                    "sharded")
+
+SRC = Path(repro.__file__).parent
+LISTING1_SIGNALS = {"DONE", "SYNC", "ACK", "ITER_START"}
+
+
+def _attr_name(node) -> str | None:
+    """``x.y`` → ``"y"``, ``y`` → ``"y"``, anything else → ``None``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def _functions_calling(root: Path, matches) -> set[str]:
+    """``"<path under root>:<innermost function>"`` for every call in
+    ``root``'s Python files that ``matches``."""
+    found = set()
+
+    def visit(node, path: str, func: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and matches(node):
+            found.add(f"{path}:{func}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, func)
+
+    for file in sorted(root.rglob("*.py")):
+        visit(ast.parse(file.read_text()),
+              file.relative_to(root).as_posix(), None)
+    return found
 
 
 class TestStructure:
@@ -76,6 +117,32 @@ class TestStructure:
                    if inspect.isfunction(value)}
         assert defined <= {"__init__"}, \
             f"{name} overrides driver methods: {sorted(defined)}"
+
+    def test_listing1_is_recorded_in_one_function(self):
+        """``DONE`` / ``SYNC`` / ``ACK`` / ``ITER`` are recorded in
+        exactly one function in ``src/repro/`` — the synchronize tail
+        every plane ends an iteration in."""
+        recorders = _functions_calling(
+            SRC, lambda call: _attr_name(call.func) == "record"
+            and any(_attr_name(arg) in LISTING1_SIGNALS
+                    and _attr_name(getattr(arg, "value", None))
+                    == "Signal" for arg in call.args))
+        assert recorders == {"runtime/backends/base.py:end_iteration"}
+
+    def test_all_reduce_is_called_from_one_backend_function(self):
+        callers = _functions_calling(
+            SRC / "runtime" / "backends",
+            lambda call: _attr_name(call.func) == "all_reduce"
+            and _attr_name(call.func.value) == "synchronizer")
+        assert callers == {"base.py:end_iteration"}
+
+    @pytest.mark.parametrize("name", available_backends())
+    def test_every_backend_implements_run_and_inherits_run_epoch(
+            self, name):
+        cls = get_backend(name)
+        assert not inspect.isabstract(cls)
+        assert cls.run_epoch is ExecutionBackend.run_epoch, \
+            f"{name} overrides run_epoch"
 
     def test_report_classes_under_backends(self):
         """The only report classes are RunReport and EpochReport."""

@@ -38,7 +38,7 @@ class TestBackendRegistryErrors:
         class Nameless(ExecutionBackend):
             name = ""
 
-            def run_epoch(self, max_iterations=None):
+            def run(self, iterations):
                 raise NotImplementedError
 
         with pytest.raises(ConfigError) as exc:
@@ -165,7 +165,7 @@ class TestBuildBackend:
                 super().__init__(session)
                 self.flavour = flavour
 
-            def run_epoch(self, max_iterations=None):
+            def run(self, iterations):
                 raise NotImplementedError
 
         register_backend(Knobbed)

@@ -375,30 +375,29 @@ class TestDurationRowGating:
             SystemConfig(hybrid=True, drm=False, prefetch=True),
             fpga_platform, profile_probes=2)
 
-    def test_virtual_plane_row_unchanged(self, timing_session):
-        """Legacy callers (no ``overlapped``) keep the prefetch-gated
-        derate — the virtual reference's rows must not move."""
+    def test_overlapping_backend_pays_derate(self, timing_session):
+        """An overlapping plane (the virtual reference) under
+        ``prefetch`` prices the duplex derate on its transfer."""
         times = _times(0.01)
-        legacy = timing_session.duration_row(times)
-        explicit = timing_session.duration_row(times, overlapped=True)
-        assert legacy == explicit
+        row = timing_session.duration_row(times, overlapped=True)
         derate = timing_session.platform.pcie.duplex_derate
         assert derate > 0.0
-        assert legacy[2] == pytest.approx(0.01 * (1.0 + derate))
+        assert row[2] == pytest.approx(0.01 * (1.0 + derate))
 
     def test_non_overlapping_backend_skips_derate(self, timing_session):
         times = _times(0.01)
         row = timing_session.duration_row(times, overlapped=False)
         assert row[2] == pytest.approx(0.01)
         # Only the transfer entry moves.
-        legacy = timing_session.duration_row(times)
-        assert row[0] == legacy[0]
-        assert row[1] == legacy[1]
-        assert row[3] == legacy[3]
+        overlapped = timing_session.duration_row(times, overlapped=True)
+        assert row[0] == overlapped[0]
+        assert row[1] == overlapped[1]
+        assert row[3] == overlapped[3]
 
     def test_zero_transfer_immune(self, timing_session):
         times = _times(0.0)
-        assert timing_session.duration_row(times)[2] == 0.0
+        assert timing_session.duration_row(times, overlapped=True)[2] \
+            == 0.0
 
     def test_backend_capability_flags(self):
         from repro.runtime import (
@@ -458,9 +457,10 @@ class TestTimingStepHooks:
         est = OnlineEstimator(warmup=1)
         for _ in range(4):   # warm it: corrections would bite if used
             est.observe({"load": 123.0}, _times(0.01))
-        t0, r0, s0 = plain.timing_step(stats_cpu, stats_accel, 0)
+        t0, r0, s0 = plain.timing_step(stats_cpu, stats_accel, 0,
+                                       overlapped=True)
         t1, r1, s1 = hooked.timing_step(
-            h_cpu, h_accel, 0, estimator=est,
+            h_cpu, h_accel, 0, overlapped=True, estimator=est,
             realized={"load": 123.0}, calibrate=False)
         assert t0 == t1
         assert r0 == r1
@@ -470,13 +470,14 @@ class TestTimingStepHooks:
         plain, hooked = session_pair
         stats_cpu, stats_accel = self._stats(plain)
         h_cpu, h_accel = self._stats(hooked)
-        t0, _, _ = plain.timing_step(stats_cpu, stats_accel, 0)
+        t0, _, _ = plain.timing_step(stats_cpu, stats_accel, 0,
+                                     overlapped=True)
         est = OnlineEstimator(warmup=1)
         scale = 3.0
         for _ in range(50):
             est.observe({"load": t0.t_load * scale}, t0)
         t1, _, _ = hooked.timing_step(
-            h_cpu, h_accel, 0, estimator=est,
+            h_cpu, h_accel, 0, overlapped=True, estimator=est,
             realized={"load": t0.t_load * scale}, calibrate=True)
         assert t1.t_load > t0.t_load
         assert t1.t_load == pytest.approx(

@@ -11,8 +11,12 @@ from repro.config import SystemConfig, layer_dims
 from repro.errors import ProtocolError, ShapeError
 from repro.nn.models import build_model
 from repro.perfmodel.model import StageTimes, WorkloadSplit
+from repro.runtime import TrainingSession, VirtualTimeBackend
+from repro.runtime.backends.report import Reply
+from repro.runtime.backends.virtual import EpochReport
 from repro.runtime.drm import MIN_ACCEL_TARGETS, DRMEngine
 from repro.runtime.prefetch import PrefetchBuffer
+from repro.sampling.base import MiniBatchStats
 from repro.runtime.protocol import (
     ProtocolLog,
     Signal,
@@ -96,21 +100,13 @@ def _replicas(n=3, seed=0):
 class TestSynchronizer:
     def test_weighted_average(self):
         models = _replicas(2)
-        sync = GradientSynchronizer(models, weighting="batch")
+        sync = GradientSynchronizer(models)
         models[0].layers[0].linear.dW += 1.0
         models[1].layers[0].linear.dW += 3.0
         sync.all_reduce(batch_sizes=[1, 3])
         expected = (1.0 * 1 + 3.0 * 3) / 4
         for m in models:
             assert np.allclose(m.layers[0].linear.dW, expected)
-
-    def test_uniform_average(self):
-        models = _replicas(2)
-        sync = GradientSynchronizer(models, weighting="uniform")
-        models[0].layers[0].linear.dW += 2.0
-        sync.all_reduce()
-        for m in models:
-            assert np.allclose(m.layers[0].linear.dW, 1.0)
 
     def test_zero_weight_trainer_excluded(self):
         models = _replicas(2)
@@ -120,31 +116,6 @@ class TestSynchronizer:
         sync.all_reduce(batch_sizes=[4, 0])
         for m in models:
             assert np.allclose(m.layers[0].linear.dW, 2.0)
-
-    def test_done_counting_with_log(self):
-        models = _replicas(2)
-        sync = GradientSynchronizer(models)
-        log = ProtocolLog()
-        sync.attach_log(log)
-        sync.signal_done("a", 0)
-        with pytest.raises(ProtocolError):
-            sync.all_reduce(batch_sizes=[1, 1], iteration=0)
-        sync.signal_done("b", 0)
-        sync.all_reduce(batch_sizes=[1, 1], iteration=0)
-        assert log.count(0, Signal.DONE) == 2
-
-    def test_too_many_dones(self):
-        sync = GradientSynchronizer(_replicas(1))
-        sync.signal_done("a")
-        with pytest.raises(ProtocolError):
-            sync.signal_done("b")
-
-    def test_broadcast_parameters(self):
-        models = [build_model("gcn", (4, 2), seed=i) for i in range(3)]
-        sync = GradientSynchronizer(models)
-        assert not sync.replicas_consistent()
-        sync.broadcast_parameters(0)
-        assert sync.replicas_consistent()
 
     def test_batch_sizes_required(self):
         sync = GradientSynchronizer(_replicas(2))
@@ -157,6 +128,45 @@ class TestSynchronizer:
         with pytest.raises(ShapeError):
             GradientSynchronizer([build_model("gcn", (4, 2), 0),
                                   build_model("gcn", (4, 3), 0)])
+
+
+class TestSynchronizeTail:
+    """``ExecutionBackend.end_iteration``: Listing 1's synchronizer
+    block, exercised directly with hand-made answers."""
+
+    @pytest.fixture()
+    def backend(self, tiny_ds, small_cfg):
+        session = TrainingSession(tiny_ds, small_cfg,
+                                  SystemConfig(drm=False),
+                                  num_trainers=2, profile_probes=2)
+        return VirtualTimeBackend(session)
+
+    def test_idle_trainer_signals_done_with_weight_zero(self, backend):
+        s = backend.session
+        busy, idle = (t.model for t in s.trainers)
+        busy.set_flat_grads(np.ones(busy.num_params))
+        idle.set_flat_grads(np.full(idle.num_params, 99.0))
+        report = EpochReport(mode="functional", iterations=1)
+        published = []
+        answer = Reply(loss=1.5, accuracy=0.25, stage_s={"train": 0.0},
+                       stats=MiniBatchStats((9, 5, 4), (3, 5), 12))
+        backend.end_iteration(0, [4, 0], [answer, None], report, [],
+                              publish=published.append)
+        validate_protocol(report.protocol_log, 2)
+        signals = [e.signal for e in report.protocol_log.events]
+        assert signals == [Signal.DONE, Signal.DONE, Signal.SYNC,
+                           Signal.ACK, Signal.ACK, Signal.ITER_START]
+        # The idle replica was zero-graded, so the average is the busy
+        # gradient alone — published before any optimizer stepped.
+        np.testing.assert_array_equal(published[0], 1.0)
+        assert (report.losses, report.accuracies) == ([1.5], [0.25])
+        assert report.total_edges == 8
+        assert s.synchronizer.replicas_consistent()
+
+    def test_all_idle_iteration_is_rejected(self, backend):
+        report = EpochReport(mode="functional", iterations=1)
+        with pytest.raises(ShapeError):
+            backend.end_iteration(0, [0, 0], [None, None], report, [])
 
 
 # ---------------------------------------------------------------------------
