@@ -35,7 +35,7 @@ def _prefetch_sweep():
         session = TrainingSession(ds, cfg, sys_cfg,
                                   hyscale_cpu_fpga_platform(4),
                                   full_scale=True, profile_probes=2)
-        t = VirtualTimeBackend(session).simulate_epoch().epoch_time_s
+        t = VirtualTimeBackend(session).simulate_epoch().virtual_time_s
         label = "0 (serialized)" if depth == 0 else str(depth)
         rows.append((label, t))
     return rows

@@ -40,8 +40,8 @@ def _timing_sweep():
         rep = VirtualTimeBackend(session).simulate_epoch()
         accel_share = sum(session.split.accel_targets) / \
             session.split.total_targets
-        rows.append((mode, rep.epoch_time_s, accel_share * 100,
-                     rep.bottleneck_stage()))
+        rows.append((mode, rep.virtual_time_s, accel_share * 100,
+                     rep.timeline.bottleneck_stage()))
     return rows
 
 

@@ -44,7 +44,7 @@ def main(model: str = "gcn") -> None:
     # --- multi-GPU PyG baseline -------------------------------------
     baseline = PyGMultiGPUBaseline(dataset, cfg, profile_probes=3)
     rep_base = baseline.simulate_epoch()
-    print(f"\n[multi-GPU baseline]  epoch = {rep_base.epoch_time_s:.2f} s "
+    print(f"\n[multi-GPU baseline]  epoch = {rep_base.virtual_time_s:.2f} s "
           f"({rep_base.iterations} iterations, serialized stages)")
     st = rep_base.stage_history[0]
     print("  stage times (ms):",
@@ -58,11 +58,11 @@ def main(model: str = "gcn") -> None:
                                   platform, full_scale=True,
                                   profile_probes=3)
         rep = VirtualTimeBackend(session).simulate_epoch()
-        speedup = rep_base.epoch_time_s / rep.epoch_time_s
+        speedup = rep_base.virtual_time_s / rep.virtual_time_s
         print(f"\n[{platform.name}]")
-        print(f"  epoch = {rep.epoch_time_s:.2f} s  "
+        print(f"  epoch = {rep.virtual_time_s:.2f} s  "
               f"(speedup {speedup:.2f}x over baseline, "
-              f"bottleneck = {rep.bottleneck_stage()})")
+              f"bottleneck = {rep.timeline.bottleneck_stage()})")
         print(f"  predicted (Eq. 6): "
               f"{session.predicted_epoch_time():.2f} s")
         split = session.split

@@ -16,6 +16,7 @@ import numpy as np
 from repro.config import TrainingConfig
 from repro.graph.datasets import tiny_dataset
 from repro.hw import hyscale_cpu_fpga_platform
+from repro.perfmodel import throughput_mteps
 from repro.runtime import TrainingSession, VirtualTimeBackend
 from repro.sim.trace import render_gantt
 
@@ -48,11 +49,12 @@ def main() -> None:
     #    epoch time is virtual (modelled-hardware) time.
     for epoch in range(5):
         report = backend.run_epoch()
+        mteps = throughput_mteps(report.total_edges, report.virtual_time_s)
         print(f"epoch {epoch}: loss={np.mean(report.losses):.4f} "
               f"acc={np.mean(report.accuracies):.3f} "
-              f"virtual_time={report.epoch_time_s * 1e3:.2f} ms "
-              f"({report.throughput_mteps:.0f} MTEPS, "
-              f"bottleneck={report.bottleneck_stage()})")
+              f"virtual_time={report.virtual_time_s * 1e3:.2f} ms "
+              f"({mteps:.0f} MTEPS, "
+              f"bottleneck={report.timeline.bottleneck_stage()})")
 
     # 5. All replicas agree after synchronous training.
     assert session.synchronizer.replicas_consistent()

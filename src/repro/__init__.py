@@ -35,9 +35,7 @@ from .config import (
     layer_dims,
 )
 from .errors import (
-    CapacityError,
     ConfigError,
-    ConvergenceError,
     DeviceError,
     GraphError,
     ProtocolError,
@@ -62,8 +60,6 @@ __all__ = [
     "SamplingError",
     "ShapeError",
     "DeviceError",
-    "CapacityError",
     "ProtocolError",
     "SimulationError",
-    "ConvergenceError",
 ]

@@ -23,7 +23,7 @@ from ..hw.topology import PlatformSpec, hyscale_cpu_gpu_platform
 from ..perfmodel.sampling_profile import (
     PYG_SAMPLE_RATE_EDGES_PER_S_PER_THREAD,
 )
-from ..runtime import EpochReport, TrainingSession, VirtualTimeBackend
+from ..runtime import RunReport, TrainingSession, VirtualTimeBackend
 from .common import BaselineReport
 
 #: PyG NeighborLoader worker processes (typical tuned setting) — far
@@ -58,7 +58,7 @@ class PyGMultiGPUBaseline:
             load_threads=PYG_LOADER_WORKERS)
 
     def simulate_epoch(self, iterations: int | None = None
-                       ) -> EpochReport:
+                       ) -> RunReport:
         """Timing-only epoch simulation (serialized pipeline)."""
         return self.backend.simulate_epoch(iterations=iterations)
 
@@ -70,6 +70,6 @@ class PyGMultiGPUBaseline:
         return BaselineReport(
             system=self.name, dataset=self.dataset.name,
             model=self.train_cfg.model,
-            epoch_time_s=rep.epoch_time_s, iterations=rep.iterations,
-            iteration_time_s=rep.epoch_time_s / max(1, rep.iterations),
+            epoch_time_s=rep.virtual_time_s, iterations=rep.iterations,
+            iteration_time_s=rep.virtual_time_s / max(1, rep.iterations),
             stage_breakdown=breakdown)

@@ -71,21 +71,20 @@ def _epoch_time(system: VirtualTimeBackend, backend: str,
     the live substrate (the CI smoke's purpose).
     """
     if backend == "virtual":
-        return system.simulate_epoch(iterations=iterations).epoch_time_s
+        return system.simulate_epoch(iterations=iterations).virtual_time_s
     # ``with``: a process plane keeps its workers and shared store for
     # the backend's lifetime — one preset's are released before the
     # next preset's open.
     with _live_backend(backend, system.session) as live:
-        if iterations is not None and hasattr(live, "run"):
+        if iterations is not None:
             # run(N) executes exactly N iterations (rolling into fresh
             # epoch permutations past an epoch boundary), so every
             # preset is timed over the same workload; run_epoch would
             # clamp N to a per-preset epoch length.
             report = live.run(iterations)
         else:
-            report = live.run_epoch(iterations)
-    return getattr(report, "virtual_time_s", None) or \
-        getattr(report, "epoch_time_s", 0.0)
+            report = live.run_epoch()
+    return report.virtual_time_s
 
 
 def _live_backend(backend: str, session, timeout_s: float = 120.0):
@@ -131,11 +130,11 @@ def run_cross_platform(num_accels: int = 4,
             base = PyGMultiGPUBaseline(
                 ds, cfg, platform=hyscale_cpu_gpu_platform(num_accels),
                 profile_probes=PROBES)
-            t_base = base.simulate_epoch().epoch_time_s
+            t_base = base.simulate_epoch().virtual_time_s
             t_gpu = _hyscale(ds, hyscale_cpu_gpu_platform(num_accels),
-                             cfg).simulate_epoch().epoch_time_s
+                             cfg).simulate_epoch().virtual_time_s
             t_fpga = _hyscale(ds, hyscale_cpu_fpga_platform(num_accels),
-                              cfg).simulate_epoch().epoch_time_s
+                              cfg).simulate_epoch().virtual_time_s
             res.add_row(ds_name, model, t_base, t_gpu, t_base / t_gpu,
                         t_fpga, t_base / t_fpga)
     res.notes.append("paper: CPU+GPU up to 2.08x, CPU+FPGA up to "
@@ -235,7 +234,7 @@ def run_perfmodel_accuracy(accel_counts=(1, 2, 3, 4),
         for n in accel_counts:
             cfg = paper_config(model)
             system = _hyscale(ds, hyscale_cpu_fpga_platform(n), cfg)
-            actual = system.simulate_epoch().epoch_time_s
+            actual = system.simulate_epoch().virtual_time_s
             predicted = system.session.predicted_epoch_time()
             err = (actual - predicted) / actual * 100.0
             res.add_row(model, n, actual, predicted, err)
@@ -270,7 +269,7 @@ def run_sota_comparison() -> tuple[ExperimentResult, ExperimentResult]:
 
     def add(comp_name, comp_report, comp_tflops, ds, cfg):
         ours = _hyscale(ds, ours_platform, cfg)
-        t_ours = ours.simulate_epoch().epoch_time_s
+        t_ours = ours.simulate_epoch().virtual_time_s
         sp = comp_report.epoch_time_s / t_ours
         t6.add_row(comp_name, ds.name, cfg.model,
                    comp_report.epoch_time_s, t_ours, sp)

@@ -28,11 +28,7 @@ class ShapeError(ReproError):
 
 
 class DeviceError(ReproError):
-    """A hardware-model operation was invalid (capacity, topology, ...)."""
-
-
-class CapacityError(DeviceError):
-    """A memory allocation exceeded the modelled device capacity."""
+    """A hardware-model operation was invalid (topology, parallelism, ...)."""
 
 
 class ProtocolError(ReproError):
@@ -61,7 +57,3 @@ class WorkerError(ProtocolError):
 
 class SimulationError(ReproError):
     """The discrete-event engine was driven into an invalid state."""
-
-
-class ConvergenceError(ReproError):
-    """Training failed to make expected progress (used by examples/benches)."""

@@ -217,7 +217,7 @@ class CSRGraph:
         return int(np.count_nonzero(mask[src] & mask[dst]))
 
     # ------------------------------------------------------------------
-    # Memory accounting (for the hw/memory model)
+    # Memory accounting
     # ------------------------------------------------------------------
     @property
     def nbytes(self) -> int:

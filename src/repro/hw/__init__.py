@@ -1,4 +1,4 @@
-"""Hardware models: device specs, kernel cost models, memory, topology.
+"""Hardware models: device specs, kernel cost models, topology.
 
 This package is the reproduction's substitute for the physical testbed
 (paper Table II: dual EPYC 7763 + 4× A5000 or 4× U250). Device behaviour
@@ -37,9 +37,7 @@ from .cost_models import (
     GPUKernelModel,
     PropagationBreakdown,
     fpga_resource_utilization,
-    kernel_model_for,
 )
-from .memory import MemoryPool
 
 __all__ = [
     "DeviceSpec",
@@ -65,7 +63,5 @@ __all__ = [
     "GPUKernelModel",
     "FPGAKernelModel",
     "PropagationBreakdown",
-    "kernel_model_for",
     "fpga_resource_utilization",
-    "MemoryPool",
 ]

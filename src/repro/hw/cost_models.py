@@ -174,10 +174,6 @@ class CPUKernelModel(_ProcessorKernelModel):
         t, m, b = super()._t_update(num_dst, f_in_upd, f_out)
         return t / self._share, m, b
 
-    def with_threads(self, num_threads: int) -> "CPUKernelModel":
-        """New model with a different thread allocation."""
-        return CPUKernelModel(self.spec, num_threads, self.max_threads)
-
 
 class GPUKernelModel(_ProcessorKernelModel):
     """Trainer on a GPU executing PyG-style op-by-op kernels."""
@@ -287,17 +283,6 @@ class FPGAKernelModel:
     def kernel_launches(self, num_layers: int) -> int:
         """One enqueueTask per direction — the whole pass is one kernel."""
         return 2
-
-
-def kernel_model_for(spec: DeviceSpec, **kwargs):
-    """Factory: pick the kernel model class matching the device kind."""
-    if spec.kind == "cpu":
-        return CPUKernelModel(spec, **kwargs)
-    if spec.kind == "gpu":
-        return GPUKernelModel(spec, **kwargs)
-    if spec.kind == "fpga":
-        return FPGAKernelModel(spec, **kwargs)
-    raise DeviceError(f"no kernel model for kind {spec.kind!r}")
 
 
 # ---------------------------------------------------------------------------

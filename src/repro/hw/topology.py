@@ -8,7 +8,7 @@ the three comparator platforms of Table V.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import ConfigError
 from .specs import (
@@ -91,11 +91,6 @@ class PlatformSpec:
         ``num_nodes`` for clusters."""
         return (self.cpu_peak_tflops + self.accel_peak_tflops) * \
             self.num_nodes
-
-    def with_accelerators(self, count: int) -> "PlatformSpec":
-        """Same platform with a different accelerator count (Fig. 9
-        scalability sweeps)."""
-        return replace(self, num_accelerators=count)
 
 
 # ---------------------------------------------------------------------------

@@ -182,21 +182,6 @@ class GNNModel:
             g[...] = flat[offset:offset + g.size].reshape(g.shape)
             offset += g.size
 
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Copies of all parameters keyed by name."""
-        return {name: p.copy() for name, p in self.parameters()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Load parameter copies produced by :meth:`state_dict`."""
-        mine = dict(self.parameters())
-        if set(state) != set(mine):
-            raise ShapeError("state dict keys mismatch")
-        for name, value in state.items():
-            if mine[name].shape != value.shape:
-                raise ShapeError(f"shape mismatch for {name}")
-            mine[name][...] = value
-
 
 def build_model(name: str, dims: Sequence[int], seed: int = 0) -> GNNModel:
     """Construct a GCN or GraphSAGE model.

@@ -20,12 +20,12 @@ This package is the paper's primary contribution (§III-§IV):
 * :mod:`repro.runtime.backends` — pluggable execution strategies over
   the core. The **backend registry** maps a name to an
   :class:`ExecutionBackend` subclass (``get_backend`` /
-  ``build_backend``): ``virtual`` (the modelled-hardware reference),
-  two presets of the one in-process live driver (``threaded``,
-  ``pipelined``: a producer seam feeding a train + sync consumer on the
-  caller's thread) and four of the one process-plane driver
-  (``process``, ``process_sampling``, ``process_pipelined``,
-  ``sharded``). All
+  ``build_backend``), two drivers with presets: the in-process driver
+  (a feed seam in front of a train + sync consumer on the caller's
+  thread) as ``virtual`` (the thread-less modelled-hardware
+  reference), ``threaded`` and ``pipelined``, and the process-plane
+  driver as ``process``, ``process_sampling``, ``process_pipelined``
+  and ``sharded``. Every run returns one ``RunReport``. All
   execute the *same* plan and session, so hybrid split, DRM, prefetch
   and transfer quantization behave identically on each; new executors
   join via :func:`register_backend` and inherit the tiered conformance
@@ -82,7 +82,6 @@ from .backends import (
     get_backend,
     register_backend,
 )
-from .backends.virtual import EpochReport
 from .backends.report import StageStats
 from .backends.overlap import (
     DEPTH_SOURCES,
@@ -150,5 +149,4 @@ __all__ = [
     "get_backend",
     "available_backends",
     "build_backend",
-    "EpochReport",
 ]

@@ -2,12 +2,13 @@
 
 A backend realizes the training protocol of a
 :class:`~repro.runtime.core.TrainingSession` on a concrete execution
-substrate. Seven registry names ship: ``virtual`` (the
-modelled-hardware reference), two **presets** of the one in-process
-live driver (:class:`~.pipelined.InProcessBackend`: ``threaded``,
-``pipelined``) and four of the one process-plane driver
+substrate. Seven registry names ship, as presets of two drivers: three
+of the in-process driver (:class:`~.pipelined.InProcessBackend`:
+``virtual``, the thread-less modelled-hardware reference, and
+``threaded``, ``pipelined``) and four of the process-plane driver
 (:class:`~.process.ProcessBackend`: ``process``, ``process_sampling``,
-``process_pipelined``, ``sharded``). All consume the same session and
+``process_pipelined``, ``sharded``). Every run returns one
+:class:`~.report.RunReport`. All consume the same session and
 work source, and ``tests/integration/backend_conformance.py`` holds
 every registered backend (third-party ones included) to the tier its
 :attr:`~ExecutionBackend.conformance_tier` declares. What each plane
@@ -24,8 +25,8 @@ from ...registry import Registry
 from .base import ExecutionBackend
 from .report import RunReport, StageStats
 from .overlap import LookaheadDealer, adaptive_depth
-from .virtual import EpochReport, VirtualTimeBackend
 from .pipelined import InProcessBackend, PipelinedBackend, ThreadedBackend
+from .virtual import VirtualTimeBackend
 from .process import (
     ProcessBackend,
     ProcessPipelinedBackend,
@@ -106,7 +107,6 @@ __all__ = [
     "ProcessPipelinedBackend",
     "ShardedBackend",
     "ProcessBackend",
-    "EpochReport",
     "RunReport",
     "ShardPlan",
     "LookaheadDealer",

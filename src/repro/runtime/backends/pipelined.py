@@ -1,15 +1,16 @@
-"""The in-process live planes: one driver, two feeds (paper Fig. 5,
+"""The in-process planes: one driver, three feeds (paper Fig. 5,
 Listing 1, §IV-B).
 
-:class:`InProcessBackend` is the training protocol on live threads in
-the caller's process, written once. Per run it
+:class:`InProcessBackend` is the training protocol in the caller's
+process, written once. Per run it
 
 1. opens the look-ahead window — fixed at ``prefetch_depth`` unless a
    preset installs a :class:`~.overlap.DepthPolicy` as
    ``self.lookahead``;
-2. starts the **feed** (the one seam, a class attribute): the threads
-   that turn the session's work source into prepared batches, one
-   bounded :class:`~repro.runtime.prefetch.PrefetchBuffer` per trainer;
+2. starts the **feed** (the one seam, a class attribute): what turns
+   the session's work source into prepared batches — threads filling
+   one bounded :class:`~repro.runtime.prefetch.PrefetchBuffer` per
+   trainer, or nothing at all;
 3. trains on the caller's thread — takes each trainer's item and
    trains it, then ends the iteration in the shared synchronize tail
    (:meth:`~.base.ExecutionBackend.end_iteration`: all-reduce, every
@@ -18,14 +19,17 @@ the caller's process, written once. Per run it
 4. adapts the window, then closes and joins the feed and closes the
    report.
 
-Two feeds ship:
+Three feeds ship. Two run the plan-order generator
+(:meth:`Feed._items`), which samples each trainer's batch in plan
+order, loads it through the fused ``session.load_features`` and takes
+the uncalibrated timing/DRM step once each iteration's last batch is
+loaded, so Algorithm 1 sees iteration ``i`` before ``i + 1``'s quotas
+are read:
 
-* :class:`PlanOrderFeed` — one ``producer`` thread samples each
-  trainer's batch in plan order, loads it through the fused
-  ``session.load_features`` and takes the uncalibrated timing/DRM step
-  as each iteration is produced, so Algorithm 1 sees iteration ``i``
-  before ``i + 1``'s quotas are read: bit-identical to the virtual
-  reference;
+* :class:`InlineFeed` — no thread: ``take`` runs the generator on the
+  caller's thread (``virtual``, the reference);
+* :class:`PlanOrderFeed` — one ``producer`` thread runs it ahead of the
+  consumer (``threaded``, bit-identical to the reference);
 * :class:`ChainFeed` — a dispatcher thread fanning the plan into one
   :class:`~.overlap.StageChain` (``sample → gather → transfer`` stage
   threads) per trainer.
@@ -46,8 +50,9 @@ trainer the stream order is the plan order, and the conformance suite
 pins it bit-identical.
 
 The registry names ``threaded`` and ``pipelined`` are **presets**:
-class attributes plus, at most, an ``__init__``. The tier contract and
-the decision table are in ``docs/backends.md``.
+class attributes plus, at most, an ``__init__``; ``virtual``
+(:mod:`.virtual`) adds its timing-only ``simulate_epoch``. The tier
+contract and the decision table are in ``docs/backends.md``.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from contextlib import nullcontext
 from typing import ClassVar
 
 from ...errors import ProtocolError
-from ...kernels import scoped_counters
+from ...kernels import BufferPool, scoped_counters
 from ..prefetch import PrefetchBuffer
 from ..resctl import NodeAllocator
 from .base import ExecutionBackend
@@ -71,18 +76,22 @@ from .report import Reply, RunReport
 # ---------------------------------------------------------------------------
 
 class Feed:
-    """The producer side of one in-process run: threads that fill one
-    output buffer per trainer (``outs``) with
-    :class:`~.overlap.Prepared` items, one per iteration, in iteration
-    order — idle iterations included, as items whose ``work`` is
-    ``None``. A thread that dies records its exception (:meth:`fail`)
-    and closes every buffer, so the consumer wakes and re-raises it."""
+    """The producer side of one in-process run: hands the consumer
+    :class:`~.overlap.Prepared` items, one per trainer per iteration,
+    in iteration order — idle iterations included, as items whose
+    ``work`` is ``None``. A threaded feed fills one output buffer per
+    trainer (``outs``); a thread that dies records its exception
+    (:meth:`fail`) and closes every buffer, so the consumer wakes and
+    re-raises it. ``rows`` collects the duration rows of the
+    timing/DRM steps a feed takes itself."""
 
-    def __init__(self, backend, iterations: int, report) -> None:
+    def __init__(self, backend, iterations: int, report,
+                 rows: list) -> None:
         self.backend = backend
         self.session = backend.session
         self.iterations = iterations
         self.report = report
+        self.rows = rows
         self.timeout_s = backend.timeout_s
         self.error: BaseException | None = None
         self.outs: list[PrefetchBuffer] = []
@@ -136,18 +145,49 @@ class Feed:
             t.join(timeout=self.timeout_s)
         return [t.name for t in self.threads if t.is_alive()]
 
+    def buffer_stats(self) -> list[dict]:
+        return []
+
+    def _items(self, pool=None):
+        """Mini-batch Sampler + Feature Loader in plan order: yields
+        ``(trainer index, Prepared)`` — each trainer's batch sampled
+        from the session's one stream and loaded through the fused
+        ``load_features`` (into ``pool`` when given) — and, with no
+        ``DepthPolicy`` installed, takes the uncalibrated timing/DRM
+        step once an iteration's last batch is loaded, before handing
+        it over: the plan slices the next iteration after it."""
+        s = self.session
+        adjudicate = s.has_timing and self.backend.lookahead is None
+        for it, planned in s.work_source.iterate(self.iterations):
+            stats = []
+            for idx, (trainer, targets) in enumerate(
+                    zip(s.trainers, planned.assignments)):
+                item = Prepared(it, targets)
+                if targets is not None:
+                    t0 = time.perf_counter()
+                    item.mb = s.sampler.sample(targets)
+                    t1 = time.perf_counter()
+                    item.x0 = s.load_features(item.mb, trainer.kind,
+                                              pool=pool)
+                    item.stage_s = {"sample": t1 - t0,
+                                    "load": time.perf_counter() - t1}
+                    item.labels = s.labels_for(item.mb)
+                stats.append(None if item.mb is None
+                             else item.mb.stats())
+                if adjudicate and len(stats) == len(s.trainers):
+                    self.backend.record_timing(self.report, self.rows,
+                                               stats, it)
+                yield idx, item
+
 
 class PlanOrderFeed(Feed):
-    """One ``producer`` thread — Mini-batch Sampler + Feature Loader —
-    in plan order: sample each trainer's batch from the session's one
-    stream, load it through the fused ``load_features``, hand it over,
-    and (with no ``DepthPolicy`` installed) take the uncalibrated
-    timing/DRM step before the plan slices the next iteration."""
+    """One ``producer`` thread drains :meth:`~Feed._items` into one
+    buffer per trainer, handing each item over as soon as it is ready:
+    trainer 0 trains while trainers 1..n-1 still load."""
 
     def __init__(self, backend, iterations: int, depth: int, report,
                  rows: list) -> None:
-        super().__init__(backend, iterations, report)
-        self.rows = rows
+        super().__init__(backend, iterations, report, rows)
         self.outs = self.buffers = [PrefetchBuffer(depth)
                                     for _ in self.session.trainers]
         self.threads = [threading.Thread(
@@ -155,30 +195,9 @@ class PlanOrderFeed(Feed):
             name="producer")]
 
     def _produce(self) -> None:
-        s = self.session
-        adjudicate = s.has_timing and self.backend.lookahead is None
         try:
-            for it, planned in s.work_source.iterate(self.iterations):
-                stats = []
-                for trainer, targets, out in zip(
-                        s.trainers, planned.assignments, self.outs):
-                    item = Prepared(it, targets)
-                    if targets is not None:
-                        t0 = time.perf_counter()
-                        item.mb = s.sampler.sample(targets)
-                        t1 = time.perf_counter()
-                        item.x0 = s.load_features(item.mb, trainer.kind)
-                        item.stage_s = {"sample": t1 - t0,
-                                        "load": time.perf_counter() - t1}
-                        item.labels = s.labels_for(item.mb)
-                    stats.append(None if item.mb is None
-                                 else item.mb.stats())
-                    # Handed over as soon as it is ready: trainer 0
-                    # trains while trainers 1..n-1 still load.
-                    out.put(item, timeout=self.timeout_s)
-                if adjudicate:
-                    self.backend.record_timing(self.report, self.rows,
-                                               stats, it)
+            for idx, item in self._items():
+                self.outs[idx].put(item, timeout=self.timeout_s)
             for out in self.outs:
                 out.close()
         except BaseException as exc:
@@ -187,6 +206,21 @@ class PlanOrderFeed(Feed):
     def buffer_stats(self) -> list[dict]:
         return [{"train": (b.total_puts, b.high_water, b.mean_occupancy)}
                 for b in self.outs]
+
+
+class InlineFeed(Feed):
+    """No thread and no buffer: :meth:`take` runs :meth:`~Feed._items`
+    on the caller's thread up to the next item. Each batch trains
+    before the next one loads, so loads reuse one pooled buffer set
+    (the aliasing rules are in ``docs/kernels.md``)."""
+
+    def __init__(self, backend, iterations: int, depth: int, report,
+                 rows: list) -> None:
+        super().__init__(backend, iterations, report, rows)
+        self.pending = self._items(pool=BufferPool())
+
+    def take(self, idx: int, it: int) -> Prepared:
+        return next(self.pending)[1]
 
 
 class ChainFeed(Feed):
@@ -199,7 +233,7 @@ class ChainFeed(Feed):
 
     def __init__(self, backend, iterations: int, depth: int, report,
                  rows: list) -> None:
-        super().__init__(backend, iterations, report)
+        super().__init__(backend, iterations, report, rows)
         report.trained_targets = []
         self.chains = [StageChain(self.session.pipeline, trainer.kind,
                                   depth, self.timeout_s, self.fail,
@@ -237,7 +271,8 @@ class ChainFeed(Feed):
 # ---------------------------------------------------------------------------
 
 class InProcessBackend(ExecutionBackend):
-    """Run synchronous-SGD training on live threads in this process.
+    """Run synchronous-SGD training in this process, the feed's
+    threads (if any) ahead of a consumer on the caller's thread.
 
     Not registered itself — the registry holds presets of it.
 
@@ -246,7 +281,7 @@ class InProcessBackend(ExecutionBackend):
     session:
         The shared runtime core. Platform sessions bring the hybrid
         CPU+accelerator split, DRM, transfer quantization and the
-        modelled timing plane onto the threads; platform-less sessions
+        modelled timing plane onto the run; platform-less sessions
         run the functional protocol only.
     prefetch_depth:
         Mini-batches of look-ahead per trainer while no ``DepthPolicy``
@@ -256,7 +291,7 @@ class InProcessBackend(ExecutionBackend):
         wedged feed fails fast instead of hanging the suite.
     """
 
-    #: Seam: the threads that prepare batches (a :class:`Feed`).
+    #: Seam: what prepares batches (a :class:`Feed`).
     feed: ClassVar[type] = PlanOrderFeed
 
     def __init__(self, session, prefetch_depth: int = 2,

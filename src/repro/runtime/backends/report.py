@@ -1,11 +1,12 @@
 """The records a run produces: one :class:`Reply` per trained batch,
 one report per run.
 
-:class:`RunReport` replaces the six per-plane report dataclasses: the
-core fields every live plane fills (losses, wall time, protocol log,
-timing-plane bookkeeping, kernel counters), plus *sections* only some
-planes own. Two kinds of section, with deliberately different
-defaults:
+:class:`RunReport` is the one report of every backend, ``virtual``
+included, and also ``simulate_epoch``'s (which fills only the
+timing-plane fields): the core fields every run fills (losses, wall
+time, protocol log, timing-plane bookkeeping, kernel counters), plus
+*sections* only some planes own. Two kinds of section, with
+deliberately different defaults:
 
 * **coverage evidence** — ``trained_targets``, ``worker_targets``,
   ``shard_parts`` — defaults to ``None`` and is populated only by the
@@ -16,10 +17,6 @@ defaults:
   ``stage_stats``, ``depth_history``, ``lookahead_history``,
   ``dealt_sizes``, ``shard_io``, ``calibration`` — defaults to an empty
   container ("this layer does not exist here").
-
-:class:`~repro.runtime.backends.virtual.EpochReport` stays separate: it
-is also ``simulate_epoch``'s report and carries modelled, not wall,
-time.
 """
 
 from __future__ import annotations
@@ -107,7 +104,7 @@ def summarize_overlap(stage_stats: dict[str, StageStats],
 
 @dataclass
 class RunReport:
-    """Outcome of one live run (any backend but ``virtual``).
+    """Outcome of one run of any backend.
 
     ``wall_time_s`` is real elapsed *training* time; on the process
     planes it is clocked from the ``init`` broadcast to the last
@@ -178,9 +175,11 @@ class RunReport:
 
     def fold_buffers(self, per_chain: list[dict[str, tuple]]) -> None:
         """Fold every stage chain's ``{stage: (items, high_water,
-        mean_occupancy)}`` buffer accounting (at least one chain) into
-        ``stage_stats`` — one chain per trainer in-process, one per
-        worker on the process planes."""
+        mean_occupancy)}`` buffer accounting into ``stage_stats`` — one
+        chain per trainer in-process, one per worker on the process
+        planes, none on the thread-less ``virtual`` plane."""
+        if not per_chain:
+            return
         for stage in per_chain[0]:
             self.stage_stats[stage] = fold_stage_stats(
                 stage, [c[stage] for c in per_chain])

@@ -1,14 +1,15 @@
 """Virtual-time execution backend (the paper's modelled-hardware plane).
 
-Resolves the training protocol sequentially in one thread while
-accounting *virtual* (modelled-hardware) time for every pipeline stage:
+``virtual`` is the thread-less preset of the in-process driver
+(:class:`~.pipelined.InProcessBackend` with the
+:class:`~.pipelined.InlineFeed`), accounting *virtual*
+(modelled-hardware) time for every pipeline stage:
 
-* :meth:`VirtualTimeBackend.run` (and the inherited ``run_epoch``) —
-  *functional* training over the session's work source: real sampling,
-  real forward/backward, and every iteration ended by the shared
-  synchronize tail (real all-reduce, Listing 1 recorded in the report's
-  ``protocol_log``), with stage times derived from the realized batch
-  statistics.
+* ``run`` (and the inherited ``run_epoch``) — *functional* training
+  over the session's work source on the caller's thread: real
+  sampling, real forward/backward, each batch trained before the next
+  one loads, and every iteration ended by the shared synchronize tail,
+  with stage times derived from the realized batch statistics.
 * :meth:`VirtualTimeBackend.simulate_epoch` — *timing-only* simulation,
   optionally at the full paper dataset scale (projected batch statistics
   with measured per-batch jitter). This is what the figure benches
@@ -16,124 +17,33 @@ accounting *virtual* (modelled-hardware) time for every pipeline stage:
   overheads, pipeline fill/flush, per-batch workload variation, DRM
   transients) — the paper's predicted-vs-actual gap (Fig. 8) arises
   here.
+
+Both return a :class:`~.report.RunReport`; its ``virtual_time_s`` is
+the modelled makespan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from ...errors import ConfigError, ProtocolError
-from ...kernels import BufferPool, scoped_counters
-from ...perfmodel.model import StageTimes, WorkloadSplit
-from ...sim.trace import Timeline
-from ..protocol import ProtocolLog
-from .base import ExecutionBackend
-from .report import Reply
+from ...errors import ConfigError
+from .pipelined import InlineFeed, InProcessBackend
+from .report import RunReport
 
 
-@dataclass
-class EpochReport:
-    """Everything one epoch produced.
-
-    ``epoch_time_s`` is *virtual* (modelled-hardware) time; functional
-    quality metrics and the ``protocol_log`` are populated only by
-    functional training. ``kernel_stats`` (functional epochs only) is
-    the epoch's delta of the backend's session-scoped kernel-traffic
-    counters (``backend.counters``, fed via
-    :func:`repro.kernels.scoped_counters`).
-    """
-
-    mode: str                                  # "functional" | "simulated"
-    iterations: int
-    epoch_time_s: float = 0.0
-    timeline: Timeline = field(default_factory=Timeline)
-    stage_history: list[StageTimes] = field(default_factory=list)
-    split_history: list[WorkloadSplit] = field(default_factory=list)
-    losses: list[float] = field(default_factory=list)
-    accuracies: list[float] = field(default_factory=list)
-    total_edges: float = 0.0
-    kernel_stats: dict[str, int] = field(default_factory=dict)
-    protocol_log: ProtocolLog = field(default_factory=ProtocolLog)
-
-    @property
-    def mean_loss(self) -> float:
-        return float(np.mean(self.losses)) if self.losses else float("nan")
-
-    @property
-    def throughput_mteps(self) -> float:
-        """Eq. 5 over the whole epoch."""
-        if self.epoch_time_s <= 0:
-            return 0.0
-        return self.total_edges / self.epoch_time_s / 1e6
-
-    def bottleneck_stage(self) -> str | None:
-        """Dominant pipeline stage over the epoch."""
-        return self.timeline.bottleneck_stage()
-
-    def close_timeline(self, session, rows: list[list[float]]) -> None:
-        """Resolve the recorded duration rows into the modelled
-        timeline and its makespan (timing-plane sessions)."""
-        if session.has_timing:
-            self.timeline = session.make_pipeline().run(rows)
-            self.epoch_time_s = self.timeline.makespan
-
-
-class VirtualTimeBackend(ExecutionBackend):
+class VirtualTimeBackend(InProcessBackend):
     """Sequential execution with virtual-time accounting."""
 
     name = "virtual"
+    feed = InlineFeed
 
-    # ------------------------------------------------------------------
-    # Functional training
-    # ------------------------------------------------------------------
-    def run(self, iterations: int) -> EpochReport:
-        """``iterations`` iterations of real training with virtual-time
-        accounting, in one thread.
-
-        Every trainer with a non-zero quota samples a real batch, loads
-        real features and computes real gradients, in trainer order;
-        then :meth:`end_iteration` synchronizes and takes the
-        timing/DRM step over the realized batch statistics, before the
-        plan slices the next iteration.
-        """
-        if iterations < 1:
-            raise ProtocolError("iterations must be >= 1")
-        s = self.session
-        report = EpochReport(mode="functional", iterations=iterations)
-        rows: list[list[float]] = []
-        # Sequential resolution trains each batch to completion before
-        # loading the next, so feature loads can reuse one pooled
-        # buffer set: the gather/quantize hot path stops allocating
-        # after the largest batch has been seen.
-        pool = BufferPool()
-        # This run's kernel traffic lands in the session-scoped handle,
-        # so the report counts only this backend's dispatches even
-        # under concurrent co-tenants.
-        counters_before = self.counters.snapshot()
-        with scoped_counters(self.counters):
-            for it, planned in s.work_source.iterate(iterations):
-                answers: list[Reply | None] = []
-                for trainer, targets in zip(s.trainers,
-                                            planned.assignments):
-                    if targets is None:
-                        answers.append(None)
-                        continue
-                    mb = s.sampler.sample(targets)
-                    x0 = s.load_features(mb, trainer.kind, pool=pool)
-                    rep = trainer.train_minibatch(
-                        mb, x0, s.labels_for(mb), s.degrees)
-                    answers.append(Reply(rep.loss, rep.accuracy, {},
-                                         mb.stats()))
-                self.end_iteration(it, planned.batch_sizes, answers,
-                                   report, rows)
-        report.kernel_stats = self.counters.delta(counters_before)
-        report.close_timeline(s, rows)
-        return report
+    def __init__(self, session) -> None:
+        """No knobs: the inline feed has no window to size and no
+        handoff to watch."""
+        super().__init__(session)
 
     def train(self, epochs: int | None = None,
-              max_iterations: int | None = None) -> list[EpochReport]:
+              max_iterations: int | None = None) -> list[RunReport]:
         """Run several functional epochs."""
         n = epochs if epochs is not None else self.session.train_cfg.epochs
         return [self.run_epoch(max_iterations) for _ in range(n)]
@@ -143,7 +53,7 @@ class VirtualTimeBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     def simulate_epoch(self, full_scale: bool | None = None,
                        iterations: int | None = None,
-                       jitter: bool = True) -> EpochReport:
+                       jitter: bool = True) -> RunReport:
         """Simulate one epoch's timing without functional training.
 
         Parameters
@@ -171,7 +81,7 @@ class VirtualTimeBackend(ExecutionBackend):
         else:
             train_count = int(s.dataset.train_ids.size)
 
-        report = EpochReport(mode="simulated", iterations=0)
+        report = RunReport(iterations=0)
         rows: list[list[float]] = []
         remaining = train_count
         it = 0

@@ -139,7 +139,7 @@ COVERAGE_EVIDENCE: dict[str, frozenset[str]] = {
     "shard_parts": frozenset({"sharded"}),
 }
 
-#: Accounting sections of a live report: always a (possibly empty)
+#: Accounting sections of a report: always a (possibly empty)
 #: container, on every plane.
 ACCOUNTING_SECTIONS = ("kernel_stats", "stage_seconds", "stage_stats",
                        "depth_history", "split_history", "shard_io",
@@ -334,11 +334,7 @@ def assert_strict_conformance(name, case, ref_session, ref,
     if ref_session.has_timing:
         assert cand.split_history == ref.split_history
         assert cand.stage_history == ref.stage_history
-        ref_vtime = getattr(ref, "virtual_time_s", None) or \
-            ref.epoch_time_s
-        cand_vtime = getattr(cand, "virtual_time_s", None) or \
-            getattr(cand, "epoch_time_s", 0.0)
-        assert cand_vtime == ref_vtime
+        assert cand.virtual_time_s == ref.virtual_time_s
 
     consistent = getattr(cand, "replicas_consistent", None)
     if consistent is not None:
@@ -559,20 +555,17 @@ def assert_resumes_after_training_elsewhere(
 def assert_report_sections(name: str, report) -> None:
     """The report section contract for shipped backend ``name``:
     coverage evidence is ``None`` exactly on the planes that do not
-    produce it (:data:`COVERAGE_EVIDENCE`); on a live plane every
-    accounting section is a container, empty where the layer does not
-    exist (the virtual plane's ``EpochReport`` simply lacks them)."""
+    produce it (:data:`COVERAGE_EVIDENCE`); every accounting section
+    is a container, empty where the layer does not exist."""
     for section, producers in COVERAGE_EVIDENCE.items():
         present = getattr(report, section, None) is not None
         assert present == (name in producers), \
             (f"{name}: report.{section} is "
              f"{'set' if present else 'None'}, expected "
              f"{'set' if name in producers else 'None'}")
-    if name != REFERENCE_BACKEND:
-        for section in ACCOUNTING_SECTIONS:
-            assert isinstance(getattr(report, section),
-                              (dict, list)), \
-                f"{name}: report.{section} is not a container"
+    for section in ACCOUNTING_SECTIONS:
+        assert isinstance(getattr(report, section), (dict, list)), \
+            f"{name}: report.{section} is not a container"
 
 
 def assert_trains_in_store_dtype(name: str,

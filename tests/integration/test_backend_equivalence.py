@@ -849,7 +849,7 @@ class TestHybridDRMQuantizedEquivalence:
         assert rep_v.split_history == rep_t.split_history
         assert rep_v.stage_history == rep_t.stage_history
         assert rep_v.total_edges == rep_t.total_edges
-        assert rep_t.virtual_time_s == pytest.approx(rep_v.epoch_time_s)
+        assert rep_t.virtual_time_s == pytest.approx(rep_v.virtual_time_s)
 
         # Final model replicas agree across planes, parameter for
         # parameter.

@@ -54,12 +54,12 @@ class TestPyGBaseline:
         """Fig. 10's primary claim on equal hardware counts."""
         base = PyGMultiGPUBaseline(products_small, cfg,
                                    profile_probes=2)
-        t_base = base.simulate_epoch(iterations=40).epoch_time_s
+        t_base = base.simulate_epoch(iterations=40).virtual_time_s
         ours = VirtualTimeBackend(TrainingSession(
             products_small, cfg, ABLATION_PRESETS["hybrid_drm_tfp"],
             hyscale_cpu_fpga_platform(4), full_scale=True,
             profile_probes=2))
-        t_ours = ours.simulate_epoch(iterations=40).epoch_time_s
+        t_ours = ours.simulate_epoch(iterations=40).virtual_time_s
         assert t_ours < t_base
 
 

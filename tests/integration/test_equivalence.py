@@ -168,7 +168,7 @@ def test_prefetch_flag_does_not_change_functional_results(tiny_ds,
         if split is not None:
             session.split = split   # identical batch partitioning
         rep = VirtualTimeBackend(session).run_epoch(max_iterations=4)
-        return rep.losses, rep.epoch_time_s, session.split
+        return rep.losses, rep.virtual_time_s, session.split
 
     losses_on, time_on, split = run(True)
     losses_off, time_off, _ = run(False, split=split)

@@ -1,6 +1,7 @@
 """Failure-injection tests: the system must fail fast and loudly, never
 hang or silently corrupt state."""
 
+import inspect
 import threading
 import time
 
@@ -11,18 +12,22 @@ from backend_conformance import threaded_backend
 from repro.config import SystemConfig, TrainingConfig
 from repro.errors import ProtocolError, ReproError, ShapeError
 from repro.nn.models import build_model
-from repro.runtime import TrainingSession, build_backend
+from repro.runtime import TrainingSession, build_backend, get_backend
 from repro.runtime.prefetch import PrefetchBuffer
 from repro.runtime.synchronizer import GradientSynchronizer
 
-#: The presets of the in-process live driver.
-IN_PROCESS = ("threaded", "pipelined")
+#: The presets of the in-process driver.
+IN_PROCESS = ("virtual", "threaded", "pipelined")
 
 
 def _in_process(name, dataset, cfg, timeout_s):
+    """``timeout_s`` goes only to a preset that has a handoff to watch
+    (the thread-less ``virtual`` takes no knob)."""
     session = TrainingSession(dataset, cfg, SystemConfig(drm=False),
                               num_trainers=2)
-    return build_backend(name, session, timeout_s=timeout_s)
+    params = inspect.signature(get_backend(name)).parameters
+    knobs = {"timeout_s": timeout_s} if "timeout_s" in params else {}
+    return build_backend(name, session, **knobs)
 
 
 def _feed_threads() -> list[str]:
@@ -31,7 +36,7 @@ def _feed_threads() -> list[str]:
 
 
 class TestInProcessFaults:
-    """One failure contract for both presets of the in-process driver:
+    """One failure contract for every preset of the in-process driver:
     the original exception surfaces in ``run()`` — never a deadlock,
     never the close it caused — and no feed thread outlives the run."""
 

@@ -9,7 +9,6 @@ from repro.config import (
     layer_dims,
 )
 from repro.errors import (
-    CapacityError,
     ConfigError,
     DeviceError,
     GraphError,
@@ -95,9 +94,8 @@ class TestErrors:
     def test_hierarchy(self):
         assert issubclass(ConfigError, ReproError)
         assert issubclass(GraphError, ReproError)
-        assert issubclass(CapacityError, DeviceError)
         assert issubclass(DeviceError, ReproError)
 
     def test_catchable_as_base(self):
         with pytest.raises(ReproError):
-            raise CapacityError("full")
+            raise DeviceError("no such link")

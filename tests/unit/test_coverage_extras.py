@@ -48,17 +48,6 @@ class TestTraceExtras:
         assert "zero-length" in render_gantt(tl)
 
 
-class TestEpochReportExtras:
-    def test_empty_report_defaults(self):
-        from repro.runtime import EpochReport
-        from repro.sim.trace import Timeline
-        rep = EpochReport(mode="simulated", iterations=0,
-                          epoch_time_s=0.0, timeline=Timeline())
-        assert np.isnan(rep.mean_loss)
-        assert rep.throughput_mteps == 0.0
-        assert rep.bottleneck_stage() is None
-
-
 class TestSamplerExtras:
     def test_neighbor_sampler_single_hop(self, tiny_ds):
         from repro.sampling import NeighborSampler

@@ -1,19 +1,17 @@
-"""Unit tests for the hw package (specs, cost models, memory, topology)."""
+"""Unit tests for the hw package (specs, cost models, topology)."""
 
 import importlib.util
 
 import numpy as np
 import pytest
 
-from repro.errors import CapacityError, ConfigError, DeviceError
+from repro.errors import ConfigError, DeviceError
 from repro.hw.cost_models import (
     CPUKernelModel,
     FPGAKernelModel,
     GPUKernelModel,
     fpga_resource_utilization,
-    kernel_model_for,
 )
-from repro.hw.memory import MemoryPool
 from repro.hw.specs import (
     AMD_EPYC_7763,
     LINK_PCIE4_X16,
@@ -73,23 +71,23 @@ class TestSpecs:
         with pytest.raises(ConfigError):
             LinkSpec("l", bandwidth_gbps=0.0, latency_s=0.0)
 
+    def test_paper_premise_mag_exceeds_device_memory(self):
+        """MAG240M features (~368 GB fp32) overflow any Table II device
+        but fit in 2 TB of host memory (paper §I)."""
+        mag_bytes = 121_751_666 * 756 * 4
+        for dev in (NVIDIA_A5000, XILINX_U250):
+            assert mag_bytes > dev.device_memory_gb * 1e9
+        assert mag_bytes <= 2e12
+
 
 class TestKernelModels:
-    def test_factory(self):
-        assert isinstance(kernel_model_for(AMD_EPYC_7763),
-                          CPUKernelModel)
-        assert isinstance(kernel_model_for(NVIDIA_A5000),
-                          GPUKernelModel)
-        assert isinstance(kernel_model_for(XILINX_U250),
-                          FPGAKernelModel)
-
     def test_one_module_named_kernels(self):
         # The cost models live in ``repro.hw.cost_models`` only; the
         # package re-exports them, and ``repro.kernels`` is the sole
         # module called ``kernels``.
         import repro.hw as hw
         assert importlib.util.find_spec("repro.hw.kernels") is None
-        assert hw.kernel_model_for is kernel_model_for
+        assert hw.CPUKernelModel is CPUKernelModel
         assert hw.CPUKernelModel.__module__ == "repro.hw.cost_models"
 
     def test_kind_mismatch(self):
@@ -146,12 +144,15 @@ class TestKernelModels:
         assert th.forward_s == pytest.approx(2 * tf.forward_s)
         assert th.overhead_s == tf.overhead_s
 
-    def test_with_threads(self):
-        m = CPUKernelModel(AMD_EPYC_7763, num_threads=32)
-        m2 = m.with_threads(64)
-        assert m2.num_threads == 64
+    def test_cpu_thread_count_range(self):
         with pytest.raises(DeviceError):
-            m.with_threads(0)
+            CPUKernelModel(AMD_EPYC_7763, num_threads=0)
+        with pytest.raises(DeviceError):
+            CPUKernelModel(AMD_EPYC_7763, num_threads=129,
+                           max_threads=128)
+        assert CPUKernelModel(AMD_EPYC_7763, num_threads=1).num_threads == 1
+        assert CPUKernelModel(AMD_EPYC_7763, num_threads=128,
+                              max_threads=128).num_threads == 128
 
     def test_fpga_feature_duplicator_traffic(self):
         """Layer-1 DDR traffic is O(|V^0|), not O(|E^1|) (paper §IV-C)."""
@@ -214,49 +215,6 @@ class TestFPGAResources:
             fpga_resource_utilization(0, 100)
 
 
-class TestMemoryPool:
-    def test_alloc_and_release(self):
-        pool = MemoryPool(100, "dev")
-        pool.alloc("a", 60)
-        assert pool.used == 60 and pool.free == 40
-        assert pool.release("a") == 60
-        assert pool.free == 100
-
-    def test_capacity_error(self):
-        pool = MemoryPool(100)
-        pool.alloc("a", 80)
-        with pytest.raises(CapacityError):
-            pool.alloc("b", 30)
-
-    def test_duplicate_label(self):
-        pool = MemoryPool(100)
-        pool.alloc("a", 10)
-        with pytest.raises(DeviceError):
-            pool.alloc("a", 10)
-
-    def test_resize(self):
-        pool = MemoryPool(100)
-        pool.alloc("a", 10)
-        pool.resize("a", 50)
-        assert pool.used == 50
-        with pytest.raises(CapacityError):
-            pool.resize("a", 200)
-        assert pool.used == 50   # failed resize restores
-
-    def test_unknown_release(self):
-        with pytest.raises(DeviceError):
-            MemoryPool(10).release("x")
-
-    def test_paper_premise_mag_exceeds_device_memory(self):
-        """MAG240M features (~368 GB fp32) overflow any Table II device."""
-        mag_bytes = 121_751_666 * 756 * 4
-        for dev in (NVIDIA_A5000, XILINX_U250):
-            pool = MemoryPool(int(dev.device_memory_gb * 1e9), dev.name)
-            assert not pool.fits(mag_bytes)
-        host = MemoryPool(int(2e12), "host")   # 2 TB CPU memory
-        assert host.fits(mag_bytes)
-
-
 class TestTopology:
     def test_hyscale_platforms(self):
         g = hyscale_cpu_gpu_platform(4)
@@ -266,10 +224,6 @@ class TestTopology:
         assert g.cpu_peak_tflops == pytest.approx(7.2)
         assert g.total_peak_tflops == pytest.approx(7.2 + 4 * 27.8)
         assert g.host_mem_bandwidth == pytest.approx(410e9)
-
-    def test_with_accelerators(self):
-        p = hyscale_cpu_fpga_platform(4).with_accelerators(16)
-        assert p.num_accelerators == 16
 
     def test_comparator_platforms_match_table5(self):
         pa = pagraph_node()

@@ -279,14 +279,6 @@ class TestModels:
         with pytest.raises(ShapeError):
             m2.set_flat_params(flat[:-1])
 
-    def test_state_dict_roundtrip(self):
-        m = build_model("gcn", (4, 8, 2), seed=3)
-        state = m.state_dict()
-        m2 = build_model("gcn", (4, 8, 2), seed=4)
-        m2.load_state_dict(state)
-        assert np.array_equal(m.get_flat_params(),
-                              m2.get_flat_params())
-
     def test_model_size_bytes(self):
         dims = (128, 256, 172)
         assert model_size_bytes(dims, "gcn") == \

@@ -7,11 +7,12 @@ The conformance matrix proves the seven planes *behave*; this module
 pins how they are *built*, so the hook ladder the drivers replaced
 cannot grow back: no registered backend inherits from another, the
 four process registry names are declarations over
-:class:`~repro.runtime.backends.process.ProcessBackend` and the two
+:class:`~repro.runtime.backends.process.ProcessBackend` and the three
 in-process ones over
-:class:`~repro.runtime.backends.pipelined.InProcessBackend`, Listing
-1's handshake and the all-reduce live in one function (an AST scan of
-the source), every backend implements ``run`` alone, the only
+:class:`~repro.runtime.backends.pipelined.InProcessBackend` (the
+thread-less ``virtual`` among them), Listing 1's handshake and the
+all-reduce live in one function (an AST scan of the source), every
+backend implements ``run`` alone, one report class exists, the only
 post-run round trip a worker ever answers is ``snapshot``, and the
 workers + store a backend opens on its first ``run()`` are the ones
 every later ``run()`` uses.
@@ -24,6 +25,7 @@ import inspect
 import multiprocessing as mp
 import os
 import pickle
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +120,29 @@ class TestStructure:
         assert defined <= {"__init__"}, \
             f"{name} overrides driver methods: {sorted(defined)}"
 
+    def test_virtual_is_the_threadless_inprocess_preset(
+            self, tiny_ds, small_cfg, monkeypatch):
+        """``virtual`` runs the in-process driver's own ``run`` and
+        starts no thread doing it: its feed trains each batch on the
+        caller's thread before the next one loads."""
+        cls = get_backend("virtual")
+        assert cls.__bases__ == (InProcessBackend,)
+        assert "run" not in vars(cls)
+        backend = cls(TrainingSession(tiny_ds, small_cfg,
+                                      SystemConfig(drm=False),
+                                      num_trainers=2))
+        started = []
+        real_start = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        rep = backend.run(3)
+        assert started == []
+        assert len(rep.losses) == 3 and rep.replicas_consistent
+
     def test_listing1_is_recorded_in_one_function(self):
         """``DONE`` / ``SYNC`` / ``ACK`` / ``ITER`` are recorded in
         exactly one function in ``src/repro/`` — the synchronize tail
@@ -145,7 +170,8 @@ class TestStructure:
             f"{name} overrides run_epoch"
 
     def test_report_classes_under_backends(self):
-        """The only report classes are RunReport and EpochReport."""
+        """Every backend, ``virtual`` and ``simulate_epoch`` included,
+        reports through one class."""
         import pkgutil
 
         import repro.runtime.backends as pkg
@@ -156,7 +182,7 @@ class TestStructure:
             reports |= {n for n, v in vars(mod).items()
                         if inspect.isclass(v) and n.endswith("Report")
                         and v.__module__ == mod.__name__}
-        assert reports == {"RunReport", "EpochReport"}
+        assert reports == {"RunReport"}
 
 
 def _spec(ds, body) -> WorkerSpec:

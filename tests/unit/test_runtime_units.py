@@ -1,5 +1,6 @@
-"""Unit tests for runtime components: protocol, synchronizer, trainer,
-prefetch buffer, and the DRM engine."""
+"""Unit tests for runtime components: protocol, synchronizer, the
+synchronize tail, the ``virtual`` preset, trainer, prefetch buffer, and
+the DRM engine."""
 
 import threading
 import time
@@ -8,12 +9,12 @@ import numpy as np
 import pytest
 
 from repro.config import SystemConfig, layer_dims
-from repro.errors import ProtocolError, ShapeError
+from repro.errors import ConfigError, ProtocolError, ShapeError
+from repro.kernels import COUNTERS
 from repro.nn.models import build_model
 from repro.perfmodel.model import StageTimes, WorkloadSplit
-from repro.runtime import TrainingSession, VirtualTimeBackend
-from repro.runtime.backends.report import Reply
-from repro.runtime.backends.virtual import EpochReport
+from repro.runtime import TrainingSession, VirtualTimeBackend, build_backend
+from repro.runtime.backends.report import Reply, RunReport
 from repro.runtime.drm import MIN_ACCEL_TARGETS, DRMEngine
 from repro.runtime.prefetch import PrefetchBuffer
 from repro.sampling.base import MiniBatchStats
@@ -146,7 +147,7 @@ class TestSynchronizeTail:
         busy, idle = (t.model for t in s.trainers)
         busy.set_flat_grads(np.ones(busy.num_params))
         idle.set_flat_grads(np.full(idle.num_params, 99.0))
-        report = EpochReport(mode="functional", iterations=1)
+        report = RunReport(iterations=1)
         published = []
         answer = Reply(loss=1.5, accuracy=0.25, stage_s={"train": 0.0},
                        stats=MiniBatchStats((9, 5, 4), (3, 5), 12))
@@ -164,9 +165,64 @@ class TestSynchronizeTail:
         assert s.synchronizer.replicas_consistent()
 
     def test_all_idle_iteration_is_rejected(self, backend):
-        report = EpochReport(mode="functional", iterations=1)
+        report = RunReport(iterations=1)
         with pytest.raises(ShapeError):
             backend.end_iteration(0, [0, 0], [None, None], report, [])
+
+
+class TestVirtualPreset:
+    """``virtual``: the in-process driver with the thread-less inline
+    feed, reporting through :class:`RunReport` like every plane."""
+
+    @pytest.fixture()
+    def timed(self, tiny_ds, small_cfg, fpga_platform):
+        return VirtualTimeBackend(TrainingSession(
+            tiny_ds, small_cfg, platform=fpga_platform, profile_probes=2))
+
+    @pytest.mark.parametrize("iterations", [1, 2, 5])
+    def test_every_iteration_takes_its_timing_step(self, timed,
+                                                   iterations):
+        """Every iteration's DRM step, the last one's included, runs
+        before the feed hands over that iteration's last batch."""
+        rep = timed.run(iterations)
+        assert len(rep.split_history) == iterations
+        assert len(rep.stage_history) == iterations
+        assert rep.virtual_time_s == rep.timeline.makespan > 0
+
+    def test_live_fields_are_filled(self, timed):
+        rep = timed.run(3)
+        assert rep.wall_time_s > 0 and rep.replicas_consistent
+        assert rep.stage_stats == {} and rep.prefetch_high_water == 0
+        # Realized stage seconds reach the monitor, not only the sync.
+        assert {"load", "sync"} <= set(timed.monitor.stages())
+
+    def test_loads_reuse_one_pool(self, timed):
+        """Each batch trains before the next loads, so the inline feed
+        loads into pooled buffers; the threaded feed never may. (The
+        pool reports to the process-wide counters only.)"""
+        before = COUNTERS.snapshot()
+        timed.run(4)
+        assert COUNTERS.delta(before).get("pool_hits", 0) > 0
+        before = COUNTERS.snapshot()
+        build_backend("threaded", timed.session).run(2)
+        assert COUNTERS.delta(before).get("pool_hits", 0) == 0
+
+    def test_simulate_epoch_is_a_timing_only_run_report(self, timed):
+        rep = timed.simulate_epoch(iterations=2)
+        assert isinstance(rep, RunReport) and rep.iterations == 2
+        assert rep.virtual_time_s == rep.timeline.makespan > 0
+        assert rep.losses == [] and rep.wall_time_s == 0.0
+        assert rep.protocol_log.num_iterations == 0
+
+    def test_takes_no_knob(self):
+        with pytest.raises(ConfigError, match=r"known options: \[\]"):
+            build_backend("virtual", None, timeout_s=1.0)
+
+    def test_fold_buffers_accepts_no_chain(self):
+        report = RunReport(iterations=1)
+        report.fold_buffers([])
+        assert report.stage_stats == {}
+        assert report.prefetch_high_water == 0
 
 
 # ---------------------------------------------------------------------------
