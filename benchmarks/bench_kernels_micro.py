@@ -196,6 +196,10 @@ def _kernel_cases(ds, batch):
     configuration the wired backends use in steady state — the
     comparison measures the deployed hot path, not a cold start.
 
+    The ``gather_quantize_*`` rows time the accelerator load path —
+    the fast gather into a pooled destination, then the fast quantize
+    in place — against the reference gather → quantize composition.
+
     ``train_backward_sage`` is the one row that is not a registry
     kernel: one GraphSAGE training step, :func:`full_chain_step`
     (input-feature gradient computed and dropped) against the model's
@@ -224,18 +228,24 @@ def _kernel_cases(ds, batch):
         logits = model.forward(batch, x0, deg)
         model.backward(softmax_cross_entropy(logits, labels)[1])
 
+    def load(mode):
+        # The accelerator load path: gather into the pooled
+        # destination, then quantize it in place.
+        dest = fast.gather(feats, idx, pool=pool)
+        return fast.quantize(dest, mode, out=dest)
+
     return {
         "gather": (
             lambda: reference.gather(feats, idx),
             lambda: fast.gather(feats, idx, pool=pool)),
         "gather_quantize_int8": (
-            lambda: reference.gather_quantize(feats, idx, "int8"),
-            lambda: fast.gather_quantize(feats, idx, "int8",
-                                         pool=pool)),
+            lambda: reference.quantize(reference.gather(feats, idx),
+                                       "int8"),
+            lambda: load("int8")),
         "gather_quantize_fp16": (
-            lambda: reference.gather_quantize(feats, idx, "fp16"),
-            lambda: fast.gather_quantize(feats, idx, "fp16",
-                                         pool=pool)),
+            lambda: reference.quantize(reference.gather(feats, idx),
+                                       "fp16"),
+            lambda: load("fp16")),
         "quantize_int8": (
             lambda: reference.quantize(x0, "int8"),
             lambda: fast.quantize(x0, "int8", pool=pool)),

@@ -1,7 +1,7 @@
 """Open-loop serving benchmark — latency, throughput, typed shedding.
 
 Three scenarios against one :class:`~repro.serving.ServingSession`
-configuration (paper-stack sampler + fused gather/quantize kernels +
+configuration (paper-stack sampler + gather / in-place quantize +
 int8 transfer policy over the scaled ogbn-products workload):
 
 * ``nominal`` — an offered rate comfortably inside capacity: nothing

@@ -21,9 +21,9 @@ primary assertions are speedup-based:
 
 * every kernel in the baseline must be measured in the current run
   (a kernel silently dropped from the bench is a gate bypass);
-* ``gather_quantize_int8`` — the fused chokepoint the accelerator
-  trainers ride — must keep a **hard >= 2.0x** speedup over the
-  reference tier (the PR's acceptance floor, machine-independent);
+* ``gather_quantize_int8`` — the load path the accelerator trainers
+  ride (gather, then quantize in place) — must keep a **hard >= 2.0x**
+  speedup over the reference composition (machine-independent);
 * ``train_backward_sage`` — the model's training step against the
   full-chain backward that also computes the never-read
   input-feature gradient — must keep a **hard >= 1.15x** (its

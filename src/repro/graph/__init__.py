@@ -7,12 +7,8 @@ the paper's three evaluation datasets live in :mod:`repro.graph.datasets`.
 """
 
 from .csr import CSRGraph
-from .coo import coalesce_edges, sort_edges_by_src
-from .generators import (
-    erdos_renyi_graph,
-    power_law_graph,
-    rmat_graph,
-)
+from .coo import sort_edges_by_src
+from .generators import power_law_graph
 from .datasets import (
     DATASET_REGISTRY,
     DatasetSpec,
@@ -25,11 +21,8 @@ from .validate import check_graph
 
 __all__ = [
     "CSRGraph",
-    "coalesce_edges",
     "sort_edges_by_src",
-    "erdos_renyi_graph",
     "power_law_graph",
-    "rmat_graph",
     "DATASET_REGISTRY",
     "DatasetSpec",
     "GraphDataset",

@@ -14,23 +14,6 @@ import numpy as np
 from ..errors import GraphError
 
 
-def coalesce_edges(src: np.ndarray, dst: np.ndarray,
-                   num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sort edges by ``(src, dst)`` and drop duplicates.
-
-    Returns new arrays; inputs are unchanged.
-    """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    if src.shape != dst.shape:
-        raise GraphError("src and dst must have equal shape")
-    if src.size == 0:
-        return src.copy(), dst.copy()
-    keys = src * np.int64(num_vertices) + dst
-    uniq = np.unique(keys)
-    return uniq // num_vertices, uniq % num_vertices
-
-
 def sort_edges_by_src(src: np.ndarray,
                       dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return the edges stably sorted by source vertex.
@@ -61,8 +44,3 @@ def source_run_lengths(sorted_src: np.ndarray) -> np.ndarray:
     starts = np.concatenate([[0], boundaries])
     ends = np.concatenate([boundaries, [sorted_src.size]])
     return (ends - starts).astype(np.int64)
-
-
-def unique_sources(src: np.ndarray) -> np.ndarray:
-    """Distinct source vertices of an edge list (the O(|V^0|) traffic set)."""
-    return np.unique(np.asarray(src, dtype=np.int64))

@@ -1,4 +1,4 @@
-"""Synthetic graph generators.
+"""Synthetic graph generator.
 
 The paper evaluates on three OGB graphs (Table III). Without network access
 we synthesize graphs that preserve the properties the timing model is
@@ -6,7 +6,7 @@ sensitive to: vertex count, average degree, and a heavy-tailed degree
 distribution (which controls neighbor-overlap and therefore |V^0| per
 mini-batch — the quantity the FPGA Feature Duplicator exploits).
 
-All generators are fully vectorized and deterministic given a seed.
+The generator is fully vectorized and deterministic given a seed.
 """
 
 from __future__ import annotations
@@ -21,24 +21,6 @@ def _rng(seed: int | np.random.Generator) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def erdos_renyi_graph(num_vertices: int, avg_degree: float,
-                      seed: int | np.random.Generator = 0) -> CSRGraph:
-    """Uniform random directed graph with the given expected out-degree.
-
-    Edges are sampled i.i.d.; duplicates are coalesced so realized degree is
-    marginally below ``avg_degree`` for dense settings.
-    """
-    if num_vertices <= 0:
-        raise GraphError("num_vertices must be positive")
-    if avg_degree <= 0:
-        raise GraphError("avg_degree must be positive")
-    rng = _rng(seed)
-    num_edges = int(round(num_vertices * avg_degree))
-    src = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
-    dst = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
-    return CSRGraph.from_edges(src, dst, num_vertices, dedup=True)
 
 
 def power_law_graph(num_vertices: int, avg_degree: float,
@@ -120,51 +102,3 @@ def power_law_graph(num_vertices: int, avg_degree: float,
     perm_src = rng.permutation(num_vertices).astype(np.int64)
     src = perm_src[np.clip(src_rank, 0, num_vertices - 1)]
     return CSRGraph.from_edges(src, dst, num_vertices, dedup=False)
-
-
-def rmat_graph(scale: int, avg_degree: float,
-               a: float = 0.57, b: float = 0.19, c: float = 0.19,
-               seed: int | np.random.Generator = 0) -> CSRGraph:
-    """Recursive-matrix (R-MAT / Graph500-style) generator.
-
-    Produces ``2**scale`` vertices with a skewed, community-like edge
-    distribution. Quadrant probabilities default to the Graph500 values
-    (a=0.57, b=0.19, c=0.19, d=0.05).
-    """
-    if scale <= 0 or scale > 30:
-        raise GraphError("scale must be in (0, 30]")
-    d = 1.0 - (a + b + c)
-    if min(a, b, c, d) < 0 or max(a, b, c, d) > 1:
-        raise GraphError("quadrant probabilities must form a distribution")
-    rng = _rng(seed)
-    num_vertices = 1 << scale
-    num_edges = int(round(num_vertices * avg_degree))
-
-    src = np.zeros(num_edges, dtype=np.int64)
-    dst = np.zeros(num_edges, dtype=np.int64)
-    # Vectorized over edges, loop over the `scale` bit positions only.
-    for bit in range(scale):
-        r = rng.random(num_edges)
-        go_right = r >= (a + c)          # quadrants b, d: dst high bit set
-        go_down = ((r >= a) & (r < a + c)) | (r >= (a + b + c))  # c, d
-        src |= go_down.astype(np.int64) << bit
-        dst |= go_right.astype(np.int64) << bit
-    return CSRGraph.from_edges(src, dst, num_vertices, dedup=False)
-
-
-def connected_training_mask(graph: CSRGraph, train_fraction: float,
-                            seed: int | np.random.Generator = 0
-                            ) -> np.ndarray:
-    """Boolean mask selecting a random ``train_fraction`` of vertices.
-
-    OGB datasets designate a subset of vertices as training targets; the
-    epoch length in the paper's experiments is ``|train| / minibatch_size``
-    iterations, so the fraction matters for epoch-time reproduction.
-    """
-    if not 0.0 < train_fraction <= 1.0:
-        raise GraphError("train_fraction must be in (0, 1]")
-    rng = _rng(seed)
-    mask = np.zeros(graph.num_vertices, dtype=bool)
-    n_train = max(1, int(round(graph.num_vertices * train_fraction)))
-    mask[rng.choice(graph.num_vertices, size=n_train, replace=False)] = True
-    return mask

@@ -54,14 +54,3 @@ def check_graph(graph: CSRGraph, *, require_symmetric: bool = False,
         rev = np.sort(dst * np.int64(graph.num_vertices) + src)
         if not np.array_equal(fwd, rev):
             raise GraphError("graph is not symmetric")
-
-
-def degree_histogram(graph: CSRGraph, bins: int = 32) -> tuple[np.ndarray,
-                                                               np.ndarray]:
-    """Log-spaced out-degree histogram (used by dataset sanity benches)."""
-    degs = graph.out_degrees
-    max_deg = max(1, int(degs.max()) if degs.size else 1)
-    edges = np.unique(np.geomspace(1, max_deg + 1, num=bins).astype(
-        np.int64))
-    hist, _ = np.histogram(degs, bins=edges)
-    return hist, edges

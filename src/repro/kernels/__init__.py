@@ -1,11 +1,12 @@
 """Hot-path kernels: one implementation per op, one chokepoint.
 
 The per-iteration numeric work of every execution backend funnels
-through four ops — feature-row **gather**, transfer **quantize**, the
-fused **gather_quantize**, and **segment_sum** aggregation. The
-dispatchers below validate their inputs once, call the preallocated /
-fused / reduceat NumPy implementation in :mod:`repro.kernels.fast`, and
-record the traffic they moved.
+through three ops — feature-row **gather**, transfer **quantize** and
+**segment_sum** aggregation. The dispatchers below validate their
+inputs once, call the preallocated / in-place / reduceat NumPy
+implementation in :mod:`repro.kernels.fast`, and record the traffic
+they moved. The accelerator load path is the pair: gather into one
+destination, then ``quantize(dest, mode, out=dest)`` in place.
 
 :mod:`repro.kernels.reference` keeps the original implementations as
 the conformance oracle: tests and the kernel micro-bench call it by
@@ -92,35 +93,14 @@ def quantize(x: np.ndarray, mode: str, *,
              out: np.ndarray | None = None,
              pool: BufferPool | None = None) -> np.ndarray:
     """Transfer-precision round trip (dequantized result, input float
-    dtype preserved) — the transfer-stage kernel."""
+    dtype preserved) — the transfer-stage kernel. ``out`` may be ``x``
+    itself: the load path quantizes its fresh gather in place."""
     _check_mode(mode)
     x = _check_matrix(x, "feature")
     result = fast.quantize(x, mode, out=out, pool=pool)
     record(
         quantize_calls=1, quantize_in_bytes=x.nbytes,
         payload_bytes=payload_bytes(mode, x.shape[0], x.shape[1]))
-    return result
-
-
-def gather_quantize(features: np.ndarray, index: np.ndarray,
-                    mode: str, *,
-                    out: np.ndarray | None = None,
-                    pool: BufferPool | None = None) -> np.ndarray:
-    """Fused gather + quantized-transfer round trip (store-dtype
-    result) — the load+transfer chokepoint accelerator-bound batches
-    take."""
-    _check_mode(mode)
-    features = _check_matrix(features, "feature")
-    index = np.asarray(index)
-    result = fast.gather_quantize(features, index, mode, out=out,
-                                  pool=pool)
-    record(
-        fused_calls=1, gather_rows=index.size,
-        gather_src_bytes=index.size * features.shape[1]
-        * features.itemsize,
-        gather_out_bytes=result.nbytes,
-        payload_bytes=payload_bytes(mode, index.size,
-                                    features.shape[1]))
     return result
 
 
@@ -149,7 +129,6 @@ __all__ = [
     "payload_bytes",
     "gather_rows",
     "quantize",
-    "gather_quantize",
     "segment_sum",
     "fast",
     "reference",

@@ -1,4 +1,4 @@
-"""The kernels: preallocated, fused, reduction-restructured NumPy.
+"""The kernels: preallocated, in-place, reduction-restructured NumPy.
 
 The one implementation of each op the :mod:`repro.kernels` dispatchers
 call. Three levers, all pure NumPy so every platform gets them:
@@ -8,13 +8,13 @@ call. Three levers, all pure NumPy so every platform gets them:
   buffers, so steady-state iterations at a pooled call site allocate
   nothing (the pool grows to the largest batch seen, then only hands
   out views).
-* **Fusion** — :func:`gather_quantize` produces the dequantized
-  trainer input in the destination it gathers into: the rows land once
-  in the feature store's dtype, the per-row scales come from two
-  ``(rows,)`` reductions (no full-size ``abs`` temporary), and the
-  divide / round / clip / rescale chain runs in place. The reference
-  composition materializes ~7 full-size temporaries for the same
-  result.
+* **In place** — :func:`quantize` accepts ``out=x``, so the load path
+  produces the dequantized trainer input in the destination it
+  gathered into: the rows land once in the feature store's dtype, the
+  per-row scales come from two ``(rows,)`` reductions (no full-size
+  ``abs`` temporary), and the divide / round / clip / rescale chain
+  runs in place. The reference gather → quantize composition
+  materializes ~7 full-size temporaries for the same result.
 * **Reduction restructuring** — :func:`segment_sum` replaces the
   edge-serial ``np.add.at`` scatter (notoriously slow: one bounds-
   checked inner-loop dispatch per edge) with destination-sorted
@@ -24,8 +24,8 @@ Every kernel returns its input's dtype — the feature store's for the
 gathers, the messages' for ``segment_sum``; nothing widens.
 
 Exactness contract (held by the property suite): ``gather`` and
-``gather_quantize``/``quantize`` match the :mod:`~repro.kernels.reference`
-oracle **bit for bit** on finite inputs — the gather is a copy, the
+``quantize`` (in place or not) match the
+:mod:`~repro.kernels.reference` oracle **bit for bit** on finite inputs — the gather is a copy, the
 per-row absmax equals ``max(max(x), -min(x))`` exactly, and
 round-then-clip runs in the same order on the same dtypes as the
 oracle. Only ``segment_sum`` is tolerance-equivalent (sum order
@@ -113,17 +113,6 @@ def quantize(x: np.ndarray, mode: str,
     np.clip(dest, -127, 127, out=dest)
     dest *= scale
     return dest
-
-
-def gather_quantize(features: np.ndarray, index: np.ndarray, mode: str,
-                    out: np.ndarray | None = None,
-                    pool: BufferPool | None = None) -> np.ndarray:
-    """Fused gather + dequantized transfer: gather into the
-    destination, then quantize it in place — no intermediate between
-    the stages. Bit-identical to the reference gather → quantize
-    composition on finite inputs."""
-    dest = gather(features, index, out=out, pool=pool)
-    return dest if mode == "fp32" else quantize(dest, mode, out=dest)
 
 
 def segment_sum(src: np.ndarray, dst: np.ndarray, h_src: np.ndarray,

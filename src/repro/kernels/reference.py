@@ -2,10 +2,11 @@
 
 These are the library's original hot-path implementations, moved here
 verbatim so :mod:`repro.kernels.fast` has a fixed semantic target:
-plain, easily auditable NumPy with no buffer reuse, no fusion, and no
-layout tricks. The property suite (``tests/unit/test_kernels.py``)
-holds the fast kernels to these outputs — bit-exactly for ``gather``
-and the fused ``gather_quantize``, to floating-point tolerance for
+plain, easily auditable NumPy with no buffer reuse, no in-place
+steps, and no layout tricks. The property suite
+(``tests/unit/test_kernels.py``) holds the fast kernels to these
+outputs — bit-exactly for ``gather`` and ``quantize`` (and so for the
+load path's gather → quantize pair), to floating-point tolerance for
 ``segment_sum`` (whose fast variant reorders the accumulation).
 
 No runtime path calls this module: tests and
@@ -55,15 +56,6 @@ def quantize(x: np.ndarray, mode: str,
         np.copyto(out, result)
         return out
     return result
-
-
-def gather_quantize(features: np.ndarray, index: np.ndarray, mode: str,
-                    out: np.ndarray | None = None,
-                    pool=None) -> np.ndarray:
-    """Unfused composition: gather, then the quantization round trip —
-    the baseline the fused fast kernel must beat (and match
-    bit-for-bit)."""
-    return quantize(gather(features, index), mode, out=out)
 
 
 def segment_sum(src: np.ndarray, dst: np.ndarray, h_src: np.ndarray,

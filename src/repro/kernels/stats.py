@@ -41,8 +41,9 @@ class KernelCounters:
     Keys are free-form (the kernel dispatchers use ``gather_calls``,
     ``gather_rows``, ``gather_src_bytes``, ``gather_out_bytes``,
     ``quantize_calls``, ``quantize_in_bytes``, ``payload_bytes``,
-    ``fused_calls``, ``segment_sum_calls``, ``pool_hits``,
-    ``pool_misses``, ``pool_alloc_bytes``); absent keys read as zero.
+    ``segment_sum_calls``, ``pool_hits``, ``pool_misses``,
+    ``pool_alloc_bytes``); absent keys read as zero. An accelerator
+    batch's load counts one gather plus one quantize.
     """
 
     def __init__(self) -> None:

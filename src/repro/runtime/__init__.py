@@ -39,8 +39,8 @@ This package is the paper's primary contribution (§III-§IV):
   the live planes), :class:`OnlineEstimator` (calibrates the analytic
   perf model against the realized signal), and :class:`NodeAllocator`
   (arbitrates look-ahead depth budget across concurrent sessions).
-  The overlapped backends expose the loop through their
-  ``depth_source`` knob (see ``docs/architecture.md``).
+  The look-ahead backends close the loop through their
+  ``DepthPolicy`` (see ``docs/architecture.md``).
 
 The HyScale-GNN system is a :class:`TrainingSession` executed by a
 backend: ``VirtualTimeBackend(session)`` for the modelled-hardware
@@ -84,7 +84,6 @@ from .backends import (
 )
 from .backends.report import StageStats
 from .backends.overlap import (
-    DEPTH_SOURCES,
     LookaheadDealer,
     adaptive_depth,
     seed_depth,
@@ -131,7 +130,6 @@ __all__ = [
     "StageStats",
     "adaptive_depth",
     "seed_depth",
-    "DEPTH_SOURCES",
     "DEFAULT_ALLOCATOR",
     "DepthGrant",
     "NodeAllocator",

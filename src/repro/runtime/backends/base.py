@@ -127,9 +127,9 @@ class ExecutionBackend(abc.ABC):
         recorded on ``report`` and ``rows``; returns the
         :class:`~repro.perfmodel.model.StageTimes`. ``policy`` is the
         look-ahead :class:`~.overlap.DepthPolicy` whose estimator
-        observes ``realized`` (and calibrates, under
-        ``depth_source="realized"``); ``None`` keeps the step byte-equal
-        to the uncalibrated contract the strict tier pins."""
+        observes ``realized`` and calibrates the step; ``None`` keeps
+        the step byte-equal to the uncalibrated contract the strict
+        tier pins."""
         s = self.session
         stats_cpu = None
         stats_accel: list = []
@@ -141,9 +141,7 @@ class ExecutionBackend(abc.ABC):
         times, row, split = s.timing_step(
             stats_cpu, stats_accel, it,
             estimator=None if policy is None else policy.estimator,
-            realized=realized,
-            calibrate=policy is not None and policy.calibrate,
-            overlapped=self.overlaps_transfer)
+            realized=realized, overlapped=self.overlaps_transfer)
         rows.append(row)
         report.stage_history.append(times)
         report.split_history.append(split)

@@ -12,7 +12,8 @@ units here:
   train-stage consumer;
 * :class:`DepthPolicy` — the look-ahead depth policy: resolve the
   knobs, seed the first window, clamp by the node allocator's grant,
-  resize adaptively from stage-time ratios, record the history;
+  resize adaptively from calibrated stage-time ratios (its estimator
+  observes and calibrates every timing step), record the history;
 * :class:`LookaheadDealer` — the bounded window over a work source the
   process driver deals through (pure; hypothesis-tested).
 """
@@ -38,9 +39,6 @@ PRODUCER_STAGES = ("sample", "gather", "transfer")
 #: ``sample`` holds dealt work awaiting the sample thread, ``train``
 #: holds prepared batches awaiting the train+sync consumer.
 WORKER_STAGES = (*PRODUCER_STAGES, "train")
-
-#: Valid values of the overlapped planes' ``depth_source`` knob.
-DEPTH_SOURCES = ("realized", "model")
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +74,8 @@ class StageChain:
     stages:
         The per-item stage implementation — anything shaped like
         :class:`~repro.runtime.stage_pipeline.StagePipeline`
-        (``sample(work)``, ``gather(mb)``, ``transfer(x0, kind)``,
+        (``sample(work)``, ``gather(mb)``, ``transfer(x0, kind)`` —
+        in place on the rows ``gather`` just returned —
         ``labels_for(mb)``): the session's pipeline in-process, the
         worker replica on the process planes (whose ``gather`` may be
         the shard-aware resolver).
@@ -189,42 +188,20 @@ class StageChain:
 # The look-ahead depth policy
 # ---------------------------------------------------------------------------
 
-def resolve_depth_source(depth_source: str | None) -> str:
-    """Resolve an overlapped backend's ``depth_source`` knob.
-
-    ``"realized"`` (the default) steers ``adaptive_depth`` and
-    ``drm_step`` from estimator-calibrated stage times — monitored
-    wall clocks corrected onto the analytic model's scale;
-    ``"model"`` reproduces the purely-analytic (pre-calibration)
-    trajectories bit for bit, which is what the regression pins and
-    the bit-parity tests construct with.
-    """
-    if depth_source is None:
-        return "realized"
-    if depth_source not in DEPTH_SOURCES:
-        raise ProtocolError(
-            f"unknown depth_source {depth_source!r}; expected one of "
-            f"{DEPTH_SOURCES}")
-    return depth_source
-
-
 def seed_depth(session, initial_depth: int, cap: int,
-               depth_source: str, estimator=None) -> int:
+               estimator=None) -> int:
     """Effective look-ahead for the first window, before any timing
     feedback exists.
 
-    Under ``depth_source="realized"`` a timing+prefetch session starts
-    from the floor — there is no realized signal yet, so claiming the
-    full configured window is unjustified — or from the calibrated
-    steady-state estimate once the estimator is warm (e.g. a previous
-    run through the same backend instance). Sessions that will never
-    adapt (functional-only, or prefetch off) keep ``initial_depth``:
-    with no feedback loop, a floor-seeded window would throttle the
-    whole run, not just its first iterations. ``depth_source="model"``
-    preserves the analytic trajectory exactly.
+    A timing+prefetch session starts from the floor — there is no
+    realized signal yet, so claiming the full configured window is
+    unjustified — or from the calibrated steady-state estimate once the
+    estimator is warm (e.g. a previous run through the same backend
+    instance). Sessions that will never adapt (functional-only, or
+    prefetch off) keep ``initial_depth``: with no feedback loop, a
+    floor-seeded window would throttle the whole run, not just its
+    first iterations.
     """
-    if depth_source != "realized":
-        return initial_depth
     if not (session.has_timing and session.sys_cfg.prefetch):
         return initial_depth
     if estimator is not None and estimator.is_warm():
@@ -287,10 +264,10 @@ def adaptive_depth(times: StageTimes, cap: int, floor: int = 1) -> int:
 class DepthPolicy:
     """The look-ahead depth of one overlapped backend, across runs.
 
-    Owns the four depth knobs (``initial_depth`` / ``max_depth`` /
-    ``depth_source`` / ``allocator``) and the
-    :class:`~repro.runtime.resctl.OnlineEstimator` that calibrates the
-    analytic model against monitored wall times — the estimator
+    Owns the three depth knobs (``initial_depth`` / ``max_depth`` /
+    ``allocator``) and the
+    :class:`~repro.runtime.resctl.OnlineEstimator` every timing step
+    of the backend observes and calibrates through — the estimator
     persists across runs, so a second run on the same backend starts
     warm. Per run: :meth:`run` brackets the allocator grant and seeds
     the first window, :meth:`adapt` resizes it after each timing step
@@ -299,22 +276,15 @@ class DepthPolicy:
 
     def __init__(self, session, initial_depth: int | None = None,
                  max_depth: int | None = None,
-                 depth_source: str | None = None,
                  allocator: NodeAllocator | None = None) -> None:
         self.session = session
         self.initial_depth, self.max_depth = resolve_depths(
             session, initial_depth, max_depth)
-        self.depth_source = resolve_depth_source(depth_source)
         self.allocator = allocator if allocator is not None \
             else DEFAULT_ALLOCATOR
         self.estimator = OnlineEstimator(monitor=None)
         self.grant = None
         self.depth = self.initial_depth
-
-    @property
-    def calibrate(self) -> bool:
-        """Should timing steps *apply* the estimator's corrections?"""
-        return self.depth_source == "realized"
 
     def cap(self) -> int:
         """Live cap: ``max_depth`` clamped by the current grant."""
@@ -335,8 +305,7 @@ class DepthPolicy:
             max_depth=self.max_depth)
         try:
             self.depth = seed_depth(self.session, self.initial_depth,
-                                    self.cap(), self.depth_source,
-                                    self.estimator)
+                                    self.cap(), self.estimator)
             report.depth_history.append((0, self.depth))
             yield self.depth
         finally:

@@ -21,7 +21,7 @@ process, written once. Per run it
 
 Three feeds ship. Two run the plan-order generator
 (:meth:`Feed._items`), which samples each trainer's batch in plan
-order, loads it through the fused ``session.load_features`` and takes
+order, loads it through ``session.load_features`` and takes
 the uncalibrated timing/DRM step once each iteration's last batch is
 loaded, so Algorithm 1 sees iteration ``i`` before ``i + 1``'s quotas
 are read:
@@ -151,7 +151,7 @@ class Feed:
     def _items(self, pool=None):
         """Mini-batch Sampler + Feature Loader in plan order: yields
         ``(trainer index, Prepared)`` — each trainer's batch sampled
-        from the session's one stream and loaded through the fused
+        from the session's one stream and loaded through
         ``load_features`` (into ``pool`` when given) — and, with no
         ``DepthPolicy`` installed, takes the uncalibrated timing/DRM
         step once an iteration's last batch is loaded, before handing
@@ -394,14 +394,13 @@ class PipelinedBackend(InProcessBackend):
 
     Parameters (beyond :class:`InProcessBackend`'s ``timeout_s``)
     --------------------------------------------------------------
-    initial_depth / max_depth / depth_source / allocator:
+    initial_depth / max_depth / allocator:
         The :class:`~.overlap.DepthPolicy` knobs: the first window
         (defaults to the session's ``prefetch_depth`` when two-stage
         prefetching is on, else 1), the cap (defaults to 8 or the
-        initial depth, whichever is larger), what steers resizes and
-        DRM (``"realized"`` calibrated times, or ``"model"`` — the
-        analytic trajectories bit for bit), and the node allocator
-        whose grant clamps the cap.
+        initial depth, whichever is larger), and the node allocator
+        whose grant clamps the cap. Resizes and DRM steer from
+        calibrated stage times.
     """
 
     name = "pipelined"
@@ -411,8 +410,7 @@ class PipelinedBackend(InProcessBackend):
     def __init__(self, session, initial_depth: int | None = None,
                  max_depth: int | None = None,
                  timeout_s: float = 60.0,
-                 depth_source: str | None = None,
                  allocator: NodeAllocator | None = None) -> None:
         super().__init__(session, timeout_s=timeout_s)
         self.lookahead = DepthPolicy(session, initial_depth, max_depth,
-                                     depth_source, allocator)
+                                     allocator)

@@ -278,7 +278,8 @@ class InlineBody:
 
     Because nothing is ever in flight, the gather/quantize hot path
     runs through one pooled buffer set (allocation-free after the
-    first few iterations) and takes the fused ``load`` chokepoint.
+    first few iterations): the replica's ``load`` gathers into it and
+    quantizes there in place.
     Valid only under a look-ahead window of 1: a second dealt batch
     would be trained before the first one's update was applied.
     """
@@ -924,7 +925,7 @@ class ProcessPipelinedBackend(ProcessBackend):
 
     Parameters (beyond :class:`ProcessBackend`'s)
     ---------------------------------------------
-    initial_depth / max_depth / depth_source / allocator:
+    initial_depth / max_depth / allocator:
         The :class:`~.overlap.DepthPolicy` knobs, exactly as on
         :class:`~.pipelined.PipelinedBackend`. ``max_depth`` also sizes
         each worker's stage buffers (via the manifest).
@@ -939,9 +940,8 @@ class ProcessPipelinedBackend(ProcessBackend):
                  mp_context: str | None = None,
                  initial_depth: int | None = None,
                  max_depth: int | None = None,
-                 depth_source: str | None = None,
                  allocator: NodeAllocator | None = None) -> None:
         super().__init__(session, timeout_s=timeout_s,
                          mp_context=mp_context)
         self.lookahead = DepthPolicy(session, initial_depth, max_depth,
-                                     depth_source, allocator)
+                                     allocator)

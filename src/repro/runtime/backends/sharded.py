@@ -214,8 +214,10 @@ class ShardedReplica(WorkerReplica):
         # overlapped body the gather thread runs ahead of training.
         self._io: deque[dict] = deque()
 
-    def gather(self, mb) -> np.ndarray:
-        """Resolve the batch's rows local/cache/remote.
+    def gather(self, mb, *, pool=None) -> np.ndarray:
+        """Resolve the batch's rows local/cache/remote, into a fresh
+        array (the resolver assembles its own rows, so ``pool`` is
+        ignored).
 
         The assembled source rows are bit-identical to a flat gather
         (cache rows are copies of the same store rows), so the math
@@ -267,12 +269,6 @@ class ShardedReplica(WorkerReplica):
             gather_calls=1, gather_rows=ids.size,
             gather_src_bytes=src.nbytes, gather_out_bytes=src.nbytes)
         return src
-
-    def load(self, mb, trainer_kind: str, *, pool=None) -> np.ndarray:
-        """The inline body's chokepoint: the resolver, then the
-        session's exact transfer policy (no fused kernel, no pool —
-        the resolver assembles its own rows)."""
-        return self.transfer(self.gather(mb), trainer_kind)
 
     def labels_for(self, mb) -> np.ndarray:
         return self.labels[self.shard_row[np.asarray(

@@ -56,13 +56,7 @@ from ..sampling.base import MiniBatch, MiniBatchStats
 from ..sim.engine import PipelineSimulator
 from .drm import DRMEngine
 from .quantize import TRANSFER_BYTES
-from .stage_pipeline import (
-    StagePipeline,
-    WorkSource,
-    apply_transfer_policy,
-    gather_batch_features,
-    gather_feature_rows,
-)
+from .stage_pipeline import StagePipeline, WorkSource
 from .synchronizer import GradientSynchronizer
 from .trainer import TrainerNode
 
@@ -407,7 +401,8 @@ class TrainingSession:
     # One method per Fig.-5 producer stage, so an overlapped backend can
     # run sample / load / transfer on separate stage threads while
     # executing the exact same bits as the sequential planes (which call
-    # the fused ``load_features``). All delegate to the composed
+    # ``load_features``: the same gather, then the same transfer). All
+    # delegate to the composed
     # :class:`~repro.runtime.stage_pipeline.StagePipeline` — the
     # extraction the serving plane shares.
     # ------------------------------------------------------------------
@@ -421,12 +416,15 @@ class TrainingSession:
         return self.pipeline.sample(targets)
 
     def gather_stage(self, mb: MiniBatch) -> np.ndarray:
-        """Feature-gather (load) stage: host-DDR row gather, fp32/64."""
+        """Feature-gather (load) stage: host-DDR row gather into a fresh
+        array of the store's dtype."""
         return self.pipeline.gather(mb)
 
     def transfer_stage(self, x0: np.ndarray,
                        trainer_kind: str) -> np.ndarray:
-        """Transfer stage: the PCIe quantization policy for this link."""
+        """Transfer stage: the PCIe quantization policy for this link,
+        applied in place — ``x0`` is consumed (pass a fresh gather
+        result)."""
         return self.pipeline.transfer(x0, trainer_kind)
 
     def load_features(self, mb: MiniBatch, trainer_kind: str, *,
@@ -434,14 +432,13 @@ class TrainingSession:
                       ) -> np.ndarray:
         """Gather one mini-batch's input features, ready for the trainer.
 
-        Delegates to the pipeline's fused chokepoint
-        (:func:`gather_batch_features` underneath — the single
-        implementation every execution substrate uses; process-pool
-        workers call it against the shared-memory feature store), so
-        the transfer policy can never drift between planes. ``pool`` is
-        the sequential-call-site opt-in documented there (the
-        ``threaded`` plane's producer thread keeps batches in flight and
-        passes none).
+        Delegates to :meth:`StagePipeline.load` — gather then transfer,
+        the single path every execution substrate takes (process-plane
+        workers run it against the shared-memory feature store), so the
+        transfer policy can never drift between planes. ``pool`` is the
+        sequential-call-site opt-in documented on
+        :meth:`StagePipeline.gather` (the ``threaded`` plane's producer
+        thread keeps batches in flight and passes none).
         """
         return self.pipeline.load(mb, trainer_kind, pool=pool)
 
@@ -544,8 +541,7 @@ class TrainingSession:
                     iteration: int, *,
                     overlapped: bool,
                     estimator=None,
-                    realized: dict[str, float] | None = None,
-                    calibrate: bool = False
+                    realized: dict[str, float] | None = None
                     ) -> tuple[StageTimes, list[float], WorkloadSplit]:
         """One timing-plane step over realized batch statistics.
 
@@ -558,30 +554,22 @@ class TrainingSession:
         DRM — can never drift between execution planes.
 
         ``overlapped`` is the backend's transfer-overlap capability,
-        forwarded to :meth:`duration_row`. The resctl hooks are
-        strictly opt-in, so planes that pass nothing stay bit-identical
-        to the uncalibrated contract:
-
-        * ``estimator`` — an
-          :class:`~repro.runtime.resctl.OnlineEstimator`; when given
-          with this iteration's ``realized`` wall times (canonical
-          stage keys, see :mod:`repro.runtime.resctl.monitor`) the
-          pair is observed for calibration;
-        * ``calibrate`` — when true (an overlapped backend with
-          ``depth_source="realized"``), the returned/recorded times
-          are the estimator's calibrated copy, so the duration row,
-          the DRM adjustment and the caller's adaptive look-ahead all
-          steer from monitored wall times. ``False`` observes without
-          feeding back — ``depth_source="model"`` still reports
-          calibration error while reproducing analytic trajectories
-          bit for bit.
+        forwarded to :meth:`duration_row`. ``estimator`` (an
+        :class:`~repro.runtime.resctl.OnlineEstimator`, which a
+        look-ahead backend passes) observes this iteration's
+        ``realized`` wall times (canonical stage keys, see
+        :mod:`repro.runtime.resctl.monitor`) against the modelled ones,
+        and the returned/recorded times are its calibrated copy — so
+        the duration row, the DRM adjustment and the caller's adaptive
+        look-ahead all steer from monitored wall times. A cold
+        estimator calibrates to the identity, and planes that pass none
+        stay bit-identical to the uncalibrated contract.
         """
         times = self.stage_times(stats_cpu, stats_accel)
         if estimator is not None:
             if realized:
                 estimator.observe(realized, times)
-            if calibrate:
-                times = estimator.calibrate(times)
+            times = estimator.calibrate(times)
         row = self.duration_row(times, overlapped=overlapped)
         split = self.split
         self.drm_step(times, iteration)

@@ -13,14 +13,13 @@ memory, matching the mechanism). ``tests/integration`` and
 ``benchmarks/bench_extension_quantization.py`` quantify both sides of
 the trade.
 
-The numeric work dispatches through :func:`repro.kernels.quantize`,
-which runs the int8 round trip in the input's own dtype with a single
-destination buffer and in-place round/clip/rescale (no int8
-temporaries), and the accelerator gather+transfer chokepoint
-(:func:`repro.runtime.core.gather_batch_features`) fuses the two stages:
-it gathers into the destination in the feature store's dtype and
-quantizes there in place. Both are bit-identical to the reference
-oracle (``docs/kernels.md`` documents the contract).
+The round trip is :func:`repro.kernels.quantize`: ``"fp32"`` is the
+identity, ``"fp16"`` an IEEE-half round trip, ``"int8"`` per-row
+symmetric linear quantization (each row ships one fp32 scale beside its
+payload), always in the input's own float dtype. The transfer stage
+(:meth:`repro.runtime.stage_pipeline.StagePipeline.transfer`) runs it in
+place on the rows the gather stage just produced — bit-identical to the
+reference oracle (``docs/kernels.md`` documents the contract).
 """
 
 from __future__ import annotations
@@ -34,29 +33,8 @@ from .. import kernels
 TRANSFER_BYTES = kernels.TRANSFER_BYTES
 
 
-def quantize_dequantize(x: np.ndarray, mode: str) -> np.ndarray:
-    """Round-trip ``x`` through the transfer precision.
-
-    Parameters
-    ----------
-    x:
-        ``(rows, features)`` float array (any float dtype).
-    mode:
-        ``"fp32"`` (identity), ``"fp16"`` (IEEE half round-trip), or
-        ``"int8"`` (per-row symmetric linear quantization — each feature
-        row carries its own scale, as a real implementation would ship
-        one fp32 scale per row alongside the payload).
-
-    Returns an array of ``x``'s own float dtype with the quantization
-    error applied — a float32 batch comes back float32 (dtype
-    inflation here used to double every downstream trainer's memory
-    traffic).
-    """
-    return kernels.quantize(x, mode)
-
-
 def quantization_rmse(x: np.ndarray, mode: str) -> float:
     """Root-mean-square quantization error (diagnostics/benches)."""
     x = np.asarray(x, dtype=np.float64)
-    err = quantize_dequantize(x, mode) - x
+    err = kernels.quantize(x, mode) - x
     return float(np.sqrt(np.mean(err * err)))

@@ -20,14 +20,13 @@ and arbitrates*:
 
 The overlapped backends (``pipelined``, ``process_pipelined``) wire all
 three together through one
-:class:`~repro.runtime.backends.overlap.DepthPolicy`, behind their
-``depth_source`` knob: ``"realized"`` (default)
-drives ``adaptive_depth`` and ``drm_step`` from calibrated times,
-``"model"`` reproduces the purely-analytic trajectories bit for bit.
-The lock-step planes feed the monitor (observability) but never
+:class:`~repro.runtime.backends.overlap.DepthPolicy`, whose estimator
+every timing step observes and calibrates through, so
+``adaptive_depth`` and ``drm_step`` steer from calibrated times. The
+lock-step planes feed the monitor (observability) but never
 calibrate — their conformance contract is bit-parity with the
 analytic reference. ``docs/architecture.md`` carries the subsystem
-diagram; ``docs/backends.md`` the knob and wire-protocol contract.
+diagram; ``docs/backends.md`` the wire-protocol contract.
 """
 
 from .allocator import (

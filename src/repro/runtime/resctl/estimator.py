@@ -19,9 +19,9 @@ is guaranteed finite and non-negative whatever the observations were
 ``drm_step`` would be worse than no calibration at all.
 
 The overlapped backends feed calibrated times into ``adaptive_depth``
-and ``drm_step`` when their ``depth_source`` knob is ``"realized"``
-(the default); ``depth_source="model"`` keeps observing (so reports
-still expose the model-vs-realized error) but never calibrates,
+and ``drm_step``. Because a cold estimator is exactly the identity,
+one that never warms (``warmup`` above the run's iteration count)
+observes — reports still expose the model-vs-realized error — while
 reproducing the uncalibrated trajectories bit for bit.
 """
 

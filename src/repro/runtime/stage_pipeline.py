@@ -11,10 +11,10 @@ extraction that lets a non-training session reuse it:
 
 * :class:`StagePipeline` — the sampler + feature-store + transfer
   policy bundle with one method per stage (``sample`` / ``gather`` /
-  ``transfer``), the fused ``load`` chokepoint, and a timed
-  :meth:`~StagePipeline.prepare` that runs the whole chain for one work
-  item and reports per-stage wall times (what the serving plane bills
-  against its latency budget);
+  ``transfer``), ``load`` (gather then transfer — the sequential
+  planes' one call), and a timed :meth:`~StagePipeline.prepare` that
+  runs the whole chain for one work item and reports per-stage wall
+  times (what the serving plane bills against its latency budget);
 * :class:`WorkSource` — the protocol behind which the training
   :class:`~repro.runtime.core.BatchPlan` (epoch permutation + quota
   cursor) and the serving micro-batch queue look identical to an
@@ -25,12 +25,15 @@ extraction that lets a non-training session reuse it:
 :class:`StagePipeline` and keeps its historical stage hooks
 (``sample_stage`` …) as thin delegations, so the six backends execute
 bit-identical paths; :class:`~repro.serving.ServingSession` composes
-the same class over the same sampler/kernel/feature-store stack.
+the same class over the same sampler/kernel/feature-store stack, and
+each process-plane worker replica *is* one over its shared-memory
+feature mapping.
 
-The three module-level stage functions (pure; also called directly by
-the process-plane shm workers against their own feature mappings) moved
-here with the extraction — :mod:`repro.runtime.core` re-exports them
-unchanged.
+**Transfer consumes its input.** ``transfer`` quantizes
+accelerator-bound rows in place, in the array it is handed, so the
+accelerator load path allocates one destination and moves the rows
+once. Every caller hands it a fresh gather result — never the feature
+store or a batch something else still reads.
 """
 
 from __future__ import annotations
@@ -44,66 +47,6 @@ import numpy as np
 
 from .. import kernels
 from ..sampling.base import MiniBatch, Sampler
-from .quantize import quantize_dequantize
-
-
-def gather_feature_rows(features: np.ndarray, mb: MiniBatch, *,
-                        out: np.ndarray | None = None,
-                        pool: kernels.BufferPool | None = None
-                        ) -> np.ndarray:
-    """The feature-gather (load) stage: one host-memory row gather.
-
-    Dispatches through :func:`repro.kernels.gather_rows`, which returns
-    the store's rows in the store's dtype, the same bits as the
-    reference oracle. ``out``/``pool`` make
-    the gather allocation-free — **opt-in**: a pooled result is only valid
-    until the next gather from the same pool, so only provably
-    sequential call sites (the virtual backend's epoch loop, the
-    process-plane workers) pass one; the overlapped planes keep several
-    batches in flight and must not (see ``docs/kernels.md``). Without
-    them the call is pure — safe to run concurrently from pipeline
-    stage threads.
-    """
-    return kernels.gather_rows(features, mb.input_nodes, out=out,
-                               pool=pool)
-
-
-def apply_transfer_policy(x0: np.ndarray, trainer_kind: str,
-                          transfer_precision: str) -> np.ndarray:
-    """The transfer stage: the PCIe link's quantization policy.
-
-    Accelerator-bound batches pay the transfer-quantization round trip
-    (paper §VIII extension); the CPU trainer reads host memory at full
-    precision, so the stage is the identity for it.
-    """
-    if trainer_kind == "accel" and transfer_precision != "fp32":
-        return quantize_dequantize(x0, transfer_precision)
-    return x0
-
-
-def gather_batch_features(features: np.ndarray, mb: MiniBatch,
-                          trainer_kind: str,
-                          transfer_precision: str, *,
-                          pool: kernels.BufferPool | None = None
-                          ) -> np.ndarray:
-    """Gather one mini-batch's input features, ready for a trainer.
-
-    The fused load + transfer path: pure function of
-    ``(features, batch, kind, precision)`` so every execution
-    substrate — the in-process backends via
-    :meth:`TrainingSession.load_features`, process-pool workers against
-    their shared-memory mapping, the pipelined backend's separate
-    gather/transfer stage threads — runs the identical bits.
-    Accelerator-bound quantized batches take the **fused**
-    gather+quantize kernel (gather into one destination, quantize it
-    in place, no intermediate between the stages); everything else is
-    a plain gather. ``pool`` is the same opt-in as
-    :func:`gather_feature_rows`.
-    """
-    if trainer_kind == "accel" and transfer_precision != "fp32":
-        return kernels.gather_quantize(features, mb.input_nodes,
-                                       transfer_precision, pool=pool)
-    return kernels.gather_rows(features, mb.input_nodes, pool=pool)
 
 
 # ---------------------------------------------------------------------------
@@ -205,25 +148,38 @@ class StagePipeline:
         with self.sampler_lock:
             return self.sampler.sample(targets)
 
-    def gather(self, mb: MiniBatch) -> np.ndarray:
-        """Feature-gather (load) stage: host-DDR row gather, store
-        dtype."""
-        return gather_feature_rows(self.features, mb)
+    def gather(self, mb: MiniBatch, *,
+               pool: kernels.BufferPool | None = None) -> np.ndarray:
+        """Feature-gather (load) stage: host-DDR row gather into a
+        fresh array (or a ``pool`` view) of the store's dtype.
+
+        ``pool`` makes the gather allocation-free — **opt-in**: a pooled
+        result is only valid until the next gather from the same pool,
+        so only provably sequential call sites (the ``virtual`` feed,
+        the process planes' inline worker body) pass one; planes that
+        keep several batches in flight must not (``docs/kernels.md``).
+        """
+        return kernels.gather_rows(self.features, mb.input_nodes,
+                                   pool=pool)
 
     def transfer(self, x0: np.ndarray, trainer_kind: str) -> np.ndarray:
-        """Transfer stage: the PCIe quantization policy for this link."""
-        return apply_transfer_policy(x0, trainer_kind,
-                                     self.transfer_precision)
+        """Transfer stage: the PCIe quantization policy for this link.
+
+        Accelerator-bound batches pay the quantization round trip
+        (paper §VIII extension) **in place** — ``x0`` is consumed and
+        returned, so hand it a fresh gather result; the CPU trainer
+        reads host memory at full precision, so the stage is the
+        identity for it.
+        """
+        if trainer_kind == "accel" and self.transfer_precision != "fp32":
+            return kernels.quantize(x0, self.transfer_precision, out=x0)
+        return x0
 
     def load(self, mb: MiniBatch, trainer_kind: str, *,
              pool: kernels.BufferPool | None = None) -> np.ndarray:
-        """The fused load + transfer chokepoint (sequential planes).
-
-        ``pool`` is the sequential-call-site opt-in documented on
-        :func:`gather_feature_rows`.
-        """
-        return gather_batch_features(self.features, mb, trainer_kind,
-                                     self.transfer_precision, pool=pool)
+        """Gather then transfer — the sequential planes' one call
+        (``pool`` is :meth:`gather`'s opt-in)."""
+        return self.transfer(self.gather(mb, pool=pool), trainer_kind)
 
     def labels_for(self, mb: MiniBatch) -> np.ndarray | None:
         """This batch's target labels (``None`` on a label-free
@@ -239,33 +195,23 @@ class StagePipeline:
         """Run the whole producer chain for one work item, timed.
 
         The serving plane's per-micro-batch path: sample the
-        computational graph, fused-gather the device-ready features
-        (splitting the realized wall time between the gather and
-        transfer stages is the fused kernel's business, so the fused
-        cost is billed to ``gather_s`` and ``transfer_s`` reads zero
-        when the policy is fp32), and fetch labels when the store has
-        them. The returned :class:`StageTimings` feed the caller's
+        computational graph, gather the rows, transfer them (timed as
+        separate stages), and fetch labels when the store has them.
+        The returned :class:`StageTimings` feed the caller's
         :class:`~repro.runtime.resctl.StageMonitor`.
         """
         t0 = time.perf_counter()
         mb = self.sample(targets)
         t1 = time.perf_counter()
-        if trainer_kind == "accel" and self.transfer_precision != "fp32":
-            x0 = gather_batch_features(self.features, mb, trainer_kind,
-                                       self.transfer_precision,
-                                       pool=pool)
-            t2 = time.perf_counter()
-            gather_s, transfer_s = t2 - t1, 0.0
-        else:
-            x0 = gather_feature_rows(self.features, mb, pool=pool)
-            t2 = time.perf_counter()
-            x0 = self.transfer(x0, trainer_kind)
-            gather_s, transfer_s = t2 - t1, time.perf_counter() - t2
+        x0 = self.gather(mb, pool=pool)
+        t2 = time.perf_counter()
+        x0 = self.transfer(x0, trainer_kind)
+        t3 = time.perf_counter()
         labels = self.labels_for(mb) if with_labels else None
         return PreparedBatch(
             mb=mb, x0=x0, labels=labels,
-            timings=StageTimings(sample_s=t1 - t0, gather_s=gather_s,
-                                 transfer_s=transfer_s))
+            timings=StageTimings(sample_s=t1 - t0, gather_s=t2 - t1,
+                                 transfer_s=t3 - t2))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<StagePipeline {type(self.sampler).__name__} over "

@@ -5,8 +5,8 @@
 parts the redesign extracted for exactly this purpose:
 
 * the same :class:`~repro.runtime.stage_pipeline.StagePipeline`
-  (sampler via the registry → fused gather/quantize kernels → transfer
-  policy) prepares each micro-batch, so serving exercises the
+  (sampler via the registry → gather kernel → in-place transfer
+  quantization) prepares each micro-batch, so serving exercises the
   identical hot path the training backends run;
 * its micro-batch queue satisfies the same
   :class:`~repro.runtime.stage_pipeline.WorkSource` protocol as a

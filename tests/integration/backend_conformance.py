@@ -45,10 +45,16 @@ This module packages that guarantee as a reusable kit:
 Third-party backends needing constructor arguments can extend
 :data:`BACKEND_KWARGS` before the suite runs.
 
-One check covers the compute dtype on every registered plane:
+Two checks cover the data path on every registered plane:
 :func:`assert_trains_in_store_dtype` — parameters, gradients and the
 shm gradient slab are float32, the feature store's dtype, and no gather
-widens.
+widens — and :func:`assert_store_untouched_by_int8_run` — the transfer
+stage quantizes in place, but only ever a fresh gather, never the
+feature store itself.
+
+:func:`analytic_lookahead` holds a look-ahead backend to the purely
+analytic (uncalibrated) trajectory, for the pins that compare it with
+a plane that never calibrates.
 
 Two checks cover a backend that is *kept* across runs (the process
 presets hold their worker pool and shared store for the backend's
@@ -83,8 +89,9 @@ from repro.runtime import (
     build_backend,
     get_backend,
 )
+from repro.runtime.backends import overlap
 from repro.runtime.protocol import validate_protocol
-from repro.runtime.resctl import NodeAllocator
+from repro.runtime.resctl import NodeAllocator, OnlineEstimator
 from repro.runtime.shm import SharedFeatureStore
 from repro.runtime.stage_pipeline import StagePipeline
 from repro.sampling import build_sampler
@@ -192,6 +199,13 @@ FP32_TRANSFER_CASE = ConformanceCase(
     id="fp32-transfer", num_trainers=2, max_iterations=2,
     sys_cfg_kwargs=dict(hybrid=True, drm=False, prefetch=True))
 
+#: The same short run with int8 transfer: trainer 1 is an accelerator,
+#: so its batches take the in-place quantizing load path.
+INT8_TRANSFER_CASE = ConformanceCase(
+    id="int8-transfer", num_trainers=2, max_iterations=2,
+    sys_cfg_kwargs=dict(hybrid=True, drm=False, prefetch=True,
+                        transfer_precision="int8"))
+
 
 def candidate_backends() -> list[str]:
     """Registered backends that must conform to the reference."""
@@ -232,18 +246,35 @@ def make_session(case: ConformanceCase,
 
 def run_backend(name: str, case: ConformanceCase,
                 dataset: GraphDataset,
-                extra_kwargs: dict | None = None):
+                extra_kwargs: dict | None = None, configure=None):
     """Execute ``case`` on backend ``name``; returns (session, report).
 
     ``extra_kwargs`` layers on top of :data:`BACKEND_KWARGS` for
-    one-off knob sweeps (e.g. conforming a backend under each of its
-    ``depth_source`` modes) without mutating the shared table.
+    one-off knob settings (e.g. a fixed look-ahead window) without
+    mutating the shared table; ``configure(backend)``, if given, runs
+    between construction and the run (e.g. :func:`analytic_lookahead`).
     """
     session = make_session(case, dataset)
     kwargs = {**BACKEND_KWARGS.get(name, {}), **(extra_kwargs or {})}
     backend = build_backend(name, session, **kwargs)
+    if configure is not None:
+        configure(backend)
     report = backend.run_epoch(case.max_iterations)
     return session, report
+
+
+def analytic_lookahead(backend, monkeypatch) -> None:
+    """Hold look-ahead ``backend`` to the analytic trajectory: its
+    estimator never warms, so it keeps observing (the calibration
+    report still fills) while every calibration is exactly the
+    identity, and the first window opens at the configured depth
+    instead of the floor a timing session starts from."""
+    backend.lookahead.estimator = OnlineEstimator(monitor=None,
+                                                  warmup=10**9)
+    monkeypatch.setattr(
+        overlap, "seed_depth",
+        lambda session, initial_depth, cap, estimator=None:
+        min(initial_depth, cap))
 
 
 def threaded_backend(dataset: GraphDataset, train_cfg: TrainingConfig,
@@ -269,19 +300,21 @@ def _params(session: TrainingSession) -> list[np.ndarray]:
 
 def assert_backend_conforms(name: str, case: ConformanceCase,
                             dataset: GraphDataset,
-                            extra_kwargs: dict | None = None) -> None:
+                            extra_kwargs: dict | None = None,
+                            configure=None) -> None:
     """Assert backend ``name`` matches the virtual reference on ``case``
     at the tier its capability flag declares.
 
     ``strict`` backends get the bit-exact matrix
     (:func:`assert_strict_conformance`); ``statistical`` backends get
     the coverage/conservation/closeness matrix
-    (:func:`assert_statistical_conformance`). ``extra_kwargs`` goes to
-    the candidate's constructor only (the reference always runs
-    stock).
+    (:func:`assert_statistical_conformance`). ``extra_kwargs`` and
+    ``configure`` apply to the candidate only (the reference always
+    runs stock).
     """
     ref_session, ref = run_backend(REFERENCE_BACKEND, case, dataset)
-    cand_session, cand = run_backend(name, case, dataset, extra_kwargs)
+    cand_session, cand = run_backend(name, case, dataset, extra_kwargs,
+                                     configure)
     if backend_tier(name) == "strict":
         assert_strict_conformance(name, case, ref_session, ref,
                                   cand_session, cand)
@@ -605,6 +638,40 @@ def assert_trains_in_store_dtype(name: str,
     stats = report.kernel_stats
     assert stats["gather_out_bytes"] == stats["gather_src_bytes"] > 0, \
         f"{name}: gathers widened ({stats})"
+
+
+def assert_store_untouched_by_int8_run(name: str,
+                                       dataset: GraphDataset) -> None:
+    """The transfer stage consumes its input: it quantizes
+    accelerator-bound rows in place, so every plane must hand it a
+    fresh gather, never the store. After an int8 run on backend
+    ``name`` that did quantize, the feature store the trainers read —
+    ``dataset.features`` in process, the shared segment's features on
+    a process plane — is bit-identical to before the run."""
+    before = dataset.features.copy()
+    session = make_session(INT8_TRANSFER_CASE, dataset)
+    stores = []
+    create = SharedFeatureStore.create.__func__
+
+    def spy(cls, *args, **kwargs):
+        store = create(cls, *args, **kwargs)
+        stores.append((store, store.features.copy()))
+        return store
+
+    with mock.patch.object(SharedFeatureStore, "create",
+                           classmethod(spy)), \
+            build_backend(name, session,
+                          **BACKEND_KWARGS.get(name, {})) as backend:
+        report = backend.run_epoch(INT8_TRANSFER_CASE.max_iterations)
+        for store, snapshot in stores:
+            assert np.array_equal(store.features, snapshot), \
+                f"{name}: the run wrote into the shared feature store"
+    assert (len(stores) == 1) == (name in PROCESS_PRESETS), \
+        f"{name}: {len(stores)} shared stores"
+    assert report.kernel_stats.get("quantize_calls", 0) > 0, \
+        f"{name}: no accelerator batch was quantized"
+    assert np.array_equal(dataset.features, before), \
+        f"{name}: the run wrote into dataset.features"
 
 
 def _assert_epoch_bookkeeping(case, cand_session, cand) -> None:

@@ -26,10 +26,12 @@ from backend_conformance import (
     CONFORMANCE_CASES,
     BACKEND_KWARGS,
     PROCESS_PRESETS,
+    analytic_lookahead,
     assert_backend_conforms,
     assert_report_sections,
     assert_resumes_after_training_elsewhere,
     assert_reuse_invisible,
+    assert_store_untouched_by_int8_run,
     assert_trains_in_store_dtype,
     candidate_backends,
     make_session,
@@ -52,6 +54,7 @@ from repro.runtime import (
     get_backend,
     register_backend,
 )
+from repro.runtime.backends.overlap import DepthPolicy
 from repro.runtime.backends.process import WorkerReplica
 
 _CASE_IDS = [c.id for c in CONFORMANCE_CASES]
@@ -121,8 +124,15 @@ class TestBackendConformance:
         gather widens the store's rows."""
         assert_trains_in_store_dtype(backend, tiny_ds)
 
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_transfer_never_writes_the_feature_store(self, backend,
+                                                     tiny_ds):
+        """The in-place transfer only ever quantizes a fresh gather:
+        an int8 run leaves the feature store bit-identical."""
+        assert_store_untouched_by_int8_run(backend, tiny_ds)
+
     def test_sharded_lookahead_preset_composes_with_no_new_code(
-            self, tiny_ds):
+            self, tiny_ds, monkeypatch):
         """The composition proof: partition-mapped dealing × the
         shard-aware replica × the overlapped worker body × the
         adaptive window is one more *declaration* over the process
@@ -131,7 +141,6 @@ class TestBackendConformance:
         case, cross-node ownership assertion included."""
         from repro.graph.partition import bfs_partition
         from repro.graph.shard_map import ShardMap
-        from repro.runtime.backends.overlap import DepthPolicy
         from repro.runtime.backends.process import (
             OverlappedBody,
             ProcessBackend,
@@ -152,12 +161,10 @@ class TestBackendConformance:
 
             def __init__(self, session, timeout_s=120.0,
                          mp_context=None, initial_depth=None,
-                         max_depth=None, depth_source=None,
-                         allocator=None):
+                         max_depth=None, allocator=None):
                 super().__init__(session, timeout_s, mp_context)
                 self.lookahead = DepthPolicy(
-                    session, initial_depth, max_depth, depth_source,
-                    allocator)
+                    session, initial_depth, max_depth, allocator)
                 n = session.num_trainers
                 parts = bfs_partition(session.dataset.graph, n, seed=0)
                 self.work_source = ShardPlan(session.plan, parts, n)
@@ -169,10 +176,10 @@ class TestBackendConformance:
             for case in CONFORMANCE_CASES:
                 assert_backend_conforms("sharded_lookahead", case,
                                         tiny_ds)
-            _, rep = run_backend("sharded_lookahead",
-                                 CONFORMANCE_CASES[0], tiny_ds,
-                                 {"initial_depth": 3, "max_depth": 3,
-                                  "depth_source": "model"})
+            _, rep = run_backend(
+                "sharded_lookahead", CONFORMANCE_CASES[0], tiny_ds,
+                {"initial_depth": 3, "max_depth": 3},
+                lambda b: analytic_lookahead(b, monkeypatch))
             assert rep.shard_parts is not None and rep.shard_io
             assert max(n for n, _ in rep.lookahead_history) > 1
             assert set(rep.stage_stats) == {"sample", "gather",
@@ -195,19 +202,6 @@ class TestBackendConformance:
             self, case, tiny_ds):
         assert_resumes_after_training_elsewhere("process", case,
                                                 tiny_ds)
-
-    @pytest.mark.parametrize("depth_source", ["realized", "model"])
-    @pytest.mark.parametrize("backend", ["pipelined",
-                                         "process_pipelined"])
-    def test_overlapped_backends_conform_under_each_depth_source(
-            self, backend, depth_source, tiny_ds):
-        """The resctl knob sweep: both overlapped planes pass their
-        statistical matrix whether the adaptive look-ahead and DRM are
-        steered by calibrated realized times (the default) or by the
-        pure analytic model (the regression-pinned mode)."""
-        assert_backend_conforms(
-            backend, CONFORMANCE_CASES[0], tiny_ds,
-            extra_kwargs={"depth_source": depth_source})
 
     @pytest.mark.parametrize("backend", ["pipelined",
                                          "process_pipelined"])
@@ -674,7 +668,7 @@ class TestProcessPipelinedBackend:
             fpga_platform, profile_probes=2)
 
     def test_depth_one_matches_worker_sampling_bit_for_bit(
-            self, tiny_ds, eq_cfg, fpga_platform):
+            self, tiny_ds, eq_cfg, fpga_platform, monkeypatch):
         """With ``max_depth=1`` the look-ahead window degenerates to
         lock-step dealing: shards are dealt only after the previous
         iteration's DRM step, so the fused plane must reproduce the
@@ -682,20 +676,19 @@ class TestProcessPipelinedBackend:
         sampled edges, and every final parameter. This is the DRM-lag
         regression pin's zero-lag anchor.
 
-        Constructed with ``depth_source="model"`` — the regression pin
-        for the pre-calibration trajectories: the worker-sampling
-        plane never calibrates its timing step against realized wall
-        clocks, so parity demands the fused plane's analytic mode.
-        (``"realized"``, the default, intentionally diverges: it
-        corrects the modelled stage times with monitored ones.)"""
+        Run under :func:`analytic_lookahead`: the worker-sampling plane
+        never calibrates its timing step against realized wall clocks,
+        so parity demands the fused plane's estimator stay cold (by
+        default it warms and corrects the modelled stage times with
+        monitored ones, which intentionally diverges)."""
         ss = self._platform_session(tiny_ds, eq_cfg, fpga_platform)
         rs = ProcessSamplingBackend(ss, timeout_s=60).run_epoch()
 
         sf = self._platform_session(tiny_ds, eq_cfg, fpga_platform)
-        rf = ProcessPipelinedBackend(sf, timeout_s=60,
-                                     initial_depth=1,
-                                     max_depth=1,
-                                     depth_source="model").run_epoch()
+        backend = ProcessPipelinedBackend(sf, timeout_s=60,
+                                          initial_depth=1, max_depth=1)
+        analytic_lookahead(backend, monkeypatch)
+        rf = backend.run_epoch()
 
         assert rf.iterations == rs.iterations
         np.testing.assert_array_equal(rs.losses, rf.losses)
@@ -708,31 +701,42 @@ class TestProcessPipelinedBackend:
                                           tf.model.get_flat_params())
 
     def test_drm_adjustments_lag_the_dealt_window(
-            self, tiny_ds, eq_cfg, fpga_platform):
-        """Shards in the prefilled window are sliced with the split
-        current at deal time: the first ``initial_depth`` iterations'
-        dealt sizes must equal what the plan yields with *no* DRM
-        adjustment applied — Algorithm 1 cannot reach work already
-        dealt (the pipelined plane's documented one-window lag)."""
-        depth = 3
-        sf = self._platform_session(tiny_ds, eq_cfg, fpga_platform)
-        assert sf.iterations_per_epoch() > depth
-        rf = ProcessPipelinedBackend(sf, timeout_s=60,
+            self, tiny_ds, eq_cfg, gpu_platform, monkeypatch):
+        """A shard is sliced with the split current when it is *dealt*.
+        With the window held at ``depth``, iteration ``depth`` is dealt
+        as soon as iteration 0 retires — before Algorithm 1 has seen
+        iterations 1..depth-1 — so a DRM move that lock-step dealing
+        would apply to iteration ``depth`` cannot reach it: the first
+        ``depth + 1`` dealt iterations are what the plan yields with
+        *no* DRM adjustment (the pipelined plane's documented
+        one-window lag). The gpu platform's DRM moves the CPU quota
+        for exactly that iteration, so the pin is not vacuous."""
+        depth, iterations = 3, 12
+        monkeypatch.setattr(DepthPolicy, "adapt", lambda *args: False)
+        sf = self._platform_session(tiny_ds, eq_cfg, gpu_platform)
+        with ProcessPipelinedBackend(sf, timeout_s=60,
                                      initial_depth=depth,
-                                     max_depth=depth).run_epoch()
+                                     max_depth=depth) as backend:
+            analytic_lookahead(backend, monkeypatch)
+            rf = backend.run(iterations)
+        assert max(n for n, _ in rf.lookahead_history) == depth
 
         # Reference: an identical session whose split is never
         # adjusted (plan iterated directly, no backend, no DRM).
-        ref = self._platform_session(tiny_ds, eq_cfg, fpga_platform)
-        ref_sizes = []
-        for _, planned in ref.plan.iterate(depth):
-            ref_sizes.append(planned.batch_sizes)
-        assert rf.dealt_sizes[:depth] == ref_sizes
-        # Work conservation at deal time: every dealt iteration still
-        # carries the full target budget (tail iterations excepted).
-        total = sf.initial_split.total_targets
-        for sizes in rf.dealt_sizes[:-1]:
-            assert sum(sizes) == total
+        ref = self._platform_session(tiny_ds, eq_cfg, gpu_platform)
+        ref_sizes = [planned.batch_sizes
+                     for _, planned in ref.plan.iterate(iterations)]
+        moved = rf.split_history[depth]
+        assert moved != rf.split_history[0], "DRM never moved"
+        # Lock-step dealing would have sliced iteration ``depth`` with
+        # the moved split; the window had already dealt it.
+        assert (moved.cpu_targets, *moved.accel_targets) != \
+            ref_sizes[depth]
+        assert rf.dealt_sizes[:depth + 1] == ref_sizes[:depth + 1]
+        # Work conservation at deal time: Algorithm 1 moves targets
+        # between trainers, never an iteration's total.
+        assert [sum(s) for s in rf.dealt_sizes] == \
+            [sum(s) for s in ref_sizes]
 
     def test_lookahead_never_exceeds_adaptive_cap(self, tiny_ds,
                                                   eq_cfg,
@@ -759,7 +763,8 @@ class TestProcessPipelinedBackend:
     @pytest.mark.parametrize("case", CONFORMANCE_CASES[:2],
                              ids=_CASE_IDS[:2])
     def test_one_average_row_suffices_under_lookahead(self, case,
-                                                      tiny_ds):
+                                                      tiny_ds,
+                                                      monkeypatch):
         """The slab race, provoked: three iterations in flight, idle
         workers in the mix (quota-0 CPU trainer / epoch tail), and
         worker 0 dawdling before every apply. Every worker answers
@@ -768,17 +773,23 @@ class TestProcessPipelinedBackend:
         single average row is never overwritten under a lagging
         reader: the statistical matrix holds and the snapshot's
         bit-for-bit audit of worker parameters against the parent
-        mirrors stays green."""
-        depth = {"initial_depth": 3, "max_depth": 3,
-                 "depth_source": "model"}
+        mirrors stays green. Under :func:`analytic_lookahead` the
+        window opens at 3 (a timing session otherwise seeds it at 1).
+        """
+        depth = {"initial_depth": 3, "max_depth": 3}
+
+        def analytic(backend):
+            analytic_lookahead(backend, monkeypatch)
+
         assert_backend_conforms("process_pipelined", case, tiny_ds,
-                                depth)
+                                depth, analytic)
 
         class Lagging(ProcessPipelinedBackend):
             replica_cls = LaggingReplica
 
         session = make_session(case, tiny_ds)
         with Lagging(session, timeout_s=60, **depth) as backend:
+            analytic(backend)
             rep = backend.run_epoch()
         assert any(0 in sizes for sizes in rep.dealt_sizes)
         assert max(n for n, _ in rep.lookahead_history) > 1

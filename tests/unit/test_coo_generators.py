@@ -4,18 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graph.coo import (
-    coalesce_edges,
-    sort_edges_by_src,
-    source_run_lengths,
-    unique_sources,
-)
-from repro.graph.generators import (
-    connected_training_mask,
-    erdos_renyi_graph,
-    power_law_graph,
-    rmat_graph,
-)
+from repro.graph.coo import sort_edges_by_src, source_run_lengths
+from repro.graph.generators import power_law_graph
 from repro.graph.validate import check_graph
 
 
@@ -42,32 +32,8 @@ class TestCOO:
         src = np.sort(np.random.default_rng(0).integers(0, 50, 300))
         assert source_run_lengths(src).sum() == 300
 
-    def test_coalesce_edges(self):
-        s, d = coalesce_edges(np.array([1, 0, 1]), np.array([2, 1, 2]), 3)
-        assert list(s) == [0, 1]
-        assert list(d) == [1, 2]
-
-    def test_coalesce_empty(self):
-        s, d = coalesce_edges(np.array([], dtype=np.int64),
-                              np.array([], dtype=np.int64), 3)
-        assert s.size == 0 and d.size == 0
-
-    def test_unique_sources(self):
-        assert list(unique_sources(np.array([3, 1, 3, 1]))) == [1, 3]
-
 
 class TestGenerators:
-    def test_erdos_renyi_shape(self):
-        g = erdos_renyi_graph(500, 6.0, seed=1)
-        check_graph(g)
-        assert g.num_vertices == 500
-        assert 0.5 * 3000 < g.num_edges <= 3000
-
-    def test_erdos_renyi_deterministic(self):
-        a = erdos_renyi_graph(200, 4.0, seed=9)
-        b = erdos_renyi_graph(200, 4.0, seed=9)
-        assert a == b
-
     def test_power_law_edge_count(self):
         g = power_law_graph(2000, 8.0, seed=2)
         check_graph(g)
@@ -102,27 +68,3 @@ class TestGenerators:
             power_law_graph(10, 5.0, exponent=0.9)
         with pytest.raises(GraphError):
             power_law_graph(10, 5.0, max_degree_fraction=0.0)
-
-    def test_rmat_shape(self):
-        g = rmat_graph(10, 8.0, seed=3)
-        check_graph(g)
-        assert g.num_vertices == 1024
-        assert g.num_edges == 8192
-
-    def test_rmat_skew(self):
-        g = rmat_graph(11, 16.0, seed=1)
-        degs = np.sort(g.out_degrees)[::-1]
-        assert degs[0] > 4 * degs.mean()
-
-    def test_rmat_invalid(self):
-        with pytest.raises(GraphError):
-            rmat_graph(0, 4.0)
-        with pytest.raises(GraphError):
-            rmat_graph(5, 4.0, a=0.9, b=0.2, c=0.2)
-
-    def test_training_mask(self):
-        g = erdos_renyi_graph(400, 4.0, seed=1)
-        mask = connected_training_mask(g, 0.25, seed=2)
-        assert mask.sum() == 100
-        with pytest.raises(GraphError):
-            connected_training_mask(g, 0.0)

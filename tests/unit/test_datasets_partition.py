@@ -15,7 +15,7 @@ from repro.graph.partition import (
     hash_partition,
     partition_quality,
 )
-from repro.graph.validate import check_graph, degree_histogram
+from repro.graph.validate import check_graph
 
 
 class TestRegistry:
@@ -162,8 +162,3 @@ class TestValidate:
         with pytest.raises(GraphError):
             check_graph(g, require_symmetric=True)
         check_graph(g.symmetrize(), require_symmetric=True)
-
-    def test_degree_histogram(self, medium_graph):
-        hist, edges = degree_histogram(medium_graph)
-        assert hist.sum() <= medium_graph.num_vertices
-        assert len(edges) == len(hist) + 1

@@ -5,17 +5,20 @@ Three layers of guarantee:
 * **dispatch** — input validation, bounds errors, and the dispatchers
   calling ``fast.<op>`` looked up at call time (no tier machinery);
 * **exactness** (hypothesis) — the fast kernels match the reference
-  oracle *bit for bit* for gather / quantize / fused gather_quantize
-  (including empty batches, duplicate and negative indices,
-  non-contiguous feature stores, float32 and float64 storage), and to
-  floating-point tolerance for ``segment_sum`` (accumulation order
-  differs by design);
+  oracle *bit for bit* for gather and quantize, and so does the one
+  load path, :meth:`~repro.runtime.stage_pipeline.StagePipeline.load`
+  (gather, then quantize in place), pooled or not (including empty
+  batches, duplicate and negative indices, non-contiguous feature
+  stores, float32 and float64 storage), and to floating-point
+  tolerance for ``segment_sum`` (accumulation order differs by
+  design);
 * **accounting** — buffer-pool reuse (steady-state zero allocation)
   and the traffic counters the backends attach to their reports.
 """
 
 import importlib.util
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from repro.kernels import (
     reference,
     scoped_counters,
 )
+from repro.runtime.stage_pipeline import StagePipeline
 
 common_settings = settings(
     max_examples=40, deadline=None,
@@ -104,9 +108,8 @@ def segment_cases(draw):
 #: accounting, the two implementation modules — and no tier registry,
 #: selection override, environment knob or fallback ladder.
 _PUBLIC = {"TRANSFER_BYTES", "payload_bytes", "gather_rows", "quantize",
-           "gather_quantize", "segment_sum", "fast", "reference",
-           "BufferPool", "COUNTERS", "KernelCounters", "record",
-           "scoped_counters", "merge_counts"}
+           "segment_sum", "fast", "reference", "BufferPool", "COUNTERS",
+           "KernelCounters", "record", "scoped_counters", "merge_counts"}
 
 
 class TestDispatch:
@@ -125,8 +128,6 @@ class TestDispatch:
     @pytest.mark.parametrize("op, dispatch", [
         ("gather", lambda x: kernels.gather_rows(x, np.array([0, 1]))),
         ("quantize", lambda x: kernels.quantize(x, "int8")),
-        ("gather_quantize",
-         lambda x: kernels.gather_quantize(x, np.array([0, 1]), "fp16")),
         ("segment_sum",
          lambda x: kernels.segment_sum(np.array([0, 1]), np.array([0, 0]),
                                        x, 1)),
@@ -154,9 +155,6 @@ class TestDispatch:
             kernels.gather_rows(np.zeros(4), np.array([0]))
         with pytest.raises(ConfigError, match="transfer precision"):
             kernels.quantize(np.zeros((2, 2)), "int4")
-        with pytest.raises(ConfigError, match="transfer precision"):
-            kernels.gather_quantize(np.zeros((2, 2)), np.array([0]),
-                                    "bf16")
         with pytest.raises(ConfigError, match="transfer precision"):
             payload_bytes("int4", 2, 2)
 
@@ -232,34 +230,46 @@ class TestQuantizeExactness:
         assert not fast.quantize(x, "int8").any()
 
 
-class TestFusedExactness:
-    @common_settings
-    @given(gather_cases(), st.sampled_from(MODES))
-    def test_fused_matches_reference_composition(self, case, mode):
-        feats, idx = case
-        want = reference.gather_quantize(feats, idx, mode)
-        got = fast.gather_quantize(feats, idx, mode)
-        assert got.dtype == want.dtype == feats.dtype   # no widen
-        np.testing.assert_array_equal(want, got)
+def _load(feats, idx, mode, kind="accel", pool=None):
+    """One batch through the single load path."""
+    return StagePipeline(None, feats, None, mode).load(
+        SimpleNamespace(input_nodes=idx), kind, pool=pool)
 
+
+class TestLoadExactness:
+    """``StagePipeline.load`` — gather, then quantize the gathered rows
+    in place — is the reference gather → quantize composition, bit for
+    bit, at every precision, pooled or not."""
+
+    @pytest.mark.parametrize("pooled", [False, True],
+                             ids=["unpooled", "pooled"])
+    @pytest.mark.parametrize("mode", MODES)
     @common_settings
-    @given(gather_cases(), st.sampled_from(MODES))
-    def test_fused_pooled_matches(self, case, mode):
+    @given(case=gather_cases())
+    def test_load_matches_reference_composition(self, case, mode,
+                                                pooled):
         feats, idx = case
-        want = reference.gather_quantize(feats, idx, mode)
-        pool = BufferPool()
+        want = reference.quantize(reference.gather(feats, idx), mode)
+        pool = BufferPool() if pooled else None
         for _ in range(2):                    # cold + steady state
-            np.testing.assert_array_equal(
-                want, fast.gather_quantize(feats, idx, mode,
-                                           pool=pool))
+            got = _load(feats, idx, mode, pool=pool)
+            assert got.dtype == want.dtype == feats.dtype   # no widen
+            np.testing.assert_array_equal(want, got)
 
-    @common_settings
-    @given(gather_cases(), st.sampled_from(MODES))
-    def test_dispatch_equals_direct_composition(self, case, mode):
-        feats, idx = case
-        fused = kernels.gather_quantize(feats, idx, mode)
-        composed = kernels.quantize(kernels.gather_rows(feats, idx), mode)
-        np.testing.assert_array_equal(fused, composed)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_transfer_consumes_its_input(self, mode):
+        """Accelerator rows are quantized in the array handed over (no
+        second batch-sized buffer); the CPU trainer's pass through
+        untouched."""
+        rows = np.random.default_rng(1).standard_normal(
+            (6, 5)).astype(np.float32)
+        pipe = StagePipeline(None, rows, None, mode)
+        x0 = rows.copy()
+        assert pipe.transfer(x0, "accel") is x0
+        np.testing.assert_array_equal(x0, reference.quantize(rows, mode))
+        x0 = rows.copy()
+        assert pipe.transfer(x0, "cpu") is x0
+        np.testing.assert_array_equal(x0, rows)
 
 
 class TestSegmentSumTolerance:
@@ -333,13 +343,16 @@ class TestCounters:
         assert d["gather_src_bytes"] == 20 * 10 * 4
         assert d["gather_out_bytes"] == 20 * 10 * 4     # store dtype
 
-    def test_fused_counts_payload(self):
+    def test_load_counts_gather_plus_quantize_payload(self):
         feats = np.ones((50, 10), dtype=np.float32)
         idx = np.arange(20)
         before = COUNTERS.snapshot()
-        kernels.gather_quantize(feats, idx, "int8")
+        _load(feats, idx, "int8")
         d = COUNTERS.delta(before)
-        assert d["fused_calls"] == 1
+        assert d["gather_calls"] == d["quantize_calls"] == 1
+        assert d["gather_rows"] == 20
+        assert d["gather_src_bytes"] == d["quantize_in_bytes"] == \
+            20 * 10 * 4
         assert d["payload_bytes"] == 20 * 10 * 1 + 20 * 4
 
     def test_quantize_counts_input_and_payload(self):
@@ -389,23 +402,36 @@ class TestCounters:
         merge_counts(into, {"a": 2, "b": 3})
         assert into == {"a": 3, "b": 3}
 
-    def test_gather_feature_rows_out_and_pool(self):
-        from types import SimpleNamespace
-
-        from repro.runtime.core import gather_feature_rows
+    def test_gather_rows_out_and_pool(self):
         feats = np.random.default_rng(0).standard_normal(
             (30, 6)).astype(np.float32)
-        mb = SimpleNamespace(input_nodes=np.arange(12))
-        want = feats[np.arange(12)]
+        idx = np.arange(12)
+        want = feats[idx]
         out = np.empty((12, 6), dtype=np.float32)
-        got = gather_feature_rows(feats, mb, out=out)
+        got = kernels.gather_rows(feats, idx, out=out)
         assert got is out
         np.testing.assert_array_equal(want, got)
         pool = BufferPool()
-        pooled = gather_feature_rows(feats, mb, pool=pool)
+        pooled = kernels.gather_rows(feats, idx, pool=pool)
         assert pooled.dtype == np.float32
         np.testing.assert_array_equal(want, pooled)
         assert pool.misses > 0
+
+    def test_pipeline_gather_pool_opt_in(self):
+        """``StagePipeline.gather`` allocates a fresh array unless the
+        caller opts into a pool, whose buffer it then reuses."""
+        feats = np.random.default_rng(0).standard_normal(
+            (30, 6)).astype(np.float32)
+        pipe = StagePipeline(None, feats, None, "fp32")
+        mb = SimpleNamespace(input_nodes=np.arange(12))
+        a, b = pipe.gather(mb), pipe.gather(mb)
+        assert a.base is None and b.base is None and a is not b
+        pool = BufferPool()
+        first = pipe.gather(mb, pool=pool)
+        second = pipe.gather(mb, pool=pool)
+        assert second.base is first.base is not None
+        assert pool.hits == 1 and pool.misses == 1
+        np.testing.assert_array_equal(feats[:12], second)
 
 
 # ---------------------------------------------------------------------------
@@ -419,20 +445,19 @@ class TestDispatchMatchesReference:
 
     @common_settings
     @given(gather_cases(), st.sampled_from(MODES))
-    def test_gather_quantize_across_tiers(self, case, mode):
+    def test_dispatched_pair_across_tiers(self, case, mode):
         feats, idx = case
         np.testing.assert_array_equal(
-            reference.gather_quantize(feats, idx, mode),
-            kernels.gather_quantize(feats, idx, mode))
+            reference.quantize(reference.gather(feats, idx), mode),
+            kernels.quantize(kernels.gather_rows(feats, idx), mode))
 
-    def test_quantize_dequantize_preserves_dtype(self):
-        from repro.runtime.quantize import quantize_dequantize
+    def test_quantize_preserves_dtype(self):
         for dtype in (np.float32, np.float64):
             x = np.random.default_rng(3).standard_normal(
                 (8, 5)).astype(dtype)
             for mode in MODES:
                 assert reference.quantize(x, mode).dtype == dtype
-                assert quantize_dequantize(x, mode).dtype == dtype
+                assert kernels.quantize(x, mode).dtype == dtype
 
     def test_segment_sum_aggregate_matches_reference(self):
         from repro.nn.aggregators import segment_sum_aggregate

@@ -127,24 +127,13 @@ class TestLivePipelineBounds:
                                    max_depth=cap, timeout_s=30)
         per_epoch = drm_session.iterations_per_epoch()
         rep = backend.run(per_epoch + 2)   # roll into a second epoch
-        # Under the default depth_source="realized" a timing+prefetch
-        # session seeds its first window from the floor (no realized
-        # signal yet), not the configured depth.
+        # A timing+prefetch session seeds its first window from the
+        # floor (no realized signal yet), not the configured depth.
         assert rep.depth_history[0] == (0, 1)
         for _, depth in rep.depth_history:
             assert 1 <= depth <= cap
         # The adaptive policy actually ran (timing plane present).
         assert len(rep.stage_history) == rep.iterations
-
-    def test_model_source_seeds_configured_depth(self, drm_session):
-        """``depth_source="model"`` preserves the pre-calibration
-        iteration-0 behavior: the first window opens at the configured
-        depth (the regression pin for PR7-era trajectories)."""
-        backend = PipelinedBackend(drm_session, initial_depth=2,
-                                   max_depth=3, timeout_s=30,
-                                   depth_source="model")
-        rep = backend.run(4)
-        assert rep.depth_history[0] == (0, 2)
 
     def test_no_stage_starves_while_work_remains(self, drm_session):
         """Occupancy > 0 on every stage whenever work remains: each

@@ -12,7 +12,8 @@ in-process ones over
 :class:`~repro.runtime.backends.pipelined.InProcessBackend` (the
 thread-less ``virtual`` among them), Listing 1's handshake and the
 all-reduce live in one function (an AST scan of the source), every
-backend implements ``run`` alone, one report class exists, the only
+backend implements ``run`` alone, each name's knobs match an explicit
+table, one report class exists, the only
 post-run round trip a worker ever answers is ``snapshot``, and the
 workers + store a backend opens on its first ``run()`` are the ones
 every later ``run()`` uses.
@@ -33,10 +34,12 @@ import pytest
 
 import repro
 from repro.config import SystemConfig, layer_dims
+from repro.errors import ConfigError
 from repro.runtime import (
     ExecutionBackend,
     TrainingSession,
     available_backends,
+    build_backend,
     get_backend,
 )
 from repro.runtime.backends.pipelined import InProcessBackend
@@ -57,6 +60,19 @@ PROCESS_PRESETS = ("process", "process_sampling", "process_pipelined",
 
 SRC = Path(repro.__file__).parent
 LISTING1_SIGNALS = {"DONE", "SYNC", "ACK", "ITER_START"}
+
+#: Each registry name's ``build_backend`` keywords.
+_LOOKAHEAD = {"initial_depth", "max_depth", "allocator", "timeout_s"}
+BACKEND_KEYWORDS = {
+    "virtual": set(),
+    "threaded": {"prefetch_depth", "timeout_s"},
+    "pipelined": _LOOKAHEAD,
+    "process": {"timeout_s", "mp_context"},
+    "process_sampling": {"timeout_s", "mp_context"},
+    "process_pipelined": _LOOKAHEAD | {"mp_context"},
+    "sharded": {"timeout_s", "mp_context", "partitioner",
+                "partition_seed", "remote_cache_rows"},
+}
 
 
 def _attr_name(node) -> str | None:
@@ -168,6 +184,18 @@ class TestStructure:
         assert not inspect.isabstract(cls)
         assert cls.run_epoch is ExecutionBackend.run_epoch, \
             f"{name} overrides run_epoch"
+
+    @pytest.mark.parametrize("name", sorted(BACKEND_KEYWORDS))
+    def test_backend_keywords_are_pinned(self, name):
+        """Every registered name's knobs, pinned: a new knob shows up
+        here as a diff, and the deleted ``depth_source`` is refused at
+        the front door like any unknown one."""
+        assert set(available_backends()) == set(BACKEND_KEYWORDS)
+        params = inspect.signature(get_backend(name).__init__).parameters
+        assert set(params) - {"self", "session"} == \
+            BACKEND_KEYWORDS[name]
+        with pytest.raises(ConfigError, match="depth_source"):
+            build_backend(name, None, depth_source="realized")
 
     def test_report_classes_under_backends(self):
         """Every backend, ``virtual`` and ``simulate_epoch`` included,

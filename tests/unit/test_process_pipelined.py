@@ -11,7 +11,9 @@ count never exceeds the adaptive cap — is pinned here as hypothesis
 properties over random quota/seed/depth schedules.
 """
 
+import pathlib
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +25,11 @@ from repro.runtime import LookaheadDealer, RunReport, StageStats
 from repro.runtime.backends.overlap import WORKER_STAGES
 from repro.runtime.core import BatchPlan
 from repro.runtime.shm import SharedPrefetchSpec
+
+# The conformance kit's helper, shared rather than copied (the same
+# directory pytest puts on the path for the integration suite).
+sys.path.insert(0, str(pathlib.Path(__file__).parents[1] / "integration"))
+from backend_conformance import analytic_lookahead  # noqa: E402
 
 common_settings = settings(
     max_examples=40, deadline=None,
@@ -212,12 +219,13 @@ class TestDepthDefaults:
                 cls(session, max_depth=8)
 
 
-class TestDepthSourceTrajectories:
-    """The ``depth_source`` knob's contract on both overlapped planes:
-    ``"model"`` reproduces the analytic depth trajectory bit for bit
-    (recomputable from the report's own stage history), ``"realized"``
-    seeds iteration 0 from the floor instead of the configured depth
-    (no realized signal exists yet — the iteration-0 depth bugfix)."""
+class TestLookaheadTrajectories:
+    """The look-ahead trajectory on both overlapped planes: with a
+    cold estimator (:func:`analytic_lookahead`) the depth history is
+    the analytic replay bit for bit (recomputable from the report's own
+    stage history); by default a timing session seeds iteration 0 from
+    the floor instead of the configured depth (no realized signal
+    exists yet — the iteration-0 depth bugfix)."""
 
     def _session(self, tiny_ds, fpga_platform):
         from repro.config import SystemConfig, TrainingConfig
@@ -246,13 +254,13 @@ class TestDepthSourceTrajectories:
 
     @pytest.mark.parametrize("backend_name",
                              ["pipelined", "process_pipelined"])
-    def test_model_source_trajectory_is_the_analytic_replay(
-            self, backend_name, tiny_ds, fpga_platform):
+    def test_cold_estimator_trajectory_is_the_analytic_replay(
+            self, backend_name, tiny_ds, fpga_platform, monkeypatch):
         from repro.runtime import get_backend
         session = self._session(tiny_ds, fpga_platform)
         backend = get_backend(backend_name)(
-            session, timeout_s=60, initial_depth=2, max_depth=4,
-            depth_source="model")
+            session, timeout_s=60, initial_depth=2, max_depth=4)
+        analytic_lookahead(backend, monkeypatch)
         rep = backend.run_epoch()
         oracle = self._oracle_trajectory(2, 4, rep.stage_history)
         # The fused plane resizes the dealer one retirement later than
@@ -262,13 +270,12 @@ class TestDepthSourceTrajectories:
 
     @pytest.mark.parametrize("backend_name",
                              ["pipelined", "process_pipelined"])
-    def test_realized_source_seeds_from_the_floor(
+    def test_timing_session_seeds_from_the_floor(
             self, backend_name, tiny_ds, fpga_platform):
         from repro.runtime import get_backend
         session = self._session(tiny_ds, fpga_platform)
         backend = get_backend(backend_name)(
             session, timeout_s=60, initial_depth=3, max_depth=4)
-        assert backend.lookahead.depth_source == "realized"
         rep = backend.run_epoch()
         assert rep.depth_history[0] == (0, 1)
         assert backend.lookahead.initial_depth == 3   # knob untouched
@@ -288,17 +295,8 @@ class TestDepthSourceTrajectories:
         expected = adaptive_depth(
             backend.lookahead.estimator.calibrate(session.stage_times(None, None)),
             cap=4)
-        assert seed_depth(session, 3, 4, "realized",
+        assert seed_depth(session, 3, 4,
                           backend.lookahead.estimator) == expected
-
-    @pytest.mark.parametrize("backend_name",
-                             ["pipelined", "process_pipelined"])
-    def test_unknown_depth_source_rejected(self, backend_name,
-                                           tiny_ds, fpga_platform):
-        from repro.runtime import get_backend
-        session = self._session(tiny_ds, fpga_platform)
-        with pytest.raises(ProtocolError):
-            get_backend(backend_name)(session, depth_source="oracle")
 
 
 class TestSharedPrefetchSpec:

@@ -5,47 +5,46 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.errors import ConfigError
-from repro.runtime.quantize import (
-    TRANSFER_BYTES,
-    quantization_rmse,
-    quantize_dequantize,
-)
+from repro.kernels import quantize
+from repro.runtime.quantize import TRANSFER_BYTES, quantization_rmse
 
 
 class TestQuantizeDequantize:
+    """The transfer round trip, :func:`repro.kernels.quantize`."""
+
     def test_fp32_is_identity(self):
         x = np.random.default_rng(0).standard_normal((8, 4))
-        assert np.array_equal(quantize_dequantize(x, "fp32"), x)
+        assert np.array_equal(quantize(x, "fp32"), x)
 
     def test_fp16_roundtrip_error_small(self):
         x = np.random.default_rng(1).standard_normal((64, 16))
-        q = quantize_dequantize(x, "fp16")
+        q = quantize(x, "fp16")
         # fp16 has ~3 decimal digits: relative error under 1e-3.
         assert np.max(np.abs(q - x) / np.maximum(np.abs(x), 1e-3)) \
             < 2e-3
 
     def test_int8_bounded_error(self):
         x = np.random.default_rng(2).standard_normal((32, 8))
-        q = quantize_dequantize(x, "int8")
+        q = quantize(x, "int8")
         # Per-row symmetric: error bounded by scale/2 = absmax/254.
         absmax = np.abs(x).max(axis=1, keepdims=True)
         assert (np.abs(q - x) <= absmax / 127.0 + 1e-12).all()
 
     def test_int8_preserves_extremes(self):
         x = np.array([[-2.0, 0.0, 2.0]])
-        q = quantize_dequantize(x, "int8")
+        q = quantize(x, "int8")
         assert q[0, 0] == pytest.approx(-2.0, rel=0.02)
         assert q[0, 2] == pytest.approx(2.0, rel=0.02)
 
     def test_int8_zero_row_safe(self):
         x = np.zeros((3, 4))
-        assert not quantize_dequantize(x, "int8").any()
+        assert not quantize(x, "int8").any()
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
-            quantize_dequantize(np.zeros((2, 2)), "int4")
+            quantize(np.zeros((2, 2)), "int4")
         with pytest.raises(ConfigError):
-            quantize_dequantize(np.zeros(4), "fp16")
+            quantize(np.zeros(4), "fp16")
 
     def test_rmse_ordering(self):
         x = np.random.default_rng(3).standard_normal((64, 32))
@@ -63,15 +62,15 @@ class TestQuantizeDequantize:
             x = np.random.default_rng(5).standard_normal(
                 (16, 8)).astype(dtype)
             for mode in ("fp32", "fp16", "int8"):
-                assert quantize_dequantize(x, mode).dtype == dtype
+                assert quantize(x, mode).dtype == dtype
 
     def test_float32_int8_roundtrip_no_widening_error(self):
         # The float32 fast path (no float64 temp) must still land on
         # the same quantization grid the widened computation defines.
         x = np.random.default_rng(6).standard_normal(
             (32, 8)).astype(np.float32)
-        q32 = quantize_dequantize(x, "int8")
-        q64 = quantize_dequantize(x.astype(np.float64), "int8")
+        q32 = quantize(x, "int8")
+        q64 = quantize(x.astype(np.float64), "int8")
         np.testing.assert_allclose(q32, q64.astype(np.float32),
                                    rtol=1e-6, atol=1e-7)
 

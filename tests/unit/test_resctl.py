@@ -420,9 +420,10 @@ class TestDurationRowGating:
 
 
 class TestTimingStepHooks:
-    """``timing_step``'s resctl kwargs are strictly opt-in: passing an
-    estimator without ``calibrate`` observes but returns bit-identical
-    results; calibrating feeds corrected times to row/DRM."""
+    """``timing_step``'s estimator hook: a cold estimator observes but
+    returns bit-identical results (what lets a never-warm estimator pin
+    the analytic trajectory); a warm one feeds corrected times to
+    row/DRM."""
 
     @pytest.fixture()
     def session_pair(self, tiny_ds, fpga_platform):
@@ -450,18 +451,21 @@ class TestTimingStepHooks:
                 stats_accel.append(st_)
         return stats_cpu, stats_accel
 
-    def test_observe_only_is_bit_identical(self, session_pair):
+    def test_cold_estimator_observes_and_is_bit_identical(
+            self, session_pair):
         plain, hooked = session_pair
         stats_cpu, stats_accel = self._stats(plain)
         h_cpu, h_accel = self._stats(hooked)
-        est = OnlineEstimator(warmup=1)
-        for _ in range(4):   # warm it: corrections would bite if used
+        est = OnlineEstimator(warmup=10)
+        for _ in range(4):   # observed, but short of warm
             est.observe({"load": 123.0}, _times(0.01))
         t0, r0, s0 = plain.timing_step(stats_cpu, stats_accel, 0,
                                        overlapped=True)
         t1, r1, s1 = hooked.timing_step(
             h_cpu, h_accel, 0, overlapped=True, estimator=est,
-            realized={"load": 123.0}, calibrate=False)
+            realized={"load": 123.0})
+        assert est.observations("load") == 5
+        assert not est.is_warm()
         assert t0 == t1
         assert r0 == r1
         assert s0 == s1
@@ -478,7 +482,7 @@ class TestTimingStepHooks:
             est.observe({"load": t0.t_load * scale}, t0)
         t1, _, _ = hooked.timing_step(
             h_cpu, h_accel, 0, overlapped=True, estimator=est,
-            realized={"load": t0.t_load * scale}, calibrate=True)
+            realized={"load": t0.t_load * scale})
         assert t1.t_load > t0.t_load
         assert t1.t_load == pytest.approx(
             t0.t_load * est.correction("load"))
