@@ -118,9 +118,10 @@ def compare(baseline: dict, current: dict, *,
 
 
 #: Shed reasons the serving plane is allowed to emit (mirrors
-#: ``repro.serving.SHED_REASONS``; duplicated so the gate stays a
-#: dependency-free script).
-SERVING_SHED_REASONS = ("queue_full", "no_credit", "closed")
+#: ``repro.serving.SHED_REASONS`` minus ``"failed"``, which the
+#: accepted == completed check already catches; duplicated so the gate
+#: stays a dependency-free script).
+SERVING_SHED_REASONS = ("queue_full", "no_credit", "closed", "invalid")
 
 #: Baseline shed rate above which a scenario counts as an overload
 #: scenario whose shedding must reproduce.

@@ -390,9 +390,9 @@ class TrainingSession:
     def work_source(self) -> WorkSource:
         """The numbered work-item stream backends drain
         (:class:`~repro.runtime.stage_pipeline.WorkSource`): for a
-        training session, the :class:`BatchPlan`. Serving sessions
-        expose their micro-batch queue through the same property, which
-        is what lets an overlapped dispatcher drive either plane."""
+        training session, the :class:`BatchPlan`; the sharded plane
+        substitutes its own :class:`~repro.runtime.backends.sharded.ShardPlan`
+        behind the same protocol."""
         return self.plan
 
     # ------------------------------------------------------------------

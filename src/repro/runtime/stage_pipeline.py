@@ -17,9 +17,8 @@ extraction that lets a non-training session reuse it:
   times (what the serving plane bills against its latency budget);
 * :class:`WorkSource` — the protocol behind which the training
   :class:`~repro.runtime.core.BatchPlan` (epoch permutation + quota
-  cursor) and the serving micro-batch queue look identical to an
-  overlapped backend's dispatcher: a stream of
-  ``(index, work item)`` pairs.
+  cursor) and the sharded plane's per-owner plan look identical to a
+  backend's dispatcher: a stream of ``(index, work item)`` pairs.
 
 :class:`~repro.runtime.core.TrainingSession` composes a
 :class:`StagePipeline` and keeps its historical stage hooks
@@ -55,15 +54,14 @@ from ..sampling.base import MiniBatch, Sampler
 
 @runtime_checkable
 class WorkSource(Protocol):
-    """A stream of work items an overlapped dispatcher can drain.
+    """A stream of work items a backend's dispatcher can drain.
 
     Training's :class:`~repro.runtime.core.BatchPlan` yields
     ``(global_iteration, PlannedIteration)`` pairs off per-epoch
-    permutations; the serving plane's micro-batch queue yields
-    ``(sequence_number, MicroBatch)`` pairs off the admission queue.
-    Either way a backend's dispatcher sees a numbered stream it feeds
-    into the stage pipeline — which is what lets one overlapped
-    executor drive both planes.
+    permutations, and the sharded plane's plan deals the same pairs by
+    owner. Either way a backend's dispatcher sees a numbered stream it
+    feeds into the stage pipeline, written against the protocol rather
+    than the class.
     """
 
     def iterate(self, iterations: int

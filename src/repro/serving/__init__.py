@@ -14,9 +14,9 @@ The pieces, front to back:
   surface;
 * :mod:`~repro.serving.admission` — bounded pending queue + per-tenant
   credit buckets (all refusals happen here, before any stage work);
-* :mod:`~repro.serving.microbatch` — deadline/size-flushed coalescing
-  into :class:`MicroBatch` work items behind the shared
-  :class:`~repro.runtime.stage_pipeline.WorkSource` protocol;
+* :mod:`~repro.serving.microbatch` — size-flushed coalescing into
+  :class:`MicroBatch` work items, sealed early by an idle executor and
+  at the latest by the coalesce deadline;
 * :mod:`~repro.serving.session` — :class:`ServingSession`, composing
   the shared :class:`~repro.runtime.stage_pipeline.StagePipeline`,
   the model, session-scoped stats handles, and a

@@ -120,14 +120,12 @@ def run_open_loop(session: ServingSession,
         session.step()
 
     deadline = clock() + spec.grace_s
-    session.batcher.flush()
     while session.admission.pending > 0:
         if clock() > deadline:
             raise ProtocolError(
                 f"serving drain exceeded the {spec.grace_s}s grace "
                 f"deadline with {session.admission.pending} pending")
         session.step()
-        session.batcher.flush()
     wall = clock() - start
     return LoadgenResult(spec=spec, report=session.finalize_report(),
                          wall_s=wall)

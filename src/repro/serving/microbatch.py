@@ -3,19 +3,20 @@
 Serving a GNN one request at a time wastes the batch-oriented
 sampler/gather/kernel stack; batching too long blows the latency
 budget. The :class:`MicroBatcher` holds the middle: admitted requests
-join an *open* batch, which flushes when either
+join an *open* batch, which flushes when
 
-* its target count reaches ``max_batch_targets`` (size flush), or
+* its target count reaches ``max_batch_targets`` (size flush),
 * the **oldest** request in it has waited ``coalesce_window_s``
   (deadline flush) — the window is validated against the session's
   latency budget at construction, so coalescing can never consume the
-  whole budget.
+  whole budget, or
+* its consumer asks (:meth:`~MicroBatcher.flush`) — the serving
+  session does so whenever it would otherwise sit idle, so the window
+  is an upper bound that only bites on a batch waiting behind a
+  backlog of sealed ones.
 
-Flushed batches queue as :class:`MicroBatch` work items; the batcher's
-:meth:`~MicroBatcher.iterate` makes the ready queue a
-:class:`~repro.runtime.stage_pipeline.WorkSource`, the same protocol
-the training :class:`~repro.runtime.core.BatchPlan` satisfies — which
-is what lets an overlapped dispatcher drive either plane.
+Flushed batches queue as :class:`MicroBatch` work items, handed out
+oldest first by :meth:`~MicroBatcher.take`.
 
 The clock is injectable (``clock=lambda: t``), so the flush rules are
 property-testable with a virtual clock: every accepted request lands
@@ -28,7 +29,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -126,7 +127,7 @@ class MicroBatcher:
             self._flush(self.clock())
 
     def flush(self) -> None:
-        """Force-flush the open batch (drain path / shutdown)."""
+        """Seal the open batch now (an idle consumer's flush)."""
         if self._open:
             self._flush(self.clock())
 
@@ -143,20 +144,6 @@ class MicroBatcher:
         while self._ready and (limit is None or len(out) < limit):
             out.append(self._ready.popleft())
         return out
-
-    def iterate(self, iterations: int
-                ) -> Iterator[tuple[int, MicroBatch]]:
-        """The :class:`~repro.runtime.stage_pipeline.WorkSource`
-        surface: yield up to ``iterations`` numbered ready batches
-        (applying the deadline rule first). Non-blocking — the stream
-        ends when the ready queue drains, mirroring how a training
-        plan's stream ends with its epochs."""
-        self.poll()
-        for _ in range(iterations):
-            if not self._ready:
-                return
-            batch = self._ready.popleft()
-            yield batch.seq, batch
 
     # ------------------------------------------------------------------
     @property

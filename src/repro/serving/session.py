@@ -8,10 +8,6 @@ parts the redesign extracted for exactly this purpose:
   (sampler via the registry → gather kernel → in-place transfer
   quantization) prepares each micro-batch, so serving exercises the
   identical hot path the training backends run;
-* its micro-batch queue satisfies the same
-  :class:`~repro.runtime.stage_pipeline.WorkSource` protocol as a
-  training :class:`~repro.runtime.core.BatchPlan` (numbered work
-  items), exposed through the same ``work_source`` property;
 * it carries its own session-scoped
   :class:`~repro.runtime.resctl.StageMonitor` and
   :class:`~repro.kernels.KernelCounters` handles, so a serving session
@@ -28,9 +24,11 @@ loop drives ``submit``/``step``; determinism is what the conformance
 tier and the property tests buy with that):
 
 ``submit`` → admission (``closed`` / ``invalid`` / ``queue_full`` /
-``no_credit`` typed sheds, *before* any stage work) → micro-batcher (deadline or
-size flush) → ``step`` (allocator-capped batch execution: stage
-pipeline → model forward → per-request responses; a batch whose
+``no_credit`` typed sheds, *before* any stage work) → micro-batcher (size
+flush; a partial batch waiting behind a backlog is sealed by the
+coalesce deadline) → ``step`` (work-conserving: with no sealed batch
+ready it flushes the open one; then allocator-capped batch execution:
+stage pipeline → model forward → per-request responses; a batch whose
 execution raises answers each member with a ``failed`` response).
 """
 
@@ -44,14 +42,15 @@ from typing import Callable
 import numpy as np
 
 from ..config import SystemConfig, TrainingConfig, layer_dims
-from ..errors import ConfigError
+from ..errors import ConfigError, SamplingError
 from ..graph.datasets import GraphDataset
 from ..kernels import KernelCounters, scoped_counters
 from ..nn.models import build_model
 from ..runtime.resctl import DEFAULT_ALLOCATOR, NodeAllocator, \
     StageMonitor
-from ..runtime.stage_pipeline import StagePipeline, WorkSource
+from ..runtime.stage_pipeline import StagePipeline
 from ..sampling import build_sampler
+from ..sampling.base import check_target_ids
 from .admission import AdmissionController, CreditScheduler
 from .microbatch import MicroBatch, MicroBatcher
 from .requests import InferenceRequest, InferenceResponse, ShedResponse
@@ -65,8 +64,10 @@ class ServingConfig:
 
     ``latency_budget_s`` is the contract the benchmark holds the
     session to (accepted p99 within budget); ``coalesce_window_s``
-    (default: a quarter of the budget) is how much of it the batcher
-    may spend coalescing. Admission bounds — the pending-request queue
+    (default: a quarter of the budget) is an upper bound on how much
+    of it the batcher may spend coalescing. It only bites behind a
+    backlog: an idle :meth:`ServingSession.step` flushes the open
+    batch at once. Admission bounds — the pending-request queue
     and the per-tenant credit bucket — are what keep the budget
     holdable under overload: beyond them the session sheds (typed)
     instead of queueing.
@@ -245,16 +246,6 @@ class ServingSession:
         self._next_id = 0
 
     # ------------------------------------------------------------------
-    # WorkSource surface (shared with BatchPlan)
-    # ------------------------------------------------------------------
-    @property
-    def work_source(self) -> WorkSource:
-        """The numbered micro-batch stream — the serving counterpart
-        of a training session's :class:`~repro.runtime.core.BatchPlan`
-        behind the same protocol."""
-        return self.batcher
-
-    # ------------------------------------------------------------------
     # Front door
     # ------------------------------------------------------------------
     def submit(self, targets, tenant: str = "default", *,
@@ -274,17 +265,21 @@ class ServingSession:
         self._next_id += 1
         if arrival_s is None:
             arrival_s = now
-        targets = np.asarray(targets, dtype=np.int64).reshape(-1)
+        targets = np.asarray(targets)
         if self.closed:
             return self._shed(rid, tenant, "closed", now)
         if targets.size == 0:
             raise ConfigError("request needs at least one target")
-        # Outside input: a bad id would otherwise blow up inside the
-        # sampler mid-batch, taking the valid co-batched requests (and
-        # their admission slots) with it. Refused before any credit is
-        # spent or slot admitted.
-        if targets.min() < 0 or \
-                targets.max() >= self.dataset.graph.num_vertices:
+        # Outside input, checked by the samplers' own rules before any
+        # cast: a bad id (out of range, fractional, or nested) would
+        # otherwise be truncated into a real vertex or blow up inside
+        # the sampler mid-batch, taking the valid co-batched requests
+        # (and their admission slots) with it. Refused before any
+        # credit is spent or slot admitted.
+        try:
+            targets = check_target_ids(targets,
+                                       self.dataset.graph.num_vertices)
+        except SamplingError:
             return self._shed(rid, tenant, "invalid", now)
         if self.admission.pending >= self.config.max_pending_requests:
             return self._shed(rid, tenant, "queue_full", now)
@@ -309,14 +304,23 @@ class ServingSession:
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> list[InferenceResponse | ShedResponse]:
-        """Flush due micro-batches and execute up to the allocator's
-        live grant of them; returns one response per member request.
+        """Execute up to the allocator's live grant of micro-batches,
+        oldest first; returns one response per member request.
+
+        Work-conserving: when no sealed batch is ready, the open batch
+        is flushed rather than left to wait out the coalesce window, so
+        a step with anything pending always answers something. Requests
+        submitted since the last step still ride one batch, and behind
+        a backlog of size-flushed batches the open batch keeps
+        collecting (the window then bounds how long it may).
 
         A batch whose execution raises is logged and answered with a
         ``"failed"`` :class:`ShedResponse` per member; the other taken
         batches still execute and nothing is re-raised.
         """
         self.batcher.poll()
+        if not self.batcher.ready_batches:
+            self.batcher.flush()
         cap = self.config.max_depth
         if not self._grant.released:
             cap = min(cap, self._grant.depth_cap)
@@ -329,13 +333,11 @@ class ServingSession:
         return responses
 
     def drain(self) -> list[InferenceResponse | ShedResponse]:
-        """Force-flush and execute everything pending (shutdown /
-        end-of-run path)."""
+        """Step until nothing is pending (shutdown / end-of-run
+        path)."""
         responses: list[InferenceResponse | ShedResponse] = []
-        self.batcher.flush()
-        while self.batcher.ready_batches:
+        while self.batcher.pending_requests:
             responses.extend(self.step())
-            self.batcher.flush()
         return responses
 
     def _execute(self, batch: MicroBatch) -> list[InferenceResponse]:

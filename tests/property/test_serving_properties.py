@@ -12,9 +12,11 @@ arrival pattern,
   request waits in the batcher longer than the budget allows;
 * a shed request never reaches the sampler: shedding happens entirely
   in the front door, so the sampler is invoked exactly once per
-  *flushed batch*, never for refused work.
+  *flushed batch*, never for refused work;
+* the executor is work-conserving: a ``step()`` with anything pending
+  answers something, without waiting out the coalesce window.
 
-All three are exercised on a hand-cranked virtual clock, so deadline
+All are exercised on a hand-cranked virtual clock, so deadline
 behavior is deterministic under hypothesis shrinking.
 """
 
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.config import TrainingConfig
 from repro.graph.datasets import tiny_dataset
+from repro.runtime.resctl import NodeAllocator
 from repro.serving import (
     InferenceRequest,
     MicroBatcher,
@@ -129,6 +132,25 @@ _CFG = TrainingConfig(model="sage", minibatch_size=16, fanouts=(3, 2),
                       hidden_dim=8, learning_rate=0.05, seed=11)
 
 
+def _session(clock: VirtualClock, **config) -> ServingSession:
+    """A serving session on ``clock`` with its own allocator, so no
+    co-tenant registration can lower its grant."""
+    return ServingSession(
+        _DS, _CFG,
+        config=ServingConfig(latency_budget_s=0.2, **config),
+        allocator=NodeAllocator(depth_budget=8), clock=clock)
+
+
+def _spy_sampler(session: ServingSession) -> list:
+    """Record the target list of every sampler call on ``session``."""
+    sampler = session.pipeline.sampler
+    calls = []
+    inner = sampler.sample
+    sampler.sample = lambda targets: (
+        calls.append(np.asarray(targets).tolist()), inner(targets))[1]
+    return calls
+
+
 class TestShedNeverSamples:
     @session_settings
     @given(num_requests=st.integers(1, 30),
@@ -175,18 +197,9 @@ class TestShedNeverSamples:
         slot forever. Now it is a typed ``invalid`` shed issued before
         any credit is spent or slot admitted."""
         clock = VirtualClock()
-        session = ServingSession(
-            _DS, _CFG,
-            config=ServingConfig(latency_budget_s=0.2,
-                                 credit_rate_targets_per_s=100.0,
-                                 credit_burst_targets=16),
-            clock=clock)
-        sampler = session.pipeline.sampler
-        calls = []
-        inner = sampler.sample
-        sampler.sample = lambda targets: (
-            calls.append(np.asarray(targets).tolist()),
-            inner(targets))[1]
+        session = _session(clock, credit_rate_targets_per_s=100.0,
+                           credit_burst_targets=16)
+        calls = _spy_sampler(session)
 
         assert session.submit([1, 2]) is None
         too_big = session.submit([10**9])
@@ -203,3 +216,105 @@ class TestShedNeverSamples:
         assert report.shed == {"invalid": 2}
         # The ledger still conserves: only the valid request spent.
         assert session.credits.ledger()["default"]["spent_targets"] == 2
+
+    @pytest.mark.parametrize("bad", [[1.7, 2.2], [[1, 2], [3, 4]]],
+                             ids=["fractional", "nested"])
+    def test_non_integer_or_nested_ids_shed_before_the_cast(self, bad):
+        """Fractional ids used to be truncated into real vertices (1.7
+        served as vertex 1) and nested lists flattened, both accepted.
+        Both are typed ``invalid`` sheds now, before any credit or
+        admission slot is spent."""
+        session = _session(VirtualClock(),
+                           credit_rate_targets_per_s=100.0,
+                           credit_burst_targets=16)
+        calls = _spy_sampler(session)
+        assert session.submit([1, 2]) is None
+        ledger = session.credits.ledger()
+
+        shed = session.submit(bad)
+        assert shed is not None and shed.reason == "invalid"
+        assert session.credits.ledger() == ledger
+        assert session.admission.pending == 1
+        assert [r.request_id for r in session.drain()] == [0]
+        assert calls == [[1, 2]]          # never sampled for bad work
+        assert session.close().shed == {"invalid": 1}
+
+
+#: A random submit/step interleaving: a submit of that many targets,
+#: or ``None`` for a step.
+interleavings = st.lists(st.one_of(st.none(), st.integers(1, 6)),
+                         min_size=1, max_size=40)
+
+
+class TestWorkConservation:
+    """An idle executor flushes the open micro-batch instead of waiting
+    out the coalesce window. Every test runs on a clock that is never
+    advanced, so no deadline ever fires: whatever a step answers, work
+    conservation answered it."""
+
+    def test_one_request_is_answered_by_the_next_step(self):
+        session = _session(VirtualClock())
+        assert session.submit(_DS.train_ids[:3]) is None
+        (response,) = session.step()
+        assert response.request_id == 0
+        assert response.predictions.shape == (3,)
+        assert session.admission.pending == 0
+
+    def test_requests_submitted_before_a_step_ride_one_batch(self):
+        session = _session(VirtualClock(), max_batch_targets=64)
+        k = 5
+        for i in range(k):
+            assert session.submit(_DS.train_ids[2 * i:2 * i + 2]) is None
+        responses = session.step()
+        assert sorted(r.request_id for r in responses) == list(range(k))
+        assert {r.batch_seq for r in responses} == {0}
+        assert session.report.batch_sizes[-1] == k
+
+    def test_open_batch_keeps_collecting_behind_a_backlog(self):
+        # Grant cap 1, and two size-flushed batches ahead of a partial
+        # open one: each step takes the oldest ready batch, and the
+        # open batch stays open (and keeps collecting) until the
+        # backlog is gone.
+        session = _session(VirtualClock(), max_batch_targets=4,
+                           max_depth=1)
+        ids = _DS.train_ids
+        for targets in (ids[0:4], ids[4:8], ids[8:9]):
+            assert session.submit(targets) is None
+        assert session.batcher.ready_batches == 2
+
+        assert [r.request_id for r in session.step()] == [0]
+        assert session.submit(ids[9:10]) is None
+        assert session.batcher.pending_requests == 3
+        assert [r.request_id for r in session.step()] == [1]
+        assert session.batcher.ready_batches == 0
+        assert session.batcher.pending_requests == 2   # still open
+
+        last = session.step()
+        assert [r.request_id for r in last] == [2, 3]
+        assert {r.batch_seq for r in last} == {2}
+        assert session.report.batch_sizes == [1, 1, 2]
+
+    @session_settings
+    @given(ops=interleavings,
+           max_batch_targets=st.integers(1, 12),
+           max_depth=st.integers(1, 3))
+    def test_every_step_with_pending_work_answers(
+            self, ops, max_batch_targets, max_depth):
+        session = _session(VirtualClock(),
+                           max_batch_targets=max_batch_targets,
+                           max_pending_requests=16, max_depth=max_depth)
+        rng = np.random.default_rng(0)
+        answered = 0
+        for op in ops:
+            if op is None:
+                pending = session.admission.pending
+                responses = session.step()
+                assert bool(responses) == (pending > 0)
+                answered += len(responses)
+            else:
+                session.submit(rng.choice(_DS.train_ids, size=op,
+                                          replace=False))
+        answered += len(session.drain())
+        report = session.close()
+        assert answered == report.accepted == report.completed
+        assert session.admission.pending == 0

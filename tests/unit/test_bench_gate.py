@@ -205,6 +205,13 @@ class TestCompareServing:
         bad["schema"] = "bench-serving/v2"
         assert gate.compare_serving(SERVING_BASE, bad)
 
+    def test_shed_reasons_mirror_the_serving_plane(self):
+        # ``failed`` stays out: the accepted == completed check is
+        # what catches a failed batch.
+        from repro.serving import SHED_REASONS
+        assert set(gate.SERVING_SHED_REASONS) == \
+            set(SHED_REASONS) - {"failed"}
+
 
 class TestCommittedServingBaseline:
     @pytest.fixture(scope="class")
