@@ -35,9 +35,9 @@ This package is the paper's primary contribution (§III-§IV):
   single-segment shared-memory mapping of the dataset's features,
   labels and CSR topology that process workers gather from zero-copy;
 * :mod:`repro.runtime.resctl` — feedback-driven resource control:
-  :class:`StageMonitor` (realized per-stage wall times sampled from
-  the live planes), :class:`OnlineEstimator` (calibrates the analytic
-  perf model against the realized signal), and :class:`NodeAllocator`
+  :class:`OnlineEstimator` (calibrates the analytic perf model against
+  the realized per-stage wall times the live planes' replies carry)
+  and :class:`NodeAllocator`
   (arbitrates look-ahead depth budget across concurrent sessions).
   The look-ahead backends close the loop through their
   ``DepthPolicy`` (see ``docs/architecture.md``).
@@ -93,8 +93,6 @@ from .resctl import (
     DepthGrant,
     NodeAllocator,
     OnlineEstimator,
-    StageMonitor,
-    StageSummary,
     fold_worker_realized,
     summarize_calibration,
 )
@@ -134,8 +132,6 @@ __all__ = [
     "DepthGrant",
     "NodeAllocator",
     "OnlineEstimator",
-    "StageMonitor",
-    "StageSummary",
     "fold_worker_realized",
     "summarize_calibration",
     "SharedFeatureStore",

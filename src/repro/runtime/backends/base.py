@@ -56,7 +56,7 @@ import numpy as np
 from ...kernels import KernelCounters, scoped_counters
 from ..core import TrainingSession
 from ..protocol import Signal
-from ..resctl import StageMonitor, fold_worker_realized
+from ..resctl import fold_worker_realized
 from .report import Reply
 
 
@@ -96,13 +96,6 @@ class ExecutionBackend(abc.ABC):
 
     def __init__(self, session: TrainingSession) -> None:
         self.session = session
-        #: Realized per-stage wall-time monitor (resctl stage 1) —
-        #: an explicit **session-scoped handle**: every plane feeds
-        #: its own through :meth:`end_iteration`; overlapped planes
-        #: additionally calibrate
-        #: from it through their estimator. Two concurrent sessions
-        #: (train + serve, or two trainings) never share one.
-        self.monitor = StageMonitor()
         #: Session-scoped kernel-traffic handle: the in-process planes
         #: enlist their run/stage threads into it
         #: (:func:`repro.kernels.scoped_counters`), so a report's
@@ -163,11 +156,14 @@ class ExecutionBackend(abc.ABC):
         synchronizer all-reduces, ``publish(avg)`` (if given) hands the
         average on before any optimizer steps, ``SYNC``, every
         optimizer steps and raises ``ACK``, ``ITER``. The iteration's
-        loss, accuracy and edges land on ``report``; the realized stage
-        seconds (the all-reduce timed here) feed :attr:`monitor`. With
-        ``adjudicate`` and a timing plane it also takes the timing/DRM
-        step (:meth:`record_timing`, under :attr:`lookahead`) and
-        returns its stage times; otherwise ``None``."""
+        loss, accuracy and edges land on ``report``, and each busy
+        trainer's ``stage_s`` is billed to ``report.stage_seconds``
+        (:meth:`~.report.RunReport.add_stage_seconds` — the one writer,
+        on every plane). With ``adjudicate`` and a timing plane it also
+        takes the timing/DRM step (:meth:`record_timing`, under
+        :attr:`lookahead`) on the iteration's realized stage map (the
+        all-reduce timed here as ``sync``) and returns its stage times;
+        otherwise ``None``."""
         s = self.session
         log = report.protocol_log
         busy = [(trainer, a) for trainer, a in zip(s.trainers, answers)
@@ -190,13 +186,13 @@ class ExecutionBackend(abc.ABC):
         report.losses.append(float(np.mean([a.loss for _, a in busy])))
         report.accuracies.append(
             float(np.mean([a.accuracy for _, a in busy])))
-        for _, a in busy:
+        for trainer, a in busy:
             report.total_edges += a.stats.total_edges
-        realized = fold_worker_realized(
-            [(trainer.kind, a.stage_s) for trainer, a in busy], sync_s)
-        self.monitor.observe_times(realized)
+            report.add_stage_seconds(trainer.kind, a.stage_s)
         if not (adjudicate and s.has_timing):
             return None
+        realized = fold_worker_realized(
+            [(trainer.kind, a.stage_s) for trainer, a in busy], sync_s)
         return self.record_timing(
             report, rows, [None if a is None else a.stats
                            for a in answers],

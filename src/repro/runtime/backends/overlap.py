@@ -282,7 +282,7 @@ class DepthPolicy:
             session, initial_depth, max_depth)
         self.allocator = allocator if allocator is not None \
             else DEFAULT_ALLOCATOR
-        self.estimator = OnlineEstimator(monitor=None)
+        self.estimator = OnlineEstimator()
         self.grant = None
         self.depth = self.initial_depth
 

@@ -60,7 +60,7 @@ from ...errors import ProtocolError, StageTimeoutError, WorkerError
 from ...kernels import COUNTERS, BufferPool, merge_counts
 from ...sampling.base import LayerBlock, MiniBatch
 from ..prefetch import PrefetchBuffer
-from ..resctl import NodeAllocator, map_worker_totals
+from ..resctl import NodeAllocator
 from ..stage_pipeline import StagePipeline
 from .base import ExecutionBackend
 from .overlap import DepthPolicy, LookaheadDealer, StageChain
@@ -95,14 +95,13 @@ class WorkerSnapshot:
     for the parity audit, the kernel-counter delta since the run began
     (a *delta*: under fork the worker's counters inherit whatever the
     parent accumulated before spawning, and a reused worker carries its
-    earlier runs'), cumulative
-    ``{raw_stage: (count, total_s)}`` stage accounting, and the
-    overlapped body's ``{stage: (items, high_water, mean_occupancy)}``
-    buffer accounting (empty for the inline body)."""
+    earlier runs'), and the overlapped body's ``{stage: (items,
+    high_water, mean_occupancy)}`` buffer accounting (empty for the
+    inline body). Stage seconds are not in it: every reply already
+    carried its batch's."""
 
     params: np.ndarray
     kernel_stats: dict[str, int]
-    stage_totals: dict[str, tuple[int, float]]
     buffers: dict[str, tuple[int, int, float]]
 
 
@@ -125,15 +124,13 @@ class WireBatchDeal:
 
     @staticmethod
     def pack(session, targets: np.ndarray):
-        """``(payload, stats, parent_sample_seconds)`` for one batch."""
-        t0 = time.perf_counter()
+        """``(payload, stats)`` for one batch."""
         mb = session.sampler.sample(targets)
-        dt = time.perf_counter() - t0
         wire = (mb.node_ids,
                 [(b.src_local, b.dst_local, b.num_src, b.num_dst)
                  for b in mb.blocks],
                 mb.feature_dim)
-        return wire, mb.stats(), dt
+        return wire, mb.stats()
 
     @staticmethod
     def unpack(wire) -> MiniBatch:
@@ -162,7 +159,7 @@ class TargetDeal:
 
     @staticmethod
     def pack(session, targets: np.ndarray):
-        return targets, None, 0.0
+        return targets, None
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +196,6 @@ class WorkerReplica(StagePipeline):
         self.node = TrainerNode(spec.name, spec.kind, self.model, None,
                                 spec.dims, spec.model_name)
         self.opt = SGD(self.model, lr=spec.learning_rate)
-        #: Cumulative ``{raw_stage: [count, total_s]}`` for the snapshot.
-        self.stage_totals: dict[str, list] = {}
 
     def fresh_sampler(self):
         """A private, independently-seeded sampler over the shared CSR
@@ -213,12 +208,11 @@ class WorkerReplica(StagePipeline):
     def begin_run(self, params: np.ndarray) -> None:
         """Start a run on this (possibly reused) process exactly as a
         freshly spawned one would: the parent's *current* parameters,
-        the sampler stream back at its seed, empty accounting — reuse
-        is numerically invisible. The validated CSR view is the
-        store's and survives; only the sampler around it is rebuilt."""
+        the sampler stream back at its seed — reuse is numerically
+        invisible. The validated CSR view is the store's and survives;
+        only the sampler around it is rebuilt."""
         self.model.set_flat_params(params)
         self.sampler = self.fresh_sampler()
-        self.stage_totals = {}
 
     def sample(self, work) -> MiniBatch:
         """This worker's sample stage: draw from the private stream,
@@ -243,10 +237,6 @@ class WorkerReplica(StagePipeline):
         else:
             reply.stats = mb.stats()
             reply.echoed = np.asarray(mb.targets)
-        for stage, seconds in stage_s.items():
-            entry = self.stage_totals.setdefault(stage, [0, 0.0])
-            entry[0] += 1
-            entry[1] += seconds
         return reply
 
     def apply(self) -> None:
@@ -261,8 +251,6 @@ class WorkerReplica(StagePipeline):
         return WorkerSnapshot(
             params=self.model.get_flat_params(),
             kernel_stats=COUNTERS.delta(counters_baseline),
-            stage_totals={stage: (int(c), float(t))
-                          for stage, (c, t) in self.stage_totals.items()},
             buffers=buffers)
 
     def release_views(self) -> None:
@@ -744,12 +732,10 @@ class ProcessBackend(ExecutionBackend):
         for it, planned in pairs:
             report.dealt_sizes.append(planned.batch_sizes)
             stats = dealt_stats[it] = {}
-            sample_s = 0.0
             for idx, targets in enumerate(planned.assignments):
                 payload = None
                 if targets is not None:
-                    payload, st, dt = self.deal.pack(s, targets)
-                    sample_s += dt
+                    payload, st = self.deal.pack(s, targets)
                     if st is not None:
                         stats[idx] = st
                     if report.trained_targets is not None:
@@ -757,10 +743,6 @@ class ProcessBackend(ExecutionBackend):
                 # Idle iterations are dealt too (payload None), so every
                 # worker sees — and answers — one item per iteration.
                 self._send(idx, ("train", it, payload))
-            if sample_s:
-                # Parent-side sampling is CPU work on this plane — feed
-                # the monitor (observability only).
-                self.monitor.observe("sample_cpu", sample_s)
 
     def _synchronize(self, it: int, planned, stats_by_idx, report, rows):
         """Retire one iteration: collect every worker's answer — a
@@ -819,11 +801,10 @@ class ProcessBackend(ExecutionBackend):
         """The one post-run round trip per worker, *after*
         ``wall_time_s`` is stamped (draining worker pipelines and
         shipping accounting never skews measured training time): ask
-        everyone, then fold in order — kernel counters, stage seconds
-        (raw worker stage names mapped onto the model's columns by
-        trainer kind), buffer occupancy — and audit every worker's
-        parameters against the parent mirrors, bit for bit. It ends the
-        run on the worker side too (body drained); the pool stays up."""
+        everyone, then fold in order — kernel counters, buffer
+        occupancy — and audit every worker's parameters against the
+        parent mirrors, bit for bit. It ends the run on the worker side
+        too (body drained); the pool stays up."""
         s = self.session
         for idx in range(s.num_trainers):
             self._send(idx, ("snapshot",))
@@ -836,11 +817,6 @@ class ProcessBackend(ExecutionBackend):
                     f"worker {idx} sent {tag!r} instead of its "
                     "snapshot")
             merge_counts(report.kernel_stats, snap.kernel_stats)
-            mapped = map_worker_totals(trainer.kind, snap.stage_totals)
-            for stage, (count, total_s) in mapped.items():
-                c, t = report.stage_seconds.get(stage, (0, 0.0))
-                report.stage_seconds[stage] = (c + count, t + total_s)
-            self.monitor.merge_totals(mapped)
             if snap.buffers:
                 buffers.append(snap.buffers)
             consistent = consistent and np.array_equal(

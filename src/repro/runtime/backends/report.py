@@ -29,6 +29,7 @@ from ...perfmodel.model import StageTimes, WorkloadSplit
 from ...sampling.base import MiniBatchStats
 from ...sim.trace import Timeline
 from ..protocol import ProtocolLog
+from ..resctl import stage_key
 
 
 @dataclass
@@ -67,10 +68,6 @@ class StageStats:
     high_water: int          # max occupancy seen on any trainer's buffer
     mean_occupancy: float    # mean over buffers of sampled occupancy
 
-    def describe(self) -> str:
-        return (f"{self.stage}: items={self.items} "
-                f"hw={self.high_water} occ={self.mean_occupancy:.2f}")
-
 
 def fold_stage_stats(stage: str,
                      entries: list[tuple[int, int, float]]
@@ -90,16 +87,6 @@ def fold_stage_stats(stage: str,
         items=sum(e[0] for e in entries),
         high_water=max(e[1] for e in entries),
         mean_occupancy=float(np.mean([e[2] for e in entries])))
-
-
-def summarize_overlap(stage_stats: dict[str, StageStats],
-                      depth_history: list[tuple[int, int]]) -> str:
-    """One-line per-stage overlap report for benches/logs — the single
-    formatter behind :meth:`RunReport.overlap_summary`."""
-    stats = " | ".join(s.describe() for s in stage_stats.values())
-    depths = [d for _, d in depth_history]
-    rng = f"{min(depths)}-{max(depths)}" if depths else "static"
-    return f"depth={rng} | {stats}"
 
 
 @dataclass
@@ -145,8 +132,9 @@ class RunReport:
     #: Kernel-traffic counter delta of this run (summed over workers on
     #: the process planes).
     kernel_stats: dict[str, int] = field(default_factory=dict)
-    #: Realized worker-side stage accounting summed over the pool,
-    #: ``{canonical_stage: (count, total_s)}``.
+    #: Realized per-batch stage seconds summed over the run's trained
+    #: batches, ``{canonical_stage: (count, total_s)}`` — billed by the
+    #: synchronize tail from each reply (:meth:`add_stage_seconds`).
     stage_seconds: dict[str, tuple[int, float]] = field(
         default_factory=dict)
     #: Per-stage buffer occupancy of the overlapped planes.
@@ -169,9 +157,18 @@ class RunReport:
     #: minibatch; run totals land in ``kernel_stats`` independently.
     shard_io: list[dict] = field(default_factory=list)
 
-    def overlap_summary(self) -> str:
-        """One-line per-stage overlap report for benches/logs."""
-        return summarize_overlap(self.stage_stats, self.depth_history)
+    def add_stage_seconds(self, kind: str,
+                          stage_s: dict[str, float]) -> None:
+        """Bill one trained batch's raw stage seconds (its
+        :attr:`Reply.stage_s`, from a ``kind`` trainer) to
+        :attr:`stage_seconds` under the canonical keys
+        (:func:`~repro.runtime.resctl.stage_key`): one count and its
+        seconds per stage the batch passed through."""
+        for raw, seconds in stage_s.items():
+            key = stage_key(kind, raw)
+            if key is not None:
+                count, total = self.stage_seconds.get(key, (0, 0.0))
+                self.stage_seconds[key] = (count + 1, total + seconds)
 
     def fold_buffers(self, per_chain: list[dict[str, tuple]]) -> None:
         """Fold every stage chain's ``{stage: (items, high_water,

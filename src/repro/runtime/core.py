@@ -557,13 +557,14 @@ class TrainingSession:
         forwarded to :meth:`duration_row`. ``estimator`` (an
         :class:`~repro.runtime.resctl.OnlineEstimator`, which a
         look-ahead backend passes) observes this iteration's
-        ``realized`` wall times (canonical stage keys, see
-        :mod:`repro.runtime.resctl.monitor`) against the modelled ones,
-        and the returned/recorded times are its calibrated copy — so
-        the duration row, the DRM adjustment and the caller's adaptive
-        look-ahead all steer from monitored wall times. A cold
-        estimator calibrates to the identity, and planes that pass none
-        stay bit-identical to the uncalibrated contract.
+        ``realized`` wall times (the replies' stage seconds on
+        canonical stage keys, folded by
+        :func:`~repro.runtime.resctl.fold_worker_realized`) against the
+        modelled ones, and the returned/recorded times are its
+        calibrated copy — so the duration row, the DRM adjustment and
+        the caller's adaptive look-ahead all steer from measured wall
+        times. A cold estimator calibrates to the identity, and planes
+        that pass none stay bit-identical to the uncalibrated contract.
         """
         times = self.stage_times(stats_cpu, stats_accel)
         if estimator is not None:

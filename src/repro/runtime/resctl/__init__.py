@@ -1,32 +1,29 @@
-"""Feedback-driven resource control: monitor → estimator → allocator.
+"""Feedback-driven resource control: estimator → allocator.
 
-The runtime's timing plane predicts; this package *measures, corrects,
-and arbitrates*:
+The runtime's timing plane predicts; this package *corrects and
+arbitrates*:
 
-* :class:`StageMonitor` (``monitor.py``) — bounded ring buffers of
-  realized per-stage wall times sampled from the live planes
-  (the in-process driver's consumer, once per iteration from the
-  feed's per-item stage times; process-plane workers via their replies
-  and snapshot), with EWMA and percentile summaries;
 * :class:`OnlineEstimator` (``estimator.py``) — per-stage
   multiplicative correction factors calibrating the
-  :class:`~repro.perfmodel.model.PerformanceModel` against realized
-  :class:`~repro.perfmodel.model.StageTimes`, confidence-weighted and
-  falling back to the analytic model until warm;
+  :class:`~repro.perfmodel.model.PerformanceModel` against the realized
+  stage seconds every trained batch's reply carries (folded onto the
+  canonical :data:`REALIZED_STAGES` keys by
+  :func:`fold_worker_realized`), confidence-weighted and falling back
+  to the analytic model until warm;
 * :class:`NodeAllocator` (``allocator.py``) — a node-level look-ahead
   depth budget arbitrated across concurrent
   :class:`~repro.runtime.core.TrainingSession` runs, released as
   sessions finish.
 
-The overlapped backends (``pipelined``, ``process_pipelined``) wire all
-three together through one
+The overlapped backends (``pipelined``, ``process_pipelined``) wire
+both together through one
 :class:`~repro.runtime.backends.overlap.DepthPolicy`, whose estimator
 every timing step observes and calibrates through, so
 ``adaptive_depth`` and ``drm_step`` steer from calibrated times. The
-lock-step planes feed the monitor (observability) but never
-calibrate — their conformance contract is bit-parity with the
-analytic reference. ``docs/architecture.md`` carries the subsystem
-diagram; ``docs/backends.md`` the wire-protocol contract.
+lock-step planes never calibrate — their conformance contract is
+bit-parity with the analytic reference. ``docs/architecture.md``
+carries the subsystem diagram; ``docs/backends.md`` the wire-protocol
+contract.
 """
 
 from .allocator import (
@@ -37,15 +34,11 @@ from .allocator import (
 )
 from .estimator import (
     FIELD_BY_STAGE,
-    OnlineEstimator,
-    summarize_calibration,
-)
-from .monitor import (
     REALIZED_STAGES,
-    StageMonitor,
-    StageSummary,
+    OnlineEstimator,
     fold_worker_realized,
-    map_worker_totals,
+    stage_key,
+    summarize_calibration,
 )
 
 __all__ = [
@@ -57,8 +50,6 @@ __all__ = [
     "OnlineEstimator",
     "summarize_calibration",
     "REALIZED_STAGES",
-    "StageMonitor",
-    "StageSummary",
     "fold_worker_realized",
-    "map_worker_totals",
+    "stage_key",
 ]

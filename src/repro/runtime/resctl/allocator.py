@@ -1,4 +1,4 @@
-"""Node-level look-ahead budget arbitration (resctl stage 3 of 3).
+"""Node-level look-ahead budget arbitration (resctl stage 2 of 2).
 
 One machine, several concurrent :class:`TrainingSession`s: each
 overlapped backend wants look-ahead depth (in-flight iterations, each

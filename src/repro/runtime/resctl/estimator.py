@@ -1,9 +1,15 @@
-"""Online model calibration (resctl stage 2 of 3).
+"""Online model calibration (resctl stage 1 of 2).
 
 The :class:`~repro.perfmodel.model.PerformanceModel` predicts stage
 times from batch statistics and platform constants; on a live plane
-the realized wall times are the authoritative signal. The
-:class:`OnlineEstimator` closes the gap with one **multiplicative
+the realized wall times are the authoritative signal: every trained
+batch's :class:`~repro.runtime.backends.report.Reply` carries the wall
+seconds its trainer spent per raw stage (``sample``/``load``/
+``transfer``/``train``), and the synchronize tail folds them onto the
+canonical stage keys here (:func:`fold_worker_realized`, keyed by
+:func:`stage_key` — the same rule that bills ``report.stage_seconds``).
+
+The :class:`OnlineEstimator` closes the gap with one **multiplicative
 correction factor per stage**: every observation pairs a realized
 duration with the analytic prediction for the same iteration, the
 estimator maintains EWMAs of both sides, and the correction is their
@@ -29,11 +35,14 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from ...errors import ProtocolError
 from ...perfmodel.model import StageTimes
-from .monitor import REALIZED_STAGES, StageMonitor
+
+#: Canonical realized-stage keys, aligned with ``StageTimes.as_dict``.
+REALIZED_STAGES = ("sample_cpu", "sample_accel", "load", "transfer",
+                   "train_cpu", "train_accel", "sync")
 
 #: StageTimes field backing each canonical stage key.
 FIELD_BY_STAGE = {
@@ -45,6 +54,53 @@ FIELD_BY_STAGE = {
     "train_accel": "t_train_accel",
     "sync": "t_sync",
 }
+
+
+def stage_key(kind: str, raw: str) -> str | None:
+    """The canonical stage a ``kind`` (``"cpu"``/``"accel"``) trainer's
+    raw stage ``raw`` bills to: sampling and training split into the
+    ``_cpu``/``_accel`` columns, ``load`` is kind-agnostic, and
+    ``transfer`` exists only on the accelerator side (CPU trainers
+    never cross PCIe). ``None`` for anything else — dropped, never
+    invented."""
+    if raw == "load":
+        return "load"
+    if raw == "transfer":
+        return "transfer" if kind == "accel" else None
+    if raw in ("sample", "train"):
+        return f"{raw}_{'cpu' if kind == 'cpu' else 'accel'}"
+    return None
+
+
+def fold_worker_realized(per_trainer: Iterable[tuple[str, Mapping]],
+                         sync_s: float | None = None
+                         ) -> dict[str, float]:
+    """Fold per-trainer raw stage durations into canonical stage keys.
+
+    ``per_trainer`` yields ``(kind, stage_s)`` pairs where ``kind`` is
+    the trainer's ``"cpu"``/``"accel"`` and ``stage_s`` maps raw stage
+    names to measured seconds (keyed by :func:`stage_key`). Reductions
+    mirror the analytic model's: CPU-side work is summed (the model's
+    CPU terms aggregate over the whole CPU side), accelerator-side work
+    is maxed (Eq. 8/9 take the slowest accelerator), ``load`` is summed
+    across all trainers (host-DDR bandwidth is shared), and ``sync`` is
+    the caller-measured all-reduce duration. Keys never observed stay
+    absent — the estimator treats absent stages as "still analytic".
+    """
+    realized: dict[str, float] = {}
+    for kind, stage_s in per_trainer:
+        for raw, value in stage_s.items():
+            key = stage_key(kind, raw)
+            v = float(value)
+            if key is None or not math.isfinite(v) or v < 0.0:
+                continue
+            if kind == "cpu" or key == "load":
+                realized[key] = realized.get(key, 0.0) + v
+            else:
+                realized[key] = max(realized.get(key, 0.0), v)
+    if sync_s is not None and math.isfinite(sync_s) and sync_s >= 0.0:
+        realized["sync"] = float(sync_s)
+    return realized
 
 
 class OnlineEstimator:
@@ -63,15 +119,11 @@ class OnlineEstimator:
         modelled hardware live on very different absolute scales, so
         the bounds are wide; they exist to keep a denormal or an
         outlier from producing a non-finite calibrated time.
-    monitor:
-        Optional :class:`StageMonitor`; every realized observation is
-        forwarded to it, so wiring one estimator gives a backend both
-        calibration *and* the monitoring surface.
     """
 
     def __init__(self, alpha: float = 0.3, warmup: int = 3,
-                 ratio_bounds: tuple[float, float] = (1e-9, 1e9),
-                 monitor: StageMonitor | None = None) -> None:
+                 ratio_bounds: tuple[float, float] = (1e-9, 1e9)
+                 ) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ProtocolError("estimator alpha must be in (0, 1]")
         if warmup < 1:
@@ -83,7 +135,6 @@ class OnlineEstimator:
         self.alpha = alpha
         self.warmup = warmup
         self.ratio_bounds = (float(lo), float(hi))
-        self.monitor = monitor
         self._lock = threading.Lock()
         self._count: dict[str, int] = {}
         self._realized_ewma: dict[str, float] = {}
@@ -96,12 +147,6 @@ class OnlineEstimator:
         prediction. Invalid samples (non-finite, negative, or a stage
         the model predicts as zero-time) are skipped — they carry no
         calibratable ratio."""
-        if self.monitor is not None:
-            clean = {k: v for k, v in realized.items()
-                     if isinstance(v, (int, float))
-                     and math.isfinite(v) and v >= 0.0}
-            if clean:
-                self.monitor.observe_times(clean)
         for stage, value in realized.items():
             field = FIELD_BY_STAGE.get(stage)
             if field is None:

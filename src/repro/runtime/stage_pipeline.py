@@ -82,10 +82,6 @@ class StageTimings:
     gather_s: float
     transfer_s: float
 
-    @property
-    def total_s(self) -> float:
-        return self.sample_s + self.gather_s + self.transfer_s
-
 
 @dataclass(frozen=True)
 class PreparedBatch:
@@ -188,20 +184,19 @@ class StagePipeline:
 
     # ------------------------------------------------------------------
     def prepare(self, targets: np.ndarray, trainer_kind: str, *,
-                with_labels: bool = True,
-                pool: kernels.BufferPool | None = None) -> PreparedBatch:
+                with_labels: bool = True) -> PreparedBatch:
         """Run the whole producer chain for one work item, timed.
 
         The serving plane's per-micro-batch path: sample the
         computational graph, gather the rows, transfer them (timed as
         separate stages), and fetch labels when the store has them.
-        The returned :class:`StageTimings` feed the caller's
-        :class:`~repro.runtime.resctl.StageMonitor`.
+        The returned :class:`StageTimings` are what a caller bills
+        against a latency budget.
         """
         t0 = time.perf_counter()
         mb = self.sample(targets)
         t1 = time.perf_counter()
-        x0 = self.gather(mb, pool=pool)
+        x0 = self.gather(mb)
         t2 = time.perf_counter()
         x0 = self.transfer(x0, trainer_kind)
         t3 = time.perf_counter()

@@ -9,9 +9,8 @@ parts the redesign extracted for exactly this purpose:
   quantization) prepares each micro-batch, so serving exercises the
   identical hot path the training backends run;
 * it carries its own session-scoped
-  :class:`~repro.runtime.resctl.StageMonitor` and
-  :class:`~repro.kernels.KernelCounters` handles, so a serving session
-  and a co-tenant training session never interleave stats;
+  :class:`~repro.kernels.KernelCounters` handle, so a serving session
+  and a co-tenant training session never interleave kernel stats;
 * it registers with the node's
   :class:`~repro.runtime.resctl.NodeAllocator` — the grant's live
   ``depth_cap`` bounds how many micro-batches one :meth:`step`
@@ -46,8 +45,7 @@ from ..errors import ConfigError, SamplingError
 from ..graph.datasets import GraphDataset
 from ..kernels import KernelCounters, scoped_counters
 from ..nn.models import build_model
-from ..runtime.resctl import DEFAULT_ALLOCATOR, NodeAllocator, \
-    StageMonitor
+from ..runtime.resctl import DEFAULT_ALLOCATOR, NodeAllocator
 from ..runtime.stage_pipeline import StagePipeline
 from ..sampling import build_sampler
 from ..sampling.base import check_target_ids
@@ -222,9 +220,8 @@ class ServingSession:
             self.model.set_flat_params(params)
         self.degrees = dataset.graph.out_degrees
 
-        # Session-scoped observability handles (never shared with a
+        # Session-scoped kernel counters (never shared with a
         # co-tenant training session).
-        self.monitor = StageMonitor()
         self.counters = KernelCounters()
 
         self.batcher = MicroBatcher(self.config.window_s,
@@ -268,14 +265,12 @@ class ServingSession:
         targets = np.asarray(targets)
         if self.closed:
             return self._shed(rid, tenant, "closed", now)
-        if targets.size == 0:
-            raise ConfigError("request needs at least one target")
         # Outside input, checked by the samplers' own rules before any
-        # cast: a bad id (out of range, fractional, or nested) would
-        # otherwise be truncated into a real vertex or blow up inside
-        # the sampler mid-batch, taking the valid co-batched requests
-        # (and their admission slots) with it. Refused before any
-        # credit is spent or slot admitted.
+        # cast: a bad request (empty, or an id out of range, fractional
+        # or nested) would otherwise be truncated into a real vertex or
+        # blow up inside the sampler mid-batch, taking the valid
+        # co-batched requests (and their admission slots) with it.
+        # Refused before any credit is spent or slot admitted.
         try:
             targets = check_target_ids(targets,
                                        self.dataset.graph.num_vertices)
@@ -350,18 +345,9 @@ class ServingSession:
             prepared = self.pipeline.prepare(unique_targets,
                                              self.config.device,
                                              with_labels=False)
-            t0 = time.perf_counter()
             logits = self.model.predict(prepared.mb, prepared.x0,
                                         self.degrees)
-            propagate_s = time.perf_counter() - t0
         predictions = np.argmax(logits, axis=1)[inverse]
-        # Canonical resctl stage keys (sample/load/transfer/propagate).
-        self.monitor.observe_times({
-            "sample": prepared.timings.sample_s,
-            "load": prepared.timings.gather_s,
-            "transfer": prepared.timings.transfer_s,
-            "propagate": propagate_s,
-        })
         completed_s = self.clock()
         responses: list[InferenceResponse] = []
         offset = 0

@@ -40,7 +40,10 @@ This module packages that guarantee as a reusable kit:
   against a fresh virtual-plane reference and assert the tier's
   matrix, plus — on both reports, whatever the tier — the paper's
   Listing-1 handshake as an asserted trace
-  (:func:`assert_listing1_trace`).
+  (:func:`assert_listing1_trace`) and the realized stage seconds the
+  synchronize tail bills (:func:`assert_stage_seconds`), which are
+  scoped to their run on a kept backend
+  (:func:`assert_stage_seconds_run_scoped`).
 
 Third-party backends needing constructor arguments can extend
 :data:`BACKEND_KWARGS` before the suite runs.
@@ -91,7 +94,11 @@ from repro.runtime import (
 )
 from repro.runtime.backends import overlap
 from repro.runtime.protocol import validate_protocol
-from repro.runtime.resctl import NodeAllocator, OnlineEstimator
+from repro.runtime.resctl import (
+    REALIZED_STAGES,
+    NodeAllocator,
+    OnlineEstimator,
+)
 from repro.runtime.shm import SharedFeatureStore
 from repro.runtime.stage_pipeline import StagePipeline
 from repro.sampling import build_sampler
@@ -269,8 +276,7 @@ def analytic_lookahead(backend, monkeypatch) -> None:
     report still fills) while every calibration is exactly the
     identity, and the first window opens at the configured depth
     instead of the floor a timing session starts from."""
-    backend.lookahead.estimator = OnlineEstimator(monitor=None,
-                                                  warmup=10**9)
+    backend.lookahead.estimator = OnlineEstimator(warmup=10**9)
     monkeypatch.setattr(
         overlap, "seed_depth",
         lambda session, initial_depth, cap, estimator=None:
@@ -323,6 +329,65 @@ def assert_backend_conforms(name: str, case: ConformanceCase,
                                        cand_session, cand)
     assert_listing1_trace(REFERENCE_BACKEND, ref_session, ref)
     assert_listing1_trace(name, cand_session, cand)
+    assert_stage_seconds(REFERENCE_BACKEND, ref_session, ref)
+    assert_stage_seconds(name, cand_session, cand,
+                         ref if backend_tier(name) == "strict" else None)
+
+
+def _stage_counts(report) -> dict[str, int]:
+    return {key: count
+            for key, (count, _) in report.stage_seconds.items()}
+
+
+def assert_stage_seconds(name: str, session: TrainingSession, report,
+                         reference=None) -> None:
+    """The realized stage seconds every plane's synchronize tail bills
+    to ``report.stage_seconds``: non-empty, on canonical keys (``sync``
+    feeds the estimator only, it is never billed), one ``load`` and one
+    ``train_*`` count per trained batch — at least one batch per
+    iteration, at most one per trainer. Given the strict-tier
+    ``reference`` report, the ``load`` and ``train_*`` counts equal
+    its counts, and so does every ``sample_*`` count both planes record
+    (a process worker drops ``sample`` for a batch the parent
+    sampled)."""
+    secs = report.stage_seconds
+    assert secs, f"{name}: no stage seconds billed"
+    assert set(secs) <= set(REALIZED_STAGES) - {"sync"}, \
+        f"{name}: non-canonical stage keys {sorted(secs)}"
+    counts = _stage_counts(report)
+    trained = counts.get("train_cpu", 0) + counts.get("train_accel", 0)
+    assert counts.get("load") == trained, \
+        f"{name}: {counts.get('load')} loads for {trained} batches"
+    assert report.iterations <= trained <= \
+        report.iterations * session.num_trainers, \
+        f"{name}: {trained} batches in {report.iterations} iterations"
+    if reference is None:
+        return
+    want = _stage_counts(reference)
+    shared_samples = {key for key in set(counts) & set(want)
+                      if key.startswith("sample_")}
+    for key in {"load", "train_cpu", "train_accel"} | shared_samples:
+        assert counts.get(key) == want.get(key), \
+            (f"{name}: {key} count {counts.get(key)} != reference "
+             f"{want.get(key)}")
+
+
+def assert_stage_seconds_run_scoped(name: str, case: ConformanceCase,
+                                    dataset: GraphDataset) -> None:
+    """Stage seconds belong to the run that trained the batches: two
+    identical epochs on **one** kept backend bill the same counts to
+    their own reports, so nothing a run (or a reused worker) measured
+    leaks into the next run's ``stage_seconds``."""
+    session = make_session(case, dataset)
+    with build_backend(name, session,
+                       **BACKEND_KWARGS.get(name, {})) as backend:
+        first, second = (backend.run_epoch(case.max_iterations)
+                         for _ in range(2))
+        assert_stage_seconds(name, session, first)
+        assert_stage_seconds(name, session, second)
+    assert _stage_counts(second) == _stage_counts(first), \
+        (f"{name}: second run billed {_stage_counts(second)}, "
+         f"first {_stage_counts(first)}")
 
 
 def assert_listing1_trace(name: str, session: TrainingSession,
@@ -765,8 +830,7 @@ def assert_serving_conforms(dataset: GraphDataset,
       for bit: serving *is* the training stack, not a lookalike;
     * **credit conservation** — per tenant, targets spent never exceed
       burst + refilled, and equal the accepted requests' target total;
-    * **stats isolation** — the session observed the canonical stage
-      keys on its own monitor and counted kernel work on its own
+    * **stats isolation** — the session counted kernel work on its own
       counters.
     """
     session, responses, sheds = run_serving_audit(
@@ -841,8 +905,6 @@ def assert_serving_conforms(dataset: GraphDataset,
             (f"tenant {tenant!r} ledger disagrees with the accepted "
              "request total")
 
-    # Stats landed on the session's own handles.
+    # Kernel stats landed on the session's own counters.
     if responses:
-        assert set(session.monitor.stages()) == \
-            {"sample", "load", "transfer", "propagate"}
         assert session.counters.snapshot().get("gather_rows", 0) > 0

@@ -31,6 +31,7 @@ from backend_conformance import (
     assert_report_sections,
     assert_resumes_after_training_elsewhere,
     assert_reuse_invisible,
+    assert_stage_seconds_run_scoped,
     assert_store_untouched_by_int8_run,
     assert_trains_in_store_dtype,
     candidate_backends,
@@ -117,6 +118,14 @@ class TestBackendConformance:
         not produce it; accounting sections are always containers."""
         _, rep = run_backend(backend, CONFORMANCE_CASES[2], tiny_ds)
         assert_report_sections(backend, rep)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_stage_seconds_are_scoped_to_their_run(self, backend,
+                                                   tiny_ds):
+        """Every plane bills each trained batch's stage seconds to the
+        report of the run that trained it, a kept backend's included."""
+        assert_stage_seconds_run_scoped(backend, CONFORMANCE_CASES[1],
+                                        tiny_ds)
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_trains_in_the_feature_store_dtype(self, backend, tiny_ds):
@@ -608,7 +617,9 @@ class TestPipelinedBackend:
             assert stats.mean_occupancy >= 0.0
         assert rep.prefetch_high_water >= 1
         assert rep.wall_time_s > 0
-        assert "depth=" in rep.overlap_summary()
+        # The seeded window opens the depth trajectory.
+        first_it, first_depth = rep.depth_history[0]
+        assert first_it == 0 and first_depth >= 1
 
     def test_resumed_session_continues_from_trained_weights(self,
                                                             tiny_ds,
@@ -680,7 +691,7 @@ class TestProcessPipelinedBackend:
         never calibrates its timing step against realized wall clocks,
         so parity demands the fused plane's estimator stay cold (by
         default it warms and corrects the modelled stage times with
-        monitored ones, which intentionally diverges)."""
+        measured ones, which intentionally diverges)."""
         ss = self._platform_session(tiny_ds, eq_cfg, fpga_platform)
         rs = ProcessSamplingBackend(ss, timeout_s=60).run_epoch()
 
@@ -811,7 +822,9 @@ class TestProcessPipelinedBackend:
             assert stats.mean_occupancy >= 0.0
         assert rep.prefetch_high_water >= 1
         assert rep.wall_time_s > 0
-        assert "depth=" in rep.overlap_summary()
+        # The seeded window opens the depth trajectory.
+        first_it, first_depth = rep.depth_history[0]
+        assert first_it == 0 and first_depth >= 1
 
     def test_invalid_construction_rejected(self, tiny_ds, eq_cfg):
         from repro.errors import ProtocolError

@@ -5,11 +5,11 @@ stats-isolation regressions.
 counterpart of the training parity matrix: every submitted request
 gets exactly one outcome, executed batches reproduce a reference
 replay of the shared :class:`StagePipeline` + model **bit for bit**,
-per-tenant credits conserve, and stats land on session-scoped handles.
-This module runs that matrix over the interesting configurations, and
-pins the regression the scoped handles exist for: a training session
-and a serving session running *concurrently* must not interleave
-kernel counters or stage monitors.
+per-tenant credits conserve, and kernel stats land on the session's
+own counters. This module runs that matrix over the interesting
+configurations, and pins the regression the scoped handle exists for:
+a training session and a serving session running *concurrently* must
+not interleave kernel counters.
 """
 
 from __future__ import annotations
@@ -241,9 +241,3 @@ class TestTwoSessionStatsIsolation:
         assert report.completed == report.accepted > 0
         assert report.kernel_stats.get("gather_rows", 0) > 0
         assert serving.counters is not backend.counters
-        assert serving.monitor is not backend.monitor
-        # Each batch observed each canonical stage once on serving's
-        # own monitor.
-        batches = len(report.batch_sizes)
-        for stage in ("sample", "load", "transfer", "propagate"):
-            assert serving.monitor.count(stage) == batches

@@ -217,13 +217,15 @@ class TestShedNeverSamples:
         # The ledger still conserves: only the valid request spent.
         assert session.credits.ledger()["default"]["spent_targets"] == 2
 
-    @pytest.mark.parametrize("bad", [[1.7, 2.2], [[1, 2], [3, 4]]],
-                             ids=["fractional", "nested"])
+    @pytest.mark.parametrize("bad", [[1.7, 2.2], [[1, 2], [3, 4]], []],
+                             ids=["fractional", "nested", "empty"])
     def test_non_integer_or_nested_ids_shed_before_the_cast(self, bad):
         """Fractional ids used to be truncated into real vertices (1.7
-        served as vertex 1) and nested lists flattened, both accepted.
-        Both are typed ``invalid`` sheds now, before any credit or
-        admission slot is spent."""
+        served as vertex 1) and nested lists flattened, both accepted;
+        an empty request raised out of ``submit`` after its request id
+        was spent, so it was neither answered nor offered. All are
+        typed ``invalid`` sheds now, before any credit or admission
+        slot is spent."""
         session = _session(VirtualClock(),
                            credit_rate_targets_per_s=100.0,
                            credit_burst_targets=16)
@@ -233,11 +235,15 @@ class TestShedNeverSamples:
 
         shed = session.submit(bad)
         assert shed is not None and shed.reason == "invalid"
+        assert shed.request_id == 1
         assert session.credits.ledger() == ledger
         assert session.admission.pending == 1
-        assert [r.request_id for r in session.drain()] == [0]
-        assert calls == [[1, 2]]          # never sampled for bad work
-        assert session.close().shed == {"invalid": 1}
+        assert session.submit([3]) is None
+        assert [r.request_id for r in session.drain()] == [0, 2]
+        assert calls == [[1, 2, 3]]       # never sampled for bad work
+        report = session.close()
+        assert report.shed == {"invalid": 1}
+        assert report.offered == 3
 
 
 #: A random submit/step interleaving: a submit of that many targets,

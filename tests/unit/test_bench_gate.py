@@ -230,9 +230,12 @@ class TestCommittedServingBaseline:
 
     def test_baseline_pins_the_acceptance_criteria(self, baseline):
         # The PR's acceptance criterion: typed shed under overload
-        # while accepted p99 stays within the budget.
+        # while accepted p99 stays within the budget. The overload
+        # scenario must shed above the gate's floor, or the gate's
+        # must-still-shed check never covers it.
         overload = baseline["scenarios"]["overload"]
         assert overload["shed"].get("queue_full", 0) > 0
+        assert overload["shed_rate"] > gate.SERVING_SHED_FLOOR
         assert baseline["scenarios"]["nominal"]["shed"] == {}
         assert baseline["scenarios"]["credits"]["shed"].get(
             "no_credit", 0) > 0

@@ -20,6 +20,7 @@ every later ``run()`` uses.
 """
 
 import ast
+import dataclasses
 import gc
 import glob
 import inspect
@@ -84,15 +85,15 @@ def _attr_name(node) -> str | None:
     return None
 
 
-def _functions_calling(root: Path, matches) -> set[str]:
-    """``"<path under root>:<innermost function>"`` for every call in
-    ``root``'s Python files that ``matches``."""
+def _functions_where(root: Path, matches) -> set[str]:
+    """``"<path under root>:<innermost function>"`` for every AST node
+    in ``root``'s Python files that ``matches``."""
     found = set()
 
     def visit(node, path: str, func: str | None) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, ast.Call) and matches(node):
+        if matches(node):
             found.add(f"{path}:{func}")
         for child in ast.iter_child_nodes(node):
             visit(child, path, func)
@@ -163,19 +164,45 @@ class TestStructure:
         """``DONE`` / ``SYNC`` / ``ACK`` / ``ITER`` are recorded in
         exactly one function in ``src/repro/`` — the synchronize tail
         every plane ends an iteration in."""
-        recorders = _functions_calling(
-            SRC, lambda call: _attr_name(call.func) == "record"
+        recorders = _functions_where(
+            SRC, lambda node: isinstance(node, ast.Call)
+            and _attr_name(node.func) == "record"
             and any(_attr_name(arg) in LISTING1_SIGNALS
                     and _attr_name(getattr(arg, "value", None))
-                    == "Signal" for arg in call.args))
+                    == "Signal" for arg in node.args))
         assert recorders == {"runtime/backends/base.py:end_iteration"}
 
     def test_all_reduce_is_called_from_one_backend_function(self):
-        callers = _functions_calling(
+        callers = _functions_where(
             SRC / "runtime" / "backends",
-            lambda call: _attr_name(call.func) == "all_reduce"
-            and _attr_name(call.func.value) == "synchronizer")
+            lambda node: isinstance(node, ast.Call)
+            and _attr_name(node.func) == "all_reduce"
+            and _attr_name(node.func.value) == "synchronizer")
         assert callers == {"base.py:end_iteration"}
+
+    def test_stage_seconds_are_billed_in_one_place(self):
+        """``report.stage_seconds`` is written by one function in
+        ``src/repro/``, and only the synchronize tail calls it."""
+        def writes(node) -> bool:
+            target = node.value if isinstance(node, ast.Subscript) \
+                else node
+            return isinstance(getattr(node, "ctx", None), ast.Store) \
+                and isinstance(target, ast.Attribute) \
+                and target.attr == "stage_seconds"
+
+        assert _functions_where(SRC, writes) == \
+            {"runtime/backends/report.py:add_stage_seconds"}
+        assert _functions_where(
+            SRC, lambda node: isinstance(node, ast.Call)
+            and _attr_name(node.func) == "add_stage_seconds") == \
+            {"runtime/backends/base.py:end_iteration"}
+
+    def test_worker_snapshot_carries_no_stage_seconds(self):
+        """Stage seconds reach the parent once, on each reply; the
+        run-end snapshot is parameters, kernel counters and buffer
+        occupancy only."""
+        assert {f.name for f in dataclasses.fields(WorkerSnapshot)} \
+            == {"params", "kernel_stats", "buffers"}
 
     @pytest.mark.parametrize("name", available_backends())
     def test_every_backend_implements_run_and_inherits_run_epoch(
@@ -258,7 +285,6 @@ class TestWorkerProtocol:
                 assert tag == "snapshot" and \
                     isinstance(snap, WorkerSnapshot)
                 np.testing.assert_array_equal(snap.params, params)
-                assert snap.stage_totals == {}
                 assert set(snap.buffers) == (
                     set() if body is InlineBody
                     else {"sample", "gather", "transfer", "train"})

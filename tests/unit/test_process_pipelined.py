@@ -21,8 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
-from repro.runtime import LookaheadDealer, RunReport, StageStats
-from repro.runtime.backends.overlap import WORKER_STAGES
+from repro.runtime import LookaheadDealer, RunReport
 from repro.runtime.core import BatchPlan
 from repro.runtime.shm import SharedPrefetchSpec
 
@@ -164,22 +163,6 @@ class TestLookaheadDealer:
 
 
 class TestOverlapReport:
-    def test_overlap_summary_without_depth_changes(self):
-        rep = RunReport(iterations=2, num_workers=1)
-        assert "depth=static" in rep.overlap_summary()
-
-    def test_overlap_summary_aggregates_stages(self):
-        rep = RunReport(iterations=2, num_workers=1)
-        rep.depth_history = [(0, 2), (1, 4)]
-        for stage in WORKER_STAGES:
-            rep.stage_stats[stage] = StageStats(
-                stage=stage, items=4, high_water=2,
-                mean_occupancy=1.0)
-        out = rep.overlap_summary()
-        assert "depth=2-4" in out
-        for stage in WORKER_STAGES:
-            assert stage in out
-
     def test_coverage_evidence_defaults_to_absent(self):
         """The statistical tier and ``bench_e2e`` read coverage fields
         as *present iff not None*: a plane that never records targets

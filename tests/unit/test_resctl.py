@@ -1,11 +1,12 @@
-"""Resource-control units: monitor, estimator, allocator, and the
-timing-plane hooks they plug into.
+"""Resource-control units: the realized-stage fold, estimator,
+allocator, and the timing-plane hooks they plug into.
 
 The resctl package closes the loop between the *modelled* timing plane
-and the *realized* one: :class:`StageMonitor` samples wall times from
-the live backends, :class:`OnlineEstimator` calibrates the analytic
-model against them, :class:`NodeAllocator` arbitrates look-ahead depth
-across concurrent sessions. The estimator sits directly upstream of
+and the *realized* one: :func:`fold_worker_realized` maps the wall
+times the live backends' replies carry onto canonical stage keys,
+:class:`OnlineEstimator` calibrates the analytic model against them,
+:class:`NodeAllocator` arbitrates look-ahead depth across concurrent
+sessions. The estimator sits directly upstream of
 ``drm_step``/``adaptive_depth``, so its safety contract — corrections
 always positive and finite, calibrated times never non-finite or
 negative, exact no-op until warm — is pinned here as hypothesis
@@ -14,7 +15,6 @@ fixes this PR ships.
 """
 
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -31,9 +31,8 @@ from repro.runtime.resctl import (
     NodeAllocator,
     OnlineEstimator,
     REALIZED_STAGES,
-    StageMonitor,
     fold_worker_realized,
-    map_worker_totals,
+    stage_key,
     summarize_calibration,
 )
 
@@ -55,81 +54,6 @@ def _times(value: float = 0.01) -> StageTimes:
                       t_load=value, t_transfer=value,
                       t_train_cpu=value, t_train_accel=value,
                       t_sync=value)
-
-
-class TestStageMonitor:
-    def test_ewma_and_counts(self):
-        mon = StageMonitor(window=8, alpha=0.5)
-        for v in (1.0, 3.0):
-            mon.observe("load", v)
-        assert mon.count("load") == 2
-        assert mon.ewma("load") == pytest.approx(2.0)   # 0.5*3 + 0.5*1
-        assert mon.stages() == ("load",)
-
-    def test_ring_is_bounded_but_totals_are_not(self):
-        mon = StageMonitor(window=4)
-        for v in range(100):
-            mon.observe("sync", float(v))
-        assert mon.count("sync") == 100
-        assert mon.percentile("sync", 0) == 96.0   # ring kept last 4
-        assert mon.summary()["sync"].total_s == sum(range(100))
-
-    def test_percentiles_over_window(self):
-        mon = StageMonitor(window=100)
-        for v in range(1, 101):
-            mon.observe("train_cpu", float(v))
-        assert mon.percentile("train_cpu", 50) == pytest.approx(50.5)
-        assert mon.percentile("train_cpu", 95) > 90
-        with pytest.raises(ProtocolError):
-            mon.percentile("train_cpu", 101)
-
-    def test_invalid_samples_rejected(self):
-        mon = StageMonitor()
-        for bad in (float("nan"), float("inf"), -1.0):
-            with pytest.raises(ProtocolError):
-                mon.observe("load", bad)
-
-    def test_merge_totals_feeds_summary_without_ring(self):
-        mon = StageMonitor()
-        mon.merge_totals({"train_accel": (10, 5.0)})
-        mon.merge_totals({"train_accel": (10, 3.0)})
-        digest = mon.summary()["train_accel"]
-        assert digest.count == 20
-        assert digest.total_s == pytest.approx(8.0)
-        assert digest.ewma_s == pytest.approx(0.4)   # totals-only mean
-        with pytest.raises(ProtocolError):
-            mon.merge_totals({"train_accel": (-1, 1.0)})
-
-    def test_summary_orders_canonical_stages_first(self):
-        mon = StageMonitor()
-        mon.observe("zz_custom", 1.0)
-        mon.observe("sync", 1.0)
-        mon.observe("sample_cpu", 1.0)
-        assert list(mon.summary()) == ["sample_cpu", "sync",
-                                       "zz_custom"]
-        assert "sync" in mon.describe()
-
-    def test_thread_safety_under_concurrent_observers(self):
-        mon = StageMonitor(window=16)
-
-        def hammer(stage):
-            for _ in range(500):
-                mon.observe(stage, 0.001)
-
-        threads = [threading.Thread(target=hammer, args=(s,))
-                   for s in REALIZED_STAGES]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        for s in REALIZED_STAGES:
-            assert mon.count(s) == 500
-
-    def test_invalid_construction_rejected(self):
-        with pytest.raises(ProtocolError):
-            StageMonitor(window=0)
-        with pytest.raises(ProtocolError):
-            StageMonitor(alpha=0.0)
 
 
 class TestFoldWorkerRealized:
@@ -161,16 +85,46 @@ class TestFoldWorkerRealized:
         # surface as transfer time.
         assert fold_worker_realized([("cpu", {"transfer": 5.0})]) == {}
 
-    def test_map_worker_totals_by_kind(self):
-        totals = {"sample": (3, 1.5), "load": (3, 0.9),
-                  "transfer": (3, 0.3), "train": (3, 2.1),
-                  "mystery": (1, 1.0)}
-        cpu = map_worker_totals("cpu", totals)
-        accel = map_worker_totals("accel", totals)
-        assert cpu == {"sample_cpu": (3, 1.5), "load": (3, 0.9),
-                       "train_cpu": (3, 2.1)}
-        assert accel == {"sample_accel": (3, 1.5), "load": (3, 0.9),
-                         "transfer": (3, 0.3), "train_accel": (3, 2.1)}
+    def test_stage_key_by_kind(self):
+        raws = ("sample", "load", "transfer", "train", "mystery")
+        cpu = {raw: stage_key("cpu", raw) for raw in raws}
+        accel = {raw: stage_key("accel", raw) for raw in raws}
+        assert cpu == {"sample": "sample_cpu", "load": "load",
+                       "transfer": None, "train": "train_cpu",
+                       "mystery": None}
+        assert accel == {"sample": "sample_accel", "load": "load",
+                         "transfer": "transfer", "train": "train_accel",
+                         "mystery": None}
+        assert set(cpu.values()) | set(accel.values()) <= \
+            set(REALIZED_STAGES) | {None}
+
+
+class TestReportStageSeconds:
+    """``RunReport.add_stage_seconds`` bills one trained batch's raw
+    ``Reply.stage_s`` under the same :func:`stage_key` rule the
+    estimator's fold uses."""
+
+    def test_one_count_per_batch_and_summed_seconds(self):
+        from repro.runtime.backends.report import RunReport
+        report = RunReport(iterations=2)
+        report.add_stage_seconds("cpu", {"load": 1.0, "train": 3.0})
+        report.add_stage_seconds("cpu", {"load": 0.5, "train": 2.0})
+        assert report.stage_seconds == {"load": (2, 1.5),
+                                        "train_cpu": (2, 5.0)}
+
+    def test_keys_follow_the_trainer_kind(self):
+        from repro.runtime.backends.report import RunReport
+        report = RunReport(iterations=1)
+        stage_s = {"sample": 0.1, "load": 0.2, "transfer": 0.3,
+                   "train": 0.4, "sync": 0.5, "mystery": 0.6}
+        report.add_stage_seconds("cpu", stage_s)
+        report.add_stage_seconds("accel", stage_s)
+        # ``load`` is shared; a CPU batch never crosses PCIe; ``sync``
+        # feeds the estimator only and unknown stages are dropped.
+        assert report.stage_seconds == {
+            "sample_cpu": (1, 0.1), "sample_accel": (1, 0.1),
+            "load": (2, pytest.approx(0.4)), "transfer": (1, 0.3),
+            "train_cpu": (1, 0.4), "train_accel": (1, 0.4)}
 
 
 class TestOnlineEstimator:
@@ -228,13 +182,6 @@ class TestOnlineEstimator:
                             "t_train_accel", "t_sync"):
             v = getattr(calibrated, stage_field)
             assert math.isfinite(v) and v >= 0.0
-
-    def test_observation_forwarding_to_monitor(self):
-        mon = StageMonitor()
-        est = OnlineEstimator(monitor=mon)
-        est.observe({"load": 0.5, "sync": float("nan")}, _times())
-        assert mon.count("load") == 1
-        assert mon.count("sync") == 0   # invalid sample filtered
 
     def test_summary_and_error_report(self):
         est = OnlineEstimator(warmup=2)
@@ -342,14 +289,14 @@ class TestFoldStageStatsEmpty:
         stats = fold_stage_stats("sample", [])
         assert (stats.stage, stats.items, stats.high_water,
                 stats.mean_occupancy) == ("sample", 0, 0, 0.0)
-        assert "items=0" in stats.describe()
 
-    def test_zeroed_fold_survives_the_overlap_summary(self):
-        # The fused plane's report path renders the folded record.
-        from repro.runtime.backends.report import summarize_overlap
-        summary = summarize_overlap(
-            {"sample": fold_stage_stats("sample", [])}, [(0, 1)])
-        assert "depth=1-1" in summary
+    def test_zeroed_fold_survives_the_report_fold(self):
+        # The process planes' report path folds an all-zero chain.
+        from repro.runtime.backends.report import RunReport
+        report = RunReport(iterations=1)
+        report.fold_buffers([{"sample": (0, 0, 0.0)}])
+        assert report.stage_stats["sample"].items == 0
+        assert report.prefetch_high_water == 0
 
     def test_nonempty_fold_unchanged(self):
         stats = fold_stage_stats("train",
