@@ -65,8 +65,8 @@ def _smoke(backend: str):
     threads behind the GIL, worker processes over the shared-memory
     feature store (sampling in the parent or, for ``process_sampling``
     and ``process_pipelined``, in the workers), the overlapped
-    producer/consumer pipeline, or the fused worker-local overlap (a
-    scaled-down config keeps each within seconds). ``run_ablation``
+    producer/consumer pipeline, or workers preparing dealt-ahead
+    batches (a scaled-down config keeps each within seconds). ``run_ablation``
     builds one backend per preset session and closes it (``with``)
     before the next, so at most one worker pool + store is ever open.
     """

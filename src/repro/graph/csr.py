@@ -15,8 +15,6 @@ Design notes (following the hpc-parallel guides):
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from ..errors import GraphError
@@ -188,33 +186,6 @@ class CSRGraph:
             self.num_vertices,
             dedup=True,
         )
-
-    def with_self_loops(self) -> "CSRGraph":
-        """Return the graph with a self-loop added to every vertex.
-
-        GCN's aggregation includes the vertex itself (paper Eq. 1 aggregates
-        over ``N(v) ∪ {v}``); self-loops realize that in the adjacency.
-        Existing duplicate edges (including existing self-loops) are
-        coalesced.
-        """
-        src, dst = self.edges()
-        loop = np.arange(self.num_vertices, dtype=np.int64)
-        return CSRGraph.from_edges(
-            np.concatenate([src, loop]),
-            np.concatenate([dst, loop]),
-            self.num_vertices,
-            dedup=True,
-        )
-
-    def subgraph_edges(self, vertices: Iterable[int]) -> int:
-        """Number of edges with *both* endpoints in ``vertices``.
-
-        Used by partition-quality metrics; vectorized membership test.
-        """
-        mask = np.zeros(self.num_vertices, dtype=bool)
-        mask[np.asarray(list(vertices), dtype=np.int64)] = True
-        src, dst = self.edges()
-        return int(np.count_nonzero(mask[src] & mask[dst]))
 
     # ------------------------------------------------------------------
     # Memory accounting

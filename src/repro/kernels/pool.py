@@ -11,14 +11,16 @@ paths write straight into pooled memory.
 Aliasing contract — the reason pooling is **opt-in** per call site: a
 view returned by :meth:`BufferPool.take` is valid only until the next
 ``take`` of the same ``(columns, dtype)`` class. That is exactly the
-lifetime of a mini-batch's ``x0`` in the sequential planes (the virtual
-backend and the process-plane workers train each batch to completion
-before gathering the next; ``Model.backward`` drops its activation
-caches, so nothing outlives the call). The in-process driver's feed
-threads (both ``threaded`` and ``pipelined``) and the fused workers'
-stage threads keep several batches in flight inside ``PrefetchBuffer``
-queues, so they must **not** pass a pool — and do not. ``docs/kernels.md`` spells the rule out for kernel
-authors.
+lifetime of a mini-batch's ``x0`` at the sequential call sites (the
+virtual backend's feed, and a process-plane worker's load that trains
+at once, train each batch to completion before gathering the next;
+``Model.backward`` drops its activation caches, so nothing outlives
+the call). The in-process driver's feed threads (both ``threaded`` and
+``pipelined``) keep several batches in flight inside ``PrefetchBuffer``
+queues, and a worker's load that queues behind an unapplied iteration
+would be overwritten by the next gather before it trains, so they must
+**not** pass a pool — and do not. ``docs/kernels.md`` spells the rule
+out for kernel authors.
 
 Not thread-safe by design: a pool belongs to one call site on one
 thread (per-worker, per-backend-run). Cross-thread sharing would

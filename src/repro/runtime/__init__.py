@@ -62,7 +62,6 @@ from .stage_pipeline import (
 )
 from .shm import (
     SharedFeatureStore,
-    SharedPrefetchSpec,
     SharedSamplerSpec,
     SharedStoreManifest,
 )
@@ -135,7 +134,6 @@ __all__ = [
     "fold_worker_realized",
     "summarize_calibration",
     "SharedFeatureStore",
-    "SharedPrefetchSpec",
     "SharedSamplerSpec",
     "SharedStoreManifest",
     "BACKENDS",

@@ -1,15 +1,15 @@
-"""What every overlapped plane shares, written once.
+"""What the look-ahead planes share, written once.
 
-Two planes overlap the producer chain with training — ``pipelined``
-(the in-process driver's :class:`~.pipelined.ChainFeed`: stage threads
-in the caller's process) and the process driver's overlapped worker
-body (stage threads inside each worker). Both are built from the three
-units here:
+Two planes run the producer chain ahead of training — ``pipelined``
+(the in-process driver's :class:`~.pipelined.ChainFeed`, stage threads
+in the caller's process) and ``process_pipelined`` (the process driver
+dealing ahead to single-threaded workers). Only ``pipelined`` uses the
+stage threads; both use the depth policy:
 
 * :class:`StageChain` — one trainer's ``sample → gather → transfer``
   stage threads over backpressured
   :class:`~repro.runtime.prefetch.PrefetchBuffer` queues, feeding a
-  train-stage consumer;
+  train-stage consumer (``pipelined``'s :class:`~.pipelined.ChainFeed`);
 * :class:`DepthPolicy` — the look-ahead depth policy: resolve the
   knobs, seed the first window, clamp by the node allocator's grant,
   resize adaptively from calibrated stage-time ratios (its estimator
@@ -38,7 +38,7 @@ PRODUCER_STAGES = ("sample", "gather", "transfer")
 #: A chain's buffers, keyed by the stage each buffer *feeds*:
 #: ``sample`` holds dealt work awaiting the sample thread, ``train``
 #: holds prepared batches awaiting the train+sync consumer.
-WORKER_STAGES = (*PRODUCER_STAGES, "train")
+CHAIN_STAGES = (*PRODUCER_STAGES, "train")
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +76,7 @@ class StageChain:
         :class:`~repro.runtime.stage_pipeline.StagePipeline`
         (``sample(work)``, ``gather(mb)``, ``transfer(x0, kind)`` —
         in place on the rows ``gather`` just returned —
-        ``labels_for(mb)``): the session's pipeline in-process, the
-        worker replica on the process planes (whose ``gather`` may be
-        the shard-aware resolver).
+        ``labels_for(mb)``): the session's pipeline.
     kind:
         The consuming trainer's kind (selects the transfer policy).
     depth:
@@ -107,7 +105,7 @@ class StageChain:
         self.timeout_s = timeout_s
         self._on_error = on_error
         self.bufs = {stage: PrefetchBuffer(depth)
-                     for stage in WORKER_STAGES}
+                     for stage in CHAIN_STAGES}
         steps = (("sample", "gather", "sample", self._sample),
                  ("gather", "transfer", "load", self._gather),
                  ("transfer", "train", "transfer", self._transfer))

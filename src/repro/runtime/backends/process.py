@@ -1,4 +1,4 @@
-"""The process plane: one driver, composed from three seams.
+"""The process plane: one driver, composed from two seams.
 
 HyScale-GNN's scalability claim (paper §IV) is that process-level
 parallel trainers, worker-side sampling, two-stage prefetch overlap and
@@ -12,7 +12,7 @@ and stats are all a pipe carries between a run's ``init`` and its
 ``snapshot``). The workers and the store (a :class:`WorkerPool`) live
 as long as the *backend*: opened lazily by the first ``run()``, reused
 by every later one, released by ``close()``. What varies between
-process planes is three small choices:
+process planes is two small choices:
 
 * the **work source** (``self.work_source``) — the numbered stream of
   :class:`~repro.runtime.core.PlannedIteration` the parent deals:
@@ -22,13 +22,15 @@ process planes is three small choices:
   :class:`WireBatchDeal` samples in the parent's single RNG stream and
   ships the batch in wire form (what keeps a plane bit-identical to
   the virtual reference); :class:`TargetDeal` ships the target-id
-  shard and the worker samples from its own independent stream;
-* the **worker body** (``worker_body``) — how a worker executes what
-  it is dealt: :class:`InlineBody` (request/response, pooled buffers)
-  or :class:`OverlappedBody` (a :class:`~.overlap.StageChain` feeding a
-  train+sync consumer). Either body takes its per-item stages from the
-  replica (``replica_cls``), so a shard-aware gather is a replica, not
-  a different serve loop.
+  shard and the worker samples from its own independent stream.
+
+Every worker runs one body, :class:`InlineBody`: it prepares a dealt
+item when it arrives and trains it once the previous iteration's
+update is applied, so dealing ahead overlaps the next batches' sample
+and load with the parent's collect and all-reduce without a thread in
+the worker. The body takes its per-item stages from the replica
+(``replica_cls``), so a shard-aware gather is a replica, not a
+different serve loop.
 
 There is exactly one drive loop: a :class:`~.overlap.LookaheadDealer`
 over the work source whose window is fixed at 1 (lock-step) unless the
@@ -46,10 +48,10 @@ author guide is ``docs/backends.md``.
 from __future__ import annotations
 
 import multiprocessing as mp
-import threading
 import time
 import traceback
 import weakref
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import ClassVar
@@ -59,11 +61,10 @@ import numpy as np
 from ...errors import ProtocolError, StageTimeoutError, WorkerError
 from ...kernels import COUNTERS, BufferPool, merge_counts
 from ...sampling.base import LayerBlock, MiniBatch
-from ..prefetch import PrefetchBuffer
 from ..resctl import NodeAllocator
 from ..stage_pipeline import StagePipeline
 from .base import ExecutionBackend
-from .overlap import DepthPolicy, LookaheadDealer, StageChain
+from .overlap import DepthPolicy, LookaheadDealer
 from .report import Reply, RunReport
 
 
@@ -73,9 +74,9 @@ from .report import Reply, RunReport
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Everything a worker needs to rebuild its trainer, plus the two
-    worker-side seam choices (classes pickle by reference, so this
-    travels under ``spawn`` too)."""
+    """Everything a worker needs to rebuild its trainer, plus its
+    replica class (classes pickle by reference, so this travels under
+    ``spawn`` too)."""
 
     index: int
     name: str
@@ -86,7 +87,6 @@ class WorkerSpec:
     learning_rate: float
     transfer_precision: str
     replica_cls: type
-    body: type
 
 
 @dataclass
@@ -95,14 +95,11 @@ class WorkerSnapshot:
     for the parity audit, the kernel-counter delta since the run began
     (a *delta*: under fork the worker's counters inherit whatever the
     parent accumulated before spawning, and a reused worker carries its
-    earlier runs'), and the overlapped body's ``{stage: (items,
-    high_water, mean_occupancy)}`` buffer accounting (empty for the
-    inline body). Stage seconds are not in it: every reply already
+    earlier runs'). Stage seconds are not in it: every reply already
     carried its batch's."""
 
     params: np.ndarray
     kernel_stats: dict[str, int]
-    buffers: dict[str, tuple[int, int, float]]
 
 
 # ---------------------------------------------------------------------------
@@ -163,18 +160,17 @@ class TargetDeal:
 
 
 # ---------------------------------------------------------------------------
-# Worker side: the replica (per-item stages + model), the two bodies,
-# the one message loop
+# Worker side: the replica (per-item stages + model), the body, the one
+# message loop
 # ---------------------------------------------------------------------------
 
 class WorkerReplica(StagePipeline):
     """One worker's in-process state: the per-item stages over the
     shared-memory mapping (this *is* a
-    :class:`~repro.runtime.stage_pipeline.StagePipeline`, so either
-    body — and the shared :class:`~.overlap.StageChain` — drives it
-    exactly like the in-process planes drive the session's), plus the
-    model replica, trainer node and optimizer (built here, never
-    pickled)."""
+    :class:`~repro.runtime.stage_pipeline.StagePipeline`, so the body
+    drives it exactly like the in-process planes drive the session's),
+    plus the model replica, trainer node and optimizer (built here,
+    never pickled)."""
 
     def __init__(self, store, spec: WorkerSpec) -> None:
         from ...nn.models import build_model
@@ -247,11 +243,10 @@ class WorkerReplica(StagePipeline):
         self.model.set_flat_grads(self.grads[-1])
         self.opt.step()
 
-    def snapshot(self, counters_baseline, buffers) -> WorkerSnapshot:
+    def snapshot(self, counters_baseline) -> WorkerSnapshot:
         return WorkerSnapshot(
             params=self.model.get_flat_params(),
-            kernel_stats=COUNTERS.delta(counters_baseline),
-            buffers=buffers)
+            kernel_stats=COUNTERS.delta(counters_baseline))
 
     def release_views(self) -> None:
         """Drop shm-backed views before unmapping, else ``close()``
@@ -261,196 +256,108 @@ class WorkerReplica(StagePipeline):
 
 
 class InlineBody:
-    """Request/response: train each dealt batch to completion before
-    touching the next message.
+    """The one worker body: a dealt item is prepared when it arrives and
+    trained once the previous iteration's update is applied.
 
-    Because nothing is ever in flight, the gather/quantize hot path
-    runs through one pooled buffer set (allocation-free after the
-    first few iterations): the replica's ``load`` gathers into it and
-    quantizes there in place.
-    Valid only under a look-ahead window of 1: a second dealt batch
-    would be trained before the first one's update was applied.
+    ``train`` samples and loads the item at once and queues it; the
+    oldest queued item is answered (a ``result``, or an ``idle`` token)
+    only while no earlier iteration awaits its ``apply``, and ``apply``
+    answers the next. Under a look-ahead window the next batches'
+    sample and load therefore overlap the parent's collect, all-reduce
+    and IPC on the worker's one thread, and iteration ``i + 1`` is
+    answered only after ``i`` was applied — so one slab row per worker
+    plus one average row suffice at any depth, by construction.
+
+    A load that will train at once (every load under lock-step dealing)
+    goes through the run's one pooled buffer set, allocation-free after
+    the first few iterations; a load that queues behind an unapplied
+    iteration gathers into a fresh array, since the next pooled gather
+    would overwrite it before it trains (``docs/kernels.md``).
     """
 
     def __init__(self, conn, replica: WorkerReplica) -> None:
         self.conn = conn
         self.replica = replica
         self.pool = BufferPool()
-        self.send = conn.send
+        #: Prepared items in iteration order: ``(it, None)`` for an
+        #: idle iteration, else ``(it, (mb, x0, stage_s))``. Non-empty
+        #: only while ``awaiting`` is set.
+        self.queue: deque = deque()
+        #: The answered iteration whose ``apply`` has not arrived.
+        self.awaiting: int | None = None
 
     def train(self, it: int, work) -> None:
-        if work is None:
-            self.send(("idle", it))   # every worker answers every deal
-            return
-        r = self.replica
-        stage_s: dict[str, float] = {}
-        t0 = time.perf_counter()
-        mb = r.sample(work)
-        stage_s["sample"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        x0 = r.load(mb, r.spec.kind, pool=self.pool)
-        stage_s["load"] = time.perf_counter() - t0
-        self.send(("result", it,
-                   r.train(mb, x0, r.labels_for(mb), stage_s)))
+        prepared = None
+        if work is not None:
+            r = self.replica
+            stage_s: dict[str, float] = {}
+            t0 = time.perf_counter()
+            mb = r.sample(work)
+            stage_s["sample"] = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            x0 = r.load(mb, r.spec.kind,
+                        pool=self.pool if self.awaiting is None else None)
+            stage_s["load"] = time.perf_counter() - t0
+            prepared = (mb, x0, stage_s)
+        self.queue.append((it, prepared))
+        self._answer()
 
     def apply(self, it: int) -> None:
-        self.replica.apply()
-
-    def drain(self) -> dict:
-        return {}
-
-    def close(self) -> None:
-        pass
-
-
-class OverlappedBody:
-    """Overlap the local ``sample → gather → transfer`` chain with
-    train+sync.
-
-    The worker's main thread (the message loop) only *routes*: dealt
-    work into the :class:`~.overlap.StageChain`, apply tokens into the
-    apply queue — it never blocks on pipeline work, so dealt-ahead
-    messages and broadcasts keep flowing. The **train+sync** consumer
-    takes prepared batches in iteration order, trains, answers (a
-    result, or an idle token), then *waits for that iteration's
-    averaged update* before stepping: gradient math stays synchronous
-    SGD while the producer threads run ahead, and — because iteration
-    ``i + 1`` is answered only after ``i`` was applied — one slab row
-    per worker plus one average row suffice at any look-ahead depth.
-    Batches are in flight on stage threads, so this body must not pool
-    buffers (``docs/kernels.md``).
-
-    Buffer capacity and the stage watchdog come from the manifest's
-    :class:`~repro.runtime.shm.SharedPrefetchSpec`; capacity is the
-    parent's maximum look-ahead, so routing a dealt item can never
-    block the pipe.
-    """
-
-    def __init__(self, conn, replica: WorkerReplica) -> None:
-        pf = replica.store.manifest.prefetch
-        if pf is None:
+        if it != self.awaiting:
             raise ProtocolError(
-                "shared store carries no prefetch spec: an overlapped "
-                "worker body sizes its stage buffers from the manifest")
-        self.conn = conn
-        self.replica = replica
-        self.timeout_s = pf.timeout_s
-        # Applies match dealt items 1:1 (idle iterations are dealt as
-        # pass-through items), but the just-retired iteration's apply
-        # can arrive while the window behind it is still fully dealt —
-        # hence window capacity + 1 headroom.
-        self.q_apply = PrefetchBuffer(pf.capacity + 1)
-        self._send_lock = threading.Lock()
-        self._failed = False
-        index = replica.spec.index
-        self.chain = StageChain(replica, replica.spec.kind, pf.capacity,
-                                pf.timeout_s, self._fail,
-                                f"wpipe-{{}}{index}")
-        self.consumer = threading.Thread(
-            target=self._consume, daemon=True,
-            name=f"wpipe-train{index}")
-        self.chain.start()
-        self.consumer.start()
+                f"worker {self.replica.spec.index} received apply for "
+                f"iteration {it}, expected {self.awaiting}")
+        self.replica.apply()
+        self.awaiting = None
+        self._answer()
 
-    def send(self, msg) -> None:
-        with self._send_lock:
-            self.conn.send(msg)
-
-    def _fail(self, exc: BaseException) -> None:
-        if not self._failed:
-            self._failed = True
-            try:
-                self.send(("error", traceback.format_exc()))
-            except Exception:
-                pass
-        self.chain.close()
-        self.q_apply.close()
-
-    def _consume(self) -> None:
-        r = self.replica
-        try:
-            while True:
-                item = self.chain.take()
-                if item is None:
-                    return
-                if item.mb is not None:
-                    self.send(("result", item.it,
-                               r.train(item.mb, item.x0, item.labels,
-                                       item.stage_s)))
-                else:
-                    self.send(("idle", item.it))
-                # The per-iteration barrier (idle iterations included).
-                applied = self.q_apply.get(timeout=self.timeout_s)
-                if applied is None:
-                    return
-                if applied != item.it:
-                    raise ProtocolError(
-                        f"worker {r.spec.index} received apply for "
-                        f"iteration {applied}, expected {item.it}")
-                r.apply()
-        except BaseException as exc:
-            self._fail(exc)
-
-    def train(self, it: int, work) -> None:
-        self.chain.feed(it, work)
-
-    def apply(self, it: int) -> None:
-        self.q_apply.put(it, timeout=self.timeout_s)
-
-    def _join(self) -> None:
-        self.chain.join()
-        self.consumer.join(timeout=self.timeout_s)
-
-    def drain(self) -> dict:
-        """End the stream and join the pipeline, so the snapshot never
-        races a stage thread."""
-        self.chain.end()
-        self._join()
-        return self.chain.buffer_stats()
-
-    def close(self) -> None:
-        self.chain.close()
-        self.q_apply.close()
-        self._join()
+    def _answer(self) -> None:
+        """Train and answer the oldest queued item, unless an earlier
+        iteration still awaits its update."""
+        if self.awaiting is not None or not self.queue:
+            return
+        it, prepared = self.queue.popleft()
+        if prepared is None:
+            self.conn.send(("idle", it))  # every worker answers every deal
+        else:
+            r = self.replica
+            mb, x0, stage_s = prepared
+            self.conn.send(("result", it,
+                            r.train(mb, x0, r.labels_for(mb), stage_s)))
+        self.awaiting = it
 
 
-def serve(conn, replica: WorkerReplica, body_cls: type) -> None:
+def serve(conn, replica: WorkerReplica) -> None:
     """The one worker message loop. Runs until ``("stop",)`` or EOF,
     across any number of runs.
 
     ``init`` begins a run (per-run state re-derived, a fresh body);
-    ``train`` / ``apply`` go to that body; the single ``snapshot``
-    drains it and ends the run. The process, its store mapping and its
-    replica stay up for the next ``init``.
+    ``train`` / ``apply`` go to that body; the single ``snapshot`` ends
+    the run. The process, its store mapping and its replica stay up for
+    the next ``init``.
     """
     body = None
-    try:
-        conn.send(("ready", replica.spec.index))
-        while True:
-            msg = conn.recv()
-            tag = msg[0]
-            if tag == "train":
-                body.train(msg[1], msg[2])
-            elif tag == "apply":
-                body.apply(msg[1])
-            elif tag == "init":
-                # Nothing is in flight between runs (the previous
-                # ``snapshot`` drained the old body), so the replica is
-                # safe to overwrite.
-                replica.begin_run(msg[1])
-                counters_baseline = COUNTERS.snapshot()
-                body = body_cls(conn, replica)
-            elif tag == "snapshot":
-                buffers = body.drain()
-                body.send(("snapshot", replica.snapshot(
-                    counters_baseline, buffers)))
-            elif tag == "stop":
-                return
-            else:
-                raise ProtocolError(f"unknown message tag {tag!r}")
-    finally:
-        if body is not None:
-            body.close()
+    conn.send(("ready", replica.spec.index))
+    while True:
+        msg = conn.recv()
+        tag = msg[0]
+        if tag == "train":
+            body.train(msg[1], msg[2])
+        elif tag == "apply":
+            body.apply(msg[1])
+        elif tag == "init":
+            # Nothing is in flight between runs (the parent retired and
+            # applied every iteration before its ``snapshot``), so the
+            # replica is safe to overwrite.
+            replica.begin_run(msg[1])
+            counters_baseline = COUNTERS.snapshot()
+            body = InlineBody(conn, replica)
+        elif tag == "snapshot":
+            conn.send(("snapshot", replica.snapshot(counters_baseline)))
+        elif tag == "stop":
+            return
+        else:
+            raise ProtocolError(f"unknown message tag {tag!r}")
 
 
 def worker_main(conn, manifest, spec: WorkerSpec) -> None:
@@ -464,7 +371,7 @@ def worker_main(conn, manifest, spec: WorkerSpec) -> None:
 
         store = SharedFeatureStore.attach(manifest)
         replica = spec.replica_cls(store, spec)
-        serve(conn, replica, spec.body)
+        serve(conn, replica)
     except EOFError:
         pass                              # parent went away: just exit
     except BaseException:
@@ -556,8 +463,6 @@ class ProcessBackend(ExecutionBackend):
 
     #: Seam: what one dealt work item is.
     deal: ClassVar[type] = WireBatchDeal
-    #: Seam: how a worker executes what it is dealt.
-    worker_body: ClassVar[type] = InlineBody
     #: The worker's per-item stages + model (its ``gather`` may be
     #: shard-aware).
     replica_cls: ClassVar[type] = WorkerReplica
@@ -602,7 +507,7 @@ class ProcessBackend(ExecutionBackend):
                 seed=s.train_cfg.seed,
                 learning_rate=s.train_cfg.learning_rate,
                 transfer_precision=s.sys_cfg.transfer_precision,
-                replica_cls=self.replica_cls, body=self.worker_body)
+                replica_cls=self.replica_cls)
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             pool.conns.append(parent_conn)
             proc = ctx.Process(
@@ -628,22 +533,16 @@ class ProcessBackend(ExecutionBackend):
 
     def _create_store(self):
         """Create the shared-memory store the workers will attach. The
-        manifest tells workers whether to sample (sampler spec) and how
-        deep an overlapped body's buffers must be (prefetch spec: the
-        widest window a run can ever deal); the gradient slab is one
-        row per worker plus the average row, in the model's parameter
-        dtype."""
-        from ..shm import SharedFeatureStore, SharedPrefetchSpec
+        manifest tells workers whether to sample (sampler spec); the
+        gradient slab is one row per worker plus the average row, in
+        the model's parameter dtype."""
+        from ..shm import SharedFeatureStore
         s = self.session
         flat = s.trainers[0].model.get_flat_params()
         return SharedFeatureStore.create(
             s.dataset,
             sampler_spec=s.shared_sampler_spec()
             if self.deal.worker_samples else None,
-            prefetch_spec=SharedPrefetchSpec(
-                capacity=1 if self.lookahead is None
-                else self.lookahead.max_depth,
-                timeout_s=self.timeout_s),
             grad_slab=np.zeros_like(
                 flat, shape=(s.num_trainers + 1, flat.size)),
             **self.store_extras)
@@ -799,17 +698,15 @@ class ProcessBackend(ExecutionBackend):
 
     def _snapshot(self, report) -> None:
         """The one post-run round trip per worker, *after*
-        ``wall_time_s`` is stamped (draining worker pipelines and
-        shipping accounting never skews measured training time): ask
-        everyone, then fold in order — kernel counters, buffer
-        occupancy — and audit every worker's parameters against the
-        parent mirrors, bit for bit. It ends the run on the worker side
-        too (body drained); the pool stays up."""
+        ``wall_time_s`` is stamped (shipping accounting never skews
+        measured training time): ask everyone, then fold the kernel
+        counters in order and audit every worker's parameters against
+        the parent mirrors, bit for bit. It ends the run on the worker
+        side too; the pool stays up."""
         s = self.session
         for idx in range(s.num_trainers):
             self._send(idx, ("snapshot",))
         consistent = s.synchronizer.replicas_consistent()
-        buffers = []
         for idx, trainer in enumerate(s.trainers):
             tag, snap = self._recv(idx)
             if tag != "snapshot":
@@ -817,12 +714,8 @@ class ProcessBackend(ExecutionBackend):
                     f"worker {idx} sent {tag!r} instead of its "
                     "snapshot")
             merge_counts(report.kernel_stats, snap.kernel_stats)
-            if snap.buffers:
-                buffers.append(snap.buffers)
             consistent = consistent and np.array_equal(
                 snap.params, trainer.model.get_flat_params())
-        if buffers:
-            report.fold_buffers(buffers)
         report.replicas_consistent = consistent
 
     # ------------------------------------------------------------------
@@ -893,24 +786,25 @@ class ProcessSamplingBackend(ProcessBackend):
 
 class ProcessPipelinedBackend(ProcessBackend):
     """``process_pipelined`` — process × pipeline fused: target-id
-    shards dealt *ahead* through an adaptively-sized window, each
-    worker overlapping its local producer chain with train+sync. With
-    ``max_depth=1`` the window degenerates to lock-step dealing and
-    this preset is bit-identical to ``process_sampling`` (pinned by a
-    regression test).
+    shards dealt *ahead* through an adaptively-sized window, so each
+    worker samples and loads the next batches while the parent
+    collects and all-reduces the current one. Look-ahead changes when
+    an item is dealt, never what is trained: with ``max_depth=1``, or
+    at any depth without DRM, this preset is bit-identical to
+    ``process_sampling`` (pinned by a regression test); with DRM a
+    deeper window deals ahead of Algorithm 1's adjustments
+    (``RunReport.dealt_sizes``).
 
     Parameters (beyond :class:`ProcessBackend`'s)
     ---------------------------------------------
     initial_depth / max_depth / allocator:
         The :class:`~.overlap.DepthPolicy` knobs, exactly as on
-        :class:`~.pipelined.PipelinedBackend`. ``max_depth`` also sizes
-        each worker's stage buffers (via the manifest).
+        :class:`~.pipelined.PipelinedBackend`.
     """
 
     name = "process_pipelined"
     conformance_tier = "statistical"
     deal = TargetDeal
-    worker_body = OverlappedBody
 
     def __init__(self, session, timeout_s: float = 120.0,
                  mp_context: str | None = None,

@@ -137,7 +137,7 @@ class RunReport:
     #: synchronize tail from each reply (:meth:`add_stage_seconds`).
     stage_seconds: dict[str, tuple[int, float]] = field(
         default_factory=dict)
-    #: Per-stage buffer occupancy of the overlapped planes.
+    #: Per-stage buffer occupancy of the threaded in-process planes.
     stage_stats: dict[str, StageStats] = field(default_factory=dict)
     #: Adaptive look-ahead trajectory ``(iteration, depth)``.
     depth_history: list[tuple[int, int]] = field(default_factory=list)
@@ -173,8 +173,8 @@ class RunReport:
     def fold_buffers(self, per_chain: list[dict[str, tuple]]) -> None:
         """Fold every stage chain's ``{stage: (items, high_water,
         mean_occupancy)}`` buffer accounting into ``stage_stats`` — one
-        chain per trainer in-process, one per worker on the process
-        planes, none on the thread-less ``virtual`` plane."""
+        chain per trainer on the threaded in-process planes, none on
+        ``virtual`` or the process planes."""
         if not per_chain:
             return
         for stage in per_chain[0]:

@@ -210,8 +210,9 @@ class ShardedReplica(WorkerReplica):
             self.features.dtype.itemsize
             * int(np.prod(self.features.shape[1:], dtype=np.int64)))
         # One io record per gathered batch, consumed by ``train`` in the
-        # same (FIFO) order — a queue, not a field, because under the
-        # overlapped body the gather thread runs ahead of training.
+        # same (FIFO) order — a queue, not a field, because under a
+        # look-ahead window a dealt-ahead batch is gathered before the
+        # previous one trains.
         self._io: deque[dict] = deque()
 
     def gather(self, mb, *, pool=None) -> np.ndarray:
@@ -295,7 +296,7 @@ class ShardedReplica(WorkerReplica):
 class ShardedBackend(ProcessBackend):
     """``sharded`` — worker replicas over per-shard slices of the
     store: :class:`ShardPlan` × :class:`~.process.TargetDeal` ×
-    :class:`ShardedReplica`, inline body, lock-step.
+    :class:`ShardedReplica`, lock-step.
 
     Parameters
     ----------

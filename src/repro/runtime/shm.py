@@ -113,26 +113,6 @@ class SharedShardSpec:
 
 
 @dataclass(frozen=True)
-class SharedPrefetchSpec:
-    """Worker-local pipeline parameters for overlapped process planes
-    (picklable).
-
-    The fused process × pipeline backend overlaps each worker's local
-    sample → gather → transfer chain with its train+sync stage over
-    :class:`~repro.runtime.prefetch.PrefetchBuffer` queues. ``capacity``
-    sizes those stage buffers — it must be at least the parent's
-    maximum look-ahead depth, so the worker's receive loop can always
-    enqueue a dealt shard without blocking the pipe (a blocked receive
-    loop could never see the ``apply`` that would drain it — the
-    classic pipeline deadlock). ``timeout_s`` is the stage-handoff
-    watchdog, mirroring the parent's cross-process watchdog.
-    """
-
-    capacity: int
-    timeout_s: float
-
-
-@dataclass(frozen=True)
 class SharedStoreManifest:
     """Everything a worker needs to map the store (picklable).
 
@@ -140,19 +120,15 @@ class SharedStoreManifest:
     runs worker-side neighbor sampling, the manifest carries the
     :class:`SharedSamplerSpec` the workers rebuild their samplers from
     (the topology itself travels in the segment as ``indptr`` /
-    ``indices`` / ``train_ids``). ``prefetch`` is optional worker-local
-    pipeline state: overlapped process planes carry a
-    :class:`SharedPrefetchSpec` sizing each worker's stage buffers.
-    ``shard`` is optional partition state: a shard-sliced store (the
-    sharded plane) carries a :class:`SharedShardSpec` and stores
-    features/labels in shard-major order alongside the translation
-    arrays.
+    ``indices`` / ``train_ids``). ``shard`` is optional partition
+    state: a shard-sliced store (the sharded plane) carries a
+    :class:`SharedShardSpec` and stores features/labels in shard-major
+    order alongside the translation arrays.
     """
 
     segment: str
     arrays: tuple[SharedArraySpec, ...]
     sampler: SharedSamplerSpec | None = None
-    prefetch: SharedPrefetchSpec | None = None
     shard: SharedShardSpec | None = None
 
     @property
@@ -194,7 +170,6 @@ class SharedFeatureStore:
     @classmethod
     def create(cls, dataset,
                sampler_spec: SharedSamplerSpec | None = None,
-               prefetch_spec: SharedPrefetchSpec | None = None,
                shard_map=None,
                shard_spec: SharedShardSpec | None = None,
                grad_slab: np.ndarray | None = None
@@ -206,8 +181,7 @@ class SharedFeatureStore:
         worker needs to gather inputs, evaluate the models' degree
         terms, *and* (with a ``sampler_spec``) rebuild the session's
         sampler family locally, without touching the parent's address
-        space. A ``prefetch_spec`` additionally sizes the worker-local
-        stage buffers of overlapped process planes.
+        space.
 
         With a ``shard_map`` (:class:`~repro.graph.shard_map.ShardMap`)
         the store becomes **shard-sliced**: features and labels are
@@ -268,7 +242,6 @@ class SharedFeatureStore:
         manifest = SharedStoreManifest(segment=shm.name,
                                        arrays=tuple(specs),
                                        sampler=sampler_spec,
-                                       prefetch=prefetch_spec,
                                        shard=shard_spec)
         store = cls(shm, manifest, owner=True)
         for spec in specs:

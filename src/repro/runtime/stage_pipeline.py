@@ -1,6 +1,6 @@
 """The per-item stage pipeline, extracted from the training session.
 
-Every consumer of the runtime — the six training backends *and* the
+Every consumer of the runtime — the seven training backends *and* the
 online serving plane (:mod:`repro.serving`) — pushes work items through
 the same Fig.-5 producer chain: **sample** a computational graph for
 some target vertices, **gather** their input features from host DDR,
@@ -22,7 +22,7 @@ extraction that lets a non-training session reuse it:
 
 :class:`~repro.runtime.core.TrainingSession` composes a
 :class:`StagePipeline` and keeps its historical stage hooks
-(``sample_stage`` …) as thin delegations, so the six backends execute
+(``sample_stage`` …) as thin delegations, so every backend executes
 bit-identical paths; :class:`~repro.serving.ServingSession` composes
 the same class over the same sampler/kernel/feature-store stack, and
 each process-plane worker replica *is* one over its shared-memory
@@ -149,9 +149,10 @@ class StagePipeline:
 
         ``pool`` makes the gather allocation-free — **opt-in**: a pooled
         result is only valid until the next gather from the same pool,
-        so only provably sequential call sites (the ``virtual`` feed,
-        the process planes' inline worker body) pass one; planes that
-        keep several batches in flight must not (``docs/kernels.md``).
+        so only provably sequential call sites (the ``virtual`` feed, a
+        process-plane worker's load that trains at once) pass one;
+        loads that wait behind another batch must not
+        (``docs/kernels.md``).
         """
         return kernels.gather_rows(self.features, mb.input_nodes,
                                    pool=pool)

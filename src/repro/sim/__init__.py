@@ -11,12 +11,11 @@ gap arises the same way it does in the paper (launch overheads, pipeline
 fill/flush, per-batch workload variation).
 """
 
-from .engine import PipelineSimulator, StageSchedule
+from .engine import PipelineSimulator
 from .trace import Span, Timeline, render_gantt
 
 __all__ = [
     "PipelineSimulator",
-    "StageSchedule",
     "Span",
     "Timeline",
     "render_gantt",

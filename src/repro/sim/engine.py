@@ -20,22 +20,12 @@ pipeline), which keeps epoch-scale simulations O(iterations × stages).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import SimulationError
 from .trace import Span, Timeline
-
-
-@dataclass(frozen=True)
-class StageSchedule:
-    """Computed schedule for one stage: per-iteration start/finish."""
-
-    name: str
-    start: np.ndarray
-    finish: np.ndarray
 
 
 class PipelineSimulator:
@@ -109,17 +99,3 @@ class PipelineSimulator:
     def makespan(self, durations: Sequence[Sequence[float]]) -> float:
         """Total time to drain the pipeline (epoch time contribution)."""
         return self.run(durations).makespan
-
-    def schedules(self, durations: Sequence[Sequence[float]]
-                  ) -> list[StageSchedule]:
-        """Per-stage start/finish arrays (used by tests)."""
-        timeline = self.run(durations)
-        out = []
-        for k, name in enumerate(self.stage_names):
-            spans = sorted((s for s in timeline.spans if s.stage == name),
-                           key=lambda s: s.iteration)
-            out.append(StageSchedule(
-                name=name,
-                start=np.array([s.start for s in spans]),
-                finish=np.array([s.end for s in spans])))
-        return out

@@ -143,15 +143,14 @@ class TestBackendConformance:
     def test_sharded_lookahead_preset_composes_with_no_new_code(
             self, tiny_ds, monkeypatch):
         """The composition proof: partition-mapped dealing × the
-        shard-aware replica × the overlapped worker body × the
-        adaptive window is one more *declaration* over the process
+        shard-aware replica × the adaptive window is one more
+        *declaration* over the process
         driver's seams — registered here, in the test, through the
         third-party path — and it passes the statistical tier on every
         case, cross-node ownership assertion included."""
         from repro.graph.partition import bfs_partition
         from repro.graph.shard_map import ShardMap
         from repro.runtime.backends.process import (
-            OverlappedBody,
             ProcessBackend,
             TargetDeal,
         )
@@ -165,7 +164,6 @@ class TestBackendConformance:
             name = "sharded_lookahead"
             conformance_tier = "statistical"
             deal = TargetDeal
-            worker_body = OverlappedBody
             replica_cls = ShardedReplica
 
             def __init__(self, session, timeout_s=120.0,
@@ -191,8 +189,6 @@ class TestBackendConformance:
                 lambda b: analytic_lookahead(b, monkeypatch))
             assert rep.shard_parts is not None and rep.shard_io
             assert max(n for n, _ in rep.lookahead_history) > 1
-            assert set(rep.stage_stats) == {"sample", "gather",
-                                            "transfer", "train"}
         finally:
             BACKENDS.pop("sharded_lookahead", None)
 
@@ -662,8 +658,8 @@ class TestPipelinedBackend:
 
 class TestProcessPipelinedBackend:
     """Fused-plane specifics the generic tiered matrix cannot see:
-    look-ahead dealing bounds, DRM lag semantics, the degenerate
-    lock-step case, and the worker-side overlap report."""
+    look-ahead dealing bounds, DRM lag semantics, and parity with the
+    lock-step worker-sampling plane."""
 
     def _session(self, tiny_ds, eq_cfg, n=3):
         return TrainingSession(
@@ -678,35 +674,60 @@ class TestProcessPipelinedBackend:
                          transfer_precision="int8"),
             fpga_platform, profile_probes=2)
 
-    def test_depth_one_matches_worker_sampling_bit_for_bit(
-            self, tiny_ds, eq_cfg, fpga_platform, monkeypatch):
-        """With ``max_depth=1`` the look-ahead window degenerates to
-        lock-step dealing: shards are dealt only after the previous
-        iteration's DRM step, so the fused plane must reproduce the
-        worker-sampling plane bit for bit — losses, DRM trajectory,
-        sampled edges, and every final parameter. This is the DRM-lag
-        regression pin's zero-lag anchor.
+    @pytest.mark.parametrize(
+        "depth, platform, epochs", [(1, True, 1), (3, False, 2)],
+        ids=["depth1-drm", "depth3-no-platform"])
+    def test_lookahead_matches_worker_sampling_bit_for_bit(
+            self, depth, platform, epochs, tiny_ds, eq_cfg,
+            fpga_platform, monkeypatch):
+        """Look-ahead changes *when* an item is dealt, never *what* is
+        trained: the fused plane reproduces the worker-sampling plane
+        bit for bit — losses, worker-echoed targets, DRM trajectory,
+        sampled edges, and every final parameter.
+
+        * With ``max_depth=1`` the window degenerates to lock-step
+          dealing, so shards are dealt only after the previous
+          iteration's DRM step — the DRM-lag regression pin's zero-lag
+          anchor.
+        * Without a platform (no DRM, nothing adapts) a window of 3
+          keeps three iterations dealt ahead on every worker across two
+          epochs on one backend, and still trains the same batches.
 
         Run under :func:`analytic_lookahead`: the worker-sampling plane
         never calibrates its timing step against realized wall clocks,
         so parity demands the fused plane's estimator stay cold (by
         default it warms and corrects the modelled stage times with
         measured ones, which intentionally diverges)."""
-        ss = self._platform_session(tiny_ds, eq_cfg, fpga_platform)
-        rs = ProcessSamplingBackend(ss, timeout_s=60).run_epoch()
+        def session():
+            if platform:
+                return self._platform_session(tiny_ds, eq_cfg,
+                                              fpga_platform)
+            return self._session(tiny_ds, eq_cfg)
 
-        sf = self._platform_session(tiny_ds, eq_cfg, fpga_platform)
-        backend = ProcessPipelinedBackend(sf, timeout_s=60,
-                                          initial_depth=1, max_depth=1)
-        analytic_lookahead(backend, monkeypatch)
-        rf = backend.run_epoch()
+        ss = session()
+        with ProcessSamplingBackend(ss, timeout_s=60) as backend:
+            rs = [backend.run_epoch() for _ in range(epochs)]
 
-        assert rf.iterations == rs.iterations
-        np.testing.assert_array_equal(rs.losses, rf.losses)
-        np.testing.assert_array_equal(rs.accuracies, rf.accuracies)
-        assert rf.total_edges == rs.total_edges
-        assert rf.split_history == rs.split_history
-        assert rf.stage_history == rs.stage_history
+        sf = session()
+        with ProcessPipelinedBackend(sf, timeout_s=60,
+                                     initial_depth=depth,
+                                     max_depth=depth) as backend:
+            analytic_lookahead(backend, monkeypatch)
+            rf = [backend.run_epoch() for _ in range(epochs)]
+
+        for a, b in zip(rs, rf):
+            assert max(n for n, _ in b.lookahead_history) == depth
+            assert b.iterations == a.iterations
+            np.testing.assert_array_equal(a.losses, b.losses)
+            np.testing.assert_array_equal(a.accuracies, b.accuracies)
+            assert b.total_edges == a.total_edges
+            assert b.split_history == a.split_history
+            assert b.stage_history == a.stage_history
+            for wa, wb in zip(a.worker_targets, b.worker_targets,
+                              strict=True):
+                assert len(wa) == len(wb)
+                for ta, tb in zip(wa, wb):
+                    np.testing.assert_array_equal(ta, tb)
         for ts, tf in zip(ss.trainers, sf.trainers):
             np.testing.assert_array_equal(ts.model.get_flat_params(),
                                           tf.model.get_flat_params())
@@ -753,9 +774,8 @@ class TestProcessPipelinedBackend:
                                                   eq_cfg,
                                                   fpga_platform):
         """The bounded-queue audit: in-flight dealt iterations never
-        exceed ``max_depth``, the adaptive depth stays within
-        ``[1, max_depth]``, and no worker stage buffer ever held more
-        than the manifest capacity."""
+        exceed ``max_depth`` and the adaptive depth stays within
+        ``[1, max_depth]``."""
         cap = 4
         sf = self._platform_session(tiny_ds, eq_cfg, fpga_platform)
         backend = ProcessPipelinedBackend(sf, timeout_s=60,
@@ -768,8 +788,6 @@ class TestProcessPipelinedBackend:
             assert 1 <= depth <= cap
         for _, depth in rf.depth_history:
             assert 1 <= depth <= cap
-        for stats in rf.stage_stats.values():
-            assert stats.high_water <= cap
 
     @pytest.mark.parametrize("case", CONFORMANCE_CASES[:2],
                              ids=_CASE_IDS[:2])
@@ -805,26 +823,6 @@ class TestProcessPipelinedBackend:
         assert any(0 in sizes for sizes in rep.dealt_sizes)
         assert max(n for n, _ in rep.lookahead_history) > 1
         assert rep.replicas_consistent
-
-    def test_overlap_report_covers_every_stage(self, tiny_ds, eq_cfg):
-        """Every iteration hands one item per worker through each
-        worker-local stage (idle iterations as pass-through markers),
-        and the aggregated report accounts for all of them."""
-        session = self._session(tiny_ds, eq_cfg)
-        rep = ProcessPipelinedBackend(session,
-                                      timeout_s=60).run_epoch()
-        n = session.num_trainers
-        assert set(rep.stage_stats) == {"sample", "gather", "transfer",
-                                        "train"}
-        for stats in rep.stage_stats.values():
-            assert stats.items == rep.iterations * n
-            assert stats.high_water >= 1
-            assert stats.mean_occupancy >= 0.0
-        assert rep.prefetch_high_water >= 1
-        assert rep.wall_time_s > 0
-        # The seeded window opens the depth trajectory.
-        first_it, first_depth = rep.depth_history[0]
-        assert first_it == 0 and first_depth >= 1
 
     def test_invalid_construction_rejected(self, tiny_ds, eq_cfg):
         from repro.errors import ProtocolError

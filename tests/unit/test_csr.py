@@ -124,18 +124,3 @@ class TestDerived:
         g = CSRGraph.from_edges([0, 1, 2], [1, 2, 0], 4).symmetrize()
         g2 = g.symmetrize()
         assert g == g2
-
-    def test_with_self_loops(self):
-        g = CSRGraph.from_edges([0], [1], 2).with_self_loops()
-        assert 0 in g.neighbors(0)
-        assert 1 in g.neighbors(1)
-        assert g.num_edges == 3
-
-    def test_with_self_loops_no_duplicate(self):
-        g = CSRGraph.from_edges([0, 0], [0, 1], 2).with_self_loops()
-        assert g.num_edges == 3  # existing loop coalesced
-
-    def test_subgraph_edges(self):
-        g = CSRGraph.from_edges([0, 1, 2, 0], [1, 2, 0, 2], 3)
-        assert g.subgraph_edges([0, 1]) == 1
-        assert g.subgraph_edges([0, 1, 2]) == 4

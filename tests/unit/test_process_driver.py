@@ -1,6 +1,7 @@
 """The live planes' shape: two drivers, presets that only declare,
-the worker wire protocol (one snapshot per run, unknown tags refused,
-control-only pipes) and the pool's lifetime (one spawn per backend,
+the worker wire protocol (one snapshot per run, dealt-ahead items
+answered in order after each apply, unknown tags and
+wrong-iteration applies refused, control-only pipes) and the pool's lifetime (one spawn per backend,
 closed by ``close()`` / scope exit / a failed run).
 
 The conformance matrix proves the seven planes *behave*; this module
@@ -20,6 +21,7 @@ every later ``run()`` uses.
 """
 
 import ast
+import contextlib
 import dataclasses
 import gc
 import glob
@@ -45,8 +47,6 @@ from repro.runtime import (
 )
 from repro.runtime.backends.pipelined import InProcessBackend
 from repro.runtime.backends.process import (
-    InlineBody,
-    OverlappedBody,
     ProcessBackend,
     Reply,
     WorkerReplica,
@@ -54,7 +54,7 @@ from repro.runtime.backends.process import (
     WorkerSpec,
     worker_main,
 )
-from repro.runtime.shm import SharedFeatureStore, SharedPrefetchSpec
+from repro.runtime.shm import SharedFeatureStore
 
 PROCESS_PRESETS = ("process", "process_sampling", "process_pipelined",
                    "sharded")
@@ -199,10 +199,26 @@ class TestStructure:
 
     def test_worker_snapshot_carries_no_stage_seconds(self):
         """Stage seconds reach the parent once, on each reply; the
-        run-end snapshot is parameters, kernel counters and buffer
-        occupancy only."""
+        run-end snapshot is parameters and kernel counters only."""
         assert {f.name for f in dataclasses.fields(WorkerSnapshot)} \
-            == {"params", "kernel_stats", "buffers"}
+            == {"params", "kernel_stats"}
+
+    def test_process_workers_run_no_threads(self):
+        """A worker is one message loop on one thread: the process
+        driver's module imports no threading and none of the stage-
+        thread machinery (look-ahead is the body's queue, not a
+        pipeline inside the worker)."""
+        tree = ast.parse(
+            (SRC / "runtime" / "backends" / "process.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported |= {node.module or ""}
+                imported |= {alias.name for alias in node.names}
+        assert not imported & {"threading", "PrefetchBuffer",
+                               "StageChain"}
 
     @pytest.mark.parametrize("name", available_backends())
     def test_every_backend_implements_run_and_inherits_run_epoch(
@@ -240,44 +256,67 @@ class TestStructure:
         assert reports == {"RunReport"}
 
 
-def _spec(ds, body) -> WorkerSpec:
+def _spec(ds) -> WorkerSpec:
     return WorkerSpec(
         index=0, name="trainer0", kind="accel", model_name="sage",
         dims=layer_dims(ds.spec.feature_dim, 8, ds.spec.num_classes, 2),
         seed=3, learning_rate=0.05, transfer_precision="fp32",
-        replica_cls=WorkerReplica, body=body)
+        replica_cls=WorkerReplica)
+
+
+@contextlib.contextmanager
+def _live_worker(ds, sampler_spec=None):
+    """One real worker over its pipe: yields ``(parent_conn, params)``
+    after the ready handshake. The block must end with the worker gone
+    (a fatal ProtocolError or a ``stop``); the process and the store
+    are torn down either way. With a ``sampler_spec`` the worker
+    samples dealt target ids itself."""
+    ctx = mp.get_context("fork")
+    spec = _spec(ds)
+    from repro.nn.models import build_model
+    init_model = build_model("sage", spec.dims, 99)
+    store = SharedFeatureStore.create(
+        ds, sampler_spec=sampler_spec, grad_slab=np.zeros_like(init_model.get_flat_params(),
+                                    shape=(2, init_model.num_params)))
+    parent, child = ctx.Pipe(duplex=True)
+    proc = ctx.Process(target=worker_main,
+                       args=(child, store.manifest, spec), daemon=True)
+    try:
+        proc.start()
+        child.close()
+        assert parent.poll(10.0) and parent.recv() == ("ready", 0)
+        yield parent, init_model.get_flat_params()
+        proc.join(timeout=10.0)
+        assert not proc.is_alive()
+    finally:
+        parent.close()
+        if proc.is_alive():
+            proc.terminate()
+            proc.join(timeout=5.0)
+        store.close()
+        store.unlink()
+
+
+def _expect_protocol_error(parent, *needles: str) -> None:
+    assert parent.poll(10.0)
+    tag, tb = parent.recv()
+    assert tag == "error"
+    assert "ProtocolError" in tb
+    for needle in needles:
+        assert needle in tb
 
 
 class TestWorkerProtocol:
-    @pytest.mark.parametrize("body", [InlineBody, OverlappedBody],
-                             ids=["inline", "overlapped"])
     def test_one_snapshot_then_unknown_tag_is_protocol_error(
-            self, body, tiny_ds):
+            self, tiny_ds):
         """Drive a real worker over its pipe: ``snapshot`` is answered
         exactly once (and carries the synced parameters); a tag outside
         the protocol kills the worker with a ProtocolError traceback."""
-        ctx = mp.get_context("fork")
-        spec = _spec(tiny_ds, body)
-        from repro.nn.models import build_model
-        init_model = build_model("sage", spec.dims, 99)
-        store = SharedFeatureStore.create(
-            tiny_ds, prefetch_spec=SharedPrefetchSpec(capacity=2,
-                                                      timeout_s=10.0),
-            grad_slab=np.zeros_like(
-                init_model.get_flat_params(),
-                shape=(2, init_model.num_params)))
-        parent, child = ctx.Pipe(duplex=True)
-        proc = ctx.Process(target=worker_main,
-                           args=(child, store.manifest, spec),
-                           daemon=True)
-        try:
-            proc.start()
-            child.close()
-            assert parent.poll(10.0) and parent.recv() == ("ready", 0)
+        with _live_worker(tiny_ds) as (parent, init_params):
             # Two runs on the one process: ``snapshot`` ends a run,
             # not the worker, and the next ``init`` begins afresh.
             for scale in (1.0, 2.0):
-                params = init_model.get_flat_params() * scale
+                params = init_params * scale
                 parent.send(("init", params))
                 parent.send(("snapshot",))
                 assert parent.poll(10.0)
@@ -285,25 +324,51 @@ class TestWorkerProtocol:
                 assert tag == "snapshot" and \
                     isinstance(snap, WorkerSnapshot)
                 np.testing.assert_array_equal(snap.params, params)
-                assert set(snap.buffers) == (
-                    set() if body is InlineBody
-                    else {"sample", "gather", "transfer", "train"})
                 assert not parent.poll(0.2), "snapshot answered twice"
 
             parent.send(("kstats",))        # a retired tag: now unknown
-            assert parent.poll(10.0)
-            tag, tb = parent.recv()
-            assert tag == "error"
-            assert "ProtocolError" in tb and "kstats" in tb
-            proc.join(timeout=10.0)
-            assert not proc.is_alive()
-        finally:
-            parent.close()
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
-            store.close()
-            store.unlink()
+            _expect_protocol_error(parent, "kstats")
+
+    def test_apply_for_the_wrong_iteration_is_protocol_error(
+            self, tiny_ds):
+        """A worker applies only the update of the iteration it last
+        answered: an ``apply`` naming any other iteration kills it with
+        a ProtocolError traceback instead of stepping on the wrong
+        average row."""
+        with _live_worker(tiny_ds) as (parent, params):
+            parent.send(("init", params))
+            parent.send(("train", 0, None))
+            assert parent.poll(10.0) and parent.recv() == ("idle", 0)
+            parent.send(("apply", 5))
+            _expect_protocol_error(parent, "iteration 5", "expected 0")
+
+    def test_dealt_ahead_items_are_answered_after_each_apply(
+            self, tiny_ds, small_cfg):
+        """Look-ahead over a real pipe: three iterations dealt at once
+        are answered one at a time, in order, each only after the
+        previous iteration's ``apply`` — an idle deal included."""
+        from repro.runtime.shm import SharedSamplerSpec
+        sampler_spec = SharedSamplerSpec(
+            train_cfg=small_cfg, feature_dim=tiny_ds.spec.feature_dim)
+        with _live_worker(tiny_ds, sampler_spec) as (parent, params):
+            parent.send(("init", params))
+            targets = tiny_ds.train_ids[:16]
+            parent.send(("train", 0, targets))
+            parent.send(("train", 1, None))
+            parent.send(("train", 2, targets))
+            answers = []
+            for it in range(3):
+                assert parent.poll(10.0)
+                answers.append(parent.recv())
+                assert not parent.poll(0.2), \
+                    f"answered past iteration {it} before its apply"
+                parent.send(("apply", it))
+            assert [a[:2] for a in answers] == \
+                [("result", 0), ("idle", 1), ("result", 2)]
+            for _, _, reply in (answers[0], answers[2]):
+                assert isinstance(reply, Reply)
+                assert set(reply.stage_s) >= {"sample", "load", "train"}
+            parent.send(("stop",))
 
     def test_a_run_asks_each_worker_for_exactly_one_snapshot(
             self, make_session, parent_traffic):

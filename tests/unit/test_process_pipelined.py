@@ -1,6 +1,7 @@
 """Fused-plane units: the bounded look-ahead dealer and its
-partition/bound invariants, plus the overlap report and the manifest's
-prefetch spec.
+partition/bound invariants, the report's coverage defaults, the depth
+knobs, the look-ahead trajectories and the worker body's look-ahead
+queue.
 
 The fused backend's correctness rests on sequencing logic that the
 integration matrix exercises but cannot isolate: the
@@ -12,7 +13,6 @@ properties over random quota/seed/depth schedules.
 """
 
 import pathlib
-import pickle
 import sys
 
 import numpy as np
@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from repro.errors import ProtocolError
 from repro.runtime import LookaheadDealer, RunReport
 from repro.runtime.core import BatchPlan
-from repro.runtime.shm import SharedPrefetchSpec
 
 # The conformance kit's helper, shared rather than copied (the same
 # directory pytest puts on the path for the integration suite).
@@ -282,22 +281,132 @@ class TestLookaheadTrajectories:
                           backend.lookahead.estimator) == expected
 
 
-class TestSharedPrefetchSpec:
-    def test_round_trips_through_pickle(self):
-        """The spec crosses the process boundary inside the manifest —
-        the wire form must round-trip."""
-        spec = SharedPrefetchSpec(capacity=8, timeout_s=120.0)
-        assert pickle.loads(pickle.dumps(spec)) == spec
+class _RecordingReplica:
+    """The replica surface the worker body drives, recording each
+    stage call in order (``("load", it, pooled)`` and so on); a work
+    item is just its iteration number."""
 
-    def test_travels_in_the_manifest(self, tiny_ds):
-        from repro.runtime.shm import SharedFeatureStore
-        spec = SharedPrefetchSpec(capacity=4, timeout_s=30.0)
-        with SharedFeatureStore.create(tiny_ds,
-                                       prefetch_spec=spec) as store:
-            manifest = pickle.loads(pickle.dumps(store.manifest))
-            assert manifest.prefetch == spec
+    class spec:
+        index = 0
+        kind = "accel"
 
-    def test_absent_by_default(self, tiny_ds):
-        from repro.runtime.shm import SharedFeatureStore
-        with SharedFeatureStore.create(tiny_ds) as store:
-            assert store.manifest.prefetch is None
+    def __init__(self) -> None:
+        self.calls: list[tuple] = []
+        self.last_trained: int | None = None
+
+    def sample(self, work):
+        self.calls.append(("sample", work))
+        return work
+
+    def load(self, mb, kind, pool=None):
+        self.calls.append(("load", mb, pool is not None))
+        return mb
+
+    def labels_for(self, mb):
+        return mb
+
+    def train(self, mb, x0, labels, stage_s):
+        assert set(stage_s) == {"sample", "load"}
+        self.calls.append(("train", mb))
+        self.last_trained = mb
+        return f"reply{mb}"
+
+    def apply(self):
+        self.calls.append(("apply", self.last_trained))
+
+
+class _Pipe:
+    def __init__(self) -> None:
+        self.sent: list[tuple] = []
+
+    def send(self, msg) -> None:
+        self.sent.append(msg)
+
+
+class TestInlineBody:
+    """The one worker body under look-ahead dealing, driven in-process:
+    a dealt item is sampled and loaded when it arrives, queued, and
+    trained and answered only once the previous iteration's update is
+    applied; only a load that trains at once uses the pooled buffers."""
+
+    def _body(self):
+        from repro.runtime.backends.process import InlineBody
+        conn, replica = _Pipe(), _RecordingReplica()
+        return InlineBody(conn, replica), conn, replica
+
+    def test_lockstep_loads_go_through_the_pool(self):
+        body, conn, replica = self._body()
+        for it in range(3):
+            body.train(it, it)
+            assert conn.sent[-1] == ("result", it, f"reply{it}")
+            body.apply(it)
+        assert [c for c in replica.calls if c[0] == "load"] == \
+            [("load", it, True) for it in range(3)]
+
+    def test_queued_loads_gather_into_fresh_arrays(self):
+        """A load dealt behind an unapplied iteration must not use the
+        pool: the next pooled gather would overwrite it before it
+        trains."""
+        body, conn, replica = self._body()
+        for it in range(3):
+            body.train(it, it)
+        assert [c for c in replica.calls if c[0] == "load"] == \
+            [("load", 0, True), ("load", 1, False), ("load", 2, False)]
+        assert conn.sent == [("result", 0, "reply0")]
+        body.apply(0)
+        body.apply(1)
+        body.train(3, 3)          # queue drained, 2 awaits: still queued
+        body.apply(2)
+        body.apply(3)
+        body.train(4, 4)          # nothing awaits: trains at once
+        assert [c[2] for c in replica.calls if c[0] == "load"] == \
+            [True, False, False, False, True]
+
+    def test_each_item_trains_only_after_the_previous_apply(self):
+        """Sample and load run ahead; train ``i + 1`` follows apply
+        ``i``, and every answer goes out in iteration order."""
+        body, conn, replica = self._body()
+        for it in range(3):
+            body.train(it, it)
+        for it in range(3):
+            body.apply(it)
+        assert replica.calls == [
+            ("sample", 0), ("load", 0, True), ("train", 0),
+            ("sample", 1), ("load", 1, False),
+            ("sample", 2), ("load", 2, False),
+            ("apply", 0), ("train", 1),
+            ("apply", 1), ("train", 2),
+            ("apply", 2)]
+        assert [m[:2] for m in conn.sent] == \
+            [("result", 0), ("result", 1), ("result", 2)]
+        assert body.awaiting is None and not body.queue
+
+    def test_idle_tokens_keep_their_place_in_the_queue(self):
+        """An idle iteration is answered in turn like a result, and
+        its ``apply`` is awaited before the next item trains."""
+        body, conn, replica = self._body()
+        body.train(0, 0)
+        body.train(1, None)
+        body.train(2, 2)
+        assert conn.sent == [("result", 0, "reply0")]
+        body.apply(0)
+        assert conn.sent[-1] == ("idle", 1)
+        assert ("train", 2) not in replica.calls
+        body.apply(1)
+        assert conn.sent[-1] == ("result", 2, "reply2")
+        assert [c for c in replica.calls if c[0] == "sample"] == \
+            [("sample", 0), ("sample", 2)]
+
+    def test_apply_for_an_unanswered_iteration_is_protocol_error(self):
+        """``apply`` names the one answered iteration: before any
+        answer, or for an item still queued, it is refused and the
+        replica is not stepped."""
+        body, conn, replica = self._body()
+        with pytest.raises(ProtocolError, match="expected None"):
+            body.apply(0)
+        body.train(0, 0)
+        body.train(1, 1)
+        with pytest.raises(ProtocolError, match="iteration 1, expected 0"):
+            body.apply(1)
+        assert not any(c[0] == "apply" for c in replica.calls)
+        assert conn.sent == [("result", 0, "reply0")]
