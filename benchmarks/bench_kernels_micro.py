@@ -196,9 +196,16 @@ def _kernel_cases(ds, batch):
     configuration the wired backends use in steady state — the
     comparison measures the deployed hot path, not a cold start.
 
-    The ``gather_quantize_*`` rows time the accelerator load path —
+    The ``gather_quantize_*`` rows time the per-batch round trip —
     the fast gather into a pooled destination, then the fast quantize
-    in place — against the reference gather → quantize composition.
+    in place, as the split ``transfer`` stage, the process workers and
+    the sharded plane run it — against the reference gather →
+    quantize composition.
+
+    ``table_load_int8`` times an in-process session's accelerator
+    load: the batch's codes gathered from a wire table encoded once
+    (outside the timed call), then decoded into a pooled destination —
+    against the same reference composition.
 
     ``train_backward_sage`` is the one row that is not a registry
     kernel: one GraphSAGE training step, :func:`full_chain_step`
@@ -229,10 +236,19 @@ def _kernel_cases(ds, batch):
         model.backward(softmax_cross_entropy(logits, labels)[1])
 
     def load(mode):
-        # The accelerator load path: gather into the pooled
-        # destination, then quantize it in place.
+        # The round trip: gather into the pooled destination, then
+        # quantize it in place.
         dest = fast.gather(feats, idx, pool=pool)
         return fast.quantize(dest, mode, out=dest)
+
+    codes, scales = fast.encode(feats, "int8")
+
+    def table_load():
+        # An in-process accelerator load: gather the codes (pooled) and
+        # scales, then decode into the pooled destination.
+        return fast.decode(fast.gather(codes, idx, pool=pool),
+                           fast.gather(scales, idx), feats.dtype,
+                           pool=pool)
 
     return {
         "gather": (
@@ -246,6 +262,10 @@ def _kernel_cases(ds, batch):
             lambda: reference.quantize(reference.gather(feats, idx),
                                        "fp16"),
             lambda: load("fp16")),
+        "table_load_int8": (
+            lambda: reference.quantize(reference.gather(feats, idx),
+                                       "int8"),
+            table_load),
         "quantize_int8": (
             lambda: reference.quantize(x0, "int8"),
             lambda: fast.quantize(x0, "int8", pool=pool)),

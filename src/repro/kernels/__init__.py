@@ -2,11 +2,16 @@
 
 The per-iteration numeric work of every execution backend funnels
 through three ops — feature-row **gather**, transfer **quantize** and
-**segment_sum** aggregation. The dispatchers below validate their
-inputs once, call the preallocated / in-place / reduceat NumPy
-implementation in :mod:`repro.kernels.fast`, and record the traffic
-they moved. The accelerator load path is the pair: gather into one
-destination, then ``quantize(dest, mode, out=dest)`` in place.
+**segment_sum** aggregation — plus the transfer's wire form: **encode**
+a whole store once, then **gather_wire** a batch's codes and
+**decode** them. The dispatchers below validate their inputs once,
+call the preallocated / in-place / reduceat NumPy implementation in
+:mod:`repro.kernels.fast`, and record the traffic they moved. An
+in-process session's accelerator load is ``decode(gather_wire(table,
+idx))`` over the table it encoded once; the per-batch round trip —
+gather into one destination, then ``quantize(dest, mode, out=dest)``
+in place — serves the split ``transfer`` stage and the process
+workers.
 
 :mod:`repro.kernels.reference` keeps the original implementations as
 the conformance oracle: tests and the kernel micro-bench call it by
@@ -24,6 +29,8 @@ aliasing rules, and the exactness contract ``fast`` owes ``reference``.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,6 +111,76 @@ def quantize(x: np.ndarray, mode: str, *,
     return result
 
 
+@dataclass(frozen=True)
+class WireRows:
+    """Feature rows in their PCIe wire form.
+
+    ``codes`` is int8 (``"int8"``) or float16 (``"fp16"``); an int8
+    row carries one scale, ``scales`` ``(rows, 1)`` in ``dtype``, the
+    store's dtype that :func:`decode` restores. A session's wire table
+    (every store row, encoded once, read-only) and one batch's gathered
+    rows are both this.
+    """
+
+    mode: str
+    codes: np.ndarray
+    scales: np.ndarray | None
+    dtype: np.dtype
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the codes plus the scales."""
+        return self.codes.nbytes + (
+            0 if self.scales is None else self.scales.nbytes)
+
+
+def encode(features: np.ndarray, mode: str) -> WireRows:
+    """Encode every row of a feature store into its wire form, once —
+    the table accelerator loads decode from (``"int8"`` or
+    ``"fp16"``; an int8 store with a non-finite row raises
+    :class:`ConfigError`). The returned arrays are read-only."""
+    _check_mode(mode)
+    if mode == "fp32":
+        raise ConfigError("fp32 transfer has no wire encoding")
+    features = _check_matrix(features, "feature")
+    codes, scales = fast.encode(features, mode)
+    for a in (codes, scales):
+        if a is not None:
+            a.flags.writeable = False
+    record(encode_calls=1)
+    return WireRows(mode, codes, scales, features.dtype)
+
+
+def gather_wire(table: WireRows, index: np.ndarray, *,
+                pool: BufferPool | None = None) -> WireRows:
+    """Gather one batch's wire rows (codes and scales) from a table —
+    the accelerator load's gather stage, counted as one gather of the
+    wire bytes. ``pool`` backs the codes only: a ``(rows, 1)`` scale
+    view would share the ``(1, dtype)`` pool class with a one-column
+    destination."""
+    index = np.asarray(index)
+    codes = fast.gather(table.codes, index, pool=pool)
+    scales = (None if table.scales is None
+              else fast.gather(table.scales, index))
+    rows = WireRows(table.mode, codes, scales, table.dtype)
+    record(gather_calls=1, gather_rows=index.size,
+           gather_src_bytes=rows.nbytes, gather_out_bytes=rows.nbytes)
+    return rows
+
+
+def decode(wire: WireRows, *, out: np.ndarray | None = None,
+           pool: BufferPool | None = None) -> np.ndarray:
+    """Dequantize wire rows into the store's dtype — the accelerator
+    load's transfer stage, bit-identical to :func:`quantize` of the
+    rows they were encoded from. Bills the same ``payload_bytes`` the
+    per-batch round trip does."""
+    result = fast.decode(wire.codes, wire.scales, wire.dtype, out=out,
+                         pool=pool)
+    record(decode_calls=1,
+           payload_bytes=payload_bytes(wire.mode, *wire.codes.shape))
+    return result
+
+
 def segment_sum(src: np.ndarray, dst: np.ndarray, h_src: np.ndarray,
                 num_dst: int,
                 edge_weights: np.ndarray | None = None) -> np.ndarray:
@@ -129,6 +206,10 @@ __all__ = [
     "payload_bytes",
     "gather_rows",
     "quantize",
+    "WireRows",
+    "encode",
+    "gather_wire",
+    "decode",
     "segment_sum",
     "fast",
     "reference",

@@ -1,20 +1,25 @@
 """The kernels: preallocated, in-place, reduction-restructured NumPy.
 
 The one implementation of each op the :mod:`repro.kernels` dispatchers
-call. Three levers, all pure NumPy so every platform gets them:
+call. Four levers, all pure NumPy so every platform gets them:
 
 * **Preallocation** — every kernel takes ``out=``/``pool=`` and writes
   through ``np.take(..., out=...)`` / ufunc ``out=`` into reusable
   buffers, so steady-state iterations at a pooled call site allocate
   nothing (the pool grows to the largest batch seen, then only hands
   out views).
-* **In place** — :func:`quantize` accepts ``out=x``, so the load path
-  produces the dequantized trainer input in the destination it
+* **In place** — :func:`quantize` accepts ``out=x``, so the round
+  trip produces the dequantized trainer input in the destination it
   gathered into: the rows land once in the feature store's dtype, the
   per-row scales come from two ``(rows,)`` reductions (no full-size
   ``abs`` temporary), and the divide / round / clip / rescale chain
   runs in place. The reference gather → quantize composition
   materializes ~7 full-size temporaries for the same result.
+* **Quantize once** — :func:`encode` turns a whole store into int8
+  codes plus per-row scales (or a float16 copy) once, and
+  :func:`decode` turns a gathered batch of them back: a quarter of the
+  bytes gathered and a cast plus a multiply per element, instead of
+  the full divide / round / rescale chain every batch.
 * **Reduction restructuring** — :func:`segment_sum` replaces the
   edge-serial ``np.add.at`` scatter (notoriously slow: one bounds-
   checked inner-loop dispatch per edge) with destination-sorted
@@ -28,7 +33,9 @@ Exactness contract (held by the property suite): ``gather`` and
 :mod:`~repro.kernels.reference` oracle **bit for bit** on finite inputs — the gather is a copy, the
 per-row absmax equals ``max(max(x), -min(x))`` exactly, and
 round-then-clip runs in the same order on the same dtypes as the
-oracle. Only ``segment_sum`` is tolerance-equivalent (sum order
+oracle (the clip skipped only where it is the identity); ``decode``
+of gathered ``encode`` rows equals ``quantize`` of the gathered rows,
+bit for bit. Only ``segment_sum`` is tolerance-equivalent (sum order
 differs); it is off the training path (models aggregate through
 :class:`~repro.nn.aggregators.SparseAggregator`), so backend
 trajectories are identical with either implementation.
@@ -38,6 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ConfigError
 from .pool import BufferPool
 
 
@@ -101,17 +109,103 @@ def quantize(x: np.ndarray, mode: str,
     if mode == "fp16":
         np.copyto(dest, x.astype(np.float16))
         return dest
-    # max(|x|) as max(max(x), -min(x)): two (rows,) reductions instead
-    # of a full-size abs temporary; bit-equal since negation is exact.
-    # Reduced before the divide, so an in-place dest is safe.
+    # Scales are reduced before the divide writes, so an in-place
+    # dest is safe.
+    scale, clip, _ = _row_scales(x)
+    _int8_codes(x, scale, clip, out=dest)
+    dest *= scale
+    return dest
+
+
+def _row_scales(x: np.ndarray) -> tuple[np.ndarray, bool, np.ndarray]:
+    """Per-row symmetric int8 scales ``(rows, 1)`` in ``x``'s dtype,
+    whether ``rint(x / scale)`` still needs the clip, and the per-row
+    absmax — the one scale rule :func:`quantize` and :func:`encode`
+    share.
+
+    ``max(|x|)`` is ``max(max(x), -min(x))``: two ``(rows,)``
+    reductions instead of a full-size ``abs`` temporary, bit-equal
+    since negation is exact. For a finite row with a normal scale,
+    ``|x| <= absmax`` gives ``|fl(x / fl(absmax / 127))| <=
+    127 (1 + u)**2 < 127.5``, so ``rint`` never leaves [-127, 127] and
+    the clip is the identity; a subnormal scale or a non-finite row
+    keeps it.
+    """
     absmax = np.maximum(x.max(axis=1), -x.min(axis=1))[:, None]
     scale = np.where(absmax > 0, absmax / 127.0, 1.0)
-    np.divide(x, scale, out=dest)
-    # Round *then* clip, like the reference — the order matters at the
-    # ±127.5 boundary.
-    np.rint(dest, out=dest)
-    np.clip(dest, -127, 127, out=dest)
-    dest *= scale
+    clip = bool(absmax.size) and not (
+        np.isfinite(absmax).all()
+        and scale.min() >= np.finfo(scale.dtype).tiny)
+    return scale, clip, absmax
+
+
+def _int8_codes(x: np.ndarray, scale: np.ndarray, clip: bool,
+                out: np.ndarray) -> np.ndarray:
+    """``rint(x / scale)``, clipped to [-127, 127] when ``clip``, into
+    ``out`` (a float buffer): round *then* clip, like the reference —
+    the order matters at the ±127.5 boundary."""
+    np.divide(x, scale, out=out)
+    np.rint(out, out=out)
+    if clip:
+        np.clip(out, -127, 127, out=out)
+    return out
+
+
+#: Rows :func:`encode` quantizes per block: the block's float scratch
+#: stays cache-resident, and one buffer serves every block.
+ENCODE_BLOCK_ROWS = 256
+
+
+def encode(features: np.ndarray, mode: str
+           ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Every row of ``features`` in its wire form, once: ``(codes,
+    scales)``.
+
+    ``"int8"``: int8 codes plus one scale per row, ``(rows, 1)`` in the
+    store's dtype, by :func:`quantize`'s own scale rule — per-row
+    quantization depends only on the row, so ``decode`` of any gathered
+    subset equals ``quantize`` of the gathered rows bit for bit. Built
+    in :data:`ENCODE_BLOCK_ROWS`-row blocks through one reused scratch
+    buffer. A non-finite row has no int8 code (the cast would turn it
+    into arbitrary finite values), so it raises
+    :class:`~repro.errors.ConfigError` naming the first such row.
+    ``"fp16"``: a float16 copy, and no scales.
+    """
+    if mode == "fp16":
+        return features.astype(np.float16), None
+    rows, cols = features.shape
+    codes = np.empty((rows, cols), dtype=np.int8)
+    scales = np.empty((rows, 1), dtype=features.dtype)
+    scratch = np.empty((min(rows, ENCODE_BLOCK_ROWS), cols),
+                       dtype=features.dtype)
+    for start in range(0, rows, ENCODE_BLOCK_ROWS):
+        x = features[start:start + ENCODE_BLOCK_ROWS]
+        stop = start + x.shape[0]
+        scale, clip, absmax = _row_scales(x)
+        if clip:
+            bad = np.flatnonzero(~np.isfinite(absmax))
+            if bad.size:
+                raise ConfigError(
+                    f"feature row {start + int(bad[0])} is not finite; "
+                    f"int8 transfer cannot encode it")
+        buf = _int8_codes(x, scale, clip, out=scratch[:x.shape[0]])
+        np.copyto(codes[start:stop], buf, casting="unsafe")
+        scales[start:stop] = scale
+    return codes, scales
+
+
+def decode(codes: np.ndarray, scales: np.ndarray | None, dtype,
+           out: np.ndarray | None = None,
+           pool: BufferPool | None = None) -> np.ndarray:
+    """Wire rows back to ``dtype``: an exact cast ``copyto`` into the
+    destination, then the per-row scale multiply in place (int8). Two
+    passes beat ``np.multiply(codes, scales, out=dest)``, whose
+    implicit cast runs in the multiply's inner loop."""
+    rows, cols = codes.shape
+    dest = _dest(rows, cols, dtype, out, pool)
+    np.copyto(dest, codes)
+    if scales is not None:
+        dest *= scales
     return dest
 
 

@@ -6,7 +6,9 @@ plain, easily auditable NumPy with no buffer reuse, no in-place
 steps, and no layout tricks. The property suite
 (``tests/unit/test_kernels.py``) holds the fast kernels to these
 outputs — bit-exactly for ``gather`` and ``quantize`` (and so for the
-load path's gather → quantize pair), to floating-point tolerance for
+load path, whether it round-trips gather → quantize or decodes a
+gathered slice of a once-encoded wire table), to floating-point
+tolerance for
 ``segment_sum`` (whose fast variant reorders the accumulation).
 
 No runtime path calls this module: tests and

@@ -303,10 +303,11 @@ class TrainingSession:
         # The shared per-item producer chain (sample → gather →
         # transfer) both session kinds compose; the stage hooks below
         # delegate to it, and the serving plane builds its own over the
-        # same stack.
+        # same stack. Accelerator loads decode from the store's wire
+        # table, encoded once on the first of them.
         self.pipeline = StagePipeline(
             self.sampler, dataset.features, dataset.labels,
-            self.sys_cfg.transfer_precision)
+            self.sys_cfg.transfer_precision, encode_once=True)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -401,7 +402,8 @@ class TrainingSession:
     # One method per Fig.-5 producer stage, so an overlapped backend can
     # run sample / load / transfer on separate stage threads while
     # executing the exact same bits as the sequential planes (which call
-    # ``load_features``: the same gather, then the same transfer). All
+    # ``load_features``: bit-identical to the same gather, then the same
+    # transfer, decoded from the store's wire table when lossy). All
     # delegate to the composed
     # :class:`~repro.runtime.stage_pipeline.StagePipeline` — the
     # extraction the serving plane shares.
@@ -432,10 +434,12 @@ class TrainingSession:
                       ) -> np.ndarray:
         """Gather one mini-batch's input features, ready for the trainer.
 
-        Delegates to :meth:`StagePipeline.load` — gather then transfer,
-        the single path every execution substrate takes (process-plane
-        workers run it against the shared-memory feature store), so the
-        transfer policy can never drift between planes. ``pool`` is the
+        Delegates to :meth:`StagePipeline.load` — the single path every
+        execution substrate takes (process-plane workers run it against
+        the shared-memory feature store), so the transfer policy can
+        never drift between planes. An accelerator batch under a lossy
+        policy decodes from the session's wire table, bit-identical to
+        gather then transfer. ``pool`` is the
         sequential-call-site opt-in documented on
         :meth:`StagePipeline.gather` (the ``threaded`` plane's producer
         thread keeps batches in flight and passes none).

@@ -28,11 +28,25 @@ the same class over the same sampler/kernel/feature-store stack, and
 each process-plane worker replica *is* one over its shared-memory
 feature mapping.
 
-**Transfer consumes its input.** ``transfer`` quantizes
-accelerator-bound rows in place, in the array it is handed, so the
-accelerator load path allocates one destination and moves the rows
-once. Every caller hands it a fresh gather result — never the feature
-store or a batch something else still reads.
+**Quantize each row once.** Per-row int8 (and fp16) quantization
+depends only on the row, so ``quantize(F[idx]) == quantize(F)[idx]``
+bit for bit. A pipeline built with ``encode_once=True`` — the
+in-process sessions' (:class:`~repro.runtime.core.TrainingSession`,
+:class:`~repro.serving.ServingSession`) — encodes its read-only store
+into a wire table (:func:`repro.kernels.encode`) on its first
+accelerator load under a lossy policy, once, under a lock; every
+accelerator ``load`` / ``prepare`` then gathers the batch's wire codes
+(``gather_wire``) and decodes them into the destination. fp32, CPU
+trainers and serving on ``device="cpu"`` never build one.
+
+**Transfer consumes its input.** ``transfer`` is the per-batch round
+trip: it quantizes accelerator-bound rows in place, in the array it is
+handed. It serves the split stages (``pipelined``'s stage chains,
+``bench_e2e``'s replay) and every pipeline without a table: the
+process-plane worker replicas and the sharded resolver, whose per-row
+locality books must see every gather. Every caller hands it a fresh
+gather result — never the feature store or a batch something else
+still reads.
 """
 
 from __future__ import annotations
@@ -111,15 +125,26 @@ class StagePipeline:
         label-free (inference) stores.
     transfer_precision:
         The PCIe quantization policy (``"fp32"``/``"fp16"``/``"int8"``).
+    encode_once:
+        Decode accelerator loads from a wire table of ``features``
+        encoded once (the in-process sessions); ``False`` keeps the
+        per-batch round trip (worker replicas).
     """
 
     def __init__(self, sampler: Sampler, features: np.ndarray,
                  labels: np.ndarray | None,
-                 transfer_precision: str) -> None:
+                 transfer_precision: str, *,
+                 encode_once: bool = False) -> None:
         self.sampler = sampler
         self.features = features
         self.labels = labels
         self.transfer_precision = transfer_precision
+        self.encode_once = encode_once
+        #: The store's wire rows (:class:`repro.kernels.WireRows`),
+        #: built by the first accelerator load; ``None`` until then,
+        #: and forever without ``encode_once`` or under fp32.
+        self.wire_table: kernels.WireRows | None = None
+        self._table_lock = threading.Lock()
         #: Serializes sampler access for callers whose stage threads
         #: sample concurrently. A sampler holds two pieces of state that
         #: are not thread-safe: its RNG stream, and the position map it
@@ -170,11 +195,41 @@ class StagePipeline:
             return kernels.quantize(x0, self.transfer_precision, out=x0)
         return x0
 
+    def _table(self, trainer_kind: str) -> kernels.WireRows | None:
+        """The wire table this load decodes from, built on first use;
+        ``None`` when the load takes the gather → transfer round
+        trip."""
+        if not (self.encode_once and trainer_kind == "accel"
+                and self.transfer_precision != "fp32"):
+            return None
+        if self.wire_table is None:
+            with self._table_lock:
+                if self.wire_table is None:
+                    self.wire_table = kernels.encode(
+                        self.features, self.transfer_precision)
+        return self.wire_table
+
+    def _load_stages(self, trainer_kind: str,
+                     pool: kernels.BufferPool | None):
+        """The load as its two timed halves: ``(gather, transfer)``,
+        each a one-argument callable — the codes gather and the decode
+        over a wire table, else :meth:`gather` and :meth:`transfer`."""
+        table = self._table(trainer_kind)
+        if table is None:
+            return (lambda mb: self.gather(mb, pool=pool),
+                    lambda x0: self.transfer(x0, trainer_kind))
+        return (lambda mb: kernels.gather_wire(table, mb.input_nodes,
+                                               pool=pool),
+                lambda wire: kernels.decode(wire, pool=pool))
+
     def load(self, mb: MiniBatch, trainer_kind: str, *,
              pool: kernels.BufferPool | None = None) -> np.ndarray:
-        """Gather then transfer — the sequential planes' one call
-        (``pool`` is :meth:`gather`'s opt-in)."""
-        return self.transfer(self.gather(mb, pool=pool), trainer_kind)
+        """One batch's trainer-ready rows — the sequential planes' one
+        call: decoded from the wire table for an accelerator under a
+        lossy policy when the pipeline encodes once, else gather then
+        transfer (``pool`` is :meth:`gather`'s opt-in either way)."""
+        gather, transfer = self._load_stages(trainer_kind, pool)
+        return transfer(gather(mb))
 
     def labels_for(self, mb: MiniBatch) -> np.ndarray | None:
         """This batch's target labels (``None`` on a label-free
@@ -189,17 +244,19 @@ class StagePipeline:
         """Run the whole producer chain for one work item, timed.
 
         The serving plane's per-micro-batch path: sample the
-        computational graph, gather the rows, transfer them (timed as
-        separate stages), and fetch labels when the store has them.
-        The returned :class:`StageTimings` are what a caller bills
-        against a latency budget.
+        computational graph, then :meth:`load` it in its two timed
+        halves (the gather — of wire codes when decoding from the
+        table — and the transfer, or decode), and fetch labels when
+        the store has them. The returned :class:`StageTimings` are
+        what a caller bills against a latency budget.
         """
+        gather, transfer = self._load_stages(trainer_kind, None)
         t0 = time.perf_counter()
         mb = self.sample(targets)
         t1 = time.perf_counter()
-        x0 = self.gather(mb)
+        x0 = gather(mb)
         t2 = time.perf_counter()
-        x0 = self.transfer(x0, trainer_kind)
+        x0 = transfer(x0)
         t3 = time.perf_counter()
         labels = self.labels_for(mb) if with_labels else None
         return PreparedBatch(

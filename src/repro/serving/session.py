@@ -210,10 +210,11 @@ class ServingSession:
             train_cfg.sampler, dataset.graph, dataset.train_ids,
             train_cfg, dataset.spec.feature_dim)
         #: The shared per-item producer chain — the same class a
-        #: training session composes.
+        #: training session composes, decoding accelerator loads from
+        #: the store's wire table the same way.
         self.pipeline = StagePipeline(
             sampler, dataset.features, dataset.labels,
-            self.sys_cfg.transfer_precision)
+            self.sys_cfg.transfer_precision, encode_once=True)
         self.model = build_model(train_cfg.model, self.dims,
                                  train_cfg.seed)
         if params is not None:

@@ -81,10 +81,12 @@ from unittest import mock
 
 import numpy as np
 
+from repro import kernels
 from repro.config import SystemConfig, TrainingConfig, layer_dims
 from repro.errors import ConfigError
 from repro.graph.datasets import GraphDataset
 from repro.hw.topology import hyscale_cpu_fpga_platform
+from repro.kernels import reference
 from repro.nn.models import build_model
 from repro.runtime import (
     TrainingSession,
@@ -710,9 +712,11 @@ def assert_store_untouched_by_int8_run(name: str,
     """The transfer stage consumes its input: it quantizes
     accelerator-bound rows in place, so every plane must hand it a
     fresh gather, never the store. After an int8 run on backend
-    ``name`` that did quantize, the feature store the trainers read —
-    ``dataset.features`` in process, the shared segment's features on
-    a process plane — is bit-identical to before the run."""
+    ``name`` that did quantize (or decode), the feature store the
+    trainers read — ``dataset.features`` in process, the shared
+    segment's features on a process plane — is bit-identical to before
+    the run, and so is the session's wire table, if the run built
+    one: read-only, still the encoding of the untouched store."""
     before = dataset.features.copy()
     session = make_session(INT8_TRANSFER_CASE, dataset)
     stores = []
@@ -733,10 +737,20 @@ def assert_store_untouched_by_int8_run(name: str,
                 f"{name}: the run wrote into the shared feature store"
     assert (len(stores) == 1) == (name in PROCESS_PRESETS), \
         f"{name}: {len(stores)} shared stores"
-    assert report.kernel_stats.get("quantize_calls", 0) > 0, \
+    stats = report.kernel_stats
+    assert stats.get("quantize_calls", 0) \
+        + stats.get("decode_calls", 0) > 0, \
         f"{name}: no accelerator batch was quantized"
     assert np.array_equal(dataset.features, before), \
         f"{name}: the run wrote into dataset.features"
+    table = session.pipeline.wire_table
+    if table is not None:
+        assert not (table.codes.flags.writeable
+                    or table.scales.flags.writeable), \
+            f"{name}: the wire table is writeable"
+        assert np.array_equal(kernels.decode(table),
+                              reference.quantize(before, "int8")), \
+            f"{name}: the run wrote into the wire table"
 
 
 def _assert_epoch_bookkeeping(case, cand_session, cand) -> None:

@@ -108,6 +108,7 @@ def segment_cases(draw):
 #: accounting, the two implementation modules — and no tier registry,
 #: selection override, environment knob or fallback ladder.
 _PUBLIC = {"TRANSFER_BYTES", "payload_bytes", "gather_rows", "quantize",
+           "WireRows", "encode", "gather_wire", "decode",
            "segment_sum", "fast", "reference", "BufferPool", "COUNTERS",
            "KernelCounters", "record", "scoped_counters", "merge_counts"}
 
