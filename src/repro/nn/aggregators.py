@@ -53,9 +53,7 @@ class SparseAggregator:
         if edge_weights.shape != (block.num_edges,):
             raise ShapeError("edge_weights must have one entry per edge")
         self.block = block
-        self.matrix = sp.csr_matrix(
-            (edge_weights, (block.dst_local, block.src_local)),
-            shape=(block.num_dst, block.num_src))
+        self.matrix = _csr(block, edge_weights)
         self._matrix_t: sp.csr_matrix | None = None
 
     def forward(self, h_src: np.ndarray) -> np.ndarray:
@@ -78,6 +76,38 @@ class SparseAggregator:
 
     def _build_transpose(self) -> sp.csr_matrix:
         return self.matrix.T.tocsr()
+
+
+def _csr(block: LayerBlock, edge_weights: np.ndarray) -> sp.csr_matrix:
+    """The block's ``S`` in canonical CSR form, built directly.
+
+    SciPy's COO route (``csr_matrix((w, (dst, src)))``) converts,
+    sorts each row's columns and sums duplicates: a fixed cost per call
+    larger than the spmm itself on a serving-sized block. Without
+    duplicate ``(dst, src)`` pairs its result is exactly the edges in
+    ``(dst, src)`` order, which one argsort of the packed key gives; a
+    block with duplicates keeps the COO route, whose summation order
+    the products depend on. The block's own checks already hold every
+    local id in range.
+    """
+    shape = (block.num_dst, block.num_src)
+    dst = block.dst_local.astype(np.int64, copy=False)
+    key = dst * block.num_src + block.src_local
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    if (key[1:] == key[:-1]).any():
+        return sp.csr_matrix(
+            (edge_weights, (block.dst_local, block.src_local)),
+            shape=shape)
+    # The index dtype the COO route picks; handing it over saves the
+    # constructor a cast of both index arrays.
+    index_dtype = np.int32 if max(*shape, key.size) < 2**31 else np.int64
+    indptr = np.zeros(block.num_dst + 1, dtype=index_dtype)
+    np.cumsum(np.bincount(dst, minlength=block.num_dst),
+              out=indptr[1:])
+    indices = block.src_local[order].astype(index_dtype)
+    return sp.csr_matrix((edge_weights[order], indices, indptr),
+                         shape=shape)
 
 
 def segment_sum_aggregate(block: LayerBlock, h_src: np.ndarray,

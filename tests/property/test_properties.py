@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -136,6 +137,27 @@ class TestAggregationProperties:
             np.abs(h).astype(np.float64))
         tol = 2 * (blk.num_edges + 1) * np.finfo(np.float32).eps
         assert (np.abs(a - b) <= tol * magnitude).all()
+
+    @common_settings
+    @given(layer_blocks(), st.integers(1, 6), st.integers(0, 10**6))
+    def test_csr_matches_scipy_coo_route(self, blk, feat, seed):
+        """The directly built CSR is SciPy's COO → CSR result: the same
+        arrays, so forward and backward products are bit-identical
+        (duplicate edges included)."""
+        rng = np.random.default_rng(seed)
+        w = rng.random(blk.num_edges).astype(np.float32)
+        agg = SparseAggregator(blk, w)
+        coo = sp.csr_matrix((w, (blk.dst_local, blk.src_local)),
+                            shape=(blk.num_dst, blk.num_src))
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(agg.matrix, name),
+                                  getattr(coo, name))
+        assert agg.matrix.dtype == coo.dtype
+        assert agg.matrix.indices.dtype == coo.indices.dtype
+        h = rng.standard_normal((blk.num_src, feat)).astype(np.float32)
+        g = rng.standard_normal((blk.num_dst, feat)).astype(np.float32)
+        assert np.array_equal(agg.forward(h), coo @ h)
+        assert np.array_equal(agg.backward(g), coo.T.tocsr() @ g)
 
     @common_settings
     @given(layer_blocks(), st.integers(1, 6), st.integers(0, 10**6))
