@@ -19,8 +19,13 @@ the call). The in-process driver's feed threads (both ``threaded`` and
 ``pipelined``) keep several batches in flight inside ``PrefetchBuffer``
 queues, and a worker's load that queues behind an unapplied iteration
 would be overwritten by the next gather before it trains, so they must
-**not** pass a pool — and do not. ``docs/kernels.md`` spells the rule
-out for kernel authors.
+**not** pass a pool — and do not. Under a dealt-ahead window every load
+but a run's first queues that way, so a ``process_sampling`` worker
+under two-stage prefetch (and a ``process_pipelined`` one) barely pools
+at all: ``kernels.pool_hit_rate`` reads ~0 on the benchmark's
+``train-procs`` workload by design, while its worker load time stayed
+level against the pooled lock-step loads. ``docs/kernels.md`` spells
+the rule out for kernel authors.
 
 Not thread-safe by design: a pool belongs to one call site on one
 thread (per-worker, per-backend-run). Cross-thread sharing would

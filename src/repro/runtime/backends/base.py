@@ -86,7 +86,7 @@ class ExecutionBackend(abc.ABC):
     #: prefetching is configured, and the strict planes must price
     #: their rows identically to it by contract. A lock-step
     #: statistical plane whose transfer strictly precedes the pull
-    #: (the worker-sampling plane) overrides this to ``False``.
+    #: (``sharded``) overrides this to ``False``.
     overlaps_transfer: ClassVar[bool] = True
 
     #: The look-ahead :class:`~.overlap.DepthPolicy` a preset's

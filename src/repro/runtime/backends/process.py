@@ -33,11 +33,14 @@ the worker. The body takes its per-item stages from the replica
 different serve loop.
 
 There is exactly one drive loop: a :class:`~.overlap.LookaheadDealer`
-over the work source whose window is fixed at 1 (lock-step) unless the
-preset installs a :class:`~.overlap.DepthPolicy` as ``self.lookahead``.
-The parent always adjudicates DRM and always runs the per-iteration
-all-reduce barrier — only *dealing* ever runs ahead, so Algorithm-1
-adjustments lag the dealt window by design (``RunReport.dealt_sizes``).
+over the work source. Its window is adaptive when the preset installs a
+:class:`~.overlap.DepthPolicy` as ``self.lookahead``; otherwise it is
+fixed (:meth:`ProcessBackend.fixed_window`) — at the session's
+``prefetch_depth`` under two-stage prefetch for a preset that declares
+``deals_ahead``, else at 1 (lock-step). The parent always adjudicates
+DRM and always runs the per-iteration all-reduce barrier — only
+*dealing* ever runs ahead, so Algorithm-1 adjustments lag the dealt
+window by design (``RunReport.dealt_sizes``).
 
 The registry names ``process``, ``process_sampling`` and
 ``process_pipelined`` (and ``sharded``, in :mod:`.sharded`) are
@@ -64,7 +67,7 @@ from ...sampling.base import LayerBlock, MiniBatch
 from ..resctl import NodeAllocator
 from ..stage_pipeline import StagePipeline
 from .base import ExecutionBackend
-from .overlap import DepthPolicy, LookaheadDealer
+from .overlap import DepthPolicy, LookaheadDealer, resolve_depths
 from .report import Reply, RunReport
 
 
@@ -466,6 +469,10 @@ class ProcessBackend(ExecutionBackend):
     #: The worker's per-item stages + model (its ``gather`` may be
     #: shard-aware).
     replica_cls: ClassVar[type] = WorkerReplica
+    #: Without a depth policy, deal ``prefetch_depth`` iterations ahead
+    #: when the session prefetches (:meth:`fixed_window`)? ``False``
+    #: keeps the preset lock-step under any config.
+    deals_ahead: ClassVar[bool] = False
 
     def __init__(self, session, timeout_s: float = 120.0,
                  mp_context: str | None = None) -> None:
@@ -587,8 +594,9 @@ class ProcessBackend(ExecutionBackend):
             report.startup_time_s = time.perf_counter() - setup_start
             start = time.perf_counter()
 
-            window = nullcontext(1) if self.lookahead is None else \
-                self.lookahead.run(self.name, report)
+            window = nullcontext(self.fixed_window()) \
+                if self.lookahead is None \
+                else self.lookahead.run(self.name, report)
             with window as depth:
                 self._drive(iterations, depth, report, rows)
             report.wall_time_s = time.perf_counter() - start
@@ -599,6 +607,16 @@ class ProcessBackend(ExecutionBackend):
             raise
         report.close_timeline(s, rows)
         return report
+
+    def fixed_window(self) -> int:
+        """The dealt window when no depth policy is installed: if the
+        preset ``deals_ahead``, the first window
+        :func:`~.overlap.resolve_depths` gives a look-ahead preset
+        (``prefetch_depth`` under two-stage prefetch, else 1); otherwise
+        1 (lock-step)."""
+        if not self.deals_ahead:
+            return 1
+        return resolve_depths(self.session, None, None)[0]
 
     # ------------------------------------------------------------------
     # The one drive loop
@@ -770,18 +788,20 @@ class ProcessSamplingBackend(ProcessBackend):
     """``process_sampling`` — the sample stage parallelized too: the
     parent deals target-id shards, each worker samples from its own
     RNG stream and runs ``sample → gather → transfer → train`` inline.
-    Iterations stay a synchronized barrier, so DRM still observes
-    iteration ``i`` before ``i + 1``'s quotas are read."""
+
+    Under two-stage prefetch the parent deals ``prefetch_depth``
+    iterations ahead, so each worker samples and loads batch ``i + 1``
+    while the parent collects and all-reduces batch ``i`` (and the next
+    transfer overlaps the gradient pull). Iterations stay a
+    synchronized barrier either way; DRM observes iteration ``i``
+    before ``i + 1``'s quotas are read only without prefetch (lock-step
+    dealing) — with it, adjustments lag the dealt window
+    (``RunReport.dealt_sizes``)."""
 
     name = "process_sampling"
     conformance_tier = "statistical"
     deal = TargetDeal
-    #: Lock-step dealing: a worker's transfer for iteration ``i + 1``
-    #: cannot start until the parent has dealt it, which only happens
-    #: after iteration ``i``'s gradients were pulled — transfers and
-    #: gradient pulls never share the PCIe link in flight, so the
-    #: duplex-contention derate must not be priced into this plane.
-    overlaps_transfer = False
+    deals_ahead = True
 
 
 class ProcessPipelinedBackend(ProcessBackend):
@@ -789,10 +809,15 @@ class ProcessPipelinedBackend(ProcessBackend):
     shards dealt *ahead* through an adaptively-sized window, so each
     worker samples and loads the next batches while the parent
     collects and all-reduces the current one. Look-ahead changes when
-    an item is dealt, never what is trained: with ``max_depth=1``, or
-    at any depth without DRM, this preset is bit-identical to
-    ``process_sampling`` (pinned by a regression test); with DRM a
-    deeper window deals ahead of Algorithm 1's adjustments
+    an item is dealt, never what is trained: without DRM this preset is
+    bit-identical to ``process_sampling`` at any depth, and with DRM
+    at ``max_depth=1`` and a cold estimator it is bit-identical to a
+    lock-step (``prefetch=False``) ``process_sampling`` run (both
+    pinned by a regression test). What sets it apart from
+    ``process_sampling``'s fixed ``prefetch_depth`` window is the
+    adaptive depth, the node allocator's grant and, on timing
+    sessions, the estimator that calibrates its DRM step; a deeper
+    window deals further ahead of Algorithm 1's adjustments
     (``RunReport.dealt_sizes``).
 
     Parameters (beyond :class:`ProcessBackend`'s)

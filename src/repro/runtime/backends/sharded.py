@@ -320,6 +320,11 @@ class ShardedBackend(ProcessBackend):
 
     name = "sharded"
     conformance_tier = "statistical"
+    #: Lock-step dealing: a worker's transfer for iteration ``i + 1``
+    #: cannot start until the parent has dealt it, which only happens
+    #: after iteration ``i``'s gradients were pulled — transfers and
+    #: gradient pulls never share the PCIe link in flight, so the
+    #: duplex-contention derate must not be priced into this plane.
     overlaps_transfer = False
     deal = TargetDeal
     replica_cls = ShardedReplica

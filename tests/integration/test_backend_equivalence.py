@@ -395,8 +395,9 @@ class TestProcessBackend:
 
 class TestWorkerSamplingPlanes:
     """Properties shared by every worker-side-sampling plane (the
-    lock-step ``process_sampling`` backend and the overlapped
-    ``process_pipelined`` fusion), parametrized over both so a fix to
+    ``process_sampling`` backend, dealing ``prefetch_depth`` ahead
+    under prefetch, and the adaptively overlapped ``process_pipelined``
+    fusion), parametrized over both so a fix to
     one assertion can never silently miss the sibling plane: shard
     partitioning, seeded determinism, resume, epoch rollover, shm
     teardown, and infra-error typing."""
@@ -535,6 +536,100 @@ class TestProcessSamplingBackend:
                                     timeout_s=60).run(3)
         assert rs.total_edges != rp.total_edges
 
+    def _drm_session(self, tiny_ds, eq_cfg, gpu_platform, prefetch,
+                     prefetch_depth=2):
+        return TrainingSession(
+            tiny_ds, eq_cfg,
+            SystemConfig(hybrid=True, drm=True, prefetch=prefetch,
+                         prefetch_depth=prefetch_depth,
+                         transfer_precision="int8"),
+            gpu_platform, profile_probes=2)
+
+    @pytest.mark.parametrize("prefetch", [True, False],
+                             ids=["prefetch-window3", "lock-step"])
+    def test_drm_adjustments_lag_the_dealt_window(
+            self, prefetch, tiny_ds, eq_cfg, gpu_platform):
+        """The fused plane's lag pin, on this plane's fixed window. A
+        shard is sliced with the split current when it is *dealt*.
+        Under two-stage prefetch the window is ``prefetch_depth`` (3
+        here), so the gpu platform's DRM move that lands on iteration
+        3 cannot reach it: the first ``window + 1`` dealt iterations
+        are the unadjusted plan. Without prefetch the plane is
+        lock-step, and the move reaches the very next dealt
+        iteration."""
+        window, iterations = 3, 12
+        session = self._drm_session(tiny_ds, eq_cfg, gpu_platform,
+                                    prefetch, prefetch_depth=window)
+        with ProcessSamplingBackend(session, timeout_s=60) as backend:
+            rep = backend.run(iterations)
+        assert max(n for n, _ in rep.lookahead_history) == \
+            (window if prefetch else 1)
+
+        ref = self._drm_session(tiny_ds, eq_cfg, gpu_platform, prefetch,
+                                prefetch_depth=window)
+        ref_sizes = [planned.batch_sizes
+                     for _, planned in ref.plan.iterate(iterations)]
+        moved = rep.split_history[window]
+        assert moved != rep.split_history[0], "DRM never moved"
+        moved_sizes = (moved.cpu_targets, *moved.accel_targets)
+        assert moved_sizes != ref_sizes[window]
+        if prefetch:
+            assert rep.dealt_sizes[:window + 1] == ref_sizes[:window + 1]
+        else:
+            assert rep.dealt_sizes[:window] == ref_sizes[:window]
+            assert rep.dealt_sizes[window] == moved_sizes
+        assert [sum(s) for s in rep.dealt_sizes] == \
+            [sum(s) for s in ref_sizes]
+
+    @pytest.mark.parametrize("case", CONFORMANCE_CASES[:2],
+                             ids=_CASE_IDS[:2])
+    def test_one_average_row_suffices_at_prefetch_depth(self, case,
+                                                        tiny_ds):
+        """The fused plane's slab-race pin, on this plane's
+        ``prefetch_depth`` window (the conformance matrix already runs
+        the same cases unprovoked): idle workers in the mix and worker
+        0 dawdling before every apply, yet the snapshot's bit-for-bit
+        audit of worker parameters against the parent mirrors stays
+        green."""
+        class Lagging(ProcessSamplingBackend):
+            replica_cls = LaggingReplica
+
+        session = make_session(case, tiny_ds)
+        with Lagging(session, timeout_s=60) as backend:
+            rep = backend.run_epoch()
+        depth = session.sys_cfg.prefetch_depth
+        assert depth > 1
+        assert any(0 in sizes for sizes in rep.dealt_sizes)
+        assert max(n for n, _ in rep.lookahead_history) == depth
+        assert rep.replicas_consistent
+
+    def test_window_two_is_bit_identical_run_to_run(self, tiny_ds,
+                                                    eq_cfg,
+                                                    gpu_platform):
+        """Dealing two ahead changes when a worker samples, never which
+        draws it makes: two same-seed runs agree bit for bit — losses,
+        DRM trajectory, worker-echoed targets and every parameter."""
+        def run():
+            session = self._drm_session(tiny_ds, eq_cfg, gpu_platform,
+                                        prefetch=True)
+            with ProcessSamplingBackend(session,
+                                        timeout_s=60) as backend:
+                rep = backend.run(2 * session.iterations_per_epoch())
+            return session, rep
+
+        (s1, r1), (s2, r2) = run(), run()
+        assert max(n for n, _ in r1.lookahead_history) == 2
+        np.testing.assert_array_equal(r1.losses, r2.losses)
+        assert r1.split_history == r2.split_history
+        for w1, w2 in zip(r1.worker_targets, r2.worker_targets,
+                          strict=True):
+            assert len(w1) == len(w2)
+            for t1, t2 in zip(w1, w2):
+                np.testing.assert_array_equal(t1, t2)
+        for t1, t2 in zip(s1.trainers, s2.trainers):
+            np.testing.assert_array_equal(t1.model.get_flat_params(),
+                                          t2.model.get_flat_params())
+
 
 class TestThreadedBackend:
     def test_invalid_construction_rejected(self, tiny_ds, eq_cfg):
@@ -659,7 +754,7 @@ class TestPipelinedBackend:
 class TestProcessPipelinedBackend:
     """Fused-plane specifics the generic tiered matrix cannot see:
     look-ahead dealing bounds, DRM lag semantics, and parity with the
-    lock-step worker-sampling plane."""
+    worker-sampling plane."""
 
     def _session(self, tiny_ds, eq_cfg, n=3):
         return TrainingSession(
@@ -667,31 +762,36 @@ class TestProcessPipelinedBackend:
             SystemConfig(hybrid=True, drm=False, prefetch=True),
             num_trainers=n)
 
-    def _platform_session(self, tiny_ds, eq_cfg, fpga_platform):
+    def _platform_session(self, tiny_ds, eq_cfg, platform,
+                          prefetch=True):
         return TrainingSession(
             tiny_ds, eq_cfg,
-            SystemConfig(hybrid=True, drm=True, prefetch=True,
+            SystemConfig(hybrid=True, drm=True, prefetch=prefetch,
                          transfer_precision="int8"),
-            fpga_platform, profile_probes=2)
+            platform, profile_probes=2)
 
     @pytest.mark.parametrize(
-        "depth, platform, epochs", [(1, True, 1), (3, False, 2)],
+        "depth, platform, epochs", [(1, True, 2), (3, False, 2)],
         ids=["depth1-drm", "depth3-no-platform"])
     def test_lookahead_matches_worker_sampling_bit_for_bit(
             self, depth, platform, epochs, tiny_ds, eq_cfg,
-            fpga_platform, monkeypatch):
+            gpu_platform, monkeypatch):
         """Look-ahead changes *when* an item is dealt, never *what* is
         trained: the fused plane reproduces the worker-sampling plane
         bit for bit — losses, worker-echoed targets, DRM trajectory,
         sampled edges, and every final parameter.
 
-        * With ``max_depth=1`` the window degenerates to lock-step
-          dealing, so shards are dealt only after the previous
-          iteration's DRM step — the DRM-lag regression pin's zero-lag
-          anchor.
+        * With DRM both sides run a ``prefetch=False`` session, which
+          keeps ``process_sampling`` lock-step, and the fused window is
+          held at ``max_depth=1``: shards are dealt only after the
+          previous iteration's DRM step — the DRM-lag regression pins'
+          zero-lag anchor. The gpu platform's DRM moves the split
+          inside the two epochs, so the anchor is not vacuous.
         * Without a platform (no DRM, nothing adapts) a window of 3
           keeps three iterations dealt ahead on every worker across two
-          epochs on one backend, and still trains the same batches.
+          epochs on one backend — against ``process_sampling``'s
+          ``prefetch_depth`` window of 2 — and still trains the same
+          batches.
 
         Run under :func:`analytic_lookahead`: the worker-sampling plane
         never calibrates its timing step against realized wall clocks,
@@ -701,7 +801,8 @@ class TestProcessPipelinedBackend:
         def session():
             if platform:
                 return self._platform_session(tiny_ds, eq_cfg,
-                                              fpga_platform)
+                                              gpu_platform,
+                                              prefetch=False)
             return self._session(tiny_ds, eq_cfg)
 
         ss = session()
@@ -715,6 +816,11 @@ class TestProcessPipelinedBackend:
             analytic_lookahead(backend, monkeypatch)
             rf = [backend.run_epoch() for _ in range(epochs)]
 
+        if platform:
+            splits = [sp for r in rs for sp in r.split_history]
+            assert any(sp != splits[0] for sp in splits), \
+                "DRM never moved"
+            assert all(n == 1 for r in rs for n, _ in r.lookahead_history)
         for a, b in zip(rs, rf):
             assert max(n for n, _ in b.lookahead_history) == depth
             assert b.iterations == a.iterations

@@ -124,6 +124,31 @@ class TestStructure:
         assert defined <= {"__init__"}, \
             f"{name} overrides driver methods: {sorted(defined)}"
 
+    @pytest.mark.parametrize("prefetch, depth",
+                             [(True, 2), (True, 4), (False, 3)])
+    def test_fixed_window_per_preset(self, tiny_ds, small_cfg, prefetch,
+                                     depth):
+        """The window a preset without a depth policy deals through:
+        ``process`` and ``sharded`` are lock-step under any config;
+        ``process_sampling`` deals ``prefetch_depth`` ahead under
+        two-stage prefetch and is lock-step without it. Only
+        ``process_pipelined`` installs a depth policy."""
+        session = TrainingSession(
+            tiny_ds, small_cfg,
+            SystemConfig(hybrid=True, drm=False, prefetch=prefetch,
+                         prefetch_depth=depth),
+            num_trainers=2)
+        backends = {name: get_backend(name)(session)
+                    for name in PROCESS_PRESETS}
+        assert {name for name, b in backends.items()
+                if b.lookahead is not None} == {"process_pipelined"}
+        assert backends["process"].fixed_window() == 1
+        assert backends["sharded"].fixed_window() == 1
+        assert backends["process_sampling"].fixed_window() == \
+            (depth if prefetch else 1)
+        assert [name for name in PROCESS_PRESETS
+                if get_backend(name).deals_ahead] == ["process_sampling"]
+
     @pytest.mark.parametrize("name", ["threaded", "pipelined"])
     def test_inprocess_names_are_presets_of_one_driver(self, name):
         """The in-process planes are the same kind of declaration over

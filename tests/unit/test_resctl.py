@@ -352,18 +352,25 @@ class TestDurationRowGating:
             ProcessPipelinedBackend,
             ProcessPoolBackend,
             ProcessSamplingBackend,
+            ShardedBackend,
             ThreadedBackend,
+            available_backends,
+            get_backend,
         )
         from repro.runtime.backends.virtual import VirtualTimeBackend
         # Strict planes must price rows exactly like the reference.
         assert VirtualTimeBackend.overlaps_transfer
         assert ThreadedBackend.overlaps_transfer
         assert ProcessPoolBackend.overlaps_transfer
-        # The lock-step statistical plane is the one exception...
-        assert not ProcessSamplingBackend.overlaps_transfer
-        # ...and its fused subclass overlaps again.
+        # The worker-sampling planes deal ahead under prefetch, so the
+        # next transfer overlaps the gradient pull...
+        assert ProcessSamplingBackend.overlaps_transfer
         assert ProcessPipelinedBackend.overlaps_transfer
         assert PipelinedBackend.overlaps_transfer
+        # ...and the lock-step sharded plane is the one exception.
+        assert not ShardedBackend.overlaps_transfer
+        assert [name for name in available_backends()
+                if not get_backend(name).overlaps_transfer] == ["sharded"]
 
 
 class TestTimingStepHooks:
