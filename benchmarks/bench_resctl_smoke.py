@@ -63,10 +63,10 @@ def _session(seed: int) -> TrainingSession:
 def run_smoke() -> ExperimentResult:
     alloc = NodeAllocator(depth_budget=DEPTH_BUDGET)
     backends = {
-        "long": PipelinedBackend(_session(seed=7), initial_depth=2,
+        "long": PipelinedBackend(_session(seed=7),
                                  max_depth=DEPTH_BUDGET,
                                  allocator=alloc),
-        "short": PipelinedBackend(_session(seed=8), initial_depth=2,
+        "short": PipelinedBackend(_session(seed=8),
                                   max_depth=DEPTH_BUDGET,
                                   allocator=alloc),
     }

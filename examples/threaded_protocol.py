@@ -34,8 +34,7 @@ def main() -> None:
     session = TrainingSession(
         dataset, cfg, SystemConfig(drm=False, prefetch_depth=2),
         num_trainers=3)
-    backend = build_backend("threaded", session, prefetch_depth=2,
-                            timeout_s=60)
+    backend = build_backend("threaded", session, timeout_s=60)
     print("running 8 iterations: 3 trainers fed by one producer "
           "thread ...")
     report = backend.run(8)

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import abc
 import time
+from contextlib import nullcontext
 from typing import Any, Callable, ClassVar, Sequence
 
 import numpy as np
@@ -57,6 +58,7 @@ from ...kernels import KernelCounters, scoped_counters
 from ..core import TrainingSession
 from ..protocol import Signal
 from ..resctl import fold_worker_realized
+from .overlap import session_window
 from .report import Reply
 
 
@@ -78,20 +80,10 @@ class ExecutionBackend(abc.ABC):
     #: coverage, conservation and closeness instead of bit-parity).
     conformance_tier: ClassVar[str] = "strict"
 
-    #: Does this backend overlap the next iteration's feature transfer
-    #: with the current iteration's gradient pull on the PCIe link?
-    #: Gates the timing plane's duplex-contention derate
-    #: (:meth:`TrainingSession.duration_row`). ``True`` by default:
-    #: the virtual reference models the overlapped pipeline whenever
-    #: prefetching is configured, and the strict planes must price
-    #: their rows identically to it by contract. A lock-step
-    #: statistical plane whose transfer strictly precedes the pull
-    #: (``sharded``) overrides this to ``False``.
-    overlaps_transfer: ClassVar[bool] = True
-
     #: The look-ahead :class:`~.overlap.DepthPolicy` a preset's
     #: ``__init__`` installs to adapt its window and calibrate DRM;
-    #: ``None`` runs lock-step on the uncalibrated contract.
+    #: ``None`` holds the session's window on the uncalibrated
+    #: contract.
     lookahead = None
 
     def __init__(self, session: TrainingSession) -> None:
@@ -112,6 +104,17 @@ class ExecutionBackend(abc.ABC):
             with scoped_counters(self.counters):
                 fn(*args)
         return run
+
+    def window(self, report, ahead: bool = True):
+        """Open this run's look-ahead window, the one place any plane
+        does: a context manager yielding the first depth. Under a
+        :attr:`lookahead` policy that is the policy's run (grant, seed,
+        calibration digest); otherwise the window is
+        :func:`~.overlap.session_window`, fixed — or 1 (lock-step) for
+        a caller that cannot run ``ahead``."""
+        if self.lookahead is not None:
+            return self.lookahead.run(self.name, report)
+        return nullcontext(session_window(self.session) if ahead else 1)
 
     def record_timing(self, report, rows: list, stats: list, it: int,
                       policy=None, realized: dict | None = None):
@@ -134,7 +137,7 @@ class ExecutionBackend(abc.ABC):
         times, row, split = s.timing_step(
             stats_cpu, stats_accel, it,
             estimator=None if policy is None else policy.estimator,
-            realized=realized, overlapped=self.overlaps_transfer)
+            realized=realized)
         rows.append(row)
         report.stage_history.append(times)
         report.split_history.append(split)

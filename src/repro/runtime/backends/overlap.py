@@ -1,19 +1,21 @@
 """What the look-ahead planes share, written once.
 
-Two planes run the producer chain ahead of training — ``pipelined``
-(the in-process driver's :class:`~.pipelined.ChainFeed`, stage threads
-in the caller's process) and ``process_pipelined`` (the process driver
-dealing ahead to single-threaded workers). Only ``pipelined`` uses the
-stage threads; both use the depth policy:
+A run's look-ahead window follows one rule, :func:`session_window`:
+the session's ``prefetch_depth`` under two-stage prefetch, else 1
+(lock-step). :meth:`~.base.ExecutionBackend.window` opens it for every
+plane; a preset that installs a :class:`DepthPolicy` seeds its first
+window from the same rule and adapts it from there. The pieces:
 
 * :class:`StageChain` — one trainer's ``sample → gather → transfer``
   stage threads over backpressured
-  :class:`~repro.runtime.prefetch.PrefetchBuffer` queues, feeding a
-  train-stage consumer (``pipelined``'s :class:`~.pipelined.ChainFeed`);
-* :class:`DepthPolicy` — the look-ahead depth policy: resolve the
-  knobs, seed the first window, clamp by the node allocator's grant,
-  resize adaptively from calibrated stage-time ratios (its estimator
-  observes and calibrates every timing step), record the history;
+  :class:`~repro.runtime.prefetch.PrefetchBuffer` queues, which
+  ``pipelined``'s :class:`~.pipelined.ChainFeed` feeds, starts, drains
+  and joins through ``bufs`` and ``threads``;
+* :class:`DepthPolicy` — the adaptive look-ahead of ``pipelined`` and
+  ``process_pipelined``: seed the first window, clamp by the node
+  allocator's grant, resize from calibrated stage-time ratios (its
+  estimator observes and calibrates every timing step), record the
+  history;
 * :class:`LookaheadDealer` — the bounded window over a work source the
   process driver deals through (pure; hypothesis-tested).
 """
@@ -80,7 +82,7 @@ class StageChain:
     kind:
         The consuming trainer's kind (selects the transfer policy).
     depth:
-        Initial capacity of every buffer (:meth:`resize` changes it
+        Initial capacity of every buffer (the feed resizes them
         live).
     timeout_s:
         Monotonic-deadline watchdog on every blocking handoff.
@@ -145,10 +147,6 @@ class StageChain:
             self._on_error(exc)
 
     # -- owner surface -------------------------------------------------
-    def start(self) -> None:
-        for t in self.threads:
-            t.start()
-
     def feed(self, it: int, work) -> None:
         """Hand iteration ``it``'s work (``None`` = idle) to the sample
         stage."""
@@ -160,23 +158,6 @@ class StageChain:
         thread drains what is in flight and exits."""
         self.bufs["sample"].close()
 
-    def take(self) -> Prepared | None:
-        """The next prepared batch (``None`` once ended and drained)."""
-        return self.bufs["train"].get(timeout=self.timeout_s)
-
-    def close(self) -> None:
-        """Close every buffer — unblocks any stage thread stuck in a
-        put/get on the failure path."""
-        for b in self.bufs.values():
-            b.close()
-
-    def join(self) -> list[str]:
-        """Join the stage threads; returns the names of any that
-        survived the watchdog (wedged outside a buffer wait)."""
-        for t in self.threads:
-            t.join(timeout=self.timeout_s)
-        return [t.name for t in self.threads if t.is_alive()]
-
     def buffer_stats(self) -> dict[str, tuple[int, int, float]]:
         return {stage: (b.total_puts, b.high_water, b.mean_occupancy)
                 for stage, b in self.bufs.items()}
@@ -186,47 +167,33 @@ class StageChain:
 # The look-ahead depth policy
 # ---------------------------------------------------------------------------
 
-def seed_depth(session, initial_depth: int, cap: int,
-               estimator=None) -> int:
-    """Effective look-ahead for the first window, before any timing
-    feedback exists.
+def session_window(session) -> int:
+    """The look-ahead window a run opens with, written once: the
+    session's ``prefetch_depth`` under two-stage prefetch, else 1
+    (lock-step)."""
+    cfg = session.sys_cfg
+    return cfg.prefetch_depth if cfg.prefetch else 1
+
+
+def seed_depth(session, cap: int, estimator=None) -> int:
+    """Effective look-ahead for a depth policy's first window, before
+    any timing feedback exists.
 
     A timing+prefetch session starts from the floor — there is no
     realized signal yet, so claiming the full configured window is
     unjustified — or from the calibrated steady-state estimate once the
     estimator is warm (e.g. a previous run through the same backend
     instance). Sessions that will never adapt (functional-only, or
-    prefetch off) keep ``initial_depth``: with no feedback loop, a
-    floor-seeded window would throttle the whole run, not just its
+    prefetch off) keep :func:`session_window`: with no feedback loop,
+    a floor-seeded window would throttle the whole run, not just its
     first iterations.
     """
     if not (session.has_timing and session.sys_cfg.prefetch):
-        return initial_depth
+        return session_window(session)
     if estimator is not None and estimator.is_warm():
         times = estimator.calibrate(session.stage_times(None, None))
         return adaptive_depth(times, cap=cap)
     return 1
-
-
-def resolve_depths(session, initial_depth: int | None,
-                   max_depth: int | None) -> tuple[int, int]:
-    """Resolve ``(initial_depth, max_depth)``: the initial depth
-    defaults to the session's ``prefetch_depth`` when two-stage
-    prefetching is on (else 1 — lock-step, matching the serialized
-    ablation presets); the cap defaults to 8 or the initial depth,
-    whichever is larger, so default construction is valid for *any*
-    session; an explicitly-passed cap below the initial depth still
-    fails loudly."""
-    if initial_depth is None:
-        initial_depth = session.sys_cfg.prefetch_depth \
-            if session.sys_cfg.prefetch else 1
-    if initial_depth < 1:
-        raise ProtocolError("prefetch depth must be >= 1")
-    if max_depth is None:
-        max_depth = max(8, initial_depth)
-    if max_depth < initial_depth:
-        raise ProtocolError("max_depth must be >= initial depth")
-    return initial_depth, max_depth
 
 
 def adaptive_depth(times: StageTimes, cap: int, floor: int = 1) -> int:
@@ -262,27 +229,31 @@ def adaptive_depth(times: StageTimes, cap: int, floor: int = 1) -> int:
 class DepthPolicy:
     """The look-ahead depth of one overlapped backend, across runs.
 
-    Owns the three depth knobs (``initial_depth`` / ``max_depth`` /
-    ``allocator``) and the
+    Owns the two depth knobs (``max_depth`` — defaults to 8 or the
+    session's window, whichever is larger; a smaller explicit cap
+    fails loudly — and ``allocator``) and the
     :class:`~repro.runtime.resctl.OnlineEstimator` every timing step
     of the backend observes and calibrates through — the estimator
     persists across runs, so a second run on the same backend starts
     warm. Per run: :meth:`run` brackets the allocator grant and seeds
-    the first window, :meth:`adapt` resizes it after each timing step
-    (re-reading the grant's live cap).
+    the first window (:func:`seed_depth`), :meth:`adapt` resizes it
+    after each timing step (re-reading the grant's live cap).
     """
 
-    def __init__(self, session, initial_depth: int | None = None,
-                 max_depth: int | None = None,
+    def __init__(self, session, max_depth: int | None = None,
                  allocator: NodeAllocator | None = None) -> None:
         self.session = session
-        self.initial_depth, self.max_depth = resolve_depths(
-            session, initial_depth, max_depth)
+        self.depth = session_window(session)
+        if max_depth is None:
+            max_depth = max(8, self.depth)
+        if max_depth < self.depth:
+            raise ProtocolError("max_depth must be >= the session's "
+                                "prefetch window")
+        self.max_depth = max_depth
         self.allocator = allocator if allocator is not None \
             else DEFAULT_ALLOCATOR
         self.estimator = OnlineEstimator()
         self.grant = None
-        self.depth = self.initial_depth
 
     def cap(self) -> int:
         """Live cap: ``max_depth`` clamped by the current grant."""
@@ -302,8 +273,8 @@ class DepthPolicy:
             name=f"{name}:{self.session.dataset.name}",
             max_depth=self.max_depth)
         try:
-            self.depth = seed_depth(self.session, self.initial_depth,
-                                    self.cap(), self.estimator)
+            self.depth = seed_depth(self.session, self.cap(),
+                                    self.estimator)
             report.depth_history.append((0, self.depth))
             yield self.depth
         finally:

@@ -4,9 +4,11 @@ Listing 1, §IV-B).
 :class:`InProcessBackend` is the training protocol in the caller's
 process, written once. Per run it
 
-1. opens the look-ahead window — fixed at ``prefetch_depth`` unless a
-   preset installs a :class:`~.overlap.DepthPolicy` as
-   ``self.lookahead``;
+1. opens the look-ahead window
+   (:meth:`~.base.ExecutionBackend.window`) — the session's window
+   (``prefetch_depth`` under two-stage prefetch, else 1), fixed, unless
+   a preset installs a :class:`~.overlap.DepthPolicy` as
+   ``self.lookahead``, which seeds from the same rule and adapts;
 2. starts the **feed** (the one seam, a class attribute): what turns
    the session's work source into prepared batches — threads filling
    one bounded :class:`~repro.runtime.prefetch.PrefetchBuffer` per
@@ -59,7 +61,6 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import nullcontext
 from typing import ClassVar
 
 from ...errors import ProtocolError
@@ -283,9 +284,6 @@ class InProcessBackend(ExecutionBackend):
         CPU+accelerator split, DRM, transfer quantization and the
         modelled timing plane onto the run; platform-less sessions
         run the functional protocol only.
-    prefetch_depth:
-        Mini-batches of look-ahead per trainer while no ``DepthPolicy``
-        is installed.
     timeout_s:
         Watchdog (a monotonic deadline) on every blocking handoff — a
         wedged feed fails fast instead of hanging the suite.
@@ -294,14 +292,10 @@ class InProcessBackend(ExecutionBackend):
     #: Seam: what prepares batches (a :class:`Feed`).
     feed: ClassVar[type] = PlanOrderFeed
 
-    def __init__(self, session, prefetch_depth: int = 2,
-                 timeout_s: float = 60.0) -> None:
+    def __init__(self, session, timeout_s: float = 60.0) -> None:
         super().__init__(session)
-        if prefetch_depth < 1:
-            raise ProtocolError("prefetch depth must be >= 1")
         if timeout_s <= 0:
             raise ProtocolError("timeout_s must be positive")
-        self.prefetch_depth = prefetch_depth
         self.timeout_s = timeout_s
 
     def run(self, iterations: int) -> RunReport:
@@ -313,10 +307,7 @@ class InProcessBackend(ExecutionBackend):
         s = self.session
         report = RunReport(iterations=iterations)
         rows: list[list[float]] = []
-        window = nullcontext(self.prefetch_depth) \
-            if self.lookahead is None \
-            else self.lookahead.run(self.name, report)
-        with window as depth:
+        with self.window(report) as depth:
             feed = self.feed(self, iterations, depth, report, rows)
             counters_before = self.counters.snapshot()
             start = time.perf_counter()
@@ -394,23 +385,20 @@ class PipelinedBackend(InProcessBackend):
 
     Parameters (beyond :class:`InProcessBackend`'s ``timeout_s``)
     --------------------------------------------------------------
-    initial_depth / max_depth / allocator:
-        The :class:`~.overlap.DepthPolicy` knobs: the first window
-        (defaults to the session's ``prefetch_depth`` when two-stage
-        prefetching is on, else 1), the cap (defaults to 8 or the
-        initial depth, whichever is larger), and the node allocator
-        whose grant clamps the cap. Resizes and DRM steer from
-        calibrated stage times.
+    max_depth / allocator:
+        The :class:`~.overlap.DepthPolicy` knobs: the cap (defaults to
+        8 or the session's window, whichever is larger) and the node
+        allocator whose grant clamps it. The first window seeds from
+        the session's; resizes and DRM steer from calibrated stage
+        times.
     """
 
     name = "pipelined"
     conformance_tier = "statistical"
     feed = ChainFeed
 
-    def __init__(self, session, initial_depth: int | None = None,
-                 max_depth: int | None = None,
+    def __init__(self, session, max_depth: int | None = None,
                  timeout_s: float = 60.0,
                  allocator: NodeAllocator | None = None) -> None:
         super().__init__(session, timeout_s=timeout_s)
-        self.lookahead = DepthPolicy(session, initial_depth, max_depth,
-                                     allocator)
+        self.lookahead = DepthPolicy(session, max_depth, allocator)

@@ -33,14 +33,16 @@ the worker. The body takes its per-item stages from the replica
 different serve loop.
 
 There is exactly one drive loop: a :class:`~.overlap.LookaheadDealer`
-over the work source. Its window is adaptive when the preset installs a
-:class:`~.overlap.DepthPolicy` as ``self.lookahead``; otherwise it is
-fixed (:meth:`ProcessBackend.fixed_window`) — at the session's
-``prefetch_depth`` under two-stage prefetch for a preset that declares
-``deals_ahead``, else at 1 (lock-step). The parent always adjudicates
-DRM and always runs the per-iteration all-reduce barrier — only
-*dealing* ever runs ahead, so Algorithm-1 adjustments lag the dealt
-window by design (``RunReport.dealt_sizes``).
+over the work source, through the window
+:meth:`~.base.ExecutionBackend.window` opens. A plane whose workers
+sample deals the session's window ahead (``prefetch_depth`` under
+two-stage prefetch, else 1) — adaptively when the preset installs a
+:class:`~.overlap.DepthPolicy` as ``self.lookahead``; a plane whose
+parent samples (:class:`WireBatchDeal`) deals lock-step under any
+config. The parent always adjudicates DRM and always runs the
+per-iteration all-reduce barrier — only *dealing* ever runs ahead, so
+Algorithm-1 adjustments lag the dealt window by design
+(``RunReport.dealt_sizes``).
 
 The registry names ``process``, ``process_sampling`` and
 ``process_pipelined`` (and ``sharded``, in :mod:`.sharded`) are
@@ -55,7 +57,6 @@ import time
 import traceback
 import weakref
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -67,7 +68,7 @@ from ...sampling.base import LayerBlock, MiniBatch
 from ..resctl import NodeAllocator
 from ..stage_pipeline import StagePipeline
 from .base import ExecutionBackend
-from .overlap import DepthPolicy, LookaheadDealer, resolve_depths
+from .overlap import DepthPolicy, LookaheadDealer
 from .report import Reply, RunReport
 
 
@@ -469,10 +470,6 @@ class ProcessBackend(ExecutionBackend):
     #: The worker's per-item stages + model (its ``gather`` may be
     #: shard-aware).
     replica_cls: ClassVar[type] = WorkerReplica
-    #: Without a depth policy, deal ``prefetch_depth`` iterations ahead
-    #: when the session prefetches (:meth:`fixed_window`)? ``False``
-    #: keeps the preset lock-step under any config.
-    deals_ahead: ClassVar[bool] = False
 
     def __init__(self, session, timeout_s: float = 120.0,
                  mp_context: str | None = None) -> None:
@@ -594,10 +591,11 @@ class ProcessBackend(ExecutionBackend):
             report.startup_time_s = time.perf_counter() - setup_start
             start = time.perf_counter()
 
-            window = nullcontext(self.fixed_window()) \
-                if self.lookahead is None \
-                else self.lookahead.run(self.name, report)
-            with window as depth:
+            # Only worker-sampled items deal ahead: dealing a
+            # parent-sampled batch ahead moves the parent's sampler
+            # stream past what a failed run trained.
+            with self.window(report,
+                             ahead=self.deal.worker_samples) as depth:
                 self._drive(iterations, depth, report, rows)
             report.wall_time_s = time.perf_counter() - start
 
@@ -607,16 +605,6 @@ class ProcessBackend(ExecutionBackend):
             raise
         report.close_timeline(s, rows)
         return report
-
-    def fixed_window(self) -> int:
-        """The dealt window when no depth policy is installed: if the
-        preset ``deals_ahead``, the first window
-        :func:`~.overlap.resolve_depths` gives a look-ahead preset
-        (``prefetch_depth`` under two-stage prefetch, else 1); otherwise
-        1 (lock-step)."""
-        if not self.deals_ahead:
-            return 1
-        return resolve_depths(self.session, None, None)[0]
 
     # ------------------------------------------------------------------
     # The one drive loop
@@ -777,9 +765,10 @@ class ProcessBackend(ExecutionBackend):
 class ProcessPoolBackend(ProcessBackend):
     """``process`` — GIL-free trainer replicas, **bit-identical** to
     the virtual reference: the parent samples every batch in plan order
-    and ships it in wire form; workers gather zero-copy from the shared
-    store, train inline, and mirror the synchronized update. Held to
-    the strict tier, hybrid + DRM + int8 transfer included."""
+    and ships it in wire form, dealt lock-step under any config; workers
+    gather zero-copy from the shared store, train inline, and mirror
+    the synchronized update. Held to the strict tier, hybrid + DRM +
+    int8 transfer included."""
 
     name = "process"
 
@@ -789,10 +778,10 @@ class ProcessSamplingBackend(ProcessBackend):
     parent deals target-id shards, each worker samples from its own
     RNG stream and runs ``sample → gather → transfer → train`` inline.
 
-    Under two-stage prefetch the parent deals ``prefetch_depth``
-    iterations ahead, so each worker samples and loads batch ``i + 1``
-    while the parent collects and all-reduces batch ``i`` (and the next
-    transfer overlaps the gradient pull). Iterations stay a
+    Under two-stage prefetch the parent deals the session's window
+    (``prefetch_depth``) ahead, so each worker samples and loads batch
+    ``i + 1`` while the parent collects and all-reduces batch ``i``
+    (and the next transfer overlaps the gradient pull). Iterations stay a
     synchronized barrier either way; DRM observes iteration ``i``
     before ``i + 1``'s quotas are read only without prefetch (lock-step
     dealing) — with it, adjustments lag the dealt window
@@ -801,7 +790,6 @@ class ProcessSamplingBackend(ProcessBackend):
     name = "process_sampling"
     conformance_tier = "statistical"
     deal = TargetDeal
-    deals_ahead = True
 
 
 class ProcessPipelinedBackend(ProcessBackend):
@@ -811,10 +799,10 @@ class ProcessPipelinedBackend(ProcessBackend):
     collects and all-reduces the current one. Look-ahead changes when
     an item is dealt, never what is trained: without DRM this preset is
     bit-identical to ``process_sampling`` at any depth, and with DRM
-    at ``max_depth=1`` and a cold estimator it is bit-identical to a
-    lock-step (``prefetch=False``) ``process_sampling`` run (both
+    on a ``prefetch=False`` session (window 1) and a cold estimator it
+    is bit-identical to ``process_sampling`` on the same session (both
     pinned by a regression test). What sets it apart from
-    ``process_sampling``'s fixed ``prefetch_depth`` window is the
+    ``process_sampling``'s fixed window is the
     adaptive depth, the node allocator's grant and, on timing
     sessions, the estimator that calibrates its DRM step; a deeper
     window deals further ahead of Algorithm 1's adjustments
@@ -822,7 +810,7 @@ class ProcessPipelinedBackend(ProcessBackend):
 
     Parameters (beyond :class:`ProcessBackend`'s)
     ---------------------------------------------
-    initial_depth / max_depth / allocator:
+    max_depth / allocator:
         The :class:`~.overlap.DepthPolicy` knobs, exactly as on
         :class:`~.pipelined.PipelinedBackend`.
     """
@@ -833,10 +821,8 @@ class ProcessPipelinedBackend(ProcessBackend):
 
     def __init__(self, session, timeout_s: float = 120.0,
                  mp_context: str | None = None,
-                 initial_depth: int | None = None,
                  max_depth: int | None = None,
                  allocator: NodeAllocator | None = None) -> None:
         super().__init__(session, timeout_s=timeout_s,
                          mp_context=mp_context)
-        self.lookahead = DepthPolicy(session, initial_depth, max_depth,
-                                     allocator)
+        self.lookahead = DepthPolicy(session, max_depth, allocator)

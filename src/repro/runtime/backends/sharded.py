@@ -296,7 +296,9 @@ class ShardedReplica(WorkerReplica):
 class ShardedBackend(ProcessBackend):
     """``sharded`` — worker replicas over per-shard slices of the
     store: :class:`ShardPlan` × :class:`~.process.TargetDeal` ×
-    :class:`ShardedReplica`, lock-step.
+    :class:`ShardedReplica`. Its workers sample, so like
+    ``process_sampling`` it deals the session's window ahead
+    (``prefetch_depth`` under two-stage prefetch, else lock-step).
 
     Parameters
     ----------
@@ -320,12 +322,6 @@ class ShardedBackend(ProcessBackend):
 
     name = "sharded"
     conformance_tier = "statistical"
-    #: Lock-step dealing: a worker's transfer for iteration ``i + 1``
-    #: cannot start until the parent has dealt it, which only happens
-    #: after iteration ``i``'s gradients were pulled — transfers and
-    #: gradient pulls never share the PCIe link in flight, so the
-    #: duplex-contention derate must not be priced into this plane.
-    overlaps_transfer = False
     deal = TargetDeal
     replica_cls = ShardedReplica
 

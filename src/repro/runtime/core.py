@@ -506,22 +506,17 @@ class TrainingSession:
             launches = 6 * self.train_cfg.num_layers * 2
         return launches * accel.kernel_launch_s
 
-    def duration_row(self, times: StageTimes,
-                     overlapped: bool) -> list[float]:
+    def duration_row(self, times: StageTimes) -> list[float]:
         """Pipeline-stage durations including the 'actual' extras the
         analytic model omits (paper §VI-C): kernel-launch latency and
         pipeline-flush overhead on the accelerator pass, plus PCIe
         duplex contention between prefetch pushes and gradient pulls.
 
-        The duplex derate models link contention that only exists when
-        the next iteration's feature push genuinely overlaps this
-        iteration's gradient pull, so it is gated on ``overlapped`` —
-        the executing backend's overlap capability
-        (:attr:`~repro.runtime.backends.base.ExecutionBackend.overlaps_transfer`)
-        — and on ``sys_cfg.prefetch``: the derate is priced only when
-        both hold. A lock-step backend that resolves transfer strictly
-        before the pull passes ``False`` and never pays the derate,
-        however ``prefetch`` is set.
+        The duplex derate models link contention that exists only when
+        the next iteration's feature push overlaps this iteration's
+        gradient pull, so it is priced exactly under two-stage
+        prefetch (``sys_cfg.prefetch``) — the setting that opens every
+        plane's look-ahead window.
         """
         self._require_timing()
         accel = self.platform.accelerator
@@ -530,7 +525,7 @@ class TrainingSession:
                 if times.t_train_accel > 0 else 0.0)
         prop = max(prop, times.t_train_cpu) + times.t_sync
         transfer = times.t_transfer
-        if overlapped and self.sys_cfg.prefetch and transfer > 0:
+        if self.sys_cfg.prefetch and transfer > 0:
             transfer *= 1.0 + self.platform.pcie.duplex_derate
         return [times.t_sample, times.t_load, transfer,
                 prop + self.launch_overhead_s()]
@@ -543,7 +538,6 @@ class TrainingSession:
     def timing_step(self, stats_cpu: MiniBatchStats | None,
                     stats_accel: list[MiniBatchStats | None],
                     iteration: int, *,
-                    overlapped: bool,
                     estimator=None,
                     realized: dict[str, float] | None = None
                     ) -> tuple[StageTimes, list[float], WorkloadSplit]:
@@ -557,10 +551,8 @@ class TrainingSession:
         stage times from iteration ``i``'s stats, split snapshot, *then*
         DRM — can never drift between execution planes.
 
-        ``overlapped`` is the backend's transfer-overlap capability,
-        forwarded to :meth:`duration_row`. ``estimator`` (an
-        :class:`~repro.runtime.resctl.OnlineEstimator`, which a
-        look-ahead backend passes) observes this iteration's
+        ``estimator`` (an :class:`~repro.runtime.resctl.OnlineEstimator`,
+        which a look-ahead backend passes) observes this iteration's
         ``realized`` wall times (the replies' stage seconds on
         canonical stage keys, folded by
         :func:`~repro.runtime.resctl.fold_worker_realized`) against the
@@ -575,7 +567,7 @@ class TrainingSession:
             if realized:
                 estimator.observe(realized, times)
             times = estimator.calibrate(times)
-        row = self.duration_row(times, overlapped=overlapped)
+        row = self.duration_row(times)
         split = self.split
         self.drm_step(times, iteration)
         return times, row, split

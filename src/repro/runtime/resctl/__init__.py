@@ -20,8 +20,8 @@ both together through one
 :class:`~repro.runtime.backends.overlap.DepthPolicy`, whose estimator
 every timing step observes and calibrates through, so
 ``adaptive_depth`` and ``drm_step`` steer from calibrated times. The
-lock-step planes never calibrate — their conformance contract is
-bit-parity with the analytic reference. ``docs/architecture.md``
+planes without one never calibrate — the strict ones' conformance
+contract is bit-parity with the analytic reference. ``docs/architecture.md``
 carries the subsystem diagram; ``docs/backends.md`` the wire-protocol
 contract.
 """

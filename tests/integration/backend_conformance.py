@@ -276,13 +276,13 @@ def analytic_lookahead(backend, monkeypatch) -> None:
     """Hold look-ahead ``backend`` to the analytic trajectory: its
     estimator never warms, so it keeps observing (the calibration
     report still fills) while every calibration is exactly the
-    identity, and the first window opens at the configured depth
+    identity, and the first window opens at the session's window
     instead of the floor a timing session starts from."""
     backend.lookahead.estimator = OnlineEstimator(warmup=10**9)
     monkeypatch.setattr(
         overlap, "seed_depth",
-        lambda session, initial_depth, cap, estimator=None:
-        min(initial_depth, cap))
+        lambda session, cap, estimator=None:
+        min(overlap.session_window(session), cap))
 
 
 def threaded_backend(dataset: GraphDataset, train_cfg: TrainingConfig,
@@ -291,15 +291,13 @@ def threaded_backend(dataset: GraphDataset, train_cfg: TrainingConfig,
     """A fresh session on the ``threaded`` backend, built the public
     way (``TrainingSession`` + ``build_backend``). Without ``sys_cfg``
     the session is platform-less functional training (DRM off); the
-    live buffers take ``sys_cfg.prefetch_depth``, the depth the
-    modelled pipeline uses."""
+    live buffers hold the session's window (``sys_cfg.prefetch_depth``
+    under prefetch), the depth the modelled pipeline uses."""
     if sys_cfg is None:
         sys_cfg = SystemConfig(drm=False)
     session = TrainingSession(dataset, train_cfg, sys_cfg, platform,
                               num_trainers=num_trainers, profile_probes=2)
-    return build_backend("threaded", session,
-                         prefetch_depth=sys_cfg.prefetch_depth,
-                         timeout_s=timeout_s)
+    return build_backend("threaded", session, timeout_s=timeout_s)
 
 
 def _params(session: TrainingSession) -> list[np.ndarray]:

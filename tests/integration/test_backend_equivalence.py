@@ -13,6 +13,7 @@ split, DRM re-balancing, quantized PCIe transfer, non-neighbor
 samplers).
 """
 
+import dataclasses
 import glob
 import multiprocessing as mp
 import os
@@ -70,6 +71,12 @@ def eq_cfg():
 
 def _param_sets(trainers):
     return [t.model.get_flat_params() for t in trainers]
+
+
+def _with_window(case, depth):
+    """``case`` with the session's look-ahead window set to ``depth``."""
+    return dataclasses.replace(case, sys_cfg_kwargs={
+        **case.sys_cfg_kwargs, "prefetch_depth": depth})
 
 
 class LaggingReplica(WorkerReplica):
@@ -167,11 +174,11 @@ class TestBackendConformance:
             replica_cls = ShardedReplica
 
             def __init__(self, session, timeout_s=120.0,
-                         mp_context=None, initial_depth=None,
-                         max_depth=None, allocator=None):
+                         mp_context=None, max_depth=None,
+                         allocator=None):
                 super().__init__(session, timeout_s, mp_context)
-                self.lookahead = DepthPolicy(
-                    session, initial_depth, max_depth, allocator)
+                self.lookahead = DepthPolicy(session, max_depth,
+                                             allocator)
                 n = session.num_trainers
                 parts = bfs_partition(session.dataset.graph, n, seed=0)
                 self.work_source = ShardPlan(session.plan, parts, n)
@@ -184,8 +191,8 @@ class TestBackendConformance:
                 assert_backend_conforms("sharded_lookahead", case,
                                         tiny_ds)
             _, rep = run_backend(
-                "sharded_lookahead", CONFORMANCE_CASES[0], tiny_ds,
-                {"initial_depth": 3, "max_depth": 3},
+                "sharded_lookahead", _with_window(CONFORMANCE_CASES[0], 3),
+                tiny_ds, {"max_depth": 3},
                 lambda b: analytic_lookahead(b, monkeypatch))
             assert rep.shard_parts is not None and rep.shard_io
             assert max(n for n, _ in rep.lookahead_history) > 1
@@ -638,13 +645,45 @@ class TestThreadedBackend:
             tiny_ds, eq_cfg,
             SystemConfig(hybrid=True, drm=False, prefetch=True),
             num_trainers=2)
-        with pytest.raises(ProtocolError):
-            ThreadedBackend(session, prefetch_depth=0)
         for timeout_s in (0, -1.0):
             with pytest.raises(ProtocolError, match="timeout_s"):
                 ThreadedBackend(session, timeout_s=timeout_s)
         with pytest.raises(ProtocolError):
             ThreadedBackend(session).run(0)
+
+    def test_prefetch_off_holds_one_batch(self, tiny_ds, eq_cfg,
+                                          gpu_platform, monkeypatch):
+        """``threaded`` opens the session's window: on a
+        ``prefetch=False`` session every producer buffer holds at most
+        one batch — training is slowed, so the producer would fill any
+        deeper buffer — and the run stays bit-identical to the virtual
+        reference, hybrid + DRM + int8 included."""
+        def session():
+            return TrainingSession(
+                tiny_ds, eq_cfg,
+                SystemConfig(hybrid=True, drm=True, prefetch=False,
+                             transfer_precision="int8"),
+                gpu_platform, profile_probes=2)
+
+        iterations = 6
+        sv = session()
+        rv = VirtualTimeBackend(sv).run(iterations)
+        st = session()
+        for trainer in st.trainers:
+            def slow(*args, _train=trainer.train_minibatch):
+                time.sleep(0.01)
+                return _train(*args)
+            monkeypatch.setattr(trainer, "train_minibatch", slow)
+        rt = ThreadedBackend(st, timeout_s=30).run(iterations)
+
+        assert rt.prefetch_high_water <= 1
+        assert all(stats.items > 0 and stats.high_water <= 1
+                   for stats in rt.stage_stats.values())
+        np.testing.assert_array_equal(rt.losses, rv.losses)
+        assert rt.split_history == rv.split_history
+        for pv, pt in zip(_param_sets(sv.trainers),
+                          _param_sets(st.trainers)):
+            np.testing.assert_array_equal(pv, pt)
 
 
 class TestPipelinedBackend:
@@ -741,10 +780,13 @@ class TestPipelinedBackend:
             tiny_ds, eq_cfg,
             SystemConfig(hybrid=True, drm=False, prefetch=True),
             num_trainers=2)
+        deep = TrainingSession(
+            tiny_ds, eq_cfg,
+            SystemConfig(hybrid=True, drm=False, prefetch=True,
+                         prefetch_depth=4),
+            num_trainers=2)
         with pytest.raises(ProtocolError):
-            PipelinedBackend(session, initial_depth=0)
-        with pytest.raises(ProtocolError):
-            PipelinedBackend(session, initial_depth=4, max_depth=2)
+            PipelinedBackend(deep, max_depth=2)
         with pytest.raises(ProtocolError):
             PipelinedBackend(session, timeout_s=0)
         with pytest.raises(ProtocolError):
@@ -756,17 +798,19 @@ class TestProcessPipelinedBackend:
     look-ahead dealing bounds, DRM lag semantics, and parity with the
     worker-sampling plane."""
 
-    def _session(self, tiny_ds, eq_cfg, n=3):
+    def _session(self, tiny_ds, eq_cfg, n=3, prefetch_depth=2):
         return TrainingSession(
             tiny_ds, eq_cfg,
-            SystemConfig(hybrid=True, drm=False, prefetch=True),
+            SystemConfig(hybrid=True, drm=False, prefetch=True,
+                         prefetch_depth=prefetch_depth),
             num_trainers=n)
 
     def _platform_session(self, tiny_ds, eq_cfg, platform,
-                          prefetch=True):
+                          prefetch=True, prefetch_depth=2):
         return TrainingSession(
             tiny_ds, eq_cfg,
             SystemConfig(hybrid=True, drm=True, prefetch=prefetch,
+                         prefetch_depth=prefetch_depth,
                          transfer_precision="int8"),
             platform, profile_probes=2)
 
@@ -781,37 +825,36 @@ class TestProcessPipelinedBackend:
         bit for bit — losses, worker-echoed targets, DRM trajectory,
         sampled edges, and every final parameter.
 
-        * With DRM both sides run a ``prefetch=False`` session, which
-          keeps ``process_sampling`` lock-step, and the fused window is
-          held at ``max_depth=1``: shards are dealt only after the
-          previous iteration's DRM step — the DRM-lag regression pins'
-          zero-lag anchor. The gpu platform's DRM moves the split
-          inside the two epochs, so the anchor is not vacuous.
-        * Without a platform (no DRM, nothing adapts) a window of 3
-          keeps three iterations dealt ahead on every worker across two
-          epochs on one backend — against ``process_sampling``'s
-          ``prefetch_depth`` window of 2 — and still trains the same
-          batches.
+        * With DRM both sides run a ``prefetch=False`` session, whose
+          window of 1 keeps both planes lock-step: shards are dealt
+          only after the previous iteration's DRM step — the DRM-lag
+          regression pins' zero-lag anchor. The gpu platform's DRM
+          moves the split inside the two epochs, so the anchor is not
+          vacuous.
+        * Without a platform (no DRM, nothing adapts) the fused plane's
+          session window of 3 keeps three iterations dealt ahead on
+          every worker across two epochs on one backend — against
+          ``process_sampling``'s window of 2 — and still trains the
+          same batches.
 
         Run under :func:`analytic_lookahead`: the worker-sampling plane
         never calibrates its timing step against realized wall clocks,
         so parity demands the fused plane's estimator stay cold (by
         default it warms and corrects the modelled stage times with
         measured ones, which intentionally diverges)."""
-        def session():
+        def session(window):
             if platform:
                 return self._platform_session(tiny_ds, eq_cfg,
                                               gpu_platform,
                                               prefetch=False)
-            return self._session(tiny_ds, eq_cfg)
+            return self._session(tiny_ds, eq_cfg, prefetch_depth=window)
 
-        ss = session()
+        ss = session(2)
         with ProcessSamplingBackend(ss, timeout_s=60) as backend:
             rs = [backend.run_epoch() for _ in range(epochs)]
 
-        sf = session()
+        sf = session(depth)
         with ProcessPipelinedBackend(sf, timeout_s=60,
-                                     initial_depth=depth,
                                      max_depth=depth) as backend:
             analytic_lookahead(backend, monkeypatch)
             rf = [backend.run_epoch() for _ in range(epochs)]
@@ -851,9 +894,9 @@ class TestProcessPipelinedBackend:
         for exactly that iteration, so the pin is not vacuous."""
         depth, iterations = 3, 12
         monkeypatch.setattr(DepthPolicy, "adapt", lambda *args: False)
-        sf = self._platform_session(tiny_ds, eq_cfg, gpu_platform)
+        sf = self._platform_session(tiny_ds, eq_cfg, gpu_platform,
+                                    prefetch_depth=depth)
         with ProcessPipelinedBackend(sf, timeout_s=60,
-                                     initial_depth=depth,
                                      max_depth=depth) as backend:
             analytic_lookahead(backend, monkeypatch)
             rf = backend.run(iterations)
@@ -861,7 +904,8 @@ class TestProcessPipelinedBackend:
 
         # Reference: an identical session whose split is never
         # adjusted (plan iterated directly, no backend, no DRM).
-        ref = self._platform_session(tiny_ds, eq_cfg, gpu_platform)
+        ref = self._platform_session(tiny_ds, eq_cfg, gpu_platform,
+                                     prefetch_depth=depth)
         ref_sizes = [planned.batch_sizes
                      for _, planned in ref.plan.iterate(iterations)]
         moved = rf.split_history[depth]
@@ -885,7 +929,6 @@ class TestProcessPipelinedBackend:
         cap = 4
         sf = self._platform_session(tiny_ds, eq_cfg, fpga_platform)
         backend = ProcessPipelinedBackend(sf, timeout_s=60,
-                                          initial_depth=2,
                                           max_depth=cap)
         rf = backend.run_epoch()
         assert len(rf.lookahead_history) == rf.iterations
@@ -909,21 +952,22 @@ class TestProcessPipelinedBackend:
         reader: the statistical matrix holds and the snapshot's
         bit-for-bit audit of worker parameters against the parent
         mirrors stays green. Under :func:`analytic_lookahead` the
-        window opens at 3 (a timing session otherwise seeds it at 1).
+        window opens at the session's 3 (a timing session otherwise
+        seeds it at 1).
         """
-        depth = {"initial_depth": 3, "max_depth": 3}
+        case = _with_window(case, 3)
 
         def analytic(backend):
             analytic_lookahead(backend, monkeypatch)
 
         assert_backend_conforms("process_pipelined", case, tiny_ds,
-                                depth, analytic)
+                                {"max_depth": 3}, analytic)
 
         class Lagging(ProcessPipelinedBackend):
             replica_cls = LaggingReplica
 
         session = make_session(case, tiny_ds)
-        with Lagging(session, timeout_s=60, **depth) as backend:
+        with Lagging(session, timeout_s=60, max_depth=3) as backend:
             analytic(backend)
             rep = backend.run_epoch()
         assert any(0 in sizes for sizes in rep.dealt_sizes)
@@ -934,10 +978,9 @@ class TestProcessPipelinedBackend:
         from repro.errors import ProtocolError
         session = self._session(tiny_ds, eq_cfg, n=2)
         with pytest.raises(ProtocolError):
-            ProcessPipelinedBackend(session, initial_depth=0)
-        with pytest.raises(ProtocolError):
-            ProcessPipelinedBackend(session, initial_depth=4,
-                                    max_depth=2)
+            ProcessPipelinedBackend(
+                self._session(tiny_ds, eq_cfg, n=2, prefetch_depth=4),
+                max_depth=2)
         with pytest.raises(ProtocolError):
             ProcessPipelinedBackend(session, timeout_s=0)
         with pytest.raises(ProtocolError):

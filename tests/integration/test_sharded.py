@@ -17,8 +17,12 @@ plane specifically owes:
   pin — on a clustered (power-law) graph, bfs partitioning plus a
   degree-aware remote cache must move strictly fewer remote bytes
   than hash partitioning with no cache (the regression pin on the
-  whole reason this plane exists).
+  whole reason this plane exists);
+* the window: under two-stage prefetch the plane deals the session's
+  ``prefetch_depth`` ahead, and the io records match a lock-step run's.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -165,6 +169,34 @@ class TestShardIOAccounting:
         assert hash_rep.remote_cache_hit_rate == 0.0
         assert bfs_rep.remote_cache_hit_rate > 0.0
         assert bfs_rep.remote_gather_bytes < hash_rep.remote_gather_bytes
+
+
+class TestShardedWindow:
+    def test_deals_the_session_window_and_conserves_locality(
+            self, tiny_ds):
+        """Under two-stage prefetch ``sharded`` deals the session's
+        window ahead, like every worker-sampling plane. Dealing ahead
+        changes when a shard gathers, never what: the per-minibatch io
+        records, the run's local/remote byte totals and the losses all
+        equal a lock-step (``prefetch=False``) run's."""
+        depth = 3
+        base = CONFORMANCE_CASES[1]      # functional-hybrid, full epoch
+        reports = {}
+        for prefetch in (True, False):
+            case = dataclasses.replace(base, sys_cfg_kwargs={
+                **base.sys_cfg_kwargs, "prefetch": prefetch,
+                "prefetch_depth": depth})
+            _, reports[prefetch] = run_backend("sharded", case, tiny_ds,
+                                               _SWEEP[1])
+        ahead, lockstep = reports[True], reports[False]
+        assert max(n for n, _ in ahead.lookahead_history) == depth
+        assert max(n for n, _ in lockstep.lookahead_history) == 1
+        assert ahead.shard_io == lockstep.shard_io
+        assert ahead.local_gather_bytes == lockstep.local_gather_bytes
+        assert ahead.remote_gather_bytes == lockstep.remote_gather_bytes
+        assert ahead.remote_cache_hit_rate == \
+            lockstep.remote_cache_hit_rate
+        np.testing.assert_array_equal(ahead.losses, lockstep.losses)
 
 
 class TestShardedStore:

@@ -123,8 +123,8 @@ class TestLivePipelineBounds:
 
     def test_depth_trajectory_stays_within_bounds(self, drm_session):
         cap = 3
-        backend = PipelinedBackend(drm_session, initial_depth=2,
-                                   max_depth=cap, timeout_s=30)
+        backend = PipelinedBackend(drm_session, max_depth=cap,
+                                   timeout_s=30)
         per_epoch = drm_session.iterations_per_epoch()
         rep = backend.run(per_epoch + 2)   # roll into a second epoch
         # A timing+prefetch session seeds its first window from the
@@ -155,14 +155,14 @@ class TestLivePipelineBounds:
 
     def test_fixed_depth_without_timing_plane(self, tiny_ds):
         """Platform-less sessions have no stage times to adapt from:
-        the depth trajectory is exactly the initial depth."""
+        the depth trajectory is exactly the session's window."""
         cfg = TrainingConfig(model="sage", minibatch_size=32,
                              fanouts=(4, 3), hidden_dim=16,
                              learning_rate=0.05, seed=11)
         session = TrainingSession(
             tiny_ds, cfg,
-            SystemConfig(hybrid=True, drm=False, prefetch=True),
+            SystemConfig(hybrid=True, drm=False, prefetch=True,
+                         prefetch_depth=3),
             num_trainers=2)
-        rep = PipelinedBackend(session, initial_depth=3,
-                               timeout_s=30).run(3)
+        rep = PipelinedBackend(session, timeout_s=30).run(3)
         assert rep.depth_history == [(0, 3)]

@@ -63,16 +63,30 @@ SRC = Path(repro.__file__).parent
 LISTING1_SIGNALS = {"DONE", "SYNC", "ACK", "ITER_START"}
 
 #: Each registry name's ``build_backend`` keywords.
-_LOOKAHEAD = {"initial_depth", "max_depth", "allocator", "timeout_s"}
+_LOOKAHEAD = {"max_depth", "allocator", "timeout_s"}
 BACKEND_KEYWORDS = {
     "virtual": set(),
-    "threaded": {"prefetch_depth", "timeout_s"},
+    "threaded": {"timeout_s"},
     "pipelined": _LOOKAHEAD,
     "process": {"timeout_s", "mp_context"},
     "process_sampling": {"timeout_s", "mp_context"},
     "process_pipelined": _LOOKAHEAD | {"mp_context"},
     "sharded": {"timeout_s", "mp_context", "partitioner",
                 "partition_seed", "remote_cache_rows"},
+}
+
+#: The first window each registry name opens: ``"session"`` is the
+#: session's window (``prefetch_depth`` under two-stage prefetch, else
+#: 1); ``process`` samples in the parent and deals lock-step under any
+#: config.
+WINDOWS = {
+    "virtual": "session",
+    "threaded": "session",
+    "pipelined": "session",
+    "process": "lock-step",
+    "process_sampling": "session",
+    "process_pipelined": "session",
+    "sharded": "session",
 }
 
 
@@ -126,28 +140,39 @@ class TestStructure:
 
     @pytest.mark.parametrize("prefetch, depth",
                              [(True, 2), (True, 4), (False, 3)])
-    def test_fixed_window_per_preset(self, tiny_ds, small_cfg, prefetch,
-                                     depth):
-        """The window a preset without a depth policy deals through:
-        ``process`` and ``sharded`` are lock-step under any config;
-        ``process_sampling`` deals ``prefetch_depth`` ahead under
-        two-stage prefetch and is lock-step without it. Only
-        ``process_pipelined`` installs a depth policy."""
-        session = TrainingSession(
-            tiny_ds, small_cfg,
-            SystemConfig(hybrid=True, drm=False, prefetch=prefetch,
-                         prefetch_depth=depth),
-            num_trainers=2)
-        backends = {name: get_backend(name)(session)
-                    for name in PROCESS_PRESETS}
-        assert {name for name, b in backends.items()
-                if b.lookahead is not None} == {"process_pipelined"}
-        assert backends["process"].fixed_window() == 1
-        assert backends["sharded"].fixed_window() == 1
-        assert backends["process_sampling"].fixed_window() == \
-            (depth if prefetch else 1)
-        assert [name for name in PROCESS_PRESETS
-                if get_backend(name).deals_ahead] == ["process_sampling"]
+    def test_window_per_preset(self, tiny_ds, small_cfg, prefetch,
+                               depth, monkeypatch):
+        """The window every registry name opens, from one rule
+        (:data:`WINDOWS`): the session's window, or lock-step for
+        ``process`` under any config. The depth-policy presets
+        (``pipelined``, ``process_pipelined``, the only two) seed from
+        the same rule — a functional session never adapts, so they
+        keep it. ``virtual``'s inline feed opens it too, and holds one
+        batch regardless."""
+        want = {"session": depth if prefetch else 1, "lock-step": 1}
+        opened, policies = {}, set()
+        real_window = ExecutionBackend.window
+
+        @contextlib.contextmanager
+        def spy(backend, report, **kwargs):
+            with real_window(backend, report, **kwargs) as first:
+                opened[backend.name] = first
+                yield first
+
+        monkeypatch.setattr(ExecutionBackend, "window", spy)
+        for name in available_backends():
+            session = TrainingSession(
+                tiny_ds, small_cfg,
+                SystemConfig(hybrid=True, drm=False, prefetch=prefetch,
+                             prefetch_depth=depth),
+                num_trainers=2)
+            with build_backend(name, session) as backend:
+                backend.run(2)
+            if backend.lookahead is not None:
+                policies.add(name)
+        assert opened == {name: want[rule]
+                          for name, rule in WINDOWS.items()}
+        assert policies == {"pipelined", "process_pipelined"}
 
     @pytest.mark.parametrize("name", ["threaded", "pipelined"])
     def test_inprocess_names_are_presets_of_one_driver(self, name):

@@ -195,7 +195,7 @@ class TestDepthDefaults:
             num_trainers=2)
         for cls in (PipelinedBackend, ProcessPipelinedBackend):
             backend = cls(session)
-            assert backend.lookahead.initial_depth == 12
+            assert backend.lookahead.depth == 12
             assert backend.lookahead.max_depth == 12
             with pytest.raises(ProtocolError):
                 cls(session, max_depth=8)
@@ -209,7 +209,7 @@ class TestLookaheadTrajectories:
     the floor instead of the configured depth (no realized signal
     exists yet — the iteration-0 depth bugfix)."""
 
-    def _session(self, tiny_ds, fpga_platform):
+    def _session(self, tiny_ds, fpga_platform, prefetch_depth=2):
         from repro.config import SystemConfig, TrainingConfig
         from repro.runtime import TrainingSession
         cfg = TrainingConfig(model="sage", minibatch_size=32,
@@ -217,15 +217,16 @@ class TestLookaheadTrajectories:
                              learning_rate=0.05, seed=11)
         return TrainingSession(
             tiny_ds, cfg,
-            SystemConfig(hybrid=True, drm=True, prefetch=True),
+            SystemConfig(hybrid=True, drm=True, prefetch=True,
+                         prefetch_depth=prefetch_depth),
             fpga_platform, profile_probes=2)
 
     @staticmethod
-    def _oracle_trajectory(initial_depth, cap, stage_history):
+    def _oracle_trajectory(first, cap, stage_history):
         """Replay the adaptive policy over the reported analytic stage
         times — the exact pre-calibration trajectory semantics."""
         from repro.runtime import adaptive_depth
-        depth = initial_depth
+        depth = first
         history = [(0, depth)]
         for it, times in enumerate(stage_history):
             want = adaptive_depth(times, cap=cap)
@@ -241,7 +242,7 @@ class TestLookaheadTrajectories:
         from repro.runtime import get_backend
         session = self._session(tiny_ds, fpga_platform)
         backend = get_backend(backend_name)(
-            session, timeout_s=60, initial_depth=2, max_depth=4)
+            session, timeout_s=60, max_depth=4)
         analytic_lookahead(backend, monkeypatch)
         rep = backend.run_epoch()
         oracle = self._oracle_trajectory(2, 4, rep.stage_history)
@@ -255,12 +256,11 @@ class TestLookaheadTrajectories:
     def test_timing_session_seeds_from_the_floor(
             self, backend_name, tiny_ds, fpga_platform):
         from repro.runtime import get_backend
-        session = self._session(tiny_ds, fpga_platform)
+        session = self._session(tiny_ds, fpga_platform, prefetch_depth=3)
         backend = get_backend(backend_name)(
-            session, timeout_s=60, initial_depth=3, max_depth=4)
+            session, timeout_s=60, max_depth=4)
         rep = backend.run_epoch()
         assert rep.depth_history[0] == (0, 1)
-        assert backend.lookahead.initial_depth == 3   # knob untouched
 
     def test_warm_estimator_seeds_calibrated_depth(self, tiny_ds,
                                                    fpga_platform):
@@ -269,15 +269,15 @@ class TestLookaheadTrajectories:
         branch of ``seed_depth``."""
         from repro.runtime import get_backend
         from repro.runtime import adaptive_depth, seed_depth
-        session = self._session(tiny_ds, fpga_platform)
+        session = self._session(tiny_ds, fpga_platform, prefetch_depth=3)
         backend = get_backend("pipelined")(
-            session, timeout_s=60, initial_depth=3, max_depth=4)
+            session, timeout_s=60, max_depth=4)
         backend.run_epoch()
         assert backend.lookahead.estimator.is_warm()
         expected = adaptive_depth(
             backend.lookahead.estimator.calibrate(session.stage_times(None, None)),
             cap=4)
-        assert seed_depth(session, 3, 4,
+        assert seed_depth(session, 4,
                           backend.lookahead.estimator) == expected
 
 

@@ -126,11 +126,11 @@ class TestBuildBackend:
 
     def test_unknown_option_names_backend_and_knobs(self):
         with pytest.raises(ConfigError) as exc:
-            build_backend("threaded", None, prefetch_dpeth=3)
+            build_backend("threaded", None, timeuot_s=3)
         msg = str(exc.value)
         assert "'threaded'" in msg
-        assert "prefetch_dpeth" in msg
-        assert "prefetch_depth" in msg  # the fix is in the traceback
+        assert "timeuot_s" in msg
+        assert "timeout_s" in msg  # the fix is in the traceback
 
     def test_build_backend_unknown_option_rejected_before_construction(
             self, tiny_ds, small_cfg):
@@ -147,13 +147,11 @@ class TestBuildBackend:
 
     def test_knobs_reach_constructor(self, tiny_ds, small_cfg):
         backend = build_backend("threaded", _session(tiny_ds, small_cfg),
-                                prefetch_depth=3, timeout_s=5.0)
-        assert backend.prefetch_depth == 3
+                                timeout_s=5.0)
         assert backend.timeout_s == 5.0
 
     def test_unset_knobs_defer_to_constructor(self, tiny_ds, small_cfg):
         backend = build_backend("threaded", _session(tiny_ds, small_cfg))
-        assert backend.prefetch_depth == 2
         assert backend.timeout_s == 60.0
 
     def test_third_party_knob_needs_no_declaration(self, tiny_ds,

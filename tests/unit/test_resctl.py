@@ -307,70 +307,43 @@ class TestFoldStageStatsEmpty:
 
 
 class TestDurationRowGating:
-    """Regression for the duplex-derate bug: the PCIe contention derate
-    must be priced only when the executing backend genuinely overlaps
-    the next transfer with the gradient pull — not whenever
-    ``sys_cfg.prefetch`` happens to be set."""
+    """The PCIe duplex-contention derate is priced exactly when the
+    next transfer can overlap the gradient pull: under two-stage
+    prefetch (``sys_cfg.prefetch``), the setting that opens every
+    plane's look-ahead window — and never without it."""
 
     @pytest.fixture()
     def timing_session(self, tiny_ds, fpga_platform):
-        cfg = TrainingConfig(model="sage", minibatch_size=32,
-                             fanouts=(4, 3), hidden_dim=16,
-                             learning_rate=0.05, seed=11)
-        return TrainingSession(
-            tiny_ds, cfg,
-            SystemConfig(hybrid=True, drm=False, prefetch=True),
-            fpga_platform, profile_probes=2)
+        def build(prefetch):
+            cfg = TrainingConfig(model="sage", minibatch_size=32,
+                                 fanouts=(4, 3), hidden_dim=16,
+                                 learning_rate=0.05, seed=11)
+            return TrainingSession(
+                tiny_ds, cfg,
+                SystemConfig(hybrid=True, drm=False, prefetch=prefetch),
+                fpga_platform, profile_probes=2)
+        return build
 
-    def test_overlapping_backend_pays_derate(self, timing_session):
-        """An overlapping plane (the virtual reference) under
-        ``prefetch`` prices the duplex derate on its transfer."""
-        times = _times(0.01)
-        row = timing_session.duration_row(times, overlapped=True)
-        derate = timing_session.platform.pcie.duplex_derate
+    def test_prefetch_pays_derate(self, timing_session):
+        """Under ``prefetch`` the transfer carries the duplex derate."""
+        session = timing_session(True)
+        row = session.duration_row(_times(0.01))
+        derate = session.platform.pcie.duplex_derate
         assert derate > 0.0
         assert row[2] == pytest.approx(0.01 * (1.0 + derate))
 
-    def test_non_overlapping_backend_skips_derate(self, timing_session):
+    def test_no_prefetch_skips_derate(self, timing_session):
         times = _times(0.01)
-        row = timing_session.duration_row(times, overlapped=False)
+        row = timing_session(False).duration_row(times)
         assert row[2] == pytest.approx(0.01)
         # Only the transfer entry moves.
-        overlapped = timing_session.duration_row(times, overlapped=True)
+        overlapped = timing_session(True).duration_row(times)
         assert row[0] == overlapped[0]
         assert row[1] == overlapped[1]
         assert row[3] == overlapped[3]
 
     def test_zero_transfer_immune(self, timing_session):
-        times = _times(0.0)
-        assert timing_session.duration_row(times, overlapped=True)[2] \
-            == 0.0
-
-    def test_backend_capability_flags(self):
-        from repro.runtime import (
-            PipelinedBackend,
-            ProcessPipelinedBackend,
-            ProcessPoolBackend,
-            ProcessSamplingBackend,
-            ShardedBackend,
-            ThreadedBackend,
-            available_backends,
-            get_backend,
-        )
-        from repro.runtime.backends.virtual import VirtualTimeBackend
-        # Strict planes must price rows exactly like the reference.
-        assert VirtualTimeBackend.overlaps_transfer
-        assert ThreadedBackend.overlaps_transfer
-        assert ProcessPoolBackend.overlaps_transfer
-        # The worker-sampling planes deal ahead under prefetch, so the
-        # next transfer overlaps the gradient pull...
-        assert ProcessSamplingBackend.overlaps_transfer
-        assert ProcessPipelinedBackend.overlaps_transfer
-        assert PipelinedBackend.overlaps_transfer
-        # ...and the lock-step sharded plane is the one exception.
-        assert not ShardedBackend.overlaps_transfer
-        assert [name for name in available_backends()
-                if not get_backend(name).overlaps_transfer] == ["sharded"]
+        assert timing_session(True).duration_row(_times(0.0))[2] == 0.0
 
 
 class TestTimingStepHooks:
@@ -413,10 +386,9 @@ class TestTimingStepHooks:
         est = OnlineEstimator(warmup=10)
         for _ in range(4):   # observed, but short of warm
             est.observe({"load": 123.0}, _times(0.01))
-        t0, r0, s0 = plain.timing_step(stats_cpu, stats_accel, 0,
-                                       overlapped=True)
+        t0, r0, s0 = plain.timing_step(stats_cpu, stats_accel, 0)
         t1, r1, s1 = hooked.timing_step(
-            h_cpu, h_accel, 0, overlapped=True, estimator=est,
+            h_cpu, h_accel, 0, estimator=est,
             realized={"load": 123.0})
         assert est.observations("load") == 5
         assert not est.is_warm()
@@ -428,14 +400,13 @@ class TestTimingStepHooks:
         plain, hooked = session_pair
         stats_cpu, stats_accel = self._stats(plain)
         h_cpu, h_accel = self._stats(hooked)
-        t0, _, _ = plain.timing_step(stats_cpu, stats_accel, 0,
-                                     overlapped=True)
+        t0, _, _ = plain.timing_step(stats_cpu, stats_accel, 0)
         est = OnlineEstimator(warmup=1)
         scale = 3.0
         for _ in range(50):
             est.observe({"load": t0.t_load * scale}, t0)
         t1, _, _ = hooked.timing_step(
-            h_cpu, h_accel, 0, overlapped=True, estimator=est,
+            h_cpu, h_accel, 0, estimator=est,
             realized={"load": t0.t_load * scale})
         assert t1.t_load > t0.t_load
         assert t1.t_load == pytest.approx(
