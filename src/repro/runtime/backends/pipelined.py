@@ -13,11 +13,14 @@ process, written once. Per run it
    the session's work source into prepared batches — threads filling
    one bounded :class:`~repro.runtime.prefetch.PrefetchBuffer` per
    trainer, or nothing at all;
-3. trains on the caller's thread — takes each trainer's item and
-   trains it, then ends the iteration in the shared synchronize tail
+3. trains each iteration on the feed's **lanes**
+   (:meth:`Feed.train`) — takes each trainer's item in trainer order
+   and trains it — then ends the iteration on the caller's thread in
+   the shared synchronize tail
    (:meth:`~.base.ExecutionBackend.end_iteration`: all-reduce, every
    optimizer steps, Listing 1 recorded in the report's
-   :class:`~repro.runtime.protocol.ProtocolLog`);
+   :class:`~repro.runtime.protocol.ProtocolLog`), answers in trainer
+   order;
 4. adapts the window, then closes and joins the feed and closes the
    report.
 
@@ -34,7 +37,13 @@ are read:
   consumer (``threaded``, bit-identical to the reference);
 * :class:`ChainFeed` — a dispatcher thread fanning the plan into one
   :class:`~.overlap.StageChain` (``sample → gather → transfer`` stage
-  threads) per trainer.
+  threads) per trainer; its items train side by side on
+  ``min(trainers, usable cores)`` lanes, the caller's thread plus
+  ``pipeline-train<k>`` helpers, as the paper's CPU and accelerator
+  trainers train one iteration's batches at the same time (Fig. 5).
+  The other two feeds keep one lane, the caller's thread: ``threaded``'s
+  single producer is its workloads' bottleneck, and a second training
+  thread would take its core.
 
 The DRM rule: the consumer adjudicates the timing/DRM step only when a
 ``DepthPolicy`` is installed — after the iteration trained, on
@@ -59,11 +68,12 @@ contract and the decision table are in ``docs/backends.md``.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from typing import ClassVar
 
-from ...errors import ProtocolError
+from ...errors import ProtocolError, StageTimeoutError
 from ...kernels import BufferPool, scoped_counters
 from ..prefetch import PrefetchBuffer
 from ..resctl import NodeAllocator
@@ -84,7 +94,10 @@ class Feed:
     trainer (``outs``); a thread that dies records its exception
     (:meth:`fail`) and closes every buffer, so the consumer wakes and
     re-raises it. ``rows`` collects the duration rows of the
-    timing/DRM steps a feed takes itself."""
+    timing/DRM steps a feed takes itself. :meth:`train` hands one
+    iteration's items to the consumer's ``train_one`` on the
+    feed's lanes: one, the caller's thread, unless the feed trains
+    side by side (:class:`ChainFeed`)."""
 
     def __init__(self, backend, iterations: int, report,
                  rows: list) -> None:
@@ -127,6 +140,13 @@ class Feed:
                 f"trainer {idx} received iteration {item.it}, expected "
                 f"{it} (stage reordering)")
         return item
+
+    def train(self, it: int, train_one) -> list:
+        """Iteration ``it``'s ``train_one(idx, item)`` answers, in
+        trainer order: one lane — each item taken and trained on the
+        caller's thread in turn."""
+        return [train_one(idx, self.take(idx, it))
+                for idx in range(len(self.session.trainers))]
 
     def resize(self, depth: int) -> None:
         for b in self.buffers:
@@ -221,7 +241,18 @@ class InlineFeed(Feed):
         self.pending = self._items(pool=BufferPool())
 
     def take(self, idx: int, it: int) -> Prepared:
-        return next(self.pending)[1]
+        got, item = next(self.pending, (None, None))
+        if got != idx or item.it != it:
+            raise ProtocolError(f"inline feed out of step: trainer {got} "
+                                f"yielded, trainer {idx} iteration {it} due")
+        return item
+
+
+def usable_cores() -> int:
+    """The cores this process may run on — a host property."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class ChainFeed(Feed):
@@ -230,7 +261,16 @@ class ChainFeed(Feed):
     :class:`~.overlap.StageChain` per trainer over the session's
     :class:`~repro.runtime.stage_pipeline.StagePipeline`, whose sampler
     lock keeps the shared RNG stream uncorrupted. The dispatched
-    targets land in ``report.trained_targets``."""
+    targets land in ``report.trained_targets``.
+
+    An iteration's items train on **lanes**: the caller's thread plus
+    one ``pipeline-train<k>`` thread per further lane, up to
+    ``min(trainers, usable cores)``, all meeting at a barrier before
+    and after the iteration. Lanes take items in trainer order under
+    one lock, and a free lane trains the next one taken; the answers
+    come back in trainer order. A lane that dies fails the feed,
+    which breaks the barrier; a lane that misses it past the watchdog
+    is a :class:`~repro.errors.StageTimeoutError`."""
 
     def __init__(self, backend, iterations: int, depth: int, report,
                  rows: list) -> None:
@@ -248,6 +288,12 @@ class ChainFeed(Feed):
             target=backend.scoped(self._dispatch), daemon=True,
             name="pipeline-dispatcher")]
         self.threads += [t for chain in self.chains for t in chain.threads]
+        lanes = min(len(self.session.trainers), usable_cores())
+        self.barrier = threading.Barrier(lanes, timeout=self.timeout_s)
+        self.lock = threading.Lock()
+        self.threads += [threading.Thread(
+            target=backend.scoped(self._help), daemon=True,
+            name=f"pipeline-train{k}") for k in range(1, lanes)]
 
     def _dispatch(self) -> None:
         try:
@@ -263,6 +309,43 @@ class ChainFeed(Feed):
         except BaseException as exc:
             self.fail(exc)
 
+    def train(self, it: int, train_one) -> list:
+        self.it, self.train_one = it, train_one
+        self.answers = [None] * len(self.chains)
+        self.pending = iter(range(len(self.chains)))
+        try:
+            self.barrier.wait()
+            self._lane()
+            self.barrier.wait()
+        except threading.BrokenBarrierError:
+            raise self.error or StageTimeoutError(
+                f"a lane missed the barrier in {self.timeout_s}s") from None
+        return self.answers
+
+    def _lane(self) -> None:
+        while True:
+            with self.lock:
+                idx = next(self.pending, None)
+                if idx is None:
+                    return
+                item = self.take(idx, self.it)
+            self.answers[idx] = self.train_one(idx, item)
+
+    def _help(self) -> None:
+        try:
+            while True:
+                self.barrier.wait()
+                self._lane()
+                self.barrier.wait()
+        except threading.BrokenBarrierError:
+            pass   # the run ended, or another lane failed or timed out
+        except BaseException as exc:
+            self.fail(exc)
+
+    def close(self) -> None:
+        super().close()
+        self.barrier.abort()
+
     def buffer_stats(self) -> list[dict]:
         return [chain.buffer_stats() for chain in self.chains]
 
@@ -273,7 +356,8 @@ class ChainFeed(Feed):
 
 class InProcessBackend(ExecutionBackend):
     """Run synchronous-SGD training in this process, the feed's
-    threads (if any) ahead of a consumer on the caller's thread.
+    threads (if any) ahead of its training lanes and a synchronize
+    tail on the caller's thread.
 
     Not registered itself — the registry holds presets of it.
 
@@ -315,8 +399,14 @@ class InProcessBackend(ExecutionBackend):
             try:
                 with scoped_counters(self.counters):
                     for it in range(iterations):
-                        times = self._train_iteration(it, feed, report,
-                                                      rows)
+                        # Listing 1's trainer block, then the
+                        # synchronize tail on this thread, which
+                        # adjudicates DRM only under a depth policy.
+                        sizes, answers = zip(*feed.train(
+                            it, self._train_one))
+                        times = self.end_iteration(
+                            it, sizes, answers, report, rows,
+                            adjudicate=self.lookahead is not None)
                         if self.lookahead is not None and \
                                 self.lookahead.adapt(times, it, report):
                             feed.resize(self.lookahead.depth)
@@ -339,29 +429,18 @@ class InProcessBackend(ExecutionBackend):
         report.close_timeline(s, rows)
         return report
 
-    def _train_iteration(self, it: int, feed: Feed, report, rows):
-        """Listing 1's trainer block on this thread — train every
-        trainer's item — then the shared synchronize tail, which
-        adjudicates DRM only under a depth policy. Returns the
-        iteration's stage times when it did (``None`` otherwise)."""
+    def _train_one(self, idx: int, item: Prepared):
+        """Train trainer ``idx``'s item: ``(batch size, Reply)``, or
+        ``(0, None)`` for an idle one."""
+        if item.mb is None:
+            return 0, None
         s = self.session
-        sizes: list[int] = []
-        answers: list[Reply | None] = []
-        for idx, trainer in enumerate(s.trainers):
-            item = feed.take(idx, it)
-            if item.mb is None:
-                sizes.append(0)
-                answers.append(None)
-                continue
-            t0 = time.perf_counter()
-            rep = trainer.train_minibatch(item.mb, item.x0, item.labels,
-                                          s.degrees)
-            item.stage_s["train"] = time.perf_counter() - t0
-            sizes.append(int(item.work.size))
-            answers.append(Reply(rep.loss, rep.accuracy, item.stage_s,
-                                 item.mb.stats()))
-        return self.end_iteration(it, sizes, answers, report, rows,
-                                  adjudicate=self.lookahead is not None)
+        t0 = time.perf_counter()
+        rep = s.trainers[idx].train_minibatch(item.mb, item.x0,
+                                              item.labels, s.degrees)
+        item.stage_s["train"] = time.perf_counter() - t0
+        return int(item.work.size), Reply(rep.loss, rep.accuracy,
+                                          item.stage_s, item.mb.stats())
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +460,8 @@ class ThreadedBackend(InProcessBackend):
 class PipelinedBackend(InProcessBackend):
     """``pipelined`` — the paper's two-stage prefetch made live: per
     trainer, ``sample → gather → transfer`` stage threads run ahead of
-    the train + sync consumer through an adaptively sized window.
+    the train + sync consumer through an adaptively sized window, and
+    an iteration's batches train side by side on the feed's lanes.
 
     Parameters (beyond :class:`InProcessBackend`'s ``timeout_s``)
     --------------------------------------------------------------

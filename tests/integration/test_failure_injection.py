@@ -10,9 +10,15 @@ import pytest
 
 from backend_conformance import threaded_backend
 from repro.config import SystemConfig, TrainingConfig
-from repro.errors import ProtocolError, ReproError, ShapeError
+from repro.errors import (
+    ProtocolError,
+    ReproError,
+    ShapeError,
+    StageTimeoutError,
+)
 from repro.nn.models import build_model
 from repro.runtime import TrainingSession, build_backend, get_backend
+from repro.runtime.backends import pipelined
 from repro.runtime.prefetch import PrefetchBuffer
 from repro.runtime.synchronizer import GradientSynchronizer
 
@@ -87,6 +93,83 @@ class TestInProcessFaults:
         del sync.all_reduce
         rep = backend.run(2)
         assert len(rep.losses) == 2 and rep.replicas_consistent
+
+
+class LaneFault(RuntimeError):
+    """What a sabotaged trainer raises on a helper lane."""
+
+
+class TestTrainingLaneFaults:
+    """``pipelined``'s helper training lanes fail like the rest of its
+    feed: the trainer's own exception, or a typed timeout within two
+    watchdogs; no ``pipeline-`` thread survives, and the same backend
+    runs again. The lane count is a host property; these tests pin it
+    at three so the helpers exist on any host."""
+
+    @pytest.fixture()
+    def backend(self, tiny_ds, monkeypatch):
+        monkeypatch.setattr(pipelined, "usable_cores", lambda: 3)
+        cfg = TrainingConfig(model="sage", minibatch_size=16,
+                             fanouts=(4, 3), hidden_dim=16,
+                             learning_rate=0.05, seed=11)
+        session = TrainingSession(tiny_ds, cfg, SystemConfig(drm=False),
+                                  num_trainers=3)
+        assert session.iterations_per_epoch() >= 3
+        return build_backend("pipelined", session, timeout_s=1.0)
+
+    @staticmethod
+    def _sabotage(backend, monkeypatch, fault):
+        """Every trainer's third batch (iteration 2) runs ``fault()``
+        first when it lands on a helper lane; every batch takes 50 ms,
+        so the helpers get work."""
+        def wrap(train):
+            calls = []
+
+            def run(*args):
+                calls.append(None)
+                if len(calls) == 3 and threading.current_thread() \
+                        .name.startswith("pipeline-train"):
+                    fault()
+                time.sleep(0.05)
+                return train(*args)
+            return run
+
+        for trainer in backend.session.trainers:
+            monkeypatch.setattr(trainer, "train_minibatch",
+                                wrap(trainer.train_minibatch))
+
+    def _reusable(self, backend, monkeypatch):
+        assert _feed_threads() == []
+        monkeypatch.undo()
+        rep = backend.run_epoch()
+        assert len(rep.losses) == backend.session.iterations_per_epoch()
+        assert rep.replicas_consistent
+
+    def test_helper_exception_propagates_unwrapped(self, backend,
+                                                   monkeypatch):
+        def fault():
+            raise LaneFault("iteration 2")
+
+        self._sabotage(backend, monkeypatch, fault)
+        with pytest.raises(LaneFault) as info:
+            backend.run(4)
+        assert type(info.value) is LaneFault
+        self._reusable(backend, monkeypatch)
+
+    def test_wedged_lane_times_out_within_two_watchdogs(self, backend,
+                                                        monkeypatch):
+        wedged = []
+
+        def fault():
+            if not wedged:
+                wedged.append(time.perf_counter())
+                time.sleep(1.5 * backend.timeout_s)
+
+        self._sabotage(backend, monkeypatch, fault)
+        with pytest.raises(StageTimeoutError):
+            backend.run(4)
+        assert time.perf_counter() - wedged[0] < 2 * backend.timeout_s
+        self._reusable(backend, monkeypatch)
 
 
 class TestThreadedFaults:

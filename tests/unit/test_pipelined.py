@@ -9,8 +9,15 @@ Two kinds of guarantee, per the conformance story:
 * the **live pipeline** honors those bounds end-to-end: a run with DRM
   shifting the split never records a depth outside ``[1, max_depth]``,
   and every stage shows real occupancy whenever work remained (no
-  producer stage ever idles the train stage out of existence).
+  producer stage ever idles the train stage out of existence);
+* the **training lanes** train an iteration's batches side by side,
+  on at most ``min(trainers, usable cores)`` threads, and still hand
+  the synchronize tail its answers in trainer order.
 """
+
+import dataclasses
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,8 +27,14 @@ from hypothesis import strategies as st
 from repro.config import SystemConfig, TrainingConfig
 from repro.errors import ProtocolError
 from repro.perfmodel.model import StageTimes
-from repro.runtime import PipelinedBackend, TrainingSession
+from repro.runtime import (
+    PipelinedBackend,
+    TrainingSession,
+    VirtualTimeBackend,
+)
 from repro.runtime.backends.overlap import adaptive_depth
+from repro.runtime.backends.pipelined import InlineFeed, usable_cores
+from repro.runtime.backends.report import RunReport
 
 common_settings = settings(max_examples=60, deadline=None)
 
@@ -166,3 +179,77 @@ class TestLivePipelineBounds:
             num_trainers=2)
         rep = PipelinedBackend(session, timeout_s=30).run(3)
         assert rep.depth_history == [(0, 3)]
+
+
+class TestTrainingLanes:
+    """``pipelined`` trains an iteration's batches on lanes — the
+    caller's thread plus ``pipeline-train<k>`` helpers — while the
+    synchronize tail still sees the answers in trainer order."""
+
+    #: Every ``train_minibatch`` sleeps this long on top of its work.
+    SLEEP_S = 0.2
+
+    @pytest.mark.skipif(usable_cores() < 2,
+                        reason="one usable core: a single lane")
+    def test_lanes_overlap_and_keep_trainer_order(self, tiny_ds,
+                                                  monkeypatch):
+        cfg = TrainingConfig(model="sage", minibatch_size=16,
+                             fanouts=(4, 3), hidden_dim=16,
+                             learning_rate=0.05, seed=11)
+        session = TrainingSession(tiny_ds, cfg, SystemConfig(drm=False),
+                                  num_trainers=3)
+        assert session.iterations_per_epoch() >= 4
+        backend = PipelinedBackend(session, timeout_s=30)
+        threads = set()
+
+        def slowed(idx, train):
+            def run(*args):
+                threads.add(threading.current_thread().name)
+                time.sleep(self.SLEEP_S)
+                # Mark the answer with its trainer's index.
+                return dataclasses.replace(train(*args), loss=float(idx))
+            return run
+
+        for idx, trainer in enumerate(session.trainers):
+            monkeypatch.setattr(trainer, "train_minibatch",
+                                slowed(idx, trainer.train_minibatch))
+        ended, orders = [], []
+        real_end = backend.end_iteration
+
+        def spy(it, sizes, answers, *args, **kwargs):
+            ended.append(time.perf_counter())
+            orders.append([a.loss for a in answers])
+            return real_end(it, sizes, answers, *args, **kwargs)
+
+        monkeypatch.setattr(backend, "end_iteration", spy)
+        rep = backend.run(4)
+        assert rep.replicas_consistent
+        assert orders == [[0.0, 1.0, 2.0]] * 4
+        # Steady state: iteration i's wall time is the gap between the
+        # synchronize tails of i - 1 and i.
+        serial = len(session.trainers) * self.SLEEP_S
+        gaps = np.diff(ended)
+        assert gaps.max() < 0.75 * serial, gaps
+        assert 2 <= len(threads) <= min(3, usable_cores()), threads
+
+
+class TestInlineFeed:
+    """``virtual``'s thread-less feed hands out exactly the item asked
+    for, or refuses."""
+
+    def test_take_out_of_step_is_protocol_error(self, tiny_ds,
+                                                small_cfg):
+        session = TrainingSession(tiny_ds, small_cfg,
+                                  SystemConfig(drm=False),
+                                  num_trainers=2)
+        backend = VirtualTimeBackend(session)
+        feed = InlineFeed(backend, 1, 1, RunReport(iterations=1), [])
+        assert feed.take(0, 0).it == 0
+        with pytest.raises(ProtocolError, match="out of step"):
+            feed.take(0, 0)   # trainer 1's item is next
+        feed = InlineFeed(backend, 1, 1, RunReport(iterations=1), [])
+        with pytest.raises(ProtocolError, match="out of step"):
+            feed.take(0, 1)   # iteration 0's item is next
+        feed.take(1, 0)
+        with pytest.raises(ProtocolError, match="out of step"):
+            feed.take(0, 1)   # the feed ran dry

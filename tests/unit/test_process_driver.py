@@ -210,6 +210,27 @@ class TestStructure:
         assert started == []
         assert len(rep.losses) == 3 and rep.replicas_consistent
 
+    def test_threaded_runs_one_thread_its_producer(
+            self, tiny_ds, small_cfg, monkeypatch):
+        """``threaded`` keeps one training lane: a run starts exactly
+        one thread, its ``producer``, and trains on the caller's
+        thread — even with more trainers than ``pipelined`` would
+        train side by side."""
+        backend = get_backend("threaded")(TrainingSession(
+            tiny_ds, small_cfg, SystemConfig(drm=False),
+            num_trainers=3))
+        started = []
+        real_start = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        rep = backend.run(3)
+        assert started == ["producer"]
+        assert len(rep.losses) == 3 and rep.replicas_consistent
+
     def test_listing1_is_recorded_in_one_function(self):
         """``DONE`` / ``SYNC`` / ``ACK`` / ``ITER`` are recorded in
         exactly one function in ``src/repro/`` — the synchronize tail
