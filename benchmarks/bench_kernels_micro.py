@@ -26,7 +26,7 @@ import pytest
 from repro.config import layer_dims
 from repro.errors import SamplingError
 from repro.graph.datasets import load_dataset
-from repro.kernels import BufferPool, fast, reference
+from repro.kernels import fast, reference
 from repro.nn.aggregators import SparseAggregator, segment_sum_aggregate
 from repro.nn.loss import softmax_cross_entropy
 from repro.nn.models import build_model
@@ -192,19 +192,19 @@ def test_bench_forward_backward(benchmark, ds, batch, model_name):
 def _kernel_cases(ds, batch):
     """The gated kernel set: ``name -> (reference_fn, fast_fn)``.
 
-    The fast variants run with a warm :class:`BufferPool`, which is the
-    configuration the wired backends use in steady state — the
-    comparison measures the deployed hot path, not a cold start.
+    The fast variants allocate their destinations per call, as every
+    load on a runtime path does — the comparison measures the deployed
+    hot path (caches are warmed outside the timed calls).
 
     The ``gather_quantize_*`` rows time the per-batch round trip —
-    the fast gather into a pooled destination, then the fast quantize
+    the fast gather into a fresh destination, then the fast quantize
     in place, as the split ``transfer`` stage, the process workers and
     the sharded plane run it — against the reference gather →
     quantize composition.
 
     ``table_load_int8`` times an in-process session's accelerator
     load: the batch's codes gathered from a wire table encoded once
-    (outside the timed call), then decoded into a pooled destination —
+    (outside the timed call), then decoded into a fresh destination —
     against the same reference composition.
 
     ``train_backward_sage`` is the one row that is not a registry
@@ -224,7 +224,6 @@ def _kernel_cases(ds, batch):
     targets = batch.targets
     feats, idx, blk = ds.features, batch.input_nodes, batch.blocks[0]
     h_src = np.random.default_rng(2).standard_normal((blk.num_src, 100))
-    pool = BufferPool()
     x0 = reference.gather(feats, idx)
     src, dst, num_dst = blk.src_local, blk.dst_local, blk.num_dst
     model = build_model("sage", layer_dims(
@@ -236,24 +235,23 @@ def _kernel_cases(ds, batch):
         model.backward(softmax_cross_entropy(logits, labels)[1])
 
     def load(mode):
-        # The round trip: gather into the pooled destination, then
+        # The round trip: gather into a fresh destination, then
         # quantize it in place.
-        dest = fast.gather(feats, idx, pool=pool)
+        dest = fast.gather(feats, idx)
         return fast.quantize(dest, mode, out=dest)
 
     codes, scales = fast.encode(feats, "int8")
 
     def table_load():
-        # An in-process accelerator load: gather the codes (pooled) and
-        # scales, then decode into the pooled destination.
-        return fast.decode(fast.gather(codes, idx, pool=pool),
-                           fast.gather(scales, idx), feats.dtype,
-                           pool=pool)
+        # An in-process accelerator load: gather the codes and scales,
+        # then decode into a fresh destination.
+        return fast.decode(fast.gather(codes, idx),
+                           fast.gather(scales, idx), feats.dtype)
 
     return {
         "gather": (
             lambda: reference.gather(feats, idx),
-            lambda: fast.gather(feats, idx, pool=pool)),
+            lambda: fast.gather(feats, idx)),
         "gather_quantize_int8": (
             lambda: reference.quantize(reference.gather(feats, idx),
                                        "int8"),
@@ -268,7 +266,7 @@ def _kernel_cases(ds, batch):
             table_load),
         "quantize_int8": (
             lambda: reference.quantize(x0, "int8"),
-            lambda: fast.quantize(x0, "int8", pool=pool)),
+            lambda: fast.quantize(x0, "int8")),
         "segment_sum": (
             lambda: reference.segment_sum(src, dst, h_src, num_dst),
             lambda: fast.segment_sum(src, dst, h_src, num_dst)),
@@ -354,7 +352,7 @@ def run_kernel_bench(number: int = 20, repeats: int = 5) -> dict:
         "kernels": {},
     }
     for name, (ref_fn, fast_fn) in cases.items():
-        ref_fn(), fast_fn()                      # warm caches + pool
+        ref_fn(), fast_fn()                      # warm caches
         ref_s = _best_of(ref_fn, number, repeats)
         fast_s = _best_of(fast_fn, number, repeats)
         doc["kernels"][name] = {

@@ -5,13 +5,13 @@ through three ops — feature-row **gather**, transfer **quantize** and
 **segment_sum** aggregation — plus the transfer's wire form: **encode**
 a whole store once, then **gather_wire** a batch's codes and
 **decode** them. The dispatchers below validate their inputs once,
-call the preallocated / in-place / reduceat NumPy implementation in
-:mod:`repro.kernels.fast`, and record the traffic they moved. An
-in-process session's accelerator load is ``decode(gather_wire(table,
-idx))`` over the table it encoded once; the per-batch round trip —
-gather into one destination, then ``quantize(dest, mode, out=dest)``
-in place — serves the split ``transfer`` stage and the process
-workers.
+call the in-place / reduceat NumPy implementation in
+:mod:`repro.kernels.fast`, and record the traffic they moved. Every
+load returns a fresh array that it owns. An in-process session's
+accelerator load is ``decode(gather_wire(table, idx))`` over the
+table it encoded once; the per-batch round trip — a fresh gather,
+then ``quantize(dest, mode, out=dest)`` in place — serves the split
+``transfer`` stage and the process workers.
 
 :mod:`repro.kernels.reference` keeps the original implementations as
 the conformance oracle: tests and the kernel micro-bench call it by
@@ -21,11 +21,11 @@ with ``monkeypatch.setattr(fast, "gather", reference.gather)`` — and
 forked process-plane workers inherit the substitution.
 
 Every dispatch also feeds :data:`COUNTERS` (bytes gathered, payload
-bytes quantized, pool hits/misses) — the per-iteration traffic
-accounting the wall-clock bench reports next to its overlap column.
+bytes quantized) — the per-iteration traffic accounting the
+wall-clock bench reports next to its overlap column.
 
-``docs/kernels.md`` is the author guide: calling convention, pooling
-aliasing rules, and the exactness contract ``fast`` owes ``reference``.
+``docs/kernels.md`` is the author guide: calling convention and the
+exactness contract ``fast`` owes ``reference``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import numpy as np
 
 from ..errors import ConfigError
 from . import fast, reference
-from .pool import BufferPool
 from .stats import (
     COUNTERS,
     KernelCounters,
@@ -75,19 +74,12 @@ def payload_bytes(mode: str, rows: int, cols: int) -> int:
     return wire
 
 
-def gather_rows(features: np.ndarray, index: np.ndarray, *,
-                out: np.ndarray | None = None,
-                pool: BufferPool | None = None) -> np.ndarray:
-    """Gather feature rows in the store's dtype — the load-stage kernel.
-
-    ``out`` (a ``(len(index), features.shape[1])`` buffer of the
-    store's dtype) or ``pool`` make the call allocation-free; see
-    ``docs/kernels.md`` for the aliasing rules pooling imposes on the
-    caller.
-    """
+def gather_rows(features: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Gather feature rows into a fresh array of the store's dtype —
+    the load-stage kernel."""
     features = _check_matrix(features, "feature")
     index = np.asarray(index)
-    result = fast.gather(features, index, out=out, pool=pool)
+    result = fast.gather(features, index)
     record(
         gather_calls=1, gather_rows=index.size,
         gather_src_bytes=index.size * features.shape[1]
@@ -97,14 +89,13 @@ def gather_rows(features: np.ndarray, index: np.ndarray, *,
 
 
 def quantize(x: np.ndarray, mode: str, *,
-             out: np.ndarray | None = None,
-             pool: BufferPool | None = None) -> np.ndarray:
+             out: np.ndarray | None = None) -> np.ndarray:
     """Transfer-precision round trip (dequantized result, input float
     dtype preserved) — the transfer-stage kernel. ``out`` may be ``x``
     itself: the load path quantizes its fresh gather in place."""
     _check_mode(mode)
     x = _check_matrix(x, "feature")
-    result = fast.quantize(x, mode, out=out, pool=pool)
+    result = fast.quantize(x, mode, out=out)
     record(
         quantize_calls=1, quantize_in_bytes=x.nbytes,
         payload_bytes=payload_bytes(mode, x.shape[0], x.shape[1]))
@@ -151,15 +142,12 @@ def encode(features: np.ndarray, mode: str) -> WireRows:
     return WireRows(mode, codes, scales, features.dtype)
 
 
-def gather_wire(table: WireRows, index: np.ndarray, *,
-                pool: BufferPool | None = None) -> WireRows:
+def gather_wire(table: WireRows, index: np.ndarray) -> WireRows:
     """Gather one batch's wire rows (codes and scales) from a table —
     the accelerator load's gather stage, counted as one gather of the
-    wire bytes. ``pool`` backs the codes only: a ``(rows, 1)`` scale
-    view would share the ``(1, dtype)`` pool class with a one-column
-    destination."""
+    wire bytes."""
     index = np.asarray(index)
-    codes = fast.gather(table.codes, index, pool=pool)
+    codes = fast.gather(table.codes, index)
     scales = (None if table.scales is None
               else fast.gather(table.scales, index))
     rows = WireRows(table.mode, codes, scales, table.dtype)
@@ -168,14 +156,12 @@ def gather_wire(table: WireRows, index: np.ndarray, *,
     return rows
 
 
-def decode(wire: WireRows, *, out: np.ndarray | None = None,
-           pool: BufferPool | None = None) -> np.ndarray:
+def decode(wire: WireRows) -> np.ndarray:
     """Dequantize wire rows into the store's dtype — the accelerator
     load's transfer stage, bit-identical to :func:`quantize` of the
     rows they were encoded from. Bills the same ``payload_bytes`` the
     per-batch round trip does."""
-    result = fast.decode(wire.codes, wire.scales, wire.dtype, out=out,
-                         pool=pool)
+    result = fast.decode(wire.codes, wire.scales, wire.dtype)
     record(decode_calls=1,
            payload_bytes=payload_bytes(wire.mode, *wire.codes.shape))
     return result
@@ -213,7 +199,6 @@ __all__ = [
     "segment_sum",
     "fast",
     "reference",
-    "BufferPool",
     "COUNTERS",
     "KernelCounters",
     "record",

@@ -1,13 +1,8 @@
-"""The kernels: preallocated, in-place, reduction-restructured NumPy.
+"""The kernels: in-place, reduction-restructured NumPy.
 
 The one implementation of each op the :mod:`repro.kernels` dispatchers
-call. Four levers, all pure NumPy so every platform gets them:
+call. Three levers, all pure NumPy so every platform gets them:
 
-* **Preallocation** — every kernel takes ``out=``/``pool=`` and writes
-  through ``np.take(..., out=...)`` / ufunc ``out=`` into reusable
-  buffers, so steady-state iterations at a pooled call site allocate
-  nothing (the pool grows to the largest batch seen, then only hands
-  out views).
 * **In place** — :func:`quantize` accepts ``out=x``, so the round
   trip produces the dequantized trainer input in the destination it
   gathered into: the rows land once in the feature store's dtype, the
@@ -46,18 +41,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-from .pool import BufferPool
-
-
-def _dest(rows: int, cols: int, dtype, out: np.ndarray | None,
-          pool: BufferPool | None) -> np.ndarray:
-    """Resolve a kernel's destination buffer: caller's ``out``, a
-    pooled view, or a fresh allocation."""
-    if out is not None:
-        return out
-    if pool is not None:
-        return pool.take(rows, cols, dtype)
-    return np.empty((rows, cols), dtype=dtype)
 
 
 def _checked_take(features: np.ndarray, index: np.ndarray,
@@ -81,20 +64,17 @@ def _checked_take(features: np.ndarray, index: np.ndarray,
     np.take(features, index, axis=0, out=out, mode="wrap")
 
 
-def gather(features: np.ndarray, index: np.ndarray,
-           out: np.ndarray | None = None,
-           pool: BufferPool | None = None) -> np.ndarray:
-    """Row gather in the store's dtype, allocation-free when pooled:
-    one bounds-checked ``np.take`` straight into the destination."""
-    dest = _dest(index.shape[0], features.shape[1], features.dtype, out,
-                 pool)
+def gather(features: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Row gather into a fresh array of the store's dtype: one
+    bounds-checked ``np.take`` straight into the destination."""
+    dest = np.empty((index.shape[0], features.shape[1]),
+                    dtype=features.dtype)
     _checked_take(features, index, dest)
     return dest
 
 
 def quantize(x: np.ndarray, mode: str,
-             out: np.ndarray | None = None,
-             pool: BufferPool | None = None) -> np.ndarray:
+             out: np.ndarray | None = None) -> np.ndarray:
     """Transfer-precision round trip without the reference's int8
     temporaries: one destination buffer (``out`` may be ``x`` itself),
     ufunc ``out=`` all the way through. Preserves the input float
@@ -104,8 +84,7 @@ def quantize(x: np.ndarray, mode: str,
             return x
         np.copyto(out, x)
         return out
-    rows, cols = x.shape
-    dest = _dest(rows, cols, x.dtype, out, pool)
+    dest = np.empty(x.shape, dtype=x.dtype) if out is None else out
     if mode == "fp16":
         np.copyto(dest, x.astype(np.float16))
         return dest
@@ -194,15 +173,13 @@ def encode(features: np.ndarray, mode: str
     return codes, scales
 
 
-def decode(codes: np.ndarray, scales: np.ndarray | None, dtype,
-           out: np.ndarray | None = None,
-           pool: BufferPool | None = None) -> np.ndarray:
-    """Wire rows back to ``dtype``: an exact cast ``copyto`` into the
-    destination, then the per-row scale multiply in place (int8). Two
-    passes beat ``np.multiply(codes, scales, out=dest)``, whose
+def decode(codes: np.ndarray, scales: np.ndarray | None,
+           dtype) -> np.ndarray:
+    """Wire rows back to ``dtype``: an exact cast ``copyto`` into a
+    fresh destination, then the per-row scale multiply in place (int8).
+    Two passes beat ``np.multiply(codes, scales, out=dest)``, whose
     implicit cast runs in the multiply's inner loop."""
-    rows, cols = codes.shape
-    dest = _dest(rows, cols, dtype, out, pool)
+    dest = np.empty(codes.shape, dtype=dtype)
     np.copyto(dest, codes)
     if scales is not None:
         dest *= scales

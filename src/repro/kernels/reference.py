@@ -13,12 +13,11 @@ tolerance for
 
 No runtime path calls this module: tests and
 ``benchmarks/bench_kernels_micro.py`` call it by name. It shares the
-fast kernels' calling convention — pre-validated inputs, ``out=`` an
-optional caller-owned destination buffer, ``pool=`` an optional
-:class:`~repro.kernels.pool.BufferPool` for scratch staging — and
-honors ``out`` (so a test can substitute it under pooled call sites)
-but never pools: its role is to be the obviously-correct
-allocation-per-call baseline the benches compare against.
+fast kernels' calling convention — pre-validated inputs, and for
+``quantize`` an optional caller-owned ``out=`` destination (so a test
+can substitute it under the in-place round trip): its role is to be
+the obviously-correct allocation-per-call baseline the benches
+compare against.
 """
 
 from __future__ import annotations
@@ -26,19 +25,14 @@ from __future__ import annotations
 import numpy as np
 
 
-def gather(features: np.ndarray, index: np.ndarray,
-           out: np.ndarray | None = None, pool=None) -> np.ndarray:
+def gather(features: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Row gather in the store's dtype via one fancy-index copy (a
     fresh C-contiguous array)."""
-    x0 = features[index]
-    if out is not None:
-        np.copyto(out, x0)
-        return out
-    return x0
+    return features[index]
 
 
 def quantize(x: np.ndarray, mode: str,
-             out: np.ndarray | None = None, pool=None) -> np.ndarray:
+             out: np.ndarray | None = None) -> np.ndarray:
     """Transfer-precision round trip, one temporary per step.
 
     Per-row symmetric int8 (each row ships an fp32 scale alongside the

@@ -2,11 +2,10 @@
 
 Every kernel dispatch (:mod:`repro.kernels`) records what it moved: rows
 gathered, source bytes read from the feature store, bytes written into
-trainer-facing buffers, quantized payload bytes that would cross PCIe,
-and the buffer pool's hit/miss/allocation trail. The counters answer
-the question the micro-bench cannot: *per training iteration*, how many
-bytes did the gather/transfer hot path actually move, and did the
-steady state allocate?
+trainer-facing buffers, and quantized payload bytes that would cross
+PCIe. The counters answer the question the micro-bench cannot: *per
+training iteration*, how many bytes did the gather/transfer hot path
+actually move?
 
 One :data:`COUNTERS` accumulator per process stays the process-wide
 total, but it is no longer the only sink: every dispatch goes through
@@ -41,9 +40,8 @@ class KernelCounters:
     Keys are free-form (the kernel dispatchers use ``gather_calls``,
     ``gather_rows``, ``gather_src_bytes``, ``gather_out_bytes``,
     ``quantize_calls``, ``quantize_in_bytes``, ``payload_bytes``,
-    ``encode_calls``, ``decode_calls``, ``segment_sum_calls``,
-    ``pool_hits``, ``pool_misses``, ``pool_alloc_bytes``); absent keys
-    read as zero. An accelerator batch's load counts one gather plus
+    ``encode_calls``, ``decode_calls``, ``segment_sum_calls``); absent
+    keys read as zero. An accelerator batch's load counts one gather plus
     one quantize, or — decoded from a wire table — one gather of its
     wire bytes plus one decode.
     """

@@ -74,7 +74,7 @@ import time
 from typing import ClassVar
 
 from ...errors import ProtocolError, StageTimeoutError
-from ...kernels import BufferPool, scoped_counters
+from ...kernels import scoped_counters
 from ..prefetch import PrefetchBuffer
 from ..resctl import NodeAllocator
 from .base import ExecutionBackend
@@ -169,11 +169,11 @@ class Feed:
     def buffer_stats(self) -> list[dict]:
         return []
 
-    def _items(self, pool=None):
+    def _items(self):
         """Mini-batch Sampler + Feature Loader in plan order: yields
         ``(trainer index, Prepared)`` — each trainer's batch sampled
         from the session's one stream and loaded through
-        ``load_features`` (into ``pool`` when given) — and, with no
+        ``load_features`` into a fresh array — and, with no
         ``DepthPolicy`` installed, takes the uncalibrated timing/DRM
         step once an iteration's last batch is loaded, before handing
         it over: the plan slices the next iteration after it."""
@@ -188,8 +188,7 @@ class Feed:
                     t0 = time.perf_counter()
                     item.mb = s.sampler.sample(targets)
                     t1 = time.perf_counter()
-                    item.x0 = s.load_features(item.mb, trainer.kind,
-                                              pool=pool)
+                    item.x0 = s.load_features(item.mb, trainer.kind)
                     item.stage_s = {"sample": t1 - t0,
                                     "load": time.perf_counter() - t1}
                     item.labels = s.labels_for(item.mb)
@@ -231,14 +230,13 @@ class PlanOrderFeed(Feed):
 
 class InlineFeed(Feed):
     """No thread and no buffer: :meth:`take` runs :meth:`~Feed._items`
-    on the caller's thread up to the next item. Each batch trains
-    before the next one loads, so loads reuse one pooled buffer set
-    (the aliasing rules are in ``docs/kernels.md``)."""
+    on the caller's thread up to the next item: each batch trains
+    before the next one loads."""
 
     def __init__(self, backend, iterations: int, depth: int, report,
                  rows: list) -> None:
         super().__init__(backend, iterations, report, rows)
-        self.pending = self._items(pool=BufferPool())
+        self.pending = self._items()
 
     def take(self, idx: int, it: int) -> Prepared:
         got, item = next(self.pending, (None, None))

@@ -63,7 +63,7 @@ from typing import ClassVar
 import numpy as np
 
 from ...errors import ProtocolError, StageTimeoutError, WorkerError
-from ...kernels import COUNTERS, BufferPool, merge_counts
+from ...kernels import COUNTERS, merge_counts
 from ...sampling.base import LayerBlock, MiniBatch
 from ..resctl import NodeAllocator
 from ..stage_pipeline import StagePipeline
@@ -271,18 +271,13 @@ class InlineBody:
     and IPC on the worker's one thread, and iteration ``i + 1`` is
     answered only after ``i`` was applied — so one slab row per worker
     plus one average row suffice at any depth, by construction.
-
-    A load that will train at once (every load under lock-step dealing)
-    goes through the run's one pooled buffer set, allocation-free after
-    the first few iterations; a load that queues behind an unapplied
-    iteration gathers into a fresh array, since the next pooled gather
-    would overwrite it before it trains (``docs/kernels.md``).
+    Every load gathers into a fresh array, so a queued item's rows stay
+    its own until it trains.
     """
 
     def __init__(self, conn, replica: WorkerReplica) -> None:
         self.conn = conn
         self.replica = replica
-        self.pool = BufferPool()
         #: Prepared items in iteration order: ``(it, None)`` for an
         #: idle iteration, else ``(it, (mb, x0, stage_s))``. Non-empty
         #: only while ``awaiting`` is set.
@@ -299,8 +294,7 @@ class InlineBody:
             mb = r.sample(work)
             stage_s["sample"] = time.perf_counter() - t0
             t0 = time.perf_counter()
-            x0 = r.load(mb, r.spec.kind,
-                        pool=self.pool if self.awaiting is None else None)
+            x0 = r.load(mb, r.spec.kind)
             stage_s["load"] = time.perf_counter() - t0
             prepared = (mb, x0, stage_s)
         self.queue.append((it, prepared))

@@ -215,10 +215,9 @@ class ShardedReplica(WorkerReplica):
         # previous one trains.
         self._io: deque[dict] = deque()
 
-    def gather(self, mb, *, pool=None) -> np.ndarray:
+    def gather(self, mb) -> np.ndarray:
         """Resolve the batch's rows local/cache/remote, into a fresh
-        array (the resolver assembles its own rows, so ``pool`` is
-        ignored).
+        array.
 
         The assembled source rows are bit-identical to a flat gather
         (cache rows are copies of the same store rows), so the math

@@ -38,7 +38,6 @@ from ..config import SystemConfig, TrainingConfig, layer_dims
 from ..errors import ConfigError, ProtocolError
 from ..graph.datasets import GraphDataset
 from ..hw.topology import PlatformSpec
-from .. import kernels
 from ..nn.models import build_model
 from ..nn.optim import SGD
 from ..perfmodel.mapping import initial_mapping
@@ -429,9 +428,7 @@ class TrainingSession:
         result)."""
         return self.pipeline.transfer(x0, trainer_kind)
 
-    def load_features(self, mb: MiniBatch, trainer_kind: str, *,
-                      pool: kernels.BufferPool | None = None
-                      ) -> np.ndarray:
+    def load_features(self, mb: MiniBatch, trainer_kind: str) -> np.ndarray:
         """Gather one mini-batch's input features, ready for the trainer.
 
         Delegates to :meth:`StagePipeline.load` — the single path every
@@ -439,12 +436,9 @@ class TrainingSession:
         the shared-memory feature store), so the transfer policy can
         never drift between planes. An accelerator batch under a lossy
         policy decodes from the session's wire table, bit-identical to
-        gather then transfer. ``pool`` is the
-        sequential-call-site opt-in documented on
-        :meth:`StagePipeline.gather` (the ``threaded`` plane's producer
-        thread keeps batches in flight and passes none).
+        gather then transfer.
         """
-        return self.pipeline.load(mb, trainer_kind, pool=pool)
+        return self.pipeline.load(mb, trainer_kind)
 
     def labels_for(self, mb: MiniBatch) -> np.ndarray:
         return self.dataset.labels[mb.targets]

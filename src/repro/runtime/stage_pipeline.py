@@ -167,20 +167,10 @@ class StagePipeline:
         with self.sampler_lock:
             return self.sampler.sample(targets)
 
-    def gather(self, mb: MiniBatch, *,
-               pool: kernels.BufferPool | None = None) -> np.ndarray:
+    def gather(self, mb: MiniBatch) -> np.ndarray:
         """Feature-gather (load) stage: host-DDR row gather into a
-        fresh array (or a ``pool`` view) of the store's dtype.
-
-        ``pool`` makes the gather allocation-free — **opt-in**: a pooled
-        result is only valid until the next gather from the same pool,
-        so only provably sequential call sites (the ``virtual`` feed, a
-        process-plane worker's load that trains at once) pass one;
-        loads that wait behind another batch must not
-        (``docs/kernels.md``).
-        """
-        return kernels.gather_rows(self.features, mb.input_nodes,
-                                   pool=pool)
+        fresh array of the store's dtype."""
+        return kernels.gather_rows(self.features, mb.input_nodes)
 
     def transfer(self, x0: np.ndarray, trainer_kind: str) -> np.ndarray:
         """Transfer stage: the PCIe quantization policy for this link.
@@ -209,26 +199,23 @@ class StagePipeline:
                         self.features, self.transfer_precision)
         return self.wire_table
 
-    def _load_stages(self, trainer_kind: str,
-                     pool: kernels.BufferPool | None):
+    def _load_stages(self, trainer_kind: str):
         """The load as its two timed halves: ``(gather, transfer)``,
         each a one-argument callable — the codes gather and the decode
         over a wire table, else :meth:`gather` and :meth:`transfer`."""
         table = self._table(trainer_kind)
         if table is None:
-            return (lambda mb: self.gather(mb, pool=pool),
+            return (self.gather,
                     lambda x0: self.transfer(x0, trainer_kind))
-        return (lambda mb: kernels.gather_wire(table, mb.input_nodes,
-                                               pool=pool),
-                lambda wire: kernels.decode(wire, pool=pool))
+        return (lambda mb: kernels.gather_wire(table, mb.input_nodes),
+                kernels.decode)
 
-    def load(self, mb: MiniBatch, trainer_kind: str, *,
-             pool: kernels.BufferPool | None = None) -> np.ndarray:
-        """One batch's trainer-ready rows — the sequential planes' one
-        call: decoded from the wire table for an accelerator under a
-        lossy policy when the pipeline encodes once, else gather then
-        transfer (``pool`` is :meth:`gather`'s opt-in either way)."""
-        gather, transfer = self._load_stages(trainer_kind, pool)
+    def load(self, mb: MiniBatch, trainer_kind: str) -> np.ndarray:
+        """One batch's trainer-ready rows in a fresh array — the
+        sequential planes' one call: decoded from the wire table for an
+        accelerator under a lossy policy when the pipeline encodes
+        once, else gather then transfer."""
+        gather, transfer = self._load_stages(trainer_kind)
         return transfer(gather(mb))
 
     def labels_for(self, mb: MiniBatch) -> np.ndarray | None:
@@ -250,7 +237,7 @@ class StagePipeline:
         the store has them. The returned :class:`StageTimings` are
         what a caller bills against a latency budget.
         """
-        gather, transfer = self._load_stages(trainer_kind, None)
+        gather, transfer = self._load_stages(trainer_kind)
         t0 = time.perf_counter()
         mb = self.sample(targets)
         t1 = time.perf_counter()

@@ -7,13 +7,12 @@ Three layers of guarantee:
 * **exactness** (hypothesis) — the fast kernels match the reference
   oracle *bit for bit* for gather and quantize, and so does the one
   load path, :meth:`~repro.runtime.stage_pipeline.StagePipeline.load`
-  (gather, then quantize in place), pooled or not (including empty
-  batches, duplicate and negative indices, non-contiguous feature
-  stores, float32 and float64 storage), and to floating-point
-  tolerance for ``segment_sum`` (accumulation order differs by
-  design);
-* **accounting** — buffer-pool reuse (steady-state zero allocation)
-  and the traffic counters the backends attach to their reports.
+  (gather, then quantize in place), including empty batches,
+  duplicate and negative indices, non-contiguous feature stores,
+  float32 and float64 storage, and to floating-point tolerance for
+  ``segment_sum`` (accumulation order differs by design);
+* **accounting** — fresh load arrays and the traffic counters the
+  backends attach to their reports.
 """
 
 import importlib.util
@@ -28,7 +27,6 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.errors import ConfigError
 from repro.kernels import (
-    BufferPool,
     COUNTERS,
     KernelCounters,
     fast,
@@ -109,7 +107,7 @@ def segment_cases(draw):
 #: selection override, environment knob or fallback ladder.
 _PUBLIC = {"TRANSFER_BYTES", "payload_bytes", "gather_rows", "quantize",
            "WireRows", "encode", "gather_wire", "decode",
-           "segment_sum", "fast", "reference", "BufferPool", "COUNTERS",
+           "segment_sum", "fast", "reference", "COUNTERS",
            "KernelCounters", "record", "scoped_counters", "merge_counts"}
 
 
@@ -122,7 +120,7 @@ class TestDispatch:
         # ``fast.gather`` is when it runs.
         sentinel = np.full((2, 3), 7.0)
         monkeypatch.setattr(fast, "gather",
-                            lambda features, index, out, pool: sentinel)
+                            lambda features, index: sentinel)
         assert kernels.gather_rows(np.zeros((4, 3)),
                                    np.array([0, 1])) is sentinel
 
@@ -190,22 +188,6 @@ class TestGatherExactness:
         assert got.dtype == want.dtype == feats.dtype   # no widen
         np.testing.assert_array_equal(want, got)
 
-    @common_settings
-    @given(gather_cases())
-    def test_pooled_and_out_paths_identical(self, case):
-        feats, idx = case
-        want = reference.gather(feats, idx)
-        pool = BufferPool()
-        np.testing.assert_array_equal(
-            want, fast.gather(feats, idx, pool=pool))
-        # Steady state: same answer out of the reused buffer.
-        np.testing.assert_array_equal(
-            want, fast.gather(feats, idx, pool=pool))
-        out = np.empty((idx.size, feats.shape[1]), dtype=feats.dtype)
-        got = fast.gather(feats, idx, out=out)
-        assert got is out
-        np.testing.assert_array_equal(want, got)
-
 
 class TestQuantizeExactness:
     @common_settings
@@ -231,29 +213,25 @@ class TestQuantizeExactness:
         assert not fast.quantize(x, "int8").any()
 
 
-def _load(feats, idx, mode, kind="accel", pool=None):
+def _load(feats, idx, mode, kind="accel"):
     """One batch through the single load path."""
     return StagePipeline(None, feats, None, mode).load(
-        SimpleNamespace(input_nodes=idx), kind, pool=pool)
+        SimpleNamespace(input_nodes=idx), kind)
 
 
 class TestLoadExactness:
     """``StagePipeline.load`` — gather, then quantize the gathered rows
     in place — is the reference gather → quantize composition, bit for
-    bit, at every precision, pooled or not."""
+    bit, at every precision."""
 
-    @pytest.mark.parametrize("pooled", [False, True],
-                             ids=["unpooled", "pooled"])
     @pytest.mark.parametrize("mode", MODES)
     @common_settings
     @given(case=gather_cases())
-    def test_load_matches_reference_composition(self, case, mode,
-                                                pooled):
+    def test_load_matches_reference_composition(self, case, mode):
         feats, idx = case
         want = reference.quantize(reference.gather(feats, idx), mode)
-        pool = BufferPool() if pooled else None
         for _ in range(2):                    # cold + steady state
-            got = _load(feats, idx, mode, pool=pool)
+            got = _load(feats, idx, mode)
             assert got.dtype == want.dtype == feats.dtype   # no widen
             np.testing.assert_array_equal(want, got)
 
@@ -286,46 +264,6 @@ class TestSegmentSumTolerance:
         # Destinations with no edges are exactly zero on both tiers.
         untouched = np.setdiff1d(np.arange(num_dst), dst)
         assert not got[untouched].any()
-
-
-# ---------------------------------------------------------------------------
-# Buffer pool
-# ---------------------------------------------------------------------------
-
-class TestBufferPool:
-    def test_steady_state_reuses_memory(self):
-        pool = BufferPool()
-        a = pool.take(8, 4, np.float64)
-        base = a.base
-        assert base is not None
-        b = pool.take(6, 4, np.float64)
-        assert b.base is base                 # same backing buffer
-        assert b.shape == (6, 4)
-        assert pool.hits == 1 and pool.misses == 1
-
-    def test_grow_reallocates_then_stabilizes(self):
-        pool = BufferPool()
-        pool.take(4, 4, np.float64)
-        big = pool.take(16, 4, np.float64)    # grow: counted as miss
-        assert pool.misses == 2
-        again = pool.take(16, 4, np.float64)
-        assert again.base is big.base
-        assert pool.hits == 1
-
-    def test_dtype_and_cols_are_distinct_classes(self):
-        pool = BufferPool()
-        a = pool.take(4, 4, np.float64)
-        b = pool.take(4, 4, np.float32)
-        c = pool.take(4, 8, np.float64)
-        assert a.base is not b.base and a.base is not c.base
-        assert pool.misses == 3
-
-    def test_clear_releases(self):
-        pool = BufferPool()
-        pool.take(4, 4, np.float64)
-        assert pool.nbytes > 0
-        pool.clear()
-        assert pool.nbytes == 0
 
 
 # ---------------------------------------------------------------------------
@@ -403,36 +341,72 @@ class TestCounters:
         merge_counts(into, {"a": 2, "b": 3})
         assert into == {"a": 3, "b": 3}
 
-    def test_gather_rows_out_and_pool(self):
-        feats = np.random.default_rng(0).standard_normal(
-            (30, 6)).astype(np.float32)
-        idx = np.arange(12)
-        want = feats[idx]
-        out = np.empty((12, 6), dtype=np.float32)
-        got = kernels.gather_rows(feats, idx, out=out)
-        assert got is out
-        np.testing.assert_array_equal(want, got)
-        pool = BufferPool()
-        pooled = kernels.gather_rows(feats, idx, pool=pool)
-        assert pooled.dtype == np.float32
-        np.testing.assert_array_equal(want, pooled)
-        assert pool.misses > 0
-
-    def test_pipeline_gather_pool_opt_in(self):
-        """``StagePipeline.gather`` allocates a fresh array unless the
-        caller opts into a pool, whose buffer it then reuses."""
+    def test_pipeline_gather_allocates_fresh_arrays(self):
+        """``StagePipeline.gather`` returns a fresh array per call."""
         feats = np.random.default_rng(0).standard_normal(
             (30, 6)).astype(np.float32)
         pipe = StagePipeline(None, feats, None, "fp32")
         mb = SimpleNamespace(input_nodes=np.arange(12))
         a, b = pipe.gather(mb), pipe.gather(mb)
         assert a.base is None and b.base is None and a is not b
-        pool = BufferPool()
-        first = pipe.gather(mb, pool=pool)
-        second = pipe.gather(mb, pool=pool)
-        assert second.base is first.base is not None
-        assert pool.hits == 1 and pool.misses == 1
-        np.testing.assert_array_equal(feats[:12], second)
+
+
+# ---------------------------------------------------------------------------
+# Allocation: every load returns a fresh array that it owns
+# ---------------------------------------------------------------------------
+
+def _assert_owned(got, *others):
+    """``got`` owns its memory, is writable, and shares none with
+    ``others`` (the store it was read from, earlier results)."""
+    assert got.base is None and got.flags.owndata
+    assert got.flags.writeable
+    for other in others:
+        assert not np.shares_memory(got, other)
+
+
+class TestFreshLoads:
+    @pytest.mark.parametrize("kind", ["accel", "cpu"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_load_returns_an_array_it_owns(self, mode, kind):
+        """Two loads of one batch are independent arrays: writing one
+        leaves the store and the other load untouched."""
+        feats = np.random.default_rng(2).standard_normal(
+            (20, 5)).astype(np.float32)
+        store = feats.copy()
+        idx = np.array([4, 4, -1, 0, 7])
+        first = _load(feats, idx, mode, kind)
+        second = _load(feats, idx, mode, kind)
+        _assert_owned(first, feats)
+        _assert_owned(second, feats, first)
+        want = second.copy()
+        first[...] = np.nan
+        np.testing.assert_array_equal(feats, store)
+        np.testing.assert_array_equal(second, want)
+
+    @pytest.mark.parametrize("op", ["gather_rows", "gather_wire",
+                                    "decode"])
+    def test_dispatched_loads_return_fresh_arrays(self, op):
+        """The load kernels allocate their destination; none hands
+        back a view of its input, and a read-only source yields a
+        writable result."""
+        feats = np.random.default_rng(3).standard_normal(
+            (12, 4)).astype(np.float32)
+        feats.flags.writeable = False
+        idx = np.array([1, 1, 5, -2])
+        table = kernels.encode(feats, "int8")
+        if op == "gather_rows":
+            src = feats
+            results = [kernels.gather_rows(feats, idx) for _ in range(2)]
+        elif op == "gather_wire":
+            src = table.codes
+            results = [kernels.gather_wire(table, idx).codes
+                       for _ in range(2)]
+        else:
+            wire = kernels.gather_wire(table, idx)
+            src = wire.codes
+            results = [kernels.decode(wire) for _ in range(2)]
+        _assert_owned(results[0], src)
+        _assert_owned(results[1], src, results[0])
 
 
 # ---------------------------------------------------------------------------

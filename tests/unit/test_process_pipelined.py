@@ -283,8 +283,8 @@ class TestLookaheadTrajectories:
 
 class _RecordingReplica:
     """The replica surface the worker body drives, recording each
-    stage call in order (``("load", it, pooled)`` and so on); a work
-    item is just its iteration number."""
+    stage call in order (``("load", it)`` and so on); a work item is
+    just its iteration number."""
 
     class spec:
         index = 0
@@ -298,8 +298,8 @@ class _RecordingReplica:
         self.calls.append(("sample", work))
         return work
 
-    def load(self, mb, kind, pool=None):
-        self.calls.append(("load", mb, pool is not None))
+    def load(self, mb, kind):
+        self.calls.append(("load", mb))
         return mb
 
     def labels_for(self, mb):
@@ -327,31 +327,30 @@ class TestInlineBody:
     """The one worker body under look-ahead dealing, driven in-process:
     a dealt item is sampled and loaded when it arrives, queued, and
     trained and answered only once the previous iteration's update is
-    applied; only a load that trains at once uses the pooled buffers."""
+    applied."""
 
     def _body(self):
         from repro.runtime.backends.process import InlineBody
         conn, replica = _Pipe(), _RecordingReplica()
         return InlineBody(conn, replica), conn, replica
 
-    def test_lockstep_loads_go_through_the_pool(self):
+    def test_lockstep_loads_train_and_answer_at_once(self):
         body, conn, replica = self._body()
         for it in range(3):
             body.train(it, it)
             assert conn.sent[-1] == ("result", it, f"reply{it}")
             body.apply(it)
         assert [c for c in replica.calls if c[0] == "load"] == \
-            [("load", it, True) for it in range(3)]
+            [("load", it) for it in range(3)]
 
-    def test_queued_loads_gather_into_fresh_arrays(self):
-        """A load dealt behind an unapplied iteration must not use the
-        pool: the next pooled gather would overwrite it before it
-        trains."""
+    def test_queued_loads_run_ahead_of_their_answers(self):
+        """A load dealt behind an unapplied iteration runs at once; its
+        answer waits for the previous apply."""
         body, conn, replica = self._body()
         for it in range(3):
             body.train(it, it)
         assert [c for c in replica.calls if c[0] == "load"] == \
-            [("load", 0, True), ("load", 1, False), ("load", 2, False)]
+            [("load", 0), ("load", 1), ("load", 2)]
         assert conn.sent == [("result", 0, "reply0")]
         body.apply(0)
         body.apply(1)
@@ -359,8 +358,8 @@ class TestInlineBody:
         body.apply(2)
         body.apply(3)
         body.train(4, 4)          # nothing awaits: trains at once
-        assert [c[2] for c in replica.calls if c[0] == "load"] == \
-            [True, False, False, False, True]
+        assert [c[1] for c in replica.calls if c[0] == "load"] == \
+            [0, 1, 2, 3, 4]
 
     def test_each_item_trains_only_after_the_previous_apply(self):
         """Sample and load run ahead; train ``i + 1`` follows apply
@@ -371,9 +370,9 @@ class TestInlineBody:
         for it in range(3):
             body.apply(it)
         assert replica.calls == [
-            ("sample", 0), ("load", 0, True), ("train", 0),
-            ("sample", 1), ("load", 1, False),
-            ("sample", 2), ("load", 2, False),
+            ("sample", 0), ("load", 0), ("train", 0),
+            ("sample", 1), ("load", 1),
+            ("sample", 2), ("load", 2),
             ("apply", 0), ("train", 1),
             ("apply", 1), ("train", 2),
             ("apply", 2)]

@@ -10,7 +10,6 @@ import pytest
 
 from repro.config import SystemConfig, layer_dims
 from repro.errors import ConfigError, ProtocolError, ShapeError
-from repro.kernels import COUNTERS
 from repro.nn.models import build_model
 from repro.perfmodel.model import StageTimes, WorkloadSplit
 from repro.runtime import TrainingSession, VirtualTimeBackend, build_backend
@@ -198,16 +197,23 @@ class TestVirtualPreset:
         loads, load_s = rep.stage_seconds["load"]
         assert loads >= 3 and load_s > 0
 
-    def test_loads_reuse_one_pool(self, timed):
-        """Each batch trains before the next loads, so the inline feed
-        loads into pooled buffers; the threaded feed never may. (The
-        pool reports to the process-wide counters only.)"""
-        before = COUNTERS.snapshot()
-        timed.run(4)
-        assert COUNTERS.delta(before).get("pool_hits", 0) > 0
-        before = COUNTERS.snapshot()
-        build_backend("threaded", timed.session).run(2)
-        assert COUNTERS.delta(before).get("pool_hits", 0) == 0
+    @pytest.mark.parametrize("name", ["virtual", "threaded", "pipelined"])
+    def test_every_load_owns_its_rows(self, timed, name, monkeypatch):
+        """Every load returns a fresh array: no two batches a trainer
+        receives across a run share memory."""
+        seen = []
+        train = TrainerNode.train_minibatch
+
+        def spy(node, minibatch, x0, *args, **kwargs):
+            seen.append(x0)
+            return train(node, minibatch, x0, *args, **kwargs)
+
+        monkeypatch.setattr(TrainerNode, "train_minibatch", spy)
+        build_backend(name, timed.session).run(4)
+        assert len(seen) >= 4
+        for i, a in enumerate(seen):
+            for b in seen[i + 1:]:
+                assert not np.shares_memory(a, b)
 
     def test_simulate_epoch_is_a_timing_only_run_report(self, timed):
         rep = timed.simulate_epoch(iterations=2)

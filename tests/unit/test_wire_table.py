@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro import SystemConfig, TrainingConfig, kernels
 from repro.errors import ConfigError
-from repro.kernels import COUNTERS, BufferPool, fast, reference
+from repro.kernels import COUNTERS, fast, reference
 from repro.runtime import TrainingSession, build_backend
 from repro.runtime.stage_pipeline import StagePipeline
 from repro.serving import ServingConfig, ServingSession
@@ -75,24 +75,42 @@ def _pipe(feats, mode):
 
 
 class TestTableExactness:
-    @pytest.mark.parametrize("pooled", [False, True],
-                             ids=["unpooled", "pooled"])
     @pytest.mark.parametrize("mode", LOSSY)
     @common_settings
     @given(case=table_cases())
-    def test_table_load_matches_reference_composition(self, case, mode,
-                                                      pooled):
+    def test_table_load_matches_reference_composition(self, case, mode):
         feats, idx = case
         want = reference.quantize(reference.gather(feats, idx), mode)
         pipe = _pipe(feats, mode)
-        pool = BufferPool() if pooled else None
         for _ in range(2):                    # cold + steady state
-            got = pipe.load(_batch(idx), "accel", pool=pool)
+            got = pipe.load(_batch(idx), "accel")
             assert got.dtype == want.dtype == feats.dtype
             np.testing.assert_array_equal(want, got)
         assert pipe.wire_table is not None
         np.testing.assert_array_equal(
             want, pipe.prepare(idx, "accel", with_labels=False).x0)
+
+    @pytest.mark.parametrize("mode", LOSSY)
+    def test_table_load_returns_an_array_it_owns(self, mode):
+        """A decoded load is a fresh, writable array, though the table
+        it decodes from is read-only; successive loads share no
+        memory."""
+        feats = np.random.default_rng(4).standard_normal(
+            (10, 3)).astype(np.float32)
+        pipe = _pipe(feats, mode)
+        idx = np.array([2, 2, -1])
+        first = pipe.load(_batch(idx), "accel")
+        second = pipe.load(_batch(idx), "accel")
+        table = pipe.wire_table
+        assert not table.codes.flags.writeable
+        for got in (first, second):
+            assert got.base is None and got.flags.writeable
+            assert not np.shares_memory(got, table.codes)
+            assert not np.shares_memory(got, feats)
+        assert not np.shares_memory(first, second)
+        want = second.copy()
+        first[...] = 0.0
+        np.testing.assert_array_equal(second, want)
 
     @common_settings
     @given(case=table_cases())
