@@ -37,10 +37,10 @@ This package is the paper's primary contribution (§III-§IV):
 * :mod:`repro.runtime.resctl` — feedback-driven resource control:
   :class:`OnlineEstimator` (calibrates the analytic perf model against
   the realized per-stage wall times the live planes' replies carry)
-  and :class:`NodeAllocator`
-  (arbitrates look-ahead depth budget across concurrent sessions).
-  The look-ahead backends close the loop through their
-  ``DepthPolicy`` (see ``docs/architecture.md``).
+  — ``pipelined`` and ``process_pipelined`` calibrate their DRM step
+  through one — and :class:`NodeAllocator` (arbitrates a look-ahead
+  depth budget across concurrent serving sessions; see
+  ``docs/architecture.md``).
 
 The HyScale-GNN system is a :class:`TrainingSession` executed by a
 backend: ``VirtualTimeBackend(session)`` for the modelled-hardware
@@ -82,11 +82,7 @@ from .backends import (
     register_backend,
 )
 from .backends.report import StageStats
-from .backends.overlap import (
-    LookaheadDealer,
-    adaptive_depth,
-    seed_depth,
-)
+from .backends.overlap import LookaheadDealer
 from .resctl import (
     DEFAULT_ALLOCATOR,
     DepthGrant,
@@ -125,8 +121,6 @@ __all__ = [
     "RunReport",
     "LookaheadDealer",
     "StageStats",
-    "adaptive_depth",
-    "seed_depth",
     "DEFAULT_ALLOCATOR",
     "DepthGrant",
     "NodeAllocator",

@@ -24,7 +24,7 @@ from ...errors import ConfigError
 from ...registry import Registry
 from .base import ExecutionBackend
 from .report import RunReport, StageStats
-from .overlap import LookaheadDealer, adaptive_depth
+from .overlap import LookaheadDealer
 from .pipelined import InProcessBackend, PipelinedBackend, ThreadedBackend
 from .virtual import VirtualTimeBackend
 from .process import (
@@ -111,7 +111,6 @@ __all__ = [
     "ShardPlan",
     "LookaheadDealer",
     "StageStats",
-    "adaptive_depth",
     "BACKENDS",
     "register_backend",
     "get_backend",

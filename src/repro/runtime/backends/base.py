@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import abc
 import time
-from contextlib import nullcontext
 from typing import Any, Callable, ClassVar, Sequence
 
 import numpy as np
@@ -80,11 +79,11 @@ class ExecutionBackend(abc.ABC):
     #: coverage, conservation and closeness instead of bit-parity).
     conformance_tier: ClassVar[str] = "strict"
 
-    #: The look-ahead :class:`~.overlap.DepthPolicy` a preset's
-    #: ``__init__`` installs to adapt its window and calibrate DRM;
-    #: ``None`` holds the session's window on the uncalibrated
-    #: contract.
-    lookahead = None
+    #: The :class:`~repro.runtime.resctl.OnlineEstimator` a preset's
+    #: ``__init__`` installs to calibrate its timing/DRM step against
+    #: realized stage seconds (it persists across runs); ``None`` keeps
+    #: the uncalibrated contract the strict tier pins.
+    estimator = None
 
     def __init__(self, session: TrainingSession) -> None:
         self.session = session
@@ -105,27 +104,21 @@ class ExecutionBackend(abc.ABC):
                 fn(*args)
         return run
 
-    def window(self, report, ahead: bool = True):
-        """Open this run's look-ahead window, the one place any plane
-        does: a context manager yielding the first depth. Under a
-        :attr:`lookahead` policy that is the policy's run (grant, seed,
-        calibration digest); otherwise the window is
-        :func:`~.overlap.session_window`, fixed — or 1 (lock-step) for
-        a caller that cannot run ``ahead``."""
-        if self.lookahead is not None:
-            return self.lookahead.run(self.name, report)
-        return nullcontext(session_window(self.session) if ahead else 1)
+    def window(self, ahead: bool = True) -> int:
+        """This run's look-ahead window, the one place any plane reads
+        it: :func:`~.overlap.session_window`, fixed for the whole run
+        — or 1 (lock-step) for a caller that cannot run ``ahead``."""
+        return session_window(self.session) if ahead else 1
 
     def record_timing(self, report, rows: list, stats: list, it: int,
-                      policy=None, realized: dict | None = None):
+                      realized: dict | None = None) -> None:
         """One timing/DRM step for iteration ``it`` over its per-trainer
         batch stats (trainer order, ``None`` for an idle trainer),
-        recorded on ``report`` and ``rows``; returns the
-        :class:`~repro.perfmodel.model.StageTimes`. ``policy`` is the
-        look-ahead :class:`~.overlap.DepthPolicy` whose estimator
-        observes ``realized`` and calibrates the step; ``None`` keeps
-        the step byte-equal to the uncalibrated contract the strict
-        tier pins."""
+        recorded on ``report`` and ``rows``. Under an
+        :attr:`estimator` the step observes ``realized``, is
+        calibrated, and leaves the estimator's digest in
+        ``report.calibration``; without one it stays byte-equal to the
+        uncalibrated contract the strict tier pins."""
         s = self.session
         stats_cpu = None
         stats_accel: list = []
@@ -135,19 +128,19 @@ class ExecutionBackend(abc.ABC):
             else:
                 stats_accel.append(st)
         times, row, split = s.timing_step(
-            stats_cpu, stats_accel, it,
-            estimator=None if policy is None else policy.estimator,
+            stats_cpu, stats_accel, it, estimator=self.estimator,
             realized=realized)
         rows.append(row)
         report.stage_history.append(times)
         report.split_history.append(split)
-        return times
+        if self.estimator is not None:
+            report.calibration = self.estimator.summary()
 
     def end_iteration(self, it: int, sizes: Sequence[int],
                       answers: Sequence[Reply | None], report,
                       rows: list, *,
                       publish: Callable | None = None,
-                      adjudicate: bool = True):
+                      adjudicate: bool = True) -> None:
         """Listing 1's synchronizer block for iteration ``it``, the one
         tail every plane ends each iteration in. ``answers`` holds each
         trainer's :class:`~.report.Reply` in trainer order (``stats``
@@ -163,10 +156,9 @@ class ExecutionBackend(abc.ABC):
         trainer's ``stage_s`` is billed to ``report.stage_seconds``
         (:meth:`~.report.RunReport.add_stage_seconds` — the one writer,
         on every plane). With ``adjudicate`` and a timing plane it also
-        takes the timing/DRM step (:meth:`record_timing`, under
-        :attr:`lookahead`) on the iteration's realized stage map (the
-        all-reduce timed here as ``sync``) and returns its stage times;
-        otherwise ``None``."""
+        takes the timing/DRM step (:meth:`record_timing`) on the
+        iteration's realized stage map (the all-reduce timed here as
+        ``sync``)."""
         s = self.session
         log = report.protocol_log
         busy = [(trainer, a) for trainer, a in zip(s.trainers, answers)
@@ -193,13 +185,13 @@ class ExecutionBackend(abc.ABC):
             report.total_edges += a.stats.total_edges
             report.add_stage_seconds(trainer.kind, a.stage_s)
         if not (adjudicate and s.has_timing):
-            return None
+            return
         realized = fold_worker_realized(
             [(trainer.kind, a.stage_s) for trainer, a in busy], sync_s)
-        return self.record_timing(
+        self.record_timing(
             report, rows, [None if a is None else a.stats
                            for a in answers],
-            it, self.lookahead, realized)
+            it, realized)
 
     def run_epoch(self, max_iterations: int | None = None) -> Any:
         """Execute one epoch (or ``max_iterations``, whichever is

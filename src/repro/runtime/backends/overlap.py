@@ -3,36 +3,27 @@
 A run's look-ahead window follows one rule, :func:`session_window`:
 the session's ``prefetch_depth`` under two-stage prefetch, else 1
 (lock-step). :meth:`~.base.ExecutionBackend.window` opens it for every
-plane; a preset that installs a :class:`DepthPolicy` seeds its first
-window from the same rule and adapts it from there. The pieces:
+plane, fixed for the whole run. The pieces:
 
 * :class:`StageChain` — one trainer's ``sample → gather → transfer``
   stage threads over backpressured
   :class:`~repro.runtime.prefetch.PrefetchBuffer` queues, which
   ``pipelined``'s :class:`~.pipelined.ChainFeed` feeds, starts, drains
   and joins through ``bufs`` and ``threads``;
-* :class:`DepthPolicy` — the adaptive look-ahead of ``pipelined`` and
-  ``process_pipelined``: seed the first window, clamp by the node
-  allocator's grant, resize from calibrated stage-time ratios (its
-  estimator observes and calibrates every timing step), record the
-  history;
+* :func:`session_window` — the window rule;
 * :class:`LookaheadDealer` — the bounded window over a work source the
   process driver deals through (pure; hypothesis-tested).
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from typing import Callable, Iterator
 
 from ...errors import ProtocolError
-from ...perfmodel.model import StageTimes
 from ..prefetch import PrefetchBuffer
-from ..resctl import DEFAULT_ALLOCATOR, NodeAllocator, OnlineEstimator
 
 #: Producer stages in pipeline order (the train stage consumes).
 PRODUCER_STAGES = ("sample", "gather", "transfer")
@@ -82,8 +73,7 @@ class StageChain:
     kind:
         The consuming trainer's kind (selects the transfer policy).
     depth:
-        Initial capacity of every buffer (the feed resizes them
-        live).
+        Capacity of every buffer: the run's look-ahead window.
     timeout_s:
         Monotonic-deadline watchdog on every blocking handoff.
     on_error:
@@ -164,7 +154,7 @@ class StageChain:
 
 
 # ---------------------------------------------------------------------------
-# The look-ahead depth policy
+# The look-ahead window
 # ---------------------------------------------------------------------------
 
 def session_window(session) -> int:
@@ -174,131 +164,6 @@ def session_window(session) -> int:
     cfg = session.sys_cfg
     return cfg.prefetch_depth if cfg.prefetch else 1
 
-
-def seed_depth(session, cap: int, estimator=None) -> int:
-    """Effective look-ahead for a depth policy's first window, before
-    any timing feedback exists.
-
-    A timing+prefetch session starts from the floor — there is no
-    realized signal yet, so claiming the full configured window is
-    unjustified — or from the calibrated steady-state estimate once the
-    estimator is warm (e.g. a previous run through the same backend
-    instance). Sessions that will never adapt (functional-only, or
-    prefetch off) keep :func:`session_window`: with no feedback loop,
-    a floor-seeded window would throttle the whole run, not just its
-    first iterations.
-    """
-    if not (session.has_timing and session.sys_cfg.prefetch):
-        return session_window(session)
-    if estimator is not None and estimator.is_warm():
-        times = estimator.calibrate(session.stage_times(None, None))
-        return adaptive_depth(times, cap=cap)
-    return 1
-
-
-def adaptive_depth(times: StageTimes, cap: int, floor: int = 1) -> int:
-    """Effective look-ahead from modelled stage-time ratios.
-
-    The producer side of the pipeline needs roughly
-    ``t_sample + t_load + t_transfer`` per batch; the consumer retires
-    one batch every ``t_prop``. Keeping
-    ``ceil(producer / consumer)`` batches in flight is just enough for
-    the train stage never to wait on a producer in steady state
-    (Little's law with the train stage as the service center); anything
-    deeper only adds memory pressure. Clamped to ``[floor, cap]`` so
-    the pipeline never starves (depth >= 1 keeps every stage able to
-    hand one item forward) and never exceeds the configured cap.
-    """
-    if cap < floor or floor < 1:
-        raise ProtocolError("need cap >= floor >= 1")
-    producer = times.t_sample + times.t_load + times.t_transfer
-    consumer = times.t_prop
-    if producer <= 0.0 or not math.isfinite(producer):
-        return floor
-    if consumer <= 0.0 or not math.isfinite(consumer):
-        return cap
-    ratio = producer / consumer
-    # Both operands can be finite while their ratio overflows to inf
-    # (a denormal consumer); ceil(inf) raises, and an unboundedly
-    # producer-bound pipeline wants the cap anyway.
-    if not math.isfinite(ratio):
-        return cap
-    return max(floor, min(cap, math.ceil(ratio)))
-
-
-class DepthPolicy:
-    """The look-ahead depth of one overlapped backend, across runs.
-
-    Owns the two depth knobs (``max_depth`` — defaults to 8 or the
-    session's window, whichever is larger; a smaller explicit cap
-    fails loudly — and ``allocator``) and the
-    :class:`~repro.runtime.resctl.OnlineEstimator` every timing step
-    of the backend observes and calibrates through — the estimator
-    persists across runs, so a second run on the same backend starts
-    warm. Per run: :meth:`run` brackets the allocator grant and seeds
-    the first window (:func:`seed_depth`), :meth:`adapt` resizes it
-    after each timing step (re-reading the grant's live cap).
-    """
-
-    def __init__(self, session, max_depth: int | None = None,
-                 allocator: NodeAllocator | None = None) -> None:
-        self.session = session
-        self.depth = session_window(session)
-        if max_depth is None:
-            max_depth = max(8, self.depth)
-        if max_depth < self.depth:
-            raise ProtocolError("max_depth must be >= the session's "
-                                "prefetch window")
-        self.max_depth = max_depth
-        self.allocator = allocator if allocator is not None \
-            else DEFAULT_ALLOCATOR
-        self.estimator = OnlineEstimator()
-        self.grant = None
-
-    def cap(self) -> int:
-        """Live cap: ``max_depth`` clamped by the current grant."""
-        cap = self.max_depth
-        if self.grant is not None and not self.grant.released:
-            cap = min(cap, self.grant.depth_cap)
-        return max(1, cap)
-
-    @contextmanager
-    def run(self, name: str, report) -> Iterator[int]:
-        """One run's depth lifecycle: claim a share of the node's
-        look-ahead budget and seed the first window (yielded); the
-        ``finally`` returns the share the moment the run ends, success
-        or failure, so co-tenant sessions' caps rise immediately. On
-        success the calibration digest lands on the report."""
-        self.grant = self.allocator.register(
-            name=f"{name}:{self.session.dataset.name}",
-            max_depth=self.max_depth)
-        try:
-            self.depth = seed_depth(self.session, self.cap(),
-                                    self.estimator)
-            report.depth_history.append((0, self.depth))
-            yield self.depth
-        finally:
-            self.grant.release()
-            self.grant = None
-        if self.session.has_timing:
-            report.calibration = self.estimator.summary()
-
-    def adapt(self, times: StageTimes | None, it: int, report) -> bool:
-        """Resize from iteration ``it``'s stage times; returns whether
-        the depth changed (recorded on the report at ``it + 1``)."""
-        if times is None or not self.session.sys_cfg.prefetch:
-            return False
-        want = adaptive_depth(times, cap=self.cap())
-        if want == self.depth:
-            return False
-        self.depth = want
-        report.depth_history.append((it + 1, want))
-        return True
-
-
-# ---------------------------------------------------------------------------
-# The bounded look-ahead window (pure — hypothesis-testable)
-# ---------------------------------------------------------------------------
 
 class LookaheadDealer:
     """A bounded look-ahead window over a plan iterator.
@@ -311,11 +176,7 @@ class LookaheadDealer:
       ``depth`` in-flight entries (or the plan is dry) and returns the
       newly dealt ones, in plan order;
     * :meth:`retire` pops the oldest in-flight iteration — the one the
-      caller synchronizes next;
-    * :meth:`set_depth` resizes the window live (the adaptive policy);
-      shrinking never revokes shards already dealt, it only throttles
-      future refills — exactly like
-      :meth:`~repro.runtime.prefetch.PrefetchBuffer.resize`.
+      caller synchronizes next.
 
     Because dealing only ever *advances* the plan iterator, the
     concatenation of dealt shards is the plan's own sequence — look-
@@ -328,30 +189,21 @@ class LookaheadDealer:
         if depth < 1:
             raise ProtocolError("look-ahead depth must be >= 1")
         self._plan_iter = plan_iter
-        self._depth = depth
+        self.depth = depth
         self._window: deque = deque()
         self._dry = False
         #: Max in-flight count ever observed (the bounded-queue audit).
         self.high_water = 0
 
     @property
-    def depth(self) -> int:
-        return self._depth
-
-    @property
     def in_flight(self) -> int:
         return len(self._window)
-
-    def set_depth(self, depth: int) -> None:
-        if depth < 1:
-            raise ProtocolError("look-ahead depth must be >= 1")
-        self._depth = depth
 
     def refill(self) -> list:
         """Deal up to the window bound; returns the newly dealt
         ``(iteration, planned)`` pairs in plan order."""
         dealt = []
-        while not self._dry and len(self._window) < self._depth:
+        while not self._dry and len(self._window) < self.depth:
             nxt = next(self._plan_iter, None)
             if nxt is None:
                 self._dry = True

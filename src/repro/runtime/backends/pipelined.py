@@ -6,9 +6,8 @@ process, written once. Per run it
 
 1. opens the look-ahead window
    (:meth:`~.base.ExecutionBackend.window`) — the session's window
-   (``prefetch_depth`` under two-stage prefetch, else 1), fixed, unless
-   a preset installs a :class:`~.overlap.DepthPolicy` as
-   ``self.lookahead``, which seeds from the same rule and adapts;
+   (``prefetch_depth`` under two-stage prefetch, else 1), fixed for
+   the whole run;
 2. starts the **feed** (the one seam, a class attribute): what turns
    the session's work source into prepared batches — threads filling
    one bounded :class:`~repro.runtime.prefetch.PrefetchBuffer` per
@@ -21,8 +20,7 @@ process, written once. Per run it
    optimizer steps, Listing 1 recorded in the report's
    :class:`~repro.runtime.protocol.ProtocolLog`), answers in trainer
    order;
-4. adapts the window, then closes and joins the feed and closes the
-   report.
+4. closes and joins the feed and closes the report.
 
 Three feeds ship. Two run the plan-order generator
 (:meth:`Feed._items`), which samples each trainer's batch in plan
@@ -46,10 +44,10 @@ are read:
   thread would take its core.
 
 The DRM rule: the consumer adjudicates the timing/DRM step only when a
-``DepthPolicy`` is installed — after the iteration trained, on
-calibrated stage times; otherwise the feed does, as it produces. It
-mirrors the process driver, where strictness is a window of 1 plus
-sampling in the parent.
+preset installs an :class:`~repro.runtime.resctl.OnlineEstimator` as
+``self.estimator`` — after the iteration trained, on calibrated stage
+times; otherwise the feed does, as it produces. It mirrors the process
+driver, where strictness is a window of 1 plus sampling in the parent.
 
 ``pipelined`` is not bit-identical to the virtual reference with more
 than one trainer: its per-trainer sample threads interleave draws from
@@ -76,9 +74,9 @@ from typing import ClassVar
 from ...errors import ProtocolError, StageTimeoutError
 from ...kernels import scoped_counters
 from ..prefetch import PrefetchBuffer
-from ..resctl import NodeAllocator
+from ..resctl import OnlineEstimator
 from .base import ExecutionBackend
-from .overlap import DepthPolicy, Prepared, StageChain
+from .overlap import Prepared, StageChain
 from .report import Reply, RunReport
 
 
@@ -109,7 +107,7 @@ class Feed:
         self.timeout_s = backend.timeout_s
         self.error: BaseException | None = None
         self.outs: list[PrefetchBuffer] = []
-        #: Every buffer the feed owns, closed and resized together.
+        #: Every buffer the feed owns, closed together.
         self.buffers: list[PrefetchBuffer] = []
         self.threads: list[threading.Thread] = []
 
@@ -148,10 +146,6 @@ class Feed:
         return [train_one(idx, self.take(idx, it))
                 for idx in range(len(self.session.trainers))]
 
-    def resize(self, depth: int) -> None:
-        for b in self.buffers:
-            b.resize(depth)
-
     def close(self) -> None:
         """Close every buffer — unblocks any thread stuck in a put/get
         on the failure path."""
@@ -173,12 +167,12 @@ class Feed:
         """Mini-batch Sampler + Feature Loader in plan order: yields
         ``(trainer index, Prepared)`` — each trainer's batch sampled
         from the session's one stream and loaded through
-        ``load_features`` into a fresh array — and, with no
-        ``DepthPolicy`` installed, takes the uncalibrated timing/DRM
-        step once an iteration's last batch is loaded, before handing
-        it over: the plan slices the next iteration after it."""
+        ``load_features`` into a fresh array — and, with no estimator
+        installed, takes the uncalibrated timing/DRM step once an
+        iteration's last batch is loaded, before handing it over: the
+        plan slices the next iteration after it."""
         s = self.session
-        adjudicate = s.has_timing and self.backend.lookahead is None
+        adjudicate = s.has_timing and self.backend.estimator is None
         for it, planned in s.work_source.iterate(self.iterations):
             stats = []
             for idx, (trainer, targets) in enumerate(
@@ -389,37 +383,32 @@ class InProcessBackend(ExecutionBackend):
         s = self.session
         report = RunReport(iterations=iterations)
         rows: list[list[float]] = []
-        with self.window(report) as depth:
-            feed = self.feed(self, iterations, depth, report, rows)
-            counters_before = self.counters.snapshot()
-            start = time.perf_counter()
-            feed.start()
-            try:
-                with scoped_counters(self.counters):
-                    for it in range(iterations):
-                        # Listing 1's trainer block, then the
-                        # synchronize tail on this thread, which
-                        # adjudicates DRM only under a depth policy.
-                        sizes, answers = zip(*feed.train(
-                            it, self._train_one))
-                        times = self.end_iteration(
-                            it, sizes, answers, report, rows,
-                            adjudicate=self.lookahead is not None)
-                        if self.lookahead is not None and \
-                                self.lookahead.adapt(times, it, report):
-                            feed.resize(self.lookahead.depth)
-            finally:
-                # Success and failure alike: no feed thread outlives
-                # the run.
-                lingering = feed.join()
-            # Only reached on success: a thread that survived its join
-            # is wedged outside any buffer wait — fail rather than
-            # return a report it could still be mutating.
-            if lingering:
-                raise ProtocolError(
-                    f"feed threads failed to join within "
-                    f"{self.timeout_s}s: {lingering}")
-            report.wall_time_s = time.perf_counter() - start
+        feed = self.feed(self, iterations, self.window(), report, rows)
+        counters_before = self.counters.snapshot()
+        start = time.perf_counter()
+        feed.start()
+        try:
+            with scoped_counters(self.counters):
+                for it in range(iterations):
+                    # Listing 1's trainer block, then the synchronize
+                    # tail on this thread, which adjudicates DRM only
+                    # under an estimator.
+                    sizes, answers = zip(*feed.train(it, self._train_one))
+                    self.end_iteration(
+                        it, sizes, answers, report, rows,
+                        adjudicate=self.estimator is not None)
+        finally:
+            # Success and failure alike: no feed thread outlives the
+            # run.
+            lingering = feed.join()
+        # Only reached on success: a thread that survived its join is
+        # wedged outside any buffer wait — fail rather than return a
+        # report it could still be mutating.
+        if lingering:
+            raise ProtocolError(
+                f"feed threads failed to join within "
+                f"{self.timeout_s}s: {lingering}")
+        report.wall_time_s = time.perf_counter() - start
         report.kernel_stats = self.counters.delta(counters_before)
         report.replicas_consistent = \
             s.synchronizer.replicas_consistent()
@@ -458,25 +447,15 @@ class ThreadedBackend(InProcessBackend):
 class PipelinedBackend(InProcessBackend):
     """``pipelined`` — the paper's two-stage prefetch made live: per
     trainer, ``sample → gather → transfer`` stage threads run ahead of
-    the train + sync consumer through an adaptively sized window, and
-    an iteration's batches train side by side on the feed's lanes.
-
-    Parameters (beyond :class:`InProcessBackend`'s ``timeout_s``)
-    --------------------------------------------------------------
-    max_depth / allocator:
-        The :class:`~.overlap.DepthPolicy` knobs: the cap (defaults to
-        8 or the session's window, whichever is larger) and the node
-        allocator whose grant clamps it. The first window seeds from
-        the session's; resizes and DRM steer from calibrated stage
-        times.
-    """
+    the train + sync consumer through the session's window, and an
+    iteration's batches train side by side on the feed's lanes. Its
+    :class:`~repro.runtime.resctl.OnlineEstimator` calibrates the DRM
+    step against realized stage seconds, across runs."""
 
     name = "pipelined"
     conformance_tier = "statistical"
     feed = ChainFeed
 
-    def __init__(self, session, max_depth: int | None = None,
-                 timeout_s: float = 60.0,
-                 allocator: NodeAllocator | None = None) -> None:
+    def __init__(self, session, timeout_s: float = 60.0) -> None:
         super().__init__(session, timeout_s=timeout_s)
-        self.lookahead = DepthPolicy(session, max_depth, allocator)
+        self.estimator = OnlineEstimator()

@@ -36,13 +36,14 @@ There is exactly one drive loop: a :class:`~.overlap.LookaheadDealer`
 over the work source, through the window
 :meth:`~.base.ExecutionBackend.window` opens. A plane whose workers
 sample deals the session's window ahead (``prefetch_depth`` under
-two-stage prefetch, else 1) — adaptively when the preset installs a
-:class:`~.overlap.DepthPolicy` as ``self.lookahead``; a plane whose
+two-stage prefetch, else 1), fixed for the whole run; a plane whose
 parent samples (:class:`WireBatchDeal`) deals lock-step under any
-config. The parent always adjudicates DRM and always runs the
-per-iteration all-reduce barrier — only *dealing* ever runs ahead, so
-Algorithm-1 adjustments lag the dealt window by design
-(``RunReport.dealt_sizes``).
+config. The parent always adjudicates DRM (on calibrated stage times
+when the preset installs an
+:class:`~repro.runtime.resctl.OnlineEstimator` as ``self.estimator``)
+and always runs the per-iteration all-reduce barrier — only *dealing*
+ever runs ahead, so Algorithm-1 adjustments lag the dealt window by
+design (``RunReport.dealt_sizes``).
 
 The registry names ``process``, ``process_sampling`` and
 ``process_pipelined`` (and ``sharded``, in :mod:`.sharded`) are
@@ -65,10 +66,10 @@ import numpy as np
 from ...errors import ProtocolError, StageTimeoutError, WorkerError
 from ...kernels import COUNTERS, merge_counts
 from ...sampling.base import LayerBlock, MiniBatch
-from ..resctl import NodeAllocator
+from ..resctl import OnlineEstimator
 from ..stage_pipeline import StagePipeline
 from .base import ExecutionBackend
-from .overlap import DepthPolicy, LookaheadDealer
+from .overlap import LookaheadDealer
 from .report import Reply, RunReport
 
 
@@ -588,9 +589,9 @@ class ProcessBackend(ExecutionBackend):
             # Only worker-sampled items deal ahead: dealing a
             # parent-sampled batch ahead moves the parent's sampler
             # stream past what a failed run trained.
-            with self.window(report,
-                             ahead=self.deal.worker_samples) as depth:
-                self._drive(iterations, depth, report, rows)
+            self._drive(iterations,
+                        self.window(ahead=self.deal.worker_samples),
+                        report, rows)
             report.wall_time_s = time.perf_counter() - start
 
             self._snapshot(report)
@@ -605,8 +606,8 @@ class ProcessBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     def _drive(self, iterations: int, depth: int, report, rows) -> None:
         """Deal up to ``depth`` iterations ahead, then retire the oldest
-        in-flight one: collect its results, run the sync tail, let the
-        depth policy (if any) resize the window, refill."""
+        in-flight one: collect its results, run the sync tail,
+        refill."""
         dealer = LookaheadDealer(self.work_source.iterate(iterations),
                                  depth)
         dealt_stats: dict[int, dict] = {}
@@ -618,11 +619,8 @@ class ProcessBackend(ExecutionBackend):
             report.lookahead_history.append(
                 (dealer.in_flight + 1, dealer.depth))
             it, planned = entry
-            times = self._synchronize(it, planned, dealt_stats.pop(it),
-                                      report, rows)
-            if self.lookahead is not None and \
-                    self.lookahead.adapt(times, it, report):
-                dealer.set_depth(self.lookahead.depth)
+            self._synchronize(it, planned, dealt_stats.pop(it), report,
+                              rows)
             self._deal(dealer.refill(), report, dealt_stats)
 
     def _deal(self, pairs, report, dealt_stats) -> None:
@@ -649,9 +647,7 @@ class ProcessBackend(ExecutionBackend):
         ``idle`` token — then the shared synchronize tail, which
         publishes the average row and broadcasts ``apply`` before the
         parent's own optimizer steps. The DRM engine is adjudicated
-        there, in the parent, on every process plane. Returns the
-        iteration's :class:`StageTimes` (``None`` without a timing
-        plane).
+        there, in the parent, on every process plane.
 
         The slab invariant: every worker answers every dealt iteration,
         and only after it applied the previous one; the average row for
@@ -693,8 +689,8 @@ class ProcessBackend(ExecutionBackend):
             for idx in range(s.num_trainers):
                 self._send(idx, ("apply", it))
 
-        return self.end_iteration(it, planned.batch_sizes, answers,
-                                  report, rows, publish=publish)
+        self.end_iteration(it, planned.batch_sizes, answers, report,
+                           rows, publish=publish)
 
     def _snapshot(self, report) -> None:
         """The one post-run round trip per worker, *after*
@@ -787,36 +783,23 @@ class ProcessSamplingBackend(ProcessBackend):
 
 
 class ProcessPipelinedBackend(ProcessBackend):
-    """``process_pipelined`` — process × pipeline fused: target-id
-    shards dealt *ahead* through an adaptively-sized window, so each
-    worker samples and loads the next batches while the parent
-    collects and all-reduces the current one. Look-ahead changes when
-    an item is dealt, never what is trained: without DRM this preset is
-    bit-identical to ``process_sampling`` at any depth, and with DRM
-    on a ``prefetch=False`` session (window 1) and a cold estimator it
-    is bit-identical to ``process_sampling`` on the same session (both
-    pinned by a regression test). What sets it apart from
-    ``process_sampling``'s fixed window is the
-    adaptive depth, the node allocator's grant and, on timing
-    sessions, the estimator that calibrates its DRM step; a deeper
-    window deals further ahead of Algorithm 1's adjustments
-    (``RunReport.dealt_sizes``).
-
-    Parameters (beyond :class:`ProcessBackend`'s)
-    ---------------------------------------------
-    max_depth / allocator:
-        The :class:`~.overlap.DepthPolicy` knobs, exactly as on
-        :class:`~.pipelined.PipelinedBackend`.
-    """
+    """``process_pipelined`` — ``process_sampling`` with its DRM step
+    calibrated: target-id shards dealt the session's window ahead, each
+    worker sampling and loading the next batches while the parent
+    collects and all-reduces the current one, and an
+    :class:`~repro.runtime.resctl.OnlineEstimator` (kept across runs)
+    correcting the modelled stage times Algorithm 1 reads with the
+    realized ones. Until the estimator warms its calibration is the
+    identity, so a run whose estimator stays cold is bit-identical to
+    ``process_sampling`` on the same session (pinned by a regression
+    test); without a timing plane it never calibrates at all."""
 
     name = "process_pipelined"
     conformance_tier = "statistical"
     deal = TargetDeal
 
     def __init__(self, session, timeout_s: float = 120.0,
-                 mp_context: str | None = None,
-                 max_depth: int | None = None,
-                 allocator: NodeAllocator | None = None) -> None:
+                 mp_context: str | None = None) -> None:
         super().__init__(session, timeout_s=timeout_s,
                          mp_context=mp_context)
-        self.lookahead = DepthPolicy(session, max_depth, allocator)
+        self.estimator = OnlineEstimator()

@@ -14,7 +14,7 @@ deliberately different defaults:
   read these as *present iff not None*: an empty list on a plane that
   never records targets would read as "trained 0 targets".
 * **accounting** — ``kernel_stats``, ``stage_seconds``,
-  ``stage_stats``, ``depth_history``, ``lookahead_history``,
+  ``stage_stats``, ``lookahead_history``,
   ``dealt_sizes``, ``shard_io``, ``calibration`` — defaults to an empty
   container ("this layer does not exist here").
 """
@@ -139,11 +139,8 @@ class RunReport:
         default_factory=dict)
     #: Per-stage buffer occupancy of the threaded in-process planes.
     stage_stats: dict[str, StageStats] = field(default_factory=dict)
-    #: Adaptive look-ahead trajectory ``(iteration, depth)``.
-    depth_history: list[tuple[int, int]] = field(default_factory=list)
     #: ``(in_flight, depth)`` at each retirement — the bounded-window
-    #: audit trail. After an adaptive *shrink* ``in_flight`` may
-    #: transiently exceed the new ``depth`` while the window drains.
+    #: audit trail.
     lookahead_history: list[tuple[int, int]] = \
         field(default_factory=list)
     #: Per-trainer batch sizes of each iteration *as dealt* (these lag

@@ -546,15 +546,15 @@ class TrainingSession:
         DRM — can never drift between execution planes.
 
         ``estimator`` (an :class:`~repro.runtime.resctl.OnlineEstimator`,
-        which a look-ahead backend passes) observes this iteration's
+        which a calibrating backend passes) observes this iteration's
         ``realized`` wall times (the replies' stage seconds on
         canonical stage keys, folded by
         :func:`~repro.runtime.resctl.fold_worker_realized`) against the
         modelled ones, and the returned/recorded times are its
-        calibrated copy — so the duration row, the DRM adjustment and
-        the caller's adaptive look-ahead all steer from measured wall
-        times. A cold estimator calibrates to the identity, and planes
-        that pass none stay bit-identical to the uncalibrated contract.
+        calibrated copy — so the duration row and the DRM adjustment
+        both steer from measured wall times. A cold estimator
+        calibrates to the identity, and planes that pass none stay
+        bit-identical to the uncalibrated contract.
         """
         times = self.stage_times(stats_cpu, stats_accel)
         if estimator is not None:

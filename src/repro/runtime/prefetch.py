@@ -15,11 +15,9 @@ Timeouts are **monotonic deadlines**: a ``put``/``get`` that passes
 ``timeout=t`` fails at most ``t`` seconds after the call, no matter how
 many spurious or unproductive condition wakeups happen in between (a
 churning peer that repeatedly notifies without freeing space must not
-extend the deadline). The pipelined backend additionally relies on
-:meth:`resize` — its adaptive look-ahead grows and shrinks the effective
-depth while producers and consumers are live — and on the per-buffer
-occupancy statistics (:attr:`high_water`, :attr:`mean_occupancy`) that
-the per-stage overlap report aggregates.
+extend the deadline). The pipelined backend additionally relies on the
+per-buffer occupancy statistics (:attr:`high_water`,
+:attr:`mean_occupancy`) that the per-stage overlap report aggregates.
 """
 
 from __future__ import annotations
@@ -36,8 +34,8 @@ class PrefetchBuffer:
     """Bounded FIFO with blocking put/get and occupancy stats.
 
     Semantics match a ``queue.Queue(maxsize=depth)`` but with explicit
-    close() for clean shutdown, deadline-based timeouts, a live
-    :meth:`resize`, and high-water / mean-occupancy tracking.
+    close() for clean shutdown, deadline-based timeouts, and
+    high-water / mean-occupancy tracking.
     """
 
     def __init__(self, depth: int) -> None:
@@ -118,22 +116,6 @@ class PrefetchBuffer:
             self._sample_occupancy()
             self._not_full.notify()
             return item
-
-    def resize(self, depth: int) -> None:
-        """Change the capacity of a live buffer.
-
-        Growing wakes blocked producers immediately; shrinking below the
-        current occupancy keeps the queued items (nothing is dropped)
-        and simply blocks further puts until consumers drain below the
-        new depth.
-        """
-        if depth < 1:
-            raise ProtocolError("prefetch depth must be >= 1")
-        with self._lock:
-            grew = depth > self.depth
-            self.depth = depth
-            if grew:
-                self._not_full.notify_all()
 
     def close(self) -> None:
         """Mark the stream finished; wakes all waiters."""

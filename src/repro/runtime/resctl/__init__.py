@@ -12,18 +12,15 @@ arbitrates*:
   to the analytic model until warm;
 * :class:`NodeAllocator` (``allocator.py``) — a node-level look-ahead
   depth budget arbitrated across concurrent
-  :class:`~repro.runtime.core.TrainingSession` runs, released as
-  sessions finish.
+  :class:`~repro.serving.ServingSession`s, released as sessions close.
 
-The overlapped backends (``pipelined``, ``process_pipelined``) wire
-both together through one
-:class:`~repro.runtime.backends.overlap.DepthPolicy`, whose estimator
-every timing step observes and calibrates through, so
-``adaptive_depth`` and ``drm_step`` steer from calibrated times. The
-planes without one never calibrate — the strict ones' conformance
-contract is bit-parity with the analytic reference. ``docs/architecture.md``
-carries the subsystem diagram; ``docs/backends.md`` the wire-protocol
-contract.
+The overlapped backends (``pipelined``, ``process_pipelined``) each own
+one estimator (``backend.estimator``), which every timing step
+observes and calibrates through, so ``drm_step`` steers from calibrated
+times. The planes without one never calibrate — the strict ones'
+conformance contract is bit-parity with the analytic reference.
+``docs/architecture.md`` carries the subsystem diagram;
+``docs/backends.md`` the wire-protocol contract.
 """
 
 from .allocator import (

@@ -1,21 +1,21 @@
 """Node-level look-ahead budget arbitration (resctl stage 2 of 2).
 
-One machine, several concurrent :class:`TrainingSession`s: each
-overlapped backend wants look-ahead depth (in-flight iterations, each
-holding sampled graphs and gathered feature buffers), and the node has
-a finite appetite for that in-flight memory. The
+One machine, several concurrent
+:class:`~repro.serving.ServingSession`s: each wants look-ahead depth
+(micro-batches executed per :meth:`~repro.serving.ServingSession.step`,
+each holding a sampled graph and gathered feature rows), and the node
+has a finite appetite for that in-flight memory. The
 :class:`NodeAllocator` arbitrates a shared **depth budget**: sessions
-register when their run starts, read their *live* grant every time the
-adaptive policy resizes (the cap is an equal share of the budget, so
-it rises automatically as co-tenants finish), and release on exit — a
-``finally``-guarded release, so budget can never leak past a failed
-run. The shape follows Spirit's incremental allocator (monitor →
-estimator → allocator) and QY-style dynamic resource release: finished
-jobs return their share immediately rather than holding it to the end
-of the gang.
+register when they open, read their *live* grant on every step (the
+cap is an equal share of the budget, so it rises automatically as
+co-tenants close), and release on close. The shape follows Spirit's
+incremental allocator (monitor → estimator → allocator) and QY-style
+dynamic resource release: finished sessions return their share
+immediately rather than holding it to the end of the gang. Training
+backends hold the session's fixed window and register nothing.
 
 A process-global :data:`DEFAULT_ALLOCATOR` (budget
-:data:`DEFAULT_DEPTH_BUDGET`) backs backends that are not handed an
+:data:`DEFAULT_DEPTH_BUDGET`) backs sessions that are not handed an
 explicit allocator; with a single registered session the equal share
 is the whole budget, so single-session behavior is unchanged — the
 arbitration only binds when sessions actually contend.
@@ -29,9 +29,9 @@ import threading
 from ...errors import ProtocolError
 
 #: Default node-wide look-ahead depth budget. Deliberately comfortable:
-#: a lone session (or a handful) is never throttled below the
-#: per-backend ``max_depth`` caps; contention among many co-tenant
-#: sessions is what the arbitration is for.
+#: a lone session (or a handful) is never throttled below its
+#: configured ``max_depth``; contention among many co-tenant sessions
+#: is what the arbitration is for.
 DEFAULT_DEPTH_BUDGET = 64
 
 
@@ -40,8 +40,8 @@ class DepthGrant:
 
     ``depth_cap`` re-reads the allocator on every call — a grant is a
     *subscription* to the current fair share, not a frozen number, so
-    a session picks up released budget at its very next adaptive
-    resize without any callback plumbing. Usable as a context manager;
+    a session picks up released budget at its very next step without
+    any callback plumbing. Usable as a context manager;
     ``release()`` is idempotent.
     """
 
@@ -55,7 +55,7 @@ class DepthGrant:
     @property
     def depth_cap(self) -> int:
         """This session's current depth cap (>= 1 always: a grant can
-        throttle look-ahead, never deadlock a pipeline)."""
+        throttle look-ahead, never deadlock a session)."""
         return self._allocator._cap_for(self.token)
 
     @property
@@ -87,7 +87,7 @@ class NodeAllocator:
         all registered sessions. Each session's cap is the equal share
         ``max(1, budget // active)`` clamped to its requested
         ``max_depth`` — never below 1, so registering more sessions
-        than budget degrades to lock-step dealing, not deadlock.
+        than budget degrades to one batch per step, not deadlock.
     """
 
     def __init__(self, depth_budget: int = DEFAULT_DEPTH_BUDGET) -> None:
@@ -103,7 +103,7 @@ class NodeAllocator:
 
     # ------------------------------------------------------------------
     def register(self, name: str, max_depth: int) -> DepthGrant:
-        """Claim a share of the node budget for one session run."""
+        """Claim a share of the node budget for one session."""
         if max_depth < 1:
             raise ProtocolError("max_depth must be >= 1")
         with self._lock:
@@ -172,5 +172,5 @@ class NodeAllocator:
                 f"active={self.active_count}>")
 
 
-#: Process-global allocator backends fall back to when not handed one.
+#: Process-global allocator sessions fall back to when not handed one.
 DEFAULT_ALLOCATOR = NodeAllocator()

@@ -24,11 +24,11 @@ is guaranteed finite and non-negative whatever the observations were
 (property-tested) — a calibration subsystem that can emit ``nan`` into
 ``drm_step`` would be worse than no calibration at all.
 
-The overlapped backends feed calibrated times into ``adaptive_depth``
-and ``drm_step``. Because a cold estimator is exactly the identity,
-one that never warms (``warmup`` above the run's iteration count)
-observes — reports still expose the model-vs-realized error — while
-reproducing the uncalibrated trajectories bit for bit.
+The overlapped backends feed calibrated times into ``drm_step``.
+Because a cold estimator is exactly the identity, one that never warms
+(``warmup`` above the run's iteration count) observes — reports still
+expose the model-vs-realized error — while reproducing the
+uncalibrated trajectories bit for bit.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ class OnlineEstimator:
             if not math.isfinite(scaled) or scaled < 0.0:
                 # Defensive: a pathological model value times a large
                 # correction must degrade to the analytic value, never
-                # poison DRM/adaptive-depth with nan/inf.
+                # poison DRM with nan/inf.
                 scaled = value if math.isfinite(value) and \
                     value >= 0.0 else 0.0
             updates[field] = scaled

@@ -184,7 +184,7 @@ class ServingSession:
     allocator:
         Node-level arbitration (defaults to the process-wide
         :data:`~repro.runtime.resctl.DEFAULT_ALLOCATOR`, shared with
-        the overlapped training backends).
+        every other serving session that is not handed one).
     clock:
         Monotonic time source; injectable for deterministic tests.
     """

@@ -55,9 +55,10 @@ widens — and :func:`assert_store_untouched_by_int8_run` — the transfer
 stage quantizes in place, but only ever a fresh gather, never the
 feature store itself.
 
-:func:`analytic_lookahead` holds a look-ahead backend to the purely
+:func:`analytic_lookahead` holds a calibrating backend to the purely
 analytic (uncalibrated) trajectory, for the pins that compare it with
-a plane that never calibrates.
+a plane that never calibrates; :func:`spy_feeds` exposes the buffers
+(whose capacity is the run's window) of ``pipelined``'s feeds.
 
 Two checks cover a backend that is *kept* across runs (the process
 presets hold their worker pool and shared store for the backend's
@@ -94,7 +95,7 @@ from repro.runtime import (
     build_backend,
     get_backend,
 )
-from repro.runtime.backends import overlap
+from repro.runtime.backends.pipelined import ChainFeed
 from repro.runtime.protocol import validate_protocol
 from repro.runtime.resctl import (
     REALIZED_STAGES,
@@ -158,8 +159,7 @@ COVERAGE_EVIDENCE: dict[str, frozenset[str]] = {
 #: Accounting sections of a report: always a (possibly empty)
 #: container, on every plane.
 ACCOUNTING_SECTIONS = ("kernel_stats", "stage_seconds", "stage_stats",
-                       "depth_history", "split_history", "shard_io",
-                       "calibration")
+                       "split_history", "shard_io", "calibration")
 
 
 @dataclass(frozen=True)
@@ -272,17 +272,26 @@ def run_backend(name: str, case: ConformanceCase,
     return session, report
 
 
-def analytic_lookahead(backend, monkeypatch) -> None:
-    """Hold look-ahead ``backend`` to the analytic trajectory: its
+def spy_feeds(backend, monkeypatch) -> list:
+    """Collect every :class:`ChainFeed` ``backend`` builds from here on,
+    so a test can read the buffers' capacity — the run's window."""
+    feeds = []
+
+    class Spy(ChainFeed):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            feeds.append(self)
+
+    monkeypatch.setattr(backend, "feed", Spy)
+    return feeds
+
+
+def analytic_lookahead(backend) -> None:
+    """Hold calibrating ``backend`` to the analytic trajectory: its
     estimator never warms, so it keeps observing (the calibration
     report still fills) while every calibration is exactly the
-    identity, and the first window opens at the session's window
-    instead of the floor a timing session starts from."""
-    backend.lookahead.estimator = OnlineEstimator(warmup=10**9)
-    monkeypatch.setattr(
-        overlap, "seed_depth",
-        lambda session, cap, estimator=None:
-        min(overlap.session_window(session), cap))
+    identity."""
+    backend.estimator = OnlineEstimator(warmup=10**9)
 
 
 def threaded_backend(dataset: GraphDataset, train_cfg: TrainingConfig,
@@ -588,9 +597,9 @@ def assert_reuse_invisible(name: str, case: ConformanceCase,
     ``init``). And reuse is what it is for: runs after the first pay
     a small fraction of the first run's ``startup_time_s``.
 
-    Use a case without a timing plane for adaptive-depth presets: a
-    kept backend's estimator is warm on its second run (by design),
-    which moves the dealt window and, with DRM on, the trajectory.
+    Use a case without a timing plane for calibrating presets: a kept
+    backend's estimator is warm on its second run (by design), which,
+    with DRM on, moves the trajectory.
     """
     kwargs = BACKEND_KWARGS.get(name, {})
     kept_session = make_session(case, dataset)

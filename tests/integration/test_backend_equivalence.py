@@ -38,6 +38,7 @@ from backend_conformance import (
     candidate_backends,
     make_session,
     run_backend,
+    spy_feeds,
     threaded_backend,
 )
 from repro.config import SystemConfig, TrainingConfig
@@ -53,11 +54,12 @@ from repro.runtime import (
     TrainingSession,
     VirtualTimeBackend,
     available_backends,
+    build_backend,
     get_backend,
     register_backend,
 )
-from repro.runtime.backends.overlap import DepthPolicy
 from repro.runtime.backends.process import WorkerReplica
+from repro.runtime.resctl import OnlineEstimator
 
 _CASE_IDS = [c.id for c in CONFORMANCE_CASES]
 
@@ -148,10 +150,10 @@ class TestBackendConformance:
         assert_store_untouched_by_int8_run(backend, tiny_ds)
 
     def test_sharded_lookahead_preset_composes_with_no_new_code(
-            self, tiny_ds, monkeypatch):
+            self, tiny_ds):
         """The composition proof: partition-mapped dealing × the
-        shard-aware replica × the adaptive window is one more
-        *declaration* over the process
+        shard-aware replica × the calibrated look-ahead window is one
+        more *declaration* over the process
         driver's seams — registered here, in the test, through the
         third-party path — and it passes the statistical tier on every
         case, cross-node ownership assertion included."""
@@ -174,11 +176,9 @@ class TestBackendConformance:
             replica_cls = ShardedReplica
 
             def __init__(self, session, timeout_s=120.0,
-                         mp_context=None, max_depth=None,
-                         allocator=None):
+                         mp_context=None):
                 super().__init__(session, timeout_s, mp_context)
-                self.lookahead = DepthPolicy(session, max_depth,
-                                             allocator)
+                self.estimator = OnlineEstimator()
                 n = session.num_trainers
                 parts = bfs_partition(session.dataset.graph, n, seed=0)
                 self.work_source = ShardPlan(session.plan, parts, n)
@@ -192,8 +192,7 @@ class TestBackendConformance:
                                         tiny_ds)
             _, rep = run_backend(
                 "sharded_lookahead", _with_window(CONFORMANCE_CASES[0], 3),
-                tiny_ds, {"max_depth": 3},
-                lambda b: analytic_lookahead(b, monkeypatch))
+                tiny_ds, configure=analytic_lookahead)
             assert rep.shard_parts is not None and rep.shard_io
             assert max(n for n, _ in rep.lookahead_history) > 1
         finally:
@@ -215,15 +214,20 @@ class TestBackendConformance:
         assert_resumes_after_training_elsewhere("process", case,
                                                 tiny_ds)
 
-    @pytest.mark.parametrize("backend", ["pipelined",
-                                         "process_pipelined"])
+    @pytest.mark.parametrize("backend", available_backends())
     def test_overlapped_timing_run_reports_calibration(
             self, backend, tiny_ds):
-        """A timing-plane run on an overlapped backend exposes the
-        per-stage model-vs-realized calibration report: corrections
-        stay positive and finite, errors non-negative, and at least
-        one stage accumulated observations."""
+        """A timing-plane run exposes the per-stage model-vs-realized
+        calibration report exactly when its backend installs an
+        estimator (``pipelined`` and ``process_pipelined``):
+        corrections stay positive and finite, errors non-negative, and
+        at least one stage accumulated observations. Every other plane
+        leaves the section empty."""
         _, rep = run_backend(backend, CONFORMANCE_CASES[0], tiny_ds)
+        assert rep.stage_history
+        if backend not in ("pipelined", "process_pipelined"):
+            assert rep.calibration == {}
+            return
         assert rep.calibration, \
             f"{backend}: timing run produced no calibration report"
         total_obs = 0
@@ -235,6 +239,21 @@ class TestBackendConformance:
             if entry["error"] is not None:
                 assert entry["error"] >= 0.0
         assert total_obs > 0
+
+    def test_estimator_persists_across_runs(self, tiny_ds):
+        """A backend's estimator outlives its runs: a second run on the
+        same backend starts warm and keeps accumulating."""
+        session = make_session(CONFORMANCE_CASES[0], tiny_ds)
+        backend = build_backend("pipelined", session,
+                                **BACKEND_KWARGS["pipelined"])
+        estimator = backend.estimator
+        first = backend.run_epoch(CONFORMANCE_CASES[0].max_iterations)
+        assert estimator.is_warm()
+        second = backend.run_epoch(CONFORMANCE_CASES[0].max_iterations)
+        assert backend.estimator is estimator
+        for stage, entry in first.calibration.items():
+            assert second.calibration[stage]["observations"] > \
+                entry["observations"]
 
 
 class TestProcessBackend:
@@ -403,8 +422,8 @@ class TestProcessBackend:
 class TestWorkerSamplingPlanes:
     """Properties shared by every worker-side-sampling plane (the
     ``process_sampling`` backend, dealing ``prefetch_depth`` ahead
-    under prefetch, and the adaptively overlapped ``process_pipelined``
-    fusion), parametrized over both so a fix to
+    under prefetch, and ``process_pipelined``, which adds a calibrated
+    DRM step), parametrized over both so a fix to
     one assertion can never silently miss the sibling plane: shard
     partitioning, seeded determinism, resume, epoch rollover, shm
     teardown, and infra-error typing."""
@@ -728,14 +747,17 @@ class TestPipelinedBackend:
         assert session.plan.epochs_started == 1
 
     def test_overlap_report_covers_every_stage(self, tiny_ds, eq_cfg,
-                                               fpga_platform):
+                                               fpga_platform,
+                                               monkeypatch):
         """The per-stage overlap report accounts for every item that
         flowed through every stage of every trainer's pipeline."""
         sys_cfg = SystemConfig(hybrid=True, drm=True, prefetch=True,
                                transfer_precision="int8")
         session = TrainingSession(tiny_ds, eq_cfg, sys_cfg,
                                   fpga_platform, profile_probes=2)
-        rep = PipelinedBackend(session, timeout_s=30).run_epoch()
+        backend = PipelinedBackend(session, timeout_s=30)
+        feeds = spy_feeds(backend, monkeypatch)
+        rep = backend.run_epoch()
         n = session.num_trainers
         assert set(rep.stage_stats) == {"sample", "gather", "transfer",
                                         "train"}
@@ -747,9 +769,10 @@ class TestPipelinedBackend:
             assert stats.mean_occupancy >= 0.0
         assert rep.prefetch_high_water >= 1
         assert rep.wall_time_s > 0
-        # The seeded window opens the depth trajectory.
-        first_it, first_depth = rep.depth_history[0]
-        assert first_it == 0 and first_depth >= 1
+        # Every stage buffer holds the session's window, timing plane
+        # or not.
+        assert {b.depth for b in feeds[0].buffers} == \
+            {sys_cfg.prefetch_depth}
 
     def test_resumed_session_continues_from_trained_weights(self,
                                                             tiny_ds,
@@ -780,13 +803,6 @@ class TestPipelinedBackend:
             tiny_ds, eq_cfg,
             SystemConfig(hybrid=True, drm=False, prefetch=True),
             num_trainers=2)
-        deep = TrainingSession(
-            tiny_ds, eq_cfg,
-            SystemConfig(hybrid=True, drm=False, prefetch=True,
-                         prefetch_depth=4),
-            num_trainers=2)
-        with pytest.raises(ProtocolError):
-            PipelinedBackend(deep, max_depth=2)
         with pytest.raises(ProtocolError):
             PipelinedBackend(session, timeout_s=0)
         with pytest.raises(ProtocolError):
@@ -815,25 +831,28 @@ class TestProcessPipelinedBackend:
             platform, profile_probes=2)
 
     @pytest.mark.parametrize(
-        "depth, platform, epochs", [(1, True, 2), (3, False, 2)],
-        ids=["depth1-drm", "depth3-no-platform"])
+        "depth, platform, epochs",
+        [(1, True, 2), (2, True, 2), (3, False, 2)],
+        ids=["depth1-drm", "depth2-drm-prefetch", "depth3-no-platform"])
     def test_lookahead_matches_worker_sampling_bit_for_bit(
             self, depth, platform, epochs, tiny_ds, eq_cfg,
-            gpu_platform, monkeypatch):
+            gpu_platform):
         """Look-ahead changes *when* an item is dealt, never *what* is
         trained: the fused plane reproduces the worker-sampling plane
         bit for bit — losses, worker-echoed targets, DRM trajectory,
         sampled edges, and every final parameter.
 
-        * With DRM both sides run a ``prefetch=False`` session, whose
-          window of 1 keeps both planes lock-step: shards are dealt
-          only after the previous iteration's DRM step — the DRM-lag
-          regression pins' zero-lag anchor. The gpu platform's DRM
-          moves the split inside the two epochs, so the anchor is not
-          vacuous.
-        * Without a platform (no DRM, nothing adapts) the fused plane's
-          session window of 3 keeps three iterations dealt ahead on
-          every worker across two epochs on one backend — against
+        * With DRM both sides run the same session. ``prefetch=False``
+          gives a window of 1, which keeps both planes lock-step:
+          shards are dealt only after the previous iteration's DRM
+          step — the DRM-lag regression pins' zero-lag anchor. Under
+          two-stage prefetch both planes deal the window of 2 ahead,
+          so Algorithm 1's adjustments lag the dealt window the same
+          way on each. The gpu platform's DRM moves the split inside
+          the two epochs, so neither case is vacuous.
+        * Without a platform (no DRM) the fused plane's session window
+          of 3 keeps three iterations dealt ahead on every worker
+          across two epochs on one backend — against
           ``process_sampling``'s window of 2 — and still trains the
           same batches.
 
@@ -846,7 +865,8 @@ class TestProcessPipelinedBackend:
             if platform:
                 return self._platform_session(tiny_ds, eq_cfg,
                                               gpu_platform,
-                                              prefetch=False)
+                                              prefetch=depth > 1,
+                                              prefetch_depth=depth)
             return self._session(tiny_ds, eq_cfg, prefetch_depth=window)
 
         ss = session(2)
@@ -854,16 +874,16 @@ class TestProcessPipelinedBackend:
             rs = [backend.run_epoch() for _ in range(epochs)]
 
         sf = session(depth)
-        with ProcessPipelinedBackend(sf, timeout_s=60,
-                                     max_depth=depth) as backend:
-            analytic_lookahead(backend, monkeypatch)
+        with ProcessPipelinedBackend(sf, timeout_s=60) as backend:
+            analytic_lookahead(backend)
             rf = [backend.run_epoch() for _ in range(epochs)]
 
         if platform:
             splits = [sp for r in rs for sp in r.split_history]
             assert any(sp != splits[0] for sp in splits), \
                 "DRM never moved"
-            assert all(n == 1 for r in rs for n, _ in r.lookahead_history)
+            assert all(max(n for n, _ in r.lookahead_history) == depth
+                       for r in rs)
         for a, b in zip(rs, rf):
             assert max(n for n, _ in b.lookahead_history) == depth
             assert b.iterations == a.iterations
@@ -881,8 +901,11 @@ class TestProcessPipelinedBackend:
             np.testing.assert_array_equal(ts.model.get_flat_params(),
                                           tf.model.get_flat_params())
 
+    @pytest.mark.parametrize(
+        "backend_cls", [ProcessPipelinedBackend, ProcessSamplingBackend],
+        ids=["process_pipelined", "process_sampling"])
     def test_drm_adjustments_lag_the_dealt_window(
-            self, tiny_ds, eq_cfg, gpu_platform, monkeypatch):
+            self, backend_cls, tiny_ds, eq_cfg, gpu_platform):
         """A shard is sliced with the split current when it is *dealt*.
         With the window held at ``depth``, iteration ``depth`` is dealt
         as soon as iteration 0 retires — before Algorithm 1 has seen
@@ -890,15 +913,16 @@ class TestProcessPipelinedBackend:
         would apply to iteration ``depth`` cannot reach it: the first
         ``depth + 1`` dealt iterations are what the plan yields with
         *no* DRM adjustment (the pipelined plane's documented
-        one-window lag). The gpu platform's DRM moves the CPU quota
-        for exactly that iteration, so the pin is not vacuous."""
+        one-window lag). Both worker-sampling presets deal the same
+        window, calibrated or not. The gpu platform's DRM moves the
+        CPU quota for exactly that iteration, so the pin is not
+        vacuous."""
         depth, iterations = 3, 12
-        monkeypatch.setattr(DepthPolicy, "adapt", lambda *args: False)
         sf = self._platform_session(tiny_ds, eq_cfg, gpu_platform,
                                     prefetch_depth=depth)
-        with ProcessPipelinedBackend(sf, timeout_s=60,
-                                     max_depth=depth) as backend:
-            analytic_lookahead(backend, monkeypatch)
+        with backend_cls(sf, timeout_s=60) as backend:
+            if backend.estimator is not None:
+                analytic_lookahead(backend)
             rf = backend.run(iterations)
         assert max(n for n, _ in rf.lookahead_history) == depth
 
@@ -923,26 +947,25 @@ class TestProcessPipelinedBackend:
     def test_lookahead_never_exceeds_adaptive_cap(self, tiny_ds,
                                                   eq_cfg,
                                                   fpga_platform):
-        """The bounded-queue audit: in-flight dealt iterations never
-        exceed ``max_depth`` and the adaptive depth stays within
-        ``[1, max_depth]``."""
-        cap = 4
-        sf = self._platform_session(tiny_ds, eq_cfg, fpga_platform)
-        backend = ProcessPipelinedBackend(sf, timeout_s=60,
-                                          max_depth=cap)
-        rf = backend.run_epoch()
+        """The bounded-queue audit: on a timing session the dealer
+        holds the session's window for the whole run, and in-flight
+        dealt iterations never exceed it."""
+        window = 3
+        sf = self._platform_session(tiny_ds, eq_cfg, fpga_platform,
+                                    prefetch_depth=window)
+        with ProcessPipelinedBackend(sf, timeout_s=60) as backend:
+            rf = backend.run_epoch()
         assert len(rf.lookahead_history) == rf.iterations
         for in_flight, depth in rf.lookahead_history:
-            assert 1 <= in_flight <= cap
-            assert 1 <= depth <= cap
-        for _, depth in rf.depth_history:
-            assert 1 <= depth <= cap
+            assert 1 <= in_flight <= window
+            assert depth == window
+        assert max(n for n, _ in rf.lookahead_history) == \
+            min(window, rf.iterations)
 
     @pytest.mark.parametrize("case", CONFORMANCE_CASES[:2],
                              ids=_CASE_IDS[:2])
     def test_one_average_row_suffices_under_lookahead(self, case,
-                                                      tiny_ds,
-                                                      monkeypatch):
+                                                      tiny_ds):
         """The slab race, provoked: three iterations in flight, idle
         workers in the mix (quota-0 CPU trainer / epoch tail), and
         worker 0 dawdling before every apply. Every worker answers
@@ -951,24 +974,16 @@ class TestProcessPipelinedBackend:
         single average row is never overwritten under a lagging
         reader: the statistical matrix holds and the snapshot's
         bit-for-bit audit of worker parameters against the parent
-        mirrors stays green. Under :func:`analytic_lookahead` the
-        window opens at the session's 3 (a timing session otherwise
-        seeds it at 1).
+        mirrors stays green.
         """
         case = _with_window(case, 3)
-
-        def analytic(backend):
-            analytic_lookahead(backend, monkeypatch)
-
-        assert_backend_conforms("process_pipelined", case, tiny_ds,
-                                {"max_depth": 3}, analytic)
+        assert_backend_conforms("process_pipelined", case, tiny_ds)
 
         class Lagging(ProcessPipelinedBackend):
             replica_cls = LaggingReplica
 
         session = make_session(case, tiny_ds)
-        with Lagging(session, timeout_s=60, max_depth=3) as backend:
-            analytic(backend)
+        with Lagging(session, timeout_s=60) as backend:
             rep = backend.run_epoch()
         assert any(0 in sizes for sizes in rep.dealt_sizes)
         assert max(n for n, _ in rep.lookahead_history) > 1
@@ -977,10 +992,6 @@ class TestProcessPipelinedBackend:
     def test_invalid_construction_rejected(self, tiny_ds, eq_cfg):
         from repro.errors import ProtocolError
         session = self._session(tiny_ds, eq_cfg, n=2)
-        with pytest.raises(ProtocolError):
-            ProcessPipelinedBackend(
-                self._session(tiny_ds, eq_cfg, n=2, prefetch_depth=4),
-                max_depth=2)
         with pytest.raises(ProtocolError):
             ProcessPipelinedBackend(session, timeout_s=0)
         with pytest.raises(ProtocolError):

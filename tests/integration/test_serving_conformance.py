@@ -241,3 +241,36 @@ class TestTwoSessionStatsIsolation:
         assert report.completed == report.accepted > 0
         assert report.kernel_stats.get("gather_rows", 0) > 0
         assert serving.counters is not backend.counters
+
+
+class TestGrantCap:
+    """``step()`` executes at most its grant's live cap: the equal
+    share of the node budget while a co-tenant holds a grant, its own
+    ``max_depth`` once the co-tenant releases."""
+
+    def test_step_executes_at_most_the_live_cap(self, tiny_ds,
+                                                small_cfg):
+        alloc = NodeAllocator(depth_budget=4)
+        config = ServingConfig(latency_budget_s=0.2, max_batch_targets=4,
+                               max_depth=4, device="cpu")
+        serving, tenant = (
+            ServingSession(tiny_ds, small_cfg, SystemConfig(),
+                           config=config, allocator=alloc,
+                           clock=VirtualClock())
+            for _ in range(2))
+        targets = tiny_ds.train_ids[:4]
+        for _ in range(8):
+            # A full-size request seals its own batch on arrival.
+            assert serving.submit(targets) is None
+        assert serving.batcher.ready_batches == 8
+        # Contended: the equal share 4 // 2 caps the step.
+        assert len(serving.step()) == 2
+        tenant.close()
+        # Released: the cap rises to this session's max_depth at once.
+        assert len(serving.step()) == 4
+        assert len(serving.step()) == 2
+        serving.close()
+        assert [kind for kind, _ in alloc.events] == \
+            ["register", "register", "release", "release"]
+        assert alloc.active_count == 0
+        assert alloc.available_depth == 4

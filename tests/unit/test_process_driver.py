@@ -54,6 +54,7 @@ from repro.runtime.backends.process import (
     WorkerSpec,
     worker_main,
 )
+from repro.runtime.resctl import DEFAULT_ALLOCATOR
 from repro.runtime.shm import SharedFeatureStore
 
 PROCESS_PRESETS = ("process", "process_sampling", "process_pipelined",
@@ -63,7 +64,7 @@ SRC = Path(repro.__file__).parent
 LISTING1_SIGNALS = {"DONE", "SYNC", "ACK", "ITER_START"}
 
 #: Each registry name's ``build_backend`` keywords.
-_LOOKAHEAD = {"max_depth", "allocator", "timeout_s"}
+_LOOKAHEAD = {"timeout_s"}
 BACKEND_KEYWORDS = {
     "virtual": set(),
     "threaded": {"timeout_s"},
@@ -75,7 +76,7 @@ BACKEND_KEYWORDS = {
                 "partition_seed", "remote_cache_rows"},
 }
 
-#: The first window each registry name opens: ``"session"`` is the
+#: The window each registry name opens: ``"session"`` is the
 #: session's window (``prefetch_depth`` under two-stage prefetch, else
 #: 1); ``process`` samples in the parent and deals lock-step under any
 #: config.
@@ -138,41 +139,44 @@ class TestStructure:
         assert defined <= {"__init__"}, \
             f"{name} overrides driver methods: {sorted(defined)}"
 
+    @pytest.mark.parametrize("timing", [False, True],
+                             ids=["functional", "timing"])
     @pytest.mark.parametrize("prefetch, depth",
                              [(True, 2), (True, 4), (False, 3)])
-    def test_window_per_preset(self, tiny_ds, small_cfg, prefetch,
-                               depth, monkeypatch):
+    def test_window_per_preset(self, tiny_ds, small_cfg, gpu_platform,
+                               prefetch, depth, timing, monkeypatch):
         """The window every registry name opens, from one rule
         (:data:`WINDOWS`): the session's window, or lock-step for
-        ``process`` under any config. The depth-policy presets
-        (``pipelined``, ``process_pipelined``, the only two) seed from
-        the same rule — a functional session never adapts, so they
-        keep it. ``virtual``'s inline feed opens it too, and holds one
-        batch regardless."""
+        ``process`` under any config — on a timing session with DRM
+        too, where the two calibrating presets (``pipelined``,
+        ``process_pipelined``, the only two with an estimator) hold
+        the same window. ``virtual``'s inline feed opens it too, and
+        holds one batch regardless."""
         want = {"session": depth if prefetch else 1, "lock-step": 1}
-        opened, policies = {}, set()
+        opened, calibrating = {}, set()
         real_window = ExecutionBackend.window
 
-        @contextlib.contextmanager
-        def spy(backend, report, **kwargs):
-            with real_window(backend, report, **kwargs) as first:
-                opened[backend.name] = first
-                yield first
+        def spy(backend, **kwargs):
+            opened[backend.name] = real_window(backend, **kwargs)
+            return opened[backend.name]
 
         monkeypatch.setattr(ExecutionBackend, "window", spy)
+        sys_cfg = SystemConfig(hybrid=True, drm=timing, prefetch=prefetch,
+                               prefetch_depth=depth)
         for name in available_backends():
-            session = TrainingSession(
-                tiny_ds, small_cfg,
-                SystemConfig(hybrid=True, drm=False, prefetch=prefetch,
-                             prefetch_depth=depth),
-                num_trainers=2)
+            if timing:
+                session = TrainingSession(tiny_ds, small_cfg, sys_cfg,
+                                          gpu_platform, profile_probes=2)
+            else:
+                session = TrainingSession(tiny_ds, small_cfg, sys_cfg,
+                                          num_trainers=2)
             with build_backend(name, session) as backend:
                 backend.run(2)
-            if backend.lookahead is not None:
-                policies.add(name)
+            if backend.estimator is not None:
+                calibrating.add(name)
         assert opened == {name: want[rule]
                           for name, rule in WINDOWS.items()}
-        assert policies == {"pipelined", "process_pipelined"}
+        assert calibrating == {"pipelined", "process_pipelined"}
 
     @pytest.mark.parametrize("name", ["threaded", "pipelined"])
     def test_inprocess_names_are_presets_of_one_driver(self, name):
@@ -310,6 +314,22 @@ class TestStructure:
             BACKEND_KEYWORDS[name]
         with pytest.raises(ConfigError, match="depth_source"):
             build_backend(name, None, depth_source="realized")
+
+    @pytest.mark.parametrize("name", sorted(BACKEND_KEYWORDS))
+    def test_training_registers_no_depth_grant(self, name, tiny_ds,
+                                               small_cfg, gpu_platform):
+        """Training holds the session's window and claims no share of
+        the node's look-ahead budget — on a timing session with DRM
+        and prefetch too — so a co-tenant serving session keeps its
+        whole cap."""
+        before = list(DEFAULT_ALLOCATOR.events)
+        session = TrainingSession(
+            tiny_ds, small_cfg,
+            SystemConfig(hybrid=True, drm=True, prefetch=True),
+            gpu_platform, profile_probes=2)
+        with build_backend(name, session) as backend:
+            backend.run(2)
+        assert DEFAULT_ALLOCATOR.events == before
 
     def test_report_classes_under_backends(self):
         """Every backend, ``virtual`` and ``simulate_epoch`` included,

@@ -124,12 +124,19 @@ class TestBuildBackend:
     """``build_backend`` checks knobs against the constructor signature,
     so the signature is the only declaration a backend needs."""
 
-    def test_unknown_option_names_backend_and_knobs(self):
+    @pytest.mark.parametrize("name, knob", [
+        ("threaded", "timeuot_s"),
+        # The look-ahead presets hold the session's window: the depth
+        # cap and the node allocator they once took are unknown.
+        ("pipelined", "max_depth"), ("pipelined", "allocator"),
+        ("process_pipelined", "max_depth"),
+        ("process_pipelined", "allocator")])
+    def test_unknown_option_names_backend_and_knobs(self, name, knob):
         with pytest.raises(ConfigError) as exc:
-            build_backend("threaded", None, timeuot_s=3)
+            build_backend(name, None, **{knob: 3})
         msg = str(exc.value)
-        assert "'threaded'" in msg
-        assert "timeuot_s" in msg
+        assert f"'{name}'" in msg
+        assert knob in msg
         assert "timeout_s" in msg  # the fix is in the traceback
 
     def test_build_backend_unknown_option_rejected_before_construction(

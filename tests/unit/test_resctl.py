@@ -7,7 +7,7 @@ times the live backends' replies carry onto canonical stage keys,
 :class:`OnlineEstimator` calibrates the analytic model against them,
 :class:`NodeAllocator` arbitrates look-ahead depth across concurrent
 sessions. The estimator sits directly upstream of
-``drm_step``/``adaptive_depth``, so its safety contract — corrections
+``drm_step``, so its safety contract — corrections
 always positive and finite, calibrated times never non-finite or
 negative, exact no-op until warm — is pinned here as hypothesis
 properties, alongside the empty-fold and duplex-derate regression
@@ -171,7 +171,7 @@ class TestOnlineEstimator:
             self, observations, model_value):
         """Whatever a plane observes — nan, inf, negatives, absurd
         magnitudes — calibration must never emit a non-finite or
-        negative stage time into drm_step/adaptive_depth."""
+        negative stage time into drm_step."""
         est = OnlineEstimator(warmup=1)
         model = _times(model_value)
         for realized in observations:

@@ -510,43 +510,7 @@ class TestPrefetchDeadlineSemantics:
         assert time.monotonic() - start < 0.5
 
 
-class TestPrefetchResize:
-    def test_grow_unblocks_waiting_producer(self):
-        buf = PrefetchBuffer(1)
-        buf.put("a")
-        done = threading.Event()
-
-        def producer():
-            buf.put("b", timeout=5)
-            done.set()
-
-        t = threading.Thread(target=producer, daemon=True)
-        t.start()
-        time.sleep(0.05)
-        assert not done.is_set()
-        buf.resize(2)
-        assert done.wait(timeout=5)
-        t.join(timeout=5)
-        assert buf.occupancy == 2
-
-    def test_shrink_keeps_items_and_blocks_puts(self):
-        buf = PrefetchBuffer(3)
-        for i in range(3):
-            buf.put(i)
-        buf.resize(1)
-        # Nothing dropped; puts blocked until drained below new depth.
-        assert buf.occupancy == 3
-        with pytest.raises(ProtocolError, match="put timed out"):
-            buf.put(99, timeout=0.05)
-        assert [buf.get() for _ in range(3)] == [0, 1, 2]
-        buf.put(99)                       # occupancy 0 < depth 1 again
-        assert buf.get() == 99
-
-    def test_resize_validates_depth(self):
-        buf = PrefetchBuffer(2)
-        with pytest.raises(ProtocolError):
-            buf.resize(0)
-
+class TestPrefetchOccupancy:
     def test_occupancy_statistics(self):
         buf = PrefetchBuffer(4)
         assert buf.mean_occupancy == 0.0
