@@ -5,11 +5,11 @@ the session's ``prefetch_depth`` under two-stage prefetch, else 1
 (lock-step). :meth:`~.base.ExecutionBackend.window` opens it for every
 plane, fixed for the whole run. The pieces:
 
-* :class:`StageChain` — one trainer's ``sample → gather → transfer``
-  stage threads over backpressured
-  :class:`~repro.runtime.prefetch.PrefetchBuffer` queues, which
-  ``pipelined``'s :class:`~.pipelined.ChainFeed` feeds, starts, drains
-  and joins through ``bufs`` and ``threads``;
+* :class:`StageChain` — one trainer's sample-stage thread between
+  two backpressured :class:`~repro.runtime.prefetch.PrefetchBuffer`
+  queues, which ``pipelined``'s :class:`~.pipelined.ChainFeed` feeds,
+  starts, drains and joins through ``bufs`` and ``thread``; the
+  feature load runs on the training lane that takes the item;
 * :func:`session_window` — the window rule;
 * :class:`LookaheadDealer` — the bounded window over a work source the
   process driver deals through (pure; hypothesis-tested).
@@ -25,114 +25,92 @@ from typing import Callable, Iterator
 from ...errors import ProtocolError
 from ..prefetch import PrefetchBuffer
 
-#: Producer stages in pipeline order (the train stage consumes).
-PRODUCER_STAGES = ("sample", "gather", "transfer")
-
 #: A chain's buffers, keyed by the stage each buffer *feeds*:
 #: ``sample`` holds dealt work awaiting the sample thread, ``train``
-#: holds prepared batches awaiting the train+sync consumer.
-CHAIN_STAGES = (*PRODUCER_STAGES, "train")
+#: holds sampled batches awaiting a training lane.
+CHAIN_STAGES = ("sample", "train")
 
 
 # ---------------------------------------------------------------------------
-# The stage-thread chain
+# The sample-stage chain
 # ---------------------------------------------------------------------------
 
 class Prepared:
-    """One work item travelling down a :class:`StageChain` (or handed
-    straight to the consumer by the in-process plan-order producer).
+    """One work item on its way to a training lane, through a
+    :class:`StageChain` or straight from the in-process plan-order
+    generator. It carries the sampled batch and its labels, never
+    feature rows: the lane that trains it loads them.
 
-    ``work`` is what the sample stage consumes (target ids, or a
-    parent-sampled wire batch); ``None`` marks an idle iteration, which
-    passes through every stage untouched so each trainer's chain
-    carries exactly one item per iteration. ``stage_s`` collects the
-    realized wall time of each stage under the raw stage names the
-    resctl fold understands (``sample`` / ``load`` / ``transfer``).
+    ``work`` is what the sample stage consumes (target ids); ``None``
+    marks an idle iteration, which passes through untouched so each
+    trainer's chain carries exactly one item per iteration.
+    ``stage_s`` collects the realized wall time of each stage under the
+    raw stage names the resctl fold understands (``sample`` / ``load``
+    / ``train``).
     """
 
-    __slots__ = ("it", "work", "mb", "x0", "labels", "stage_s")
+    __slots__ = ("it", "work", "mb", "labels", "stage_s")
 
     def __init__(self, it: int, work) -> None:
         self.it = it
         self.work = work
-        self.mb = self.x0 = self.labels = None
+        self.mb = self.labels = None
         self.stage_s: dict[str, float] = {}
 
 
 class StageChain:
-    """One trainer's ``sample → gather → transfer`` stage threads.
+    """One trainer's sample-stage thread between two backpressured
+    buffers (:data:`CHAIN_STAGES`).
 
     Parameters
     ----------
     stages:
         The per-item stage implementation — anything shaped like
         :class:`~repro.runtime.stage_pipeline.StagePipeline`
-        (``sample(work)``, ``gather(mb)``, ``transfer(x0, kind)`` —
-        in place on the rows ``gather`` just returned —
-        ``labels_for(mb)``): the session's pipeline.
-    kind:
-        The consuming trainer's kind (selects the transfer policy).
+        (``sample(work)``, ``labels_for(mb)``): the session's pipeline.
     depth:
-        Capacity of every buffer: the run's look-ahead window.
+        Capacity of both buffers: the run's look-ahead window.
     timeout_s:
         Monotonic-deadline watchdog on every blocking handoff.
     on_error:
-        Called with the exception when a stage thread dies; the owner
+        Called with the exception when the thread dies; the owner
         records it and closes whatever must wake up.
     name:
-        ``str.format`` template for thread names, given the stage
-        (the leak fixture in ``tests/conftest.py`` keys off
-        the in-process ``pipeline-`` prefix).
+        The thread's name (the leak fixture in ``tests/conftest.py``
+        keys off the in-process ``pipeline-`` prefix).
     wrap:
-        Optional decorator applied to every thread target (the
-        in-process plane enlists stage threads into its session-scoped
-        kernel counters).
+        Optional decorator applied to the thread target (the
+        in-process plane enlists it into its session-scoped kernel
+        counters).
     """
 
-    def __init__(self, stages, kind: str, depth: int, timeout_s: float,
+    def __init__(self, stages, depth: int, timeout_s: float,
                  on_error: Callable[[BaseException], None], name: str,
                  wrap: Callable | None = None) -> None:
         self.stages = stages
-        self.kind = kind
         self.timeout_s = timeout_s
         self._on_error = on_error
         self.bufs = {stage: PrefetchBuffer(depth)
                      for stage in CHAIN_STAGES}
-        steps = (("sample", "gather", "sample", self._sample),
-                 ("gather", "transfer", "load", self._gather),
-                 ("transfer", "train", "transfer", self._transfer))
-        self.threads = []
-        for src, dst, raw, step in steps:
-            target = self._run if wrap is None else wrap(self._run)
-            self.threads.append(threading.Thread(
-                target=target, args=(src, dst, raw, step), daemon=True,
-                name=name.format(src)))
+        self.thread = threading.Thread(
+            target=self._run if wrap is None else wrap(self._run),
+            daemon=True, name=name)
 
-    # -- the three producer steps --------------------------------------
-    def _sample(self, item: Prepared) -> None:
-        item.mb = self.stages.sample(item.work)
-
-    def _gather(self, item: Prepared) -> None:
-        item.x0 = self.stages.gather(item.mb)
-
-    def _transfer(self, item: Prepared) -> None:
-        item.x0 = self.stages.transfer(item.x0, self.kind)
-        item.labels = self.stages.labels_for(item.mb)
-
-    def _run(self, src: str, dst: str, raw: str, step) -> None:
-        """One stage thread: move items ``src → dst``, timing the step;
-        a closed-and-drained source closes the destination."""
+    def _run(self) -> None:
+        """Move items ``sample → train``, sampling and labelling each
+        one; a closed-and-drained source closes the destination."""
         try:
             while True:
-                item = self.bufs[src].get(timeout=self.timeout_s)
+                item = self.bufs["sample"].get(timeout=self.timeout_s)
                 if item is None:
-                    self.bufs[dst].close()
+                    self.bufs["train"].close()
                     return
                 if item.work is not None:
                     t0 = time.perf_counter()
-                    step(item)
-                    item.stage_s[raw] = time.perf_counter() - t0
-                self.bufs[dst].put(item, timeout=self.timeout_s)
+                    item.mb = self.stages.sample(item.work)
+                    item.stage_s["sample"] = time.perf_counter() - t0
+                    item.labels = self.stages.labels_for(item.mb)
+                self.bufs["train"].put(item, timeout=self.timeout_s)
         except BaseException as exc:
             self._on_error(exc)
 
@@ -144,8 +122,8 @@ class StageChain:
                                 timeout=self.timeout_s)
 
     def end(self) -> None:
-        """No more work: the close cascades stage by stage, so every
-        thread drains what is in flight and exits."""
+        """No more work: the close reaches the thread, which drains
+        what is in flight and exits."""
         self.bufs["sample"].close()
 
     def buffer_stats(self) -> dict[str, tuple[int, int, float]]:

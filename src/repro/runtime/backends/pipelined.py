@@ -13,35 +13,38 @@ process, written once. Per run it
    one bounded :class:`~repro.runtime.prefetch.PrefetchBuffer` per
    trainer, or nothing at all;
 3. trains each iteration on the feed's **lanes**
-   (:meth:`Feed.train`) — takes each trainer's item in trainer order
-   and trains it — then ends the iteration on the caller's thread in
-   the shared synchronize tail
+   (:meth:`Feed.train`) — takes each trainer's item in trainer order,
+   loads its features through ``session.load_features`` and trains it,
+   on the lane that took it — then ends the iteration on the caller's
+   thread in the shared synchronize tail
    (:meth:`~.base.ExecutionBackend.end_iteration`: all-reduce, every
    optimizer steps, Listing 1 recorded in the report's
    :class:`~repro.runtime.protocol.ProtocolLog`), answers in trainer
    order;
 4. closes and joins the feed and closes the report.
 
-Three feeds ship. Two run the plan-order generator
-(:meth:`Feed._items`), which samples each trainer's batch in plan
-order, loads it through ``session.load_features`` and takes
-the uncalibrated timing/DRM step once each iteration's last batch is
-loaded, so Algorithm 1 sees iteration ``i`` before ``i + 1``'s quotas
-are read:
+Feeds only sample; no feed buffer holds feature rows. Three feeds
+ship. Two run the plan-order generator (:meth:`Feed._items`), which
+samples each trainer's batch in plan order, attaches its labels and
+takes the uncalibrated timing/DRM step once each iteration's last
+batch is sampled, so Algorithm 1 sees iteration ``i`` before
+``i + 1``'s quotas are read:
 
 * :class:`InlineFeed` — no thread: ``take`` runs the generator on the
-  caller's thread (``virtual``, the reference);
+  caller's thread, which is its one lane (``virtual``, the reference);
 * :class:`PlanOrderFeed` — one ``producer`` thread runs it ahead of the
-  consumer (``threaded``, bit-identical to the reference);
+  lanes (``threaded``, bit-identical to the reference);
 * :class:`ChainFeed` — a dispatcher thread fanning the plan into one
-  :class:`~.overlap.StageChain` (``sample → gather → transfer`` stage
-  threads) per trainer; its items train side by side on
-  ``min(trainers, usable cores)`` lanes, the caller's thread plus
-  ``pipeline-train<k>`` helpers, as the paper's CPU and accelerator
-  trainers train one iteration's batches at the same time (Fig. 5).
-  The other two feeds keep one lane, the caller's thread: ``threaded``'s
-  single producer is its workloads' bottleneck, and a second training
-  thread would take its core.
+  sample-stage :class:`~.overlap.StageChain` per trainer
+  (``pipelined``).
+
+Both threaded feeds are lane feeds (:class:`LaneFeed`): an
+iteration's items train side by side on ``min(trainers, usable
+cores)`` lanes, the caller's thread plus ``lane<k>`` helpers, as the
+paper's CPU and accelerator trainers train one iteration's batches at
+the same time (Fig. 5). An accelerator load under a lossy transfer
+policy decodes from the session's wire table
+(:class:`~repro.runtime.stage_pipeline.StagePipeline`).
 
 The DRM rule: the consumer adjudicates the timing/DRM step only when a
 preset installs an :class:`~repro.runtime.resctl.OnlineEstimator` as
@@ -86,16 +89,16 @@ from .report import Reply, RunReport
 
 class Feed:
     """The producer side of one in-process run: hands the consumer
-    :class:`~.overlap.Prepared` items, one per trainer per iteration,
-    in iteration order — idle iterations included, as items whose
-    ``work`` is ``None``. A threaded feed fills one output buffer per
-    trainer (``outs``); a thread that dies records its exception
-    (:meth:`fail`) and closes every buffer, so the consumer wakes and
-    re-raises it. ``rows`` collects the duration rows of the
-    timing/DRM steps a feed takes itself. :meth:`train` hands one
-    iteration's items to the consumer's ``train_one`` on the
-    feed's lanes: one, the caller's thread, unless the feed trains
-    side by side (:class:`ChainFeed`)."""
+    :class:`~.overlap.Prepared` items — sampled and labelled, never
+    loaded — one per trainer per iteration, in iteration order, idle
+    iterations included as items whose ``work`` is ``None``. A
+    threaded feed fills one output buffer per trainer (``outs``); a
+    thread that dies records its exception (:meth:`fail`) and closes
+    every buffer, so the consumer wakes and re-raises it. ``rows``
+    collects the duration rows of the timing/DRM steps a feed takes
+    itself. :meth:`train` hands one iteration's items to the
+    consumer's ``train_one`` on the feed's lanes: one, the caller's
+    thread, unless the feed trains side by side (:class:`LaneFeed`)."""
 
     def __init__(self, backend, iterations: int, report,
                  rows: list) -> None:
@@ -164,27 +167,22 @@ class Feed:
         return []
 
     def _items(self):
-        """Mini-batch Sampler + Feature Loader in plan order: yields
-        ``(trainer index, Prepared)`` — each trainer's batch sampled
-        from the session's one stream and loaded through
-        ``load_features`` into a fresh array — and, with no estimator
+        """Mini-batch Sampler in plan order: yields ``(trainer index,
+        Prepared)`` — each trainer's batch sampled from the session's
+        one stream, its labels attached — and, with no estimator
         installed, takes the uncalibrated timing/DRM step once an
-        iteration's last batch is loaded, before handing it over: the
+        iteration's last batch is sampled, before handing it over: the
         plan slices the next iteration after it."""
         s = self.session
         adjudicate = s.has_timing and self.backend.estimator is None
         for it, planned in s.work_source.iterate(self.iterations):
             stats = []
-            for idx, (trainer, targets) in enumerate(
-                    zip(s.trainers, planned.assignments)):
+            for idx, targets in enumerate(planned.assignments):
                 item = Prepared(it, targets)
                 if targets is not None:
                     t0 = time.perf_counter()
                     item.mb = s.sampler.sample(targets)
-                    t1 = time.perf_counter()
-                    item.x0 = s.load_features(item.mb, trainer.kind)
-                    item.stage_s = {"sample": t1 - t0,
-                                    "load": time.perf_counter() - t1}
+                    item.stage_s["sample"] = time.perf_counter() - t0
                     item.labels = s.labels_for(item.mb)
                 stats.append(None if item.mb is None
                              else item.mb.stats())
@@ -194,38 +192,10 @@ class Feed:
                 yield idx, item
 
 
-class PlanOrderFeed(Feed):
-    """One ``producer`` thread drains :meth:`~Feed._items` into one
-    buffer per trainer, handing each item over as soon as it is ready:
-    trainer 0 trains while trainers 1..n-1 still load."""
-
-    def __init__(self, backend, iterations: int, depth: int, report,
-                 rows: list) -> None:
-        super().__init__(backend, iterations, report, rows)
-        self.outs = self.buffers = [PrefetchBuffer(depth)
-                                    for _ in self.session.trainers]
-        self.threads = [threading.Thread(
-            target=backend.scoped(self._produce), daemon=True,
-            name="producer")]
-
-    def _produce(self) -> None:
-        try:
-            for idx, item in self._items():
-                self.outs[idx].put(item, timeout=self.timeout_s)
-            for out in self.outs:
-                out.close()
-        except BaseException as exc:
-            self.fail(exc)
-
-    def buffer_stats(self) -> list[dict]:
-        return [{"train": (b.total_puts, b.high_water, b.mean_occupancy)}
-                for b in self.outs]
-
-
 class InlineFeed(Feed):
     """No thread and no buffer: :meth:`take` runs :meth:`~Feed._items`
-    on the caller's thread up to the next item: each batch trains
-    before the next one loads."""
+    on the caller's thread up to the next item: each batch loads and
+    trains before the next one is sampled."""
 
     def __init__(self, backend, iterations: int, depth: int, report,
                  rows: list) -> None:
@@ -247,64 +217,30 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-class ChainFeed(Feed):
-    """A ``pipeline-dispatcher`` thread drains the plan (quota slices
-    in trainer order — epoch coverage stays exact) into one
-    :class:`~.overlap.StageChain` per trainer over the session's
-    :class:`~repro.runtime.stage_pipeline.StagePipeline`, whose sampler
-    lock keeps the shared RNG stream uncorrupted. The dispatched
-    targets land in ``report.trained_targets``.
-
-    An iteration's items train on **lanes**: the caller's thread plus
-    one ``pipeline-train<k>`` thread per further lane, up to
+class LaneFeed(Feed):
+    """A threaded feed's items train on **lanes**: the caller's thread
+    plus one ``lane<k>`` thread per further lane, up to
     ``min(trainers, usable cores)``, all meeting at a barrier before
     and after the iteration. Lanes take items in trainer order under
-    one lock, and a free lane trains the next one taken; the answers
-    come back in trainer order. A lane that dies fails the feed,
-    which breaks the barrier; a lane that misses it past the watchdog
-    is a :class:`~repro.errors.StageTimeoutError`."""
+    one lock, and a free lane loads and trains the next one taken; the
+    answers come back in trainer order. A lane that dies fails the
+    feed, which breaks the barrier; a lane that misses it past the
+    watchdog is a :class:`~repro.errors.StageTimeoutError`."""
 
-    def __init__(self, backend, iterations: int, depth: int, report,
+    def __init__(self, backend, iterations: int, report,
                  rows: list) -> None:
         super().__init__(backend, iterations, report, rows)
-        report.trained_targets = []
-        self.chains = [StageChain(self.session.pipeline, trainer.kind,
-                                  depth, self.timeout_s, self.fail,
-                                  f"pipeline-{{}}{idx}",
-                                  wrap=backend.scoped)
-                       for idx, trainer in enumerate(self.session.trainers)]
-        self.outs = [chain.bufs["train"] for chain in self.chains]
-        self.buffers = [b for chain in self.chains
-                        for b in chain.bufs.values()]
-        self.threads = [threading.Thread(
-            target=backend.scoped(self._dispatch), daemon=True,
-            name="pipeline-dispatcher")]
-        self.threads += [t for chain in self.chains for t in chain.threads]
         lanes = min(len(self.session.trainers), usable_cores())
         self.barrier = threading.Barrier(lanes, timeout=self.timeout_s)
         self.lock = threading.Lock()
-        self.threads += [threading.Thread(
+        self.threads = [threading.Thread(
             target=backend.scoped(self._help), daemon=True,
-            name=f"pipeline-train{k}") for k in range(1, lanes)]
-
-    def _dispatch(self) -> None:
-        try:
-            for it, planned in self.session.work_source.iterate(
-                    self.iterations):
-                for chain, targets in zip(self.chains,
-                                          planned.assignments):
-                    if targets is not None:
-                        self.report.trained_targets.append(targets)
-                    chain.feed(it, targets)
-            for chain in self.chains:
-                chain.end()
-        except BaseException as exc:
-            self.fail(exc)
+            name=f"lane{k}") for k in range(1, lanes)]
 
     def train(self, it: int, train_one) -> list:
         self.it, self.train_one = it, train_one
-        self.answers = [None] * len(self.chains)
-        self.pending = iter(range(len(self.chains)))
+        self.answers = [None] * len(self.session.trainers)
+        self.pending = iter(range(len(self.session.trainers)))
         try:
             self.barrier.wait()
             self._lane()
@@ -338,6 +274,75 @@ class ChainFeed(Feed):
         super().close()
         self.barrier.abort()
 
+
+class PlanOrderFeed(LaneFeed):
+    """One ``producer`` thread drains :meth:`~Feed._items` into one
+    buffer per trainer, handing each item over as soon as it is
+    sampled, ahead of the lanes."""
+
+    def __init__(self, backend, iterations: int, depth: int, report,
+                 rows: list) -> None:
+        super().__init__(backend, iterations, report, rows)
+        self.outs = self.buffers = [PrefetchBuffer(depth)
+                                    for _ in self.session.trainers]
+        self.threads = [threading.Thread(
+            target=backend.scoped(self._produce), daemon=True,
+            name="producer"), *self.threads]
+
+    def _produce(self) -> None:
+        try:
+            for idx, item in self._items():
+                self.outs[idx].put(item, timeout=self.timeout_s)
+            for out in self.outs:
+                out.close()
+        except BaseException as exc:
+            self.fail(exc)
+
+    def buffer_stats(self) -> list[dict]:
+        return [{"train": (b.total_puts, b.high_water, b.mean_occupancy)}
+                for b in self.outs]
+
+
+class ChainFeed(LaneFeed):
+    """A ``pipeline-dispatcher`` thread drains the plan (quota slices
+    in trainer order — epoch coverage stays exact) into one
+    :class:`~.overlap.StageChain` per trainer over the session's
+    :class:`~repro.runtime.stage_pipeline.StagePipeline`, whose sampler
+    lock keeps the shared RNG stream uncorrupted: each trainer samples
+    on its own thread, ahead of the lanes. The dispatched targets land
+    in ``report.trained_targets``."""
+
+    def __init__(self, backend, iterations: int, depth: int, report,
+                 rows: list) -> None:
+        super().__init__(backend, iterations, report, rows)
+        report.trained_targets = []
+        self.chains = [StageChain(self.session.pipeline, depth,
+                                  self.timeout_s, self.fail,
+                                  f"pipeline-sample{idx}",
+                                  wrap=backend.scoped)
+                       for idx in range(len(self.session.trainers))]
+        self.outs = [chain.bufs["train"] for chain in self.chains]
+        self.buffers = [b for chain in self.chains
+                        for b in chain.bufs.values()]
+        self.threads = [threading.Thread(
+            target=backend.scoped(self._dispatch), daemon=True,
+            name="pipeline-dispatcher"),
+            *(chain.thread for chain in self.chains), *self.threads]
+
+    def _dispatch(self) -> None:
+        try:
+            for it, planned in self.session.work_source.iterate(
+                    self.iterations):
+                for chain, targets in zip(self.chains,
+                                          planned.assignments):
+                    if targets is not None:
+                        self.report.trained_targets.append(targets)
+                    chain.feed(it, targets)
+            for chain in self.chains:
+                chain.end()
+        except BaseException as exc:
+            self.fail(exc)
+
     def buffer_stats(self) -> list[dict]:
         return [chain.buffer_stats() for chain in self.chains]
 
@@ -348,8 +353,8 @@ class ChainFeed(Feed):
 
 class InProcessBackend(ExecutionBackend):
     """Run synchronous-SGD training in this process, the feed's
-    threads (if any) ahead of its training lanes and a synchronize
-    tail on the caller's thread.
+    sampling threads (if any) ahead of its training lanes and a
+    synchronize tail on the caller's thread.
 
     Not registered itself — the registry holds presets of it.
 
@@ -417,15 +422,18 @@ class InProcessBackend(ExecutionBackend):
         return report
 
     def _train_one(self, idx: int, item: Prepared):
-        """Train trainer ``idx``'s item: ``(batch size, Reply)``, or
-        ``(0, None)`` for an idle one."""
+        """Load and train trainer ``idx``'s item on the calling lane:
+        ``(batch size, Reply)``, or ``(0, None)`` for an idle one."""
         if item.mb is None:
             return 0, None
         s = self.session
+        trainer = s.trainers[idx]
         t0 = time.perf_counter()
-        rep = s.trainers[idx].train_minibatch(item.mb, item.x0,
-                                              item.labels, s.degrees)
-        item.stage_s["train"] = time.perf_counter() - t0
+        x0 = s.load_features(item.mb, trainer.kind)
+        t1 = time.perf_counter()
+        rep = trainer.train_minibatch(item.mb, x0, item.labels, s.degrees)
+        item.stage_s["load"] = t1 - t0
+        item.stage_s["train"] = time.perf_counter() - t1
         return int(item.work.size), Reply(rep.loss, rep.accuracy,
                                           item.stage_s, item.mb.stats())
 
@@ -437,20 +445,21 @@ class InProcessBackend(ExecutionBackend):
 class ThreadedBackend(InProcessBackend):
     """``threaded`` — the Listing-1 protocol on live threads,
     **bit-identical** to the virtual reference: one producer samples in
-    plan order and adjudicates DRM as it produces, the caller's thread
-    trains and synchronizes. Held to the strict tier, hybrid + DRM +
-    int8 transfer included."""
+    plan order and adjudicates DRM as it produces, the lanes load and
+    train an iteration's batches side by side, the caller's thread
+    synchronizes. Held to the strict tier, hybrid + DRM + int8
+    transfer included."""
 
     name = "threaded"
 
 
 class PipelinedBackend(InProcessBackend):
     """``pipelined`` — the paper's two-stage prefetch made live: per
-    trainer, ``sample → gather → transfer`` stage threads run ahead of
-    the train + sync consumer through the session's window, and an
-    iteration's batches train side by side on the feed's lanes. Its
-    :class:`~repro.runtime.resctl.OnlineEstimator` calibrates the DRM
-    step against realized stage seconds, across runs."""
+    trainer, a sample-stage thread runs ahead of the lanes through the
+    session's window, and the lanes load and train an iteration's
+    batches side by side. Its :class:`~repro.runtime.resctl.OnlineEstimator`
+    calibrates the DRM step against realized stage seconds, across
+    runs."""
 
     name = "pipelined"
     conformance_tier = "statistical"

@@ -19,7 +19,7 @@ symmetric linear quantization (each row ships one fp32 scale beside its
 payload), always in the input's own float dtype. The transfer stage
 (:meth:`repro.runtime.stage_pipeline.StagePipeline.transfer`) runs it in
 place on the rows the gather stage just produced; that is the path of
-the split stage chains and the process-plane workers. Because the
+the bench replay, the process-plane workers and the sharded resolver. Because the
 quantization depends only on the row, an in-process session instead
 encodes its store into wire form once (:func:`repro.kernels.encode`)
 and its accelerator loads gather the codes and decode them

@@ -41,12 +41,14 @@ trainers and serving on ``device="cpu"`` never build one.
 
 **Transfer consumes its input.** ``transfer`` is the per-batch round
 trip: it quantizes accelerator-bound rows in place, in the array it is
-handed. It serves the split stages (``pipelined``'s stage chains,
-``bench_e2e``'s replay) and every pipeline without a table: the
-process-plane worker replicas and the sharded resolver, whose per-row
-locality books must see every gather. Every caller hands it a fresh
-gather result — never the feature store or a batch something else
-still reads.
+handed. It serves ``bench_e2e``'s replay, which times the stages
+apart, and every pipeline without a table: the process-plane worker
+replicas and the sharded resolver, whose per-row locality books must
+see every gather. Every caller hands it a fresh gather result — never
+the feature store or a batch something else still reads. The
+in-process training planes never call it on an accelerator batch:
+their training lanes load through :meth:`StagePipeline.load`, which
+decodes from the table.
 """
 
 from __future__ import annotations

@@ -100,6 +100,8 @@ class MicroBatcher:
         self.max_batch_targets = int(max_batch_targets)
         self.clock = clock
         self._open: list[InferenceRequest] = []
+        #: Running target count of the open batch.
+        self._open_targets = 0
         self._opened_s: float | None = None
         self._ready: deque[MicroBatch] = deque()
         self._seq = 0
@@ -116,7 +118,8 @@ class MicroBatcher:
         if not self._open:
             self._opened_s = now
         self._open.append(request)
-        if self._open_targets() >= self.max_batch_targets:
+        self._open_targets += request.num_targets
+        if self._open_targets >= self.max_batch_targets:
             self._flush(now)
 
     def poll(self) -> None:
@@ -153,15 +156,12 @@ class MicroBatcher:
 
     @property
     def pending_targets(self) -> int:
-        return self._open_targets() + sum(b.num_targets
-                                          for b in self._ready)
+        return self._open_targets + sum(b.num_targets
+                                        for b in self._ready)
 
     @property
     def ready_batches(self) -> int:
         return len(self._ready)
-
-    def _open_targets(self) -> int:
-        return sum(r.num_targets for r in self._open)
 
     def _flush(self, now: float) -> None:
         batch = MicroBatch(seq=self._seq,
@@ -174,6 +174,7 @@ class MicroBatcher:
         self.flushed_batches += 1
         self.flushed_requests += len(self._open)
         self._open = []
+        self._open_targets = 0
         self._opened_s = None
         self._ready.append(batch)
 

@@ -58,6 +58,7 @@ from repro.runtime import (
     get_backend,
     register_backend,
 )
+from repro.runtime.backends import pipelined
 from repro.runtime.backends.process import WorkerReplica
 from repro.runtime.resctl import OnlineEstimator
 
@@ -103,6 +104,14 @@ class TestBackendConformance:
     def test_backend_matches_virtual_reference(self, backend, case,
                                                tiny_ds):
         assert_backend_conforms(backend, case, tiny_ds)
+
+    def test_threaded_matches_virtual_reference_on_one_core(
+            self, tiny_ds, monkeypatch):
+        """On a one-core host ``threaded`` trains on the caller's
+        thread alone and still matches the reference bit for bit on
+        the flagship stack (hybrid + DRM + int8)."""
+        monkeypatch.setattr(pipelined, "usable_cores", lambda: 1)
+        assert_backend_conforms("threaded", CONFORMANCE_CASES[0], tiny_ds)
 
     def test_third_party_backend_inherits_suite(self, tiny_ds):
         """A backend registered at runtime runs the same matrix — the
@@ -759,8 +768,7 @@ class TestPipelinedBackend:
         feeds = spy_feeds(backend, monkeypatch)
         rep = backend.run_epoch()
         n = session.num_trainers
-        assert set(rep.stage_stats) == {"sample", "gather", "transfer",
-                                        "train"}
+        assert set(rep.stage_stats) == {"sample", "train"}
         for stats in rep.stage_stats.values():
             # Every iteration hands one item per trainer through each
             # stage (idle trainers get a pass-through marker).

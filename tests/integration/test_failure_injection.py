@@ -38,7 +38,7 @@ def _in_process(name, dataset, cfg, timeout_s):
 
 def _feed_threads() -> list[str]:
     return [t.name for t in threading.enumerate()
-            if t.name.startswith(("producer", "pipeline-"))]
+            if t.name.startswith(("producer", "pipeline-", "lane"))]
 
 
 class TestInProcessFaults:
@@ -96,18 +96,23 @@ class TestInProcessFaults:
 
 
 class LaneFault(RuntimeError):
-    """What a sabotaged trainer raises on a helper lane."""
+    """What a sabotaged trainer or load raises on a helper lane."""
+
+
+#: The in-process presets that train on helper lanes.
+LANED = ("threaded", "pipelined")
 
 
 class TestTrainingLaneFaults:
-    """``pipelined``'s helper training lanes fail like the rest of its
-    feed: the trainer's own exception, or a typed timeout within two
-    watchdogs; no ``pipeline-`` thread survives, and the same backend
-    runs again. The lane count is a host property; these tests pin it
-    at three so the helpers exist on any host."""
+    """The helper training lanes fail like the rest of their feed, on
+    every preset that has them: the trainer's (or the load's) own
+    exception, or a typed timeout within two watchdogs; no feed thread
+    survives, and the same backend runs again. The lane count is a
+    host property; these tests pin it at three so the helpers exist on
+    any host."""
 
-    @pytest.fixture()
-    def backend(self, tiny_ds, monkeypatch):
+    @pytest.fixture(params=LANED)
+    def backend(self, request, tiny_ds, monkeypatch):
         monkeypatch.setattr(pipelined, "usable_cores", lambda: 3)
         cfg = TrainingConfig(model="sage", minibatch_size=16,
                              fanouts=(4, 3), hidden_dim=16,
@@ -115,28 +120,39 @@ class TestTrainingLaneFaults:
         session = TrainingSession(tiny_ds, cfg, SystemConfig(drm=False),
                                   num_trainers=3)
         assert session.iterations_per_epoch() >= 3
-        return build_backend("pipelined", session, timeout_s=1.0)
+        return build_backend(request.param, session, timeout_s=1.0)
 
     @staticmethod
-    def _sabotage(backend, monkeypatch, fault):
-        """Every trainer's third batch (iteration 2) runs ``fault()``
-        first when it lands on a helper lane; every batch takes 50 ms,
-        so the helpers get work."""
-        def wrap(train):
+    def _sabotage(backend, monkeypatch, fault, on_load=False):
+        """From iteration 2 on, a call that lands on a helper lane runs
+        ``fault()`` first: a trainer's training step, or with
+        ``on_load`` the session's feature load. Every batch takes
+        50 ms, so the helpers get work."""
+        def faulty(step, after):
             calls = []
 
             def run(*args):
                 calls.append(None)
-                if len(calls) == 3 and threading.current_thread() \
-                        .name.startswith("pipeline-train"):
+                if len(calls) > after and threading.current_thread() \
+                        .name.startswith("lane"):
                     fault()
+                return step(*args)
+            return run
+
+        def slowed(train):
+            def run(*args):
                 time.sleep(0.05)
                 return train(*args)
             return run
 
-        for trainer in backend.session.trainers:
+        session = backend.session
+        for trainer in session.trainers:
+            train = slowed(trainer.train_minibatch)
             monkeypatch.setattr(trainer, "train_minibatch",
-                                wrap(trainer.train_minibatch))
+                                train if on_load else faulty(train, 2))
+        if on_load:
+            monkeypatch.setattr(session, "load_features", faulty(
+                session.load_features, 2 * len(session.trainers)))
 
     def _reusable(self, backend, monkeypatch):
         assert _feed_threads() == []
@@ -151,6 +167,19 @@ class TestTrainingLaneFaults:
             raise LaneFault("iteration 2")
 
         self._sabotage(backend, monkeypatch, fault)
+        with pytest.raises(LaneFault) as info:
+            backend.run(4)
+        assert type(info.value) is LaneFault
+        self._reusable(backend, monkeypatch)
+
+    def test_helper_load_exception_propagates_unwrapped(self, backend,
+                                                        monkeypatch):
+        """The feature load runs on the lane that trains the batch: a
+        load that raises there surfaces as itself."""
+        def fault():
+            raise LaneFault("load")
+
+        self._sabotage(backend, monkeypatch, fault, on_load=True)
         with pytest.raises(LaneFault) as info:
             backend.run(4)
         assert type(info.value) is LaneFault

@@ -5,7 +5,9 @@
   idles the train stage out of existence);
 * the **training lanes** train an iteration's batches side by side,
   on at most ``min(trainers, usable cores)`` threads, and still hand
-  the synchronize tail its answers in trainer order.
+  the synchronize tail its answers in trainer order;
+* the **lanes load**: no item a feed hands over carries feature rows,
+  and every feature load runs on the caller's thread or a lane.
 """
 
 import dataclasses
@@ -24,6 +26,8 @@ from repro.runtime import (
     TrainingSession,
     VirtualTimeBackend,
 )
+from repro.runtime import build_backend
+from repro.runtime.backends import pipelined
 from repro.runtime.backends.pipelined import InlineFeed, usable_cores
 from repro.runtime.backends.report import RunReport
 
@@ -84,7 +88,7 @@ class TestLivePipelineBounds:
 
 class TestTrainingLanes:
     """``pipelined`` trains an iteration's batches on lanes — the
-    caller's thread plus ``pipeline-train<k>`` helpers — while the
+    caller's thread plus ``lane<k>`` helpers — while the
     synchronize tail still sees the answers in trainer order."""
 
     #: Every ``train_minibatch`` sleeps this long on top of its work.
@@ -132,6 +136,47 @@ class TestTrainingLanes:
         gaps = np.diff(ended)
         assert gaps.max() < 0.75 * serial, gaps
         assert 2 <= len(threads) <= min(3, usable_cores()), threads
+
+
+class TestLanesLoad:
+    """No feed buffer holds feature rows: the lane that trains a batch
+    loads it. The lane count is a host property; pinned at three here
+    so the helper lanes exist on any host."""
+
+    @pytest.mark.parametrize("name", ["threaded", "pipelined"])
+    def test_items_carry_no_rows_and_lanes_load(self, name, tiny_ds,
+                                                fpga_platform,
+                                                monkeypatch):
+        monkeypatch.setattr(pipelined, "usable_cores", lambda: 3)
+        cfg = TrainingConfig(model="sage", minibatch_size=32,
+                             fanouts=(4, 3), hidden_dim=16,
+                             learning_rate=0.05, seed=11)
+        session = TrainingSession(
+            tiny_ds, cfg,
+            SystemConfig(hybrid=True, drm=True, prefetch=True,
+                         transfer_precision="int8"),
+            fpga_platform, profile_probes=2)
+        backend = build_backend(name, session, timeout_s=30)
+        caller = threading.current_thread()
+        taken, loaders = [], []
+        train_one, load = backend._train_one, session.load_features
+
+        def spy_train(idx, item):
+            taken.append(getattr(item, "x0", None))
+            return train_one(idx, item)
+
+        def spy_load(mb, kind):
+            loaders.append(threading.current_thread())
+            return load(mb, kind)
+
+        monkeypatch.setattr(backend, "_train_one", spy_train)
+        monkeypatch.setattr(session, "load_features", spy_load)
+        rep = backend.run_epoch()
+        assert len(taken) == rep.iterations * session.num_trainers
+        assert all(x0 is None for x0 in taken)
+        assert loaders
+        assert all(t is caller or t.name.startswith("lane")
+                   for t in loaders), {t.name for t in loaders}
 
 
 class TestInlineFeed:

@@ -45,6 +45,7 @@ from repro.runtime import (
     build_backend,
     get_backend,
 )
+from repro.runtime.backends import pipelined
 from repro.runtime.backends.pipelined import InProcessBackend
 from repro.runtime.backends.process import (
     ProcessBackend,
@@ -214,13 +215,19 @@ class TestStructure:
         assert started == []
         assert len(rep.losses) == 3 and rep.replicas_consistent
 
-    def test_threaded_runs_one_thread_its_producer(
-            self, tiny_ds, small_cfg, monkeypatch):
-        """``threaded`` keeps one training lane: a run starts exactly
-        one thread, its ``producer``, and trains on the caller's
-        thread — even with more trainers than ``pipelined`` would
-        train side by side."""
-        backend = get_backend("threaded")(TrainingSession(
+    @pytest.mark.parametrize("cores", [1, 3])
+    @pytest.mark.parametrize("name", ["threaded", "pipelined"])
+    def test_laned_presets_start_feed_threads_then_lanes(
+            self, name, cores, tiny_ds, small_cfg, monkeypatch):
+        """A laned preset starts its feed's sampling threads, then one
+        ``lane<k>`` per lane beyond the caller's — ``min(trainers,
+        usable cores)`` lanes in all, so none on a one-core host."""
+        feed_threads = {
+            "threaded": ["producer"],
+            "pipelined": ["pipeline-dispatcher", "pipeline-sample0",
+                          "pipeline-sample1", "pipeline-sample2"]}[name]
+        monkeypatch.setattr(pipelined, "usable_cores", lambda: cores)
+        backend = get_backend(name)(TrainingSession(
             tiny_ds, small_cfg, SystemConfig(drm=False),
             num_trainers=3))
         started = []
@@ -232,7 +239,8 @@ class TestStructure:
 
         monkeypatch.setattr(threading.Thread, "start", spy)
         rep = backend.run(3)
-        assert started == ["producer"]
+        assert started == [*feed_threads,
+                           *(f"lane{k}" for k in range(1, cores))]
         assert len(rep.losses) == 3 and rep.replicas_consistent
 
     def test_listing1_is_recorded_in_one_function(self):
