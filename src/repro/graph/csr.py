@@ -9,7 +9,8 @@ lazily build and cache its transpose.
 Design notes (following the hpc-parallel guides):
 
 * all hot paths are vectorized NumPy; no per-edge Python loops;
-* arrays are C-contiguous and use the smallest safe integer dtype;
+* ``indptr`` and ``indices`` are C-contiguous int64 (whatever integer
+  dtype the caller hands in is widened);
 * neighbor access returns *views* into ``indices`` — never copies.
 """
 
@@ -27,6 +28,26 @@ def _as_index_array(a, name: str) -> np.ndarray:
     if not np.issubdtype(arr.dtype, np.integer):
         raise GraphError(f"{name} must be an integer array, got {arr.dtype}")
     return arr.astype(np.int64, copy=False)
+
+
+def _coalesced(keys: np.ndarray, num_vertices: int) -> "CSRGraph":
+    """CSR of the distinct packed ``src * num_vertices + dst`` keys.
+
+    Sorts ``keys`` in place. The sorted distinct keys are the CSR in
+    order (grouped by source, then by destination), so one sort both
+    drops duplicates and builds the rows. Besides a boolean mask, the
+    only other edge-sized array is the kept keys, decoded in place into
+    ``indices``; ``indptr`` is where each row's first key would sort.
+    """
+    keys.sort()
+    fresh = np.empty(keys.size, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    indices = keys[fresh]
+    n = np.int64(num_vertices)
+    indptr = np.searchsorted(indices, np.arange(n + 1) * n)
+    np.remainder(indices, n, out=indices)
+    return CSRGraph(indptr, indices)
 
 
 class CSRGraph:
@@ -90,7 +111,9 @@ class CSRGraph:
         num_vertices:
             Total vertex count (endpoints must be < this).
         dedup:
-            Drop duplicate ``(src, dst)`` pairs when True.
+            Drop duplicate ``(src, dst)`` pairs when True; each row's
+            neighbors then come out sorted. Otherwise duplicates are kept
+            in input order.
         """
         src = _as_index_array(src, "src")
         dst = _as_index_array(dst, "dst")
@@ -101,16 +124,12 @@ class CSRGraph:
         if src.size and (min(src.min(), dst.min()) < 0
                          or max(src.max(), dst.max()) >= num_vertices):
             raise GraphError("edge endpoint out of range")
-        if dedup and src.size:
-            keys = src * np.int64(num_vertices) + dst
-            _, keep = np.unique(keys, return_index=True)
-            src, dst = src[keep], dst[keep]
-        order = np.argsort(src, kind="stable")
-        src_sorted = src[order]
-        indices = np.ascontiguousarray(dst[order])
-        counts = np.bincount(src_sorted, minlength=num_vertices)
+        if dedup:
+            return _coalesced(src * np.int64(num_vertices) + dst,
+                              num_vertices)
+        indices = dst[np.argsort(src, kind="stable")]
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        np.cumsum(np.bincount(src, minlength=num_vertices), out=indptr[1:])
         return cls(indptr, indices)
 
     @classmethod
@@ -177,15 +196,19 @@ class CSRGraph:
         """Return the graph with every edge present in both directions.
 
         Duplicate edges are coalesced. Mirrors the usual OGB preprocessing
-        of treating citation/product graphs as undirected.
+        of treating citation/product graphs as undirected. Both
+        directions' packed keys go into one array, so the peak is that
+        array plus the coalesced result.
         """
-        src, dst = self.edges()
-        return CSRGraph.from_edges(
-            np.concatenate([src, dst]),
-            np.concatenate([dst, src]),
-            self.num_vertices,
-            dedup=True,
-        )
+        n, m = np.int64(self.num_vertices), self.num_edges
+        src = np.repeat(np.arange(n), self.out_degrees)
+        keys = np.empty(2 * m, dtype=np.int64)
+        np.multiply(src, n, out=keys[:m])
+        keys[:m] += self.indices
+        np.multiply(self.indices, n, out=keys[m:])
+        keys[m:] += src
+        del src
+        return _coalesced(keys, self.num_vertices)
 
     # ------------------------------------------------------------------
     # Memory accounting

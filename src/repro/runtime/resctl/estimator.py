@@ -5,7 +5,7 @@ times from batch statistics and platform constants; on a live plane
 the realized wall times are the authoritative signal: every trained
 batch's :class:`~repro.runtime.backends.report.Reply` carries the wall
 seconds its trainer spent per raw stage (``sample``/``load``/
-``transfer``/``train``), and the synchronize tail folds them onto the
+``train``), and the synchronize tail folds them onto the
 canonical stage keys here (:func:`fold_worker_realized`, keyed by
 :func:`stage_key` — the same rule that bills ``report.stage_seconds``).
 
@@ -40,8 +40,11 @@ from typing import Iterable, Mapping
 from ...errors import ProtocolError
 from ...perfmodel.model import StageTimes
 
-#: Canonical realized-stage keys, aligned with ``StageTimes.as_dict``.
-REALIZED_STAGES = ("sample_cpu", "sample_accel", "load", "transfer",
+#: Canonical realized-stage keys, aligned with ``StageTimes.as_dict``
+#: minus ``transfer``: every load folds the transfer policy into
+#: ``load`` and no plane has a PCIe link to time, so ``t_transfer``
+#: stays analytic.
+REALIZED_STAGES = ("sample_cpu", "sample_accel", "load",
                    "train_cpu", "train_accel", "sync")
 
 #: StageTimes field backing each canonical stage key.
@@ -49,7 +52,6 @@ FIELD_BY_STAGE = {
     "sample_cpu": "t_sample_cpu",
     "sample_accel": "t_sample_accel",
     "load": "t_load",
-    "transfer": "t_transfer",
     "train_cpu": "t_train_cpu",
     "train_accel": "t_train_accel",
     "sync": "t_sync",
@@ -59,14 +61,10 @@ FIELD_BY_STAGE = {
 def stage_key(kind: str, raw: str) -> str | None:
     """The canonical stage a ``kind`` (``"cpu"``/``"accel"``) trainer's
     raw stage ``raw`` bills to: sampling and training split into the
-    ``_cpu``/``_accel`` columns, ``load`` is kind-agnostic, and
-    ``transfer`` exists only on the accelerator side (CPU trainers
-    never cross PCIe). ``None`` for anything else — dropped, never
-    invented."""
+    ``_cpu``/``_accel`` columns and ``load`` is kind-agnostic.
+    ``None`` for anything else — dropped, never invented."""
     if raw == "load":
         return "load"
-    if raw == "transfer":
-        return "transfer" if kind == "accel" else None
     if raw in ("sample", "train"):
         return f"{raw}_{'cpu' if kind == 'cpu' else 'accel'}"
     return None

@@ -2,9 +2,31 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
+
+
+@st.composite
+def edge_lists(draw, max_vertices=12, max_edges=40):
+    """A vertex count and a list of ``(src, dst)`` pairs over it: self
+    loops, repeated pairs, isolated vertices and zero edges all occur."""
+    n = draw(st.integers(1, max_vertices))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return n, draw(st.lists(pair, max_size=max_edges))
+
+
+def _build(n, pairs, dedup=False):
+    src = np.array([s for s, _ in pairs], dtype=np.int64)
+    dst = np.array([d for _, d in pairs], dtype=np.int64)
+    return CSRGraph.from_edges(src, dst, n, dedup=dedup)
+
+
+def _pairs(g):
+    src, dst = g.edges()
+    return list(zip(src.tolist(), dst.tolist()))
 
 
 class TestConstruction:
@@ -124,3 +146,35 @@ class TestDerived:
         g = CSRGraph.from_edges([0, 1, 2], [1, 2, 0], 4).symmetrize()
         g2 = g.symmetrize()
         assert g == g2
+
+
+class TestCoalesceProperties:
+    """``from_edges(dedup=True)`` and ``symmetrize`` coalesce by one sort
+    of packed ``src * n + dst`` keys; the CSR must list exactly the set
+    of pairs, sorted by source then destination."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(edge_lists())
+    def test_from_edges_dedup_is_the_sorted_pair_set(self, case):
+        n, pairs = case
+        g = _build(n, pairs, dedup=True)
+        assert g.num_vertices == n
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+        assert _pairs(g) == sorted(set(pairs))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(edge_lists())
+    def test_symmetrize_is_the_sorted_closed_pair_set(self, case):
+        n, pairs = case
+        g = _build(n, pairs).symmetrize()
+        assert g.num_vertices == n
+        assert _pairs(g) == sorted(set(pairs) | {(d, s) for s, d in pairs})
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(edge_lists())
+    def test_from_edges_keeps_duplicates_in_input_order(self, case):
+        n, pairs = case
+        assert _pairs(_build(n, pairs)) == sorted(pairs, key=lambda p: p[0])

@@ -1,15 +1,20 @@
 """Unit tests for repro.graph.datasets and repro.graph.partition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import GraphError
+from repro.graph import datasets
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import (
     DATASET_REGISTRY,
+    _make_labels,
     load_dataset,
     tiny_dataset,
 )
+from repro.graph.generators import power_law_graph
 from repro.graph.partition import (
     bfs_partition,
     hash_partition,
@@ -108,6 +113,117 @@ class TestLoadDataset:
         assert ds.train_mask.any()
         with pytest.raises(GraphError):
             tiny_dataset(num_vertices=4)
+
+
+def _oracle_symmetrize(graph):
+    """The original coalescing recipe: both directions concatenated,
+    ``np.unique(return_index=True)`` on the packed keys, a gather, then
+    a stable argsort by source."""
+    n = graph.num_vertices
+    src, dst = graph.edges()
+    src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    _, keep = np.unique(src * np.int64(n) + dst, return_index=True)
+    src, dst = src[keep], dst[keep]
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src[order], minlength=n), out=indptr[1:])
+    return indptr, dst[order]
+
+
+def _oracle_features(rng, num_vertices, feature_dim):
+    """The original one-shot draw: a float64 matrix, then ``astype``."""
+    return rng.standard_normal(
+        (num_vertices, feature_dim)).astype(np.float32)
+
+
+def _oracle_load(name, scale, seed):
+    """``load_dataset``'s recipe written out with the original steps."""
+    spec = DATASET_REGISTRY[name]
+    n = max(64, int(round(spec.num_vertices * scale)))
+    rng = np.random.default_rng(seed)
+    indptr, indices = _oracle_symmetrize(power_law_graph(
+        num_vertices=n, avg_degree=spec.avg_degree * 0.53,
+        exponent=spec.degree_exponent, seed=rng))
+    features = _oracle_features(rng, n, spec.feature_dim)
+    labels = _make_labels(n, spec.num_classes, features, rng)
+    train_mask = np.zeros(n, dtype=bool)
+    n_train = max(1, int(round(n * spec.train_fraction)))
+    train_mask[rng.choice(n, size=n_train, replace=False)] = True
+    return indptr, indices, features, labels, train_mask
+
+
+def _oracle_tiny(seed, num_vertices=256, feature_dim=16, num_classes=4,
+                 avg_degree=8.0):
+    rng = np.random.default_rng(seed)
+    indptr, indices = _oracle_symmetrize(
+        power_law_graph(num_vertices, avg_degree, seed=rng))
+    features = _oracle_features(rng, num_vertices, feature_dim)
+    labels = _make_labels(num_vertices, num_classes, features, rng)
+    train_mask = rng.random(num_vertices) < 0.5
+    if not train_mask.any():
+        train_mask[0] = True
+    return indptr, indices, features, labels, train_mask
+
+
+def _assert_same_bytes(ds, oracle):
+    got = (ds.graph.indptr, ds.graph.indices, ds.features, ds.labels,
+           ds.train_mask)
+    for field, a, b in zip(
+            ("indptr", "indices", "features", "labels", "train_mask"),
+            got, oracle):
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+
+
+class TestMaterialization:
+    """``load_dataset``/``tiny_dataset`` draw features blockwise and
+    coalesce edges by one packed-key sort; the bytes must equal the
+    original one-shot recipe's, and the traced peak must stay near the
+    returned footprint."""
+
+    @pytest.mark.parametrize("block_values", [None, 1000],
+                             ids=["default-blocks", "small-blocks"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("name", sorted(DATASET_REGISTRY))
+    def test_registry_datasets_equal_the_oracle(self, name, seed,
+                                                block_values,
+                                                monkeypatch):
+        if block_values is not None:
+            monkeypatch.setattr(datasets, "FEATURE_BLOCK_VALUES",
+                                block_values)
+        # ~2 400 vertices: mag240m's 756 columns need two default blocks.
+        scale = 2400 / DATASET_REGISTRY[name].num_vertices
+        _assert_same_bytes(load_dataset(name, scale, seed=seed),
+                           _oracle_load(name, scale, seed))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tiny_dataset_equals_the_oracle_across_blocks(
+            self, seed, monkeypatch):
+        # 16 columns, 40 values per block: 2-row blocks, 128 of them.
+        monkeypatch.setattr(datasets, "FEATURE_BLOCK_VALUES", 40)
+        _assert_same_bytes(tiny_dataset(seed=seed), _oracle_tiny(seed))
+
+    def test_block_draws_leave_the_stream_where_one_draw_does(
+            self, monkeypatch):
+        monkeypatch.setattr(datasets, "FEATURE_BLOCK_VALUES", 7)
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        got = datasets._draw_features(a, 13, 3)
+        assert got.tobytes() == _oracle_features(b, 13, 3).tobytes()
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("name, scale", [("mag240m", 1 / 8192),
+                                             ("ogbn-products", 1 / 32)])
+    def test_materialization_peak_near_final_footprint(self, name,
+                                                       scale):
+        tracemalloc.start()
+        try:
+            ds = load_dataset(name, scale, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        final = (ds.features.nbytes + ds.graph.nbytes + ds.labels.nbytes
+                 + ds.train_mask.nbytes)
+        assert peak <= 1.6 * final, (peak / final, name)
 
 
 class TestPartition:

@@ -68,7 +68,7 @@ class TestFoldWorkerRealized:
         assert realized["sample_cpu"] == pytest.approx(1.0)
         assert realized["sample_accel"] == pytest.approx(0.7)  # max
         assert realized["load"] == pytest.approx(3.5)          # sum
-        assert realized["transfer"] == pytest.approx(0.6)      # max
+        assert "transfer" not in realized   # no realized transfer stage
         assert realized["train_cpu"] == pytest.approx(3.0)
         assert realized["train_accel"] == pytest.approx(4.0)   # max
         assert realized["sync"] == pytest.approx(0.1)
@@ -80,10 +80,11 @@ class TestFoldWorkerRealized:
              ("cpu", {"train": 2.0})])
         assert realized == {"train_cpu": 2.0}
 
-    def test_cpu_transfer_contributions_dropped(self):
-        # CPU trainers never cross PCIe; a stray measurement must not
-        # surface as transfer time.
-        assert fold_worker_realized([("cpu", {"transfer": 5.0})]) == {}
+    def test_transfer_contributions_dropped(self):
+        # Every load folds the transfer policy into ``load``; a stray
+        # raw ``transfer`` measurement, from either kind, is dropped.
+        assert fold_worker_realized([("cpu", {"transfer": 5.0}),
+                                     ("accel", {"transfer": 5.0})]) == {}
 
     def test_stage_key_by_kind(self):
         raws = ("sample", "load", "transfer", "train", "mystery")
@@ -93,7 +94,7 @@ class TestFoldWorkerRealized:
                        "transfer": None, "train": "train_cpu",
                        "mystery": None}
         assert accel == {"sample": "sample_accel", "load": "load",
-                         "transfer": "transfer", "train": "train_accel",
+                         "transfer": None, "train": "train_accel",
                          "mystery": None}
         assert set(cpu.values()) | set(accel.values()) <= \
             set(REALIZED_STAGES) | {None}
@@ -119,11 +120,12 @@ class TestReportStageSeconds:
                    "train": 0.4, "sync": 0.5, "mystery": 0.6}
         report.add_stage_seconds("cpu", stage_s)
         report.add_stage_seconds("accel", stage_s)
-        # ``load`` is shared; a CPU batch never crosses PCIe; ``sync``
-        # feeds the estimator only and unknown stages are dropped.
+        # ``load`` is shared; ``transfer`` has no realized stage;
+        # ``sync`` feeds the estimator only and unknown stages are
+        # dropped.
         assert report.stage_seconds == {
             "sample_cpu": (1, 0.1), "sample_accel": (1, 0.1),
-            "load": (2, pytest.approx(0.4)), "transfer": (1, 0.3),
+            "load": (2, pytest.approx(0.4)),
             "train_cpu": (1, 0.4), "train_accel": (1, 0.4)}
 
 
