@@ -17,6 +17,15 @@ Cost mechanism:
 * GPU training on T4s with DGL-era overheads; model all-reduce over the
   network;
 * pipelined composition (v2's async pipeline overlaps stages).
+
+Fidelity limit (Table VI): the generated power-law graphs have no
+community structure, so the BFS stand-in has little to find. At two
+shards on the ``train-procs`` fixture (``ogbn-products`` at 1/16) BFS
+cuts 0.481 of the edges and a hash partition 0.500, so the halo term
+above sits near the random-partition worst case. On a real graph with
+communities METIS cuts fewer edges, so this row likely charges
+DistDGLv2 more halo traffic than it pays. Planting locality in the generator would change every
+materialized dataset, so the row keeps this limit.
 """
 
 from __future__ import annotations

@@ -35,8 +35,9 @@ Each backend declares which tier of the conformance kit it targets via
 
 * ``"strict"`` — lock-step execution, held to **bit-identical** parity
   with the virtual reference (losses, DRM trajectory, parameters);
-* ``"statistical"`` — stages overlap and stochastic draws may interleave
-  across stage threads, so the kit instead asserts exact epoch coverage,
+* ``"statistical"`` — stages overlap (a calibrated DRM step trailing
+  its producer, per-worker sampler streams, look-ahead DRM lag), so
+  the kit instead asserts exact epoch coverage,
   work conservation, DRM-trajectory shape, and tolerance-based loss /
   parameter closeness.
 
@@ -57,7 +58,6 @@ from ...kernels import KernelCounters, scoped_counters
 from ..core import TrainingSession
 from ..protocol import Signal
 from ..resctl import fold_worker_realized
-from .overlap import session_window
 from .report import Reply
 
 
@@ -106,9 +106,11 @@ class ExecutionBackend(abc.ABC):
 
     def window(self, ahead: bool = True) -> int:
         """This run's look-ahead window, the one place any plane reads
-        it: :func:`~.overlap.session_window`, fixed for the whole run
-        — or 1 (lock-step) for a caller that cannot run ``ahead``."""
-        return session_window(self.session) if ahead else 1
+        it, fixed for the whole run: the session's ``prefetch_depth``
+        under two-stage prefetch, else 1 (lock-step) — and 1 for a
+        caller that cannot run ``ahead``."""
+        cfg = self.session.sys_cfg
+        return cfg.prefetch_depth if ahead and cfg.prefetch else 1
 
     def record_timing(self, report, rows: list, stats: list, it: int,
                       realized: dict | None = None) -> None:

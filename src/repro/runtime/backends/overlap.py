@@ -1,146 +1,20 @@
-"""What the look-ahead planes share, written once.
+"""The look-ahead window the process driver deals through.
 
-A run's look-ahead window follows one rule, :func:`session_window`:
-the session's ``prefetch_depth`` under two-stage prefetch, else 1
-(lock-step). :meth:`~.base.ExecutionBackend.window` opens it for every
-plane, fixed for the whole run. The pieces:
-
-* :class:`StageChain` — one trainer's sample-stage thread between
-  two backpressured :class:`~repro.runtime.prefetch.PrefetchBuffer`
-  queues, which ``pipelined``'s :class:`~.pipelined.ChainFeed` feeds,
-  starts, drains and joins through ``bufs`` and ``thread``; the
-  feature load runs on the training lane that takes the item;
-* :func:`session_window` — the window rule;
-* :class:`LookaheadDealer` — the bounded window over a work source the
-  process driver deals through (pure; hypothesis-tested).
+Every plane opens the same window,
+:meth:`~.base.ExecutionBackend.window` — the session's
+``prefetch_depth`` under two-stage prefetch, else 1 (lock-step), fixed
+for the whole run: the capacity of the in-process producer's buffers
+(:class:`~.pipelined.PlanOrderFeed`), and on the process driver the
+bound of :class:`LookaheadDealer`, the bounded window over a work
+source (pure; hypothesis-tested).
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from collections import deque
-from typing import Callable, Iterator
+from typing import Iterator
 
 from ...errors import ProtocolError
-from ..prefetch import PrefetchBuffer
-
-#: A chain's buffers, keyed by the stage each buffer *feeds*:
-#: ``sample`` holds dealt work awaiting the sample thread, ``train``
-#: holds sampled batches awaiting a training lane.
-CHAIN_STAGES = ("sample", "train")
-
-
-# ---------------------------------------------------------------------------
-# The sample-stage chain
-# ---------------------------------------------------------------------------
-
-class Prepared:
-    """One work item on its way to a training lane, through a
-    :class:`StageChain` or straight from the in-process plan-order
-    generator. It carries the sampled batch and its labels, never
-    feature rows: the lane that trains it loads them.
-
-    ``work`` is what the sample stage consumes (target ids); ``None``
-    marks an idle iteration, which passes through untouched so each
-    trainer's chain carries exactly one item per iteration.
-    ``stage_s`` collects the realized wall time of each stage under the
-    raw stage names the resctl fold understands (``sample`` / ``load``
-    / ``train``).
-    """
-
-    __slots__ = ("it", "work", "mb", "labels", "stage_s")
-
-    def __init__(self, it: int, work) -> None:
-        self.it = it
-        self.work = work
-        self.mb = self.labels = None
-        self.stage_s: dict[str, float] = {}
-
-
-class StageChain:
-    """One trainer's sample-stage thread between two backpressured
-    buffers (:data:`CHAIN_STAGES`).
-
-    Parameters
-    ----------
-    stages:
-        The per-item stage implementation — anything shaped like
-        :class:`~repro.runtime.stage_pipeline.StagePipeline`
-        (``sample(work)``, ``labels_for(mb)``): the session's pipeline.
-    depth:
-        Capacity of both buffers: the run's look-ahead window.
-    timeout_s:
-        Monotonic-deadline watchdog on every blocking handoff.
-    on_error:
-        Called with the exception when the thread dies; the owner
-        records it and closes whatever must wake up.
-    name:
-        The thread's name (the leak fixture in ``tests/conftest.py``
-        keys off the in-process ``pipeline-`` prefix).
-    wrap:
-        Optional decorator applied to the thread target (the
-        in-process plane enlists it into its session-scoped kernel
-        counters).
-    """
-
-    def __init__(self, stages, depth: int, timeout_s: float,
-                 on_error: Callable[[BaseException], None], name: str,
-                 wrap: Callable | None = None) -> None:
-        self.stages = stages
-        self.timeout_s = timeout_s
-        self._on_error = on_error
-        self.bufs = {stage: PrefetchBuffer(depth)
-                     for stage in CHAIN_STAGES}
-        self.thread = threading.Thread(
-            target=self._run if wrap is None else wrap(self._run),
-            daemon=True, name=name)
-
-    def _run(self) -> None:
-        """Move items ``sample → train``, sampling and labelling each
-        one; a closed-and-drained source closes the destination."""
-        try:
-            while True:
-                item = self.bufs["sample"].get(timeout=self.timeout_s)
-                if item is None:
-                    self.bufs["train"].close()
-                    return
-                if item.work is not None:
-                    t0 = time.perf_counter()
-                    item.mb = self.stages.sample(item.work)
-                    item.stage_s["sample"] = time.perf_counter() - t0
-                    item.labels = self.stages.labels_for(item.mb)
-                self.bufs["train"].put(item, timeout=self.timeout_s)
-        except BaseException as exc:
-            self._on_error(exc)
-
-    # -- owner surface -------------------------------------------------
-    def feed(self, it: int, work) -> None:
-        """Hand iteration ``it``'s work (``None`` = idle) to the sample
-        stage."""
-        self.bufs["sample"].put(Prepared(it, work),
-                                timeout=self.timeout_s)
-
-    def end(self) -> None:
-        """No more work: the close reaches the thread, which drains
-        what is in flight and exits."""
-        self.bufs["sample"].close()
-
-    def buffer_stats(self) -> dict[str, tuple[int, int, float]]:
-        return {stage: (b.total_puts, b.high_water, b.mean_occupancy)
-                for stage, b in self.bufs.items()}
-
-
-# ---------------------------------------------------------------------------
-# The look-ahead window
-# ---------------------------------------------------------------------------
-
-def session_window(session) -> int:
-    """The look-ahead window a run opens with, written once: the
-    session's ``prefetch_depth`` under two-stage prefetch, else 1
-    (lock-step)."""
-    cfg = session.sys_cfg
-    return cfg.prefetch_depth if cfg.prefetch else 1
 
 
 class LookaheadDealer:

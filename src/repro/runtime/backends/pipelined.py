@@ -1,4 +1,4 @@
-"""The in-process planes: one driver, three feeds (paper Fig. 5,
+"""The in-process planes: one driver, two feeds (paper Fig. 5,
 Listing 1, §IV-B).
 
 :class:`InProcessBackend` is the training protocol in the caller's
@@ -9,9 +9,9 @@ process, written once. Per run it
    (``prefetch_depth`` under two-stage prefetch, else 1), fixed for
    the whole run;
 2. starts the **feed** (the one seam, a class attribute): what turns
-   the session's work source into prepared batches — threads filling
-   one bounded :class:`~repro.runtime.prefetch.PrefetchBuffer` per
-   trainer, or nothing at all;
+   the session's work source into prepared batches — one thread
+   filling one bounded :class:`~repro.runtime.prefetch.PrefetchBuffer`
+   per trainer, or nothing at all;
 3. trains each iteration on the feed's **lanes**
    (:meth:`Feed.train`) — takes each trainer's item in trainer order,
    loads its features through ``session.load_features`` and trains it,
@@ -23,27 +23,25 @@ process, written once. Per run it
    order;
 4. closes and joins the feed and closes the report.
 
-Feeds only sample; no feed buffer holds feature rows. Three feeds
-ship. Two run the plan-order generator (:meth:`Feed._items`), which
-samples each trainer's batch in plan order, attaches its labels and
-takes the uncalibrated timing/DRM step once each iteration's last
-batch is sampled, so Algorithm 1 sees iteration ``i`` before
-``i + 1``'s quotas are read:
+Feeds only sample; no feed buffer holds feature rows. Two feeds ship,
+and both run the plan-order generator (:meth:`Feed._items`), which
+samples each trainer's batch in plan order from the session's one
+sampler stream, on one thread, attaches its labels and takes the
+uncalibrated timing/DRM step once each iteration's last batch is
+sampled, so Algorithm 1 sees iteration ``i`` before ``i + 1``'s
+quotas are read:
 
 * :class:`InlineFeed` — no thread: ``take`` runs the generator on the
   caller's thread, which is its one lane (``virtual``, the reference);
 * :class:`PlanOrderFeed` — one ``producer`` thread runs it ahead of the
-  lanes (``threaded``, bit-identical to the reference);
-* :class:`ChainFeed` — a dispatcher thread fanning the plan into one
-  sample-stage :class:`~.overlap.StageChain` per trainer
-  (``pipelined``).
+  lanes (``threaded`` and ``pipelined``), and an iteration's items
+  train side by side on ``min(trainers, usable cores)`` lanes, the
+  caller's thread plus ``lane<k>`` helpers, as the paper's CPU and
+  accelerator trainers train one iteration's batches at the same time
+  (Fig. 5).
 
-Both threaded feeds are lane feeds (:class:`LaneFeed`): an
-iteration's items train side by side on ``min(trainers, usable
-cores)`` lanes, the caller's thread plus ``lane<k>`` helpers, as the
-paper's CPU and accelerator trainers train one iteration's batches at
-the same time (Fig. 5). An accelerator load under a lossy transfer
-policy decodes from the session's wire table
+An accelerator load under a lossy transfer policy decodes from the
+session's wire table
 (:class:`~repro.runtime.stage_pipeline.StagePipeline`).
 
 The DRM rule: the consumer adjudicates the timing/DRM step only when a
@@ -52,14 +50,13 @@ preset installs an :class:`~repro.runtime.resctl.OnlineEstimator` as
 times; otherwise the feed does, as it produces. It mirrors the process
 driver, where strictness is a window of 1 plus sampling in the parent.
 
-``pipelined`` is not bit-identical to the virtual reference with more
-than one trainer: its per-trainer sample threads interleave draws from
-the shared sampler stream in scheduler order, and the dispatcher plans
-up to ``depth`` iterations ahead of the DRM step. Both are inherent to
-overlap — DistDGL's producer/consumer pipeline makes the same trade —
-so it declares ``conformance_tier = "statistical"``. With a single
-trainer the stream order is the plan order, and the conformance suite
-pins it bit-identical.
+``pipelined`` is ``threaded`` plus that estimator. Where it moves no
+quota — no timing plane, or DRM off — the two are bit-identical, and
+so are two same-seed ``pipelined`` runs. Under DRM the producer runs
+up to the window ahead of the consumer's step, and the step is
+calibrated on realized wall-clock seconds, so its split trajectory is
+neither the reference's nor reproducible run to run; it declares
+``conformance_tier = "statistical"``.
 
 The registry names ``threaded`` and ``pipelined`` are **presets**:
 class attributes plus, at most, an ``__init__``; ``virtual``
@@ -79,7 +76,6 @@ from ...kernels import scoped_counters
 from ..prefetch import PrefetchBuffer
 from ..resctl import OnlineEstimator
 from .base import ExecutionBackend
-from .overlap import Prepared, StageChain
 from .report import Reply, RunReport
 
 
@@ -87,18 +83,40 @@ from .report import Reply, RunReport
 # Seam: the feed
 # ---------------------------------------------------------------------------
 
+class Prepared:
+    """One work item on its way to a training lane, straight from the
+    plan-order generator. It carries the sampled batch and its labels,
+    never feature rows: the lane that trains it loads them.
+
+    ``work`` is what the sample stage consumes (target ids); ``None``
+    marks an idle iteration, which passes through untouched so each
+    trainer receives exactly one item per iteration. ``stage_s``
+    collects the realized wall time of each stage under the raw stage
+    names the resctl fold understands (``sample`` / ``load`` /
+    ``train``).
+    """
+
+    __slots__ = ("it", "work", "mb", "labels", "stage_s")
+
+    def __init__(self, it: int, work) -> None:
+        self.it = it
+        self.work = work
+        self.mb = self.labels = None
+        self.stage_s: dict[str, float] = {}
+
+
 class Feed:
     """The producer side of one in-process run: hands the consumer
-    :class:`~.overlap.Prepared` items — sampled and labelled, never
-    loaded — one per trainer per iteration, in iteration order, idle
-    iterations included as items whose ``work`` is ``None``. A
-    threaded feed fills one output buffer per trainer (``outs``); a
-    thread that dies records its exception (:meth:`fail`) and closes
-    every buffer, so the consumer wakes and re-raises it. ``rows``
-    collects the duration rows of the timing/DRM steps a feed takes
-    itself. :meth:`train` hands one iteration's items to the
-    consumer's ``train_one`` on the feed's lanes: one, the caller's
-    thread, unless the feed trains side by side (:class:`LaneFeed`)."""
+    :class:`Prepared` items — sampled and labelled, never loaded — one
+    per trainer per iteration, in iteration order, idle iterations
+    included as items whose ``work`` is ``None``. A threaded feed
+    fills one buffer per trainer (``buffers``); a thread that dies
+    records its exception (:meth:`fail`) and closes every buffer, so
+    the consumer wakes and re-raises it. ``rows`` collects the
+    duration rows of the timing/DRM steps a feed takes itself.
+    :meth:`train` hands one iteration's items to the consumer's
+    ``train_one`` on the feed's lanes: one, the caller's thread, unless
+    the feed trains side by side (:class:`PlanOrderFeed`)."""
 
     def __init__(self, backend, iterations: int, report,
                  rows: list) -> None:
@@ -109,8 +127,6 @@ class Feed:
         self.rows = rows
         self.timeout_s = backend.timeout_s
         self.error: BaseException | None = None
-        self.outs: list[PrefetchBuffer] = []
-        #: Every buffer the feed owns, closed together.
         self.buffers: list[PrefetchBuffer] = []
         self.threads: list[threading.Thread] = []
 
@@ -118,29 +134,6 @@ class Feed:
         if self.error is None:
             self.error = exc
         self.close()
-
-    def start(self) -> None:
-        for t in self.threads:
-            t.start()
-
-    def take(self, idx: int, it: int) -> Prepared:
-        """Trainer ``idx``'s item for iteration ``it``; a feed that
-        died surfaces its own exception, not the close it caused."""
-        try:
-            item = self.outs[idx].get(timeout=self.timeout_s)
-        except ProtocolError:
-            if self.error is not None:
-                raise self.error from None
-            raise
-        if item is None:
-            raise self.error if self.error is not None else \
-                ProtocolError(f"feed for trainer {idx} ended before "
-                              f"iteration {it}")
-        if item.it != it:
-            raise ProtocolError(
-                f"trainer {idx} received iteration {item.it}, expected "
-                f"{it} (stage reordering)")
-        return item
 
     def train(self, it: int, train_one) -> list:
         """Iteration ``it``'s ``train_one(idx, item)`` answers, in
@@ -156,15 +149,14 @@ class Feed:
             b.close()
 
     def join(self) -> list[str]:
-        """Close, then join every thread; returns the names of any that
-        survived the watchdog (wedged outside a buffer wait)."""
+        """Close, then join every thread that started (a start that
+        raised leaves the rest unstarted); returns the names of any
+        that survived the watchdog (wedged outside a buffer wait)."""
         self.close()
-        for t in self.threads:
+        started = [t for t in self.threads if t.ident is not None]
+        for t in started:
             t.join(timeout=self.timeout_s)
-        return [t.name for t in self.threads if t.is_alive()]
-
-    def buffer_stats(self) -> list[dict]:
-        return []
+        return [t.name for t in started if t.is_alive()]
 
     def _items(self):
         """Mini-batch Sampler in plan order: yields ``(trainer index,
@@ -172,14 +164,19 @@ class Feed:
         one stream, its labels attached — and, with no estimator
         installed, takes the uncalibrated timing/DRM step once an
         iteration's last batch is sampled, before handing it over: the
-        plan slices the next iteration after it."""
+        plan slices the next iteration after it. On a report that
+        carries coverage evidence (``trained_targets`` not ``None``)
+        each busy item's targets land there, in plan order."""
         s = self.session
         adjudicate = s.has_timing and self.backend.estimator is None
+        trained = self.report.trained_targets
         for it, planned in s.work_source.iterate(self.iterations):
             stats = []
             for idx, targets in enumerate(planned.assignments):
                 item = Prepared(it, targets)
                 if targets is not None:
+                    if trained is not None:
+                        trained.append(targets)
                     t0 = time.perf_counter()
                     item.mb = s.sampler.sample(targets)
                     item.stage_s["sample"] = time.perf_counter() - t0
@@ -217,25 +214,61 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-class LaneFeed(Feed):
-    """A threaded feed's items train on **lanes**: the caller's thread
-    plus one ``lane<k>`` thread per further lane, up to
-    ``min(trainers, usable cores)``, all meeting at a barrier before
-    and after the iteration. Lanes take items in trainer order under
-    one lock, and a free lane loads and trains the next one taken; the
-    answers come back in trainer order. A lane that dies fails the
-    feed, which breaks the barrier; a lane that misses it past the
-    watchdog is a :class:`~repro.errors.StageTimeoutError`."""
+class PlanOrderFeed(Feed):
+    """One ``producer`` thread drains :meth:`~Feed._items` into one
+    buffer per trainer, handing each item over as soon as it is
+    sampled, ahead of the lanes.
 
-    def __init__(self, backend, iterations: int, report,
+    The items train on **lanes**: the caller's thread plus one
+    ``lane<k>`` thread per further lane, up to ``min(trainers, usable
+    cores)``, all meeting at a barrier before and after the iteration.
+    Lanes take items in trainer order under one lock, and a free lane
+    loads and trains the next one taken; the answers come back in
+    trainer order. A lane that dies fails the feed, which breaks the
+    barrier; a lane that misses it past the watchdog is a
+    :class:`~repro.errors.StageTimeoutError`."""
+
+    def __init__(self, backend, iterations: int, depth: int, report,
                  rows: list) -> None:
         super().__init__(backend, iterations, report, rows)
         lanes = min(len(self.session.trainers), usable_cores())
         self.barrier = threading.Barrier(lanes, timeout=self.timeout_s)
         self.lock = threading.Lock()
+        self.buffers = [PrefetchBuffer(depth)
+                        for _ in self.session.trainers]
         self.threads = [threading.Thread(
-            target=backend.scoped(self._help), daemon=True,
-            name=f"lane{k}") for k in range(1, lanes)]
+            target=backend.scoped(self._produce), daemon=True,
+            name="producer"), *(threading.Thread(
+                target=backend.scoped(self._help), daemon=True,
+                name=f"lane{k}") for k in range(1, lanes))]
+
+    def _produce(self) -> None:
+        try:
+            for idx, item in self._items():
+                self.buffers[idx].put(item, timeout=self.timeout_s)
+            for b in self.buffers:
+                b.close()
+        except BaseException as exc:
+            self.fail(exc)
+
+    def take(self, idx: int, it: int) -> Prepared:
+        """Trainer ``idx``'s item for iteration ``it``; a feed that
+        died surfaces its own exception, not the close it caused."""
+        try:
+            item = self.buffers[idx].get(timeout=self.timeout_s)
+        except ProtocolError:
+            if self.error is not None:
+                raise self.error from None
+            raise
+        if item is None:
+            raise self.error if self.error is not None else \
+                ProtocolError(f"feed for trainer {idx} ended before "
+                              f"iteration {it}")
+        if item.it != it:
+            raise ProtocolError(
+                f"trainer {idx} received iteration {item.it}, expected "
+                f"{it} (stage reordering)")
+        return item
 
     def train(self, it: int, train_one) -> list:
         self.it, self.train_one = it, train_one
@@ -275,85 +308,13 @@ class LaneFeed(Feed):
         self.barrier.abort()
 
 
-class PlanOrderFeed(LaneFeed):
-    """One ``producer`` thread drains :meth:`~Feed._items` into one
-    buffer per trainer, handing each item over as soon as it is
-    sampled, ahead of the lanes."""
-
-    def __init__(self, backend, iterations: int, depth: int, report,
-                 rows: list) -> None:
-        super().__init__(backend, iterations, report, rows)
-        self.outs = self.buffers = [PrefetchBuffer(depth)
-                                    for _ in self.session.trainers]
-        self.threads = [threading.Thread(
-            target=backend.scoped(self._produce), daemon=True,
-            name="producer"), *self.threads]
-
-    def _produce(self) -> None:
-        try:
-            for idx, item in self._items():
-                self.outs[idx].put(item, timeout=self.timeout_s)
-            for out in self.outs:
-                out.close()
-        except BaseException as exc:
-            self.fail(exc)
-
-    def buffer_stats(self) -> list[dict]:
-        return [{"train": (b.total_puts, b.high_water, b.mean_occupancy)}
-                for b in self.outs]
-
-
-class ChainFeed(LaneFeed):
-    """A ``pipeline-dispatcher`` thread drains the plan (quota slices
-    in trainer order — epoch coverage stays exact) into one
-    :class:`~.overlap.StageChain` per trainer over the session's
-    :class:`~repro.runtime.stage_pipeline.StagePipeline`, whose sampler
-    lock keeps the shared RNG stream uncorrupted: each trainer samples
-    on its own thread, ahead of the lanes. The dispatched targets land
-    in ``report.trained_targets``."""
-
-    def __init__(self, backend, iterations: int, depth: int, report,
-                 rows: list) -> None:
-        super().__init__(backend, iterations, report, rows)
-        report.trained_targets = []
-        self.chains = [StageChain(self.session.pipeline, depth,
-                                  self.timeout_s, self.fail,
-                                  f"pipeline-sample{idx}",
-                                  wrap=backend.scoped)
-                       for idx in range(len(self.session.trainers))]
-        self.outs = [chain.bufs["train"] for chain in self.chains]
-        self.buffers = [b for chain in self.chains
-                        for b in chain.bufs.values()]
-        self.threads = [threading.Thread(
-            target=backend.scoped(self._dispatch), daemon=True,
-            name="pipeline-dispatcher"),
-            *(chain.thread for chain in self.chains), *self.threads]
-
-    def _dispatch(self) -> None:
-        try:
-            for it, planned in self.session.work_source.iterate(
-                    self.iterations):
-                for chain, targets in zip(self.chains,
-                                          planned.assignments):
-                    if targets is not None:
-                        self.report.trained_targets.append(targets)
-                    chain.feed(it, targets)
-            for chain in self.chains:
-                chain.end()
-        except BaseException as exc:
-            self.fail(exc)
-
-    def buffer_stats(self) -> list[dict]:
-        return [chain.buffer_stats() for chain in self.chains]
-
-
 # ---------------------------------------------------------------------------
 # The driver
 # ---------------------------------------------------------------------------
 
 class InProcessBackend(ExecutionBackend):
     """Run synchronous-SGD training in this process, the feed's
-    sampling threads (if any) ahead of its training lanes and a
+    sampling thread (if any) ahead of its training lanes and a
     synchronize tail on the caller's thread.
 
     Not registered itself — the registry holds presets of it.
@@ -382,17 +343,22 @@ class InProcessBackend(ExecutionBackend):
     def run(self, iterations: int) -> RunReport:
         """Execute ``iterations`` synchronized iterations, rolling into
         fresh epoch permutations as needed. Only the feed runs ahead;
-        the all-reduce stays a per-iteration barrier."""
+        the all-reduce stays a per-iteration barrier. A statistical
+        preset's report carries ``trained_targets``, the coverage
+        evidence its tier checks."""
         if iterations < 1:
             raise ProtocolError("iterations must be >= 1")
         s = self.session
         report = RunReport(iterations=iterations)
+        if self.conformance_tier == "statistical":
+            report.trained_targets = []
         rows: list[list[float]] = []
         feed = self.feed(self, iterations, self.window(), report, rows)
         counters_before = self.counters.snapshot()
         start = time.perf_counter()
-        feed.start()
         try:
+            for t in feed.threads:
+                t.start()
             with scoped_counters(self.counters):
                 for it in range(iterations):
                     # Listing 1's trainer block, then the synchronize
@@ -403,8 +369,8 @@ class InProcessBackend(ExecutionBackend):
                         it, sizes, answers, report, rows,
                         adjudicate=self.estimator is not None)
         finally:
-            # Success and failure alike: no feed thread outlives the
-            # run.
+            # Success and failure alike — a thread that failed to start
+            # included: no feed thread outlives the run.
             lingering = feed.join()
         # Only reached on success: a thread that survived its join is
         # wedged outside any buffer wait — fail rather than return a
@@ -417,7 +383,9 @@ class InProcessBackend(ExecutionBackend):
         report.kernel_stats = self.counters.delta(counters_before)
         report.replicas_consistent = \
             s.synchronizer.replicas_consistent()
-        report.fold_buffers(feed.buffer_stats())
+        report.fold_buffers([
+            {"train": (b.total_puts, b.high_water, b.mean_occupancy)}
+            for b in feed.buffers])
         report.close_timeline(s, rows)
         return report
 
@@ -454,16 +422,17 @@ class ThreadedBackend(InProcessBackend):
 
 
 class PipelinedBackend(InProcessBackend):
-    """``pipelined`` — the paper's two-stage prefetch made live: per
-    trainer, a sample-stage thread runs ahead of the lanes through the
-    session's window, and the lanes load and train an iteration's
-    batches side by side. Its :class:`~repro.runtime.resctl.OnlineEstimator`
-    calibrates the DRM step against realized stage seconds, across
-    runs."""
+    """``pipelined`` — ``threaded`` plus an
+    :class:`~repro.runtime.resctl.OnlineEstimator` that calibrates the
+    DRM step against realized stage seconds, across runs: the same
+    producer samples ahead through the session's window and the same
+    lanes train, but the consumer takes the DRM step after each
+    iteration trained. Bit-identical to ``threaded`` where the
+    estimator moves no quota (no timing plane, or DRM off);
+    statistical under DRM."""
 
     name = "pipelined"
     conformance_tier = "statistical"
-    feed = ChainFeed
 
     def __init__(self, session, timeout_s: float = 60.0) -> None:
         super().__init__(session, timeout_s=timeout_s)

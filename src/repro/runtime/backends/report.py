@@ -118,8 +118,9 @@ class RunReport:
     prefetch_high_water: int = 0
 
     # -- coverage evidence: None unless the plane produces it ----------
-    #: Per-dispatch target-id slices in dispatch order (planes whose
-    #: sampling is out of the parent's single stream).
+    #: Per-dispatch target-id slices in dispatch order (the
+    #: statistical planes, whose coverage the kit cannot read off a
+    #: bit-identical trajectory).
     trained_targets: list[np.ndarray] | None = None
     #: ``worker_targets[k]`` — the target ids worker ``k`` *echoed*
     #: back for the batches it actually sampled and trained (not a copy
@@ -167,16 +168,16 @@ class RunReport:
                 count, total = self.stage_seconds.get(key, (0, 0.0))
                 self.stage_seconds[key] = (count + 1, total + seconds)
 
-    def fold_buffers(self, per_chain: list[dict[str, tuple]]) -> None:
-        """Fold every stage chain's ``{stage: (items, high_water,
-        mean_occupancy)}`` buffer accounting into ``stage_stats`` — one
-        chain per trainer on the threaded in-process planes, none on
-        ``virtual`` or the process planes."""
-        if not per_chain:
+    def fold_buffers(self, per_buffer: list[dict[str, tuple]]) -> None:
+        """Fold every feed buffer's ``{stage: (items, high_water,
+        mean_occupancy)}`` accounting into ``stage_stats`` — one
+        ``train`` buffer per trainer on the threaded in-process planes,
+        none on ``virtual`` or the process planes."""
+        if not per_buffer:
             return
-        for stage in per_chain[0]:
+        for stage in per_buffer[0]:
             self.stage_stats[stage] = fold_stage_stats(
-                stage, [c[stage] for c in per_chain])
+                stage, [b[stage] for b in per_buffer])
         self.prefetch_high_water = max(
             st.high_water for st in self.stage_stats.values())
 

@@ -398,22 +398,17 @@ class TrainingSession:
     # ------------------------------------------------------------------
     # Pipeline-stage hooks (shared hot path)
     #
-    # One method per Fig.-5 producer stage, so an overlapped backend can
-    # run sample / load / transfer on separate stage threads while
-    # executing the exact same bits as the sequential planes (which call
-    # ``load_features``: bit-identical to the same gather, then the same
-    # transfer, decoded from the store's wire table when lossy). All
-    # delegate to the composed
-    # :class:`~repro.runtime.stage_pipeline.StagePipeline` — the
-    # extraction the serving plane shares.
+    # One method per Fig.-5 producer stage, so a caller can time
+    # sample / gather / transfer apart while executing the exact same
+    # bits as the training planes (which call ``load_features``:
+    # bit-identical to the same gather, then the same transfer, decoded
+    # from the store's wire table when lossy). All delegate to the
+    # composed :class:`~repro.runtime.stage_pipeline.StagePipeline` —
+    # the extraction the serving plane shares.
     # ------------------------------------------------------------------
     def sample_stage(self, targets: np.ndarray) -> MiniBatch:
-        """Sample one mini-batch (thread-safe).
-
-        The sampler's RNG stream is shared; the pipeline's lock makes
-        each draw atomic so concurrent stage threads interleave whole
-        batches, never corrupt the stream.
-        """
+        """Sample one mini-batch from the session's one sampler stream
+        (not thread-safe: every plane samples it from one thread)."""
         return self.pipeline.sample(targets)
 
     def gather_stage(self, mb: MiniBatch) -> np.ndarray:

@@ -15,9 +15,10 @@ Timeouts are **monotonic deadlines**: a ``put``/``get`` that passes
 ``timeout=t`` fails at most ``t`` seconds after the call, no matter how
 many spurious or unproductive condition wakeups happen in between (a
 churning peer that repeatedly notifies without freeing space must not
-extend the deadline). The pipelined backend additionally relies on the
+extend the deadline). The in-process producer's buffers also feed the
 per-buffer occupancy statistics (:attr:`high_water`,
-:attr:`mean_occupancy`) that the per-stage overlap report aggregates.
+:attr:`mean_occupancy`) that the report's ``stage_stats["train"]``
+aggregates.
 """
 
 from __future__ import annotations

@@ -118,8 +118,8 @@ class StagePipeline:
     Parameters
     ----------
     sampler:
-        The mini-batch sampler (one shared RNG stream and position map;
-        draws are serialized through :attr:`sampler_lock`).
+        The mini-batch sampler (one RNG stream and one position map,
+        neither thread-safe: one thread at a time samples).
     features / labels:
         The feature matrix and (optionally) label vector the gather and
         label stages read. Process-plane workers construct a pipeline
@@ -147,27 +147,16 @@ class StagePipeline:
         #: and forever without ``encode_once`` or under fp32.
         self.wire_table: kernels.WireRows | None = None
         self._table_lock = threading.Lock()
-        #: Serializes sampler access for callers whose stage threads
-        #: sample concurrently. A sampler holds two pieces of state that
-        #: are not thread-safe: its RNG stream, and the position map it
-        #: relabels every batch through (``repro.sampling.base``), which
-        #: all in-process stage threads of one session share and which
-        #: two overlapping calls would corrupt. Single-threaded callers
-        #: never contend.
-        self.sampler_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # One method per Fig.-5 producer stage
     # ------------------------------------------------------------------
     def sample(self, targets: np.ndarray) -> MiniBatch:
-        """Sample one mini-batch (thread-safe).
-
-        The sampler's RNG stream and position map are shared; the lock
-        makes each draw atomic so concurrent stage threads interleave
-        whole batches, never corrupt either.
-        """
-        with self.sampler_lock:
-            return self.sampler.sample(targets)
+        """Sample one mini-batch from the sampler's stream. Not
+        thread-safe, and no caller needs it to be: every plane samples
+        a session's stream from one thread (the in-process producer or
+        the caller's thread; a process worker owns its sampler)."""
+        return self.sampler.sample(targets)
 
     def gather(self, mb: MiniBatch) -> np.ndarray:
         """Feature-gather (load) stage: host-DDR row gather into a

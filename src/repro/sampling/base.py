@@ -19,9 +19,10 @@ local indices back with one fancy-index gather, and resets every entry
 it touched before returning — raising included. Because each layer's
 node list extends the next one's, a vertex keeps its position across
 hops and one map serves every layer (DGL's NodeFlow keeps the same
-per-layer parent-id offsets). The map is per instance and unlocked: a
-sampler is driven by one thread at a time, which is what
-``StagePipeline.sampler_lock`` already guarantees for its RNG stream.
+per-layer parent-id offsets). The map is per instance and unlocked, like
+the RNG stream: a sampler is driven by one thread, as every training
+plane drives its session's sampler (the in-process producer or the
+caller's thread; a process worker owns its own).
 """
 
 from __future__ import annotations

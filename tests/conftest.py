@@ -36,7 +36,7 @@ from repro.sampling.neighbor import NeighborSampler
 _SHM_PATTERN = "/dev/shm/repro_shm_*"
 
 #: Thread-name prefixes owned by the in-process driver's feed threads.
-_BACKEND_THREAD_PREFIXES = ("pipeline-", "producer", "lane")
+_BACKEND_THREAD_PREFIXES = ("producer", "lane")
 
 
 def _segments() -> set[str]:

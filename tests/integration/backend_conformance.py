@@ -13,17 +13,18 @@ is enforced depends on the tier the backend declares via its
   split/stage-time trajectory, total sampled edges, epoch coverage,
   and the final replica parameters.
 * ``statistical`` (out-of-lock-step backends — the pipelined plane,
-  whose stage threads interleave stochastic draws, and the
-  worker-side-sampling process plane, whose workers draw from
-  independent per-worker RNG streams): bit-parity is impossible *by
-  design*. The kit instead asserts what loose coupling must still
-  preserve: the exact iteration count, **exact epoch coverage** (every
-  train vertex exactly once per epoch — reordered or re-streamed, work
-  is never lost or duplicated), per-worker shard disjointness where
-  the backend reports it, target-budget conservation, the DRM
-  trajectory's shape (length + work conservation per iteration),
-  mutual replica consistency, and tolerance-based closeness of losses,
-  sampled-edge totals and final parameters to the reference.
+  whose calibrated DRM step trails its producer and reads realized
+  wall-clock seconds, and the worker-side-sampling process plane,
+  whose workers draw from independent per-worker RNG streams):
+  bit-parity is impossible *by design*. The kit instead asserts what
+  loose coupling must still preserve: the exact iteration count,
+  **exact epoch coverage** (every train vertex exactly once per epoch
+  — reordered or re-streamed, work is never lost or duplicated),
+  per-worker shard disjointness where the backend reports it,
+  target-budget conservation, the DRM trajectory's shape (length +
+  work conservation per iteration), mutual replica consistency, and
+  tolerance-based closeness of losses, sampled-edge totals and final
+  parameters to the reference.
 
 This module packages that guarantee as a reusable kit:
 
@@ -37,13 +38,15 @@ This module packages that guarantee as a reusable kit:
   ``test_backend_equivalence.py`` — and inherits the tier its
   capability flag selects;
 * :func:`assert_backend_conforms` — run one (backend, case) pair
-  against a fresh virtual-plane reference and assert the tier's
-  matrix, plus — on both reports, whatever the tier — the paper's
-  Listing-1 handshake as an asserted trace
-  (:func:`assert_listing1_trace`) and the realized stage seconds the
-  synchronize tail bills (:func:`assert_stage_seconds`), which are
-  scoped to their run on a kept backend
-  (:func:`assert_stage_seconds_run_scoped`).
+  against a fresh virtual-plane reference and assert the tier's matrix
+  — and, for a statistical preset with a strict twin
+  (:data:`STRICT_TWINS`) on a case where its estimator moves no quota,
+  bit-identity with the twin (:func:`assert_twin_identical`) — plus,
+  on both reports, whatever the tier, the paper's Listing-1 handshake
+  as an asserted trace (:func:`assert_listing1_trace`) and the
+  realized stage seconds the synchronize tail bills
+  (:func:`assert_stage_seconds`), which are scoped to their run on a
+  kept backend (:func:`assert_stage_seconds_run_scoped`).
 
 Third-party backends needing constructor arguments can extend
 :data:`BACKEND_KWARGS` before the suite runs.
@@ -58,7 +61,7 @@ feature store itself.
 :func:`analytic_lookahead` holds a calibrating backend to the purely
 analytic (uncalibrated) trajectory, for the pins that compare it with
 a plane that never calibrates; :func:`spy_feeds` exposes the buffers
-(whose capacity is the run's window) of ``pipelined``'s feeds.
+(whose capacity is the run's window) of an in-process preset's feeds.
 
 Two checks cover a backend that is *kept* across runs (the process
 presets hold their worker pool and shared store for the backend's
@@ -95,7 +98,7 @@ from repro.runtime import (
     build_backend,
     get_backend,
 )
-from repro.runtime.backends.pipelined import ChainFeed
+from repro.runtime.backends.pipelined import PlanOrderFeed
 from repro.runtime.protocol import validate_protocol
 from repro.runtime.resctl import (
     REALIZED_STAGES,
@@ -143,6 +146,13 @@ PROCESS_PRESETS = ("process", "process_sampling", "process_pipelined",
 
 #: The recognized tiers, in increasing looseness.
 CONFORMANCE_TIERS = ("strict", "statistical")
+
+#: Statistical presets that differ from a strict preset only by a
+#: calibrating estimator. Where that estimator moves no quota
+#: (:func:`estimator_idle`) each must run its twin's trajectory bit for
+#: bit (:func:`assert_twin_identical`); under calibrated DRM it stays
+#: statistical.
+STRICT_TWINS: dict[str, str] = {"pipelined": "threaded"}
 
 #: Which shipped planes produce which coverage-evidence section of
 #: their report. The statistical tier (and ``bench_e2e``) read these
@@ -216,6 +226,14 @@ INT8_TRANSFER_CASE = ConformanceCase(
                         transfer_precision="int8"))
 
 
+def estimator_idle(case: ConformanceCase) -> bool:
+    """Whether a calibrating estimator moves no quota on ``case``: a
+    platform-less session takes no timing/DRM step at all, and with DRM
+    off the step never moves the split."""
+    return case.platform_accels is None or \
+        not SystemConfig(**case.sys_cfg_kwargs).drm
+
+
 def candidate_backends() -> list[str]:
     """Registered backends that must conform to the reference."""
     return [name for name in available_backends()
@@ -273,11 +291,11 @@ def run_backend(name: str, case: ConformanceCase,
 
 
 def spy_feeds(backend, monkeypatch) -> list:
-    """Collect every :class:`ChainFeed` ``backend`` builds from here on,
-    so a test can read the buffers' capacity — the run's window."""
+    """Collect every :class:`PlanOrderFeed` ``backend`` builds from here
+    on, so a test can read the buffers' capacity — the run's window."""
     feeds = []
 
-    class Spy(ChainFeed):
+    class Spy(PlanOrderFeed):
         def __init__(self, *args) -> None:
             super().__init__(*args)
             feeds.append(self)
@@ -336,6 +354,11 @@ def assert_backend_conforms(name: str, case: ConformanceCase,
     else:
         assert_statistical_conformance(name, case, ref_session, ref,
                                        cand_session, cand)
+    twin = STRICT_TWINS.get(name)
+    if twin is not None and estimator_idle(case):
+        twin_session, twin_rep = run_backend(twin, case, dataset)
+        assert_twin_identical(f"{name} vs {twin}", twin_session,
+                              twin_rep, cand_session, cand)
     assert_listing1_trace(REFERENCE_BACKEND, ref_session, ref)
     assert_listing1_trace(name, cand_session, cand)
     assert_stage_seconds(REFERENCE_BACKEND, ref_session, ref)
@@ -454,6 +477,23 @@ def assert_strict_conformance(name, case, ref_session, ref,
     _assert_epoch_bookkeeping(case, cand_session, cand)
 
 
+def assert_twin_identical(what: str, a_session: TrainingSession, a,
+                          b_session: TrainingSession, b) -> None:
+    """Two runs of one trajectory, bit for bit: per-iteration losses and
+    accuracies, total sampled edges, the split history and every
+    replica's final parameters."""
+    np.testing.assert_array_equal(a.losses, b.losses,
+                                  err_msg=f"{what}: losses differ")
+    np.testing.assert_array_equal(a.accuracies, b.accuracies,
+                                  err_msg=f"{what}: accuracies differ")
+    assert a.total_edges == b.total_edges, f"{what}: edges differ"
+    assert a.split_history == b.split_history, \
+        f"{what}: split histories differ"
+    for pa, pb in zip(_params(a_session), _params(b_session)):
+        np.testing.assert_array_equal(pa, pb,
+                                      err_msg=f"{what}: params differ")
+
+
 def assert_statistical_conformance(name, case, ref_session, ref,
                                    cand_session, cand) -> None:
     """The overlapped-execution matrix: what an out-of-lock-step
@@ -477,7 +517,7 @@ def assert_statistical_conformance(name, case, ref_session, ref,
       the target budget (work conservation under pipeline lag);
     * mutual replica consistency after the final all-reduce.
 
-    Within tolerance (the stage threads' interleaved sampler draws make
+    Within tolerance (overlap, calibration or per-worker streams make
     individual batches differ):
 
     * mean per-iteration loss (:data:`STAT_LOSS_RTOL`) and final loss

@@ -27,6 +27,7 @@ from backend_conformance import (
     CONFORMANCE_CASES,
     BACKEND_KWARGS,
     PROCESS_PRESETS,
+    STRICT_TWINS,
     analytic_lookahead,
     assert_backend_conforms,
     assert_report_sections,
@@ -35,7 +36,10 @@ from backend_conformance import (
     assert_stage_seconds_run_scoped,
     assert_store_untouched_by_int8_run,
     assert_trains_in_store_dtype,
+    assert_twin_identical,
+    backend_tier,
     candidate_backends,
+    estimator_idle,
     make_session,
     run_backend,
     spy_feeds,
@@ -758,8 +762,8 @@ class TestPipelinedBackend:
     def test_overlap_report_covers_every_stage(self, tiny_ds, eq_cfg,
                                                fpga_platform,
                                                monkeypatch):
-        """The per-stage overlap report accounts for every item that
-        flowed through every stage of every trainer's pipeline."""
+        """The overlap report accounts for every item that flowed
+        through every trainer's one feed buffer, ``train``."""
         sys_cfg = SystemConfig(hybrid=True, drm=True, prefetch=True,
                                transfer_precision="int8")
         session = TrainingSession(tiny_ds, eq_cfg, sys_cfg,
@@ -768,7 +772,7 @@ class TestPipelinedBackend:
         feeds = spy_feeds(backend, monkeypatch)
         rep = backend.run_epoch()
         n = session.num_trainers
-        assert set(rep.stage_stats) == {"sample", "train"}
+        assert set(rep.stage_stats) == {"train"}
         for stats in rep.stage_stats.values():
             # Every iteration hands one item per trainer through each
             # stage (idle trainers get a pass-through marker).
@@ -781,6 +785,29 @@ class TestPipelinedBackend:
         # or not.
         assert {b.depth for b in feeds[0].buffers} == \
             {sys_cfg.prefetch_depth}
+
+    def test_same_seed_runs_are_bit_identical(self, tiny_ds):
+        """One producer draws the session's stream in plan order, so
+        two same-seed three-trainer runs where the estimator moves no
+        quota retrace one trajectory bit for bit."""
+        case = CONFORMANCE_CASES[1]
+        assert case.num_trainers == 3 and estimator_idle(case)
+        first, second = (run_backend("pipelined", case, tiny_ds)
+                         for _ in range(2))
+        assert_twin_identical("pipelined rerun", *first, *second)
+
+    def test_stays_statistical_under_calibrated_drm(self, tiny_ds):
+        """Under DRM on a timing plane the estimator calibrates on
+        realized wall-clock seconds and the consumer's DRM step trails
+        the producer, so only the DRM-free matrix cases hold
+        ``pipelined`` to ``threaded`` bit for bit; the flagship case
+        runs the statistical tier, calibrated."""
+        assert STRICT_TWINS == {"pipelined": "threaded"}
+        assert [estimator_idle(c) for c in CONFORMANCE_CASES] == \
+            [False, True, True]
+        assert backend_tier("pipelined") == "statistical"
+        _, rep = run_backend("pipelined", CONFORMANCE_CASES[0], tiny_ds)
+        assert rep.calibration and rep.split_history
 
     def test_resumed_session_continues_from_trained_weights(self,
                                                             tiny_ds,

@@ -38,7 +38,7 @@ def _in_process(name, dataset, cfg, timeout_s):
 
 def _feed_threads() -> list[str]:
     return [t.name for t in threading.enumerate()
-            if t.name.startswith(("producer", "pipeline-", "lane"))]
+            if t.name.startswith(("producer", "lane"))]
 
 
 class TestInProcessFaults:
@@ -183,6 +183,24 @@ class TestTrainingLaneFaults:
         with pytest.raises(LaneFault) as info:
             backend.run(4)
         assert type(info.value) is LaneFault
+        self._reusable(backend, monkeypatch)
+
+    def test_thread_that_fails_to_start_leaks_no_sibling(self, backend,
+                                                         monkeypatch):
+        """``lane1`` fails to start after ``producer`` started: the
+        start's own error surfaces, the producer is closed and joined
+        rather than left drawing from the session's sampler stream
+        until its put times out, and the same backend runs again."""
+        real_start = threading.Thread.start
+
+        def start(thread):
+            if thread.name == "lane1":
+                raise LaneFault("lane1 did not start")
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        with pytest.raises(LaneFault, match="lane1"):
+            backend.run(4)
         self._reusable(backend, monkeypatch)
 
     def test_wedged_lane_times_out_within_two_watchdogs(self, backend,

@@ -219,13 +219,11 @@ class TestStructure:
     @pytest.mark.parametrize("name", ["threaded", "pipelined"])
     def test_laned_presets_start_feed_threads_then_lanes(
             self, name, cores, tiny_ds, small_cfg, monkeypatch):
-        """A laned preset starts its feed's sampling threads, then one
-        ``lane<k>`` per lane beyond the caller's — ``min(trainers,
+        """A laned preset starts its feed's one sampling thread, then
+        one ``lane<k>`` per lane beyond the caller's — ``min(trainers,
         usable cores)`` lanes in all, so none on a one-core host."""
-        feed_threads = {
-            "threaded": ["producer"],
-            "pipelined": ["pipeline-dispatcher", "pipeline-sample0",
-                          "pipeline-sample1", "pipeline-sample2"]}[name]
+        feed_threads = {"threaded": ["producer"],
+                        "pipelined": ["producer"]}[name]
         monkeypatch.setattr(pipelined, "usable_cores", lambda: cores)
         backend = get_backend(name)(TrainingSession(
             tiny_ds, small_cfg, SystemConfig(drm=False),

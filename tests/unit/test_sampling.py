@@ -2,7 +2,6 @@
 
 import importlib.util
 import pathlib
-import sys
 import threading
 
 import numpy as np
@@ -10,9 +9,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.config import SystemConfig
 from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
-from repro.runtime.stage_pipeline import StagePipeline
+from repro.runtime import TrainingSession, build_backend
+from repro.runtime.backends import pipelined
 from repro.sampling.base import (
     LayerBlock,
     MiniBatch,
@@ -286,47 +287,29 @@ class TestPositionMapExceptionSafety:
 
 
 class TestPositionMapUnderThreads:
-    def test_stage_threads_share_one_map_through_the_lock(self, tiny_ds):
-        """More threads than cores and a tiny switch interval: a lost
-        update to the shared map would corrupt a batch. Replaying the
-        recorded calls, in lock order, through a twin must reproduce
-        every batch."""
-        record = []
+    def test_every_in_process_epoch_samples_from_one_thread(
+            self, tiny_ds, small_cfg, monkeypatch):
+        """The sampler's RNG stream and position map are unlocked, so
+        one thread must draw a session's stream. Three trainers train
+        side by side on three lanes, and every ``sampler.sample`` of a
+        ``threaded`` epoch, and of a ``pipelined`` one, still runs on
+        one thread."""
+        monkeypatch.setattr(pipelined, "usable_cores", lambda: 3)
+        for name in ("threaded", "pipelined"):
+            session = TrainingSession(tiny_ds, small_cfg,
+                                      SystemConfig(drm=False),
+                                      num_trainers=3)
+            callers, sample = [], session.sampler.sample
 
-        class Recording(NeighborSampler):
-            def sample(self, target_ids):   # runs under sampler_lock
-                mb = super().sample(target_ids)
-                record.append((target_ids, mb))
-                return mb
+            def spy(targets, sample=sample, callers=callers):
+                callers.append(threading.current_thread())
+                return sample(targets)
 
-        args = (tiny_ds.graph, tiny_ds.train_ids, (4, 3),
-                tiny_ds.spec.feature_dim)
-        pipeline = StagePipeline(Recording(*args, seed=5),
-                                 tiny_ds.features, tiny_ds.labels, "fp32")
-
-        def work(k):
-            rng = np.random.default_rng(k)
-            for _ in range(25):
-                pipeline.sample(rng.choice(tiny_ds.train_ids, 24,
-                                           replace=False))
-
-        threads = [threading.Thread(target=work, args=(k,))
-                   for k in range(6)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert len(record) == 6 * 25
-        assert (pipeline.sampler._pos == -1).all()
-        twin = NeighborSampler(*args, seed=5)
-        for targets, mb in record:
-            assert_batches_identical(mb, twin.sample(targets))
+            monkeypatch.setattr(session.sampler, "sample", spy)
+            rep = build_backend(name, session, timeout_s=30).run_epoch()
+            assert len(callers) >= rep.iterations, name
+            assert len(set(callers)) == 1, \
+                (name, sorted({t.name for t in callers}))
 
 
 class TestLayerBlock:
