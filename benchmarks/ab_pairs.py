@@ -23,9 +23,11 @@ side's median and quartiles, the pair wins and two verdicts:
   bound, unless every change run beats every parent run.
 
 A run that fails or reports failed ops is listed and counted against
-its side. The exit code is 0 when no run failed and every metric reads
-no regression ``ok``, else 1. The script lives outside ``bench_e2e/``
-and changes nothing there.
+its side, and its pair leaves both series, so the pairs compared are
+always runs made back to back. Wins still count out of every pair run:
+a failed pair is a pair the change did not win. The exit code is 0 when
+no run failed and every metric reads no regression ``ok``, else 1. The
+script lives outside ``bench_e2e/`` and changes nothing there.
 """
 
 from __future__ import annotations
@@ -71,16 +73,17 @@ def pair_wins(parent: list[float], change: list[float],
 
 
 def claim_verdict(parent: list[float], change: list[float],
-                  better: str) -> bool:
-    """A gain may be claimed: wins in at least nine tenths of the pairs,
-    and a median gap in the better direction wider than the parent's
-    inter-quartile distance."""
+                  better: str, pairs: int | None = None) -> bool:
+    """A gain may be claimed: wins in at least nine tenths of the
+    ``pairs`` run (default: the pairs given), and a median gap in the
+    better direction wider than the parent's inter-quartile
+    distance."""
     won, _ = pair_wins(parent, change, better)
     q1, parent_mid, q3 = quartiles(parent)
     gain = parent_mid - statistics.median(change)
     if better != "lower":
         gain = -gain
-    return won >= 0.9 * len(parent) and gain > q3 - q1
+    return won >= 0.9 * (pairs or len(parent)) and gain > q3 - q1
 
 
 def regression_verdict(parent: list[float], change: list[float],
@@ -145,6 +148,7 @@ def main(argv: list[str] | None = None) -> int:
             ("change", "parent")
         results = {side: run_once(sides[side], args.workload, args.seed)
                    for side in order}
+        rows = {}
         for side in order:
             res = results[side]
             if res is None or not res["correct"] or res["failed"]:
@@ -153,13 +157,16 @@ def main(argv: list[str] | None = None) -> int:
                     f"{res['failed']} of {res['attempted']} ops failed"
                 print(f"pair {i} {side}: FAILED ({why})")
                 continue
-            row = []
-            for m in metrics:
-                v = res["metrics"][m["name"]]["value"]
-                values[side][m["name"]].append(v)
-                row.append(f"{m['name']}={_fmt(v)}")
+            rows[side] = {m["name"]: res["metrics"][m["name"]]["value"]
+                          for m in metrics}
             print(f"pair {i} {side}: ops {res['attempted']} failed "
-                  f"{res['failed']} " + " ".join(row), flush=True)
+                  f"{res['failed']} " + " ".join(
+                      f"{k}={_fmt(v)}" for k, v in rows[side].items()),
+                  flush=True)
+        if len(rows) == len(sides):     # a pair counts whole or not at all
+            for side, row in rows.items():
+                for name, v in row.items():
+                    values[side][name].append(v)
 
     ok = not any(failed.values())
     print(f"\nfailed runs: parent {failed['parent']}, "
@@ -168,19 +175,19 @@ def main(argv: list[str] | None = None) -> int:
           f"{'change q1/med/q3':>26} {'wins':>7}  claim  no-regression")
     for m in metrics:
         par, chg = values["parent"][m["name"]], values["change"][m["name"]]
-        if not par or not chg or len(par) != len(chg):
-            print(f"{m['name']:<16} incomplete: {len(par)} parent, "
-                  f"{len(chg)} change runs")
+        if not par:
+            print(f"{m['name']:<16} no complete pair")
             ok = False
             continue
         won, _ = pair_wins(par, chg, m["better"])
         verdict = regression_verdict(par, chg, m["better"], m["bound"])
+        claimed = claim_verdict(par, chg, m["better"], args.pairs)
         ok = ok and verdict == "ok"
         print(f"{m['name']:<16} "
               f"{'/'.join(_fmt(x) for x in quartiles(par)):>26} "
               f"{'/'.join(_fmt(x) for x in quartiles(chg)):>26} "
-              f"{won:>3}/{len(par):<3}  "
-              f"{'yes' if claim_verdict(par, chg, m['better']) else 'no':<5}  "
+              f"{won:>3}/{args.pairs:<3}  "
+              f"{'yes' if claimed else 'no':<5}  "
               f"{verdict} (bound {m['bound']:.0%})")
     return 0 if ok else 1
 

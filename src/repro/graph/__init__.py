@@ -15,8 +15,12 @@ from .datasets import (
     GraphDataset,
     load_dataset,
 )
-from .partition import bfs_partition, hash_partition, partition_quality
-from .shard_map import ShardMap
+from .partition import (
+    bfs_partition,
+    halo,
+    hash_partition,
+    partition_quality,
+)
 from .validate import check_graph
 
 __all__ = [
@@ -28,8 +32,8 @@ __all__ = [
     "GraphDataset",
     "load_dataset",
     "bfs_partition",
+    "halo",
     "hash_partition",
     "partition_quality",
-    "ShardMap",
     "check_graph",
 ]

@@ -10,7 +10,15 @@ We provide two partitioners:
   METIS partitioning DistDGL uses (much lower edge cut on clustered graphs).
 
 plus :func:`partition_quality` which reports the metrics the baselines
-charge communication for (edge cut, replication factor, balance).
+charge communication for (edge cut, replication factor, balance), and
+:func:`halo`, the remote vertices one partition's batches can touch —
+the admission candidates of the sharded plane's
+:class:`~repro.runtime.remote_cache.RemoteFeatureCache`.
+
+Empty partitions are legal throughout: a map produced with
+``num_parts > num_vertices`` simply leaves some ids unused, and
+``np.bincount(parts, minlength=num_parts)`` and :func:`halo` read them
+as zero-sized.
 """
 
 from __future__ import annotations
@@ -50,9 +58,9 @@ def bfs_partition(graph: CSRGraph, num_parts: int,
     ``num_parts`` may exceed ``graph.num_vertices``: only the first
     ``min(num_parts, n)`` regions get a seed vertex and the surplus
     partitions stay empty — a legal (empty-shard) assignment downstream
-    consumers like :class:`~repro.graph.shard_map.ShardMap` must
-    represent, not an error. Every partition size stays within the
-    ``ceil(n / num_parts)`` budget.
+    consumers like the sharded plane must represent, not an error.
+    Every partition size stays within the ``ceil(n / num_parts)``
+    budget.
     """
     if num_parts <= 0:
         raise GraphError("num_parts must be positive")
@@ -106,6 +114,20 @@ def bfs_partition(graph: CSRGraph, num_parts: int,
         parts[v] = p
         sizes[p] += 1
     return parts
+
+
+def halo(graph: CSRGraph, parts: np.ndarray, shard: int) -> np.ndarray:
+    """Remote vertices partition ``shard``'s batches can touch.
+
+    The unique out-neighbors of the vertices ``parts`` assigns to
+    ``shard`` that live on *other* partitions — the vertices whose
+    features a worker must fetch across the (simulated) interconnect.
+    Sorted global ids; empty for an empty partition.
+    """
+    parts = np.asarray(parts, dtype=np.int64)
+    owned_edges = np.repeat(parts == shard, graph.out_degrees)
+    cand = np.unique(graph.indices[owned_edges])
+    return cand[parts[cand] != shard]
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ item when it arrives and trains it once the previous iteration's
 update is applied, so dealing ahead overlaps the next batches' sample
 and load with the parent's collect and all-reduce without a thread in
 the worker. The body takes its per-item stages from the replica
-(``replica_cls``), so a shard-aware gather is a replica, not a
+(``replica_cls``), so shard-aware row accounting is a replica, not a
 different serve loop.
 
 There is exactly one drive loop: a :class:`~.overlap.LookaheadDealer`
@@ -462,8 +462,8 @@ class ProcessBackend(ExecutionBackend):
 
     #: Seam: what one dealt work item is.
     deal: ClassVar[type] = WireBatchDeal
-    #: The worker's per-item stages + model (its ``gather`` may be
-    #: shard-aware).
+    #: The worker's per-item stages + model (its ``train`` may bill
+    #: rows by shard).
     replica_cls: ClassVar[type] = WorkerReplica
 
     def __init__(self, session, timeout_s: float = 120.0,
@@ -479,7 +479,7 @@ class ProcessBackend(ExecutionBackend):
         #: Seam: the numbered work stream the parent deals.
         self.work_source = session.work_source
         #: Extra ``SharedFeatureStore.create`` keywords (a
-        #: partition-mapped preset passes ``shard_map``/``shard_spec``).
+        #: partition-mapped preset passes ``parts``/``shard_spec``).
         self.store_extras: dict = {}
         #: The live workers + store; ``None`` until the first ``run()``
         #: and again after ``close()`` or a failed run.
@@ -562,10 +562,9 @@ class ProcessBackend(ExecutionBackend):
         if iterations < 1:
             raise ProtocolError("iterations must be >= 1")
         s = self.session
-        shard_map = self.store_extras.get("shard_map")
         report = RunReport(
             iterations=iterations, num_workers=s.num_trainers,
-            shard_parts=None if shard_map is None else shard_map.parts)
+            shard_parts=self.store_extras.get("parts"))
         if self.deal.worker_samples:
             report.trained_targets = []
             report.worker_targets = [[] for _ in s.trainers]
@@ -717,10 +716,22 @@ class ProcessBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     def _send(self, idx: int, msg) -> None:
         """Send one message to worker ``idx``; a dead worker surfaces
-        as the backend's documented failure type, like ``_recv``."""
+        as the backend's documented failure type, like ``_recv`` —
+        with the worker's traceback when it sent one before dying."""
+        conn = self._pool.conns[idx]
         try:
-            self._pool.conns[idx].send(msg)
+            conn.send(msg)
         except (BrokenPipeError, OSError) as exc:
+            # A worker that failed sent its traceback before it exited:
+            # surface that, not the broken pipe it left behind.
+            try:
+                while conn.poll(0):
+                    reply = conn.recv()
+                    if reply[0] == "error":
+                        raise WorkerError(
+                            f"worker {idx} failed:\n{reply[1]}") from exc
+            except (EOFError, OSError):
+                pass
             raise WorkerError(
                 f"worker {idx} died before {msg[0]!r} could be "
                 f"delivered: {exc!r}") from exc

@@ -47,7 +47,7 @@ class Reply:
     ``echoed`` is the batch's realized target ids (``V^L`` of the
     locally sampled graph), so the parent records what the worker
     *actually trained*, not what it was asked to. ``shard_io`` is the
-    shard-aware replica's local/remote gather record.
+    shard-aware replica's local/remote row record.
     """
 
     loss: float

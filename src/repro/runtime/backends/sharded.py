@@ -20,37 +20,39 @@ rather than physical, and plugs them into the process driver's seams:
   budget conservation stay *exact*, which is what lets the statistical
   conformance tier (plus its cross-node shard-partition assertion)
   hold this plane to the same matrix as every other backend;
-* :class:`ShardedReplica` — a **replica** whose ``gather`` resolves a
-  minibatch's input rows three ways — local slice,
+* :class:`ShardedReplica` — a **replica** that loads like every other
+  worker and, when it trains a batch, bills the batch's input rows
+  three ways by the partition map: local (owned by its shard),
   :class:`~repro.runtime.remote_cache.RemoteFeatureCache` hit (a
   PaGraph-style static cache of its halo's hottest vertices), or
-  remote miss (read from the owning shard's slice, billed as remote
-  bytes) — and ships per-minibatch local/remote gather bytes with
-  every reply (SNIPPETS' DistDGL accounting).
+  remote miss (billed as remote bytes). It ships the per-minibatch
+  local/remote record with every reply (SNIPPETS' DistDGL accounting).
 
-The :class:`~repro.runtime.shm.SharedFeatureStore` is **shard-sliced**
-(features and labels in shard-major order; the
-:class:`~repro.graph.shard_map.ShardMap` translation arrays travel in
-the segment), so worker ``k``'s local gathers stay inside its own
-slice. Pool lifetime, gradient sync, DRM adjudication, dealing,
-collection and the worker snapshot are the driver's, unchanged. Per-run local/remote byte
-totals and the cache hit rate flow into ``report.kernel_stats``
-(``shard_local_bytes`` / ``shard_remote_bytes`` / ``remote_cache_*``
-keys ride the worker snapshot); per-minibatch records land in
-``RunReport.shard_io``.
+The :class:`~repro.runtime.shm.SharedFeatureStore` keeps one layout
+for every plane: features and labels in global order, plus the
+partition map (``parts``) in the segment. On a real deployment a remote
+row is a network fetch; here it is the same segment read, and only the
+books know which interconnect it crossed, so the rows a shard trains on
+are bit-identical to a flat gather's. Pool lifetime, gradient sync, DRM
+adjudication, dealing, collection, loading and the worker snapshot are
+the driver's, unchanged. Per-run local/remote byte totals and the cache
+hit rate flow into ``report.kernel_stats`` (``shard_local_bytes`` /
+``shard_remote_bytes`` / ``remote_cache_*`` keys ride the worker
+snapshot); per-minibatch records land in ``RunReport.shard_io``. The
+remote-row share those records give is the halo term the DistDGL
+baseline (:mod:`repro.baselines.distdgl`) assumes equals the partition's
+edge-cut fraction; ``tests/integration/test_sharded.py`` checks it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterator
 
 import numpy as np
 
 from ... import kernels
 from ...errors import ConfigError
-from ...graph.partition import bfs_partition, hash_partition
-from ...graph.shard_map import ShardMap
+from ...graph.partition import bfs_partition, halo, hash_partition
 from ..core import BatchPlan, PlannedIteration
 from .process import ProcessBackend, TargetDeal, WorkerReplica, WorkerSpec
 
@@ -185,106 +187,57 @@ def _apportion(take: int, remaining: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class ShardedReplica(WorkerReplica):
-    """One shard's trainer replica: the shard-sliced store mapping plus
-    the local/cache/remote gather resolver."""
+    """One shard's trainer replica: the inherited load plus the
+    local/cache/remote books of every batch it trains."""
 
     def __init__(self, store, spec: WorkerSpec) -> None:
         super().__init__(store, spec)
         from ..remote_cache import RemoteFeatureCache
 
         self.shard = spec.index
-        smap = store.shard_map()
-        # Views into the segment (released before close, like
-        # features/labels); degrees is already a private copy.
-        self.parts = smap.parts
-        self.shard_row = smap.shard_row
-        shard_cfg = store.manifest.shard
+        #: A view into the segment (released before close, like
+        #: features/labels); degrees is already a private copy.
+        self.parts = store.parts
+        self._row_bytes = self.features.shape[1] * self.features.itemsize
         self.cache = None
-        if shard_cfg.remote_cache_rows > 0:
-            halo = smap.halo(store.csr_graph(), self.shard)
-            cache = RemoteFeatureCache(shard_cfg.remote_cache_rows)
-            cache.admit(halo, self.degrees, self.features,
-                        rows_of=self.shard_row)
-            self.cache = cache
-        self._row_bytes = int(
-            self.features.dtype.itemsize
-            * int(np.prod(self.features.shape[1:], dtype=np.int64)))
-        # One io record per gathered batch, consumed by ``train`` in the
-        # same (FIFO) order — a queue, not a field, because under a
-        # look-ahead window a dealt-ahead batch is gathered before the
-        # previous one trains.
-        self._io: deque[dict] = deque()
+        capacity = store.manifest.shard.remote_cache_rows
+        if capacity > 0:
+            self.cache = RemoteFeatureCache(capacity, self._row_bytes)
+            self.cache.admit(
+                halo(store.csr_graph(), self.parts, self.shard),
+                self.degrees)
 
-    def gather(self, mb) -> np.ndarray:
-        """Resolve the batch's rows local/cache/remote, into a fresh
-        array.
-
-        The assembled source rows are bit-identical to a flat gather
-        (cache rows are copies of the same store rows), so the math
-        stays inside the statistical tier's tolerances exactly like the
-        other worker-sampling planes; only the *accounting* knows which
-        interconnect each row crossed.
-        """
+    def train(self, mb, x0, labels, stage_s):
+        """Train the batch, and bill its input rows: local when this
+        shard owns them, else a cache hit or a remote fetch."""
         ids = np.asarray(mb.input_nodes, dtype=np.int64)
-        rows = self.shard_row[ids]
-        local_mask = self.parts[ids] == self.shard
-        local_idx = np.flatnonzero(local_mask)
-        remote_idx = np.flatnonzero(~local_mask)
-
-        src = np.empty((ids.size,) + self.features.shape[1:],
-                       dtype=self.features.dtype)
-        src[local_idx] = self.features[rows[local_idx]]
+        local = self.parts[ids] == self.shard
+        remote_ids = ids[~local]
         cache_hits = 0
-        if remote_idx.size:
-            if self.cache is not None:
-                hit_mask, hit_rows = self.cache.lookup(ids[remote_idx])
-                src[remote_idx[hit_mask]] = hit_rows
-                miss_idx = remote_idx[~hit_mask]
-                cache_hits = int(hit_mask.sum())
-            else:
-                miss_idx = remote_idx
-            # The remote fetch: rows read out of *other shards'*
-            # slices — on a real deployment this is the network RPC;
-            # here it is the same segment, but billed as remote.
-            src[miss_idx] = self.features[rows[miss_idx]]
-        remote_rows = int(remote_idx.size - cache_hits)
+        if self.cache is not None and remote_ids.size:
+            cache_hits = int(self.cache.lookup(remote_ids).sum())
+        local_rows = int(local.sum())
+        remote_rows = int(remote_ids.size) - cache_hits
         io = {
-            "local_rows": int(local_idx.size),
+            "local_rows": local_rows,
             "remote_rows": remote_rows,
             "cache_hits": cache_hits,
-            "local_bytes": int(local_idx.size) * self._row_bytes,
+            "local_bytes": local_rows * self._row_bytes,
             "remote_bytes": remote_rows * self._row_bytes,
         }
-        self._io.append(io)
-        # Shard-io keys plus the standard gather keys — this resolver
-        # replaces the registry's gather dispatch, so it must keep the
-        # same books.
         kernels.record(
             shard_local_bytes=io["local_bytes"],
             shard_remote_bytes=io["remote_bytes"],
-            shard_local_rows=io["local_rows"],
-            shard_remote_rows=io["remote_rows"],
+            shard_local_rows=local_rows,
+            shard_remote_rows=remote_rows,
             remote_cache_hits=cache_hits,
-            remote_cache_misses=remote_rows,
-            gather_calls=1, gather_rows=ids.size,
-            gather_src_bytes=src.nbytes, gather_out_bytes=src.nbytes)
-        return src
-
-    def labels_for(self, mb) -> np.ndarray:
-        return self.labels[self.shard_row[np.asarray(
-            mb.targets, dtype=np.int64)]]
-
-    def train(self, mb, x0, labels, stage_s):
+            remote_cache_misses=remote_rows)
         reply = super().train(mb, x0, labels, stage_s)
-        reply.shard_io = self._io.popleft()
+        reply.shard_io = io
         return reply
 
-    def begin_run(self, params) -> None:
-        super().begin_run(params)
-        self._io.clear()
-
     def release_views(self) -> None:
-        self.parts = self.shard_row = None
+        self.parts = None
         super().release_views()
 
 
@@ -293,11 +246,12 @@ class ShardedReplica(WorkerReplica):
 # ---------------------------------------------------------------------------
 
 class ShardedBackend(ProcessBackend):
-    """``sharded`` — worker replicas over per-shard slices of the
-    store: :class:`ShardPlan` × :class:`~.process.TargetDeal` ×
-    :class:`ShardedReplica`. Its workers sample, so like
-    ``process_sampling`` it deals the session's window ahead
-    (``prefetch_depth`` under two-stage prefetch, else lock-step).
+    """``sharded`` — worker replicas, one per graph shard, that bill
+    every input row by the partition map: :class:`ShardPlan` ×
+    :class:`~.process.TargetDeal` × :class:`ShardedReplica`. Its
+    workers sample, so like ``process_sampling`` it deals the
+    session's window ahead (``prefetch_depth`` under two-stage
+    prefetch, else lock-step).
 
     Parameters
     ----------
@@ -341,11 +295,8 @@ class ShardedBackend(ProcessBackend):
         n = session.num_trainers
         parts = PARTITIONERS[partitioner](
             session.dataset.graph, n, seed=int(partition_seed))
-        shard_map = ShardMap.from_partition(parts, num_shards=n)
         self.work_source = ShardPlan(session.plan, parts, n)
         self.store_extras = dict(
-            shard_map=shard_map,
+            parts=parts,
             shard_spec=SharedShardSpec(
-                num_shards=n, partitioner=partitioner,
-                partition_seed=int(partition_seed),
                 remote_cache_rows=int(remote_cache_rows)))

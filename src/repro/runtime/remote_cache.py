@@ -5,18 +5,21 @@ the highest-out-degree vertices, and neighbor sampling (which touches
 vertices roughly proportionally to degree) hits the cumulative degree
 mass of the cached fraction (:func:`repro.baselines.common.degree_ordered_hit_ratio`).
 This module promotes that closed form into a real lookup structure the
-sharded training plane serves remote gathers from: each worker admits
+sharded training plane bills remote rows against: each worker admits
 the hottest vertices of its **halo** (the remote vertices its batches
-can touch, per :meth:`repro.graph.shard_map.ShardMap.halo`) once at
-startup, copies their feature rows out of the interconnect-side store,
-and answers per-batch lookups with hit/miss/byte counters the
-backend's report and the kit's conservation tests audit:
+can touch, per :func:`repro.graph.partition.halo`) once at startup and
+answers per-batch lookups with a hit mask and hit/miss/byte counters
+the backend's report and the kit's conservation tests audit:
 
 * ``hits + misses == lookups`` — every looked-up row is classified
   exactly once;
 * ``served_bytes == hits * row_bytes`` and
-  ``missed_bytes == misses * row_bytes`` where ``row_bytes`` is
-  ``feature_dim * dtype.itemsize`` — byte accounting is dtype-exact.
+  ``missed_bytes == misses * row_bytes``, where ``row_bytes`` (one
+  feature row, ``feature_dim * dtype.itemsize``) is given at
+  construction — byte accounting is dtype-exact.
+
+The cache holds ids only: a cached row's bytes are the store's own, so
+a hit changes which interconnect the row is billed to, never the row.
 
 The cache is static by design (PaGraph's is too): admission happens
 once, before training, so lookups are wait-free reads and the hit rate
@@ -32,22 +35,23 @@ from ..errors import ConfigError
 
 
 class RemoteFeatureCache:
-    """A static, degree-ordered cache of remote feature rows.
+    """A static, degree-ordered set of cached remote vertex ids.
 
     Parameters
     ----------
     capacity_rows:
         Maximum rows the cache may hold. Zero is legal (an always-miss
         cache — the "no cache" ablation arm with live counters).
+    row_bytes:
+        Bytes of one feature row, what every hit and miss is billed.
     """
 
-    def __init__(self, capacity_rows: int) -> None:
+    def __init__(self, capacity_rows: int, row_bytes: int) -> None:
         if capacity_rows < 0:
             raise ConfigError("capacity_rows must be non-negative")
         self.capacity_rows = int(capacity_rows)
-        self._ids = np.zeros(0, dtype=np.int64)     # sorted cached ids
-        self._rows: np.ndarray | None = None        # aligned with _ids
-        self._row_bytes = 0
+        self.row_bytes = int(row_bytes)
+        self._ids: np.ndarray | None = None         # sorted cached ids
         # Counters (the conservation invariants the tests pin).
         self.hits = 0
         self.misses = 0
@@ -57,74 +61,50 @@ class RemoteFeatureCache:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def admit(self, candidates: np.ndarray, degrees: np.ndarray,
-              features: np.ndarray,
-              rows_of: np.ndarray | None = None) -> np.ndarray:
+    def admit(self, candidates: np.ndarray,
+              degrees: np.ndarray) -> np.ndarray:
         """Fill the cache with the hottest candidates, once.
 
         Ranks ``candidates`` (global vertex ids) by descending
         ``degrees[candidate]`` — ties broken by ascending id, so
-        admission is deterministic — keeps the top ``capacity_rows``,
-        and copies their rows out of ``features``. ``rows_of`` maps a
-        global id to its row in ``features`` (the shard-major
-        ``shard_row`` translation); ``None`` means features are in
-        global order. Returns the admitted ids (sorted).
+        admission is deterministic — and keeps the top
+        ``capacity_rows``. Returns the admitted ids (sorted).
         """
-        if self._rows is not None:
+        if self._ids is not None:
             raise ConfigError("cache already admitted (static policy)")
         candidates = np.unique(np.asarray(candidates, dtype=np.int64))
-        take = min(self.capacity_rows, candidates.size)
-        if take > 0:
-            rank = np.lexsort(
-                (candidates, -np.asarray(degrees)[candidates]))
-            chosen = np.sort(candidates[rank[:take]])
-        else:
-            chosen = np.zeros(0, dtype=np.int64)
-        src_rows = chosen if rows_of is None \
-            else np.asarray(rows_of)[chosen]
-        self._ids = chosen
-        self._rows = np.ascontiguousarray(features[src_rows])
-        self._row_bytes = int(self._rows.dtype.itemsize
-                              * int(np.prod(self._rows.shape[1:],
-                                            dtype=np.int64)))
-        return chosen
+        rank = np.lexsort((candidates, -np.asarray(degrees)[candidates]))
+        self._ids = np.sort(candidates[rank[:self.capacity_rows]])
+        return self._ids
 
     @property
     def size_rows(self) -> int:
-        return int(self._ids.size)
+        return 0 if self._ids is None else int(self._ids.size)
 
     @property
-    def cached_ids(self) -> np.ndarray:
-        """The admitted global ids (sorted, read-only view)."""
+    def cached_ids(self) -> np.ndarray | None:
+        """The admitted global ids (sorted), ``None`` before admit."""
         return self._ids
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def lookup(self, ids: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-        """Serve a batch of global ids.
-
-        Returns ``(hit_mask, hit_rows)``: a boolean mask over ``ids``
-        and the cached rows for the hits, in ``ids[hit_mask]`` order
-        and the store's dtype. Updates the hit/miss/byte counters;
-        callers fetch the misses from the remote store themselves (and
-        bill the remote bytes). Only an admitted cache can be asked.
-        """
-        if self._rows is None:
+    def lookup(self, ids: np.ndarray) -> np.ndarray:
+        """Classify a batch of global ids: the boolean hit mask over
+        ``ids``. Updates the hit/miss/byte counters; callers bill the
+        misses as remote fetches themselves. Only an admitted cache can
+        be asked."""
+        if self._ids is None:
             raise ConfigError("lookup before admit")
         ids = np.asarray(ids, dtype=np.int64)
-        pos = np.searchsorted(self._ids, ids)
-        hit_mask = np.zeros(ids.size, dtype=bool)
-        if self._ids.size:
-            hit_mask = self._ids[np.minimum(pos, self._ids.size - 1)] == ids
+        hit_mask = np.isin(ids, self._ids)
         n_hit = int(hit_mask.sum())
         n_miss = int(ids.size - n_hit)
         self.hits += n_hit
         self.misses += n_miss
-        self.served_bytes += n_hit * self._row_bytes
-        self.missed_bytes += n_miss * self._row_bytes
-        return hit_mask, self._rows[pos[hit_mask]]
+        self.served_bytes += n_hit * self.row_bytes
+        self.missed_bytes += n_miss * self.row_bytes
+        return hit_mask
 
     # ------------------------------------------------------------------
     # Accounting
@@ -137,11 +117,6 @@ class RemoteFeatureCache:
     def hit_rate(self) -> float:
         total = self.lookups
         return self.hits / total if total else 0.0
-
-    @property
-    def row_bytes(self) -> int:
-        """Bytes per cached row (``feature_dim * dtype.itemsize``)."""
-        return self._row_bytes
 
     def stats(self) -> dict[str, int]:
         """Counter snapshot in the ``kernel_stats`` key dialect."""

@@ -7,10 +7,12 @@ feature matrix per mini-batch would immediately re-create the PCIe-style
 traffic bottleneck the paper's feature loader avoids, so the dataset's
 big read-only arrays — node features, labels, and the CSR topology —
 are placed once in a single :mod:`multiprocessing.shared_memory` block
-and every worker maps them zero-copy. The same segment carries the one
-*writable* array, the **gradient slab** (``grads``): row ``k`` is
-worker ``k``'s flat gradient, the last row the parent's averaged
-update, so per-iteration gradient traffic never touches a pipe either.
+and every worker maps them zero-copy, always in global vertex order (a
+partitioned store adds only its ``parts`` map). The same segment
+carries the one *writable* array, the **gradient slab** (``grads``):
+row ``k`` is worker ``k``'s flat gradient, the last row the parent's
+averaged update, so per-iteration gradient traffic never touches a
+pipe either.
 
 Layout: one segment, all arrays at 64-byte-aligned offsets (one segment
 means one thing to unlink, and cache-line alignment keeps NumPy gathers
@@ -91,24 +93,15 @@ class SharedSamplerSpec:
 
 @dataclass(frozen=True)
 class SharedShardSpec:
-    """Partition metadata of a shard-sliced store (picklable).
+    """Partition metadata of a partitioned store (picklable).
 
     When the creating backend trains over a vertex partition (the
-    sharded plane), ``features`` and ``labels`` are stored in
-    **shard-major row order**: shard ``k``'s rows form one contiguous
-    slice, so a worker's local gathers stay inside its own slice and
-    any other row is a remote fetch it must account for. The
-    translation arrays travel in the segment itself (``parts``,
-    ``shard_row``, ``shard_order``, ``shard_offsets`` — see
-    :class:`~repro.graph.shard_map.ShardMap`); this spec carries what
-    a worker cannot derive from them: the shard count (trailing empty
-    shards are representable), how the map was produced, and the
-    per-worker remote-cache capacity.
+    sharded plane), the segment carries the partition map itself
+    (``parts``, one shard id per vertex) next to the globally ordered
+    features and labels; this spec carries what a worker cannot read
+    from it: the per-worker remote-cache capacity.
     """
 
-    num_shards: int
-    partitioner: str | None = None
-    partition_seed: int | None = None
     remote_cache_rows: int = 0
 
 
@@ -121,9 +114,8 @@ class SharedStoreManifest:
     :class:`SharedSamplerSpec` the workers rebuild their samplers from
     (the topology itself travels in the segment as ``indptr`` /
     ``indices`` / ``train_ids``). ``shard`` is optional partition
-    state: a shard-sliced store (the sharded plane) carries a
-    :class:`SharedShardSpec` and stores features/labels in shard-major
-    order alongside the translation arrays.
+    state: a partitioned store (the sharded plane) carries a
+    :class:`SharedShardSpec` and its ``parts`` array.
     """
 
     segment: str
@@ -170,7 +162,7 @@ class SharedFeatureStore:
     @classmethod
     def create(cls, dataset,
                sampler_spec: SharedSamplerSpec | None = None,
-               shard_map=None,
+               parts: np.ndarray | None = None,
                shard_spec: SharedShardSpec | None = None,
                grad_slab: np.ndarray | None = None
                ) -> "SharedFeatureStore":
@@ -183,49 +175,32 @@ class SharedFeatureStore:
         sampler family locally, without touching the parent's address
         space.
 
-        With a ``shard_map`` (:class:`~repro.graph.shard_map.ShardMap`)
-        the store becomes **shard-sliced**: features and labels are
-        written in shard-major row order (shard ``k``'s rows form the
-        contiguous slice ``offsets[k]:offsets[k+1]``) and the
-        translation arrays (``parts``, ``shard_row``, ``shard_order``,
-        ``shard_offsets``) travel in the segment; the CSR topology and
-        ``train_ids`` stay globally indexed (the sampler and the
-        models' degree terms speak global ids). ``shard_spec`` is the
-        accompanying :class:`SharedShardSpec` metadata (defaults to a
-        bare spec naming only the shard count).
+        With ``parts`` (one partition id per vertex) the store is
+        **partitioned**: the map travels in the segment as
+        :attr:`parts`, and ``shard_spec`` is the accompanying
+        :class:`SharedShardSpec` (defaults to one with no remote
+        cache). Every array stays globally indexed: a worker tells its
+        local rows from remote ones by ``parts``, not by position.
 
         ``grad_slab`` — the initial ``(rows, num_params)`` gradient
         slab in the model's parameter dtype — is copied in as
         :attr:`grads`: same segment, same manifest, same unlink.
         """
-        features = np.ascontiguousarray(dataset.features)
-        labels = np.ascontiguousarray(dataset.labels)
         arrays = {
-            "features": features,
-            "labels": labels,
+            "features": np.ascontiguousarray(dataset.features),
+            "labels": np.ascontiguousarray(dataset.labels),
             "indptr": np.ascontiguousarray(dataset.graph.indptr),
             "indices": np.ascontiguousarray(dataset.graph.indices),
             "train_ids": np.ascontiguousarray(dataset.train_ids),
         }
-        if shard_map is not None:
-            arrays["features"] = np.ascontiguousarray(
-                features[shard_map.order])
-            arrays["labels"] = np.ascontiguousarray(
-                labels[shard_map.order])
-            arrays["parts"] = np.ascontiguousarray(shard_map.parts)
-            arrays["shard_row"] = np.ascontiguousarray(
-                shard_map.shard_row)
-            arrays["shard_order"] = np.ascontiguousarray(
-                shard_map.order)
-            arrays["shard_offsets"] = np.ascontiguousarray(
-                shard_map.offsets)
+        if parts is not None:
+            arrays["parts"] = np.ascontiguousarray(parts, dtype=np.int64)
             if shard_spec is None:
-                shard_spec = SharedShardSpec(
-                    num_shards=shard_map.num_shards)
+                shard_spec = SharedShardSpec()
         elif shard_spec is not None:
             raise ProtocolError(
-                "shard_spec without a shard_map: the store cannot "
-                "slice features it has no partition for")
+                "shard_spec without parts: the store has no partition "
+                "to bill rows by")
         if grad_slab is not None:
             arrays["grads"] = grad_slab
         specs: list[SharedArraySpec] = []
@@ -289,23 +264,10 @@ class SharedFeatureStore:
         return self._view("grads")
 
     @property
-    def is_sharded(self) -> bool:
-        """Whether this store was created with a shard layout."""
-        return self.manifest.shard is not None
-
-    def shard_map(self):
-        """The store's :class:`~repro.graph.shard_map.ShardMap`,
-        rebuilt zero-copy from the segment's translation arrays
-        (worker side). The returned map's arrays view the segment —
-        drop it before :meth:`close`, like any other view."""
-        from ..graph.shard_map import ShardMap
-        if not self.is_sharded:
-            raise ProtocolError("store was created without a shard map")
-        return ShardMap(parts=self._view("parts"),
-                        num_shards=self.manifest.shard.num_shards,
-                        order=self._view("shard_order"),
-                        shard_row=self._view("shard_row"),
-                        offsets=self._view("shard_offsets"))
+    def parts(self) -> np.ndarray:
+        """The partition map of a partitioned store (one shard id per
+        vertex)."""
+        return self._view("parts")
 
     @property
     def degrees(self) -> np.ndarray:

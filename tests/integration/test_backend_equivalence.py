@@ -171,7 +171,6 @@ class TestBackendConformance:
         third-party path — and it passes the statistical tier on every
         case, cross-node ownership assertion included."""
         from repro.graph.partition import bfs_partition
-        from repro.graph.shard_map import ShardMap
         from repro.runtime.backends.process import (
             ProcessBackend,
             TargetDeal,
@@ -195,9 +194,7 @@ class TestBackendConformance:
                 n = session.num_trainers
                 parts = bfs_partition(session.dataset.graph, n, seed=0)
                 self.work_source = ShardPlan(session.plan, parts, n)
-                self.store_extras = dict(
-                    shard_map=ShardMap.from_partition(parts,
-                                                      num_shards=n))
+                self.store_extras = dict(parts=parts)
 
         try:
             for case in CONFORMANCE_CASES:

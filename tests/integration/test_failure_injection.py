@@ -1,20 +1,23 @@
 """Failure-injection tests: the system must fail fast and loudly, never
 hang or silently corrupt state."""
 
+import glob
 import inspect
+import multiprocessing as mp
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from backend_conformance import threaded_backend
+from backend_conformance import PROCESS_PRESETS, threaded_backend
 from repro.config import SystemConfig, TrainingConfig
 from repro.errors import (
     ProtocolError,
     ReproError,
     ShapeError,
     StageTimeoutError,
+    WorkerError,
 )
 from repro.nn.models import build_model
 from repro.runtime import TrainingSession, build_backend, get_backend
@@ -217,6 +220,53 @@ class TestTrainingLaneFaults:
             backend.run(4)
         assert time.perf_counter() - wedged[0] < 2 * backend.timeout_s
         self._reusable(backend, monkeypatch)
+
+
+class FaultyLoad:
+    """Replica mixin: worker 1's third ``load`` raises. Under a window
+    of 2 the fault lands while that worker still holds an item it has
+    not trained."""
+
+    loads = 0
+
+    def load(self, mb, trainer_kind):
+        self.loads += 1
+        if self.spec.index == 1 and self.loads == 3:
+            raise RuntimeError("injected load fault in worker 1")
+        return super().load(mb, trainer_kind)
+
+
+class TestWorkerStageFaults:
+    """A stage exception inside a worker, with items in flight, on
+    every process preset at the session window: a typed error carrying
+    the worker's traceback, well inside the watchdog; no segment and no
+    child left; and the same backend then runs again."""
+
+    @pytest.mark.parametrize("name", PROCESS_PRESETS)
+    def test_load_exception_in_worker_fails_typed_then_reopens(
+            self, name, tiny_ds, small_cfg):
+        session = TrainingSession(
+            tiny_ds, small_cfg,
+            SystemConfig(hybrid=True, drm=False, prefetch=True,
+                         prefetch_depth=2),
+            num_trainers=3)
+        timeout_s = 20.0
+        backend = build_backend(name, session, timeout_s=timeout_s)
+        backend.replica_cls = type("Faulty", (FaultyLoad,
+                                              backend.replica_cls), {})
+        start = time.perf_counter()
+        with pytest.raises(WorkerError) as err:
+            backend.run(6)
+        assert time.perf_counter() - start < timeout_s / 2
+        assert "Traceback" in str(err.value)
+        assert "injected load fault in worker 1" in str(err.value)
+        assert not mp.active_children()
+        assert not glob.glob("/dev/shm/repro_shm_*")
+
+        del backend.replica_cls
+        with backend:
+            rep = backend.run(2)
+        assert rep.replicas_consistent
 
 
 class TestThreadedFaults:

@@ -19,7 +19,12 @@ plane specifically owes:
   than hash partitioning with no cache (the regression pin on the
   whole reason this plane exists);
 * the window: under two-stage prefetch the plane deals the session's
-  ``prefetch_depth`` ahead, and the io records match a lock-step run's.
+  ``prefetch_depth`` ahead, and the io records match a lock-step run's;
+* the DistDGL baseline's halo assumption: the live remote-row share
+  equals the partition's edge-cut fraction within 0.05, under both
+  partitioners at two and four shards, and the remote cache only
+  re-bills remote rows as hits (``TestHaloShareMatchesEdgeCut``,
+  cited by :mod:`repro.baselines.distdgl`).
 """
 
 import dataclasses
@@ -29,13 +34,18 @@ import pytest
 
 from backend_conformance import (
     CONFORMANCE_CASES,
+    ConformanceCase,
     assert_backend_conforms,
     run_backend,
 )
 from repro.errors import ConfigError, ProtocolError
-from repro.graph.shard_map import ShardMap
+from repro.graph.partition import partition_quality
 from repro.runtime import ShardedBackend, TrainingSession
-from repro.runtime.backends.sharded import ShardPlan, _apportion
+from repro.runtime.backends.sharded import (
+    PARTITIONERS,
+    ShardPlan,
+    _apportion,
+)
 from repro.runtime.core import BatchPlan
 from repro.runtime.shm import SharedFeatureStore, SharedShardSpec
 
@@ -158,7 +168,7 @@ class TestShardIOAccounting:
                 ks.get("remote_cache_hits", 0) == \
                 sum(r["remote_rows"] + r["cache_hits"]
                     for r in rep.shard_io)
-            # The resolver keeps the standard gather books too.
+            # The inherited load keeps the standard gather books.
             assert ks["gather_src_bytes"] > 0
 
     def test_bfs_with_cache_beats_hash_without(self, reports):
@@ -199,25 +209,56 @@ class TestShardedWindow:
         np.testing.assert_array_equal(ahead.losses, lockstep.losses)
 
 
+class TestHaloShareMatchesEdgeCut:
+    """The check the plane exists for. The DistDGL row of Tables V/VI
+    (:mod:`repro.baselines.distdgl`) bills ``edge_cut_fraction ×
+    |V⁰|`` halo rows per batch; the live plane's remote-row share over
+    a full epoch must read the same fraction, within 0.05."""
+
+    @staticmethod
+    def _run(tiny_ds, partitioner, shards, cache_rows):
+        case = ConformanceCase(id=f"{partitioner}-{shards}",
+                               num_trainers=shards,
+                               sys_cfg_kwargs=dict(drm=False))
+        _, rep = run_backend("sharded", case, tiny_ds, {
+            "partitioner": partitioner,
+            "remote_cache_rows": cache_rows})
+        return rep
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    @pytest.mark.parametrize("partitioner", ["bfs", "hash"])
+    def test_remote_share_tracks_edge_cut(self, tiny_ds, partitioner,
+                                          shards):
+        rep = self._run(tiny_ds, partitioner, shards, 0)
+        local = sum(r["local_rows"] for r in rep.shard_io)
+        remote = sum(r["remote_rows"] for r in rep.shard_io)
+        parts = PARTITIONERS[partitioner](tiny_ds.graph, shards, seed=0)
+        np.testing.assert_array_equal(rep.shard_parts, parts)
+        cut = partition_quality(tiny_ds.graph, parts).edge_cut_fraction
+        assert remote / (local + remote) == pytest.approx(cut, abs=0.05)
+
+        # The cache re-bills remote rows as hits, batch by batch, and
+        # leaves the local rows alone.
+        cached = self._run(tiny_ds, partitioner, shards, 64)
+        assert len(cached.shard_io) == len(rep.shard_io)
+        for off, on in zip(rep.shard_io, cached.shard_io):
+            assert on["remote_rows"] + on["cache_hits"] == \
+                off["remote_rows"]
+            assert on["local_rows"] == off["local_rows"]
+        assert cached.remote_cache_hit_rate > 0.0
+
+
 class TestShardedStore:
-    def test_shard_major_layout_round_trips(self, tiny_ds):
+    def test_partitioned_store_keeps_global_order(self, tiny_ds):
         parts = np.arange(tiny_ds.graph.num_vertices,
                           dtype=np.int64) % 3
-        smap = ShardMap.from_partition(parts, num_shards=3)
-        store = SharedFeatureStore.create(tiny_ds, shard_map=smap)
+        store = SharedFeatureStore.create(tiny_ds, parts=parts)
         try:
-            assert store.is_sharded
-            rebuilt = store.shard_map()
-            np.testing.assert_array_equal(rebuilt.parts, parts)
-            np.testing.assert_array_equal(
-                store.features[rebuilt.shard_row], tiny_ds.features)
-            np.testing.assert_array_equal(
-                store.labels[rebuilt.shard_row], tiny_ds.labels)
-            # Topology stays globally indexed.
-            np.testing.assert_array_equal(store.indptr,
-                                          tiny_ds.graph.indptr)
-            assert store.manifest.shard.num_shards == 3
-            del rebuilt
+            np.testing.assert_array_equal(store.parts, parts)
+            np.testing.assert_array_equal(store.features,
+                                          tiny_ds.features)
+            np.testing.assert_array_equal(store.labels, tiny_ds.labels)
+            assert store.manifest.shard == SharedShardSpec()
         finally:
             store.close()
             store.unlink()
@@ -225,14 +266,13 @@ class TestShardedStore:
     def test_shard_spec_requires_map(self, tiny_ds):
         with pytest.raises(ProtocolError):
             SharedFeatureStore.create(
-                tiny_ds, shard_spec=SharedShardSpec(num_shards=2))
+                tiny_ds, shard_spec=SharedShardSpec(remote_cache_rows=2))
 
     def test_plain_store_is_not_sharded(self, tiny_ds):
         store = SharedFeatureStore.create(tiny_ds)
         try:
-            assert not store.is_sharded
-            with pytest.raises(ProtocolError):
-                store.shard_map()
+            assert store.manifest.shard is None
+            assert "parts" not in {a.key for a in store.manifest.arrays}
         finally:
             store.close()
             store.unlink()

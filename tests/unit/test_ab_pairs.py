@@ -90,3 +90,56 @@ class TestRegressionVerdict:
         assert ab.quartiles([5.0]) == (5.0, 5.0, 5.0)
         assert ab.spread([5.0]) == 0.0
         assert ab.regression_verdict([5.0], [5.5], "lower", 0.2) == "ok"
+
+
+class TestFailedPairs:
+    """A pair with a failed run leaves both series, and wins count out
+    of every pair run."""
+
+    @staticmethod
+    def _fake_runs(fail):
+        """A ``run_once`` whose ``op_p50_ms`` falls pair by pair on both
+        sides, the change 5 ms under the parent of its own pair;
+        ``fail`` holds the ``(side, pair)`` runs that produce no
+        result."""
+        calls = {"parent": 0, "change": 0}
+
+        def run_once(checkout, workload, seed):
+            side = checkout.name
+            pair = calls[side]
+            calls[side] += 1
+            if (side, pair) in fail:
+                return None
+            value = 200.0 - 10.0 * pair - (5.0 if side == "change" else 0)
+            return {"correct": True, "failed": 0, "attempted": 3,
+                    "metrics": {"op_p50_ms": {"value": value}}}
+        return run_once
+
+    def test_each_side_failing_in_a_different_pair(self, tmp_path,
+                                                   monkeypatch, capsys):
+        for side in ("parent", "change"):
+            (tmp_path / side).mkdir()
+        (tmp_path / "parent" / "BENCHMARK.json").write_text(
+            '{"end_to_end": [{"name": "op_p50_ms", "unit": "ms", '
+            '"better": "lower", "bound": 0.2}]}')
+        monkeypatch.setattr(ab, "run_once", self._fake_runs(
+            {("parent", 2), ("change", 5)}))
+        code = ab.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                        "--workload", "w", "--pairs", "10"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "failed runs: parent 1, change 1" in out
+        row, = [line for line in out.splitlines()
+                if line.startswith("op_p50_ms")]
+        # Eight whole pairs, each won by the change; had the series
+        # shifted past the failures, pairs 3 to 5 would be lost. Eight
+        # of ten pairs run is no claim.
+        assert "8/10" in row.split()
+        assert row.split()[4] == "no"
+
+    def test_nine_wins_of_ten_pairs_run(self):
+        parent = PARENT[:9]
+        change = [x - 10.0 for x in parent]
+        assert ab.claim_verdict(parent, change, "lower", pairs=10)
+        assert not ab.claim_verdict(parent[:8], change[:8], "lower",
+                                    pairs=10)

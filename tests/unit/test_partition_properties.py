@@ -8,7 +8,10 @@ the distributed baselines charge communication with agree with a
 brute-force recount. Plus the two edge shapes the sharded plane must
 survive (regression: both used to crash or were never exercised):
 ``num_parts > num_vertices`` (empty shards are representable, not an
-error) and ``num_parts == 1``.
+error) and ``num_parts == 1``; and :func:`~repro.graph.partition.halo`,
+the remote vertices a shard's batches can touch, against a brute-force
+recount (a missing halo vertex silently misses the remote cache
+forever).
 """
 
 import numpy as np
@@ -20,10 +23,10 @@ from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import (
     bfs_partition,
+    halo,
     hash_partition,
     partition_quality,
 )
-from repro.graph.shard_map import ShardMap
 
 common_settings = settings(
     max_examples=40, deadline=None,
@@ -108,18 +111,19 @@ class TestEdgeShapes:
     @pytest.mark.parametrize("partition", PARTITIONERS)
     def test_more_parts_than_vertices(self, small_graph, partition):
         """``num_parts > n`` yields a legal assignment with (possibly)
-        empty shards — it used to raise in ``bfs_partition`` — and the
-        result must survive the downstream ShardMap translation."""
+        empty shards — it used to raise in ``bfs_partition`` — and
+        the sharded plane's two readers of a map, ``bincount`` and
+        :func:`halo`, read the empty shards as zero-sized."""
         num_parts = small_graph.num_vertices + 7
         parts = partition(small_graph, num_parts, seed=1)
         assert parts.shape == (small_graph.num_vertices,)
         assert parts.min() >= 0 and parts.max() < num_parts
-        smap = ShardMap.from_partition(parts, num_shards=num_parts)
-        sizes = smap.shard_sizes()
+        sizes = np.bincount(parts, minlength=num_parts)
+        assert sizes.size == num_parts
         assert sizes.sum() == small_graph.num_vertices
         assert (sizes == 0).any()          # empty shards representable
         for k in np.flatnonzero(sizes == 0):
-            assert smap.owned(int(k)).size == 0
+            assert halo(small_graph, parts, int(k)).size == 0
 
     def test_bfs_more_parts_than_vertices_stays_balanced(
             self, small_graph):
@@ -144,3 +148,23 @@ class TestEdgeShapes:
     def test_invalid_num_parts_rejected(self, small_graph, partition):
         with pytest.raises(GraphError):
             partition(small_graph, 0)
+
+
+class TestHalo:
+    def test_halo_matches_brute_force(self):
+        rng = np.random.default_rng(9)
+        n = 30
+        src = rng.integers(0, n, size=120)
+        dst = rng.integers(0, n, size=120)
+        graph = CSRGraph.from_edges(src, dst, n)
+        parts = rng.integers(0, 3, size=n).astype(np.int64)
+        for k in range(3):
+            want = sorted({int(d) for s, d in zip(src, dst)
+                           if parts[s] == k and parts[d] != k})
+            np.testing.assert_array_equal(halo(graph, parts, k), want)
+
+    def test_halo_of_empty_shard_is_empty(self, line_graph):
+        parts = np.zeros(line_graph.num_vertices, dtype=np.int64)
+        assert halo(line_graph, parts, 1).size == 0
+        # ...and a one-shard map has no remote vertices at all.
+        assert halo(line_graph, parts, 0).size == 0
