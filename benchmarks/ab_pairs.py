@@ -22,6 +22,11 @@ side's median and quartiles, the pair wins and two verdicts:
   spread (inter-quartile distance over median) is wider than that
   bound, unless every change run beats every parent run.
 
+Each whole pair also prints its change − parent delta per metric, and
+the summary gives the deltas' median and quartiles: a paired readout
+that a host drifting between pairs moves less than it moves either
+side's own spread. The verdicts do not read it.
+
 A run that fails or reports failed ops is listed and counted against
 its side, and its pair leaves both series, so the pairs compared are
 always runs made back to back. Wins still count out of every pair run:
@@ -70,6 +75,11 @@ def pair_wins(parent: list[float], change: list[float],
     won = sum(_beats(c, p, better) for p, c in zip(parent, change))
     lost = sum(_beats(p, c, better) for p, c in zip(parent, change))
     return won, lost
+
+
+def pair_deltas(parent: list[float], change: list[float]) -> list[float]:
+    """Each pair's ``change - parent``."""
+    return [c - p for p, c in zip(parent, change)]
 
 
 def claim_verdict(parent: list[float], change: list[float],
@@ -167,6 +177,9 @@ def main(argv: list[str] | None = None) -> int:
             for side, row in rows.items():
                 for name, v in row.items():
                     values[side][name].append(v)
+            print(f"pair {i} delta: " + " ".join(
+                f"{k}={_fmt(rows['change'][k] - rows['parent'][k])}"
+                for k in rows["parent"]))
 
     ok = not any(failed.values())
     print(f"\nfailed runs: parent {failed['parent']}, "
@@ -189,6 +202,13 @@ def main(argv: list[str] | None = None) -> int:
               f"{won:>3}/{args.pairs:<3}  "
               f"{'yes' if claimed else 'no':<5}  "
               f"{verdict} (bound {m['bound']:.0%})")
+    print(f"\n{'pair delta (change - parent)':<34} {'q1/med/q3':>26}")
+    for m in metrics:
+        deltas = pair_deltas(values["parent"][m["name"]],
+                             values["change"][m["name"]])
+        if deltas:
+            print(f"delta {m['name']:<28} "
+                  f"{'/'.join(_fmt(x) for x in quartiles(deltas)):>26}")
     return 0 if ok else 1
 
 

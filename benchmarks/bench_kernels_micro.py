@@ -207,6 +207,12 @@ def _kernel_cases(ds, batch):
     (outside the timed call), then decoded into a fresh destination —
     against the same reference composition.
 
+    ``table_codes_int8`` times the training lanes' int8 load: the
+    codes and scales gathered from the same table, and the codes cast
+    into a fresh destination, with no scale multiply (the model's
+    input layer folds the scales) — against the same reference
+    composition.
+
     ``train_backward_sage`` is the one row that is not a registry
     kernel: one GraphSAGE training step, :func:`full_chain_step`
     (input-feature gradient computed and dropped) against the model's
@@ -248,6 +254,12 @@ def _kernel_cases(ds, batch):
         return fast.decode(fast.gather(codes, idx),
                            fast.gather(scales, idx), feats.dtype)
 
+    def table_codes():
+        # A training lane's int8 load: gather the codes and scales,
+        # then cast the codes; the input layer folds the scales.
+        return (fast.decode(fast.gather(codes, idx), None, feats.dtype),
+                fast.gather(scales, idx))
+
     return {
         "gather": (
             lambda: reference.gather(feats, idx),
@@ -264,6 +276,10 @@ def _kernel_cases(ds, batch):
             lambda: reference.quantize(reference.gather(feats, idx),
                                        "int8"),
             table_load),
+        "table_codes_int8": (
+            lambda: reference.quantize(reference.gather(feats, idx),
+                                       "int8"),
+            table_codes),
         "quantize_int8": (
             lambda: reference.quantize(x0, "int8"),
             lambda: fast.quantize(x0, "int8")),

@@ -11,7 +11,10 @@ load returns a fresh array that it owns. An in-process session's
 accelerator load is ``decode(gather_wire(table, idx))`` over the
 table it encoded once; the per-batch round trip — a fresh gather,
 then ``quantize(dest, mode, out=dest)`` in place — serves the split
-``transfer`` stage and the process workers.
+``transfer`` stage. A training lane or process worker loading int8
+rows stops one multiply short — **decode_codes** (the cast alone) or
+**quantize_codes** (the round trip minus its final multiply) — and
+its model folds the per-row scales into the input layer.
 
 :mod:`repro.kernels.reference` keeps the original implementations as
 the conformance oracle: tests and the kernel micro-bench call it by
@@ -102,6 +105,22 @@ def quantize(x: np.ndarray, mode: str, *,
     return result
 
 
+def quantize_codes(x: np.ndarray, *,
+                   out: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The int8 round trip minus its final multiply: ``(codes,
+    scales)``, the codes in ``x``'s float dtype (``out`` may be ``x``
+    itself) and the ``(rows, 1)`` per-row scales a trainer's input
+    layer folds. ``codes * scales`` is :func:`quantize` ``(x,
+    "int8")`` bit for bit, and bills the same counters."""
+    x = _check_matrix(x, "feature")
+    result = fast.quantize_codes(x, out=out)
+    record(
+        quantize_calls=1, quantize_in_bytes=x.nbytes,
+        payload_bytes=payload_bytes("int8", x.shape[0], x.shape[1]))
+    return result
+
+
 @dataclass(frozen=True)
 class WireRows:
     """Feature rows in their PCIe wire form.
@@ -167,6 +186,18 @@ def decode(wire: WireRows) -> np.ndarray:
     return result
 
 
+def decode_codes(wire: WireRows) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`decode` minus its scale multiply: ``(codes, scales)``,
+    the codes cast into a fresh array of the store's dtype and the
+    rows' scales (``None`` for fp16, whose cast is the whole decode).
+    ``codes * scales`` is :func:`decode` ``(wire)`` bit for bit, and
+    bills the same counters."""
+    result = fast.decode(wire.codes, None, wire.dtype)
+    record(decode_calls=1,
+           payload_bytes=payload_bytes(wire.mode, *wire.codes.shape))
+    return result, wire.scales
+
+
 def segment_sum(src: np.ndarray, dst: np.ndarray, h_src: np.ndarray,
                 num_dst: int,
                 edge_weights: np.ndarray | None = None) -> np.ndarray:
@@ -192,10 +223,12 @@ __all__ = [
     "payload_bytes",
     "gather_rows",
     "quantize",
+    "quantize_codes",
     "WireRows",
     "encode",
     "gather_wire",
     "decode",
+    "decode_codes",
     "segment_sum",
     "fast",
     "reference",

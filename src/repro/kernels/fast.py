@@ -14,7 +14,10 @@ call. Three levers, all pure NumPy so every platform gets them:
   codes plus per-row scales (or a float16 copy) once, and
   :func:`decode` turns a gathered batch of them back: a quarter of the
   bytes gathered and a cast plus a multiply per element, instead of
-  the full divide / round / rescale chain every batch.
+  the full divide / round / rescale chain every batch. A trainer that
+  folds the scales into its input layer takes the cast alone
+  (``decode`` with no scales) or :func:`quantize_codes`, the round
+  trip minus its final multiply.
 * **Reduction restructuring** — :func:`segment_sum` replaces the
   edge-serial ``np.add.at`` scatter (notoriously slow: one bounds-
   checked inner-loop dispatch per edge) with destination-sorted
@@ -30,7 +33,8 @@ per-row absmax equals ``max(max(x), -min(x))`` exactly, and
 round-then-clip runs in the same order on the same dtypes as the
 oracle (the clip skipped only where it is the identity); ``decode``
 of gathered ``encode`` rows equals ``quantize`` of the gathered rows,
-bit for bit. Only ``segment_sum`` is tolerance-equivalent (sum order
+bit for bit, and so does ``codes * scales`` for both codes-only
+forms. Only ``segment_sum`` is tolerance-equivalent (sum order
 differs); it is off the training path (models aggregate through
 :class:`~repro.nn.aggregators.SparseAggregator`), so backend
 trajectories are identical with either implementation.
@@ -88,12 +92,23 @@ def quantize(x: np.ndarray, mode: str,
     if mode == "fp16":
         np.copyto(dest, x.astype(np.float16))
         return dest
+    codes, scale = quantize_codes(x, out=dest)
+    codes *= scale
+    return codes
+
+
+def quantize_codes(x: np.ndarray, out: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The int8 round trip minus its final multiply: ``(codes,
+    scales)``, the codes ``rint(x / scale)`` in ``x``'s float dtype
+    (``out`` may be ``x`` itself) and the ``(rows, 1)`` scales.
+    ``codes * scales`` is :func:`quantize` ``(x, "int8")`` bit for
+    bit."""
+    dest = np.empty(x.shape, dtype=x.dtype) if out is None else out
     # Scales are reduced before the divide writes, so an in-place
     # dest is safe.
     scale, clip, _ = _row_scales(x)
-    _int8_codes(x, scale, clip, out=dest)
-    dest *= scale
-    return dest
+    return _int8_codes(x, scale, clip, out=dest), scale
 
 
 def _row_scales(x: np.ndarray) -> tuple[np.ndarray, bool, np.ndarray]:

@@ -56,13 +56,26 @@ class SparseAggregator:
         self.matrix = _csr(block, edge_weights)
         self._matrix_t: sp.csr_matrix | None = None
 
-    def forward(self, h_src: np.ndarray) -> np.ndarray:
-        """Aggregate source features into destination rows."""
+    def forward(self, h_src: np.ndarray,
+                row_scales: np.ndarray | None = None) -> np.ndarray:
+        """Aggregate source features into destination rows.
+
+        With ``row_scales`` (one per source row) it aggregates
+        ``diag(row_scales) @ h_src`` without forming it: the scales
+        ride on the edge weights, ``(S · diag(s)) @ h_src``, an
+        edge-sized multiply instead of a feature-sized one.
+        """
         if h_src.shape[0] != self.block.num_src:
             raise ShapeError(
                 f"expected {self.block.num_src} source rows, "
                 f"got {h_src.shape[0]}")
-        return self.matrix @ h_src
+        if row_scales is None:
+            return self.matrix @ h_src
+        m = self.matrix
+        scaled = sp.csr_matrix(
+            (m.data * row_scales.ravel()[m.indices], m.indices, m.indptr),
+            shape=m.shape)
+        return scaled @ h_src
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. source features: ``S^T @ dA``."""

@@ -13,6 +13,15 @@ passed to ``forward``/``backward`` together with an explicit cache object,
 so the same layer instance can be evaluated concurrently by multiple
 trainers (the hybrid system runs several trainers per iteration on model
 replicas, but tests also exercise shared instances).
+
+**Folded int8 scales.** Both layers aggregate before they update, so an
+input layer handed int8 codes (cast to float) plus ``row_scales``, one
+per source row, computes what it would on the dequantized rows
+``codes * row_scales``: the aggregation multiplies its edge weights by
+``row_scales[src]``, and SAGE's self rows ``h_src[:num_dst]`` take
+their scale element-wise — bit-equal to the dequantized rows. Only the
+rounding of the aggregation differs. ``backward`` returns the gradient
+with respect to the dequantized rows.
 """
 
 from __future__ import annotations
@@ -40,7 +49,6 @@ class LayerCache:
     aggregator: SparseAggregator
     update_input: np.ndarray      # input of the dense update (a_v)
     pre_activation: np.ndarray    # z = a W + b (None-equivalent if linear)
-    h_src: np.ndarray             # layer input features
 
 
 class GCNLayer:
@@ -88,14 +96,17 @@ class GCNLayer:
         return SparseAggregator(blk, weights.astype(self.linear.W.dtype))
 
     # -- forward / backward ---------------------------------------------
-    def forward(self, aggregator: SparseAggregator,
-                h_src: np.ndarray) -> tuple[np.ndarray, LayerCache]:
-        """Aggregate then update; returns (h_out, cache)."""
-        a = aggregator.forward(h_src)
+    def forward(self, aggregator: SparseAggregator, h_src: np.ndarray,
+                row_scales: np.ndarray | None = None
+                ) -> tuple[np.ndarray, LayerCache]:
+        """Aggregate then update; returns (h_out, cache).
+        ``row_scales`` ``(num_src, 1)`` folds into the edge weights
+        (module docstring)."""
+        a = aggregator.forward(h_src, row_scales)
         z = self.linear.forward(a)
         h = relu(z) if self.activation else z
         return h, LayerCache(aggregator=aggregator, update_input=a,
-                             pre_activation=z, h_src=h_src)
+                             pre_activation=z)
 
     def backward(self, cache: LayerCache, grad_out: np.ndarray,
                  input_grad: bool = True) -> np.ndarray | None:
@@ -145,18 +156,23 @@ class SAGELayer:
         return SparseAggregator(
             block, mean_edge_weights(block).astype(self.linear.W.dtype))
 
-    def forward(self, aggregator: SparseAggregator,
-                h_src: np.ndarray) -> tuple[np.ndarray, LayerCache]:
-        """Mean-aggregate, concat with self features, update."""
+    def forward(self, aggregator: SparseAggregator, h_src: np.ndarray,
+                row_scales: np.ndarray | None = None
+                ) -> tuple[np.ndarray, LayerCache]:
+        """Mean-aggregate, concat with self features, update.
+        ``row_scales`` ``(num_src, 1)`` folds into the mean's edge
+        weights and scales the self rows (module docstring)."""
         num_dst = aggregator.block.num_dst
         if h_src.shape[0] < num_dst:
             raise ShapeError("source rows fewer than destinations")
-        m = aggregator.forward(h_src)
-        a = np.concatenate([h_src[:num_dst], m], axis=1)
+        m = aggregator.forward(h_src, row_scales)
+        h_self = h_src[:num_dst] if row_scales is None \
+            else h_src[:num_dst] * row_scales[:num_dst]
+        a = np.concatenate([h_self, m], axis=1)
         z = self.linear.forward(a)
         h = relu(z) if self.activation else z
         return h, LayerCache(aggregator=aggregator, update_input=a,
-                             pre_activation=z, h_src=h_src)
+                             pre_activation=z)
 
     def backward(self, cache: LayerCache, grad_out: np.ndarray,
                  input_grad: bool = True) -> np.ndarray | None:

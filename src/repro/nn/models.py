@@ -44,7 +44,8 @@ class GNNModel:
     # Forward / backward
     # ------------------------------------------------------------------
     def forward(self, minibatch: MiniBatch, x0: np.ndarray,
-                global_degrees: np.ndarray | None = None) -> np.ndarray:
+                global_degrees: np.ndarray | None = None,
+                row_scales: np.ndarray | None = None) -> np.ndarray:
         """Run forward propagation; returns logits for the batch targets.
 
         Keeps the per-layer intermediates for the :meth:`backward` that
@@ -59,11 +60,17 @@ class GNNModel:
         global_degrees:
             Full-graph degree array (required by GCN normalization; SAGE
             ignores it).
+        row_scales:
+            One scale per row of ``x0`` when ``x0`` holds int8 codes:
+            the input layer folds them (see :mod:`repro.nn.layers`), so
+            the logits are those of ``x0 * row_scales`` up to the
+            aggregation's rounding.
         """
         # Cleared first: a forward that raises must not leave an earlier
         # batch's caches for the next backward to consume.
         self._caches = None
-        h, self._caches = self._propagate(minibatch, x0, global_degrees)
+        h, self._caches = self._propagate(minibatch, x0, global_degrees,
+                                          row_scales)
         return h
 
     def predict(self, minibatch: MiniBatch, x0: np.ndarray,
@@ -78,7 +85,8 @@ class GNNModel:
         return self._propagate(minibatch, x0, global_degrees)[0]
 
     def _propagate(self, minibatch: MiniBatch, x0: np.ndarray,
-                   global_degrees: np.ndarray | None
+                   global_degrees: np.ndarray | None,
+                   row_scales: np.ndarray | None = None
                    ) -> tuple[np.ndarray, list[LayerCache]]:
         """The layer loop: ``(logits, per-layer caches)``."""
         if len(minibatch.blocks) != len(self.layers):
@@ -87,7 +95,10 @@ class GNNModel:
                 f"{len(minibatch.blocks)} blocks")
         if x0.shape[0] != minibatch.input_nodes.size:
             raise ShapeError("x0 rows must match |V^0|")
-        h = np.asarray(x0, dtype=self.layers[0].linear.W.dtype)
+        dtype = self.layers[0].linear.W.dtype
+        h = np.asarray(x0, dtype=dtype)
+        if row_scales is not None:
+            row_scales = np.asarray(row_scales, dtype=dtype).reshape(-1, 1)
         caches: list[LayerCache] = []
         for l, (layer, block) in enumerate(zip(self.layers,
                                                minibatch.blocks)):
@@ -96,7 +107,8 @@ class GNNModel:
                 src_global_ids=minibatch.node_ids[l],
                 dst_global_ids=minibatch.node_ids[l + 1],
                 global_degrees=global_degrees)
-            h, cache = layer.forward(agg, h)
+            h, cache = layer.forward(agg, h, row_scales)
+            row_scales = None      # the input layer folds them
             caches.append(cache)
         return h, caches
 

@@ -17,8 +17,10 @@ Contract every backend must honor (so results are backend-independent):
   per-trainer quota slices in trainer order;
 * mini-batches are sampled through ``session.sampler`` in plan order
   (the sampler's RNG stream is part of the reproducibility contract);
-* features load through ``session.load_features`` (which applies the
-  transfer-quantization policy for accelerator trainers);
+* features load through the stage pipeline's ``load_codes`` (which
+  applies the transfer-quantization policy for accelerator trainers;
+  an int8 batch comes as codes plus the per-row scales the trainer's
+  input layer folds);
 * every iteration ends in :meth:`ExecutionBackend.end_iteration` —
   Listing 1's synchronizer block, written once: ``DONE`` per trainer,
   the batch-size-weighted all-reduce through ``session.synchronizer``,

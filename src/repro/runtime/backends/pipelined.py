@@ -14,9 +14,9 @@ process, written once. Per run it
    per trainer, or nothing at all;
 3. trains each iteration on the feed's **lanes**
    (:meth:`Feed.train`) — takes each trainer's item in trainer order,
-   loads its features through ``session.load_features`` and trains it,
-   on the lane that took it — then ends the iteration on the caller's
-   thread in the shared synchronize tail
+   loads its features through the session pipeline's ``load_codes``
+   and trains it, on the lane that took it — then ends the iteration
+   on the caller's thread in the shared synchronize tail
    (:meth:`~.base.ExecutionBackend.end_iteration`: all-reduce, every
    optimizer steps, Listing 1 recorded in the report's
    :class:`~repro.runtime.protocol.ProtocolLog`), answers in trainer
@@ -40,9 +40,10 @@ quotas are read:
   accelerator trainers train one iteration's batches at the same time
   (Fig. 5).
 
-An accelerator load under a lossy transfer policy decodes from the
+An accelerator load under a lossy transfer policy reads the
 session's wire table
-(:class:`~repro.runtime.stage_pipeline.StagePipeline`).
+(:class:`~repro.runtime.stage_pipeline.StagePipeline`); an int8 one
+stops at the cast, and the model's input layer folds the row scales.
 
 The DRM rule: the consumer adjudicates the timing/DRM step only when a
 preset installs an :class:`~repro.runtime.resctl.OnlineEstimator` as
@@ -205,6 +206,12 @@ class InlineFeed(Feed):
             raise ProtocolError(f"inline feed out of step: trainer {got} "
                                 f"yielded, trainer {idx} iteration {it} due")
         return item
+
+    def close(self) -> None:
+        """Close the generator too: a suspended one holds this feed,
+        and through it the backend and the session, in a cycle."""
+        super().close()
+        self.pending.close()
 
 
 def usable_cores() -> int:
@@ -397,9 +404,10 @@ class InProcessBackend(ExecutionBackend):
         s = self.session
         trainer = s.trainers[idx]
         t0 = time.perf_counter()
-        x0 = s.load_features(item.mb, trainer.kind)
+        x0, scales = s.pipeline.load_codes(item.mb, trainer.kind)
         t1 = time.perf_counter()
-        rep = trainer.train_minibatch(item.mb, x0, item.labels, s.degrees)
+        rep = trainer.train_minibatch(item.mb, x0, item.labels, s.degrees,
+                                      scales)
         item.stage_s["load"] = t1 - t0
         item.stage_s["train"] = time.perf_counter() - t1
         return int(item.work.size), Reply(rep.loss, rep.accuracy,

@@ -223,11 +223,14 @@ class WorkerReplica(StagePipeline):
         return super().sample(work)
 
     def train(self, mb: MiniBatch, x0, labels,
-              stage_s: dict[str, float]) -> Reply:
-        """One forward/backward on a prepared batch: the gradient
-        goes to this worker's slab row, the rest into the reply."""
+              stage_s: dict[str, float], row_scales) -> Reply:
+        """One forward/backward on a prepared batch (``x0`` and
+        ``row_scales`` as :meth:`load_codes` returned them): the
+        gradient goes to this worker's slab row, the rest into the
+        reply."""
         t0 = time.perf_counter()
-        rep = self.node.train_minibatch(mb, x0, labels, self.degrees)
+        rep = self.node.train_minibatch(mb, x0, labels, self.degrees,
+                                        row_scales)
         stage_s["train"] = time.perf_counter() - t0
         self.grads[self.spec.index] = self.model.get_flat_grads()
         reply = Reply(loss=rep.loss, accuracy=rep.accuracy,
@@ -280,8 +283,8 @@ class InlineBody:
         self.conn = conn
         self.replica = replica
         #: Prepared items in iteration order: ``(it, None)`` for an
-        #: idle iteration, else ``(it, (mb, x0, stage_s))``. Non-empty
-        #: only while ``awaiting`` is set.
+        #: idle iteration, else ``(it, (mb, (x0, row_scales),
+        #: stage_s))``. Non-empty only while ``awaiting`` is set.
         self.queue: deque = deque()
         #: The answered iteration whose ``apply`` has not arrived.
         self.awaiting: int | None = None
@@ -295,9 +298,9 @@ class InlineBody:
             mb = r.sample(work)
             stage_s["sample"] = time.perf_counter() - t0
             t0 = time.perf_counter()
-            x0 = r.load(mb, r.spec.kind)
+            loaded = r.load_codes(mb, r.spec.kind)
             stage_s["load"] = time.perf_counter() - t0
-            prepared = (mb, x0, stage_s)
+            prepared = (mb, loaded, stage_s)
         self.queue.append((it, prepared))
         self._answer()
 
@@ -320,9 +323,9 @@ class InlineBody:
             self.conn.send(("idle", it))  # every worker answers every deal
         else:
             r = self.replica
-            mb, x0, stage_s = prepared
-            self.conn.send(("result", it,
-                            r.train(mb, x0, r.labels_for(mb), stage_s)))
+            mb, (x0, scales), stage_s = prepared
+            self.conn.send(("result", it, r.train(
+                mb, x0, r.labels_for(mb), stage_s, scales)))
         self.awaiting = it
 
 

@@ -207,7 +207,7 @@ class ShardedReplica(WorkerReplica):
                 halo(store.csr_graph(), self.parts, self.shard),
                 self.degrees)
 
-    def train(self, mb, x0, labels, stage_s):
+    def train(self, mb, x0, labels, stage_s, row_scales):
         """Train the batch, and bill its input rows: local when this
         shard owns them, else a cache hit or a remote fetch."""
         ids = np.asarray(mb.input_nodes, dtype=np.int64)
@@ -232,7 +232,7 @@ class ShardedReplica(WorkerReplica):
             shard_remote_rows=remote_rows,
             remote_cache_hits=cache_hits,
             remote_cache_misses=remote_rows)
-        reply = super().train(mb, x0, labels, stage_s)
+        reply = super().train(mb, x0, labels, stage_s, row_scales)
         reply.shard_io = io
         return reply
 

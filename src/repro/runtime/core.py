@@ -29,6 +29,7 @@ replicas fed by one sampler stream.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -297,8 +298,12 @@ class TrainingSession:
                              pipelined=self.sys_cfg.prefetch) \
             if self.sys_cfg.drm else None
         self.rng = np.random.default_rng(train_cfg.seed + 2)
-        self.plan = BatchPlan(dataset.train_ids,
-                              self.split_target_counts, self.rng)
+        # The plan reads quotas through a weak method, so session →
+        # plan → session is no cycle: a dropped session is freed at
+        # once, not at the cyclic collector's next pass.
+        counts = weakref.WeakMethod(self.split_target_counts)
+        self.plan = BatchPlan(dataset.train_ids, lambda: counts()(),
+                              self.rng)
         # The shared per-item producer chain (sample → gather →
         # transfer) both session kinds compose; the stage hooks below
         # delegate to it, and the serving plane builds its own over the
@@ -400,9 +405,9 @@ class TrainingSession:
     #
     # One method per Fig.-5 producer stage, so a caller can time
     # sample / gather / transfer apart while executing the exact same
-    # bits as the training planes (which call ``load_features``:
-    # bit-identical to the same gather, then the same transfer, decoded
-    # from the store's wire table when lossy). All delegate to the
+    # bits as ``load_features`` (decoded from the store's wire table
+    # when lossy; the training lanes' int8 codes times their row
+    # scales equal it bit for bit). All delegate to the
     # composed :class:`~repro.runtime.stage_pipeline.StagePipeline` —
     # the extraction the serving plane shares.
     # ------------------------------------------------------------------
@@ -424,14 +429,13 @@ class TrainingSession:
         return self.pipeline.transfer(x0, trainer_kind)
 
     def load_features(self, mb: MiniBatch, trainer_kind: str) -> np.ndarray:
-        """Gather one mini-batch's input features, ready for the trainer.
+        """Gather one mini-batch's input features, dequantized.
 
-        Delegates to :meth:`StagePipeline.load` — the single path every
-        execution substrate takes (process-plane workers run it against
-        the shared-memory feature store), so the transfer policy can
-        never drift between planes. An accelerator batch under a lossy
-        policy decodes from the session's wire table, bit-identical to
-        gather then transfer.
+        Delegates to :meth:`StagePipeline.load`. An accelerator batch
+        under a lossy policy decodes from the session's wire table,
+        bit-identical to gather then transfer. The training lanes load
+        through ``pipeline.load_codes`` instead, whose int8 codes times
+        their row scales equal this, bit for bit.
         """
         return self.pipeline.load(mb, trainer_kind)
 

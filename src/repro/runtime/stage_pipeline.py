@@ -11,10 +11,12 @@ extraction that lets a non-training session reuse it:
 
 * :class:`StagePipeline` — the sampler + feature-store + transfer
   policy bundle with one method per stage (``sample`` / ``gather`` /
-  ``transfer``), ``load`` (gather then transfer — the sequential
-  planes' one call), and a timed :meth:`~StagePipeline.prepare` that
-  runs the whole chain for one work item and reports per-stage wall
-  times (what the serving plane bills against its latency budget);
+  ``transfer``), ``load`` (gather then transfer: dequantized rows),
+  ``load_codes`` (the training lanes' and workers' load: int8 codes
+  plus the per-row scales the model's input layer folds), and a timed
+  :meth:`~StagePipeline.prepare` that runs the whole chain for one
+  work item and reports per-stage wall times (what the serving plane
+  bills against its latency budget);
 * :class:`WorkSource` — the protocol behind which the training
   :class:`~repro.runtime.core.BatchPlan` (epoch permutation + quota
   cursor) and the sharded plane's per-owner plan look identical to a
@@ -39,16 +41,24 @@ accelerator ``load`` / ``prepare`` then gathers the batch's wire codes
 (``gather_wire``) and decodes them into the destination. fp32, CPU
 trainers and serving on ``device="cpu"`` never build one.
 
+**Trainers fold the int8 scale.** GCN and SAGE aggregate before they
+update, so a per-row scale can ride on the input layer's edge weights
+instead of multiplying every feature element. The training lanes and
+the process workers load through :meth:`StagePipeline.load_codes`:
+an int8 accelerator batch arrives as codes cast to the store's dtype
+plus per-row scales — gathered from the table, or, in a worker
+replica (no table), the per-batch round trip minus its final multiply,
+which gives the table's codes and scales bit for bit because per-row
+quantization depends only on the row. :meth:`~StagePipeline.load`,
+``transfer`` and :meth:`~StagePipeline.prepare` (serving) keep
+returning dequantized rows.
+
 **Transfer consumes its input.** ``transfer`` is the per-batch round
 trip: it quantizes accelerator-bound rows in place, in the array it is
 handed. It serves ``bench_e2e``'s replay, which times the stages
-apart, and every pipeline without a table: the process-plane worker
-replicas, ``sharded``'s included. Every caller hands it a fresh gather
-result — never the feature store or a batch something else still
-reads. The
-in-process training planes never call it on an accelerator batch:
-their training lanes load through :meth:`StagePipeline.load`, which
-decodes from the table.
+apart, and the loads of every pipeline without a table. Every caller
+hands it a fresh gather result — never the feature store or a batch
+something else still reads.
 """
 
 from __future__ import annotations
@@ -208,6 +218,28 @@ class StagePipeline:
         once, else gather then transfer."""
         gather, transfer = self._load_stages(trainer_kind)
         return transfer(gather(mb))
+
+    def load_codes(self, mb: MiniBatch, trainer_kind: str
+                   ) -> tuple[np.ndarray, np.ndarray | None]:
+        """One batch's rows for a trainer whose input layer folds the
+        per-row int8 scales: ``(rows, row_scales | None)``, the
+        training lanes' and process workers' load.
+
+        An int8 accelerator batch comes as its codes in the store's
+        dtype plus their ``(rows, 1)`` scales — the wire table's codes
+        gathered and cast, or without a table the per-batch round trip
+        minus its final multiply — with ``rows * row_scales`` equal to
+        :meth:`load` bit for bit. Every other batch is :meth:`load`'s
+        rows and ``None``.
+        """
+        if trainer_kind != "accel" or self.transfer_precision != "int8":
+            return self.load(mb, trainer_kind), None
+        table = self._table(trainer_kind)
+        if table is None:
+            x0 = self.gather(mb)
+            return kernels.quantize_codes(x0, out=x0)
+        return kernels.decode_codes(
+            kernels.gather_wire(table, mb.input_nodes))
 
     def labels_for(self, mb: MiniBatch) -> np.ndarray | None:
         """This batch's target labels (``None`` on a label-free

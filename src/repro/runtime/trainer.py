@@ -63,16 +63,21 @@ class TrainerNode:
 
     def train_minibatch(self, minibatch: MiniBatch, x0: np.ndarray,
                         labels: np.ndarray,
-                        global_degrees: np.ndarray | None
+                        global_degrees: np.ndarray | None,
+                        row_scales: np.ndarray | None = None
                         ) -> TrainerReport:
         """Forward + backward on one batch; gradients stay in the model.
 
         The caller (runtime) is responsible for synchronization and the
         optimizer step, mirroring the paper's separation between Trainers
-        and the Synchronizer.
+        and the Synchronizer. ``x0`` and ``row_scales`` are what
+        :meth:`~repro.runtime.stage_pipeline.StagePipeline.load_codes`
+        returns: int8 codes plus the per-row scales the model's input
+        layer folds, or rows and ``None``.
         """
         self.model.zero_grad()
-        logits = self.model.forward(minibatch, x0, global_degrees)
+        logits = self.model.forward(minibatch, x0, global_degrees,
+                                    row_scales)
         loss, dlogits = softmax_cross_entropy(logits, labels)
         acc = accuracy(logits, labels)
         self.model.backward(dlogits)

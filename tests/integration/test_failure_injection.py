@@ -129,7 +129,7 @@ class TestTrainingLaneFaults:
     def _sabotage(backend, monkeypatch, fault, on_load=False):
         """From iteration 2 on, a call that lands on a helper lane runs
         ``fault()`` first: a trainer's training step, or with
-        ``on_load`` the session's feature load. Every batch takes
+        ``on_load`` the lanes' feature load. Every batch takes
         50 ms, so the helpers get work."""
         def faulty(step, after):
             calls = []
@@ -154,8 +154,8 @@ class TestTrainingLaneFaults:
             monkeypatch.setattr(trainer, "train_minibatch",
                                 train if on_load else faulty(train, 2))
         if on_load:
-            monkeypatch.setattr(session, "load_features", faulty(
-                session.load_features, 2 * len(session.trainers)))
+            monkeypatch.setattr(session.pipeline, "load_codes", faulty(
+                session.pipeline.load_codes, 2 * len(session.trainers)))
 
     def _reusable(self, backend, monkeypatch):
         assert _feed_threads() == []
@@ -223,17 +223,17 @@ class TestTrainingLaneFaults:
 
 
 class FaultyLoad:
-    """Replica mixin: worker 1's third ``load`` raises. Under a window
-    of 2 the fault lands while that worker still holds an item it has
-    not trained."""
+    """Replica mixin: worker 1's third ``load_codes`` raises. Under a
+    window of 2 the fault lands while that worker still holds an item
+    it has not trained."""
 
     loads = 0
 
-    def load(self, mb, trainer_kind):
+    def load_codes(self, mb, trainer_kind):
         self.loads += 1
         if self.spec.index == 1 and self.loads == 3:
             raise RuntimeError("injected load fault in worker 1")
-        return super().load(mb, trainer_kind)
+        return super().load_codes(mb, trainer_kind)
 
 
 class TestWorkerStageFaults:

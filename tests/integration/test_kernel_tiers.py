@@ -24,7 +24,8 @@ from repro import kernels
 from repro.kernels import fast, reference
 
 #: The flagship case: hybrid CPU+accel split, DRM, int8 PCIe transfer
-#: — every kernel op (gather, in-place quantize) on the hot path.
+#: — every kernel op (gather, the workers' in-place codes-only
+#: quantize) on the hot path.
 _FLAGSHIP = CONFORMANCE_CASES[0]
 
 #: Lock-step backends owing bit-parity; the statistical-tier planes are
@@ -32,7 +33,7 @@ _FLAGSHIP = CONFORMANCE_CASES[0]
 #: fast kernels against the virtual reference).
 _STRICT_BACKENDS = ("virtual", "threaded", "process")
 
-_OPS = ("gather", "quantize", "segment_sum")
+_OPS = ("gather", "quantize", "quantize_codes", "segment_sum")
 
 
 @pytest.fixture()

@@ -143,3 +143,33 @@ class TestFailedPairs:
         assert ab.claim_verdict(parent, change, "lower", pairs=10)
         assert not ab.claim_verdict(parent[:8], change[:8], "lower",
                                     pairs=10)
+
+
+class TestPairDeltas:
+    """Each pair's change − parent delta, and the deltas' quartiles —
+    a readout beside the verdicts, which do not read it."""
+
+    def test_deltas_on_fixed_numbers(self):
+        change = [x - d for x, d in zip(PARENT, range(10))]
+        deltas = ab.pair_deltas(PARENT, change)
+        assert deltas == [-float(d) for d in range(10)]
+        assert ab.quartiles(deltas) == (pytest.approx(-7.25),
+                                        pytest.approx(-4.5),
+                                        pytest.approx(-1.75))
+
+    def test_main_prints_each_pair_delta_and_their_quartiles(
+            self, tmp_path, monkeypatch, capsys):
+        for side in ("parent", "change"):
+            (tmp_path / side).mkdir()
+        (tmp_path / "parent" / "BENCHMARK.json").write_text(
+            '{"end_to_end": [{"name": "op_p50_ms", "unit": "ms", '
+            '"better": "lower", "bound": 0.2}]}')
+        monkeypatch.setattr(ab, "run_once",
+                            TestFailedPairs._fake_runs({("change", 1)}))
+        ab.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                 "--workload", "w", "--pairs", "4"])
+        out = capsys.readouterr().out.splitlines()
+        # The failed pair prints no delta; every whole pair reads -5.
+        assert [line for line in out if " delta: " in line] == [
+            f"pair {i} delta: op_p50_ms=-5" for i in (0, 2, 3)]
+        assert out[-1].split() == ["delta", "op_p50_ms", "-5/-5/-5"]

@@ -119,7 +119,7 @@ class TestCommittedBaseline:
         for name in ("gather", "gather_quantize_int8",
                      "gather_quantize_fp16", "quantize_int8",
                      "segment_sum", "train_backward_sage",
-                     "sample_neighbor"):
+                     "sample_neighbor", "table_codes_int8"):
             row = baseline["kernels"][name]
             assert row["reference_s"] > 0 and row["fast_s"] > 0
             assert row["speedup"] == pytest.approx(

@@ -106,8 +106,8 @@ def segment_cases(draw):
 #: accounting, the two implementation modules — and no tier registry,
 #: selection override, environment knob or fallback ladder.
 _PUBLIC = {"TRANSFER_BYTES", "payload_bytes", "gather_rows", "quantize",
-           "WireRows", "encode", "gather_wire", "decode",
-           "segment_sum", "fast", "reference", "COUNTERS",
+           "quantize_codes", "WireRows", "encode", "gather_wire",
+           "decode", "decode_codes", "segment_sum", "fast", "reference", "COUNTERS",
            "KernelCounters", "record", "scoped_counters", "merge_counts"}
 
 
@@ -127,6 +127,7 @@ class TestDispatch:
     @pytest.mark.parametrize("op, dispatch", [
         ("gather", lambda x: kernels.gather_rows(x, np.array([0, 1]))),
         ("quantize", lambda x: kernels.quantize(x, "int8")),
+        ("quantize_codes", lambda x: kernels.quantize_codes(x)[0]),
         ("segment_sum",
          lambda x: kernels.segment_sum(np.array([0, 1]), np.array([0, 0]),
                                        x, 1)),

@@ -159,7 +159,7 @@ class TestLanesLoad:
         backend = build_backend(name, session, timeout_s=30)
         caller = threading.current_thread()
         taken, loaders = [], []
-        train_one, load = backend._train_one, session.load_features
+        train_one, load = backend._train_one, session.pipeline.load_codes
 
         def spy_train(idx, item):
             taken.append(getattr(item, "x0", None))
@@ -170,7 +170,7 @@ class TestLanesLoad:
             return load(mb, kind)
 
         monkeypatch.setattr(backend, "_train_one", spy_train)
-        monkeypatch.setattr(session, "load_features", spy_load)
+        monkeypatch.setattr(session.pipeline, "load_codes", spy_load)
         rep = backend.run_epoch()
         assert len(taken) == rep.iterations * session.num_trainers
         assert all(x0 is None for x0 in taken)

@@ -150,15 +150,16 @@ class _RecordingReplica:
         self.calls.append(("sample", work))
         return work
 
-    def load(self, mb, kind):
+    def load_codes(self, mb, kind):
         self.calls.append(("load", mb))
-        return mb
+        return mb, None
 
     def labels_for(self, mb):
         return mb
 
-    def train(self, mb, x0, labels, stage_s):
+    def train(self, mb, x0, labels, stage_s, row_scales):
         assert set(stage_s) == {"sample", "load"}
+        assert x0 == mb and row_scales is None
         self.calls.append(("train", mb))
         self.last_trained = mb
         return f"reply{mb}"
