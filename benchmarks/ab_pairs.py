@@ -27,6 +27,12 @@ the summary gives the deltas' median and quartiles: a paired readout
 that a host drifting between pairs moves less than it moves either
 side's own spread. The verdicts do not read it.
 
+Every run line also carries the run's minor page faults and system CPU
+seconds (``resource.getrusage(RUSAGE_CHILDREN)`` read before and after
+the run, so the benchmark's own workload process is included), and the
+summary gives each side's quartiles of both: heap churn shows there
+before it shows in a wall time. The verdicts do not read them either.
+
 A run that fails or reports failed ops is listed and counted against
 its side, and its pair leaves both series, so the pairs compared are
 always runs made back to back. Wins still count out of every pair run:
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -114,9 +121,16 @@ def regression_verdict(parent: list[float], change: list[float],
     return "ok"
 
 
+#: The run-line usage columns: ``(name, getrusage field)``.
+USAGE = (("minflt", "ru_minflt"), ("sys_s", "ru_stime"))
+
+
 def run_once(checkout: Path, workload: str, seed: int) -> dict | None:
-    """One benchmark run in ``checkout``: its result line, or ``None``
-    when the run failed to produce one."""
+    """One benchmark run in ``checkout``: its result line plus a
+    ``usage`` entry (:data:`USAGE`: the run's minor faults and system
+    CPU seconds, children reaped during it), or ``None`` when the run
+    failed to produce one."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     try:
         proc = subprocess.run(
             [sys.executable, "bench_e2e/run.py", "--workload", workload,
@@ -125,11 +139,17 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict | None:
             timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return None
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1]) if lines else None
+        result = json.loads(lines[-1]) if lines else None
     except json.JSONDecodeError:
         return None
+    if result is not None:
+        result["usage"] = {name: getattr(after, field) -
+                           getattr(before, field)
+                           for name, field in USAGE}
+    return result
 
 
 def _fmt(x: float) -> str:
@@ -151,6 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     metrics = spec["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
+    usage = {side: {name: [] for name, _ in USAGE} for side in sides}
     failed = {side: 0 for side in sides}
     print(f"# {args.workload} seed {args.seed}, {args.pairs} pairs")
     for i in range(args.pairs):
@@ -169,14 +190,18 @@ def main(argv: list[str] | None = None) -> int:
                 continue
             rows[side] = {m["name"]: res["metrics"][m["name"]]["value"]
                           for m in metrics}
+            used = res.get("usage", {})
             print(f"pair {i} {side}: ops {res['attempted']} failed "
                   f"{res['failed']} " + " ".join(
-                      f"{k}={_fmt(v)}" for k, v in rows[side].items()),
+                      f"{k}={_fmt(v)}" for k, v in
+                      (*rows[side].items(), *used.items())),
                   flush=True)
         if len(rows) == len(sides):     # a pair counts whole or not at all
             for side, row in rows.items():
                 for name, v in row.items():
                     values[side][name].append(v)
+                for name, v in results[side].get("usage", {}).items():
+                    usage[side][name].append(v)
             print(f"pair {i} delta: " + " ".join(
                 f"{k}={_fmt(rows['change'][k] - rows['parent'][k])}"
                 for k in rows["parent"]))
@@ -202,6 +227,15 @@ def main(argv: list[str] | None = None) -> int:
               f"{won:>3}/{args.pairs:<3}  "
               f"{'yes' if claimed else 'no':<5}  "
               f"{verdict} (bound {m['bound']:.0%})")
+    if all(usage["parent"].values()):
+        print(f"\n{'usage (no verdict)':<16} {'parent q1/med/q3':>26} "
+              f"{'change q1/med/q3':>26}")
+    for name, _ in USAGE:
+        par, chg = usage["parent"][name], usage["change"][name]
+        if par and chg:
+            print(f"{name:<16} "
+                  f"{'/'.join(_fmt(x) for x in quartiles(par)):>26} "
+                  f"{'/'.join(_fmt(x) for x in quartiles(chg)):>26}")
     print(f"\n{'pair delta (change - parent)':<34} {'q1/med/q3':>26}")
     for m in metrics:
         deltas = pair_deltas(values["parent"][m["name"]],

@@ -12,13 +12,18 @@ Cost mechanism:
 * partition quality comes from running our BFS partitioner on the scaled
   graph (a stand-in for METIS; edge-cut fraction transfers with the
   degree structure);
-* per batch, ``cut_fraction × |V^0|`` feature rows cross the network
-  (halo fetches), the rest load from local host memory. The live
-  ``sharded`` plane checks this halo term:
-  ``TestHaloShareMatchesEdgeCut`` (``tests/integration/test_sharded.py``)
-  holds its measured remote-row share within 0.05 of
+* per batch, ``cut_fraction × (|V^0| − |V^L|)`` feature rows cross
+  the network (halo fetches), the rest load from local host memory: a
+  trainer trains its own partition's targets, so the batch's ``|V^L|``
+  target rows are always local and only the sampled rows can be
+  halo. The live ``sharded`` plane checks this halo
+  term: ``TestHaloShareMatchesEdgeCut``
+  (``tests/integration/test_sharded.py``) holds its measured
+  remote-row share within 0.05 of
   ``partition_quality(...).edge_cut_fraction``, under BFS and hash
-  partitions at two and four shards;
+  partitions at two and four shards, and
+  ``TestHaloShareMatchesDistDGLRow`` holds it within 0.02 of this
+  row's ``halo_share`` at two fanouts on ``ogbn-products`` at 1/128;
 * GPU training on T4s with DGL-era overheads; model all-reduce over the
   network;
 * pipelined composition (v2's async pipeline overlaps stages).
@@ -35,7 +40,7 @@ materialized dataset, so the row keeps this limit.
 
 from __future__ import annotations
 
-from ..config import S_FEAT_BYTES, TrainingConfig
+from ..config import TrainingConfig
 from ..errors import ConfigError
 from ..graph.datasets import GraphDataset
 from ..graph.partition import bfs_partition, partition_quality
@@ -97,10 +102,14 @@ class DistDGLv2System:
             edges_per_node * cut / (local_rate / 8.0)
 
         # Feature path: halo rows over the NIC, local rows from host DDR;
-        # a node's GPUs share its NIC.
+        # a node's GPUs share its NIC. The batch's targets are its own
+        # partition's, so only the cut share of its other rows is halo.
         bytes_per_gpu = stats.input_feature_bytes
-        halo_bytes = bytes_per_gpu * cut * plat.num_accelerators
-        local_bytes = bytes_per_gpu * (1.0 - cut) * plat.num_accelerators
+        halo_share = cut * (1.0 - stats.num_targets /
+                            stats.num_input_nodes)
+        halo_bytes = bytes_per_gpu * halo_share * plat.num_accelerators
+        local_bytes = bytes_per_gpu * (1.0 - halo_share) * \
+            plat.num_accelerators
         t_halo = plat.network.transfer_time(halo_bytes)
         t_load = local_bytes / (plat.host_mem_bandwidth *
                                 LOADER_DDR_EFFICIENCY)
@@ -121,7 +130,7 @@ class DistDGLv2System:
         return t_iter, {
             "sample": t_sample, "halo": t_halo, "load": t_load,
             "transfer": t_transfer, "train": t_train, "sync": t_sync,
-            "edge_cut": cut,
+            "edge_cut": cut, "halo_share": halo_share,
         }
 
     def report(self) -> BaselineReport:

@@ -144,7 +144,8 @@ class ExecutionBackend(abc.ABC):
                       answers: Sequence[Reply | None], report,
                       rows: list, *,
                       publish: Callable | None = None,
-                      adjudicate: bool = True) -> None:
+                      adjudicate: bool = True,
+                      lanes: int | None = None) -> None:
         """Listing 1's synchronizer block for iteration ``it``, the one
         tail every plane ends each iteration in. ``answers`` holds each
         trainer's :class:`~.report.Reply` in trainer order (``stats``
@@ -162,7 +163,9 @@ class ExecutionBackend(abc.ABC):
         on every plane). With ``adjudicate`` and a timing plane it also
         takes the timing/DRM step (:meth:`record_timing`) on the
         iteration's realized stage map (the all-reduce timed here as
-        ``sync``)."""
+        ``sync``), folded over the ``lanes`` the trainers shared
+        (:func:`~repro.runtime.resctl.fold_worker_realized`; ``None``
+        for one lane per trainer)."""
         s = self.session
         log = report.protocol_log
         busy = [(trainer, a) for trainer, a in zip(s.trainers, answers)
@@ -191,7 +194,8 @@ class ExecutionBackend(abc.ABC):
         if not (adjudicate and s.has_timing):
             return
         realized = fold_worker_realized(
-            [(trainer.kind, a.stage_s) for trainer, a in busy], sync_s)
+            [(trainer.kind, {} if a is None else a.stage_s)
+             for trainer, a in zip(s.trainers, answers)], sync_s, lanes)
         self.record_timing(
             report, rows, [None if a is None else a.stats
                            for a in answers],

@@ -116,8 +116,10 @@ class Feed:
     the consumer wakes and re-raises it. ``rows`` collects the
     duration rows of the timing/DRM steps a feed takes itself.
     :meth:`train` hands one iteration's items to the consumer's
-    ``train_one`` on the feed's lanes: one, the caller's thread, unless
-    the feed trains side by side (:class:`PlanOrderFeed`)."""
+    ``train_one`` on the feed's ``lanes``: one, the caller's thread,
+    unless the feed trains side by side (:class:`PlanOrderFeed`)."""
+
+    lanes = 1
 
     def __init__(self, backend, iterations: int, report,
                  rows: list) -> None:
@@ -231,14 +233,20 @@ class PlanOrderFeed(Feed):
     cores)``, all meeting at a barrier before and after the iteration.
     Lanes take items in trainer order under one lock, and a free lane
     loads and trains the next one taken; the answers come back in
-    trainer order. A lane that dies fails the feed, which breaks the
+    trainer order. The caller's thread takes the first item before it
+    releases the helpers, so trainer 0's batch (the CPU trainer's, on a
+    hybrid session) always trains on it: a lane's heap then keeps the
+    high water of the batches it trains, not of the largest batch on
+    every lane (a 768/384/384 split peaks where 512/512/512 does). A
+    lane that dies fails the feed, which breaks the
     barrier; a lane that misses it past the watchdog is a
     :class:`~repro.errors.StageTimeoutError`."""
 
     def __init__(self, backend, iterations: int, depth: int, report,
                  rows: list) -> None:
         super().__init__(backend, iterations, report, rows)
-        lanes = min(len(self.session.trainers), usable_cores())
+        self.lanes = lanes = min(len(self.session.trainers),
+                                 usable_cores())
         self.barrier = threading.Barrier(lanes, timeout=self.timeout_s)
         self.lock = threading.Lock()
         self.buffers = [PrefetchBuffer(depth)
@@ -282,22 +290,27 @@ class PlanOrderFeed(Feed):
         self.answers = [None] * len(self.session.trainers)
         self.pending = iter(range(len(self.session.trainers)))
         try:
+            first = self._next()
             self.barrier.wait()
-            self._lane()
+            self._lane(first)
             self.barrier.wait()
         except threading.BrokenBarrierError:
             raise self.error or StageTimeoutError(
                 f"a lane missed the barrier in {self.timeout_s}s") from None
         return self.answers
 
-    def _lane(self) -> None:
-        while True:
-            with self.lock:
-                idx = next(self.pending, None)
-                if idx is None:
-                    return
-                item = self.take(idx, self.it)
+    def _next(self):
+        """The next ``(idx, item)`` in trainer order, or ``None``."""
+        with self.lock:
+            idx = next(self.pending, None)
+            return None if idx is None else (idx, self.take(idx, self.it))
+
+    def _lane(self, taken=None) -> None:
+        taken = taken or self._next()
+        while taken is not None:
+            idx, item = taken
             self.answers[idx] = self.train_one(idx, item)
+            taken = self._next()
 
     def _help(self) -> None:
         try:
@@ -374,7 +387,8 @@ class InProcessBackend(ExecutionBackend):
                     sizes, answers = zip(*feed.train(it, self._train_one))
                     self.end_iteration(
                         it, sizes, answers, report, rows,
-                        adjudicate=self.estimator is not None)
+                        adjudicate=self.estimator is not None,
+                        lanes=feed.lanes)
         finally:
             # Success and failure alike — a thread that failed to start
             # included: no feed thread outlives the run.

@@ -27,10 +27,18 @@ Three engineering details the paper leaves implicit:
   Without this guard a bottleneck-only rule oscillates between two
   stages whose times cross (the "improve training throughput" objective
   of §IV-A demands moves that actually help).
+
+On a live plane whose stage times are calibrated wall-clock readings
+(:meth:`DRMEngine.adjust` with ``settle``), each move is a **trial**
+over a window of iterations instead: the engine acts once the split
+has been in effect for ``settle`` readings, and keeps the move only if
+the window's mean realized seconds per target beat the best split's —
+a yardstick no calibration drift moves.
 """
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 
 from ..config import SystemConfig
@@ -105,6 +113,13 @@ class DRMEngine:
         self._cooldown: dict[str, int] = {}
         self._backoff: dict[str, int] = {}
         self._best: tuple[WorkloadSplit, float] | None = None
+        # Trial mode (calibrated live planes): the split the window
+        # below was read under, its realized seconds per target, the
+        # best window seen and the case of the move on trial.
+        self._held: WorkloadSplit | None = None
+        self._window: list[float] = []
+        self._trial_best: tuple[WorkloadSplit, float] | None = None
+        self._trial_case: str | None = None
 
     # ------------------------------------------------------------------
     def _metric(self, split: WorkloadSplit, times: StageTimes) -> float:
@@ -113,14 +128,22 @@ class DRMEngine:
         return times.iteration_time(self.pipelined) / total
 
     def adjust(self, split: WorkloadSplit, times: StageTimes,
-               iteration: int = 0) -> WorkloadSplit:
+               iteration: int = 0, settle: int = 0,
+               realized_s: float | None = None) -> WorkloadSplit:
         """One Algorithm-1 step with measured-improvement feedback.
 
         The throughput metric is compared against the *best* state seen
         so far (not merely the pre-move state): sequences of small moves
         that each slip under the tolerance can otherwise creep the
         system far from its optimum before any single step looks bad.
+
+        ``settle > 0`` marks calibrated times on a live plane, and
+        ``realized_s`` the iteration's realized training seconds: the
+        step is then a trial (:meth:`_trial`).
         """
+        if settle:
+            return self._trial(split, times, iteration, settle,
+                               realized_s)
         metric = self._metric(split, times)
         if self._best is None or metric < self._best[1]:
             self._best = (split, metric)
@@ -131,17 +154,7 @@ class DRMEngine:
             self._pending = None
             best_split, best_metric = self._best
             if metric > best_metric * (1.0 + self.revert_tolerance):
-                # Exponential backoff: a case that keeps regressing gets
-                # progressively longer cooldowns (cap 64 iterations).
-                back = min(64, self._backoff.get(case, 0) * 2
-                           or self.cooldown_iterations)
-                self._backoff[case] = back
-                self._cooldown[case] = back
-                self.decisions.append(DRMDecision(
-                    iteration=iteration, bottleneck=case, fastest="",
-                    action="revert", detail="move regressed throughput",
-                    old_split=split, new_split=best_split))
-                return best_split
+                return self._revert(case, split, best_split, iteration)
             self._backoff.pop(case, None)
 
         new_split = self._algorithm1(split, times, iteration)
@@ -149,6 +162,58 @@ class DRMEngine:
             self._pending = (split, metric,
                              self.decisions[-1].bottleneck)
         return new_split
+
+    def _trial(self, split: WorkloadSplit, times: StageTimes,
+               iteration: int, settle: int,
+               realized_s: float | None) -> WorkloadSplit:
+        """A calibrated step. The scale of calibrated times drifts while
+        the estimator learns, so no reading of them is a yardstick for a
+        later one; the realized seconds per target are. Each split
+        collects a window of its last ``settle`` readings, and the
+        engine acts only once the window is full (the estimator has
+        re-learned the split): a move on trial stands only if the
+        window's mean beats the best split's latest window, else it is
+        reverted to that split with the same cooldown — with no
+        tolerance, because a window of wall seconds is noisy and
+        Algorithm 1 may step one way only, so keeping moves that did
+        not pay lets noise walk the split; then Algorithm 1 runs on the
+        calibrated times."""
+        if split != self._held:
+            self._held, self._window = split, []
+        if realized_s is not None:
+            self._window.append(realized_s / max(1, split.total_targets))
+            del self._window[:-settle]
+        if len(self._window) < settle:
+            return split
+        metric = statistics.fmean(self._window)
+        best = self._trial_best
+        if best is None or metric < best[1] or split == best[0]:
+            self._trial_best = best = (split, metric)
+        if self._trial_case is not None:
+            case, self._trial_case = self._trial_case, None
+            if metric > best[1]:
+                return self._revert(case, split, best[0], iteration)
+            self._backoff.pop(case, None)
+        new_split = self._algorithm1(split, times, iteration)
+        if new_split is not split:
+            self._trial_case = self.decisions[-1].bottleneck
+        return new_split
+
+    def _revert(self, case: str, split: WorkloadSplit,
+                to: WorkloadSplit, iteration: int) -> WorkloadSplit:
+        """Undo a move that regressed throughput: back to ``to``, and
+        ``case`` cools down. Exponential backoff: a case that keeps
+        regressing gets progressively longer cooldowns (cap 64
+        iterations)."""
+        back = min(64, self._backoff.get(case, 0) * 2
+                   or self.cooldown_iterations)
+        self._backoff[case] = back
+        self._cooldown[case] = back
+        self.decisions.append(DRMDecision(
+            iteration=iteration, bottleneck=case, fastest="",
+            action="revert", detail="move regressed throughput",
+            old_split=split, new_split=to))
+        return to
 
     def _algorithm1(self, split: WorkloadSplit, times: StageTimes,
                     iteration: int) -> WorkloadSplit:

@@ -70,35 +70,81 @@ def stage_key(kind: str, raw: str) -> str | None:
     return None
 
 
+def _lane_finish_times(seconds: Iterable[float],
+                      lanes: int) -> list[float]:
+    """When each item finishes on ``lanes`` lanes that take items in
+    order, each taken by the first free lane (the lowest-numbered on a
+    tie) and run for its ``seconds``."""
+    free = [0.0] * lanes
+    finish = []
+    for s in seconds:
+        k = free.index(min(free))
+        free[k] += s
+        finish.append(free[k])
+    return finish
+
+
 def fold_worker_realized(per_trainer: Iterable[tuple[str, Mapping]],
-                         sync_s: float | None = None
-                         ) -> dict[str, float]:
+                         sync_s: float | None = None,
+                         lanes: int | None = None) -> dict[str, float]:
     """Fold per-trainer raw stage durations into canonical stage keys.
 
-    ``per_trainer`` yields ``(kind, stage_s)`` pairs where ``kind`` is
-    the trainer's ``"cpu"``/``"accel"`` and ``stage_s`` maps raw stage
-    names to measured seconds (keyed by :func:`stage_key`). Reductions
+    ``per_trainer`` yields ``(kind, stage_s)`` pairs in trainer order,
+    where ``kind`` is the trainer's ``"cpu"``/``"accel"`` and
+    ``stage_s`` maps raw stage names to measured seconds (keyed by
+    :func:`stage_key`; an idle trainer's map is empty). Reductions
     mirror the analytic model's: CPU-side work is summed (the model's
     CPU terms aggregate over the whole CPU side), accelerator-side work
     is maxed (Eq. 8/9 take the slowest accelerator), ``load`` is summed
     across all trainers (host-DDR bandwidth is shared), and ``sync`` is
     the caller-measured all-reduce duration. Keys never observed stay
     absent — the estimator treats absent stages as "still analytic".
+
+    ``lanes`` is how many training lanes the trainers shared. With
+    ``1 < lanes < trainers`` the trainers did not all train at the
+    same time, so what calibrated DRM must balance is the **lane
+    makespan**: each trainer's ``load`` + ``train`` seconds are packed
+    onto the lanes by their own take rule (trainer order, first free
+    lane — :func:`_lane_finish_times`), and ``train_cpu`` /
+    ``train_accel`` become the time the kind's last batch finished on
+    its lane, so two accelerator batches that share a lane bill their
+    sum. With no ``lanes``, one lane (every split runs in turn, there
+    is nothing to balance) or ``lanes >= trainers`` the fold is the
+    per-trainer one above, bit for bit.
     """
+    per_trainer = list(per_trainer)
     realized: dict[str, float] = {}
     for kind, stage_s in per_trainer:
-        for raw, value in stage_s.items():
+        for raw in stage_s:
             key = stage_key(kind, raw)
-            v = float(value)
-            if key is None or not math.isfinite(v) or v < 0.0:
+            v = _seconds(stage_s, raw)
+            if key is None or v is None:
                 continue
             if kind == "cpu" or key == "load":
                 realized[key] = realized.get(key, 0.0) + v
             else:
                 realized[key] = max(realized.get(key, 0.0), v)
+    if lanes is not None and 1 < lanes < len(per_trainer):
+        spans = [sum(_seconds(stage_s, raw) or 0.0
+                     for raw in ("load", "train"))
+                 for _, stage_s in per_trainer]
+        finish: dict[str, float] = {}
+        for (kind, stage_s), end in zip(
+                per_trainer, _lane_finish_times(spans, lanes)):
+            if _seconds(stage_s, "train") is not None:
+                key = stage_key(kind, "train")
+                finish[key] = max(finish.get(key, 0.0), end)
+        realized.update(finish)
     if sync_s is not None and math.isfinite(sync_s) and sync_s >= 0.0:
         realized["sync"] = float(sync_s)
     return realized
+
+
+def _seconds(stage_s: Mapping, raw: str) -> float | None:
+    """``stage_s[raw]`` as seconds, or ``None`` when absent, non-finite
+    or negative — dropped, never invented."""
+    v = float(stage_s.get(raw, math.nan))
+    return v if math.isfinite(v) and v >= 0.0 else None
 
 
 class OnlineEstimator:
@@ -176,6 +222,15 @@ class OnlineEstimator:
             if stage is not None:
                 return self._count.get(stage, 0) >= self.warmup
             return any(c >= self.warmup for c in self._count.values())
+
+    def settle_readings(self, share: float) -> int:
+        """Observations after which a step change in a stage's realized
+        times has moved its EWMA by all but ``share`` of the step — and
+        never fewer than ``warmup``."""
+        if self.alpha >= 1.0:
+            return self.warmup
+        return max(self.warmup, math.ceil(
+            math.log(share) / math.log(1.0 - self.alpha)))
 
     def correction(self, stage: str) -> float:
         """The stage's confidence-weighted multiplicative correction.

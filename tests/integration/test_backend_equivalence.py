@@ -46,6 +46,7 @@ from backend_conformance import (
     threaded_backend,
 )
 from repro.config import SystemConfig, TrainingConfig
+from repro.graph.datasets import tiny_dataset
 from repro.errors import ConfigError
 from repro.runtime import (
     BACKENDS,
@@ -782,6 +783,64 @@ class TestPipelinedBackend:
         # or not.
         assert {b.depth for b in feeds[0].buffers} == \
             {sys_cfg.prefetch_depth}
+
+    @staticmethod
+    def _paced_drm_run(platform, lanes, monkeypatch):
+        """60 iterations of a three-trainer DRM session on ``lanes``
+        lanes whose every batch bills 0.1 ms per target as its train
+        seconds and none as its load (the batches still train), the
+        estimator warm from the first reading: ``(start split, report,
+        session)``."""
+        monkeypatch.setattr(pipelined, "usable_cores", lambda: lanes)
+        # Eight iterations an epoch: a ragged last one, which the CPU
+        # quota slows, stays a small share of each trial's window.
+        ds = tiny_dataset(num_vertices=6000, feature_dim=12,
+                          num_classes=4, avg_degree=8.0, seed=5)
+        cfg = TrainingConfig(model="sage", minibatch_size=128,
+                             fanouts=(4, 3), hidden_dim=16,
+                             learning_rate=0.05, seed=11)
+        session = TrainingSession(
+            ds, cfg, SystemConfig(hybrid=True, drm=True, prefetch=True),
+            platform, profile_probes=2)
+        assert [t.kind for t in session.trainers] == \
+            ["cpu", "accel", "accel"]
+        backend = PipelinedBackend(session, timeout_s=30)
+        backend.estimator = OnlineEstimator(warmup=1)
+        train_one = backend._train_one
+
+        def paced(idx, item):
+            size, reply = train_one(idx, item)
+            if reply is not None:
+                reply.stage_s.update(load=0.0, train=1e-4 * size)
+            return size, reply
+
+        monkeypatch.setattr(backend, "_train_one", paced)
+        start = session.split
+        return start, backend.run(60), session
+
+    def test_calibrated_drm_balances_two_lanes(self, gpu_platform,
+                                               monkeypatch):
+        """Three trainers on two lanes, every batch costing the same
+        seconds per target: equalizing the trainers holds the split,
+        but the lane fold bills the two accelerator batches that share
+        a lane as their sum, so calibrated DRM moves quota toward the
+        CPU trainer, further than on a lane per trainer, and every
+        split keeps the per-iteration total."""
+        start, rep, session = self._paced_drm_run(gpu_platform, 2,
+                                                  monkeypatch)
+        assert {split.total_targets for split in rep.split_history} == \
+            {start.total_targets}
+        end = session.split
+        # The lanes balance at 192/96/96 (one 16-target step either
+        # way: a trial may be pending when the run ends).
+        assert abs(end.cpu_targets - 192) <= 16
+        assert all(e < s for e, s in zip(end.accel_targets,
+                                         start.accel_targets))
+        assert any(d.detail == "training accel->cpu"
+                   for d in session.drm.decisions)
+        _, _, per_lane = self._paced_drm_run(gpu_platform, 3,
+                                             monkeypatch)
+        assert end.cpu_targets > per_lane.split.cpu_targets
 
     def test_same_seed_runs_are_bit_identical(self, tiny_ds):
         """One producer draws the session's stream in plan order, so

@@ -173,3 +173,80 @@ class TestPairDeltas:
         assert [line for line in out if " delta: " in line] == [
             f"pair {i} delta: op_p50_ms=-5" for i in (0, 2, 3)]
         assert out[-1].split() == ["delta", "op_p50_ms", "-5/-5/-5"]
+
+
+class TestUsageColumns:
+    """Each run's minor faults and system seconds: the children's
+    ``getrusage`` after the run minus before it, on the run line, and
+    each side's quartiles in the summary — beside the verdicts, which
+    do not read them."""
+
+    @staticmethod
+    def _usage(minflt, stime):
+        return type("Usage", (), {"ru_minflt": minflt,
+                                  "ru_stime": stime})()
+
+    def test_run_once_bills_the_children_reaped_during_the_run(
+            self, tmp_path, monkeypatch):
+        readings = iter([self._usage(1000, 2.0),
+                         self._usage(1750, 2.5)])
+        monkeypatch.setattr(ab.resource, "getrusage",
+                            lambda who: next(readings))
+
+        class Done:
+            stdout = 'warming up\n{"correct": true, "failed": 0}\n'
+
+        monkeypatch.setattr(ab.subprocess, "run",
+                            lambda *a, **k: Done())
+        res = ab.run_once(tmp_path, "w", 0)
+        assert res["correct"] and res["failed"] == 0
+        assert res["usage"] == {"minflt": 750, "sys_s": 0.5}
+
+    def test_a_run_without_a_result_line_has_no_usage(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setattr(ab.resource, "getrusage",
+                            lambda who: self._usage(0, 0.0))
+
+        class Silent:
+            stdout = ""
+
+        monkeypatch.setattr(ab.subprocess, "run",
+                            lambda *a, **k: Silent())
+        assert ab.run_once(tmp_path, "w", 0) is None
+
+    def test_main_prints_usage_per_run_and_quartiles_per_side(
+            self, tmp_path, monkeypatch, capsys):
+        for side in ("parent", "change"):
+            (tmp_path / side).mkdir()
+        (tmp_path / "parent" / "BENCHMARK.json").write_text(
+            '{"end_to_end": [{"name": "op_p50_ms", "unit": "ms", '
+            '"better": "lower", "bound": 0.2}]}')
+        calls = {"parent": 0, "change": 0}
+
+        def run_once(checkout, workload, seed):
+            side = checkout.name
+            n = calls[side]
+            calls[side] += 1
+            faults = 100 * (n + 1) + (5000 if side == "change" else 0)
+            return {"correct": True, "failed": 0, "attempted": 3,
+                    "metrics": {"op_p50_ms": {"value": 10.0}},
+                    "usage": {"minflt": faults, "sys_s": 0.25 * n}}
+
+        monkeypatch.setattr(ab, "run_once", run_once)
+        code = ab.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                        "--workload", "w", "--pairs", "3"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0     # equal walls: churn alone fails nothing
+        assert "pair 0 parent: ops 3 failed 0 op_p50_ms=10 minflt=100 "\
+            "sys_s=0" in out
+        assert "pair 2 change: ops 3 failed 0 op_p50_ms=10 minflt=5300 "\
+            "sys_s=0.5" in out
+        minflt, = [line.split() for line in out
+                   if line.startswith("minflt ")]
+        # Exclusive quartiles of (100, 200, 300) and (5100, 5200, 5300).
+        assert minflt == ["minflt", "100/200/300", "5100/5200/5300"]
+        sys_s, = [line.split() for line in out
+                  if line.startswith("sys_s ")]
+        assert sys_s == ["sys_s", "0/0.25/0.5", "0/0.25/0.5"]
+        row, = [line for line in out if line.startswith("op_p50_ms")]
+        assert row.split()[-3:] == ["ok", "(bound", "20%)"]

@@ -179,6 +179,37 @@ class TestLanesLoad:
                    for t in loaders), {t.name for t in loaders}
 
 
+class TestFirstItemOnTheCaller:
+    """The caller's thread takes each iteration's first item before it
+    releases the helper lanes, so trainer 0 — the CPU trainer, whose
+    batch DRM grows — always trains on it, and each lane's heap holds
+    the high water of its own batches. Pinned with more lanes than
+    trainers need on a two-core host."""
+
+    @pytest.mark.parametrize("name", ["threaded", "pipelined"])
+    def test_trainer_zero_trains_on_the_caller(self, name, tiny_ds,
+                                               monkeypatch):
+        monkeypatch.setattr(pipelined, "usable_cores", lambda: 3)
+        cfg = TrainingConfig(model="sage", minibatch_size=16,
+                             fanouts=(4, 3), hidden_dim=16,
+                             learning_rate=0.05, seed=11)
+        session = TrainingSession(tiny_ds, cfg, SystemConfig(drm=False),
+                                  num_trainers=3)
+        backend = build_backend(name, session, timeout_s=30)
+        caller = threading.current_thread()
+        lanes = {idx: set() for idx in range(3)}
+        train_one = backend._train_one
+
+        def spy(idx, item):
+            lanes[idx].add(threading.current_thread())
+            return train_one(idx, item)
+
+        monkeypatch.setattr(backend, "_train_one", spy)
+        rep = backend.run(12)
+        assert rep.replicas_consistent
+        assert lanes[0] == {caller}
+
+
 class TestInlineFeed:
     """``virtual``'s thread-less feed hands out exactly the item asked
     for, or refuses."""

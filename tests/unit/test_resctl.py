@@ -73,6 +73,50 @@ class TestFoldWorkerRealized:
         assert realized["train_accel"] == pytest.approx(4.0)   # max
         assert realized["sync"] == pytest.approx(0.1)
 
+    def test_two_lanes_sum_the_accelerators_that_share_one(self):
+        # Lane 0 takes the CPU batch (5 s), lane 1 the first
+        # accelerator's (3 s) and, free first, the second's (3 s).
+        per_trainer = [
+            ("cpu", {"sample": 1.0, "load": 1.0, "train": 4.0}),
+            ("accel", {"sample": 0.5, "load": 1.0, "train": 2.0}),
+            ("accel", {"sample": 0.7, "load": 0.5, "train": 2.5})]
+        realized = fold_worker_realized(per_trainer, sync_s=0.1, lanes=2)
+        assert realized["train_cpu"] == pytest.approx(5.0)
+        assert realized["train_accel"] == pytest.approx(6.0)   # 3 + 3
+        per_trainer_fold = fold_worker_realized(per_trainer, sync_s=0.1)
+        for key in ("sample_cpu", "sample_accel", "load", "sync"):
+            assert realized[key] == per_trainer_fold[key]
+
+    def test_the_first_free_lane_takes_the_next_batch(self):
+        # The CPU lane frees first (1 s), so the second accelerator
+        # batch follows the CPU's: the accelerators finish at 4 s, on
+        # the lane that trained only the first one.
+        realized = fold_worker_realized(
+            [("cpu", {"train": 1.0}), ("accel", {"train": 4.0}),
+             ("accel", {"train": 2.0})], lanes=2)
+        assert realized["train_cpu"] == pytest.approx(1.0)
+        assert realized["train_accel"] == pytest.approx(4.0)
+
+    def test_an_idle_trainer_passes_its_lane_at_once(self):
+        realized = fold_worker_realized(
+            [("cpu", {}), ("accel", {"load": 1.0, "train": 2.0}),
+             ("accel", {"load": 1.0, "train": 2.0})], lanes=2)
+        assert realized == {"load": 2.0, "train_accel": 3.0}
+
+    @pytest.mark.parametrize("lanes", [None, 1, 3, 4])
+    def test_one_lane_or_a_lane_per_trainer_folds_per_trainer(self,
+                                                              lanes):
+        per_trainer = [
+            ("cpu", {"sample": 1.0, "load": 2.0, "train": 3.0}),
+            ("accel", {"sample": 0.5, "load": 1.0, "transfer": 0.2,
+                       "train": 4.0}),
+            ("accel", {"sample": 0.7, "load": 0.5, "transfer": 0.6,
+                       "train": 2.0})]
+        assert fold_worker_realized(per_trainer, 0.1, lanes) == \
+            fold_worker_realized(per_trainer, 0.1) == {
+                "sample_cpu": 1.0, "sample_accel": 0.7, "load": 3.5,
+                "train_cpu": 3.0, "train_accel": 4.0, "sync": 0.1}
+
     def test_idle_and_invalid_entries_skipped(self):
         realized = fold_worker_realized(
             [("cpu", {}),
@@ -209,6 +253,20 @@ class TestOnlineEstimator:
             OnlineEstimator(warmup=0)
         with pytest.raises(ProtocolError):
             OnlineEstimator(ratio_bounds=(0.0, 1.0))
+
+
+class TestSettleReadings:
+    def test_ewma_forgets_all_but_the_share(self):
+        est = OnlineEstimator(alpha=0.3, warmup=3)
+        n = est.settle_readings(0.05)
+        assert n == 9
+        assert 0.7 ** n <= 0.05 < 0.7 ** (n - 1)
+
+    def test_never_fewer_than_warmup(self):
+        assert OnlineEstimator(alpha=0.9, warmup=4).settle_readings(
+            0.05) == 4
+        assert OnlineEstimator(alpha=1.0, warmup=2).settle_readings(
+            0.05) == 2
 
 
 class TestNodeAllocator:
@@ -413,3 +471,28 @@ class TestTimingStepHooks:
         assert t1.t_load > t0.t_load
         assert t1.t_load == pytest.approx(
             t0.t_load * est.correction("load"))
+
+    def test_calibration_prices_the_quotas_not_the_threads(
+            self, session_pair):
+        """A live plane has no thread pools: under an estimator the
+        model prices the split's quotas only, so two sessions whose
+        splits differ in their thread counts alone calibrate to the
+        same times."""
+        a, b = session_pair
+        b.split = b.split.with_updates(
+            sample_threads=b.split.sample_threads + 8,
+            load_threads=b.split.load_threads - 8)
+        assert a.stage_times(*self._stats(a)) != \
+            b.stage_times(*self._stats(b))
+        realized = {"load": 0.01, "train_cpu": 0.02,
+                    "train_accel": 0.03, "sync": 0.001}
+        outs = []
+        for session in (a, b):
+            session.drm = None        # hold the split still
+            est = OnlineEstimator(warmup=1)
+            stats = self._stats(session)
+            for it in range(3):
+                times, _, _ = session.timing_step(
+                    *stats, it, estimator=est, realized=realized)
+            outs.append(times)
+        assert outs[0] == outs[1]

@@ -623,6 +623,54 @@ class TestDRM:
         assert drm.decisions[-1].action == "revert"
         assert reverted.cpu_targets == split.cpu_targets
 
+    def test_trial_waits_for_a_full_window(self):
+        """Calibrated (``settle``) steps act only once the split has
+        been in effect for ``settle`` readings."""
+        drm = _drm()
+        split = _split()
+        for it in range(2):
+            assert drm.adjust(split, _times(t_train_accel=5.0), it,
+                              settle=3, realized_s=1.0) is split
+        assert drm.decisions == []
+        moved = drm.adjust(split, _times(t_train_accel=5.0), 2,
+                           settle=3, realized_s=1.0)
+        assert moved.cpu_targets > split.cpu_targets
+        assert moved.total_targets == split.total_targets
+
+    @pytest.mark.parametrize("after, reverted", [(0.99, False),
+                                                 (1.01, True)])
+    def test_trial_is_judged_on_realized_seconds(self, after, reverted):
+        """A move on trial stands only if its window's mean realized
+        seconds per target beat the best split's, whatever the
+        calibrated times say — no tolerance."""
+        drm = _drm()
+        split = _split()
+        for it in range(3):
+            moved = drm.adjust(split, _times(t_train_accel=5.0), it,
+                               settle=3, realized_s=1.0)
+        assert moved is not split
+        for it in range(3, 6):
+            out = drm.adjust(moved, _times(), it, settle=3,
+                             realized_s=after)
+        assert (drm.decisions[-1].action == "revert") == reverted
+        assert out == (split if reverted else moved)
+
+    def test_trial_never_compares_with_analytic_readings(self):
+        """Readings taken before calibration (no ``settle``) are on
+        the model's scale: the first calibrated move is not judged
+        against them."""
+        drm = _drm()
+        split = _split()
+        assert drm.adjust(split, _times(), 0) is split   # tiny metric
+        for it in range(1, 4):
+            moved = drm.adjust(split, _times(t_train_accel=5.0), it,
+                               settle=3, realized_s=1.0)
+        for it in range(4, 7):
+            out = drm.adjust(moved, _times(), it, settle=3,
+                             realized_s=1.0)
+        assert out is moved
+        assert all(d.action != "revert" for d in drm.decisions)
+
     def test_non_hybrid_never_assigns_cpu_work(self):
         drm = _drm(hybrid=False)
         split = WorkloadSplit(cpu_targets=0, accel_targets=(256, 256),
