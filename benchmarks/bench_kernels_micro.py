@@ -27,7 +27,7 @@ from repro.config import layer_dims
 from repro.errors import SamplingError
 from repro.graph.datasets import load_dataset
 from repro.kernels import fast, reference
-from repro.nn.aggregators import SparseAggregator, segment_sum_aggregate
+from repro.nn.aggregators import SparseAggregator
 from repro.nn.loss import softmax_cross_entropy
 from repro.nn.models import build_model
 from repro.sampling.base import LayerBlock, MiniBatch
@@ -66,13 +66,6 @@ def test_bench_sparse_aggregation(benchmark, batch):
     h = np.random.default_rng(1).standard_normal((blk.num_src, 100))
     agg = SparseAggregator(blk)
     out = benchmark(lambda: agg.forward(h))
-    assert out.shape == (blk.num_dst, 100)
-
-
-def test_bench_segment_sum_path(benchmark, batch):
-    blk = batch.blocks[0]
-    h = np.random.default_rng(1).standard_normal((blk.num_src, 100))
-    out = benchmark(lambda: segment_sum_aggregate(blk, h))
     assert out.shape == (blk.num_dst, 100)
 
 
@@ -228,10 +221,8 @@ def _kernel_cases(ds, batch):
                  ds.spec.feature_dim, seed=1)
              for cls in (SortRelabelSampler, NeighborSampler)]
     targets = batch.targets
-    feats, idx, blk = ds.features, batch.input_nodes, batch.blocks[0]
-    h_src = np.random.default_rng(2).standard_normal((blk.num_src, 100))
+    feats, idx = ds.features, batch.input_nodes
     x0 = reference.gather(feats, idx)
-    src, dst, num_dst = blk.src_local, blk.dst_local, blk.num_dst
     model = build_model("sage", layer_dims(
         ds.spec.feature_dim, 128, ds.spec.num_classes, 2), seed=0)
     labels, deg = ds.labels[batch.targets], ds.graph.out_degrees
@@ -283,9 +274,6 @@ def _kernel_cases(ds, batch):
         "quantize_int8": (
             lambda: reference.quantize(x0, "int8"),
             lambda: fast.quantize(x0, "int8")),
-        "segment_sum": (
-            lambda: reference.segment_sum(src, dst, h_src, num_dst),
-            lambda: fast.segment_sum(src, dst, h_src, num_dst)),
         "train_backward_sage": (
             lambda: full_chain_step(model, batch, x0, deg, labels),
             model_step),
@@ -315,14 +303,6 @@ def test_bench_fused_gather_quantize_int8_tier(benchmark, kernel_cases,
     fn = ref_fn if tier == "reference" else fast_fn
     out = benchmark(fn)
     np.testing.assert_array_equal(ref_fn(), out)
-
-
-@pytest.mark.parametrize("tier", ["reference", "fast"])
-def test_bench_segment_sum_tier(benchmark, kernel_cases, tier):
-    ref_fn, fast_fn = kernel_cases["segment_sum"]
-    fn = ref_fn if tier == "reference" else fast_fn
-    out = benchmark(fn)
-    np.testing.assert_allclose(ref_fn(), out, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Hot-path kernels: one implementation per op, one chokepoint.
 
 The per-iteration numeric work of every execution backend funnels
-through three ops — feature-row **gather**, transfer **quantize** and
-**segment_sum** aggregation — plus the transfer's wire form: **encode**
-a whole store once, then **gather_wire** a batch's codes and
-**decode** them. The dispatchers below validate their inputs once,
-call the in-place / reduceat NumPy implementation in
+through two ops — feature-row **gather** and transfer **quantize** —
+plus the transfer's wire form: **encode** a whole store once, then
+**gather_wire** a batch's codes and **decode** them. (Aggregation runs
+in the model layers, through scipy spmm.) The dispatchers below
+validate their inputs once, call the in-place NumPy implementation in
 :mod:`repro.kernels.fast`, and record the traffic they moved. Every
 load returns a fresh array that it owns. An in-process session's
 accelerator load is ``decode(gather_wire(table, idx))`` over the
@@ -198,26 +198,6 @@ def decode_codes(wire: WireRows) -> tuple[np.ndarray, np.ndarray | None]:
     return result, wire.scales
 
 
-def segment_sum(src: np.ndarray, dst: np.ndarray, h_src: np.ndarray,
-                num_dst: int,
-                edge_weights: np.ndarray | None = None) -> np.ndarray:
-    """Segment-sum aggregation over an edge list (message-dtype result).
-
-    The FPGA-kernel-equivalent path of paper Eq. 1; the production
-    model layers aggregate through scipy spmm instead, so this kernel
-    may reorder the accumulation (tolerance-equivalent to the oracle).
-    """
-    src = np.asarray(src)
-    dst = np.asarray(dst)
-    h_src = _check_matrix(h_src, "message")
-    if edge_weights is not None:
-        edge_weights = np.asarray(edge_weights, dtype=h_src.dtype)
-    result = fast.segment_sum(src, dst, h_src, int(num_dst),
-                              edge_weights=edge_weights)
-    record(segment_sum_calls=1, segment_sum_edges=src.size)
-    return result
-
-
 __all__ = [
     "TRANSFER_BYTES",
     "payload_bytes",
@@ -229,7 +209,6 @@ __all__ = [
     "gather_wire",
     "decode",
     "decode_codes",
-    "segment_sum",
     "fast",
     "reference",
     "COUNTERS",

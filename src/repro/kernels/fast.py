@@ -1,7 +1,7 @@
 """The kernels: in-place, reduction-restructured NumPy.
 
 The one implementation of each op the :mod:`repro.kernels` dispatchers
-call. Three levers, all pure NumPy so every platform gets them:
+call. Two levers, all pure NumPy so every platform gets them:
 
 * **In place** — :func:`quantize` accepts ``out=x``, so the round
   trip produces the dequantized trainer input in the destination it
@@ -18,13 +18,9 @@ call. Three levers, all pure NumPy so every platform gets them:
   folds the scales into its input layer takes the cast alone
   (``decode`` with no scales) or :func:`quantize_codes`, the round
   trip minus its final multiply.
-* **Reduction restructuring** — :func:`segment_sum` replaces the
-  edge-serial ``np.add.at`` scatter (notoriously slow: one bounds-
-  checked inner-loop dispatch per edge) with destination-sorted
-  ``np.add.reduceat`` runs.
 
 Every kernel returns its input's dtype — the feature store's for the
-gathers, the messages' for ``segment_sum``; nothing widens.
+gathers; nothing widens.
 
 Exactness contract (held by the property suite): ``gather`` and
 ``quantize`` (in place or not) match the
@@ -34,10 +30,8 @@ round-then-clip runs in the same order on the same dtypes as the
 oracle (the clip skipped only where it is the identity); ``decode``
 of gathered ``encode`` rows equals ``quantize`` of the gathered rows,
 bit for bit, and so does ``codes * scales`` for both codes-only
-forms. Only ``segment_sum`` is tolerance-equivalent (sum order
-differs); it is off the training path (models aggregate through
-:class:`~repro.nn.aggregators.SparseAggregator`), so backend
-trajectories are identical with either implementation.
+forms, so backend trajectories are identical with either
+implementation.
 """
 
 from __future__ import annotations
@@ -200,29 +194,3 @@ def decode(codes: np.ndarray, scales: np.ndarray | None,
         dest *= scales
     return dest
 
-
-def segment_sum(src: np.ndarray, dst: np.ndarray, h_src: np.ndarray,
-                num_dst: int,
-                edge_weights: np.ndarray | None = None) -> np.ndarray:
-    """Destination-sorted ``np.add.reduceat`` aggregation.
-
-    Sorts edges by destination, gathers the messages once, and reduces
-    each destination's contiguous run in one vectorized pass — the CSR
-    row-sum formulation of the same Eq.-1 sum. Accumulation order
-    within a destination differs from the reference's source-sorted
-    stream, so equality is to floating-point tolerance (documented in
-    ``docs/kernels.md``); absent/zero-degree destinations stay zero
-    rows exactly as in the reference.
-    """
-    order = np.argsort(dst, kind="stable")
-    dst_o = dst[order]
-    messages = h_src[src[order]]
-    if edge_weights is not None:
-        # ``messages`` is a fresh fancy-index copy: in-place is safe.
-        messages *= edge_weights[order][:, None]
-    out = np.zeros((num_dst, h_src.shape[1]), dtype=messages.dtype)
-    if dst_o.size:
-        starts = np.concatenate(
-            [[0], np.flatnonzero(np.diff(dst_o)) + 1])
-        out[dst_o[starts]] = np.add.reduceat(messages, starts, axis=0)
-    return out

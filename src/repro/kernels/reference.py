@@ -8,9 +8,7 @@ steps, and no layout tricks. The property suite
 outputs — bit-exactly for ``gather``, ``quantize`` and
 ``quantize_codes`` (and so for the
 load path, whether it round-trips gather → quantize or decodes a
-gathered slice of a once-encoded wire table), to floating-point
-tolerance for
-``segment_sum`` (whose fast variant reorders the accumulation).
+gathered slice of a once-encoded wire table).
 
 No runtime path calls this module: tests and
 ``benchmarks/bench_kernels_micro.py`` call it by name. It shares the
@@ -69,23 +67,3 @@ def quantize_codes(x: np.ndarray, out: np.ndarray | None = None
         return out, scale
     return codes, scale
 
-
-def segment_sum(src: np.ndarray, dst: np.ndarray, h_src: np.ndarray,
-                num_dst: int,
-                edge_weights: np.ndarray | None = None) -> np.ndarray:
-    """Edge-serial scatter-add in source-sorted order.
-
-    Mirrors the FPGA scatter-gather kernel's streaming order (paper
-    §IV-C): edges sorted by source, accumulated one at a time into the
-    destination rows. ``np.add.at`` applies duplicates in index order,
-    so the accumulation order is exactly the stream order.
-    """
-    order = np.argsort(src, kind="stable")
-    src_o = src[order]
-    dst_o = dst[order]
-    messages = h_src[src_o]
-    if edge_weights is not None:
-        messages = messages * edge_weights[order][:, None]
-    out = np.zeros((num_dst, h_src.shape[1]), dtype=messages.dtype)
-    np.add.at(out, dst_o, messages)
-    return out

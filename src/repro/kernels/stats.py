@@ -40,7 +40,7 @@ class KernelCounters:
     Keys are free-form (the kernel dispatchers use ``gather_calls``,
     ``gather_rows``, ``gather_src_bytes``, ``gather_out_bytes``,
     ``quantize_calls``, ``quantize_in_bytes``, ``payload_bytes``,
-    ``encode_calls``, ``decode_calls``, ``segment_sum_calls``); absent
+    ``encode_calls``, ``decode_calls``); absent
     keys read as zero. An accelerator batch's load counts one gather plus
     one quantize, or — decoded from a wire table — one gather of its
     wire bytes plus one decode.

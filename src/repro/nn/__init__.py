@@ -14,7 +14,6 @@ from .aggregators import (
     SparseAggregator,
     gcn_edge_weights,
     mean_edge_weights,
-    segment_sum_aggregate,
 )
 from .init import xavier_uniform, zeros_init
 from .linear import Linear
@@ -30,7 +29,6 @@ __all__ = [
     "SparseAggregator",
     "gcn_edge_weights",
     "mean_edge_weights",
-    "segment_sum_aggregate",
     "xavier_uniform",
     "zeros_init",
     "Linear",

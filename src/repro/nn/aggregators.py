@@ -1,17 +1,11 @@
 """Sparse feature aggregation (paper Eq. 1).
 
 Feature aggregation is the irregular-memory-access phase of GNN training
-(paper §II-A). Two implementations are provided:
-
-* :class:`SparseAggregator` — a SciPy CSR sparse-matmul path. This is the
-  production path: one BLAS-like spmm per layer for forward and one
-  (transposed) for backward.
-* :func:`segment_sum_aggregate` — the segment-sum path that mirrors the FPGA
-  scatter-gather kernel (paper §IV-C, Fig. 6), dispatched through
-  :func:`repro.kernels.segment_sum` (destination-sorted ``reduceat``; the
-  edge-serial scatter-add oracle lives in :mod:`repro.kernels.reference`).
-  Tests assert both paths agree to floating-point tolerance; the hardware
-  kernel models reuse the oracle's edge ordering to count traffic.
+(paper §II-A). :class:`SparseAggregator` computes it as a SciPy CSR
+sparse matmul: one BLAS-like spmm per layer for forward and one
+(transposed) for backward. The FPGA computes the same Eq.-1 sums as a
+scatter-gather stream over the edge list (paper §IV-C, Fig. 6); tests
+hold the spmm to an edge-serial ``np.add.at`` sum of the messages.
 
 Weight helpers produce the edge coefficient vectors for the two models:
 :func:`gcn_edge_weights` implements the symmetric ``1/sqrt(D(u)D(v))``
@@ -24,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .. import kernels
 from ..errors import ShapeError
 from ..sampling.base import LayerBlock
 
@@ -121,32 +114,6 @@ def _csr(block: LayerBlock, edge_weights: np.ndarray) -> sp.csr_matrix:
     indices = block.src_local[order].astype(index_dtype)
     return sp.csr_matrix((edge_weights[order], indices, indptr),
                          shape=shape)
-
-
-def segment_sum_aggregate(block: LayerBlock, h_src: np.ndarray,
-                          edge_weights: np.ndarray | None = None
-                          ) -> np.ndarray:
-    """Segment-sum aggregation (FPGA-kernel-equivalent path).
-
-    Validates the block shapes, then dispatches to
-    :func:`repro.kernels.segment_sum`, which computes the Eq.-1 sums via
-    destination-sorted ``np.add.reduceat`` runs. The ``reference``
-    oracle streams edges in source-sorted order — the order the Feature
-    Duplicator feeds them (paper §IV-C) — through an edge-serial
-    scatter-add; the two are tolerance-equivalent (the accumulation
-    order differs). Functionally identical to
-    :class:`SparseAggregator.forward`, the production path the model
-    layers use.
-    """
-    if h_src.shape[0] != block.num_src:
-        raise ShapeError("source feature row count mismatch")
-    if edge_weights is not None:
-        edge_weights = np.asarray(edge_weights)
-        if edge_weights.shape != (block.num_edges,):
-            raise ShapeError("edge_weights must have one entry per edge")
-    return kernels.segment_sum(block.src_local, block.dst_local, h_src,
-                               block.num_dst,
-                               edge_weights=edge_weights)
 
 
 def mean_edge_weights(block: LayerBlock) -> np.ndarray:

@@ -15,8 +15,9 @@ Contract every backend must honor (so results are backend-independent):
 * batches come from the session's work source (the
   :class:`~repro.runtime.core.BatchPlan`) — one permutation per epoch,
   per-trainer quota slices in trainer order;
-* mini-batches are sampled through ``session.sampler`` in plan order
-  (the sampler's RNG stream is part of the reproducibility contract);
+* trainer ``t``'s mini-batches are sampled from ``session.samplers[t]``
+  in plan order, in whichever thread or process trains them (each
+  trainer's RNG stream is part of the reproducibility contract);
 * features load through the stage pipeline's ``load_codes`` (which
   applies the transfer-quantization policy for accelerator trainers;
   an int8 batch comes as codes plus the per-row scales the trainer's
@@ -38,7 +39,7 @@ Each backend declares which tier of the conformance kit it targets via
 * ``"strict"`` — lock-step execution, held to **bit-identical** parity
   with the virtual reference (losses, DRM trajectory, parameters);
 * ``"statistical"`` — stages overlap (a calibrated DRM step trailing
-  its producer, per-worker sampler streams, look-ahead DRM lag), so
+  its producer, or DRM quotas lagging a look-ahead window), so
   the kit instead asserts exact epoch coverage,
   work conservation, DRM-trajectory shape, and tolerance-based loss /
   parameter closeness.
@@ -87,6 +88,10 @@ class ExecutionBackend(abc.ABC):
     #: the uncalibrated contract the strict tier pins.
     estimator = None
 
+    #: Run lock-step (a window of 1) under any config, so DRM sees
+    #: every iteration before the next one is sliced, prefetch or not.
+    lockstep: ClassVar[bool] = False
+
     def __init__(self, session: TrainingSession) -> None:
         self.session = session
         #: Session-scoped kernel-traffic handle: the in-process planes
@@ -106,13 +111,14 @@ class ExecutionBackend(abc.ABC):
                 fn(*args)
         return run
 
-    def window(self, ahead: bool = True) -> int:
+    def window(self) -> int:
         """This run's look-ahead window, the one place any plane reads
         it, fixed for the whole run: the session's ``prefetch_depth``
-        under two-stage prefetch, else 1 (lock-step) — and 1 for a
-        caller that cannot run ``ahead``."""
+        under two-stage prefetch, else 1 (lock-step) — and 1 under any
+        config on a :attr:`lockstep` preset."""
         cfg = self.session.sys_cfg
-        return cfg.prefetch_depth if ahead and cfg.prefetch else 1
+        return cfg.prefetch_depth if cfg.prefetch and not self.lockstep \
+            else 1
 
     def record_timing(self, report, rows: list, stats: list, it: int,
                       realized: dict | None = None) -> None:

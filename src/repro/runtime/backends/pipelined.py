@@ -25,8 +25,8 @@ process, written once. Per run it
 
 Feeds only sample; no feed buffer holds feature rows. Two feeds ship,
 and both run the plan-order generator (:meth:`Feed._items`), which
-samples each trainer's batch in plan order from the session's one
-sampler stream, on one thread, attaches its labels and takes the
+samples each trainer's batch in plan order from that trainer's stream
+(``session.samplers``), on one thread, attaches its labels and takes the
 uncalibrated timing/DRM step once each iteration's last batch is
 sampled, so Algorithm 1 sees iteration ``i`` before ``i + 1``'s
 quotas are read:
@@ -49,7 +49,7 @@ The DRM rule: the consumer adjudicates the timing/DRM step only when a
 preset installs an :class:`~repro.runtime.resctl.OnlineEstimator` as
 ``self.estimator`` — after the iteration trained, on calibrated stage
 times; otherwise the feed does, as it produces. It mirrors the process
-driver, where strictness is a window of 1 plus sampling in the parent.
+driver, where strictness under DRM is a window of 1.
 
 ``pipelined`` is ``threaded`` plus that estimator. Where it moves no
 quota — no timing plane, or DRM off — the two are bit-identical, and
@@ -163,8 +163,8 @@ class Feed:
 
     def _items(self):
         """Mini-batch Sampler in plan order: yields ``(trainer index,
-        Prepared)`` — each trainer's batch sampled from the session's
-        one stream, its labels attached — and, with no estimator
+        Prepared)`` — each trainer's batch sampled from its own stream,
+        its labels attached — and, with no estimator
         installed, takes the uncalibrated timing/DRM step once an
         iteration's last batch is sampled, before handing it over: the
         plan slices the next iteration after it. On a report that
@@ -181,7 +181,7 @@ class Feed:
                     if trained is not None:
                         trained.append(targets)
                     t0 = time.perf_counter()
-                    item.mb = s.sampler.sample(targets)
+                    item.mb = s.samplers[idx].sample(targets)
                     item.stage_s["sample"] = time.perf_counter() - t0
                     item.labels = s.labels_for(item.mb)
                 stats.append(None if item.mb is None

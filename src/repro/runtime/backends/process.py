@@ -18,11 +18,15 @@ process planes is two small choices:
   :class:`~repro.runtime.core.PlannedIteration` the parent deals:
   ``session.work_source`` (quota-cursor :class:`BatchPlan`) or a
   partition-mapped :class:`~.sharded.ShardPlan`;
-* the **deal policy** (``deal``) — what one dealt work item is:
-  :class:`WireBatchDeal` samples in the parent's single RNG stream and
-  ships the batch in wire form (what keeps a plane bit-identical to
-  the virtual reference); :class:`TargetDeal` ships the target-id
-  shard and the worker samples from its own independent stream.
+* the **replica** (``replica_cls``) — the worker's per-item stages and
+  model; a shard-aware replica bills rows by shard.
+
+The parent deals each trainer's target ids and worker ``t`` samples
+them from trainer ``t``'s stream, the one the in-process planes draw
+from (``session.samplers[t]``): ``init`` hands the worker the stream's
+position and the run's ``snapshot`` hands it back, so every run, on
+any plane, continues each stream where the last completed run stopped.
+A failed run hands nothing back.
 
 Every worker runs one body, :class:`InlineBody`: it prepares a dealt
 item when it arrives and trains it once the previous iteration's
@@ -34,12 +38,11 @@ different serve loop.
 
 There is exactly one drive loop: a :class:`~.overlap.LookaheadDealer`
 over the work source, through the window
-:meth:`~.base.ExecutionBackend.window` opens. A plane whose workers
-sample deals the session's window ahead (``prefetch_depth`` under
-two-stage prefetch, else 1), fixed for the whole run; a plane whose
-parent samples (:class:`WireBatchDeal`) deals lock-step under any
-config. The parent always adjudicates DRM (on calibrated stage times
-when the preset installs an
+:meth:`~.base.ExecutionBackend.window` opens — the session's window
+(``prefetch_depth`` under two-stage prefetch, else 1), fixed for the
+whole run; the strict ``process`` preset declares ``lockstep``, a
+window of 1 under any config. The parent always adjudicates DRM (on calibrated stage
+times when the preset installs an
 :class:`~repro.runtime.resctl.OnlineEstimator` as ``self.estimator``)
 and always runs the per-iteration all-reduce barrier — only *dealing*
 ever runs ahead, so Algorithm-1 adjustments lag the dealt window by
@@ -65,7 +68,7 @@ import numpy as np
 
 from ...errors import ProtocolError, StageTimeoutError, WorkerError
 from ...kernels import COUNTERS, merge_counts
-from ...sampling.base import LayerBlock, MiniBatch
+from ...sampling.base import MiniBatch
 from ..resctl import OnlineEstimator
 from ..stage_pipeline import StagePipeline
 from .base import ExecutionBackend
@@ -100,68 +103,13 @@ class WorkerSnapshot:
     for the parity audit, the kernel-counter delta since the run began
     (a *delta*: under fork the worker's counters inherit whatever the
     parent accumulated before spawning, and a reused worker carries its
-    earlier runs'). Stage seconds are not in it: every reply already
-    carried its batch's."""
+    earlier runs'), and its sampler stream's position, which the
+    session's sampler for this trainer takes over. Stage seconds are
+    not in it: every reply already carried its batch's."""
 
     params: np.ndarray
     kernel_stats: dict[str, int]
-
-
-# ---------------------------------------------------------------------------
-# Seam: the deal policy (parent side; the worker half of the wire form
-# is WorkerReplica.sample)
-# ---------------------------------------------------------------------------
-
-class WireBatchDeal:
-    """Sample in the parent, ship the batch.
-
-    Every stochastic draw — epoch permutations *and* neighbor sampling
-    — stays in the parent's single RNG stream, in plan order, which is
-    what makes a plane dealing this way bit-identical to the virtual
-    reference. The wire form is compact index arrays; the worker
-    re-materializes (and re-validates) the batch.
-    """
-
-    worker_samples: ClassVar[bool] = False
-
-    @staticmethod
-    def pack(session, targets: np.ndarray):
-        """``(payload, stats)`` for one batch."""
-        mb = session.sampler.sample(targets)
-        wire = (mb.node_ids,
-                [(b.src_local, b.dst_local, b.num_src, b.num_dst)
-                 for b in mb.blocks],
-                mb.feature_dim)
-        return wire, mb.stats()
-
-    @staticmethod
-    def unpack(wire) -> MiniBatch:
-        node_ids, blocks_raw, feature_dim = wire
-        blocks = tuple(LayerBlock(src_local=src, dst_local=dst,
-                                  num_src=int(ns), num_dst=int(nd))
-                       for src, dst, ns, nd in blocks_raw)
-        return MiniBatch(node_ids=tuple(node_ids), blocks=blocks,
-                         feature_dim=int(feature_dim))
-
-
-class TargetDeal:
-    """Deal target-id shards; the worker samples.
-
-    Everything stochastic about *planning* stays in the parent,
-    everything stochastic about *sampling* moves to the workers' own
-    ``SeedSequence``-derived streams
-    (:func:`repro.sampling.worker_stream_seed`) — bit-parity with the
-    virtual reference is impossible by design, so presets dealing this
-    way declare the ``statistical`` tier. The store's manifest carries
-    the :class:`~repro.runtime.shm.SharedSamplerSpec` the workers
-    rebuild the sampler from.
-    """
-
-    worker_samples: ClassVar[bool] = True
-
-    @staticmethod
-    def pack(session, targets: np.ndarray):
-        return targets, None
+    stream: dict | None
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +128,17 @@ class WorkerReplica(StagePipeline):
     def __init__(self, store, spec: WorkerSpec) -> None:
         from ...nn.models import build_model
         from ...nn.optim import SGD
+        from ...sampling import build_worker_sampler
         from ..trainer import TrainerNode
 
-        super().__init__(None, store.features, store.labels,
+        # Trainer ``spec.index``'s sampler over the shared CSR, built
+        # here so an unbuildable sampler family fails the ready
+        # handshake with its traceback.
+        super().__init__(build_worker_sampler(store, spec.index),
+                         store.features, store.labels,
                          spec.transfer_precision)
         self.store = store
         self.spec = spec
-        # Built here too, so an unbuildable sampler family fails the
-        # ready handshake with its traceback.
-        self.sampler = self.fresh_sampler()
         #: The gradient slab: row ``spec.index`` is this worker's flat
         #: gradient, the last row the parent's averaged update.
         self.grads = store.grads
@@ -198,29 +148,13 @@ class WorkerReplica(StagePipeline):
                                 spec.dims, spec.model_name)
         self.opt = SGD(self.model, lr=spec.learning_rate)
 
-    def fresh_sampler(self):
-        """A private, independently-seeded sampler over the shared CSR
-        iff the parent deals target ids (the manifest says so)."""
-        from ...sampling import build_worker_sampler
-        if self.store.manifest.sampler is None:
-            return None
-        return build_worker_sampler(self.store, self.spec.index)
-
-    def begin_run(self, params: np.ndarray) -> None:
+    def begin_run(self, params: np.ndarray, stream: dict | None) -> None:
         """Start a run on this (possibly reused) process exactly as a
-        freshly spawned one would: the parent's *current* parameters,
-        the sampler stream back at its seed — reuse is numerically
-        invisible. The validated CSR view is the store's and survives;
-        only the sampler around it is rebuilt."""
+        freshly spawned one would: the parent's *current* parameters
+        and its trainer's stream position — reuse is numerically
+        invisible."""
         self.model.set_flat_params(params)
-        self.sampler = self.fresh_sampler()
-
-    def sample(self, work) -> MiniBatch:
-        """This worker's sample stage: draw from the private stream,
-        or re-materialize the batch the parent sampled."""
-        if self.sampler is None:
-            return WireBatchDeal.unpack(work)
-        return super().sample(work)
+        self.sampler.stream_state = stream
 
     def train(self, mb: MiniBatch, x0, labels,
               stage_s: dict[str, float], row_scales) -> Reply:
@@ -233,15 +167,9 @@ class WorkerReplica(StagePipeline):
                                         row_scales)
         stage_s["train"] = time.perf_counter() - t0
         self.grads[self.spec.index] = self.model.get_flat_grads()
-        reply = Reply(loss=rep.loss, accuracy=rep.accuracy,
-                      stage_s=stage_s)
-        if self.sampler is None:
-            # Re-materializing a parent-sampled batch is not sampling.
-            stage_s.pop("sample", None)
-        else:
-            reply.stats = mb.stats()
-            reply.echoed = np.asarray(mb.targets)
-        return reply
+        return Reply(loss=rep.loss, accuracy=rep.accuracy,
+                     stage_s=stage_s, stats=mb.stats(),
+                     echoed=np.asarray(mb.targets))
 
     def apply(self) -> None:
         """Mirror the parent's synchronized SGD step from the slab's
@@ -254,7 +182,8 @@ class WorkerReplica(StagePipeline):
     def snapshot(self, counters_baseline) -> WorkerSnapshot:
         return WorkerSnapshot(
             params=self.model.get_flat_params(),
-            kernel_stats=COUNTERS.delta(counters_baseline))
+            kernel_stats=COUNTERS.delta(counters_baseline),
+            stream=self.sampler.stream_state)
 
     def release_views(self) -> None:
         """Drop shm-backed views before unmapping, else ``close()``
@@ -351,7 +280,7 @@ def serve(conn, replica: WorkerReplica) -> None:
             # Nothing is in flight between runs (the parent retired and
             # applied every iteration before its ``snapshot``), so the
             # replica is safe to overwrite.
-            replica.begin_run(msg[1])
+            replica.begin_run(msg[1], msg[2])
             counters_baseline = COUNTERS.snapshot()
             body = InlineBody(conn, replica)
         elif tag == "snapshot":
@@ -396,18 +325,28 @@ def worker_main(conn, manifest, spec: WorkerSpec) -> None:
 # Parent side: the pool and the driver
 # ---------------------------------------------------------------------------
 
+def _join(procs, timeout_s: float) -> None:
+    """Join every process against one shared deadline."""
+    deadline = time.monotonic() + timeout_s
+    for proc in procs:
+        proc.join(timeout=max(0.0, deadline - time.monotonic()))
+
+
 def _shutdown(conns, procs, store) -> None:
-    """Stop workers and destroy the shared segment. Never raises."""
+    """Stop workers and destroy the shared segment, in bounded time
+    however many workers are wedged: every worker gets one shared 5 s
+    grace to exit, then whatever is still alive is terminated. Never
+    raises."""
     for conn in conns:
         try:
             conn.send(("stop",))
         except Exception:
             pass
+    _join(procs, 5.0)
     for proc in procs:
-        proc.join(timeout=5.0)
-        if proc.is_alive():  # pragma: no cover - wedged worker
+        if proc.is_alive():
             proc.terminate()
-            proc.join(timeout=5.0)
+    _join(procs, 5.0)
     for conn in conns:
         try:
             conn.close()
@@ -463,10 +402,8 @@ class ProcessBackend(ExecutionBackend):
         else ``"spawn"``). Pass explicitly to override.
     """
 
-    #: Seam: what one dealt work item is.
-    deal: ClassVar[type] = WireBatchDeal
-    #: The worker's per-item stages + model (its ``train`` may bill
-    #: rows by shard).
+    #: Seam: the worker's per-item stages + model (its ``train`` may
+    #: bill rows by shard).
     replica_cls: ClassVar[type] = WorkerReplica
 
     def __init__(self, session, timeout_s: float = 120.0,
@@ -535,16 +472,14 @@ class ProcessBackend(ExecutionBackend):
 
     def _create_store(self):
         """Create the shared-memory store the workers will attach. The
-        manifest tells workers whether to sample (sampler spec); the
-        gradient slab is one row per worker plus the average row, in
-        the model's parameter dtype."""
+        manifest carries the sampler spec each worker rebuilds its
+        trainer's sampler from; the gradient slab is one row per worker
+        plus the average row, in the model's parameter dtype."""
         from ..shm import SharedFeatureStore
         s = self.session
         flat = s.trainers[0].model.get_flat_params()
         return SharedFeatureStore.create(
-            s.dataset,
-            sampler_spec=s.shared_sampler_spec()
-            if self.deal.worker_samples else None,
+            s.dataset, sampler_spec=s.shared_sampler_spec(),
             grad_slab=np.zeros_like(
                 flat, shape=(s.num_trainers + 1, flat.size)),
             **self.store_extras)
@@ -567,10 +502,8 @@ class ProcessBackend(ExecutionBackend):
         s = self.session
         report = RunReport(
             iterations=iterations, num_workers=s.num_trainers,
+            trained_targets=[], worker_targets=[[] for _ in s.trainers],
             shard_parts=self.store_extras.get("parts"))
-        if self.deal.worker_samples:
-            report.trained_targets = []
-            report.worker_targets = [[] for _ in s.trainers]
         rows: list[list[float]] = []
 
         setup_start = time.perf_counter()
@@ -578,22 +511,19 @@ class ProcessBackend(ExecutionBackend):
             if self._pool is None:
                 self._open()
             # Begin the run: sync each worker to the parent's *current*
-            # parameters — a session that already trained (under any
-            # backend, this one included) resumes bit-identically
-            # instead of silently continuing from stale weights. Only
-            # then start the training clock: wall_time_s measures the
-            # synchronized loop, not spawn or the broadcast.
+            # parameters and its trainer's stream position — a session
+            # that already trained (under any backend, this one
+            # included) resumes bit-identically instead of silently
+            # continuing from stale weights. Only then start the
+            # training clock: wall_time_s measures the synchronized
+            # loop, not spawn or the broadcast.
             for idx, trainer in enumerate(s.trainers):
-                self._send(idx, ("init", trainer.model.get_flat_params()))
+                self._send(idx, ("init", trainer.model.get_flat_params(),
+                                 s.samplers[idx].stream_state))
             report.startup_time_s = time.perf_counter() - setup_start
             start = time.perf_counter()
 
-            # Only worker-sampled items deal ahead: dealing a
-            # parent-sampled batch ahead moves the parent's sampler
-            # stream past what a failed run trained.
-            self._drive(iterations,
-                        self.window(ahead=self.deal.worker_samples),
-                        report, rows)
+            self._drive(iterations, self.window(), report, rows)
             report.wall_time_s = time.perf_counter() - start
 
             self._snapshot(report)
@@ -612,38 +542,28 @@ class ProcessBackend(ExecutionBackend):
         refill."""
         dealer = LookaheadDealer(self.work_source.iterate(iterations),
                                  depth)
-        dealt_stats: dict[int, dict] = {}
-        self._deal(dealer.refill(), report, dealt_stats)
+        self._deal(dealer.refill(), report)
         while True:
             entry = dealer.retire()
             if entry is None:
                 break
             report.lookahead_history.append(
                 (dealer.in_flight + 1, dealer.depth))
-            it, planned = entry
-            self._synchronize(it, planned, dealt_stats.pop(it), report,
-                              rows)
-            self._deal(dealer.refill(), report, dealt_stats)
+            self._synchronize(*entry, report, rows)
+            self._deal(dealer.refill(), report)
 
-    def _deal(self, pairs, report, dealt_stats) -> None:
-        """Scatter newly dealt iterations through the deal policy."""
-        s = self.session
+    def _deal(self, pairs, report) -> None:
+        """Scatter newly dealt iterations: each trainer's target ids.
+        Idle iterations are dealt too (``None``), so every worker sees
+        — and answers — one item per iteration."""
         for it, planned in pairs:
             report.dealt_sizes.append(planned.batch_sizes)
-            stats = dealt_stats[it] = {}
             for idx, targets in enumerate(planned.assignments):
-                payload = None
                 if targets is not None:
-                    payload, st = self.deal.pack(s, targets)
-                    if st is not None:
-                        stats[idx] = st
-                    if report.trained_targets is not None:
-                        report.trained_targets.append(targets)
-                # Idle iterations are dealt too (payload None), so every
-                # worker sees — and answers — one item per iteration.
-                self._send(idx, ("train", it, payload))
+                    report.trained_targets.append(targets)
+                self._send(idx, ("train", it, targets))
 
-    def _synchronize(self, it: int, planned, stats_by_idx, report, rows):
+    def _synchronize(self, it: int, planned, report, rows):
         """Retire one iteration: collect every worker's answer — a
         ``result`` (its gradient row read into the parent mirror) or an
         ``idle`` token — then the shared synchronize tail, which
@@ -677,10 +597,7 @@ class ProcessBackend(ExecutionBackend):
                 continue
             reply = msg[2]
             trainer.model.set_flat_grads(self._pool.store.grads[idx])
-            if reply.stats is None:
-                reply.stats = stats_by_idx[idx]
-            if reply.echoed is not None:
-                report.worker_targets[idx].append(reply.echoed)
+            report.worker_targets[idx].append(reply.echoed)
             if reply.shard_io is not None:
                 report.shard_io.append(
                     {"iteration": it, "worker": idx, **reply.shard_io})
@@ -698,9 +615,10 @@ class ProcessBackend(ExecutionBackend):
         """The one post-run round trip per worker, *after*
         ``wall_time_s`` is stamped (shipping accounting never skews
         measured training time): ask everyone, then fold the kernel
-        counters in order and audit every worker's parameters against
-        the parent mirrors, bit for bit. It ends the run on the worker
-        side too; the pool stays up."""
+        counters in order, audit every worker's parameters against
+        the parent mirrors, bit for bit, and hand each worker's stream
+        position to its trainer's session sampler. It ends the run on
+        the worker side too; the pool stays up."""
         s = self.session
         for idx in range(s.num_trainers):
             self._send(idx, ("snapshot",))
@@ -714,6 +632,7 @@ class ProcessBackend(ExecutionBackend):
             merge_counts(report.kernel_stats, snap.kernel_stats)
             consistent = consistent and np.array_equal(
                 snap.params, trainer.model.get_flat_params())
+            s.samplers[idx].stream_state = snap.stream
         report.replicas_consistent = consistent
 
     # ------------------------------------------------------------------
@@ -768,32 +687,33 @@ class ProcessBackend(ExecutionBackend):
 
 class ProcessPoolBackend(ProcessBackend):
     """``process`` — GIL-free trainer replicas, **bit-identical** to
-    the virtual reference: the parent samples every batch in plan order
-    and ships it in wire form, dealt lock-step under any config; workers
-    gather zero-copy from the shared store, train inline, and mirror
-    the synchronized update. Held to the strict tier, hybrid + DRM +
-    int8 transfer included."""
+    the virtual reference: the parent deals each trainer's target ids
+    lock-step under any config, so DRM sees every iteration before the
+    next one is sliced; each worker samples its batch from its
+    trainer's stream, gathers zero-copy from the shared store, trains
+    inline, and mirrors the synchronized update. Held to the strict
+    tier, hybrid + DRM + int8 transfer included."""
 
     name = "process"
+    lockstep = True
 
 
 class ProcessSamplingBackend(ProcessBackend):
-    """``process_sampling`` — the sample stage parallelized too: the
-    parent deals target-id shards, each worker samples from its own
-    RNG stream and runs ``sample → gather → transfer → train`` inline.
+    """``process_sampling`` — ``process`` with the session's window:
+    under two-stage prefetch the parent deals ``prefetch_depth``
+    iterations ahead, so each worker samples and loads batch ``i + 1``
+    while the parent collects and all-reduces batch ``i`` (and the next
+    transfer overlaps the gradient pull).
 
-    Under two-stage prefetch the parent deals the session's window
-    (``prefetch_depth``) ahead, so each worker samples and loads batch
-    ``i + 1`` while the parent collects and all-reduces batch ``i``
-    (and the next transfer overlaps the gradient pull). Iterations stay a
-    synchronized barrier either way; DRM observes iteration ``i``
-    before ``i + 1``'s quotas are read only without prefetch (lock-step
-    dealing) — with it, adjustments lag the dealt window
-    (``RunReport.dealt_sizes``)."""
+    Look-ahead changes when a worker samples, never what it draws, so
+    wherever DRM is off this plane is bit-identical to ``process``.
+    Iterations stay a synchronized barrier either way; DRM observes
+    iteration ``i`` before ``i + 1``'s quotas are read only without
+    prefetch (lock-step dealing) — with it, adjustments lag the dealt
+    window (``RunReport.dealt_sizes``), hence the statistical tier."""
 
     name = "process_sampling"
     conformance_tier = "statistical"
-    deal = TargetDeal
 
 
 class ProcessPipelinedBackend(ProcessBackend):
@@ -810,7 +730,6 @@ class ProcessPipelinedBackend(ProcessBackend):
 
     name = "process_pipelined"
     conformance_tier = "statistical"
-    deal = TargetDeal
 
     def __init__(self, session, timeout_s: float = 120.0,
                  mp_context: str | None = None) -> None:

@@ -41,19 +41,17 @@ class Reply:
     gradient is in the worker's row of the store's gradient slab — the
     reply itself is scalars and ids.
 
-    ``stats`` is the batch's statistics by the time the tail reads it;
-    a worker sets it (and ``echoed``) only when it sampled the batch
-    itself — the parent already knows both for a batch it sampled.
-    ``echoed`` is the batch's realized target ids (``V^L`` of the
-    locally sampled graph), so the parent records what the worker
-    *actually trained*, not what it was asked to. ``shard_io`` is the
-    shard-aware replica's local/remote row record.
+    ``stats`` is the batch's statistics, from whoever sampled it. A
+    worker also sets ``echoed``, the batch's realized target ids
+    (``V^L`` of the locally sampled graph), so the parent records what
+    the worker *actually trained*, not what it was asked to.
+    ``shard_io`` is the shard-aware replica's local/remote row record.
     """
 
     loss: float
     accuracy: float
     stage_s: dict[str, float]
-    stats: MiniBatchStats | None = None
+    stats: MiniBatchStats
     echoed: np.ndarray | None = None
     shard_io: dict | None = None
 

@@ -54,7 +54,7 @@ from ... import kernels
 from ...errors import ConfigError
 from ...graph.partition import bfs_partition, halo, hash_partition
 from ..core import BatchPlan, PlannedIteration
-from .process import ProcessBackend, TargetDeal, WorkerReplica, WorkerSpec
+from .process import ProcessBackend, WorkerReplica, WorkerSpec
 
 #: The partitioners a sharded backend can be constructed with.
 PARTITIONERS = {
@@ -248,8 +248,7 @@ class ShardedReplica(WorkerReplica):
 class ShardedBackend(ProcessBackend):
     """``sharded`` — worker replicas, one per graph shard, that bill
     every input row by the partition map: :class:`ShardPlan` ×
-    :class:`~.process.TargetDeal` × :class:`ShardedReplica`. Its
-    workers sample, so like ``process_sampling`` it deals the
+    :class:`ShardedReplica`. Like ``process_sampling`` it deals the
     session's window ahead (``prefetch_depth`` under two-stage
     prefetch, else lock-step).
 
@@ -275,7 +274,6 @@ class ShardedBackend(ProcessBackend):
 
     name = "sharded"
     conformance_tier = "statistical"
-    deal = TargetDeal
     replica_cls = ShardedReplica
 
     def __init__(self, session, timeout_s: float = 120.0,

@@ -4,8 +4,9 @@ The paper describes a single training *protocol* (Fig. 5 / Listing 1)
 realized on heterogeneous executors. This module is that protocol's
 backend-independent half:
 
-* :class:`TrainingSession` owns **construction** — dataset, sampler (via
-  the registry in :mod:`repro.sampling`), one model replica per trainer,
+* :class:`TrainingSession` owns **construction** — dataset, one sampler
+  per trainer (via the registry in :mod:`repro.sampling`; trainer ``t``
+  draws from stream ``t`` on every plane), one model replica per trainer,
   the :class:`~repro.runtime.synchronizer.GradientSynchronizer`,
   optimizers, the performance model, the DRM engine, and the transfer
   quantization policy — all derived from
@@ -24,7 +25,7 @@ backend-independent half:
 A session built *with* a :class:`~repro.hw.topology.PlatformSpec` carries
 the full timing plane (perf model, workload split, DRM); a session built
 without one (``platform=None``) is functional-only: ``num_trainers``
-replicas fed by one sampler stream.
+replicas, each fed by its own sampler stream.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from ..perfmodel.sampling_profile import (
     SamplingProfile,
     project_full_scale_stats,
 )
-from ..sampling import build_sampler
+from ..sampling import build_sampler, trainer_sampler
 from ..sampling.base import MiniBatch, MiniBatchStats
 from ..sim.engine import PipelineSimulator
 from .drm import DRMEngine
@@ -247,18 +248,19 @@ class TrainingSession:
                                train_cfg.hidden_dim,
                                dataset.spec.num_classes,
                                train_cfg.num_layers)
-        # ---- sampler (pluggable via the registry) ----
-        self.sampler = build_sampler(
-            train_cfg.sampler, dataset.graph, dataset.train_ids,
-            train_cfg, dataset.spec.feature_dim)
         self.degrees = dataset.graph.out_degrees
 
         # ---- timing plane (platform sessions only) ----
         self.profile: SamplingProfile | None = None
         self.perfmodel: PerformanceModel | None = None
         if platform is not None:
+            # The profile draws from a sampler of its own, so no
+            # trainer's stream starts advanced.
             measured = SamplingProfile.measure(
-                self.sampler, train_cfg.minibatch_size,
+                build_sampler(train_cfg.sampler, dataset.graph,
+                              dataset.train_ids, train_cfg,
+                              dataset.spec.feature_dim),
+                train_cfg.minibatch_size,
                 num_probes=profile_probes, seed=train_cfg.seed + 1)
             if full_scale:
                 # Replace the measured means with the full-graph
@@ -292,6 +294,15 @@ class TrainingSession:
             [t.model for t in self.trainers])
         self.optimizers = [SGD(t.model, lr=train_cfg.learning_rate)
                            for t in self.trainers]
+        #: One sampler per trainer, in trainer order (pluggable via the
+        #: registry): trainer ``t`` samples from stream ``t`` on every
+        #: plane, and a process plane carries each stream's position to
+        #: its worker and back, so every run continues where the last
+        #: one, on any plane, stopped.
+        self.samplers = [
+            trainer_sampler(dataset.graph, dataset.train_ids, train_cfg,
+                            dataset.spec.feature_dim, t)
+            for t in range(self.num_trainers)]
 
         self.drm = DRMEngine(self.sys_cfg, train_cfg.minibatch_size,
                              hybrid=self.sys_cfg.hybrid,
@@ -307,10 +318,11 @@ class TrainingSession:
         # The shared per-item producer chain (sample → gather →
         # transfer) both session kinds compose; the stage hooks below
         # delegate to it, and the serving plane builds its own over the
-        # same stack. Accelerator loads decode from the store's wire
-        # table, encoded once on the first of them.
+        # same stack. Its sample stage is trainer 0's stream.
+        # Accelerator loads decode from the store's wire table, encoded
+        # once on the first of them.
         self.pipeline = StagePipeline(
-            self.sampler, dataset.features, dataset.labels,
+            self.samplers[0], dataset.features, dataset.labels,
             self.sys_cfg.transfer_precision, encode_once=True)
 
     # ------------------------------------------------------------------
@@ -412,8 +424,9 @@ class TrainingSession:
     # the extraction the serving plane shares.
     # ------------------------------------------------------------------
     def sample_stage(self, targets: np.ndarray) -> MiniBatch:
-        """Sample one mini-batch from the session's one sampler stream
-        (not thread-safe: every plane samples it from one thread)."""
+        """Sample one mini-batch from trainer 0's stream, the
+        pipeline's (not thread-safe: every plane samples a stream from
+        one thread)."""
         return self.pipeline.sample(targets)
 
     def gather_stage(self, mb: MiniBatch) -> np.ndarray:
@@ -446,9 +459,9 @@ class TrainingSession:
         """Picklable spec a worker rebuilds this session's sampler from.
 
         The spec travels in the :class:`~repro.runtime.shm.SharedStoreManifest`
-        of a worker-sampling backend; each worker derives its own
-        independent RNG stream from the config's base seed via
-        :func:`repro.sampling.worker_stream_seed`, so the parent deals
+        of a process plane; worker ``t`` rebuilds trainer ``t``'s sampler
+        from it (:func:`repro.sampling.build_worker_sampler`) and
+        continues :attr:`samplers` ``[t]``'s stream, so the parent deals
         only target-id shards of the :class:`BatchPlan` and the sample
         stage runs on every worker's cores in parallel.
         """

@@ -84,7 +84,7 @@ class SharedSamplerSpec:
     registered via :func:`repro.sampling.register_sampler` rebuild from
     whatever config fields their builder reads.
     :func:`repro.sampling.build_worker_sampler` consumes this spec plus
-    a worker index and derives that worker's independent RNG stream.
+    a trainer index and builds that trainer's sampler, on its stream.
     """
 
     train_cfg: "object"            # repro.config.TrainingConfig

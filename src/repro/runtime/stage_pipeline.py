@@ -164,8 +164,8 @@ class StagePipeline:
     def sample(self, targets: np.ndarray) -> MiniBatch:
         """Sample one mini-batch from the sampler's stream. Not
         thread-safe, and no caller needs it to be: every plane samples
-        a session's stream from one thread (the in-process producer or
-        the caller's thread; a process worker owns its sampler)."""
+        each stream from one thread (the in-process producer or the
+        caller's thread; a process worker owns its trainer's)."""
         return self.sampler.sample(targets)
 
     def gather(self, mb: MiniBatch) -> np.ndarray:

@@ -30,7 +30,7 @@ from .base import LayerBlock, MiniBatch, MiniBatchStats, Sampler
 from .neighbor import NeighborSampler
 from .saint import SaintEdgeSampler, SaintNodeSampler, SaintRWSampler
 from .full import FullBatchSampler
-from .shared import build_worker_sampler, worker_stream_seed
+from .shared import build_worker_sampler, trainer_sampler, worker_stream_seed
 
 #: name -> builder(graph, train_ids, train_cfg, feature_dim) -> Sampler.
 #: A :class:`~repro.registry.Registry` (the unified registry
@@ -114,5 +114,6 @@ __all__ = [
     "available_samplers",
     "build_sampler",
     "build_worker_sampler",
+    "trainer_sampler",
     "worker_stream_seed",
 ]

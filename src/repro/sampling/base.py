@@ -21,8 +21,8 @@ node list extends the next one's, a vertex keeps its position across
 hops and one map serves every layer (DGL's NodeFlow keeps the same
 per-layer parent-id offsets). The map is per instance and unlocked, like
 the RNG stream: a sampler is driven by one thread, as every training
-plane drives its session's sampler (the in-process producer or the
-caller's thread; a process worker owns its own).
+plane drives each trainer's sampler (the in-process producer or the
+caller's thread; a process worker owns its trainer's).
 """
 
 from __future__ import annotations
@@ -206,8 +206,26 @@ class Sampler(abc.ABC):
 
     Samplers are deterministic given their seed and are restartable:
     :meth:`epoch_batches` yields one epoch's worth of batches in a shuffled
-    order; :meth:`sample` draws a single batch for ad-hoc use.
+    order; :meth:`sample` draws a single batch for ad-hoc use. A
+    stochastic family keeps its stream in ``_rng``, whose position
+    :attr:`stream_state` reads and sets.
     """
+
+    #: The RNG stream :meth:`sample` draws from (``None``: the family
+    #: draws nothing).
+    _rng: np.random.Generator | None = None
+
+    @property
+    def stream_state(self) -> dict | None:
+        """The stream's position, picklable: a sampler built from the
+        same seed elsewhere continues the stream from it (``None`` for
+        a family that draws nothing)."""
+        return None if self._rng is None else self._rng.bit_generator.state
+
+    @stream_state.setter
+    def stream_state(self, state: dict | None) -> None:
+        if state is not None:
+            self._rng.bit_generator.state = state
 
     @abc.abstractmethod
     def sample(self, target_ids: np.ndarray) -> MiniBatch:

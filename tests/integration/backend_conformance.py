@@ -12,11 +12,11 @@ is enforced depends on the tier the backend declares via its
   **bit for bit** — per-iteration losses and accuracies, the DRM
   split/stage-time trajectory, total sampled edges, epoch coverage,
   and the final replica parameters.
-* ``statistical`` (out-of-lock-step backends — the pipelined plane,
+* ``statistical`` (out-of-lock-step backends — the pipelined planes,
   whose calibrated DRM step trails its producer and reads realized
-  wall-clock seconds, and the worker-side-sampling process plane,
-  whose workers draw from independent per-worker RNG streams):
-  bit-parity is impossible *by design*. The kit instead asserts what
+  wall-clock seconds, and the process planes that deal a look-ahead
+  window, whose DRM quotas lag it): bit-parity under DRM is
+  impossible *by design*. The kit instead asserts what
   loose coupling must still preserve: the exact iteration count,
   **exact epoch coverage** (every train vertex exactly once per epoch
   — reordered or re-streamed, work is never lost or duplicated),
@@ -148,20 +148,23 @@ PROCESS_PRESETS = ("process", "process_sampling", "process_pipelined",
 CONFORMANCE_TIERS = ("strict", "statistical")
 
 #: Statistical presets that differ from a strict preset only by a
-#: calibrating estimator. Where that estimator moves no quota
-#: (:func:`estimator_idle`) each must run its twin's trajectory bit for
-#: bit (:func:`assert_twin_identical`); under calibrated DRM it stays
-#: statistical.
-STRICT_TWINS: dict[str, str] = {"pipelined": "threaded"}
+#: calibrating estimator or a look-ahead window, which both act
+#: through DRM. Where DRM moves no quota (:func:`estimator_idle`) each
+#: must run its twin's trajectory bit for bit
+#: (:func:`assert_twin_identical`); under DRM it stays statistical.
+STRICT_TWINS: dict[str, str] = {"pipelined": "threaded",
+                                "process_sampling": "process",
+                                "process_pipelined": "process"}
 
 #: Which shipped planes produce which coverage-evidence section of
 #: their report. The statistical tier (and ``bench_e2e``) read these
 #: fields as *present iff not None*, so a plane outside a field's set
 #: must leave it ``None`` — never an empty list.
 COVERAGE_EVIDENCE: dict[str, frozenset[str]] = {
-    "trained_targets": frozenset({"pipelined", "process_sampling",
+    "trained_targets": frozenset({"pipelined", "process",
+                                  "process_sampling",
                                   "process_pipelined", "sharded"}),
-    "worker_targets": frozenset({"process_sampling",
+    "worker_targets": frozenset({"process", "process_sampling",
                                  "process_pipelined", "sharded"}),
     "shard_parts": frozenset({"sharded"}),
 }
@@ -379,9 +382,8 @@ def assert_stage_seconds(name: str, session: TrainingSession, report,
     ``train_*`` count per trained batch — at least one batch per
     iteration, at most one per trainer. Given the strict-tier
     ``reference`` report, the ``load`` and ``train_*`` counts equal
-    its counts, and so does every ``sample_*`` count both planes record
-    (a process worker drops ``sample`` for a batch the parent
-    sampled)."""
+    its counts, and so does every ``sample_*`` count both planes
+    record."""
     secs = report.stage_seconds
     assert secs, f"{name}: no stage seconds billed"
     assert set(secs) <= set(REALIZED_STAGES) - {"sync"}, \
@@ -517,7 +519,7 @@ def assert_statistical_conformance(name, case, ref_session, ref,
       the target budget (work conservation under pipeline lag);
     * mutual replica consistency after the final all-reduce.
 
-    Within tolerance (overlap, calibration or per-worker streams make
+    Within tolerance (overlap or calibration under DRM makes
     individual batches differ):
 
     * mean per-iteration loss (:data:`STAT_LOSS_RTOL`) and final loss
@@ -633,8 +635,8 @@ def assert_reuse_invisible(name: str, case: ConformanceCase,
     bit for bit — losses, accuracies, sampled edges, per-worker
     targets, shard io, kernel counters, final parameters — on every
     process preset, statistical tier included (a reused worker
-    re-derives its per-run state, sampler stream included, at each
-    ``init``). And reuse is what it is for: runs after the first pay
+    re-derives its per-run state at each ``init``, which hands it its
+    trainer's stream position). And reuse is what it is for: runs after the first pay
     a small fraction of the first run's ``startup_time_s``.
 
     Use a case without a timing plane for calibrating presets: a kept

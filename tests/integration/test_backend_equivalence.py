@@ -172,10 +172,7 @@ class TestBackendConformance:
         third-party path — and it passes the statistical tier on every
         case, cross-node ownership assertion included."""
         from repro.graph.partition import bfs_partition
-        from repro.runtime.backends.process import (
-            ProcessBackend,
-            TargetDeal,
-        )
+        from repro.runtime.backends.process import ProcessBackend
         from repro.runtime.backends.sharded import (
             ShardedReplica,
             ShardPlan,
@@ -185,7 +182,6 @@ class TestBackendConformance:
         class ShardedLookahead(ProcessBackend):
             name = "sharded_lookahead"
             conformance_tier = "statistical"
-            deal = TargetDeal
             replica_cls = ShardedReplica
 
             def __init__(self, session, timeout_s=120.0,
@@ -314,9 +310,9 @@ class TestProcessBackend:
             SystemConfig(hybrid=True, drm=False, prefetch=True),
             num_trainers=2)
         backend = ProcessPoolBackend(session, timeout_s=60)
-        # Sabotage the sampler so the first iteration raises in the
+        # Sabotage the plan so the first iteration raises in the
         # parent after workers and the store are already up.
-        session.sampler.sample = None
+        session.plan.counts_fn = None
         with pytest.raises(TypeError):
             backend.run(1)
         assert set(glob.glob(pattern)) == before
@@ -332,10 +328,10 @@ class TestProcessBackend:
         backend.run(1)
         assert mp.active_children()
 
-        def interrupted(targets):
+        def interrupted():
             raise KeyboardInterrupt
 
-        session.sampler.sample = interrupted
+        session.plan.counts_fn = interrupted
         with pytest.raises(KeyboardInterrupt):
             backend.run(1)
         assert not mp.active_children()
@@ -349,20 +345,19 @@ class TestProcessBackend:
         *same* backend opens a fresh pool and the session is still
         bit-identical to a virtual-only reference.
 
-        The kill lands while the parent samples the failing run's first
-        batch and takes the *last* worker, so what the failed run
-        consumed is exact — one epoch permutation and one iteration's
-        sampler draws, no update — and the reference replays just
-        that."""
+        The kill lands while the parent plans the failing run's first
+        iteration and takes the *last* worker, so what the failed run
+        consumed is exact — one epoch permutation, no update, and no
+        sampler draw (a failed run hands no stream back to the
+        session) — and the reference replays just that."""
         from repro.errors import WorkerError
         sys_cfg = SystemConfig(hybrid=True, drm=False, prefetch=True)
 
         sv = TrainingSession(tiny_ds, eq_cfg, sys_cfg, num_trainers=2)
         vb = VirtualTimeBackend(sv)
         first_v = vb.run_epoch(max_iterations=2)
-        for _, planned in sv.work_source.iterate(1):
-            for targets in planned.assignments:
-                sv.sampler.sample(targets)
+        for _ in sv.work_source.iterate(1):
+            pass
         second_v = vb.run_epoch(max_iterations=2)
 
         sp = TrainingSession(tiny_ds, eq_cfg, sys_cfg, num_trainers=2)
@@ -371,14 +366,16 @@ class TestProcessBackend:
         first_p = backend.run(2)
         victim_name = f"repro-{sp.trainers[-1].name}"
 
-        def sample_after_kill(targets):
-            del sp.sampler.sample          # one shot
+        counts = sp.plan.counts_fn
+
+        def counts_after_kill():
+            sp.plan.counts_fn = counts     # one shot
             victim, = [p for p in mp.active_children()
                        if p.name == victim_name]
             os.kill(victim.pid, signal.SIGKILL)
-            return sp.sampler.sample(targets)
+            return counts()
 
-        sp.sampler.sample = sample_after_kill
+        sp.plan.counts_fn = counts_after_kill
         start = time.perf_counter()
         with pytest.raises(WorkerError):
             backend.run(3)
@@ -562,16 +559,35 @@ class TestProcessSamplingBackend:
             SystemConfig(hybrid=True, drm=False, prefetch=True),
             num_trainers=n)
 
-    def test_worker_draws_differ_from_parent_stream(self, tiny_ds,
-                                                    eq_cfg):
-        """The sampling genuinely moved: worker-side neighbor draws
-        come from per-worker streams, so sampled-edge totals differ
-        from the parent-sampled process plane (coverage still exact)."""
+    def test_worker_draws_match_the_lockstep_plane(self, tiny_ds,
+                                                   eq_cfg):
+        """Trainer ``t`` draws from stream ``t`` on every plane, so
+        dealing the window ahead changes when a worker samples, never
+        what it draws: without DRM this plane trains exactly the
+        lock-step ``process`` plane's batches."""
         rp = ProcessPoolBackend(self._session(tiny_ds, eq_cfg),
                                 timeout_s=60).run(3)
         rs = ProcessSamplingBackend(self._session(tiny_ds, eq_cfg),
                                     timeout_s=60).run(3)
-        assert rs.total_edges != rp.total_edges
+        assert max(n for n, _ in rs.lookahead_history) > 1
+        assert rs.total_edges == rp.total_edges
+        np.testing.assert_array_equal(rs.losses, rp.losses)
+
+    def test_lockstep_matches_virtual_under_drm(self, tiny_ds):
+        """Without prefetch the window is 1, so DRM sees every
+        iteration before the next one is dealt, and each worker draws
+        its trainer's stream: on the flagship hybrid + DRM + int8 case
+        this plane reproduces the virtual reference bit for bit."""
+        flagship = CONFORMANCE_CASES[0]
+        case = dataclasses.replace(flagship, sys_cfg_kwargs={
+            **flagship.sys_cfg_kwargs, "prefetch": False})
+        ref_session, ref = run_backend("virtual", case, tiny_ds)
+        session, rep = run_backend("process_sampling", case, tiny_ds)
+        assert len(rep.split_history) == rep.iterations
+        assert max(n for n, _ in rep.lookahead_history) == 1
+        assert_twin_identical("process_sampling vs virtual",
+                              ref_session, ref, session, rep)
+        assert rep.stage_history == ref.stage_history
 
     def _drm_session(self, tiny_ds, eq_cfg, gpu_platform, prefetch,
                      prefetch_depth=2):
@@ -858,7 +874,7 @@ class TestPipelinedBackend:
         the producer, so only the DRM-free matrix cases hold
         ``pipelined`` to ``threaded`` bit for bit; the flagship case
         runs the statistical tier, calibrated."""
-        assert STRICT_TWINS == {"pipelined": "threaded"}
+        assert STRICT_TWINS["pipelined"] == "threaded"
         assert [estimator_idle(c) for c in CONFORMANCE_CASES] == \
             [False, True, True]
         assert backend_tier("pipelined") == "statistical"
@@ -1226,7 +1242,8 @@ class TestSamplerRegistry:
             cfg = eq_cfg.with_updates(sampler="custom-neighbor")
             session = TrainingSession(tiny_ds, cfg, SystemConfig(
                 hybrid=True, drm=False, prefetch=True), num_trainers=2)
-            assert isinstance(session.sampler, NeighborSampler)
+            assert all(isinstance(sampler, NeighborSampler)
+                       for sampler in session.samplers)
             rep = VirtualTimeBackend(session).run_epoch(max_iterations=2)
             assert rep.iterations == 2
         finally:

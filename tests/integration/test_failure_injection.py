@@ -64,7 +64,7 @@ class TestInProcessFaults:
     def test_sample_stage_error_propagates_and_joins_threads(
             self, name, tiny_ds, small_cfg):
         backend = _in_process(name, tiny_ds, small_cfg, timeout_s=10)
-        backend.session.sampler.sample = None   # sabotage the sampler
+        backend.session.samplers[0].sample = None   # sabotage a sampler
         with pytest.raises(TypeError):
             backend.run(2)
         assert _feed_threads() == []
@@ -260,6 +260,46 @@ class TestWorkerStageFaults:
         assert time.perf_counter() - start < timeout_s / 2
         assert "Traceback" in str(err.value)
         assert "injected load fault in worker 1" in str(err.value)
+        assert not mp.active_children()
+        assert not glob.glob("/dev/shm/repro_shm_*")
+
+        del backend.replica_cls
+        with backend:
+            rep = backend.run(2)
+        assert rep.replicas_consistent
+
+
+class WedgedLoad:
+    """Replica mixin: workers 1 and 2 sleep 60 s inside
+    ``load_codes`` — wedged far past any watchdog."""
+
+    def load_codes(self, mb, trainer_kind):
+        if self.spec.index in (1, 2):
+            time.sleep(60.0)
+        return super().load_codes(mb, trainer_kind)
+
+
+class TestWorkerHang:
+    def test_wedged_workers_fail_typed_within_one_grace(self, tiny_ds,
+                                                        small_cfg):
+        """Two workers wedged past ``timeout_s``: a typed
+        ``StageTimeoutError``, and the pool shuts down against one
+        shared 5 s grace, not one per wedged worker — so the error
+        arrives within ``timeout_s + 5 s`` plus slack; no child and no
+        segment are left, and the same backend then runs again."""
+        session = TrainingSession(
+            tiny_ds, small_cfg,
+            SystemConfig(hybrid=True, drm=False, prefetch=True),
+            num_trainers=3)
+        timeout_s = 2.0
+        backend = build_backend("process_sampling", session,
+                                timeout_s=timeout_s)
+        backend.replica_cls = type("Wedged", (WedgedLoad,
+                                              backend.replica_cls), {})
+        start = time.perf_counter()
+        with pytest.raises(StageTimeoutError):
+            backend.run(2)
+        assert time.perf_counter() - start < timeout_s + 5.0 + 1.5
         assert not mp.active_children()
         assert not glob.glob("/dev/shm/repro_shm_*")
 

@@ -33,7 +33,7 @@ _FLAGSHIP = CONFORMANCE_CASES[0]
 #: fast kernels against the virtual reference).
 _STRICT_BACKENDS = ("virtual", "threaded", "process")
 
-_OPS = ("gather", "quantize", "quantize_codes", "segment_sum")
+_OPS = ("gather", "quantize", "quantize_codes")
 
 
 @pytest.fixture()

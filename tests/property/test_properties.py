@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.graph.coo import sort_edges_by_src, source_run_lengths
 from repro.graph.csr import CSRGraph
-from repro.nn.aggregators import SparseAggregator, segment_sum_aggregate
+from repro.nn.aggregators import SparseAggregator
 from repro.nn.loss import softmax_cross_entropy
 from repro.runtime.core import BatchPlan
 from repro.sampling.base import LayerBlock, MiniBatchStats
@@ -124,14 +124,16 @@ class TestAggregationProperties:
     @common_settings
     @given(layer_blocks(), st.integers(1, 8), st.integers(0, 10**6))
     def test_two_paths_agree(self, blk, feat, seed):
-        """spmm and segment_sum in float32, the training dtype. They sum
-        in different orders, so they agree to the recursive-summation
-        bound: a few ``eps`` per edge, relative to ``Σ|w·h|``."""
+        """spmm and the FPGA's edge-serial scatter-add (an ``np.add.at``
+        edge sum) in float32, the training dtype. They sum in different
+        orders, so they agree to the recursive-summation bound: a few
+        ``eps`` per edge, relative to ``Σ|w·h|``."""
         rng = np.random.default_rng(seed)
         h = rng.standard_normal((blk.num_src, feat)).astype(np.float32)
         w = rng.random(blk.num_edges).astype(np.float32)
         a = SparseAggregator(blk, w).forward(h)
-        b = segment_sum_aggregate(blk, h, w)
+        b = np.zeros((blk.num_dst, feat), dtype=np.float32)
+        np.add.at(b, blk.dst_local, h[blk.src_local] * w[:, None])
         assert a.dtype == b.dtype == np.float32
         magnitude = SparseAggregator(blk, w.astype(np.float64)).forward(
             np.abs(h).astype(np.float64))

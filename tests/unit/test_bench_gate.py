@@ -36,7 +36,7 @@ def _doc(**kernels):
 
 
 BASE = _doc(gather=(1.0, 1.0), gather_quantize_int8=(4.0, 1.0),
-            segment_sum=(3.0, 1.0))
+            table_load_int8=(3.0, 1.0))
 
 
 class TestCompare:
@@ -45,14 +45,14 @@ class TestCompare:
 
     def test_missing_kernel_fails(self):
         cur = copy.deepcopy(BASE)
-        del cur["kernels"]["segment_sum"]
+        del cur["kernels"]["table_load_int8"]
         problems = gate.compare(BASE, cur)
         assert any("missing" in p for p in problems)
 
     def test_hard_floor_on_fused_int8(self):
         cur = _doc(gather=(1.0, 1.0),
                    gather_quantize_int8=(4.0, 2.5),   # 1.6x < 2.0
-                   segment_sum=(3.0, 1.0))
+                   table_load_int8=(3.0, 1.0))
         problems = gate.compare(BASE, cur)
         assert any("hard floor" in p for p in problems)
 
@@ -79,10 +79,10 @@ class TestCompare:
         assert gate.HARD_FLOORS["sample_neighbor"] == 2.0
 
     def test_speedup_collapse_fails_even_when_floor_holds(self):
-        # segment_sum falls from 3.0x to 1.0x: above any hard floor,
+        # table_load_int8 falls from 3.0x to 1.0x: above any hard floor,
         # but below 60% of its own baseline.
         cur = _doc(gather=(1.0, 1.0), gather_quantize_int8=(4.0, 1.0),
-                   segment_sum=(3.0, 3.0))
+                   table_load_int8=(3.0, 3.0))
         problems = gate.compare(BASE, cur)
         assert any("below 60% of baseline" in p for p in problems)
 
@@ -91,13 +91,13 @@ class TestCompare:
         # accidental reference fallback or debug build.
         cur = _doc(gather=(10.0, 10.0),
                    gather_quantize_int8=(40.0, 10.0),
-                   segment_sum=(30.0, 10.0))
+                   table_load_int8=(30.0, 10.0))
         problems = gate.compare(BASE, cur)
         assert any("exceeds 3.0x baseline" in p for p in problems)
 
     def test_slack_is_tunable(self):
         cur = _doc(gather=(2.0, 2.0), gather_quantize_int8=(8.0, 2.0),
-                   segment_sum=(6.0, 2.0))
+                   table_load_int8=(6.0, 2.0))
         assert gate.compare(BASE, cur, time_slack=1.5)
         assert gate.compare(BASE, cur, time_slack=4.0) == []
 
@@ -118,7 +118,7 @@ class TestCommittedBaseline:
         assert baseline["schema"] == "bench-kernels/v1"
         for name in ("gather", "gather_quantize_int8",
                      "gather_quantize_fp16", "quantize_int8",
-                     "segment_sum", "train_backward_sage",
+                     "train_backward_sage",
                      "sample_neighbor", "table_codes_int8"):
             row = baseline["kernels"][name]
             assert row["reference_s"] > 0 and row["fast_s"] > 0

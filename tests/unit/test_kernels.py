@@ -9,8 +9,7 @@ Three layers of guarantee:
   load path, :meth:`~repro.runtime.stage_pipeline.StagePipeline.load`
   (gather, then quantize in place), including empty batches,
   duplicate and negative indices, non-contiguous feature stores,
-  float32 and float64 storage, and to floating-point tolerance for
-  ``segment_sum`` (accumulation order differs by design);
+  float32 and float64 storage;
 * **accounting** — fresh load arrays and the traffic counters the
   backends attach to their reports.
 """
@@ -83,21 +82,6 @@ def quantize_inputs(draw):
     return x
 
 
-@st.composite
-def segment_cases(draw):
-    num_src = draw(st.integers(1, 20))
-    num_dst = draw(st.integers(1, 20))
-    cols = draw(st.integers(1, 8))
-    m = draw(st.integers(0, 60))
-    seed = draw(st.integers(0, 2**16))
-    rng = np.random.default_rng(seed)
-    src = rng.integers(0, num_src, size=m)
-    dst = rng.integers(0, num_dst, size=m)
-    h = rng.standard_normal((num_src, cols))
-    w = rng.random(m) if draw(st.booleans()) else None
-    return src, dst, h, num_dst, w
-
-
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
@@ -107,7 +91,7 @@ def segment_cases(draw):
 #: selection override, environment knob or fallback ladder.
 _PUBLIC = {"TRANSFER_BYTES", "payload_bytes", "gather_rows", "quantize",
            "quantize_codes", "WireRows", "encode", "gather_wire",
-           "decode", "decode_codes", "segment_sum", "fast", "reference", "COUNTERS",
+           "decode", "decode_codes", "fast", "reference", "COUNTERS",
            "KernelCounters", "record", "scoped_counters", "merge_counts"}
 
 
@@ -128,9 +112,6 @@ class TestDispatch:
         ("gather", lambda x: kernels.gather_rows(x, np.array([0, 1]))),
         ("quantize", lambda x: kernels.quantize(x, "int8")),
         ("quantize_codes", lambda x: kernels.quantize_codes(x)[0]),
-        ("segment_sum",
-         lambda x: kernels.segment_sum(np.array([0, 1]), np.array([0, 0]),
-                                       x, 1)),
     ])
     def test_dispatcher_looks_fast_up_at_call_time(self, monkeypatch, op,
                                                    dispatch):
@@ -157,14 +138,6 @@ class TestDispatch:
             kernels.quantize(np.zeros((2, 2)), "int4")
         with pytest.raises(ConfigError, match="transfer precision"):
             payload_bytes("int4", 2, 2)
-
-    def test_segment_sum_rejects_non_matrix_messages(self):
-        before = COUNTERS.snapshot()
-        with pytest.raises(ConfigError, match="2-D message"):
-            kernels.segment_sum(np.array([0]), np.array([0]),
-                                np.zeros(3), 1)
-        # Rejected before dispatch: nothing is counted.
-        assert "segment_sum_calls" not in COUNTERS.delta(before)
 
     def test_out_of_bounds_index_raises_on_both_tiers(self):
         feats = np.zeros((4, 3))
@@ -252,21 +225,6 @@ class TestLoadExactness:
         np.testing.assert_array_equal(x0, rows)
 
 
-class TestSegmentSumTolerance:
-    @common_settings
-    @given(segment_cases())
-    def test_fast_matches_reference_allclose(self, case):
-        src, dst, h, num_dst, w = case
-        want = reference.segment_sum(src, dst, h, num_dst,
-                                     edge_weights=w)
-        got = fast.segment_sum(src, dst, h, num_dst, edge_weights=w)
-        assert got.shape == want.shape
-        np.testing.assert_allclose(want, got, rtol=1e-12, atol=1e-12)
-        # Destinations with no edges are exactly zero on both tiers.
-        untouched = np.setdiff1d(np.arange(num_dst), dst)
-        assert not got[untouched].any()
-
-
 # ---------------------------------------------------------------------------
 # Counters & traffic accounting
 # ---------------------------------------------------------------------------
@@ -303,14 +261,6 @@ class TestCounters:
         assert d["quantize_calls"] == 1
         assert d["quantize_in_bytes"] == 6 * 5 * 4
         assert d["payload_bytes"] == 6 * 5 * 2
-
-    def test_segment_sum_counts_edges(self):
-        before = COUNTERS.snapshot()
-        kernels.segment_sum(np.array([0, 1, 2]), np.array([0, 0, 1]),
-                            np.ones((3, 4)), 2)
-        d = COUNTERS.delta(before)
-        assert d["segment_sum_calls"] == 1
-        assert d["segment_sum_edges"] == 3
 
     def test_scoped_counters_see_only_this_threads_dispatches(self):
         mine = KernelCounters()
@@ -434,14 +384,3 @@ class TestDispatchMatchesReference:
             for mode in MODES:
                 assert reference.quantize(x, mode).dtype == dtype
                 assert kernels.quantize(x, mode).dtype == dtype
-
-    def test_segment_sum_aggregate_matches_reference(self):
-        from repro.nn.aggregators import segment_sum_aggregate
-        from repro.sampling.base import LayerBlock
-        block = LayerBlock(np.array([0, 1, 2, 1]),
-                           np.array([0, 0, 1, 1]), 3, 2)
-        h = np.random.default_rng(4).standard_normal((3, 5))
-        want = reference.segment_sum(block.src_local, block.dst_local,
-                                     h, block.num_dst)
-        np.testing.assert_allclose(want, segment_sum_aggregate(block, h),
-                                   rtol=1e-12, atol=1e-12)

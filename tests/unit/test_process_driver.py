@@ -280,9 +280,10 @@ class TestStructure:
 
     def test_worker_snapshot_carries_no_stage_seconds(self):
         """Stage seconds reach the parent once, on each reply; the
-        run-end snapshot is parameters and kernel counters only."""
+        run-end snapshot is parameters, kernel counters and the
+        sampler stream's position only."""
         assert {f.name for f in dataclasses.fields(WorkerSnapshot)} \
-            == {"params", "kernel_stats"}
+            == {"params", "kernel_stats", "stream"}
 
     def test_process_workers_run_no_threads(self):
         """A worker is one message loop on one thread: the process
@@ -366,8 +367,14 @@ def _live_worker(ds, sampler_spec=None):
     """One real worker over its pipe: yields ``(parent_conn, params)``
     after the ready handshake. The block must end with the worker gone
     (a fatal ProtocolError or a ``stop``); the process and the store
-    are torn down either way. With a ``sampler_spec`` the worker
-    samples dealt target ids itself."""
+    are torn down either way. The worker samples dealt target ids
+    itself, with the sampler ``sampler_spec`` (default: the default
+    training config's) describes."""
+    from repro.config import TrainingConfig
+    from repro.runtime.shm import SharedSamplerSpec
+    if sampler_spec is None:
+        sampler_spec = SharedSamplerSpec(
+            train_cfg=TrainingConfig(), feature_dim=ds.spec.feature_dim)
     ctx = mp.get_context("fork")
     spec = _spec(ds)
     from repro.nn.models import build_model
@@ -414,7 +421,7 @@ class TestWorkerProtocol:
             # not the worker, and the next ``init`` begins afresh.
             for scale in (1.0, 2.0):
                 params = init_params * scale
-                parent.send(("init", params))
+                parent.send(("init", params, None))
                 parent.send(("snapshot",))
                 assert parent.poll(10.0)
                 tag, snap = parent.recv()
@@ -433,7 +440,7 @@ class TestWorkerProtocol:
         a ProtocolError traceback instead of stepping on the wrong
         average row."""
         with _live_worker(tiny_ds) as (parent, params):
-            parent.send(("init", params))
+            parent.send(("init", params, None))
             parent.send(("train", 0, None))
             assert parent.poll(10.0) and parent.recv() == ("idle", 0)
             parent.send(("apply", 5))
@@ -448,7 +455,7 @@ class TestWorkerProtocol:
         sampler_spec = SharedSamplerSpec(
             train_cfg=small_cfg, feature_dim=tiny_ds.spec.feature_dim)
         with _live_worker(tiny_ds, sampler_spec) as (parent, params):
-            parent.send(("init", params))
+            parent.send(("init", params, None))
             targets = tiny_ds.train_ids[:16]
             parent.send(("train", 0, targets))
             parent.send(("train", 1, None))

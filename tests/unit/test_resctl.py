@@ -431,7 +431,7 @@ class TestTimingStepHooks:
         for idx, trainer in enumerate(session.trainers):
             targets = planned.assignments[idx]
             st_ = None if targets is None else \
-                session.sampler.sample(targets).stats()
+                session.samplers[idx].sample(targets).stats()
             if trainer.kind == "cpu":
                 stats_cpu = st_
             else:

@@ -299,13 +299,13 @@ class TestPositionMapUnderThreads:
             session = TrainingSession(tiny_ds, small_cfg,
                                       SystemConfig(drm=False),
                                       num_trainers=3)
-            callers, sample = [], session.sampler.sample
+            callers = []
+            for sampler in session.samplers:
+                def spy(targets, sample=sampler.sample, callers=callers):
+                    callers.append(threading.current_thread())
+                    return sample(targets)
 
-            def spy(targets, sample=sample, callers=callers):
-                callers.append(threading.current_thread())
-                return sample(targets)
-
-            monkeypatch.setattr(session.sampler, "sample", spy)
+                monkeypatch.setattr(sampler, "sample", spy)
             rep = build_backend(name, session, timeout_s=30).run_epoch()
             assert len(callers) >= rep.iterations, name
             assert len(set(callers)) == 1, \
