@@ -494,6 +494,31 @@ class TestWorkerSamplingPlanes:
                                       t.model.get_flat_params())
         assert first.losses != second.losses
 
+    def test_streams_continue_on_another_plane(self, backend_cls,
+                                               tiny_ds, eq_cfg):
+        """A run hands each trainer's stream position back to the
+        session, so a virtual run after it continues where the workers
+        stopped: one run here and one on the virtual plane equal two
+        virtual runs bit for bit — losses, sampled edges, stream
+        positions and parameters."""
+        ref = self._session(tiny_ds, eq_cfg, n=2)
+        vb = VirtualTimeBackend(ref)
+        want = [vb.run_epoch(max_iterations=2) for _ in range(2)]
+
+        session = self._session(tiny_ds, eq_cfg, n=2)
+        with backend_cls(session, timeout_s=60) as backend:
+            first = backend.run(2)
+        second = VirtualTimeBackend(session).run_epoch(max_iterations=2)
+
+        np.testing.assert_array_equal(want[0].losses, first.losses)
+        np.testing.assert_array_equal(want[1].losses, second.losses)
+        assert second.total_edges == want[1].total_edges
+        assert [s.stream_state for s in session.samplers] == \
+            [s.stream_state for s in ref.samplers]
+        for tr, ts in zip(ref.trainers, session.trainers):
+            np.testing.assert_array_equal(tr.model.get_flat_params(),
+                                          ts.model.get_flat_params())
+
     def test_long_runs_roll_into_fresh_epochs(self, backend_cls,
                                               tiny_ds, eq_cfg):
         session = self._session(tiny_ds, eq_cfg, n=2)

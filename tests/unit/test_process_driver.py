@@ -30,6 +30,7 @@ import multiprocessing as mp
 import os
 import pickle
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,7 @@ from repro.runtime.backends.process import (
     WorkerReplica,
     WorkerSnapshot,
     WorkerSpec,
+    _join,
     worker_main,
 )
 from repro.runtime.resctl import DEFAULT_ALLOCATOR
@@ -568,6 +570,23 @@ class TestPoolLifetime:
         # Every plane has the same surface; in-process ones own nothing.
         with build_backend("threaded", make_session()) as backend:
             backend.run(1)
+
+    def test_join_waits_out_one_deadline_for_the_pool(self):
+        """Shutdown joins every worker against one shared deadline:
+        three workers that never exit cost one timeout between them,
+        not one each."""
+        waits = []
+
+        class Wedged:
+            def join(self, timeout=None):
+                waits.append(timeout)
+                time.sleep(timeout)
+
+        start = time.monotonic()
+        _join([Wedged() for _ in range(3)], 0.3)
+        assert len(waits) == 3
+        assert sum(waits) <= 0.3
+        assert time.monotonic() - start < 0.6
 
     @pytest.mark.parametrize("name", PROCESS_PRESETS)
     def test_unclosed_backend_is_torn_down_by_refcount_alone(

@@ -1,7 +1,7 @@
 """Worker-side sampling units: per-worker RNG streams, shm-backed
 sampler rebuild, and the plan-sharding partition property.
 
-The worker-sampling backend's correctness rests on three legs the
+The worker-sampling backend's correctness rests on four legs the
 integration matrix cannot isolate:
 
 * seed derivation — worker ``k``'s stream is a pure function of
@@ -10,20 +10,29 @@ integration matrix cannot isolate:
 * sampler rebuild — a worker's sampler over the shared store draws
   identically to a fresh rebuild (restartability) and samples against
   the *shared* topology zero-copy;
+* per-trainer streams — trainer ``t``'s sampler in the session and
+  worker ``t``'s rebuild are one stream, whose position
+  ``stream_state`` hands on, and the sampling profile advances none;
 * plan sharding — the per-trainer target shards of an epoch partition
   the epoch permutation exactly (hypothesis property).
 """
+
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import TrainingConfig
+from repro.config import SystemConfig, TrainingConfig
 from repro.errors import SamplingError
-from repro.runtime.core import BatchPlan
+from repro.runtime.core import BatchPlan, TrainingSession
 from repro.runtime.shm import SharedFeatureStore, SharedSamplerSpec
-from repro.sampling import build_worker_sampler, worker_stream_seed
+from repro.sampling import (
+    build_worker_sampler,
+    trainer_sampler,
+    worker_stream_seed,
+)
 
 common_settings = settings(
     max_examples=40, deadline=None,
@@ -139,6 +148,63 @@ class TestBuildWorkerSampler:
         manifest = pickle.loads(pickle.dumps(shared_store.manifest))
         assert manifest.sampler == shared_store.manifest.sampler
         assert manifest.sampler.train_cfg.sampler == "neighbor"
+
+
+# ---------------------------------------------------------------------------
+# Per-trainer streams: one stream per trainer, on every plane
+# ---------------------------------------------------------------------------
+
+def _trainer_sampler(ds, cfg, index):
+    return trainer_sampler(ds.graph, ds.train_ids, cfg,
+                           ds.spec.feature_dim, index)
+
+
+class TestTrainerStreams:
+    def test_session_stream_is_the_worker_stream(self, shared_store,
+                                                 tiny_ds):
+        """Trainer ``t``'s sampler in the parent and worker ``t``'s
+        rebuild over the shared store draw the same batches: they are
+        one stream, whichever process runs it."""
+        targets = tiny_ds.train_ids[:8]
+        cfg = shared_store.manifest.sampler.train_cfg
+        for t in (0, 2):
+            assert _draws(_trainer_sampler(tiny_ds, cfg, t), targets) \
+                == _draws(build_worker_sampler(shared_store, t), targets)
+
+    def test_stream_state_hands_the_stream_on(self, tiny_ds, small_cfg):
+        """A sampler handed another's ``stream_state`` — pickled, as it
+        crosses a pipe — draws what the original draws next; a ``None``
+        state leaves the stream where it is."""
+        targets = tiny_ds.train_ids[:8]
+        a = _trainer_sampler(tiny_ds, small_cfg, 1)
+        b = _trainer_sampler(tiny_ds, small_cfg, 1)
+        _draws(a, targets, n=2)
+        b.stream_state = pickle.loads(pickle.dumps(a.stream_state))
+        assert b.stream_state == a.stream_state
+        moved = _draws(b, targets)
+        assert moved == _draws(a, targets)
+
+        fresh = _trainer_sampler(tiny_ds, small_cfg, 1)
+        start = fresh.stream_state
+        fresh.stream_state = None
+        assert fresh.stream_state == start
+        assert _draws(fresh, targets) != moved
+
+    def test_profile_leaves_every_trainer_stream_at_its_start(
+            self, tiny_ds, small_cfg, gpu_platform):
+        """The sampling profile draws from a sampler of its own: after
+        a platform session is built, trainer ``t``'s stream sits where
+        a fresh trainer-``t`` sampler starts, and no two trainers share
+        a stream."""
+        session = TrainingSession(tiny_ds, small_cfg,
+                                  SystemConfig(hybrid=True),
+                                  gpu_platform)
+        assert session.profile is not None
+        states = [s.stream_state for s in session.samplers]
+        assert states == [
+            _trainer_sampler(tiny_ds, small_cfg, t).stream_state
+            for t in range(session.num_trainers)]
+        assert len({repr(s) for s in states}) == len(states)
 
 
 # ---------------------------------------------------------------------------
