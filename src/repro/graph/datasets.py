@@ -187,11 +187,6 @@ class GraphDataset:
         return (self.spec.feature_dim, self.spec.hidden_dim,
                 self.spec.num_classes)
 
-    @property
-    def feature_nbytes(self) -> int:
-        """Bytes of the scaled feature matrix."""
-        return int(self.features.nbytes)
-
     def full_scale_feature_nbytes(self) -> int:
         """Bytes the *full-scale* feature matrix would occupy (float32)."""
         return self.spec.num_vertices * self.spec.feature_dim * 4

@@ -7,14 +7,15 @@ plus the transfer's wire form: **encode** a whole store once, then
 in the model layers, through scipy spmm.) The dispatchers below
 validate their inputs once, call the in-place NumPy implementation in
 :mod:`repro.kernels.fast`, and record the traffic they moved. Every
-load returns a fresh array that it owns. An in-process session's
-accelerator load is ``decode(gather_wire(table, idx))`` over the
-table it encoded once; the per-batch round trip — a fresh gather,
-then ``quantize(dest, mode, out=dest)`` in place — serves the split
-``transfer`` stage. A training lane or process worker loading int8
-rows stops one multiply short — **decode_codes** (the cast alone) or
-**quantize_codes** (the round trip minus its final multiply) — and
-its model folds the per-row scales into the input layer.
+load returns a fresh array that it owns. Every accelerator load on
+every plane is ``decode(gather_wire(table, idx))`` over a table
+encoded once per store (a process plane's parent encodes it and the
+shared segment carries it to the workers); a training lane or process
+worker loading int8 rows stops one multiply short — **decode_codes**,
+the cast alone — and its model folds the per-row scales into the
+input layer. ``quantize`` remains as the per-batch round trip of the
+split ``transfer`` stage that the bench replay times; it runs in place
+on the stage's fresh gather (``out=``).
 
 :mod:`repro.kernels.reference` keeps the original implementations as
 the conformance oracle: tests and the kernel micro-bench call it by
@@ -94,30 +95,14 @@ def gather_rows(features: np.ndarray, index: np.ndarray) -> np.ndarray:
 def quantize(x: np.ndarray, mode: str, *,
              out: np.ndarray | None = None) -> np.ndarray:
     """Transfer-precision round trip (dequantized result, input float
-    dtype preserved) — the transfer-stage kernel. ``out`` may be ``x``
-    itself: the load path quantizes its fresh gather in place."""
+    dtype preserved) — the split transfer stage's kernel. ``out`` may be
+    ``x`` itself: the stage quantizes its fresh gather in place."""
     _check_mode(mode)
     x = _check_matrix(x, "feature")
     result = fast.quantize(x, mode, out=out)
     record(
         quantize_calls=1, quantize_in_bytes=x.nbytes,
         payload_bytes=payload_bytes(mode, x.shape[0], x.shape[1]))
-    return result
-
-
-def quantize_codes(x: np.ndarray, *,
-                   out: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The int8 round trip minus its final multiply: ``(codes,
-    scales)``, the codes in ``x``'s float dtype (``out`` may be ``x``
-    itself) and the ``(rows, 1)`` per-row scales a trainer's input
-    layer folds. ``codes * scales`` is :func:`quantize` ``(x,
-    "int8")`` bit for bit, and bills the same counters."""
-    x = _check_matrix(x, "feature")
-    result = fast.quantize_codes(x, out=out)
-    record(
-        quantize_calls=1, quantize_in_bytes=x.nbytes,
-        payload_bytes=payload_bytes("int8", x.shape[0], x.shape[1]))
     return result
 
 
@@ -203,7 +188,6 @@ __all__ = [
     "payload_bytes",
     "gather_rows",
     "quantize",
-    "quantize_codes",
     "WireRows",
     "encode",
     "gather_wire",

@@ -3,9 +3,9 @@
 The one implementation of each op the :mod:`repro.kernels` dispatchers
 call. Two levers, all pure NumPy so every platform gets them:
 
-* **In place** — :func:`quantize` accepts ``out=x``, so the round
-  trip produces the dequantized trainer input in the destination it
-  gathered into: the rows land once in the feature store's dtype, the
+* **In place** — :func:`quantize` accepts ``out=x``, so the split
+  transfer stage's round trip produces the dequantized rows in the
+  destination it gathered into: the rows land once in the feature store's dtype, the
   per-row scales come from two ``(rows,)`` reductions (no full-size
   ``abs`` temporary), and the divide / round / clip / rescale chain
   runs in place. The reference gather → quantize composition
@@ -16,8 +16,7 @@ call. Two levers, all pure NumPy so every platform gets them:
   bytes gathered and a cast plus a multiply per element, instead of
   the full divide / round / rescale chain every batch. A trainer that
   folds the scales into its input layer takes the cast alone
-  (``decode`` with no scales) or :func:`quantize_codes`, the round
-  trip minus its final multiply.
+  (``decode`` with no scales).
 
 Every kernel returns its input's dtype — the feature store's for the
 gathers; nothing widens.
@@ -29,9 +28,8 @@ per-row absmax equals ``max(max(x), -min(x))`` exactly, and
 round-then-clip runs in the same order on the same dtypes as the
 oracle (the clip skipped only where it is the identity); ``decode``
 of gathered ``encode`` rows equals ``quantize`` of the gathered rows,
-bit for bit, and so does ``codes * scales`` for both codes-only
-forms, so backend trajectories are identical with either
-implementation.
+bit for bit, and so does the cast codes times their scales, so backend
+trajectories are identical with either implementation.
 """
 
 from __future__ import annotations
@@ -86,23 +84,12 @@ def quantize(x: np.ndarray, mode: str,
     if mode == "fp16":
         np.copyto(dest, x.astype(np.float16))
         return dest
-    codes, scale = quantize_codes(x, out=dest)
-    codes *= scale
-    return codes
-
-
-def quantize_codes(x: np.ndarray, out: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The int8 round trip minus its final multiply: ``(codes,
-    scales)``, the codes ``rint(x / scale)`` in ``x``'s float dtype
-    (``out`` may be ``x`` itself) and the ``(rows, 1)`` scales.
-    ``codes * scales`` is :func:`quantize` ``(x, "int8")`` bit for
-    bit."""
-    dest = np.empty(x.shape, dtype=x.dtype) if out is None else out
     # Scales are reduced before the divide writes, so an in-place
     # dest is safe.
     scale, clip, _ = _row_scales(x)
-    return _int8_codes(x, scale, clip, out=dest), scale
+    _int8_codes(x, scale, clip, out=dest)
+    dest *= scale
+    return dest
 
 
 def _row_scales(x: np.ndarray) -> tuple[np.ndarray, bool, np.ndarray]:

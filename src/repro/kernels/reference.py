@@ -5,10 +5,9 @@ verbatim so :mod:`repro.kernels.fast` has a fixed semantic target:
 plain, easily auditable NumPy with no buffer reuse, no in-place
 steps, and no layout tricks. The property suite
 (``tests/unit/test_kernels.py``) holds the fast kernels to these
-outputs — bit-exactly for ``gather``, ``quantize`` and
-``quantize_codes`` (and so for the
-load path, whether it round-trips gather → quantize or decodes a
-gathered slice of a once-encoded wire table).
+outputs — bit-exactly for ``gather`` and ``quantize`` (and so for the
+load path, which decodes a gathered slice of a once-encoded wire
+table, and for the split transfer stage's gather → quantize).
 
 No runtime path calls this module: tests and
 ``benchmarks/bench_kernels_micro.py`` call it by name. It shares the
@@ -51,19 +50,4 @@ def quantize(x: np.ndarray, mode: str,
         np.copyto(out, result)
         return out
     return result
-
-
-def quantize_codes(x: np.ndarray, out: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The int8 round trip minus its final multiply, one temporary per
-    step: ``(codes, scales)``, the codes in ``x``'s float dtype and
-    one scale per row, ``(rows, 1)``."""
-    absmax = np.abs(x).max(axis=1, keepdims=True)
-    scale = np.where(absmax > 0, absmax / 127.0, 1.0)
-    q = np.clip(np.round(x / scale), -127, 127).astype(np.int8)
-    codes = q.astype(x.dtype)
-    if out is not None:
-        np.copyto(out, codes)
-        return out, scale
-    return codes, scale
 

@@ -72,11 +72,6 @@ class KernelCounters:
                 out[key] = d
         return out
 
-    def reset(self) -> None:
-        """Zero every counter (test isolation)."""
-        with self._lock:
-            self._counts.clear()
-
 
 def merge_counts(into: dict[str, int],
                  extra: dict[str, int]) -> dict[str, int]:

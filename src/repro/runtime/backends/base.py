@@ -18,10 +18,10 @@ Contract every backend must honor (so results are backend-independent):
 * trainer ``t``'s mini-batches are sampled from ``session.samplers[t]``
   in plan order, in whichever thread or process trains them (each
   trainer's RNG stream is part of the reproducibility contract);
-* features load through the stage pipeline's ``load_codes`` (which
-  applies the transfer-quantization policy for accelerator trainers;
-  an int8 batch comes as codes plus the per-row scales the trainer's
-  input layer folds);
+* features load through the stage pipeline's ``load_codes`` (an
+  accelerator batch under a lossy transfer policy is gathered from
+  the store's wire table, encoded once; an int8 batch comes as codes
+  plus the per-row scales the trainer's input layer folds);
 * every iteration ends in :meth:`ExecutionBackend.end_iteration` —
   Listing 1's synchronizer block, written once: ``DONE`` per trainer,
   the batch-size-weighted all-reduce through ``session.synchronizer``,

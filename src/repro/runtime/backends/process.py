@@ -139,6 +139,9 @@ class WorkerReplica(StagePipeline):
                          spec.transfer_precision)
         self.store = store
         self.spec = spec
+        # The parent's table, read-only in the segment: an accelerator
+        # worker gathers and decodes its codes and never encodes.
+        self.wire_table = store.wire_table
         #: The gradient slab: row ``spec.index`` is this worker's flat
         #: gradient, the last row the parent's averaged update.
         self.grads = store.grads
@@ -190,6 +193,7 @@ class WorkerReplica(StagePipeline):
         raises BufferError on the exported buffers (the sampler's CSR
         graph views the segment too)."""
         self.features = self.labels = self.sampler = self.grads = None
+        self.wire_table = None
 
 
 class InlineBody:
@@ -474,15 +478,21 @@ class ProcessBackend(ExecutionBackend):
         """Create the shared-memory store the workers will attach. The
         manifest carries the sampler spec each worker rebuilds its
         trainer's sampler from; the gradient slab is one row per worker
-        plus the average row, in the model's parameter dtype."""
+        plus the average row, in the model's parameter dtype. When an
+        accelerator trainer loads under a lossy policy, the session's
+        wire table rides along — encoded (or raising, for an int8 store
+        with a non-finite row) before the segment exists."""
         from ..shm import SharedFeatureStore
         s = self.session
+        table = None
+        if any(t.kind == "accel" for t in s.trainers):
+            table = s.pipeline.table("accel")
         flat = s.trainers[0].model.get_flat_params()
         return SharedFeatureStore.create(
             s.dataset, sampler_spec=s.shared_sampler_spec(),
             grad_slab=np.zeros_like(
                 flat, shape=(s.num_trainers + 1, flat.size)),
-            **self.store_extras)
+            wire_table=table, **self.store_extras)
 
     # ------------------------------------------------------------------
     def run(self, iterations: int) -> RunReport:

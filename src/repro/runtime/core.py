@@ -320,10 +320,11 @@ class TrainingSession:
         # delegate to it, and the serving plane builds its own over the
         # same stack. Its sample stage is trainer 0's stream.
         # Accelerator loads decode from the store's wire table, encoded
-        # once on the first of them.
+        # once on the first of them (a process plane's pool asks for it
+        # first and copies it into the shared segment).
         self.pipeline = StagePipeline(
             self.samplers[0], dataset.features, dataset.labels,
-            self.sys_cfg.transfer_precision, encode_once=True)
+            self.sys_cfg.transfer_precision)
 
     # ------------------------------------------------------------------
     # Construction helpers

@@ -16,16 +16,17 @@ the trade.
 The round trip is :func:`repro.kernels.quantize`: ``"fp32"`` is the
 identity, ``"fp16"`` an IEEE-half round trip, ``"int8"`` per-row
 symmetric linear quantization (each row ships one fp32 scale beside its
-payload), always in the input's own float dtype. The transfer stage
-(:meth:`repro.runtime.stage_pipeline.StagePipeline.transfer`) runs it in
-place on the rows the gather stage just produced; that is the path of
-the bench replay and the process-plane workers (``sharded``'s
-included). Because the quantization depends only on the row, an
-in-process session instead encodes its store into wire form once (:func:`repro.kernels.encode`)
-and its accelerator loads gather the codes and decode them
-(:func:`repro.kernels.gather_wire`, :func:`repro.kernels.decode`).
-Both are bit-identical to the reference oracle (``docs/kernels.md``
-documents the contract).
+payload), always in the input's own float dtype. Because the
+quantization depends only on the row, every plane encodes its store
+into wire form once (:func:`repro.kernels.encode`) and its accelerator
+loads gather the codes and decode them
+(:func:`repro.kernels.gather_wire`, :func:`repro.kernels.decode`); on
+the process planes the parent encodes and the shared segment carries
+the table to the workers. The split transfer stage
+(:meth:`repro.runtime.stage_pipeline.StagePipeline.transfer`), which
+the bench replay times, runs the per-batch round trip in place on the
+rows the gather stage just produced. Both are bit-identical to the
+reference oracle (``docs/kernels.md`` documents the contract).
 """
 
 from __future__ import annotations
@@ -40,7 +41,10 @@ TRANSFER_BYTES = kernels.TRANSFER_BYTES
 
 
 def quantization_rmse(x: np.ndarray, mode: str) -> float:
-    """Root-mean-square quantization error (diagnostics/benches)."""
+    """Root-mean-square quantization error of the wire round trip
+    (diagnostics/benches)."""
+    if mode == "fp32":
+        return 0.0
     x = np.asarray(x, dtype=np.float64)
-    err = kernels.quantize(x, mode) - x
+    err = kernels.decode(kernels.encode(x, mode)) - x
     return float(np.sqrt(np.mean(err * err)))

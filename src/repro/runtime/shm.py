@@ -8,7 +8,11 @@ traffic bottleneck the paper's feature loader avoids, so the dataset's
 big read-only arrays — node features, labels, and the CSR topology —
 are placed once in a single :mod:`multiprocessing.shared_memory` block
 and every worker maps them zero-copy, always in global vertex order (a
-partitioned store adds only its ``parts`` map). The same segment
+partitioned store adds only its ``parts`` map). Under a lossy transfer
+policy the segment also carries the session's **wire table** — the
+int8 codes and per-row scales (or the float16 copy) the accelerator
+workers gather and decode, encoded once by the parent
+(:attr:`SharedFeatureStore.wire_table`). The same segment
 carries the one *writable* array, the **gradient slab** (``grads``):
 row ``k`` is worker ``k``'s flat gradient, the last row the parent's
 averaged update, so per-iteration gradient traffic never touches a
@@ -50,6 +54,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from ..errors import ProtocolError
+from ..kernels import WireRows
 
 #: Alignment for every array inside the segment (one x86 cache line).
 _ALIGN = 64
@@ -164,7 +169,8 @@ class SharedFeatureStore:
                sampler_spec: SharedSamplerSpec | None = None,
                parts: np.ndarray | None = None,
                shard_spec: SharedShardSpec | None = None,
-               grad_slab: np.ndarray | None = None
+               grad_slab: np.ndarray | None = None,
+               wire_table: WireRows | None = None
                ) -> "SharedFeatureStore":
         """Copy ``dataset``'s big arrays into a fresh shared segment.
 
@@ -185,6 +191,10 @@ class SharedFeatureStore:
         ``grad_slab`` — the initial ``(rows, num_params)`` gradient
         slab in the model's parameter dtype — is copied in as
         :attr:`grads`: same segment, same manifest, same unlink.
+
+        ``wire_table`` — the session's encoded features
+        (:func:`repro.kernels.encode`) — is copied in as codes (plus
+        the int8 scales) and read back as :attr:`wire_table`.
         """
         arrays = {
             "features": np.ascontiguousarray(dataset.features),
@@ -203,6 +213,10 @@ class SharedFeatureStore:
                 "to bill rows by")
         if grad_slab is not None:
             arrays["grads"] = grad_slab
+        if wire_table is not None:
+            arrays["wire_codes"] = wire_table.codes
+            if wire_table.scales is not None:
+                arrays["wire_scales"] = wire_table.scales
         specs: list[SharedArraySpec] = []
         offset = 0
         for key, arr in arrays.items():
@@ -268,6 +282,23 @@ class SharedFeatureStore:
         """The partition map of a partitioned store (one shard id per
         vertex)."""
         return self._view("parts")
+
+    @property
+    def wire_table(self) -> WireRows | None:
+        """The accelerator wire table the parent encoded, as read-only
+        views into the segment (released before :meth:`close`, like
+        every view); ``None`` when the store carries none."""
+        dtype = self.features.dtype          # raises once closed
+        if "wire_codes" not in self._views:
+            return None
+        codes = self._views["wire_codes"].view()
+        scales = (self._views["wire_scales"].view()
+                  if codes.dtype == np.int8 else None)
+        for a in (codes, scales):
+            if a is not None:
+                a.flags.writeable = False
+        return WireRows("int8" if scales is not None else "fp16", codes,
+                        scales, dtype)
 
     @property
     def degrees(self) -> np.ndarray:

@@ -11,9 +11,9 @@ extraction that lets a non-training session reuse it:
 
 * :class:`StagePipeline` — the sampler + feature-store + transfer
   policy bundle with one method per stage (``sample`` / ``gather`` /
-  ``transfer``), ``load`` (gather then transfer: dequantized rows),
-  ``load_codes`` (the training lanes' and workers' load: int8 codes
-  plus the per-row scales the model's input layer folds), and a timed
+  ``transfer``), ``load`` (trainer-ready rows), ``load_codes`` (the
+  training lanes' and workers' load: int8 codes plus the per-row
+  scales the model's input layer folds), and a timed
   :meth:`~StagePipeline.prepare` that runs the whole chain for one
   work item and reports per-stage wall times (what the serving plane
   bills against its latency budget);
@@ -32,33 +32,32 @@ feature mapping.
 
 **Quantize each row once.** Per-row int8 (and fp16) quantization
 depends only on the row, so ``quantize(F[idx]) == quantize(F)[idx]``
-bit for bit. A pipeline built with ``encode_once=True`` — the
-in-process sessions' (:class:`~repro.runtime.core.TrainingSession`,
-:class:`~repro.serving.ServingSession`) — encodes its read-only store
-into a wire table (:func:`repro.kernels.encode`) on its first
-accelerator load under a lossy policy, once, under a lock; every
+bit for bit. A pipeline encodes its read-only store into a wire table
+(:func:`repro.kernels.encode`) on the first accelerator load under a
+lossy policy, once, under a lock (:meth:`StagePipeline.table`); every
 accelerator ``load`` / ``prepare`` then gathers the batch's wire codes
-(``gather_wire``) and decodes them into the destination. fp32, CPU
-trainers and serving on ``device="cpu"`` never build one.
+(``gather_wire``) and decodes them into the destination. A process
+plane's parent encodes its session's table before it creates the
+shared segment, which carries the codes (and int8 scales) to the
+workers; each worker replica adopts them as its ``wire_table`` and
+never encodes. fp32, CPU trainers and serving on ``device="cpu"``
+gather float rows and use no table.
 
 **Trainers fold the int8 scale.** GCN and SAGE aggregate before they
 update, so a per-row scale can ride on the input layer's edge weights
 instead of multiplying every feature element. The training lanes and
 the process workers load through :meth:`StagePipeline.load_codes`:
-an int8 accelerator batch arrives as codes cast to the store's dtype
-plus per-row scales — gathered from the table, or, in a worker
-replica (no table), the per-batch round trip minus its final multiply,
-which gives the table's codes and scales bit for bit because per-row
-quantization depends only on the row. :meth:`~StagePipeline.load`,
-``transfer`` and :meth:`~StagePipeline.prepare` (serving) keep
-returning dequantized rows.
+an int8 accelerator batch arrives as the table's codes cast to the
+store's dtype plus their per-row scales. :meth:`~StagePipeline.load`
+and :meth:`~StagePipeline.prepare` (serving) keep returning
+dequantized rows.
 
-**Transfer consumes its input.** ``transfer`` is the per-batch round
-trip: it quantizes accelerator-bound rows in place, in the array it is
-handed. It serves ``bench_e2e``'s replay, which times the stages
-apart, and the loads of every pipeline without a table. Every caller
-hands it a fresh gather result — never the feature store or a batch
-something else still reads.
+**Transfer is the split stage.** ``transfer`` is the per-batch round
+trip the bench replay times apart from the gather and checks bit for
+bit against the fused load: it quantizes accelerator-bound rows in
+place, in the array it is handed — always a fresh gather result,
+never the feature store or a batch something else still reads. No
+load calls it.
 """
 
 from __future__ import annotations
@@ -137,24 +136,19 @@ class StagePipeline:
         label-free (inference) stores.
     transfer_precision:
         The PCIe quantization policy (``"fp32"``/``"fp16"``/``"int8"``).
-    encode_once:
-        Decode accelerator loads from a wire table of ``features``
-        encoded once (the in-process sessions); ``False`` keeps the
-        per-batch round trip (worker replicas).
     """
 
     def __init__(self, sampler: Sampler, features: np.ndarray,
                  labels: np.ndarray | None,
-                 transfer_precision: str, *,
-                 encode_once: bool = False) -> None:
+                 transfer_precision: str) -> None:
         self.sampler = sampler
         self.features = features
         self.labels = labels
         self.transfer_precision = transfer_precision
-        self.encode_once = encode_once
-        #: The store's wire rows (:class:`repro.kernels.WireRows`),
-        #: built by the first accelerator load; ``None`` until then,
-        #: and forever without ``encode_once`` or under fp32.
+        #: The store's wire rows (:class:`repro.kernels.WireRows`):
+        #: encoded by the first accelerator load under a lossy policy,
+        #: or adopted from the shared segment by a worker replica;
+        #: ``None`` until then, and forever under fp32.
         self.wire_table: kernels.WireRows | None = None
         self._table_lock = threading.Lock()
 
@@ -174,24 +168,24 @@ class StagePipeline:
         return kernels.gather_rows(self.features, mb.input_nodes)
 
     def transfer(self, x0: np.ndarray, trainer_kind: str) -> np.ndarray:
-        """Transfer stage: the PCIe quantization policy for this link.
+        """Transfer stage, split from the gather: the PCIe quantization
+        round trip (paper §VIII extension) for this link, which the
+        bench replay times and checks against :meth:`load`.
 
-        Accelerator-bound batches pay the quantization round trip
-        (paper §VIII extension) **in place** — ``x0`` is consumed and
-        returned, so hand it a fresh gather result; the CPU trainer
-        reads host memory at full precision, so the stage is the
-        identity for it.
+        Accelerator-bound batches are quantized **in place** — ``x0``
+        is consumed and returned, so hand it a fresh gather result; the
+        CPU trainer reads host memory at full precision, so the stage
+        is the identity for it.
         """
         if trainer_kind == "accel" and self.transfer_precision != "fp32":
             return kernels.quantize(x0, self.transfer_precision, out=x0)
         return x0
 
-    def _table(self, trainer_kind: str) -> kernels.WireRows | None:
-        """The wire table this load decodes from, built on first use;
-        ``None`` when the load takes the gather → transfer round
-        trip."""
-        if not (self.encode_once and trainer_kind == "accel"
-                and self.transfer_precision != "fp32"):
+    def table(self, trainer_kind: str) -> kernels.WireRows | None:
+        """The wire table a load for ``trainer_kind`` decodes from,
+        encoded on first use (once, under a lock); ``None`` for the
+        CPU trainer or under fp32, whose loads gather float rows."""
+        if trainer_kind != "accel" or self.transfer_precision == "fp32":
             return None
         if self.wire_table is None:
             with self._table_lock:
@@ -201,23 +195,21 @@ class StagePipeline:
         return self.wire_table
 
     def _load_stages(self, trainer_kind: str):
-        """The load as its two timed halves: ``(gather, transfer)``,
-        each a one-argument callable — the codes gather and the decode
-        over a wire table, else :meth:`gather` and :meth:`transfer`."""
-        table = self._table(trainer_kind)
+        """The load as its two timed halves, each a one-argument
+        callable: the codes gather and the decode over the wire table,
+        else the row gather and the identity."""
+        table = self.table(trainer_kind)
         if table is None:
-            return (self.gather,
-                    lambda x0: self.transfer(x0, trainer_kind))
+            return self.gather, lambda x0: x0
         return (lambda mb: kernels.gather_wire(table, mb.input_nodes),
                 kernels.decode)
 
     def load(self, mb: MiniBatch, trainer_kind: str) -> np.ndarray:
         """One batch's trainer-ready rows in a fresh array — the
         sequential planes' one call: decoded from the wire table for an
-        accelerator under a lossy policy when the pipeline encodes
-        once, else gather then transfer."""
-        gather, transfer = self._load_stages(trainer_kind)
-        return transfer(gather(mb))
+        accelerator under a lossy policy, else the gathered rows."""
+        gather, decode = self._load_stages(trainer_kind)
+        return decode(gather(mb))
 
     def load_codes(self, mb: MiniBatch, trainer_kind: str
                    ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -225,19 +217,15 @@ class StagePipeline:
         per-row int8 scales: ``(rows, row_scales | None)``, the
         training lanes' and process workers' load.
 
-        An int8 accelerator batch comes as its codes in the store's
-        dtype plus their ``(rows, 1)`` scales — the wire table's codes
-        gathered and cast, or without a table the per-batch round trip
-        minus its final multiply — with ``rows * row_scales`` equal to
-        :meth:`load` bit for bit. Every other batch is :meth:`load`'s
-        rows and ``None``.
+        An int8 accelerator batch comes as the wire table's codes
+        gathered and cast to the store's dtype, plus their ``(rows,
+        1)`` scales, with ``rows * row_scales`` equal to :meth:`load`
+        bit for bit. Every other batch is :meth:`load`'s rows and
+        ``None``.
         """
-        if trainer_kind != "accel" or self.transfer_precision != "int8":
-            return self.load(mb, trainer_kind), None
-        table = self._table(trainer_kind)
+        table = self.table(trainer_kind)
         if table is None:
-            x0 = self.gather(mb)
-            return kernels.quantize_codes(x0, out=x0)
+            return self.gather(mb), None
         return kernels.decode_codes(
             kernels.gather_wire(table, mb.input_nodes))
 
@@ -256,17 +244,18 @@ class StagePipeline:
         The serving plane's per-micro-batch path: sample the
         computational graph, then :meth:`load` it in its two timed
         halves (the gather — of wire codes when decoding from the
-        table — and the transfer, or decode), and fetch labels when
-        the store has them. The returned :class:`StageTimings` are
-        what a caller bills against a latency budget.
+        table — and the decode, the identity without a table), and
+        fetch labels when the store has them. The returned
+        :class:`StageTimings` are what a caller bills against a latency
+        budget.
         """
-        gather, transfer = self._load_stages(trainer_kind)
+        gather, decode = self._load_stages(trainer_kind)
         t0 = time.perf_counter()
         mb = self.sample(targets)
         t1 = time.perf_counter()
         x0 = gather(mb)
         t2 = time.perf_counter()
-        x0 = transfer(x0)
+        x0 = decode(x0)
         t3 = time.perf_counter()
         labels = self.labels_for(mb) if with_labels else None
         return PreparedBatch(

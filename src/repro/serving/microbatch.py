@@ -155,11 +155,6 @@ class MicroBatcher:
         return len(self._open) + sum(len(b) for b in self._ready)
 
     @property
-    def pending_targets(self) -> int:
-        return self._open_targets + sum(b.num_targets
-                                        for b in self._ready)
-
-    @property
     def ready_batches(self) -> int:
         return len(self._ready)
 

@@ -5,8 +5,8 @@
 parts the redesign extracted for exactly this purpose:
 
 * the same :class:`~repro.runtime.stage_pipeline.StagePipeline`
-  (sampler via the registry → gather kernel → in-place transfer
-  quantization) prepares each micro-batch, so serving exercises the
+  (sampler via the registry → gather kernel → wire-table decode for
+  an accelerator device) prepares each micro-batch, so serving exercises the
   identical hot path the training backends run;
 * it carries its own session-scoped
   :class:`~repro.kernels.KernelCounters` handle, so a serving session
@@ -214,7 +214,7 @@ class ServingSession:
         #: the store's wire table the same way.
         self.pipeline = StagePipeline(
             sampler, dataset.features, dataset.labels,
-            self.sys_cfg.transfer_precision, encode_once=True)
+            self.sys_cfg.transfer_precision)
         self.model = build_model(train_cfg.model, self.dims,
                                  train_cfg.seed)
         if params is not None:

@@ -30,7 +30,8 @@ This module packages that guarantee as a reusable kit:
 
 * :data:`CONFORMANCE_CASES` — the configuration matrix (flagship
   hybrid + DRM + int8 transfer on a platform session, functional-only
-  multi-trainer, and a non-neighbor sampler);
+  multi-trainer, a non-neighbor sampler, and a short fp16-transfer
+  run);
 * :func:`candidate_backends` — every registered backend except the
   virtual reference, read live from ``available_backends()`` so a
   backend added via ``register_backend`` (third-party included) is
@@ -213,6 +214,10 @@ CONFORMANCE_CASES: tuple[ConformanceCase, ...] = (
         platform_accels=None, num_trainers=2, max_iterations=3,
         train_cfg_kwargs=dict(sampler="saint-rw"),
         sys_cfg_kwargs=dict(hybrid=True, drm=False, prefetch=True)),
+    ConformanceCase(
+        id="fp16-transfer", num_trainers=2, max_iterations=2,
+        sys_cfg_kwargs=dict(hybrid=True, drm=False, prefetch=True,
+                            transfer_precision="fp16")),
 )
 
 #: A short functional run at full-precision transfer: every gather is a
@@ -222,7 +227,7 @@ FP32_TRANSFER_CASE = ConformanceCase(
     sys_cfg_kwargs=dict(hybrid=True, drm=False, prefetch=True))
 
 #: The same short run with int8 transfer: trainer 1 is an accelerator,
-#: so its batches take the in-place quantizing load path.
+#: so its batches decode from the wire table.
 INT8_TRANSFER_CASE = ConformanceCase(
     id="int8-transfer", num_trainers=2, max_iterations=2,
     sys_cfg_kwargs=dict(hybrid=True, drm=False, prefetch=True,

@@ -901,7 +901,7 @@ class TestPipelinedBackend:
         runs the statistical tier, calibrated."""
         assert STRICT_TWINS["pipelined"] == "threaded"
         assert [estimator_idle(c) for c in CONFORMANCE_CASES] == \
-            [False, True, True]
+            [False, True, True, True]
         assert backend_tier("pipelined") == "statistical"
         _, rep = run_backend("pipelined", CONFORMANCE_CASES[0], tiny_ds)
         assert rep.calibration and rep.split_history

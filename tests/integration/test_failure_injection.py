@@ -280,9 +280,11 @@ class WedgedLoad:
 
 
 class TestWorkerHang:
+    @pytest.mark.parametrize("name", ["process", "process_sampling"])
     def test_wedged_workers_fail_typed_within_one_grace(self, tiny_ds,
-                                                        small_cfg):
-        """Two workers wedged past ``timeout_s``: a typed
+                                                        small_cfg, name):
+        """Two workers wedged past ``timeout_s``, lock-step (window 1,
+        ``process``) or dealing ahead (``process_sampling``): a typed
         ``StageTimeoutError``, and the pool shuts down against one
         shared 5 s grace, not one per wedged worker — so the error
         arrives within ``timeout_s + 5 s`` plus slack; no child and no
@@ -292,8 +294,8 @@ class TestWorkerHang:
             SystemConfig(hybrid=True, drm=False, prefetch=True),
             num_trainers=3)
         timeout_s = 2.0
-        backend = build_backend("process_sampling", session,
-                                timeout_s=timeout_s)
+        backend = build_backend(name, session, timeout_s=timeout_s)
+        assert (backend.window() == 1) == (name == "process")
         backend.replica_cls = type("Wedged", (WedgedLoad,
                                               backend.replica_cls), {})
         start = time.perf_counter()

@@ -8,9 +8,10 @@ the model's input layer multiplies its edge weights by
 hooks — ``load_features``, ``transfer_stage`` and serving's
 ``prepare`` — keep returning dequantized rows.
 
-* the lanes' table codes and the workers' per-batch codes are the same
-  bits, on both kernel tiers, zero and subnormal-scale rows included,
-  and ``codes * scales`` is ``load_features`` bit for bit;
+* a worker replica over a live segment loads the lanes' table codes and
+  scales bit for bit, on both kernel tiers, zero and subnormal-scale
+  rows included, and ``codes * scales`` is ``load_features`` bit for
+  bit;
 * the folded forward matches the dequantized one to float32 tolerance,
   logits and parameter gradients, GCN and SAGE;
 * no lane or worker int8 load runs the full-size scale multiply;
@@ -18,16 +19,18 @@ hooks — ``load_features``, ``transfer_stage`` and serving's
   every precision and trainer kind.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro import SystemConfig, TrainingConfig
-from repro.kernels import fast, reference
+from repro.kernels import COUNTERS, fast, reference
 from repro.nn.loss import softmax_cross_entropy
 from repro.nn.models import build_model
-from repro.runtime import TrainingSession, build_backend
+from repro.runtime import SharedFeatureStore, TrainingSession, build_backend
+from repro.runtime.backends.process import WorkerReplica, WorkerSpec
 from repro.runtime.stage_pipeline import StagePipeline
 
 _CFG = TrainingConfig(model="sage", minibatch_size=32, fanouts=(4, 3),
@@ -48,31 +51,51 @@ def _batch(idx):
     return SimpleNamespace(input_nodes=np.asarray(idx))
 
 
-def _pipe(feats, encode_once):
-    return StagePipeline(SimpleNamespace(sample=_batch), feats, None,
-                         "int8", encode_once=encode_once)
-
-
 @pytest.mark.parametrize("tier", ["fast", "reference"])
-def test_lane_codes_equal_worker_codes(tier, monkeypatch):
-    """(a) The wire table's codes and scales (a lane's load) equal the
-    per-batch round trip minus its multiply (a worker's), bit for bit;
-    (b) their product is the dequantized load."""
+def test_lane_codes_equal_worker_codes(tier, tiny_ds, monkeypatch):
+    """(a) A worker replica over a live segment loads the lane's table
+    codes and scales bit for bit, from the segment's copy and without
+    encoding; (b) their product is the dequantized load."""
     if tier == "reference":
-        for op in ("gather", "quantize", "quantize_codes"):
+        for op in ("gather", "quantize"):
             monkeypatch.setattr(fast, op, getattr(reference, op))
-    feats = _features()
-    idx = np.array([4, 9, 0, 9, -1, 23, 4])
-    lane_x, lane_s = _pipe(feats, True).load_codes(_batch(idx), "accel")
-    work_x, work_s = _pipe(feats, False).load_codes(_batch(idx), "accel")
+    feats = tiny_ds.features.copy()
+    feats[4] = 0.0
+    feats[9] *= np.finfo(np.float32).tiny * 50
+    ds = dataclasses.replace(tiny_ds, features=feats)
+    session = TrainingSession(
+        ds, _CFG, SystemConfig(drm=False, transfer_precision="int8"),
+        num_trainers=2)
+    trainer = session.trainers[1]
+    flat = trainer.model.get_flat_params()
+    store = SharedFeatureStore.create(
+        ds, sampler_spec=session.shared_sampler_spec(),
+        grad_slab=np.zeros_like(flat, shape=(3, flat.size)),
+        wire_table=session.pipeline.table("accel"))
+    replica = WorkerReplica(store, WorkerSpec(
+        index=1, name=trainer.name, kind=trainer.kind,
+        model_name=trainer.model_name, dims=trainer.dims, seed=_CFG.seed,
+        learning_rate=_CFG.learning_rate, transfer_precision="int8",
+        replica_cls=WorkerReplica))
+    try:
+        mb = _batch([4, 9, 0, 9, -1, 23, 4])
+        lane_x, lane_s = session.pipeline.load_codes(mb, "accel")
+        before = COUNTERS.snapshot()
+        work_x, work_s = replica.load_codes(mb, "accel")
+        assert "encode_calls" not in COUNTERS.delta(before)
+        assert not replica.wire_table.codes.flags.writeable
+    finally:
+        replica.release_views()
+        store.close()
+        store.unlink()
     assert lane_x.dtype == work_x.dtype == lane_s.dtype == np.float32
-    assert lane_s.shape == work_s.shape == (idx.size, 1)
+    assert lane_s.shape == work_s.shape == (7, 1)
     np.testing.assert_array_equal(lane_x, work_x)
     np.testing.assert_array_equal(lane_s, work_s)
     assert (np.abs(lane_x) <= 127).all()
     assert (lane_x == np.rint(lane_x)).all()
-    want = reference.quantize(reference.gather(feats, idx), "int8")
-    np.testing.assert_array_equal(lane_x * lane_s, want)
+    want = reference.quantize(reference.gather(feats, mb.input_nodes),
+                              "int8")
     np.testing.assert_array_equal(work_x * work_s, want)
 
 
@@ -81,7 +104,7 @@ def test_lane_codes_equal_worker_codes(tier, monkeypatch):
 def test_other_loads_carry_no_scales(precision, kind):
     feats = _features()
     pipe = StagePipeline(SimpleNamespace(sample=_batch), feats, None,
-                         precision, encode_once=True)
+                         precision)
     rows, scales = pipe.load_codes(_batch([1, 2, 2]), kind)
     assert scales is None
     np.testing.assert_array_equal(rows, pipe.load(_batch([1, 2, 2]), kind))

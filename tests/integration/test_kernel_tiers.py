@@ -5,7 +5,7 @@ The kernels' exactness contract (``docs/kernels.md``) says
 :mod:`repro.kernels.reference` oracle on every training-path op. These
 tests hold the *backends* to it: the same session run on either
 implementation — on the flagship hybrid + DRM + int8 conformance case,
-where the accelerator load path quantizes its gather in place — must
+where the accelerator load gathers the wire table's codes — must
 produce the same trajectory bit for bit. This is what licenses
 shipping the fast kernels without perturbing any previously recorded
 result.
@@ -24,8 +24,7 @@ from repro import kernels
 from repro.kernels import fast, reference
 
 #: The flagship case: hybrid CPU+accel split, DRM, int8 PCIe transfer
-#: — every kernel op (gather, the workers' in-place codes-only
-#: quantize) on the hot path.
+#: — the row gather and the wire table's codes gather on the hot path.
 _FLAGSHIP = CONFORMANCE_CASES[0]
 
 #: Lock-step backends owing bit-parity; the statistical-tier planes are
@@ -33,7 +32,7 @@ _FLAGSHIP = CONFORMANCE_CASES[0]
 #: fast kernels against the virtual reference).
 _STRICT_BACKENDS = ("virtual", "threaded", "process")
 
-_OPS = ("gather", "quantize", "quantize_codes")
+_OPS = ("gather", "quantize")
 
 
 @pytest.fixture()
@@ -87,9 +86,11 @@ def test_kernel_stats_reported_across_planes(tiny_ds):
     parent_before = kernels.COUNTERS.snapshot()
     _, report = run_backend("process", _FLAGSHIP, tiny_ds)
     parent_delta = kernels.COUNTERS.delta(parent_before)
-    # Every batch gathers; the accel replicas also quantize (int8).
+    # Every batch gathers; the accel replicas decode the segment's
+    # wire table (int8) and never quantize.
     assert report.kernel_stats.get("gather_rows", 0) > 0
-    assert report.kernel_stats.get("quantize_calls", 0) > 0  # int8 accel
+    assert report.kernel_stats.get("decode_calls", 0) > 0    # int8 accel
+    assert "quantize_calls" not in report.kernel_stats
     assert report.kernel_stats.get("payload_bytes", 0) > 0
     # The parent gathered nothing itself: stats crossed the pipe.
     assert parent_delta.get("gather_rows", 0) == 0

@@ -7,9 +7,10 @@ Three layers of guarantee:
 * **exactness** (hypothesis) — the fast kernels match the reference
   oracle *bit for bit* for gather and quantize, and so does the one
   load path, :meth:`~repro.runtime.stage_pipeline.StagePipeline.load`
-  (gather, then quantize in place), including empty batches,
-  duplicate and negative indices, non-contiguous feature stores,
-  float32 and float64 storage;
+  (a wire-table decode for a lossy accelerator load, a plain gather
+  otherwise), and the split transfer stage (gather, then quantize in
+  place), including empty batches, duplicate and negative indices,
+  non-contiguous feature stores, float32 and float64 storage;
 * **accounting** — fresh load arrays and the traffic counters the
   backends attach to their reports.
 """
@@ -90,9 +91,9 @@ def quantize_inputs(draw):
 #: accounting, the two implementation modules — and no tier registry,
 #: selection override, environment knob or fallback ladder.
 _PUBLIC = {"TRANSFER_BYTES", "payload_bytes", "gather_rows", "quantize",
-           "quantize_codes", "WireRows", "encode", "gather_wire",
-           "decode", "decode_codes", "fast", "reference", "COUNTERS",
-           "KernelCounters", "record", "scoped_counters", "merge_counts"}
+           "WireRows", "encode", "gather_wire", "decode", "decode_codes",
+           "fast", "reference", "COUNTERS", "KernelCounters", "record",
+           "scoped_counters", "merge_counts"}
 
 
 class TestDispatch:
@@ -111,7 +112,6 @@ class TestDispatch:
     @pytest.mark.parametrize("op, dispatch", [
         ("gather", lambda x: kernels.gather_rows(x, np.array([0, 1]))),
         ("quantize", lambda x: kernels.quantize(x, "int8")),
-        ("quantize_codes", lambda x: kernels.quantize_codes(x)[0]),
     ])
     def test_dispatcher_looks_fast_up_at_call_time(self, monkeypatch, op,
                                                    dispatch):
@@ -194,9 +194,9 @@ def _load(feats, idx, mode, kind="accel"):
 
 
 class TestLoadExactness:
-    """``StagePipeline.load`` — gather, then quantize the gathered rows
-    in place — is the reference gather → quantize composition, bit for
-    bit, at every precision."""
+    """``StagePipeline.load`` — the wire table's gathered codes,
+    decoded, for a lossy accelerator load — is the reference gather →
+    quantize composition, bit for bit, at every precision."""
 
     @pytest.mark.parametrize("mode", MODES)
     @common_settings
@@ -241,17 +241,18 @@ class TestCounters:
         assert d["gather_src_bytes"] == 20 * 10 * 4
         assert d["gather_out_bytes"] == 20 * 10 * 4     # store dtype
 
-    def test_load_counts_gather_plus_quantize_payload(self):
+    def test_load_counts_wire_gather_plus_decode_payload(self):
         feats = np.ones((50, 10), dtype=np.float32)
         idx = np.arange(20)
         before = COUNTERS.snapshot()
         _load(feats, idx, "int8")
         d = COUNTERS.delta(before)
-        assert d["gather_calls"] == d["quantize_calls"] == 1
+        assert d["encode_calls"] == d["gather_calls"] == \
+            d["decode_calls"] == 1
         assert d["gather_rows"] == 20
-        assert d["gather_src_bytes"] == d["quantize_in_bytes"] == \
-            20 * 10 * 4
-        assert d["payload_bytes"] == 20 * 10 * 1 + 20 * 4
+        assert d["gather_src_bytes"] == d["payload_bytes"] == \
+            20 * 10 * 1 + 20 * 4
+        assert "quantize_calls" not in d
 
     def test_quantize_counts_input_and_payload(self):
         x = np.ones((6, 5), dtype=np.float32)

@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.errors import ProtocolError
 from repro.nn.models import build_model
 from repro.runtime.shm import SharedFeatureStore
@@ -95,6 +96,36 @@ class TestGradientSlab:
 
     def test_absent_unless_asked_for(self, store):
         assert "grads" not in {a.key for a in store.manifest.arrays}
+
+
+class TestWireTable:
+    @pytest.mark.parametrize("mode", ["int8", "fp16"])
+    def test_attached_table_is_the_parents_read_only(self, tiny_ds,
+                                                     mode):
+        """A worker maps the parent's encoded table, bit for bit and
+        read-only; the view raises once the mapping is closed."""
+        table = kernels.encode(tiny_ds.features, mode)
+        with SharedFeatureStore.create(tiny_ds, wire_table=table) as s:
+            worker = SharedFeatureStore.attach(s.manifest)
+            try:
+                got = worker.wire_table
+                assert (got.mode, got.dtype) == (mode, table.dtype)
+                for want, have in ((table.codes, got.codes),
+                                   (table.scales, got.scales)):
+                    if want is None:
+                        assert have is None
+                        continue
+                    np.testing.assert_array_equal(have, want)
+                    assert have.dtype == want.dtype
+                    assert not have.flags.writeable
+                del got, have
+            finally:
+                worker.close()
+            with pytest.raises(ProtocolError):
+                worker.wire_table
+
+    def test_absent_unless_asked_for(self, store):
+        assert store.wire_table is None
 
 
 class TestAttach:

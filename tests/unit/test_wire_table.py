@@ -13,13 +13,17 @@ from it).
 * **accounting** — the codes gather bills wire bytes, the decode bills
   the per-batch payload;
 * **lifetime** — a session builds its table at most once, on its
-  first accelerator load, and fp32, all-CPU, serving ``device="cpu"``
-  and process-plane sessions build none.
+  first accelerator load, and fp32, all-CPU and serving
+  ``device="cpu"`` sessions build none; a process plane's parent
+  builds it before the shared segment, whose copy the workers decode
+  from without encoding.
 """
 
+import dataclasses
 import sys
 import threading
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ from hypothesis import strategies as st
 from repro import SystemConfig, TrainingConfig, kernels
 from repro.errors import ConfigError
 from repro.kernels import COUNTERS, fast, reference
-from repro.runtime import TrainingSession, build_backend
+from repro.runtime import SharedFeatureStore, TrainingSession, build_backend
 from repro.runtime.stage_pipeline import StagePipeline
 from repro.serving import ServingConfig, ServingSession
 
@@ -38,6 +42,9 @@ common_settings = settings(
     suppress_health_check=[HealthCheck.too_slow])
 
 LOSSY = ("fp16", "int8")
+
+PROCESS_PRESETS = ("process", "process_sampling", "process_pipelined",
+                   "sharded")
 
 
 @st.composite
@@ -71,7 +78,7 @@ def _pipe(feats, mode):
     """A table-decoding pipeline whose sampler's batch for some
     targets reads exactly those rows."""
     return StagePipeline(SimpleNamespace(sample=_batch), feats, None,
-                         mode, encode_once=True)
+                         mode)
 
 
 class TestTableExactness:
@@ -168,6 +175,22 @@ class TestGuards:
         with pytest.raises(ConfigError, match="row 517 "):
             _pipe(feats, "int8").load(_batch([0]), "accel")
 
+    @pytest.mark.parametrize("backend", ["threaded", "process_sampling"])
+    def test_non_finite_store_fails_before_the_segment(self, tiny_ds,
+                                                        backend):
+        """Every plane refuses an int8 store with a non-finite row with
+        the same error; a process plane raises it before creating its
+        segment, so no worker ever spawns."""
+        feats = tiny_ds.features.copy()
+        feats[5, 0] = np.nan
+        session = _session(dataclasses.replace(tiny_ds, features=feats),
+                           "int8")
+        with mock.patch.object(SharedFeatureStore, "create",
+                               side_effect=AssertionError), \
+                pytest.raises(ConfigError, match="row 5 is not finite"):
+            with build_backend(backend, session) as b:
+                b.run(2)
+
     def test_fp32_has_no_wire_form(self):
         with pytest.raises(ConfigError, match="fp32"):
             kernels.encode(np.ones((2, 2)), "fp32")
@@ -225,8 +248,8 @@ class TestTableLifetime:
     @pytest.mark.parametrize("precision, hybrid, trainers, backend", [
         ("fp32", False, 2, "virtual"),
         ("int8", True, 1, "virtual"),          # one CPU trainer
-        ("int8", False, 2, "process"),
-    ], ids=["fp32", "all-cpu", "process"])
+        ("int8", True, 1, "process"),
+    ], ids=["fp32", "all-cpu", "process-all-cpu"])
     def test_sessions_that_build_none(self, tiny_ds, precision, hybrid,
                                       trainers, backend):
         session = _session(tiny_ds, precision, hybrid, trainers)
@@ -235,6 +258,22 @@ class TestTableLifetime:
         assert session.pipeline.wire_table is None
         assert "encode_calls" not in report.kernel_stats
         assert "decode_calls" not in report.kernel_stats
+
+    @pytest.mark.parametrize("precision", LOSSY)
+    @pytest.mark.parametrize("backend", PROCESS_PRESETS)
+    def test_process_workers_decode_from_the_segment(self, tiny_ds,
+                                                     backend, precision):
+        """The parent encodes the session's table once, before the
+        segment; the workers decode from the segment's copy and
+        neither encode nor quantize."""
+        session = _session(tiny_ds, precision, hybrid=True,
+                           num_trainers=3)
+        with build_backend(backend, session) as b:
+            stats = b.run(2).kernel_stats
+        assert session.pipeline.wire_table is not None
+        assert "encode_calls" not in stats
+        assert "quantize_calls" not in stats
+        assert stats["decode_calls"] > 0
 
     @pytest.mark.parametrize("device", ["cpu", "accel"])
     def test_serving_builds_only_for_an_accelerator(self, tiny_ds,
