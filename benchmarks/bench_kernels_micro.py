@@ -189,18 +189,14 @@ def _kernel_cases(ds, batch):
     load on a runtime path does — the comparison measures the deployed
     hot path (caches are warmed outside the timed calls).
 
-    The ``gather_quantize_*`` rows time the per-batch round trip —
-    the fast gather into a fresh destination, then the fast quantize
-    in place, as the split ``transfer`` stage, the process workers and
-    the sharded plane run it — against the reference gather →
-    quantize composition.
+    ``table_load_int8`` times the dequantized accelerator load
+    (``StagePipeline.load``, and serving's ``prepare``): the batch's
+    codes gathered from a wire table encoded once (outside the timed
+    call), cast into a fresh destination and multiplied by their
+    scales — against the reference gather → quantize composition.
 
-    ``table_load_int8`` times an in-process session's accelerator
-    load: the batch's codes gathered from a wire table encoded once
-    (outside the timed call), then decoded into a fresh destination —
-    against the same reference composition.
-
-    ``table_codes_int8`` times the training lanes' int8 load: the
+    ``table_codes_int8`` times the load every accelerator trainer runs
+    (the training lanes' and process workers' ``load_codes``): the
     codes and scales gathered from the same table, and the codes cast
     into a fresh destination, with no scale multiply (the model's
     input layer folds the scales) — against the same reference
@@ -231,49 +227,30 @@ def _kernel_cases(ds, batch):
         logits = model.forward(batch, x0, deg)
         model.backward(softmax_cross_entropy(logits, labels)[1])
 
-    def load(mode):
-        # The round trip: gather into a fresh destination, then
-        # quantize it in place.
-        dest = fast.gather(feats, idx)
-        return fast.quantize(dest, mode, out=dest)
-
     codes, scales = fast.encode(feats, "int8")
 
-    def table_load():
-        # An in-process accelerator load: gather the codes and scales,
-        # then decode into a fresh destination.
-        return fast.decode(fast.gather(codes, idx),
-                           fast.gather(scales, idx), feats.dtype)
+    def oracle():
+        return reference.quantize(reference.gather(feats, idx), "int8")
 
     def table_codes():
-        # A training lane's int8 load: gather the codes and scales,
-        # then cast the codes; the input layer folds the scales.
-        return (fast.decode(fast.gather(codes, idx), None, feats.dtype),
+        # A trainer's int8 load: gather the codes and scales, then
+        # cast the codes; the input layer folds the scales.
+        return (fast.decode(fast.gather(codes, idx), feats.dtype),
                 fast.gather(scales, idx))
+
+    def table_load():
+        # A dequantized load: the trainer's load, then the scale
+        # multiply in place.
+        rows, row_scales = table_codes()
+        rows *= row_scales
+        return rows
 
     return {
         "gather": (
             lambda: reference.gather(feats, idx),
             lambda: fast.gather(feats, idx)),
-        "gather_quantize_int8": (
-            lambda: reference.quantize(reference.gather(feats, idx),
-                                       "int8"),
-            lambda: load("int8")),
-        "gather_quantize_fp16": (
-            lambda: reference.quantize(reference.gather(feats, idx),
-                                       "fp16"),
-            lambda: load("fp16")),
-        "table_load_int8": (
-            lambda: reference.quantize(reference.gather(feats, idx),
-                                       "int8"),
-            table_load),
-        "table_codes_int8": (
-            lambda: reference.quantize(reference.gather(feats, idx),
-                                       "int8"),
-            table_codes),
-        "quantize_int8": (
-            lambda: reference.quantize(x0, "int8"),
-            lambda: fast.quantize(x0, "int8")),
+        "table_load_int8": (oracle, table_load),
+        "table_codes_int8": (oracle, table_codes),
         "train_backward_sage": (
             lambda: full_chain_step(model, batch, x0, deg, labels),
             model_step),
@@ -297,9 +274,8 @@ def test_bench_gather_tier(benchmark, kernel_cases, tier):
 
 
 @pytest.mark.parametrize("tier", ["reference", "fast"])
-def test_bench_fused_gather_quantize_int8_tier(benchmark, kernel_cases,
-                                               tier):
-    ref_fn, fast_fn = kernel_cases["gather_quantize_int8"]
+def test_bench_table_load_int8_tier(benchmark, kernel_cases, tier):
+    ref_fn, fast_fn = kernel_cases["table_load_int8"]
     fn = ref_fn if tier == "reference" else fast_fn
     out = benchmark(fn)
     np.testing.assert_array_equal(ref_fn(), out)

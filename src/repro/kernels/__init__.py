@@ -1,32 +1,35 @@
 """Hot-path kernels: one implementation per op, one chokepoint.
 
 The per-iteration numeric work of every execution backend funnels
-through two ops — feature-row **gather** and transfer **quantize** —
-plus the transfer's wire form: **encode** a whole store once, then
-**gather_wire** a batch's codes and **decode** them. (Aggregation runs
-in the model layers, through scipy spmm.) The dispatchers below
-validate their inputs once, call the in-place NumPy implementation in
+through the row **gather** and the transfer's wire form: **encode**
+rows into int8 codes plus per-row scales (or float16), **gather_wire**
+a batch's codes, and **decode** them. (Aggregation runs in the model
+layers, through scipy spmm.) The dispatchers below validate their
+inputs once, call the NumPy implementation in
 :mod:`repro.kernels.fast`, and record the traffic they moved. Every
-load returns a fresh array that it owns. Every accelerator load on
-every plane is ``decode(gather_wire(table, idx))`` over a table
-encoded once per store (a process plane's parent encodes it and the
-shared segment carries it to the workers); a training lane or process
-worker loading int8 rows stops one multiply short — **decode_codes**,
-the cast alone — and its model folds the per-row scales into the
-input layer. ``quantize`` remains as the per-batch round trip of the
-split ``transfer`` stage that the bench replay times; it runs in place
-on the stage's fresh gather (``out=``).
+load returns a fresh array that it owns.
 
-:mod:`repro.kernels.reference` keeps the original implementations as
-the conformance oracle: tests and the kernel micro-bench call it by
-module, and nothing on a runtime path does. The dispatchers look
-``fast.<op>`` up at call time, so a test can substitute the oracle
-with ``monkeypatch.setattr(fast, "gather", reference.gather)`` — and
-forked process-plane workers inherit the substitution.
+The wire encoding is the tier's only quantizer. Every accelerator load
+on every plane gathers from a table encoded once per store (a process
+plane's parent encodes it and the shared segment carries it to the
+workers); the split ``transfer`` stage the bench replay times encodes
+its batch and decodes it. ``decode`` is the cast alone and returns the
+rows' int8 scales beside them: the one scale multiply lives in
+:class:`~repro.runtime.stage_pipeline.StagePipeline`, and a training
+lane or process worker skips it — its model folds the scales into the
+input layer.
 
-Every dispatch also feeds :data:`COUNTERS` (bytes gathered, payload
-bytes quantized) — the per-iteration traffic accounting the
-wall-clock bench reports next to its overlap column.
+:mod:`repro.kernels.reference` keeps plain twins as the conformance
+oracle: tests and the kernel micro-bench call it by module, and
+nothing on a runtime path does. The dispatchers look ``fast.<op>`` up
+at call time, so a test can substitute the oracle with
+``monkeypatch.setattr(fast, "gather", reference.gather)`` — and forked
+process-plane workers inherit the substitution.
+
+Every dispatch also feeds the session-scoped :class:`KernelCounters`
+its thread is enlisted into (bytes gathered, payload bytes on the
+wire) — the per-iteration traffic accounting the wall-clock bench
+reports next to its overlap column.
 
 ``docs/kernels.md`` is the author guide: calling convention and the
 exactness contract ``fast`` owes ``reference``.
@@ -40,13 +43,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from . import fast, reference
-from .stats import (
-    COUNTERS,
-    KernelCounters,
-    merge_counts,
-    record,
-    scoped_counters,
-)
+from .stats import KernelCounters, merge_counts, record, scoped_counters
 
 #: Bytes per feature element on the PCIe link, per precision mode
 #: (ground truth; ``repro.runtime.quantize`` re-exports it).
@@ -92,20 +89,6 @@ def gather_rows(features: np.ndarray, index: np.ndarray) -> np.ndarray:
     return result
 
 
-def quantize(x: np.ndarray, mode: str, *,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """Transfer-precision round trip (dequantized result, input float
-    dtype preserved) — the split transfer stage's kernel. ``out`` may be
-    ``x`` itself: the stage quantizes its fresh gather in place."""
-    _check_mode(mode)
-    x = _check_matrix(x, "feature")
-    result = fast.quantize(x, mode, out=out)
-    record(
-        quantize_calls=1, quantize_in_bytes=x.nbytes,
-        payload_bytes=payload_bytes(mode, x.shape[0], x.shape[1]))
-    return result
-
-
 @dataclass(frozen=True)
 class WireRows:
     """Feature rows in their PCIe wire form.
@@ -113,8 +96,8 @@ class WireRows:
     ``codes`` is int8 (``"int8"``) or float16 (``"fp16"``); an int8
     row carries one scale, ``scales`` ``(rows, 1)`` in ``dtype``, the
     store's dtype that :func:`decode` restores. A session's wire table
-    (every store row, encoded once, read-only) and one batch's gathered
-    rows are both this.
+    (every store row, encoded once, read-only), one batch's gathered
+    rows and the split transfer stage's encoded batch are all this.
     """
 
     mode: str
@@ -130,10 +113,10 @@ class WireRows:
 
 
 def encode(features: np.ndarray, mode: str) -> WireRows:
-    """Encode every row of a feature store into its wire form, once —
-    the table accelerator loads decode from (``"int8"`` or
-    ``"fp16"``; an int8 store with a non-finite row raises
-    :class:`ConfigError`). The returned arrays are read-only."""
+    """Encode every row of ``features`` into its wire form (``"int8"``
+    or ``"fp16"``; an int8 row that is not finite raises
+    :class:`ConfigError`) — a store's table, encoded once, or the split
+    transfer stage's batch. The returned arrays are read-only."""
     _check_mode(mode)
     if mode == "fp32":
         raise ConfigError("fp32 transfer has no wire encoding")
@@ -160,24 +143,13 @@ def gather_wire(table: WireRows, index: np.ndarray) -> WireRows:
     return rows
 
 
-def decode(wire: WireRows) -> np.ndarray:
-    """Dequantize wire rows into the store's dtype — the accelerator
-    load's transfer stage, bit-identical to :func:`quantize` of the
-    rows they were encoded from. Bills the same ``payload_bytes`` the
-    per-batch round trip does."""
-    result = fast.decode(wire.codes, wire.scales, wire.dtype)
-    record(decode_calls=1,
-           payload_bytes=payload_bytes(wire.mode, *wire.codes.shape))
-    return result
-
-
-def decode_codes(wire: WireRows) -> tuple[np.ndarray, np.ndarray | None]:
-    """:func:`decode` minus its scale multiply: ``(codes, scales)``,
-    the codes cast into a fresh array of the store's dtype and the
-    rows' scales (``None`` for fp16, whose cast is the whole decode).
-    ``codes * scales`` is :func:`decode` ``(wire)`` bit for bit, and
-    bills the same counters."""
-    result = fast.decode(wire.codes, None, wire.dtype)
+def decode(wire: WireRows) -> tuple[np.ndarray, np.ndarray | None]:
+    """Wire rows cast back into a fresh array of the store's dtype —
+    the accelerator load's transfer stage — and their ``(rows, 1)``
+    int8 scales (``None`` for fp16, whose cast is the whole decode).
+    ``rows * scales`` equals the reference round trip of the rows they
+    were encoded from, bit for bit. Bills the batch's wire payload."""
+    result = fast.decode(wire.codes, wire.dtype)
     record(decode_calls=1,
            payload_bytes=payload_bytes(wire.mode, *wire.codes.shape))
     return result, wire.scales
@@ -187,15 +159,12 @@ __all__ = [
     "TRANSFER_BYTES",
     "payload_bytes",
     "gather_rows",
-    "quantize",
     "WireRows",
     "encode",
     "gather_wire",
     "decode",
-    "decode_codes",
     "fast",
     "reference",
-    "COUNTERS",
     "KernelCounters",
     "record",
     "scoped_counters",

@@ -1,34 +1,28 @@
-"""The kernels: in-place, reduction-restructured NumPy.
+"""The kernels: bounds-checked copies and a blocked, once-only encode.
 
 The one implementation of each op the :mod:`repro.kernels` dispatchers
-call. Two levers, all pure NumPy so every platform gets them:
+call, all pure NumPy so every platform gets them:
 
-* **In place** — :func:`quantize` accepts ``out=x``, so the split
-  transfer stage's round trip produces the dequantized rows in the
-  destination it gathered into: the rows land once in the feature store's dtype, the
-  per-row scales come from two ``(rows,)`` reductions (no full-size
-  ``abs`` temporary), and the divide / round / clip / rescale chain
-  runs in place. The reference gather → quantize composition
-  materializes ~7 full-size temporaries for the same result.
-* **Quantize once** — :func:`encode` turns a whole store into int8
-  codes plus per-row scales (or a float16 copy) once, and
-  :func:`decode` turns a gathered batch of them back: a quarter of the
-  bytes gathered and a cast plus a multiply per element, instead of
-  the full divide / round / rescale chain every batch. A trainer that
-  folds the scales into its input layer takes the cast alone
-  (``decode`` with no scales).
+* **gather** — one bounds-checked ``np.take`` straight into a fresh
+  destination of the source's dtype (the store's floats, or a wire
+  table's codes and scales);
+* **encode** — a whole store (or one batch) into int8 codes plus
+  per-row scales, or a float16 copy. The scales come from two
+  ``(rows,)`` reductions (no full-size ``abs`` temporary) and the
+  divide / round / clip chain runs in place in a cache-resident block
+  buffer reused across the store;
+* **decode** — the codes cast into a fresh destination of the store's
+  dtype. The int8 scale multiply is not here: the stage pipeline runs
+  it where a load wants dequantized rows, and a trainer that folds the
+  scales into its input layer never runs it.
 
-Every kernel returns its input's dtype — the feature store's for the
-gathers; nothing widens.
-
-Exactness contract (held by the property suite): ``gather`` and
-``quantize`` (in place or not) match the
-:mod:`~repro.kernels.reference` oracle **bit for bit** on finite inputs — the gather is a copy, the
-per-row absmax equals ``max(max(x), -min(x))`` exactly, and
-round-then-clip runs in the same order on the same dtypes as the
-oracle (the clip skipped only where it is the identity); ``decode``
-of gathered ``encode`` rows equals ``quantize`` of the gathered rows,
-bit for bit, and so does the cast codes times their scales, so backend
+Exactness contract (held by the property suite): ``gather``,
+``encode`` and ``decode`` match their :mod:`~repro.kernels.reference`
+twins **bit for bit** — the gather is a copy, the per-row absmax equals
+``max(max(x), -min(x))`` exactly, and round-then-clip runs in the same
+order on the same dtypes as the oracle (the clip skipped only where it
+is the identity) — and the decoded codes times their scales equal the
+oracle's ``reference.quantize`` round trip of the same rows, so backend
 trajectories are identical with either implementation.
 """
 
@@ -69,34 +63,10 @@ def gather(features: np.ndarray, index: np.ndarray) -> np.ndarray:
     return dest
 
 
-def quantize(x: np.ndarray, mode: str,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """Transfer-precision round trip without the reference's int8
-    temporaries: one destination buffer (``out`` may be ``x`` itself),
-    ufunc ``out=`` all the way through. Preserves the input float
-    dtype; the int8 scales are computed in it, like the reference."""
-    if mode == "fp32":
-        if out is None:
-            return x
-        np.copyto(out, x)
-        return out
-    dest = np.empty(x.shape, dtype=x.dtype) if out is None else out
-    if mode == "fp16":
-        np.copyto(dest, x.astype(np.float16))
-        return dest
-    # Scales are reduced before the divide writes, so an in-place
-    # dest is safe.
-    scale, clip, _ = _row_scales(x)
-    _int8_codes(x, scale, clip, out=dest)
-    dest *= scale
-    return dest
-
-
 def _row_scales(x: np.ndarray) -> tuple[np.ndarray, bool, np.ndarray]:
     """Per-row symmetric int8 scales ``(rows, 1)`` in ``x``'s dtype,
     whether ``rint(x / scale)`` still needs the clip, and the per-row
-    absmax — the one scale rule :func:`quantize` and :func:`encode`
-    share.
+    absmax — :func:`encode`'s scale rule.
 
     ``max(|x|)`` is ``max(max(x), -min(x))``: two ``(rows,)``
     reductions instead of a full-size ``abs`` temporary, bit-equal
@@ -114,18 +84,6 @@ def _row_scales(x: np.ndarray) -> tuple[np.ndarray, bool, np.ndarray]:
     return scale, clip, absmax
 
 
-def _int8_codes(x: np.ndarray, scale: np.ndarray, clip: bool,
-                out: np.ndarray) -> np.ndarray:
-    """``rint(x / scale)``, clipped to [-127, 127] when ``clip``, into
-    ``out`` (a float buffer): round *then* clip, like the reference —
-    the order matters at the ±127.5 boundary."""
-    np.divide(x, scale, out=out)
-    np.rint(out, out=out)
-    if clip:
-        np.clip(out, -127, 127, out=out)
-    return out
-
-
 #: Rows :func:`encode` quantizes per block: the block's float scratch
 #: stays cache-resident, and one buffer serves every block.
 ENCODE_BLOCK_ROWS = 256
@@ -133,13 +91,13 @@ ENCODE_BLOCK_ROWS = 256
 
 def encode(features: np.ndarray, mode: str
            ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Every row of ``features`` in its wire form, once: ``(codes,
+    """Every row of ``features`` in its wire form: ``(codes,
     scales)``.
 
     ``"int8"``: int8 codes plus one scale per row, ``(rows, 1)`` in the
-    store's dtype, by :func:`quantize`'s own scale rule — per-row
-    quantization depends only on the row, so ``decode`` of any gathered
-    subset equals ``quantize`` of the gathered rows bit for bit. Built
+    store's dtype, by :func:`_row_scales` — per-row quantization
+    depends only on the row, so the decode of any gathered subset
+    equals the round trip of the gathered rows bit for bit. Built
     in :data:`ENCODE_BLOCK_ROWS`-row blocks through one reused scratch
     buffer. A non-finite row has no int8 code (the cast would turn it
     into arbitrary finite values), so it raises
@@ -163,21 +121,21 @@ def encode(features: np.ndarray, mode: str
                 raise ConfigError(
                     f"feature row {start + int(bad[0])} is not finite; "
                     f"int8 transfer cannot encode it")
-        buf = _int8_codes(x, scale, clip, out=scratch[:x.shape[0]])
+        # rint(x / scale), then the clip where it is not the identity:
+        # round *then* clip, like the reference — the order matters at
+        # the ±127.5 boundary.
+        buf = np.divide(x, scale, out=scratch[:x.shape[0]])
+        np.rint(buf, out=buf)
+        if clip:
+            np.clip(buf, -127, 127, out=buf)
         np.copyto(codes[start:stop], buf, casting="unsafe")
         scales[start:stop] = scale
     return codes, scales
 
 
-def decode(codes: np.ndarray, scales: np.ndarray | None,
-           dtype) -> np.ndarray:
-    """Wire rows back to ``dtype``: an exact cast ``copyto`` into a
-    fresh destination, then the per-row scale multiply in place (int8).
-    Two passes beat ``np.multiply(codes, scales, out=dest)``, whose
-    implicit cast runs in the multiply's inner loop."""
+def decode(codes: np.ndarray, dtype) -> np.ndarray:
+    """Wire codes cast into a fresh destination of ``dtype``: one exact
+    ``copyto``."""
     dest = np.empty(codes.shape, dtype=dtype)
     np.copyto(dest, codes)
-    if scales is not None:
-        dest *= scales
     return dest
-

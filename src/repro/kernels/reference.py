@@ -1,26 +1,29 @@
 """Reference kernels: the conformance oracle.
 
-These are the library's original hot-path implementations, moved here
-verbatim so :mod:`repro.kernels.fast` has a fixed semantic target:
-plain, easily auditable NumPy with no buffer reuse, no in-place
-steps, and no layout tricks. The property suite
-(``tests/unit/test_kernels.py``) holds the fast kernels to these
-outputs — bit-exactly for ``gather`` and ``quantize`` (and so for the
-load path, which decodes a gathered slice of a once-encoded wire
-table, and for the split transfer stage's gather → quantize).
+Plain, easily auditable NumPy with no buffer reuse, no in-place steps
+and no layout tricks, so :mod:`repro.kernels.fast` has a fixed semantic
+target. ``gather`` and ``quantize`` are the library's original hot-path
+implementations, moved here verbatim; ``encode`` and ``decode`` are
+their wire-form twins, built from ``quantize``'s own steps. The
+property suite (``tests/unit/test_kernels.py``) holds the fast kernels
+to these outputs bit for bit: ``gather``, ``encode`` and ``decode``
+twin for twin, and the decoded codes times their scales against
+``quantize`` of the same rows — the exactness contract every load
+rests on.
 
 No runtime path calls this module: tests and
 ``benchmarks/bench_kernels_micro.py`` call it by name. It shares the
-fast kernels' calling convention — pre-validated inputs, and for
-``quantize`` an optional caller-owned ``out=`` destination (so a test
-can substitute it under the in-place round trip): its role is to be
-the obviously-correct allocation-per-call baseline the benches
-compare against.
+fast kernels' calling convention (pre-validated inputs), so a test can
+substitute any twin for its fast op; its role is to be the
+obviously-correct allocation-per-call baseline the benches compare
+against.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..errors import ConfigError
 
 
 def gather(features: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -29,8 +32,7 @@ def gather(features: np.ndarray, index: np.ndarray) -> np.ndarray:
     return features[index]
 
 
-def quantize(x: np.ndarray, mode: str,
-             out: np.ndarray | None = None) -> np.ndarray:
+def quantize(x: np.ndarray, mode: str) -> np.ndarray:
     """Transfer-precision round trip, one temporary per step.
 
     Per-row symmetric int8 (each row ships an fp32 scale alongside the
@@ -38,16 +40,34 @@ def quantize(x: np.ndarray, mode: str,
     dtype — a float32 batch comes back float32.
     """
     if mode == "fp32":
-        result = x
-    elif mode == "fp16":
-        result = x.astype(np.float16).astype(x.dtype)
-    else:  # int8: symmetric per-row scale.
-        absmax = np.abs(x).max(axis=1, keepdims=True)
-        scale = np.where(absmax > 0, absmax / 127.0, 1.0)
-        q = np.clip(np.round(x / scale), -127, 127).astype(np.int8)
-        result = q.astype(x.dtype) * scale
-    if out is not None:
-        np.copyto(out, result)
-        return out
-    return result
+        return x
+    if mode == "fp16":
+        return x.astype(np.float16).astype(x.dtype)
+    # int8: symmetric per-row scale.
+    absmax = np.abs(x).max(axis=1, keepdims=True)
+    scale = np.where(absmax > 0, absmax / 127.0, 1.0)
+    q = np.clip(np.round(x / scale), -127, 127).astype(np.int8)
+    return q.astype(x.dtype) * scale
 
+
+def encode(features: np.ndarray, mode: str
+           ) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(codes, scales)`` by :func:`quantize`'s scale rule: int8 codes
+    plus ``(rows, 1)`` scales in the store's dtype, or a float16 copy
+    and no scales. A non-finite int8 row raises
+    :class:`~repro.errors.ConfigError` naming the first such row."""
+    if mode == "fp16":
+        return features.astype(np.float16), None
+    absmax = np.abs(features).max(axis=1, keepdims=True)
+    bad = np.flatnonzero(~np.isfinite(absmax))
+    if bad.size:
+        raise ConfigError(f"feature row {int(bad[0])} is not finite; "
+                          f"int8 transfer cannot encode it")
+    scale = np.where(absmax > 0, absmax / 127.0, 1.0)
+    codes = np.clip(np.round(features / scale), -127, 127)
+    return codes.astype(np.int8), scale
+
+
+def decode(codes: np.ndarray, dtype) -> np.ndarray:
+    """Wire codes cast to ``dtype`` (a fresh array)."""
+    return codes.astype(dtype)

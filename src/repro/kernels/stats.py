@@ -1,28 +1,27 @@
-"""Process-local kernel traffic accounting.
+"""Session-scoped kernel traffic accounting.
 
 Every kernel dispatch (:mod:`repro.kernels`) records what it moved: rows
 gathered, source bytes read from the feature store, bytes written into
-trainer-facing buffers, and quantized payload bytes that would cross
-PCIe. The counters answer the question the micro-bench cannot: *per
-training iteration*, how many bytes did the gather/transfer hot path
-actually move?
+trainer-facing buffers, and payload bytes that would cross PCIe. The
+counters answer the question the micro-bench cannot: *per training
+iteration*, how many bytes did the gather/transfer hot path actually
+move?
 
-One :data:`COUNTERS` accumulator per process stays the process-wide
-total, but it is no longer the only sink: every dispatch goes through
-:func:`record`, which also feeds any **session-scoped**
-:class:`KernelCounters` the current thread has been enlisted into via
-:func:`scoped_counters`. That is how two concurrent sessions in one
-process (a training backend and a serving session, or two trainings
-under one :class:`~repro.runtime.resctl.NodeAllocator`) each get a
-``kernel_stats`` that counts only *their own* dispatches instead of
-interleaving into one global bag. In-process backends wrap their run
-and stage threads in ``scoped_counters(self.counters)``; the process
-planes are already scoped by construction (each worker computes a
-local delta and ships it back in its worker snapshot).
+There is no process-wide total. Every dispatch goes through
+:func:`record`, which feeds the :class:`KernelCounters` bags the
+calling thread is enlisted into via :func:`scoped_counters`; a
+dispatch from a thread with no bag is counted nowhere. That is how two
+concurrent sessions in one process (a training backend and a serving
+session, or two trainings under one
+:class:`~repro.runtime.resctl.NodeAllocator`) each get a
+``kernel_stats`` that counts only *their own* dispatches. In-process
+backends and serving sessions wrap their run and lane threads in
+``scoped_counters(self.counters)``; a process-plane worker enlists a
+fresh bag per run around its loads and ships its snapshot back.
 
-Thread safety: stage threads of the overlapped backends dispatch
-kernels concurrently, so :meth:`KernelCounters.add` takes a lock. The
-costs are a few dict updates per *batch* (not per element); the lock is
+Thread safety: the lanes of the in-process backends dispatch kernels
+concurrently, so :meth:`KernelCounters.add` takes a lock. The costs
+are a few dict updates per *batch* (not per element); the lock is
 invisible next to the gather itself. Enlistment is keyed by thread id
 and stores immutable tuples, so :func:`record`'s read path is a single
 dict lookup with no lock.
@@ -39,11 +38,10 @@ class KernelCounters:
 
     Keys are free-form (the kernel dispatchers use ``gather_calls``,
     ``gather_rows``, ``gather_src_bytes``, ``gather_out_bytes``,
-    ``quantize_calls``, ``quantize_in_bytes``, ``payload_bytes``,
-    ``encode_calls``, ``decode_calls``); absent
-    keys read as zero. An accelerator batch's load counts one gather plus
-    one quantize, or — decoded from a wire table — one gather of its
-    wire bytes plus one decode.
+    ``payload_bytes``, ``encode_calls``, ``decode_calls``); absent
+    keys read as zero. A float load counts one gather; an accelerator
+    load decoded from a wire table counts one gather of its wire bytes
+    plus one decode.
     """
 
     def __init__(self) -> None:
@@ -82,9 +80,6 @@ def merge_counts(into: dict[str, int],
     return into
 
 
-#: The process-wide accumulator every kernel dispatch reports into.
-COUNTERS = KernelCounters()
-
 # Session-scoped sinks: thread id -> tuple of enlisted counter bags.
 # Values are immutable tuples replaced wholesale under the lock, so the
 # hot-path read in :func:`record` needs no synchronization.
@@ -118,8 +113,8 @@ def delist_thread(counters: KernelCounters) -> None:
 
 @contextmanager
 def scoped_counters(counters: KernelCounters):
-    """Route this thread's kernel traffic into ``counters`` (on top of
-    the process-wide :data:`COUNTERS`) for the duration of the block.
+    """Route this thread's kernel traffic into ``counters`` for the
+    duration of the block.
 
     Each run/stage thread of a session enters this around its work
     loop, giving the session an isolated ``kernel_stats`` view even
@@ -133,9 +128,8 @@ def scoped_counters(counters: KernelCounters):
 
 
 def record(**deltas: int) -> None:
-    """Accumulate kernel-dispatch deltas into the process-wide
-    :data:`COUNTERS` *and* every counter bag the calling thread is
-    enlisted into — the single chokepoint the dispatchers call."""
-    COUNTERS.add(**deltas)
+    """Accumulate kernel-dispatch deltas into every counter bag the
+    calling thread is enlisted into — the single chokepoint the
+    dispatchers call."""
     for sink in _sinks.get(threading.get_ident(), ()):
         sink.add(**deltas)

@@ -28,7 +28,7 @@ storage and the lookup error to one place.
 from __future__ import annotations
 
 from collections.abc import MutableMapping
-from typing import Callable, Iterator, TypeVar
+from typing import Iterator, TypeVar
 
 from .errors import ConfigError
 
@@ -44,19 +44,12 @@ class Registry(MutableMapping):
         Human-readable noun for error messages (``"execution
         backend"``, ``"sampler"``). Appears verbatim
         in the unknown-name error.
-    validate:
-        Optional ``(name, obj) -> None`` hook run before every
-        registration — the seam's own contract checks (raise to
-        reject).
     """
 
-    def __init__(self, kind: str,
-                 validate: Callable[[str, object], None] | None = None
-                 ) -> None:
+    def __init__(self, kind: str) -> None:
         if not kind:
             raise ConfigError("registry kind must be non-empty")
         self.kind = kind
-        self._validate = validate
         self._entries: dict[str, object] = {}
 
     # ------------------------------------------------------------------
@@ -71,8 +64,6 @@ class Registry(MutableMapping):
             raise ConfigError(
                 f"{self.kind} needs a non-empty name; registered: "
                 f"{sorted(self._entries)}")
-        if self._validate is not None:
-            self._validate(name, obj)
         self._entries[name] = obj
         return obj
 

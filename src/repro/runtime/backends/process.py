@@ -67,7 +67,7 @@ from typing import ClassVar
 import numpy as np
 
 from ...errors import ProtocolError, StageTimeoutError, WorkerError
-from ...kernels import COUNTERS, merge_counts
+from ...kernels import KernelCounters, merge_counts, scoped_counters
 from ...sampling.base import MiniBatch
 from ..resctl import OnlineEstimator
 from ..stage_pipeline import StagePipeline
@@ -100,12 +100,11 @@ class WorkerSpec:
 @dataclass
 class WorkerSnapshot:
     """A worker's whole post-run state in one message: the parameters
-    for the parity audit, the kernel-counter delta since the run began
-    (a *delta*: under fork the worker's counters inherit whatever the
-    parent accumulated before spawning, and a reused worker carries its
-    earlier runs'), and its sampler stream's position, which the
-    session's sampler for this trainer takes over. Stage seconds are
-    not in it: every reply already carried its batch's."""
+    for the parity audit, the kernel counters of this run (the per-run
+    bag the worker enlists while it serves the run's deals), and its
+    sampler stream's position, which the session's sampler for this
+    trainer takes over. Stage seconds are not in it: every reply
+    already carried its batch's."""
 
     params: np.ndarray
     kernel_stats: dict[str, int]
@@ -147,7 +146,7 @@ class WorkerReplica(StagePipeline):
         self.grads = store.grads
         self.degrees = store.degrees     # private copy, outlives views
         self.model = build_model(spec.model_name, spec.dims, spec.seed)
-        self.node = TrainerNode(spec.name, spec.kind, self.model, None,
+        self.node = TrainerNode(spec.name, spec.kind, self.model,
                                 spec.dims, spec.model_name)
         self.opt = SGD(self.model, lr=spec.learning_rate)
 
@@ -182,10 +181,10 @@ class WorkerReplica(StagePipeline):
         self.model.set_flat_grads(self.grads[-1])
         self.opt.step()
 
-    def snapshot(self, counters_baseline) -> WorkerSnapshot:
+    def snapshot(self, counters: KernelCounters) -> WorkerSnapshot:
         return WorkerSnapshot(
             params=self.model.get_flat_params(),
-            kernel_stats=COUNTERS.delta(counters_baseline),
+            kernel_stats=counters.delta({}),
             stream=self.sampler.stream_state)
 
     def release_views(self) -> None:
@@ -221,6 +220,9 @@ class InlineBody:
         self.queue: deque = deque()
         #: The answered iteration whose ``apply`` has not arrived.
         self.awaiting: int | None = None
+        #: This run's kernel traffic: the loop enlists it around every
+        #: ``train`` and ``apply``.
+        self.counters = KernelCounters()
 
     def train(self, it: int, work) -> None:
         prepared = None
@@ -276,19 +278,17 @@ def serve(conn, replica: WorkerReplica) -> None:
     while True:
         msg = conn.recv()
         tag = msg[0]
-        if tag == "train":
-            body.train(msg[1], msg[2])
-        elif tag == "apply":
-            body.apply(msg[1])
+        if tag in ("train", "apply"):
+            with scoped_counters(body.counters):
+                getattr(body, tag)(*msg[1:])
         elif tag == "init":
             # Nothing is in flight between runs (the parent retired and
             # applied every iteration before its ``snapshot``), so the
             # replica is safe to overwrite.
             replica.begin_run(msg[1], msg[2])
-            counters_baseline = COUNTERS.snapshot()
             body = InlineBody(conn, replica)
         elif tag == "snapshot":
-            conn.send(("snapshot", replica.snapshot(counters_baseline)))
+            conn.send(("snapshot", replica.snapshot(body.counters)))
         elif tag == "stop":
             return
         else:
@@ -481,18 +481,22 @@ class ProcessBackend(ExecutionBackend):
         plus the average row, in the model's parameter dtype. When an
         accelerator trainer loads under a lossy policy, the session's
         wire table rides along — encoded (or raising, for an int8 store
-        with a non-finite row) before the segment exists."""
+        with a non-finite row) before the segment exists. The parent
+        loads no batch, so it then drops its own copy: the segment's is
+        the only one."""
         from ..shm import SharedFeatureStore
         s = self.session
         table = None
         if any(t.kind == "accel" for t in s.trainers):
             table = s.pipeline.table("accel")
         flat = s.trainers[0].model.get_flat_params()
-        return SharedFeatureStore.create(
+        store = SharedFeatureStore.create(
             s.dataset, sampler_spec=s.shared_sampler_spec(),
             grad_slab=np.zeros_like(
                 flat, shape=(s.num_trainers + 1, flat.size)),
             wire_table=table, **self.store_extras)
+        s.pipeline.wire_table = None
+        return store
 
     # ------------------------------------------------------------------
     def run(self, iterations: int) -> RunReport:

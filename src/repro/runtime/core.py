@@ -362,19 +362,19 @@ class TrainingSession:
                 trainers.append(TrainerNode(
                     "cpu", "cpu",
                     build_model(cfg.model, self.dims, cfg.seed),
-                    None, self.dims, cfg.model))
+                    self.dims, cfg.model))
             for i in range(self.platform.num_accelerators):
                 trainers.append(TrainerNode(
                     f"accel{i}", "accel",
                     build_model(cfg.model, self.dims, cfg.seed),
-                    None, self.dims, cfg.model))
+                    self.dims, cfg.model))
             return trainers
         for i in range(num_trainers):
             kind = "cpu" if (i == 0 and self.sys_cfg.hybrid) else "accel"
             trainers.append(TrainerNode(
                 f"trainer{i}", kind,
                 build_model(cfg.model, self.dims, cfg.seed),
-                None, self.dims, cfg.model))
+                self.dims, cfg.model))
         return trainers
 
     # ------------------------------------------------------------------
@@ -437,9 +437,9 @@ class TrainingSession:
 
     def transfer_stage(self, x0: np.ndarray,
                        trainer_kind: str) -> np.ndarray:
-        """Transfer stage: the PCIe quantization policy for this link,
-        applied in place — ``x0`` is consumed (pass a fresh gather
-        result)."""
+        """Transfer stage: the PCIe quantization policy for this link —
+        the wire round trip into a fresh array for an accelerator under
+        a lossy policy, else ``x0`` itself."""
         return self.pipeline.transfer(x0, trainer_kind)
 
     def load_features(self, mb: MiniBatch, trainer_kind: str) -> np.ndarray:

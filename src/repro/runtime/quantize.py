@@ -13,10 +13,10 @@ memory, matching the mechanism). ``tests/integration`` and
 ``benchmarks/bench_extension_quantization.py`` quantify both sides of
 the trade.
 
-The round trip is :func:`repro.kernels.quantize`: ``"fp32"`` is the
-identity, ``"fp16"`` an IEEE-half round trip, ``"int8"`` per-row
-symmetric linear quantization (each row ships one fp32 scale beside its
-payload), always in the input's own float dtype. Because the
+The wire form is :mod:`repro.kernels`' one quantizer: ``"fp16"``
+ships IEEE halves, ``"int8"`` per-row symmetric linear codes (each row
+ships one fp32 scale beside its payload), and decoding restores the
+input's own float dtype; ``"fp32"`` has no wire form. Because the
 quantization depends only on the row, every plane encodes its store
 into wire form once (:func:`repro.kernels.encode`) and its accelerator
 loads gather the codes and decode them
@@ -24,9 +24,9 @@ loads gather the codes and decode them
 the process planes the parent encodes and the shared segment carries
 the table to the workers. The split transfer stage
 (:meth:`repro.runtime.stage_pipeline.StagePipeline.transfer`), which
-the bench replay times, runs the per-batch round trip in place on the
-rows the gather stage just produced. Both are bit-identical to the
-reference oracle (``docs/kernels.md`` documents the contract).
+the bench replay times, encodes and decodes the batch the gather stage
+just produced. Both are bit-identical to the reference oracle's round
+trip (``docs/kernels.md`` documents the contract).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import kernels
+from .stage_pipeline import dequantize
 
 #: Bytes per feature element on the PCIe link, per precision mode
 #: (re-exported from :mod:`repro.kernels`, the single ground truth).
@@ -46,5 +47,5 @@ def quantization_rmse(x: np.ndarray, mode: str) -> float:
     if mode == "fp32":
         return 0.0
     x = np.asarray(x, dtype=np.float64)
-    err = kernels.decode(kernels.encode(x, mode)) - x
+    err = dequantize(kernels.encode(x, mode)) - x
     return float(np.sqrt(np.mean(err * err)))

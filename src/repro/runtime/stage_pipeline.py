@@ -35,29 +35,31 @@ depends only on the row, so ``quantize(F[idx]) == quantize(F)[idx]``
 bit for bit. A pipeline encodes its read-only store into a wire table
 (:func:`repro.kernels.encode`) on the first accelerator load under a
 lossy policy, once, under a lock (:meth:`StagePipeline.table`); every
-accelerator ``load`` / ``prepare`` then gathers the batch's wire codes
-(``gather_wire``) and decodes them into the destination. A process
+accelerator ``load`` / ``load_codes`` / ``prepare`` then gathers the
+batch's wire codes (``gather_wire``) and decodes them. A process
 plane's parent encodes its session's table before it creates the
 shared segment, which carries the codes (and int8 scales) to the
-workers; each worker replica adopts them as its ``wire_table`` and
-never encodes. fp32, CPU trainers and serving on ``device="cpu"``
-gather float rows and use no table.
+workers, and then drops its own copy; each worker replica adopts the
+segment's as its ``wire_table`` and never encodes. fp32, CPU trainers
+and serving on ``device="cpu"`` gather float rows and use no table.
 
-**Trainers fold the int8 scale.** GCN and SAGE aggregate before they
-update, so a per-row scale can ride on the input layer's edge weights
-instead of multiplying every feature element. The training lanes and
-the process workers load through :meth:`StagePipeline.load_codes`:
-an int8 accelerator batch arrives as the table's codes cast to the
-store's dtype plus their per-row scales. :meth:`~StagePipeline.load`
-and :meth:`~StagePipeline.prepare` (serving) keep returning
-dequantized rows.
+**Trainers fold the int8 scale.** ``kernels.decode`` is the cast
+alone and hands back the per-row scales; :func:`dequantize` is the one
+place they multiply the rows, for :meth:`~StagePipeline.load`,
+:meth:`~StagePipeline.prepare` (serving) and
+:meth:`~StagePipeline.transfer`, which return dequantized rows. GCN
+and SAGE aggregate before they update, so a per-row scale can ride on
+the input layer's edge weights instead of multiplying every feature
+element: the training lanes and the process workers load through
+:meth:`StagePipeline.load_codes`, and an int8 accelerator batch
+arrives as the table's codes cast to the store's dtype plus their
+per-row scales.
 
-**Transfer is the split stage.** ``transfer`` is the per-batch round
-trip the bench replay times apart from the gather and checks bit for
-bit against the fused load: it quantizes accelerator-bound rows in
-place, in the array it is handed — always a fresh gather result,
-never the feature store or a batch something else still reads. No
-load calls it.
+**Transfer is the split stage.** ``transfer`` is the wire round trip
+the bench replay times apart from the gather and checks bit for bit
+against the fused load: it encodes the rows it is handed and decodes
+them into a fresh array, leaving its input untouched. No load calls
+it.
 """
 
 from __future__ import annotations
@@ -98,6 +100,16 @@ class WorkSource(Protocol):
 # ---------------------------------------------------------------------------
 # The pipeline
 # ---------------------------------------------------------------------------
+
+def dequantize(wire: kernels.WireRows) -> np.ndarray:
+    """Wire rows back to dequantized rows of the store's dtype: the
+    decode's cast, then the int8 scale multiply in place — the one
+    place a load runs that multiply."""
+    rows, scales = kernels.decode(wire)
+    if scales is not None:
+        rows *= scales
+    return rows
+
 
 @dataclass(frozen=True)
 class StageTimings:
@@ -172,13 +184,13 @@ class StagePipeline:
         round trip (paper §VIII extension) for this link, which the
         bench replay times and checks against :meth:`load`.
 
-        Accelerator-bound batches are quantized **in place** — ``x0``
-        is consumed and returned, so hand it a fresh gather result; the
-        CPU trainer reads host memory at full precision, so the stage
-        is the identity for it.
+        An accelerator-bound batch under a lossy policy is encoded and
+        decoded into a fresh array, bit for bit the decode of the same
+        rows from the wire table; the CPU trainer reads host memory at
+        full precision, so the stage is the identity for it.
         """
         if trainer_kind == "accel" and self.transfer_precision != "fp32":
-            return kernels.quantize(x0, self.transfer_precision, out=x0)
+            return dequantize(kernels.encode(x0, self.transfer_precision))
         return x0
 
     def table(self, trainer_kind: str) -> kernels.WireRows | None:
@@ -202,7 +214,7 @@ class StagePipeline:
         if table is None:
             return self.gather, lambda x0: x0
         return (lambda mb: kernels.gather_wire(table, mb.input_nodes),
-                kernels.decode)
+                dequantize)
 
     def load(self, mb: MiniBatch, trainer_kind: str) -> np.ndarray:
         """One batch's trainer-ready rows in a fresh array — the
@@ -226,8 +238,7 @@ class StagePipeline:
         table = self.table(trainer_kind)
         if table is None:
             return self.gather(mb), None
-        return kernels.decode_codes(
-            kernels.gather_wire(table, mb.input_nodes))
+        return kernels.decode(kernels.gather_wire(table, mb.input_nodes))
 
     def labels_for(self, mb: MiniBatch) -> np.ndarray | None:
         """This batch's target labels (``None`` on a label-free

@@ -1,10 +1,11 @@
 """Trainer nodes: one model replica bound to one (modelled) device.
 
-A :class:`TrainerNode` couples the functional plane (a real NumPy model
-replica trained on real sampled batches) with the timing plane (the
-device's kernel cost model evaluated on the same batch's statistics).
-The hybrid system instantiates one CPU trainer plus one per accelerator;
-the multi-GPU baseline instantiates accelerator trainers only.
+A :class:`TrainerNode` is the functional plane's trainer: a real NumPy
+model replica trained on real sampled batches, placed on a CPU or an
+accelerator (the timing plane prices the same batches through the
+device cost models in :mod:`repro.hw.cost_models`). The hybrid system
+instantiates one CPU trainer plus one per accelerator; the multi-GPU
+baseline instantiates accelerator trainers only.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from ..hw.cost_models import PropagationBreakdown
 from ..nn.loss import accuracy, softmax_cross_entropy
 from ..nn.models import GNNModel
 from ..sampling.base import MiniBatch
@@ -28,7 +28,6 @@ class TrainerReport:
     loss: float
     accuracy: float
     batch_targets: int
-    propagation: PropagationBreakdown | None
 
 
 class TrainerNode:
@@ -43,21 +42,18 @@ class TrainerNode:
         cross PCIe, which the runtime accounts).
     model:
         This trainer's model replica.
-    kernel_model:
-        Device cost model with a ``propagation(stats, dims, model)``
-        method, or ``None`` to skip timing (pure-functional tests).
     dims / model_name:
-        Layer dimensions and model family for the kernel model.
+        Layer dimensions and model family the replica was built with
+        (a process worker rebuilds its replica from them).
     """
 
     def __init__(self, name: str, kind: str, model: GNNModel,
-                 kernel_model, dims, model_name: str) -> None:
+                 dims, model_name: str) -> None:
         if kind not in ("cpu", "accel"):
             raise ConfigError(f"unknown trainer kind {kind!r}")
         self.name = name
         self.kind = kind
         self.model = model
-        self.kernel_model = kernel_model
         self.dims = tuple(dims)
         self.model_name = model_name
 
@@ -81,18 +77,5 @@ class TrainerNode:
         loss, dlogits = softmax_cross_entropy(logits, labels)
         acc = accuracy(logits, labels)
         self.model.backward(dlogits)
-        breakdown = None
-        if self.kernel_model is not None:
-            breakdown = self.kernel_model.propagation(
-                minibatch.stats(), self.dims, self.model_name)
         return TrainerReport(trainer=self.name, loss=loss, accuracy=acc,
-                             batch_targets=minibatch.targets.size,
-                             propagation=breakdown)
-
-    def evaluate(self, minibatch: MiniBatch, x0: np.ndarray,
-                 labels: np.ndarray,
-                 global_degrees: np.ndarray | None) -> tuple[float, float]:
-        """(loss, accuracy) without touching gradients."""
-        logits = self.model.predict(minibatch, x0, global_degrees)
-        loss, _ = softmax_cross_entropy(logits, labels)
-        return loss, accuracy(logits, labels)
+                             batch_targets=minibatch.targets.size)

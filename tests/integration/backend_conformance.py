@@ -55,9 +55,9 @@ Third-party backends needing constructor arguments can extend
 Two checks cover the data path on every registered plane:
 :func:`assert_trains_in_store_dtype` — parameters, gradients and the
 shm gradient slab are float32, the feature store's dtype, and no gather
-widens — and :func:`assert_store_untouched_by_int8_run` — the transfer
-stage quantizes in place, but only ever a fresh gather, never the
-feature store itself.
+widens — and :func:`assert_store_untouched_by_int8_run` — an int8 run
+writes neither into the feature store nor into the wire table it
+decodes from.
 
 :func:`analytic_lookahead` holds a calibrating backend to the purely
 analytic (uncalibrated) trajectory, for the pins that compare it with
@@ -86,7 +86,6 @@ from unittest import mock
 
 import numpy as np
 
-from repro import kernels
 from repro.config import SystemConfig, TrainingConfig, layer_dims
 from repro.errors import ConfigError
 from repro.graph.datasets import GraphDataset
@@ -107,7 +106,7 @@ from repro.runtime.resctl import (
     OnlineEstimator,
 )
 from repro.runtime.shm import SharedFeatureStore
-from repro.runtime.stage_pipeline import StagePipeline
+from repro.runtime.stage_pipeline import StagePipeline, dequantize
 from repro.sampling import build_sampler
 from repro.serving import ServingConfig, ServingSession, VirtualClock
 
@@ -761,16 +760,25 @@ def assert_trains_in_store_dtype(name: str,
         f"{name}: gathers widened ({stats})"
 
 
+def _assert_table_untouched(name: str, table, before) -> None:
+    """``table`` is read-only and still the encoding of ``before``."""
+    assert not (table.codes.flags.writeable
+                or table.scales.flags.writeable), \
+        f"{name}: the wire table is writeable"
+    assert np.array_equal(dequantize(table),
+                          reference.quantize(before, "int8")), \
+        f"{name}: the run wrote into the wire table"
+
+
 def assert_store_untouched_by_int8_run(name: str,
                                        dataset: GraphDataset) -> None:
-    """The transfer stage consumes its input: it quantizes
-    accelerator-bound rows in place, so every plane must hand it a
-    fresh gather, never the store. After an int8 run on backend
-    ``name`` that did quantize (or decode), the feature store the
-    trainers read — ``dataset.features`` in process, the shared
-    segment's features on a process plane — is bit-identical to before
-    the run, and so is the session's wire table, if the run built
-    one: read-only, still the encoding of the untouched store."""
+    """No plane writes into what its loads read. After an int8 run on
+    backend ``name`` that did decode, the feature store the trainers
+    read — ``dataset.features`` in process, the shared segment's
+    features on a process plane — is bit-identical to before the run,
+    and so is the wire table the run decoded from — the session's, or
+    the segment's on a process plane, whose parent keeps none: read-only,
+    still the encoding of the untouched store."""
     before = dataset.features.copy()
     session = make_session(INT8_TRANSFER_CASE, dataset)
     stores = []
@@ -789,22 +797,19 @@ def assert_store_untouched_by_int8_run(name: str,
         for store, snapshot in stores:
             assert np.array_equal(store.features, snapshot), \
                 f"{name}: the run wrote into the shared feature store"
+            _assert_table_untouched(name, store.wire_table, before)
     assert (len(stores) == 1) == (name in PROCESS_PRESETS), \
         f"{name}: {len(stores)} shared stores"
-    stats = report.kernel_stats
-    assert stats.get("quantize_calls", 0) \
-        + stats.get("decode_calls", 0) > 0, \
-        f"{name}: no accelerator batch was quantized"
+    assert report.kernel_stats.get("decode_calls", 0) > 0, \
+        f"{name}: no accelerator batch was decoded"
     assert np.array_equal(dataset.features, before), \
         f"{name}: the run wrote into dataset.features"
     table = session.pipeline.wire_table
+    assert (table is None) == (name in PROCESS_PRESETS), \
+        f"{name}: a session keeps its wire table exactly off the " \
+        "process planes"
     if table is not None:
-        assert not (table.codes.flags.writeable
-                    or table.scales.flags.writeable), \
-            f"{name}: the wire table is writeable"
-        assert np.array_equal(kernels.decode(table),
-                              reference.quantize(before, "int8")), \
-            f"{name}: the run wrote into the wire table"
+        _assert_table_untouched(name, table, before)
 
 
 def _assert_epoch_bookkeeping(case, cand_session, cand) -> None:

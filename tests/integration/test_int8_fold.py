@@ -14,7 +14,8 @@ hooks — ``load_features``, ``transfer_stage`` and serving's
   bit;
 * the folded forward matches the dequantized one to float32 tolerance,
   logits and parameter gradients, GCN and SAGE;
-* no lane or worker int8 load runs the full-size scale multiply;
+* no lane or worker int8 load runs the full-size scale multiply
+  (:func:`~repro.runtime.stage_pipeline.dequantize`, its one site);
 * the replay's op check: the split stages equal the fused load for
   every precision and trainer kind.
 """
@@ -26,11 +27,12 @@ import numpy as np
 import pytest
 
 from repro import SystemConfig, TrainingConfig
-from repro.kernels import COUNTERS, fast, reference
+from repro.kernels import KernelCounters, fast, reference, scoped_counters
 from repro.nn.loss import softmax_cross_entropy
 from repro.nn.models import build_model
 from repro.runtime import SharedFeatureStore, TrainingSession, build_backend
 from repro.runtime.backends.process import WorkerReplica, WorkerSpec
+from repro.runtime import stage_pipeline
 from repro.runtime.stage_pipeline import StagePipeline
 
 _CFG = TrainingConfig(model="sage", minibatch_size=32, fanouts=(4, 3),
@@ -57,7 +59,7 @@ def test_lane_codes_equal_worker_codes(tier, tiny_ds, monkeypatch):
     codes and scales bit for bit, from the segment's copy and without
     encoding; (b) their product is the dequantized load."""
     if tier == "reference":
-        for op in ("gather", "quantize"):
+        for op in ("gather", "encode", "decode"):
             monkeypatch.setattr(fast, op, getattr(reference, op))
     feats = tiny_ds.features.copy()
     feats[4] = 0.0
@@ -80,9 +82,10 @@ def test_lane_codes_equal_worker_codes(tier, tiny_ds, monkeypatch):
     try:
         mb = _batch([4, 9, 0, 9, -1, 23, 4])
         lane_x, lane_s = session.pipeline.load_codes(mb, "accel")
-        before = COUNTERS.snapshot()
-        work_x, work_s = replica.load_codes(mb, "accel")
-        assert "encode_calls" not in COUNTERS.delta(before)
+        bag = KernelCounters()
+        with scoped_counters(bag):
+            work_x, work_s = replica.load_codes(mb, "accel")
+        assert "encode_calls" not in bag.snapshot()
         assert not replica.wire_table.codes.flags.writeable
     finally:
         replica.release_views()
@@ -151,20 +154,16 @@ def test_folded_forward_matches_dequantized(model_name, tiny_ds):
 
 
 def _refuse_full_size_multiply(monkeypatch):
-    """Make every full-size int8 scale multiply raise: ``quantize`` in
-    int8, and ``decode`` with scales. Forked workers inherit it."""
-    real_quantize, real_decode = fast.quantize, fast.decode
+    """Make the one full-size int8 scale multiply raise:
+    ``stage_pipeline.dequantize`` of rows that carry scales. Forked
+    workers inherit it."""
+    real = stage_pipeline.dequantize
 
-    def quantize(x, mode, out=None):
-        assert mode != "int8", "a load ran the int8 round trip"
-        return real_quantize(x, mode, out=out)
+    def dequantize(wire):
+        assert wire.scales is None, "a load ran the int8 scale multiply"
+        return real(wire)
 
-    def decode(codes, scales, dtype):
-        assert scales is None, "a load ran the decode's scale multiply"
-        return real_decode(codes, scales, dtype)
-
-    monkeypatch.setattr(fast, "quantize", quantize)
-    monkeypatch.setattr(fast, "decode", decode)
+    monkeypatch.setattr(stage_pipeline, "dequantize", dequantize)
 
 
 @pytest.mark.parametrize("name", ["virtual", "threaded", "process"])
@@ -181,7 +180,7 @@ def test_no_lane_or_worker_runs_the_scale_multiply(name, tiny_ds,
         report = backend.run_epoch()
     assert np.isfinite(report.losses).all()
     stats = report.kernel_stats
-    assert stats.get("decode_calls", 0) + stats.get("quantize_calls", 0)
+    assert stats["decode_calls"] > 0
     assert stats["payload_bytes"] > 0
 
 

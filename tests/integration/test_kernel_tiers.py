@@ -5,8 +5,8 @@ The kernels' exactness contract (``docs/kernels.md``) says
 :mod:`repro.kernels.reference` oracle on every training-path op. These
 tests hold the *backends* to it: the same session run on either
 implementation — on the flagship hybrid + DRM + int8 conformance case,
-where the accelerator load gathers the wire table's codes — must
-produce the same trajectory bit for bit. This is what licenses
+where the accelerator load encodes the wire table and gathers and
+decodes its codes — must produce the same trajectory bit for bit. This is what licenses
 shipping the fast kernels without perturbing any previously recorded
 result.
 
@@ -20,11 +20,11 @@ import numpy as np
 import pytest
 
 from backend_conformance import CONFORMANCE_CASES, run_backend
-from repro import kernels
-from repro.kernels import fast, reference
+from repro.kernels import KernelCounters, fast, reference, scoped_counters
 
 #: The flagship case: hybrid CPU+accel split, DRM, int8 PCIe transfer
-#: — the row gather and the wire table's codes gather on the hot path.
+#: — the row gather, the table's encode and the codes' gather and
+#: decode on the hot path.
 _FLAGSHIP = CONFORMANCE_CASES[0]
 
 #: Lock-step backends owing bit-parity; the statistical-tier planes are
@@ -32,7 +32,7 @@ _FLAGSHIP = CONFORMANCE_CASES[0]
 #: fast kernels against the virtual reference).
 _STRICT_BACKENDS = ("virtual", "threaded", "process")
 
-_OPS = ("gather", "quantize")
+_OPS = ("gather", "encode", "decode")
 
 
 @pytest.fixture()
@@ -80,17 +80,17 @@ def test_fast_tier_conformance_against_reference_tier_oracle(
 
 
 def test_kernel_stats_reported_across_planes(tiny_ds):
-    """Every plane's report carries the kernel-traffic delta, and the
+    """Every plane's report carries the kernel-traffic counts, and the
     process plane's totals come from the workers (nonzero gather
-    traffic with a zero parent-side delta)."""
-    parent_before = kernels.COUNTERS.snapshot()
-    _, report = run_backend("process", _FLAGSHIP, tiny_ds)
-    parent_delta = kernels.COUNTERS.delta(parent_before)
+    traffic, while the parent thread gathered nothing itself)."""
+    parent = KernelCounters()
+    with scoped_counters(parent):
+        _, report = run_backend("process", _FLAGSHIP, tiny_ds)
     # Every batch gathers; the accel replicas decode the segment's
-    # wire table (int8) and never quantize.
+    # wire table (int8) and never encode.
     assert report.kernel_stats.get("gather_rows", 0) > 0
     assert report.kernel_stats.get("decode_calls", 0) > 0    # int8 accel
-    assert "quantize_calls" not in report.kernel_stats
+    assert "encode_calls" not in report.kernel_stats
     assert report.kernel_stats.get("payload_bytes", 0) > 0
-    # The parent gathered nothing itself: stats crossed the pipe.
-    assert parent_delta.get("gather_rows", 0) == 0
+    # Stats crossed the pipe: the parent only encoded the table.
+    assert parent.snapshot() == {"encode_calls": 1}

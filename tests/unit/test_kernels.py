@@ -4,12 +4,14 @@ Three layers of guarantee:
 
 * **dispatch** — input validation, bounds errors, and the dispatchers
   calling ``fast.<op>`` looked up at call time (no tier machinery);
-* **exactness** (hypothesis) — the fast kernels match the reference
-  oracle *bit for bit* for gather and quantize, and so does the one
-  load path, :meth:`~repro.runtime.stage_pipeline.StagePipeline.load`
-  (a wire-table decode for a lossy accelerator load, a plain gather
-  otherwise), and the split transfer stage (gather, then quantize in
-  place), including empty batches, duplicate and negative indices,
+* **exactness** (hypothesis) — the fast kernels match their reference
+  twins *bit for bit* for gather, encode and decode, the decoded codes
+  times their scales match the oracle's ``quantize`` round trip, and
+  so does the one load path,
+  :meth:`~repro.runtime.stage_pipeline.StagePipeline.load` (a
+  wire-table decode for a lossy accelerator load, a plain gather
+  otherwise), and the split transfer stage (gather, then encode and
+  decode), including empty batches, duplicate and negative indices,
   non-contiguous feature stores, float32 and float64 storage;
 * **accounting** — fresh load arrays and the traffic counters the
   backends attach to their reports.
@@ -27,7 +29,6 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.errors import ConfigError
 from repro.kernels import (
-    COUNTERS,
     KernelCounters,
     fast,
     merge_counts,
@@ -42,6 +43,16 @@ common_settings = settings(
     suppress_health_check=[HealthCheck.too_slow])
 
 MODES = ("fp32", "fp16", "int8")
+
+LOSSY = ("fp16", "int8")
+
+
+def _counted(fn) -> dict[str, int]:
+    """The kernel counters ``fn()`` records on this thread."""
+    bag = KernelCounters()
+    with scoped_counters(bag):
+        fn()
+    return bag.snapshot()
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +101,9 @@ def quantize_inputs(draw):
 #: Everything ``repro.kernels`` exports: the dispatchers and their
 #: accounting, the two implementation modules — and no tier registry,
 #: selection override, environment knob or fallback ladder.
-_PUBLIC = {"TRANSFER_BYTES", "payload_bytes", "gather_rows", "quantize",
-           "WireRows", "encode", "gather_wire", "decode", "decode_codes",
-           "fast", "reference", "COUNTERS", "KernelCounters", "record",
+_PUBLIC = {"TRANSFER_BYTES", "payload_bytes", "gather_rows",
+           "WireRows", "encode", "gather_wire", "decode",
+           "fast", "reference", "KernelCounters", "record",
            "scoped_counters", "merge_counts"}
 
 
@@ -111,7 +122,8 @@ class TestDispatch:
 
     @pytest.mark.parametrize("op, dispatch", [
         ("gather", lambda x: kernels.gather_rows(x, np.array([0, 1]))),
-        ("quantize", lambda x: kernels.quantize(x, "int8")),
+        ("encode", lambda x: kernels.encode(x, "int8").codes),
+        ("decode", lambda x: kernels.decode(kernels.encode(x, "int8"))[0]),
     ])
     def test_dispatcher_looks_fast_up_at_call_time(self, monkeypatch, op,
                                                    dispatch):
@@ -135,7 +147,7 @@ class TestDispatch:
         with pytest.raises(ConfigError, match="2-D"):
             kernels.gather_rows(np.zeros(4), np.array([0]))
         with pytest.raises(ConfigError, match="transfer precision"):
-            kernels.quantize(np.zeros((2, 2)), "int4")
+            kernels.encode(np.zeros((2, 2)), "int4")
         with pytest.raises(ConfigError, match="transfer precision"):
             payload_bytes("int4", 2, 2)
 
@@ -163,28 +175,57 @@ class TestGatherExactness:
         np.testing.assert_array_equal(want, got)
 
 
-class TestQuantizeExactness:
+def _assert_wire_twins(x, mode):
+    """``fast`` and ``reference`` encode and decode ``x`` bit for bit
+    alike, and the decoded codes times their scales are the oracle's
+    round trip."""
+    codes, scales = fast.encode(x, mode)
+    want_codes, want_scales = reference.encode(x, mode)
+    assert codes.dtype == want_codes.dtype
+    np.testing.assert_array_equal(want_codes, codes)
+    if mode == "fp16":
+        assert scales is None and want_scales is None
+    else:
+        assert scales.dtype == want_scales.dtype == x.dtype
+        np.testing.assert_array_equal(want_scales, scales)
+    rows = fast.decode(codes, x.dtype)
+    np.testing.assert_array_equal(reference.decode(codes, x.dtype), rows)
+    if scales is not None:
+        rows *= scales
+    assert rows.dtype == x.dtype                 # dtype preservation
+    np.testing.assert_array_equal(reference.quantize(x, mode), rows)
+
+
+class TestWireExactness:
     @common_settings
-    @given(quantize_inputs(), st.sampled_from(MODES))
+    @given(quantize_inputs(), st.sampled_from(LOSSY))
     def test_fast_matches_reference_bitwise(self, x, mode):
-        want = reference.quantize(x, mode)
-        got = fast.quantize(x, mode)
-        assert got.dtype == x.dtype          # dtype preservation
-        np.testing.assert_array_equal(want, got)
+        _assert_wire_twins(x, mode)
 
     def test_tie_rounding_and_clip_order(self):
         # 127.5/absmax boundaries: round-then-clip must match the
         # reference on exact ties (bankers' rounding at ±.5).
         x = np.array([[127.5, -127.5, 254.0, -254.0, 1.0]],
                      dtype=np.float64) / 254.0 * 2.0
-        np.testing.assert_array_equal(reference.quantize(x, "int8"),
-                                      fast.quantize(x, "int8"))
+        _assert_wire_twins(x, "int8")
 
-    def test_zero_and_nonfinite_rows(self):
-        x = np.zeros((3, 4), dtype=np.float32)
-        np.testing.assert_array_equal(reference.quantize(x, "int8"),
-                                      fast.quantize(x, "int8"))
-        assert not fast.quantize(x, "int8").any()
+    @pytest.mark.parametrize("mode", LOSSY)
+    def test_zero_and_subnormal_scale_rows(self, mode):
+        x = np.random.default_rng(7).standard_normal(
+            (3, 4)).astype(np.float32)
+        x[0] = 0.0
+        x[2] *= np.finfo(np.float32).tiny * 50     # absmax / 127 < tiny
+        _assert_wire_twins(x, mode)
+        assert not fast.encode(x, mode)[0][0].any()
+
+    @pytest.mark.parametrize("encode", [fast.encode, reference.encode],
+                             ids=["fast", "reference"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_int8_row_raises_on_both_tiers(self, encode, bad):
+        x = np.ones((4, 3), dtype=np.float32)
+        x[2, 1] = bad
+        with pytest.raises(ConfigError, match="row 2 is not finite"):
+            encode(x, "int8")
 
 
 def _load(feats, idx, mode, kind="accel"):
@@ -210,19 +251,20 @@ class TestLoadExactness:
             np.testing.assert_array_equal(want, got)
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_transfer_consumes_its_input(self, mode):
-        """Accelerator rows are quantized in the array handed over (no
-        second batch-sized buffer); the CPU trainer's pass through
-        untouched."""
+    def test_transfer_leaves_its_input(self, mode):
+        """Lossy accelerator rows come back decoded into a fresh array
+        and the rows handed over stay as they were; fp32 and the CPU
+        trainer's rows pass through as they are."""
         rows = np.random.default_rng(1).standard_normal(
             (6, 5)).astype(np.float32)
         pipe = StagePipeline(None, rows, None, mode)
         x0 = rows.copy()
-        assert pipe.transfer(x0, "accel") is x0
-        np.testing.assert_array_equal(x0, reference.quantize(rows, mode))
-        x0 = rows.copy()
-        assert pipe.transfer(x0, "cpu") is x0
+        got = pipe.transfer(x0, "accel")
+        np.testing.assert_array_equal(got, reference.quantize(rows, mode))
         np.testing.assert_array_equal(x0, rows)
+        assert (got is x0) == (mode == "fp32")
+        assert pipe.wire_table is None            # no store table
+        assert pipe.transfer(x0, "cpu") is x0
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +275,7 @@ class TestCounters:
     def test_gather_counts_bytes(self):
         feats = np.ones((50, 10), dtype=np.float32)
         idx = np.arange(20)
-        before = COUNTERS.snapshot()
-        kernels.gather_rows(feats, idx)
-        d = COUNTERS.delta(before)
+        d = _counted(lambda: kernels.gather_rows(feats, idx))
         assert d["gather_calls"] == 1
         assert d["gather_rows"] == 20
         assert d["gather_src_bytes"] == 20 * 10 * 4
@@ -244,9 +284,7 @@ class TestCounters:
     def test_load_counts_wire_gather_plus_decode_payload(self):
         feats = np.ones((50, 10), dtype=np.float32)
         idx = np.arange(20)
-        before = COUNTERS.snapshot()
-        _load(feats, idx, "int8")
-        d = COUNTERS.delta(before)
+        d = _counted(lambda: _load(feats, idx, "int8"))
         assert d["encode_calls"] == d["gather_calls"] == \
             d["decode_calls"] == 1
         assert d["gather_rows"] == 20
@@ -254,14 +292,12 @@ class TestCounters:
             20 * 10 * 1 + 20 * 4
         assert "quantize_calls" not in d
 
-    def test_quantize_counts_input_and_payload(self):
+    def test_transfer_counts_an_encode_and_the_decoded_payload(self):
         x = np.ones((6, 5), dtype=np.float32)
-        before = COUNTERS.snapshot()
-        kernels.quantize(x, "fp16")
-        d = COUNTERS.delta(before)
-        assert d["quantize_calls"] == 1
-        assert d["quantize_in_bytes"] == 6 * 5 * 4
-        assert d["payload_bytes"] == 6 * 5 * 2
+        pipe = StagePipeline(None, x, None, "fp16")
+        d = _counted(lambda: pipe.transfer(x, "accel"))
+        assert d == {"encode_calls": 1, "decode_calls": 1,
+                     "payload_bytes": 6 * 5 * 2}
 
     def test_scoped_counters_see_only_this_threads_dispatches(self):
         mine = KernelCounters()
@@ -356,7 +392,7 @@ class TestFreshLoads:
         else:
             wire = kernels.gather_wire(table, idx)
             src = wire.codes
-            results = [kernels.decode(wire) for _ in range(2)]
+            results = [kernels.decode(wire)[0] for _ in range(2)]
         _assert_owned(results[0], src)
         _assert_owned(results[1], src, results[0])
 
@@ -372,16 +408,18 @@ class TestDispatchMatchesReference:
 
     @common_settings
     @given(gather_cases(), st.sampled_from(MODES))
-    def test_dispatched_pair_across_tiers(self, case, mode):
+    def test_split_stages_across_tiers(self, case, mode):
         feats, idx = case
+        pipe = StagePipeline(None, feats, None, mode)
         np.testing.assert_array_equal(
             reference.quantize(reference.gather(feats, idx), mode),
-            kernels.quantize(kernels.gather_rows(feats, idx), mode))
+            pipe.transfer(kernels.gather_rows(feats, idx), "accel"))
 
-    def test_quantize_preserves_dtype(self):
+    def test_round_trip_preserves_dtype(self):
         for dtype in (np.float32, np.float64):
             x = np.random.default_rng(3).standard_normal(
                 (8, 5)).astype(dtype)
             for mode in MODES:
+                pipe = StagePipeline(None, x, None, mode)
                 assert reference.quantize(x, mode).dtype == dtype
-                assert kernels.quantize(x, mode).dtype == dtype
+                assert pipe.transfer(x, "accel").dtype == dtype

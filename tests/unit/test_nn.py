@@ -382,8 +382,7 @@ class TestBackwardStopsAtParameters:
         plane are pinned to each other."""
         mb, x0, labels, m = _batch_and_model("sage", tiny_ds,
                                              tiny_sampler)
-        node = TrainerNode("t", "cpu", m, None, _dims(tiny_ds, 2),
-                           "sage")
+        node = TrainerNode("t", "cpu", m, _dims(tiny_ds, 2), "sage")
         with _spy(SparseAggregator, "backward") as spy:
             node.train_minibatch(mb, x0, labels,
                                  tiny_ds.graph.out_degrees)
@@ -394,8 +393,7 @@ class TestBackwardStopsAtParameters:
         mb, x0, labels, m = _batch_and_model("gcn", tiny_ds,
                                              tiny_sampler)
         deg = tiny_ds.graph.out_degrees
-        node = TrainerNode("t", "cpu", m, None, _dims(tiny_ds, 2),
-                           "gcn")
+        node = TrainerNode("t", "cpu", m, _dims(tiny_ds, 2), "gcn")
         clock = VirtualClock()
         serving = ServingSession(
             tiny_ds,
@@ -405,7 +403,6 @@ class TestBackwardStopsAtParameters:
                                  max_batch_targets=8), clock=clock)
         with _spy(SparseAggregator, "_build_transpose") as spy:
             m.predict(mb, x0, deg)
-            node.evaluate(mb, x0, labels, deg)
             serving.submit(tiny_ds.train_ids[:4])
             clock.advance(1.0)
             assert len(serving.step()) == 1

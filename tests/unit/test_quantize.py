@@ -5,12 +5,20 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.errors import ConfigError
-from repro.kernels import quantize
 from repro.runtime.quantize import TRANSFER_BYTES, quantization_rmse
+from repro.runtime.stage_pipeline import StagePipeline
+
+
+def quantize(x, mode):
+    """The transfer round trip an accelerator batch takes: the split
+    transfer stage, which encodes ``x`` into its wire form and decodes
+    it."""
+    return StagePipeline(None, x, None, mode).transfer(x, "accel")
 
 
 class TestQuantizeDequantize:
-    """The transfer round trip, :func:`repro.kernels.quantize`."""
+    """The transfer round trip,
+    :meth:`~repro.runtime.stage_pipeline.StagePipeline.transfer`."""
 
     def test_fp32_is_identity(self):
         x = np.random.default_rng(0).standard_normal((8, 4))

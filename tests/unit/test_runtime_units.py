@@ -242,43 +242,15 @@ class TestTrainerNode:
         dims = layer_dims(tiny_ds.spec.feature_dim, 8,
                           tiny_ds.spec.num_classes, 2)
         node = TrainerNode("t", "cpu", build_model("sage", dims, 0),
-                           None, dims, "sage")
+                           dims, "sage")
         mb = tiny_sampler.sample(tiny_ds.train_ids[:16])
         x0 = tiny_ds.features[mb.input_nodes].astype(np.float64)
         rep = node.train_minibatch(mb, x0, tiny_ds.labels[mb.targets],
                                    tiny_ds.graph.out_degrees)
         assert rep.loss > 0
         assert rep.batch_targets == 16
-        assert rep.propagation is None
         grads = node.model.get_flat_grads()
         assert np.abs(grads).sum() > 0
-
-    def test_kernel_model_timing_attached(self, tiny_ds, tiny_sampler):
-        from repro.hw.cost_models import CPUKernelModel
-        from repro.hw.specs import AMD_EPYC_7763
-        dims = layer_dims(tiny_ds.spec.feature_dim, 8,
-                          tiny_ds.spec.num_classes, 2)
-        node = TrainerNode("t", "cpu", build_model("gcn", dims, 0),
-                           CPUKernelModel(AMD_EPYC_7763), dims, "gcn")
-        mb = tiny_sampler.sample(tiny_ds.train_ids[:8])
-        x0 = tiny_ds.features[mb.input_nodes].astype(np.float64)
-        rep = node.train_minibatch(mb, x0, tiny_ds.labels[mb.targets],
-                                   tiny_ds.graph.out_degrees)
-        assert rep.propagation is not None
-        assert rep.propagation.total_s > 0
-
-    def test_evaluate_leaves_grads_untouched(self, tiny_ds,
-                                             tiny_sampler):
-        dims = layer_dims(tiny_ds.spec.feature_dim, 8,
-                          tiny_ds.spec.num_classes, 2)
-        node = TrainerNode("t", "cpu", build_model("gcn", dims, 0),
-                           None, dims, "gcn")
-        mb = tiny_sampler.sample(tiny_ds.train_ids[:8])
-        x0 = tiny_ds.features[mb.input_nodes].astype(np.float64)
-        loss, acc = node.evaluate(mb, x0, tiny_ds.labels[mb.targets],
-                                  tiny_ds.graph.out_degrees)
-        assert loss > 0 and 0.0 <= acc <= 1.0
-        assert not node.model.get_flat_grads().any()
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from it).
 * **lifetime** — a session builds its table at most once, on its
   first accelerator load, and fp32, all-CPU and serving
   ``device="cpu"`` sessions build none; a process plane's parent
-  builds it before the shared segment, whose copy the workers decode
-  from without encoding.
+  builds it before the shared segment and then drops its own copy, and
+  the workers decode from the segment's without encoding.
 """
 
 import dataclasses
@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from repro import SystemConfig, TrainingConfig, kernels
 from repro.errors import ConfigError
-from repro.kernels import COUNTERS, fast, reference
+from repro.kernels import KernelCounters, fast, reference, scoped_counters
 from repro.runtime import SharedFeatureStore, TrainingSession, build_backend
 from repro.runtime.stage_pipeline import StagePipeline
 from repro.serving import ServingConfig, ServingSession
@@ -121,11 +121,12 @@ class TestTableExactness:
 
     @common_settings
     @given(case=table_cases())
-    def test_quantize_with_subnormal_scales_matches_reference(self,
-                                                              case):
+    def test_encode_with_subnormal_scales_matches_reference(self, case):
         feats, _ = case
-        np.testing.assert_array_equal(reference.quantize(feats, "int8"),
-                                      fast.quantize(feats, "int8"))
+        codes, scales = fast.encode(feats, "int8")
+        want_codes, want_scales = reference.encode(feats, "int8")
+        np.testing.assert_array_equal(want_codes, codes)
+        np.testing.assert_array_equal(want_scales, scales)
 
     def test_clip_skipped_only_where_it_is_the_identity(self):
         normal = np.array([[1.0, -2.0], [0.0, 0.0]], dtype=np.float32)
@@ -196,13 +197,20 @@ class TestGuards:
             kernels.encode(np.ones((2, 2)), "fp32")
 
 
+def _counted(fn) -> dict[str, int]:
+    """The kernel counters ``fn()`` records on this thread."""
+    bag = KernelCounters()
+    with scoped_counters(bag):
+        fn()
+    return bag.snapshot()
+
+
 class TestCounters:
     def test_codes_gather_and_decode_bill_the_wire(self):
         feats = np.ones((50, 10), dtype=np.float32)
         table = kernels.encode(feats, "int8")
-        before = COUNTERS.snapshot()
-        kernels.decode(kernels.gather_wire(table, np.arange(20)))
-        d = COUNTERS.delta(before)
+        d = _counted(lambda: kernels.decode(
+            kernels.gather_wire(table, np.arange(20))))
         assert d["gather_calls"] == d["decode_calls"] == 1
         assert d["gather_rows"] == 20
         assert d["gather_src_bytes"] == d["gather_out_bytes"] == \
@@ -212,9 +220,8 @@ class TestCounters:
 
     def test_fp16_decode_bills_half_width(self):
         table = kernels.encode(np.ones((8, 5), dtype=np.float32), "fp16")
-        before = COUNTERS.snapshot()
-        kernels.decode(kernels.gather_wire(table, np.arange(6)))
-        d = COUNTERS.delta(before)
+        d = _counted(lambda: kernels.decode(
+            kernels.gather_wire(table, np.arange(6))))
         assert d["gather_src_bytes"] == d["payload_bytes"] == 6 * 5 * 2
 
 
@@ -264,16 +271,18 @@ class TestTableLifetime:
     def test_process_workers_decode_from_the_segment(self, tiny_ds,
                                                      backend, precision):
         """The parent encodes the session's table once, before the
-        segment; the workers decode from the segment's copy and
-        neither encode nor quantize."""
+        segment, and keeps no copy of it; the workers decode from the
+        segment's and never encode."""
         session = _session(tiny_ds, precision, hybrid=True,
                            num_trainers=3)
         with build_backend(backend, session) as b:
             stats = b.run(2).kernel_stats
-        assert session.pipeline.wire_table is not None
-        assert "encode_calls" not in stats
-        assert "quantize_calls" not in stats
-        assert stats["decode_calls"] > 0
+            assert session.pipeline.wire_table is None
+            stats_again = b.run(1).kernel_stats
+        assert session.pipeline.wire_table is None
+        for s in (stats, stats_again):
+            assert "encode_calls" not in s
+            assert s["decode_calls"] > 0
 
     @pytest.mark.parametrize("device", ["cpu", "accel"])
     def test_serving_builds_only_for_an_accelerator(self, tiny_ds,
@@ -293,14 +302,17 @@ class TestTableLifetime:
         idx = np.arange(0, 4096, 7)
         want = reference.quantize(feats[idx], "int8")
         results = []
-        before = COUNTERS.snapshot()
+        bag = KernelCounters()
+
+        def first_load():
+            with scoped_counters(bag):
+                results.append(pipe.load(_batch(idx), "accel"))
+
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(
-                target=lambda: results.append(
-                    pipe.load(_batch(idx), "accel")))
-                for _ in range(8)]
+            threads = [threading.Thread(target=first_load)
+                       for _ in range(8)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -308,7 +320,7 @@ class TestTableLifetime:
         finally:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
-        assert COUNTERS.delta(before)["encode_calls"] == 1
+        assert bag.snapshot()["encode_calls"] == 1
         assert len(results) == 8
         for got in results:
             np.testing.assert_array_equal(want, got)
