@@ -1,8 +1,8 @@
 """Open-loop serving benchmark — latency, throughput, typed shedding.
 
 Three scenarios against one :class:`~repro.serving.ServingSession`
-configuration (paper-stack sampler + gather / in-place quantize +
-int8 transfer policy over the scaled ogbn-products workload):
+configuration (paper-stack sampler + gather from the int8 wire table
+over the scaled ogbn-products workload):
 
 * ``nominal`` — an offered rate comfortably inside capacity: nothing
   sheds, every request completes, accepted p99 stays inside the
@@ -34,7 +34,6 @@ import json
 from repro.bench.experiments import dataset, paper_config
 from repro.bench.harness import ExperimentResult
 from repro.config import SystemConfig
-from repro.runtime.resctl import NodeAllocator
 from repro.serving import (
     SHED_REASONS,
     LoadSpec,
@@ -87,9 +86,7 @@ def _serve(overrides: dict, spec: LoadSpec):
                            device="accel", **overrides)
     with ServingSession(dataset("ogbn-products"), cfg,
                         SystemConfig(transfer_precision="int8"),
-                        config=config,
-                        allocator=NodeAllocator(depth_budget=8)
-                        ) as session:
+                        config=config) as session:
         result = run_open_loop(session, spec)
     return result
 

@@ -12,12 +12,11 @@ There is no process-wide total. Every dispatch goes through
 calling thread is enlisted into via :func:`scoped_counters`; a
 dispatch from a thread with no bag is counted nowhere. That is how two
 concurrent sessions in one process (a training backend and a serving
-session, or two trainings under one
-:class:`~repro.runtime.resctl.NodeAllocator`) each get a
-``kernel_stats`` that counts only *their own* dispatches. In-process
-backends and serving sessions wrap their run and lane threads in
-``scoped_counters(self.counters)``; a process-plane worker enlists a
-fresh bag per run around its loads and ships its snapshot back.
+session, or two trainings) each get a ``kernel_stats`` that counts
+only *their own* dispatches. In-process backends and serving sessions
+wrap their run and lane threads in ``scoped_counters(self.counters)``;
+a process-plane worker enlists a fresh bag per run around its loads
+and ships its snapshot back.
 
 Thread safety: the lanes of the in-process backends dispatch kernels
 concurrently, so :meth:`KernelCounters.add` takes a lock. The costs

@@ -34,13 +34,11 @@ This package is the paper's primary contribution (§III-§IV):
 * :mod:`repro.runtime.shm` — :class:`SharedFeatureStore`, the
   single-segment shared-memory mapping of the dataset's features,
   labels and CSR topology that process workers gather from zero-copy;
-* :mod:`repro.runtime.resctl` — feedback-driven resource control:
-  :class:`OnlineEstimator` (calibrates the analytic perf model against
-  the realized per-stage wall times the live planes' replies carry)
-  — ``pipelined`` and ``process_pipelined`` calibrate their DRM step
-  through one — and :class:`NodeAllocator` (arbitrates a look-ahead
-  depth budget across concurrent serving sessions; see
-  ``docs/architecture.md``).
+* :mod:`repro.runtime.resctl` — online calibration:
+  :class:`OnlineEstimator` calibrates the analytic perf model against
+  the realized per-stage wall times the live planes' replies carry;
+  ``pipelined`` and ``process_pipelined`` calibrate their DRM step
+  through one (see ``docs/architecture.md``).
 
 The HyScale-GNN system is a :class:`TrainingSession` executed by a
 backend: ``VirtualTimeBackend(session)`` for the modelled-hardware
@@ -83,14 +81,7 @@ from .backends import (
 )
 from .backends.report import StageStats
 from .backends.overlap import LookaheadDealer
-from .resctl import (
-    DEFAULT_ALLOCATOR,
-    DepthGrant,
-    NodeAllocator,
-    OnlineEstimator,
-    fold_worker_realized,
-    summarize_calibration,
-)
+from .resctl import OnlineEstimator, fold_worker_realized
 
 __all__ = [
     "Signal",
@@ -121,12 +112,8 @@ __all__ = [
     "RunReport",
     "LookaheadDealer",
     "StageStats",
-    "DEFAULT_ALLOCATOR",
-    "DepthGrant",
-    "NodeAllocator",
     "OnlineEstimator",
     "fold_worker_realized",
-    "summarize_calibration",
     "SharedFeatureStore",
     "SharedSamplerSpec",
     "SharedStoreManifest",

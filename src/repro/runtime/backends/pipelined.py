@@ -365,7 +365,8 @@ class InProcessBackend(ExecutionBackend):
         fresh epoch permutations as needed. Only the feed runs ahead;
         the all-reduce stays a per-iteration barrier. A statistical
         preset's report carries ``trained_targets``, the coverage
-        evidence its tier checks."""
+        evidence its tier checks. A run that raises leaves every
+        ``session.samplers`` stream where it found it."""
         if iterations < 1:
             raise ProtocolError("iterations must be >= 1")
         s = self.session
@@ -374,6 +375,7 @@ class InProcessBackend(ExecutionBackend):
             report.trained_targets = []
         rows: list[list[float]] = []
         feed = self.feed(self, iterations, self.window(), report, rows)
+        streams = [sampler.stream_state for sampler in s.samplers]
         counters_before = self.counters.snapshot()
         start = time.perf_counter()
         try:
@@ -389,10 +391,15 @@ class InProcessBackend(ExecutionBackend):
                         it, sizes, answers, report, rows,
                         adjudicate=self.estimator is not None,
                         lanes=feed.lanes)
-        finally:
-            # Success and failure alike — a thread that failed to start
-            # included: no feed thread outlives the run.
-            lingering = feed.join()
+        except BaseException:
+            # A thread that failed to start included: no feed thread
+            # outlives the run, and every sampler stream is rewound,
+            # as a failed process run never hands one back.
+            feed.join()
+            for sampler, state in zip(s.samplers, streams):
+                sampler.stream_state = state
+            raise
+        lingering = feed.join()
         # Only reached on success: a thread that survived its join is
         # wedged outside any buffer wait — fail rather than return a
         # report it could still be mutating.

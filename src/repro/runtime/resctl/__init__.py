@@ -1,18 +1,13 @@
-"""Feedback-driven resource control: estimator → allocator.
+"""Feedback-driven resource control: online calibration.
 
-The runtime's timing plane predicts; this package *corrects and
-arbitrates*:
-
-* :class:`OnlineEstimator` (``estimator.py``) — per-stage
-  multiplicative correction factors calibrating the
-  :class:`~repro.perfmodel.model.PerformanceModel` against the realized
-  stage seconds every trained batch's reply carries (folded onto the
-  canonical :data:`REALIZED_STAGES` keys by
-  :func:`fold_worker_realized`), confidence-weighted and falling back
-  to the analytic model until warm;
-* :class:`NodeAllocator` (``allocator.py``) — a node-level look-ahead
-  depth budget arbitrated across concurrent
-  :class:`~repro.serving.ServingSession`s, released as sessions close.
+The runtime's timing plane predicts; this package *corrects*:
+:class:`OnlineEstimator` (``estimator.py``) keeps per-stage
+multiplicative correction factors calibrating the
+:class:`~repro.perfmodel.model.PerformanceModel` against the realized
+stage seconds every trained batch's reply carries (folded onto the
+canonical :data:`REALIZED_STAGES` keys by
+:func:`fold_worker_realized`), confidence-weighted and falling back
+to the analytic model until warm.
 
 The overlapped backends (``pipelined``, ``process_pipelined``) each own
 one estimator (``backend.estimator``), which every timing step
@@ -23,29 +18,17 @@ conformance contract is bit-parity with the analytic reference.
 ``docs/backends.md`` the wire-protocol contract.
 """
 
-from .allocator import (
-    DEFAULT_ALLOCATOR,
-    DEFAULT_DEPTH_BUDGET,
-    DepthGrant,
-    NodeAllocator,
-)
 from .estimator import (
     FIELD_BY_STAGE,
     REALIZED_STAGES,
     OnlineEstimator,
     fold_worker_realized,
     stage_key,
-    summarize_calibration,
 )
 
 __all__ = [
-    "DEFAULT_ALLOCATOR",
-    "DEFAULT_DEPTH_BUDGET",
-    "DepthGrant",
-    "NodeAllocator",
     "FIELD_BY_STAGE",
     "OnlineEstimator",
-    "summarize_calibration",
     "REALIZED_STAGES",
     "fold_worker_realized",
     "stage_key",

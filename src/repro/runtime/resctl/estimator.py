@@ -1,4 +1,4 @@
-"""Online model calibration (resctl stage 1 of 2).
+"""Online model calibration.
 
 The :class:`~repro.perfmodel.model.PerformanceModel` predicts stage
 times from batch statistics and platform constants; on a live plane
@@ -317,18 +317,3 @@ class OnlineEstimator:
             }
         return out
 
-
-def summarize_calibration(calibration: Mapping[str, Mapping]) -> str:
-    """One-line per-stage model-vs-realized error report — the single
-    formatter behind the wall-clock bench's ``calib`` column. Shows
-    warm stages' relative error (``xN`` factors beyond 10x so wildly
-    mis-scaled models stay readable); ``"-"`` when nothing is warm
-    (functional sessions, cold estimators)."""
-    parts = []
-    for stage, digest in calibration.items():
-        if not digest.get("warm"):
-            continue
-        err = float(digest.get("error", 0.0))
-        parts.append(f"{stage}:{err:.0%}" if err < 10.0
-                     else f"{stage}:x{err:.0f}")
-    return " ".join(parts) if parts else "-"

@@ -12,22 +12,24 @@ The pieces, front to back:
 
 * :mod:`~repro.serving.requests` — the typed request/response/shed
   surface;
-* :mod:`~repro.serving.admission` — bounded pending queue + per-tenant
-  credit buckets (all refusals happen here, before any stage work);
+* :mod:`~repro.serving.admission` — per-tenant credit buckets (every
+  refusal happens in the front door, before any stage work);
 * :mod:`~repro.serving.microbatch` — size-flushed coalescing into
   :class:`MicroBatch` work items, sealed early by an idle executor and
-  at the latest by the coalesce deadline;
+  at the latest by the coalesce deadline; its ``pending_requests`` is
+  the session's one pending ledger, bounded by
+  ``max_pending_requests``;
 * :mod:`~repro.serving.session` — :class:`ServingSession`, composing
   the shared :class:`~repro.runtime.stage_pipeline.StagePipeline`,
-  the model, session-scoped stats handles, and a
-  :class:`~repro.runtime.resctl.NodeAllocator` grant;
+  the model and session-scoped stats handles; each ``step`` executes
+  up to ``max_depth`` micro-batches;
 * :mod:`~repro.serving.loadgen` — the open-loop generator
   (``benchmarks/bench_serving.py`` wraps it).
 
 ``docs/serving.md`` is the user guide.
 """
 
-from .admission import AdmissionController, CreditScheduler
+from .admission import CreditScheduler
 from .clock import VirtualClock
 from .loadgen import LoadgenResult, LoadSpec, run_open_loop
 from .microbatch import MicroBatch, MicroBatcher
@@ -46,7 +48,6 @@ __all__ = [
     "ShedResponse",
     "MicroBatch",
     "MicroBatcher",
-    "AdmissionController",
     "CreditScheduler",
     "ServingConfig",
     "ServingReport",

@@ -1,15 +1,15 @@
-"""Admission control: bounded queueing and per-tenant credits.
+"""Admission control: per-tenant credits.
 
-Everything that can refuse a request lives here, *in front of* the
+Everything that can refuse a request happens *in front of* the
 micro-batcher — a shed request never allocates stage work, never
 touches the sampler, never holds queue space. Two independent gates:
 
-* :class:`AdmissionController` — a bound on requests admitted but not
-  yet completed (open batch + ready batches + in-execution). Overload
-  beyond the bound sheds ``queue_full`` instead of growing an
-  unbounded backlog; the bound is what keeps accepted-request latency
-  inside the budget when an open-loop client offers more than the
-  node can serve.
+* the pending bound — :meth:`~repro.serving.ServingSession.submit`
+  sheds ``queue_full`` once the batcher's pending ledger
+  (:attr:`~repro.serving.MicroBatcher.pending_requests`) holds
+  ``max_pending_requests``, instead of growing an unbounded backlog;
+  the bound is what keeps accepted-request latency inside the budget
+  when an open-loop client offers more than the node can serve;
 * :class:`CreditScheduler` — a token bucket per tenant, denominated in
   **target vertices** (the unit of stage work), refilled at
   ``rate_targets_per_s`` up to ``burst_targets``. A request whose
@@ -18,50 +18,15 @@ touches the sampler, never holds queue space. Two independent gates:
   exceeds refill + burst — is asserted by the serving conformance
   tier.
 
-Both use the session's injectable clock, so they are deterministic
-under a virtual clock in tests.
+The scheduler uses the session's injectable clock, so it is
+deterministic under a virtual clock in tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ConfigError
-
-
-class AdmissionController:
-    """Bounded pending-request accounting.
-
-    ``try_admit`` / ``complete`` bracket a request's admitted lifetime;
-    the controller never blocks — a full queue is an immediate, typed
-    refusal (the front door turns it into a ``queue_full``
-    :class:`~repro.serving.requests.ShedResponse`).
-    """
-
-    def __init__(self, max_pending_requests: int) -> None:
-        if max_pending_requests < 1:
-            raise ConfigError("max_pending_requests must be >= 1")
-        self.max_pending_requests = int(max_pending_requests)
-        self.pending = 0
-        self.admitted_total = 0
-        self.completed_total = 0
-
-    def try_admit(self) -> bool:
-        """Claim one pending slot; ``False`` means shed
-        ``queue_full``."""
-        if self.pending >= self.max_pending_requests:
-            return False
-        self.pending += 1
-        self.admitted_total += 1
-        return True
-
-    def complete(self, n: int = 1) -> None:
-        """Return ``n`` pending slots (requests completed)."""
-        if n < 0 or n > self.pending:
-            raise ConfigError(
-                f"completing {n} requests with {self.pending} pending")
-        self.pending -= n
-        self.completed_total += n
 
 
 @dataclass

@@ -120,11 +120,11 @@ def run_open_loop(session: ServingSession,
         session.step()
 
     deadline = clock() + spec.grace_s
-    while session.admission.pending > 0:
+    while session.batcher.pending_requests > 0:
         if clock() > deadline:
             raise ProtocolError(
                 f"serving drain exceeded the {spec.grace_s}s grace "
-                f"deadline with {session.admission.pending} pending")
+                f"deadline with {session.batcher.pending_requests} pending")
         session.step()
     wall = clock() - start
     return LoadgenResult(spec=spec, report=session.finalize_report(),

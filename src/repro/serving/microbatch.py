@@ -84,7 +84,7 @@ class MicroBatcher:
         Flush the open batch as soon as its total target count reaches
         this bound (a single oversized request still flushes — as its
         own batch — rather than being rejected here; sizing requests
-        is the admission controller's job).
+        is the front door's job).
     clock:
         Monotonic time source; injectable for property tests.
     """
@@ -105,9 +105,9 @@ class MicroBatcher:
         self._opened_s: float | None = None
         self._ready: deque[MicroBatch] = deque()
         self._seq = 0
-        #: Total flushed batches / requests (bookkeeping for reports).
-        self.flushed_batches = 0
-        self.flushed_requests = 0
+        #: The session's one pending ledger: requests offered and not
+        #: yet taken (open + ready). ``offer`` adds, ``take`` subtracts.
+        self.pending_requests = 0
 
     # ------------------------------------------------------------------
     def offer(self, request: InferenceRequest) -> None:
@@ -119,6 +119,7 @@ class MicroBatcher:
             self._opened_s = now
         self._open.append(request)
         self._open_targets += request.num_targets
+        self.pending_requests += 1
         if self._open_targets >= self.max_batch_targets:
             self._flush(now)
 
@@ -145,15 +146,12 @@ class MicroBatcher:
         """Pop up to ``limit`` ready (flushed) batches, oldest first."""
         out: list[MicroBatch] = []
         while self._ready and (limit is None or len(out) < limit):
-            out.append(self._ready.popleft())
+            batch = self._ready.popleft()
+            self.pending_requests -= len(batch)
+            out.append(batch)
         return out
 
     # ------------------------------------------------------------------
-    @property
-    def pending_requests(self) -> int:
-        """Requests accepted but not yet handed out: open + ready."""
-        return len(self._open) + sum(len(b) for b in self._ready)
-
     @property
     def ready_batches(self) -> int:
         return len(self._ready)
@@ -166,8 +164,6 @@ class MicroBatcher:
                            deadline_s=self.deadline_s(),
                            flushed_s=now)
         self._seq += 1
-        self.flushed_batches += 1
-        self.flushed_requests += len(self._open)
         self._open = []
         self._open_targets = 0
         self._opened_s = None

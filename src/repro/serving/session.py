@@ -10,13 +10,7 @@ parts the redesign extracted for exactly this purpose:
   identical hot path the training backends run;
 * it carries its own session-scoped
   :class:`~repro.kernels.KernelCounters` handle, so a serving session
-  and a co-tenant training session never interleave kernel stats;
-* it registers with the node's
-  :class:`~repro.runtime.resctl.NodeAllocator` — the grant's live
-  ``depth_cap`` bounds how many micro-batches one :meth:`step`
-  executes, which is how the resctl loop arbitrates between a
-  training run's look-ahead depth and a serving session's burst
-  capacity on one machine.
+  and a co-tenant training session never interleave kernel stats.
 
 The request lifecycle (single-threaded by design — the owner's serve
 loop drives ``submit``/``step``; determinism is what the conformance
@@ -26,9 +20,14 @@ tier and the property tests buy with that):
 ``no_credit`` typed sheds, *before* any stage work) → micro-batcher (size
 flush; a partial batch waiting behind a backlog is sealed by the
 coalesce deadline) → ``step`` (work-conserving: with no sealed batch
-ready it flushes the open one; then allocator-capped batch execution:
-stage pipeline → model forward → per-request responses; a batch whose
-execution raises answers each member with a ``failed`` response).
+ready it flushes the open one; then up to ``max_depth`` batches, one
+after another: stage pipeline → model forward → per-request
+responses; a batch whose execution raises answers each member with a
+``failed`` response).
+
+The batcher's :attr:`~repro.serving.MicroBatcher.pending_requests` is
+the one pending ledger: ``submit`` bounds it, ``drain`` and the load
+generator wait on it.
 """
 
 from __future__ import annotations
@@ -45,11 +44,10 @@ from ..errors import ConfigError, SamplingError
 from ..graph.datasets import GraphDataset
 from ..kernels import KernelCounters, scoped_counters
 from ..nn.models import build_model
-from ..runtime.resctl import DEFAULT_ALLOCATOR, NodeAllocator
 from ..runtime.stage_pipeline import StagePipeline
 from ..sampling import build_sampler
 from ..sampling.base import check_target_ids
-from .admission import AdmissionController, CreditScheduler
+from .admission import CreditScheduler
 from .microbatch import MicroBatch, MicroBatcher
 from .requests import InferenceRequest, InferenceResponse, ShedResponse
 
@@ -79,9 +77,8 @@ class ServingConfig:
     #: disables credit scheduling (single-tenant default).
     credit_rate_targets_per_s: float | None = None
     credit_burst_targets: int = 128
-    #: Micro-batches one :meth:`ServingSession.step` may execute —
-    #: also the ``max_depth`` the session requests from the node
-    #: allocator (the live grant can cap it lower under contention).
+    #: Micro-batches one :meth:`ServingSession.step` executes at
+    #: most, oldest first.
     max_depth: int = 2
     #: Which trainer kind's transfer policy serving pays: ``"accel"``
     #: (quantized PCIe path) or ``"cpu"`` (host-memory, identity).
@@ -181,10 +178,6 @@ class ServingSession:
         Flat parameter vector to serve (e.g.
         ``trained_model.get_flat_params()``); ``None`` serves the
         seed-initialized model (benchmarks).
-    allocator:
-        Node-level arbitration (defaults to the process-wide
-        :data:`~repro.runtime.resctl.DEFAULT_ALLOCATOR`, shared with
-        every other serving session that is not handed one).
     clock:
         Monotonic time source; injectable for deterministic tests.
     """
@@ -194,7 +187,6 @@ class ServingSession:
                  sys_cfg: SystemConfig | None = None, *,
                  config: ServingConfig | None = None,
                  params: np.ndarray | None = None,
-                 allocator: NodeAllocator | None = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.dataset = dataset
         self.train_cfg = train_cfg
@@ -228,17 +220,9 @@ class ServingSession:
         self.batcher = MicroBatcher(self.config.window_s,
                                     self.config.max_batch_targets,
                                     clock=clock)
-        self.admission = AdmissionController(
-            self.config.max_pending_requests)
         self.credits = CreditScheduler(
             self.config.credit_rate_targets_per_s,
             self.config.credit_burst_targets, clock=clock)
-
-        self.allocator = allocator if allocator is not None \
-            else DEFAULT_ALLOCATOR
-        self._grant = self.allocator.register(
-            name=f"serving:{dataset.name}",
-            max_depth=self.config.max_depth)
         self.closed = False
         self.report = ServingReport()
         self._next_id = 0
@@ -270,19 +254,18 @@ class ServingSession:
         # cast: a bad request (empty, or an id out of range, fractional
         # or nested) would otherwise be truncated into a real vertex or
         # blow up inside the sampler mid-batch, taking the valid
-        # co-batched requests (and their admission slots) with it.
+        # co-batched requests (and their pending slots) with it.
         # Refused before any credit is spent or slot admitted.
         try:
             targets = check_target_ids(targets,
                                        self.dataset.graph.num_vertices)
         except SamplingError:
             return self._shed(rid, tenant, "invalid", now)
-        if self.admission.pending >= self.config.max_pending_requests:
+        if self.batcher.pending_requests >= \
+                self.config.max_pending_requests:
             return self._shed(rid, tenant, "queue_full", now)
         if not self.credits.try_spend(tenant, int(targets.size)):
             return self._shed(rid, tenant, "no_credit", now)
-        admitted = self.admission.try_admit()
-        assert admitted  # bound checked above; front door is 1-thread
         request = InferenceRequest(request_id=rid, tenant=tenant,
                                    targets=targets,
                                    arrival_s=arrival_s)
@@ -300,8 +283,9 @@ class ServingSession:
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> list[InferenceResponse | ShedResponse]:
-        """Execute up to the allocator's live grant of micro-batches,
-        oldest first; returns one response per member request.
+        """Execute up to ``config.max_depth`` micro-batches, oldest
+        first, one after another; returns one response per member
+        request.
 
         Work-conserving: when no sealed batch is ready, the open batch
         is flushed rather than left to wait out the coalesce window, so
@@ -317,11 +301,8 @@ class ServingSession:
         self.batcher.poll()
         if not self.batcher.ready_batches:
             self.batcher.flush()
-        cap = self.config.max_depth
-        if not self._grant.released:
-            cap = min(cap, self._grant.depth_cap)
         responses: list[InferenceResponse | ShedResponse] = []
-        for batch in self.batcher.take(max(1, cap)):
+        for batch in self.batcher.take(self.config.max_depth):
             try:
                 responses.extend(self._execute(batch))
             except Exception:
@@ -362,7 +343,6 @@ class ServingSession:
                 latency_s=completed_s - request.arrival_s,
                 batch_seq=batch.seq))
             offset += n
-        self.admission.complete(len(batch.requests))
         self.report.completed += len(batch.requests)
         self.report.latencies_s.extend(r.latency_s for r in responses)
         self.report.batch_sizes.append(len(batch.requests))
@@ -372,7 +352,6 @@ class ServingSession:
     def _fail(self, batch: MicroBatch) -> list[ShedResponse]:
         # Credits stay spent: the stage work was attempted.
         _LOG.exception("serving micro-batch %d failed", batch.seq)
-        self.admission.complete(len(batch.requests))
         self.report.failed += len(batch.requests)
         now = self.clock()
         return [ShedResponse(request_id=r.request_id, tenant=r.tenant,
@@ -387,11 +366,9 @@ class ServingSession:
         return self.report
 
     def close(self) -> ServingReport:
-        """Shut the front door (subsequent submits shed ``closed``),
-        release the allocator grant, and return the final report."""
-        if not self.closed:
-            self.closed = True
-            self._grant.release()
+        """Shut the front door (subsequent submits shed ``closed``)
+        and return the final report."""
+        self.closed = True
         return self.finalize_report()
 
     def __enter__(self) -> "ServingSession":
@@ -402,5 +379,5 @@ class ServingSession:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<ServingSession over {self.dataset.name} "
-                f"pending={self.admission.pending} "
+                f"pending={self.batcher.pending_requests} "
                 f"{'closed' if self.closed else 'open'}>")

@@ -100,11 +100,7 @@ from repro.runtime import (
 )
 from repro.runtime.backends.pipelined import PlanOrderFeed
 from repro.runtime.protocol import validate_protocol
-from repro.runtime.resctl import (
-    REALIZED_STAGES,
-    NodeAllocator,
-    OnlineEstimator,
-)
+from repro.runtime.resctl import REALIZED_STAGES, OnlineEstimator
 from repro.runtime.shm import SharedFeatureStore
 from repro.runtime.stage_pipeline import StagePipeline, dequantize
 from repro.sampling import build_sampler
@@ -865,9 +861,7 @@ def run_serving_audit(dataset: GraphDataset,
     """
     clock = VirtualClock()
     session = ServingSession(dataset, train_cfg, sys_cfg,
-                             config=config,
-                             allocator=NodeAllocator(depth_budget=8),
-                             clock=clock)
+                             config=config, clock=clock)
     responses, sheds = [], []
     for i, (targets, tenant) in enumerate(script):
         shed = session.submit(targets, tenant=tenant)
@@ -925,7 +919,7 @@ def assert_serving_conforms(dataset: GraphDataset,
     by_batch: dict[int, list] = {}
     for r in responses:
         by_batch.setdefault(r.batch_seq, []).append(r)
-    assert len(by_batch) == session.batcher.flushed_batches
+    assert len(by_batch) == len(session.report.batch_sizes)
     assert sum(len(v) for v in by_batch.values()) == \
         session.report.completed == session.report.accepted
 

@@ -188,6 +188,23 @@ class TestTrainingLaneFaults:
         assert type(info.value) is LaneFault
         self._reusable(backend, monkeypatch)
 
+    def test_failed_run_leaves_every_stream_where_it_found_it(
+            self, backend, monkeypatch):
+        """The producer samples ahead of the lane that fails; the
+        failed run rewinds each trainer's stream, as a failed process
+        run never hands one back."""
+        samplers = backend.session.samplers
+        streams = [sampler.stream_state for sampler in samplers]
+
+        def fault():
+            raise LaneFault("iteration 2")
+
+        self._sabotage(backend, monkeypatch, fault)
+        with pytest.raises(LaneFault):
+            backend.run(4)
+        assert [sampler.stream_state for sampler in samplers] == streams
+        self._reusable(backend, monkeypatch)
+
     def test_thread_that_fails_to_start_leaks_no_sibling(self, backend,
                                                          monkeypatch):
         """``lane1`` fails to start after ``producer`` started: the
@@ -240,7 +257,8 @@ class TestWorkerStageFaults:
     """A stage exception inside a worker, with items in flight, on
     every process preset at the session window: a typed error carrying
     the worker's traceback, well inside the watchdog; no segment and no
-    child left; and the same backend then runs again."""
+    child left; every session stream where the run found it; and the
+    same backend then runs again."""
 
     @pytest.mark.parametrize("name", PROCESS_PRESETS)
     def test_load_exception_in_worker_fails_typed_then_reopens(
@@ -254,6 +272,7 @@ class TestWorkerStageFaults:
         backend = build_backend(name, session, timeout_s=timeout_s)
         backend.replica_cls = type("Faulty", (FaultyLoad,
                                               backend.replica_cls), {})
+        streams = [sampler.stream_state for sampler in session.samplers]
         start = time.perf_counter()
         with pytest.raises(WorkerError) as err:
             backend.run(6)
@@ -262,6 +281,8 @@ class TestWorkerStageFaults:
         assert "injected load fault in worker 1" in str(err.value)
         assert not mp.active_children()
         assert not glob.glob("/dev/shm/repro_shm_*")
+        assert [sampler.stream_state
+                for sampler in session.samplers] == streams
 
         del backend.replica_cls
         with backend:

@@ -25,7 +25,6 @@ from backend_conformance import (
 )
 from repro.config import SystemConfig, TrainingConfig
 from repro.runtime import TrainingSession, build_backend
-from repro.runtime.resctl import NodeAllocator
 from repro.serving import ServingConfig, ServingSession, VirtualClock
 
 
@@ -88,7 +87,7 @@ class TestServingConformance:
 
 class TestFailedBatch:
     """A micro-batch whose execution raises answers every member with a
-    typed ``failed`` response, returns its admission slots, and leaves
+    typed ``failed`` response, leaves the pending ledger, and leaves
     the session serving."""
 
     @staticmethod
@@ -97,7 +96,6 @@ class TestFailedBatch:
             tiny_ds, small_cfg, SystemConfig(),
             config=ServingConfig(latency_budget_s=0.2, device="cpu",
                                  **config),
-            allocator=NodeAllocator(depth_budget=8),
             clock=VirtualClock())
         real_predict = session.model.predict
         calls = []
@@ -124,7 +122,7 @@ class TestFailedBatch:
         assert [(r.request_id, r.reason) for r in failed] == \
             [(0, "failed"), (1, "failed")]
         assert "micro-batch 0 failed" in caplog.text
-        assert session.admission.pending == 0
+        assert session.batcher.pending_requests == 0
         assert session.report.failed == 2
         assert session.report.completed == 0
 
@@ -135,7 +133,7 @@ class TestFailedBatch:
         report = session.close()
         assert (report.accepted, report.completed, report.failed) == \
             (3, 1, 2)
-        assert session.admission.pending == 0
+        assert session.batcher.pending_requests == 0
 
     def test_other_batches_taken_by_the_step_still_execute(
             self, tiny_ds, small_cfg, monkeypatch):
@@ -148,7 +146,7 @@ class TestFailedBatch:
         failed, served = session.step()
         assert (failed.request_id, failed.reason) == (0, "failed")
         assert served.request_id == 1 and served.predictions.size == 2
-        assert session.admission.pending == 0
+        assert session.batcher.pending_requests == 0
         assert (session.report.failed, session.report.completed) == (1, 1)
 
     def test_failed_requests_keep_their_credits_spent(
@@ -174,7 +172,6 @@ class TestFailedBatch:
         session = ServingSession(
             tiny_ds, small_cfg, SystemConfig(),
             config=ServingConfig(latency_budget_s=0.2, device="cpu"),
-            allocator=NodeAllocator(depth_budget=8),
             clock=VirtualClock())
         targets = tiny_ds.train_ids
         assert session.submit(targets[:3]) is None
@@ -209,7 +206,7 @@ class TestTwoSessionStatsIsolation:
             tiny_ds, small_cfg, SystemConfig(),
             config=ServingConfig(latency_budget_s=0.2,
                                  max_batch_targets=8, device="cpu"),
-            allocator=NodeAllocator(depth_budget=8), clock=clock)
+            clock=clock)
         stop = threading.Event()
         rng = np.random.default_rng(2)
 
@@ -243,34 +240,42 @@ class TestTwoSessionStatsIsolation:
         assert serving.counters is not backend.counters
 
 
-class TestGrantCap:
-    """``step()`` executes at most its grant's live cap: the equal
-    share of the node budget while a co-tenant holds a grant, its own
-    ``max_depth`` once the co-tenant releases."""
+class TestStepDepth:
+    """``step()`` executes at most ``max_depth`` batches, oldest first,
+    however many are ready and however many other sessions exist."""
 
-    def test_step_executes_at_most_the_live_cap(self, tiny_ds,
-                                                small_cfg):
-        alloc = NodeAllocator(depth_budget=4)
+    @staticmethod
+    def _backlog(tiny_ds, small_cfg, max_depth, batches):
         config = ServingConfig(latency_budget_s=0.2, max_batch_targets=4,
-                               max_depth=4, device="cpu")
-        serving, tenant = (
-            ServingSession(tiny_ds, small_cfg, SystemConfig(),
-                           config=config, allocator=alloc,
-                           clock=VirtualClock())
-            for _ in range(2))
+                               max_depth=max_depth, device="cpu")
+        session = ServingSession(tiny_ds, small_cfg, SystemConfig(),
+                                 config=config, clock=VirtualClock())
         targets = tiny_ds.train_ids[:4]
-        for _ in range(8):
+        for _ in range(batches):
             # A full-size request seals its own batch on arrival.
-            assert serving.submit(targets) is None
-        assert serving.batcher.ready_batches == 8
-        # Contended: the equal share 4 // 2 caps the step.
-        assert len(serving.step()) == 2
-        tenant.close()
-        # Released: the cap rises to this session's max_depth at once.
-        assert len(serving.step()) == 4
-        assert len(serving.step()) == 2
+            assert session.submit(targets) is None
+        assert session.batcher.ready_batches == batches
+        return session
+
+    def test_step_executes_at_most_max_depth(self, tiny_ds, small_cfg):
+        serving = self._backlog(tiny_ds, small_cfg, max_depth=4,
+                                batches=8)
+        assert [r.request_id for r in serving.step()] == [0, 1, 2, 3]
+        assert [r.request_id for r in serving.step()] == [4, 5, 6, 7]
+        assert serving.batcher.pending_requests == 0
+        assert serving.step() == []
         serving.close()
-        assert [kind for kind, _ in alloc.events] == \
-            ["register", "register", "release", "release"]
-        assert alloc.active_count == 0
-        assert alloc.available_depth == 4
+
+    def test_sessions_dropped_unclosed_leave_no_claim(self, tiny_ds,
+                                                      small_cfg):
+        """Sessions dropped without ``close()`` hold no claim on later
+        ones: after 40 of them a fresh session still runs its
+        ``max_depth`` of 2 batches in one step."""
+        for _ in range(40):
+            ServingSession(tiny_ds, small_cfg, SystemConfig(),
+                           config=ServingConfig(device="cpu"),
+                           clock=VirtualClock())
+        fresh = self._backlog(tiny_ds, small_cfg, max_depth=2,
+                              batches=4)
+        assert len(fresh.step()) == 2
+        fresh.close()

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro.config import TrainingConfig
 from repro.graph.datasets import tiny_dataset
-from repro.runtime.resctl import NodeAllocator
 from repro.serving import (
     InferenceRequest,
     MicroBatcher,
@@ -90,8 +89,9 @@ class TestMicroBatcherProperties:
         served = [r.request_id for b in batches for r in b.requests]
         assert sorted(served) == list(range(len(schedule)))
         assert batcher.pending_requests == 0
-        assert batcher.flushed_requests == len(schedule)
-        assert batcher.flushed_batches == len(batches)
+        # Every flushed batch was taken, each once, in flush order.
+        assert [b.seq for b in batches] == list(range(len(batches)))
+        assert batcher.ready_batches == 0
 
     @common_settings
     @given(schedule=arrivals,
@@ -133,12 +133,11 @@ _CFG = TrainingConfig(model="sage", minibatch_size=16, fanouts=(3, 2),
 
 
 def _session(clock: VirtualClock, **config) -> ServingSession:
-    """A serving session on ``clock`` with its own allocator, so no
-    co-tenant registration can lower its grant."""
+    """A serving session on ``clock``."""
     return ServingSession(
         _DS, _CFG,
         config=ServingConfig(latency_budget_s=0.2, **config),
-        allocator=NodeAllocator(depth_budget=8), clock=clock)
+        clock=clock)
 
 
 def _spy_sampler(session: ServingSession) -> list:
@@ -187,7 +186,7 @@ class TestShedNeverSamples:
         assert report.accepted + shed == num_requests
         # Exactly one sampler invocation per flushed batch — shed
         # requests did no stage work at all.
-        assert len(calls) == session.batcher.flushed_batches
+        assert len(calls) == len(session.report.batch_sizes)
         assert report.completed == report.accepted
 
     def test_out_of_range_ids_shed_without_touching_the_batch(self):
@@ -209,7 +208,7 @@ class TestShedNeverSamples:
         responses = session.drain()
 
         assert [r.request_id for r in responses] == [0]
-        assert session.admission.pending == 0
+        assert session.batcher.pending_requests == 0
         assert calls == [[1, 2]]          # never sampled for bad work
         report = session.close()
         assert report.accepted == report.completed == 1
@@ -237,7 +236,7 @@ class TestShedNeverSamples:
         assert shed is not None and shed.reason == "invalid"
         assert shed.request_id == 1
         assert session.credits.ledger() == ledger
-        assert session.admission.pending == 1
+        assert session.batcher.pending_requests == 1
         assert session.submit([3]) is None
         assert [r.request_id for r in session.drain()] == [0, 2]
         assert calls == [[1, 2, 3]]       # never sampled for bad work
@@ -264,7 +263,7 @@ class TestWorkConservation:
         (response,) = session.step()
         assert response.request_id == 0
         assert response.predictions.shape == (3,)
-        assert session.admission.pending == 0
+        assert session.batcher.pending_requests == 0
 
     def test_requests_submitted_before_a_step_ride_one_batch(self):
         session = _session(VirtualClock(), max_batch_targets=64)
@@ -277,7 +276,7 @@ class TestWorkConservation:
         assert session.report.batch_sizes[-1] == k
 
     def test_open_batch_keeps_collecting_behind_a_backlog(self):
-        # Grant cap 1, and two size-flushed batches ahead of a partial
+        # Depth 1, and two size-flushed batches ahead of a partial
         # open one: each step takes the oldest ready batch, and the
         # open batch stays open (and keeps collecting) until the
         # backlog is gone.
@@ -313,7 +312,7 @@ class TestWorkConservation:
         answered = 0
         for op in ops:
             if op is None:
-                pending = session.admission.pending
+                pending = session.batcher.pending_requests
                 responses = session.step()
                 assert bool(responses) == (pending > 0)
                 answered += len(responses)
@@ -323,4 +322,4 @@ class TestWorkConservation:
         answered += len(session.drain())
         report = session.close()
         assert answered == report.accepted == report.completed
-        assert session.admission.pending == 0
+        assert session.batcher.pending_requests == 0

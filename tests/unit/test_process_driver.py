@@ -57,7 +57,6 @@ from repro.runtime.backends.process import (
     _join,
     worker_main,
 )
-from repro.runtime.resctl import DEFAULT_ALLOCATOR
 from repro.runtime.shm import SharedFeatureStore
 
 PROCESS_PRESETS = ("process", "process_sampling", "process_pipelined",
@@ -323,22 +322,6 @@ class TestStructure:
             BACKEND_KEYWORDS[name]
         with pytest.raises(ConfigError, match="depth_source"):
             build_backend(name, None, depth_source="realized")
-
-    @pytest.mark.parametrize("name", sorted(BACKEND_KEYWORDS))
-    def test_training_registers_no_depth_grant(self, name, tiny_ds,
-                                               small_cfg, gpu_platform):
-        """Training holds the session's window and claims no share of
-        the node's look-ahead budget — on a timing session with DRM
-        and prefetch too — so a co-tenant serving session keeps its
-        whole cap."""
-        before = list(DEFAULT_ALLOCATOR.events)
-        session = TrainingSession(
-            tiny_ds, small_cfg,
-            SystemConfig(hybrid=True, drm=True, prefetch=True),
-            gpu_platform, profile_probes=2)
-        with build_backend(name, session) as backend:
-            backend.run(2)
-        assert DEFAULT_ALLOCATOR.events == before
 
     def test_report_classes_under_backends(self):
         """Every backend, ``virtual`` and ``simulate_epoch`` included,

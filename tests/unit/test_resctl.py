@@ -1,12 +1,11 @@
-"""Resource-control units: the realized-stage fold, estimator,
-allocator, and the timing-plane hooks they plug into.
+"""Resource-control units: the realized-stage fold, the estimator, and
+the timing-plane hooks they plug into.
 
 The resctl package closes the loop between the *modelled* timing plane
 and the *realized* one: :func:`fold_worker_realized` maps the wall
 times the live backends' replies carry onto canonical stage keys,
-:class:`OnlineEstimator` calibrates the analytic model against them,
-:class:`NodeAllocator` arbitrates look-ahead depth across concurrent
-sessions. The estimator sits directly upstream of
+:class:`OnlineEstimator` calibrates the analytic model against them.
+The estimator sits directly upstream of
 ``drm_step``, so its safety contract — corrections
 always positive and finite, calibrated times never non-finite or
 negative, exact no-op until warm — is pinned here as hypothesis
@@ -27,13 +26,10 @@ from repro.perfmodel.model import StageTimes
 from repro.runtime import TrainingSession
 from repro.runtime.backends.report import fold_stage_stats
 from repro.runtime.resctl import (
-    DEFAULT_DEPTH_BUDGET,
-    NodeAllocator,
     OnlineEstimator,
     REALIZED_STAGES,
     fold_worker_realized,
     stage_key,
-    summarize_calibration,
 )
 
 common_settings = settings(
@@ -239,12 +235,6 @@ class TestOnlineEstimator:
         assert digest["observations"] == 5
         assert digest["error"] == pytest.approx(0.5)   # |m - r| / r
         assert digest["correction"] > 1.0
-        assert "load:50%" in summarize_calibration(est.summary())
-
-    def test_summarize_calibration_cold_is_dash(self):
-        assert summarize_calibration({}) == "-"
-        assert summarize_calibration(
-            {"load": {"warm": False, "error": 0.4}}) == "-"
 
     def test_invalid_construction_rejected(self):
         with pytest.raises(ProtocolError):
@@ -267,76 +257,6 @@ class TestSettleReadings:
             0.05) == 4
         assert OnlineEstimator(alpha=1.0, warmup=2).settle_readings(
             0.05) == 2
-
-
-class TestNodeAllocator:
-    def test_single_session_gets_its_cap(self):
-        alloc = NodeAllocator(depth_budget=16)
-        grant = alloc.register("a", max_depth=6)
-        assert grant.depth_cap == 6      # own cap below fair share
-        assert alloc.active_count == 1
-        grant.release()
-        assert alloc.active_count == 0
-
-    def test_fair_share_across_concurrent_sessions(self):
-        alloc = NodeAllocator(depth_budget=8)
-        a = alloc.register("a", max_depth=8)
-        b = alloc.register("b", max_depth=8)
-        assert a.depth_cap == 4 and b.depth_cap == 4
-        c = alloc.register("c", max_depth=8)
-        assert {a.depth_cap, b.depth_cap, c.depth_cap} == {2}
-        # Releasing one raises the survivors' caps immediately — the
-        # live re-read is the whole point of DepthGrant.depth_cap.
-        c.release()
-        assert a.depth_cap == 4 and b.depth_cap == 4
-        b.release()
-        assert a.depth_cap == 8
-
-    def test_share_never_below_one(self):
-        alloc = NodeAllocator(depth_budget=2)
-        grants = [alloc.register(f"s{i}", max_depth=4)
-                  for i in range(5)]
-        assert all(g.depth_cap == 1 for g in grants)
-        for g in grants:
-            g.release()
-
-    def test_release_is_idempotent_and_cap_read_after_release_raises(
-            self):
-        alloc = NodeAllocator(depth_budget=8)
-        grant = alloc.register("a", max_depth=4)
-        grant.release()
-        grant.release()                      # no-op, never raises
-        assert grant.released
-        with pytest.raises(ProtocolError):
-            grant.depth_cap
-
-    def test_context_manager_releases(self):
-        alloc = NodeAllocator(depth_budget=8)
-        with alloc.register("a", max_depth=4) as grant:
-            assert grant.depth_cap == 4
-        assert alloc.active_count == 0
-
-    def test_events_audit_and_snapshot(self):
-        alloc = NodeAllocator(depth_budget=8)
-        a = alloc.register("first", max_depth=4)
-        b = alloc.register("second", max_depth=4)
-        a.release()
-        snap = alloc.snapshot()
-        assert snap["depth_budget"] == 8
-        assert snap["active_sessions"] == 1
-        assert snap["sessions"] == {"second": 4}
-        assert ("register", "first") in alloc.events
-        assert ("release", "first") in alloc.events
-        b.release()
-        assert alloc.available_depth == 8
-
-    def test_default_budget_and_validation(self):
-        assert NodeAllocator().snapshot()["depth_budget"] == \
-            DEFAULT_DEPTH_BUDGET
-        with pytest.raises(ProtocolError):
-            NodeAllocator(depth_budget=0)
-        with pytest.raises(ProtocolError):
-            NodeAllocator(depth_budget=4).register("a", max_depth=0)
 
 
 class TestFoldStageStatsEmpty:
