@@ -97,6 +97,33 @@ class TestInProcessFaults:
         rep = backend.run(2)
         assert len(rep.losses) == 2 and rep.replicas_consistent
 
+    @pytest.mark.parametrize("name", IN_PROCESS)
+    def test_failed_run_rewinds_every_stream(self, name, tiny_ds,
+                                             small_cfg):
+        """A fault in the all-reduce of iteration 1 comes after both
+        iterations' batches were sampled: the failed run hands every
+        trainer's stream back where it found it, and a clean run then
+        advances them again."""
+        backend = _in_process(name, tiny_ds, small_cfg, timeout_s=10)
+        samplers = backend.session.samplers
+        streams = [sampler.stream_state for sampler in samplers]
+        sync = backend.session.synchronizer
+        all_reduce = sync.all_reduce
+
+        def failing(sizes, iteration=None):
+            if iteration == 1:
+                raise ShapeError("injected all-reduce fault")
+            return all_reduce(sizes, iteration)
+
+        sync.all_reduce = failing
+        with pytest.raises(ShapeError, match="injected"):
+            backend.run(3)
+        assert [sampler.stream_state for sampler in samplers] == streams
+
+        del sync.all_reduce
+        backend.run(2)
+        assert [sampler.stream_state for sampler in samplers] != streams
+
 
 class LaneFault(RuntimeError):
     """What a sabotaged trainer or load raises on a helper lane."""

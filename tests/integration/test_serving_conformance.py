@@ -24,8 +24,15 @@ from backend_conformance import (
     default_serving_script,
 )
 from repro.config import SystemConfig, TrainingConfig
+from repro.errors import ProtocolError
 from repro.runtime import TrainingSession, build_backend
-from repro.serving import ServingConfig, ServingSession, VirtualClock
+from repro.serving import (
+    LoadSpec,
+    ServingConfig,
+    ServingSession,
+    VirtualClock,
+    run_open_loop,
+)
 
 
 class TestServingConformance:
@@ -279,3 +286,128 @@ class TestStepDepth:
                               batches=4)
         assert len(fresh.step()) == 2
         fresh.close()
+
+
+class TestPendingLedger:
+    """``MicroBatcher.pending_requests`` is the session's one pending
+    count: an accepted request enters it once and leaves it when its
+    batch is taken, a shed request never enters it, and it is what
+    bounds ``submit``, ends ``drain`` and ends the open loop's drain."""
+
+    @staticmethod
+    def _session(tiny_ds, small_cfg, clock=None, **config):
+        return ServingSession(
+            tiny_ds, small_cfg, SystemConfig(),
+            config=ServingConfig(latency_budget_s=0.2, device="cpu",
+                                 **config),
+            clock=clock if clock is not None else VirtualClock())
+
+    def test_queue_full_at_the_bound_then_admitted_after_a_step(
+            self, tiny_ds, small_cfg):
+        session = self._session(tiny_ds, small_cfg,
+                                max_pending_requests=2)
+        targets = tiny_ds.train_ids[:3]
+        assert session.submit(targets) is None
+        assert session.submit(targets) is None
+        shed = session.submit(targets)
+        assert (shed.request_id, shed.reason) == (2, "queue_full")
+        assert session.batcher.pending_requests == 2
+        assert [r.request_id for r in session.step()] == [0, 1]
+        assert session.batcher.pending_requests == 0
+        assert session.submit(targets) is None
+        assert session.batcher.pending_requests == 1
+        assert session.report.shed == {"queue_full": 1}
+
+    @staticmethod
+    def _provoke(session, reason, ids, num_vertices):
+        """Shed one request for ``reason`` from a session holding one
+        accepted 3-target request, 1 credit left of a 4-target burst
+        and room for one more pending request."""
+        if reason == "closed":
+            session.close()
+            return session.submit(ids[:1])
+        if reason == "invalid":
+            return session.submit([num_vertices])
+        if reason == "no_credit":
+            return session.submit(ids[:3])
+        assert session.submit(ids[:1]) is None      # fills the queue
+        return session.submit(ids[:1])
+
+    @pytest.mark.parametrize("reason", ["closed", "invalid",
+                                        "no_credit", "queue_full"])
+    def test_a_shed_request_never_enters_the_ledger(
+            self, tiny_ds, small_cfg, reason):
+        session = self._session(tiny_ds, small_cfg,
+                                max_pending_requests=2,
+                                credit_rate_targets_per_s=1.0,
+                                credit_burst_targets=4)
+        ids = tiny_ds.train_ids
+        assert session.submit(ids[:3]) is None
+        before = session.report.accepted
+        shed = self._provoke(session, reason, ids,
+                             tiny_ds.graph.num_vertices)
+        assert shed is not None and shed.reason == reason
+        assert session.batcher.pending_requests == session.report.accepted
+        assert session.report.accepted == \
+            before + (reason == "queue_full")
+        answered = session.drain()
+        assert len(answered) == session.report.accepted == \
+            session.report.completed
+        assert session.batcher.pending_requests == 0
+
+    def test_drain_steps_max_depth_at_a_time_until_nothing_is_pending(
+            self, tiny_ds, small_cfg):
+        """Five sealed batches and an open one: ``drain`` runs the
+        backlog ``max_depth`` at a time, oldest first, and flushes the
+        open batch only once no sealed one is left."""
+        session = self._session(tiny_ds, small_cfg, max_batch_targets=4,
+                                max_depth=2)
+        ids = tiny_ds.train_ids
+        for _ in range(5):
+            assert session.submit(ids[:4]) is None
+        assert session.submit(ids[:1]) is None
+        assert session.batcher.pending_requests == 6
+        steps = []
+        step = session.step
+        session.step = lambda: (steps.append(step()), steps[-1])[1]
+        answered = session.drain()
+        assert [len(s) for s in steps] == [2, 2, 1, 1]
+        assert [r.request_id for r in answered] == list(range(6))
+        assert session.batcher.pending_requests == 0
+
+    @staticmethod
+    def _ticking():
+        """A session clock that moves 1 ms on every read, so the open
+        loop's schedule and grace deadline pass without sleeping."""
+        clock = VirtualClock()
+
+        def tick():
+            clock.advance(1e-3)
+            return clock()
+        return tick
+
+    def test_open_loop_ends_with_an_empty_ledger(self, tiny_ds,
+                                                 small_cfg):
+        session = self._session(tiny_ds, small_cfg, self._ticking(),
+                                max_pending_requests=4)
+        spec = LoadSpec(rate_rps=400.0, duration_s=0.1,
+                        targets_per_request=4, grace_s=1.0)
+        report = run_open_loop(session, spec).report
+        assert session.batcher.pending_requests == 0
+        assert report.accepted + sum(report.shed.values()) == \
+            spec.num_requests
+        assert report.completed == report.accepted > 0
+
+    def test_open_loop_drain_gives_up_at_the_grace_deadline(
+            self, tiny_ds, small_cfg):
+        """A session whose steps answer nothing keeps its requests
+        pending: the open loop's drain raises a typed error naming the
+        count instead of spinning."""
+        session = self._session(tiny_ds, small_cfg, self._ticking(),
+                                max_pending_requests=4)
+        session.step = lambda: []
+        spec = LoadSpec(rate_rps=400.0, duration_s=0.1,
+                        targets_per_request=4, grace_s=0.05)
+        with pytest.raises(ProtocolError, match="with 4 pending"):
+            run_open_loop(session, spec)
+        assert session.report.shed["queue_full"] == spec.num_requests - 4

@@ -56,6 +56,17 @@ arrivals = st.lists(
     min_size=1, max_size=60)
 
 
+#: One batcher operation: offer a request of ``n`` targets, advance
+#: the clock ``ms`` and poll, flush, or take up to ``k`` batches.
+batcher_ops = st.lists(
+    st.one_of(st.tuples(st.just("offer"), st.integers(1, 12)),
+              st.tuples(st.just("poll"),
+                        st.floats(0.0, 40.0, allow_nan=False)),
+              st.tuples(st.just("flush"), st.just(0)),
+              st.tuples(st.just("take"), st.integers(0, 3))),
+    min_size=1, max_size=60)
+
+
 def _drive(batcher: MicroBatcher, clock: VirtualClock,
            schedule) -> list:
     """Offer the schedule, polling as the clock advances; returns all
@@ -111,6 +122,55 @@ class TestMicroBatcherProperties:
             # the deadline; size- and force-flushes land earlier.
             gap_bound = max((g for g, _ in schedule), default=0.0) / 1e3
             assert b.flushed_s <= b.deadline_s + gap_bound + eps
+
+    @common_settings
+    @given(ops=batcher_ops,
+           window_ms=st.floats(1.0, 100.0, allow_nan=False),
+           max_batch_targets=st.integers(1, 48))
+    def test_pending_is_offered_minus_taken(self, ops, window_ms,
+                                            max_batch_targets):
+        """The running count never drifts from its definition: a
+        flush, by size, deadline or consumer, moves requests from the
+        open batch to the ready queue without touching it."""
+        clock = VirtualClock()
+        batcher = MicroBatcher(window_ms / 1e3, max_batch_targets,
+                               clock=clock)
+        offered = taken = 0
+        for op, arg in ops:
+            before = batcher.pending_requests
+            if op == "offer":
+                batcher.offer(InferenceRequest(
+                    request_id=offered, tenant="t",
+                    targets=np.arange(arg, dtype=np.int64),
+                    arrival_s=clock()))
+                offered += 1
+            elif op == "poll":
+                clock.advance(arg / 1e3)
+                batcher.poll()
+            elif op == "flush":
+                batcher.flush()
+            else:
+                taken += sum(len(b) for b in batcher.take(arg))
+            if op in ("poll", "flush"):
+                assert batcher.pending_requests == before
+            assert batcher.pending_requests == offered - taken
+        batcher.flush()
+        taken += sum(len(b) for b in batcher.take())
+        assert taken == offered and batcher.pending_requests == 0
+
+    def test_pending_counts_the_open_batch(self):
+        batcher = MicroBatcher(0.05, 64, clock=VirtualClock())
+        for rid in range(3):
+            batcher.offer(InferenceRequest(
+                request_id=rid, tenant="t",
+                targets=np.arange(2, dtype=np.int64), arrival_s=0.0))
+        assert (batcher.ready_batches, batcher.pending_requests) == (0, 3)
+        batcher.flush()
+        assert (batcher.ready_batches, batcher.pending_requests) == (1, 3)
+        assert batcher.take(0) == []
+        assert batcher.pending_requests == 3
+        (batch,) = batcher.take(1)
+        assert len(batch) == 3 and batcher.pending_requests == 0
 
     def test_window_bounded_by_latency_budget(self):
         # The config is where "deadline <= budget" is enforced; the
