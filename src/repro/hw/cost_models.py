@@ -61,7 +61,9 @@ class PropagationBreakdown:
 
 
 def _update_in_dim(model: str, f_in: int) -> int:
-    """Input width of the dense update (SAGE concatenates self features)."""
+    """Input width of the dense update: SAGE's self rows and neighbor
+    mean each multiply their own ``f_in``-row block of the weight, so
+    its update is ``2 × f_in`` wide (the same MACs as the concat)."""
     return 2 * f_in if model == "sage" else f_in
 
 

@@ -3,7 +3,8 @@
 Feature aggregation is the irregular-memory-access phase of GNN training
 (paper §II-A). :class:`SparseAggregator` computes it as a SciPy CSR
 sparse matmul: one BLAS-like spmm per layer for forward and one
-(transposed) for backward. The FPGA computes the same Eq.-1 sums as a
+through the free transposed (CSC) view of the same matrix for
+backward. The FPGA computes the same Eq.-1 sums as a
 scatter-gather stream over the edge list (paper §IV-C, Fig. 6); tests
 hold the spmm to an edge-serial ``np.add.at`` sum of the messages.
 
@@ -29,10 +30,9 @@ class SparseAggregator:
     ``S[dst, src] = w(edge)``; duplicate ``(dst, src)`` entries are summed
     (scipy semantics), which matches multi-edge aggregation.
 
-    The transposed CSR the backward pass multiplies by is built on the
-    first :meth:`backward` call and cached, so forward-only callers
-    (serving, evaluation) and the model's input-side layer never pay
-    for it.
+    :meth:`backward` multiplies through ``matrix.T``, SciPy's CSC view
+    of the same arrays: no transposed copy is built or cached, by
+    training or forward-only callers alike.
 
     The CSR takes the edge weights' dtype: the owning layer passes them
     in its parameter dtype, so spmm does not promote its features.
@@ -47,7 +47,6 @@ class SparseAggregator:
             raise ShapeError("edge_weights must have one entry per edge")
         self.block = block
         self.matrix = _csr(block, edge_weights)
-        self._matrix_t: sp.csr_matrix | None = None
 
     def forward(self, h_src: np.ndarray,
                 row_scales: np.ndarray | None = None) -> np.ndarray:
@@ -76,12 +75,7 @@ class SparseAggregator:
             raise ShapeError(
                 f"expected {self.block.num_dst} dest rows, "
                 f"got {grad_out.shape[0]}")
-        if self._matrix_t is None:
-            self._matrix_t = self._build_transpose()
-        return self._matrix_t @ grad_out
-
-    def _build_transpose(self) -> sp.csr_matrix:
-        return self.matrix.T.tocsr()
+        return self.matrix.T @ grad_out
 
 
 def _csr(block: LayerBlock, edge_weights: np.ndarray) -> sp.csr_matrix:

@@ -4,8 +4,13 @@ Each layer is a pair (aggregate, update):
 
 * :class:`GCNLayer` — paper Eq. 3: symmetric-normalized sum over
   ``N(v) ∪ {v}`` followed by a dense update + ReLU.
-* :class:`SAGELayer` — paper Eq. 4: ``concat(h_v, mean(h_u))`` followed by
-  a dense update + ReLU.
+* :class:`SAGELayer` — paper Eq. 4: ``concat(h_v, mean(h_u)) @ W + b``
+  followed by ReLU, computed without the concat: ``h_v`` and the mean
+  each multiply their own row block of ``W``.
+
+Both layers apply ReLU in place on the fresh GEMM output and keep that
+output for the backward mask (:func:`~repro.nn.activations.relu_grad`);
+no pre-activation copy is made or kept.
 
 Layers are minibatch-agnostic: an aggregator is built per
 :class:`~repro.sampling.base.LayerBlock` via :meth:`build_aggregator` and
@@ -47,8 +52,8 @@ class LayerCache:
     """Intermediates one forward pass must keep for its backward pass."""
 
     aggregator: SparseAggregator
-    update_input: np.ndarray      # input of the dense update (a_v)
-    pre_activation: np.ndarray    # z = a W + b (None-equivalent if linear)
+    update_inputs: tuple[np.ndarray, ...]  # row blocks of the update's input
+    output: np.ndarray            # the layer's output, ReLU'd in place
 
 
 class GCNLayer:
@@ -103,10 +108,11 @@ class GCNLayer:
         ``row_scales`` ``(num_src, 1)`` folds into the edge weights
         (module docstring)."""
         a = aggregator.forward(h_src, row_scales)
-        z = self.linear.forward(a)
-        h = relu(z) if self.activation else z
-        return h, LayerCache(aggregator=aggregator, update_input=a,
-                             pre_activation=z)
+        h = self.linear.forward(a)
+        if self.activation:
+            relu(h)
+        return h, LayerCache(aggregator=aggregator, update_inputs=(a,),
+                             output=h)
 
     def backward(self, cache: LayerCache, grad_out: np.ndarray,
                  input_grad: bool = True) -> np.ndarray | None:
@@ -118,9 +124,10 @@ class GCNLayer:
         the model asks of its input-side layer, the functional twin of
         Eq. 10 omitting the layer-1 aggregation backward.
         """
-        dz = relu_grad(cache.pre_activation, grad_out) \
+        dz = relu_grad(cache.output, grad_out) \
             if self.activation else grad_out
-        da = self.linear.backward(cache.update_input, dz, input_grad)
+        a, = cache.update_inputs
+        da = self.linear.backward(a, dz, input_grad)
         return cache.aggregator.backward(da) if input_grad else None
 
     def zero_grad(self) -> None:
@@ -134,8 +141,11 @@ class GCNLayer:
 class SAGELayer:
     """GraphSAGE layer with mean aggregator (paper Eq. 4).
 
-    The update consumes ``concat(h_v, mean_{u∈N(v)} h_u)``; the linear
-    weight is therefore ``(2 * in_dim, out_dim)``.
+    The update is ``concat(h_v, mean_{u∈N(v)} h_u) @ W + b`` with a
+    ``(2 * in_dim, out_dim)`` weight, computed as two GEMMs against
+    ``W``'s row blocks: ``h_v @ W[:in_dim] + mean @ W[in_dim:] + b``.
+    No ``(|V^l|, 2 * in_dim)`` concat is formed, and the cache keeps
+    ``h_v`` as a view of the caller's source rows.
     """
 
     aggregation = "mean"
@@ -159,35 +169,47 @@ class SAGELayer:
     def forward(self, aggregator: SparseAggregator, h_src: np.ndarray,
                 row_scales: np.ndarray | None = None
                 ) -> tuple[np.ndarray, LayerCache]:
-        """Mean-aggregate, concat with self features, update.
-        ``row_scales`` ``(num_src, 1)`` folds into the mean's edge
-        weights and scales the self rows (module docstring)."""
+        """Mean-aggregate, then update self rows and mean through their
+        row blocks of ``W``. ``row_scales`` ``(num_src, 1)`` folds into
+        the mean's edge weights and scales the self rows (module
+        docstring)."""
         num_dst = aggregator.block.num_dst
         if h_src.shape[0] < num_dst:
             raise ShapeError("source rows fewer than destinations")
+        if h_src.ndim != 2 or h_src.shape[1] != self.in_dim:
+            raise ShapeError(
+                f"expected (*, {self.in_dim}) input, got {h_src.shape}")
         m = aggregator.forward(h_src, row_scales)
         h_self = h_src[:num_dst] if row_scales is None \
             else h_src[:num_dst] * row_scales[:num_dst]
-        a = np.concatenate([h_self, m], axis=1)
-        z = self.linear.forward(a)
-        h = relu(z) if self.activation else z
-        return h, LayerCache(aggregator=aggregator, update_input=a,
-                             pre_activation=z)
+        W, k = self.linear.W, self.in_dim
+        h = h_self @ W[:k]
+        h += m @ W[k:]
+        h += self.linear.b
+        if self.activation:
+            relu(h)
+        return h, LayerCache(aggregator=aggregator,
+                             update_inputs=(h_self, m), output=h)
 
     def backward(self, cache: LayerCache, grad_out: np.ndarray,
                  input_grad: bool = True) -> np.ndarray | None:
-        """Same contract as :meth:`GCNLayer.backward`; the input gradient
-        is the mean path's ``S^T @ d_mean`` plus the self path."""
-        dz = relu_grad(cache.pre_activation, grad_out) \
+        """Same contract as :meth:`GCNLayer.backward`. Each row block of
+        ``dW`` accumulates its own input's product; the input gradient
+        is the mean path's ``S^T @ (dz @ W[in_dim:].T)`` plus the self
+        path's ``dz @ W[:in_dim].T`` on the destination rows."""
+        dz = relu_grad(cache.output, grad_out) \
             if self.activation else grad_out
-        da = self.linear.backward(cache.update_input, dz, input_grad)
+        h_self, m = cache.update_inputs
+        if dz.shape != (m.shape[0], self.out_dim):
+            raise ShapeError("grad_out shape mismatch")
+        lin, k = self.linear, self.in_dim
+        lin.dW[:k] += h_self.T @ dz
+        lin.dW[k:] += m.T @ dz
+        lin.db += dz.sum(axis=0)
         if not input_grad:
             return None
-        d_self = da[:, :self.in_dim]
-        d_mean = da[:, self.in_dim:]
-        dh_src = cache.aggregator.backward(d_mean)
-        num_dst = cache.aggregator.block.num_dst
-        dh_src[:num_dst] += d_self
+        dh_src = cache.aggregator.backward(dz @ lin.W[k:].T)
+        dh_src[:h_self.shape[0]] += dz @ lin.W[:k].T
         return dh_src
 
     def zero_grad(self) -> None:

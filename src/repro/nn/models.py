@@ -230,7 +230,8 @@ def model_size_bytes(dims: Sequence[int], model: str = "gcn",
                      s_feat: int = 4) -> int:
     """Model size in bytes (paper Eq. 13 numerator: Σ f^{l-1} f^l S_feat).
 
-    SAGE doubles the input dimension of every weight matrix (concat).
+    SAGE doubles the input dimension of every weight matrix (one row
+    block for the self rows, one for the neighbor mean).
     Biases are excluded, matching the paper's formula.
     """
     mult = 2 if model == "sage" else 1

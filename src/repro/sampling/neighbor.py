@@ -10,9 +10,12 @@ Vectorization strategy (no per-vertex Python loops):
   without-replacement semantics);
 * vertices with degree ``> fanout`` draw ``fanout`` neighbor offsets with
   replacement in one 2-D array op, then duplicate ``(src, dst)`` pairs are
-  coalesced. For ``degree >> fanout`` the expected duplicate loss is
-  ``~fanout² / (2·degree)`` — negligible, and it never biases aggregation
-  because duplicates are removed rather than double-counted.
+  coalesced per row: each node's draws are sorted in place along the row
+  and the first of each run of equal ids is kept, so a node's sampled
+  neighbors come out in ascending id order. For ``degree >> fanout`` the
+  expected duplicate loss is ``~fanout² / (2·degree)`` — negligible, and
+  it never biases aggregation because duplicates are removed rather than
+  double-counted.
 
 The per-hop edge budget therefore matches the paper's model:
 ``|E^l| ≈ Σ_{v ∈ V^l} min(deg(v), fanout)``.
@@ -77,13 +80,15 @@ def _sample_capped_neighbors(indptr: np.ndarray, indices: np.ndarray,
         offs = (rng.random((big_nodes.size, fanout))
                 * deg_big[:, None]).astype(np.int64)
         neigh_b = indices[indptr[big_nodes][:, None] + offs]
-        pos_big = np.flatnonzero(big_mask)
-        seg_b = np.repeat(pos_big, fanout)
-        # Coalesce duplicate (dst, src) pairs drawn with replacement.
-        keys = seg_b * np.int64(indices.size + 1) + neigh_b.ravel()
-        uniq, first = np.unique(keys, return_index=True)
-        seg_parts.append(seg_b[first])
-        neigh_parts.append(neigh_b.ravel()[first])
+        # Coalesce duplicate (dst, src) pairs drawn with replacement:
+        # sort each node's draws and keep the first of each run.
+        neigh_b.sort(axis=1)
+        flat = neigh_b.ravel()
+        keep = np.empty(flat.size, dtype=bool)
+        np.not_equal(flat[1:], flat[:-1], out=keep[1:])
+        keep[::fanout] = True       # each row's first draw
+        seg_parts.append(np.repeat(np.flatnonzero(big_mask), fanout)[keep])
+        neigh_parts.append(flat[keep])
 
     if not seg_parts:
         return (np.zeros(0, dtype=np.int64),) * 2

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core data structures/invariants."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,7 +13,9 @@ from repro.graph.csr import CSRGraph
 from repro.nn.aggregators import SparseAggregator
 from repro.nn.loss import softmax_cross_entropy
 from repro.runtime.core import BatchPlan
+from repro.sampling import neighbor
 from repro.sampling.base import LayerBlock, MiniBatchStats
+from repro.sampling.neighbor import NeighborSampler
 from repro.sim.engine import PipelineSimulator
 
 common_settings = settings(
@@ -181,6 +185,89 @@ class TestAggregationProperties:
         h2 = rng.standard_normal((blk.num_src, feat))
         assert np.allclose(agg.forward(h1 + h2),
                            agg.forward(h1) + agg.forward(h2))
+
+
+# ---------------------------------------------------------------------------
+# Sampler dedup (row-sorted vs one global np.unique)
+# ---------------------------------------------------------------------------
+
+def _unique_route_capped_neighbors(indptr, indices, nodes, fanout, rng):
+    """The sampler's hop with its duplicate draws coalesced by one
+    global ``np.unique`` over packed ``(position, neighbor)`` keys —
+    the oracle for the per-row sort. The key packs by ``|V|``, so
+    distinct pairs never collide."""
+    deg = indptr[nodes + 1] - indptr[nodes]
+    small = deg <= fanout
+    seg_parts, neigh_parts = [], []
+    if small.any():
+        seg_s, neigh_s = neighbor._gather_all_neighbors(
+            indptr, indices, nodes[small])
+        seg_parts.append(np.flatnonzero(small)[seg_s])
+        neigh_parts.append(neigh_s)
+    big_nodes = nodes[~small]
+    if big_nodes.size:
+        offs = (rng.random((big_nodes.size, fanout))
+                * deg[~small].astype(np.float64)[:, None]).astype(np.int64)
+        neigh_b = indices[indptr[big_nodes][:, None] + offs].ravel()
+        seg_b = np.repeat(np.flatnonzero(~small), fanout)
+        keys = seg_b * np.int64(indptr.size) + neigh_b
+        _, first = np.unique(keys, return_index=True)
+        seg_parts.append(seg_b[first])
+        neigh_parts.append(neigh_b[first])
+    if not seg_parts:
+        return (np.zeros(0, dtype=np.int64),) * 2
+    return np.concatenate(seg_parts), np.concatenate(neigh_parts)
+
+
+class TestSamplerDedupProperties:
+    @common_settings
+    @given(edge_lists(max_vertices=25, max_edges=150),
+           st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           st.integers(1, 12), st.integers(0, 10**6))
+    def test_row_sorted_dedup_matches_unique_route(self, data, fanouts,
+                                                    batch, seed):
+        """Same RNG draws, same batches, array for array and dtype for
+        dtype. ``edge_lists`` repeats ``(src, dst)`` pairs, so the graph
+        is a multigraph: parallel edges make distinct draws of one node
+        land on the same neighbor id."""
+        n, src, dst = data
+        graph = CSRGraph.from_edges(src, dst, n)
+        targets = np.random.default_rng(seed).permutation(n)[:batch]
+        twins = [NeighborSampler(graph, np.arange(n), tuple(fanouts), 4,
+                                 seed=seed) for _ in range(2)]
+        got = twins[0].sample(targets)
+        with mock.patch.object(neighbor, "_sample_capped_neighbors",
+                               _unique_route_capped_neighbors):
+            want = twins[1].sample(targets)
+        for x, y in zip(got.node_ids, want.node_ids, strict=True):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        for p, q in zip(got.blocks, want.blocks, strict=True):
+            assert (p.num_src, p.num_dst) == (q.num_src, q.num_dst)
+            for x, y in ((p.src_local, q.src_local),
+                         (p.dst_local, q.dst_local)):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+
+    def test_parallel_edges_are_drawn_and_coalesced(self):
+        """A hub whose every edge goes to one of two neighbors, each
+        several times over: the capped hop keeps each neighbor once."""
+        graph = CSRGraph.from_edges(np.zeros(12, dtype=np.int64),
+                                    np.array([1, 2] * 6), 3)
+        seg, neigh = neighbor._sample_capped_neighbors(
+            graph.indptr, graph.indices, np.array([0]), 5,
+            np.random.default_rng(0))
+        assert seg.tolist() == [0, 0] and neigh.tolist() == [1, 2]
+
+    def test_neighbor_ids_past_the_edge_count_keep_position_order(self):
+        """Neighbor ids may exceed ``|E|`` on a sparse graph; pairs
+        still come out in node-position order, then neighbor order (a
+        ``(position, neighbor)`` key packed by ``|E| + 1`` would put
+        position 1's pair first here)."""
+        graph = CSRGraph.from_edges(np.array([0, 0, 1, 1]),
+                                    np.array([7, 7, 0, 0]), 8)
+        seg, neigh = neighbor._sample_capped_neighbors(
+            graph.indptr, graph.indices, np.array([0, 1]), 1,
+            np.random.default_rng(0))
+        assert seg.tolist() == [0, 1] and neigh.tolist() == [7, 0]
 
 
 # ---------------------------------------------------------------------------

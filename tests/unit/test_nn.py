@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.config import TrainingConfig, layer_dims
 from repro.errors import ConfigError, ShapeError
@@ -19,11 +20,12 @@ from repro.nn.aggregators import (
 )
 from repro.nn.gradcheck import check_model_gradients, numeric_gradient
 from repro.nn.init import xavier_uniform, zeros_init
-from repro.nn.layers import GCNLayer, SAGELayer
+from repro.nn.layers import GCNLayer, LayerCache, SAGELayer
 from repro.nn.linear import Linear
 from repro.nn.loss import accuracy, softmax_cross_entropy
 from repro.nn.models import GNNModel, build_model, model_size_bytes
 from repro.nn.optim import SGD, Adam
+from repro.runtime import TrainingSession, VirtualTimeBackend
 from repro.runtime.trainer import TrainerNode
 from repro.sampling.base import LayerBlock
 from repro.sampling.neighbor import NeighborSampler
@@ -64,6 +66,89 @@ class TestActivations:
         x = np.array([-1.0, 0.0, 2.0])
         g = relu_grad(x, np.ones(3))
         assert list(g) == [0.0, 0.0, 1.0]
+
+    def test_relu_writes_over_its_input(self):
+        x = np.array([-1.0, 0.5])
+        assert relu(x) is x and list(x) == [0.0, 0.5]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mask_from_output_is_pre_activation_mask(self, dtype):
+        """``relu_grad`` reads the ReLU output; on exact 0, -0.0 and
+        NaN (either sign) its mask is the pre-activation's bit for
+        bit, and so is the gradient it passes."""
+        z = np.array([-1.0, -0.0, 0.0, np.nan, -np.nan, 1e-30, -1e-30,
+                      np.inf, -np.inf, 2.0], dtype=dtype)
+        z = np.tile(z, (3, 1))
+        upstream = np.random.default_rng(0).standard_normal(
+            z.shape).astype(dtype)
+        upstream[0, 3] = np.nan
+        out = relu(z.copy())
+        assert np.array_equal(out > 0.0, z > 0.0)
+        assert relu_grad(out, upstream).tobytes() == \
+            (upstream * (z > 0.0)).tobytes()
+
+
+def _concat_sage_step(layer, agg, h_src, grad_out, row_scales=None):
+    """The SAGE update as ``concat([h_self, m]) @ W + b`` (the oracle
+    of the split update): ``(output, dW, db, dh_src)``."""
+    k, num_dst = layer.in_dim, agg.block.num_dst
+    W, b = layer.linear.W, layer.linear.b
+    m = agg.forward(h_src, row_scales)
+    h_self = h_src[:num_dst] if row_scales is None \
+        else h_src[:num_dst] * row_scales[:num_dst]
+    a = np.concatenate([h_self, m], axis=1)
+    z = a @ W + b
+    dz = grad_out * (z > 0)
+    da = dz @ W.T
+    dh_src = agg.backward(da[:, k:])
+    dh_src[:num_dst] += da[:, :k]
+    return np.maximum(z, 0), a.T @ dz, dz.sum(axis=0), dh_src
+
+
+class TestSplitSAGEUpdate:
+    """``SAGELayer`` multiplies self rows and mean by ``W``'s two row
+    blocks instead of forming the concat; it matches the concat within
+    float32 GEMM rounding."""
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_matches_concat_oracle(self, scaled):
+        rng = _rng()
+        layer = SAGELayer(8, 6, rng)
+        blk = LayerBlock(rng.integers(0, 40, 150), rng.integers(0, 15, 150),
+                         40, 15)
+        agg = layer.build_aggregator(blk, np.arange(40), np.arange(15),
+                                     None)
+        h_src = rng.standard_normal((40, 8)).astype(np.float32)
+        grad_out = rng.standard_normal((15, 6)).astype(np.float32)
+        row_scales = rng.random((40, 1)).astype(np.float32) + 0.5 \
+            if scaled else None
+        out, cache = layer.forward(agg, h_src, row_scales)
+        dh_src = layer.backward(cache, grad_out)
+        want = _concat_sage_step(layer, agg, h_src, grad_out, row_scales)
+        got = (out, layer.linear.dW, layer.linear.db, dh_src)
+        for name, x, y in zip(("out", "dW", "db", "dh_src"), got, want):
+            assert x.dtype == np.float32, name
+            np.testing.assert_allclose(x, y, rtol=1e-5, atol=1e-5,
+                                       err_msg=name)
+        assert (out > 0).any() and (out == 0).any()
+
+    def test_cache_keeps_no_concat(self):
+        rng = _rng()
+        layer = SAGELayer(3, 4, rng)
+        agg = layer.build_aggregator(_block(), np.arange(3), np.arange(2),
+                                     None)
+        h_src = rng.standard_normal((3, 3)).astype(np.float32)
+        out, cache = layer.forward(agg, h_src)
+        h_self, m = cache.update_inputs
+        assert h_self.base is h_src and h_self.shape == (2, 3)
+        assert m.shape == (2, 3) and cache.output is out
+
+    def test_wrong_feature_width_raises(self):
+        layer = SAGELayer(3, 4, _rng())
+        agg = layer.build_aggregator(_block(), np.arange(3), np.arange(2),
+                                     None)
+        with pytest.raises(ShapeError):
+            layer.forward(agg, np.zeros((3, 5), dtype=np.float32))
 
 
 class TestInit:
@@ -388,8 +473,12 @@ class TestBackwardStopsAtParameters:
                                  tiny_ds.graph.out_degrees)
         assert spy.call_count == len(m.layers) - 1
 
-    def test_transpose_built_only_by_training_steps(
-            self, tiny_ds, tiny_sampler):
+    def test_no_aggregator_holds_a_transpose(self, tiny_ds,
+                                             tiny_sampler):
+        """The backward spmm multiplies through ``matrix.T``, SciPy's
+        free view: after forward-only calls (``predict``, serving) and
+        after training steps, every aggregator holds one sparse matrix,
+        its own ``S``."""
         mb, x0, labels, m = _batch_and_model("gcn", tiny_ds,
                                              tiny_sampler)
         deg = tiny_ds.graph.out_degrees
@@ -401,16 +490,33 @@ class TestBackwardStopsAtParameters:
                            fanouts=(3, 2), hidden_dim=8, seed=1),
             config=ServingConfig(latency_budget_s=0.2,
                                  max_batch_targets=8), clock=clock)
-        with _spy(SparseAggregator, "_build_transpose") as spy:
+        built = []
+        init = SparseAggregator.__init__
+
+        def record(agg, *args, **kwargs):
+            init(agg, *args, **kwargs)
+            built.append(agg)
+
+        def sparse_members(aggs):
+            return {tuple(k for k, v in vars(a).items() if sp.issparse(v))
+                    for a in aggs}
+
+        with mock.patch.object(SparseAggregator, "__init__", record), \
+                _spy(SparseAggregator, "backward") as spy:
             m.predict(mb, x0, deg)
             serving.submit(tiny_ds.train_ids[:4])
             clock.advance(1.0)
             assert len(serving.step()) == 1
             serving.close()
-            assert spy.call_count == 0
+            forward_only = list(built)
+            assert len(forward_only) == 2 * len(m.layers)
+            assert sparse_members(forward_only) == {("matrix",)}
 
             node.train_minibatch(mb, x0, labels, deg)
+            trained = built[len(forward_only):]
+            assert len(trained) == len(m.layers)
             assert spy.call_count == len(m.layers) - 1
+            assert sparse_members(trained) == {("matrix",)}
 
     @pytest.mark.parametrize("cls", [GCNLayer, SAGELayer])
     def test_layer_input_gradient_matches_finite_differences(self,
@@ -435,6 +541,42 @@ class TestBackwardStopsAtParameters:
         assert np.allclose(analytic, numeric_gradient(loss, h_src),
                            atol=1e-6)
         assert layer.backward(cache, weights, input_grad=False) is None
+
+
+def _fresh_relu_gcn_forward(layer, aggregator, h_src, row_scales=None):
+    """``GCNLayer.forward`` with ReLU into a fresh array and the
+    pre-activation cached for the backward mask."""
+    a = aggregator.forward(h_src, row_scales)
+    z = layer.linear.forward(a)
+    h = np.maximum(z, 0.0) if layer.activation else z
+    return h, LayerCache(aggregator=aggregator, update_inputs=(a,),
+                         output=z)
+
+
+class TestGCNTrajectoryUnchanged:
+    def test_virtual_epoch_bit_identical_to_pre_activation_route(
+            self, tiny_ds, fpga_platform):
+        """The in-place ReLU and the output mask move no GCN bit: a
+        seeded ``virtual`` epoch gives the losses and parameters of the
+        fresh-ReLU, pre-activation-mask route."""
+        cfg = TrainingConfig(model="gcn", minibatch_size=32,
+                             fanouts=(4, 3), hidden_dim=16,
+                             learning_rate=0.05, seed=11)
+
+        def epoch():
+            session = TrainingSession(tiny_ds, cfg,
+                                      platform=fpga_platform,
+                                      profile_probes=2)
+            losses = VirtualTimeBackend(session).run_epoch().losses
+            return losses, [t.model.get_flat_params().tobytes()
+                            for t in session.trainers]
+
+        losses, params = epoch()
+        with mock.patch.object(GCNLayer, "forward",
+                               _fresh_relu_gcn_forward):
+            want_losses, want_params = epoch()
+        assert len(losses) > 1
+        assert losses == want_losses and params == want_params
 
 
 class TestGradcheck:
