@@ -11,8 +11,12 @@ gradient slab), control through messages (work items, tokens, scalars
 and stats are all a pipe carries between a run's ``init`` and its
 ``snapshot``). The workers and the store (a :class:`WorkerPool`) live
 as long as the *backend*: opened lazily by the first ``run()``, reused
-by every later one, released by ``close()``. What varies between
-process planes is two small choices:
+by every later one, released by ``close()``. Opening the pool moves
+the dataset into the store: the session's features, labels and CSR
+become read-only views of the segment before any worker forks, so the
+node holds the dataset once, not once privately and once shared
+(:meth:`ProcessBackend._create_store`). What varies between process
+planes is two small choices:
 
 * the **work source** (``self.work_source``) — the numbered stream of
   :class:`~repro.runtime.core.PlannedIteration` the parent deals:
@@ -187,13 +191,6 @@ class WorkerReplica(StagePipeline):
             kernel_stats=counters.delta({}),
             stream=self.sampler.stream_state)
 
-    def release_views(self) -> None:
-        """Drop shm-backed views before unmapping, else ``close()``
-        raises BufferError on the exported buffers (the sampler's CSR
-        graph views the segment too)."""
-        self.features = self.labels = self.sampler = self.grads = None
-        self.wire_table = None
-
 
 class InlineBody:
     """The one worker body: a dealt item is prepared when it arrives and
@@ -300,13 +297,11 @@ def worker_main(conn, manifest, spec: WorkerSpec) -> None:
     ``spawn``): attach the store, build the replica, serve, and tear
     down (close-never-unlink) no matter how the loop ends."""
     store = None
-    replica = None
     try:
         from ..shm import SharedFeatureStore
 
         store = SharedFeatureStore.attach(manifest)
-        replica = spec.replica_cls(store, spec)
-        serve(conn, replica)
+        serve(conn, spec.replica_cls(store, spec))
     except EOFError:
         pass                              # parent went away: just exit
     except BaseException:
@@ -316,12 +311,7 @@ def worker_main(conn, manifest, spec: WorkerSpec) -> None:
             pass
     finally:
         if store is not None:
-            if replica is not None:
-                replica.release_views()
-            try:
-                store.close()             # never unlink: parent owns it
-            except Exception:
-                pass
+            store.close()                 # never unlink: parent owns it
         conn.close()
 
 
@@ -356,13 +346,9 @@ def _shutdown(conns, procs, store) -> None:
             conn.close()
         except Exception:
             pass
-    try:
-        store.close()
-    except BufferError:
-        # A slab view pinned by the traceback of the very failure that
-        # got us here (an interrupt mid-read): the mapping dies with
-        # it, the name goes now.
-        pass
+    # A view still pinned (say, by the traceback of the failure that
+    # got us here) keeps the mapping until it dies; the name goes now.
+    store.close()
     store.unlink()
 
 
@@ -483,7 +469,17 @@ class ProcessBackend(ExecutionBackend):
         wire table rides along — encoded (or raising, for an int8 store
         with a non-finite row) before the segment exists. The parent
         loads no batch, so it then drops its own copy: the segment's is
-        the only one."""
+        the only one.
+
+        The same holds for the dataset: the store :meth:`adopts
+        <repro.runtime.shm.SharedFeatureStore.adopt>` it, and the
+        session's pipeline follows, so the features, labels and CSR the
+        session reads are read-only views of the segment and the
+        private copies are freed before any worker forks (a forked
+        worker would otherwise inherit them). The views outlive the
+        pool: after ``close()`` the session reads the unlinked
+        segment, on any plane, and a reopen copies from it into the
+        next one."""
         from ..shm import SharedFeatureStore
         s = self.session
         table = None
@@ -496,6 +492,9 @@ class ProcessBackend(ExecutionBackend):
                 flat, shape=(s.num_trainers + 1, flat.size)),
             wire_table=table, **self.store_extras)
         s.pipeline.wire_table = None
+        store.adopt(s.dataset)
+        s.pipeline.features = s.dataset.features
+        s.pipeline.labels = s.dataset.labels
         return store
 
     # ------------------------------------------------------------------
@@ -590,12 +589,11 @@ class ProcessBackend(ExecutionBackend):
         ``it`` is written only after all answers for ``it`` — so no
         worker, however far it lags, can read a later iteration's
         average or have its row overwritten before it was reduced.
-        (The slab is only ever indexed in place here: a view held in a
-        local would pin the mapping through a failing run's traceback
-        while ``close()`` unmaps it.) Idle replicas are zero-graded by
-        the tail, at sync time rather than deal time, so a look-ahead
-        deal can never clobber gradients of an earlier, not-yet-reduced
-        iteration."""
+        (The slab is only ever indexed in place here, so no view of it
+        keeps the segment alive in a failing run's traceback.) Idle
+        replicas are zero-graded by the tail, at sync time rather than
+        deal time, so a look-ahead deal can never clobber gradients of
+        an earlier, not-yet-reduced iteration."""
         s = self.session
         answers: list[Reply | None] = []
         for idx, trainer in enumerate(s.trainers):

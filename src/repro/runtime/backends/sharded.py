@@ -236,10 +236,6 @@ class ShardedReplica(WorkerReplica):
         reply.shard_io = io
         return reply
 
-    def release_views(self) -> None:
-        self.parts = None
-        super().release_views()
-
 
 # ---------------------------------------------------------------------------
 # The preset

@@ -26,6 +26,16 @@ which re-materialize NumPy views with :meth:`SharedFeatureStore.attach`.
 
 Lifetime / cleanup contract
 ---------------------------
+* **Which process maps what.** Each store maps the segment once, on a
+  mapping of its own that every array it hands out keeps as its base:
+  the mapping is unmapped when the last array over it dies, never under
+  a live one. The parent's store is the one mapping in the parent, and
+  a process plane *adopts* it (:meth:`adopt`): the session's dataset
+  arrays become read-only views of the segment and the private copies
+  go before any worker forks, so the dataset lives once in the parent
+  (DistDGL keeps one shared copy the same way). A forked worker
+  inherits that mapping untouched and reads through its own
+  (:meth:`attach`).
 * The **creator** (the backend's parent process) owns the segment: it is
   the only party that may :meth:`unlink`. The store lives as long as the
   backend's worker pool — created on the backend's first ``run()``,
@@ -33,19 +43,26 @@ Lifetime / cleanup contract
   pool's single teardown (``backend.close()``, the pool's finalizer, or
   a failed run); the store's own ``weakref.finalize`` guard still
   unlinks on garbage collection as a last resort, so no segment
-  outlives its backend even on error paths.
+  *name* outlives its backend even on error paths.
 * **Workers** attach by name and must only :meth:`close`. Workers
   spawned (or forked) by the creator share its ``resource_tracker``
   process, whose name cache is a set — the attach-side re-registration
   dedupes, and the owner's ``unlink`` clears the single entry. (The
   bpo-39959 double-unlink problem only affects *unrelated* processes
   attaching by name, which this store does not support.)
-* Array views pin the mapping: :meth:`close` drops the store's views
-  first; callers must not hold onto ``store.features`` etc. past close.
+* **What close() leaves behind.** :meth:`close` drops the store's own
+  views (a later ``store.features`` raises :class:`ProtocolError`) and
+  cannot fail; an array still held — an adopted dataset array, a view
+  pinned by a traceback — stays readable, and the segment's memory,
+  nameless once unlinked, is freed with the last such array. After a
+  process plane closes, its session therefore keeps reading its
+  dataset from the unlinked segment, on any plane, until a reopen
+  adopts the next one.
 """
 
 from __future__ import annotations
 
+import mmap
 import secrets
 import weakref
 from dataclasses import dataclass
@@ -150,16 +167,21 @@ class SharedFeatureStore:
         self._shm = shm
         self.manifest = manifest
         self.owner = owner
+        # The views' own mapping (``mmap`` dups the descriptor): each
+        # array keeps it as its base, so it is unmapped by the last of
+        # them. ``shm``'s mapping is closed at once; ``shm`` stays for
+        # the name ``unlink`` needs.
+        mapping = mmap.mmap(shm._fd, shm.size)
+        shm.close()
         self._views: dict[str, np.ndarray] = {
             spec.key: np.ndarray(spec.shape, dtype=np.dtype(spec.dtype),
-                                 buffer=shm.buf, offset=spec.offset)
+                                 buffer=mapping, offset=spec.offset)
             for spec in manifest.arrays
         }
         self._csr = None
         self._closed = False
-        # Last-resort cleanup if an error path skips close()/unlink().
-        self._finalizer = weakref.finalize(
-            self, _finalize_store, shm, owner)
+        if owner:   # last-resort unlink if an error path skips unlink()
+            self._finalizer = weakref.finalize(self, _finalize_store, shm)
 
     # ------------------------------------------------------------------
     # Construction
@@ -251,6 +273,11 @@ class SharedFeatureStore:
             raise ProtocolError("shared feature store is closed")
         return self._views[key]
 
+    def _readonly(self, key: str) -> np.ndarray:
+        view = self._view(key).view()
+        view.flags.writeable = False
+        return view
+
     @property
     def features(self) -> np.ndarray:
         return self._view("features")
@@ -286,19 +313,26 @@ class SharedFeatureStore:
     @property
     def wire_table(self) -> WireRows | None:
         """The accelerator wire table the parent encoded, as read-only
-        views into the segment (released before :meth:`close`, like
-        every view); ``None`` when the store carries none."""
+        views into the segment; ``None`` when the store carries none."""
         dtype = self.features.dtype          # raises once closed
         if "wire_codes" not in self._views:
             return None
-        codes = self._views["wire_codes"].view()
-        scales = (self._views["wire_scales"].view()
+        codes = self._readonly("wire_codes")
+        scales = (self._readonly("wire_scales")
                   if codes.dtype == np.int8 else None)
-        for a in (codes, scales):
-            if a is not None:
-                a.flags.writeable = False
         return WireRows("int8" if scales is not None else "fp16", codes,
                         scales, dtype)
+
+    def adopt(self, dataset) -> None:
+        """Re-point ``dataset``'s features, labels and CSR topology at
+        read-only views of the segment, so its private copies can go:
+        the dataset then lives once, here (see the module's lifetime
+        contract). The views stay readable after :meth:`close` and
+        :meth:`unlink`, and a later :meth:`create` copies from them."""
+        dataset.features = self._readonly("features")
+        dataset.labels = self._readonly("labels")
+        dataset.graph.indptr = self._readonly("indptr")
+        dataset.graph.indices = self._readonly("indices")
 
     @property
     def degrees(self) -> np.ndarray:
@@ -314,8 +348,6 @@ class SharedFeatureStore:
         normalization copies nothing). Built — and validated, an
         O(E) pass — once per store and kept until :meth:`close`, so a
         reused worker rebuilding its sampler every run pays it once.
-        The returned graph pins the mapping — drop it before
-        :meth:`close`, like any other view.
         """
         from ..graph.csr import CSRGraph
         if self._csr is None:
@@ -330,13 +362,12 @@ class SharedFeatureStore:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Unmap the segment (drops all views). Idempotent."""
-        if self._closed:
-            return
+        """Drop the store's views. Idempotent; never raises. The mapping
+        goes with the last array over it, so one still held stays
+        readable."""
         self._closed = True
         self._views.clear()
         self._csr = None
-        self._shm.close()
 
     def unlink(self) -> None:
         """Destroy the segment. Owner only; idempotent."""
@@ -358,14 +389,10 @@ class SharedFeatureStore:
             self.unlink()
 
 
-def _finalize_store(shm: shared_memory.SharedMemory, owner: bool) -> None:
-    """GC-time guard: never leak a segment past the owning store."""
-    try:  # pragma: no cover - defensive
-        shm.close()
+def _finalize_store(shm: shared_memory.SharedMemory) -> None:
+    """GC-time guard: never leak a segment name past the owning
+    store."""
+    try:
+        shm.unlink()
     except Exception:
         pass
-    if owner:
-        try:
-            shm.unlink()
-        except Exception:
-            pass

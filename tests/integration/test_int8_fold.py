@@ -88,7 +88,6 @@ def test_lane_codes_equal_worker_codes(tier, tiny_ds, monkeypatch):
         assert "encode_calls" not in bag.snapshot()
         assert not replica.wire_table.codes.flags.writeable
     finally:
-        replica.release_views()
         store.close()
         store.unlink()
     assert lane_x.dtype == work_x.dtype == lane_s.dtype == np.float32

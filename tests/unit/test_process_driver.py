@@ -15,9 +15,10 @@ thread-less ``virtual`` among them), Listing 1's handshake and the
 all-reduce live in one function (an AST scan of the source), every
 backend implements ``run`` alone, each name's knobs match an explicit
 table, one report class exists, the only
-post-run round trip a worker ever answers is ``snapshot``, and the
+post-run round trip a worker ever answers is ``snapshot``, the
 workers + store a backend opens on its first ``run()`` are the ones
-every later ``run()`` uses.
+every later ``run()`` uses, and opening them moves the session's
+dataset into the segment, readable however the pool ends.
 """
 
 import ast
@@ -29,8 +30,12 @@ import inspect
 import multiprocessing as mp
 import os
 import pickle
+import signal
+import subprocess
+import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +43,8 @@ import pytest
 
 import repro
 from repro.config import SystemConfig, layer_dims
-from repro.errors import ConfigError
+from repro.errors import ConfigError, WorkerError
+from repro.graph.datasets import tiny_dataset
 from repro.runtime import (
     ExecutionBackend,
     TrainingSession,
@@ -588,6 +594,169 @@ class TestPoolLifetime:
             assert _pool_footprint() == (set(), set())
         finally:
             gc.enable()
+
+
+#: ``tiny_ds``'s arguments: a dataset of its own per test, so adopting
+#: it into a segment touches no other test's arrays.
+TINY = dict(num_vertices=400, feature_dim=12, num_classes=4,
+            avg_degree=8.0, seed=7)
+
+
+def _dataset_arrays(session) -> dict[str, np.ndarray]:
+    """Every reference a session holds to the dataset's big arrays."""
+    ds = session.dataset
+    return {"features": ds.features, "labels": ds.labels,
+            "indptr": ds.graph.indptr, "indices": ds.graph.indices,
+            "pipeline.features": session.pipeline.features,
+            "pipeline.labels": session.pipeline.labels}
+
+
+def _session(ds, cfg) -> TrainingSession:
+    return TrainingSession(ds, cfg, SystemConfig(hybrid=True, drm=False),
+                           num_trainers=2)
+
+
+def _assert_reads_like_a_fresh_dataset(session, cfg) -> None:
+    """The session's arrays equal a fresh twin's bit for bit, and a
+    ``threaded`` epoch over them equals a ``virtual`` epoch on a twin
+    session that never opened a pool."""
+    twin_ds = tiny_dataset(**TINY)
+    twin = _session(twin_ds, cfg)
+    for key, arr in _dataset_arrays(session).items():
+        want = _dataset_arrays(twin)[key]
+        assert arr.dtype == want.dtype, key
+        np.testing.assert_array_equal(arr, want, err_msg=key)
+    with build_backend("threaded", _session(session.dataset, cfg)) as b:
+        got = b.run_epoch()
+    want = build_backend("virtual", twin).run_epoch()
+    np.testing.assert_array_equal(got.losses, want.losses)
+
+
+class TestDatasetLivesOnce:
+    """Opening a process pool moves the session's dataset into the
+    segment: its features, labels and CSR (and the pipeline's) become
+    read-only views of it before any worker forks, and the private
+    arrays go. However the pool ends, no name is left in ``/dev/shm``
+    and the session keeps reading the same bits."""
+
+    @pytest.mark.parametrize("ending", ["close", "drop", "killed"])
+    @pytest.mark.parametrize("name", PROCESS_PRESETS)
+    def test_epoch_adopts_the_segment(self, name, ending, small_cfg):
+        session = _session(tiny_dataset(**TINY), small_cfg)
+        private = {k: weakref.ref(a)
+                   for k, a in _dataset_arrays(session).items()}
+        backend = get_backend(name)(session, timeout_s=60)
+        backend.run_epoch()
+        store = backend._pool.store
+        shared = {"features": store.features, "labels": store.labels,
+                  "indptr": store.indptr, "indices": store.indices}
+        for key, arr in _dataset_arrays(session).items():
+            assert np.shares_memory(arr, shared[key.split(".")[-1]]), key
+            assert not arr.flags.writeable, key
+            assert private[key]() is None, f"private {key} lives on"
+        del store, shared
+
+        if ending == "close":
+            backend.close()
+        elif ending == "drop":
+            gc.disable()            # refcount alone, as bench_e2e drops
+            try:
+                del backend
+            finally:
+                gc.enable()
+        else:
+            victim = backend._pool.procs[-1]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(10)
+            with pytest.raises(WorkerError):
+                backend.run(2)
+        assert _pool_footprint() == (set(), set())
+        with build_backend("threaded", session) as reuse:
+            assert np.isfinite(reuse.run_epoch().losses).all()
+        _assert_reads_like_a_fresh_dataset(session, small_cfg)
+
+    @pytest.mark.parametrize("name", PROCESS_PRESETS)
+    def test_reopen_copies_from_the_unlinked_segment(self, name,
+                                                     small_cfg):
+        """open → close → open on one dataset: the second segment is
+        filled from the first, which goes once the session adopts the
+        second."""
+        session = _session(tiny_dataset(**TINY), small_cfg)
+        backend = get_backend(name)(session, timeout_s=60)
+        backend.run(2)
+        backend.close()
+        first = weakref.ref(session.dataset.features)
+        backend.run(2)
+        assert first() is None
+        assert np.shares_memory(session.dataset.features,
+                                backend._pool.store.features)
+        backend.close()
+        _assert_reads_like_a_fresh_dataset(session, small_cfg)
+
+    @pytest.mark.parametrize("close_first", ["first", "second"])
+    def test_two_sessions_over_one_dataset(self, close_first, small_cfg):
+        """Two sessions over one dataset each open a pool; closing them
+        in either order leaves both reading the dataset."""
+        ds = tiny_dataset(**TINY)
+        sessions = [_session(ds, small_cfg), _session(ds, small_cfg)]
+        backends = [build_backend("process", s, timeout_s=60)
+                    for s in sessions]
+        for b in backends:
+            b.run(2)
+        order = backends if close_first == "first" else backends[::-1]
+        for b in order:
+            b.close()
+        assert _pool_footprint() == (set(), set())
+        for s in sessions:
+            with build_backend("threaded", s) as reuse:
+                assert np.isfinite(reuse.run(2).losses).all()
+        _assert_reads_like_a_fresh_dataset(sessions[0], small_cfg)
+
+    def test_no_crash_or_unraisable_after_any_teardown(self):
+        """close(), the finalizer and a failed run, then reads of the
+        dataset, in a child interpreter: a read of unmapped memory
+        shows as a signal there, an error in a finalizer as
+        ``Exception ignored``."""
+        script = """
+import gc, os, signal
+import numpy as np
+from repro.config import SystemConfig, TrainingConfig
+from repro.errors import WorkerError
+from repro.graph.datasets import tiny_dataset
+from repro.runtime import TrainingSession, build_backend
+ds = tiny_dataset(**%r)
+twin = tiny_dataset(**%r)
+cfg = TrainingConfig(model="sage", minibatch_size=32, fanouts=(4, 3),
+                     hidden_dim=16, learning_rate=0.05, seed=11)
+def check():
+    gc.collect()
+    churn = [np.ones(1 << 16) for _ in range(64)]
+    assert np.array_equal(ds.features, twin.features)
+    assert np.array_equal(ds.graph.indices, twin.graph.indices)
+s = TrainingSession(ds, cfg, SystemConfig(hybrid=True, drm=False),
+                    num_trainers=2)
+b = build_backend("process", s, timeout_s=60)
+b.run(2); b.close(); check()
+b.run(2); b = None; check()
+b = build_backend("process", s, timeout_s=60)
+b.run(2)
+os.kill(b._pool.procs[0].pid, signal.SIGKILL)
+b._pool.procs[0].join(10)
+try:
+    b.run(2)
+except WorkerError:
+    pass
+check()
+b.run(2); check()
+print("done")
+""" % (TINY, TINY)
+        src = Path(repro.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
+        assert "done" in proc.stdout
+        assert "Exception ignored" not in proc.stderr
 
 
 @pytest.fixture()

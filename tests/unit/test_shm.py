@@ -4,16 +4,23 @@ The store backs the process-pool backend: the dataset's features,
 labels, and CSR topology live once in a single shared-memory segment
 that worker processes map zero-copy. These tests pin the manifest
 round trip, array bit-parity, and — most importantly — the cleanup
-contract (owner unlinks exactly once, no segment survives)."""
+contract (owner unlinks exactly once, no segment survives, no array
+the store handed out is ever unmapped under its holder)."""
 
+import gc
 import glob
 import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import kernels
 from repro.errors import ProtocolError
+from repro.graph.datasets import tiny_dataset
 from repro.nn.models import build_model
 from repro.runtime.shm import SharedFeatureStore
 
@@ -159,7 +166,7 @@ class TestAttach:
             assert np.shares_memory(graph.indices, s.indices)
             del graph
         finally:
-            s.close()          # would raise BufferError if still pinned
+            s.close()
             s.unlink()
         with pytest.raises(ProtocolError):
             s.csr_graph()
@@ -215,3 +222,95 @@ class TestLifetime:
         gc.collect()
         assert _segment_paths() == before
         assert not os.path.exists("/dev/shm/" + name)
+
+
+#: The ``tiny_ds`` dataset's arguments, for twins built per test.
+TINY = dict(num_vertices=400, feature_dim=12, num_classes=4,
+            avg_degree=8.0, seed=7)
+DATASET_ARRAYS = ("features", "labels", "indptr", "indices")
+
+
+def _dataset_arrays(ds) -> dict[str, np.ndarray]:
+    return {"features": ds.features, "labels": ds.labels,
+            "indptr": ds.graph.indptr, "indices": ds.graph.indices}
+
+
+class TestViewsOutliveClose:
+    """Every array the store hands out keeps the store's mapping
+    alive: ``close()`` drops the store's views and never unmaps under a
+    live one."""
+
+    def test_view_held_past_close_and_unlink_reads_the_segment(self):
+        """In a child interpreter, so an unmapped read shows as a
+        signal (-11), not as this suite dying."""
+        script = """
+import gc
+import numpy as np
+from repro.graph.datasets import tiny_dataset
+from repro.runtime.shm import SharedFeatureStore
+ds = tiny_dataset(**%r)
+store = SharedFeatureStore.create(ds)
+held, slab = store.features, store.train_ids
+store.close()
+store.close()
+store.unlink()
+del store
+gc.collect()
+churn = [np.ones(1 << 16) for _ in range(64)]
+assert np.array_equal(held, ds.features)
+assert np.array_equal(slab, ds.train_ids)
+print("read", held.shape)
+""" % (TINY,)
+        src = Path(__file__).parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
+        assert "read" in proc.stdout
+        assert "Exception ignored" not in proc.stderr
+
+
+class TestAdopt:
+    """``adopt`` moves a dataset into the segment: its features,
+    labels and CSR become read-only views of it, the private arrays
+    go, and the views stay readable after the store is gone."""
+
+    def test_dataset_lives_once_in_the_segment(self):
+        ds = tiny_dataset(**TINY)
+        before = {k: weakref.ref(a)
+                  for k, a in _dataset_arrays(ds).items()}
+        s = SharedFeatureStore.create(ds)
+        try:
+            s.adopt(ds)
+            gc.collect()
+            for key, arr in _dataset_arrays(ds).items():
+                assert np.shares_memory(arr, getattr(s, key)), key
+                assert not arr.flags.writeable, key
+                assert before[key]() is None, f"private {key} lives on"
+            with pytest.raises(ValueError):
+                ds.features[0, 0] = 1.0
+        finally:
+            s.close()
+            s.unlink()
+        twin = tiny_dataset(**TINY)
+        for key, arr in _dataset_arrays(ds).items():
+            np.testing.assert_array_equal(arr, _dataset_arrays(twin)[key])
+            assert arr.dtype == _dataset_arrays(twin)[key].dtype
+
+    def test_a_second_store_copies_from_the_adopted_views(self):
+        """open → close → open: the next segment is filled from the
+        unlinked one, which goes once the dataset adopts the next."""
+        ds = tiny_dataset(**TINY)
+        first = SharedFeatureStore.create(ds)
+        first.adopt(ds)
+        first.close()
+        first.unlink()
+        old = weakref.ref(ds.features)
+        with SharedFeatureStore.create(ds) as second:
+            second.adopt(ds)
+            assert old() is None
+            assert np.shares_memory(ds.features, second.features)
+        twin = tiny_dataset(**TINY)
+        np.testing.assert_array_equal(ds.features, twin.features)
+        np.testing.assert_array_equal(ds.graph.indices,
+                                      twin.graph.indices)
