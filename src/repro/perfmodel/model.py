@@ -148,9 +148,9 @@ class StageTimes:
         }
 
     def with_updates(self, **kwargs) -> "StageTimes":
-        """Copy with fields replaced (how the resctl estimator applies
-        its per-stage corrections without mutating the frozen model
-        output other consumers hold)."""
+        """Copy with fields replaced (how a live timing step lays the
+        realized stage seconds over the modelled ones without mutating
+        the frozen model output other consumers hold)."""
         return replace(self, **kwargs)
 
 

@@ -34,11 +34,11 @@ This package is the paper's primary contribution (§III-§IV):
 * :mod:`repro.runtime.shm` — :class:`SharedFeatureStore`, the
   single-segment shared-memory mapping of the dataset's features,
   labels and CSR topology that process workers gather from zero-copy;
-* :mod:`repro.runtime.resctl` — online calibration:
-  :class:`OnlineEstimator` calibrates the analytic perf model against
-  the realized per-stage wall times the live planes' replies carry;
-  ``pipelined`` and ``process_pipelined`` calibrate their DRM step
-  through one (see ``docs/architecture.md``).
+* :mod:`repro.runtime.resctl` — the realized-stage fold:
+  :func:`fold_worker_realized` folds the per-stage wall times the live
+  planes' replies carry onto canonical stage keys; ``pipelined`` and
+  ``process_pipelined`` read it as the clock of their DRM step (see
+  ``docs/architecture.md``).
 
 The HyScale-GNN system is a :class:`TrainingSession` executed by a
 backend: ``VirtualTimeBackend(session)`` for the modelled-hardware
@@ -81,7 +81,7 @@ from .backends import (
 )
 from .backends.report import StageStats
 from .backends.overlap import LookaheadDealer
-from .resctl import OnlineEstimator, fold_worker_realized
+from .resctl import fold_worker_realized
 
 __all__ = [
     "Signal",
@@ -112,7 +112,6 @@ __all__ = [
     "RunReport",
     "LookaheadDealer",
     "StageStats",
-    "OnlineEstimator",
     "fold_worker_realized",
     "SharedFeatureStore",
     "SharedSamplerSpec",

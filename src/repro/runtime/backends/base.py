@@ -38,8 +38,8 @@ Each backend declares which tier of the conformance kit it targets via
 
 * ``"strict"`` — lock-step execution, held to **bit-identical** parity
   with the virtual reference (losses, DRM trajectory, parameters);
-* ``"statistical"`` — stages overlap (a calibrated DRM step trailing
-  its producer, or DRM quotas lagging a look-ahead window), so
+* ``"statistical"`` — stages overlap (a live DRM step trailing its
+  producer, or DRM quotas lagging a look-ahead window), so
   the kit instead asserts exact epoch coverage,
   work conservation, DRM-trajectory shape, and tolerance-based loss /
   parameter closeness.
@@ -82,11 +82,10 @@ class ExecutionBackend(abc.ABC):
     #: coverage, conservation and closeness instead of bit-parity).
     conformance_tier: ClassVar[str] = "strict"
 
-    #: The :class:`~repro.runtime.resctl.OnlineEstimator` a preset's
-    #: ``__init__`` installs to calibrate its timing/DRM step against
-    #: realized stage seconds (it persists across runs); ``None`` keeps
-    #: the uncalibrated contract the strict tier pins.
-    estimator = None
+    #: Whether the timing/DRM step reads the clock — the iteration's
+    #: realized stage seconds — instead of the analytic model alone;
+    #: ``False`` keeps the modelled contract the strict tier pins.
+    drm_reads_clock: ClassVar[bool] = False
 
     #: Run lock-step (a window of 1) under any config, so DRM sees
     #: every iteration before the next one is sliced, prefetch or not.
@@ -124,11 +123,9 @@ class ExecutionBackend(abc.ABC):
                       realized: dict | None = None) -> None:
         """One timing/DRM step for iteration ``it`` over its per-trainer
         batch stats (trainer order, ``None`` for an idle trainer),
-        recorded on ``report`` and ``rows``. Under an
-        :attr:`estimator` the step observes ``realized``, is
-        calibrated, and leaves the estimator's digest in
-        ``report.calibration``; without one it stays byte-equal to the
-        uncalibrated contract the strict tier pins."""
+        recorded on ``report`` and ``rows``; ``realized`` is the clock
+        a :attr:`drm_reads_clock` preset passes
+        (:meth:`~repro.runtime.core.TrainingSession.timing_step`)."""
         s = self.session
         stats_cpu = None
         stats_accel: list = []
@@ -137,14 +134,11 @@ class ExecutionBackend(abc.ABC):
                 stats_cpu = st
             else:
                 stats_accel.append(st)
-        times, row, split = s.timing_step(
-            stats_cpu, stats_accel, it, estimator=self.estimator,
-            realized=realized)
+        times, row, split = s.timing_step(stats_cpu, stats_accel, it,
+                                          realized=realized)
         rows.append(row)
         report.stage_history.append(times)
         report.split_history.append(split)
-        if self.estimator is not None:
-            report.calibration = self.estimator.summary()
 
     def end_iteration(self, it: int, sizes: Sequence[int],
                       answers: Sequence[Reply | None], report,
@@ -167,9 +161,10 @@ class ExecutionBackend(abc.ABC):
         trainer's ``stage_s`` is billed to ``report.stage_seconds``
         (:meth:`~.report.RunReport.add_stage_seconds` — the one writer,
         on every plane). With ``adjudicate`` and a timing plane it also
-        takes the timing/DRM step (:meth:`record_timing`) on the
-        iteration's realized stage map (the all-reduce timed here as
-        ``sync``), folded over the ``lanes`` the trainers shared
+        takes the timing/DRM step (:meth:`record_timing`) — under
+        :attr:`drm_reads_clock` on the iteration's realized stage map
+        (the all-reduce timed here as ``sync``), folded over the
+        ``lanes`` the trainers shared
         (:func:`~repro.runtime.resctl.fold_worker_realized`; ``None``
         for one lane per trainer)."""
         s = self.session
@@ -201,7 +196,8 @@ class ExecutionBackend(abc.ABC):
             return
         realized = fold_worker_realized(
             [(trainer.kind, {} if a is None else a.stage_s)
-             for trainer, a in zip(s.trainers, answers)], sync_s, lanes)
+             for trainer, a in zip(s.trainers, answers)], sync_s,
+            lanes) if self.drm_reads_clock else None
         self.record_timing(
             report, rows, [None if a is None else a.stats
                            for a in answers],

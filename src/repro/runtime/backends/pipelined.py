@@ -27,7 +27,7 @@ Feeds only sample; no feed buffer holds feature rows. Two feeds ship,
 and both run the plan-order generator (:meth:`Feed._items`), which
 samples each trainer's batch in plan order from that trainer's stream
 (``session.samplers``), on one thread, attaches its labels and takes the
-uncalibrated timing/DRM step once each iteration's last batch is
+modelled timing/DRM step once each iteration's last batch is
 sampled, so Algorithm 1 sees iteration ``i`` before ``i + 1``'s
 quotas are read:
 
@@ -46,21 +46,21 @@ session's wire table
 stops at the cast, and the model's input layer folds the row scales.
 
 The DRM rule: the consumer adjudicates the timing/DRM step only when a
-preset installs an :class:`~repro.runtime.resctl.OnlineEstimator` as
-``self.estimator`` — after the iteration trained, on calibrated stage
-times; otherwise the feed does, as it produces. It mirrors the process
-driver, where strictness under DRM is a window of 1.
+preset declares ``drm_reads_clock`` — after the iteration trained, on
+its realized stage seconds; otherwise the feed does, as it produces,
+on modelled times. It mirrors the process driver, where strictness
+under DRM is a window of 1.
 
-``pipelined`` is ``threaded`` plus that estimator. Where it moves no
-quota — no timing plane, or DRM off — the two are bit-identical, and
-so are two same-seed ``pipelined`` runs. Under DRM the producer runs
-up to the window ahead of the consumer's step, and the step is
-calibrated on realized wall-clock seconds, so its split trajectory is
+``pipelined`` is ``threaded`` plus that declaration. Where its DRM
+moves no quota — no timing plane, or DRM off — the two are
+bit-identical, and so are two same-seed ``pipelined`` runs. Under DRM
+the producer runs up to the window ahead of the consumer's step, and
+the step reads realized wall-clock seconds, so its split trajectory is
 neither the reference's nor reproducible run to run; it declares
 ``conformance_tier = "statistical"``.
 
 The registry names ``threaded`` and ``pipelined`` are **presets**:
-class attributes plus, at most, an ``__init__``; ``virtual``
+class attributes only; ``virtual``
 (:mod:`.virtual`) adds its timing-only ``simulate_epoch``. The tier
 contract and the decision table are in ``docs/backends.md``.
 """
@@ -75,7 +75,6 @@ from typing import ClassVar
 from ...errors import ProtocolError, StageTimeoutError
 from ...kernels import scoped_counters
 from ..prefetch import PrefetchBuffer
-from ..resctl import OnlineEstimator
 from .base import ExecutionBackend
 from .report import Reply, RunReport
 
@@ -164,14 +163,14 @@ class Feed:
     def _items(self):
         """Mini-batch Sampler in plan order: yields ``(trainer index,
         Prepared)`` — each trainer's batch sampled from its own stream,
-        its labels attached — and, with no estimator
-        installed, takes the uncalibrated timing/DRM step once an
+        its labels attached — and, unless the preset reads the clock,
+        takes the modelled timing/DRM step once an
         iteration's last batch is sampled, before handing it over: the
         plan slices the next iteration after it. On a report that
         carries coverage evidence (``trained_targets`` not ``None``)
         each busy item's targets land there, in plan order."""
         s = self.session
-        adjudicate = s.has_timing and self.backend.estimator is None
+        adjudicate = s.has_timing and not self.backend.drm_reads_clock
         trained = self.report.trained_targets
         for it, planned in s.work_source.iterate(self.iterations):
             stats = []
@@ -385,11 +384,11 @@ class InProcessBackend(ExecutionBackend):
                 for it in range(iterations):
                     # Listing 1's trainer block, then the synchronize
                     # tail on this thread, which adjudicates DRM only
-                    # under an estimator.
+                    # on a preset that reads the clock.
                     sizes, answers = zip(*feed.train(it, self._train_one))
                     self.end_iteration(
                         it, sizes, answers, report, rows,
-                        adjudicate=self.estimator is not None,
+                        adjudicate=self.drm_reads_clock,
                         lanes=feed.lanes)
         except BaseException:
             # A thread that failed to start included: no feed thread
@@ -451,18 +450,13 @@ class ThreadedBackend(InProcessBackend):
 
 
 class PipelinedBackend(InProcessBackend):
-    """``pipelined`` — ``threaded`` plus an
-    :class:`~repro.runtime.resctl.OnlineEstimator` that calibrates the
-    DRM step against realized stage seconds, across runs: the same
-    producer samples ahead through the session's window and the same
-    lanes train, but the consumer takes the DRM step after each
-    iteration trained. Bit-identical to ``threaded`` where the
-    estimator moves no quota (no timing plane, or DRM off);
-    statistical under DRM."""
+    """``pipelined`` — ``threaded`` with a DRM step that reads the
+    clock: the same producer samples ahead through the session's window
+    and the same lanes train, but the consumer takes the DRM step after
+    each iteration trained, as a trial on its realized stage seconds.
+    Bit-identical to ``threaded`` where DRM moves no quota (no timing
+    plane, or DRM off); statistical under DRM."""
 
     name = "pipelined"
     conformance_tier = "statistical"
-
-    def __init__(self, session, timeout_s: float = 60.0) -> None:
-        super().__init__(session, timeout_s=timeout_s)
-        self.estimator = OnlineEstimator()
+    drm_reads_clock = True

@@ -45,17 +45,17 @@ over the work source, through the window
 :meth:`~.base.ExecutionBackend.window` opens — the session's window
 (``prefetch_depth`` under two-stage prefetch, else 1), fixed for the
 whole run; the strict ``process`` preset declares ``lockstep``, a
-window of 1 under any config. The parent always adjudicates DRM (on calibrated stage
-times when the preset installs an
-:class:`~repro.runtime.resctl.OnlineEstimator` as ``self.estimator``)
-and always runs the per-iteration all-reduce barrier — only *dealing*
+window of 1 under any config. The parent always adjudicates DRM (on
+the realized stage seconds when the preset declares
+``drm_reads_clock``) and always runs the per-iteration all-reduce
+barrier — only *dealing*
 ever runs ahead, so Algorithm-1 adjustments lag the dealt window by
 design (``RunReport.dealt_sizes``).
 
 The registry names ``process``, ``process_sampling`` and
 ``process_pipelined`` (and ``sharded``, in :mod:`.sharded`) are
-**presets**: class attributes plus, at most, an ``__init__``. The
-author guide is ``docs/backends.md``.
+**presets**: class attributes plus, at most, an ``__init__``
+(``sharded``'s). The author guide is ``docs/backends.md``.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ import numpy as np
 from ...errors import ProtocolError, StageTimeoutError, WorkerError
 from ...kernels import KernelCounters, merge_counts, scoped_counters
 from ...sampling.base import MiniBatch
-from ..resctl import OnlineEstimator
 from ..stage_pipeline import StagePipeline
 from .base import ExecutionBackend
 from .overlap import LookaheadDealer
@@ -694,7 +693,7 @@ class ProcessBackend(ExecutionBackend):
 
 # ---------------------------------------------------------------------------
 # The presets (registry names): declarations, not subclasses of each
-# other — nothing below overrides a driver method other than __init__.
+# other — nothing below defines a method.
 # ---------------------------------------------------------------------------
 
 class ProcessPoolBackend(ProcessBackend):
@@ -729,22 +728,14 @@ class ProcessSamplingBackend(ProcessBackend):
 
 
 class ProcessPipelinedBackend(ProcessBackend):
-    """``process_pipelined`` — ``process_sampling`` with its DRM step
-    calibrated: target-id shards dealt the session's window ahead, each
-    worker sampling and loading the next batches while the parent
-    collects and all-reduces the current one, and an
-    :class:`~repro.runtime.resctl.OnlineEstimator` (kept across runs)
-    correcting the modelled stage times Algorithm 1 reads with the
-    realized ones. Until the estimator warms its calibration is the
-    identity, so a run whose estimator stays cold is bit-identical to
-    ``process_sampling`` on the same session (pinned by a regression
-    test); without a timing plane it never calibrates at all."""
+    """``process_pipelined`` — ``process_sampling`` with a DRM step that
+    reads the clock: target-id shards dealt the session's window ahead,
+    each worker sampling and loading the next batches while the parent
+    collects and all-reduces the current one, and each DRM move a trial
+    on the iteration's realized stage seconds. Where DRM moves no quota
+    (no timing plane, or DRM off) it is bit-identical to
+    ``process_sampling`` on the same session."""
 
     name = "process_pipelined"
     conformance_tier = "statistical"
-
-    def __init__(self, session, timeout_s: float = 120.0,
-                 mp_context: str | None = None) -> None:
-        super().__init__(session, timeout_s=timeout_s,
-                         mp_context=mp_context)
-        self.estimator = OnlineEstimator()
+    drm_reads_clock = True

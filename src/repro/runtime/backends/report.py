@@ -15,7 +15,7 @@ deliberately different defaults:
   never records targets would read as "trained 0 targets".
 * **accounting** — ``kernel_stats``, ``stage_seconds``,
   ``stage_stats``, ``lookahead_history``,
-  ``dealt_sizes``, ``shard_io``, ``calibration`` — defaults to an empty
+  ``dealt_sizes``, ``shard_io`` — defaults to an empty
   container ("this layer does not exist here").
 """
 
@@ -145,9 +145,6 @@ class RunReport:
     #: Per-trainer batch sizes of each iteration *as dealt* (these lag
     #: DRM adjustments by the look-ahead window).
     dealt_sizes: list[tuple[int, ...]] = field(default_factory=list)
-    #: Per-stage model-vs-realized calibration digest of the run's
-    #: :class:`~repro.runtime.resctl.OnlineEstimator`.
-    calibration: dict[str, dict] = field(default_factory=dict)
     #: One ``{iteration, worker, local_rows, remote_rows, cache_hits,
     #: local_bytes, remote_bytes}`` record per partition-mapped
     #: minibatch; run totals land in ``kernel_stats`` independently.

@@ -57,6 +57,7 @@ from ..sampling.base import MiniBatch, MiniBatchStats
 from ..sim.engine import PipelineSimulator
 from .drm import DRMEngine
 from .quantize import TRANSFER_BYTES
+from .resctl import FIELD_BY_STAGE
 from .stage_pipeline import StagePipeline, WorkSource
 from .synchronizer import GradientSynchronizer
 from .trainer import TrainerNode
@@ -538,18 +539,17 @@ class TrainingSession:
                 prop + self.launch_overhead_s()]
 
     def drm_step(self, times: StageTimes, iteration: int,
-                 **trial) -> None:
+                 realized: dict[str, float] | None = None) -> None:
         """One Algorithm-1 adjustment; affects the next planned iteration
-        (``trial``: :meth:`~repro.runtime.drm.DRMEngine.adjust`'s
-        ``settle`` and ``realized_s``)."""
+        (``realized``: a live plane's clock, see
+        :meth:`~repro.runtime.drm.DRMEngine.adjust`)."""
         if self.drm is not None:
             self.split = self.drm.adjust(self.split, times, iteration,
-                                         **trial)
+                                         realized)
 
     def timing_step(self, stats_cpu: MiniBatchStats | None,
                     stats_accel: list[MiniBatchStats | None],
                     iteration: int, *,
-                    estimator=None,
                     realized: dict[str, float] | None = None
                     ) -> tuple[StageTimes, list[float], WorkloadSplit]:
         """One timing-plane step over realized batch statistics.
@@ -562,60 +562,23 @@ class TrainingSession:
         stage times from iteration ``i``'s stats, split snapshot, *then*
         DRM — can never drift between execution planes.
 
-        ``estimator`` (an :class:`~repro.runtime.resctl.OnlineEstimator`,
-        which a calibrating backend passes) observes this iteration's
-        ``realized`` wall times (the replies' stage seconds on
-        canonical stage keys, folded by
-        :func:`~repro.runtime.resctl.fold_worker_realized`) against the
-        modelled ones, and the returned/recorded times are its
-        calibrated copy — so the duration row and the DRM adjustment
-        both steer from measured wall times — and, once it is warm,
-        each DRM move is a trial judged on realized seconds
-        (:meth:`_trial`). A cold estimator calibrates to the identity
-        and takes no trial, and planes that pass none stay
-        bit-identical to the uncalibrated contract.
+        ``realized`` is a live plane's clock: the iteration's wall
+        seconds on canonical stage keys (the replies' stage seconds
+        folded by :func:`~repro.runtime.resctl.fold_worker_realized`).
+        Each stage it times replaces the modelled one in the returned
+        times and the duration row (``t_transfer`` has no realized key
+        and stays modelled), and the DRM step is a trial on it. Without
+        it the step is the model's, bit for bit.
         """
         times = self.stage_times(stats_cpu, stats_accel)
-        trial = {}
-        if estimator is not None:
-            # A live plane runs no thread pools and samples on the
-            # host, so the model it calibrates prices the split's
-            # quotas only, on the initial threads (one CPU trainer
-            # thread at least): a thread or sampling-share move must
-            # not move times that no wall clock sees.
-            start = self.initial_split
-            modelled = self.perfmodel.stage_times(
-                start.with_updates(
-                    cpu_targets=self.split.cpu_targets,
-                    accel_targets=self.split.accel_targets,
-                    train_threads=max(1, start.train_threads)),
-                stats_cpu, stats_accel)
-            if realized:
-                estimator.observe(realized, modelled)
-            if estimator.is_warm():
-                times = estimator.calibrate(modelled)
-                if self.drm is not None:
-                    trial = self._trial(estimator, realized or {})
+        if realized is not None:
+            times = times.with_updates(**{
+                FIELD_BY_STAGE[stage]: seconds
+                for stage, seconds in realized.items()})
         row = self.duration_row(times)
         split = self.split
-        self.drm_step(times, iteration, **trial)
+        self.drm_step(times, iteration, realized)
         return times, row, split
-
-    def _trial(self, estimator, realized: dict[str, float]) -> dict:
-        """A calibrated DRM step's trial terms: the readings a split
-        needs before the engine acts — its batches reach the consumer
-        up to a look-ahead window after the move, then the estimator
-        re-learns their times to within the revert tolerance — and the
-        iteration's realized training seconds (Eq. 9 on wall clocks:
-        the slower trainer side, then the all-reduce)."""
-        cfg = self.sys_cfg
-        lag = cfg.prefetch_depth - 1 if cfg.prefetch else 0
-        train = max(realized.get("train_cpu", 0.0),
-                    realized.get("train_accel", 0.0))
-        return {"settle": lag + estimator.settle_readings(
-                    self.drm.revert_tolerance),
-                "realized_s": train + realized.get("sync", 0.0)
-                if realized else None}
 
     def make_pipeline(self) -> PipelineSimulator:
         depth = self.sys_cfg.prefetch_depth if self.sys_cfg.prefetch \

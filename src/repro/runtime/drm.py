@@ -28,18 +28,22 @@ Three engineering details the paper leaves implicit:
   stages whose times cross (the "improve training throughput" objective
   of §IV-A demands moves that actually help).
 
-On a live plane whose stage times are calibrated wall-clock readings
-(:meth:`DRMEngine.adjust` with ``settle``), each move is a **trial**
-over a window of iterations instead: the engine acts once the split
-has been in effect for ``settle`` readings, and keeps the move only if
-the window's mean realized seconds per target beat the best split's —
-a yardstick no calibration drift moves.
+On a live plane (:meth:`DRMEngine.adjust` with ``realized``) the step
+reads the clock instead of the model, by the trade rule of
+incremental allocators: each move is a **trial** over a window of the
+split's realized readings. Once the window is full, the move stands
+only if the window's mean realized seconds per target beat the best
+split's, and the next granule of quota moves from the slower training
+side to the faster one. A live plane runs no thread pools and samples
+on the host, so the live step never moves threads or the sampling
+share.
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
+from typing import Mapping
 
 from ..config import SystemConfig
 from ..errors import ConfigError
@@ -56,6 +60,11 @@ MIN_ACCEL_TARGETS = 64
 
 #: Minimum threads the sampler/loader pools always retain.
 _THREAD_FLOOR = 16
+
+#: Readings of one split a live trial averages, past the look-ahead lag
+#: that delays a move's batches: one outlier iteration (a ragged epoch
+#: tail, a collector pause) moves the window's mean by a ninth.
+TRIAL_READINGS = 9
 
 
 @dataclass(frozen=True)
@@ -109,15 +118,19 @@ class DRMEngine:
         self.revert_tolerance = revert_tolerance
         self.cooldown_iterations = cooldown_iterations
         self.decisions: list[DRMDecision] = []
+        #: Readings a live trial averages: :data:`TRIAL_READINGS` plus
+        #: the look-ahead window's lag.
+        self.trial_window = TRIAL_READINGS + (
+            config.prefetch_depth - 1 if config.prefetch else 0)
         self._pending: tuple[WorkloadSplit, float, str] | None = None
         self._cooldown: dict[str, int] = {}
         self._backoff: dict[str, int] = {}
         self._best: tuple[WorkloadSplit, float] | None = None
-        # Trial mode (calibrated live planes): the split the window
-        # below was read under, its realized seconds per target, the
-        # best window seen and the case of the move on trial.
+        # Live trials: the split the window below was read under, its
+        # readings, the best window seen and the case of the move on
+        # trial.
         self._held: WorkloadSplit | None = None
-        self._window: list[float] = []
+        self._window: list[tuple[float, float, float]] = []
         self._trial_best: tuple[WorkloadSplit, float] | None = None
         self._trial_case: str | None = None
 
@@ -128,8 +141,9 @@ class DRMEngine:
         return times.iteration_time(self.pipelined) / total
 
     def adjust(self, split: WorkloadSplit, times: StageTimes,
-               iteration: int = 0, settle: int = 0,
-               realized_s: float | None = None) -> WorkloadSplit:
+               iteration: int = 0,
+               realized: Mapping[str, float] | None = None
+               ) -> WorkloadSplit:
         """One Algorithm-1 step with measured-improvement feedback.
 
         The throughput metric is compared against the *best* state seen
@@ -137,13 +151,12 @@ class DRMEngine:
         that each slip under the tolerance can otherwise creep the
         system far from its optimum before any single step looks bad.
 
-        ``settle > 0`` marks calibrated times on a live plane, and
-        ``realized_s`` the iteration's realized training seconds: the
-        step is then a trial (:meth:`_trial`).
+        ``realized`` (a live plane's clock: the iteration's realized
+        seconds on canonical stage keys) makes the step a trial on
+        those readings instead (:meth:`_live`).
         """
-        if settle:
-            return self._trial(split, times, iteration, settle,
-                               realized_s)
+        if realized is not None:
+            return self._live(split, realized, iteration)
         metric = self._metric(split, times)
         if self._best is None or metric < self._best[1]:
             self._best = (split, metric)
@@ -163,29 +176,31 @@ class DRMEngine:
                              self.decisions[-1].bottleneck)
         return new_split
 
-    def _trial(self, split: WorkloadSplit, times: StageTimes,
-               iteration: int, settle: int,
-               realized_s: float | None) -> WorkloadSplit:
-        """A calibrated step. The scale of calibrated times drifts while
-        the estimator learns, so no reading of them is a yardstick for a
-        later one; the realized seconds per target are. Each split
-        collects a window of its last ``settle`` readings, and the
-        engine acts only once the window is full (the estimator has
-        re-learned the split): a move on trial stands only if the
-        window's mean beats the best split's latest window, else it is
-        reverted to that split with the same cooldown — with no
-        tolerance, because a window of wall seconds is noisy and
-        Algorithm 1 may step one way only, so keeping moves that did
-        not pay lets noise walk the split; then Algorithm 1 runs on the
-        calibrated times."""
+    def _live(self, split: WorkloadSplit, realized: Mapping[str, float],
+              iteration: int) -> WorkloadSplit:
+        """A live step. Each split collects a window of its last
+        :attr:`trial_window` readings — ``train_cpu``, ``train_accel``
+        and the iteration's realized seconds per target (Eq. 9 on wall
+        clocks: the slower trainer side, then the all-reduce) — and the
+        engine acts only once the window is full. A move on trial
+        stands only if the window's mean seconds per target beat the
+        best split's latest window, else it is reverted to that split
+        with the usual cooldown — with no tolerance, because a window
+        of wall seconds is noisy and keeping moves that did not pay
+        lets noise walk the split. Then one granule of quota moves
+        from the slower training side to the faster one, beyond
+        ``hysteresis``; threads and the sampling share stay."""
         if split != self._held:
             self._held, self._window = split, []
-        if realized_s is not None:
-            self._window.append(realized_s / max(1, split.total_targets))
-            del self._window[:-settle]
-        if len(self._window) < settle:
+        cpu = realized.get("train_cpu", 0.0)
+        accel = realized.get("train_accel", 0.0)
+        seconds = max(cpu, accel) + realized.get("sync", 0.0)
+        self._window.append(
+            (cpu, accel, seconds / max(1, split.total_targets)))
+        del self._window[:-self.trial_window]
+        if len(self._window) < self.trial_window:
             return split
-        metric = statistics.fmean(self._window)
+        cpu, accel, metric = map(statistics.fmean, zip(*self._window))
         best = self._trial_best
         if best is None or metric < best[1] or split == best[0]:
             self._trial_best = best = (split, metric)
@@ -194,9 +209,46 @@ class DRMEngine:
             if metric > best[1]:
                 return self._revert(case, split, best[0], iteration)
             self._backoff.pop(case, None)
-        new_split = self._algorithm1(split, times, iteration)
+        toward_accel = cpu > accel
+        slower, faster = (_TC, _ACCEL) if toward_accel else (_ACCEL, _TC)
+        held = self._hold(iteration, slower, faster, max(cpu, accel),
+                          min(cpu, accel), split)
+        if held is not None:
+            return held
+        new_split = self._shift_training(split, toward_accel,
+                                         threads=False)
         if new_split is not split:
-            self._trial_case = self.decisions[-1].bottleneck
+            self._trial_case = slower
+        return self._record(
+            iteration, slower, faster, "balance_work",
+            "training cpu->accel" if toward_accel
+            else "training accel->cpu", split, new_split)
+
+    def _hold(self, iteration: int, case: str, fastest: str, top: float,
+              runner_up: float, split: WorkloadSplit
+              ) -> WorkloadSplit | None:
+        """The "none" decision when ``case``, the bottleneck at ``top``
+        seconds, is within ``hysteresis`` of ``runner_up`` or cooling
+        down (one cooldown iteration is spent); ``None`` when the step
+        may move."""
+        if top <= runner_up * (1.0 + self.hysteresis):
+            return self._record(iteration, case, fastest, "none",
+                                "within hysteresis", split, split)
+        remaining = self._cooldown.get(case, 0)
+        if remaining > 0:
+            self._cooldown[case] = remaining - 1
+            return self._record(iteration, case, fastest, "none",
+                                "case in cooldown", split, split)
+        return None
+
+    def _record(self, iteration: int, bottleneck: str, fastest: str,
+                action: str, detail: str, split: WorkloadSplit,
+                new_split: WorkloadSplit) -> WorkloadSplit:
+        """Log one decision; returns ``new_split``."""
+        self.decisions.append(DRMDecision(
+            iteration=iteration, bottleneck=bottleneck, fastest=fastest,
+            action=action, detail=detail, old_split=split,
+            new_split=new_split))
         return new_split
 
     def _revert(self, case: str, split: WorkloadSplit,
@@ -233,19 +285,13 @@ class DRMEngine:
 
         def register(action: str, detail: str,
                      new_split: WorkloadSplit) -> WorkloadSplit:
-            self.decisions.append(DRMDecision(
-                iteration=iteration, bottleneck=bottleneck,
-                fastest=fastest, action=action, detail=detail,
-                old_split=split, new_split=new_split))
-            return new_split
+            return self._record(iteration, bottleneck, fastest, action,
+                                detail, split, new_split)
 
-        runner_up = stage[ranked[1]]
-        if stage[bottleneck] <= runner_up * (1.0 + self.hysteresis):
-            return register("none", "within hysteresis", split)
-        remaining = self._cooldown.get(bottleneck, 0)
-        if remaining > 0:
-            self._cooldown[bottleneck] = remaining - 1
-            return register("none", "case in cooldown", split)
+        held = self._hold(iteration, bottleneck, fastest,
+                          stage[bottleneck], stage[ranked[1]], split)
+        if held is not None:
+            return held
 
         # --- Algorithm 1 switch -----------------------------------------
         if bottleneck == _SA:
@@ -283,8 +329,8 @@ class DRMEngine:
     # ------------------------------------------------------------------
     # balance_work
     # ------------------------------------------------------------------
-    def _shift_training(self, split: WorkloadSplit,
-                        toward_accel: bool) -> WorkloadSplit:
+    def _shift_training(self, split: WorkloadSplit, toward_accel: bool,
+                        threads: bool = True) -> WorkloadSplit:
         """Move mini-batch quota between CPU trainer and accelerators.
 
         The total (paper §IV-A: "the total mini-batch size executed on
@@ -295,7 +341,8 @@ class DRMEngine:
         its quota (donated by / returned to the sampler and loader,
         which keep a floor of ``_THREAD_FLOOR`` each). Without this a
         work move toward the CPU always regresses — the trainer would
-        run the larger batch on the old, undersized pool.
+        run the larger batch on the old, undersized pool. A live plane
+        has no pool: ``threads=False`` moves the quota alone.
         """
         n_accel = len(split.accel_targets)
         if n_accel == 0 or not self.hybrid:
@@ -324,9 +371,9 @@ class DRMEngine:
             if moved == 0:
                 return split
             new_cpu = split.cpu_targets + moved
-        threads = self._train_pool_for(split, new_cpu)
+        pool = self._train_pool_for(split, new_cpu) if threads else {}
         return split.with_updates(cpu_targets=new_cpu,
-                                  accel_targets=tuple(accel), **threads)
+                                  accel_targets=tuple(accel), **pool)
 
     def _train_pool_for(self, split: WorkloadSplit,
                         new_targets: int) -> dict[str, int]:

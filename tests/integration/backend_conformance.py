@@ -13,7 +13,7 @@ is enforced depends on the tier the backend declares via its
   split/stage-time trajectory, total sampled edges, epoch coverage,
   and the final replica parameters.
 * ``statistical`` (out-of-lock-step backends — the pipelined planes,
-  whose calibrated DRM step trails its producer and reads realized
+  whose live DRM step trails its producer and reads realized
   wall-clock seconds, and the process planes that deal a look-ahead
   window, whose DRM quotas lag it): bit-parity under DRM is
   impossible *by design*. The kit instead asserts what
@@ -41,7 +41,7 @@ This module packages that guarantee as a reusable kit:
 * :func:`assert_backend_conforms` — run one (backend, case) pair
   against a fresh virtual-plane reference and assert the tier's matrix
   — and, for a statistical preset with a strict twin
-  (:data:`STRICT_TWINS`) on a case where its estimator moves no quota,
+  (:data:`STRICT_TWINS`) on a case where its DRM moves no quota,
   bit-identity with the twin (:func:`assert_twin_identical`) — plus,
   on both reports, whatever the tier, the paper's Listing-1 handshake
   as an asserted trace (:func:`assert_listing1_trace`) and the
@@ -59,10 +59,8 @@ widens — and :func:`assert_store_untouched_by_int8_run` — an int8 run
 writes neither into the feature store nor into the wire table it
 decodes from.
 
-:func:`analytic_lookahead` holds a calibrating backend to the purely
-analytic (uncalibrated) trajectory, for the pins that compare it with
-a plane that never calibrates; :func:`spy_feeds` exposes the buffers
-(whose capacity is the run's window) of an in-process preset's feeds.
+:func:`spy_feeds` exposes the buffers (whose capacity is the run's
+window) of an in-process preset's feeds.
 
 Two checks cover a backend that is *kept* across runs (the process
 presets hold their worker pool and shared store for the backend's
@@ -100,7 +98,7 @@ from repro.runtime import (
 )
 from repro.runtime.backends.pipelined import PlanOrderFeed
 from repro.runtime.protocol import validate_protocol
-from repro.runtime.resctl import REALIZED_STAGES, OnlineEstimator
+from repro.runtime.resctl import REALIZED_STAGES
 from repro.runtime.shm import SharedFeatureStore
 from repro.runtime.stage_pipeline import StagePipeline, dequantize
 from repro.sampling import build_sampler
@@ -143,9 +141,9 @@ PROCESS_PRESETS = ("process", "process_sampling", "process_pipelined",
 #: The recognized tiers, in increasing looseness.
 CONFORMANCE_TIERS = ("strict", "statistical")
 
-#: Statistical presets that differ from a strict preset only by a
-#: calibrating estimator or a look-ahead window, which both act
-#: through DRM. Where DRM moves no quota (:func:`estimator_idle`) each
+#: Statistical presets that differ from a strict preset only by a DRM
+#: step that reads the clock or a look-ahead window, which both act
+#: through DRM. Where DRM moves no quota (:func:`drm_idle`) each
 #: must run its twin's trajectory bit for bit
 #: (:func:`assert_twin_identical`); under DRM it stays statistical.
 STRICT_TWINS: dict[str, str] = {"pipelined": "threaded",
@@ -168,7 +166,7 @@ COVERAGE_EVIDENCE: dict[str, frozenset[str]] = {
 #: Accounting sections of a report: always a (possibly empty)
 #: container, on every plane.
 ACCOUNTING_SECTIONS = ("kernel_stats", "stage_seconds", "stage_stats",
-                       "split_history", "shard_io", "calibration")
+                       "split_history", "shard_io")
 
 
 @dataclass(frozen=True)
@@ -229,10 +227,10 @@ INT8_TRANSFER_CASE = ConformanceCase(
                         transfer_precision="int8"))
 
 
-def estimator_idle(case: ConformanceCase) -> bool:
-    """Whether a calibrating estimator moves no quota on ``case``: a
-    platform-less session takes no timing/DRM step at all, and with DRM
-    off the step never moves the split."""
+def drm_idle(case: ConformanceCase) -> bool:
+    """Whether DRM moves no quota on ``case``: a platform-less session
+    takes no timing/DRM step at all, and with DRM off the step never
+    moves the split."""
     return case.platform_accels is None or \
         not SystemConfig(**case.sys_cfg_kwargs).drm
 
@@ -276,19 +274,16 @@ def make_session(case: ConformanceCase,
 
 def run_backend(name: str, case: ConformanceCase,
                 dataset: GraphDataset,
-                extra_kwargs: dict | None = None, configure=None):
+                extra_kwargs: dict | None = None):
     """Execute ``case`` on backend ``name``; returns (session, report).
 
     ``extra_kwargs`` layers on top of :data:`BACKEND_KWARGS` for
     one-off knob settings (e.g. a fixed look-ahead window) without
-    mutating the shared table; ``configure(backend)``, if given, runs
-    between construction and the run (e.g. :func:`analytic_lookahead`).
+    mutating the shared table.
     """
     session = make_session(case, dataset)
     kwargs = {**BACKEND_KWARGS.get(name, {}), **(extra_kwargs or {})}
     backend = build_backend(name, session, **kwargs)
-    if configure is not None:
-        configure(backend)
     report = backend.run_epoch(case.max_iterations)
     return session, report
 
@@ -305,14 +300,6 @@ def spy_feeds(backend, monkeypatch) -> list:
 
     monkeypatch.setattr(backend, "feed", Spy)
     return feeds
-
-
-def analytic_lookahead(backend) -> None:
-    """Hold calibrating ``backend`` to the analytic trajectory: its
-    estimator never warms, so it keeps observing (the calibration
-    report still fills) while every calibration is exactly the
-    identity."""
-    backend.estimator = OnlineEstimator(warmup=10**9)
 
 
 def threaded_backend(dataset: GraphDataset, train_cfg: TrainingConfig,
@@ -336,21 +323,18 @@ def _params(session: TrainingSession) -> list[np.ndarray]:
 
 def assert_backend_conforms(name: str, case: ConformanceCase,
                             dataset: GraphDataset,
-                            extra_kwargs: dict | None = None,
-                            configure=None) -> None:
+                            extra_kwargs: dict | None = None) -> None:
     """Assert backend ``name`` matches the virtual reference on ``case``
     at the tier its capability flag declares.
 
     ``strict`` backends get the bit-exact matrix
     (:func:`assert_strict_conformance`); ``statistical`` backends get
     the coverage/conservation/closeness matrix
-    (:func:`assert_statistical_conformance`). ``extra_kwargs`` and
-    ``configure`` apply to the candidate only (the reference always
-    runs stock).
+    (:func:`assert_statistical_conformance`). ``extra_kwargs`` apply
+    to the candidate only (the reference always runs stock).
     """
     ref_session, ref = run_backend(REFERENCE_BACKEND, case, dataset)
-    cand_session, cand = run_backend(name, case, dataset, extra_kwargs,
-                                     configure)
+    cand_session, cand = run_backend(name, case, dataset, extra_kwargs)
     if backend_tier(name) == "strict":
         assert_strict_conformance(name, case, ref_session, ref,
                                   cand_session, cand)
@@ -358,7 +342,7 @@ def assert_backend_conforms(name: str, case: ConformanceCase,
         assert_statistical_conformance(name, case, ref_session, ref,
                                        cand_session, cand)
     twin = STRICT_TWINS.get(name)
-    if twin is not None and estimator_idle(case):
+    if twin is not None and drm_idle(case):
         twin_session, twin_rep = run_backend(twin, case, dataset)
         assert_twin_identical(f"{name} vs {twin}", twin_session,
                               twin_rep, cand_session, cand)
@@ -378,7 +362,7 @@ def assert_stage_seconds(name: str, session: TrainingSession, report,
                          reference=None) -> None:
     """The realized stage seconds every plane's synchronize tail bills
     to ``report.stage_seconds``: non-empty, on canonical keys (``sync``
-    feeds the estimator only, it is never billed), one ``load`` and one
+    feeds the live clock only, it is never billed), one ``load`` and one
     ``train_*`` count per trained batch — at least one batch per
     iteration, at most one per trainer. Given the strict-tier
     ``reference`` report, the ``load`` and ``train_*`` counts equal
@@ -519,7 +503,7 @@ def assert_statistical_conformance(name, case, ref_session, ref,
       the target budget (work conservation under pipeline lag);
     * mutual replica consistency after the final all-reduce.
 
-    Within tolerance (overlap or calibration under DRM makes
+    Within tolerance (overlap or a live DRM step makes
     individual batches differ):
 
     * mean per-iteration loss (:data:`STAT_LOSS_RTOL`) and final loss
@@ -639,9 +623,8 @@ def assert_reuse_invisible(name: str, case: ConformanceCase,
     trainer's stream position). And reuse is what it is for: runs after the first pay
     a small fraction of the first run's ``startup_time_s``.
 
-    Use a case without a timing plane for calibrating presets: a kept
-    backend's estimator is warm on its second run (by design), which,
-    with DRM on, moves the trajectory.
+    Use a case without DRM for the presets that read the clock: their
+    DRM moves follow wall-clock readings, which no rerun reproduces.
     """
     kwargs = BACKEND_KWARGS.get(name, {})
     kept_session = make_session(case, dataset)

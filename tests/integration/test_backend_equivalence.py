@@ -28,7 +28,6 @@ from backend_conformance import (
     BACKEND_KWARGS,
     PROCESS_PRESETS,
     STRICT_TWINS,
-    analytic_lookahead,
     assert_backend_conforms,
     assert_report_sections,
     assert_resumes_after_training_elsewhere,
@@ -39,7 +38,7 @@ from backend_conformance import (
     assert_twin_identical,
     backend_tier,
     candidate_backends,
-    estimator_idle,
+    drm_idle,
     make_session,
     run_backend,
     spy_feeds,
@@ -65,7 +64,6 @@ from repro.runtime import (
 )
 from repro.runtime.backends import pipelined
 from repro.runtime.backends.process import WorkerReplica
-from repro.runtime.resctl import OnlineEstimator
 
 _CASE_IDS = [c.id for c in CONFORMANCE_CASES]
 
@@ -166,7 +164,8 @@ class TestBackendConformance:
     def test_sharded_lookahead_preset_composes_with_no_new_code(
             self, tiny_ds):
         """The composition proof: partition-mapped dealing × the
-        shard-aware replica × the calibrated look-ahead window is one
+        shard-aware replica × a look-ahead window whose DRM reads the
+        clock is one
         more *declaration* over the process
         driver's seams — registered here, in the test, through the
         third-party path — and it passes the statistical tier on every
@@ -184,10 +183,11 @@ class TestBackendConformance:
             conformance_tier = "statistical"
             replica_cls = ShardedReplica
 
+            drm_reads_clock = True
+
             def __init__(self, session, timeout_s=120.0,
                          mp_context=None):
                 super().__init__(session, timeout_s, mp_context)
-                self.estimator = OnlineEstimator()
                 n = session.num_trainers
                 parts = bfs_partition(session.dataset.graph, n, seed=0)
                 self.work_source = ShardPlan(session.plan, parts, n)
@@ -199,7 +199,7 @@ class TestBackendConformance:
                                         tiny_ds)
             _, rep = run_backend(
                 "sharded_lookahead", _with_window(CONFORMANCE_CASES[0], 3),
-                tiny_ds, configure=analytic_lookahead)
+                tiny_ds)
             assert rep.shard_parts is not None and rep.shard_io
             assert max(n for n, _ in rep.lookahead_history) > 1
         finally:
@@ -220,47 +220,6 @@ class TestBackendConformance:
             self, case, tiny_ds):
         assert_resumes_after_training_elsewhere("process", case,
                                                 tiny_ds)
-
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_overlapped_timing_run_reports_calibration(
-            self, backend, tiny_ds):
-        """A timing-plane run exposes the per-stage model-vs-realized
-        calibration report exactly when its backend installs an
-        estimator (``pipelined`` and ``process_pipelined``):
-        corrections stay positive and finite, errors non-negative, and
-        at least one stage accumulated observations. Every other plane
-        leaves the section empty."""
-        _, rep = run_backend(backend, CONFORMANCE_CASES[0], tiny_ds)
-        assert rep.stage_history
-        if backend not in ("pipelined", "process_pipelined"):
-            assert rep.calibration == {}
-            return
-        assert rep.calibration, \
-            f"{backend}: timing run produced no calibration report"
-        total_obs = 0
-        for stage, entry in rep.calibration.items():
-            assert np.isfinite(entry["correction"])
-            assert entry["correction"] > 0.0
-            assert entry["observations"] >= 0
-            total_obs += entry["observations"]
-            if entry["error"] is not None:
-                assert entry["error"] >= 0.0
-        assert total_obs > 0
-
-    def test_estimator_persists_across_runs(self, tiny_ds):
-        """A backend's estimator outlives its runs: a second run on the
-        same backend starts warm and keeps accumulating."""
-        session = make_session(CONFORMANCE_CASES[0], tiny_ds)
-        backend = build_backend("pipelined", session,
-                                **BACKEND_KWARGS["pipelined"])
-        estimator = backend.estimator
-        first = backend.run_epoch(CONFORMANCE_CASES[0].max_iterations)
-        assert estimator.is_warm()
-        second = backend.run_epoch(CONFORMANCE_CASES[0].max_iterations)
-        assert backend.estimator is estimator
-        for stage, entry in first.calibration.items():
-            assert second.calibration[stage]["observations"] > \
-                entry["observations"]
 
 
 class TestProcessBackend:
@@ -430,8 +389,8 @@ class TestProcessBackend:
 class TestWorkerSamplingPlanes:
     """Properties shared by every worker-side-sampling plane (the
     ``process_sampling`` backend, dealing ``prefetch_depth`` ahead
-    under prefetch, and ``process_pipelined``, which adds a calibrated
-    DRM step), parametrized over both so a fix to
+    under prefetch, and ``process_pipelined``, whose DRM step reads
+    the clock), parametrized over both so a fix to
     one assertion can never silently miss the sibling plane: shard
     partitioning, seeded determinism, resume, epoch rollover, shm
     teardown, and infra-error typing."""
@@ -826,12 +785,12 @@ class TestPipelinedBackend:
             {sys_cfg.prefetch_depth}
 
     @staticmethod
-    def _paced_drm_run(platform, lanes, monkeypatch):
+    def _paced_drm_run(platform, lanes, monkeypatch, cpu_cost=1e-4):
         """60 iterations of a three-trainer DRM session on ``lanes``
-        lanes whose every batch bills 0.1 ms per target as its train
-        seconds and none as its load (the batches still train), the
-        estimator warm from the first reading: ``(start split, report,
-        session)``."""
+        lanes whose every batch bills as its train seconds ``cpu_cost``
+        per target on the CPU trainer and 0.1 ms per target on an
+        accelerator, and none as its load (the batches still train):
+        ``(start split, report, session)``."""
         monkeypatch.setattr(pipelined, "usable_cores", lambda: lanes)
         # Eight iterations an epoch: a ragged last one, which the CPU
         # quota slows, stays a small share of each trial's window.
@@ -846,25 +805,25 @@ class TestPipelinedBackend:
         assert [t.kind for t in session.trainers] == \
             ["cpu", "accel", "accel"]
         backend = PipelinedBackend(session, timeout_s=30)
-        backend.estimator = OnlineEstimator(warmup=1)
         train_one = backend._train_one
 
         def paced(idx, item):
             size, reply = train_one(idx, item)
             if reply is not None:
-                reply.stage_s.update(load=0.0, train=1e-4 * size)
+                cost = cpu_cost if idx == 0 else 1e-4
+                reply.stage_s.update(load=0.0, train=cost * size)
             return size, reply
 
         monkeypatch.setattr(backend, "_train_one", paced)
         start = session.split
         return start, backend.run(60), session
 
-    def test_calibrated_drm_balances_two_lanes(self, gpu_platform,
-                                               monkeypatch):
+    def test_live_drm_balances_two_lanes(self, gpu_platform,
+                                         monkeypatch):
         """Three trainers on two lanes, every batch costing the same
         seconds per target: equalizing the trainers holds the split,
         but the lane fold bills the two accelerator batches that share
-        a lane as their sum, so calibrated DRM moves quota toward the
+        a lane as their sum, so live DRM moves quota toward the
         CPU trainer, further than on a lane per trainer, and every
         split keeps the per-iteration total."""
         start, rep, session = self._paced_drm_run(gpu_platform, 2,
@@ -883,28 +842,55 @@ class TestPipelinedBackend:
                                              monkeypatch)
         assert end.cpu_targets > per_lane.split.cpu_targets
 
+    def test_live_drm_moves_quota_back_toward_the_accelerators(
+            self, gpu_platform, monkeypatch):
+        """CPU batches that cost three times more per target than the
+        accelerators' (a lane per trainer): live DRM moves quota from
+        the CPU trainer toward the accelerators, every split keeps the
+        per-iteration total, and no decision moves a thread or the
+        sampling share."""
+        start, rep, session = self._paced_drm_run(
+            gpu_platform, 3, monkeypatch, cpu_cost=3e-4)
+        assert {split.total_targets for split in rep.split_history} == \
+            {start.total_targets}
+        end = session.split
+        assert end.cpu_targets < start.cpu_targets
+        assert all(e > s for e, s in zip(end.accel_targets,
+                                         start.accel_targets))
+        assert any(d.detail == "training cpu->accel"
+                   for d in session.drm.decisions)
+        for split in rep.split_history + [end]:
+            for name in ("sample_threads", "load_threads",
+                         "train_threads", "accel_sample_fraction"):
+                assert getattr(split, name) == getattr(start, name)
+
     def test_same_seed_runs_are_bit_identical(self, tiny_ds):
         """One producer draws the session's stream in plan order, so
-        two same-seed three-trainer runs where the estimator moves no
-        quota retrace one trajectory bit for bit."""
+        two same-seed three-trainer runs where DRM moves no quota
+        retrace one trajectory bit for bit."""
         case = CONFORMANCE_CASES[1]
-        assert case.num_trainers == 3 and estimator_idle(case)
+        assert case.num_trainers == 3 and drm_idle(case)
         first, second = (run_backend("pipelined", case, tiny_ds)
                          for _ in range(2))
         assert_twin_identical("pipelined rerun", *first, *second)
 
-    def test_stays_statistical_under_calibrated_drm(self, tiny_ds):
-        """Under DRM on a timing plane the estimator calibrates on
-        realized wall-clock seconds and the consumer's DRM step trails
-        the producer, so only the DRM-free matrix cases hold
-        ``pipelined`` to ``threaded`` bit for bit; the flagship case
-        runs the statistical tier, calibrated."""
+    def test_stays_statistical_under_live_drm(self, tiny_ds):
+        """Under DRM on a timing plane the consumer's DRM step reads
+        realized wall-clock seconds and trails the producer, so only
+        the DRM-free matrix cases hold ``pipelined`` to ``threaded``
+        bit for bit; the flagship case runs the statistical tier, and
+        its recorded stage times are the clock's."""
         assert STRICT_TWINS["pipelined"] == "threaded"
-        assert [estimator_idle(c) for c in CONFORMANCE_CASES] == \
+        assert [drm_idle(c) for c in CONFORMANCE_CASES] == \
             [False, True, True, True]
         assert backend_tier("pipelined") == "statistical"
         _, rep = run_backend("pipelined", CONFORMANCE_CASES[0], tiny_ds)
-        assert rep.calibration and rep.split_history
+        _, ref = run_backend("virtual", CONFORMANCE_CASES[0], tiny_ds)
+        assert len(rep.split_history) == len(rep.stage_history) == \
+            rep.iterations
+        modelled = {times.t_sync for times in ref.stage_history}
+        assert not modelled & {times.t_sync
+                               for times in rep.stage_history}
 
     def test_resumed_session_continues_from_trained_weights(self,
                                                             tiny_ds,
@@ -970,29 +956,28 @@ class TestProcessPipelinedBackend:
             self, depth, platform, epochs, tiny_ds, eq_cfg,
             gpu_platform):
         """Look-ahead changes *when* an item is dealt, never *what* is
-        trained: the fused plane reproduces the worker-sampling plane
-        bit for bit — losses, worker-echoed targets, DRM trajectory,
-        sampled edges, and every final parameter.
+        trained: two runs of the worker-sampling plane agree bit for
+        bit — losses, worker-echoed targets, DRM trajectory, sampled
+        edges, and every final parameter.
 
-        * With DRM both sides run the same session. ``prefetch=False``
-          gives a window of 1, which keeps both planes lock-step:
-          shards are dealt only after the previous iteration's DRM
-          step — the DRM-lag regression pins' zero-lag anchor. Under
-          two-stage prefetch both planes deal the window of 2 ahead,
-          so Algorithm 1's adjustments lag the dealt window the same
-          way on each. The gpu platform's DRM moves the split inside
-          the two epochs, so neither case is vacuous.
-        * Without a platform (no DRM) the fused plane's session window
-          of 3 keeps three iterations dealt ahead on every worker
-          across two epochs on one backend — against
-          ``process_sampling``'s window of 2 — and still trains the
-          same batches.
+        * With DRM both sides run the same session, so the modelled
+          DRM trajectory is reproducible however far ahead the parent
+          deals. ``prefetch=False`` gives a window of 1, which keeps
+          the plane lock-step: shards are dealt only after the
+          previous iteration's DRM step — the DRM-lag regression pins'
+          zero-lag anchor. Under two-stage prefetch both runs deal the
+          window of 2 ahead, so Algorithm 1's adjustments lag the
+          dealt window the same way on each. The gpu platform's DRM
+          moves the split inside the two epochs, so neither case is
+          vacuous.
+        * Without a platform (no DRM) a session window of 3 keeps
+          three iterations dealt ahead on every worker across two
+          epochs on one backend — against a window of 2 — and still
+          trains the same batches.
 
-        Run under :func:`analytic_lookahead`: the worker-sampling plane
-        never calibrates its timing step against realized wall clocks,
-        so parity demands the fused plane's estimator stay cold (by
-        default it warms and corrects the modelled stage times with
-        measured ones, which intentionally diverges)."""
+        Both sides run ``process_sampling``: ``process_pipelined``
+        without its clock is that plane (with the clock, its DRM reads
+        wall seconds, which intentionally diverges)."""
         def session(window):
             if platform:
                 return self._platform_session(tiny_ds, eq_cfg,
@@ -1006,8 +991,7 @@ class TestProcessPipelinedBackend:
             rs = [backend.run_epoch() for _ in range(epochs)]
 
         sf = session(depth)
-        with ProcessPipelinedBackend(sf, timeout_s=60) as backend:
-            analytic_lookahead(backend)
+        with ProcessSamplingBackend(sf, timeout_s=60) as backend:
             rf = [backend.run_epoch() for _ in range(epochs)]
 
         if platform:
@@ -1033,11 +1017,8 @@ class TestProcessPipelinedBackend:
             np.testing.assert_array_equal(ts.model.get_flat_params(),
                                           tf.model.get_flat_params())
 
-    @pytest.mark.parametrize(
-        "backend_cls", [ProcessPipelinedBackend, ProcessSamplingBackend],
-        ids=["process_pipelined", "process_sampling"])
     def test_drm_adjustments_lag_the_dealt_window(
-            self, backend_cls, tiny_ds, eq_cfg, gpu_platform):
+            self, tiny_ds, eq_cfg, gpu_platform):
         """A shard is sliced with the split current when it is *dealt*.
         With the window held at ``depth``, iteration ``depth`` is dealt
         as soon as iteration 0 retires — before Algorithm 1 has seen
@@ -1045,16 +1026,15 @@ class TestProcessPipelinedBackend:
         would apply to iteration ``depth`` cannot reach it: the first
         ``depth + 1`` dealt iterations are what the plan yields with
         *no* DRM adjustment (the pipelined plane's documented
-        one-window lag). Both worker-sampling presets deal the same
-        window, calibrated or not. The gpu platform's DRM moves the
+        one-window lag). ``process_pipelined`` deals the same window;
+        its clock changes only what DRM reads. The gpu platform's DRM
+        moves the
         CPU quota for exactly that iteration, so the pin is not
         vacuous."""
         depth, iterations = 3, 12
         sf = self._platform_session(tiny_ds, eq_cfg, gpu_platform,
                                     prefetch_depth=depth)
-        with backend_cls(sf, timeout_s=60) as backend:
-            if backend.estimator is not None:
-                analytic_lookahead(backend)
+        with ProcessSamplingBackend(sf, timeout_s=60) as backend:
             rf = backend.run(iterations)
         assert max(n for n, _ in rf.lookahead_history) == depth
 

@@ -156,12 +156,12 @@ class TestStructure:
         """The window every registry name opens, from one rule
         (:data:`WINDOWS`): the session's window, or lock-step for
         ``process`` under any config — on a timing session with DRM
-        too, where the two calibrating presets (``pipelined``,
-        ``process_pipelined``, the only two with an estimator) hold
-        the same window. ``virtual``'s inline feed opens it too, and
+        too, where the two presets that read the clock (``pipelined``,
+        ``process_pipelined``, the only two that declare
+        ``drm_reads_clock``) hold the same window. ``virtual``'s inline feed opens it too, and
         holds one batch regardless."""
         want = {"session": depth if prefetch else 1, "lock-step": 1}
-        opened, calibrating = {}, set()
+        opened, clocked = {}, set()
         real_window = ExecutionBackend.window
 
         def spy(backend, **kwargs):
@@ -180,23 +180,24 @@ class TestStructure:
                                           num_trainers=2)
             with build_backend(name, session) as backend:
                 backend.run(2)
-            if backend.estimator is not None:
-                calibrating.add(name)
+            if backend.drm_reads_clock:
+                clocked.add(name)
         assert opened == {name: want[rule]
                           for name, rule in WINDOWS.items()}
-        assert calibrating == {"pipelined", "process_pipelined"}
+        assert clocked == {"pipelined", "process_pipelined"}
 
     @pytest.mark.parametrize("name", ["threaded", "pipelined"])
     def test_inprocess_names_are_presets_of_one_driver(self, name):
         """The in-process planes are the same kind of declaration over
-        :class:`~repro.runtime.backends.pipelined.InProcessBackend`:
-        no trainer threads or handshake state machine of their own."""
+        :class:`~repro.runtime.backends.pipelined.InProcessBackend`,
+        class attributes only: no trainer threads or handshake state
+        machine of their own."""
         cls = get_backend(name)
         assert cls.__bases__ == (InProcessBackend,)
         assert InProcessBackend.name == ""
         defined = {attr for attr, value in vars(cls).items()
                    if inspect.isfunction(value)}
-        assert defined <= {"__init__"}, \
+        assert not defined, \
             f"{name} overrides driver methods: {sorted(defined)}"
 
     def test_virtual_is_the_threadless_inprocess_preset(

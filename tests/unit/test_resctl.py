@@ -1,48 +1,25 @@
-"""Resource-control units: the realized-stage fold, the estimator, and
-the timing-plane hooks they plug into.
+"""Resource-control units: the realized-stage fold and the
+timing-plane hooks it plugs into.
 
 The resctl package closes the loop between the *modelled* timing plane
 and the *realized* one: :func:`fold_worker_realized` maps the wall
-times the live backends' replies carry onto canonical stage keys,
-:class:`OnlineEstimator` calibrates the analytic model against them.
-The estimator sits directly upstream of
-``drm_step``, so its safety contract — corrections
-always positive and finite, calibrated times never non-finite or
-negative, exact no-op until warm — is pinned here as hypothesis
-properties, alongside the empty-fold and duplex-derate regression
-fixes this PR ships.
+times the live backends' replies carry onto canonical stage keys, and
+a live plane's timing step reads that fold as its clock. Alongside sit
+the empty-fold and duplex-derate regression pins.
 """
-
-import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.config import SystemConfig, TrainingConfig
-from repro.errors import ProtocolError
 from repro.perfmodel.model import StageTimes
 from repro.runtime import TrainingSession
 from repro.runtime.backends.report import fold_stage_stats
 from repro.runtime.resctl import (
-    OnlineEstimator,
     REALIZED_STAGES,
     fold_worker_realized,
     stage_key,
 )
-
-common_settings = settings(
-    max_examples=40, deadline=None,
-    suppress_health_check=[HealthCheck.too_slow])
-
-#: Non-negative finite stage seconds, the shape a well-behaved plane
-#: observes.
-finite_seconds = st.floats(min_value=0.0, max_value=1e6,
-                           allow_nan=False, allow_infinity=False)
-
-#: Arbitrary floats, the shape a misbehaving plane might observe.
-hostile_seconds = st.floats(allow_nan=True, allow_infinity=True)
 
 
 def _times(value: float = 0.01) -> StageTimes:
@@ -143,7 +120,7 @@ class TestFoldWorkerRealized:
 class TestReportStageSeconds:
     """``RunReport.add_stage_seconds`` bills one trained batch's raw
     ``Reply.stage_s`` under the same :func:`stage_key` rule the
-    estimator's fold uses."""
+    realized fold uses."""
 
     def test_one_count_per_batch_and_summed_seconds(self):
         from repro.runtime.backends.report import RunReport
@@ -161,102 +138,12 @@ class TestReportStageSeconds:
         report.add_stage_seconds("cpu", stage_s)
         report.add_stage_seconds("accel", stage_s)
         # ``load`` is shared; ``transfer`` has no realized stage;
-        # ``sync`` feeds the estimator only and unknown stages are
+        # ``sync`` feeds the live clock only and unknown stages are
         # dropped.
         assert report.stage_seconds == {
             "sample_cpu": (1, 0.1), "sample_accel": (1, 0.1),
             "load": (2, pytest.approx(0.4)),
             "train_cpu": (1, 0.4), "train_accel": (1, 0.4)}
-
-
-class TestOnlineEstimator:
-    def test_cold_estimator_is_exact_noop(self):
-        est = OnlineEstimator(warmup=3)
-        times = _times(0.02)
-        est.observe({"load": 0.5}, times)   # 1 observation < warmup
-        assert not est.is_warm()
-        assert est.correction("load") == 1.0
-        assert est.calibrate(times) is times
-
-    @common_settings
-    @given(scale=st.floats(min_value=0.5, max_value=3.0),
-           noise=st.lists(st.floats(min_value=-0.05, max_value=0.05),
-                          min_size=20, max_size=60),
-           alpha=st.floats(min_value=0.1, max_value=0.9))
-    def test_corrections_converge_under_stationary_noise(
-            self, scale, noise, alpha):
-        """Realized = scale x model x (1 + eps), |eps| <= 5%: the
-        correction must land inside the confidence-weighted envelope
-        of the true scale."""
-        est = OnlineEstimator(alpha=alpha, warmup=3)
-        model = _times(0.01)
-        for eps in noise:
-            est.observe({"load": 0.01 * scale * (1.0 + eps)}, model)
-        n = len(noise)
-        w = n / (n + est.warmup)
-        lo = 1.0 + w * (0.95 * scale - 1.0)
-        hi = 1.0 + w * (1.05 * scale - 1.0)
-        c = est.correction("load")
-        assert lo - 1e-9 <= c <= hi + 1e-9
-        # And the calibrated field is the analytic one scaled by it.
-        assert est.calibrate(model).t_load == \
-            pytest.approx(0.01 * c)
-
-    @common_settings
-    @given(observations=st.lists(
-        st.dictionaries(st.sampled_from(REALIZED_STAGES),
-                        hostile_seconds, max_size=7),
-        max_size=25),
-        model_value=st.floats(min_value=0.0, max_value=1e12,
-                              allow_nan=False, allow_infinity=False))
-    def test_calibrated_times_always_finite_and_nonnegative(
-            self, observations, model_value):
-        """Whatever a plane observes — nan, inf, negatives, absurd
-        magnitudes — calibration must never emit a non-finite or
-        negative stage time into drm_step."""
-        est = OnlineEstimator(warmup=1)
-        model = _times(model_value)
-        for realized in observations:
-            est.observe(realized, model)
-        calibrated = est.calibrate(model)
-        for stage_field in ("t_sample_cpu", "t_sample_accel", "t_load",
-                            "t_transfer", "t_train_cpu",
-                            "t_train_accel", "t_sync"):
-            v = getattr(calibrated, stage_field)
-            assert math.isfinite(v) and v >= 0.0
-
-    def test_summary_and_error_report(self):
-        est = OnlineEstimator(warmup=2)
-        model = _times(0.01)
-        for _ in range(5):
-            est.observe({"load": 0.02}, model)
-        digest = est.summary()["load"]
-        assert digest["warm"]
-        assert digest["observations"] == 5
-        assert digest["error"] == pytest.approx(0.5)   # |m - r| / r
-        assert digest["correction"] > 1.0
-
-    def test_invalid_construction_rejected(self):
-        with pytest.raises(ProtocolError):
-            OnlineEstimator(alpha=0.0)
-        with pytest.raises(ProtocolError):
-            OnlineEstimator(warmup=0)
-        with pytest.raises(ProtocolError):
-            OnlineEstimator(ratio_bounds=(0.0, 1.0))
-
-
-class TestSettleReadings:
-    def test_ewma_forgets_all_but_the_share(self):
-        est = OnlineEstimator(alpha=0.3, warmup=3)
-        n = est.settle_readings(0.05)
-        assert n == 9
-        assert 0.7 ** n <= 0.05 < 0.7 ** (n - 1)
-
-    def test_never_fewer_than_warmup(self):
-        assert OnlineEstimator(alpha=0.9, warmup=4).settle_readings(
-            0.05) == 4
-        assert OnlineEstimator(alpha=1.0, warmup=2).settle_readings(
-            0.05) == 2
 
 
 class TestFoldStageStatsEmpty:
@@ -327,10 +214,9 @@ class TestDurationRowGating:
 
 
 class TestTimingStepHooks:
-    """``timing_step``'s estimator hook: a cold estimator observes but
-    returns bit-identical results (what lets a never-warm estimator pin
-    the analytic trajectory); a warm one feeds corrected times to
-    row/DRM."""
+    """``timing_step``'s clock: a live plane's realized stage seconds
+    replace the modelled ones in the recorded times and steer DRM by
+    trials that move quota alone."""
 
     @pytest.fixture()
     def session_pair(self, tiny_ds, fpga_platform):
@@ -358,61 +244,42 @@ class TestTimingStepHooks:
                 stats_accel.append(st_)
         return stats_cpu, stats_accel
 
-    def test_cold_estimator_observes_and_is_bit_identical(
-            self, session_pair):
-        plain, hooked = session_pair
-        stats_cpu, stats_accel = self._stats(plain)
-        h_cpu, h_accel = self._stats(hooked)
-        est = OnlineEstimator(warmup=10)
-        for _ in range(4):   # observed, but short of warm
-            est.observe({"load": 123.0}, _times(0.01))
-        t0, r0, s0 = plain.timing_step(stats_cpu, stats_accel, 0)
-        t1, r1, s1 = hooked.timing_step(
-            h_cpu, h_accel, 0, estimator=est,
-            realized={"load": 123.0})
-        assert est.observations("load") == 5
-        assert not est.is_warm()
-        assert t0 == t1
-        assert r0 == r1
-        assert s0 == s1
-
-    def test_calibrate_feeds_corrected_times(self, session_pair):
-        plain, hooked = session_pair
-        stats_cpu, stats_accel = self._stats(plain)
-        h_cpu, h_accel = self._stats(hooked)
-        t0, _, _ = plain.timing_step(stats_cpu, stats_accel, 0)
-        est = OnlineEstimator(warmup=1)
-        scale = 3.0
-        for _ in range(50):
-            est.observe({"load": t0.t_load * scale}, t0)
-        t1, _, _ = hooked.timing_step(
-            h_cpu, h_accel, 0, estimator=est,
-            realized={"load": t0.t_load * scale})
-        assert t1.t_load > t0.t_load
-        assert t1.t_load == pytest.approx(
-            t0.t_load * est.correction("load"))
-
-    def test_calibration_prices_the_quotas_not_the_threads(
-            self, session_pair):
-        """A live plane has no thread pools: under an estimator the
-        model prices the split's quotas only, so two sessions whose
-        splits differ in their thread counts alone calibrate to the
-        same times."""
-        a, b = session_pair
-        b.split = b.split.with_updates(
-            sample_threads=b.split.sample_threads + 8,
-            load_threads=b.split.load_threads - 8)
-        assert a.stage_times(*self._stats(a)) != \
-            b.stage_times(*self._stats(b))
-        realized = {"load": 0.01, "train_cpu": 0.02,
-                    "train_accel": 0.03, "sync": 0.001}
-        outs = []
-        for session in (a, b):
+    def test_clock_overlays_the_realized_stages(self, session_pair):
+        """Each realized stage replaces its modelled field in the
+        returned times and the duration row; ``t_transfer`` has no
+        realized key and stays modelled."""
+        plain, live = session_pair
+        for session in session_pair:
             session.drm = None        # hold the split still
-            est = OnlineEstimator(warmup=1)
-            stats = self._stats(session)
-            for it in range(3):
-                times, _, _ = session.timing_step(
-                    *stats, it, estimator=est, realized=realized)
-            outs.append(times)
-        assert outs[0] == outs[1]
+        modelled, _, _ = plain.timing_step(*self._stats(plain), 0)
+        realized = {"load": 0.5, "train_cpu": 0.25, "sync": 0.125}
+        times, row, _ = live.timing_step(*self._stats(live), 0,
+                                         realized=realized)
+        assert times == modelled.with_updates(
+            t_load=0.5, t_train_cpu=0.25, t_sync=0.125)
+        assert times.t_transfer == modelled.t_transfer
+        assert row == live.duration_row(times)
+
+    def test_no_live_decision_moves_threads_or_sampling_share(
+            self, session_pair):
+        """A live plane has no thread pools and samples on the host:
+        its DRM steps move quota both ways and nothing else."""
+        session, _ = session_pair
+        stats = self._stats(session)
+        start = session.split
+        rng = np.random.default_rng(0)
+        for it in range(300):
+            cpu_slow = (it // 40) % 2 == 0
+            realized = {"train_cpu": 2.0 if cpu_slow else 1.0,
+                        "train_accel": 1.0 if cpu_slow else 2.0,
+                        "sync": float(rng.uniform(0.0, 0.1))}
+            session.timing_step(*stats, it, realized=realized)
+        moves = {d.detail for d in session.drm.decisions
+                 if d.action == "balance_work"}
+        assert moves == {"training cpu->accel", "training accel->cpu"}
+        for d in session.drm.decisions:
+            for name in ("sample_threads", "load_threads",
+                         "train_threads", "accel_sample_fraction"):
+                assert getattr(d.new_split, name) == \
+                    getattr(start, name), (d, name)
+            assert d.new_split.total_targets == start.total_targets

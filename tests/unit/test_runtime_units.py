@@ -14,7 +14,7 @@ from repro.nn.models import build_model
 from repro.perfmodel.model import StageTimes, WorkloadSplit
 from repro.runtime import TrainingSession, VirtualTimeBackend, build_backend
 from repro.runtime.backends.report import Reply, RunReport
-from repro.runtime.drm import MIN_ACCEL_TARGETS, DRMEngine
+from repro.runtime.drm import MIN_ACCEL_TARGETS, TRIAL_READINGS, DRMEngine
 from repro.runtime.prefetch import PrefetchBuffer
 from repro.sampling.base import MiniBatchStats
 from repro.runtime.protocol import (
@@ -595,51 +595,86 @@ class TestDRM:
         assert drm.decisions[-1].action == "revert"
         assert reverted.cpu_targets == split.cpu_targets
 
-    def test_trial_waits_for_a_full_window(self):
-        """Calibrated (``settle``) steps act only once the split has
-        been in effect for ``settle`` readings."""
+    def test_live_step_waits_for_a_full_window(self):
+        """A live (``realized``) step acts only once the split has
+        been in effect for a window of readings: the look-ahead lag
+        plus :data:`TRIAL_READINGS`."""
+        drm = _drm()
+        assert drm.trial_window == TRIAL_READINGS + 1   # prefetch_depth 2
+        split = _split()
+        slow_cpu = {"train_cpu": 2.0, "train_accel": 1.0, "sync": 0.1}
+        for it in range(drm.trial_window - 1):
+            assert drm.adjust(split, _times(), it,
+                              realized=slow_cpu) is split
+        assert drm.decisions == []
+        moved = drm.adjust(split, _times(), drm.trial_window - 1,
+                           realized=slow_cpu)
+        assert moved.cpu_targets < split.cpu_targets
+        assert moved.total_targets == split.total_targets
+
+    @pytest.mark.parametrize("realized, toward_accel", [
+        ({"train_cpu": 2.0, "train_accel": 1.0}, True),
+        ({"train_cpu": 1.0, "train_accel": 2.0}, False),
+        ({"train_accel": 2.0}, False)])
+    def test_live_step_moves_quota_toward_the_faster_side(
+            self, realized, toward_accel):
+        """Quota moves one granule from the slower training side to the
+        faster one, whatever the modelled times say; threads and the
+        sampling share never move."""
         drm = _drm()
         split = _split()
-        for it in range(2):
-            assert drm.adjust(split, _times(t_train_accel=5.0), it,
-                              settle=3, realized_s=1.0) is split
-        assert drm.decisions == []
-        moved = drm.adjust(split, _times(t_train_accel=5.0), 2,
-                           settle=3, realized_s=1.0)
-        assert moved.cpu_targets > split.cpu_targets
-        assert moved.total_targets == split.total_targets
+        for it in range(drm.trial_window):
+            out = drm.adjust(split, _times(t_load=5.0), it,
+                             realized=realized)
+        assert (out.cpu_targets < split.cpu_targets) == toward_accel
+        assert out.cpu_targets != split.cpu_targets
+        assert out.total_targets == split.total_targets
+        for name in ("sample_threads", "load_threads", "train_threads",
+                     "accel_sample_fraction"):
+            assert getattr(out, name) == getattr(split, name)
+
+    def test_live_step_holds_inside_hysteresis(self):
+        drm = _drm()
+        split = _split()
+        for it in range(drm.trial_window):
+            out = drm.adjust(split, _times(t_train_accel=5.0), it,
+                             realized={"train_cpu": 1.0,
+                                       "train_accel": 1.04})
+        assert out is split
+        assert drm.decisions[-1].detail == "within hysteresis"
 
     @pytest.mark.parametrize("after, reverted", [(0.99, False),
                                                  (1.01, True)])
-    def test_trial_is_judged_on_realized_seconds(self, after, reverted):
+    def test_live_move_is_judged_on_realized_seconds(self, after,
+                                                     reverted):
         """A move on trial stands only if its window's mean realized
-        seconds per target beat the best split's, whatever the
-        calibrated times say — no tolerance."""
+        seconds per target beat the best split's — no tolerance."""
         drm = _drm()
         split = _split()
-        for it in range(3):
-            moved = drm.adjust(split, _times(t_train_accel=5.0), it,
-                               settle=3, realized_s=1.0)
+        for it in range(drm.trial_window):
+            moved = drm.adjust(split, _times(), it,
+                               realized={"train_cpu": 2.0,
+                                         "train_accel": 1.0})
         assert moved is not split
-        for it in range(3, 6):
-            out = drm.adjust(moved, _times(), it, settle=3,
-                             realized_s=after)
+        even = {"train_cpu": 2.0 * after, "train_accel": 2.0 * after}
+        for it in range(drm.trial_window, 2 * drm.trial_window):
+            out = drm.adjust(moved, _times(), it, realized=even)
         assert (drm.decisions[-1].action == "revert") == reverted
         assert out == (split if reverted else moved)
 
-    def test_trial_never_compares_with_analytic_readings(self):
-        """Readings taken before calibration (no ``settle``) are on
-        the model's scale: the first calibrated move is not judged
-        against them."""
+    def test_live_trial_never_compares_with_model_readings(self):
+        """Model-driven steps (no ``realized``) are on the model's
+        scale: the first live move is not judged against them."""
         drm = _drm()
         split = _split()
         assert drm.adjust(split, _times(), 0) is split   # tiny metric
-        for it in range(1, 4):
-            moved = drm.adjust(split, _times(t_train_accel=5.0), it,
-                               settle=3, realized_s=1.0)
-        for it in range(4, 7):
-            out = drm.adjust(moved, _times(), it, settle=3,
-                             realized_s=1.0)
+        for it in range(1, drm.trial_window + 1):
+            moved = drm.adjust(split, _times(), it,
+                               realized={"train_cpu": 2.0,
+                                         "train_accel": 1.0})
+        even = {"train_cpu": 2.0, "train_accel": 2.0}
+        for it in range(drm.trial_window + 1, 2 * drm.trial_window + 1):
+            out = drm.adjust(moved, _times(), it, realized=even)
         assert out is moved
         assert all(d.action != "revert" for d in drm.decisions)
 
