@@ -64,6 +64,7 @@ from repro.runtime import (
 )
 from repro.runtime.backends import pipelined
 from repro.runtime.backends.process import WorkerReplica
+from repro.runtime.resctl import FIELD_BY_STAGE
 
 _CASE_IDS = [c.id for c in CONFORMANCE_CASES]
 
@@ -220,6 +221,38 @@ class TestBackendConformance:
             self, case, tiny_ds):
         assert_resumes_after_training_elsewhere("process", case,
                                                 tiny_ds)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_timing_run_reads_the_clock_exactly_on_clock_presets(
+            self, backend, tiny_ds, monkeypatch):
+        """Every timing step of a timing-plane run is recorded as the
+        report's stage history. A preset that declares
+        ``drm_reads_clock`` hands each step the iteration's realized
+        map (the all-reduce always timed as ``sync``), and each stage
+        it times replaces the modelled field in the recorded times;
+        every other plane steps on the model alone."""
+        steps = []
+        timing_step = TrainingSession.timing_step
+
+        def spy(session, *args, realized=None, **kwargs):
+            out = timing_step(session, *args, realized=realized,
+                              **kwargs)
+            steps.append((realized, out[0]))
+            return out
+
+        monkeypatch.setattr(TrainingSession, "timing_step", spy)
+        _, rep = run_backend(backend, CONFORMANCE_CASES[0], tiny_ds)
+        assert steps
+        assert rep.stage_history == [times for _, times in steps]
+        if not get_backend(backend).drm_reads_clock:
+            assert all(realized is None for realized, _ in steps)
+            return
+        assert any({"train_cpu", "train_accel"} & set(realized)
+                   for realized, _ in steps)
+        for realized, times in steps:
+            assert "sync" in realized
+            for stage, seconds in realized.items():
+                assert getattr(times, FIELD_BY_STAGE[stage]) == seconds
 
 
 class TestProcessBackend:

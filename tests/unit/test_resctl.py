@@ -16,6 +16,7 @@ from repro.perfmodel.model import StageTimes
 from repro.runtime import TrainingSession
 from repro.runtime.backends.report import fold_stage_stats
 from repro.runtime.resctl import (
+    FIELD_BY_STAGE,
     REALIZED_STAGES,
     fold_worker_realized,
     stage_key,
@@ -115,6 +116,15 @@ class TestFoldWorkerRealized:
                          "mystery": None}
         assert set(cpu.values()) | set(accel.values()) <= \
             set(REALIZED_STAGES) | {None}
+
+    def test_every_realized_stage_backs_one_modelled_field(self):
+        # Each realized stage replaces exactly one StageTimes field on a
+        # live plane; the transfer has no realized stage and keeps its
+        # modelled time.
+        fields = set(_times().__dataclass_fields__)
+        assert set(FIELD_BY_STAGE) == set(REALIZED_STAGES)
+        assert len(set(FIELD_BY_STAGE.values())) == len(FIELD_BY_STAGE)
+        assert set(FIELD_BY_STAGE.values()) == fields - {"t_transfer"}
 
 
 class TestReportStageSeconds:

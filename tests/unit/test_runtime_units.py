@@ -678,6 +678,90 @@ class TestDRM:
         assert out is moved
         assert all(d.action != "revert" for d in drm.decisions)
 
+    @pytest.mark.parametrize("prefetch, depth, window", [
+        (False, 4, TRIAL_READINGS), (True, 1, TRIAL_READINGS),
+        (True, 2, TRIAL_READINGS + 1), (True, 4, TRIAL_READINGS + 3)])
+    def test_trial_window_adds_the_lookahead_lag(self, prefetch, depth,
+                                                 window):
+        """A move's batches trail it by the look-ahead window less one
+        iteration, so a trial waits that lag on top of
+        :data:`TRIAL_READINGS`; lock-step runs have no lag."""
+        cfg = SystemConfig(hybrid=True, drm=True, prefetch=prefetch,
+                           prefetch_depth=depth)
+        assert DRMEngine(cfg, minibatch_size=256,
+                         hybrid=True).trial_window == window
+
+    def test_live_window_restarts_when_the_split_changes(self):
+        """Readings taken under one split never count toward another's
+        window: after a move the engine waits a full window of the
+        new split before its next decision."""
+        drm = _drm()
+        split = _split()
+        slow_cpu = {"train_cpu": 2.0, "train_accel": 1.0}
+        for it in range(drm.trial_window):
+            moved = drm.adjust(split, _times(), it, realized=slow_cpu)
+        assert moved is not split and len(drm.decisions) == 1
+        start = drm.trial_window
+        for it in range(start, start + drm.trial_window - 1):
+            assert drm.adjust(moved, _times(), it,
+                              realized=slow_cpu) is moved
+        assert len(drm.decisions) == 1
+        drm.adjust(moved, _times(), start + drm.trial_window - 1,
+                   realized=slow_cpu)
+        assert len(drm.decisions) == 2
+
+    def test_live_revert_cools_the_case_down_with_backoff(self):
+        """A reverted live move cools its case down for
+        ``cooldown_iterations`` steps once its split's window is full
+        again, and each further revert of the same case doubles the
+        cooldown."""
+        drm = _drm()
+        split = _split()
+        slow_cpu = {"train_cpu": 2.0, "train_accel": 1.0}
+        worse = {"train_cpu": 3.0, "train_accel": 3.0}
+        it = 0
+        cooldowns = []
+        for _ in range(3):
+            for _ in range(drm.trial_window):
+                moved = drm.adjust(split, _times(), it, realized=slow_cpu)
+                it += 1
+            held = 0
+            while moved is split:
+                assert drm.decisions[-1].detail == "case in cooldown"
+                held += 1
+                moved = drm.adjust(split, _times(), it, realized=slow_cpu)
+                it += 1
+            cooldowns.append(held)
+            for _ in range(drm.trial_window):
+                out = drm.adjust(moved, _times(), it, realized=worse)
+                it += 1
+            assert drm.decisions[-1].action == "revert" and out == split
+        assert cooldowns == [0, drm.cooldown_iterations,
+                             2 * drm.cooldown_iterations]
+
+    def test_live_window_without_training_readings_holds(self):
+        """A window that timed neither training side (every batch idle
+        or dropped) finds no slower side: the step holds."""
+        drm = _drm()
+        split = _split()
+        for it in range(drm.trial_window):
+            out = drm.adjust(split, _times(t_train_cpu=5.0), it,
+                             realized={"sync": 0.1})
+        assert out is split
+        assert [d.detail for d in drm.decisions] == ["within hysteresis"]
+
+    def test_live_step_without_a_cpu_trainer_moves_nothing(self):
+        drm = _drm(hybrid=False)
+        split = WorkloadSplit(cpu_targets=0, accel_targets=(256, 256),
+                              sample_threads=96, load_threads=64,
+                              train_threads=0)
+        for it in range(3 * drm.trial_window):
+            out = drm.adjust(split, _times(), it,
+                             realized={"train_cpu": 0.0,
+                                       "train_accel": 2.0})
+            assert out is split
+        assert all(d.action != "revert" for d in drm.decisions)
+
     def test_non_hybrid_never_assigns_cpu_work(self):
         drm = _drm(hybrid=False)
         split = WorkloadSplit(cpu_targets=0, accel_targets=(256, 256),
